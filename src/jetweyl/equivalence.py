@@ -18,7 +18,7 @@ import sympy as sp
 
 from .errors import ComparisonError, SingularLocusError, SolutionError
 from .exprcore import T, X, Y, is_formal_symbol, is_zero, jet, normalize, partial
-from .invariants import twelve_invariants
+from .invariants import invariant, twelve_invariants
 from .jets import JetPoint
 from .linalg import float_rank
 from .geometry import Solution
@@ -104,6 +104,11 @@ def _section_invariants(sol: Solution) -> list[sp.Expr]:
     return [sol.jet_subs(e) for e in twelve_invariants()]
 
 
+def _section_base_invariants(sol: Solution) -> list[sp.Expr]:
+    """I1, I2, I3 along the section, without deriving the other nine."""
+    return [sol.jet_subs(normalize(invariant(i))) for i in (1, 2, 3)]
+
+
 def _is_constant(e) -> bool:
     return not (set(sp.sympify(e).free_symbols) & set(_COORDS))
 
@@ -144,7 +149,7 @@ def signature(sol: Solution, sampler: SamplerConfig | None = None) -> SignatureC
             "(the order-1 relative-invariant branch)"
         )
     uxx = sol.jet_subs(jet("u", "xx"))
-    base3 = [sol.jet_subs(e) for e in twelve_invariants()[:3]]
+    base3 = _section_base_invariants(sol)
     if all(_is_constant(e) for e in base3):
         notes = [
             "constant invariants: gradient slots set to zero",
@@ -244,7 +249,7 @@ def i_regular(sol: Solution, pt) -> bool:
     uxv = sp.sympify(ux).xreplace(subs)
     if uxv == 0:
         raise SingularLocusError("u_x vanishes on the section at this point")
-    base3 = [sol.jet_subs(e) for e in twelve_invariants()[:3]]
+    base3 = _section_base_invariants(sol)
     M = sp.Matrix(3, 3, lambda i, j: partial(base3[i], _COORDS[j]))
     det = sp.simplify(M.xreplace(subs).det())
     return det != 0

@@ -15,13 +15,15 @@ the coefficient of d_{u_sigma} in the prolonged field is
     D_sigma(phi_u) + a^t u_{sigma+t} + a^x u_{sigma+x} + a^y u_{sigma+y},
 
 i.e. the transported graph of the section plus the vertical correction.
-Coefficients are produced lazily per jet coordinate: the high-order
-entries are only ever evaluated at points, never expanded wholesale.
+Coefficients are produced lazily per jet coordinate, as symbolic
+expressions for :meth:`ProlongedField.apply` and :func:`lie_derivative`.
+Values at a jet point are computed without them, by composing the
+generating section with the point's Taylor polynomial (see
+``symmetry.orbit_dimension``).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import sympy as sp
@@ -170,7 +172,6 @@ class ProlongedField:
         self.k = k
         self.section = generating_section(field)
         self._cache: dict[sp.Symbol, sp.Expr] = {}
-        self._lock = threading.RLock()
 
     def coeff(self, dependent: str, index=MultiIndex()) -> sp.Expr:
         """Coefficient of d_{w_sigma}: D_sigma(phi_w) plus transport terms.
@@ -185,9 +186,8 @@ class ProlongedField:
                 f"coefficient at order {idx.order} beyond prolongation order {self.k}"
             )
         sym = jet(dependent, idx)
-        with self._lock:
-            if sym in self._cache:
-                return self._cache[sym]
+        if sym in self._cache:
+            return self._cache[sym]
         transported = total_derivative_multi(self.section.component(dependent), idx)
         out = sp.expand(
             transported
@@ -195,8 +195,7 @@ class ProlongedField:
             + self.field.ax * jet(dependent, idx.bump("x"))
             + self.field.ay * jet(dependent, idx.bump("y"))
         )
-        with self._lock:
-            self._cache.setdefault(sym, out)
+        self._cache[sym] = out
         return out
 
     def apply(self, e) -> sp.Expr:

@@ -11,9 +11,9 @@ it contains at least one t and at least one x, every prolonged equation
 D_sigma F_i is monic in exactly one principal coordinate, so the equation
 submanifold of any jet order is the graph of a triangular substitution:
 principal coordinates are polynomials in the remaining *internal* ones.
-:meth:`EquationSystem.reduce` performs that substitution; everything
-downstream (symmetry checks, invariance checks, orbit dimensions) relies
-on it.
+:meth:`EquationSystem.reduce` performs that substitution symbolically;
+the symmetry and invariance checks rely on it.  A :class:`JetPoint` solves
+the same triangular system in rational numbers.
 
 Counting internal multi-indices (a, b, c) with a*b = 0 and a+b+c <= k gives
 (k+1)^2 per dependent variable, whence
@@ -27,11 +27,10 @@ with the low orders 5 (k=0) and 11 (k=1) where no equation constrains yet.
 from __future__ import annotations
 
 import itertools
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from typing import Iterable, Mapping
 
 import sympy as sp
@@ -67,6 +66,15 @@ __all__ = [
 ]
 
 _DIRECTIONS = {"t": T, "x": X, "y": Y}
+_ZERO = Fraction(0)
+
+
+def _shift(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def _minus(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
 def total_derivative(e, direction, order_cap: int | None = None) -> sp.Expr:
@@ -164,17 +172,11 @@ def dims(k: int) -> DimRecord:
 class EquationSystem:
     """The modified dispersionless system with its reduction machinery.
 
-    Immutable after construction; the principal-coordinate substitution
-    table is a synchronized cache (values are deterministic, so double
-    computation is harmless).
+    Immutable after construction apart from the memoized symbolic
+    principal-coordinate table behind :meth:`reduce`.
     """
 
-    def __init__(self, order_cap: int = 4):
-        if not 2 <= order_cap <= MAX_JET_ORDER:
-            raise ValueError(
-                f"order_cap must lie in [2, {MAX_JET_ORDER}], got {order_cap}"
-            )
-        self.order_cap = order_cap
+    def __init__(self):
         u, v = jet("u"), jet("v")
         u_t, u_x, u_y = jet("u", "t"), jet("u", "x"), jet("u", "y")
         v_t, v_x, v_y = jet("v", "t"), jet("v", "x"), jet("v", "y")
@@ -188,8 +190,11 @@ class EquationSystem:
         )
         self.equations = (self.F1, self.F2)
         self._table: dict[sp.Symbol, sp.Expr] = {}
-        self._lock = threading.RLock()
         self._R = self.principal_solve()
+        self._recurrences = {
+            dep: self._recurrence(F, dep)
+            for F, dep in ((self.F1, "u"), (self.F2, "v"))
+        }
 
     # -- principal coordinates ---------------------------------------------
 
@@ -211,6 +216,36 @@ class EquationSystem:
             out.append(R)
         return tuple(out)
 
+    def _recurrence(self, F: sp.Expr, dep: str):
+        """(c, terms) with F = c*w_tx + sum of terms, each term a rational
+        coefficient and at most two jet factors (dependent, (nt, nx, ny)).
+
+        No factor besides the leading one carries a t-derivative, so
+        D_sigma of a term only involves coordinates of order <= |sigma|+2
+        and t-count <= that of sigma: D_sigma F = 0 then gives
+        w_{sigma+tx} from coordinates that come earlier when principal
+        values are solved order by order, by ascending t-count.
+        """
+        lead = jet(dep, "tx")
+        gens = sorted(
+            (s for s in F.free_symbols if is_jet_symbol(s)), key=sp.default_sort_key
+        )
+        c, terms = None, []
+        for monom, coef in sp.Poly(F, *gens, domain="QQ").terms():
+            factors = []
+            for s, n in zip(gens, monom):
+                d, idx = jet_info(s)
+                factors += [(d, (idx.nt, idx.nx, idx.ny))] * n
+            if factors == [(dep, (1, 1, 0))]:
+                c = Fraction(int(coef.p), int(coef.q))
+                continue
+            if len(factors) > 2 or any(ix[0] for _, ix in factors):
+                raise AssertionError(f"{lead} does not lead {F}")
+            terms.append((Fraction(int(coef.p), int(coef.q)), tuple(factors)))
+        if not c:
+            raise AssertionError(f"equation not affine-monic in {lead}")
+        return c, tuple(terms)
+
     def principal_expr(self, dependent: str, index: MultiIndex) -> sp.Expr:
         """The internal-coordinate expression of a principal coordinate on
         the equation submanifold (memoized triangular substitution).
@@ -227,8 +262,7 @@ class EquationSystem:
                 f"principal coordinate of order {index.order} past hard cap"
             )
         sym = jet(dependent, index)
-        with self._lock:
-            cached = self._table.get(sym)
+        cached = self._table.get(sym)
         if cached is not None:
             return cached
         if index == MultiIndex(1, 1, 0):
@@ -243,8 +277,7 @@ class EquationSystem:
             parent = self.principal_expr(dependent, index.drop("t"))
             value = self._reduce_raw(total_derivative(parent, "t"))
         value = sp.expand(value)
-        with self._lock:
-            self._table.setdefault(sym, value)
+        self._table[sym] = value
         return value
 
     def _reduce_raw(self, e: sp.Expr) -> sp.Expr:
@@ -270,8 +303,8 @@ class EquationSystem:
     def reduce(self, e, k: int | None = None) -> sp.Expr:
         """Restriction to the order-k equation submanifold in internal
         coordinates.  ``k`` defaults to the expression's own jet order and
-        may not exceed the hard cap; the configured ``order_cap`` is the
-        intended working order, exceeding it is allowed but slow."""
+        may not exceed the hard cap; high orders are slow, the table grows
+        about sevenfold per order."""
         e = sp.sympify(e)
         order = jet_order(e)
         if k is None:
@@ -351,19 +384,20 @@ class EquationSystem:
 
 
 @lru_cache(maxsize=None)
-def ms_system(order_cap: int = 4) -> EquationSystem:
+def ms_system() -> EquationSystem:
     """Shared instance of the system (tables cached across callers)."""
-    return EquationSystem(order_cap=order_cap)
+    return EquationSystem()
 
 
 class JetPoint:
     """A rational point of the order-k equation submanifold.
 
     Stores the base point and internal coordinates only (unset ones are 0);
-    principal coordinates are derived through the substitution table on
+    principal coordinates are solved from the prolonged equations on
     demand, so the point always lies on the equations.  Internal
     coordinates of order beyond k are taken to extend by zero, which is how
-    the tangent-space computations lift the point to higher jet orders.
+    the tangent-space computations lift the point to higher jet orders: the
+    point is the jet of a truncated power-series solution.
     """
 
     def __init__(self, system: EquationSystem, k: int, base=None, internal=None):
@@ -378,6 +412,10 @@ class JetPoint:
                 raise ValueError(f"base coordinate must be t,x,y, got {name!r}")
             self.base[name] = Fraction(val)
         self.internal: dict[sp.Symbol, Fraction] = {}
+        # (dependent, (nt, nx, ny)) -> value; principal entries are filled
+        # by _solve_through, all orders <= _solved at a time
+        self._values: dict[tuple[str, tuple[int, int, int]], Fraction] = {}
+        self._solved = 1
         for key, val in (internal or {}).items():
             s = resolve_symbol(key)
             dep, idx = jet_info(s)  # KeyError -> not a jet symbol
@@ -387,8 +425,7 @@ class JetPoint:
                 )
             if idx.order > k:
                 raise JetOrderError(f"{s} has order beyond k={k}")
-            self.internal[s] = Fraction(val)
-        self._principal_cache: dict[sp.Symbol, Fraction] = {}
+            self.internal[s] = self._values[(dep, (idx.nt, idx.nx, idx.ny))] = Fraction(val)
 
     def value(self, key) -> Fraction:
         """Value of a base or jet coordinate (any order up to the hard cap)."""
@@ -396,14 +433,50 @@ class JetPoint:
         if s in BASE_SYMBOLS:
             return self.base[s.name]
         dep, idx = jet_info(s)
-        if idx.is_internal:
-            return self.internal.get(s, Fraction(0))
-        if s in self._principal_cache:
-            return self._principal_cache[s]
-        expr = self.system.principal_expr(dep, idx)
-        val = self.eval(expr)
-        self._principal_cache[s] = val
-        return val
+        if idx.is_principal:
+            self._solve_through(idx.order)
+        return self._coord(dep, (idx.nt, idx.nx, idx.ny))
+
+    def _coord(self, dep: str, idx: tuple[int, int, int]) -> Fraction:
+        got = self._values.get((dep, idx))
+        if got is None:
+            if idx[0] and idx[1]:
+                raise AssertionError(f"{dep}_{idx} read before it was solved")
+            return _ZERO
+        return got
+
+    def _solve_through(self, order: int) -> None:
+        """Principal values of every order <= ``order``: D_sigma F_w = 0 is
+        solved for w_{sigma+tx}, order by order and by ascending t-count
+        within an order, with D_sigma of each term of F_w evaluated by
+        Leibniz's rule on the values already known."""
+        if order <= self._solved:
+            return
+        for idx in principal_indices(order):
+            if idx.order <= self._solved:
+                continue
+            sigma = (idx.nt - 1, idx.nx - 1, idx.ny)
+            shifts = [
+                (tau, prod(comb(n, m) for n, m in zip(sigma, tau)))
+                for tau in itertools.product(*(range(n + 1) for n in sigma))
+            ]
+            for dep in DEPENDENTS:
+                lead, terms = self.system._recurrences[dep]
+                rest = _ZERO
+                for coef, factors in terms:
+                    if len(factors) == 1:
+                        (d, a), = factors
+                        rest += coef * self._coord(d, _shift(a, sigma))
+                        continue
+                    (d1, a), (d2, b) = factors
+                    rest += coef * sum(
+                        binom
+                        * self._coord(d1, _shift(a, tau))
+                        * self._coord(d2, _shift(b, _minus(sigma, tau)))
+                        for tau, binom in shifts
+                    )
+                self._values[(dep, (idx.nt, idx.nx, idx.ny))] = -rest / lead
+        self._solved = order
 
     def eval(self, e) -> Fraction:
         """Exact evaluation of an internal-coordinate expression at the point."""

@@ -9,14 +9,16 @@ and measures jet-space orbit dimensions by exact rank.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import sympy as sp
 
-from .errors import LiftError, PseudogroupError, SolutionError, ExprError
+from .errors import ExprError, JetOrderError, LiftError, PseudogroupError, SolutionError
 from .exprcore import (
+    MAX_JET_ORDER,
     T,
     X,
     Y,
@@ -31,7 +33,7 @@ from .exprcore import (
     to_text,
     validate_kernel,
 )
-from .fields import PointField, lie_bracket, lie_derivative, prolong
+from .fields import PointField, generating_section, lie_bracket, lie_derivative
 from .jets import EquationSystem, JetPoint, internal_indices, ms_system
 from .linalg import rank
 
@@ -355,17 +357,21 @@ def lift_shape_field(shape: ShapeField | PointField) -> LiftResult:
 _PROBES = (sp.Rational(0), sp.Rational(1, 3), sp.Rational(-1, 3), sp.Integer(1))
 
 
-def _probe_positive(e: sp.Expr, what: str, probes) -> None:
-    for q in probes:
-        val = e.subs(T, q)
-        try:
-            num = float(val)
-        except (TypeError, ValueError) as exc:
-            raise PseudogroupError(
-                f"{what} cannot be evaluated at t={q}: {exc}"
-            ) from None
-        if not num > 0:
-            raise PseudogroupError(f"{what} must stay positive; at t={q} it is {val}")
+def _require_positive_rational(e: sp.Expr, what: str) -> None:
+    """Refuse unless e is a rational function of t without a real zero or
+    pole and positive at t = 0, hence positive on the whole line."""
+    num, den = sp.fraction(sp.together(e))
+    try:
+        polys = [sp.Poly(p, T, domain="QQ") for p in (num, den)]
+    except (sp.PolynomialError, sp.polys.polyerrors.CoercionFailed):
+        raise PseudogroupError(
+            f"{what} must be a rational function of t, got {to_text(e)}"
+        ) from None
+    for p, part in zip(polys, ("zero", "pole")):
+        if p.is_zero or p.count_roots() > 0:
+            raise PseudogroupError(f"{what} has a real {part}: {to_text(e)}")
+    if not e.subs(T, 0) > 0:
+        raise PseudogroupError(f"{what} must be positive; at t=0 it is {e.subs(T, 0)}")
 
 
 @dataclass(frozen=True)
@@ -374,9 +380,10 @@ class PseudogroupElement:
 
     ``d`` is the new time D(t) with explicit inverse ``dinv``; ``root`` is
     the chosen positive square root of D'.  ``a``..``ee`` are functions of
-    t; ee (the scaling) must stay positive.  Validation of positivity and
-    of the inverse is by rational probe points, the exact identities
-    root^2 = D' and D(Dinv(t)) = t are checked symbolically.
+    t; ee (the scaling) must stay positive.  Every check is exact: root^2 =
+    D' and D(Dinv(t)) = t symbolically; ee and D' must be rational
+    functions of t without a real zero or pole (real-root counting), and
+    ee and root must be positive at t = 0.
     """
 
     d: sp.Expr
@@ -403,8 +410,10 @@ class PseudogroupElement:
             # radical-heavy forms can defeat the rational normalizer
             if sp.simplify(back) != 0:
                 raise PseudogroupError("dinv is not an inverse of d")
-        _probe_positive(self.root, "root (orientation)", _PROBES)
-        _probe_positive(self.ee, "ee (scaling)", _PROBES)
+        _require_positive_rational(partial(self.d, "t"), "D' (time dilation)")
+        if not self.root.subs(T, 0).is_positive:
+            raise PseudogroupError("root (orientation) must be positive at t=0")
+        _require_positive_rational(self.ee, "ee (scaling)")
 
     @classmethod
     def make(cls, d=T, dinv=None, root=None, a=0, b=0, c=0, ee=1):
@@ -543,21 +552,125 @@ def orbit_expected_dimension(k: int) -> int:
     return min(orbit_spanning_count(k), dims(k).dim_equation)
 
 
+# a truncated power series about the base point of a jet point:
+# {(i, j, l): coefficient of (t-t0)^i (x-x0)^j (y-y0)^l}
+_Series = dict
+
+
+def _series_mul(a: _Series, b: _Series, degree: int) -> _Series:
+    out: _Series = {}
+    for (i, j, l), p in a.items():
+        room = degree - i - j - l
+        for (i2, j2, l2), q in b.items():
+            if i2 + j2 + l2 <= room:
+                key = (i + i2, j + j2, l + l2)
+                out[key] = out.get(key, 0) + p * q
+    return out
+
+
+class _TaylorJet:
+    """The jet point theta as a truncated power-series section.
+
+    The Taylor polynomials of u and v about the base point (degree k+1,
+    taken from theta's values, principal ones included) give, through
+    degree k, series for the eleven arguments (t, x, y, u, v, u_t, ...,
+    v_y) of a generating section.  Composing a polynomial phi with them
+    and reading off sigma! * coeff_sigma gives D_sigma phi at theta for
+    every |sigma| <= k at once.
+    """
+
+    def __init__(self, theta: JetPoint, k: int):
+        self.k = k
+        self.theta = theta
+        self.gens = (T, X, Y) + tuple(
+            jet(dep, d) for dep in ("u", "v") for d in ((0, 0, 0), "t", "x", "y")
+        )
+        self.args: list[_Series] = []
+        for n, s in enumerate(("t", "x", "y")):
+            unit = tuple(int(m == n) for m in range(3))
+            self.args.append({(0, 0, 0): theta.base[s], unit: Fraction(1)})
+        for dep in ("u", "v"):
+            w = {
+                e: theta.value(jet(dep, e)) / prod(map(factorial, e))
+                for e in itertools.product(range(k + 2), repeat=3)
+                if sum(e) <= k + 1
+            }
+            self.args.append({e: q for e, q in w.items() if sum(e) <= k})
+            for n in range(3):
+                self.args.append({
+                    tuple(e[m] - (m == n) for m in range(3)): e[n] * q
+                    for e, q in w.items()
+                    if e[n]
+                })
+        self._monomials: dict[tuple[int, ...], _Series] = {
+            (0,) * len(self.gens): {(0, 0, 0): Fraction(1)}
+        }
+
+    def _monomial(self, expo: tuple[int, ...]) -> _Series:
+        got = self._monomials.get(expo)
+        if got is None:
+            n = max(m for m, e in enumerate(expo) if e)
+            lower = expo[:n] + (expo[n] - 1,) + expo[n + 1 :]
+            got = _series_mul(self._monomial(lower), self.args[n], self.k)
+            self._monomials[expo] = got
+        return got
+
+    def compose(self, e: sp.Expr) -> _Series:
+        """phi(t, x, y, u, v, u_t, ..., v_y) along the series section."""
+        try:
+            poly = sp.Poly(e, *self.gens, domain="QQ")
+        except (sp.PolynomialError, sp.polys.polyerrors.CoercionFailed) as exc:
+            raise ValueError(
+                f"orbit vectors need polynomial generating sections, got {e}"
+            ) from exc
+        out: _Series = {}
+        for expo, coef in poly.terms():
+            c = Fraction(int(coef.p), int(coef.q))
+            for key, q in self._monomial(expo).items():
+                out[key] = out.get(key, 0) + c * q
+        return out
+
+    def vector(self, field: PointField) -> list[Fraction]:
+        """The prolonged field at theta in internal coordinates of order
+        <= k: (a^t, a^x, a^y) and, per internal sigma,
+        D_sigma phi_w + a^t w_{sigma+t} + a^x w_{sigma+x} + a^y w_{sigma+y}."""
+        base = [
+            self.compose(c).get((0, 0, 0), Fraction(0))
+            for c in (field.at, field.ax, field.ay)
+        ]
+        vec = list(base)
+        section = generating_section(field)
+        for dep in ("u", "v"):
+            phi = self.compose(section.component(dep))
+            for idx in internal_indices(self.k):
+                sigma = (idx.nt, idx.nx, idx.ny)
+                val = phi.get(sigma, 0) * prod(map(factorial, sigma))
+                for a, d in zip(base, ("t", "x", "y")):
+                    if a:
+                        val += a * self.theta.value(jet(dep, idx.bump(d)))
+                vec.append(Fraction(val))
+        return vec
+
+
+def _orbit_vectors(k: int, theta: JetPoint) -> list[list[Fraction]]:
+    """The spanning fields of the order-k orbit evaluated at theta."""
+    if k + 1 > MAX_JET_ORDER:
+        raise JetOrderError(
+            f"orbit vectors at order {k} need order-{k + 1} coordinates "
+            f"past the hard cap {MAX_JET_ORDER}"
+        )
+    series = _TaylorJet(theta, k)
+    vectors = []
+    for fam in (1, 2, 3, 4, 5):
+        mmax = k + 1 if fam in (1, 2, 4) else k
+        for m in range(mmax + 1):
+            vectors.append(series.vector(generator(fam, T**m / sp.Integer(factorial(m)))))
+    assert len(vectors) == orbit_spanning_count(k)
+    return vectors
+
+
 def orbit_dimension(k: int, theta: JetPoint) -> int:
     """Dimension of the symmetry orbit through theta inside the order-k
     equation submanifold: exact rank of the evaluated spanning fields in
     internal coordinates."""
-    vectors = []
-    idxs = internal_indices(k)
-    for fam in (1, 2, 3, 4, 5):
-        mmax = k + 1 if fam in (1, 2, 4) else k
-        for m in range(mmax + 1):
-            field = generator(fam, T**m / sp.Integer(factorial(m)))
-            pf = prolong(field, k)
-            vec = [theta.eval(c) for c in (field.at, field.ax, field.ay)]
-            for dep in ("u", "v"):
-                for idx in idxs:
-                    vec.append(theta.eval(pf.coeff(dep, idx)))
-            vectors.append(vec)
-    assert len(vectors) == orbit_spanning_count(k)
-    return rank(vectors)
+    return rank(_orbit_vectors(k, theta))

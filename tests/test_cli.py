@@ -147,6 +147,12 @@ def test_verify_all_single_suite(capsys):
     assert doc["suites"]["coframe"]["ok"]
 
 
+def test_verify_all_orbit_suite_runs_to_order_4(capsys):
+    code, doc = run(["verify-all", "--only", "orbit"], capsys)
+    assert code == 0
+    assert doc["suites"]["orbit"]["dimensions"] == {"1": 11, "2": 18, "3": 23, "4": 28}
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "jetweyl.cli", "dims", "1"],

@@ -43,9 +43,9 @@ def test_equation_canonical_forms():
 
 
 def test_order_cap_enforced():
-    top = jet("u", (0, ms_system().order_cap + 2, 0))
+    top = jet("u", (0, 6, 0))
     with pytest.raises(JetOrderError):
-        total_derivative(top, "x", order_cap=ms_system().order_cap + 2)
+        total_derivative(top, "x", order_cap=6)
 
 
 def test_multi_equals_iterated():

@@ -1,15 +1,22 @@
 """The five symmetry families: commutation table, lifts, group action, orbits."""
 
+import random
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
-from jetweyl.errors import PseudogroupError
-from jetweyl.exprcore import T, X, Y, equal, formal, is_zero, jet
-from jetweyl.fields import PointField
-from jetweyl.jets import ms_system
+from jetweyl.errors import JetOrderError, PseudogroupError
+from jetweyl.exprcore import T, X, Y, equal, formal, is_zero, jet, jet_info
+from jetweyl.fields import PointField, prolong
+from jetweyl.invariants import counting
+from jetweyl.jets import dims, internal_indices, ms_system, principal_indices
 from jetweyl.symmetry import (
+    _orbit_vectors,
+    _TaylorJet,
     GRADES,
     PseudogroupElement,
     ShapeField,
@@ -126,6 +133,32 @@ def test_non_invertible_time_map_rejected():
         PseudogroupElement.make(d=T**2)  # not injective on the line
 
 
+@pytest.mark.parametrize(
+    "ee",
+    [
+        T + sp.Rational(1, 2),  # root at t = -1/2
+        3 * T**2 - T + sp.Rational(1, 20),  # two real roots between 0 and 1/3
+        1 / (T**2 - 1),  # poles at t = -1, 1
+        -1 - T**2,  # no root, negative
+        sp.exp(T),  # positive, but not a rational function
+    ],
+)
+def test_scalings_that_are_not_provably_positive_are_refused(ee):
+    with pytest.raises(PseudogroupError):
+        PseudogroupElement.make(ee=ee)
+
+
+def test_time_maps_with_a_critical_point_are_refused():
+    # D' = 3t^2 vanishes at t = 0; root = sqrt(3)*|t| squares to it
+    with pytest.raises(PseudogroupError):
+        PseudogroupElement(d=T**3, dinv=sp.cbrt(T), root=sp.sqrt(3) * sp.Abs(T))
+
+
+def test_positive_rational_scalings_and_dilations_are_accepted():
+    el = PseudogroupElement.make(d=T**3 + T, ee=1 / (T**2 + 1))
+    assert equal(el.ee, 1 / (T**2 + 1))
+
+
 def test_reflections():
     ur, vr = reflect_section("txy", X, sp.Integer(0))
     assert equal(ur, -X) and is_zero(vr)
@@ -178,3 +211,118 @@ def test_orbit_dimension_special_point_k3():
     theta = sys_.point(3, internal={"u_x": 1, "u_xx": 1})
     assert orbit_dimension(3, theta) == 23
     assert orbit_expected_dimension(3) == 5 * 3 + 8
+
+
+# The symbolic path the pointwise orbit vectors replaced, kept as their
+# oracle: prolonged coefficients D_sigma(phi_w) + transport built as
+# expressions, principal coordinates taken from the substitution table.
+
+
+@lru_cache(maxsize=None)
+def _symbolic_fields(k: int) -> tuple[tuple[sp.Expr, ...], ...]:
+    rows = []
+    for fam in range(1, 6):
+        for m in range((k + 1 if fam in (1, 2, 4) else k) + 1):
+            field = generator(fam, T**m / sp.Integer(factorial(m)))
+            pf = prolong(field, k)
+            rows.append(
+                (field.at, field.ax, field.ay)
+                + tuple(pf.coeff(dep, idx) for dep in "uv" for idx in internal_indices(k))
+            )
+    return tuple(rows)
+
+
+def _table_value(theta, s) -> Fraction:
+    if s in (T, X, Y):
+        return theta.base[s.name]
+    dep, idx = jet_info(s)
+    if idx.is_internal:
+        return theta.internal.get(s, Fraction(0))
+    return _table_eval(ms_system().principal_expr(dep, idx), theta)
+
+
+def _table_eval(e, theta) -> Fraction:
+    rep = {}
+    for s in sp.sympify(e).free_symbols:
+        q = _table_value(theta, s)
+        rep[s] = sp.Rational(q.numerator, q.denominator)
+    val = sp.sympify(e).xreplace(rep)
+    return Fraction(int(val.p), int(val.q))
+
+
+def _assert_matches_symbolic_path(k: int, theta):
+    for idx in principal_indices(k + 1):
+        for dep in "uv":
+            s = jet(dep, idx)
+            assert theta.value(s) == _table_value(theta, s), s
+    want = [[_table_eval(e, theta) for e in row] for row in _symbolic_fields(k)]
+    assert _orbit_vectors(k, theta) == want
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+
+
+@st.composite
+def _jet_points(draw):
+    k = draw(st.integers(1, 3))
+    base = {c: draw(_RATIONALS) for c in "txy"}
+    internal = {
+        jet(dep, idx): draw(_RATIONALS)
+        for dep in "uv"
+        for idx in internal_indices(k)
+    }
+    return k, ms_system().point(k, base=base, internal=internal)
+
+
+@given(_jet_points())
+@settings(max_examples=12, deadline=None)
+def test_orbit_vectors_match_the_symbolic_path(drawn):
+    _assert_matches_symbolic_path(*drawn)
+
+
+def test_orbit_vectors_match_the_symbolic_path_at_order_4():
+    rng = random.Random(4)
+    internal = {
+        jet(dep, idx): Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        for dep in "uv"
+        for idx in internal_indices(4)
+    }
+    theta = ms_system().point(
+        4, base={"t": Fraction(1, 3), "x": -2, "y": Fraction(5, 4)}, internal=internal
+    )
+    _assert_matches_symbolic_path(4, theta)
+
+
+@lru_cache(maxsize=None)
+def _generic_orbit_dimension(k: int) -> int:
+    rng = random.Random(100 + k)
+    internal = {
+        jet(dep, idx): Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        for dep in "uv"
+        for idx in internal_indices(k)
+    }
+    base = {c: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for c in "txy"}
+    return orbit_dimension(k, ms_system().point(k, base=base, internal=internal))
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_generic_orbit_rank_at_high_order(k):
+    assert _generic_orbit_dimension(k) == 5 * k + 8 == orbit_expected_dimension(k)
+
+
+def test_ms_counts_are_equation_dimension_minus_orbit_dimension():
+    for k in range(2, 8):
+        assert dims(k).dim_equation - _generic_orbit_dimension(k) == counting("ms", k).s, k
+
+
+def test_orbit_vectors_stop_at_the_hard_cap():
+    with pytest.raises(JetOrderError):
+        orbit_dimension(8, ms_system().point(8))
+
+
+def test_composition_refuses_non_polynomial_sections():
+    series = _TaylorJet(ms_system().point(1), 1)
+    with pytest.raises(ValueError):
+        series.compose(sp.exp(T) * jet("u", "x"))
+    with pytest.raises(ValueError):
+        series.compose(formal("f") * jet("u", "x"))
