@@ -17,8 +17,8 @@ Subpackages by theme:
 * :mod:`jetweyl.cli`        the ``jetweyl`` command-line tool
 """
 
-from .exprcore import Expr, MultiIndex, formal, jet
+from .exprcore import MultiIndex, formal, jet
 
 __version__ = "0.1.0"
 
-__all__ = ["Expr", "MultiIndex", "formal", "jet", "__version__"]
+__all__ = ["MultiIndex", "formal", "jet", "__version__"]

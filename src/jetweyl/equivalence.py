@@ -216,7 +216,7 @@ def signature(sol: Solution, sampler: SamplerConfig | None = None) -> SignatureC
 def jet_cloud(points: list[JetPoint], provenance: str = "equation-points") -> SignatureCloud:
     """Exact signature vectors at on-equation jet points (the evaluation
     machinery independent of any section)."""
-    exprs = [normalize(e) for e in twelve_invariants()]
+    exprs = twelve_invariants()  # already in canonical form
     ux, uxx = jet("u", "x"), jet("u", "xx")
     pts, vals = [], []
     skipped = 0
@@ -251,8 +251,7 @@ def i_regular(sol: Solution, pt) -> bool:
         raise SingularLocusError("u_x vanishes on the section at this point")
     base3 = _section_base_invariants(sol)
     M = sp.Matrix(3, 3, lambda i, j: partial(base3[i], _COORDS[j]))
-    det = sp.simplify(M.xreplace(subs).det())
-    return det != 0
+    return not is_zero(M.xreplace(subs).det())
 
 
 # ---------------------------------------------------------------------------

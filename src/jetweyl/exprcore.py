@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import re
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -79,7 +78,6 @@ __all__ = [
     "substitute",
     "eval_numeric",
     "to_text",
-    "Expr",
 ]
 
 # Base variables.  y carries the positivity assumption so that sympy merges
@@ -95,7 +93,6 @@ MAX_JET_ORDER = 8
 
 DEPENDENTS = ("u", "v")
 
-_registry_lock = threading.Lock()
 #: sympy Symbol -> ("u"|"v", MultiIndex)
 _JET_REGISTRY: dict[sp.Symbol, tuple[str, "MultiIndex"]] = {}
 #: sympy Symbol -> (name, derivative order)
@@ -199,8 +196,7 @@ def jet(dependent: str, index: IndexLike = MultiIndex()) -> sp.Symbol:
         )
     name = dependent if idx.order == 0 else f"{dependent}_{idx.word()}"
     sym = sp.Symbol(name, real=True)
-    with _registry_lock:
-        _JET_REGISTRY.setdefault(sym, (dependent, idx))
+    _JET_REGISTRY.setdefault(sym, (dependent, idx))
     return sym
 
 
@@ -240,8 +236,7 @@ def formal(name: str, order: int = 0) -> sp.Symbol:
     if order < 0:
         raise ValueError("derivative order must be non-negative")
     sym = sp.Symbol(name + "'" * order, real=True)
-    with _registry_lock:
-        _FORMAL_REGISTRY.setdefault(sym, (name, order))
+    _FORMAL_REGISTRY.setdefault(sym, (name, order))
     return sym
 
 
@@ -354,6 +349,15 @@ def validate_kernel(e, allow_exp: bool = False) -> sp.Expr:
 # canonicalization
 
 
+#: auxiliary positive generators, one per base variable and kind; fixed
+#: symbols, so that the jet rings holding them can be reused
+_AUX = {
+    name: sp.Dummy(name, positive=True)
+    for base in BASE_SYMBOLS
+    for name in (f"E{base.name}", base.name.upper())
+}
+
+
 def _rescaled(e: sp.Expr) -> tuple[sp.Expr, dict]:
     """Replace fractional powers of base variables and exponential atoms by
     integer powers of auxiliary positive generators, so that sympy's
@@ -372,7 +376,7 @@ def _rescaled(e: sp.Expr) -> tuple[sp.Expr, dict]:
             if not coeffs:
                 continue
             scale = sp.Rational(1, functools.reduce(sp.ilcm, [c.q for c in coeffs], 1))
-            gen = sp.Dummy(f"E{base.name}", positive=True)
+            gen = _AUX[f"E{base.name}"]
             rep = {
                 atom: gen ** int(atom.args[0].as_coefficient(base) / scale)
                 for atom in e.atoms(sp.exp)
@@ -391,7 +395,7 @@ def _rescaled(e: sp.Expr) -> tuple[sp.Expr, dict]:
         if not dens:
             continue
         m = functools.reduce(sp.ilcm, dens, 1)
-        gen = sp.Dummy(base.name.upper(), positive=True)
+        gen = _AUX[base.name.upper()]
         e = e.xreplace({base: gen**m})
         back[gen] = base ** sp.Rational(1, m)
     return e, back
@@ -614,138 +618,3 @@ def to_text(e) -> str:
         num_s = f"({num_s})"
     den_s = _print_term(den, wrap_mul=True)
     return f"{num_s}/{den_s}"
-
-
-# ---------------------------------------------------------------------------
-# the public wrapper
-
-
-class Expr:
-    """Immutable exact expression in the kernel's term language.
-
-    Thin wrapper over a validated sympy expression.  Arithmetic produces
-    canonical forms; equality and the zero test are exact.  The heavy
-    modules work on raw sympy internally and wrap results at their API
-    boundary.
-    """
-
-    __slots__ = ("_sym", "_canonical")
-
-    def __init__(self, value, allow_exp: bool = False):
-        if isinstance(value, Expr):
-            self._sym = value._sym
-            self._canonical = value._canonical
-            return
-        sym = sp.sympify(value, rational=True)
-        validate_kernel(sym, allow_exp=allow_exp)
-        self._sym = sym
-        self._canonical = None
-
-    @property
-    def sym(self) -> sp.Expr:
-        """The underlying sympy expression (not necessarily canonical)."""
-        return self._sym
-
-    @property
-    def canonical(self) -> sp.Expr:
-        if self._canonical is None:
-            self._canonical = normalize(self._sym)
-        return self._canonical
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _binop(self, other, op) -> "Expr":
-        o = other._sym if isinstance(other, Expr) else sp.sympify(other, rational=True)
-        out = Expr.__new__(Expr)
-        out._sym = normalize(op(self._sym, o))
-        out._canonical = out._sym
-        return out
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = other._sym if isinstance(other, Expr) else sp.sympify(other, rational=True)
-        if is_zero(o):
-            raise DivisionByZeroExpression("division by an expression equal to zero")
-        return self._binop(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        if self.is_zero():
-            raise DivisionByZeroExpression("division by an expression equal to zero")
-        return self._binop(other, lambda a, b: b / a)
-
-    def __pow__(self, exponent):
-        expo = sp.Rational(exponent)
-        if expo.is_Integer and expo < 0 and self.is_zero():
-            raise DivisionByZeroExpression("negative power of the zero expression")
-        out = Expr.__new__(Expr)
-        out._sym = normalize(self._sym**expo)
-        validate_kernel(out._sym, allow_exp=True)
-        out._canonical = out._sym
-        return out
-
-    def __neg__(self):
-        return self._binop(sp.Integer(-1), lambda a, b: a * b)
-
-    # -- predicates ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.canonical == 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Expr):
-            other = other._sym
-        else:
-            try:
-                other = sp.sympify(other, rational=True)
-            except (sp.SympifyError, TypeError):
-                return NotImplemented
-        return is_zero(self._sym - other)
-
-    def __hash__(self):
-        return hash(sp.srepr(self.canonical))
-
-    # -- calculus / evaluation ---------------------------------------------
-
-    def partial(self, s) -> "Expr":
-        out = Expr.__new__(Expr)
-        out._sym = partial(self._sym, s)
-        out._canonical = None
-        return out
-
-    def substitute(self, bindings: Mapping) -> "Expr":
-        out = Expr.__new__(Expr)
-        out._sym = substitute(self._sym, bindings)
-        out._canonical = out._sym
-        return out
-
-    def eval(self, point=None, formal_data=None, dps: int = 50):
-        return eval_numeric(self._sym, point, formal_data, dps)
-
-    def free_symbols(self):
-        return self.canonical.free_symbols
-
-    # -- misc ---------------------------------------------------------------
-
-    def to_text(self) -> str:
-        return to_text(self.canonical)
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def __repr__(self) -> str:
-        return f"Expr({self.to_text()!r})"

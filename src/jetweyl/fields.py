@@ -15,11 +15,13 @@ the coefficient of d_{u_sigma} in the prolonged field is
     D_sigma(phi_u) + a^t u_{sigma+t} + a^x u_{sigma+x} + a^y u_{sigma+y},
 
 i.e. the transported graph of the section plus the vertical correction.
-Coefficients are produced lazily per jet coordinate, as symbolic
-expressions for :meth:`ProlongedField.apply` and :func:`lie_derivative`.
-Values at a jet point are computed without them, by composing the
-generating section with the point's Taylor polynomial (see
-``symmetry.orbit_dimension``).
+Coefficients are produced lazily per jet coordinate, as elements of the
+jet ring (``jets._JetRing``, a sparse rational-function field), where
+:meth:`ProlongedField.apply`, :func:`lie_derivative`, :func:`lie_bracket`
+and the zero test of a point field compute; sympy expressions are
+converted once on the way in and once on the way out.  Values at a jet
+point are computed without them, by composing the generating section with
+the point's Taylor polynomial (see ``symmetry.orbit_dimension``).
 """
 
 from __future__ import annotations
@@ -30,18 +32,20 @@ import sympy as sp
 
 from .errors import JetOrderError, NotAPointFieldError
 from .exprcore import (
+    BASE_SYMBOLS,
     MAX_JET_ORDER,
     MultiIndex,
+    formal_shift,
+    is_formal_symbol,
     is_jet_symbol,
     jet,
     jet_info,
     jet_order,
     normalize,
     is_zero,
-    partial,
     to_text,
 )
-from .jets import total_derivative, total_derivative_multi
+from .jets import _ring_for, _vanishes
 
 __all__ = [
     "PointField",
@@ -53,7 +57,7 @@ __all__ = [
     "lie_derivative",
 ]
 
-_U = ("u", "v")
+_FIBRE = (jet("u"), jet("v"))
 
 
 def _check_point_coefficient(e: sp.Expr, where: str) -> sp.Expr:
@@ -88,13 +92,9 @@ class PointField:
     def apply(self, h) -> sp.Expr:
         """Derivation on functions of (t, x, y, u, v) and formal functions."""
         h = sp.sympify(h)
-        return (
-            self.at * partial(h, "t")
-            + self.ax * partial(h, "x")
-            + self.ay * partial(h, "y")
-            + self.fu * sp.diff(h, jet("u"))
-            + self.fv * sp.diff(h, jet("v"))
-        )
+        ring = _ring_for(jet_order(h), (h, *self.components()), derivatives=1)
+        comps = [ring.convert(c) for c in self.components()]
+        return ring.to_expr(_point_apply(ring, comps, ring.convert(h)))
 
     def __add__(self, other: "PointField") -> "PointField":
         return PointField(*(a + b for a, b in zip(self.components(), other.components())))
@@ -110,7 +110,7 @@ class PointField:
         return PointField(*(scalar * a for a in self.components()))
 
     def is_zero(self) -> bool:
-        return all(is_zero(c) for c in self.components())
+        return all(_vanishes(c) for c in self.components())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointField):
@@ -171,7 +171,45 @@ class ProlongedField:
         self.field = field
         self.k = k
         self.section = generating_section(field)
-        self._cache: dict[sp.Symbol, sp.Expr] = {}
+        # ring -> the field's components in it; (ring, dependent, index) ->
+        # D_sigma(phi_w), resp. the coefficient
+        self._components: dict = {}
+        self._dphi: dict = {}
+        self._coeffs: dict = {}
+
+    def _ring(self, e: sp.Expr):
+        """The jet ring of order k+1 holding e, the field and the formal
+        derivatives its prolongation reaches."""
+        return _ring_for(self.k + 1, (e, *self.field.components()), derivatives=self.k + 1)
+
+    def _components_in(self, ring) -> list:
+        got = self._components.get(ring)
+        if got is None:
+            got = self._components[ring] = [ring.convert(c) for c in self.field.components()]
+        return got
+
+    def _section_derivative(self, ring, dependent: str, idx: MultiIndex):
+        key = (ring, dependent, idx)
+        got = self._dphi.get(key)
+        if got is None:
+            if idx.order == 0:
+                got = ring.convert(self.section.component(dependent))
+            else:
+                d = "y" if idx.ny else ("x" if idx.nx else "t")
+                got = ring.total(self._section_derivative(ring, dependent, idx.drop(d)), d)
+            self._dphi[key] = got
+        return got
+
+    def _coeff_in(self, ring, dependent: str, idx: MultiIndex):
+        key = (ring, dependent, idx)
+        got = self._coeffs.get(key)
+        if got is None:
+            got = self._section_derivative(ring, dependent, idx)
+            for a, d in zip(self._components_in(ring)[:3], "txy"):
+                if a:
+                    got = got + a * ring.gen(jet(dependent, idx.bump(d)))
+            self._coeffs[key] = got
+        return got
 
     def coeff(self, dependent: str, index=MultiIndex()) -> sp.Expr:
         """Coefficient of d_{w_sigma}: D_sigma(phi_w) plus transport terms.
@@ -185,39 +223,55 @@ class ProlongedField:
             raise JetOrderError(
                 f"coefficient at order {idx.order} beyond prolongation order {self.k}"
             )
-        sym = jet(dependent, idx)
-        if sym in self._cache:
-            return self._cache[sym]
-        transported = total_derivative_multi(self.section.component(dependent), idx)
-        out = sp.expand(
-            transported
-            + self.field.at * jet(dependent, idx.bump("t"))
-            + self.field.ax * jet(dependent, idx.bump("x"))
-            + self.field.ay * jet(dependent, idx.bump("y"))
-        )
-        self._cache[sym] = out
-        return out
+        ring = self._ring(sp.Integer(0))
+        return ring.to_expr(self._coeff_in(ring, dependent, idx))
 
-    def apply(self, e) -> sp.Expr:
-        """The prolonged field as a derivation on order-<=k expressions."""
+    def _apply_in(self, ring, f):
+        """The prolonged field applied to an element of its ring."""
+        comps = self._components_in(ring)
+        images = [
+            (i, _point_image(ring, comps, ring.symbols[i]))
+            if not is_jet_symbol(ring.symbols[i])
+            else (i, self._coeff_in(ring, *jet_info(ring.symbols[i])))
+            for i in ring.present(f)
+        ]
+        return ring.derivation(f, images)
+
+    def _applied(self, e):
+        """(ring, the prolonged field applied to e as an element of it)."""
         e = sp.sympify(e)
         if jet_order(e) > self.k:
             raise JetOrderError(
                 f"expression order {jet_order(e)} beyond prolongation order {self.k}"
             )
-        out = (
-            self.field.at * partial(e, "t")
-            + self.field.ax * partial(e, "x")
-            + self.field.ay * partial(e, "y")
-        )
-        for s in e.free_symbols:
-            if not is_jet_symbol(s):
-                continue
-            ds = sp.diff(e, s)
-            if ds == 0:
-                continue
-            out += self.coeff(*jet_info(s)) * ds
-        return out
+        ring = self._ring(e)
+        return ring, self._apply_in(ring, ring.convert(e))
+
+    def apply(self, e) -> sp.Expr:
+        """The prolonged field as a derivation on order-<=k expressions."""
+        ring, out = self._applied(e)
+        return ring.to_expr(out)
+
+
+def _point_image(ring, comps: list, s):
+    """The image of a base, fibre or formal generator under the field with
+    components ``comps`` (elements of the ring)."""
+    if s in BASE_SYMBOLS:
+        return comps[BASE_SYMBOLS.index(s)]
+    if s in _FIBRE:
+        return comps[3 + _FIBRE.index(s)]
+    if is_formal_symbol(s):
+        # the formal chain rule of d/dt: a^(m) -> a^(m+1)
+        return comps[0] * ring.gen(formal_shift(s))
+    return ring.field.zero
+
+
+def _point_apply(ring, comps: list, f):
+    """A point field as a derivation of its ring; jet coordinates of
+    positive order are constants."""
+    return ring.derivation(
+        f, [(i, _point_image(ring, comps, ring.symbols[i])) for i in ring.present(f)]
+    )
 
 
 def prolong(field: PointField, k: int) -> ProlongedField:
@@ -226,14 +280,18 @@ def prolong(field: PointField, k: int) -> ProlongedField:
 
 def lie_bracket(a: PointField, b: PointField) -> PointField:
     """Commutator [a, b] on the five-dimensional total space."""
+    ring = _ring_for(0, (*a.components(), *b.components()), derivatives=1)
+    fa = [ring.convert(c) for c in a.components()]
+    fb = [ring.convert(c) for c in b.components()]
     return PointField(
-        *(a.apply(bc) - b.apply(ac) for ac, bc in zip(a.components(), b.components()))
+        *(
+            ring.to_expr(_point_apply(ring, fa, bc) - _point_apply(ring, fb, ac))
+            for ac, bc in zip(fa, fb)
+        )
     )
 
 
 def lie_derivative(field: PointField, e, k: int | None = None) -> sp.Expr:
     """Apply the prolongation of the field to an expression of order <= k."""
     e = sp.sympify(e)
-    if k is None:
-        k = jet_order(e)
-    return prolong(field, k).apply(e)
+    return prolong(field, jet_order(e) if k is None else k).apply(e)

@@ -4,6 +4,16 @@ Three second-order invariants generate the field together with three
 invariant derivations; their structure coefficients close the picture at
 order three.  Everything here is rational in jet coordinates and lives
 away from the singular locus {u_x = 0} union {u_xx = 0}.
+
+The derivations, the structure coefficients, the commutator and identity
+checks, the invariance proofs and the twelve signature invariants compute
+in the jet ring (``jets._JetRing``, a sparse rational-function field over
+QQ) from start to finish: reduction on the equation is a substitution of
+generators and the zero test looks at a numerator.  Sympy expressions are
+converted once on the way in and once on the way out.  The reduction is
+always that of the modified dispersionless system, whose principal table
+the rings hold; the ``system`` arguments stay in the signatures for
+callers that pass one.
 """
 
 from __future__ import annotations
@@ -11,18 +21,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import sympy as sp
 
 from .errors import SingularLocusError
 from .exprcore import is_zero, jet, jet_order, normalize
-from .fields import lie_derivative
+from .fields import ProlongedField, prolong
 from .jets import (
     EquationSystem,
     JetPoint,
+    _jet_ring,
+    _ring_for,
     internal_indices,
     ms_system,
-    total_derivative,
 )
 from .linalg import rank
 from .symmetry import generator
@@ -89,14 +101,20 @@ class InvariantDerivation:
     def coefficients(self) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
         return (self.ct, self.cx, self.cy)
 
+    def _apply_in(self, ring, f):
+        """The derivation applied to an element of a jet ring, reduced."""
+        out = ring.field.zero
+        for c, d in zip(self.coefficients(), "txy"):
+            if c != 0:
+                out += ring.convert(c) * ring.total(f, d)
+        return ring.reduce(out)
+
     def apply(self, e, system: EquationSystem | None = None) -> sp.Expr:
-        system = system or ms_system()
-        raw = (
-            self.ct * total_derivative(e, "t")
-            + self.cx * total_derivative(e, "x")
-            + self.cy * total_derivative(e, "y")
-        )
-        return system.reduce(raw)
+        """The derivation applied to e and reduced on the equation (the
+        system's principal table lives in the jet rings)."""
+        e = sp.sympify(e)
+        ring = _ring_for(max(jet_order(e) + 1, 2), (e,), derivatives=1)
+        return ring.to_expr(self._apply_in(ring, ring.convert(e)))
 
     def __str__(self) -> str:
         return self.name
@@ -124,48 +142,52 @@ def apply_derivation(i: int, e, system: EquationSystem | None = None) -> sp.Expr
     return derivation(i).apply(e, system)
 
 
+def _structure_K_in(ring, i: int):
+    c = ring.convert
+    n2 = derivation(2)._apply_in
+    if i == 1:
+        return c(_ux * _uxxx / _uxx**2 - 3)
+    if i == 2:
+        return c((_uxy * _uxxx - _uxx * _uxxy) / (_ux * _uxx**2))
+    if i == 3:
+        return (
+            _structure_K_in(ring, 2) * c(1 - 2 * _uxy / _ux**2)
+            - c(2 * _uxx / _ux**3) * n2(ring, c(_uy))
+            + c(2 / _ux**2) * n2(ring, c(_uxy))
+        )
+    if i == 4:
+        return (
+            c(_uxx) * n2(ring, c(2 * _uyy - _ux * _uy))
+            - n2(ring, c(_uxy / _uxx)) * c(_uxx * (2 * _uxy - _ux**2))
+            - n2(ring, c(_uxy**2))
+        ) / c(_ux**4)
+    raise ValueError(f"structure index must be 1..4, got {i}")
+
+
 @lru_cache(maxsize=None)
 def structure_K(i: int) -> sp.Expr:
     """Structure coefficients of the derivation commutators (order three)."""
-    n2 = derivation(2)
-    if i == 1:
-        return normalize(_ux * _uxxx / _uxx**2 - 3)
-    if i == 2:
-        return normalize((_uxy * _uxxx - _uxx * _uxxy) / (_ux * _uxx**2))
-    if i == 3:
-        return normalize(
-            structure_K(2) * (1 - 2 * _uxy / _ux**2)
-            - 2 * (_uxx / _ux**3) * n2.apply(_uy)
-            + (2 / _ux**2) * n2.apply(_uxy)
-        )
-    if i == 4:
-        return normalize(
-            (
-                _uxx * n2.apply(2 * _uyy - _ux * _uy)
-                - n2.apply(_uxy / _uxx) * _uxx * (2 * _uxy - _ux**2)
-                - n2.apply(_uxy**2)
-            )
-            / _ux**4
-        )
-    raise ValueError(f"structure index must be 1..4, got {i}")
+    ring = _jet_ring(3)
+    return ring.to_expr(_structure_K_in(ring, i))
 
 
 # ---------------------------------------------------------------------------
 # commutators and identities
 
 
-def _operator_commutator(
-    a: InvariantDerivation, b: InvariantDerivation, system: EquationSystem
-) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
-    """[a, b] in the operator representation: coefficient-wise, reduced."""
+def _operator_commutator(ring, ca: list, cb: list) -> list:
+    """[a, b] in the operator representation, from the coefficients of a
+    and b in the ring: coefficient-wise, reduced."""
     out = []
     for k in range(3):
-        acc = sp.Integer(0)
-        for m, d in enumerate(("t", "x", "y")):
-            acc += a.coefficients()[m] * total_derivative(b.coefficients()[k], d)
-            acc -= b.coefficients()[m] * total_derivative(a.coefficients()[k], d)
-        out.append(system.reduce(acc))
-    return tuple(out)
+        acc = ring.field.zero
+        for m, d in enumerate("txy"):
+            if ca[m]:
+                acc += ca[m] * ring.total(cb[k], d)
+            if cb[m]:
+                acc -= cb[m] * ring.total(ca[k], d)
+        out.append(ring.reduce(acc))
+    return out
 
 
 @dataclass(frozen=True)
@@ -180,10 +202,11 @@ def verify_derivation_commutators(
     system: EquationSystem | None = None,
 ) -> list[CommutatorReport]:
     """Check the three bracket relations of the invariant derivations."""
-    system = system or ms_system()
-    K = {i: structure_K(i) for i in (1, 2, 3, 4)}
+    ring = _jet_ring(3)
+    K = {i: ring.convert(structure_K(i)) for i in (1, 2, 3, 4)}
+    coeffs = {i: [ring.convert(c) for c in derivation(i).coefficients()] for i in (1, 2, 3)}
     cases = [
-        ((1, 2), {2: sp.Integer(-1)}, "-nabla_2"),
+        ((1, 2), {2: -ring.field.one}, "-nabla_2"),
         (
             (1, 3),
             {1: -K[3], 2: K[1] - 2 * K[2], 3: K[1]},
@@ -197,16 +220,17 @@ def verify_derivation_commutators(
     ]
     report = []
     for (i, j), combo, text in cases:
-        got = _operator_commutator(derivation(i), derivation(j), system)
+        got = _operator_commutator(ring, coeffs[i], coeffs[j])
         residuals = []
         for k in range(3):
-            want = sum(
-                (c * derivation(m).coefficients()[k] for m, c in combo.items()),
-                sp.Integer(0),
-            )
-            residuals.append(system.reduce(got[k] - want))
-        ok = all(is_zero(r) for r in residuals)
-        report.append(CommutatorReport((i, j), text, ok, tuple(residuals)))
+            want = ring.field.zero
+            for m, c in combo.items():
+                want += c * coeffs[m][k]
+            residuals.append(ring.reduce(got[k] - want))
+        ok = not any(residuals)
+        report.append(
+            CommutatorReport((i, j), text, ok, tuple(map(ring.to_expr, residuals)))
+        )
     return report
 
 
@@ -220,13 +244,13 @@ class IdentityReport:
 def verify_identities(system: EquationSystem | None = None) -> list[IdentityReport]:
     """The two order-drop identities expressing I1 and I3 through I2, the
     derivations and the structure coefficients."""
-    system = system or ms_system()
-    I1, I2, I3 = invariant(1), invariant(2), invariant(3)
-    K = {i: structure_K(i) for i in (1, 2, 3, 4)}
-    n1I2 = apply_derivation(1, I2, system)
-    n2I2 = apply_derivation(2, I2, system)
-    r1 = system.reduce(I1 - (n1I2 + (K[2] + K[3]) / 2 - I2 * K[1]))
-    r2 = system.reduce(
+    ring = _jet_ring(3)
+    I1, I2, I3 = (ring.convert(invariant(i)) for i in (1, 2, 3))
+    K = {i: ring.convert(structure_K(i)) for i in (1, 2, 3, 4)}
+    n1I2 = derivation(1)._apply_in(ring, I2)
+    n2I2 = derivation(2)._apply_in(ring, I2)
+    r1 = ring.reduce(I1 - (n1I2 + (K[2] + K[3]) / 2 - I2 * K[1]))
+    r2 = ring.reduce(
         I3
         - (
             n1I2
@@ -236,24 +260,29 @@ def verify_identities(system: EquationSystem | None = None) -> list[IdentityRepo
         )
     )
     return [
-        IdentityReport("I1 from nabla_1(I2)", is_zero(r1), r1),
-        IdentityReport("I3 from (nabla_1 - nabla_2)(I2)", is_zero(r2), r2),
+        IdentityReport("I1 from nabla_1(I2)", not r1, ring.to_expr(r1)),
+        IdentityReport("I3 from (nabla_1 - nabla_2)(I2)", not r2, ring.to_expr(r2)),
     ]
+
+
+@lru_cache(maxsize=None)
+def _prolonged_family(fam: int, k: int) -> ProlongedField:
+    """The order-k prolongation of family ``fam`` with the formal parameter
+    a, b, c, d or e; shared, so that each jet ring converts the field and
+    builds its coefficients once."""
+    return prolong(generator(fam, "abcde"[fam - 1]), k)
 
 
 def verify_invariance(e, k: int | None = None, system: EquationSystem | None = None):
     """True when e is annihilated by all five prolonged symmetry families
     (with formal parameters); otherwise the first nonzero reduced residual
     as a witness pair (family, residual)."""
-    system = system or ms_system()
     e = sp.sympify(e)
-    if k is None:
-        k = jet_order(e)
-    for fam, pname in ((1, "a"), (2, "b"), (3, "c"), (4, "d"), (5, "e")):
-        field = generator(fam, pname)
-        residual = system.reduce(lie_derivative(field, e, k=k))
-        if not is_zero(residual):
-            return (fam, residual)
+    for fam in (1, 2, 3, 4, 5):
+        ring, value = _prolonged_family(fam, jet_order(e) if k is None else k)._applied(e)
+        residual = ring.reduce(value)
+        if residual:
+            return (fam, ring.to_expr(residual))
     return True
 
 
@@ -361,14 +390,10 @@ def invariant_value(point: JetPoint, e) -> Fraction:
 
 @lru_cache(maxsize=1)
 def _twelve_invariants() -> tuple[sp.Expr, ...]:
-    system = ms_system()
-    base = [normalize(invariant(i)) for i in (1, 2, 3)]
-    derived = [
-        apply_derivation(j, invariant(i), system)
-        for i in (1, 2, 3)
-        for j in (1, 2, 3)
-    ]
-    return tuple(base + derived)
+    ring = _jet_ring(3)
+    base = [ring.convert(invariant(i)) for i in (1, 2, 3)]
+    derived = [derivation(j)._apply_in(ring, b) for b in base for j in (1, 2, 3)]
+    return tuple(map(ring.to_expr, base + derived))
 
 
 def twelve_invariants() -> tuple[sp.Expr, ...]:
@@ -406,10 +431,11 @@ def independence_rank(point: JetPoint) -> int:
 
 _Z = sp.Symbol("z")
 
+#: each Poincare function as N(z) / (1 - z)^n: (coefficients of N, n)
 _POINCARE = {
-    "ms": (3 + 3 * _Z - 2 * _Z**2) * _Z**2 / (1 - _Z) ** 2,
-    "weyl": (13 - 9 * _Z + _Z**3) * _Z**2 / (1 - _Z) ** 3,
-    "ew-general": (8 - _Z - _Z**2) * _Z**2 / (1 - _Z) ** 2,
+    "ms": ((0, 0, 3, 3, -2), 2),
+    "weyl": ((0, 0, 13, -9, 0, 1), 3),
+    "ew-general": ((0, 0, 8, -1, -1), 2),
 }
 
 
@@ -433,33 +459,45 @@ class CountRecord:
     series: str
 
 
-def poincare_function(series: str) -> sp.Expr:
+def _poincare(series: str) -> tuple[tuple[int, ...], int]:
     if series not in _POINCARE:
         raise ValueError(f"unknown series {series!r}")
     return _POINCARE[series]
 
 
+def poincare_function(series: str) -> sp.Expr:
+    numerator, n = _poincare(series)
+    return sum(c * _Z**j for j, c in enumerate(numerator)) / (1 - _Z) ** n
+
+
+def _poincare_coefficient(series: str, m: int) -> int:
+    """The coefficient of z^m: N(z) times the binomial series
+    (1 - z)^-n = sum_i C(i + n - 1, n - 1) z^i."""
+    numerator, n = _poincare(series)
+    return sum(
+        c * comb(m - j + n - 1, n - 1) for j, c in enumerate(numerator) if j <= m
+    )
+
+
 def poincare_coefficients(series: str, upto: int) -> list[int]:
     """Taylor coefficients h_0..h_upto of the closed-form counting series."""
-    f = poincare_function(series)
-    poly = sp.series(f, _Z, 0, upto + 1).removeO().as_poly(_Z)
-    return [int(poly.coeff_monomial(_Z**m)) for m in range(upto + 1)]
+    return [_poincare_coefficient(series, m) for m in range(upto + 1)]
 
 
 def counting(series: str, k: int) -> CountRecord:
     """Number of independent invariants: cumulative s_k and pure-order h_k.
 
-    The closed-form h_k is cross-checked against the series expansion of
-    the Poincare function on every call.
+    The closed-form h_k is cross-checked against the z^k coefficient of
+    the Poincare function, in exact integer arithmetic, on every call.
     """
     if k < 0:
         raise ValueError("order must be non-negative")
     h = _pure_count(series, k)
-    coeffs = poincare_coefficients(series, k)
-    if coeffs[k] != h:
+    coeff = _poincare_coefficient(series, k)
+    if coeff != h:
         raise AssertionError(
             f"series {series}: closed form h_{k}={h} but Poincare "
-            f"coefficient is {coeffs[k]}"
+            f"coefficient is {coeff}"
         )
     s = sum(_pure_count(series, m) for m in range(k + 1))
     if series == "ms" and k >= 2:

@@ -11,9 +11,13 @@ it contains at least one t and at least one x, every prolonged equation
 D_sigma F_i is monic in exactly one principal coordinate, so the equation
 submanifold of any jet order is the graph of a triangular substitution:
 principal coordinates are polynomials in the remaining *internal* ones.
-:meth:`EquationSystem.reduce` performs that substitution symbolically;
-the symmetry and invariance checks rely on it.  A :class:`JetPoint` solves
-the same triangular system in rational numbers.
+:meth:`EquationSystem.reduce` performs that substitution in one sparse
+rational-function field over QQ (the private ``_JetRing``: generators t,
+x, y, the jet coordinates up to the order in play and the formal functions
+present), where the total derivatives are ring derivations and reduction
+is a substitution of generators; the symmetry and invariance checks
+compute there and convert sympy expressions only at their boundary.  A
+:class:`JetPoint` solves the same triangular system in rational numbers.
 
 Counting internal multi-indices (a, b, c) with a*b = 0 and a+b+c <= k gives
 (k+1)^2 per dependent variable, whence
@@ -27,6 +31,7 @@ with the low orders 5 (k=0) and 11 (k=1) where no equation constrains yet.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,8 +39,18 @@ from math import comb, prod
 from typing import Iterable, Mapping
 
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.fields import FracField
+from sympy.polys.orderings import lex
+from sympy.polys.polyutils import _sort_gens
 
-from .errors import JetOrderError, PointNotOnEquationError
+from .errors import (
+    DivisionByZeroExpression,
+    ExprError,
+    JetOrderError,
+    PointNotOnEquationError,
+    UnknownSymbolError,
+)
 from .exprcore import (
     BASE_SYMBOLS,
     MAX_JET_ORDER,
@@ -44,6 +59,11 @@ from .exprcore import (
     T,
     X,
     Y,
+    _rescaled,
+    formal,
+    formal_info,
+    formal_shift,
+    is_formal_symbol,
     is_jet_symbol,
     jet,
     jet_info,
@@ -77,45 +97,346 @@ def _minus(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, 
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
+def _ms_equations() -> tuple[sp.Expr, sp.Expr]:
+    """F1 = D_x(u_t + u*u_y + v*u_x) - D_y(u_y) and
+    F2 = D_x(v_t + v*v_x - u*v_y) - D_y(v_y - 2*u*v_x), written out."""
+    u, v = jet("u"), jet("v")
+    ux, uy, vx, vy = jet("u", "x"), jet("u", "y"), jet("v", "x"), jet("v", "y")
+    F1 = jet("u", "tx") + ux * uy + u * jet("u", "xy") + ux * vx + v * jet("u", "xx") - jet("u", "yy")
+    F2 = (
+        jet("v", "tx") + vx**2 + v * jet("v", "xx") - ux * vy + u * jet("v", "xy")
+        - jet("v", "yy") + 2 * uy * vx
+    )
+    return F1, F2
+
+
+# ---------------------------------------------------------------------------
+# the jet calculus in a sparse rational-function field
+
+
+def _coordinates(order: int) -> tuple[sp.Symbol, ...]:
+    """Every jet coordinate of order <= ``order``, by order."""
+    return tuple(
+        jet(dep, (a, b, m - a - b))
+        for m in range(order + 1)
+        for dep in DEPENDENTS
+        for a in range(m + 1)
+        for b in range(m - a + 1)
+    )
+
+
+def _merge(acc: dict, poly) -> None:
+    """acc += poly, in place, on {monomial: coefficient} dicts."""
+    for m, c in poly.items():
+        v = acc.get(m)
+        if v is None:
+            acc[m] = c
+        else:
+            v += c
+            if v:
+                acc[m] = v
+            else:
+                del acc[m]
+
+
+class _JetRing:
+    """Q(jet coordinates of order <= ``order``, t, x, y, ``extras``) as one
+    sparse rational-function field (``sympy.polys.fields``).
+
+    ``extras`` are formal functions of t, with the derivative orders a
+    computation can reach, and the auxiliary generators of fractional
+    powers and exponential atoms (see ``exprcore._rescaled``), which only
+    ever ride along.  The total derivatives are ring derivations given by
+    the images of the generators (u_sigma -> u_{sigma+i}, a^(m) -> a^(m+1)
+    for D_t); the principal table is a table of polynomials in the internal
+    coordinates, and reduction is substitution of generators.
+    """
+
+    def __init__(self, order: int, extras: tuple = ()):
+        self.order = order
+        self.extras = extras
+        jets = _coordinates(order)
+        self.symbols = jets + BASE_SYMBOLS + extras
+        self.field = FracField(self.symbols, QQ, lex)
+        self.ring = self.field.ring
+        self.gens = self.ring.gens
+        self.index = {s: i for i, s in enumerate(self.symbols)}
+        self._principal = [
+            i for i, s in enumerate(jets) if jet_info(s)[1].is_principal
+        ]
+        # generator -> image generator under D_i; -1 stands for the image 1
+        # and None for a generator the ring cannot differentiate
+        self._shifts = {}
+        for d, base in zip("txy", BASE_SYMBOLS):
+            pairs = [(self.index[base], -1)]
+            for i, s in enumerate(jets):
+                dep, idx = jet_info(s)
+                pairs.append((i, self.index[jet(dep, idx.bump(d))] if idx.order < order else None))
+            for s in extras:
+                if is_formal_symbol(s):
+                    if d == "t":
+                        pairs.append((self.index[s], self.index.get(formal_shift(s))))
+                else:
+                    pairs.append((self.index[s], None))
+            self._shifts[d] = pairs
+        # the lexicographic order sympy's cancel uses, for the sign of the
+        # canonical denominator
+        self._sympy_order = [self.index[s] for s in _sort_gens(self.symbols)]
+        self._table: dict[int, object] = {}
+
+    # -- conversion ---------------------------------------------------------
+
+    def convert(self, e):
+        """The field element of a rational expression in the generators."""
+        e = sp.sympify(e)
+        for s in e.free_symbols:
+            self._generator(s)
+        if e.has(sp.Float):
+            # from_expr would read a float as a rational number
+            raise ExprError(f"{e} has a floating-point coefficient")
+        num, den = e.as_numer_denom()
+        try:
+            num, den = self.ring.from_expr(num), self.ring.from_expr(den)
+        except ValueError:
+            raise ExprError(f"{e} is not a rational function of the jet coordinates") from None
+        if not den:
+            raise DivisionByZeroExpression(f"zero denominator in {e}")
+        return self.field.raw_new(num) if den == 1 else self.field.new(num, den)
+
+    def gen(self, s):
+        """The generator ``s`` as a field element."""
+        return self.field.gens[self._generator(s)]
+
+    def _generator(self, s) -> int:
+        i = self.index.get(s)
+        if i is None:
+            if is_jet_symbol(s) or is_formal_symbol(s):
+                raise JetOrderError(f"{s} lies outside the ring of jet order {self.order}")
+            raise UnknownSymbolError(f"unregistered symbol {s}")
+        return i
+
+    def to_expr(self, f) -> sp.Expr:
+        """The expression in ``normalize``'s canonical form: numerator over
+        denominator with integer coefficients, no common factor (contents
+        included), and the denominator's leading coefficient positive."""
+        num, den = f.numer, f.denom
+        if not num:
+            return sp.Integer(0)
+        coeffs = [*num.values(), *den.values()]
+        lcm = math.lcm(*(int(c.denominator) for c in coeffs))
+        gcd = math.gcd(*(int(c.numerator) * (lcm // int(c.denominator)) for c in coeffs))
+        order = self._sympy_order
+        lead = max(den, key=lambda m: [m[i] for i in order])
+        scale = QQ(-lcm if den[lead] < 0 else lcm, gcd)
+        return num.mul_ground(scale).as_expr() / den.mul_ground(scale).as_expr()
+
+    # -- derivations --------------------------------------------------------
+
+    def _derive(self, p, d: str):
+        """D_d of a polynomial: every image is a generator or 1."""
+        out: dict = {}
+        shifts = self._shifts[d]
+        for monom, c in p.items():
+            for i, j in shifts:
+                e = monom[i]
+                if not e:
+                    continue
+                if j is None:
+                    s = self.symbols[i]
+                    if is_jet_symbol(s) or is_formal_symbol(s):
+                        raise JetOrderError(
+                            f"D_{d} {s} lies outside the ring of jet order {self.order}"
+                        )
+                    raise ExprError(f"cannot differentiate the auxiliary generator {s}")
+                m = list(monom)
+                m[i] = e - 1
+                if j >= 0:
+                    m[j] += 1
+                m = tuple(m)
+                v = out.get(m)
+                out[m] = c * e if v is None else v + c * e
+        return self.ring.dtype({m: c for m, c in out.items() if c})
+
+    def total(self, f, d: str):
+        """The total derivative D_d of a field element."""
+        dn = self._derive(f.numer, d)
+        if f.denom == 1:
+            return self.field.raw_new(dn)
+        dd = self._derive(f.denom, d)
+        return self.field.new(dn * f.denom - f.numer * dd, f.denom**2)
+
+    def derivation(self, f, images):
+        """sum_i images[i] * df/dg_i for (generator index, element) pairs:
+        with the images written n_i/c over one common denominator c, the
+        derivation is P -> sum_i n_i dP/dg_i / c on numerator and
+        denominator."""
+        images = [(i, img) for i, img in images if img]
+        c = self.ring.one
+        for _, img in images:
+            if img.denom != 1:
+                c = c.lcm(img.denom)
+        polys = [
+            (self.gens[i], img.numer if img.denom == c else img.numer * c.exquo(img.denom))
+            for i, img in images
+        ]
+
+        def along(p):
+            out: dict = {}
+            for g, n in polys:
+                dp = p.diff(g)
+                if dp:
+                    _merge(out, dp * n)
+            return self.ring.dtype(out)
+
+        if f.denom == 1:
+            num, den = along(f.numer), c
+        else:
+            num, den = along(f.numer) * f.denom - f.numer * along(f.denom), c * f.denom**2
+        return self.field.raw_new(num) if den == 1 else self.field.new(num, den)
+
+    def present(self, f) -> list[int]:
+        """Indices of the generators that occur in f."""
+        degs = f.numer.degrees()
+        if f.denom != 1:
+            degs = map(max, degs, f.denom.degrees())
+        return [i for i, n in enumerate(degs) if n > 0]
+
+    # -- the equation -------------------------------------------------------
+
+    def principal(self, i: int):
+        """The principal coordinate ``symbols[i]`` as a polynomial in the
+        internal coordinates; built by the recursion of
+        :meth:`EquationSystem.principal_expr` in the ring without extras,
+        which every ring of the same order extends."""
+        got = self._table.get(i)
+        if got is not None:
+            return got
+        if self.extras:
+            pad = (0,) * len(self.extras)
+            plain = _jet_ring(self.order).principal(i)
+            got = self.ring.dtype({m + pad: c for m, c in plain.items()})
+        else:
+            dep, idx = jet_info(self.symbols[i])
+            if idx == MultiIndex(1, 1, 0):
+                # the checked leading solve w_tx = R_w
+                R = ms_system().principal_solve()[DEPENDENTS.index(dep)]
+                got = self.convert(R).numer
+            else:
+                d = "y" if idx.ny else ("x" if idx.nx > 1 else "t")
+                parent = self.principal(self.index[jet(dep, idx.drop(d))])
+                got = self._reduce_poly(self._derive(parent, d))
+        self._table[i] = got
+        return got
+
+    def _reduce_poly(self, p):
+        """Substitute every principal generator of a polynomial; terms with
+        the same principal part share one product of table entries."""
+        groups: dict = {}
+        plain: dict = {}
+        for monom, c in p.items():
+            key = tuple((i, monom[i]) for i in self._principal if monom[i])
+            if not key:
+                plain[monom] = c
+                continue
+            rest = list(monom)
+            for i, _ in key:
+                rest[i] = 0
+            groups.setdefault(key, {})[tuple(rest)] = c
+        if not groups:
+            return p
+        powers: dict = {}
+        for key, rest in groups.items():
+            factor = self.ring.dtype(rest)
+            for i, n in key:
+                pw = powers.get((i, n))
+                if pw is None:
+                    pw = powers[(i, n)] = self.principal(i) ** n
+                factor = factor * pw
+            _merge(plain, factor)
+        return self.ring.dtype(plain)
+
+    def reduce(self, f):
+        """Restriction of a field element to the equation submanifold."""
+        num = self._reduce_poly(f.numer)
+        if f.denom == 1:
+            return self.field.raw_new(num)
+        den = self._reduce_poly(f.denom)
+        if not den:
+            raise DivisionByZeroExpression(
+                "the denominator vanishes on the equation submanifold"
+            )
+        return self.field.new(num, den)
+
+
+@lru_cache(maxsize=None)
+def _jet_ring(order: int, extras: tuple = ()) -> _JetRing:
+    return _JetRing(order, extras)
+
+
+def _ring_for(order: int, exprs: Iterable, derivatives: int = 0, aux: tuple = ()) -> _JetRing:
+    """The ring of jet order ``order`` holding every formal function of the
+    expressions with ``derivatives`` more t-derivatives than occur, and the
+    auxiliary generators ``aux``."""
+    formals: dict[str, int] = {}
+    for e in exprs:
+        for s in e.free_symbols:
+            if is_formal_symbol(s):
+                name, m = formal_info(s)
+                formals[name] = max(formals.get(name, 0), m)
+    extras = tuple(
+        formal(name, m)
+        for name in sorted(formals)
+        for m in range(formals[name] + derivatives + 1)
+    )
+    return _jet_ring(order, extras + tuple(aux))
+
+
+def _vanishes(e) -> bool:
+    """Exact zero test in the jet ring, for the whole term language:
+    fractional powers and exponential atoms ride along as generators."""
+    e = sp.sympify(e)
+    if e.is_Rational:
+        return e == 0
+    scaled, back = _rescaled(e)
+    return not _ring_for(jet_order(scaled), (scaled,), aux=tuple(back)).convert(scaled)
+
+
 def total_derivative(e, direction, order_cap: int | None = None) -> sp.Expr:
     """Total derivative D_i in coordinates: base partial plus jet transport.
 
-    D_i e = d_{x^i} e + sum_sigma (u_{sigma+i} * de/du_sigma + ...).
+    D_i e = d_{x^i} e + sum_sigma (u_{sigma+i} * de/du_sigma + ...),
+    computed as a derivation of the jet ring.
 
     Raises the jet order by at most one; ``order_cap`` (if given) bounds the
     order of the result, erroring out instead of creating deeper jets.
     """
-    e = sp.sympify(e)
     dname = direction if isinstance(direction, str) else direction.name
     if dname not in _DIRECTIONS:
         raise ValueError(f"direction must be one of t,x,y, got {direction!r}")
-    cap = MAX_JET_ORDER if order_cap is None else min(order_cap, MAX_JET_ORDER)
-    out = partial(e, dname)
-    for s in e.free_symbols:
-        if not is_jet_symbol(s):
-            continue
-        dep, idx = jet_info(s)
-        coeff = sp.diff(e, s)
-        if coeff == 0:
-            continue
-        if idx.order + 1 > cap:
-            raise JetOrderError(
-                f"D_{dname} would create an order-{idx.order + 1} jet "
-                f"coordinate past the cap {cap}"
-            )
-        out += jet(dep, idx.bump(dname)) * coeff
-    return out
+    return total_derivative_multi(
+        e, MultiIndex(*(int(dname == d) for d in _DIRECTIONS)), order_cap
+    )
 
 
 def total_derivative_multi(e, index, order_cap: int | None = None) -> sp.Expr:
     """Iterated total derivative D_sigma, applied in the fixed order
     t-then-x-then-y (the result is order-independent since [D_i, D_j] = 0)."""
     idx = index if isinstance(index, MultiIndex) else MultiIndex(*index)
-    out = sp.sympify(e)
-    for dname, count in (("t", idx.nt), ("x", idx.nx), ("y", idx.ny)):
+    e = sp.sympify(e)
+    cap = MAX_JET_ORDER if order_cap is None else min(order_cap, MAX_JET_ORDER)
+    order = 0
+    if any(is_jet_symbol(s) for s in e.free_symbols):
+        order = jet_order(e) + idx.order
+        if order > cap:
+            raise JetOrderError(
+                f"D_{idx} would create an order-{order} jet coordinate past the cap {cap}"
+            )
+    ring = _ring_for(order, (e,), derivatives=idx.nt)
+    out = ring.convert(e)
+    for d, count in zip("txy", (idx.nt, idx.nx, idx.ny)):
         for _ in range(count):
-            out = total_derivative(out, dname, order_cap=order_cap)
-    return out
+            out = ring.total(out, d)
+    return ring.to_expr(out)
 
 
 def internal_indices(k: int) -> list[MultiIndex]:
@@ -172,25 +493,13 @@ def dims(k: int) -> DimRecord:
 class EquationSystem:
     """The modified dispersionless system with its reduction machinery.
 
-    Immutable after construction apart from the memoized symbolic
-    principal-coordinate table behind :meth:`reduce`.
+    Immutable; the principal table behind :meth:`reduce` lives in the jet
+    rings, which are built on first use.
     """
 
     def __init__(self):
-        u, v = jet("u"), jet("v")
-        u_t, u_x, u_y = jet("u", "t"), jet("u", "x"), jet("u", "y")
-        v_t, v_x, v_y = jet("v", "t"), jet("v", "x"), jet("v", "y")
-        self.F1 = sp.expand(
-            total_derivative(u_t + u * u_y + v * u_x, "x")
-            - total_derivative(u_y, "y")
-        )
-        self.F2 = sp.expand(
-            total_derivative(v_t + v * v_x - u * v_y, "x")
-            - total_derivative(v_y - 2 * u * v_x, "y")
-        )
+        self.F1, self.F2 = _ms_equations()
         self.equations = (self.F1, self.F2)
-        self._table: dict[sp.Symbol, sp.Expr] = {}
-        self._R = self.principal_solve()
         self._recurrences = {
             dep: self._recurrence(F, dep)
             for F, dep in ((self.F1, "u"), (self.F2, "v"))
@@ -261,50 +570,20 @@ class EquationSystem:
             raise JetOrderError(
                 f"principal coordinate of order {index.order} past hard cap"
             )
-        sym = jet(dependent, index)
-        cached = self._table.get(sym)
-        if cached is not None:
-            return cached
-        if index == MultiIndex(1, 1, 0):
-            value = self._R[DEPENDENTS.index(dependent)]
-        elif index.ny > 0:
-            parent = self.principal_expr(dependent, index.drop("y"))
-            value = self._reduce_raw(total_derivative(parent, "y"))
-        elif index.nx > 1:
-            parent = self.principal_expr(dependent, index.drop("x"))
-            value = self._reduce_raw(total_derivative(parent, "x"))
-        else:
-            parent = self.principal_expr(dependent, index.drop("t"))
-            value = self._reduce_raw(total_derivative(parent, "t"))
-        value = sp.expand(value)
-        self._table[sym] = value
-        return value
-
-    def _reduce_raw(self, e: sp.Expr) -> sp.Expr:
-        """Substitute every principal coordinate; table values are already
-        internal-only, so one simultaneous pass suffices."""
-        psyms = [
-            s
-            for s in e.free_symbols
-            if is_jet_symbol(s) and jet_info(s)[1].is_principal
-        ]
-        if not psyms:
-            return e
-        # highest order first is automatic: building a table entry only
-        # recurses into strictly simpler entries (see principal_expr)
-        rep = {s: self.principal_expr(*jet_info(s)) for s in psyms}
-        out = e.xreplace(rep)
-        assert not any(
-            is_jet_symbol(s) and jet_info(s)[1].is_principal
-            for s in out.free_symbols
-        )
-        return out
+        ring = _jet_ring(index.order)
+        poly = ring.principal(ring.index[jet(dependent, index)])
+        return ring.to_expr(ring.field.raw_new(poly))
 
     def reduce(self, e, k: int | None = None) -> sp.Expr:
         """Restriction to the order-k equation submanifold in internal
         coordinates.  ``k`` defaults to the expression's own jet order and
         may not exceed the hard cap; high orders are slow, the table grows
-        about sevenfold per order."""
+        about sevenfold per order.
+
+        Fractional powers of base variables and exponential atoms become
+        auxiliary generators of the ring; reduction never differentiates
+        them.
+        """
         e = sp.sympify(e)
         order = jet_order(e)
         if k is None:
@@ -315,10 +594,10 @@ class EquationSystem:
             )
         if k > MAX_JET_ORDER:
             raise JetOrderError(f"order {k} beyond hard cap {MAX_JET_ORDER}")
-        num, den = sp.fraction(sp.together(e))
-        rnum = self._reduce_raw(sp.expand(num))
-        rden = self._reduce_raw(sp.expand(den))
-        return normalize(rnum / rden)
+        scaled, back = _rescaled(e)
+        ring = _ring_for(k, (scaled,), aux=tuple(back))
+        out = ring.to_expr(ring.reduce(ring.convert(scaled)))
+        return out.xreplace(back) if back else out
 
     def section_residuals(self, u_expr, v_expr) -> tuple[sp.Expr, sp.Expr]:
         """The two equation residuals of a section u = u(t,x,y), v = v(t,x,y).

@@ -41,26 +41,48 @@ def _copy(rows: Sequence[Sequence]) -> list[list[Fraction]]:
     return mat
 
 
-def _eliminate(mat: list[list[Fraction]]) -> list[int]:
-    """In-place forward elimination; returns the pivot column list."""
+def _forward(mat: list[list[Fraction]]) -> tuple[list[int], int]:
+    """In-place forward elimination to row echelon form: pivot rows are
+    neither normalized nor cleared above.  Returns the pivot columns and
+    the sign of the row permutation."""
     pivots = []
+    sign = 1
     row = 0
     ncols = len(mat[0]) if mat else 0
     for col in range(ncols):
         piv = next((r for r in range(row, len(mat)) if mat[r][col] != 0), None)
         if piv is None:
             continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [x * inv for x in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[row])]
+        if piv != row:
+            mat[row], mat[piv] = mat[piv], mat[row]
+            sign = -sign
+        top = mat[row]
+        inv = 1 / top[col]
+        for r in range(row + 1, len(mat)):
+            f = mat[r][col]
+            if f != 0:
+                f *= inv
+                # entries left of col vanish in both rows
+                mat[r][col:] = [a - f * b for a, b in zip(mat[r][col:], top[col:])]
         pivots.append(col)
         row += 1
         if row == len(mat):
             break
+    return pivots, sign
+
+
+def _eliminate(mat: list[list[Fraction]]) -> list[int]:
+    """In-place reduction to reduced row echelon form; returns the pivot
+    column list."""
+    pivots, _ = _forward(mat)
+    for r in reversed(range(len(pivots))):
+        col = pivots[r]
+        inv = 1 / mat[r][col]
+        mat[r] = [x * inv for x in mat[r]]
+        for above in range(r):
+            f = mat[above][col]
+            if f != 0:
+                mat[above] = [a - f * b for a, b in zip(mat[above], mat[r])]
     return pivots
 
 
@@ -68,7 +90,7 @@ def rank(rows: Sequence[Sequence]) -> int:
     mat = _copy(rows)
     if not mat:
         return 0
-    return len(_eliminate(mat))
+    return len(_forward(mat)[0])
 
 
 def nullspace(rows: Sequence[Sequence]) -> list[list[Fraction]]:
@@ -94,20 +116,14 @@ def det(rows: Sequence[Sequence]) -> Fraction:
     n = len(mat)
     if any(len(r) != n for r in mat):
         raise ValueError("determinant needs a square matrix")
-    out = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            out = -out
-        out *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, n):
-            if mat[r][col] != 0:
-                f = mat[r][col] * inv
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
+    if n == 0:
+        return Fraction(1)
+    pivots, sign = _forward(mat)
+    if len(pivots) < n:
+        return Fraction(0)
+    out = Fraction(sign)
+    for i in range(n):
+        out *= mat[i][i]
     return out
 
 

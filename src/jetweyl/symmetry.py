@@ -33,12 +33,11 @@ from .exprcore import (
     to_text,
     validate_kernel,
 )
-from .fields import PointField, generating_section, lie_bracket, lie_derivative
-from .jets import EquationSystem, JetPoint, internal_indices, ms_system
+from .fields import PointField, generating_section, lie_bracket, prolong
+from .jets import EquationSystem, JetPoint, _ring_for, internal_indices, ms_system
 from .linalg import rank
 
 __all__ = [
-    "SymmetryGenerator",
     "X1",
     "X2",
     "X3",
@@ -73,7 +72,9 @@ GRADES = {1: 2, 2: 1, 3: 1, 4: 0, 5: 0}
 def _parameter(p) -> sp.Expr:
     """Coerce a family parameter: a formal-function name or a closed form
     in t (constants included).  Anything involving x, y or jet coordinates
-    is rejected."""
+    is rejected, and so is a closed form that is not a rational function
+    over QQ (such as t^(1/2)): the symmetry checks differentiate the
+    parameter in the jet ring, which holds no such functions."""
     if isinstance(p, str):
         return formal(p)
     e = sp.sympify(p)
@@ -81,7 +82,14 @@ def _parameter(p) -> sp.Expr:
         if s == T or is_formal_symbol(s):
             continue
         raise ValueError(f"family parameter must depend on t only, got {s}")
-    return validate_kernel(e)
+    e = validate_kernel(e)
+    try:
+        _ring_for(0, (e,)).convert(e)
+    except ExprError:
+        raise ExprError(
+            f"family parameter must be a rational function of t over QQ, got {e}"
+        ) from None
+    return e
 
 
 def _dot(p: sp.Expr, n: int = 1) -> sp.Expr:
@@ -132,20 +140,6 @@ def generator(family: int, parameter) -> PointField:
     if family not in _FAMILY:
         raise ValueError(f"family must be 1..5, got {family}")
     return _FAMILY[family](parameter)
-
-
-@dataclass(frozen=True)
-class SymmetryGenerator:
-    """A family member X_family(parameter)."""
-
-    family: int
-    parameter: object
-
-    def field(self) -> PointField:
-        return generator(self.family, self.parameter)
-
-    def __str__(self) -> str:
-        return f"X{self.family}({self.parameter})"
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +224,14 @@ def check_symmetry(field: PointField, system: EquationSystem | None = None):
     """True when the prolonged field is tangent to the equation submanifold;
     otherwise the pair of nonzero reduced residuals."""
     system = system or ms_system()
-    residuals = tuple(
-        system.reduce(lie_derivative(field, F, k=2)) for F in system.equations
-    )
-    if all(is_zero(r) for r in residuals):
+    prolonged = prolong(field, 2)
+    reduced = []
+    for F in system.equations:
+        ring, value = prolonged._applied(F)
+        reduced.append((ring, ring.reduce(value)))
+    if not any(r for _, r in reduced):
         return True
-    return residuals
+    return tuple(ring.to_expr(r) for ring, r in reduced)
 
 
 def grading_check() -> bool:

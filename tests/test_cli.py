@@ -34,6 +34,12 @@ def test_check_symmetry_single_family(capsys):
     assert code == 0 and doc["ok"]
 
 
+def test_check_symmetry_refuses_a_fractional_power_parameter(capsys):
+    code, doc = run(["check-symmetry", "1", "--parameter", "t^(1/2)"], capsys)
+    assert code == 4 and doc["error"] == "domain"
+    assert "rational function of t" in doc["message"]
+
+
 def test_grading(capsys):
     code, doc = run(["grading", ], capsys)
     assert code == 0 and doc["ok"]

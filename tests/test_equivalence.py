@@ -19,7 +19,7 @@ from jetweyl.equivalence import (
     signature,
 )
 from jetweyl.errors import ComparisonError, SingularLocusError, SolutionError
-from jetweyl.exprcore import T
+from jetweyl.exprcore import T, X, Y
 from jetweyl.geometry import apply_pseudogroup, catalog
 from jetweyl.jets import internal_indices, ms_system
 from jetweyl.symmetry import PseudogroupElement
@@ -153,6 +153,25 @@ def test_i_regular_fails_on_the_constant_families():
     assert i_regular(catalog("exp-family", f=1, h=1), (0, 0, 0)) is False
     with pytest.raises(SingularLocusError):
         i_regular(catalog("trivial"), (0, 0, 0))
+
+
+def test_i_regular_accepts_independent_differentials(monkeypatch):
+    # every catalog family has constant invariants, so hand-build the
+    # three functions the Jacobian is taken of, on a section with u_x != 0
+    from jetweyl import equivalence
+
+    sol = catalog("exp-family", f=1, h=1)
+    monkeypatch.setattr(
+        equivalence,
+        "_section_base_invariants",
+        lambda s: [T + X * Y, Y**2, T * X + Y ** sp.Rational(1, 2)],
+    )
+    assert i_regular(sol, (1, 2, 3)) is True
+    # (T + X)^2 * Y is a function of the first two: the determinant vanishes
+    monkeypatch.setattr(
+        equivalence, "_section_base_invariants", lambda s: [T + X, Y, (T + X) ** 2 * Y]
+    )
+    assert i_regular(sol, (1, 2, 3)) is False
 
 
 # -- generic stratum, probed at the jet level ------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from jetweyl.exprcore import equal, is_zero, jet, substitute
 from jetweyl.invariants import (
@@ -83,6 +84,15 @@ def test_relative_invariant_has_a_witness():
     assert equal(witness / u_x, -sp.Symbol("d'") / 2) or not is_zero(witness)
 
 
+@given(st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool))
+@settings(max_examples=10, deadline=None)
+def test_invariant_plus_u_xx_has_a_witness(q):
+    result = verify_invariance(invariant(2) + sp.Rational(q.numerator, q.denominator) * u_xx)
+    assert result is not True
+    fam, witness = result
+    assert fam in (1, 2, 3, 4, 5) and not is_zero(witness)
+
+
 def test_derivation_commutators_close():
     for rep in verify_derivation_commutators():
         assert rep.ok, rep
@@ -156,6 +166,14 @@ def test_poincare_series_match_counting():
         coeffs = poincare_coefficients(series, 8)
         for k in range(2, 9):
             assert coeffs[k] == counting(series, k).h, (series, k)
+
+
+def test_poincare_coefficients_match_the_series_expansion():
+    z = sp.Symbol("z")
+    for series in ("ms", "weyl", "ew-general"):
+        expansion = sp.series(poincare_function(series), z, 0, 13).removeO()
+        want = [int(expansion.coeff(z, m)) for m in range(13)]
+        assert poincare_coefficients(series, 12) == want, series
 
 
 def test_poincare_closed_form_ms():

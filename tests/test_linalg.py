@@ -61,6 +61,27 @@ def test_rank_det_match_sympy(rows):
     assert det(rows) == Fraction(sp.Rational(m.det()))
 
 
+@st.composite
+def _low_rank(draw):
+    """Rectangular matrices built as products (rows x r)(r x cols), so that
+    rank deficiency is common."""
+    nrows, ncols, r = draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    left = draw(st.lists(st.lists(_entry, min_size=r, max_size=r), min_size=nrows, max_size=nrows))
+    right = draw(st.lists(st.lists(_entry, min_size=ncols, max_size=ncols), min_size=r, max_size=r))
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+@given(_low_rank())
+@settings(max_examples=120, deadline=None)
+def test_rank_matches_sympy_on_rectangular_matrices(rows):
+    m = sp.Matrix([[sp.Rational(x) for x in row] for row in rows])
+    assert rank(rows) == m.rank()
+    basis = nullspace(rows)
+    assert len(basis) == len(rows[0]) - m.rank()
+    for vec in basis:
+        assert all(sum(Fraction(a) * b for a, b in zip(row, vec)) == 0 for row in rows)
+
+
 @given(st.lists(st.lists(_entry, min_size=3, max_size=3), min_size=3, max_size=3))
 @settings(max_examples=40, deadline=None)
 def test_inertia_matches_eigenvalue_signs(rows):

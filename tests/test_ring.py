@@ -1,0 +1,338 @@
+"""The jet ring against the expression-tree jet calculus it replaced.
+
+The tree total derivative, the tree principal table with its reduction and
+the tree prolonged coefficients live here as the oracle: every ring result
+must equal the tree result as a rational function (``normalize(a - b) ==
+0``), and the ring's principal table must agree with the independent
+Leibniz solver of ``JetPoint`` at random rational points.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+import sympy as sp
+from hypothesis import given, settings, strategies as st
+
+from jetweyl.errors import DivisionByZeroExpression, ExprError
+from jetweyl.exprcore import (
+    T,
+    X,
+    Y,
+    formal,
+    is_jet_symbol,
+    jet,
+    jet_info,
+    jet_order,
+    normalize,
+    partial,
+)
+from jetweyl.fields import PointField, generating_section, lie_bracket, lie_derivative
+from jetweyl.invariants import (
+    apply_derivation,
+    derivation,
+    invariant,
+    structure_K,
+    twelve_invariants,
+)
+from jetweyl.jets import (
+    _jet_ring,
+    _ring_for,
+    internal_indices,
+    ms_system,
+    principal_indices,
+    total_derivative,
+)
+from jetweyl.symmetry import generator
+
+# ---------------------------------------------------------------------------
+# the tree oracle
+
+
+def tree_total_derivative(e, d: str) -> sp.Expr:
+    """D_d e = d_d e + sum_sigma w_{sigma+d} * de/dw_sigma, on sympy trees."""
+    e = sp.sympify(e)
+    out = partial(e, d)
+    for s in e.free_symbols:
+        if is_jet_symbol(s):
+            dep, idx = jet_info(s)
+            out += jet(dep, idx.bump(d)) * sp.diff(e, s)
+    return out
+
+
+class TreeTable:
+    """The principal table by tree total derivatives and substitution."""
+
+    def __init__(self):
+        F1, F2 = ms_system().equations
+        self.table = {
+            jet(dep, "tx"): sp.expand(jet(dep, "tx") - F) for dep, F in (("u", F1), ("v", F2))
+        }
+
+    def principal(self, dep, idx) -> sp.Expr:
+        sym = jet(dep, idx)
+        if sym not in self.table:
+            d = "y" if idx.ny else ("x" if idx.nx > 1 else "t")
+            parent = self.principal(dep, idx.drop(d))
+            self.table[sym] = sp.expand(self.substitute(tree_total_derivative(parent, d)))
+        return self.table[sym]
+
+    def substitute(self, e) -> sp.Expr:
+        rep = {
+            s: self.principal(*jet_info(s))
+            for s in e.free_symbols
+            if is_jet_symbol(s) and jet_info(s)[1].is_principal
+        }
+        return e.xreplace(rep)
+
+    def reduce(self, e) -> sp.Expr:
+        num, den = sp.fraction(sp.together(sp.sympify(e)))
+        return normalize(self.substitute(sp.expand(num)) / self.substitute(sp.expand(den)))
+
+
+TREE = TreeTable()
+
+
+def tree_lie_derivative(field: PointField, e, k: int) -> sp.Expr:
+    """The order-k prolongation applied to e, coefficient by coefficient."""
+    e = sp.sympify(e)
+    section = generating_section(field)
+    out = field.at * partial(e, "t") + field.ax * partial(e, "x") + field.ay * partial(e, "y")
+    for s in e.free_symbols:
+        if not is_jet_symbol(s):
+            continue
+        dep, idx = jet_info(s)
+        assert idx.order <= k
+        coeff = section.component(dep)
+        for d, n in zip("txy", (idx.nt, idx.nx, idx.ny)):
+            for _ in range(n):
+                coeff = tree_total_derivative(coeff, d)
+        for a, d in zip((field.at, field.ax, field.ay), "txy"):
+            coeff += a * jet(dep, idx.bump(d))
+        out += coeff * sp.diff(e, s)
+    return out
+
+
+def same(a, b) -> bool:
+    return normalize(sp.sympify(a) - sp.sympify(b)) == 0
+
+
+FAMILIES = [generator(fam, name) for fam, name in zip(range(1, 6), "abcde")]
+QUANTITIES = [invariant(i) for i in (1, 2, 3)] + [structure_K(i) for i in (1, 2, 3, 4)]
+
+
+# ---------------------------------------------------------------------------
+# the principal table
+
+
+def _ring_entries(k: int):
+    ring = _jet_ring(k)
+    return ring, {
+        (dep, idx): ring.principal(ring.index[jet(dep, idx)])
+        for idx in principal_indices(k)
+        for dep in ("u", "v")
+    }
+
+
+def test_principal_table_term_counts():
+    counts = {k: sum(map(len, _ring_entries(k)[1].values())) for k in (3, 4, 5, 6)}
+    assert counts == {3: 95, 4: 593, 5: 3107, 6: 14651}
+
+
+def test_principal_table_matches_the_tree_table():
+    sys_ = ms_system()
+    for idx in principal_indices(4):
+        for dep in ("u", "v"):
+            got = sys_.principal_expr(dep, idx)
+            want = TREE.principal(dep, idx)
+            assert got == want, (dep, idx)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=4, deadline=None)
+def test_principal_table_matches_point_values_through_order_6(seed):
+    rng = random.Random(seed)
+    internal = {
+        jet(dep, idx): Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        for dep in ("u", "v")
+        for idx in internal_indices(6)
+    }
+    point = ms_system().point(6, internal=internal)
+    ring, entries = _ring_entries(6)
+    values = [
+        point.value(s) if is_jet_symbol(s) else Fraction(0) for s in ring.symbols
+    ]
+    for (dep, idx), poly in entries.items():
+        total = Fraction(0)
+        for monom, c in poly.items():
+            term = Fraction(int(c.numerator), int(c.denominator))
+            for i, n in enumerate(monom):
+                if n:
+                    term *= values[i] ** n
+            total += term
+        assert total == point.value(jet(dep, idx)), (dep, idx)
+
+
+# ---------------------------------------------------------------------------
+# total derivatives and reduction
+
+_POOL = [
+    jet("u"),
+    jet("v"),
+    jet("u", "x"),
+    jet("u", "y"),
+    jet("v", "x"),
+    jet("u", "xx"),
+    jet("v", "xy"),
+    jet("u", "tx"),
+    T,
+    X,
+    Y,
+    formal("a"),
+    formal("a", 1),
+    sp.Rational(-3, 2),
+    sp.Integer(2),
+]
+
+
+def _random_expression(rng: random.Random, depth: int = 0) -> sp.Expr:
+    if depth > 2 or rng.random() < 0.3:
+        return rng.choice(_POOL)
+    a, b = _random_expression(rng, depth + 1), _random_expression(rng, depth + 1)
+    op = rng.randrange(4)
+    if op == 0:
+        return a + b
+    if op == 1:
+        return a * b
+    if op == 2:
+        return a - 2 * b
+    return a / b if b.free_symbols & {jet("u", "x"), jet("u", "xx"), Y} else a * b
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_total_derivative_matches_the_tree(seed):
+    rng = random.Random(seed)
+    e = _random_expression(rng)
+    for d in "txy":
+        got = total_derivative(e, d)
+        assert same(got, tree_total_derivative(e, d))
+        assert normalize(got) == got
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_reduce_matches_the_tree(seed):
+    rng = random.Random(seed)
+    e = tree_total_derivative(_random_expression(rng), rng.choice("txy"))
+    got = ms_system().reduce(e, k=4)
+    assert got == TREE.reduce(e)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_ring_round_trip_is_the_canonical_form(seed):
+    e = _random_expression(random.Random(seed))
+    ring = _ring_for(jet_order(e), (e,))
+    assert ring.to_expr(ring.convert(e)) == normalize(e)
+
+
+# ---------------------------------------------------------------------------
+# prolonged fields, derivations, invariants
+
+
+@pytest.mark.parametrize("fam", range(1, 6))
+def test_lie_derivatives_match_the_tree(fam):
+    field = FAMILIES[fam - 1]
+    for e in QUANTITIES:
+        k = jet_order(e)
+        got = lie_derivative(field, e, k=k)
+        assert same(got, tree_lie_derivative(field, e, k))
+        assert TREE.reduce(got) == 0
+
+
+def test_lie_derivative_of_a_non_invariant_matches_the_tree():
+    e = invariant(2) + sp.Rational(3, 7) * jet("u", "xx")
+    for field in FAMILIES:
+        got = lie_derivative(field, e, k=2)
+        assert same(got, tree_lie_derivative(field, e, 2))
+        assert ms_system().reduce(got) == TREE.reduce(got)
+
+
+# rational coefficients give the derivation images with polynomial
+# denominators, which it puts over one common denominator
+_RATIONAL_FIELDS = (
+    PointField(ax=1 / (1 + T**2), fu=jet("u") / Y, fv=X * formal("f")),
+    PointField(at=X, ay=Y**2, fv=1 / (jet("v") + 1)),
+)
+
+
+def _tree_bracket_component(a: PointField, b: PointField, n: int) -> sp.Expr:
+    coords = (T, X, Y, jet("u"), jet("v"))
+    return sum(
+        (
+            c * partial(b.components()[n], s) - d * partial(a.components()[n], s)
+            for c, d, s in zip(a.components(), b.components(), coords)
+        ),
+        sp.Integer(0),
+    )
+
+
+def test_lie_bracket_matches_the_tree():
+    f, g = formal("f"), formal("g")
+    pairs = [(generator(i, f), generator(j, g)) for i in range(1, 6) for j in range(1, 6)]
+    pairs.append(_RATIONAL_FIELDS)
+    for a, b in pairs:
+        got = lie_bracket(a, b)
+        for n, component in enumerate(got.components()):
+            assert same(component, _tree_bracket_component(a, b, n)), (a, b, n)
+
+
+def test_prolonged_field_with_rational_coefficients_matches_the_tree():
+    e = jet("u", "x") / jet("u", "xx") + jet("v", "y") * formal("f", 1)
+    for field in _RATIONAL_FIELDS:
+        assert same(lie_derivative(field, e, k=2), tree_lie_derivative(field, e, 2))
+
+
+def test_apply_derivation_matches_the_tree():
+    for e in QUANTITIES[:4]:
+        for j in (1, 2, 3):
+            d = derivation(j)
+            raw = sum(
+                (c * tree_total_derivative(e, s) for c, s in zip(d.coefficients(), "txy")),
+                sp.Integer(0),
+            )
+            assert apply_derivation(j, e) == TREE.reduce(raw), (e, j)
+
+
+def test_twelve_invariants_match_the_tree():
+    twelve = twelve_invariants()
+    for i in (1, 2, 3):
+        assert twelve[i - 1] == normalize(invariant(i))
+        for j in (1, 2, 3):
+            d = derivation(j)
+            raw = sum(
+                (c * tree_total_derivative(invariant(i), s) for c, s in zip(d.coefficients(), "txy")),
+                sp.Integer(0),
+            )
+            assert twelve[3 * i + j - 1] == TREE.reduce(raw), (i, j)
+
+
+# ---------------------------------------------------------------------------
+# error classes
+
+
+def test_zero_reduced_denominator_raises():
+    # the denominator is F1, which vanishes on the equation
+    F1 = ms_system().F1
+    with pytest.raises(DivisionByZeroExpression):
+        ms_system().reduce(jet("u", "x") / F1)
+
+
+@pytest.mark.parametrize(
+    "e",
+    [sp.sin(jet("u")), sp.sqrt(jet("u", "x")), sp.Float(0.5) * jet("u"), jet("u") ** sp.Rational(1, 3)],
+)
+def test_non_rational_input_to_total_derivative_raises(e):
+    with pytest.raises(ExprError):
+        total_derivative(e, "x")

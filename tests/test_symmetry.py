@@ -9,7 +9,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from jetweyl.errors import JetOrderError, PseudogroupError
+from jetweyl.errors import ExprError, JetOrderError, PseudogroupError
 from jetweyl.exprcore import T, X, Y, equal, formal, is_zero, jet, jet_info
 from jetweyl.fields import PointField, prolong
 from jetweyl.invariants import counting
@@ -51,6 +51,19 @@ def test_broken_field_reports_residuals():
     res = check_symmetry(bad)
     assert res is not True
     assert len(res) == 2 and not all(is_zero(r) for r in res)
+
+
+
+def test_rational_closed_form_parameters_are_symmetries():
+    for fam in range(1, 6):
+        assert check_symmetry(generator(fam, T**2 / (T + 1) - sp.Rational(1, 3))) is True, fam
+
+
+@pytest.mark.parametrize("p", [T ** sp.Rational(1, 2), sp.sqrt(2) * T, sp.pi])
+def test_parameters_outside_the_rational_functions_are_refused(p):
+    # the checks differentiate the parameter in the jet ring over QQ
+    with pytest.raises(ExprError, match="rational function of t"):
+        check_symmetry(generator(1, p))
 
 
 def test_commutation_table_closes():
