@@ -14,6 +14,8 @@ Subpackages by theme:
 * :mod:`jetweyl.geometry`   metric/one-form pairs, Weyl connection, Einstein
                             condition, the explicit-solution catalog
 * :mod:`jetweyl.equivalence` invariant signatures and equivalence verdicts
+* :mod:`jetweyl.checks`     the named checks behind ``verify-all`` and the
+                            acceptance battery
 * :mod:`jetweyl.cli`        the ``jetweyl`` command-line tool
 """
 

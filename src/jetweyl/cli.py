@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Every subcommand prints a JSON document (deterministic for fixed inputs:
-keys sorted, no timestamps); ``--pretty`` indents it.  ``verify-all``
-reruns the package's named check suites and exits nonzero when any fails.
+keys sorted, no timestamps); ``--pretty`` indents it.  ``verify-all`` runs
+the acceptance registry of :mod:`jetweyl.checks` (table, symmetry, lift,
+orbit, invariance, commutators, coframe, counting, geometry, equivalence,
+mutation) and exits nonzero when any check fails.
 
 Exit codes: 0 ok; 1 a verification or comparison failed; 2 bad usage
 (argparse); 3 DSL parse error; 4 domain or math error (singular locus,
@@ -18,10 +20,10 @@ from fractions import Fraction
 
 import sympy as sp
 
-from . import equivalence, geometry, invariants, symmetry
+from . import checks, equivalence, geometry, invariants, symmetry
 from .dsl import parse_expr, parse_solution
 from .errors import JetweylError, ParseError
-from .exprcore import T, formal, is_zero, partial, to_text
+from .exprcore import formal, is_zero, to_text
 from .jets import dims, ms_system
 
 EXIT_OK = 0
@@ -117,7 +119,7 @@ def _cmd_verify_table(args):
             {
                 "i": r.i,
                 "j": r.j,
-                "expected": r.expected,
+                "expected": symmetry.table_cell_text(r.i, r.j),
                 "ok": r.ok,
             }
             for r in reports
@@ -350,179 +352,14 @@ def _cmd_compare(args):
 # verify-all
 
 
-def _suite_table():
-    reports = symmetry.verify_commutation_table()
-    return all(r.ok for r in reports), {"cells": len(reports)}
-
-
-def _suite_symmetry():
-    system = ms_system()
-    oks = [
-        symmetry.check_symmetry(symmetry.generator(i, formal("f")), system) is True
-        for i in (1, 2, 3, 4, 5)
-    ]
-    oks.append(symmetry.grading_check())
-    return all(oks), {"families": 5, "grading": oks[-1]}
-
-
-def _suite_lift():
-    f = formal("f")
-    ok = True
-    for i, kw in enumerate(("a", "b", "c", "d", "e"), start=1):
-        res = symmetry.lift_shape_field(symmetry.ShapeField(**{kw: f}))
-        ok = ok and res.field == symmetry.generator(i, f)
-    gen = symmetry.ShapeField(
-        a=formal("a"), b=formal("b"), c=formal("c"), d=2 * formal("d"), e=formal("e")
-    )
-    res = symmetry.lift_shape_field(gen)
-    chi_expected = 2 * (formal("e") + partial(formal("d"), "t"))
-    ok = ok and is_zero(sp.expand(res.conformal - chi_expected))
-    return ok, {"chi": to_text(res.conformal)}
-
-
-def _suite_orbit():
-    system = ms_system()
-    vals = {}
-    ok = True
-    generic_k1 = {
-        "u_x": Fraction(3, 2),
-        "u_y": Fraction(-1, 3),
-        "v_x": Fraction(2, 5),
-        "v_y": Fraction(1, 7),
-        "u": Fraction(1, 2),
-        "v": Fraction(-2, 3),
-        "u_t": Fraction(1, 4),
-        "v_t": Fraction(-1, 5),
-    }
-    for k in range(1, 5):
-        if k == 1:
-            theta = system.point(1, internal=generic_k1)
-        else:
-            theta = system.point(
-                k, internal={"u_x": Fraction(1), "u_xx": Fraction(1)}
-            )
-        dim = symmetry.orbit_dimension(k, theta)
-        vals[k] = dim
-        ok = ok and dim == symmetry.orbit_expected_dimension(k)
-    return ok, {"dimensions": vals}
-
-
-def _suite_invariance():
-    system = ms_system()
-    quantities = [invariants.invariant(i) for i in (1, 2, 3)]
-    quantities += [invariants.structure_K(i) for i in (1, 2, 3, 4)]
-    quantities += [
-        invariants.apply_derivation(j, invariants.invariant(i), system)
-        for i in (1, 2, 3)
-        for j in (1, 2, 3)
-    ]
-    ok = all(invariants.verify_invariance(e, system=system) is True for e in quantities)
-    theta = system.point(
-        3,
-        internal={
-            "u_x": Fraction(3, 2),
-            "u_xx": Fraction(-2, 3),
-            "u_y": Fraction(1, 5),
-            "u_xy": Fraction(2, 7),
-            "u_yy": Fraction(-1, 2),
-            "v_x": Fraction(1, 3),
-            "u_xxx": Fraction(5, 4),
-            "v_xx": Fraction(-3, 5),
-            "u_xxy": Fraction(1, 6),
-            "v_xy": Fraction(2, 9),
-        },
-    )
-    r = invariants.independence_rank(theta)
-    return ok and r == 12, {"independence_rank": r}
-
-
-def _suite_commutators():
-    reports = invariants.verify_derivation_commutators()
-    identities = invariants.verify_identities()
-    ok = all(r.ok for r in reports) and all(r.ok for r in identities)
-    return ok, {"relations": len(reports), "identities": len(identities)}
-
-
-def _suite_coframe():
-    rep = invariants.coframe_rewrite()
-    return rep.matches, {"conformal_adjustment": rep.adjusted}
-
-
-def _suite_counting():
-    ok = True
-    for series, upto in (("ms", 6), ("weyl", 6), ("ew-general", 6)):
-        for k in range(2, upto + 1):
-            invariants.counting(series, k)  # raises on mismatch
-        coeffs = invariants.poincare_coefficients(series, 8)
-        ok = ok and len(coeffs) >= 8
-    return ok, {"series": ["ms", "weyl", "ew-general"]}
-
-
-def _suite_geometry():
-    ok = True
-    lams = {}
-    for cid, kw in (
-        ("trivial", {}),
-        ("dkp-partial", {}),
-        ("hierarchy", {}),
-        ("exp-family", {}),
-        ("sl2-family", {}),
-        ("sl2-degenerate", {}),
-    ):
-        sol = geometry.catalog(cid, **kw)
-        rep = geometry.check_EW(sol)
-        conn = geometry.weyl_connection(geometry.build_pair(sol))
-        anchor = geometry.skew_anchor_residual(conn)
-        ok = ok and rep.exact and all(is_zero(e) for e in anchor)
-        lams[cid] = to_text(rep.lam)
-    con = geometry.invariants_on_solution(geometry.catalog("sl2-family"))
-    ok = ok and con == (
-        sp.Rational(-3, 25),
-        sp.Rational(21, 100),
-        sp.Rational(-147, 500),
-    )
-    krep = geometry.sl2_structure_report(geometry.catalog("sl2-family"))
-    ok = ok and all(e["numerator_vanishes"] for e in krep["entries"])
-    return ok, {"lambda": lams, "k_indeterminate": krep["indeterminate"]}
-
-
-def _suite_equivalence():
-    c_sl2 = equivalence.signature(geometry.catalog("sl2-family", f=0, h=0))
-    c_exp = equivalence.signature(geometry.catalog("exp-family", f=1, h=1))
-    verdict = equivalence.compare(c_sl2, c_exp).verdict
-    ok = verdict == "distinct"
-    try:
-        equivalence.signature(geometry.catalog("trivial"))
-        ok = False
-        branch = "missed"
-    except JetweylError:
-        branch = "singular-branch-reported"
-    ok = ok and equivalence.compare(c_sl2, c_sl2).verdict == "equivalent-evidence"
-    return ok, {"sl2_vs_exp": verdict, "trivial": branch}
-
-
-_SUITES = {
-    "table": _suite_table,
-    "symmetry": _suite_symmetry,
-    "lift": _suite_lift,
-    "orbit": _suite_orbit,
-    "invariance": _suite_invariance,
-    "commutators": _suite_commutators,
-    "coframe": _suite_coframe,
-    "counting": _suite_counting,
-    "geometry": _suite_geometry,
-    "equivalence": _suite_equivalence,
-}
-
-
 def _cmd_verify_all(args):
-    names = [args.only] if args.only else list(_SUITES)
+    if args.only and args.only not in checks.REGISTRY:
+        raise JetweylError(f"unknown suite {args.only!r}; known: {list(checks.REGISTRY)}")
+    names = [args.only] if args.only else list(checks.REGISTRY)
     results = {}
     ok = True
     for name in names:
-        if name not in _SUITES:
-            raise JetweylError(f"unknown suite {name!r}; known: {sorted(_SUITES)}")
-        good, info = _SUITES[name]()
+        good, info = checks.REGISTRY[name].run()
         ok = ok and good
         results[name] = {"ok": good, **_jsonable(info)}
     return {"ok": ok, "suites": results}, ok
@@ -619,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b")
     p.add_argument("--tol", type=float, default=1e-9)
 
-    p = add("verify-all", _cmd_verify_all, "run every named check suite")
+    p = add("verify-all", _cmd_verify_all, "run the named checks of the acceptance registry")
     p.add_argument("--only", default=None, help="run a single suite by name")
 
     return top

@@ -20,7 +20,7 @@ from .errors import ComparisonError, SingularLocusError, SolutionError
 from .exprcore import T, X, Y, is_formal_symbol, is_zero, jet, normalize, partial
 from .invariants import invariant, twelve_invariants
 from .jets import JetPoint
-from .linalg import float_rank
+from .linalg import as_fraction, float_rank
 from .geometry import Solution
 
 __all__ = [
@@ -119,7 +119,7 @@ def _eval_at(e, subs):
     if val.free_symbols:
         raise SolutionError(f"value is not a number: {val}")
     if val.is_Rational:
-        return Fraction(int(val.p), int(val.q))
+        return as_fraction(val)
     return float(sp.N(val, 50))
 
 

@@ -54,6 +54,7 @@ from .errors import (
     UnboundSymbolError,
     UnknownSymbolError,
 )
+from .linalg import as_fraction
 
 __all__ = [
     "T",
@@ -523,7 +524,7 @@ def eval_numeric(
         raise PoleAtPointError("evaluation produced an undefined value")
     val = sp.nsimplify(val, rational=False) if val.is_Rational is None else val
     if val.is_Rational:
-        return Fraction(int(val.p), int(val.q))
+        return as_fraction(val)
     approx = val.evalf(dps)
     if approx.has(sp.zoo, sp.nan) or not approx.is_real:
         raise PoleAtPointError("evaluation produced an undefined value")

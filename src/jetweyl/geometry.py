@@ -35,7 +35,7 @@ from .exprcore import (
     validate_kernel,
 )
 from .jets import EquationSystem, JetPoint, internal_indices, ms_system
-from .linalg import inertia
+from .linalg import as_fraction, inertia
 from . import symmetry as _symmetry
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "hierarchy_residual",
     "invariants_on_solution",
     "sl2_structure_report",
-    "apply_pseudogroup",
 ]
 
 _COORDS = (T, X, Y)
@@ -108,7 +107,10 @@ class Solution:
             self.require_solution()
 
     def residuals(self) -> tuple[sp.Expr, sp.Expr]:
-        return self.system.section_residuals(self.u, self.v)
+        """The two equation residuals: F1, F2 with the section's
+        derivatives in place of the jet coordinates.  Both vanish exactly
+        when the section solves the system."""
+        return tuple(self.jet_subs(F) for F in self.system.equations)
 
     def require_solution(self) -> "Solution":
         r1, r2 = self.residuals()
@@ -161,7 +163,7 @@ class Solution:
                         f"jet of {self.name!r} at {base} is not rational: "
                         f"{dep}_{idx.word() or '0'} = {val}"
                     )
-                internal[jet(dep, idx)] = Fraction(int(val.p), int(val.q))
+                internal[jet(dep, idx)] = as_fraction(val)
         return self.system.point(
             k,
             base={"t": Fraction(base[0]), "x": Fraction(base[1]), "y": Fraction(base[2])},
@@ -190,10 +192,6 @@ class Solution:
         return f"u = {to_text(self.u)}; v = {to_text(self.v)}"
 
 
-def apply_pseudogroup(element, sol: Solution) -> Solution:
-    return sol.transform(element)
-
-
 # ---------------------------------------------------------------------------
 # metric pair and connection
 
@@ -207,17 +205,8 @@ class WeylPair:
 
 def build_pair(sol: Solution) -> WeylPair:
     u, v = sol.u, sol.v
-    ux, uy = partial(u, "x"), partial(u, "y")
-    vx = partial(v, "x")
-    g = sp.Matrix(
-        [
-            [-(u**2) - 4 * v, 2, u],
-            [2, 0, 0],
-            [u, 0, -1],
-        ]
-    )
-    omega = sp.Matrix([u * ux + 2 * uy + 4 * vx, 0, -ux])
-    return WeylPair(g, omega, sol)
+    omega = _symmetry.ansatz_covector(u, partial(u, "x"), partial(u, "y"), partial(v, "x"))
+    return WeylPair(_symmetry.ansatz_metric(u, v), omega, sol)
 
 
 @dataclass(frozen=True)
@@ -560,7 +549,7 @@ def signature_report(pair: WeylPair, pts) -> dict:
             for j in range(3):
                 e = sp.nsimplify(gval[i, j], rational=True)
                 if e.is_Rational:
-                    row.append(Fraction(int(e.p), int(e.q)))
+                    row.append(as_fraction(e))
                 else:
                     exact = False
                     row.append(Fraction(float(sp.N(gval[i, j], 30))))

@@ -37,7 +37,7 @@ from .jets import (
     ms_system,
 )
 from .linalg import rank
-from .symmetry import generator
+from .symmetry import ansatz_covector, ansatz_metric, generator
 
 __all__ = [
     "invariant",
@@ -301,21 +301,6 @@ def coframe_matrix() -> sp.Matrix:
     return derivation_matrix().inv().T
 
 
-def _horizontal_metric() -> sp.Matrix:
-    return sp.Matrix(
-        [
-            [-(_u**2) - 4 * _v, 2, _u],
-            [2, 0, 0],
-            [_u, 0, -1],
-        ]
-    )
-
-
-def _covector() -> sp.Matrix:
-    # omega = (u*u_x + 2*u_y + 4*v_x) dt - u_x dy
-    return sp.Matrix([_u * _ux + 2 * _uy + 4 * _vx, 0, -_ux])
-
-
 @dataclass(frozen=True)
 class CoframeReport:
     gprime: sp.Matrix
@@ -336,7 +321,7 @@ def coframe_rewrite(system: EquationSystem | None = None) -> CoframeReport:
     """
     system = system or ms_system()
     C = derivation_matrix()
-    G = C * _horizontal_metric() * C.T
+    G = C * ansatz_metric(_u, _v) * C.T
     Gp = sp.Matrix(
         3, 3, lambda i, j: system.reduce(sp.expand(_ux**2 * G[i, j]))
     )
@@ -347,7 +332,7 @@ def coframe_rewrite(system: EquationSystem | None = None) -> CoframeReport:
         for i in range(3)
         for j in range(3)
     )
-    w = _covector()
+    w = ansatz_covector(_u, _ux, _uy, _vx)
     plain = [system.reduce((C * w)[i]) for i in range(3)]
     adjust = [
         system.reduce((C * w)[i] + 2 * apply_derivation(i + 1, _ux, system) / _ux)

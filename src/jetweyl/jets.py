@@ -68,10 +68,9 @@ from .exprcore import (
     jet,
     jet_info,
     jet_order,
-    normalize,
-    partial,
     resolve_symbol,
 )
+from .linalg import as_fraction
 
 __all__ = [
     "total_derivative",
@@ -546,11 +545,11 @@ class EquationSystem:
                 d, idx = jet_info(s)
                 factors += [(d, (idx.nt, idx.nx, idx.ny))] * n
             if factors == [(dep, (1, 1, 0))]:
-                c = Fraction(int(coef.p), int(coef.q))
+                c = as_fraction(coef)
                 continue
             if len(factors) > 2 or any(ix[0] for _, ix in factors):
                 raise AssertionError(f"{lead} does not lead {F}")
-            terms.append((Fraction(int(coef.p), int(coef.q)), tuple(factors)))
+            terms.append((as_fraction(coef), tuple(factors)))
         if not c:
             raise AssertionError(f"equation not affine-monic in {lead}")
         return c, tuple(terms)
@@ -599,38 +598,6 @@ class EquationSystem:
         out = ring.to_expr(ring.reduce(ring.convert(scaled)))
         return out.xreplace(back) if back else out
 
-    def section_residuals(self, u_expr, v_expr) -> tuple[sp.Expr, sp.Expr]:
-        """The two equation residuals of a section u = u(t,x,y), v = v(t,x,y).
-
-        Jet coordinates in F1, F2 are replaced by the corresponding
-        derivatives of the section; both residuals vanish exactly when the
-        section solves the system.
-        """
-        exprs = {"u": sp.sympify(u_expr), "v": sp.sympify(v_expr)}
-        cache: dict[tuple[str, MultiIndex], sp.Expr] = {}
-
-        def derivative(dep: str, idx: MultiIndex) -> sp.Expr:
-            got = cache.get((dep, idx))
-            if got is not None:
-                return got
-            if idx.order == 0:
-                val = exprs[dep]
-            else:
-                d = "y" if idx.ny else ("x" if idx.nx else "t")
-                val = partial(derivative(dep, idx.drop(d)), d)
-            cache[(dep, idx)] = val
-            return val
-
-        out = []
-        for F in self.equations:
-            rep = {
-                s: derivative(*jet_info(s))
-                for s in F.free_symbols
-                if is_jet_symbol(s)
-            }
-            out.append(normalize(F.xreplace(rep)))
-        return tuple(out)
-
     # -- points -------------------------------------------------------------
 
     def point(self, k: int, base=None, internal=None) -> "JetPoint":
@@ -655,7 +622,7 @@ class EquationSystem:
         pt = JetPoint(self, k, base=base, internal=internal)
         for s, claimed in principal.items():
             derived = pt.value(s)
-            if derived != Fraction(int(claimed.p), int(claimed.q)):
+            if derived != as_fraction(claimed):
                 raise PointNotOnEquationError(
                     f"{s} = {claimed} contradicts the equation value {derived}"
                 )
@@ -776,4 +743,4 @@ class JetPoint:
             val = sp.nsimplify(val, rational=True)
         if not val.is_Rational:
             raise PointNotOnEquationError(f"non-rational value {val}")
-        return Fraction(int(val.p), int(val.q))
+        return as_fraction(val)

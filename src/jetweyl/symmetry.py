@@ -35,7 +35,7 @@ from .exprcore import (
 )
 from .fields import PointField, generating_section, lie_bracket, prolong
 from .jets import EquationSystem, JetPoint, _ring_for, internal_indices, ms_system
-from .linalg import rank
+from .linalg import as_fraction, rank
 
 __all__ = [
     "X1",
@@ -52,6 +52,8 @@ __all__ = [
     "check_symmetry",
     "grading_check",
     "ShapeField",
+    "ansatz_metric",
+    "ansatz_covector",
     "LiftResult",
     "lift_shape_field",
     "PseudogroupElement",
@@ -195,7 +197,6 @@ def table_cell_text(i: int, j: int, f="f", g="g") -> str:
 class CellReport:
     i: int
     j: int
-    expected: str
     ok: bool
     residual: PointField
 
@@ -214,9 +215,7 @@ def verify_commutation_table() -> list[CellReport]:
         for j in range(1, 6):
             bracket = lie_bracket(fields[(i, "f")], fields[(j, "g")])
             residual = bracket - table_rhs(i, j, f, g)
-            report.append(
-                CellReport(i, j, table_cell_text(i, j), residual.is_zero(), residual)
-            )
+            report.append(CellReport(i, j, residual.is_zero(), residual))
     return report
 
 
@@ -289,16 +288,22 @@ class ShapeField:
         return X1(a) + X2(b) + X3(c) + X4(d) + X5(e)
 
 
-def shape_metric_matrix() -> sp.Matrix:
-    """Component matrix of the ansatz metric in coordinates (t, x, y), with
-    the fiber coordinates u, v as entries."""
+def ansatz_metric(u, v) -> sp.Matrix:
+    """The ansatz metric in coordinates (t, x, y):
+    g = -(u^2 + 4v) dt^2 + 4 dt dx + 2u dt dy - dy^2."""
     return sp.Matrix(
         [
-            [-(_U**2) - 4 * _V, 2, _U],
+            [-(u**2) - 4 * v, 2, u],
             [2, 0, 0],
-            [_U, 0, -1],
+            [u, 0, -1],
         ]
     )
+
+
+def ansatz_covector(u, u_x, u_y, v_x) -> sp.Matrix:
+    """The ansatz covector as a (dt, dx, dy) column:
+    omega = (u*u_x + 2*u_y + 4*v_x) dt - u_x dy."""
+    return sp.Matrix([u * u_x + 2 * u_y + 4 * v_x, 0, -u_x])
 
 
 @dataclass(frozen=True)
@@ -317,7 +322,7 @@ def lift_shape_field(shape: ShapeField | PointField) -> LiftResult:
     base = shape.base_field() if isinstance(shape, ShapeField) else shape
     if not (is_zero(base.fu) and is_zero(base.fv)):
         raise LiftError("shape field must have no fiber components")
-    g = shape_metric_matrix()
+    g = ansatz_metric(_U, _V)
     comps = (base.at, base.ax, base.ay)
     coords = (T, X, Y)
     A, B, chi = sp.Dummy("A"), sp.Dummy("B"), sp.Dummy("chi")
@@ -621,7 +626,7 @@ class _TaylorJet:
             ) from exc
         out: _Series = {}
         for expo, coef in poly.terms():
-            c = Fraction(int(coef.p), int(coef.q))
+            c = as_fraction(coef)
             for key, q in self._monomial(expo).items():
                 out[key] = out.get(key, 0) + c * q
         return out

@@ -1,11 +1,13 @@
 """Command-line surface: JSON output, exit codes, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+from jetweyl import checks
 from jetweyl.cli import main
 
 
@@ -148,9 +150,30 @@ def test_signature_bytes_are_deterministic(tmp_path, capsys):
 
 
 def test_verify_all_single_suite(capsys):
-    code, doc = run(["verify-all", "--only", "coframe"], capsys)
-    assert code == 0
-    assert doc["suites"]["coframe"]["ok"]
+    for name in ("coframe", "mutation"):
+        code, doc = run(["verify-all", "--only", name], capsys)
+        assert code == 0
+        assert list(doc["suites"]) == [name] and doc["suites"][name]["ok"]
+
+
+def test_verify_all_unknown_suite_is_a_domain_error(capsys):
+    code, doc = run(["verify-all", "--only", "frobnicate"], capsys)
+    assert code == 4 and doc["error"] == "domain"
+    assert all(name in doc["message"] for name in checks.REGISTRY)
+
+
+def test_verify_all_runs_the_registry_in_order(capsys, monkeypatch):
+    seen = []
+    for name, check in checks.REGISTRY.items():
+        def stub(name=name):
+            seen.append(name)
+            return True, {}
+
+        monkeypatch.setitem(checks.REGISTRY, name, dataclasses.replace(check, run=stub))
+    code, doc = run(["verify-all"], capsys)
+    assert code == 0 and doc["ok"]
+    assert seen == list(checks.REGISTRY)
+    assert sorted(doc["suites"]) == sorted(checks.REGISTRY)
 
 
 def test_verify_all_orbit_suite_runs_to_order_4(capsys):

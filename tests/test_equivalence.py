@@ -20,7 +20,7 @@ from jetweyl.equivalence import (
 )
 from jetweyl.errors import ComparisonError, SingularLocusError, SolutionError
 from jetweyl.exprcore import T, X, Y
-from jetweyl.geometry import apply_pseudogroup, catalog
+from jetweyl.geometry import catalog
 from jetweyl.jets import internal_indices, ms_system
 from jetweyl.symmetry import PseudogroupElement
 
@@ -144,7 +144,7 @@ _ELEMENTS = (
 def test_cloud_invariant_under_group_action(idx):
     sol = catalog("sl2-family", f=0, h=0)
     base = signature(sol)
-    moved = signature(apply_pseudogroup(_ELEMENTS[idx], sol))
+    moved = signature(sol.transform(_ELEMENTS[idx]))
     assert moved.values == base.values
     assert compare(base, moved).verdict == "equivalent-evidence"
 

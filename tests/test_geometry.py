@@ -27,7 +27,6 @@ from jetweyl.geometry import (
     weyl_connection,
 )
 from jetweyl.symmetry import PseudogroupElement
-from jetweyl.geometry import apply_pseudogroup
 
 
 def test_pair_shape():
@@ -216,7 +215,7 @@ def test_dkp_partial_has_free_time_function():
 
 def test_pseudogroup_acts_on_catalog_solutions():
     el = PseudogroupElement.make(d=4 * T, a=T, ee=3)
-    moved = apply_pseudogroup(el, catalog("hierarchy", w=X**3))
+    moved = catalog("hierarchy", w=X**3).transform(el)
     assert moved.checked  # construction re-verified the equations
 
 

@@ -4,11 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from jetweyl.errors import JetOrderError, PointNotOnEquationError
 from jetweyl.exprcore import T, X, Y, equal, is_zero, jet, partial
+from jetweyl.geometry import Solution
 from jetweyl.jets import (
     dims,
     internal_indices,
@@ -118,12 +118,12 @@ def test_reduce_removes_principal_coordinates():
 
 
 def test_section_residuals_trivial_solution():
-    r1, r2 = ms_system().section_residuals(sp.Integer(0), sp.Integer(0))
+    r1, r2 = Solution(0, 0, deferred=True).residuals()
     assert is_zero(r1) and is_zero(r2)
 
 
 def test_section_residuals_flag_non_solutions():
-    r1, _ = ms_system().section_residuals(X * Y, sp.Integer(0))
+    r1, _ = Solution(X * Y, 0, deferred=True).residuals()
     assert not is_zero(r1)
 
 
