@@ -20,7 +20,7 @@ import sympy as sp
 
 from . import equivalence, geometry, invariants, symmetry
 from .errors import SingularLocusError
-from .exprcore import T, X, Y, equal, formal, is_zero, jet, partial, to_text
+from .exprcore import T, equal, formal, is_zero, jet, to_text
 from .jets import internal_indices, ms_system
 
 __all__ = ["Check", "REGISTRY"]
@@ -155,19 +155,42 @@ def _counting():
 
 
 def _compat_residual(conn) -> list:
-    """nabla_k g_ij - compat_sign * omega_k g_ij, recomputed from the
-    Christoffel symbols."""
-    g, w = conn.pair.g, conn.pair.omega
-    coords = (T, X, Y)
+    """((k, i, j), nabla_k g_ij - compat_sign * omega_k g_ij), recomputed
+    from the Christoffel symbols in the connection's field."""
+    sf, g, w, G = conn.field, conn.g_f, conn.w_f, conn.christoffel_f
     out = []
-    for k in range(3):
+    for k, d in enumerate("txy"):
         for i in range(3):
             for j in range(3):
-                nabla = partial(g[i, j], coords[k])
-                nabla -= sum(conn[m, k, i] * g[m, j] for m in range(3))
-                nabla -= sum(conn[m, k, j] * g[i, m] for m in range(3))
-                out.append(nabla - conn.compat_sign * w[k] * g[i, j])
+                nabla = sf.partial(g[i][j], d)
+                for m in range(3):
+                    nabla = nabla - G[m][k][i] * g[m][j] - G[m][k][j] * g[i][m]
+                out.append(((k, i, j), nabla - w[k] * g[i][j] * conn.compat_sign))
     return out
+
+
+def _residual_witness(cid: str, conn) -> dict | None:
+    """The first nonzero component of the compatibility, anchor or Einstein
+    residual of the connection, as text, with where it is (canonical
+    expressions: zero exactly when they read 0)."""
+    sf = conn.field
+    anchor = geometry.skew_anchor_residual(conn)
+    _, einstein = conn.einstein_elements()
+    cells = [(i, j) for i in range(3) for j in range(3)]
+    for quantity, entries in (
+        ("compatibility", [(kij, sf.expr(r)) for kij, r in _compat_residual(conn)]),
+        ("anchor", [(ij, anchor[ij]) for ij in cells]),
+        ("einstein", [((i, j), sf.expr(einstein[i][j])) for i, j in cells]),
+    ):
+        for entry, value in entries:
+            if value != 0:
+                return {
+                    "family": cid,
+                    "quantity": quantity,
+                    "entry": list(entry),
+                    "residual": to_text(value),
+                }
+    return None
 
 
 def _sl2_points(cid: str) -> list[tuple]:
@@ -186,15 +209,16 @@ def _geometry():
     """Every catalog entry with formal parameters, and exp-family with
     f = h = 1: metric compatibility, the curvature anchor and the exact
     Einstein property, with a 20-point sampled pass on the sl2 families;
-    then the sl2 invariants and structure constants."""
+    then the sl2 invariants and structure constants.  The first nonzero
+    residual component stops the check, as ``info["witness"]``."""
     ok = True
     lams = {}
     cases = [(cid, {}) for cid in geometry.CATALOG_IDS] + [("exp-family", {"f": 1, "h": 1})]
     for cid, kwargs in cases:
         sol = geometry.catalog(cid, **kwargs)
-        conn = geometry.weyl_connection(geometry.build_pair(sol))
-        ok = ok and all(is_zero(r) for r in _compat_residual(conn))
-        ok = ok and all(is_zero(e) for e in geometry.skew_anchor_residual(conn))
+        witness = _residual_witness(cid, geometry.weyl_connection(geometry.build_pair(sol)))
+        if witness:
+            return False, {"lambda": lams, "witness": witness}
         pts = _sl2_points(cid) if cid.startswith("sl2") else None
         rep = geometry.check_EW(sol, pts=pts)
         ok = ok and rep.exact and rep.ok

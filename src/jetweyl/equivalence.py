@@ -17,11 +17,11 @@ from fractions import Fraction
 import sympy as sp
 
 from .errors import ComparisonError, SingularLocusError, SolutionError
-from .exprcore import T, X, Y, is_formal_symbol, is_zero, jet, normalize, partial
+from .exprcore import T, X, Y, is_formal_symbol, is_zero, jet
 from .invariants import invariant, twelve_invariants
 from .jets import JetPoint
 from .linalg import as_fraction, float_rank
-from .geometry import Solution
+from .geometry import SectionField, Solution, _cofactors
 
 __all__ = [
     "SamplerConfig",
@@ -100,17 +100,9 @@ class SignatureCloud:
         return len(self.values)
 
 
-def _section_invariants(sol: Solution) -> list[sp.Expr]:
-    return [sol.jet_subs(e) for e in twelve_invariants()]
-
-
 def _section_base_invariants(sol: Solution) -> list[sp.Expr]:
     """I1, I2, I3 along the section, without deriving the other nine."""
-    return [sol.jet_subs(normalize(invariant(i))) for i in (1, 2, 3)]
-
-
-def _is_constant(e) -> bool:
-    return not (set(sp.sympify(e).free_symbols) & set(_COORDS))
+    return [sol.jet_subs(invariant(i)) for i in (1, 2, 3)]
 
 
 def _eval_at(e, subs):
@@ -142,33 +134,33 @@ def signature(sol: Solution, sampler: SamplerConfig | None = None) -> SignatureC
             )
     if not sol.checked:
         sol.require_solution()
-    ux = sol.jet_subs(jet("u", "x"))
-    if is_zero(ux):
+    sf = sol.field
+    ux, uxx = sf.jet("u", "x"), sf.jet("u", "xx")
+    if sf.vanishes(ux):
         raise SingularLocusError(
             "every sample is singular: u_x = 0 identically on the section "
             "(the order-1 relative-invariant branch)"
         )
-    uxx = sol.jet_subs(jet("u", "xx"))
-    base3 = _section_base_invariants(sol)
-    if all(_is_constant(e) for e in base3):
+    base3 = [sf.rational(sf.subs(invariant(i))) for i in (1, 2, 3)]
+    if None not in base3:
         notes = [
             "constant invariants: gradient slots set to zero",
             "not I-regular; the signature-equivalence hypothesis fails",
         ]
-        if is_zero(uxx):
+        if sf.vanishes(uxx):
             notes.append("section lies in the u_xx = 0 stratum")
-        vals = tuple(_eval_at(e, {}) for e in base3) + (Fraction(0),) * 9
-        exact = all(isinstance(v, Fraction) for v in vals)
+        vals = tuple(base3) + (Fraction(0),) * 9
         pt = next(p for p in sampler.stream() if sol.in_domain(p))
         return SignatureCloud(
             (tuple(pt),),
             (vals,),
-            "exact" if exact else "float50",
+            "exact",
             sol.name,
             tuple(notes),
             False,
         )
-    funcs = _section_invariants(sol)
+    ux, uxx = sf.expr(ux), sf.expr(uxx)
+    funcs = [sol.jet_subs(e) for e in twelve_invariants()]
     points, values = [], []
     rejected = 0
     exact = True
@@ -245,13 +237,13 @@ def i_regular(sol: Solution, pt) -> bool:
     subs = {c: sp.Rational(q) for c, q in zip(_COORDS, pt)}
     if not sol.in_domain(pt):
         raise SolutionError(f"point {pt} violates the domain ({sol.domain})")
-    ux = sol.jet_subs(jet("u", "x"))
-    uxv = sp.sympify(ux).xreplace(subs)
+    uxv = sol.jet_expr("u", "x").xreplace(subs)
     if uxv == 0:
         raise SingularLocusError("u_x vanishes on the section at this point")
-    base3 = _section_base_invariants(sol)
-    M = sp.Matrix(3, 3, lambda i, j: partial(base3[i], _COORDS[j]))
-    return not is_zero(M.xreplace(subs).det())
+    sf = SectionField(_section_base_invariants(sol))
+    M = [[sf.partial(e, d) for d in "txy"] for e in sf.values]
+    det = sf.sum(M[0][j] * c for j, c in enumerate(_cofactors(M)[0]))
+    return not is_zero(sf.expr(det).xreplace(subs))
 
 
 # ---------------------------------------------------------------------------

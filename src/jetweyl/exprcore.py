@@ -362,12 +362,15 @@ _AUX = {
 def _rescaled(e: sp.Expr) -> tuple[sp.Expr, dict]:
     """Replace fractional powers of base variables and exponential atoms by
     integer powers of auxiliary positive generators, so that sympy's
-    polynomial gcd machinery sees an honest rational function."""
+    polynomial gcd machinery sees an honest rational function.
+
+    ``e`` may be a ``sp.Tuple``: its entries are rescaled jointly, with the
+    same generators and exponents for all of them."""
     back: dict[sp.Symbol, sp.Expr] = {}
     if e.has(sp.exp):
         # split exp(a+b) into exp(a)*exp(b) so each atom has a single base var
-        e = sp.powsimp(e, deep=True)
-        e = sp.expand_power_exp(e)
+        split = lambda a: sp.expand_power_exp(sp.powsimp(a, deep=True))
+        e = e.func(*map(split, e.args)) if isinstance(e, sp.Tuple) else split(e)
         for base in BASE_SYMBOLS:
             coeffs = []
             for atom in e.atoms(sp.exp):

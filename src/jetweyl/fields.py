@@ -278,17 +278,19 @@ def prolong(field: PointField, k: int) -> ProlongedField:
     return ProlongedField(field, k)
 
 
+def _bracket_in(ring, fa: list, fb: list) -> list:
+    """The components of [a, b] from those of a and b in a ring."""
+    return [
+        _point_apply(ring, fa, bc) - _point_apply(ring, fb, ac) for ac, bc in zip(fa, fb)
+    ]
+
+
 def lie_bracket(a: PointField, b: PointField) -> PointField:
     """Commutator [a, b] on the five-dimensional total space."""
     ring = _ring_for(0, (*a.components(), *b.components()), derivatives=1)
     fa = [ring.convert(c) for c in a.components()]
     fb = [ring.convert(c) for c in b.components()]
-    return PointField(
-        *(
-            ring.to_expr(_point_apply(ring, fa, bc) - _point_apply(ring, fb, ac))
-            for ac, bc in zip(fa, fb)
-        )
-    )
+    return PointField(*map(ring.to_expr, _bracket_in(ring, fa, fb)))
 
 
 def lie_derivative(field: PointField, e, k: int | None = None) -> sp.Expr:

@@ -5,40 +5,55 @@ the fixed ansatz; this module builds the Weyl connection of that pair,
 checks the Einstein property, constructs the order-2 canonical frame at a
 point, and carries the catalog of explicit solutions with their reduction
 checks.
+
+The section's derivatives, its equation residuals, the connection, the
+curvature and the invariants along it are computed in one exact
+differential field (:class:`SectionField`); sympy expressions are
+converted into it once and back only for return values and messages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import sympy as sp
+from sympy import factorint
 
 from .errors import (
     DegenerateFrameError,
+    DivisionByZeroExpression,
+    JetOrderError,
     SolutionError,
 )
 from .exprcore import (
+    BASE_SYMBOLS,
+    DEPENDENTS,
     T,
     X,
     Y,
     MultiIndex,
+    _rescaled,
     formal,
+    formal_shift,
     is_formal_symbol,
     is_jet_symbol,
     is_zero,
     jet,
     jet_info,
+    jet_order,
     normalize,
     partial,
     to_text,
     validate_kernel,
 )
-from .jets import EquationSystem, JetPoint, internal_indices, ms_system
+from .jets import EquationSystem, JetPoint, _merge, _ring_for, internal_indices, ms_system
 from .linalg import as_fraction, inertia
 from . import symmetry as _symmetry
 
 __all__ = [
+    "SectionField",
     "Solution",
     "WeylPair",
     "Connection",
@@ -63,6 +78,7 @@ __all__ = [
 ]
 
 _COORDS = (T, X, Y)
+_DIRS = "txy"
 
 # The metric-compatibility correction applied to the Levi-Civita symbols
 # carries a global sign choice; correction_sign = s means Gamma = gamma +
@@ -73,12 +89,243 @@ _COORDS = (T, X, Y)
 CORRECTION_SIGN = -1
 
 
+#: constant generators, fixed so that the rings holding them are reused:
+#: (p, M) -> p^(1/M) for a prime p, (0, M) -> exp(1/M)
+_CONSTANTS: dict[tuple[int, int], sp.Dummy] = {}
+
+
+def _constant_generators(e: sp.Tuple) -> tuple[sp.Tuple, dict]:
+    """Replace the constants of the term language that are not rational by
+    powers of generators: q^(k/m) for a positive rational q becomes a
+    product of powers of prime radicals p^(1/M), and exp(c) for a rational
+    c a power of exp(1/M).  Returns the new tuple and {generator: (value,
+    p, M)}, with p = 0 for the exponential."""
+    parts = {
+        a: [(p, n * a.exp) for p, n in factorint(a.base.p).items()]
+        + [(p, -n * a.exp) for p, n in factorint(a.base.q).items()]
+        for a in e.atoms(sp.Pow)
+        if a.base.is_Rational and not a.exp.is_Integer
+    }
+    parts.update({a: [(0, a.args[0])] for a in e.atoms(sp.exp) if a.args[0].is_Rational})
+    if e.has(sp.E):
+        parts[sp.E] = [(0, sp.Integer(1))]
+    if not parts:
+        return e, {}
+    M: dict[int, int] = {}
+    for terms in parts.values():
+        for p, r in terms:
+            M[p] = sp.ilcm(M.get(p, 1), r.q)
+    gens = {}
+    for p, m in M.items():
+        if (p, m) not in _CONSTANTS:
+            _CONSTANTS[(p, m)] = sp.Dummy(f"R{p}_{m}" if p else f"E_{m}", positive=True)
+        gens[p] = _CONSTANTS[(p, m)]
+    rep = {
+        a: sp.Mul(*(gens[p] ** int(r * M[p]) for p, r in terms)) for a, terms in parts.items()
+    }
+    info = {
+        gens[p]: (sp.Integer(p) ** sp.Rational(1, m) if p else sp.exp(sp.Rational(1, m)), p, m)
+        for p, m in M.items()
+    }
+    return e.xreplace(rep), info
+
+
+class SectionField:
+    """The differential field of a tuple of closed forms in t, x, y.
+
+    The expressions are rescaled jointly (``exprcore._rescaled``): a base
+    variable b with fractional powers becomes B^m, and the exponential
+    atoms exp(c*b) become powers of one generator E_b.  With the formal
+    functions of t and their derivatives these generate a purely
+    transcendental extension of QQ, held as the order-0 jet ring
+    (``jets._JetRing``) with the auxiliary generators as extras.  d/dt,
+    d/dx and d/dy are ring derivations given by the images of the
+    generators: d_b B = B^(1-m)/m, d_b E = c*E for E = exp(c*b), and
+    d_t a^(k) = a^(k+1).  ``values`` are the expressions as field elements;
+    for a section they are (u, v).
+
+    Constants that are not rational get generators too (see
+    ``_constant_generators``): exp(1/M) is transcendental, and a prime
+    radical R = p^(1/M) is reduced by R^M = p before every zero test
+    (:meth:`vanishes`); radicals of distinct primes are linearly
+    independent over QQ (Besicovitch), so the test stays exact.
+    """
+
+    def __init__(self, exprs):
+        scaled, self.back = _rescaled(sp.Tuple(*exprs))
+        scaled, constants = _constant_generators(scaled)
+        self.back.update({gen: value for gen, (value, _, _) in constants.items()})
+        ring = self.ring = _ring_for(
+            0, scaled.args, derivatives=_FIELD_DERIVATIVES, aux=tuple(self.back)
+        )
+        self._radicals = [(ring.index[gen], p, m) for gen, (_, p, m) in constants.items() if p]
+        self.values = tuple(ring.convert(e) for e in scaled.args)
+        # a base variable as an element: b, or B^m where it was rescaled
+        self._base = {b: ring.gen(b) for b in BASE_SYMBOLS}
+        images = {b.name: [(ring.index[b], ring.field.one)] for b in BASE_SYMBOLS}
+        for gen, atom in self.back.items():
+            if gen in constants:
+                continue
+            if isinstance(atom, sp.exp):
+                (b,) = atom.args[0].free_symbols
+                image = atom.args[0].coeff(b) * gen
+            else:
+                b, m = atom.base, atom.exp.q
+                image = 1 / (m * gen ** (m - 1))
+                self._base[b] = ring.convert(gen**m)
+            images[b.name].append((ring.index[gen], ring.convert(image)))
+        # formal derivatives of the highest order carried have no image
+        self._top = set()
+        for s in ring.extras:
+            if is_formal_symbol(s):
+                if formal_shift(s) in ring.index:
+                    images["t"].append((ring.index[s], ring.gen(formal_shift(s))))
+                else:
+                    self._top.add(ring.index[s])
+        self._images = images
+        self._jets: dict = {}
+
+    def partial(self, f, d: str):
+        """The partial derivative d/dd of a field element (d = t, x or y)."""
+        if d == "t" and self._top.intersection(self.ring.present(f)):
+            raise JetOrderError(
+                f"d/dt of a formal derivative of order past {_FIELD_DERIVATIVES} "
+                "beyond those of the section"
+            )
+        return self.ring.derivation(f, self._images[d])
+
+    def jet(self, dep: str, index=MultiIndex()):
+        """The section's derivative w_sigma (w = u, v) as a field element."""
+        index = index if isinstance(index, MultiIndex) else MultiIndex.from_word(index)
+        got = self._jets.get((dep, index))
+        if got is None:
+            if index.order == 0:
+                got = self.values[DEPENDENTS.index(dep)]
+            else:
+                d = "y" if index.ny else ("x" if index.nx else "t")
+                got = self.partial(self.jet(dep, index.drop(d)), d)
+            self._jets[(dep, index)] = got
+        return got
+
+    def _value(self, s):
+        if is_jet_symbol(s):
+            return self.jet(*jet_info(s))
+        if s in self._base:
+            return self._base[s]
+        return self.ring.gen(s)
+
+    def _evaluate(self, src, polys):
+        """Polynomials of the jet ring ``src`` at the section: (L, [(P~, D)])
+        with P = P~ / L^D, for one common denominator L of the values."""
+        used = sorted({i for p in polys if p for i, n in enumerate(p.degrees()) if n > 0})
+        values = [self._value(src.symbols[i]) for i in used]
+        one = self.ring.ring.one
+        L = one
+        for v in values:
+            if v.denom != 1:
+                L = L.lcm(v.denom)
+        nums = [v.numer if v.denom == L else v.numer * L.exquo(v.denom) for v in values]
+        powers: dict = {}
+
+        def power(j, n):
+            got = powers.get((j, n))
+            if got is None:
+                got = powers[(j, n)] = (L if j < 0 else nums[j]) ** n
+            return got
+
+        out = []
+        for p in polys:
+            terms = [(m, c, sum(m[i] for i in used)) for m, c in p.items()]
+            top = max((deg for _, _, deg in terms), default=0)
+            acc: dict = {}
+            for m, c, deg in terms:
+                term = power(-1, top - deg)
+                for j, i in enumerate(used):
+                    if m[i]:
+                        term = term * power(j, m[i])
+                _merge(acc, term.mul_ground(c))
+            out.append((self.ring.ring.dtype(acc), top))
+        return L, out
+
+    def subs(self, e):
+        """A rational expression in jet coordinates, t, x, y and formal
+        functions, with the section's derivatives in place of the jets: the
+        numerator and denominator polynomials of e are evaluated at them."""
+        src, num, den = _jet_polys(sp.sympify(e))
+        L, ((n, dn), (d, dd)) = self._evaluate(src, (num, den))
+        if not self._reduced(d):
+            raise DivisionByZeroExpression(f"the denominator of {e} vanishes on the section")
+        if dd >= dn:
+            return self.ring.field.new(n * L ** (dd - dn), d)
+        return self.ring.field.new(n, d * L ** (dn - dd))
+
+    def sum(self, elements):
+        """The sum of field elements."""
+        return sum(elements, self.ring.field.zero)
+
+    def _reduced(self, p):
+        """A polynomial with every prime radical R = p^(1/M) reduced by
+        R^M = p."""
+        if not self._radicals or not p:
+            return p
+        out: dict = {}
+        for monom, c in p.items():
+            m = list(monom)
+            for i, prime, M in self._radicals:
+                if m[i] >= M:
+                    q, m[i] = divmod(m[i], M)
+                    c = c * prime**q
+            _merge(out, {tuple(m): c})
+        return self.ring.ring.dtype(out)
+
+    def _canonical(self, f):
+        if not self._radicals:
+            return f
+        return self.ring.field.new(self._reduced(f.numer), self._reduced(f.denom))
+
+    def vanishes(self, f) -> bool:
+        """Exact zero test of a field element."""
+        return not self._reduced(f.numer)
+
+    def expr(self, f) -> sp.Expr:
+        """The canonical expression of a field element (``normalize``'s
+        form, with the auxiliary generators substituted back)."""
+        out = self.ring.to_expr(self._canonical(f))
+        return out.xreplace(self.back) if self.back else out
+
+    def rational(self, f) -> Fraction | None:
+        """The value of a constant element, None for a non-constant one."""
+        f = self._canonical(f)
+        if not f:
+            return Fraction(0)
+        if not (f.numer.is_ground and f.denom.is_ground):
+            return None
+        q = f.numer.LC / f.denom.LC
+        return Fraction(int(q.numerator), int(q.denominator))
+
+
+# formal functions of t are carried with this many more derivatives than
+# occur: the twelve invariants have order three, and i_regular takes one
+# derivative more
+_FIELD_DERIVATIVES = 4
+
+
+@lru_cache(maxsize=128)
+def _jet_polys(e: sp.Expr) -> tuple:
+    """(ring, numerator, denominator) of a rational jet expression."""
+    ring = _ring_for(jet_order(e), (e,))
+    f = ring.convert(e)
+    return ring, f.numer, f.denom
+
+
 class Solution:
     """A section u = u(t,x,y), v = v(t,x,y) of the equation system.
 
     Closed forms in the base variables plus formal functions of t; the two
     equation residuals are checked at construction unless deferred (the
     deferred path exists for negative controls and ansatz experiments).
+    Derivatives, residuals and geometry are computed in the section's
+    differential field (:class:`SectionField` of (u, v)), built on first use.
     """
 
     def __init__(
@@ -101,20 +348,31 @@ class Solution:
         self.name = name
         self.domain = domain
         self.system = system or ms_system()
-        self._jet_cache: dict[tuple[str, MultiIndex], sp.Expr] = {}
+        self._field: SectionField | None = None
+        self._pair: WeylPair | None = None
         self.checked = False
         if not deferred:
             self.require_solution()
+
+    @property
+    def field(self) -> SectionField:
+        if self._field is None:
+            self._field = SectionField((self.u, self.v))
+        return self._field
+
+    def _residuals(self) -> tuple:
+        return tuple(self.field.subs(F) for F in self.system.equations)
 
     def residuals(self) -> tuple[sp.Expr, sp.Expr]:
         """The two equation residuals: F1, F2 with the section's
         derivatives in place of the jet coordinates.  Both vanish exactly
         when the section solves the system."""
-        return tuple(self.jet_subs(F) for F in self.system.equations)
+        return tuple(map(self.field.expr, self._residuals()))
 
     def require_solution(self) -> "Solution":
-        r1, r2 = self.residuals()
-        if not (is_zero(r1) and is_zero(r2)):
+        r1, r2 = self._residuals()
+        if not (self.field.vanishes(r1) and self.field.vanishes(r2)):
+            r1, r2 = map(self.field.expr, (r1, r2))
             raise SolutionError(
                 f"section {self.name!r} does not solve the system: "
                 f"residuals ({to_text(r1)}, {to_text(r2)})"
@@ -125,27 +383,11 @@ class Solution:
     # -- jets of the section ------------------------------------------------
 
     def jet_expr(self, dep: str, index=MultiIndex()) -> sp.Expr:
-        index = index if isinstance(index, MultiIndex) else MultiIndex.from_word(index)
-        got = self._jet_cache.get((dep, index))
-        if got is not None:
-            return got
-        if index.order == 0:
-            val = {"u": self.u, "v": self.v}[dep]
-        else:
-            d = "y" if index.ny else ("x" if index.nx else "t")
-            val = partial(self.jet_expr(dep, index.drop(d)), d)
-        self._jet_cache[(dep, index)] = val
-        return val
+        return self.field.expr(self.field.jet(dep, index))
 
     def jet_subs(self, e) -> sp.Expr:
         """Replace jet coordinates in e by the section's derivatives."""
-        e = sp.sympify(e)
-        rep = {
-            s: self.jet_expr(*jet_info(s))
-            for s in e.free_symbols
-            if is_jet_symbol(s)
-        }
-        return normalize(e.xreplace(rep))
+        return self.field.expr(self.field.subs(e))
 
     def jet_point(self, k: int, base=(0, 0, 0)) -> JetPoint:
         """The k-jet of the section at a rational base point, as an exact
@@ -201,49 +443,135 @@ class WeylPair:
     g: sp.Matrix
     omega: sp.Matrix  # column of (dt, dx, dy) components
     solution: Solution
+    # (field, g as rows, omega) in a differential field; derived from g and
+    # omega when not given
+    _elements: tuple | None = field(default=None, repr=False, compare=False)
+    # correction sign -> the pair's Weyl connection
+    _connections: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def elements(self) -> tuple:
+        """(field, g, omega): the pair as elements of a differential field."""
+        if self._elements is None:
+            sf = SectionField([*self.g, *self.omega])
+            vals = sf.values
+            object.__setattr__(
+                self, "_elements", (sf, _rows(vals[:9]), tuple(vals[9:]))
+            )
+        return self._elements
+
+
+def _rows(vals) -> tuple:
+    return tuple(tuple(vals[3 * i : 3 * i + 3]) for i in range(3))
 
 
 def build_pair(sol: Solution) -> WeylPair:
-    u, v = sol.u, sol.v
-    omega = _symmetry.ansatz_covector(u, partial(u, "x"), partial(u, "y"), partial(v, "x"))
-    return WeylPair(_symmetry.ansatz_metric(u, v), omega, sol)
+    """The ansatz metric and covector of a section (one pair per section)."""
+    if sol._pair is None:
+        sf = sol.field
+        u, v = jet("u"), jet("v")
+        g = _symmetry.ansatz_metric(u, v)
+        w = _symmetry.ansatz_covector(u, jet("u", "x"), jet("u", "y"), jet("v", "x"))
+        g_f = _rows([sf.subs(e) for e in g])
+        w_f = tuple(sf.subs(e) for e in w)
+        sol._pair = WeylPair(
+            _symmetry.ansatz_metric(sol.u, sol.v),
+            sp.Matrix([sf.expr(e) for e in w_f]),
+            sol,
+            (sf, g_f, w_f),
+        )
+    return sol._pair
 
 
-@dataclass(frozen=True)
+def _exprs(sf: SectionField, nested):
+    """Canonical expressions of nested tuples of field elements."""
+    if isinstance(nested, tuple):
+        return tuple(_exprs(sf, e) for e in nested)
+    return sf.expr(nested)
+
+
 class Connection:
-    """Christoffel symbols Gamma[k][i][j], symmetric in (i, j)."""
+    """Christoffel symbols Gamma[k][i][j] of a Weyl pair, symmetric in
+    (i, j), computed in the pair's differential field ``field``.
 
-    gamma: tuple  # Levi-Civita symbols, same layout
-    christoffel: tuple
-    wsharp: tuple  # index-raised covector
-    pair: WeylPair
-    correction_sign: int
-    compat_sign: int  # nabla g = compat_sign * omega x g, verified
+    ``g_f``, ``w_f``, ``ginv_f``, ``gamma_f``, ``christoffel_f`` and
+    ``wsharp_f`` are field elements (metric, covector, inverse metric,
+    Levi-Civita and corrected symbols, raised covector); ``gamma``,
+    ``christoffel`` and ``wsharp`` are their canonical expressions.
+    ``compat_sign`` is the verified sign of nabla g = compat_sign *
+    omega x g.
+    """
+
+    def __init__(self, pair, correction_sign, sf, g, w, ginv, gamma, christoffel, wsharp):
+        self.pair = pair
+        self.correction_sign = correction_sign
+        self.compat_sign = -correction_sign
+        self.field = sf
+        self.g_f, self.w_f, self.ginv_f = g, w, ginv
+        self.gamma_f, self.christoffel_f, self.wsharp_f = gamma, christoffel, wsharp
+        self._ricci = None
+        self._einstein = None
+
+    @cached_property
+    def gamma(self) -> tuple:
+        return _exprs(self.field, self.gamma_f)
+
+    @cached_property
+    def christoffel(self) -> tuple:
+        return _exprs(self.field, self.christoffel_f)
+
+    @cached_property
+    def wsharp(self) -> tuple:
+        return _exprs(self.field, self.wsharp_f)
 
     def __getitem__(self, kij):
         k, i, j = kij
         return self.christoffel[k][i][j]
 
+    def ricci_elements(self) -> tuple:
+        """Ric_ij as field elements (see :func:`ricci`)."""
+        if self._ricci is None:
+            self._ricci = _ricci_of(self)
+        return self._ricci
 
-def _christoffel_of(g: sp.Matrix) -> list:
-    ginv = g.inv()
-    out = []
-    for k in range(3):
-        mat = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                s = sp.Integer(0)
-                for m in range(3):
-                    s += ginv[k, m] * (
-                        partial(g[m, j], _COORDS[i])
-                        + partial(g[m, i], _COORDS[j])
-                        - partial(g[i, j], _COORDS[m])
-                    )
-                row.append(normalize(s / 2))
-            mat.append(row)
-        out.append(mat)
-    return out
+    def einstein_elements(self) -> tuple:
+        """(Lambda, rows of Ric_sym - Lambda*g) as field elements, with
+        Lambda = tr(g^-1 Ric_sym)/3."""
+        if self._einstein is None:
+            ric, g, ginv = self.ricci_elements(), self.g_f, self.ginv_f
+            cells = [(i, j) for i in range(3) for j in range(3)]
+            rsym = {(i, j): (ric[i][j] + ric[j][i]) / 2 for i, j in cells}
+            lam = self.field.sum(ginv[j][i] * rsym[i, j] for i, j in cells) / 3
+            resid = _rows([rsym[i, j] - lam * g[i][j] for i, j in cells])
+            self._einstein = (lam, resid)
+        return self._einstein
+
+
+def _cube(entry) -> tuple:
+    """Nested tuples [k][i][j] of entry(k, i, j)."""
+    return tuple(
+        tuple(tuple(entry(k, i, j) for j in range(3)) for i in range(3)) for k in range(3)
+    )
+
+
+def _cofactors(m) -> list:
+    """The cofactor matrix of a 3x3 matrix of field elements."""
+    return [
+        [
+            m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
+            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
+
+
+def _inverse(sf: SectionField, g) -> tuple:
+    """Inverse of a 3x3 matrix of field elements by its cofactors."""
+    cof = _cofactors(g)
+    det = sf.sum(g[0][j] * cof[0][j] for j in range(3))
+    if sf.vanishes(det):
+        raise SolutionError("metric is degenerate")
+    return _rows([cof[j][i] / det for i in range(3) for j in range(3)])
 
 
 def weyl_connection(
@@ -251,55 +579,61 @@ def weyl_connection(
 ) -> Connection:
     """Levi-Civita symbols plus the covector correction.
 
-    The compatibility law nabla g = (sign) * omega x g is verified
-    symbolically; the achieved sign is recorded on the result (it is the
-    negative of the correction sign).
+    The compatibility law nabla g = (sign) * omega x g is verified exactly;
+    the achieved sign is recorded on the result (it is the negative of the
+    correction sign).  A pair computes its connection once per sign.
     """
     if correction_sign is None:
         correction_sign = CORRECTION_SIGN
     if correction_sign not in (1, -1):
         raise ValueError("correction_sign must be +1 or -1")
-    g, w = pair.g, pair.omega
-    detg = normalize(g.det())
-    if is_zero(detg):
-        raise SolutionError("metric is degenerate")
-    ginv = g.inv()
-    wup = [normalize(sum(ginv[k, m] * w[m] for m in range(3))) for k in range(3)]
-    gamma = _christoffel_of(g)
-    chris = []
-    for k in range(3):
-        mat = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                corr = (
-                    w[i] * (1 if j == k else 0)
-                    + w[j] * (1 if i == k else 0)
-                    - g[i, j] * wup[k]
-                )
-                row.append(normalize(gamma[k][i][j] + correction_sign * corr / 2))
-            mat.append(row)
-        chris.append(mat)
-    conn = Connection(
-        tuple(tuple(tuple(r) for r in m) for m in gamma),
-        tuple(tuple(tuple(r) for r in m) for m in chris),
-        tuple(wup),
-        pair,
-        correction_sign,
-        -correction_sign,
-    )
+    got = pair._connections.get(correction_sign)
+    if got is not None:
+        return got
+    sf, g, w = pair.elements()
+    ginv = _inverse(sf, g)
+    wup = tuple(sf.sum(ginv[k][m] * w[m] for m in range(3)) for k in range(3))
+    # dg[d][i][j] = d_d g_ij
+    dg = [_rows([sf.partial(e, d) for row in g for e in row]) for d in _DIRS]
+
+    def levi_civita(k, i, j):
+        return sf.sum(ginv[k][m] * (dg[i][m][j] + dg[j][m][i] - dg[m][i][j]) for m in range(3)) / 2
+
+    def corrected(k, i, j):
+        corr = (w[i] if j == k else 0) + (w[j] if i == k else 0) - g[i][j] * wup[k]
+        return gamma[k][i][j] + corr * correction_sign / 2
+
+    gamma = _cube(levi_civita)
+    chris = _cube(corrected)
+    conn = Connection(pair, correction_sign, sf, g, w, ginv, gamma, chris, wup)
     # verify nabla_k g_ij = compat_sign * w_k g_ij
     for k in range(3):
         for i in range(3):
-            for j in range(3):
-                nab = partial(g[i, j], _COORDS[k])
-                for m in range(3):
-                    nab -= chris[m][k][i] * g[m, j] + chris[m][k][j] * g[i, m]
-                if not is_zero(normalize(nab - conn.compat_sign * w[k] * g[i, j])):
-                    raise SolutionError(
-                        "connection fails the metric compatibility law"
-                    )
+            for j in range(i, 3):
+                nab = dg[k][i][j] - sf.sum(
+                    chris[m][k][i] * g[m][j] + chris[m][k][j] * g[i][m] for m in range(3)
+                )
+                if not sf.vanishes(nab - w[k] * g[i][j] * conn.compat_sign):
+                    raise SolutionError("connection fails the metric compatibility law")
+    pair._connections[correction_sign] = conn
     return conn
+
+
+def _ricci_of(conn: Connection) -> tuple:
+    """Ric_ij = sum_k d_k Gamma^k_ij - d_i Gamma^k_kj
+    + Gamma^m_ij Gamma^k_km - Gamma^m_kj Gamma^k_im, as field elements."""
+    sf, G = conn.field, conn.christoffel_f
+    trace = [sf.sum(G[k][k][m] for k in range(3)) for m in range(3)]
+    return _rows(
+        [
+            sf.sum(sf.partial(G[k][i][j], _DIRS[k]) for k in range(3))
+            - sf.partial(trace[j], _DIRS[i])
+            + sf.sum(G[m][i][j] * trace[m] for m in range(3))
+            - sf.sum(G[m][k][j] * G[k][i][m] for k in range(3) for m in range(3))
+            for i in range(3)
+            for j in range(3)
+        ]
+    )
 
 
 def ricci(conn: Connection) -> sp.Matrix:
@@ -309,32 +643,24 @@ def ricci(conn: Connection) -> sp.Matrix:
     Ric_ij = sum_k d_k Gamma^k_ij - d_i Gamma^k_kj
              + Gamma^m_ij Gamma^k_km - Gamma^m_kj Gamma^k_im.
     """
-    G = conn.christoffel
-    out = sp.zeros(3, 3)
-    for i in range(3):
-        for j in range(3):
-            s = sp.Integer(0)
-            for k in range(3):
-                s += partial(G[k][i][j], _COORDS[k]) - partial(
-                    G[k][k][j], _COORDS[i]
-                )
-                for m in range(3):
-                    s += G[m][i][j] * G[k][k][m] - G[m][k][j] * G[k][i][m]
-            out[i, j] = normalize(s)
-    return out
+    return sp.Matrix(_exprs(conn.field, conn.ricci_elements()))
+
+
+def _d_omega_of(sf: SectionField, w) -> tuple:
+    return _rows(
+        [
+            (sf.partial(w[j], _DIRS[i]) - sf.partial(w[i], _DIRS[j])) / 2
+            for i in range(3)
+            for j in range(3)
+        ]
+    )
 
 
 def d_omega(pair: WeylPair) -> sp.Matrix:
     """Exterior derivative of the covector as an alternated tensor:
     (d omega)_ij = (d_i w_j - d_j w_i) / 2."""
-    w = pair.omega
-    return sp.Matrix(
-        3,
-        3,
-        lambda i, j: normalize(
-            (partial(w[j], _COORDS[i]) - partial(w[i], _COORDS[j])) / 2
-        ),
-    )
+    sf, _, w = pair.elements()
+    return sp.Matrix(_exprs(sf, _d_omega_of(sf, w)))
 
 
 def skew_anchor_residual(conn: Connection) -> sp.Matrix:
@@ -343,10 +669,13 @@ def skew_anchor_residual(conn: Connection) -> sp.Matrix:
 
     Zero for every solution under the default correction sign; the anchor
     fails under the flipped sign, which is the mutation observable."""
-    ric = ricci(conn)
-    skew = (ric - ric.T) / 2
-    anchor = sp.Rational(3, 2) * d_omega(conn.pair)
-    return sp.Matrix(3, 3, lambda i, j: normalize(skew[i, j] - anchor[i, j]))
+    ric = conn.ricci_elements()
+    dw = _d_omega_of(conn.field, conn.w_f)
+    return sp.Matrix(
+        3,
+        3,
+        lambda i, j: conn.field.expr((ric[i][j] - ric[j][i]) / 2 - dw[i][j] * 3 / 2),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -384,19 +713,16 @@ def check_EW(
 ) -> EWReport:
     """Einstein property of the solution's Weyl structure.
 
-    Symbolic first: the trace-extracted factor Lambda and the residual
-    tensor Ric_sym - Lambda*g; when every entry normalizes to zero the
-    check is exact.  Sample points (if given, or when the symbolic path
-    leaves a nonzero entry) get a relative residual against ``tol``.
+    Exact first: the trace-extracted factor Lambda and the residual tensor
+    Ric_sym - Lambda*g in the section's field; when every entry is zero the
+    check is exact.  Sample points (if given, or when an entry is nonzero)
+    get a relative residual against ``tol``.
     """
-    pair = build_pair(sol)
-    conn = weyl_connection(pair, correction_sign)
-    ric = ricci(conn)
-    rsym = (ric + ric.T) / 2
-    ginv = pair.g.inv()
-    lam = normalize(sum(ginv[j, i] * rsym[i, j] for i in range(3) for j in range(3)) / 3)
-    resid = sp.Matrix(3, 3, lambda i, j: normalize(rsym[i, j] - lam * pair.g[i, j]))
-    exact = all(is_zero(e) for e in resid)
+    conn = weyl_connection(build_pair(sol), correction_sign)
+    sf = conn.field
+    lam_f, resid_f = conn.einstein_elements()
+    exact = all(sf.vanishes(e) for row in resid_f for e in row)
+    lam = sf.expr(lam_f)
     notes = []
     checks = []
     ok = exact
@@ -412,20 +738,18 @@ def check_EW(
         if not pts:
             pts = [(0, 1, 1)]
             notes.append("symbolic residual nonzero; sampled a default point")
-        free = {
-            s
-            for e in resid
-            for s in sp.sympify(e).free_symbols
-            if is_formal_symbol(s)
-        }
+        resid = sp.Matrix(_exprs(sf, resid_f))
+        free = {s for e in resid for s in e.free_symbols if is_formal_symbol(s)}
         if free:
             raise SolutionError(
                 f"bind formal parameters before numeric checks: {sorted(map(str, free))}"
             )
+        g = conn.pair.g
+        rsym = sp.Matrix(3, 3, lambda i, j: resid[i, j] + lam * g[i, j])
         ok = True
         for p in pts:
             subs = {c: sp.Rational(q) for c, q in zip(_COORDS, p)}
-            denom = _max_abs(rsym, subs) + _max_abs(lam * pair.g, subs) + 1.0
+            denom = _max_abs(rsym, subs) + _max_abs(lam * g, subs) + 1.0
             r = _max_abs(resid, subs) / denom
             lam_val = sp.N(lam.xreplace(subs), 50)
             good = r <= tol
@@ -654,11 +978,10 @@ def dkp_reduction_check(system: EquationSystem | None = None) -> bool:
 def hierarchy_residual(w) -> sp.Expr:
     """Left-hand side of the hierarchy equation on a closed-form potential:
     w_tx + w_x w_xy - w_y w_xx - w_yy."""
-    w = sp.sympify(w)
-    wx, wy = partial(w, "x"), partial(w, "y")
-    return normalize(
-        partial(wx, "t") + wx * partial(wx, "y") - wy * partial(wx, "x") - partial(wy, "y")
-    )
+    sf = SectionField((validate_kernel(sp.sympify(w), allow_exp=True),))
+    d = sf.partial
+    wx, wy = d(sf.values[0], "x"), d(sf.values[0], "y")
+    return sf.expr(d(wx, "t") + wx * d(wx, "y") - wy * d(wx, "x") - d(wy, "y"))
 
 
 def hierarchy_reduction_check() -> bool:
@@ -719,17 +1042,16 @@ def sl2_structure_report(sol: Solution, constants=None) -> dict:
     out = {"entries": [], "indeterminate": None}
     any_indet = False
     for i in (1, 2, 3, 4):
-        num, den = sp.fraction(sp.together(normalize(structure_K(i) - constants[i])))
-        nval = sol.jet_subs(num)
-        dval = sol.jet_subs(den)
-        den_zero = is_zero(dval)
-        any_indet = any_indet or den_zero
+        src, num, den = _jet_polys(structure_K(i) - constants[i])
+        _, ((nval, _), (dval, _)) = sol.field._evaluate(src, (num, den))
+        nval, dval = map(sol.field._reduced, (nval, dval))
+        any_indet = any_indet or not dval
         out["entries"].append(
             {
                 "k": i,
                 "constant": str(constants[i]),
-                "numerator_vanishes": is_zero(nval),
-                "denominator_vanishes": den_zero,
+                "numerator_vanishes": not nval,
+                "denominator_vanishes": not dval,
             }
         )
     out["indeterminate"] = any_indet

@@ -33,7 +33,7 @@ from .exprcore import (
     to_text,
     validate_kernel,
 )
-from .fields import PointField, generating_section, lie_bracket, prolong
+from .fields import PointField, _bracket_in, generating_section, prolong
 from .jets import EquationSystem, JetPoint, _ring_for, internal_indices, ms_system
 from .linalg import as_fraction, rank
 
@@ -203,19 +203,29 @@ class CellReport:
 
 def verify_commutation_table() -> list[CellReport]:
     """Check all 25 cells [X_i(f), X_j(g)] against the table, with formal
-    parameters f, g.  Failures appear as report entries, never exceptions."""
+    parameters f, g.  Failures appear as report entries, never exceptions.
+
+    The ten fields and the 25 tabulated right-hand sides are converted once
+    into one jet ring, where the brackets are taken and their residuals
+    zero-tested."""
     f, g = formal("f"), formal("g")
-    fields = {
-        (i, w): generator(i, p)
-        for i in range(1, 6)
-        for w, p in (("f", f), ("g", g))
-    }
+    cells = [(i, j) for i in range(1, 6) for j in range(1, 6)]
+    fields = {(i, w): generator(i, p) for i in range(1, 6) for w, p in (("f", f), ("g", g))}
+    rhs = {(i, j): table_rhs(i, j, f, g) for i, j in cells}
+    every = [c for fld in (*fields.values(), *rhs.values()) for c in fld.components()]
+    ring = _ring_for(0, every, derivatives=1)
+
+    def convert(fld: PointField) -> list:
+        return [ring.convert(c) for c in fld.components()]
+
+    inring = {key: convert(fld) for key, fld in fields.items()}
     report = []
-    for i in range(1, 6):
-        for j in range(1, 6):
-            bracket = lie_bracket(fields[(i, "f")], fields[(j, "g")])
-            residual = bracket - table_rhs(i, j, f, g)
-            report.append(CellReport(i, j, residual.is_zero(), residual))
+    for i, j in cells:
+        bracket = _bracket_in(ring, inring[(i, "f")], inring[(j, "g")])
+        residual = [b - r for b, r in zip(bracket, convert(rhs[(i, j)]))]
+        report.append(
+            CellReport(i, j, not any(residual), PointField(*map(ring.to_expr, residual)))
+        )
     return report
 
 
