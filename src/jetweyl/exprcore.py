@@ -291,7 +291,10 @@ def resolve_symbol(name) -> sp.Symbol:
 
 def _check_exp_argument(arg: sp.Expr) -> None:
     """exp arguments must be rational-linear forms in base variables."""
-    poly = sp.Poly(arg, *BASE_SYMBOLS) if arg.free_symbols <= set(BASE_SYMBOLS) else None
+    try:
+        poly = sp.Poly(arg, *BASE_SYMBOLS) if arg.free_symbols <= set(BASE_SYMBOLS) else None
+    except sp.PolynomialError:
+        poly = None  # a quotient such as y/(t^2 + 1)
     if poly is None or poly.total_degree() > 1:
         raise ExpAtomError(f"exp argument {arg} is not linear in t,x,y")
     for coeff in poly.coeffs():
@@ -559,6 +562,9 @@ def _print_term(e: sp.Expr, wrap_mul: bool = False) -> str:
         return e.name
     if isinstance(e, sp.exp):
         return f"exp({_print_expr(e.args[0])})"
+    if e is sp.E:
+        # sympy's exp(1)
+        return "exp(1)"
     if isinstance(e, sp.Pow):
         base, expo = e.args
         if isinstance(base, sp.exp) and expo.is_Rational:

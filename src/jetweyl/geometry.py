@@ -14,6 +14,7 @@ converted into it once and back only for return values and messages.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -24,6 +25,7 @@ from sympy import factorint
 from .errors import (
     DegenerateFrameError,
     DivisionByZeroExpression,
+    ExprError,
     JetOrderError,
     SolutionError,
 )
@@ -214,11 +216,13 @@ class SectionField:
             return self._base[s]
         return self.ring.gen(s)
 
-    def _evaluate(self, src, polys):
-        """Polynomials of the jet ring ``src`` at the section: (L, [(P~, D)])
+    def _evaluate(self, src, polys, value=None):
+        """Polynomials of the jet ring ``src`` at the section, or at the
+        elements ``value(s)`` for the generators s of ``src``: (L, [(P~, D)])
         with P = P~ / L^D, for one common denominator L of the values."""
+        value = value or self._value
         used = sorted({i for p in polys if p for i, n in enumerate(p.degrees()) if n > 0})
-        values = [self._value(src.symbols[i]) for i in used]
+        values = [value(src.symbols[i]) for i in used]
         one = self.ring.ring.one
         L = one
         for v in values:
@@ -252,9 +256,16 @@ class SectionField:
         functions, with the section's derivatives in place of the jets: the
         numerator and denominator polynomials of e are evaluated at them."""
         src, num, den = _jet_polys(sp.sympify(e))
-        L, ((n, dn), (d, dd)) = self._evaluate(src, (num, den))
+        return self._quotient(
+            src, num, den, self._value, f"the denominator of {e} vanishes on the section"
+        )
+
+    def _quotient(self, src, num, den, value, message: str):
+        """num/den for polynomials of the ring ``src``, with each generator
+        s of ``src`` replaced by the element ``value(s)`` of this field."""
+        L, ((n, dn), (d, dd)) = self._evaluate(src, (num, den), value)
         if not self._reduced(d):
-            raise DivisionByZeroExpression(f"the denominator of {e} vanishes on the section")
+            raise DivisionByZeroExpression(message)
         if dd >= dn:
             return self.ring.field.new(n * L ** (dd - dn), d)
         return self.ring.field.new(n, d * L ** (dn - dd))
@@ -291,7 +302,30 @@ class SectionField:
         """The canonical expression of a field element (``normalize``'s
         form, with the auxiliary generators substituted back)."""
         out = self.ring.to_expr(self._canonical(f))
+        if len(self._radicals) > 1:
+            out = out.replace(lambda e: e.is_Mul, self._one_root)
         return out.xreplace(self.back) if self.back else out
+
+    def _one_root(self, term: sp.Expr) -> sp.Expr:
+        """A product with radicals of several primes written as one root of
+        a rational, the way sympy writes a power of a rational: 2^(2/3) *
+        3^(1/3) as 12^(1/3)."""
+        radicals = {self.ring.symbols[i]: (p, M) for i, p, M in self._radicals}
+        found, rest = {}, []
+        for factor in term.args:
+            base, k = factor.as_base_exp()
+            if base in radicals:
+                found[base] = k
+            else:
+                rest.append(factor)
+        if len(found) < 2:
+            return term
+        M = sp.ilcm(*(radicals[g][1] for g in found))
+        q = sp.Integer(1)
+        for g, k in found.items():
+            p, m = radicals[g]
+            q *= sp.Integer(p) ** (k * M // m)
+        return sp.Mul(*rest) * q ** sp.Rational(1, M)
 
     def rational(self, f) -> Fraction | None:
         """The value of a constant element, None for a non-constant one."""
@@ -302,6 +336,137 @@ class SectionField:
             return None
         q = f.numer.LC / f.denom.LC
         return Fraction(int(q.numerator), int(q.denominator))
+
+    # -- moving the section -------------------------------------------------
+
+    def moved(self, element) -> "SectionField":
+        """The field of the section pushed through a pseudogroup element,
+        with the moved (u, v) as its values.
+
+        The new section at (t, x, y) is the old one at the preimage point
+        (``element.source_point()``) plus the fibre terms, with every
+        function of t taken at the preimage time.  Each generator of this
+        field is sent to its image in a field that holds the preimage point
+        and the fibre coefficients, where u and v are evaluated and the
+        fibre terms added.  Solutions map to solutions."""
+        ts, xs, ys = element.source_point()
+
+        def at_src(e) -> sp.Expr:
+            return sp.sympify(e).subs(T, ts)
+
+        def dot(e) -> sp.Expr:
+            return partial(e, "t")
+
+        ee, root = element.ee, element.root
+        coefficients = (
+            at_src(ee),
+            at_src(dot(ee)),
+            at_src(dot(dot(ee))),
+            at_src(root),
+            at_src(element.c),
+            at_src(dot(element.a)),
+            at_src(dot(element.b)),
+            at_src(dot(ee**3 / root)),
+            at_src(dot(element.c / ee**4)),
+        )
+        target, data, (u, v) = self._pushed((ts, xs, ys, *coefficients), "transformed")
+        _, xs, ys, E, Ep, Epp, s, C, Ap, Bp, K1, K2 = data
+        D = s * s
+        u_new = E / s * u - ys / E**2 * K1 + Bp / D - 2 * C / (E * s)
+        v_new = (
+            E**2 * v
+            + (C + 2 * E * Ep * ys) * u
+            + (E * Epp - 3 * Ep**2) * ys**2
+            + E**4 * K2 * ys
+            + 2 * E * Ep * xs
+        ) / D + (E**2 * Ap - C**2) / (D * E**2)
+        return target._with_values((u_new, v_new))
+
+    def reflected(self, which: str) -> "SectionField":
+        """The field of the section under one of the two discrete
+        generators beyond the connected pseudogroup, with the reflected
+        (u, v) as its values.  ``txy`` flips the signs of t, x and y with
+        the fibres fixed, ``yu`` those of y and u; both are involutions."""
+        if which == "txy":
+            point, sign = (-T, -X, -Y), 1
+        elif which == "yu":
+            point, sign = (T, X, -Y), -1
+        else:
+            raise ValueError(f"reflection must be 'txy' or 'yu', got {which!r}")
+        target, _, (u, v) = self._pushed(point, "reflected")
+        return target._with_values((u * sign, v))
+
+    def _pushed(self, exprs, what: str) -> tuple:
+        """(F, exprs as elements of F, the images of the values in F) for
+        the point map whose preimage of (t, x, y) is exprs[:3].
+
+        F holds exprs, the formal functions of the values (which map to
+        themselves) and the image of every auxiliary generator (see
+        ``_image_atom``); an image outside the term language is refused
+        with a ``SolutionError``."""
+        present = set().union(*map(self.ring.present, self.values))
+        formals = tuple(
+            s for i, s in enumerate(self.ring.symbols) if i in present and is_formal_symbol(s)
+        )
+        try:
+            F = SectionField((*exprs, *formals))
+            atoms = tuple(_image_atom(F, F.values[:3], atom) for atom in self.back.values())
+            if atoms:
+                F = SectionField((*exprs, *formals, *atoms))
+        except ExprError as exc:
+            raise SolutionError(f"{what} section leaves the representable domain: {exc}") from None
+        images = dict(zip(BASE_SYMBOLS, F.values))
+        images.update(zip(self.back, F.values[len(exprs) + len(formals) :]))
+
+        def value(s):
+            return images[s] if s in images else F.ring.gen(s)
+
+        moved = [
+            F._quotient(self.ring, f.numer, f.denom, value, f"{what} section has a pole")
+            for f in self.values
+        ]
+        return F, F.values[: len(exprs)], moved
+
+    def _with_values(self, values) -> "SectionField":
+        """This field with other values (and no jets taken yet)."""
+        out = copy.copy(self)
+        out.values = tuple(values)
+        out._jets = {}
+        return out
+
+
+def _image_atom(F: SectionField, point, atom) -> sp.Expr:
+    """The image of the value of an auxiliary generator under a point map
+    whose preimage of (t, x, y) is ``point`` (elements of F).
+
+    A constant stays fixed.  exp(c*b) goes to exp(c*b_s), which must be
+    linear in t, x, y over QQ, and b^(1/m) to (q*b)^(1/m), for which b_s
+    must be q*b with a positive constant q.  Anything else leaves the term
+    language (``ExprError``)."""
+    if not atom.free_symbols:
+        return atom
+    if isinstance(atom, sp.exp):
+        (b,) = atom.args[0].free_symbols
+        f = point[BASE_SYMBOLS.index(b)]
+        bases = {F.ring.index[s] for s in BASE_SYMBOLS}
+        linear = (
+            f.denom.is_ground
+            and set(F.ring.present(f)) <= bases
+            and all(sum(m) <= 1 for m in f.numer.monoms())
+        )
+        if not linear:
+            raise ExprError(
+                f"{atom} moves to exp of {F.expr(f)}, which is not linear in t, x, y over QQ"
+            )
+        return sp.exp(atom.args[0].coeff(b) * F.expr(f))
+    b = atom.base
+    f = point[BASE_SYMBOLS.index(b)]
+    q = f / F._base[b]
+    constants = {F.ring.index[g] for g, value in F.back.items() if not value.free_symbols}
+    q = F.expr(q) if set(F.ring.present(q)) <= constants else None
+    if q is None or not q.is_positive:
+        raise ExprError(f"{atom} moves to a fractional power of {F.expr(f)}")
+    return q**atom.exp * b**atom.exp
 
 
 # formal functions of t are carried with this many more derivatives than
@@ -325,7 +490,8 @@ class Solution:
     equation residuals are checked at construction unless deferred (the
     deferred path exists for negative controls and ansatz experiments).
     Derivatives, residuals and geometry are computed in the section's
-    differential field (:class:`SectionField` of (u, v)), built on first use.
+    differential field (:class:`SectionField` of (u, v)), built on first use
+    unless ``field`` is given: a field whose values are (u, v) already.
     """
 
     def __init__(
@@ -336,6 +502,7 @@ class Solution:
         domain: str = "",
         deferred: bool = False,
         system: EquationSystem | None = None,
+        field: SectionField | None = None,
     ):
         self.u = validate_kernel(sp.sympify(u), allow_exp=True)
         self.v = validate_kernel(sp.sympify(v), allow_exp=True)
@@ -348,7 +515,7 @@ class Solution:
         self.name = name
         self.domain = domain
         self.system = system or ms_system()
-        self._field: SectionField | None = None
+        self._field = field
         self._pair: WeylPair | None = None
         self.checked = False
         if not deferred:
@@ -418,16 +585,20 @@ class Solution:
         return True
 
     def transform(self, element) -> "Solution":
-        """Push the section through a pseudogroup element."""
-        u2, v2 = _symmetry.transform_section(element, self.u, self.v)
-        return Solution(
-            u2, v2, name=f"{self.name}|moved", domain=self.domain, system=self.system
-        )
+        """Push the section through a pseudogroup element
+        (:meth:`SectionField.moved`)."""
+        return self._on(self.field.moved(element), "moved")
 
     def reflect(self, which: str) -> "Solution":
-        u2, v2 = _symmetry.reflect_section(which, self.u, self.v)
+        """Reflect the section (:meth:`SectionField.reflected`)."""
+        return self._on(self.field.reflected(which), which)
+
+    def _on(self, sf: SectionField, tag: str) -> "Solution":
+        """The solution held by a field derived from this one; its residuals
+        are checked there."""
+        u, v = map(sf.expr, sf.values)
         return Solution(
-            u2, v2, name=f"{self.name}|{which}", domain=self.domain, system=self.system
+            u, v, name=f"{self.name}|{tag}", domain=self.domain, system=self.system, field=sf
         )
 
     def __str__(self) -> str:

@@ -16,7 +16,7 @@ from math import factorial, prod
 
 import sympy as sp
 
-from .errors import ExprError, JetOrderError, LiftError, PseudogroupError, SolutionError
+from .errors import ExprError, JetOrderError, LiftError, PseudogroupError
 from .exprcore import (
     MAX_JET_ORDER,
     T,
@@ -24,18 +24,16 @@ from .exprcore import (
     Y,
     formal,
     is_formal_symbol,
-    is_jet_symbol,
     is_zero,
     jet,
-    jet_info,
     normalize,
     partial,
     to_text,
     validate_kernel,
 )
-from .fields import PointField, _bracket_in, generating_section, prolong
+from .fields import PointField, _bracket_in, _point_apply, generating_section, prolong
 from .jets import EquationSystem, JetPoint, _ring_for, internal_indices, ms_system
-from .linalg import as_fraction, rank
+from .linalg import _eliminate, as_fraction, rank
 
 __all__ = [
     "X1",
@@ -327,39 +325,53 @@ def lift_shape_field(shape: ShapeField | PointField) -> LiftResult:
 
     The fiber coefficients A, B and the conformal factor chi are the unique
     solution of L_{X + A d_u + B d_v} g = chi * g for the ansatz metric g;
-    the six component equations are pointwise linear in (A, B, chi).
+    the six component equations are pointwise linear in (A, B, chi) and
+    are solved by exact elimination in the jet ring.
     """
     base = shape.base_field() if isinstance(shape, ShapeField) else shape
-    if not (is_zero(base.fu) and is_zero(base.fv)):
-        raise LiftError("shape field must have no fiber components")
     g = ansatz_metric(_U, _V)
-    comps = (base.at, base.ax, base.ay)
-    coords = (T, X, Y)
-    A, B, chi = sp.Dummy("A"), sp.Dummy("B"), sp.Dummy("chi")
-    eqs = []
+    ring = _ring_for(0, (*base.components(), *g), derivatives=1)
+    comps = [ring.convert(c) for c in base.components()]
+    if comps[3] or comps[4]:
+        raise LiftError("shape field must have no fiber components")
+    G = [[ring.convert(g[i, j]) for j in range(3)] for i in range(3)]
+    zero, one = ring.field.zero, ring.field.one
+
+    def d(f, n):
+        # the partial derivative along t, x, y, u or v (n = 0..4)
+        return _point_apply(ring, [one if m == n else zero for m in range(5)], f)
+
+    rows = []
     for i in range(3):
         for j in range(i, 3):
-            lie = (
-                sum(comps[k] * partial(g[i, j], coords[k]) for k in range(3))
-                + A * sp.diff(g[i, j], _U)
-                + B * sp.diff(g[i, j], _V)
-                + sum(g[k, j] * partial(comps[k], coords[i]) for k in range(3))
-                + sum(g[i, k] * partial(comps[k], coords[j]) for k in range(3))
+            known = sum(
+                (
+                    comps[k] * d(G[i][j], k)
+                    + G[k][j] * d(comps[k], i)
+                    + G[i][k] * d(comps[k], j)
+                    for k in range(3)
+                ),
+                zero,
             )
-            eqs.append(sp.expand(lie - chi * g[i, j]))
-    sols = sp.solve(eqs, [A, B, chi], dict=True)
-    if len(sols) != 1:
-        raise LiftError(f"lift system has {len(sols)} solutions, expected 1")
-    sol = sols[0]
-    if set(sol) != {A, B, chi}:
-        raise LiftError("lift system is underdetermined")
-    leftover = [sp.expand(e.subs(sol)) for e in eqs]
-    if not all(is_zero(e) for e in leftover):
-        raise LiftError("lift solution does not satisfy all components")
-    lifted = PointField(
-        at=base.at, ax=base.ax, ay=base.ay, fu=sol[A], fv=sol[B]
-    )
-    return LiftResult(lifted, normalize(sol[chi]))
+            rows.append([d(G[i][j], 3), d(G[i][j], 4), -G[i][j], -known])
+    A, B, chi = map(ring.to_expr, _solve_lift(rows))
+    return LiftResult(PointField(at=base.at, ax=base.ax, ay=base.ay, fu=A, fv=B), chi)
+
+
+def _solve_lift(rows: list) -> list:
+    """The unique solution (A, B, chi) of the rows [a, b, c, r] meaning
+    a*A + b*B + c*chi = r, over a field; ``LiftError`` when a component
+    is left over (no solution) or the system is underdetermined (more than
+    one solution)."""
+    pivots = _eliminate(rows)
+    if 3 in pivots:
+        raise LiftError("lift solution does not satisfy all components: the system has no solution")
+    if len(pivots) < 3:
+        raise LiftError(
+            f"lift system is underdetermined (rank {len(pivots)} in A, B, chi): "
+            "it has more than one solution"
+        )
+    return [row[3] for row in rows[:3]]
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +395,18 @@ def _require_positive_rational(e: sp.Expr, what: str) -> None:
             raise PseudogroupError(f"{what} has a real {part}: {to_text(e)}")
     if not e.subs(T, 0) > 0:
         raise PseudogroupError(f"{what} must be positive; at t=0 it is {e.subs(T, 0)}")
+
+
+def _affine_inverse(d: sp.Expr) -> sp.Expr | None:
+    """t/alpha - beta/alpha for D = alpha*t + beta over QQ, else None."""
+    try:
+        poly = sp.Poly(d, T, domain="QQ")
+    except (sp.PolynomialError, sp.polys.polyerrors.CoercionFailed):
+        return None
+    if poly.degree() != 1:
+        return None
+    alpha, beta = poly.all_coeffs()
+    return T / alpha - beta / alpha
 
 
 @dataclass(frozen=True)
@@ -432,9 +456,10 @@ class PseudogroupElement:
         if root is None:
             root = sp.sqrt(sp.expand(partial(d, "t")))
         if dinv is None:
+            dinv = _affine_inverse(d)
+        if dinv is None:
             w = sp.Dummy("w")
             candidates = sp.solve(sp.Eq(d.subs(T, w), T), w)
-            dinv = None
             for cand in candidates:
                 if cand.free_symbols <= {T} and sp.im(cand.subs(T, 1)) == 0:
                     ok = all(
@@ -471,53 +496,23 @@ class PseudogroupElement:
         return ts, xs, ys
 
 
-def transform_section(
-    element: PseudogroupElement, u_expr, v_expr, allow_exp: bool = True
-) -> tuple[sp.Expr, sp.Expr]:
+def _section_field(u_expr, v_expr):
+    # geometry imports this module for the ansatz, so it is imported late
+    from .geometry import SectionField
+
+    return SectionField(tuple(validate_kernel(e, allow_exp=True) for e in (u_expr, v_expr)))
+
+
+def transform_section(element: PseudogroupElement, u_expr, v_expr) -> tuple[sp.Expr, sp.Expr]:
     """Push a section (u, v) through a pseudogroup element.
 
     The new section at (t, x, y) evaluates the old one at the preimage
     point and applies the fiber transformation rules with every
-    function-of-t taken at the preimage time.  Solutions map to solutions.
-    """
-    ts, xs, ys = element.source_point()
-
-    def at_src(e: sp.Expr) -> sp.Expr:
-        return sp.sympify(e).subs(T, ts)
-
-    E = at_src(element.ee)
-    Ep = at_src(partial(element.ee, "t"))
-    Epp = at_src(partial(partial(element.ee, "t"), "t"))
-    s = at_src(element.root)
-    dprime = s**2
-    Asrc, Bsrc, Csrc = at_src(element.a), at_src(element.b), at_src(element.c)
-    Aprime = at_src(partial(element.a, "t"))
-    Bprime = at_src(partial(element.b, "t"))
-    point_subs = {T: ts, X: xs, Y: ys}
-    try:
-        u_src = sp.sympify(u_expr).xreplace(point_subs)
-        v_src = sp.sympify(v_expr).xreplace(point_subs)
-        u_new = (
-            (E / s) * u_src
-            - (ys / E**2) * at_src(partial(element.ee**3 / element.root, "t"))
-            + Bprime / dprime
-            - 2 * Csrc / (E * s)
-        )
-        v_new = (
-            (E**2 / dprime) * v_src
-            + ((Csrc + 2 * E * Ep * ys) / dprime) * u_src
-            + ((E * Epp - 3 * Ep**2) / dprime) * ys**2
-            + (E**4 / dprime) * at_src(partial(element.c / element.ee**4, "t")) * ys
-            + (2 * E * Ep / dprime) * xs
-            + (E**2 * Aprime - Csrc**2) / (dprime * E**2)
-        )
-        u_new = validate_kernel(normalize(u_new), allow_exp=allow_exp)
-        v_new = validate_kernel(normalize(v_new), allow_exp=allow_exp)
-    except ExprError as exc:
-        raise SolutionError(
-            f"transformed section leaves the representable domain: {exc}"
-        ) from None
-    return u_new, v_new
+    function-of-t taken at the preimage time; the composition runs in the
+    section's differential field (``geometry.SectionField.moved``).
+    Solutions map to solutions."""
+    sf = _section_field(u_expr, v_expr).moved(element)
+    return tuple(map(sf.expr, sf.values))
 
 
 def reflect_section(which: str, u_expr, v_expr) -> tuple[sp.Expr, sp.Expr]:
@@ -525,23 +520,12 @@ def reflect_section(which: str, u_expr, v_expr) -> tuple[sp.Expr, sp.Expr]:
 
     ``txy``: simultaneous sign flip of t, x, y with the fibers fixed.
     ``yu``: sign flip of y and u.  Both act on sections by composing with
-    the (involutive) point map.
+    the (involutive) point map (``geometry.SectionField.reflected``).
     """
-    u_expr, v_expr = sp.sympify(u_expr), sp.sympify(v_expr)
-    if which == "txy":
-        flip = {T: -T, X: -X, Y: -Y}
-        out = (u_expr.xreplace(flip), v_expr.xreplace(flip))
-    elif which == "yu":
-        flip = {Y: -Y}
-        out = (-u_expr.xreplace(flip), v_expr.xreplace(flip))
-    else:
+    if which not in ("txy", "yu"):
         raise ValueError(f"reflection must be 'txy' or 'yu', got {which!r}")
-    try:
-        return tuple(validate_kernel(normalize(e), allow_exp=True) for e in out)
-    except ExprError as exc:
-        raise SolutionError(
-            f"reflected section leaves the representable domain: {exc}"
-        ) from None
+    sf = _section_field(u_expr, v_expr).reflected(which)
+    return tuple(map(sf.expr, sf.values))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ import subprocess
 import sys
 
 import pytest
+import sympy as sp
 
 from jetweyl import checks
 from jetweyl.cli import main
+from jetweyl.dsl import parse_solution
 
 
 def run(argv, capsys):
@@ -112,6 +114,47 @@ def test_transform_reflection(capsys):
 def test_transform_element(capsys):
     code, doc = run(["transform", "hierarchy", "--w", "x^3", "--D", "4*t", "--E", "2"], capsys)
     assert code == 0 and doc["still_solution"]
+
+
+# stdout of the parent commit of the field move, byte for byte
+_TRANSFORM_GOLDEN = {
+    "sl2-family --f 0 --h 0 --D 4*t --E 8": (
+        '{"input": "u = (-10*x + 3*y^(5/3))/(3*y); v = (-175*x^2 + 63*y^(10/3) + '
+        '30*x*y^(5/3))/(75*y^2)", "output": "u = (-20*x + 3*2^(1/3)*y^(5/3))/(6*y); '
+        "v = (-700*x^2 + 63*2^(2/3)*y^(10/3) + 60*2^(1/3)*x*y^(5/3))/(300*y^2)\", "
+        '"still_solution": true}\n'
+    ),
+    "hierarchy --D 4*t --E 2": (
+        '{"input": "u = 3*x^2; v = 0", "output": "u = 3*x^2/16; v = 0", '
+        '"still_solution": true}\n'
+    ),
+    "dkp-partial --h 0 --reflect yu": (
+        '{"input": "u = 0; v = 1/12*y^4 + x*y", "output": "u = 0; v = 1/12*y^4 - x*y", '
+        '"still_solution": true}\n'
+    ),
+    "exp-family --f 1 --h 1 --D 4*t --E 2": (
+        '{"input": "u = x + exp(y); v = (1 + exp(y))/exp(y)", "output": '
+        '"u = 1/4*x + exp(1/4*y); v = (1 + exp(1/4*y))/exp(1/4*y)", '
+        '"still_solution": true}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(_TRANSFORM_GOLDEN))
+def test_transform_stdout_is_byte_identical(args, capsys):
+    assert main(["transform", *args.split()]) == 0
+    assert capsys.readouterr().out == _TRANSFORM_GOLDEN[args]
+
+
+def test_transform_with_a_constant_exponential_round_trips(capsys):
+    # a y-shift of exp-family leaves exp(1) in the moved section
+    code, doc = run(["transform", "exp-family", "--f", "1", "--h", "1", "--B", "1"], capsys)
+    assert code == 0 and doc["still_solution"]
+    assert "exp(1)" in doc["output"]
+    bindings = parse_solution(doc["output"])
+    assert bindings["u"].has(sp.E)
+    code, check = run(["check-solution", doc["output"]], capsys)
+    assert code == 0 and check["solves_system"] and check["ew_exact"]
 
 
 def test_signature_and_compare_round_trip(tmp_path, capsys):

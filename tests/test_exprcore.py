@@ -128,6 +128,23 @@ def test_kernel_policy():
         validate_kernel(u_x ** sp.Rational(1, 2))
 
 
+def test_exp_argument_that_is_a_quotient_is_refused_as_an_exp_atom_error():
+    # sympy's Poly raises PolynomialError on y/(t^2 + 1); the kernel's
+    # own error class must come out
+    with pytest.raises(ExpAtomError, match="not linear"):
+        validate_kernel(sp.exp(Y / (T**2 + 1)), allow_exp=True)
+
+
+def test_the_constant_e_prints_as_exp_of_one():
+    from jetweyl.dsl import parse_expr
+
+    for e in (sp.E * X + 1, X / sp.E, sp.E**2 * Y, sp.exp(sp.Rational(1, 3)) + X):
+        text = to_text(e)
+        assert "E" not in text
+        assert parse_expr(text, allow_exp=True) == normalize(e)
+    assert to_text(sp.E * X) == "exp(1)*x"
+
+
 def test_jet_symbols():
     assert jet_info(u_xy) == ("u", MultiIndex(0, 1, 1))
     assert jet("u", MultiIndex(0, 1, 1)) is jet("u", (0, 1, 1))

@@ -9,14 +9,15 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from jetweyl.errors import ExprError, JetOrderError, PseudogroupError
+from jetweyl.errors import ExprError, JetOrderError, LiftError, PseudogroupError
 from jetweyl.exprcore import T, X, Y, equal, formal, is_zero, jet, jet_info
 from jetweyl.fields import PointField, prolong
 from jetweyl.geometry import Solution
 from jetweyl.invariants import counting
-from jetweyl.jets import dims, internal_indices, ms_system, principal_indices
+from jetweyl.jets import _ring_for, dims, internal_indices, ms_system, principal_indices
 from jetweyl.symmetry import (
     _orbit_vectors,
+    _solve_lift,
     _TaylorJet,
     GRADES,
     PseudogroupElement,
@@ -116,6 +117,41 @@ def test_lift_conformal_factor():
 def test_lift_of_x4_matches_hand_written_generator():
     lifted = lift_shape_field(ShapeField(d=formal("d"))).field
     assert _fields_equal(lifted, X4(formal("d")))
+
+
+def test_lift_refuses_fiber_components():
+    with pytest.raises(LiftError, match="no fiber components"):
+        lift_shape_field(PointField(ax=T, fu=1))
+
+
+@pytest.mark.parametrize("base", [PointField(ax=X**2), PointField(at=X), PointField(ay=X)])
+def test_lift_of_a_field_that_breaks_the_shape_leaves_components_over(base):
+    with pytest.raises(LiftError, match="does not satisfy all components"):
+        lift_shape_field(base)
+
+
+def _lift_rows(rows):
+    ring = _ring_for(0, (formal("f"),))
+    return [[ring.convert(sp.sympify(e)) for e in row] for row in rows]
+
+
+def test_lift_solver_refuses_an_underdetermined_system():
+    # rank 2 in (A, B, chi): chi is free, so there is more than one solution
+    rows = _lift_rows([[1, 0, 0, formal("f")], [0, 1, 0, 2], [1, 1, 0, formal("f") + 2]] * 2)
+    with pytest.raises(LiftError, match="underdetermined.*more than one solution"):
+        _solve_lift(rows)
+
+
+def test_lift_solver_refuses_an_inconsistent_system():
+    rows = _lift_rows([[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 3], [1, 1, 1, 7]])
+    with pytest.raises(LiftError, match="does not satisfy all components"):
+        _solve_lift(rows)
+
+
+def test_lift_solver_returns_the_unique_solution():
+    f = formal("f")
+    rows = _lift_rows([[1, 0, 0, 1], [0, 1, 0, f], [1, 0, 2, 3], [1, 1, 1, 2 + f]])
+    assert [_ring_for(0, (f,)).to_expr(e) for e in _solve_lift(rows)] == [1, f, 1]
 
 
 # -- group action ----------------------------------------------------------
