@@ -365,7 +365,9 @@ def _solve_lift(rows: list) -> list:
     one solution)."""
     pivots = _eliminate(rows)
     if 3 in pivots:
-        raise LiftError("lift solution does not satisfy all components: the system has no solution")
+        raise LiftError(
+            "lift solution does not satisfy all components: the system has no solution"
+        )
     if len(pivots) < 3:
         raise LiftError(
             f"lift system is underdetermined (rank {len(pivots)} in A, B, chi): "
@@ -522,8 +524,6 @@ def reflect_section(which: str, u_expr, v_expr) -> tuple[sp.Expr, sp.Expr]:
     ``yu``: sign flip of y and u.  Both act on sections by composing with
     the (involutive) point map (``geometry.SectionField.reflected``).
     """
-    if which not in ("txy", "yu"):
-        raise ValueError(f"reflection must be 'txy' or 'yu', got {which!r}")
     sf = _section_field(u_expr, v_expr).reflected(which)
     return tuple(map(sf.expr, sf.values))
 
