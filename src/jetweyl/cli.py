@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("solution")
     p.add_argument("--reflect", choices=["txy", "yu"], default=None)
     for flag, hint in (
-        ("D", "time reparameterization D(t)"),
+        ("D", "affine time map α·t + β, α > 0"),
         ("A", "x-shift A(t)"),
         ("B", "y-shift B(t)"),
         ("C", "shear C(t)"),

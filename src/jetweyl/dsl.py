@@ -228,16 +228,15 @@ class _Parser:
 
 
 def parse_expr(text: str, allow_exp: bool = False) -> sp.Expr:
-    """Parse a single expression; returns a validated sympy expression."""
+    """Parse a single expression; returns it validated (``validate_kernel``)
+    and in canonical form."""
     parser = _Parser(text, allow_exp=allow_exp)
     node = parser.parse_expr()
     if parser.cur.kind != "end":
         raise ParseError(
             f"trailing input {parser.cur.text!r}", parser.cur.pos
         )
-    node = normalize(node)
-    validate_kernel(node, allow_exp=allow_exp)
-    return node
+    return normalize(validate_kernel(node, allow_exp=allow_exp))
 
 
 def parse_solution(text: str, allow_exp: bool = True) -> dict[str, sp.Expr]:
@@ -259,8 +258,7 @@ def parse_solution(text: str, allow_exp: bool = True) -> dict[str, sp.Expr]:
             )
         if head.text in bindings:
             raise ParseError(f"duplicate binding for {head.text}", head.pos)
-        node = normalize(node)
-        validate_kernel(node, allow_exp=allow_exp)
+        node = normalize(validate_kernel(node, allow_exp=allow_exp))
         for sym in node.free_symbols:
             if sym.name in ("u", "v") or sym.name.startswith(("u_", "v_")):
                 raise ParseError(

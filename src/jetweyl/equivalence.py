@@ -11,7 +11,7 @@ the equivalence criterion fails.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy as sp

@@ -32,22 +32,6 @@ class DivisionByZeroExpression(ExprError):
     """Division by an expression that canonicalizes to zero."""
 
 
-class SubstitutionDomainError(ExprError):
-    """A substitution produced a zero denominator or left the term language."""
-
-
-class UnboundSymbolError(ExprError):
-    """Numeric evaluation hit a symbol with no binding."""
-
-
-class PoleAtPointError(ExprError):
-    """Numeric evaluation hit a vanishing denominator."""
-
-
-class NegativeBaseFractionalPowerError(ExprError):
-    """Numeric evaluation of b**(p/q) with b <= 0."""
-
-
 class ParseError(JetweylError):
     """DSL syntax error; carries the offending position."""
 

@@ -12,7 +12,8 @@ with exact rational coefficients, in
 
 Two measured extensions of the rational language are admitted:
 
-* rational exponents on base variables only (``y^(2/3)`` and friends), and
+* rational exponents on base variables and positive rational constants
+  only (``y^(2/3)``, ``2^(1/3)`` and friends), and
 * exponential atoms ``exp(q*t + r*y + s*x)`` with rational coefficients,
   which enter solely through the explicit-solution catalog and are disabled
   by default.
@@ -20,16 +21,17 @@ Two measured extensions of the rational language are admitted:
 Everything else (arbitrary radicals, algebraic extensions, transcendental
 simplification) is deliberately out of scope.
 
-Canonical forms are produced by :func:`normalize`: fractional powers and
-exponential atoms are rescaled to integer powers of auxiliary generators,
-the result is put over a common denominator and gcd-reduced, and the
-auxiliary generators are substituted back.  Equality of canonical forms is
-exact equality of rational functions, which makes the zero test decidable
-for the whole term language.
+Canonical forms are produced by :func:`normalize`: fractional powers,
+exponential atoms and the non-rational constants are rescaled to integer
+powers of auxiliary generators (:func:`_rescaled`), the result becomes an
+element of the sparse rational-function field of ``jets.py``, prime
+radicals are reduced by R^M = p, and the generators are substituted back
+into numerator over denominator.  Equality of canonical forms is exact
+equality in the term language, which makes the zero test decidable.
 
-The module is backed by sympy for polynomial arithmetic; the classes here
-pin down the term language, the canonical form, and the formal chain rule
-``d/dt a^(k) = a^(k+1)`` that sympy's plain ``diff`` knows nothing about.
+This module pins down the term language, the rescaling, the canonical text
+form and the formal chain rule ``d/dt a^(k) = a^(k+1)`` that sympy's plain
+``diff`` knows nothing about.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 import sympy as sp
 
@@ -48,13 +49,8 @@ from .errors import (
     ExponentPolicyError,
     ExprError,
     JetOrderError,
-    NegativeBaseFractionalPowerError,
-    PoleAtPointError,
-    SubstitutionDomainError,
-    UnboundSymbolError,
     UnknownSymbolError,
 )
-from .linalg import as_fraction
 
 __all__ = [
     "T",
@@ -76,8 +72,6 @@ __all__ = [
     "is_zero",
     "equal",
     "partial",
-    "substitute",
-    "eval_numeric",
     "to_text",
 ]
 
@@ -360,38 +354,42 @@ _AUX = {
     for base in BASE_SYMBOLS
     for name in (f"E{base.name}", base.name.upper())
 }
+#: constant generators, fixed for the same reason: (p, M) -> p^(1/M) for a
+#: prime p, (0, M) -> exp(1/M)
+_CONSTANTS: dict[tuple[int, int], sp.Dummy] = {}
 
 
 def _rescaled(e: sp.Expr) -> tuple[sp.Expr, dict]:
-    """Replace fractional powers of base variables and exponential atoms by
-    integer powers of auxiliary positive generators, so that sympy's
-    polynomial gcd machinery sees an honest rational function.
+    """Replace fractional powers of base variables, exponential atoms and
+    the constants that are not rational by integer powers of auxiliary
+    positive generators, which turns an expression of the term language
+    into a rational function over QQ.
+
+    A base variable b with fractional powers becomes B^m, and the atoms
+    exp(c*b) become powers of one generator E_b = exp(s*b).  A constant
+    q^(k/m) (q a positive rational) becomes a product of powers of prime
+    radicals p^(1/M), and exp(c) (c rational) a power of exp(1/M).  Returns
+    the new expression and {generator: value}; the value of a prime radical
+    is the power p^(1/M) of an integer.
 
     ``e`` may be a ``sp.Tuple``: its entries are rescaled jointly, with the
     same generators and exponents for all of them."""
     back: dict[sp.Symbol, sp.Expr] = {}
     if e.has(sp.exp):
-        # split exp(a+b) into exp(a)*exp(b) so each atom has a single base var
-        split = lambda a: sp.expand_power_exp(sp.powsimp(a, deep=True))
-        e = e.func(*map(split, e.args)) if isinstance(e, sp.Tuple) else split(e)
+        # exp(a + b) -> exp(a)*exp(b), so that each atom has one base
+        # variable or a constant argument
+        e = e.xreplace({a: sp.expand_power_exp(a) for a in e.atoms(sp.exp) if a.args[0].is_Add})
         for base in BASE_SYMBOLS:
-            coeffs = []
+            coeffs = {}
             for atom in e.atoms(sp.exp):
                 c = atom.args[0].as_coefficient(base)
                 if c is not None and c.is_Rational and c != 0:
-                    coeffs.append(c)
+                    coeffs[atom] = c
             if not coeffs:
                 continue
-            scale = sp.Rational(1, functools.reduce(sp.ilcm, [c.q for c in coeffs], 1))
+            scale = sp.Rational(1, functools.reduce(sp.ilcm, [c.q for c in coeffs.values()], 1))
             gen = _AUX[f"E{base.name}"]
-            rep = {
-                atom: gen ** int(atom.args[0].as_coefficient(base) / scale)
-                for atom in e.atoms(sp.exp)
-                if atom.args[0].as_coefficient(base) is not None
-                and atom.args[0].as_coefficient(base).is_Rational
-                and atom.args[0].as_coefficient(base) != 0
-            }
-            e = e.xreplace(rep)
+            e = e.xreplace({atom: gen ** int(c / scale) for atom, c in coeffs.items()})
             back[gen] = sp.exp(scale * base)
     for base in BASE_SYMBOLS:
         dens = [
@@ -405,31 +403,68 @@ def _rescaled(e: sp.Expr) -> tuple[sp.Expr, dict]:
         gen = _AUX[base.name.upper()]
         e = e.xreplace({base: gen**m})
         back[gen] = base ** sp.Rational(1, m)
-    return e, back
+    return _constant_generators(e, back)
+
+
+def _constant_generators(e: sp.Expr, back: dict) -> tuple[sp.Expr, dict]:
+    """The constants step of :func:`_rescaled`: {atom: [(p, r)]} with the
+    atom equal to the product of p^r over the list (p = 0 stands for e),
+    then one generator per p with the least common denominator M of its
+    exponents."""
+    parts = {
+        a: [(p, n * a.exp) for p, n in sp.factorint(a.base.p).items()]
+        + [(p, -n * a.exp) for p, n in sp.factorint(a.base.q).items()]
+        for a in e.atoms(sp.Pow)
+        if a.base.is_Rational and a.base > 0 and not a.exp.is_Integer
+    }
+    parts.update({a: [(0, a.args[0])] for a in e.atoms(sp.exp) if a.args[0].is_Rational})
+    if e.has(sp.E):
+        parts[sp.E] = [(0, sp.Integer(1))]
+    if not parts:
+        return e, back
+    M: dict[int, int] = {}
+    for terms in parts.values():
+        for p, r in terms:
+            M[p] = sp.ilcm(M.get(p, 1), r.q)
+    gens = {}
+    for p, m in M.items():
+        if (p, m) not in _CONSTANTS:
+            _CONSTANTS[(p, m)] = sp.Dummy(f"R{p}_{m}" if p else f"E_{m}", positive=True)
+        gens[p] = _CONSTANTS[(p, m)]
+        back[gens[p]] = sp.Integer(p) ** sp.Rational(1, m) if p else sp.exp(sp.Rational(1, m))
+    rep = {
+        a: sp.Mul(*(gens[p] ** int(r * M[p]) for p, r in terms)) for a, terms in parts.items()
+    }
+    return e.xreplace(rep), back
 
 
 def normalize(e) -> sp.Expr:
-    """Canonical form: expanded, gcd-reduced numerator/denominator over the
-    discovered generators, with fractional powers and exponentials restored.
+    """Canonical form of an expression of the term language: numerator over
+    denominator, expanded and without common factor, computed in the jet
+    ring (``jets._canonical``), with the generators of :func:`_rescaled`
+    substituted back.  A number is its own canonical form.
 
-    Idempotent, and the zero test on canonical forms is exact for the
-    term language.
+    Idempotent; two expressions of the term language are equal exactly
+    when their canonical forms are.
     """
     e = sp.sympify(e)
-    if e.is_Rational:
+    if e.is_Rational or e.is_Float:
         return e
-    scaled, back = _rescaled(sp.together(e))
-    canon = sp.cancel(scaled)
-    if canon.has(sp.zoo, sp.nan):
-        raise DivisionByZeroExpression(f"canonicalization produced an undefined value from {e}")
-    if back:
-        canon = canon.xreplace(back)
-    return canon
+    from .jets import _canonical  # jets builds on this module
+
+    scaled, f = _canonical(e)
+    return scaled.expr(f)
 
 
 def is_zero(e) -> bool:
-    """Exact zero test."""
-    return normalize(e) == 0
+    """Exact zero test: the numerator of the canonical form vanishes."""
+    e = sp.sympify(e)
+    if e.is_Rational or e.is_Float:
+        return e == 0
+    from .jets import _canonical
+
+    scaled, f = _canonical(e)
+    return scaled.vanishes(f)
 
 
 def equal(a, b) -> bool:
@@ -438,7 +473,7 @@ def equal(a, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# differentiation / substitution / evaluation
+# differentiation
 
 
 def partial(e, s) -> sp.Expr:
@@ -456,85 +491,6 @@ def partial(e, s) -> sp.Expr:
             if sym in _FORMAL_REGISTRY:
                 out += formal_shift(sym) * sp.diff(e, sym)
     return out
-
-
-def substitute(e, bindings: Mapping) -> sp.Expr:
-    """Simultaneous substitution followed by canonicalization.
-
-    Keys may be symbols or their names.  Raises SubstitutionDomainError if
-    the result leaves the term language or hits a zero denominator.
-    """
-    e = sp.sympify(e)
-    rep = {}
-    for k, v in bindings.items():
-        rep[resolve_symbol(k)] = sp.sympify(v)
-    try:
-        out = normalize(e.xreplace(rep))
-    except DivisionByZeroExpression as exc:
-        raise SubstitutionDomainError(str(exc)) from None
-    if out.has(sp.zoo, sp.nan):
-        raise SubstitutionDomainError(
-            f"substitution produced an undefined value in {e}"
-        )
-    return out
-
-
-def _coerce_rational(v) -> sp.Rational:
-    if isinstance(v, Fraction):
-        return sp.Rational(v.numerator, v.denominator)
-    r = sp.sympify(v)
-    if isinstance(v, str):
-        r = sp.Rational(v)
-    if not r.is_Rational:
-        raise ExprError(f"expected a rational value, got {v!r}")
-    return r
-
-
-def eval_numeric(
-    e,
-    point: Mapping | None = None,
-    formal_data: Mapping | None = None,
-    dps: int = 50,
-):
-    """Evaluate at a rational point.
-
-    ``point`` binds symbols (by symbol or name) to rationals; ``formal_data``
-    binds pairs (name, derivative-order) to rationals.  The result is a
-    ``Fraction`` whenever the value is exactly rational; otherwise a sympy
-    Float carrying ``dps`` significant digits.
-    """
-    e = normalize(e)
-    rep: dict[sp.Symbol, sp.Rational] = {}
-    for k, v in (point or {}).items():
-        rep[resolve_symbol(k)] = _coerce_rational(v)
-    for (name, order), v in (formal_data or {}).items():
-        rep[formal(name, order)] = _coerce_rational(v)
-    missing = [s for s in e.free_symbols if s not in rep]
-    if missing:
-        raise UnboundSymbolError(
-            "unbound symbols: " + ", ".join(sorted(map(str, missing)))
-        )
-    # fractional powers need positive bases at the point
-    for p in e.atoms(sp.Pow):
-        if p.exp.is_Rational and not p.exp.is_Integer and p.base in rep:
-            if rep[p.base] <= 0:
-                raise NegativeBaseFractionalPowerError(
-                    f"{p.base} = {rep[p.base]} under fractional exponent {p.exp}"
-                )
-    num, den = sp.fraction(e)
-    den_val = den.xreplace(rep)
-    if den_val.is_zero or den_val.has(sp.zoo, sp.nan):
-        raise PoleAtPointError(f"denominator {den} vanishes at the point")
-    val = num.xreplace(rep) / den_val
-    if val.has(sp.zoo, sp.nan):
-        raise PoleAtPointError("evaluation produced an undefined value")
-    val = sp.nsimplify(val, rational=False) if val.is_Rational is None else val
-    if val.is_Rational:
-        return as_fraction(val)
-    approx = val.evalf(dps)
-    if approx.has(sp.zoo, sp.nan) or not approx.is_real:
-        raise PoleAtPointError("evaluation produced an undefined value")
-    return approx
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from .exprcore import (
     is_zero,
     to_text,
 )
-from .jets import _ring_for, _vanishes
+from .jets import _ring_for
 
 __all__ = [
     "PointField",
@@ -110,7 +110,7 @@ class PointField:
         return PointField(*(scalar * a for a in self.components()))
 
     def is_zero(self) -> bool:
-        return all(_vanishes(c) for c in self.components())
+        return all(is_zero(c) for c in self.components())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointField):

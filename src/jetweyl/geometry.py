@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import sympy as sp
-from sympy import factorint
 
 from .errors import (
     DegenerateFrameError,
@@ -45,12 +44,19 @@ from .exprcore import (
     jet,
     jet_info,
     jet_order,
-    normalize,
     partial,
     to_text,
     validate_kernel,
 )
-from .jets import EquationSystem, JetPoint, _merge, _ring_for, internal_indices, ms_system
+from .jets import (
+    EquationSystem,
+    JetPoint,
+    _merge,
+    _Rescaled,
+    _ring_for,
+    internal_indices,
+    ms_system,
+)
 from .linalg import as_fraction, inertia
 from . import symmetry as _symmetry
 
@@ -91,82 +97,33 @@ _DIRS = "txy"
 CORRECTION_SIGN = -1
 
 
-#: constant generators, fixed so that the rings holding them are reused:
-#: (p, M) -> p^(1/M) for a prime p, (0, M) -> exp(1/M)
-_CONSTANTS: dict[tuple[int, int], sp.Dummy] = {}
-
-
-def _constant_generators(e: sp.Tuple) -> tuple[sp.Tuple, dict]:
-    """Replace the constants of the term language that are not rational by
-    powers of generators: q^(k/m) for a positive rational q becomes a
-    product of powers of prime radicals p^(1/M), and exp(c) for a rational
-    c a power of exp(1/M).  Returns the new tuple and {generator: (value,
-    p, M)}, with p = 0 for the exponential."""
-    parts = {
-        a: [(p, n * a.exp) for p, n in factorint(a.base.p).items()]
-        + [(p, -n * a.exp) for p, n in factorint(a.base.q).items()]
-        for a in e.atoms(sp.Pow)
-        if a.base.is_Rational and not a.exp.is_Integer
-    }
-    parts.update({a: [(0, a.args[0])] for a in e.atoms(sp.exp) if a.args[0].is_Rational})
-    if e.has(sp.E):
-        parts[sp.E] = [(0, sp.Integer(1))]
-    if not parts:
-        return e, {}
-    M: dict[int, int] = {}
-    for terms in parts.values():
-        for p, r in terms:
-            M[p] = sp.ilcm(M.get(p, 1), r.q)
-    gens = {}
-    for p, m in M.items():
-        if (p, m) not in _CONSTANTS:
-            _CONSTANTS[(p, m)] = sp.Dummy(f"R{p}_{m}" if p else f"E_{m}", positive=True)
-        gens[p] = _CONSTANTS[(p, m)]
-    rep = {
-        a: sp.Mul(*(gens[p] ** int(r * M[p]) for p, r in terms)) for a, terms in parts.items()
-    }
-    info = {
-        gens[p]: (sp.Integer(p) ** sp.Rational(1, m) if p else sp.exp(sp.Rational(1, m)), p, m)
-        for p, m in M.items()
-    }
-    return e.xreplace(rep), info
-
-
-class SectionField:
+class SectionField(_Rescaled):
     """The differential field of a tuple of closed forms in t, x, y.
 
     The expressions are rescaled jointly (``exprcore._rescaled``): a base
-    variable b with fractional powers becomes B^m, and the exponential
-    atoms exp(c*b) become powers of one generator E_b.  With the formal
-    functions of t and their derivatives these generate a purely
-    transcendental extension of QQ, held as the order-0 jet ring
-    (``jets._JetRing``) with the auxiliary generators as extras.  d/dt,
-    d/dx and d/dy are ring derivations given by the images of the
-    generators: d_b B = B^(1-m)/m, d_b E = c*E for E = exp(c*b), and
-    d_t a^(k) = a^(k+1).  ``values`` are the expressions as field elements;
+    variable b with fractional powers becomes B^m, the exponential atoms
+    exp(c*b) become powers of one generator E_b, and the constants that
+    are not rational become prime radicals p^(1/M) and exp(1/M).  With the
+    formal functions of t and their derivatives these generate the field,
+    held as the order-0 jet ring (``jets._JetRing``) with the auxiliary
+    generators as extras; zero tests and canonical expressions are those
+    of ``jets._Rescaled`` (radicals reduced by R^M = p).  d/dt, d/dx and
+    d/dy are ring derivations given by the images of the generators: d_b B
+    = B^(1-m)/m, d_b E = c*E for E = exp(c*b), d_t a^(k) = a^(k+1), and
+    constants have none.  ``values`` are the expressions as field elements;
     for a section they are (u, v).
-
-    Constants that are not rational get generators too (see
-    ``_constant_generators``): exp(1/M) is transcendental, and a prime
-    radical R = p^(1/M) is reduced by R^M = p before every zero test
-    (:meth:`vanishes`); radicals of distinct primes are linearly
-    independent over QQ (Besicovitch), so the test stays exact.
     """
 
     def __init__(self, exprs):
-        scaled, self.back = _rescaled(sp.Tuple(*exprs))
-        scaled, constants = _constant_generators(scaled)
-        self.back.update({gen: value for gen, (value, _, _) in constants.items()})
-        ring = self.ring = _ring_for(
-            0, scaled.args, derivatives=_FIELD_DERIVATIVES, aux=tuple(self.back)
-        )
-        self._radicals = [(ring.index[gen], p, m) for gen, (_, p, m) in constants.items() if p]
+        scaled, back = _rescaled(sp.Tuple(*exprs))
+        ring = _ring_for(0, scaled.args, derivatives=_FIELD_DERIVATIVES, aux=tuple(back))
+        super().__init__(ring, back)
         self.values = tuple(ring.convert(e) for e in scaled.args)
         # a base variable as an element: b, or B^m where it was rescaled
         self._base = {b: ring.gen(b) for b in BASE_SYMBOLS}
         images = {b.name: [(ring.index[b], ring.field.one)] for b in BASE_SYMBOLS}
         for gen, atom in self.back.items():
-            if gen in constants:
+            if not atom.free_symbols:
                 continue
             if isinstance(atom, sp.exp):
                 (b,) = atom.args[0].free_symbols
@@ -274,62 +231,9 @@ class SectionField:
         """The sum of field elements."""
         return sum(elements, self.ring.field.zero)
 
-    def _reduced(self, p):
-        """A polynomial with every prime radical R = p^(1/M) reduced by
-        R^M = p."""
-        if not self._radicals or not p:
-            return p
-        out: dict = {}
-        for monom, c in p.items():
-            m = list(monom)
-            for i, prime, M in self._radicals:
-                if m[i] >= M:
-                    q, m[i] = divmod(m[i], M)
-                    c = c * prime**q
-            _merge(out, {tuple(m): c})
-        return self.ring.ring.dtype(out)
-
-    def _canonical(self, f):
-        if not self._radicals:
-            return f
-        return self.ring.field.new(self._reduced(f.numer), self._reduced(f.denom))
-
-    def vanishes(self, f) -> bool:
-        """Exact zero test of a field element."""
-        return not self._reduced(f.numer)
-
-    def expr(self, f) -> sp.Expr:
-        """The canonical expression of a field element (``normalize``'s
-        form, with the auxiliary generators substituted back)."""
-        out = self.ring.to_expr(self._canonical(f))
-        if len(self._radicals) > 1:
-            out = out.replace(lambda e: e.is_Mul, self._one_root)
-        return out.xreplace(self.back) if self.back else out
-
-    def _one_root(self, term: sp.Expr) -> sp.Expr:
-        """A product with radicals of several primes written as one root of
-        a rational, the way sympy writes a power of a rational: 2^(2/3) *
-        3^(1/3) as 12^(1/3)."""
-        radicals = {self.ring.symbols[i]: (p, M) for i, p, M in self._radicals}
-        found, rest = {}, []
-        for factor in term.args:
-            base, k = factor.as_base_exp()
-            if base in radicals:
-                found[base] = k
-            else:
-                rest.append(factor)
-        if len(found) < 2:
-            return term
-        M = sp.ilcm(*(radicals[g][1] for g in found))
-        q = sp.Integer(1)
-        for g, k in found.items():
-            p, m = radicals[g]
-            q *= sp.Integer(p) ** (k * M // m)
-        return sp.Mul(*rest) * q ** sp.Rational(1, M)
-
     def rational(self, f) -> Fraction | None:
         """The value of a constant element, None for a non-constant one."""
-        f = self._canonical(f)
+        f = self._reduced_element(f)
         if not f:
             return Fraction(0)
         if not (f.numer.is_ground and f.denom.is_ground):
@@ -1032,8 +936,7 @@ def canonical_frame(pair: WeylPair, pt, strict: bool = False) -> FrameResult:
 def signature_report(pair: WeylPair, pts) -> dict:
     """Determinant (a constant for the ansatz) and inertia at sample
     points; the sign pattern is reported, not asserted."""
-    det = normalize(pair.g.det())
-    out = {"det": to_text(det), "points": []}
+    out = {"det": to_text(pair.g.det()), "points": []}
     for p in pts:
         subs = {c: sp.Rational(q) for c, q in zip(_COORDS, p)}
         gval = pair.g.xreplace(subs)
@@ -1143,7 +1046,7 @@ def dkp_reduction_check(system: EquationSystem | None = None) -> bool:
     vtx, vxx, vyy = jet("v", "tx"), jet("v", "xx"), jet("v", "yy")
     vx, v = jet("v", "x"), jet("v")
     dkp = vtx + vx**2 + v * vxx - vyy
-    return is_zero(normalize(system.F2.xreplace(kill_u) - dkp))
+    return is_zero(system.F2.xreplace(kill_u) - dkp)
 
 
 def hierarchy_residual(w) -> sp.Expr:

@@ -26,7 +26,7 @@ from math import comb
 import sympy as sp
 
 from .errors import SingularLocusError
-from .exprcore import is_zero, jet, jet_order, normalize
+from .exprcore import is_jet_symbol, is_zero, jet, jet_order, normalize
 from .fields import ProlongedField, prolong
 from .jets import (
     EquationSystem,
@@ -328,7 +328,7 @@ def coframe_rewrite(system: EquationSystem | None = None) -> CoframeReport:
     I2 = normalize(invariant(2))
     expected_G = sp.Matrix([[0, 0, 2], [0, -1, 1], [2, 1, 4 * I2 - 1]])
     g_ok = all(
-        is_zero(normalize(Gp[i, j] - expected_G[i, j]))
+        is_zero(Gp[i, j] - expected_G[i, j])
         for i in range(3)
         for j in range(3)
     )
@@ -340,7 +340,7 @@ def coframe_rewrite(system: EquationSystem | None = None) -> CoframeReport:
     ]
     expected_w = (sp.Integer(2), sp.Integer(1), 4 * I2 - 1)
     def matches(vec):
-        return all(is_zero(normalize(a - b)) for a, b in zip(vec, expected_w))
+        return all(is_zero(a - b) for a, b in zip(vec, expected_w))
 
     notes = []
     if matches(adjust):
@@ -351,7 +351,7 @@ def coframe_rewrite(system: EquationSystem | None = None) -> CoframeReport:
     else:
         omega, adjusted, w_ok = adjust, True, False
         notes.append("neither adjusted nor plain covector matches")
-    det_ok = is_zero(normalize(coframe_matrix().det() + _ux**3))
+    det_ok = is_zero(coframe_matrix().det() + _ux**3)
     if not det_ok:
         notes.append("coframe determinant differs from -u_x^3")
     return CoframeReport(
@@ -374,11 +374,18 @@ def invariant_value(point: JetPoint, e) -> Fraction:
 
 
 @lru_cache(maxsize=1)
-def _twelve_invariants() -> tuple[sp.Expr, ...]:
+def _twelve_in_ring() -> tuple:
+    """(the order-3 jet ring, the twelve invariants as its elements)."""
     ring = _jet_ring(3)
     base = [ring.convert(invariant(i)) for i in (1, 2, 3)]
     derived = [derivation(j)._apply_in(ring, b) for b in base for j in (1, 2, 3)]
-    return tuple(map(ring.to_expr, base + derived))
+    return ring, tuple(base + derived)
+
+
+@lru_cache(maxsize=1)
+def _twelve_invariants() -> tuple[sp.Expr, ...]:
+    ring, twelve = _twelve_in_ring()
+    return tuple(map(ring.to_expr, twelve))
 
 
 def twelve_invariants() -> tuple[sp.Expr, ...]:
@@ -389,25 +396,37 @@ def twelve_invariants() -> tuple[sp.Expr, ...]:
 
 def independence_rank(point: JetPoint) -> int:
     """Exact rank of the Jacobian of (I_i, nabla_j I_i) in the internal
-    coordinates of order <= 3 at the given point (12 expected)."""
-    coords = [
-        jet(dep, idx) for dep in ("u", "v") for idx in internal_indices(3)
+    coordinates of order <= 3 at the given point (12 expected).
+
+    The invariants are reduced elements of the order-3 jet ring, so their
+    numerators and denominators are polynomials in internal coordinates;
+    each is differentiated by the 32 internal generators and evaluated at
+    the point in ``Fraction`` arithmetic."""
+    ring, twelve = _twelve_in_ring()
+    values = [
+        point.value(s) if is_jet_symbol(s) else point.base[s.name] for s in ring.symbols
     ]
+
+    def at(p) -> Fraction:
+        total = Fraction(0)
+        for monom, c in p.items():
+            term = Fraction(int(c.numerator), int(c.denominator))
+            for i, n in enumerate(monom):
+                if n:
+                    term *= values[i] ** n
+            total += term
+        return total
+
+    coords = [ring.index[jet(dep, idx)] for dep in ("u", "v") for idx in internal_indices(3)]
     rows = []
-    for e in _twelve_invariants():
-        num, den = sp.fraction(sp.together(e))
+    for f in twelve:
+        num, den = f.numer, f.denom
         # d(num/den) = (den*d(num) - num*d(den))/den^2; the den^2 scaling
         # does not change the rank, row-scale by it for cheaper entries
-        nval, dval = point.eval(num), point.eval(den)
+        nval, dval = at(num), at(den)
         if dval == 0:
             raise SingularLocusError("Jacobian undefined at this point")
-        rows.append(
-            [
-                dval * point.eval(sp.diff(num, c))
-                - nval * point.eval(sp.diff(den, c))
-                for c in coords
-            ]
-        )
+        rows.append([dval * at(num.diff(i)) - nval * at(den.diff(i)) for i in coords])
     return rank(rows)
 
 

@@ -178,8 +178,8 @@ class _JetRing:
                 else:
                     pairs.append((self.index[s], None))
             self._shifts[d] = pairs
-        # the lexicographic order sympy's cancel uses, for the sign of the
-        # canonical denominator
+        # sympy's generator order, which fixes the sign of the canonical
+        # denominator
         self._sympy_order = [self.index[s] for s in _sort_gens(self.symbols)]
         self._table: dict[int, object] = {}
 
@@ -197,6 +197,8 @@ class _JetRing:
         try:
             num, den = self.ring.from_expr(num), self.ring.from_expr(den)
         except ValueError:
+            if e.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
+                raise DivisionByZeroExpression(f"{e} contains an undefined value") from None
             raise ExprError(f"{e} is not a rational function of the jet coordinates") from None
         if not den:
             raise DivisionByZeroExpression(f"zero denominator in {e}")
@@ -390,14 +392,101 @@ def _ring_for(order: int, exprs: Iterable, derivatives: int = 0, aux: tuple = ()
     return _jet_ring(order, extras + tuple(aux))
 
 
-def _vanishes(e) -> bool:
-    """Exact zero test in the jet ring, for the whole term language:
-    fractional powers and exponential atoms ride along as generators."""
-    e = sp.sympify(e)
-    if e.is_Rational:
-        return e == 0
+class _Rescaled:
+    """A jet ring holding the auxiliary generators of one joint
+    ``exprcore._rescaled`` (``back``: generator -> value), with the
+    canonical form of its elements.
+
+    Prime radicals R = p^(1/M) among the generators are reduced by R^M = p
+    before every zero test and conversion; radicals of distinct primes are
+    linearly independent over QQ (Besicovitch) and the other generators are
+    algebraically independent, so the zero test of the reduced numerator is
+    exact."""
+
+    def __init__(self, ring: _JetRing, back: dict):
+        self.ring = ring
+        self.back = back
+        self._radicals = [
+            (ring.index[g], int(v.base), int(v.exp.q))
+            for g, v in back.items()
+            if v.is_Pow and v.base.is_Integer
+        ]
+
+    def _reduced(self, p):
+        """A polynomial with every prime radical R = p^(1/M) reduced by
+        R^M = p."""
+        if not self._radicals or not p:
+            return p
+        out: dict = {}
+        for monom, c in p.items():
+            m = list(monom)
+            for i, prime, M in self._radicals:
+                if m[i] >= M:
+                    q, m[i] = divmod(m[i], M)
+                    c = c * prime**q
+            _merge(out, {tuple(m): c})
+        return self.ring.ring.dtype(out)
+
+    def _reduced_element(self, f):
+        if not self._radicals:
+            return f
+        return self.ring.field.new(self._reduced(f.numer), self._reduced(f.denom))
+
+    def vanishes(self, f) -> bool:
+        """Exact zero test of a field element."""
+        return not self._reduced(f.numer)
+
+    def expr(self, f) -> sp.Expr:
+        """The canonical expression of a field element: ``to_expr`` of the
+        reduced element, a product of radicals of several primes written
+        as one root, and the auxiliary generators substituted back."""
+        out = self.ring.to_expr(self._reduced_element(f))
+        if len(self._radicals) > 1:
+            out = out.replace(lambda e: e.is_Mul, self._one_root)
+        return out.xreplace(self.back) if self.back else out
+
+    def _one_root(self, term: sp.Expr) -> sp.Expr:
+        """A product with radicals of several primes written as one root of
+        a rational, the way sympy writes a power of a rational: 2^(2/3) *
+        3^(1/3) as 12^(1/3)."""
+        radicals = {self.ring.symbols[i]: (p, M) for i, p, M in self._radicals}
+        found, rest = {}, []
+        for factor in term.args:
+            base, k = factor.as_base_exp()
+            if base in radicals:
+                found[base] = k
+            else:
+                rest.append(factor)
+        if len(found) < 2:
+            return term
+        M = sp.ilcm(*(radicals[g][1] for g in found))
+        q = sp.Integer(1)
+        for g, k in found.items():
+            p, m = radicals[g]
+            q *= sp.Integer(p) ** (k * M // m)
+        return sp.Mul(*rest) * q ** sp.Rational(1, M)
+
+
+def _canonical(e: sp.Expr) -> tuple[_Rescaled, object]:
+    """An expression of the term language as an element of the ring of its
+    jet order, with its formal functions, the auxiliary generators of its
+    rescaling and every other symbol (such as the ``z`` of a Poincare
+    function) as extras.  ``exprcore.normalize``, ``is_zero`` and ``equal``
+    are this conversion."""
     scaled, back = _rescaled(e)
-    return not _ring_for(jet_order(scaled), (scaled,), aux=tuple(back)).convert(scaled)
+    foreign = sorted(
+        (
+            s
+            for s in scaled.free_symbols
+            if s not in BASE_SYMBOLS
+            and s not in back
+            and not is_jet_symbol(s)
+            and not is_formal_symbol(s)
+        ),
+        key=sp.default_sort_key,
+    )
+    ring = _ring_for(jet_order(scaled), (scaled,), aux=(*back, *foreign))
+    return _Rescaled(ring, back), ring.convert(scaled)
 
 
 def total_derivative(e, direction, order_cap: int | None = None) -> sp.Expr:
@@ -579,9 +668,10 @@ class EquationSystem:
         may not exceed the hard cap; high orders are slow, the table grows
         about sevenfold per order.
 
-        Fractional powers of base variables and exponential atoms become
-        auxiliary generators of the ring; reduction never differentiates
-        them.
+        Fractional powers of base variables, exponential atoms and
+        non-rational constants become auxiliary generators of the ring
+        (``exprcore._rescaled``); reduction never differentiates them.  The
+        result is in ``normalize``'s canonical form.
         """
         e = sp.sympify(e)
         order = jet_order(e)
@@ -595,8 +685,7 @@ class EquationSystem:
             raise JetOrderError(f"order {k} beyond hard cap {MAX_JET_ORDER}")
         scaled, back = _rescaled(e)
         ring = _ring_for(k, (scaled,), aux=tuple(back))
-        out = ring.to_expr(ring.reduce(ring.convert(scaled)))
-        return out.xreplace(back) if back else out
+        return _Rescaled(ring, back).expr(ring.reduce(ring.convert(scaled)))
 
     # -- points -------------------------------------------------------------
 

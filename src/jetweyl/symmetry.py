@@ -3,8 +3,9 @@
 Five one-function families of point fields span the symmetry algebra.  This
 module builds them, verifies their commutation table, checks the defining
 symmetry property against the equations, lifts shape-preserving base fields
-to the total space, applies the closed-form pseudogroup action to sections,
-and measures jet-space orbit dimensions by exact rank.
+to the total space, defines the closed-form pseudogroup elements that act
+on sections (``geometry.Solution.transform``), and measures jet-space orbit
+dimensions by exact rank.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .exprcore import (
     is_formal_symbol,
     is_zero,
     jet,
-    normalize,
     partial,
     to_text,
     validate_kernel,
@@ -55,8 +55,6 @@ __all__ = [
     "LiftResult",
     "lift_shape_field",
     "PseudogroupElement",
-    "transform_section",
-    "reflect_section",
     "orbit_dimension",
     "orbit_spanning_count",
     "orbit_expected_dimension",
@@ -186,7 +184,7 @@ def table_rhs(i: int, j: int, f, g) -> PointField:
 def table_cell_text(i: int, j: int, f="f", g="g") -> str:
     f, g = _parameter(f), _parameter(g)
     parts = [
-        f"X{fam}({to_text(normalize(param))})" for fam, param in _cell(i, j, f, g)
+        f"X{fam}({to_text(param)})" for fam, param in _cell(i, j, f, g)
     ]
     return " + ".join(parts) if parts else "0"
 
@@ -377,9 +375,7 @@ def _solve_lift(rows: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# pseudogroup action on sections
-
-_PROBES = (sp.Rational(0), sp.Rational(1, 3), sp.Rational(-1, 3), sp.Integer(1))
+# pseudogroup elements
 
 
 def _require_positive_rational(e: sp.Expr, what: str) -> None:
@@ -399,28 +395,40 @@ def _require_positive_rational(e: sp.Expr, what: str) -> None:
         raise PseudogroupError(f"{what} must be positive; at t=0 it is {e.subs(T, 0)}")
 
 
-def _affine_inverse(d: sp.Expr) -> sp.Expr | None:
-    """t/alpha - beta/alpha for D = alpha*t + beta over QQ, else None."""
+def _affine(d: sp.Expr) -> tuple[sp.Rational, sp.Rational]:
+    """(alpha, beta) of a time map D = alpha*t + beta over QQ with alpha >
+    0; any other D is refused.
+
+    The moves compose sections with D^-1 in the section's field, which
+    holds rational functions of t only.  A rational D has a rational
+    inverse only when it is a Moebius map (degrees multiply under
+    composition), and one without a real pole is affine; every other
+    inverse is a radical."""
     try:
         poly = sp.Poly(d, T, domain="QQ")
     except (sp.PolynomialError, sp.polys.polyerrors.CoercionFailed):
-        return None
-    if poly.degree() != 1:
-        return None
+        poly = None
+    if poly is None or poly.degree() != 1:
+        raise PseudogroupError(
+            "the time map D must be affine, alpha*t + beta over QQ with alpha > 0; "
+            f"got {to_text(d)}"
+        )
     alpha, beta = poly.all_coeffs()
-    return T / alpha - beta / alpha
+    if not alpha > 0:
+        raise PseudogroupError(f"D' (time dilation) must be positive; at t=0 it is {alpha}")
+    return alpha, beta
 
 
 @dataclass(frozen=True)
 class PseudogroupElement:
     """One closed-form element of the connected symmetry pseudogroup.
 
-    ``d`` is the new time D(t) with explicit inverse ``dinv``; ``root`` is
-    the chosen positive square root of D'.  ``a``..``ee`` are functions of
-    t; ee (the scaling) must stay positive.  Every check is exact: root^2 =
-    D' and D(Dinv(t)) = t symbolically; ee and D' must be rational
-    functions of t without a real zero or pole (real-root counting), and
-    ee and root must be positive at t = 0.
+    ``d`` is the new time D(t) = alpha*t + beta (alpha > 0, rational
+    coefficients) with inverse ``dinv``; ``root`` is the positive square
+    root of D' = alpha.  ``a``..``ee`` are functions of t; ee (the scaling)
+    must stay positive.  Every check is exact: D is affine, root^2 = alpha
+    with root > 0, and D(Dinv(t)) = t; ee must be a rational function of t
+    without a real zero or pole (real-root counting), positive at t = 0.
     """
 
     d: sp.Expr
@@ -440,41 +448,25 @@ class PseudogroupElement:
                         f"{name} must be a closed form in t, found symbol {s}"
                     )
             object.__setattr__(self, name, e)
-        if not is_zero(self.root**2 - partial(self.d, "t")):
+        alpha, _ = _affine(self.d)
+        if not is_zero(self.root**2 - alpha):
             raise PseudogroupError("root^2 must equal the derivative of d")
-        back = normalize(self.d.subs(T, self.dinv) - T)
-        if not is_zero(back):
-            # radical-heavy forms can defeat the rational normalizer
-            if sp.simplify(back) != 0:
-                raise PseudogroupError("dinv is not an inverse of d")
-        _require_positive_rational(partial(self.d, "t"), "D' (time dilation)")
-        if not self.root.subs(T, 0).is_positive:
-            raise PseudogroupError("root (orientation) must be positive at t=0")
+        if not self.root.is_positive:
+            raise PseudogroupError("root (orientation) must be positive")
+        if not is_zero(self.d.subs(T, self.dinv) - T):
+            raise PseudogroupError("dinv is not an inverse of d")
         _require_positive_rational(self.ee, "ee (scaling)")
 
     @classmethod
     def make(cls, d=T, dinv=None, root=None, a=0, b=0, c=0, ee=1):
+        """The element with D = d (affine); D^-1 = t/alpha - beta/alpha and
+        root = sqrt(alpha) unless given."""
         d = sp.sympify(d)
+        alpha, beta = _affine(d)
         if root is None:
-            root = sp.sqrt(sp.expand(partial(d, "t")))
+            root = sp.sqrt(alpha)
         if dinv is None:
-            dinv = _affine_inverse(d)
-        if dinv is None:
-            w = sp.Dummy("w")
-            candidates = sp.solve(sp.Eq(d.subs(T, w), T), w)
-            for cand in candidates:
-                if cand.free_symbols <= {T} and sp.im(cand.subs(T, 1)) == 0:
-                    ok = all(
-                        sp.simplify(d.subs(T, cand.subs(T, q)) - q) == 0
-                        for q in _PROBES
-                    )
-                    if ok:
-                        dinv = cand
-                        break
-            if dinv is None:
-                raise PseudogroupError(
-                    "could not invert d in closed form; pass dinv explicitly"
-                )
+            dinv = T / alpha - beta / alpha
         return cls(d=d, dinv=dinv, root=root, a=a, b=b, c=c, ee=ee)
 
     @classmethod
@@ -496,36 +488,6 @@ class PseudogroupElement:
         ys = (Y - at_src(self.b)) / (at_src(self.root) * E)
         xs = (X - E * Ep * ys**2 - at_src(self.c) * ys - at_src(self.a)) / E**2
         return ts, xs, ys
-
-
-def _section_field(u_expr, v_expr):
-    # geometry imports this module for the ansatz, so it is imported late
-    from .geometry import SectionField
-
-    return SectionField(tuple(validate_kernel(e, allow_exp=True) for e in (u_expr, v_expr)))
-
-
-def transform_section(element: PseudogroupElement, u_expr, v_expr) -> tuple[sp.Expr, sp.Expr]:
-    """Push a section (u, v) through a pseudogroup element.
-
-    The new section at (t, x, y) evaluates the old one at the preimage
-    point and applies the fiber transformation rules with every
-    function-of-t taken at the preimage time; the composition runs in the
-    section's differential field (``geometry.SectionField.moved``).
-    Solutions map to solutions."""
-    sf = _section_field(u_expr, v_expr).moved(element)
-    return tuple(map(sf.expr, sf.values))
-
-
-def reflect_section(which: str, u_expr, v_expr) -> tuple[sp.Expr, sp.Expr]:
-    """The two discrete generators beyond the connected pseudogroup.
-
-    ``txy``: simultaneous sign flip of t, x, y with the fibers fixed.
-    ``yu``: sign flip of y and u.  Both act on sections by composing with
-    the (involutive) point map (``geometry.SectionField.reflected``).
-    """
-    sf = _section_field(u_expr, v_expr).reflected(which)
-    return tuple(map(sf.expr, sf.values))
 
 
 # ---------------------------------------------------------------------------

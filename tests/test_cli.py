@@ -157,6 +157,12 @@ def test_transform_with_a_constant_exponential_round_trips(capsys):
     assert code == 0 and check["solves_system"] and check["ew_exact"]
 
 
+def test_transform_refuses_a_non_affine_time_map(capsys):
+    code, doc = run(["transform", "trivial", "--D", "t^3+t"], capsys)
+    assert code == 4 and doc["error"] == "domain"
+    assert "must be affine" in doc["message"]
+
+
 def test_signature_and_compare_round_trip(tmp_path, capsys):
     sl2 = tmp_path / "sl2.json"
     exp = tmp_path / "exp.json"

@@ -1,7 +1,6 @@
-"""Exact expression kernel: canonical forms, derivatives, evaluation."""
+"""Exact expression kernel: canonical forms, derivatives, text form."""
 
 import random
-from fractions import Fraction
 
 import pytest
 import sympy as sp
@@ -10,10 +9,6 @@ from hypothesis import given, settings, strategies as st
 from jetweyl.errors import (
     ExpAtomError,
     ExponentPolicyError,
-    NegativeBaseFractionalPowerError,
-    PoleAtPointError,
-    SubstitutionDomainError,
-    UnboundSymbolError,
     UnknownSymbolError,
 )
 from jetweyl.exprcore import (
@@ -23,7 +18,6 @@ from jetweyl.exprcore import (
     X,
     Y,
     equal,
-    eval_numeric,
     formal,
     formal_shift,
     is_zero,
@@ -31,7 +25,6 @@ from jetweyl.exprcore import (
     jet_info,
     normalize,
     partial,
-    substitute,
     to_text,
     validate_kernel,
 )
@@ -71,50 +64,6 @@ def test_partial_formal_chain():
     assert equal(partial(a * X, T), formal("a", 1) * X)
     assert formal_shift(a) == formal("a", 1)
     assert to_text(formal("a", 1)) == "a'(t)"
-
-
-def test_substitute_expands():
-    assert equal(substitute(u_x**2, {u_x: 1 + Y}), 1 + 2 * Y + Y**2)
-
-
-def test_substitute_is_simultaneous():
-    # swap must not chain: u_x -> v_x -> u_x would collapse to the identity
-    swapped = substitute(u_x - v_x, {u_x: v_x, v_x: u_x})
-    assert equal(swapped, v_x - u_x)
-
-
-def test_substitute_zero_denominator_rejected():
-    with pytest.raises(SubstitutionDomainError):
-        substitute(1 / u_x, {u_x: 0})
-
-
-def test_eval_exact_rational():
-    assert eval_numeric(u_x / u_xx, {u_x: 2, u_xx: 4}) == Fraction(1, 2)
-
-
-def test_eval_fractional_power_exact_when_rational():
-    val = eval_numeric(Y ** sp.Rational(2, 3), {Y: 8})
-    assert isinstance(val, Fraction) and val == 4
-
-
-def test_eval_fractional_power_high_precision():
-    val = eval_numeric(Y ** sp.Rational(1, 2), {Y: 2})
-    assert not isinstance(val, Fraction)
-    assert abs(float(val) - 2**0.5) < 1e-15
-
-
-def test_eval_formal_data():
-    val = eval_numeric(formal("a", 1) * X, {X: 3}, {("a", 1): Fraction(2)})
-    assert val == 6
-
-
-def test_eval_errors():
-    with pytest.raises(UnboundSymbolError):
-        eval_numeric(u_x, {})
-    with pytest.raises(PoleAtPointError):
-        eval_numeric(1 / X, {X: 0})
-    with pytest.raises(NegativeBaseFractionalPowerError):
-        eval_numeric(X ** sp.Rational(1, 2), {X: -1})
 
 
 def test_kernel_policy():
@@ -195,16 +144,3 @@ def test_partial_commutes(seed):
     e = _random_expr(rng, depth=3)
     s1, s2 = rng.choice(_POOL[:8]), rng.choice(_POOL[:8])
     assert equal(partial(partial(e, s1), s2), partial(partial(e, s2), s1))
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_eval_is_ring_homomorphism(seed):
-    rng = random.Random(seed)
-    a, b = _random_expr(rng), _random_expr(rng)
-    point = {s: Fraction(rng.randint(1, 7), rng.randint(1, 5)) for s in _POOL[:8]}
-    data = {("a", 0): Fraction(2, 3), ("b", 1): Fraction(-1, 2)}
-    ea = eval_numeric(a, point, data)
-    eb = eval_numeric(b, point, data)
-    assert eval_numeric(a + b, point, data) == ea + eb
-    assert eval_numeric(a * b, point, data) == ea * eb

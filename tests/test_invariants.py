@@ -1,12 +1,13 @@
 """Differential invariants, invariant derivations, and the counting series."""
 
+import random
 from fractions import Fraction
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from jetweyl.exprcore import equal, is_zero, jet, substitute
+from jetweyl.exprcore import equal, is_zero, jet
 from jetweyl.invariants import (
     apply_derivation,
     coframe_rewrite,
@@ -23,7 +24,8 @@ from jetweyl.invariants import (
     verify_identities,
     verify_invariance,
 )
-from jetweyl.jets import ms_system
+from jetweyl.jets import internal_indices, ms_system
+from jetweyl.linalg import rank
 
 u_x = jet("u", (0, 1, 0))
 u_xx = jet("u", (0, 2, 0))
@@ -50,7 +52,7 @@ def test_printed_forms():
 
 
 def test_direct_substitution_value():
-    assert substitute(invariant(1), {u_xy: 1, v_xx: 1, u_x: 1}) == 2
+    assert invariant(1).xreplace({u_xy: 1, v_xx: 1, u_x: 1}) == 2
 
 
 def test_invariant_value_at_a_jet_point():
@@ -141,6 +143,32 @@ def test_independence_rank_is_twelve():
         },
     )
     assert independence_rank(theta) == 12
+
+
+def _tree_jacobian(point) -> list:
+    """The Jacobian rows on trees: sp.diff of the numerator and denominator
+    of each invariant, evaluated by JetPoint.eval, row-scaled by den^2."""
+    coords = [jet(dep, idx) for dep in ("u", "v") for idx in internal_indices(3)]
+    rows = []
+    for e in twelve_invariants():
+        num, den = sp.fraction(sp.together(e))
+        nval, dval = point.eval(num), point.eval(den)
+        rows.append(
+            [dval * point.eval(sp.diff(num, c)) - nval * point.eval(sp.diff(den, c)) for c in coords]
+        )
+    return rows
+
+
+@pytest.mark.parametrize("seed", [3, 17, 20260822])
+def test_independence_rank_matches_the_tree_jacobian(seed):
+    rng = random.Random(seed)
+    internal = {
+        jet(dep, idx): Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
+        for dep in ("u", "v")
+        for idx in internal_indices(3)
+    }
+    theta = ms_system().point(3, internal=internal)
+    assert independence_rank(theta) == rank(_tree_jacobian(theta)) == 12
 
 
 # -- counting --------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Moving and reflecting sections in the section field against the
 expression-tree code it replaced.
 
-The tree versions of ``transform_section`` and ``reflect_section`` live
-here as the oracle: substitute the preimage point into u and v, add the
-fibre terms, ``normalize``.  The field versions must give structurally the
+The tree composition (``tree_oracle.tree_moved``/``tree_reflected``, then
+the sympy canonical form ``tree_normalize``) is the oracle.
+``Solution.transform`` and ``Solution.reflect`` must give structurally the
 same (u, v) on every catalog family under seeded pseudogroup elements of
 each kind the checks use, and refuse exactly where the tree refuses.
 """
@@ -15,64 +15,38 @@ import sympy as sp
 
 from jetweyl import checks, geometry
 from jetweyl.errors import ExprError, PseudogroupError, SolutionError
-from jetweyl.exprcore import T, X, Y, normalize, partial, validate_kernel
-from jetweyl.symmetry import PseudogroupElement, reflect_section, transform_section
+from jetweyl.exprcore import T, validate_kernel
+from jetweyl.symmetry import PseudogroupElement
+from tree_oracle import tree_moved, tree_normalize, tree_reflected
 
 # ---------------------------------------------------------------------------
 # the tree oracle
 
 
-def tree_transform_section(element, u_expr, v_expr):
-    ts, xs, ys = element.source_point()
-
-    def at_src(e):
-        return sp.sympify(e).subs(T, ts)
-
-    E = at_src(element.ee)
-    Ep = at_src(partial(element.ee, "t"))
-    Epp = at_src(partial(partial(element.ee, "t"), "t"))
-    s = at_src(element.root)
-    dprime = s**2
-    Csrc = at_src(element.c)
-    Aprime = at_src(partial(element.a, "t"))
-    Bprime = at_src(partial(element.b, "t"))
-    point_subs = {T: ts, X: xs, Y: ys}
+def _canonical_or_refused(exprs, what: str):
     try:
-        u_src = sp.sympify(u_expr).xreplace(point_subs)
-        v_src = sp.sympify(v_expr).xreplace(point_subs)
-        u_new = (
-            (E / s) * u_src
-            - (ys / E**2) * at_src(partial(element.ee**3 / element.root, "t"))
-            + Bprime / dprime
-            - 2 * Csrc / (E * s)
-        )
-        v_new = (
-            (E**2 / dprime) * v_src
-            + ((Csrc + 2 * E * Ep * ys) / dprime) * u_src
-            + ((E * Epp - 3 * Ep**2) / dprime) * ys**2
-            + (E**4 / dprime) * at_src(partial(element.c / element.ee**4, "t")) * ys
-            + (2 * E * Ep / dprime) * xs
-            + (E**2 * Aprime - Csrc**2) / (dprime * E**2)
-        )
-        u_new = validate_kernel(normalize(u_new), allow_exp=True)
-        v_new = validate_kernel(normalize(v_new), allow_exp=True)
+        return tuple(validate_kernel(tree_normalize(e), allow_exp=True) for e in exprs)
     except ExprError as exc:
-        raise SolutionError(f"transformed section leaves the representable domain: {exc}") from None
-    return u_new, v_new
+        raise SolutionError(f"{what} section leaves the representable domain: {exc}") from None
+
+
+def tree_transform_section(element, u_expr, v_expr):
+    return _canonical_or_refused(tree_moved(element, u_expr, v_expr), "transformed")
 
 
 def tree_reflect_section(which, u_expr, v_expr):
-    u_expr, v_expr = sp.sympify(u_expr), sp.sympify(v_expr)
-    if which == "txy":
-        flip = {T: -T, X: -X, Y: -Y}
-        out = (u_expr.xreplace(flip), v_expr.xreplace(flip))
-    else:
-        flip = {Y: -Y}
-        out = (-u_expr.xreplace(flip), v_expr.xreplace(flip))
-    try:
-        return tuple(validate_kernel(normalize(e), allow_exp=True) for e in out)
-    except ExprError as exc:
-        raise SolutionError(f"reflected section leaves the representable domain: {exc}") from None
+    return _canonical_or_refused(tree_reflected(which, u_expr, v_expr), "reflected")
+
+
+def transform_section(element, sol):
+    moved = sol.transform(element)
+    assert moved.checked
+    return moved.u, moved.v
+
+
+def reflect_section(which, sol):
+    reflected = sol.reflect(which)
+    return reflected.u, reflected.v
 
 
 def _outcome(fn, *args):
@@ -104,10 +78,7 @@ def test_moves_match_the_tree(cid, kind):
     sol = geometry.catalog(cid, **_BOUND.get(cid, {}))
     for el in _elements(cid, kind):
         want = _outcome(tree_transform_section, el, sol.u, sol.v)
-        assert _outcome(transform_section, el, sol.u, sol.v) == want, el
-        if isinstance(want, tuple):
-            moved = sol.transform(el)
-            assert (moved.u, moved.v) == want and moved.checked
+        assert _outcome(transform_section, el, sol) == want, el
 
 
 @pytest.mark.parametrize("cid", geometry.CATALOG_IDS)
@@ -115,7 +86,7 @@ def test_moves_with_formal_parameters_match_the_tree(cid):
     sol = geometry.catalog(cid)
     for el in _elements(cid, "noshift")[:3]:
         want = _outcome(tree_transform_section, el, sol.u, sol.v)
-        assert _outcome(transform_section, el, sol.u, sol.v) == want, el
+        assert _outcome(transform_section, el, sol) == want, el
 
 
 @pytest.mark.parametrize("which", ("txy", "yu"))
@@ -124,10 +95,7 @@ def test_reflections_match_the_tree(cid, which):
     for kwargs in ({}, _BOUND.get(cid, {})):
         sol = geometry.catalog(cid, **kwargs)
         want = _outcome(tree_reflect_section, which, sol.u, sol.v)
-        assert _outcome(reflect_section, which, sol.u, sol.v) == want
-        if isinstance(want, tuple):
-            reflected = sol.reflect(which)
-            assert (reflected.u, reflected.v) == want
+        assert _outcome(reflect_section, which, sol) == want
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +105,6 @@ def test_reflections_match_the_tree(cid, which):
 def _refused_on_both_paths(sol, el):
     with pytest.raises(SolutionError):
         tree_transform_section(el, sol.u, sol.v)
-    with pytest.raises(SolutionError):
-        transform_section(el, sol.u, sol.v)
     with pytest.raises(SolutionError, match="leaves the representable domain"):
         sol.transform(el)
 
@@ -157,9 +123,11 @@ def test_a_time_dependent_scaling_of_an_exponential_is_refused():
 
 
 def test_a_radical_inverse_time_map_is_refused():
-    el = PseudogroupElement.make(d=T**3 + T)
-    for cid in ("trivial", "hierarchy"):
-        _refused_on_both_paths(geometry.catalog(cid), el)
+    # D = t^3 + t is a bijection of the line, but its inverse is a radical,
+    # which no section field holds: the element is refused when it is made
+    for d in (T**3 + T, T**5 + 2 * T - 1):
+        with pytest.raises(PseudogroupError, match="must be affine"):
+            PseudogroupElement.make(d=d)
 
 
 @pytest.mark.parametrize("which", ("txy", "yu"))
@@ -168,8 +136,6 @@ def test_reflections_of_the_sl2_family_are_refused(which):
     sol = geometry.catalog("sl2-family", f=0, h=0)
     with pytest.raises(SolutionError):
         tree_reflect_section(which, sol.u, sol.v)
-    with pytest.raises(SolutionError):
-        reflect_section(which, sol.u, sol.v)
     with pytest.raises(SolutionError, match="leaves the representable domain"):
         sol.reflect(which)
 
@@ -209,9 +175,14 @@ def test_affine_elements_and_moves_call_neither_solve_nor_simplify(monkeypatch):
 
 
 def test_non_affine_time_maps_keep_the_radical_solve(monkeypatch):
-    # __post_init__ has checked D(D^-1(t)) = t for the radical inverse
-    el = PseudogroupElement.make(d=T**3 + T)
-    assert not el.dinv.is_rational_function(T)
-    monkeypatch.setattr(sp, "solve", lambda *a, **k: [])
-    with pytest.raises(PseudogroupError, match="could not invert"):
-        PseudogroupElement.make(d=T**3 + T)
+    # no time map reaches sympy's solve: a non-affine D is refused up front,
+    # and an explicit inverse of one is refused too
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy.solve was called")
+
+    monkeypatch.setattr(sp, "solve", refuse)
+    for d in (T**3 + T, T**2, 1 / (T**2 + 1), sp.sqrt(2) * T):
+        with pytest.raises(PseudogroupError, match="must be affine"):
+            PseudogroupElement.make(d=d)
+    with pytest.raises(PseudogroupError, match="must be affine"):
+        PseudogroupElement(d=T**3, dinv=sp.cbrt(T), root=sp.sqrt(3) * T)

@@ -8,7 +8,8 @@ the oracle.  Every field result must equal the tree result as a rational
 function, entry for entry, on the catalog (formal and bound parameters)
 and on seeded pseudogroup moves of it.  The tree results are compared in
 the section's field, after substituting its generators; on the catalog the
-canonical expressions are compared on trees as well (``is_zero(a - b)``).
+canonical expressions are compared on trees as well, in the sympy
+canonical form of ``tree_oracle`` (``tree_normalize(a - b) == 0``).
 """
 
 import random
@@ -29,9 +30,7 @@ from jetweyl.exprcore import (
     Y,
     MultiIndex,
     is_jet_symbol,
-    is_zero,
     jet_info,
-    normalize,
     partial,
 )
 from jetweyl.geometry import (
@@ -45,6 +44,7 @@ from jetweyl.geometry import (
     weyl_connection,
 )
 from jetweyl.symmetry import ansatz_covector, ansatz_metric
+from tree_oracle import tree_normalize
 
 _COORDS = (T, X, Y)
 
@@ -195,7 +195,7 @@ def _same(sol: Solution, elements, tree) -> bool:
 def _same_exprs(a, b) -> bool:
     """Canonical expressions equal tree expressions, on trees."""
     fa, fb = _flat(a), _flat(b)
-    return len(fa) == len(fb) and all(is_zero(x - y) for x, y in zip(fa, fb))
+    return len(fa) == len(fb) and all(tree_normalize(x - y) == 0 for x, y in zip(fa, fb))
 
 
 # the bound parameters of the acceptance checks (geometry, equivalence,
@@ -267,7 +267,7 @@ def _check_against_the_tree(sol: Solution, sign: int = -1, exprs: bool = False):
         assert _same_exprs(d_omega(pair), dw)
         assert _same_exprs([sf.expr(e) for row in field_resid for e in row], resid)
         if sign == -1:
-            assert is_zero(check_EW(sol).lam - lam)
+            assert tree_normalize(check_EW(sol).lam - lam) == 0
 
 
 @pytest.mark.parametrize("cid, kwargs", list(_catalog_cases()))
@@ -294,7 +294,7 @@ def test_non_solution_residuals_match_the_tree():
     ):
         sol = Solution(u, v, deferred=True)
         assert _same_exprs(sol.residuals(), TreeSection(sol).residuals())
-        assert not all(is_zero(r) for r in sol.residuals())
+        assert not all(tree_normalize(r) == 0 for r in sol.residuals())
 
 
 def test_jets_and_invariants_match_the_tree():
@@ -305,23 +305,23 @@ def test_jets_and_invariants_match_the_tree():
     for word in ("", "t", "x", "y", "xy", "ty", "yyy", "txy"):
         idx = MultiIndex.from_word(word)
         for dep in ("u", "v"):
-            assert is_zero(sol.jet_expr(dep, idx) - tree.jet(dep, idx))
+            assert tree_normalize(sol.jet_expr(dep, idx) - tree.jet(dep, idx)) == 0
     assert geometry.invariants_on_solution(sol) == tuple(
         tree.subs(invariant(i)) for i in (1, 2, 3)
     )
     gen = _moved("hierarchy", 1)
     tree = TreeSection(gen)
     for e in twelve_invariants()[:4]:
-        assert is_zero(gen.jet_subs(e) - tree.subs(e))
+        assert tree_normalize(gen.jet_subs(e) - tree.subs(e)) == 0
 
 
 def test_hierarchy_residual_matches_the_tree():
     for w in (X**3, X**2 * Y + T, X * Y**2 + T**2 * X - Y**3 / 3):
         wx, wy = partial(w, "x"), partial(w, "y")
-        tree = normalize(
+        tree = tree_normalize(
             partial(wx, "t") + wx * partial(wx, "y") - wy * partial(wx, "x") - partial(wy, "y")
         )
-        assert is_zero(geometry.hierarchy_residual(w) - tree)
+        assert geometry.hierarchy_residual(w) == tree
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,7 @@ from jetweyl.symmetry import (
     orbit_dimension,
     orbit_expected_dimension,
     orbit_spanning_count,
-    reflect_section,
     table_cell_text,
-    transform_section,
     verify_commutation_table,
 )
 
@@ -159,23 +157,23 @@ def test_lift_solver_returns_the_unique_solution():
 
 def test_identity_fixes_sections():
     ident = PseudogroupElement.identity()
-    u2, v2 = transform_section(ident, X + sp.exp(Y), sp.Integer(0))
-    assert equal(u2, X + sp.exp(Y)) and is_zero(v2)
+    moved = Solution(X + sp.exp(Y), sp.Integer(0)).transform(ident)
+    assert equal(moved.u, X + sp.exp(Y)) and is_zero(moved.v)
 
 
 def test_transform_preserves_solutions():
     el = PseudogroupElement.make(d=4 * T, a=T**2, b=T, c=sp.Rational(1, 2) * T, ee=3)
-    u2, v2 = transform_section(el, X, sp.Integer(0))
-    r1, r2 = Solution(u2, v2, deferred=True).residuals()
-    assert is_zero(r1) and is_zero(r2)
+    moved = Solution(X, sp.Integer(0)).transform(el)
+    r1, r2 = Solution(moved.u, moved.v, deferred=True).residuals()
+    assert moved.checked and is_zero(r1) and is_zero(r2)
 
 
 def test_order_one_relative_invariant_factor():
     # u_x picks up 1/(E*sqrt(D')) under the action; on the section u = x the
     # composition is invisible, leaving the bare factor
     el = PseudogroupElement.make(d=4 * T, ee=3)
-    u2, _ = transform_section(el, X, sp.Integer(0))
-    assert equal(sp.diff(u2, X), sp.Rational(1, 6))
+    moved = Solution(X, sp.Integer(0)).transform(el)
+    assert equal(sp.diff(moved.u, X), sp.Rational(1, 6))
 
 
 def test_non_invertible_time_map_rejected():
@@ -205,25 +203,29 @@ def test_time_maps_with_a_critical_point_are_refused():
 
 
 def test_positive_rational_scalings_and_dilations_are_accepted():
-    el = PseudogroupElement.make(d=T**3 + T, ee=1 / (T**2 + 1))
+    el = PseudogroupElement.make(d=3 * T + 1, ee=1 / (T**2 + 1))
     assert equal(el.ee, 1 / (T**2 + 1))
+    assert el.root == sp.sqrt(3) and el.dinv == T / 3 - sp.Rational(1, 3)
 
 
 def test_reflections():
-    ur, vr = reflect_section("txy", X, sp.Integer(0))
-    assert equal(ur, -X) and is_zero(vr)
-    ur, vr = reflect_section("yu", X + Y, sp.Integer(0))
-    assert equal(ur, -X + Y)
+    sol = Solution(X, sp.Integer(0))
+    reflected = sol.reflect("txy")
+    assert equal(reflected.u, -X) and is_zero(reflected.v)
+    assert equal(sol.reflect("yu").u, -X)
+    # yu flips y: v = y^4/12 + x*y goes to y^4/12 - x*y
+    reflected = Solution(sp.Integer(0), Y**4 / 12 + X * Y).reflect("yu")
+    assert is_zero(reflected.u) and equal(reflected.v, Y**4 / 12 - X * Y)
     with pytest.raises(Exception):
-        reflect_section("xy", X, sp.Integer(0))
+        sol.reflect("xy")
 
 
 def test_reflections_preserve_solutions():
-    u0, v0 = X, sp.Integer(0)
+    sol = Solution(X, sp.Integer(0))
     for which in ("txy", "yu"):
-        ur, vr = reflect_section(which, u0, v0)
-        r1, r2 = Solution(ur, vr, deferred=True).residuals()
-        assert is_zero(r1) and is_zero(r2), which
+        reflected = sol.reflect(which)
+        r1, r2 = Solution(reflected.u, reflected.v, deferred=True).residuals()
+        assert reflected.checked and is_zero(r1) and is_zero(r2), which
 
 
 # -- orbit dimensions ------------------------------------------------------

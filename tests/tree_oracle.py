@@ -1,0 +1,116 @@
+"""The expression-tree code the jet ring replaced, kept as the oracle of the
+tests.
+
+``tree_normalize`` is the sympy canonical form: ``together``, then
+fractional powers of base variables and exponential atoms rescaled to
+integer powers of auxiliary generators, then ``cancel``, then the
+generators substituted back.  ``tree_moved`` and ``tree_reflected`` compose
+a section with a pseudogroup element or a reflection on trees and return
+the unnormalized result.
+"""
+
+import functools
+
+import sympy as sp
+
+from jetweyl.errors import DivisionByZeroExpression
+from jetweyl.exprcore import BASE_SYMBOLS, T, X, Y, partial
+
+_AUX = {
+    name: sp.Dummy(name, positive=True)
+    for base in BASE_SYMBOLS
+    for name in (f"E{base.name}", base.name.upper())
+}
+
+
+def tree_rescaled(e: sp.Expr) -> tuple[sp.Expr, dict]:
+    """Fractional powers of base variables and exponential atoms as integer
+    powers of auxiliary positive generators; constants stay as they are."""
+    back = {}
+    if e.has(sp.exp):
+        e = sp.expand_power_exp(sp.powsimp(e, deep=True))
+        for base in BASE_SYMBOLS:
+            coeffs = {}
+            for atom in e.atoms(sp.exp):
+                c = atom.args[0].as_coefficient(base)
+                if c is not None and c.is_Rational and c != 0:
+                    coeffs[atom] = c
+            if not coeffs:
+                continue
+            scale = sp.Rational(1, functools.reduce(sp.ilcm, [c.q for c in coeffs.values()], 1))
+            gen = _AUX[f"E{base.name}"]
+            e = e.xreplace({atom: gen ** int(c / scale) for atom, c in coeffs.items()})
+            back[gen] = sp.exp(scale * base)
+    for base in BASE_SYMBOLS:
+        dens = [
+            p.exp.q
+            for p in e.atoms(sp.Pow)
+            if p.base == base and p.exp.is_Rational and not p.exp.is_Integer
+        ]
+        if not dens:
+            continue
+        m = functools.reduce(sp.ilcm, dens, 1)
+        gen = _AUX[base.name.upper()]
+        e = e.xreplace({base: gen**m})
+        back[gen] = base ** sp.Rational(1, m)
+    return e, back
+
+
+def tree_normalize(e) -> sp.Expr:
+    """The canonical form computed by sympy's ``cancel`` on trees."""
+    e = sp.sympify(e)
+    if e.is_Rational:
+        return e
+    scaled, back = tree_rescaled(sp.together(e))
+    canon = sp.cancel(scaled)
+    if canon.has(sp.zoo, sp.nan):
+        raise DivisionByZeroExpression(f"canonicalization produced an undefined value from {e}")
+    return canon.xreplace(back) if back else canon
+
+
+def tree_moved(element, u_expr, v_expr) -> tuple[sp.Expr, sp.Expr]:
+    """The section pushed through a pseudogroup element: the old section at
+    the preimage point plus the fibre terms, every function of t taken at
+    the preimage time; unnormalized."""
+    ts, xs, ys = element.source_point()
+
+    def at_src(e):
+        return sp.sympify(e).subs(T, ts)
+
+    E = at_src(element.ee)
+    Ep = at_src(partial(element.ee, "t"))
+    Epp = at_src(partial(partial(element.ee, "t"), "t"))
+    s = at_src(element.root)
+    dprime = s**2
+    Csrc = at_src(element.c)
+    Aprime = at_src(partial(element.a, "t"))
+    Bprime = at_src(partial(element.b, "t"))
+    point_subs = {T: ts, X: xs, Y: ys}
+    u_src = sp.sympify(u_expr).xreplace(point_subs)
+    v_src = sp.sympify(v_expr).xreplace(point_subs)
+    u_new = (
+        (E / s) * u_src
+        - (ys / E**2) * at_src(partial(element.ee**3 / element.root, "t"))
+        + Bprime / dprime
+        - 2 * Csrc / (E * s)
+    )
+    v_new = (
+        (E**2 / dprime) * v_src
+        + ((Csrc + 2 * E * Ep * ys) / dprime) * u_src
+        + ((E * Epp - 3 * Ep**2) / dprime) * ys**2
+        + (E**4 / dprime) * at_src(partial(element.c / element.ee**4, "t")) * ys
+        + (2 * E * Ep / dprime) * xs
+        + (E**2 * Aprime - Csrc**2) / (dprime * E**2)
+    )
+    return u_new, v_new
+
+
+def tree_reflected(which, u_expr, v_expr) -> tuple[sp.Expr, sp.Expr]:
+    """The section under the reflection ``txy`` (t, x, y -> -t, -x, -y) or
+    ``yu`` (y, u -> -y, -u); unnormalized."""
+    u_expr, v_expr = sp.sympify(u_expr), sp.sympify(v_expr)
+    if which == "txy":
+        flip = {T: -T, X: -X, Y: -Y}
+        return u_expr.xreplace(flip), v_expr.xreplace(flip)
+    flip = {Y: -Y}
+    return -u_expr.xreplace(flip), v_expr.xreplace(flip)
