@@ -31,17 +31,10 @@ from dataclasses import dataclass
 
 import sympy as sp
 
-from .errors import ParseError
-from .exprcore import (
-    MultiIndex,
-    formal,
-    jet,
-    normalize,
-    to_text,
-    validate_kernel,
-)
+from .errors import ParseError, UnknownSymbolError
+from .exprcore import formal, is_jet_symbol, normalize, resolve_symbol, validate_kernel
 
-__all__ = ["parse_expr", "parse_solution", "solution_to_text"]
+__all__ = ["parse_expr", "parse_solution"]
 
 _TOKEN_RE = re.compile(
     r"""
@@ -52,9 +45,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-_JET_REF_RE = re.compile(r"^([uv])_((?:[txy]\d*)+)$")
-_FORMAL_REF_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)('*)$")
 
 
 @dataclass
@@ -197,34 +187,24 @@ class _Parser:
         if name in ("t", "x", "y", "u", "v"):
             if self.cur.kind == "(":
                 raise ParseError(f"{name} does not take arguments", self.cur.pos)
-            return {
-                "t": sp.Symbol("t", real=True),
-                "x": sp.Symbol("x", real=True),
-                "y": sp.Symbol("y", positive=True),
-                "u": jet("u"),
-                "v": jet("v"),
-            }[name]
-        m = _JET_REF_RE.match(name)
-        if m:
+            return resolve_symbol(name)
+        if "_" in name:
+            # a jet coordinate: u_tx, v_xxy, u_t3x2
             try:
-                return jet(m.group(1), MultiIndex.from_word(m.group(2)))
-            except ValueError as exc:
-                raise ParseError(str(exc), tok.pos) from None
-        m = _FORMAL_REF_RE.match(name)
-        if m:
-            # formal functions must be applied to t: f(t), f''(t)
-            self.expect("(")
-            arg = self.expect("ident")
-            if arg.text != "t":
-                raise ParseError(
-                    f"formal function {m.group(1)!r} must be applied to t", arg.pos
-                )
-            self.expect(")")
-            try:
-                return formal(m.group(1), len(m.group(2)))
-            except ValueError as exc:
-                raise ParseError(str(exc), tok.pos) from None
-        raise ParseError(f"unknown identifier {name!r}", tok.pos)
+                return resolve_symbol(name)
+            except UnknownSymbolError:
+                raise ParseError(f"unknown identifier {name!r}", tok.pos) from None
+        # a formal function, applied to t: f(t), f''(t)
+        base = name.rstrip("'")
+        self.expect("(")
+        arg = self.expect("ident")
+        if arg.text != "t":
+            raise ParseError(f"formal function {base!r} must be applied to t", arg.pos)
+        self.expect(")")
+        try:
+            return formal(base, len(name) - len(base))
+        except ValueError as exc:
+            raise ParseError(str(exc), tok.pos) from None
 
 
 def parse_expr(text: str, allow_exp: bool = False) -> sp.Expr:
@@ -259,8 +239,9 @@ def parse_solution(text: str, allow_exp: bool = True) -> dict[str, sp.Expr]:
         if head.text in bindings:
             raise ParseError(f"duplicate binding for {head.text}", head.pos)
         node = normalize(validate_kernel(node, allow_exp=allow_exp))
-        for sym in node.free_symbols:
-            if sym.name in ("u", "v") or sym.name.startswith(("u_", "v_")):
+        # in a fixed order, so that the message names the same jet each run
+        for sym in sorted(node.free_symbols, key=sp.default_sort_key):
+            if is_jet_symbol(sym):
                 raise ParseError(
                     f"solution component may not reference jet coordinate {sym}",
                     head.pos,
@@ -271,6 +252,3 @@ def parse_solution(text: str, allow_exp: bool = True) -> dict[str, sp.Expr]:
         raise ParseError(f"missing bindings for {', '.join(sorted(missing))}")
     return bindings
 
-
-def solution_to_text(u, v) -> str:
-    return f"u = {to_text(u)}; v = {to_text(v)}"

@@ -44,7 +44,7 @@ from .exprcore import (
     jet,
     jet_info,
     jet_order,
-    partial,
+    normalize,
     to_text,
     validate_kernel,
 )
@@ -214,15 +214,17 @@ class SectionField(_Rescaled):
         numerator and denominator polynomials of e are evaluated at them."""
         src, num, den = _jet_polys(sp.sympify(e))
         return self._quotient(
-            src, num, den, self._value, f"the denominator of {e} vanishes on the section"
+            src, num, den, self._value, lambda: f"the denominator of {e} vanishes on the section"
         )
 
-    def _quotient(self, src, num, den, value, message: str):
+    def _quotient(self, src, num, den, value, message):
         """num/den for polynomials of the ring ``src``, with each generator
-        s of ``src`` replaced by the element ``value(s)`` of this field."""
+        s of ``src`` replaced by the element ``value(s)`` of this field;
+        ``message()`` is the text of the error raised when the denominator
+        vanishes."""
         L, ((n, dn), (d, dd)) = self._evaluate(src, (num, den), value)
         if not self._reduced(d):
-            raise DivisionByZeroExpression(message)
+            raise DivisionByZeroExpression(message())
         if dd >= dn:
             return self.ring.field.new(n * L ** (dd - dn), d)
         return self.ring.field.new(n, d * L ** (dn - dd))
@@ -248,40 +250,23 @@ class SectionField(_Rescaled):
         with the moved (u, v) as its values.
 
         The new section at (t, x, y) is the old one at the preimage point
-        (``element.source_point()``) plus the fibre terms, with every
-        function of t taken at the preimage time.  Each generator of this
+        plus the fibre terms, with every function of t taken at the
+        preimage time (``element.at_source()``).  Each generator of this
         field is sent to its image in a field that holds the preimage point
         and the fibre coefficients, where u and v are evaluated and the
         fibre terms added.  Solutions map to solutions."""
-        ts, xs, ys = element.source_point()
-
-        def at_src(e) -> sp.Expr:
-            return sp.sympify(e).subs(T, ts)
-
-        def dot(e) -> sp.Expr:
-            return partial(e, "t")
-
-        ee, root = element.ee, element.root
-        coefficients = (
-            at_src(ee),
-            at_src(dot(ee)),
-            at_src(dot(dot(ee))),
-            at_src(root),
-            at_src(element.c),
-            at_src(dot(element.a)),
-            at_src(dot(element.b)),
-            at_src(dot(ee**3 / root)),
-            at_src(dot(element.c / ee**4)),
+        ts, xs, ys, *coefficients = element.at_source()
+        target, data, (u, v) = self._pushed(
+            (ts, xs, ys, element.root, *coefficients), "transformed"
         )
-        target, data, (u, v) = self._pushed((ts, xs, ys, *coefficients), "transformed")
-        _, xs, ys, E, Ep, Epp, s, C, Ap, Bp, K1, K2 = data
+        _, xs, ys, s, E, Ep, Epp, Ap, Bp, C, Cp = data
         D = s * s
-        u_new = E / s * u - ys / E**2 * K1 + Bp / D - 2 * C / (E * s)
+        u_new = E / s * u - 3 * Ep * ys / s + Bp / D - 2 * C / (E * s)
         v_new = (
             E**2 * v
             + (C + 2 * E * Ep * ys) * u
             + (E * Epp - 3 * Ep**2) * ys**2
-            + E**4 * K2 * ys
+            + (Cp - 4 * C * Ep / E) * ys
             + 2 * E * Ep * xs
         ) / D + (E**2 * Ap - C**2) / (D * E**2)
         return target._with_values((u_new, v_new))
@@ -326,7 +311,7 @@ class SectionField(_Rescaled):
             return images[s] if s in images else F.ring.gen(s)
 
         moved = [
-            F._quotient(self.ring, f.numer, f.denom, value, f"{what} section has a pole")
+            F._quotient(self.ring, f.numer, f.denom, value, lambda: f"{what} section has a pole")
             for f in self.values
         ]
         return F, F.values[: len(exprs)], moved
@@ -421,6 +406,7 @@ class Solution:
         self.system = system or ms_system()
         self._field = field
         self._pair: WeylPair | None = None
+        self._residual_elements: tuple | None = None
         self.checked = False
         if not deferred:
             self.require_solution()
@@ -432,7 +418,10 @@ class Solution:
         return self._field
 
     def _residuals(self) -> tuple:
-        return tuple(self.field.subs(F) for F in self.system.equations)
+        """F1, F2 at the section as field elements, computed once."""
+        if self._residual_elements is None:
+            self._residual_elements = tuple(self.field.subs(F) for F in self.system.equations)
+        return self._residual_elements
 
     def residuals(self) -> tuple[sp.Expr, sp.Expr]:
         """The two equation residuals: F1, F2 with the section's
@@ -440,10 +429,13 @@ class Solution:
         when the section solves the system."""
         return tuple(map(self.field.expr, self._residuals()))
 
+    def solves(self) -> bool:
+        """True when both residuals vanish (the field's zero test)."""
+        return all(map(self.field.vanishes, self._residuals()))
+
     def require_solution(self) -> "Solution":
-        r1, r2 = self._residuals()
-        if not (self.field.vanishes(r1) and self.field.vanishes(r2)):
-            r1, r2 = map(self.field.expr, (r1, r2))
+        if not self.solves():
+            r1, r2 = self.residuals()
             raise SolutionError(
                 f"section {self.name!r} does not solve the system: "
                 f"residuals ({to_text(r1)}, {to_text(r2)})"
@@ -470,7 +462,6 @@ class Solution:
         for dep in ("u", "v"):
             for idx in internal_indices(k):
                 val = self.jet_expr(dep, idx).xreplace(subs)
-                val = sp.nsimplify(val, rational=True) if not val.is_Rational else val
                 if not val.is_Rational:
                     raise SolutionError(
                         f"jet of {self.name!r} at {base} is not rational: "
@@ -856,6 +847,9 @@ def canonical_frame(pair: WeylPair, pt, strict: bool = False) -> FrameResult:
     projection of the raised covector to the complement of e1; e3 = J e2
     where J is g^{-1} d omega scaled so J^2 = -1 or +1 (the sign is exact
     and reported; the scaling introduces one square root).
+
+    The point is taken exactly, and every decision (pivots, ranks, zero
+    components) is the exact zero test ``is_zero``.
     """
 
     def fail(reason: str) -> FrameResult:
@@ -863,72 +857,69 @@ def canonical_frame(pair: WeylPair, pt, strict: bool = False) -> FrameResult:
             raise DegenerateFrameError(reason)
         return FrameResult(False, reason)
 
+    def at(m: sp.Matrix) -> sp.Matrix:
+        return m.xreplace(subs).applyfunc(normalize)
+
+    def canonical(vec) -> tuple:
+        return tuple(normalize(c) for c in vec)
+
     subs = {c: sp.Rational(q) for c, q in zip(_COORDS, pt)}
-    g = pair.g.xreplace(subs).applyfunc(sp.nsimplify)
-    w = pair.omega.xreplace(subs).applyfunc(sp.nsimplify)
-    A = d_omega(pair).xreplace(subs).applyfunc(sp.nsimplify)
+    g, w, A = at(pair.g), at(pair.omega), at(d_omega(pair))
     if all(e == 0 for e in A):
         return fail("d omega vanishes at the point")
-    null = A.nullspace()
+    null = A.nullspace(iszerofunc=is_zero)
     if len(null) != 1:
         return fail("Ker(d omega) is not a line")
-    e1 = null[0]
-    we1 = sp.simplify((w.T * e1)[0])
+    we1 = normalize((w.T * null[0])[0])
     if we1 == 0:
         return fail("omega(e1) = 0 at the point")
-    e1 = e1 / we1
-    g11 = sp.simplify((e1.T * g * e1)[0])
+    e1 = sp.Matrix(canonical(null[0] / we1))
+    g11 = normalize((e1.T * g * e1)[0])
     if g11 == 0:
         return fail("Ker(d omega) is null at the point")
-    wsharp = g.inv() * w
-    e2 = wsharp - (sp.simplify((wsharp.T * g * e1)[0]) / g11) * e1
-    J0 = g.inv() * A
+    # adjugate over determinant: sympy's Gauss-Jordan inverse would run its
+    # intermediate cancel on every entry
+    ginv = g.inv(method="ADJ", iszerofunc=is_zero)
+
+    def project(vec: sp.Matrix) -> sp.Matrix:
+        # the g-orthogonal projection to the complement of e1
+        return sp.Matrix(canonical(vec - ((vec.T * g * e1)[0] / g11) * e1))
+
+    e2 = project(ginv * w)
+    J0 = ginv * A
     # J0 preserves the g-complement of e1 and squares to a scalar there
-    basis = []
-    for cand in (sp.Matrix([1, 0, 0]), sp.Matrix([0, 1, 0]), sp.Matrix([0, 0, 1])):
-        proj = cand - (sp.simplify((cand.T * g * e1)[0]) / g11) * e1
-        basis.append(proj)
-    M = sp.Matrix.hstack(*basis)
-    if M.rank() < 2:
+    basis = [project(sp.eye(3).col(i)) for i in range(3)]
+    if sp.Matrix.hstack(*basis).rank(iszerofunc=is_zero) < 2:
         return fail("projection to the complement degenerates")
     lam = None
     for b in basis:
-        if b.norm() == 0:
+        nonzero = [c for c in range(3) if b[c] != 0]
+        if not nonzero:
             continue
-        Jb = J0 * b
-        JJb = J0 * Jb
-        # solve JJb = lam * b componentwise
-        for comp in range(3):
-            if sp.simplify(b[comp]) != 0:
-                cand = sp.simplify(JJb[comp] / b[comp])
-                if lam is None:
-                    lam = cand
-                elif sp.simplify(lam - cand) != 0:
-                    return fail("J^2 is not scalar on the complement")
-        if lam is not None and not all(
-            sp.simplify(JJb[c] - lam * b[c]) == 0 for c in range(3)
-        ):
+        JJb = J0 * (J0 * b)
+        if lam is None:
+            lam = normalize(JJb[nonzero[0]] / b[nonzero[0]])
+        if not all(is_zero(JJb[c] - lam * b[c]) for c in range(3)):
             return fail("J^2 is not scalar on the complement")
     if lam is None or lam == 0:
         return fail("J^2 degenerates on the complement")
     sign = 1 if lam > 0 else -1
-    J = J0 / sp.sqrt(abs(lam))
-    e3 = J * e2
+    Je2 = J0 * e2
     notes = []
-    if sp.Matrix.hstack(e2, e3).rank() < 2:
+    if sp.Matrix.hstack(e2, Je2).rank(iszerofunc=is_zero) < 2:
         # in the para case (J^2 = +1) the projected covector can land on a
         # J-eigenvector; the pair (e2, e3) then fails to span the plane
         notes.append("e3 is proportional to e2 (J-eigenvector point)")
-    simp = lambda vec: tuple(sp.simplify(c) for c in vec)
+    scale = 1 / sp.sqrt(sign * lam)
     return FrameResult(
         True,
         None,
-        simp(e1),
-        simp(e2),
-        simp(e3),
+        tuple(e1),
+        tuple(e2),
+        tuple(c * scale for c in canonical(Je2)),
         # J^2 = sign * id on the complement; -1 is the elliptic case
         sign,
-        sp.simplify(-lam),
+        normalize(-lam),
         tuple(notes),
     )
 
@@ -945,7 +936,7 @@ def signature_report(pair: WeylPair, pts) -> dict:
         for i in range(3):
             row = []
             for j in range(3):
-                e = sp.nsimplify(gval[i, j], rational=True)
+                e = gval[i, j]
                 if e.is_Rational:
                     row.append(as_fraction(e))
                 else:
@@ -1002,13 +993,12 @@ def catalog(cid: str, f=None, h=None, w=None) -> Solution:
             0, Y**4 / 12 + X * Y + _tfunc(h, "h"), name=cid
         )
     if cid == "hierarchy":
-        w = X**3 if w is None else sp.sympify(w)
-        r = hierarchy_residual(w)
-        if not is_zero(r):
+        sf, r, wx, wy = _hierarchy(X**3 if w is None else w)
+        if not sf.vanishes(r):
             raise SolutionError(
-                f"potential does not solve the hierarchy equation: {to_text(r)}"
+                f"potential does not solve the hierarchy equation: {to_text(sf.expr(r))}"
             )
-        return Solution(partial(w, "x"), -partial(w, "y"), name=cid)
+        return Solution(sf.expr(wx), sf.expr(-wy), name=cid)
     if cid == "exp-family":
         return Solution(
             X + sp.exp(Y),
@@ -1034,10 +1024,10 @@ def catalog(cid: str, f=None, h=None, w=None) -> Solution:
     raise ValueError(f"unknown catalog id {cid!r}; known: {CATALOG_IDS}")
 
 
-def dkp_reduction_check(system: EquationSystem | None = None) -> bool:
+def dkp_reduction_check() -> bool:
     """With u = 0 the second equation is the dKP equation
     v_tx + v_x^2 + v v_xx - v_yy = 0 (on jets)."""
-    system = system or ms_system()
+    system = ms_system()
     kill_u = {
         s: sp.Integer(0)
         for s in system.F2.free_symbols
@@ -1049,13 +1039,20 @@ def dkp_reduction_check(system: EquationSystem | None = None) -> bool:
     return is_zero(system.F2.xreplace(kill_u) - dkp)
 
 
-def hierarchy_residual(w) -> sp.Expr:
-    """Left-hand side of the hierarchy equation on a closed-form potential:
-    w_tx + w_x w_xy - w_y w_xx - w_yy."""
+def _hierarchy(w) -> tuple:
+    """(field, residual, w_x, w_y) of a closed-form potential w, the last
+    three as elements of the field of w."""
     sf = SectionField((validate_kernel(sp.sympify(w), allow_exp=True),))
     d = sf.partial
     wx, wy = d(sf.values[0], "x"), d(sf.values[0], "y")
-    return sf.expr(d(wx, "t") + wx * d(wx, "y") - wy * d(wx, "x") - d(wy, "y"))
+    return sf, d(wx, "t") + wx * d(wx, "y") - wy * d(wx, "x") - d(wy, "y"), wx, wy
+
+
+def hierarchy_residual(w) -> sp.Expr:
+    """Left-hand side of the hierarchy equation on a closed-form potential:
+    w_tx + w_x w_xy - w_y w_xx - w_yy."""
+    sf, r, _, _ = _hierarchy(w)
+    return sf.expr(r)
 
 
 def hierarchy_reduction_check() -> bool:

@@ -12,8 +12,7 @@ QQ) from start to finish: reduction on the equation is a substitution of
 generators and the zero test looks at a numerator.  Sympy expressions are
 converted once on the way in and once on the way out.  The reduction is
 always that of the modified dispersionless system, whose principal table
-the rings hold; the ``system`` arguments stay in the signatures for
-callers that pass one.
+the rings hold.
 """
 
 from __future__ import annotations
@@ -26,16 +25,9 @@ from math import comb
 import sympy as sp
 
 from .errors import SingularLocusError
-from .exprcore import is_jet_symbol, is_zero, jet, jet_order, normalize
+from .exprcore import is_jet_symbol, jet, jet_order, normalize
 from .fields import ProlongedField, prolong
-from .jets import (
-    EquationSystem,
-    JetPoint,
-    _jet_ring,
-    _ring_for,
-    internal_indices,
-    ms_system,
-)
+from .jets import EquationSystem, JetPoint, _jet_ring, _ring_for, internal_indices
 from .linalg import rank
 from .symmetry import ansatz_covector, ansatz_metric, generator
 
@@ -51,7 +43,6 @@ __all__ = [
     "verify_identities",
     "verify_invariance",
     "derivation_matrix",
-    "coframe_matrix",
     "CoframeReport",
     "coframe_rewrite",
     "invariant_value",
@@ -109,7 +100,7 @@ class InvariantDerivation:
                 out += ring.convert(c) * ring.total(f, d)
         return ring.reduce(out)
 
-    def apply(self, e, system: EquationSystem | None = None) -> sp.Expr:
+    def apply(self, e) -> sp.Expr:
         """The derivation applied to e and reduced on the equation (the
         system's principal table lives in the jet rings)."""
         e = sp.sympify(e)
@@ -139,7 +130,10 @@ def derivation(i: int) -> InvariantDerivation:
 
 
 def apply_derivation(i: int, e, system: EquationSystem | None = None) -> sp.Expr:
-    return derivation(i).apply(e, system)
+    """The i-th invariant derivation applied to e, reduced on the equation.
+    ``system`` is ignored (the rings hold the one system); it stays for
+    callers that pass it, such as the benchmark workloads."""
+    return derivation(i).apply(e)
 
 
 def _structure_K_in(ring, i: int):
@@ -198,9 +192,7 @@ class CommutatorReport:
     residuals: tuple[sp.Expr, sp.Expr, sp.Expr]
 
 
-def verify_derivation_commutators(
-    system: EquationSystem | None = None,
-) -> list[CommutatorReport]:
+def verify_derivation_commutators() -> list[CommutatorReport]:
     """Check the three bracket relations of the invariant derivations."""
     ring = _jet_ring(3)
     K = {i: ring.convert(structure_K(i)) for i in (1, 2, 3, 4)}
@@ -241,7 +233,7 @@ class IdentityReport:
     residual: sp.Expr
 
 
-def verify_identities(system: EquationSystem | None = None) -> list[IdentityReport]:
+def verify_identities() -> list[IdentityReport]:
     """The two order-drop identities expressing I1 and I3 through I2, the
     derivations and the structure coefficients."""
     ring = _jet_ring(3)
@@ -276,7 +268,9 @@ def _prolonged_family(fam: int, k: int) -> ProlongedField:
 def verify_invariance(e, k: int | None = None, system: EquationSystem | None = None):
     """True when e is annihilated by all five prolonged symmetry families
     (with formal parameters); otherwise the first nonzero reduced residual
-    as a witness pair (family, residual)."""
+    as a witness pair (family, residual).  ``system`` is ignored (the rings
+    hold the one system); it stays for callers that pass it, such as the
+    benchmark workloads."""
     e = sp.sympify(e)
     for fam in (1, 2, 3, 4, 5):
         ring, value = _prolonged_family(fam, jet_order(e) if k is None else k)._applied(e)
@@ -295,12 +289,6 @@ def derivation_matrix() -> sp.Matrix:
     return sp.Matrix([list(derivation(i).coefficients()) for i in (1, 2, 3)])
 
 
-def coframe_matrix() -> sp.Matrix:
-    """Row i holds the (dt, dx, dy) coefficients of the dual coframe form
-    alpha^i; the matrix is the inverse transpose of derivation_matrix."""
-    return derivation_matrix().inv().T
-
-
 @dataclass(frozen=True)
 class CoframeReport:
     gprime: sp.Matrix
@@ -310,37 +298,42 @@ class CoframeReport:
     notes: tuple
 
 
-def coframe_rewrite(system: EquationSystem | None = None) -> CoframeReport:
+def coframe_rewrite() -> CoframeReport:
     """Metric and covector in the invariant coframe, rescaled by u_x^2.
 
     The metric entries G'_ij = u_x^2 * g(nabla_i, nabla_j) are reduced on
     the equation and compared against the expected constant-plus-I2 form.
     The covector is compared twice: with the conformal adjustment that the
     rescaling g -> u_x^2 g induces (omega gains the horizontal differential
-    of log u_x^2) and without it; whichever matches is reported.
+    of log u_x^2) and without it; whichever matches is reported.  The
+    coframe dual to the derivations has determinant 1/det(derivation
+    matrix), expected to be -u_x^3.  Everything is computed and decided in
+    the order-3 jet ring.
     """
-    system = system or ms_system()
-    C = derivation_matrix()
-    G = C * ansatz_metric(_u, _v) * C.T
-    Gp = sp.Matrix(
-        3, 3, lambda i, j: system.reduce(sp.expand(_ux**2 * G[i, j]))
-    )
-    I2 = normalize(invariant(2))
-    expected_G = sp.Matrix([[0, 0, 2], [0, -1, 1], [2, 1, 4 * I2 - 1]])
-    g_ok = all(
-        is_zero(Gp[i, j] - expected_G[i, j])
-        for i in range(3)
-        for j in range(3)
-    )
-    w = ansatz_covector(_u, _ux, _uy, _vx)
-    plain = [system.reduce((C * w)[i]) for i in range(3)]
+    ring = _jet_ring(3)
+    c = ring.convert
+
+    def dot(a, b):
+        return sum((x * y for x, y in zip(a, b)), ring.field.zero)
+
+    C = [[c(e) for e in derivation(i).coefficients()] for i in (1, 2, 3)]
+    g = [[c(e) for e in row] for row in ansatz_metric(_u, _v).tolist()]
+    w = [c(e) for e in ansatz_covector(_u, _ux, _uy, _vx)]
+    ux = c(_ux)
+    Cg = [[dot(row, col) for col in zip(*g)] for row in C]
+    Gp = [[ring.reduce(ux**2 * dot(a, b)) for b in C] for a in Cg]
+    I2 = c(invariant(2))
+    expected_G = [[0, 0, 2], [0, -1, 1], [2, 1, 4 * I2 - 1]]
+    g_ok = not any(Gp[i][j] - expected_G[i][j] for i in range(3) for j in range(3))
+    Cw = [dot(row, w) for row in C]
+    plain = [ring.reduce(e) for e in Cw]
     adjust = [
-        system.reduce((C * w)[i] + 2 * apply_derivation(i + 1, _ux, system) / _ux)
-        for i in range(3)
+        ring.reduce(Cw[i] + 2 * derivation(i + 1)._apply_in(ring, ux) / ux) for i in range(3)
     ]
-    expected_w = (sp.Integer(2), sp.Integer(1), 4 * I2 - 1)
+    expected_w = (2, 1, 4 * I2 - 1)
+
     def matches(vec):
-        return all(is_zero(a - b) for a, b in zip(vec, expected_w))
+        return not any(a - b for a, b in zip(vec, expected_w))
 
     notes = []
     if matches(adjust):
@@ -351,11 +344,20 @@ def coframe_rewrite(system: EquationSystem | None = None) -> CoframeReport:
     else:
         omega, adjusted, w_ok = adjust, True, False
         notes.append("neither adjusted nor plain covector matches")
-    det_ok = is_zero(coframe_matrix().det() + _ux**3)
+    cofactors = [
+        C[1][(j + 1) % 3] * C[2][(j + 2) % 3] - C[1][(j + 2) % 3] * C[2][(j + 1) % 3]
+        for j in range(3)
+    ]
+    # the coframe's determinant 1/det(C) = -u_x^3, multiplied out
+    det_ok = not (1 + ux**3 * dot(C[0], cofactors))
     if not det_ok:
         notes.append("coframe determinant differs from -u_x^3")
     return CoframeReport(
-        Gp, tuple(omega), adjusted, g_ok and w_ok and det_ok, tuple(notes)
+        sp.Matrix([[ring.to_expr(e) for e in row] for row in Gp]),
+        tuple(map(ring.to_expr, omega)),
+        adjusted,
+        g_ok and w_ok and det_ok,
+        tuple(notes),
     )
 
 
@@ -383,15 +385,11 @@ def _twelve_in_ring() -> tuple:
 
 
 @lru_cache(maxsize=1)
-def _twelve_invariants() -> tuple[sp.Expr, ...]:
-    ring, twelve = _twelve_in_ring()
-    return tuple(map(ring.to_expr, twelve))
-
-
 def twelve_invariants() -> tuple[sp.Expr, ...]:
     """The signature components (I1, I2, I3, I_ij) with I_ij = the j-th
     derivation applied to I_i, in row-major order."""
-    return _twelve_invariants()
+    ring, twelve = _twelve_in_ring()
+    return tuple(map(ring.to_expr, twelve))
 
 
 def independence_rank(point: JetPoint) -> int:

@@ -556,9 +556,6 @@ class DimRecord:
     dim_equation: int
     internal_per_dependent: int
 
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.dim_jet_space, self.dim_equation, self.internal_per_dependent)
-
 
 def dims(k: int) -> DimRecord:
     """Dimension count at jet order k.
@@ -828,8 +825,6 @@ class JetPoint:
                 )
             rep[s] = sp.Rational(q.numerator, q.denominator)
         val = e.xreplace(rep)
-        if not val.is_Rational:
-            val = sp.nsimplify(val, rational=True)
         if not val.is_Rational:
             raise PointNotOnEquationError(f"non-rational value {val}")
         return as_fraction(val)

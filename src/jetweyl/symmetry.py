@@ -11,7 +11,7 @@ dimensions by exact rank.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
 
@@ -25,7 +25,6 @@ from .exprcore import (
     Y,
     formal,
     is_formal_symbol,
-    is_zero,
     jet,
     partial,
     to_text,
@@ -288,11 +287,6 @@ class ShapeField:
             ay=b + _dot(d) * Y / 2 + Y * e,
         )
 
-    def symmetry_field(self) -> PointField:
-        """The same parameters pushed through the five symmetry families."""
-        a, b, c, d, e = self.params()
-        return X1(a) + X2(b) + X3(c) + X4(d) + X5(e)
-
 
 def ansatz_metric(u, v) -> sp.Matrix:
     """The ansatz metric in coordinates (t, x, y):
@@ -424,23 +418,23 @@ class PseudogroupElement:
     """One closed-form element of the connected symmetry pseudogroup.
 
     ``d`` is the new time D(t) = alpha*t + beta (alpha > 0, rational
-    coefficients) with inverse ``dinv``; ``root`` is the positive square
-    root of D' = alpha.  ``a``..``ee`` are functions of t; ee (the scaling)
-    must stay positive.  Every check is exact: D is affine, root^2 = alpha
-    with root > 0, and D(Dinv(t)) = t; ee must be a rational function of t
-    without a real zero or pole (real-root counting), positive at t = 0.
+    coefficients); ``a``..``ee`` are functions of t, and ee (the scaling)
+    must stay positive.  The inverse time map ``dinv`` and the positive
+    square root ``root`` of D' = alpha are derived from D.  Every check is
+    exact: D is affine, and ee is a rational function of t without a real
+    zero or pole (real-root counting), positive at t = 0.
     """
 
-    d: sp.Expr
-    dinv: sp.Expr
-    root: sp.Expr
+    d: sp.Expr = T
     a: sp.Expr = sp.Integer(0)
     b: sp.Expr = sp.Integer(0)
     c: sp.Expr = sp.Integer(0)
     ee: sp.Expr = sp.Integer(1)
+    # (alpha, beta) of D, set once from d
+    _alpha_beta: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("d", "dinv", "root", "a", "b", "c", "ee"):
+        for name in ("d", "a", "b", "c", "ee"):
             e = sp.sympify(getattr(self, name))
             for s in e.free_symbols:
                 if s != T:
@@ -448,46 +442,49 @@ class PseudogroupElement:
                         f"{name} must be a closed form in t, found symbol {s}"
                     )
             object.__setattr__(self, name, e)
-        alpha, _ = _affine(self.d)
-        if not is_zero(self.root**2 - alpha):
-            raise PseudogroupError("root^2 must equal the derivative of d")
-        if not self.root.is_positive:
-            raise PseudogroupError("root (orientation) must be positive")
-        if not is_zero(self.d.subs(T, self.dinv) - T):
-            raise PseudogroupError("dinv is not an inverse of d")
+        object.__setattr__(self, "_alpha_beta", _affine(self.d))
         _require_positive_rational(self.ee, "ee (scaling)")
 
     @classmethod
-    def make(cls, d=T, dinv=None, root=None, a=0, b=0, c=0, ee=1):
-        """The element with D = d (affine); D^-1 = t/alpha - beta/alpha and
-        root = sqrt(alpha) unless given."""
-        d = sp.sympify(d)
-        alpha, beta = _affine(d)
-        if root is None:
-            root = sp.sqrt(alpha)
-        if dinv is None:
-            dinv = T / alpha - beta / alpha
-        return cls(d=d, dinv=dinv, root=root, a=a, b=b, c=c, ee=ee)
+    def make(cls, d=T, a=0, b=0, c=0, ee=1) -> "PseudogroupElement":
+        """The element with these data; the same as the constructor."""
+        return cls(d=d, a=a, b=b, c=c, ee=ee)
 
-    @classmethod
-    def identity(cls) -> "PseudogroupElement":
-        return cls(d=T, dinv=T, root=sp.Integer(1))
+    @property
+    def dinv(self) -> sp.Expr:
+        """D^-1(t) = t/alpha - beta/alpha."""
+        alpha, beta = self._alpha_beta
+        return T / alpha - beta / alpha
 
-    def source_point(self) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
-        """(t_s, x_s, y_s): the preimage of the running point (t, x, y).
+    @property
+    def root(self) -> sp.Expr:
+        """sqrt(alpha), the positive square root of D'."""
+        return sp.sqrt(self._alpha_beta[0])
+
+    def at_source(self) -> tuple[sp.Expr, ...]:
+        """(t_s, x_s, y_s, E, E', E'', A', B', C, C'): the preimage of the
+        running point (t, x, y), then ee, its first two derivatives, a',
+        b', c and c', each taken at the preimage time t_s = D^-1(t).
 
         The point map is triangular (new t depends on t alone, new y on
         t and y, new x on all three), so the inverse is closed-form.
         """
         ts = self.dinv
 
-        def at_src(e: sp.Expr) -> sp.Expr:
+        def at(e: sp.Expr) -> sp.Expr:
             return e.subs(T, ts)
 
-        E, Ep = at_src(self.ee), at_src(partial(self.ee, "t"))
-        ys = (Y - at_src(self.b)) / (at_src(self.root) * E)
-        xs = (X - E * Ep * ys**2 - at_src(self.c) * ys - at_src(self.a)) / E**2
-        return ts, xs, ys
+        ee1 = partial(self.ee, "t")
+        E, Ep, Epp = at(self.ee), at(ee1), at(partial(ee1, "t"))
+        C = at(self.c)
+        ys = (Y - at(self.b)) / (self.root * E)
+        xs = (X - E * Ep * ys**2 - C * ys - at(self.a)) / E**2
+        Ap, Bp, Cp = (at(partial(e, "t")) for e in (self.a, self.b, self.c))
+        return ts, xs, ys, E, Ep, Epp, Ap, Bp, C, Cp
+
+    def source_point(self) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
+        """(t_s, x_s, y_s): the preimage of the running point (t, x, y)."""
+        return self.at_source()[:3]
 
 
 # ---------------------------------------------------------------------------

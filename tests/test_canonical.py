@@ -208,9 +208,9 @@ def test_symbols_outside_the_jet_space_are_generators():
 
 
 def _sympy_calls(source: str) -> list:
-    """(function, enclosing def) for every call of sympy's cancel, solve or
-    simplify in a module's source, by attribute (``sp.cancel``) or by
-    name."""
+    """(function, enclosing def) for every call of sympy's cancel, solve,
+    simplify or nsimplify in a module's source, by attribute
+    (``sp.cancel``) or by name."""
     tree = ast.parse(source)
     imported = {
         a.asname or a.name
@@ -231,7 +231,7 @@ def _sympy_calls(source: str) -> list:
                         name = f.attr
                 elif isinstance(f, ast.Name) and f.id in imported:
                     name = f.id
-                if name in ("cancel", "solve", "simplify"):
+                if name in ("cancel", "solve", "simplify", "nsimplify"):
                     found.append((name, inner))
             visit(child, inner)
 
@@ -244,8 +244,6 @@ def test_no_second_canonicalizer_in_the_package():
     offending = []
     for path in sorted(src.glob("*.py")):
         for name, where in _sympy_calls(path.read_text()):
-            if name == "simplify" and path.name == "geometry.py" and where == "canonical_frame":
-                continue
             offending.append(f"{path.name}: sympy.{name} in {where}")
     assert offending == []
 
@@ -255,5 +253,11 @@ def test_the_canonicalizer_guard_sees_calls():
         "import sympy as sp\nfrom sympy import solve\n"
         "def f(e):\n    return sp.cancel(e) + solve(e)\n"
         "def canonical_frame(e):\n    return sp.simplify(e)\n"
+        "def g(e):\n    return sympy.nsimplify(e)\n"
     )
-    assert found == [("cancel", "f"), ("solve", "f"), ("simplify", "canonical_frame")]
+    assert found == [
+        ("cancel", "f"),
+        ("solve", "f"),
+        ("simplify", "canonical_frame"),
+        ("nsimplify", "g"),
+    ]

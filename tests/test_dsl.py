@@ -3,8 +3,9 @@
 import pytest
 import sympy as sp
 
-from jetweyl.dsl import parse_expr, parse_solution, solution_to_text
+from jetweyl.dsl import parse_expr, parse_solution
 from jetweyl.errors import ParseError
+from jetweyl.geometry import Solution
 from jetweyl.exprcore import T, X, Y, equal, formal, jet, to_text
 
 
@@ -42,7 +43,7 @@ def test_parse_solution_returns_components():
 
 def test_solution_text_round_trip():
     sol = parse_solution("u = y^(2/3) - 10/3 * x/y ; v = 2/5 * x * y^(-1/3)")
-    text = solution_to_text(sol["u"], sol["v"])
+    text = str(Solution(sol["u"], sol["v"], deferred=True))
     again = parse_solution(text)
     assert equal(again["u"], sol["u"]) and equal(again["v"], sol["v"])
 
@@ -56,6 +57,10 @@ def test_empty_component_is_a_syntax_error():
 def test_solutions_may_not_mention_jets():
     with pytest.raises(ParseError):
         parse_solution("u = u_x ; v = 0")
+    # with several jets the message names the first in sort order, whatever
+    # the order of the expression's symbol set
+    with pytest.raises(ParseError, match="jet coordinate u "):
+        parse_solution("u = v_txy + u_x + u ; v = 0")
 
 
 def test_error_positions_point_at_the_offence():

@@ -172,6 +172,29 @@ def test_frame_normalization_and_orthogonality():
     assert (e3.T * g_at * e2)[0, 0] == 0
 
 
+@pytest.mark.parametrize(
+    "cid, kwargs, pt",
+    [
+        # a point 10^-20 away from (0, 1, 1), where rounding would move it
+        ("hierarchy", {}, (0, 1 + Fraction(1, 10**20), 1)),
+        # frames whose entries are radicals
+        ("sl2-family", {"f": 0, "h": 0}, (0, 1, 2)),
+        ("sl2-family", {"f": 0, "h": 0}, (1, -1, 3)),
+    ],
+)
+def test_frame_is_exact_at_the_point(cid, kwargs, pt):
+    pair = build_pair(catalog(cid, **kwargs))
+    fr = canonical_frame(pair, pt)
+    assert fr.ok
+    point = {c: sp.Rational(q) for c, q in zip((T, X, Y), pt)}
+    omega_at = pair.omega.xreplace(point)
+    g_at = pair.g.xreplace(point)
+    e1, e2 = sp.Matrix(fr.e1), sp.Matrix(fr.e2)
+    assert is_zero((omega_at.T * e1)[0, 0] - 1)
+    assert all(is_zero(c) for c in d_omega(pair).xreplace(point) * e1)
+    assert is_zero((e1.T * g_at * e2)[0, 0])
+
+
 def test_frame_degenerate_report_and_strict_raise():
     pair = build_pair(catalog("trivial"))
     fr = canonical_frame(pair, (0, 0, 0))

@@ -156,7 +156,7 @@ def test_lift_solver_returns_the_unique_solution():
 
 
 def test_identity_fixes_sections():
-    ident = PseudogroupElement.identity()
+    ident = PseudogroupElement.make()
     moved = Solution(X + sp.exp(Y), sp.Integer(0)).transform(ident)
     assert equal(moved.u, X + sp.exp(Y)) and is_zero(moved.v)
 
@@ -197,9 +197,9 @@ def test_scalings_that_are_not_provably_positive_are_refused(ee):
 
 
 def test_time_maps_with_a_critical_point_are_refused():
-    # D' = 3t^2 vanishes at t = 0; root = sqrt(3)*|t| squares to it
+    # D' = 3t^2 vanishes at t = 0
     with pytest.raises(PseudogroupError):
-        PseudogroupElement(d=T**3, dinv=sp.cbrt(T), root=sp.sqrt(3) * sp.Abs(T))
+        PseudogroupElement(d=T**3)
 
 
 def test_positive_rational_scalings_and_dilations_are_accepted():
