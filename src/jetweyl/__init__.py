@@ -10,17 +10,17 @@ Subpackages by theme:
 * :mod:`jetweyl.symmetry`   the symmetry families, commutator table, the
                             structure-preserving pseudogroup, orbit dimensions
 * :mod:`jetweyl.invariants` differential invariants, invariant derivations,
-                            structure coefficients, moduli counting
+                            structure coefficients
+* :mod:`jetweyl.counts`     jet-space dimensions and the invariant counts
 * :mod:`jetweyl.geometry`   metric/one-form pairs, Weyl connection, Einstein
                             condition, the explicit-solution catalog
-* :mod:`jetweyl.equivalence` invariant signatures and equivalence verdicts
+* :mod:`jetweyl.equivalence` sampled invariant signatures of solutions
+* :mod:`jetweyl.clouds`     signature clouds: comparison, rank, JSON form
 * :mod:`jetweyl.checks`     the named checks behind ``verify-all`` and the
                             acceptance battery
 * :mod:`jetweyl.cli`        the ``jetweyl`` command-line tool
+
+``import jetweyl`` loads none of them.
 """
 
-from .exprcore import MultiIndex, formal, jet
-
 __version__ = "0.1.0"
-
-__all__ = ["MultiIndex", "formal", "jet", "__version__"]

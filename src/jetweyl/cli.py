@@ -7,8 +7,12 @@ orbit, invariance, commutators, coframe, counting, geometry, equivalence,
 mutation) and exits nonzero when any check fails.
 
 Exit codes: 0 ok; 1 a verification or comparison failed; 2 bad usage
-(argparse); 3 DSL parse error; 4 domain or math error (singular locus,
-invalid solution, pseudogroup data); 5 unexpected internal error.
+(argparse, including a negative order and an unreadable cloud file); 3 DSL
+parse error; 4 domain or math error (singular locus, invalid solution,
+pseudogroup data); 5 unexpected internal error.
+
+Each handler imports the layers it uses, so ``dims``, ``compare``,
+``--help`` and usage errors run without loading sympy.
 """
 
 from __future__ import annotations
@@ -18,13 +22,7 @@ import json
 import sys
 from fractions import Fraction
 
-import sympy as sp
-
-from . import checks, equivalence, geometry, invariants, symmetry
-from .dsl import parse_expr, parse_solution
 from .errors import JetweylError, ParseError
-from .exprcore import formal, to_text
-from .jets import dims, ms_system
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -59,6 +57,10 @@ def _jsonable(x):
         return [_jsonable(v) for v in x]
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
+    import sympy as sp
+
+    from .exprcore import to_text
+
     if isinstance(x, sp.MatrixBase):
         return [[to_text(e) for e in x.row(i)] for i in range(x.rows)]
     if isinstance(x, sp.Basic):
@@ -66,7 +68,10 @@ def _jsonable(x):
     return str(x)
 
 
-def _solution_from_text(text: str, args, deferred: bool = False) -> geometry.Solution:
+def _solution_from_text(text: str, args, deferred: bool = False):
+    from . import geometry
+    from .dsl import parse_expr, parse_solution
+
     if text in geometry.CATALOG_IDS:
         kw = {}
         for name in ("f", "h", "w"):
@@ -80,13 +85,16 @@ def _solution_from_text(text: str, args, deferred: bool = False) -> geometry.Sol
     )
 
 
-def _element_from_args(args) -> symmetry.PseudogroupElement:
+def _element_from_args(args):
+    from .dsl import parse_expr
+    from .symmetry import PseudogroupElement
+
     kw = {}
     for flag, name in (("D", "d"), ("A", "a"), ("B", "b"), ("C", "c"), ("E", "ee")):
         val = getattr(args, flag, None)
         if val is not None:
             kw[name] = parse_expr(val, allow_exp=False)
-    return symmetry.PseudogroupElement.make(**kw)
+    return PseudogroupElement.make(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +102,8 @@ def _element_from_args(args) -> symmetry.PseudogroupElement:
 
 
 def _cmd_dims(args):
+    from .counts import dims
+
     rec = dims(args.k)
     return {
         "k": rec.k,
@@ -104,6 +114,10 @@ def _cmd_dims(args):
 
 
 def _cmd_reduce(args):
+    from .dsl import parse_expr
+    from .exprcore import to_text
+    from .jets import ms_system
+
     system = ms_system()
     e = parse_expr(args.expr)
     red = system.reduce(e, k=args.order)
@@ -111,6 +125,8 @@ def _cmd_reduce(args):
 
 
 def _cmd_verify_table(args):
+    from . import symmetry
+
     reports = symmetry.verify_commutation_table()
     ok = all(r.ok for r in reports)
     return {
@@ -128,6 +144,11 @@ def _cmd_verify_table(args):
 
 
 def _cmd_check_symmetry(args):
+    from . import symmetry
+    from .dsl import parse_expr
+    from .exprcore import formal, to_text
+    from .jets import ms_system
+
     system = ms_system()
     families = (1, 2, 3, 4, 5) if args.family == "all" else (int(args.family),)
     out = []
@@ -150,11 +171,16 @@ def _cmd_check_symmetry(args):
 
 
 def _cmd_grading(args):
+    from . import symmetry
+
     ok = symmetry.grading_check()
     return {"ok": ok, "weights": symmetry.GRADES}, ok
 
 
 def _cmd_orbit_dim(args):
+    from . import symmetry
+    from .jets import ms_system
+
     system = ms_system()
     if args.point == "special":
         assign = {"u_x": Fraction(1)}
@@ -185,7 +211,38 @@ def _cmd_orbit_dim(args):
     }, dim == expected
 
 
+def _point_assignment(text: str) -> dict:
+    """The ``name=rational`` pieces of ``invariants --at``; a name is t, x,
+    y or an internal jet coordinate."""
+    from .exprcore import is_jet_symbol, jet_info, resolve_symbol
+
+    assign = {}
+    for piece in text.split(","):
+        piece = piece.strip()
+        if not piece:
+            continue
+        name, _, val = (part.strip() for part in piece.partition("="))
+        try:
+            value = Fraction(val)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"--at {piece!r}: {val!r} is not a rational number") from None
+        if name not in ("t", "x", "y"):
+            try:
+                sym = resolve_symbol(name)
+            except JetweylError:
+                sym = None
+            if sym is None or not is_jet_symbol(sym) or not jet_info(sym)[1].is_internal:
+                raise ParseError(
+                    f"--at {piece!r}: {name!r} is not t, x, y or an internal jet coordinate"
+                )
+        assign[name] = value
+    return assign
+
+
 def _cmd_invariants(args):
+    from . import invariants
+    from .exprcore import to_text
+
     doc = {
         "I": {i: to_text(invariants.invariant(i)) for i in (1, 2, 3)},
         "K": {i: to_text(invariants.structure_K(i)) for i in (1, 2, 3, 4)},
@@ -199,14 +256,12 @@ def _cmd_invariants(args):
         },
     }
     if args.eval:
+        from .dsl import parse_expr
+        from .jets import ms_system
+
         system = ms_system()
         e = system.reduce(parse_expr(args.eval))
-        assign = {}
-        for piece in (args.at or "").split(","):
-            piece = piece.strip()
-            if piece:
-                name, _, val = piece.partition("=")
-                assign[name.strip()] = Fraction(val.strip())
+        assign = _point_assignment(args.at or "")
         base = {c: assign.pop(c, Fraction(0)) for c in ("t", "x", "y")}
         theta = system.point(3, base=base, internal=assign)
         doc["eval"] = {"expr": args.eval, "value": str(theta.eval(e))}
@@ -214,6 +269,8 @@ def _cmd_invariants(args):
 
 
 def _cmd_verify_invariance(args):
+    from . import invariants
+
     quantities = {
         "I1": invariants.invariant(1),
         "I2": invariants.invariant(2),
@@ -236,6 +293,8 @@ def _cmd_verify_invariance(args):
 
 
 def _cmd_verify_commutators(args):
+    from . import invariants
+
     reports = invariants.verify_derivation_commutators()
     ok = all(r.ok for r in reports)
     return {
@@ -245,12 +304,17 @@ def _cmd_verify_commutators(args):
 
 
 def _cmd_verify_identities(args):
+    from . import invariants
+
     reports = invariants.verify_identities()
     ok = all(r.ok for r in reports)
     return {"ok": ok, "identities": [{"name": r.name, "ok": r.ok} for r in reports]}, ok
 
 
 def _cmd_coframe(args):
+    from . import invariants
+    from .exprcore import to_text
+
     rep = invariants.coframe_rewrite()
     return {
         "ok": rep.matches,
@@ -262,9 +326,13 @@ def _cmd_coframe(args):
 
 
 def _cmd_counts(args):
+    from . import invariants
+    from .counts import counting
+    from .exprcore import to_text
+
     out = []
     for k in range(2, args.upto + 1):
-        rec = invariants.counting(args.series, k)
+        rec = counting(args.series, k)
         out.append({"k": rec.k, "s": rec.s, "h": rec.h})
     return {
         "series": args.series,
@@ -274,11 +342,16 @@ def _cmd_counts(args):
 
 
 def _cmd_check_solution(args):
+    from . import geometry
+    from .exprcore import to_text
+
     sol = _solution_from_text(args.solution, args, deferred=True)
     r1, r2 = sol.residuals()
     solves = sol.solves()
     pts = None
     if args.points:
+        from . import equivalence
+
         cfg = equivalence.SamplerConfig(seed=args.seed, n=args.points)
         stream = cfg.stream()
         pts = []
@@ -321,10 +394,13 @@ def _cmd_transform(args):
 
 
 def _cmd_signature(args):
+    from . import equivalence
+    from .clouds import cloud_to_json
+
     sol = _solution_from_text(args.solution, args)
     cfg = equivalence.SamplerConfig(seed=args.seed, n=args.n)
     cloud = equivalence.signature(sol, cfg)
-    text = equivalence.cloud_to_json(cloud)
+    text = cloud_to_json(cloud)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -333,11 +409,9 @@ def _cmd_signature(args):
 
 
 def _cmd_compare(args):
-    with open(args.a) as fh:
-        c1 = equivalence.cloud_from_json(fh.read())
-    with open(args.b) as fh:
-        c2 = equivalence.cloud_from_json(fh.read())
-    rep = equivalence.compare(c1, c2, tol=args.tol)
+    from .clouds import cloud_from_json, compare
+
+    rep = compare(cloud_from_json(args.a), cloud_from_json(args.b), tol=args.tol)
     return {
         "verdict": rep.verdict,
         "hausdorff": rep.hausdorff,
@@ -352,6 +426,8 @@ def _cmd_compare(args):
 
 
 def _cmd_verify_all(args):
+    from . import checks
+
     if args.only and args.only not in checks.REGISTRY:
         raise JetweylError(f"unknown suite {args.only!r}; known: {list(checks.REGISTRY)}")
     names = [args.only] if args.only else list(checks.REGISTRY)
@@ -366,6 +442,26 @@ def _cmd_verify_all(args):
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+def _order(text: str) -> int:
+    """A jet order: a non-negative integer."""
+    try:
+        k = int(text)
+    except ValueError:
+        k = -1
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return k
+
+
+def _file_text(path: str) -> str:
+    """The contents of a file, read when the command line is parsed."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {path!r}: {exc.strerror}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("dims", _cmd_dims, "jet-space and equation dimensions at order k")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_order)
 
     p = add("reduce", _cmd_reduce, "reduce a jet expression through the equations")
     p.add_argument("expr")
@@ -400,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("grading", _cmd_grading, "verify the weight grading of the symmetry algebra")
 
     p = add("orbit-dim", _cmd_orbit_dim, "orbit dimension of the symmetry algebra at order k")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_order)
     p.add_argument("--point", choices=["special", "random"], default="special")
     p.add_argument("--seed", type=int, default=0)
 
@@ -418,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("counts", _cmd_counts, "invariant counting and Poincare series")
     p.add_argument("series", choices=["ms", "weyl", "ew-general"])
-    p.add_argument("--upto", type=int, default=6)
+    p.add_argument("--upto", type=_order, default=6)
 
     p = add("check-solution", _cmd_check_solution, "equation residuals and Einstein check")
     p.add_argument("solution", help="catalog id or DSL 'u = ...; v = ...'")
@@ -451,8 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{name}", default=None, help=f"catalog parameter {name}")
 
     p = add("compare", _cmd_compare, "compare two signature cloud JSON files")
-    p.add_argument("a")
-    p.add_argument("b")
+    p.add_argument("a", type=_file_text)
+    p.add_argument("b", type=_file_text)
     p.add_argument("--tol", type=float, default=1e-9)
 
     p = add("verify-all", _cmd_verify_all, "run the named checks of the acceptance registry")

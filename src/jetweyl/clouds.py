@@ -1,0 +1,148 @@
+"""Signature clouds: their comparison, rank and JSON form.
+
+A cloud is a finite sample of the twelve-invariant signature of a
+solution (``equivalence`` draws it).  Everything here is float or
+``Fraction`` arithmetic on the stored values, so ``jetweyl compare``
+starts without the symbolic layers.  Finite sampling can only ever give
+evidence for equality of signature images, so the positive verdict is
+labeled accordingly.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .errors import ComparisonError
+from .linalg import float_rank
+
+__all__ = [
+    "SignatureCloud",
+    "CompareReport",
+    "compare",
+    "cloud_rank",
+    "cloud_to_json",
+    "cloud_from_json",
+]
+
+
+@dataclass(frozen=True)
+class SignatureCloud:
+    points: tuple  # (t, x, y) triples
+    values: tuple  # 12-vectors, Fractions when exact
+    precision: str  # "exact" | "float64"
+    provenance: str = "user"
+    notes: tuple = ()
+    regular: bool | None = None  # None: not determined
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+# ---------------------------------------------------------------------------
+# comparison
+
+
+@dataclass(frozen=True)
+class CompareReport:
+    verdict: str  # equivalent-evidence | distinct | inconclusive
+    hausdorff: float
+    scale: float
+    tol: float
+    notes: tuple = ()
+
+
+def _dist(a, b) -> float:
+    return max(abs(float(x) - float(y)) for x, y in zip(a, b))
+
+
+def compare(
+    c1: SignatureCloud,
+    c2: SignatureCloud,
+    tol: float = 1e-9,
+    min_points: int = 1,
+) -> CompareReport:
+    """Two-sided tolerance matching of the clouds.
+
+    distinct when the symmetric Hausdorff distance exceeds tol*(1+scale);
+    equivalent-evidence when every value of each cloud has a close
+    counterpart in the other; inconclusive when either cloud is too
+    sparse.  Symmetric in its arguments and monotone in tol: raising tol
+    only ever moves the verdict toward equivalent-evidence.
+    """
+    if c1.precision != c2.precision:
+        raise ComparisonError(
+            f"precision mismatch: {c1.precision} vs {c2.precision}"
+        )
+    notes = []
+    for c in (c1, c2):
+        if c.regular is False:
+            notes.append(
+                f"{c.provenance}: not I-regular, constant-signature comparison only"
+            )
+    if len(c1) < min_points or len(c2) < min_points:
+        return CompareReport(
+            "inconclusive", float("nan"), 0.0, tol, tuple(notes + ["sparse cloud"])
+        )
+    scale = max(
+        (abs(float(x)) for c in (c1, c2) for row in c.values for x in row),
+        default=0.0,
+    )
+    d12 = max(min(_dist(p, q) for q in c2.values) for p in c1.values)
+    d21 = max(min(_dist(p, q) for q in c1.values) for p in c2.values)
+    h = max(d12, d21)
+    verdict = "distinct" if h > tol * (1.0 + scale) else "equivalent-evidence"
+    return CompareReport(verdict, h, scale, tol, tuple(notes))
+
+
+def cloud_rank(cloud: SignatureCloud, rtol: float = 1e-6) -> int:
+    """Numeric rank of the cloud around its centroid (the local dimension
+    of the signature image for well-sampled data)."""
+    if len(cloud) < 2:
+        return 0
+    n = len(cloud)
+    cent = [sum(float(row[k]) for row in cloud.values) / n for k in range(12)]
+    rows = [[float(row[k]) - cent[k] for k in range(12)] for row in cloud.values]
+    return float_rank(rows, rtol)
+
+
+# ---------------------------------------------------------------------------
+# serialization
+
+
+def cloud_to_json(cloud: SignatureCloud) -> str:
+    def enc(v):
+        return str(v) if isinstance(v, Fraction) else float(v)
+
+    return json.dumps(
+        {
+            "points": [[str(c) for c in p] for p in cloud.points],
+            "values": [[enc(v) for v in row] for row in cloud.values],
+            "precision": cloud.precision,
+            "solution_provenance": cloud.provenance,
+            "notes": list(cloud.notes),
+            "regular": cloud.regular,
+        },
+        sort_keys=True,
+    )
+
+
+def cloud_from_json(text: str) -> SignatureCloud:
+    try:
+        data = json.loads(text)
+        dec = (
+            (lambda v: Fraction(v))
+            if data["precision"] == "exact"
+            else (lambda v: float(v))
+        )
+        return SignatureCloud(
+            tuple(tuple(Fraction(c) for c in p) for p in data["points"]),
+            tuple(tuple(dec(v) for v in row) for row in data["values"]),
+            data["precision"],
+            data.get("solution_provenance", "user"),
+            tuple(data.get("notes", ())),
+            data.get("regular"),
+        )
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ComparisonError(f"malformed signature cloud: {exc}") from exc

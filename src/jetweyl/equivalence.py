@@ -1,40 +1,32 @@
-"""Signature clouds: sampling the twelve basic invariants on a solution
-and comparing two solutions by their sampled signatures.
+"""Signature clouds: sampling the twelve basic invariants on a solution.
 
-Finite sampling can only ever give evidence for equality of signature
-images, so the positive verdict is labeled accordingly.  Solutions whose
-first three invariants are constant (every closed-form family here) get
-a one-point constant cloud and a note that the regularity hypothesis of
-the equivalence criterion fails.
+Comparison, rank and the JSON form of a cloud live in :mod:`jetweyl.clouds`.
+Solutions whose first three invariants are constant (every closed-form
+family here) get a one-point constant cloud and a note that the
+regularity hypothesis of the equivalence criterion fails.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy as sp
 
-from .errors import ComparisonError, SingularLocusError, SolutionError
+from .clouds import SignatureCloud, compare  # noqa: F401  (compare is re-exported)
+from .errors import SingularLocusError, SolutionError
 from .exprcore import T, X, Y, is_formal_symbol, is_zero, jet
 from .invariants import invariant, twelve_invariants
 from .jets import JetPoint
-from .linalg import as_fraction, float_rank
+from .linalg import as_fraction
 from .geometry import SectionField, Solution, _cofactors
 
 __all__ = [
     "SamplerConfig",
     "halton",
-    "SignatureCloud",
     "signature",
     "i_regular",
-    "CompareReport",
-    "compare",
-    "cloud_rank",
     "jet_cloud",
-    "cloud_to_json",
-    "cloud_from_json",
 ]
 
 _COORDS = (T, X, Y)
@@ -87,26 +79,14 @@ class SamplerConfig:
 # clouds
 
 
-@dataclass(frozen=True)
-class SignatureCloud:
-    points: tuple  # (t, x, y) triples
-    values: tuple  # 12-vectors, Fractions when exact
-    precision: str  # "exact" | "float50"
-    provenance: str = "user"
-    notes: tuple = ()
-    regular: bool | None = None  # None: not determined
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def _section_base_invariants(sol: Solution) -> list[sp.Expr]:
     """I1, I2, I3 along the section, without deriving the other nine."""
     return [sol.jet_subs(invariant(i)) for i in (1, 2, 3)]
 
 
 def _eval_at(e, subs):
-    """Exact rational value when possible, else a 50-digit float."""
+    """Exact rational value when possible, else the double nearest the
+value (evaluated to 50 digits, then rounded)."""
     val = sp.sympify(e).xreplace(subs)
     if val.free_symbols:
         raise SolutionError(f"value is not a number: {val}")
@@ -198,7 +178,7 @@ def signature(sol: Solution, sampler: SamplerConfig | None = None) -> SignatureC
     return SignatureCloud(
         tuple(points),
         tuple(values),
-        "exact" if exact else "float50",
+        "exact" if exact else "float64",
         sol.name,
         tuple(notes),
         None,
@@ -244,111 +224,3 @@ def i_regular(sol: Solution, pt) -> bool:
     M = [[sf.partial(e, d) for d in "txy"] for e in sf.values]
     det = sf.sum(M[0][j] * c for j, c in enumerate(_cofactors(M)[0]))
     return not is_zero(sf.expr(det).xreplace(subs))
-
-
-# ---------------------------------------------------------------------------
-# comparison
-
-
-@dataclass(frozen=True)
-class CompareReport:
-    verdict: str  # equivalent-evidence | distinct | inconclusive
-    hausdorff: float
-    scale: float
-    tol: float
-    notes: tuple = ()
-
-
-def _dist(a, b) -> float:
-    return max(abs(float(x) - float(y)) for x, y in zip(a, b))
-
-
-def compare(
-    c1: SignatureCloud,
-    c2: SignatureCloud,
-    tol: float = 1e-9,
-    min_points: int = 1,
-) -> CompareReport:
-    """Two-sided tolerance matching of the clouds.
-
-    distinct when the symmetric Hausdorff distance exceeds tol*(1+scale);
-    equivalent-evidence when every value of each cloud has a close
-    counterpart in the other; inconclusive when either cloud is too
-    sparse.  Symmetric in its arguments and monotone in tol: raising tol
-    only ever moves the verdict toward equivalent-evidence.
-    """
-    if c1.precision != c2.precision:
-        raise ComparisonError(
-            f"precision mismatch: {c1.precision} vs {c2.precision}"
-        )
-    notes = []
-    for c in (c1, c2):
-        if c.regular is False:
-            notes.append(
-                f"{c.provenance}: not I-regular, constant-signature comparison only"
-            )
-    if len(c1) < min_points or len(c2) < min_points:
-        return CompareReport(
-            "inconclusive", float("nan"), 0.0, tol, tuple(notes + ["sparse cloud"])
-        )
-    scale = max(
-        (abs(float(x)) for c in (c1, c2) for row in c.values for x in row),
-        default=0.0,
-    )
-    d12 = max(min(_dist(p, q) for q in c2.values) for p in c1.values)
-    d21 = max(min(_dist(p, q) for q in c1.values) for p in c2.values)
-    h = max(d12, d21)
-    verdict = "distinct" if h > tol * (1.0 + scale) else "equivalent-evidence"
-    return CompareReport(verdict, h, scale, tol, tuple(notes))
-
-
-def cloud_rank(cloud: SignatureCloud, rtol: float = 1e-6) -> int:
-    """Numeric rank of the cloud around its centroid (the local dimension
-    of the signature image for well-sampled data)."""
-    if len(cloud) < 2:
-        return 0
-    n = len(cloud)
-    cent = [sum(float(row[k]) for row in cloud.values) / n for k in range(12)]
-    rows = [[float(row[k]) - cent[k] for k in range(12)] for row in cloud.values]
-    return float_rank(rows, rtol)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def cloud_to_json(cloud: SignatureCloud) -> str:
-    def enc(v):
-        return str(v) if isinstance(v, Fraction) else float(v)
-
-    return json.dumps(
-        {
-            "points": [[str(c) for c in p] for p in cloud.points],
-            "values": [[enc(v) for v in row] for row in cloud.values],
-            "precision": cloud.precision,
-            "solution_provenance": cloud.provenance,
-            "notes": list(cloud.notes),
-            "regular": cloud.regular,
-        },
-        sort_keys=True,
-    )
-
-
-def cloud_from_json(text: str) -> SignatureCloud:
-    try:
-        data = json.loads(text)
-        dec = (
-            (lambda v: Fraction(v))
-            if data["precision"] == "exact"
-            else (lambda v: float(v))
-        )
-        return SignatureCloud(
-            tuple(tuple(Fraction(c) for c in p) for p in data["points"]),
-            tuple(tuple(dec(v) for v in row) for row in data["values"]),
-            data["precision"],
-            data.get("solution_provenance", "user"),
-            tuple(data.get("notes", ())),
-            data.get("regular"),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ComparisonError(f"malformed signature cloud: {exc}") from exc

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Every error that a CLI command can surface maps to a stable exit code; the
-mapping lives in ``cli.EXIT_CODES`` and is part of the documented interface.
+codes are ``cli.EXIT_OK`` … ``cli.EXIT_INTERNAL`` and are part of the
+documented interface.
 """
 
 from __future__ import annotations

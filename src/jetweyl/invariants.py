@@ -1,4 +1,5 @@
-"""Differential invariants of the symmetry action and moduli counting.
+"""Differential invariants of the symmetry action, and the Poincare
+functions of the moduli counts as sympy expressions.
 
 Three second-order invariants generate the field together with three
 invariant derivations; their structure coefficients close the picture at
@@ -20,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 import sympy as sp
 
+from .counts import _poincare
 from .errors import SingularLocusError
 from .exprcore import is_jet_symbol, jet, jet_order, normalize
 from .fields import ProlongedField, prolong
@@ -48,10 +49,7 @@ __all__ = [
     "invariant_value",
     "twelve_invariants",
     "independence_rank",
-    "CountRecord",
-    "counting",
     "poincare_function",
-    "poincare_coefficients",
 ]
 
 _ux = jet("u", "x")
@@ -429,79 +427,11 @@ def independence_rank(point: JetPoint) -> int:
 
 
 # ---------------------------------------------------------------------------
-# counting
+# counting (closed forms in ``counts``)
 
 _Z = sp.Symbol("z")
-
-#: each Poincare function as N(z) / (1 - z)^n: (coefficients of N, n)
-_POINCARE = {
-    "ms": ((0, 0, 3, 3, -2), 2),
-    "weyl": ((0, 0, 13, -9, 0, 1), 3),
-    "ew-general": ((0, 0, 8, -1, -1), 2),
-}
-
-
-def _pure_count(series: str, k: int) -> int:
-    if k < 2:
-        return 0
-    if series == "ms":
-        return 3 if k == 2 else 4 * k - 3
-    if series == "weyl":
-        return 13 if k == 2 else (5 * k**2 + 7 * k - 6) // 2
-    if series == "ew-general":
-        return 8 if k == 2 else 3 * (2 * k - 1)
-    raise ValueError(f"unknown series {series!r}")
-
-
-@dataclass(frozen=True)
-class CountRecord:
-    k: int
-    s: int
-    h: int
-    series: str
-
-
-def _poincare(series: str) -> tuple[tuple[int, ...], int]:
-    if series not in _POINCARE:
-        raise ValueError(f"unknown series {series!r}")
-    return _POINCARE[series]
 
 
 def poincare_function(series: str) -> sp.Expr:
     numerator, n = _poincare(series)
     return sum(c * _Z**j for j, c in enumerate(numerator)) / (1 - _Z) ** n
-
-
-def _poincare_coefficient(series: str, m: int) -> int:
-    """The coefficient of z^m: N(z) times the binomial series
-    (1 - z)^-n = sum_i C(i + n - 1, n - 1) z^i."""
-    numerator, n = _poincare(series)
-    return sum(
-        c * comb(m - j + n - 1, n - 1) for j, c in enumerate(numerator) if j <= m
-    )
-
-
-def poincare_coefficients(series: str, upto: int) -> list[int]:
-    """Taylor coefficients h_0..h_upto of the closed-form counting series."""
-    return [_poincare_coefficient(series, m) for m in range(upto + 1)]
-
-
-def counting(series: str, k: int) -> CountRecord:
-    """Number of independent invariants: cumulative s_k and pure-order h_k.
-
-    The closed-form h_k is cross-checked against the z^k coefficient of
-    the Poincare function, in exact integer arithmetic, on every call.
-    """
-    if k < 0:
-        raise ValueError("order must be non-negative")
-    h = _pure_count(series, k)
-    coeff = _poincare_coefficient(series, k)
-    if coeff != h:
-        raise AssertionError(
-            f"series {series}: closed form h_{k}={h} but Poincare "
-            f"coefficient is {coeff}"
-        )
-    s = sum(_pure_count(series, m) for m in range(k + 1))
-    if series == "ms" and k >= 2:
-        assert s == 2 * k**2 - k - 3
-    return CountRecord(k, s, h, series)

@@ -19,20 +19,14 @@ is a substitution of generators; the symmetry and invariance checks
 compute there and convert sympy expressions only at their boundary.  A
 :class:`JetPoint` solves the same triangular system in rational numbers.
 
-Counting internal multi-indices (a, b, c) with a*b = 0 and a+b+c <= k gives
-(k+1)^2 per dependent variable, whence
-
-    dim (k-jet space)            = 3 + 2*C(k+3, 3),
-    dim (equation submanifold_k) = 3 + 2*(k+1)^2   for k >= 2,
-
-with the low orders 5 (k=0) and 11 (k=1) where no equation constrains yet.
+The dimension counts of jet spaces and equation submanifolds live in
+:mod:`jetweyl.counts`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
@@ -75,8 +69,6 @@ from .linalg import as_fraction
 __all__ = [
     "total_derivative",
     "total_derivative_multi",
-    "dims",
-    "DimRecord",
     "EquationSystem",
     "ms_system",
     "JetPoint",
@@ -547,32 +539,6 @@ def principal_indices(k: int) -> list[MultiIndex]:
             if c >= 0:
                 out.append(MultiIndex(a, b, c))
     return sorted(out, key=lambda i: (i.order, i.nt, i.nx, i.ny))
-
-
-@dataclass(frozen=True)
-class DimRecord:
-    k: int
-    dim_jet_space: int
-    dim_equation: int
-    internal_per_dependent: int
-
-
-def dims(k: int) -> DimRecord:
-    """Dimension count at jet order k.
-
-    dim J^k = 3 + 2*C(k+3,3); the equation submanifold has dimension
-    3 + 2*(k+1)^2 for k >= 2 (5 and 11 at orders 0 and 1, where the
-    second-order equations impose nothing); each dependent variable
-    contributes (k+1)^2 internal coordinates.
-    """
-    if k < 0:
-        raise ValueError("jet order must be non-negative")
-    dim_jet = 3 + 2 * comb(k + 3, 3)
-    if k >= 2:
-        dim_eq = 3 + 2 * (k + 1) ** 2
-    else:
-        dim_eq = dim_jet  # 5 at k=0, 11 at k=1
-    return DimRecord(k, dim_jet, dim_eq, (k + 1) ** 2)
 
 
 class EquationSystem:

@@ -17,6 +17,7 @@ from math import factorial, prod
 
 import sympy as sp
 
+from .counts import dims
 from .errors import ExprError, JetOrderError, LiftError, PseudogroupError
 from .exprcore import (
     MAX_JET_ORDER,
@@ -501,8 +502,6 @@ def orbit_spanning_count(k: int) -> int:
 def orbit_expected_dimension(k: int) -> int:
     """Generic orbit dimension at order k: the spanning count, capped by
     the dimension of the equation manifold (the cap binds only at k=1)."""
-    from .jets import dims
-
     return min(orbit_spanning_count(k), dims(k).dim_equation)
 
 

@@ -105,6 +105,35 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["dims", "-1"], ["counts", "ms", "--upto", "-1"], ["orbit-dim", "-1"]]
+)
+def test_a_negative_order_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "'-1' is not a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "at, named",
+    [("u_x=abc", "'abc' is not a rational number"), ("foo=1", "'foo' is not t, x, y")],
+)
+def test_a_bad_at_piece_is_a_parse_error(at, named, capsys):
+    code, doc = run(["invariants", "--eval", "u_x", "--at", at], capsys)
+    assert code == 3 and doc["error"] == "parse"
+    assert f"'{at}'" in doc["message"] and named in doc["message"]
+
+
+def test_compare_of_a_missing_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "nofile.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", str(missing), str(missing)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"cannot read '{missing}'" in err and "No such file" in err
+
+
 def test_transform_reflection(capsys):
     code, doc = run(["transform", "hierarchy", "--w", "x^3", "--reflect", "txy"], capsys)
     assert code == 0

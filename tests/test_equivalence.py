@@ -6,13 +6,15 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from jetweyl.equivalence import (
-    SamplerConfig,
+from jetweyl.clouds import (
     SignatureCloud,
     cloud_from_json,
     cloud_rank,
     cloud_to_json,
     compare,
+)
+from jetweyl.equivalence import (
+    SamplerConfig,
     halton,
     i_regular,
     jet_cloud,
@@ -20,7 +22,8 @@ from jetweyl.equivalence import (
 )
 from jetweyl.errors import ComparisonError, SingularLocusError, SolutionError
 from jetweyl.exprcore import T, X, Y
-from jetweyl.geometry import catalog
+from jetweyl.dsl import parse_solution
+from jetweyl.geometry import Solution, catalog
 from jetweyl.jets import internal_indices, ms_system
 from jetweyl.symmetry import PseudogroupElement
 
@@ -116,9 +119,26 @@ def test_compare_verdict_is_monotone_in_tol():
 
 def test_compare_requires_matching_precision():
     c = signature(catalog("sl2-family", f=0, h=0))
-    other = SignatureCloud(points=c.points, values=c.values, precision="float50")
+    other = SignatureCloud(points=c.points, values=c.values, precision="float64")
     with pytest.raises(ComparisonError):
         compare(c, other)
+
+
+def test_a_sampled_float_cloud_is_labelled_float64():
+    # u = v = x^(1/2) solves the system (v*u_x and v*v_x are constant) with
+    # I1 = -x^(-1/2), irrational at x = 2.  Every catalog section has
+    # constant invariants and gets the one-point exact cloud instead.
+    text = parse_solution("u = x^(1/2) ; v = x^(1/2)")
+    sol = Solution(text["u"], text["v"])
+    at_2 = signature(sol, SamplerConfig(n=3, box=((-2, 2), (2, 2), (-2, 2))))
+    assert at_2.precision == "float64"
+    assert all(type(v) is float for row in at_2.values for v in row)
+    assert at_2.values[0][0] == -(2 ** -0.5)
+    assert cloud_from_json(cloud_to_json(at_2)) == at_2
+    at_1 = signature(sol, SamplerConfig(n=3, box=((-2, 2), (1, 1), (-2, 2))))
+    assert at_1.precision == "exact"
+    with pytest.raises(ComparisonError, match="float64 vs exact"):
+        compare(at_2, at_1)
 
 
 def test_compare_sparse_clouds_inconclusive():

@@ -7,16 +7,15 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from jetweyl.counts import counting, poincare_coefficients
 from jetweyl.exprcore import equal, is_zero, jet
 from jetweyl.invariants import (
     apply_derivation,
     coframe_rewrite,
-    counting,
     derivation_matrix,
     independence_rank,
     invariant,
     invariant_value,
-    poincare_coefficients,
     poincare_function,
     structure_K,
     twelve_invariants,

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jetweyl.counts import dims
 from jetweyl.errors import JetOrderError, PointNotOnEquationError
 from jetweyl.exprcore import T, X, Y, equal, is_zero, jet, partial
 from jetweyl.geometry import Solution
 from jetweyl.jets import (
-    dims,
     internal_indices,
     jet as _unused_guard,  # noqa: F401  (re-export sanity)
     ms_system,

@@ -1,0 +1,176 @@
+"""The light path: commands that need no algebra start without sympy.
+
+``import jetweyl.cli`` loads the standard library and ``errors`` only, and
+each subcommand imports the layers it uses.  A fresh interpreter runs
+``dims``, ``compare``, ``--help`` and a usage error and must not have
+loaded sympy after any of them.  A static guard reads the sources: the
+light modules import neither sympy nor a module that uses it, and
+``cli.py`` imports neither at module level.
+"""
+
+import ast
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import jetweyl
+from jetweyl.clouds import SignatureCloud, cloud_to_json
+
+SRC = pathlib.Path(jetweyl.__file__).resolve().parent
+
+LIGHT = ("__init__.py", "errors.py", "linalg.py", "counts.py", "clouds.py")
+
+
+# ---------------------------------------------------------------------------
+# a fresh interpreter
+
+_PROBE = """
+import json, sys
+import jetweyl.cli
+loaded = {"import": "sympy" in sys.modules}
+for name, argv in json.loads(sys.argv[1]):
+    try:
+        code = jetweyl.cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    loaded[name] = [code, "sympy" in sys.modules]
+with open(sys.argv[2], "w") as fh:
+    json.dump(loaded, fh)
+"""
+
+
+def _cloud(shift: int) -> SignatureCloud:
+    values = tuple(
+        tuple(float(shift + i + k) for k in range(12)) for i in range(3)
+    )
+    points = tuple((i, 0, 1) for i in range(3))
+    return SignatureCloud(points, values, "float64")
+
+
+def test_light_commands_do_not_load_sympy(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(cloud_to_json(_cloud(0)) + "\n")
+    b.write_text(cloud_to_json(_cloud(5)) + "\n")
+    report = tmp_path / "report.json"
+    commands = [
+        ("dims", ["dims", "3"]),
+        ("compare", ["compare", str(a), str(b)]),
+        ("usage", ["dims", "-1"]),
+        ("help", ["--help"]),
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(commands), str(report)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(report.read_text()) == {
+        "import": False,
+        "dims": [0, False],
+        "compare": [1, False],
+        "usage": [2, False],
+        "help": [0, False],
+    }
+
+
+# ---------------------------------------------------------------------------
+# the sources
+
+
+def _imports(source: str, module_level: bool) -> set:
+    """Modules a source imports, relative imports as ``jetweyl.<name>``;
+    with ``module_level`` only those that run when the module is imported
+    (not inside a function)."""
+    found = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if module_level and isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+            ):
+                continue
+            if isinstance(child, ast.Import):
+                found.update(a.name for a in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                if child.level or child.module == "jetweyl":
+                    if child.module and child.module != "jetweyl":
+                        found.add(f"jetweyl.{child.module}")
+                    else:
+                        found.update(f"jetweyl.{a.name}" for a in child.names)
+                else:
+                    found.add(child.module)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def _is_sympy(name: str) -> bool:
+    return name == "sympy" or name.startswith("sympy.")
+
+
+def light_path_offences(sources: dict) -> list:
+    """Offences against the light path in ``{file name: source}``.
+
+    A module uses sympy when it imports sympy, or a module that uses it,
+    anywhere.  A light module may import neither; ``cli.py`` may import
+    neither at module level."""
+    module = {f"jetweyl.{name[:-3]}": name for name in sources}
+    anywhere = {name: _imports(src, False) for name, src in sources.items()}
+    heavy = {name for name, names in anywhere.items() if any(map(_is_sympy, names))}
+    grew = True
+    while grew:
+        grew = False
+        for name, names in anywhere.items():
+            if name not in heavy and any(module.get(m) in heavy for m in names):
+                heavy.add(name)
+                grew = True
+
+    def bad(names):
+        return sorted(m for m in names if _is_sympy(m) or module.get(m) in heavy)
+
+    out = []
+    for name in LIGHT:
+        if name in sources:
+            out += [f"{name} imports {m}" for m in bad(anywhere[name])]
+    if "cli.py" in sources:
+        level = _imports(sources["cli.py"], True)
+        out += [f"cli.py imports {m} at module level" for m in bad(level)]
+    return out
+
+
+def test_the_light_modules_and_cli_import_no_sympy():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert set(LIGHT) | {"cli.py"} <= set(sources)
+    assert light_path_offences(sources) == []
+
+
+def test_the_light_path_guard_sees_a_planted_import():
+    sources = {
+        "__init__.py": "",
+        "errors.py": "class JetweylError(Exception):\n    pass\n",
+        "linalg.py": "from fractions import Fraction\n",
+        "exprcore.py": "import sympy as sp\n",
+        # heavy through exprcore only
+        "jets.py": "from .exprcore import jet\n",
+        # a lazy import is still an import for a light module
+        "counts.py": "def dims(k):\n    from .jets import ms_system\n",
+        "clouds.py": "from . import errors, linalg\nfrom sympy.core import S\n",
+        "cli.py": (
+            "import argparse\nfrom .errors import JetweylError\n"
+            "from jetweyl import jets\n"
+            "def _cmd_reduce(args):\n    from . import exprcore\n"
+        ),
+    }
+    assert light_path_offences(sources) == [
+        "counts.py imports jetweyl.jets",
+        "clouds.py imports sympy.core",
+        "cli.py imports jetweyl.jets at module level",
+    ]

@@ -9,12 +9,12 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from jetweyl.counts import counting, dims
 from jetweyl.errors import ExprError, JetOrderError, LiftError, PseudogroupError
 from jetweyl.exprcore import T, X, Y, equal, formal, is_zero, jet, jet_info
 from jetweyl.fields import PointField, prolong
 from jetweyl.geometry import Solution
-from jetweyl.invariants import counting
-from jetweyl.jets import _ring_for, dims, internal_indices, ms_system, principal_indices
+from jetweyl.jets import _ring_for, internal_indices, ms_system, principal_indices
 from jetweyl.symmetry import (
     _orbit_vectors,
     _solve_lift,
