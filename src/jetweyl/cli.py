@@ -326,9 +326,7 @@ def _cmd_coframe(args):
 
 
 def _cmd_counts(args):
-    from . import invariants
-    from .counts import counting
-    from .exprcore import to_text
+    from .counts import counting, poincare_text
 
     out = []
     for k in range(2, args.upto + 1):
@@ -336,7 +334,7 @@ def _cmd_counts(args):
         out.append({"k": rec.k, "s": rec.s, "h": rec.h})
     return {
         "series": args.series,
-        "poincare": to_text(invariants.poincare_function(args.series)),
+        "poincare": poincare_text(args.series),
         "values": out,
     }, True
 

@@ -2,8 +2,8 @@
 of independent differential invariants with their Poincare series.
 
 Integer arithmetic only, so the commands that print these numbers start
-without the symbolic layers.  ``invariants.poincare_function`` builds the
-sympy form of each series from the same table.
+without the symbolic layers; :func:`poincare_text` prints a Poincare
+function as ``exprcore.to_text`` prints its sympy form.
 
 Counting internal multi-indices (a, b, c) with a*b = 0 and a+b+c <= k gives
 (k+1)^2 per dependent variable, whence
@@ -25,6 +25,7 @@ __all__ = [
     "CountRecord",
     "counting",
     "poincare_coefficients",
+    "poincare_text",
 ]
 
 
@@ -100,6 +101,29 @@ def _poincare_coefficient(series: str, m: int) -> int:
 def poincare_coefficients(series: str, upto: int) -> list[int]:
     """Taylor coefficients h_0..h_upto of the closed-form counting series."""
     return [_poincare_coefficient(series, m) for m in range(upto + 1)]
+
+
+def _polynomial_text(coeffs) -> str:
+    """A polynomial in z by ascending powers, as ``exprcore.to_text`` prints
+    it: ``-13*z^2 + 9*z^3 - z^5``."""
+    terms = []
+    for j, c in enumerate(coeffs):
+        power = "z" if j == 1 else f"z^{j}"
+        if c:
+            terms.append(str(c) if j == 0 else {1: power, -1: "-" + power}.get(c, f"{c}*{power}"))
+    return " + ".join(terms).replace(" + -", " - ")
+
+
+def poincare_text(series: str) -> str:
+    """The Poincare function N(z)/(1 - z)^n of a series as ``exprcore.to_text``
+    prints it: both sides expanded, with the signs that make the leading
+    coefficient of the denominator positive.  N(1) is not 0 for any series,
+    so nothing cancels."""
+    numerator, n = _poincare(series)
+    sign = (-1) ** n
+    num = _polynomial_text([sign * c for c in numerator])
+    den = _polynomial_text([sign * (-1) ** j * comb(n, j) for j in range(n + 1)])
+    return f"({num})/({den})"
 
 
 def counting(series: str, k: int) -> CountRecord:

@@ -29,9 +29,11 @@ radicals are reduced by R^M = p, and the generators are substituted back
 into numerator over denominator.  Equality of canonical forms is exact
 equality in the term language, which makes the zero test decidable.
 
-This module pins down the term language, the rescaling, the canonical text
-form and the formal chain rule ``d/dt a^(k) = a^(k+1)`` that sympy's plain
-``diff`` knows nothing about.
+This module pins down the term language, the rescaling and the canonical
+text form.  It takes no derivatives: the formal chain rule
+``d/dt a^(k) = a^(k+1)`` is the image of a^(k) under the total derivative
+D_t of the jet ring (``jets._JetRing``), on which the section field
+(``geometry.SectionField``) is built.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ __all__ = [
     "normalize",
     "is_zero",
     "equal",
-    "partial",
     "to_text",
 ]
 
@@ -221,8 +222,9 @@ _RESERVED_FORMAL = {"t", "x", "y", "u", "v", "exp"}
 def formal(name: str, order: int = 0) -> sp.Symbol:
     """Opaque formal function of t: ``formal('a', 2)`` is a''(t).
 
-    The symbol depends on t only through the chain rule implemented by
-    :func:`partial`; sympy itself sees an independent real symbol.
+    The symbol depends on t only through the chain rule of the jet ring,
+    whose D_t sends a^(k) to a^(k+1); sympy itself sees an independent real
+    symbol.
     """
     if not _FORMAL_NAME_RE.match(name) or name in _RESERVED_FORMAL:
         raise ValueError(f"bad formal function name {name!r}")
@@ -470,27 +472,6 @@ def is_zero(e) -> bool:
 def equal(a, b) -> bool:
     """Exact equality of rational functions."""
     return is_zero(sp.sympify(a) - sp.sympify(b))
-
-
-# ---------------------------------------------------------------------------
-# differentiation
-
-
-def partial(e, s) -> sp.Expr:
-    """Partial derivative in the term language.
-
-    For s = t the formal chain rule applies: each formal symbol a^(k) in e
-    contributes a^(k+1) * d e/d a^(k).  Jet symbols are independent
-    coordinates here; total derivatives live in the jet-calculus module.
-    """
-    e = sp.sympify(e)
-    s = resolve_symbol(s)
-    out = sp.diff(e, s)
-    if s == T:
-        for sym in e.free_symbols:
-            if sym in _FORMAL_REGISTRY:
-                out += formal_shift(sym) * sp.diff(e, sym)
-    return out
 
 
 # ---------------------------------------------------------------------------

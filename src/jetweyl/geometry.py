@@ -56,6 +56,7 @@ from .jets import (
     _ring_for,
     internal_indices,
     ms_system,
+    total_derivative,
 )
 from .linalg import as_fraction, inertia
 from . import symmetry as _symmetry
@@ -251,11 +252,14 @@ class SectionField(_Rescaled):
 
         The new section at (t, x, y) is the old one at the preimage point
         plus the fibre terms, with every function of t taken at the
-        preimage time (``element.at_source()``).  Each generator of this
-        field is sent to its image in a field that holds the preimage point
-        and the fibre coefficients, where u and v are evaluated and the
-        fibre terms added.  Solutions map to solutions."""
-        ts, xs, ys, *coefficients = element.at_source()
+        preimage time (:func:`_at_source`).  Each generator of this field
+        is sent to its image in a field that holds the preimage point and
+        the fibre coefficients, where u and v are evaluated and the fibre
+        terms added.  Solutions map to solutions."""
+        try:
+            ts, xs, ys, *coefficients = _at_source(element)
+        except ExprError as exc:
+            raise SolutionError(f"transformed section leaves the representable domain: {exc}") from None
         target, data, (u, v) = self._pushed(
             (ts, xs, ys, element.root, *coefficients), "transformed"
         )
@@ -322,6 +326,29 @@ class SectionField(_Rescaled):
         out.values = tuple(values)
         out._jets = {}
         return out
+
+
+def _at_source(element) -> tuple:
+    """(t_s, x_s, y_s, E, E', E'', A', B', C, C') of a pseudogroup element:
+    the preimage of the running point (t, x, y), then ee, its first two
+    derivatives, a', b', c and c', each taken at the preimage time
+    t_s = D^-1(t).
+
+    The derivatives are taken in the field of (ee, a, b, c).  The point map
+    is triangular (new t depends on t alone, new y on t and y, new x on
+    all three), so the inverse is closed-form."""
+    sf = SectionField((element.ee, element.a, element.b, element.c))
+    ee, a, b, c = sf.values
+
+    def d(f):
+        return sf.partial(f, "t")
+
+    ts = element.dinv
+    at_ts = (sf.expr(f).subs(T, ts) for f in (ee, d(ee), d(d(ee)), a, d(a), b, d(b), c, d(c)))
+    E, Ep, Epp, A, Ap, B, Bp, C, Cp = at_ts
+    ys = (Y - B) / (element.root * E)
+    xs = (X - E * Ep * ys**2 - C * ys - A) / E**2
+    return ts, xs, ys, E, Ep, Epp, Ap, Bp, C, Cp
 
 
 def _image_atom(F: SectionField, point, atom) -> sp.Expr:
@@ -475,9 +502,13 @@ class Solution:
         )
 
     def in_domain(self, pt) -> bool:
+        """Whether (t, x, y) lies where the section is real: y > 0 where the
+        domain says so, and b > 0 for every base variable b with a
+        fractional power in the section."""
+        positive = {a.base for a in self.field.back.values() if a.is_Pow} & set(_COORDS)
         if self.domain == "y > 0":
-            return sp.Rational(pt[2]) > 0
-        return True
+            positive.add(Y)
+        return all(sp.Rational(pt[_COORDS.index(b)]) > 0 for b in positive)
 
     def transform(self, element) -> "Solution":
         """Push the section through a pseudogroup element
@@ -779,10 +810,11 @@ def check_EW(
 ) -> EWReport:
     """Einstein property of the solution's Weyl structure.
 
-    Exact first: the trace-extracted factor Lambda and the residual tensor
-    Ric_sym - Lambda*g in the section's field; when every entry is zero the
-    check is exact.  Sample points (if given, or when an entry is nonzero)
-    get a relative residual against ``tol``.
+    The verdict is exact: the trace-extracted factor Lambda and the
+    residual tensor Ric_sym - Lambda*g are computed in the section's field,
+    and ``ok`` holds exactly when every entry is zero.  Sample points (if
+    given, or when an entry is nonzero) get a relative residual against
+    ``tol`` and a value of Lambda; these are reported, never decisive.
     """
     conn = weyl_connection(build_pair(sol), correction_sign)
     sf = conn.field
@@ -791,7 +823,6 @@ def check_EW(
     lam = sf.expr(lam_f)
     notes = []
     checks = []
-    ok = exact
     for p in pts or ():
         if not sol.in_domain(p):
             raise SolutionError(f"point {p} violates the domain ({sol.domain})")
@@ -812,16 +843,13 @@ def check_EW(
             )
         g = conn.pair.g
         rsym = sp.Matrix(3, 3, lambda i, j: resid[i, j] + lam * g[i, j])
-        ok = True
         for p in pts:
             subs = {c: sp.Rational(q) for c, q in zip(_COORDS, p)}
             denom = _max_abs(rsym, subs) + _max_abs(lam * g, subs) + 1.0
             r = _max_abs(resid, subs) / denom
             lam_val = sp.N(lam.xreplace(subs), 50)
-            good = r <= tol
-            ok = ok and good
-            checks.append(EWPointCheck(tuple(p), r, lam_val, good))
-    return EWReport(sol.name, exact, ok, lam, tuple(checks), tuple(notes))
+            checks.append(EWPointCheck(tuple(p), r, lam_val, r <= tol))
+    return EWReport(sol.name, exact, exact, lam, tuple(checks), tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -1057,27 +1085,25 @@ def hierarchy_residual(w) -> sp.Expr:
 
 def hierarchy_reduction_check() -> bool:
     """For sections u = w_x, v = -w_y the equation residuals are the x- and
-    (minus the) y-derivative of the hierarchy left-hand side.  Checked with
-    an undetermined potential."""
-    Wf = sp.Function("w")
-    w = Wf(T, X, Y)
-    F = (
-        sp.diff(w, T, X)
-        + sp.diff(w, X) * sp.diff(w, X, Y)
-        - sp.diff(w, Y) * sp.diff(w, X, X)
-        - sp.diff(w, Y, Y)
-    )
+    (minus the) y-derivative of the hierarchy left-hand side
+    H = w_tx + w_x w_xy - w_y w_xx - w_yy.  Checked on jets of an
+    undetermined potential: the jets of u stand for those of w, so that
+    u_sigma -> w_{sigma+x} and v_sigma -> -w_{sigma+y}."""
+
+    def w(index):
+        return jet("u", index)
+
+    H = w("tx") + w("x") * w("xy") - w("y") * w("xx") - w("yy")
     system = ms_system()
     rep = {}
     for G in system.equations:
         for s in G.free_symbols:
             if is_jet_symbol(s):
                 dep, idx = jet_info(s)
-                base = sp.diff(w, X) if dep == "u" else -sp.diff(w, Y)
-                rep[s] = sp.diff(base, T, idx.nt, X, idx.nx, Y, idx.ny)
-    r1 = sp.expand(system.F1.xreplace(rep) - sp.diff(F, X))
-    r2 = sp.expand(system.F2.xreplace(rep) + sp.diff(F, Y))
-    return r1 == 0 and r2 == 0
+                rep[s] = w(idx.bump("x")) if dep == "u" else -w(idx.bump("y"))
+    r1 = system.F1.xreplace(rep) - total_derivative(H, "x")
+    r2 = system.F2.xreplace(rep) + total_derivative(H, "y")
+    return is_zero(r1) and is_zero(r2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Differential invariants of the symmetry action, and the Poincare
-functions of the moduli counts as sympy expressions.
+"""Differential invariants of the symmetry action.
 
 Three second-order invariants generate the field together with three
 invariant derivations; their structure coefficients close the picture at
@@ -24,7 +23,6 @@ from functools import lru_cache
 
 import sympy as sp
 
-from .counts import _poincare
 from .errors import SingularLocusError
 from .exprcore import is_jet_symbol, jet, jet_order, normalize
 from .fields import ProlongedField, prolong
@@ -49,7 +47,6 @@ __all__ = [
     "invariant_value",
     "twelve_invariants",
     "independence_rank",
-    "poincare_function",
 ]
 
 _ux = jet("u", "x")
@@ -424,14 +421,3 @@ def independence_rank(point: JetPoint) -> int:
             raise SingularLocusError("Jacobian undefined at this point")
         rows.append([dval * at(num.diff(i)) - nval * at(den.diff(i)) for i in coords])
     return rank(rows)
-
-
-# ---------------------------------------------------------------------------
-# counting (closed forms in ``counts``)
-
-_Z = sp.Symbol("z")
-
-
-def poincare_function(series: str) -> sp.Expr:
-    numerator, n = _poincare(series)
-    return sum(c * _Z**j for j, c in enumerate(numerator)) / (1 - _Z) ** n

@@ -559,21 +559,13 @@ class EquationSystem:
     # -- principal coordinates ---------------------------------------------
 
     def principal_solve(self) -> tuple[sp.Expr, sp.Expr]:
-        """(R_u, R_v) with u_tx = R_u, v_tx = R_v on the equation; both
-        right-hand sides are free of principal coordinates."""
+        """(R_u, R_v) with u_tx = R_u, v_tx = R_v on the equation: R_w =
+        w_tx - F_w/c for the leading coefficient c of F_w.  Both right-hand
+        sides are free of principal coordinates (see :meth:`_recurrence`)."""
         out = []
-        for F, dep in ((self.F1, "u"), (self.F2, "v")):
-            lead = jet(dep, "tx")
-            coeff = sp.diff(F, lead)
-            if not coeff.is_Rational or coeff == 0:
-                raise AssertionError(f"equation not affine-monic in {lead}")
-            R = sp.expand(lead - F / coeff)
-            assert not any(
-                jet_info(s)[1].is_principal
-                for s in R.free_symbols
-                if is_jet_symbol(s)
-            ), "leading-coordinate solve left principal coordinates"
-            out.append(R)
+        for F, dep in zip(self.equations, DEPENDENTS):
+            c = self._recurrences[dep][0]
+            out.append(sp.expand(jet(dep, "tx") - F / sp.Rational(c)))
         return tuple(out)
 
     def _recurrence(self, F: sp.Expr, dep: str):

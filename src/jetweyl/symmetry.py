@@ -27,7 +27,6 @@ from .exprcore import (
     formal,
     is_formal_symbol,
     jet,
-    partial,
     to_text,
     validate_kernel,
 )
@@ -91,9 +90,12 @@ def _parameter(p) -> sp.Expr:
 
 
 def _dot(p: sp.Expr, n: int = 1) -> sp.Expr:
+    """The n-th t-derivative of a parameter, taken in the jet ring."""
+    ring = _ring_for(0, (p,), derivatives=n)
+    f = ring.convert(p)
     for _ in range(n):
-        p = partial(p, "t")
-    return p
+        f = ring.total(f, "t")
+    return ring.to_expr(f)
 
 
 def X1(a) -> PointField:
@@ -461,31 +463,6 @@ class PseudogroupElement:
     def root(self) -> sp.Expr:
         """sqrt(alpha), the positive square root of D'."""
         return sp.sqrt(self._alpha_beta[0])
-
-    def at_source(self) -> tuple[sp.Expr, ...]:
-        """(t_s, x_s, y_s, E, E', E'', A', B', C, C'): the preimage of the
-        running point (t, x, y), then ee, its first two derivatives, a',
-        b', c and c', each taken at the preimage time t_s = D^-1(t).
-
-        The point map is triangular (new t depends on t alone, new y on
-        t and y, new x on all three), so the inverse is closed-form.
-        """
-        ts = self.dinv
-
-        def at(e: sp.Expr) -> sp.Expr:
-            return e.subs(T, ts)
-
-        ee1 = partial(self.ee, "t")
-        E, Ep, Epp = at(self.ee), at(ee1), at(partial(ee1, "t"))
-        C = at(self.c)
-        ys = (Y - at(self.b)) / (self.root * E)
-        xs = (X - E * Ep * ys**2 - C * ys - at(self.a)) / E**2
-        Ap, Bp, Cp = (at(partial(e, "t")) for e in (self.a, self.b, self.c))
-        return ts, xs, ys, E, Ep, Epp, Ap, Bp, C, Cp
-
-    def source_point(self) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
-        """(t_s, x_s, y_s): the preimage of the running point (t, x, y)."""
-        return self.at_source()[:3]
 
 
 # ---------------------------------------------------------------------------

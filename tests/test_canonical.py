@@ -27,7 +27,7 @@ from jetweyl.errors import (
 )
 from jetweyl.exprcore import T, X, Y, is_zero, jet, normalize, to_text, validate_kernel
 from jetweyl.symmetry import PseudogroupElement
-from tree_oracle import tree_moved, tree_normalize, tree_reflected
+from tree_oracle import poincare_function, tree_moved, tree_normalize, tree_reflected
 
 _BOUND = {
     "dkp-partial": {"h": 0},
@@ -73,7 +73,7 @@ def test_invariants_agree_with_the_oracle():
     corpus += [invariants.structure_K(i) for i in (1, 2, 3, 4)]
     corpus += list(invariants.twelve_invariants())
     corpus += [c for i in (1, 2, 3) for c in invariants.derivation(i).coefficients()]
-    corpus.append(invariants.poincare_function("weyl"))
+    corpus.append(poincare_function("weyl"))
     for e in corpus:
         assert normalize(e) == tree_normalize(e), e
 
@@ -207,10 +207,13 @@ def test_symbols_outside_the_jet_space_are_generators():
 # no second canonicalizer in the package
 
 
-def _sympy_calls(source: str) -> list:
-    """(function, enclosing def) for every call of sympy's cancel, solve,
-    simplify or nsimplify in a module's source, by attribute
-    (``sp.cancel``) or by name."""
+_CANONICALIZERS = ("cancel", "solve", "simplify", "nsimplify")
+
+
+def _sympy_calls(source: str, names=_CANONICALIZERS) -> list:
+    """(function, enclosing def) for every call of one of the sympy
+    functions ``names`` (by default cancel, solve, simplify and nsimplify)
+    in a module's source, by attribute (``sp.cancel``) or by name."""
     tree = ast.parse(source)
     imported = {
         a.asname or a.name
@@ -231,7 +234,7 @@ def _sympy_calls(source: str) -> list:
                         name = f.attr
                 elif isinstance(f, ast.Name) and f.id in imported:
                     name = f.id
-                if name in ("cancel", "solve", "simplify", "nsimplify"):
+                if name in names:
                     found.append((name, inner))
             visit(child, inner)
 
@@ -261,3 +264,31 @@ def test_the_canonicalizer_guard_sees_calls():
         ("simplify", "canonical_frame"),
         ("nsimplify", "g"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# one derivation machinery: no tree derivative in the package
+
+
+def test_no_tree_derivative_in_the_package():
+    # the jet ring and the section field take every derivative; the tree
+    # derivative lives on as the oracle of the tests
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "jetweyl"
+    offending = []
+    for path in sorted(src.glob("*.py")):
+        for name, where in _sympy_calls(path.read_text(), ("diff",)):
+            offending.append(f"{path.name}: sympy.{name} in {where}")
+    assert offending == []
+    with pytest.raises(ImportError):
+        from jetweyl.exprcore import partial  # noqa: F401
+
+
+def test_the_tree_derivative_guard_sees_calls():
+    found = _sympy_calls(
+        "import sympy as sp\nfrom sympy import diff\n"
+        "def principal_solve(F, s):\n    return sp.diff(F, s)\n"
+        "def f(e):\n    return diff(e) + sympy.diff(e)\n"
+        "def g(p, q):\n    return p.diff(q)\n",
+        ("diff",),
+    )
+    assert found == [("diff", "principal_solve"), ("diff", "f"), ("diff", "f")]

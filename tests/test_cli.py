@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 import sympy as sp
@@ -92,6 +93,23 @@ def test_check_solution_negative_control(capsys):
     code, doc = run(["check-solution", "u = x*y ; v = 0"], capsys)
     assert code == 1
     assert doc["solves_system"] is False
+
+
+_ROOT_X = "u = x^(1/2) ; v = x^(1/2)"
+
+
+def test_check_solution_samples_a_fractional_power_where_it_is_real(capsys):
+    # x^(1/2) is real for x > 0 only; samples with x <= 0 are skipped
+    code, doc = run(["check-solution", _ROOT_X, "--points", "3"], capsys)
+    assert code == 0 and doc["ok"] and doc["ew_exact"]
+    assert len(doc["lambda_samples"]) == 3
+    assert all(Fraction(s["point"][1]) > 0 for s in doc["lambda_samples"])
+
+
+def test_signature_samples_a_fractional_power_where_it_is_real(capsys):
+    code, doc = run(["signature", _ROOT_X, "--n", "4"], capsys)
+    assert code == 0 and len(doc["points"]) == 4
+    assert all(Fraction(p[1]) > 0 for p in doc["points"])
 
 
 def test_check_solution_parse_error(capsys):

@@ -229,7 +229,8 @@ def test_jet_cloud_all_singular_raises():
 def test_three_parameter_slice_has_tangent_rank_three():
     # a curved 3-parameter image spans more than 3 linear directions, so the
     # honest exact statement is about the differential, not the affine span
-    from jetweyl.exprcore import jet, partial
+    from jetweyl.exprcore import jet
+    from tree_oracle import partial
     from jetweyl.invariants import twelve_invariants
     from jetweyl.linalg import rank
 

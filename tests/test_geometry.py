@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from jetweyl import geometry
 from jetweyl.errors import DegenerateFrameError, SolutionError
 from jetweyl.exprcore import T, X, Y, equal, formal, is_zero, jet
 from jetweyl.geometry import (
@@ -100,6 +101,16 @@ def test_ew_fails_under_wrong_correction_sign():
         assert not rep.ok, cid
 
 
+def test_ew_verdict_is_the_exact_test(monkeypatch):
+    # every sampled residual passes, yet the exact residual tensor is not
+    # zero: the samples are reported, the verdict stays the exact one
+    monkeypatch.setattr(geometry, "_max_abs", lambda mat, subs: 0.0)
+    rep = check_EW(catalog("hierarchy"), pts=[(0, 1, 1), (1, 2, 3)], correction_sign=+1)
+    assert not rep.exact
+    assert len(rep.points) == 2 and all(c.ok and c.residual == 0 for c in rep.points)
+    assert not rep.ok
+
+
 def test_check_ew_reports_non_solutions():
     bogus = Solution(X * Y, sp.Integer(0), deferred=True)
     rep = check_EW(bogus)
@@ -144,6 +155,15 @@ def test_domain_guard():
     sol = catalog("sl2-family")
     assert sol.in_domain((0, 0, 1))
     assert not sol.in_domain((0, 0, -1))
+
+
+def test_fractional_powers_need_a_positive_base():
+    half = sp.Rational(1, 2)
+    sol = Solution(X**half, X**half)
+    assert sol.in_domain((-1, 1, -1))
+    assert not sol.in_domain((0, -1, 1)) and not sol.in_domain((0, 0, 1))
+    # a constant radical puts no bound on the base point
+    assert Solution(2**half * X, sp.Integer(0), deferred=True).in_domain((-1, -1, -1))
 
 
 # -- canonical frame -------------------------------------------------------
@@ -217,6 +237,14 @@ def test_signature_report():
 def test_catalog_reductions():
     assert dkp_reduction_check()
     assert hierarchy_reduction_check()
+
+
+def test_hierarchy_reduction_sees_a_wrong_derivative(monkeypatch):
+    # negative control: D_y where D_x belongs (and back) breaks the identity
+    swap = {"x": "y", "y": "x"}
+    total = geometry.total_derivative
+    monkeypatch.setattr(geometry, "total_derivative", lambda e, d: total(e, swap[d]))
+    assert not hierarchy_reduction_check()
 
 
 def test_hierarchy_residual():

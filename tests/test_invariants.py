@@ -7,8 +7,8 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from jetweyl.counts import counting, poincare_coefficients
-from jetweyl.exprcore import equal, is_zero, jet
+from jetweyl.counts import counting, poincare_coefficients, poincare_text
+from jetweyl.exprcore import equal, is_zero, jet, to_text
 from jetweyl.invariants import (
     apply_derivation,
     coframe_rewrite,
@@ -16,7 +16,6 @@ from jetweyl.invariants import (
     independence_rank,
     invariant,
     invariant_value,
-    poincare_function,
     structure_K,
     twelve_invariants,
     verify_derivation_commutators,
@@ -25,6 +24,7 @@ from jetweyl.invariants import (
 )
 from jetweyl.jets import internal_indices, ms_system
 from jetweyl.linalg import rank
+from tree_oracle import poincare_function
 
 u_x = jet("u", (0, 1, 0))
 u_xx = jet("u", (0, 2, 0))
@@ -201,6 +201,11 @@ def test_poincare_coefficients_match_the_series_expansion():
         expansion = sp.series(poincare_function(series), z, 0, 13).removeO()
         want = [int(expansion.coeff(z, m)) for m in range(13)]
         assert poincare_coefficients(series, 12) == want, series
+
+
+def test_poincare_text_is_the_canonical_text_of_the_function():
+    for series in ("ms", "weyl", "ew-general"):
+        assert poincare_text(series) == to_text(poincare_function(series)), series
 
 
 def test_poincare_closed_form_ms():

@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from jetweyl.counts import dims
 from jetweyl.errors import JetOrderError, PointNotOnEquationError
-from jetweyl.exprcore import T, X, Y, equal, is_zero, jet, partial
+from jetweyl.exprcore import T, X, Y, equal, is_zero, jet
 from jetweyl.geometry import Solution
 from jetweyl.jets import (
     internal_indices,
@@ -18,6 +19,7 @@ from jetweyl.jets import (
     total_derivative,
     total_derivative_multi,
 )
+from tree_oracle import partial
 
 u, v = jet("u"), jet("v")
 u_t, u_x, u_y = (jet("u", ix) for ix in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -95,6 +97,17 @@ def test_principal_solve_kills_both_equations():
         assert not any(s in {u_tx, v_tx} for s in p.free_symbols)
     assert is_zero(sys_.F1.subs({u_tx: ru, v_tx: rv}))
     assert is_zero(sys_.F2.subs({u_tx: ru, v_tx: rv}))
+
+
+def test_principal_solve_matches_the_tree_solve():
+    # the parent of the ring solve divided by sympy's derivative of F_w in
+    # its leading coordinate; the expressions must be the same trees
+    sys_ = ms_system()
+    want = []
+    for F, dep in zip(sys_.equations, ("u", "v")):
+        lead = jet(dep, "tx")
+        want.append(sp.expand(lead - F / sp.diff(F, lead)))
+    assert sys_.principal_solve() == tuple(want)
 
 
 def test_prolonged_equation_is_affine_in_its_principal_slot():

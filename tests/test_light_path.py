@@ -3,7 +3,8 @@
 ``import jetweyl.cli`` loads the standard library and ``errors`` only, and
 each subcommand imports the layers it uses.  A fresh interpreter runs
 ``dims``, ``compare``, ``--help`` and a usage error and must not have
-loaded sympy after any of them.  A static guard reads the sources: the
+loaded sympy after any of them; ``counts`` loads neither sympy nor an
+algebra layer.  A static guard reads the sources: the
 light modules import neither sympy nor a module that uses it, and
 ``cli.py`` imports neither at module level.
 """
@@ -78,6 +79,30 @@ def test_light_commands_do_not_load_sympy(tmp_path):
         "usage": [2, False],
         "help": [0, False],
     }
+
+
+def test_counts_loads_no_algebra_layer():
+    # the Poincare function is printed from the integer table of counts
+    probe = (
+        "import json, sys\n"
+        "import jetweyl.cli\n"
+        "code = jetweyl.cli.main(['counts', 'weyl'])\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith(('jetweyl.', 'sympy')))\n"
+        "print(json.dumps([code, loaded]), file=sys.stderr)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert code == 0
+    heavy = {f"jetweyl.{m}" for m in ("invariants", "symmetry", "fields", "jets")}
+    assert heavy.isdisjoint(loaded) and "sympy" not in loaded, loaded
+    assert json.loads(proc.stdout)["poincare"] == "(-13*z^2 + 9*z^3 - z^5)/(-1 + 3*z - 3*z^2 + z^3)"
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from jetweyl import checks, geometry
 from jetweyl.errors import ExprError, PseudogroupError, SolutionError
 from jetweyl.exprcore import T, validate_kernel
 from jetweyl.symmetry import PseudogroupElement
-from tree_oracle import tree_moved, tree_normalize, tree_reflected
+from tree_oracle import tree_at_source, tree_moved, tree_normalize, tree_reflected
 
 # ---------------------------------------------------------------------------
 # the tree oracle
@@ -87,6 +87,25 @@ def test_moves_with_formal_parameters_match_the_tree(cid):
     for el in _elements(cid, "noshift")[:3]:
         want = _outcome(tree_transform_section, el, sol.u, sol.v)
         assert _outcome(transform_section, el, sol) == want, el
+
+
+def test_move_coefficients_match_the_tree():
+    # (t_s, x_s, y_s, E, E', E'', A', B', C, C'), entry for entry, with
+    # derivatives taken in the field of (ee, a, b, c) against the tree
+    # derivative; the seeded elements have a constant ee, so a few with a
+    # time-dependent one and rational coefficients come first
+    elements = [
+        PseudogroupElement.make(d=4 * T + 1, a=T**3, b=1 / (T**2 + 1), c=T / 3, ee=T**2 + 1),
+        PseudogroupElement.make(d=2 * T, a=1 / (T - 5), c=T**2, ee=(T**2 + 2) / (T**4 + 1)),
+        PseudogroupElement.make(d=T / 9 - 2, b=T**2 / 2, ee=3 / (2 * T**2 + 3)),
+    ]
+    rng = random.Random(7301)
+    elements += [el for kind in _KINDS for el in checks._random_elements(rng, kind, count=3)]
+    for el in elements:
+        got, want = geometry._at_source(el), tree_at_source(el)
+        assert len(got) == len(want) == 10
+        for n, (g, w) in enumerate(zip(got, want)):
+            assert tree_normalize(g - w) == 0, (el, n)
 
 
 @pytest.mark.parametrize("which", ("txy", "yu"))

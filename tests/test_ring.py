@@ -24,7 +24,6 @@ from jetweyl.exprcore import (
     jet,
     jet_info,
     jet_order,
-    partial,
 )
 from jetweyl.fields import PointField, generating_section, lie_bracket, lie_derivative
 from jetweyl.invariants import (
@@ -43,7 +42,7 @@ from jetweyl.jets import (
     total_derivative,
 )
 from jetweyl.symmetry import generator
-from tree_oracle import tree_normalize
+from tree_oracle import partial, tree_normalize
 
 # ---------------------------------------------------------------------------
 # the tree oracle

@@ -31,7 +31,6 @@ from jetweyl.exprcore import (
     MultiIndex,
     is_jet_symbol,
     jet_info,
-    partial,
 )
 from jetweyl.geometry import (
     Solution,
@@ -44,7 +43,7 @@ from jetweyl.geometry import (
     weyl_connection,
 )
 from jetweyl.symmetry import ansatz_covector, ansatz_metric
-from tree_oracle import tree_normalize
+from tree_oracle import partial, tree_normalize
 
 _COORDS = (T, X, Y)
 

@@ -16,6 +16,7 @@ from jetweyl.fields import PointField, prolong
 from jetweyl.geometry import Solution
 from jetweyl.jets import _ring_for, internal_indices, ms_system, principal_indices
 from jetweyl.symmetry import (
+    _dot,
     _orbit_vectors,
     _solve_lift,
     _TaylorJet,
@@ -23,6 +24,7 @@ from jetweyl.symmetry import (
     PseudogroupElement,
     ShapeField,
     X4,
+    _parameter,
     check_symmetry,
     generator,
     grading_check,
@@ -33,6 +35,7 @@ from jetweyl.symmetry import (
     table_cell_text,
     verify_commutation_table,
 )
+from tree_oracle import partial, tree_normalize
 
 u = jet("u")
 
@@ -52,6 +55,27 @@ def test_broken_field_reports_residuals():
     assert res is not True
     assert len(res) == 2 and not all(is_zero(r) for r in res)
 
+
+
+_PARAMETERS = (
+    "f",
+    formal("g", 2),
+    T * formal("f") + formal("g", 1) / (T**2 + 1),
+    T**3 / 6,
+    sp.Integer(5),
+    T**2 / (T + 1) - sp.Rational(1, 3),
+    (2 * T - 1) / (T**2 + 1) ** 2,
+)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_dot_matches_the_tree_derivative(n):
+    # the ring's D_t against sympy's diff with the formal chain rule
+    for p in map(_parameter, _PARAMETERS):
+        want = p
+        for _ in range(n):
+            want = partial(want, "t")
+        assert tree_normalize(_dot(p, n) - want) == 0, (p, n)
 
 
 def test_rational_closed_form_parameters_are_symmetries():

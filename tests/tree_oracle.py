@@ -4,23 +4,52 @@ tests.
 ``tree_normalize`` is the sympy canonical form: ``together``, then
 fractional powers of base variables and exponential atoms rescaled to
 integer powers of auxiliary generators, then ``cancel``, then the
-generators substituted back.  ``tree_moved`` and ``tree_reflected`` compose
-a section with a pseudogroup element or a reflection on trees and return
-the unnormalized result.
+generators substituted back.  ``partial`` is the tree derivative: sympy's
+``diff`` plus the formal chain rule d/dt a^(k) = a^(k+1).  ``tree_moved``
+and ``tree_reflected`` compose a section with a pseudogroup element or a
+reflection on trees and return the unnormalized result.
+``poincare_function`` is the sympy form of a Poincare function of
+``counts``, whose canonical text ``counts.poincare_text`` prints.
 """
 
 import functools
 
 import sympy as sp
 
+from jetweyl.counts import _poincare
 from jetweyl.errors import DivisionByZeroExpression
-from jetweyl.exprcore import BASE_SYMBOLS, T, X, Y, partial
+from jetweyl.exprcore import (
+    BASE_SYMBOLS,
+    T,
+    X,
+    Y,
+    formal_shift,
+    is_formal_symbol,
+    resolve_symbol,
+)
 
 _AUX = {
     name: sp.Dummy(name, positive=True)
     for base in BASE_SYMBOLS
     for name in (f"E{base.name}", base.name.upper())
 }
+
+
+def partial(e, s) -> sp.Expr:
+    """Partial derivative in the term language.
+
+    For s = t the formal chain rule applies: each formal symbol a^(k) in e
+    contributes a^(k+1) * d e/d a^(k).  Jet symbols are independent
+    coordinates here; total derivatives live in the jet ring.
+    """
+    e = sp.sympify(e)
+    s = resolve_symbol(s)
+    out = sp.diff(e, s)
+    if s == T:
+        for sym in e.free_symbols:
+            if is_formal_symbol(sym):
+                out += formal_shift(sym) * sp.diff(e, sym)
+    return out
 
 
 def tree_rescaled(e: sp.Expr) -> tuple[sp.Expr, dict]:
@@ -68,11 +97,29 @@ def tree_normalize(e) -> sp.Expr:
     return canon.xreplace(back) if back else canon
 
 
+def tree_at_source(element) -> tuple:
+    """(t_s, x_s, y_s, E, E', E'', A', B', C, C') of a pseudogroup element
+    on trees: the preimage of (t, x, y), then ee, ee', ee'', a', b', c and
+    c' at the preimage time t_s = D^-1(t); unnormalized."""
+    ts = element.dinv
+
+    def at(e):
+        return sp.sympify(e).subs(T, ts)
+
+    ee1 = partial(element.ee, "t")
+    E, Ep, Epp = at(element.ee), at(ee1), at(partial(ee1, "t"))
+    C = at(element.c)
+    ys = (Y - at(element.b)) / (element.root * E)
+    xs = (X - E * Ep * ys**2 - C * ys - at(element.a)) / E**2
+    Ap, Bp, Cp = (at(partial(e, "t")) for e in (element.a, element.b, element.c))
+    return ts, xs, ys, E, Ep, Epp, Ap, Bp, C, Cp
+
+
 def tree_moved(element, u_expr, v_expr) -> tuple[sp.Expr, sp.Expr]:
     """The section pushed through a pseudogroup element: the old section at
     the preimage point plus the fibre terms, every function of t taken at
     the preimage time; unnormalized."""
-    ts, xs, ys = element.source_point()
+    ts, xs, ys = tree_at_source(element)[:3]
 
     def at_src(e):
         return sp.sympify(e).subs(T, ts)
@@ -114,3 +161,10 @@ def tree_reflected(which, u_expr, v_expr) -> tuple[sp.Expr, sp.Expr]:
         return u_expr.xreplace(flip), v_expr.xreplace(flip)
     flip = {Y: -Y}
     return -u_expr.xreplace(flip), v_expr.xreplace(flip)
+
+
+def poincare_function(series: str) -> sp.Expr:
+    """N(z)/(1 - z)^n for the integer table (N, n) of a series."""
+    z = sp.Symbol("z")
+    numerator, n = _poincare(series)
+    return sum(c * z**j for j, c in enumerate(numerator)) / (1 - z) ** n
