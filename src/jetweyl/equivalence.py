@@ -216,7 +216,7 @@ def i_regular(sol: Solution, pt) -> bool:
         sol.require_solution()
     subs = {c: sp.Rational(q) for c, q in zip(_COORDS, pt)}
     if not sol.in_domain(pt):
-        raise SolutionError(f"point {pt} violates the domain ({sol.domain})")
+        raise sol.domain_error(pt)
     uxv = sol.jet_expr("u", "x").xreplace(subs)
     if uxv == 0:
         raise SingularLocusError("u_x vanishes on the section at this point")

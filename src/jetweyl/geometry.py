@@ -501,14 +501,23 @@ class Solution:
             internal=internal,
         )
 
-    def in_domain(self, pt) -> bool:
-        """Whether (t, x, y) lies where the section is real: y > 0 where the
-        domain says so, and b > 0 for every base variable b with a
-        fractional power in the section."""
+    def _positive(self) -> list:
+        """The base variables that must stay positive: y where the domain
+        says so, and every base variable with a fractional power in the
+        section, which is real only there."""
         positive = {a.base for a in self.field.back.values() if a.is_Pow} & set(_COORDS)
         if self.domain == "y > 0":
             positive.add(Y)
-        return all(sp.Rational(pt[_COORDS.index(b)]) > 0 for b in positive)
+        return [b for b in _COORDS if b in positive]
+
+    def in_domain(self, pt) -> bool:
+        """Whether (t, x, y) lies where the section is real."""
+        return all(sp.Rational(pt[_COORDS.index(b)]) > 0 for b in self._positive())
+
+    def domain_error(self, pt) -> SolutionError:
+        """The error for a point outside :meth:`in_domain`."""
+        bounds = ", ".join(f"{b} > 0" for b in self._positive())
+        return SolutionError(f"point {pt} violates the domain ({bounds})")
 
     def transform(self, element) -> "Solution":
         """Push the section through a pseudogroup element
@@ -825,7 +834,7 @@ def check_EW(
     checks = []
     for p in pts or ():
         if not sol.in_domain(p):
-            raise SolutionError(f"point {p} violates the domain ({sol.domain})")
+            raise sol.domain_error(p)
     if pts and exact:
         # residual is the zero tensor; every sample trivially passes
         for p in pts:

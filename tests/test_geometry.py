@@ -162,6 +162,8 @@ def test_fractional_powers_need_a_positive_base():
     sol = Solution(X**half, X**half)
     assert sol.in_domain((-1, 1, -1))
     assert not sol.in_domain((0, -1, 1)) and not sol.in_domain((0, 0, 1))
+    with pytest.raises(SolutionError, match=r"violates the domain \(x > 0\)"):
+        check_EW(sol, pts=[(0, -1, 1)])
     # a constant radical puts no bound on the base point
     assert Solution(2**half * X, sp.Integer(0), deferred=True).in_domain((-1, -1, -1))
 
