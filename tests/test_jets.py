@@ -100,8 +100,9 @@ def test_principal_solve_kills_both_equations():
 
 
 def test_principal_solve_matches_the_tree_solve():
-    # the parent of the ring solve divided by sympy's derivative of F_w in
-    # its leading coordinate; the expressions must be the same trees
+    # the tree solve divides F_w by sympy's derivative in its leading
+    # coordinate; the solve by the recurrence's coefficient must give the
+    # same trees
     sys_ = ms_system()
     want = []
     for F, dep in zip(sys_.equations, ("u", "v")):

@@ -4,9 +4,9 @@
 each subcommand imports the layers it uses.  A fresh interpreter runs
 ``dims``, ``compare``, ``--help`` and a usage error and must not have
 loaded sympy after any of them; ``counts`` loads neither sympy nor an
-algebra layer.  A static guard reads the sources: the
-light modules import neither sympy nor a module that uses it, and
-``cli.py`` imports neither at module level.
+algebra layer.  A static guard reads the sources: the light modules import
+neither sympy nor a module that uses it, and ``cli.py`` imports neither at
+module level.
 """
 
 import ast
@@ -102,7 +102,8 @@ def test_counts_loads_no_algebra_layer():
     assert code == 0
     heavy = {f"jetweyl.{m}" for m in ("invariants", "symmetry", "fields", "jets")}
     assert heavy.isdisjoint(loaded) and "sympy" not in loaded, loaded
-    assert json.loads(proc.stdout)["poincare"] == "(-13*z^2 + 9*z^3 - z^5)/(-1 + 3*z - 3*z^2 + z^3)"
+    poincare = json.loads(proc.stdout)["poincare"]
+    assert poincare == "(-13*z^2 + 9*z^3 - z^5)/(-1 + 3*z - 3*z^2 + z^3)"
 
 
 # ---------------------------------------------------------------------------
