@@ -359,7 +359,7 @@ def _cmd_check_solution(args):
             p = next(stream)
             if sol.in_domain(p):
                 pts.append(p)
-    rep = geometry.check_EW(sol, pts=pts, tol=args.tol)
+    rep = geometry.check_EW(sol, pts=pts)
     ok = solves and rep.ok
     doc = {
         "solution": sol.name,
@@ -517,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check-solution", _cmd_check_solution, "equation residuals and Einstein check")
     p.add_argument("solution", help="catalog id or DSL 'u = ...; v = ...'")
     p.add_argument("--points", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
     for name in ("f", "h", "w"):
         p.add_argument(f"--{name}", default=None, help=f"catalog parameter {name}")

@@ -73,9 +73,5 @@ class SingularLocusError(JetweylError):
     """An evaluation point lies on the singular locus of the construction."""
 
 
-class DegenerateFrameError(JetweylError):
-    """The canonical frame construction degenerates at the point."""
-
-
 class ComparisonError(JetweylError):
     """Signature clouds cannot be compared with the given configuration."""

@@ -3,8 +3,8 @@
 A solution section (u, v) determines a metric and covector on the base by
 the fixed ansatz; this module builds the Weyl connection of that pair,
 checks the Einstein property, constructs the order-2 canonical frame at a
-point, and carries the catalog of explicit solutions with their reduction
-checks.
+point in closed form, and carries the catalog of explicit solutions with
+their reduction checks.
 
 The section's derivatives, its equation residuals, the connection, the
 curvature and the invariants along it are computed in one exact
@@ -22,7 +22,6 @@ from functools import cached_property, lru_cache
 import sympy as sp
 
 from .errors import (
-    DegenerateFrameError,
     DivisionByZeroExpression,
     ExprError,
     JetOrderError,
@@ -44,7 +43,6 @@ from .exprcore import (
     jet,
     jet_info,
     jet_order,
-    normalize,
     to_text,
     validate_kernel,
 )
@@ -58,7 +56,7 @@ from .jets import (
     ms_system,
     total_derivative,
 )
-from .linalg import as_fraction, inertia
+from .linalg import as_fraction
 from . import symmetry as _symmetry
 
 __all__ = [
@@ -76,7 +74,6 @@ __all__ = [
     "check_EW",
     "FrameResult",
     "canonical_frame",
-    "signature_report",
     "catalog",
     "CATALOG_IDS",
     "dkp_reduction_check",
@@ -793,7 +790,6 @@ class EWPointCheck:
     point: tuple
     residual: float
     lam: object
-    ok: bool
 
 
 @dataclass(frozen=True)
@@ -814,7 +810,6 @@ def _max_abs(mat: sp.Matrix, subs: dict) -> float:
 def check_EW(
     sol: Solution,
     pts=None,
-    tol: float = 1e-9,
     correction_sign: int | None = None,
 ) -> EWReport:
     """Einstein property of the solution's Weyl structure.
@@ -822,8 +817,8 @@ def check_EW(
     The verdict is exact: the trace-extracted factor Lambda and the
     residual tensor Ric_sym - Lambda*g are computed in the section's field,
     and ``ok`` holds exactly when every entry is zero.  Sample points (if
-    given, or when an entry is nonzero) get a relative residual against
-    ``tol`` and a value of Lambda; these are reported, never decisive.
+    given, or when an entry is nonzero) get the exact value of Lambda and a
+    relative residual; these are reported, never decisive.
     """
     conn = weyl_connection(build_pair(sol), correction_sign)
     sf = conn.field
@@ -839,7 +834,7 @@ def check_EW(
         # residual is the zero tensor; every sample trivially passes
         for p in pts:
             subs = {c: sp.Rational(q) for c, q in zip(_COORDS, p)}
-            checks.append(EWPointCheck(tuple(p), 0.0, lam.xreplace(subs), True))
+            checks.append(EWPointCheck(tuple(p), 0.0, lam.xreplace(subs)))
     elif pts or not exact:
         if not pts:
             pts = [(0, 1, 1)]
@@ -856,8 +851,7 @@ def check_EW(
             subs = {c: sp.Rational(q) for c, q in zip(_COORDS, p)}
             denom = _max_abs(rsym, subs) + _max_abs(lam * g, subs) + 1.0
             r = _max_abs(resid, subs) / denom
-            lam_val = sp.N(lam.xreplace(subs), 50)
-            checks.append(EWPointCheck(tuple(p), r, lam_val, r <= tol))
+            checks.append(EWPointCheck(tuple(p), r, lam.xreplace(subs)))
     return EWReport(sol.name, exact, exact, lam, tuple(checks), tuple(notes))
 
 
@@ -877,7 +871,7 @@ class FrameResult:
     notes: tuple = ()
 
 
-def canonical_frame(pair: WeylPair, pt, strict: bool = False) -> FrameResult:
+def canonical_frame(pair: WeylPair, pt) -> FrameResult:
     """Order-2 canonical frame at a point, from the pair's 1-jet data.
 
     e1 spans Ker(d omega) with omega(e1) = 1; e2 is the g-orthogonal
@@ -885,110 +879,58 @@ def canonical_frame(pair: WeylPair, pt, strict: bool = False) -> FrameResult:
     where J is g^{-1} d omega scaled so J^2 = -1 or +1 (the sign is exact
     and reported; the scaling introduces one square root).
 
-    The point is taken exactly, and every decision (pivots, ranks, zero
-    components) is the exact zero test ``is_zero``.
+    The point is taken exactly: g, omega and A = d omega there are
+    constants of one field, where the frame is built in closed form.  A
+    nonzero skew A has rank 2, its kernel spanned by the dual vector
+    (A12, -A02, A01).  J0 = g^{-1} A kills e1 and is g-skew on the
+    complement of e1, so it squares to lam * id there with lam =
+    tr(J0^2)/2, which is nonzero once g(e1, e1) is.
     """
-
-    def fail(reason: str) -> FrameResult:
-        if strict:
-            raise DegenerateFrameError(reason)
-        return FrameResult(False, reason)
-
-    def at(m: sp.Matrix) -> sp.Matrix:
-        return m.xreplace(subs).applyfunc(normalize)
-
-    def canonical(vec) -> tuple:
-        return tuple(normalize(c) for c in vec)
-
     subs = {c: sp.Rational(q) for c, q in zip(_COORDS, pt)}
-    g, w, A = at(pair.g), at(pair.omega), at(d_omega(pair))
-    if all(e == 0 for e in A):
-        return fail("d omega vanishes at the point")
-    null = A.nullspace(iszerofunc=is_zero)
-    if len(null) != 1:
-        return fail("Ker(d omega) is not a line")
-    we1 = normalize((w.T * null[0])[0])
-    if we1 == 0:
-        return fail("omega(e1) = 0 at the point")
-    e1 = sp.Matrix(canonical(null[0] / we1))
-    g11 = normalize((e1.T * g * e1)[0])
-    if g11 == 0:
-        return fail("Ker(d omega) is null at the point")
-    # adjugate over determinant: sympy's Gauss-Jordan inverse would run its
-    # intermediate cancel on every entry
-    ginv = g.inv(method="ADJ", iszerofunc=is_zero)
+    sf = SectionField([e.xreplace(subs) for m in (pair.g, pair.omega, d_omega(pair)) for e in m])
+    g, w, A = _rows(sf.values[:9]), sf.values[9:12], _rows(sf.values[12:])
 
-    def project(vec: sp.Matrix) -> sp.Matrix:
-        # the g-orthogonal projection to the complement of e1
-        return sp.Matrix(canonical(vec - ((vec.T * g * e1)[0] / g11) * e1))
+    def dot(a, b):
+        return sf.sum(x * y for x, y in zip(a, b))
 
-    e2 = project(ginv * w)
-    J0 = ginv * A
-    # J0 preserves the g-complement of e1 and squares to a scalar there
-    basis = [project(sp.eye(3).col(i)) for i in range(3)]
-    if sp.Matrix.hstack(*basis).rank(iszerofunc=is_zero) < 2:
-        return fail("projection to the complement degenerates")
-    lam = None
-    for b in basis:
-        nonzero = [c for c in range(3) if b[c] != 0]
-        if not nonzero:
-            continue
-        JJb = J0 * (J0 * b)
-        if lam is None:
-            lam = normalize(JJb[nonzero[0]] / b[nonzero[0]])
-        if not all(is_zero(JJb[c] - lam * b[c]) for c in range(3)):
-            return fail("J^2 is not scalar on the complement")
-    if lam is None or lam == 0:
-        return fail("J^2 degenerates on the complement")
-    sign = 1 if lam > 0 else -1
-    Je2 = J0 * e2
+    def times(m, vec) -> list:
+        return [dot(row, vec) for row in m]
+
+    if all(sf.vanishes(e) for row in A for e in row):
+        return FrameResult(False, "d omega vanishes at the point")
+    kernel = (A[1][2], -A[0][2], A[0][1])
+    we1 = dot(w, kernel)
+    if sf.vanishes(we1):
+        return FrameResult(False, "omega(e1) = 0 at the point")
+    e1 = [c / we1 for c in kernel]
+    g11 = dot(e1, times(g, e1))
+    if sf.vanishes(g11):
+        return FrameResult(False, "Ker(d omega) is null at the point")
+    ginv = _inverse(sf, g)
+    # omega(e1) = 1, so the projection of g^{-1} omega subtracts e1 / g11
+    e2 = [c - e / g11 for c, e in zip(times(ginv, w), e1)]
+    J0 = [times(zip(*A), row) for row in ginv]  # g^{-1} A
+    lam = sf.sum(J0[i][j] * J0[j][i] for i in range(3) for j in range(3)) / 2
+    Je2 = times(J0, e2)
     notes = []
-    if sp.Matrix.hstack(e2, Je2).rank(iszerofunc=is_zero) < 2:
+    if all(sf.vanishes(e2[i] * Je2[j] - e2[j] * Je2[i]) for i, j in ((0, 1), (0, 2), (1, 2))):
         # in the para case (J^2 = +1) the projected covector can land on a
         # J-eigenvector; the pair (e2, e3) then fails to span the plane
         notes.append("e3 is proportional to e2 (J-eigenvector point)")
-    scale = 1 / sp.sqrt(sign * lam)
+    lam_value = sf.expr(lam)
+    sign = 1 if lam_value > 0 else -1
+    scale = 1 / sp.sqrt(sign * lam_value)
     return FrameResult(
         True,
         None,
-        tuple(e1),
-        tuple(e2),
-        tuple(c * scale for c in canonical(Je2)),
+        tuple(map(sf.expr, e1)),
+        tuple(map(sf.expr, e2)),
+        tuple(sf.expr(c) * scale for c in Je2),
         # J^2 = sign * id on the complement; -1 is the elliptic case
         sign,
-        normalize(-lam),
+        sf.expr(-lam),
         tuple(notes),
     )
-
-
-def signature_report(pair: WeylPair, pts) -> dict:
-    """Determinant (a constant for the ansatz) and inertia at sample
-    points; the sign pattern is reported, not asserted."""
-    out = {"det": to_text(pair.g.det()), "points": []}
-    for p in pts:
-        subs = {c: sp.Rational(q) for c, q in zip(_COORDS, p)}
-        gval = pair.g.xreplace(subs)
-        rows = []
-        exact = True
-        for i in range(3):
-            row = []
-            for j in range(3):
-                e = gval[i, j]
-                if e.is_Rational:
-                    row.append(as_fraction(e))
-                else:
-                    exact = False
-                    row.append(Fraction(float(sp.N(gval[i, j], 30))))
-            rows.append(row)
-        pos, neg, zero = inertia(rows)
-        out["points"].append(
-            {
-                "point": tuple(map(str, p)),
-                "inertia": (pos, neg, zero),
-                "exact": exact,
-            }
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

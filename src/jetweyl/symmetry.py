@@ -84,7 +84,7 @@ def _parameter(p) -> sp.Expr:
         _ring_for(0, (e,)).convert(e)
     except ExprError:
         raise ExprError(
-            f"family parameter must be a rational function of t over QQ, got {e}"
+            f"family parameter must be a rational function of t over QQ, got {to_text(e)}"
         ) from None
     return e
 

@@ -210,6 +210,22 @@ def test_symbols_outside_the_jet_space_are_generators():
 _CANONICALIZERS = ("cancel", "solve", "simplify", "nsimplify")
 
 
+def _calls(tree, flagged) -> list:
+    """(what, enclosing def) for every ``what`` in ``flagged(call)`` over
+    the calls of a parsed module."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            if isinstance(child, ast.Call):
+                found.extend((what, inner) for what in flagged(child))
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
 def _sympy_calls(source: str, names=_CANONICALIZERS) -> list:
     """(function, enclosing def) for every call of one of the sympy
     functions ``names`` (by default cancel, solve, simplify and nsimplify)
@@ -221,25 +237,18 @@ def _sympy_calls(source: str, names=_CANONICALIZERS) -> list:
         if isinstance(node, ast.ImportFrom) and node.module == "sympy"
         for a in node.names
     }
-    found = []
 
-    def visit(node, where):
-        for child in ast.iter_child_nodes(node):
-            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
-            if isinstance(child, ast.Call):
-                f = child.func
-                name = None
-                if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
-                    if f.value.id in ("sp", "sympy"):
-                        name = f.attr
-                elif isinstance(f, ast.Name) and f.id in imported:
-                    name = f.id
-                if name in names:
-                    found.append((name, inner))
-            visit(child, inner)
+    def flagged(call):
+        f = call.func
+        name = None
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+            if f.value.id in ("sp", "sympy"):
+                name = f.attr
+        elif isinstance(f, ast.Name) and f.id in imported:
+            name = f.id
+        return [name] if name in names else []
 
-    visit(tree, None)
-    return found
+    return _calls(tree, flagged)
 
 
 def test_no_second_canonicalizer_in_the_package():
@@ -292,3 +301,51 @@ def test_the_tree_derivative_guard_sees_calls():
         ("diff",),
     )
     assert found == [("diff", "principal_solve"), ("diff", "f"), ("diff", "f")]
+
+
+# ---------------------------------------------------------------------------
+# no sympy matrix algebra in the package
+
+
+_MATRIX_METHODS = ("nullspace", "inv", "rank", "hstack")
+
+
+def _matrix_algebra(source: str) -> list:
+    """(what, enclosing def) for every call of a sympy matrix method
+    (``m.nullspace()``, ``m.inv()``, ``m.rank()``, ``Matrix.hstack``) and
+    every call that passes ``iszerofunc``, in a module's source.  Calls by
+    plain name, such as ``linalg.rank`` imported as ``rank``, are not
+    methods."""
+
+    def flagged(call):
+        f = call.func
+        method = [f.attr] if isinstance(f, ast.Attribute) and f.attr in _MATRIX_METHODS else []
+        return method + ["iszerofunc" for k in call.keywords if k.arg == "iszerofunc"]
+
+    return _calls(ast.parse(source), flagged)
+
+
+def test_no_matrix_algebra_in_the_package():
+    # the canonical frame is built in closed form; the matrix path lives on
+    # as tree_oracle.tree_canonical_frame
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "jetweyl"
+    offending = []
+    for path in sorted(src.glob("*.py")):
+        for what, where in _matrix_algebra(path.read_text()):
+            offending.append(f"{path.name}: {what} in {where}")
+    assert offending == []
+
+
+def test_the_matrix_algebra_guard_sees_calls():
+    found = _matrix_algebra(
+        "import sympy as sp\nfrom .linalg import rank\n"
+        "def canonical_frame(A, g):\n    return A.nullspace(iszerofunc=is_zero), g.inv(method='ADJ')\n"
+        "def f(a, b):\n    return sp.Matrix.hstack(a, b).rank() + rank(a)\n"
+    )
+    assert found == [
+        ("nullspace", "canonical_frame"),
+        ("iszerofunc", "canonical_frame"),
+        ("inv", "canonical_frame"),
+        ("rank", "f"),
+        ("hstack", "f"),
+    ]

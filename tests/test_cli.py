@@ -45,6 +45,18 @@ def test_check_symmetry_refuses_a_fractional_power_parameter(capsys):
     assert "rational function of t" in doc["message"]
 
 
+@pytest.mark.parametrize("parameter", ["t^(1/2)", "2^(1/2)*t"])
+def test_a_refused_parameter_is_named_in_the_input_language(capsys, parameter):
+    # the message prints the parameter as the DSL reads it: passed back, the
+    # printed form is refused the same way (sympy's sqrt(t) would parse as an
+    # opaque formal function and be accepted)
+    code, doc = run(["check-symmetry", "1", "--parameter", parameter], capsys)
+    printed = doc["message"].rsplit("got ", 1)[1]
+    assert code == 4 and printed == parameter
+    code, again = run(["check-symmetry", "1", "--parameter", printed], capsys)
+    assert code == 4 and again == doc
+
+
 def test_grading(capsys):
     code, doc = run(["grading", ], capsys)
     assert code == 0 and doc["ok"]
@@ -93,6 +105,8 @@ def test_check_solution_negative_control(capsys):
     code, doc = run(["check-solution", "u = x*y ; v = 0"], capsys)
     assert code == 1
     assert doc["solves_system"] is False
+    # the sample of Lambda = 1 + y^2/8 is exact off the Einstein branch too
+    assert doc["lambda_samples"] == [{"point": ["0", "1", "1"], "value": "9/8"}]
 
 
 _ROOT_X = "u = x^(1/2) ; v = x^(1/2)"

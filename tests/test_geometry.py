@@ -6,7 +6,7 @@ import pytest
 import sympy as sp
 
 from jetweyl import geometry
-from jetweyl.errors import DegenerateFrameError, SolutionError
+from jetweyl.errors import SolutionError
 from jetweyl.exprcore import T, X, Y, equal, formal, is_zero, jet
 from jetweyl.geometry import (
     CATALOG_IDS,
@@ -22,7 +22,6 @@ from jetweyl.geometry import (
     hierarchy_residual,
     invariants_on_solution,
     ricci,
-    signature_report,
     skew_anchor_residual,
     sl2_structure_report,
     weyl_connection,
@@ -39,10 +38,12 @@ def test_pair_shape():
 
 
 def test_pair_determinant_is_constant():
-    # the shape fixes det g = 4 on every section
+    # the shape fixes det g = 4 and g_yy = -1 on every section, hence the
+    # signature (1, 2, 0): a negative entry on the diagonal and a positive
+    # determinant leave one positive and two negative directions
     for cid in ("exp-family", "hierarchy"):
         p = build_pair(catalog(cid))
-        assert equal(sp.det(p.g), 4)
+        assert equal(sp.det(p.g), 4) and p.g[2, 2] == -1
 
 
 def test_connection_compatibility_sign():
@@ -107,8 +108,10 @@ def test_ew_verdict_is_the_exact_test(monkeypatch):
     monkeypatch.setattr(geometry, "_max_abs", lambda mat, subs: 0.0)
     rep = check_EW(catalog("hierarchy"), pts=[(0, 1, 1), (1, 2, 3)], correction_sign=+1)
     assert not rep.exact
-    assert len(rep.points) == 2 and all(c.ok and c.residual == 0 for c in rep.points)
+    assert len(rep.points) == 2 and all(c.residual == 0 for c in rep.points)
     assert not rep.ok
+    # the samples of Lambda = 9/2 x^2 are exact
+    assert [c.lam for c in rep.points] == [sp.Rational(9, 2), 18]
 
 
 def test_check_ew_reports_non_solutions():
@@ -221,16 +224,6 @@ def test_frame_degenerate_report_and_strict_raise():
     pair = build_pair(catalog("trivial"))
     fr = canonical_frame(pair, (0, 0, 0))
     assert not fr.ok and "d omega vanishes" in fr.reason
-    with pytest.raises(DegenerateFrameError):
-        canonical_frame(pair, (0, 0, 0), strict=True)
-
-
-def test_signature_report():
-    pair = build_pair(catalog("exp-family", f=0, h=0))
-    rep = signature_report(pair, [(0, 0, 0)])
-    assert rep["det"] == "4"
-    assert rep["points"][0]["inertia"] == (1, 2, 0)
-    assert rep["points"][0]["exact"] is True
 
 
 # -- catalog auxiliaries ---------------------------------------------------

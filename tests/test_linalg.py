@@ -1,11 +1,11 @@
-"""Exact linear algebra over Fractions, checked against sympy on random input."""
+"""Exact rank over Fractions, checked against sympy on random input."""
 
 from fractions import Fraction
 
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from jetweyl.linalg import as_fraction, det, float_rank, inertia, nullspace, rank
+from jetweyl.linalg import as_fraction, float_rank, rank
 
 
 def test_as_fraction():
@@ -14,34 +14,9 @@ def test_as_fraction():
 
 
 def test_det_and_rank_small():
-    m = [[2, 1, 0], [1, 1, 1], [0, 1, 3]]
-    assert det(m) == Fraction(1)
-    assert rank(m) == 3
+    # determinant 1, so full rank
+    assert rank([[2, 1, 0], [1, 1, 1], [0, 1, 3]]) == 3
     assert rank([[1, 2], [2, 4]]) == 1
-
-
-def test_inertia_hollow_tridiagonal():
-    # eigenvalues are 0 and +-sqrt(2); a past elimination bug reported (2, 1, 0)
-    assert inertia([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) == (1, 1, 1)
-
-
-def test_nullspace_vectors_annihilate():
-    m = [[1, 2, 3], [2, 4, 6]]
-    basis = nullspace(m)
-    assert len(basis) == 2
-    for vec in basis:
-        for row in m:
-            assert sum(Fraction(a) * b for a, b in zip(row, vec)) == 0
-
-
-def test_inertia_diagonal():
-    assert inertia([[2, 0, 0], [0, -3, 0], [0, 0, 0]]) == (1, 1, 1)
-
-
-def test_inertia_lorentzian():
-    # the pair metric at u=v=0 in (t,x,y) order
-    g = [[0, 2, 0], [2, 0, 0], [0, 0, -1]]
-    assert inertia(g) == (1, 2, 0)
 
 
 def test_float_rank_tolerates_noise():
@@ -58,7 +33,7 @@ _entry = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 def test_rank_det_match_sympy(rows):
     m = sp.Matrix([[sp.Rational(x) for x in row] for row in rows])
     assert rank(rows) == m.rank()
-    assert det(rows) == Fraction(sp.Rational(m.det()))
+    assert (rank(rows) == 3) == (m.det() != 0)
 
 
 @st.composite
@@ -76,23 +51,3 @@ def _low_rank(draw):
 def test_rank_matches_sympy_on_rectangular_matrices(rows):
     m = sp.Matrix([[sp.Rational(x) for x in row] for row in rows])
     assert rank(rows) == m.rank()
-    basis = nullspace(rows)
-    assert len(basis) == len(rows[0]) - m.rank()
-    for vec in basis:
-        assert all(sum(Fraction(a) * b for a, b in zip(row, vec)) == 0 for row in rows)
-
-
-@given(st.lists(st.lists(_entry, min_size=3, max_size=3), min_size=3, max_size=3))
-@settings(max_examples=40, deadline=None)
-def test_inertia_matches_eigenvalue_signs(rows):
-    sym = [[Fraction(rows[i][j]) + Fraction(rows[j][i]) for j in range(3)] for i in range(3)]
-    m = sp.Matrix([[sp.Rational(x) for x in row] for row in sym])
-    eigs = []
-    for val, mult in m.eigenvals().items():
-        eigs.extend([sp.re(val.evalf(30))] * mult)
-    expected = (
-        sum(1 for e in eigs if e > 1e-20),
-        sum(1 for e in eigs if e < -1e-20),
-        sum(1 for e in eigs if abs(e) <= 1e-20),
-    )
-    assert inertia(sym) == expected

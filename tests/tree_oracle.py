@@ -10,6 +10,8 @@ and ``tree_reflected`` compose a section with a pseudogroup element or a
 reflection on trees and return the unnormalized result.
 ``poincare_function`` is the sympy form of a Poincare function of
 ``counts``, whose canonical text ``counts.poincare_text`` prints.
+``tree_canonical_frame`` is the order-2 canonical frame by sympy ``Matrix``
+algebra (``nullspace``, ``inv`` and ``rank`` with the exact zero test).
 """
 
 import functools
@@ -25,8 +27,11 @@ from jetweyl.exprcore import (
     Y,
     formal_shift,
     is_formal_symbol,
+    is_zero,
+    normalize,
     resolve_symbol,
 )
+from jetweyl.geometry import FrameResult, d_omega
 
 _AUX = {
     name: sp.Dummy(name, positive=True)
@@ -168,3 +173,68 @@ def poincare_function(series: str) -> sp.Expr:
     z = sp.Symbol("z")
     numerator, n = _poincare(series)
     return sum(c * z**j for j, c in enumerate(numerator)) / (1 - z) ** n
+
+
+def tree_canonical_frame(pair, pt) -> FrameResult:
+    """The order-2 canonical frame at a point by sympy matrix algebra: e1
+    from ``nullspace`` of d omega, the inverse metric by ``inv``, and the
+    scalar J^2 read off the projected coordinate basis."""
+
+    def at(m: sp.Matrix) -> sp.Matrix:
+        return m.xreplace(subs).applyfunc(normalize)
+
+    def canonical(vec) -> tuple:
+        return tuple(normalize(c) for c in vec)
+
+    subs = {c: sp.Rational(q) for c, q in zip((T, X, Y), pt)}
+    g, w, A = at(pair.g), at(pair.omega), at(d_omega(pair))
+    if all(e == 0 for e in A):
+        return FrameResult(False, "d omega vanishes at the point")
+    null = A.nullspace(iszerofunc=is_zero)
+    if len(null) != 1:
+        return FrameResult(False, "Ker(d omega) is not a line")
+    we1 = normalize((w.T * null[0])[0])
+    if we1 == 0:
+        return FrameResult(False, "omega(e1) = 0 at the point")
+    e1 = sp.Matrix(canonical(null[0] / we1))
+    g11 = normalize((e1.T * g * e1)[0])
+    if g11 == 0:
+        return FrameResult(False, "Ker(d omega) is null at the point")
+    ginv = g.inv(method="ADJ", iszerofunc=is_zero)
+
+    def project(vec: sp.Matrix) -> sp.Matrix:
+        return sp.Matrix(canonical(vec - ((vec.T * g * e1)[0] / g11) * e1))
+
+    e2 = project(ginv * w)
+    J0 = ginv * A
+    basis = [project(sp.eye(3).col(i)) for i in range(3)]
+    if sp.Matrix.hstack(*basis).rank(iszerofunc=is_zero) < 2:
+        return FrameResult(False, "projection to the complement degenerates")
+    lam = None
+    for b in basis:
+        nonzero = [c for c in range(3) if b[c] != 0]
+        if not nonzero:
+            continue
+        JJb = J0 * (J0 * b)
+        if lam is None:
+            lam = normalize(JJb[nonzero[0]] / b[nonzero[0]])
+        if not all(is_zero(JJb[c] - lam * b[c]) for c in range(3)):
+            return FrameResult(False, "J^2 is not scalar on the complement")
+    if lam is None or lam == 0:
+        return FrameResult(False, "J^2 degenerates on the complement")
+    sign = 1 if lam > 0 else -1
+    Je2 = J0 * e2
+    notes = []
+    if sp.Matrix.hstack(e2, Je2).rank(iszerofunc=is_zero) < 2:
+        notes.append("e3 is proportional to e2 (J-eigenvector point)")
+    scale = 1 / sp.sqrt(sign * lam)
+    return FrameResult(
+        True,
+        None,
+        tuple(e1),
+        tuple(e2),
+        tuple(c * scale for c in canonical(Je2)),
+        sign,
+        normalize(-lam),
+        tuple(notes),
+    )
