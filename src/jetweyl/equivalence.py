@@ -16,7 +16,7 @@ import sympy as sp
 from .clouds import SignatureCloud, compare  # noqa: F401  (compare is re-exported)
 from .errors import SingularLocusError, SolutionError
 from .exprcore import T, X, Y, is_formal_symbol, is_zero, jet
-from .invariants import invariant, twelve_invariants
+from .invariants import _twelve_at, invariant, twelve_invariants
 from .jets import JetPoint
 from .linalg import as_fraction
 from .geometry import SectionField, Solution, _cofactors
@@ -187,8 +187,9 @@ def signature(sol: Solution, sampler: SamplerConfig | None = None) -> SignatureC
 
 def jet_cloud(points: list[JetPoint], provenance: str = "equation-points") -> SignatureCloud:
     """Exact signature vectors at on-equation jet points (the evaluation
-    machinery independent of any section)."""
-    exprs = twelve_invariants()  # already in canonical form
+    machinery independent of any section): the twelve invariants as
+    elements of the order-3 jet ring, evaluated at each point off the
+    singular locus."""
     ux, uxx = jet("u", "x"), jet("u", "xx")
     pts, vals = [], []
     skipped = 0
@@ -196,9 +197,8 @@ def jet_cloud(points: list[JetPoint], provenance: str = "equation-points") -> Si
         if jp.value(ux) == 0 or jp.value(uxx) == 0:
             skipped += 1
             continue
-        row = tuple(jp.eval(e) for e in exprs)
         pts.append((jp.base["t"], jp.base["x"], jp.base["y"]))
-        vals.append(row)
+        vals.append(_twelve_at(jp))
     if not vals:
         raise SingularLocusError("every supplied jet point is singular")
     notes = (f"skipped {skipped} singular points",) if skipped else ()

@@ -216,7 +216,18 @@ def jet_order(e) -> int:
     return max(orders)
 
 
-_RESERVED_FORMAL = {"t", "x", "y", "u", "v", "exp"}
+# elementary functions the term language lacks (exp aside): as names of
+# formal functions they would stand for some other function of t unnoticed
+_ELEMENTARY = frozenset(
+    {"sqrt", "cbrt", "log", "ln", "abs"}
+    | {
+        pre + f + post
+        for f in ("sin", "cos", "tan", "cot", "sec", "csc")
+        for pre in ("", "a", "arc")
+        for post in ("", "h")
+    }
+)
+_RESERVED_FORMAL = {"t", "x", "y", "u", "v", "exp"} | _ELEMENTARY
 
 
 def formal(name: str, order: int = 0) -> sp.Symbol:
@@ -226,6 +237,12 @@ def formal(name: str, order: int = 0) -> sp.Symbol:
     whose D_t sends a^(k) to a^(k+1); sympy itself sees an independent real
     symbol.
     """
+    if name in _ELEMENTARY:
+        hint = "; write a fractional power such as t^(1/2)" if name == "sqrt" else ""
+        raise ValueError(
+            f"{name} is an elementary function outside the term language, "
+            f"not a formal function name{hint}"
+        )
     if not _FORMAL_NAME_RE.match(name) or name in _RESERVED_FORMAL:
         raise ValueError(f"bad formal function name {name!r}")
     if name[0] in "uv" and (len(name) == 1 or name[1] == "_"):

@@ -387,15 +387,9 @@ def twelve_invariants() -> tuple[sp.Expr, ...]:
     return tuple(map(ring.to_expr, twelve))
 
 
-def independence_rank(point: JetPoint) -> int:
-    """Exact rank of the Jacobian of (I_i, nabla_j I_i) in the internal
-    coordinates of order <= 3 at the given point (12 expected).
-
-    The invariants are reduced elements of the order-3 jet ring, so their
-    numerators and denominators are polynomials in internal coordinates;
-    each is differentiated by the 32 internal generators and evaluated at
-    the point in ``Fraction`` arithmetic."""
-    ring, twelve = _twelve_in_ring()
+def _evaluator(ring, point: JetPoint):
+    """Exact evaluation of the ring's polynomials at the point: a function
+    from a polynomial (no extras) to its ``Fraction`` value."""
     values = [
         point.value(s) if is_jet_symbol(s) else point.base[s.name] for s in ring.symbols
     ]
@@ -410,6 +404,28 @@ def independence_rank(point: JetPoint) -> int:
             total += term
         return total
 
+    return at
+
+
+def _twelve_at(point: JetPoint) -> tuple[Fraction, ...]:
+    """The twelve invariants at a point off the singular locus: their
+    numerators and denominators evaluated in ``Fraction`` arithmetic (the
+    denominators are products of powers of u_x and u_xx)."""
+    ring, twelve = _twelve_in_ring()
+    at = _evaluator(ring, point)
+    return tuple(at(f.numer) / at(f.denom) for f in twelve)
+
+
+def independence_rank(point: JetPoint) -> int:
+    """Exact rank of the Jacobian of (I_i, nabla_j I_i) in the internal
+    coordinates of order <= 3 at the given point (12 expected).
+
+    The invariants are reduced elements of the order-3 jet ring, so their
+    numerators and denominators are polynomials in internal coordinates;
+    each is differentiated by the 32 internal generators and evaluated at
+    the point in ``Fraction`` arithmetic."""
+    ring, twelve = _twelve_in_ring()
+    at = _evaluator(ring, point)
     coords = [ring.index[jet(dep, idx)] for dep in ("u", "v") for idx in internal_indices(3)]
     rows = []
     for f in twelve:

@@ -1,14 +1,16 @@
 """Exact row elimination and rank, plus a tolerant float rank.
 
 Every rank decision in this package feeds a theorem-level assertion, so the
-exact paths run on Fraction arithmetic end to end (the shape lift reuses the
-elimination over the jet ring's fraction field); pivot choice then only
-affects speed, never the answer.  The float rank exists for sampled data
+exact paths never round: the rank runs on integers (rows cleared of
+denominators, fraction-free elimination), and the shape lift reuses the
+Fraction elimination over the jet ring's fraction field; pivot choice then
+only affects speed, never the answer.  The float rank exists for sampled data
 where entries are already inexact.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -81,7 +83,43 @@ def _eliminate(mat: list[list[Fraction]]) -> list[int]:
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(_forward(_copy(rows)))
+    """Exact rank of a rational matrix.
+
+    Each row is scaled by the LCM of its denominators, which does not
+    change the rank, and the integer matrix is reduced by Bareiss's
+    fraction-free elimination: every division is exact, so the entries
+    stay integers (minors of the matrix) and never grow past them."""
+    mat = []
+    for row in _copy(rows):
+        scale = math.lcm(*(x.denominator for x in row))
+        mat.append([x.numerator * (scale // x.denominator) for x in row])
+    return _bareiss_rank(mat)
+
+
+def _bareiss_rank(mat: list[list[int]]) -> int:
+    """In-place fraction-free forward elimination of an integer matrix;
+    returns the number of pivots.  Columns without a pivot are skipped:
+    after each step an entry below the pivot rows is the minor on the
+    pivot rows and columns so far plus its own row and column, and the
+    division by the previous pivot is exact (Sylvester's identity)."""
+    ncols = len(mat[0]) if mat else 0
+    row, prev = 0, 1
+    for col in range(ncols):
+        piv = next((r for r in range(row, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[row], mat[piv] = mat[piv], mat[row]
+        top = mat[row]
+        p = top[col]
+        for r in range(row + 1, len(mat)):
+            f = mat[r][col]
+            # entries left of col vanish in both rows
+            mat[r][col:] = [(p * a - f * b) // prev for a, b in zip(mat[r][col:], top[col:])]
+        prev = p
+        row += 1
+        if row == len(mat):
+            break
+    return row
 
 
 def float_rank(rows: Sequence[Sequence[float]], rtol: float = 1e-9) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 
 import sympy as sp
@@ -485,6 +486,7 @@ def orbit_expected_dimension(k: int) -> int:
 # a truncated power series about the base point of a jet point:
 # {(i, j, l): coefficient of (t-t0)^i (x-x0)^j (y-y0)^l}
 _Series = dict
+_ZERO = Fraction(0)
 
 
 def _series_mul(a: _Series, b: _Series, degree: int) -> _Series:
@@ -498,6 +500,53 @@ def _series_mul(a: _Series, b: _Series, degree: int) -> _Series:
     return out
 
 
+def _section_arguments() -> tuple[sp.Symbol, ...]:
+    """The eleven arguments (t, x, y, u, u_t, u_x, u_y, v, v_t, v_x, v_y)
+    of a generating section."""
+    return (T, X, Y) + tuple(
+        jet(dep, d) for dep in ("u", "v") for d in ((0, 0, 0), "t", "x", "y")
+    )
+
+
+# a polynomial in the eleven section arguments: {exponents: coefficient}
+_Poly = dict
+
+
+def _by_parameter(e: sp.Expr) -> tuple[tuple[int, _Poly], ...]:
+    """e, linear in the formal parameter f and its derivatives f', f'', as
+    the pairs (j, coefficient of f^(j)), each coefficient a polynomial in
+    the section arguments; ``ValueError`` for any other e."""
+    params = tuple(formal("f", j) for j in range(3))
+    try:
+        poly = sp.Poly(e, *_section_arguments(), *params, domain="QQ")
+    except (sp.PolynomialError, sp.polys.polyerrors.CoercionFailed) as exc:
+        raise ValueError(
+            f"orbit vectors need generating sections polynomial in the jet "
+            f"arguments, got {e}"
+        ) from exc
+    out: dict[int, _Poly] = {}
+    for expo, coef in poly.terms():
+        if not coef:
+            continue  # the zero polynomial's one term
+        powers = expo[-3:]
+        if sum(powers) != 1:
+            raise ValueError(f"orbit vectors need fields linear in the parameter, got {e}")
+        out.setdefault(powers.index(1), {})[expo[:-3]] = as_fraction(coef)
+    return tuple(sorted(out.items()))
+
+
+@lru_cache(maxsize=None)
+def _family_terms(fam: int) -> tuple[tuple[tuple[int, _Poly], ...], ...]:
+    """Family ``fam`` with the formal parameter f, built once: its base
+    components (a^t, a^x, a^y) and generating section (phi_u, phi_v), each
+    split by :func:`_by_parameter`."""
+    field = generator(fam, "f")
+    section = generating_section(field)
+    return tuple(
+        _by_parameter(c) for c in (field.at, field.ax, field.ay, section.phi_u, section.phi_v)
+    )
+
+
 class _TaylorJet:
     """The jet point theta as a truncated power-series section.
 
@@ -506,15 +555,13 @@ class _TaylorJet:
     degree k, series for the eleven arguments (t, x, y, u, v, u_t, ...,
     v_y) of a generating section.  Composing a polynomial phi with them
     and reading off sigma! * coeff_sigma gives D_sigma phi at theta for
-    every |sigma| <= k at once.
+    every |sigma| <= k at once.  The polynomials are the cached
+    coefficients of :func:`_family_terms`, so a point builds no expression.
     """
 
     def __init__(self, theta: JetPoint, k: int):
         self.k = k
-        self.theta = theta
-        self.gens = (T, X, Y) + tuple(
-            jet(dep, d) for dep in ("u", "v") for d in ((0, 0, 0), "t", "x", "y")
-        )
+        self.t0 = theta.base["t"]
         self.args: list[_Series] = []
         for n, s in enumerate(("t", "x", "y")):
             unit = tuple(int(m == n) for m in range(3))
@@ -532,8 +579,22 @@ class _TaylorJet:
                     for e, q in w.items()
                     if e[n]
                 })
+        self._values = [a.get((0, 0, 0), _ZERO) for a in self.args]
         self._monomials: dict[tuple[int, ...], _Series] = {
-            (0,) * len(self.gens): {(0, 0, 0): Fraction(1)}
+            (0,) * len(self.args): {(0, 0, 0): Fraction(1)}
+        }
+        # per dependent and internal sigma: (sigma, sigma!, the values of
+        # w_{sigma+t}, w_{sigma+x}, w_{sigma+y}) for the transport terms
+        self.transport = {
+            dep: [
+                (
+                    (idx.nt, idx.nx, idx.ny),
+                    prod(map(factorial, (idx.nt, idx.nx, idx.ny))),
+                    tuple(theta.value(jet(dep, idx.bump(d))) for d in "txy"),
+                )
+                for idx in internal_indices(k)
+            ]
+            for dep in ("u", "v")
         }
 
     def _monomial(self, expo: tuple[int, ...]) -> _Series:
@@ -545,41 +606,64 @@ class _TaylorJet:
             self._monomials[expo] = got
         return got
 
-    def compose(self, e: sp.Expr) -> _Series:
+    def compose(self, poly: _Poly) -> _Series:
         """phi(t, x, y, u, v, u_t, ..., v_y) along the series section."""
-        try:
-            poly = sp.Poly(e, *self.gens, domain="QQ")
-        except (sp.PolynomialError, sp.polys.polyerrors.CoercionFailed) as exc:
-            raise ValueError(
-                f"orbit vectors need polynomial generating sections, got {e}"
-            ) from exc
         out: _Series = {}
-        for expo, coef in poly.terms():
-            c = as_fraction(coef)
+        for expo, c in poly.items():
             for key, q in self._monomial(expo).items():
                 out[key] = out.get(key, 0) + c * q
         return out
 
-    def vector(self, field: PointField) -> list[Fraction]:
-        """The prolonged field at theta in internal coordinates of order
-        <= k: (a^t, a^x, a^y) and, per internal sigma,
-        D_sigma phi_w + a^t w_{sigma+t} + a^x w_{sigma+x} + a^y w_{sigma+y}."""
-        base = [
-            self.compose(c).get((0, 0, 0), Fraction(0))
-            for c in (field.at, field.ax, field.ay)
-        ]
-        vec = list(base)
-        section = generating_section(field)
-        for dep in ("u", "v"):
-            phi = self.compose(section.component(dep))
-            for idx in internal_indices(self.k):
-                sigma = (idx.nt, idx.nx, idx.ny)
-                val = phi.get(sigma, 0) * prod(map(factorial, sigma))
-                for a, d in zip(base, ("t", "x", "y")):
-                    if a:
-                        val += a * self.theta.value(jet(dep, idx.bump(d)))
-                vec.append(Fraction(val))
-        return vec
+    def value(self, poly: _Poly) -> Fraction:
+        """phi at the base point: the constant term of :meth:`compose`."""
+        total = _ZERO
+        for expo, c in poly.items():
+            for v, n in zip(self._values, expo):
+                if n:
+                    c *= v**n
+            total += c
+        return total
+
+    def parameter(self, n: int) -> _Series:
+        """The series of t^n/n! (zero for n < 0) in powers of t - t0."""
+        return {
+            (i, 0, 0): self.t0 ** (n - i) / (factorial(n - i) * factorial(i))
+            for i in range(min(n, self.k) + 1)
+        }
+
+    def vectors(self, fam: int, mmax: int) -> list[list[Fraction]]:
+        """The prolonged fields of family ``fam`` with the parameters t^m/m!,
+        m = 0..mmax, at theta in internal coordinates of order <= k:
+        (a^t, a^x, a^y) and, per internal sigma,
+        D_sigma phi_w + a^t w_{sigma+t} + a^x w_{sigma+x} + a^y w_{sigma+y}.
+
+        Every component is sum_j c_j f^(j) with the cached coefficients
+        c_j; each c_j is composed with the series section once, and the
+        parameter t^m/m! enters as the series of its derivatives."""
+        terms = _family_terms(fam)
+        base_parts = [[(j, self.value(c)) for j, c in comp] for comp in terms[:3]]
+        phi_parts = [[(j, self.compose(c)) for j, c in comp] for comp in terms[3:]]
+        out = []
+        for m in range(mmax + 1):
+            series = [self.parameter(m - j) for j in range(3)]
+            base = [
+                sum((v * series[j].get((0, 0, 0), _ZERO) for j, v in parts), _ZERO)
+                for parts in base_parts
+            ]
+            vec = list(base)
+            for dep, parts in zip(("u", "v"), phi_parts):
+                phi: _Series = {}
+                for j, s in parts:
+                    for key, q in _series_mul(s, series[j], self.k).items():
+                        phi[key] = phi.get(key, 0) + q
+                for sigma, weight, shifted in self.transport[dep]:
+                    val = phi.get(sigma, _ZERO) * weight
+                    for a, w in zip(base, shifted):
+                        if a:
+                            val += a * w
+                    vec.append(val)
+            out.append(vec)
+        return out
 
 
 def _orbit_vectors(k: int, theta: JetPoint) -> list[list[Fraction]]:
@@ -592,9 +676,7 @@ def _orbit_vectors(k: int, theta: JetPoint) -> list[list[Fraction]]:
     series = _TaylorJet(theta, k)
     vectors = []
     for fam in (1, 2, 3, 4, 5):
-        mmax = k + 1 if fam in (1, 2, 4) else k
-        for m in range(mmax + 1):
-            vectors.append(series.vector(generator(fam, T**m / sp.Integer(factorial(m)))))
+        vectors += series.vectors(fam, k + 1 if fam in (1, 2, 4) else k)
     assert len(vectors) == orbit_spanning_count(k)
     return vectors
 

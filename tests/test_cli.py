@@ -48,13 +48,48 @@ def test_check_symmetry_refuses_a_fractional_power_parameter(capsys):
 @pytest.mark.parametrize("parameter", ["t^(1/2)", "2^(1/2)*t"])
 def test_a_refused_parameter_is_named_in_the_input_language(capsys, parameter):
     # the message prints the parameter as the DSL reads it: passed back, the
-    # printed form is refused the same way (sympy's sqrt(t) would parse as an
-    # opaque formal function and be accepted)
+    # printed form is refused the same way (sympy's sqrt(t) would be a parse
+    # error instead)
     code, doc = run(["check-symmetry", "1", "--parameter", parameter], capsys)
     printed = doc["message"].rsplit("got ", 1)[1]
     assert code == 4 and printed == parameter
     code, again = run(["check-symmetry", "1", "--parameter", printed], capsys)
     assert code == 4 and again == doc
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-symmetry", "1", "--parameter", "sqrt(t)"],
+        ["reduce", "log(t)*u_x"],
+        ["reduce", "sin(t) + u"],
+        ["check-symmetry", "2", "--parameter", "cosh(t)"],
+    ],
+)
+def test_elementary_function_names_are_parse_errors(capsys, argv):
+    # the language has no elementary functions besides exp; read as formal
+    # functions these names would stand for some other function of t
+    code, doc = run(argv, capsys)
+    assert code == 3 and doc["error"] == "parse"
+    assert "elementary function" in doc["message"]
+
+
+def test_sqrt_points_to_the_fractional_power(capsys):
+    code, doc = run(["reduce", "sqrt(t)*u_x"], capsys)
+    assert code == 3 and "t^(1/2)" in doc["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["check-symmetry", "1", "--parameter", "f(t)"], "f(t)"),
+        (["reduce", "h''(t)*u_x"], "h''(t)*u_x"),
+    ],
+)
+def test_formal_functions_still_parse(capsys, argv, shown):
+    code, doc = run(argv, capsys)
+    assert code == 0
+    assert shown == (doc["checks"][0]["parameter"] if "checks" in doc else doc["reduced"])
 
 
 def test_grading(capsys):

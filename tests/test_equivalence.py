@@ -1,5 +1,6 @@
 """Signature clouds: sampling, branch handling, comparison, serialization."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,8 @@ from jetweyl.equivalence import (
     signature,
 )
 from jetweyl.errors import ComparisonError, SingularLocusError, SolutionError
-from jetweyl.exprcore import T, X, Y
+from jetweyl.exprcore import T, X, Y, jet
+from jetweyl.invariants import twelve_invariants
 from jetweyl.dsl import parse_solution
 from jetweyl.geometry import Solution, catalog
 from jetweyl.jets import internal_indices, ms_system
@@ -224,6 +226,39 @@ def test_jet_cloud_all_singular_raises():
     sys_ = ms_system()
     with pytest.raises(SingularLocusError):
         jet_cloud([sys_.point(2, internal={"u_xx": Fraction(1)})])
+
+
+def _order3_point(rng, **zero):
+    internal = {
+        jet(dep, idx): Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
+        for dep in "uv"
+        for idx in internal_indices(3)
+    }
+    internal.update({jet("u", w): Fraction(0) for w in zero})
+    base = {c: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for c in "txy"}
+    return ms_system().point(3, base=base, internal=internal)
+
+
+def test_jet_cloud_matches_the_tree_invariants_entry_for_entry():
+    # the ring evaluation against the tree path it replaced: twelve_invariants()
+    # as expressions, evaluated by JetPoint.eval
+    rng = random.Random(2024)
+    points = [_order3_point(rng) for _ in range(22)]
+    points.insert(5, _order3_point(rng, xx=True))  # u_xx = 0: skipped
+    cloud = jet_cloud(points)
+    kept = [p for i, p in enumerate(points) if i != 5]
+    assert cloud.notes == ("skipped 1 singular points",)
+    assert cloud.points == tuple((p.base["t"], p.base["x"], p.base["y"]) for p in kept)
+    want = tuple(tuple(p.eval(e) for e in twelve_invariants()) for p in kept)
+    assert cloud.values == want
+    assert all(isinstance(v, Fraction) for row in cloud.values for v in row)
+
+
+def test_jet_cloud_of_singular_points_only_raises():
+    rng = random.Random(5)
+    singular = [_order3_point(rng, x=True), _order3_point(rng, xx=True)]
+    with pytest.raises(SingularLocusError):
+        jet_cloud(singular)
 
 
 def test_three_parameter_slice_has_tangent_rank_three():

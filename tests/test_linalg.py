@@ -1,7 +1,9 @@
-"""Exact rank over Fractions, checked against sympy on random input."""
+"""Exact rank over the rationals, checked against sympy on random input."""
 
+import random
 from fractions import Fraction
 
+import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +19,36 @@ def test_det_and_rank_small():
     # determinant 1, so full rank
     assert rank([[2, 1, 0], [1, 1, 1], [0, 1, 3]]) == 3
     assert rank([[1, 2], [2, 4]]) == 1
+
+
+def test_rank_edge_cases():
+    assert rank([]) == 0
+    assert rank([[], []]) == 0
+    assert rank([[0, 0, 0], [0, 0, 0]]) == 0
+    assert rank([[0, 0], [Fraction(1, 3), 0], [0, 0]]) == 1
+    assert rank([[Fraction(2, 7)], [0], [-5]]) == 1
+    assert rank([[0], [0]]) == 0
+    assert rank([[1, 2, 3]]) == 1
+    with pytest.raises(ValueError):
+        rank([[1, 2], [3]])
+
+
+def test_rank_of_large_denominator_rank_deficient_rows():
+    # rows of a product (8 x 3)(3 x 7) with 30-digit denominators, plus a
+    # zero row and a copy of a row scaled by a large rational
+    rng = random.Random(13)
+
+    def big():
+        return Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30))
+
+    left = [[big() for _ in range(3)] for _ in range(8)]
+    right = [[big() for _ in range(7)] for _ in range(3)]
+    rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+    rows.append([Fraction(0)] * 7)
+    rows.append([Fraction(10**40 + 1, 3**50) * x for x in rows[2]])
+    m = sp.Matrix([[sp.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+    assert rank(rows) == m.rank() == 3
+    assert rank([row[:2] for row in rows]) == 2
 
 
 def test_float_rank_tolerates_noise():

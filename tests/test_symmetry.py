@@ -15,11 +15,12 @@ from jetweyl.exprcore import T, X, Y, equal, formal, is_zero, jet, jet_info
 from jetweyl.fields import PointField, prolong
 from jetweyl.geometry import Solution
 from jetweyl.jets import _ring_for, internal_indices, ms_system, principal_indices
+from jetweyl import symmetry
 from jetweyl.symmetry import (
     _dot,
     _orbit_vectors,
+    _by_parameter,
     _solve_lift,
-    _TaylorJet,
     GRADES,
     PseudogroupElement,
     ShapeField,
@@ -396,8 +397,47 @@ def test_orbit_vectors_stop_at_the_hard_cap():
 
 
 def test_composition_refuses_non_polynomial_sections():
-    series = _TaylorJet(ms_system().point(1), 1)
+    # the cached families are split into polynomial coefficients of f, f',
+    # f'' before any composition; anything else is refused there
     with pytest.raises(ValueError):
-        series.compose(sp.exp(T) * jet("u", "x"))
+        _by_parameter(sp.exp(T) * jet("u", "x") * formal("f"))
     with pytest.raises(ValueError):
-        series.compose(formal("f") * jet("u", "x"))
+        _by_parameter(formal("g") * jet("u", "x"))
+    with pytest.raises(ValueError):
+        _by_parameter(formal("f") ** 2 * jet("u", "x"))
+    assert _by_parameter(formal("f", 1) * jet("u", "x") - 2 * X * formal("f")) == (
+        (0, {(0, 1, 0) + (0,) * 8: Fraction(-2)}),
+        (1, {(0,) * 5 + (1,) + (0,) * 5: Fraction(1)}),
+    )
+
+
+def test_a_second_orbit_dimension_builds_no_sympy_polynomial(monkeypatch):
+    rng = random.Random(7)
+
+    def point():
+        internal = {
+            jet(dep, idx): Fraction(rng.randint(1, 9), rng.randint(1, 7))
+            for dep in "uv"
+            for idx in internal_indices(3)
+        }
+        return ms_system().point(3, base={"t": Fraction(rng.randint(-3, 3), 2)}, internal=internal)
+
+    first = orbit_dimension(3, point())
+    counts = {"Poly": 0, "generator": 0}
+    poly_new = sp.Poly.__new__
+    real_generator = symmetry.generator
+
+    def counting_poly(cls, *args, **kwargs):
+        counts["Poly"] += 1
+        return poly_new(cls, *args, **kwargs)
+
+    def counting_generator(*args, **kwargs):
+        counts["generator"] += 1
+        return real_generator(*args, **kwargs)
+
+    monkeypatch.setattr(sp.Poly, "__new__", counting_poly)
+    monkeypatch.setattr(symmetry, "generator", counting_generator)
+    assert sp.Poly(T).degree() == 1 and counts["Poly"] == 1  # the counter counts
+    counts["Poly"] = 0
+    assert orbit_dimension(3, point()) == first == 23
+    assert counts == {"Poly": 0, "generator": 0}
