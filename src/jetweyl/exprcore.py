@@ -219,7 +219,7 @@ def jet_order(e) -> int:
 # elementary functions the term language lacks (exp aside): as names of
 # formal functions they would stand for some other function of t unnoticed
 _ELEMENTARY = frozenset(
-    {"sqrt", "cbrt", "log", "ln", "abs"}
+    {"sqrt", "cbrt", "log", "ln", "log2", "log10", "abs"}
     | {
         pre + f + post
         for f in ("sin", "cos", "tan", "cot", "sec", "csc")

@@ -63,6 +63,7 @@ def test_a_refused_parameter_is_named_in_the_input_language(capsys, parameter):
         ["check-symmetry", "1", "--parameter", "sqrt(t)"],
         ["reduce", "log(t)*u_x"],
         ["reduce", "sin(t) + u"],
+        ["reduce", "u_x/log10(t)"],
         ["check-symmetry", "2", "--parameter", "cosh(t)"],
     ],
 )
