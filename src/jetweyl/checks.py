@@ -151,42 +151,22 @@ def _counting():
     return ok, {"series": list(_SERIES)}
 
 
-def _compat_residual(conn) -> list:
-    """((k, i, j), nabla_k g_ij - compat_sign * omega_k g_ij), recomputed
-    from the Christoffel symbols in the connection's field."""
-    sf, g, w, G = conn.field, conn.g_f, conn.w_f, conn.christoffel_f
-    out = []
-    for k, d in enumerate("txy"):
-        for i in range(3):
-            for j in range(3):
-                nabla = sf.partial(g[i][j], d)
-                for m in range(3):
-                    nabla = nabla - G[m][k][i] * g[m][j] - G[m][k][j] * g[i][m]
-                out.append(((k, i, j), nabla - w[k] * g[i][j] * conn.compat_sign))
-    return out
-
-
 def _residual_witness(cid: str, conn) -> dict | None:
-    """The first nonzero component of the compatibility, anchor or Einstein
-    residual of the connection, as text, with where it is (canonical
-    expressions: zero exactly when they read 0)."""
-    sf = conn.field
-    anchor = geometry.skew_anchor_residual(conn)
+    """The first nonzero entry of the anchor, then the Einstein residual of
+    the connection, with where it is.  Entries are tested in the field; only
+    the one reported is converted, to text."""
+    sf = conn.pair.field
     _, einstein = conn.einstein_elements()
-    cells = [(i, j) for i in range(3) for j in range(3)]
-    for quantity, entries in (
-        ("compatibility", [(kij, sf.expr(r)) for kij, r in _compat_residual(conn)]),
-        ("anchor", [(ij, anchor[ij]) for ij in cells]),
-        ("einstein", [((i, j), sf.expr(einstein[i][j])) for i, j in cells]),
-    ):
-        for entry, value in entries:
-            if value != 0:
-                return {
-                    "family": cid,
-                    "quantity": quantity,
-                    "entry": list(entry),
-                    "residual": to_text(value),
-                }
+    for quantity, rows in (("anchor", conn.anchor_elements()), ("einstein", einstein)):
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                if not sf.vanishes(e):
+                    return {
+                        "family": cid,
+                        "quantity": quantity,
+                        "entry": [i, j],
+                        "residual": to_text(sf.expr(e)),
+                    }
     return None
 
 
@@ -204,10 +184,13 @@ def _sl2_points(cid: str) -> list[tuple]:
 
 def _geometry():
     """Every catalog entry with formal parameters, and exp-family with
-    f = h = 1: metric compatibility, the curvature anchor and the exact
-    Einstein property, with a 20-point sampled pass on the sl2 families;
-    then the sl2 invariants and structure constants.  The first nonzero
-    residual component stops the check, as ``info["witness"]``."""
+    f = h = 1: metric compatibility (checked by ``weyl_connection``), the
+    curvature anchor and the exact Einstein property, with a 20-point
+    sampled pass on the sl2 families; then the sl2 invariants and
+    structure constants, and the dKP and hierarchy reductions of the
+    system.  The first nonzero residual component stops the check, as
+    ``info["witness"]``; a failed reduction is named in
+    ``info["reductions_failed"]``."""
     ok = True
     lams = {}
     cases = [(cid, {}) for cid in geometry.CATALOG_IDS] + [("exp-family", {"f": 1, "h": 1})]
@@ -233,7 +216,18 @@ def _geometry():
     # defining quotients degenerate; record consistency of the cleared forms
     srep = geometry.sl2_structure_report(geometry.catalog("sl2-family"))
     ok = ok and all(e["numerator_vanishes"] for e in srep["entries"])
-    return ok, {"lambda": lams, "k_indeterminate": srep["indeterminate"]}
+    info = {"lambda": lams, "k_indeterminate": srep["indeterminate"]}
+    failed = [
+        name
+        for name, reduction in (
+            ("dkp", geometry.dkp_reduction_check),
+            ("hierarchy", geometry.hierarchy_reduction_check),
+        )
+        if not reduction()
+    ]
+    if failed:
+        info["reductions_failed"] = failed
+    return ok and not failed, info
 
 
 def _poly(rng):
@@ -326,8 +320,7 @@ def _mutation():
         sol = geometry.catalog(cid, **kwargs)
         ew = geometry.check_EW(sol, correction_sign=+1).ok
         conn = geometry.weyl_connection(geometry.build_pair(sol), correction_sign=+1)
-        # the entries are canonical forms, so zero is the integer 0
-        anchor = all(e == 0 for e in geometry.skew_anchor_residual(conn))
+        anchor = all(conn.pair.field.vanishes(e) for row in conn.anchor_elements() for e in row)
         if not ew and not anchor:
             rejected.append(cid)
     return len(rejected) == 3, {"rejected": rejected}

@@ -183,9 +183,8 @@ def _cmd_orbit_dim(args):
 
     system = ms_system()
     if args.point == "special":
-        assign = {"u_x": Fraction(1)}
-        if args.k >= 2:
-            assign["u_xx"] = Fraction(1)
+        # u_x = u_xx = 1, as far as the order reaches
+        assign = {name: Fraction(1) for name in ("u_x", "u_xx")[: args.k]}
         theta = system.point(args.k, internal=assign)
     else:
         import random

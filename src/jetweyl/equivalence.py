@@ -19,7 +19,7 @@ from .exprcore import T, X, Y, is_formal_symbol, is_zero, jet
 from .invariants import _twelve_at, invariant, twelve_invariants
 from .jets import JetPoint
 from .linalg import as_fraction
-from .geometry import SectionField, Solution, _cofactors
+from .geometry import Solution, _cofactors
 
 __all__ = [
     "SamplerConfig",
@@ -77,11 +77,6 @@ class SamplerConfig:
 
 # ---------------------------------------------------------------------------
 # clouds
-
-
-def _section_base_invariants(sol: Solution) -> list[sp.Expr]:
-    """I1, I2, I3 along the section, without deriving the other nine."""
-    return [sol.jet_subs(invariant(i)) for i in (1, 2, 3)]
 
 
 def _eval_at(e, subs):
@@ -220,7 +215,7 @@ def i_regular(sol: Solution, pt) -> bool:
     uxv = sol.jet_expr("u", "x").xreplace(subs)
     if uxv == 0:
         raise SingularLocusError("u_x vanishes on the section at this point")
-    sf = SectionField(_section_base_invariants(sol))
-    M = [[sf.partial(e, d) for d in "txy"] for e in sf.values]
+    sf = sol.field
+    M = [[sf.partial(sf.subs(invariant(i)), d) for d in "txy"] for i in (1, 2, 3)]
     det = sf.sum(M[0][j] * c for j, c in enumerate(_cofactors(M)[0]))
     return not is_zero(sf.expr(det).xreplace(subs))

@@ -227,7 +227,22 @@ _ELEMENTARY = frozenset(
         for post in ("", "h")
     }
 )
-_RESERVED_FORMAL = {"t", "x", "y", "u", "v", "exp"} | _ELEMENTARY
+# special functions: the same holds for their names
+_SPECIAL = frozenset(
+    {"erf", "erfc", "erfi", "erfinv", "erfcinv", "erf2", "erf2inv"}
+    | {"gamma", "lgamma", "loggamma", "digamma", "trigamma", "polygamma"}
+    | {"uppergamma", "lowergamma", "multigamma", "beta", "betainc"}
+    | {"factorial", "factorial2", "subfactorial", "binomial"}
+    | {"zeta", "polylog", "lerchphi", "stieltjes"}
+    | {"besselj", "bessely", "besseli", "besselk", "hankel1", "hankel2", "jn", "yn"}
+    | {"airyai", "airybi", "airyaiprime", "airybiprime"}
+    | {"Ei", "E1", "expint", "li", "Li", "Si", "Ci", "Shi", "Chi", "fresnels", "fresnelc"}
+    | {"LambertW", "hyper", "meijerg", "sinc", "atan2"}
+    | {"legendre", "hermite", "laguerre", "jacobi", "gegenbauer", "chebyshevt", "chebyshevu"}
+    | {"sign", "sgn", "floor", "ceiling", "ceil", "frac", "round", "Heaviside", "DiracDelta"}
+    | {"Max", "Min", "max", "min", "re", "im", "arg", "conjugate"}
+)
+_RESERVED_FORMAL = {"t", "x", "y", "u", "v", "exp"} | _ELEMENTARY | _SPECIAL
 
 
 def formal(name: str, order: int = 0) -> sp.Symbol:
@@ -237,10 +252,11 @@ def formal(name: str, order: int = 0) -> sp.Symbol:
     whose D_t sends a^(k) to a^(k+1); sympy itself sees an independent real
     symbol.
     """
-    if name in _ELEMENTARY:
+    if name in _ELEMENTARY or name in _SPECIAL:
+        kind = "an elementary" if name in _ELEMENTARY else "a special"
         hint = "; write a fractional power such as t^(1/2)" if name == "sqrt" else ""
         raise ValueError(
-            f"{name} is an elementary function outside the term language, "
+            f"{name} is {kind} function outside the term language, "
             f"not a formal function name{hint}"
         )
     if not _FORMAL_NAME_RE.match(name) or name in _RESERVED_FORMAL:

@@ -6,10 +6,11 @@ checks the Einstein property, constructs the order-2 canonical frame at a
 point in closed form, and carries the catalog of explicit solutions with
 their reduction checks.
 
-The section's derivatives, its equation residuals, the connection, the
-curvature and the invariants along it are computed in one exact
-differential field (:class:`SectionField`); sympy expressions are
-converted into it once and back only for return values and messages.
+The section's derivatives, its equation residuals, the metric pair, the
+connection, the curvature and the invariants along it are held only as
+elements of one exact differential field (:class:`SectionField`).  Sympy
+expressions are converted into it once, and field elements back only for
+values that are returned, printed or sampled.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import sympy as sp
 
@@ -47,7 +48,6 @@ from .exprcore import (
     validate_kernel,
 )
 from .jets import (
-    EquationSystem,
     JetPoint,
     _merge,
     _Rescaled,
@@ -67,8 +67,6 @@ __all__ = [
     "CORRECTION_SIGN",
     "build_pair",
     "weyl_connection",
-    "ricci",
-    "d_omega",
     "skew_anchor_residual",
     "EWReport",
     "check_EW",
@@ -414,7 +412,6 @@ class Solution:
         name: str = "user",
         domain: str = "",
         deferred: bool = False,
-        system: EquationSystem | None = None,
         field: SectionField | None = None,
     ):
         self.u = validate_kernel(sp.sympify(u), allow_exp=True)
@@ -427,7 +424,6 @@ class Solution:
                     )
         self.name = name
         self.domain = domain
-        self.system = system or ms_system()
         self._field = field
         self._pair: WeylPair | None = None
         self._residual_elements: tuple | None = None
@@ -444,7 +440,7 @@ class Solution:
     def _residuals(self) -> tuple:
         """F1, F2 at the section as field elements, computed once."""
         if self._residual_elements is None:
-            self._residual_elements = tuple(self.field.subs(F) for F in self.system.equations)
+            self._residual_elements = tuple(self.field.subs(F) for F in ms_system().equations)
         return self._residual_elements
 
     def residuals(self) -> tuple[sp.Expr, sp.Expr]:
@@ -492,7 +488,7 @@ class Solution:
                         f"{dep}_{idx.word() or '0'} = {val}"
                     )
                 internal[jet(dep, idx)] = as_fraction(val)
-        return self.system.point(
+        return ms_system().point(
             k,
             base={"t": Fraction(base[0]), "x": Fraction(base[1]), "y": Fraction(base[2])},
             internal=internal,
@@ -529,9 +525,7 @@ class Solution:
         """The solution held by a field derived from this one; its residuals
         are checked there."""
         u, v = map(sf.expr, sf.values)
-        return Solution(
-            u, v, name=f"{self.name}|{tag}", domain=self.domain, system=self.system, field=sf
-        )
+        return Solution(u, v, name=f"{self.name}|{tag}", domain=self.domain, field=sf)
 
     def __str__(self) -> str:
         return f"u = {to_text(self.u)}; v = {to_text(self.v)}"
@@ -543,24 +537,16 @@ class Solution:
 
 @dataclass(frozen=True)
 class WeylPair:
-    g: sp.Matrix
-    omega: sp.Matrix  # column of (dt, dx, dy) components
+    """The ansatz metric and covector of a section, as elements of the
+    section's field: ``g`` as rows, ``omega`` as its (dt, dx, dy)
+    components."""
+
     solution: Solution
-    # (field, g as rows, omega) in a differential field; derived from g and
-    # omega when not given
-    _elements: tuple | None = field(default=None, repr=False, compare=False)
+    field: SectionField
+    g: tuple
+    omega: tuple
     # correction sign -> the pair's Weyl connection
     _connections: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def elements(self) -> tuple:
-        """(field, g, omega): the pair as elements of a differential field."""
-        if self._elements is None:
-            sf = SectionField([*self.g, *self.omega])
-            vals = sf.values
-            object.__setattr__(
-                self, "_elements", (sf, _rows(vals[:9]), tuple(vals[9:]))
-            )
-        return self._elements
 
 
 def _rows(vals) -> tuple:
@@ -574,79 +560,70 @@ def build_pair(sol: Solution) -> WeylPair:
         u, v = jet("u"), jet("v")
         g = _symmetry.ansatz_metric(u, v)
         w = _symmetry.ansatz_covector(u, jet("u", "x"), jet("u", "y"), jet("v", "x"))
-        g_f = _rows([sf.subs(e) for e in g])
-        w_f = tuple(sf.subs(e) for e in w)
-        sol._pair = WeylPair(
-            _symmetry.ansatz_metric(sol.u, sol.v),
-            sp.Matrix([sf.expr(e) for e in w_f]),
-            sol,
-            (sf, g_f, w_f),
-        )
+        sol._pair = WeylPair(sol, sf, _rows([sf.subs(e) for e in g]), tuple(map(sf.subs, w)))
     return sol._pair
-
-
-def _exprs(sf: SectionField, nested):
-    """Canonical expressions of nested tuples of field elements."""
-    if isinstance(nested, tuple):
-        return tuple(_exprs(sf, e) for e in nested)
-    return sf.expr(nested)
 
 
 class Connection:
     """Christoffel symbols Gamma[k][i][j] of a Weyl pair, symmetric in
-    (i, j), computed in the pair's differential field ``field``.
+    (i, j), as elements of the pair's field.
 
-    ``g_f``, ``w_f``, ``ginv_f``, ``gamma_f``, ``christoffel_f`` and
-    ``wsharp_f`` are field elements (metric, covector, inverse metric,
-    Levi-Civita and corrected symbols, raised covector); ``gamma``,
-    ``christoffel`` and ``wsharp`` are their canonical expressions.
+    ``ginv_f`` is the inverse metric and ``christoffel_f`` the corrected
+    symbols; the curvature built from them is computed once.
     ``compat_sign`` is the verified sign of nabla g = compat_sign *
     omega x g.
     """
 
-    def __init__(self, pair, correction_sign, sf, g, w, ginv, gamma, christoffel, wsharp):
+    def __init__(self, pair: WeylPair, correction_sign: int, ginv, christoffel):
         self.pair = pair
         self.correction_sign = correction_sign
         self.compat_sign = -correction_sign
-        self.field = sf
-        self.g_f, self.w_f, self.ginv_f = g, w, ginv
-        self.gamma_f, self.christoffel_f, self.wsharp_f = gamma, christoffel, wsharp
+        self.ginv_f, self.christoffel_f = ginv, christoffel
         self._ricci = None
         self._einstein = None
 
-    @cached_property
-    def gamma(self) -> tuple:
-        return _exprs(self.field, self.gamma_f)
-
-    @cached_property
-    def christoffel(self) -> tuple:
-        return _exprs(self.field, self.christoffel_f)
-
-    @cached_property
-    def wsharp(self) -> tuple:
-        return _exprs(self.field, self.wsharp_f)
-
-    def __getitem__(self, kij):
-        k, i, j = kij
-        return self.christoffel[k][i][j]
-
     def ricci_elements(self) -> tuple:
-        """Ric_ij as field elements (see :func:`ricci`)."""
+        """Rows of the Ricci tensor Ric(X, Y) = trace of Z -> R(Z, X)Y, not
+        symmetrized (a Weyl connection has a skew Ricci part):
+
+        Ric_ij = sum_k d_k Gamma^k_ij - d_i Gamma^k_kj
+                 + Gamma^m_ij Gamma^k_km - Gamma^m_kj Gamma^k_im.
+        """
         if self._ricci is None:
-            self._ricci = _ricci_of(self)
+            sf, G = self.pair.field, self.christoffel_f
+            trace = [sf.sum(G[k][k][m] for k in range(3)) for m in range(3)]
+            self._ricci = _rows(
+                [
+                    sf.sum(sf.partial(G[k][i][j], _DIRS[k]) for k in range(3))
+                    - sf.partial(trace[j], _DIRS[i])
+                    + sf.sum(G[m][i][j] * trace[m] for m in range(3))
+                    - sf.sum(G[m][k][j] * G[k][i][m] for k in range(3) for m in range(3))
+                    for i in range(3)
+                    for j in range(3)
+                ]
+            )
         return self._ricci
 
     def einstein_elements(self) -> tuple:
         """(Lambda, rows of Ric_sym - Lambda*g) as field elements, with
         Lambda = tr(g^-1 Ric_sym)/3."""
         if self._einstein is None:
-            ric, g, ginv = self.ricci_elements(), self.g_f, self.ginv_f
+            ric, g, ginv = self.ricci_elements(), self.pair.g, self.ginv_f
             cells = [(i, j) for i in range(3) for j in range(3)]
             rsym = {(i, j): (ric[i][j] + ric[j][i]) / 2 for i, j in cells}
-            lam = self.field.sum(ginv[j][i] * rsym[i, j] for i, j in cells) / 3
+            lam = self.pair.field.sum(ginv[j][i] * rsym[i, j] for i, j in cells) / 3
             resid = _rows([rsym[i, j] - lam * g[i][j] for i, j in cells])
             self._einstein = (lam, resid)
         return self._einstein
+
+    def anchor_elements(self) -> tuple:
+        """Rows of the curvature anchor residual: the skew part of Ricci
+        minus 3/2 times d omega, both alternated tensors."""
+        ric = self.ricci_elements()
+        dw = _d_omega_of(self.pair.field, self.pair.omega)
+        return _rows(
+            [(ric[i][j] - ric[j][i]) / 2 - dw[i][j] * 3 / 2 for i in range(3) for j in range(3)]
+        )
 
 
 def _cube(entry) -> tuple:
@@ -682,9 +659,10 @@ def weyl_connection(
 ) -> Connection:
     """Levi-Civita symbols plus the covector correction.
 
-    The compatibility law nabla g = (sign) * omega x g is verified exactly;
-    the achieved sign is recorded on the result (it is the negative of the
-    correction sign).  A pair computes its connection once per sign.
+    The compatibility law nabla g = (sign) * omega x g is verified exactly,
+    entry by entry; the achieved sign is recorded on the result (it is the
+    negative of the correction sign).  A pair computes its connection once
+    per sign.
     """
     if correction_sign is None:
         correction_sign = CORRECTION_SIGN
@@ -693,7 +671,7 @@ def weyl_connection(
     got = pair._connections.get(correction_sign)
     if got is not None:
         return got
-    sf, g, w = pair.elements()
+    sf, g, w = pair.field, pair.g, pair.omega
     ginv = _inverse(sf, g)
     wup = tuple(sf.sum(ginv[k][m] * w[m] for m in range(3)) for k in range(3))
     # dg[d][i][j] = d_d g_ij
@@ -708,7 +686,7 @@ def weyl_connection(
 
     gamma = _cube(levi_civita)
     chris = _cube(corrected)
-    conn = Connection(pair, correction_sign, sf, g, w, ginv, gamma, chris, wup)
+    conn = Connection(pair, correction_sign, ginv, chris)
     # verify nabla_k g_ij = compat_sign * w_k g_ij
     for k in range(3):
         for i in range(3):
@@ -722,34 +700,9 @@ def weyl_connection(
     return conn
 
 
-def _ricci_of(conn: Connection) -> tuple:
-    """Ric_ij = sum_k d_k Gamma^k_ij - d_i Gamma^k_kj
-    + Gamma^m_ij Gamma^k_km - Gamma^m_kj Gamma^k_im, as field elements."""
-    sf, G = conn.field, conn.christoffel_f
-    trace = [sf.sum(G[k][k][m] for k in range(3)) for m in range(3)]
-    return _rows(
-        [
-            sf.sum(sf.partial(G[k][i][j], _DIRS[k]) for k in range(3))
-            - sf.partial(trace[j], _DIRS[i])
-            + sf.sum(G[m][i][j] * trace[m] for m in range(3))
-            - sf.sum(G[m][k][j] * G[k][i][m] for k in range(3) for m in range(3))
-            for i in range(3)
-            for j in range(3)
-        ]
-    )
-
-
-def ricci(conn: Connection) -> sp.Matrix:
-    """Ricci tensor Ric(X, Y) = trace of Z -> R(Z, X)Y, not symmetrized
-    (a Weyl connection has a skew Ricci part).
-
-    Ric_ij = sum_k d_k Gamma^k_ij - d_i Gamma^k_kj
-             + Gamma^m_ij Gamma^k_km - Gamma^m_kj Gamma^k_im.
-    """
-    return sp.Matrix(_exprs(conn.field, conn.ricci_elements()))
-
-
 def _d_omega_of(sf: SectionField, w) -> tuple:
+    """Rows of the exterior derivative of the covector as an alternated
+    tensor: (d omega)_ij = (d_i w_j - d_j w_i) / 2."""
     return _rows(
         [
             (sf.partial(w[j], _DIRS[i]) - sf.partial(w[i], _DIRS[j])) / 2
@@ -759,11 +712,9 @@ def _d_omega_of(sf: SectionField, w) -> tuple:
     )
 
 
-def d_omega(pair: WeylPair) -> sp.Matrix:
-    """Exterior derivative of the covector as an alternated tensor:
-    (d omega)_ij = (d_i w_j - d_j w_i) / 2."""
-    sf, _, w = pair.elements()
-    return sp.Matrix(_exprs(sf, _d_omega_of(sf, w)))
+def _matrix(sf: SectionField, rows) -> sp.Matrix:
+    """The canonical expressions of rows of field elements."""
+    return sp.Matrix([[sf.expr(e) for e in row] for row in rows])
 
 
 def skew_anchor_residual(conn: Connection) -> sp.Matrix:
@@ -772,13 +723,7 @@ def skew_anchor_residual(conn: Connection) -> sp.Matrix:
 
     Zero for every solution under the default correction sign; the anchor
     fails under the flipped sign, which is the mutation observable."""
-    ric = conn.ricci_elements()
-    dw = _d_omega_of(conn.field, conn.w_f)
-    return sp.Matrix(
-        3,
-        3,
-        lambda i, j: conn.field.expr((ric[i][j] - ric[j][i]) / 2 - dw[i][j] * 3 / 2),
-    )
+    return _matrix(conn.pair.field, conn.anchor_elements())
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +766,7 @@ def check_EW(
     relative residual; these are reported, never decisive.
     """
     conn = weyl_connection(build_pair(sol), correction_sign)
-    sf = conn.field
+    sf = conn.pair.field
     lam_f, resid_f = conn.einstein_elements()
     exact = all(sf.vanishes(e) for row in resid_f for e in row)
     lam = sf.expr(lam_f)
@@ -839,17 +784,18 @@ def check_EW(
         if not pts:
             pts = [(0, 1, 1)]
             notes.append("symbolic residual nonzero; sampled a default point")
-        resid = sp.Matrix(_exprs(sf, resid_f))
+        resid = _matrix(sf, resid_f)
         free = {s for e in resid for s in e.free_symbols if is_formal_symbol(s)}
         if free:
             raise SolutionError(
                 f"bind formal parameters before numeric checks: {sorted(map(str, free))}"
             )
-        g = conn.pair.g
-        rsym = sp.Matrix(3, 3, lambda i, j: resid[i, j] + lam * g[i, j])
+        ric = conn.ricci_elements()
+        rsym = _matrix(sf, [[(ric[i][j] + ric[j][i]) / 2 for j in range(3)] for i in range(3)])
+        lam_g = _matrix(sf, [[lam_f * e for e in row] for row in conn.pair.g])
         for p in pts:
             subs = {c: sp.Rational(q) for c, q in zip(_COORDS, p)}
-            denom = _max_abs(rsym, subs) + _max_abs(lam * g, subs) + 1.0
+            denom = _max_abs(rsym, subs) + _max_abs(lam_g, subs) + 1.0
             r = _max_abs(resid, subs) / denom
             checks.append(EWPointCheck(tuple(p), r, lam.xreplace(subs)))
     return EWReport(sol.name, exact, exact, lam, tuple(checks), tuple(notes))
@@ -887,7 +833,9 @@ def canonical_frame(pair: WeylPair, pt) -> FrameResult:
     tr(J0^2)/2, which is nonzero once g(e1, e1) is.
     """
     subs = {c: sp.Rational(q) for c, q in zip(_COORDS, pt)}
-    sf = SectionField([e.xreplace(subs) for m in (pair.g, pair.omega, d_omega(pair)) for e in m])
+    at = pair.field
+    rows = (*pair.g, pair.omega, *_d_omega_of(at, pair.omega))
+    sf = SectionField([at.expr(e).xreplace(subs) for row in rows for e in row])
     g, w, A = _rows(sf.values[:9]), sf.values[9:12], _rows(sf.values[12:])
 
     def dot(a, b):

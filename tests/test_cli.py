@@ -75,6 +75,23 @@ def test_elementary_function_names_are_parse_errors(capsys, argv):
     assert "elementary function" in doc["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "erf(t)*u_x"],
+        ["check-symmetry", "1", "--parameter", "gamma(t)"],
+        ["reduce", "u + besselj(t)"],
+        ["reduce", "zeta(t)*u_x + airyai(t)"],
+        ["check-symmetry", "2", "--parameter", "Ei(t)"],
+        ["reduce", "floor(t)*u"],
+    ],
+)
+def test_special_function_names_are_parse_errors(capsys, argv):
+    code, doc = run(argv, capsys)
+    assert code == 3 and doc["error"] == "parse"
+    assert "special function" in doc["message"]
+
+
 def test_sqrt_points_to_the_fractional_power(capsys):
     code, doc = run(["reduce", "sqrt(t)*u_x"], capsys)
     assert code == 3 and "t^(1/2)" in doc["message"]
@@ -85,6 +102,7 @@ def test_sqrt_points_to_the_fractional_power(capsys):
     [
         (["check-symmetry", "1", "--parameter", "f(t)"], "f(t)"),
         (["reduce", "h''(t)*u_x"], "h''(t)*u_x"),
+        (["reduce", "a(t)*b(t)*c(t)*d(t)*e(t)*u_x"], "a(t)*b(t)*c(t)*d(t)*e(t)*u_x"),
     ],
 )
 def test_formal_functions_still_parse(capsys, argv, shown):
@@ -103,6 +121,13 @@ def test_orbit_dim_special_point(capsys):
     assert code == 0
     assert doc["dimension"] == 18
     assert doc["expected"] == 18
+
+
+def test_orbit_dim_at_order_zero(capsys):
+    # the special point assigns u_x and u_xx only where the order reaches
+    code, doc = run(["orbit-dim", "0"], capsys)
+    assert code == 0
+    assert doc["dimension"] == doc["expected"] == 5
 
 
 def test_invariants_eval(capsys):

@@ -4,7 +4,6 @@ import random
 from fractions import Fraction
 
 import pytest
-import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from jetweyl.clouds import (
@@ -183,16 +182,11 @@ def test_i_regular_accepts_independent_differentials(monkeypatch):
     from jetweyl import equivalence
 
     sol = catalog("exp-family", f=1, h=1)
-    monkeypatch.setattr(
-        equivalence,
-        "_section_base_invariants",
-        lambda s: [T + X * Y, Y**2, T * X + Y ** sp.Rational(1, 2)],
-    )
+    functions = [T + X * Y, Y**2, T * X + Y**3]
+    monkeypatch.setattr(equivalence, "invariant", lambda i: functions[i - 1])
     assert i_regular(sol, (1, 2, 3)) is True
     # (T + X)^2 * Y is a function of the first two: the determinant vanishes
-    monkeypatch.setattr(
-        equivalence, "_section_base_invariants", lambda s: [T + X, Y, (T + X) ** 2 * Y]
-    )
+    functions = [T + X, Y, (T + X) ** 2 * Y]
     assert i_regular(sol, (1, 2, 3)) is False
 
 

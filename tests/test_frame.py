@@ -17,8 +17,8 @@ import sympy as sp
 
 from jetweyl import checks
 from jetweyl.exprcore import T, X, Y, is_zero
-from jetweyl.geometry import Solution, build_pair, canonical_frame, catalog, d_omega
-from tree_oracle import tree_canonical_frame
+from jetweyl.geometry import Solution, build_pair, canonical_frame, catalog
+from tree_oracle import TreeSection, tree_canonical_frame, tree_d_omega
 
 _SETUPS = (
     ("trivial", {}),
@@ -90,7 +90,7 @@ def test_the_corpus_reaches_every_outcome():
 
 @pytest.mark.parametrize("label, pair, pt", _CORPUS, ids=_IDS)
 def test_frame_matches_the_tree(label, pair, pt):
-    got, want = canonical_frame(pair, pt), tree_canonical_frame(pair, pt)
+    got, want = canonical_frame(pair, pt), tree_canonical_frame(pair.solution, pt)
     assert (got.ok, got.reason, got.notes, got.j_squared_sign) == (
         want.ok,
         want.reason,
@@ -109,7 +109,8 @@ def test_frame_has_its_defining_properties(label, pair, pt):
     if not fr.ok:
         return
     point = {c: sp.Rational(q) for c, q in zip((T, X, Y), pt)}
-    g, w, A = (m.xreplace(point) for m in (pair.g, pair.omega, d_omega(pair)))
+    g, w = TreeSection(pair.solution).pair()
+    g, w, A = (m.xreplace(point) for m in (g, w, tree_d_omega(w)))
     e1, e2, e3 = (sp.Matrix(e) for e in (fr.e1, fr.e2, fr.e3))
 
     def metric(a, b):

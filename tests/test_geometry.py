@@ -16,25 +16,29 @@ from jetweyl.geometry import (
     canonical_frame,
     catalog,
     check_EW,
-    d_omega,
     dkp_reduction_check,
     hierarchy_reduction_check,
     hierarchy_residual,
     invariants_on_solution,
-    ricci,
     skew_anchor_residual,
     sl2_structure_report,
     weyl_connection,
 )
 from jetweyl.symmetry import PseudogroupElement
+from tree_oracle import TreeSection, tree_d_omega
+
+
+def _metric(pair) -> sp.Matrix:
+    """The canonical expressions of the pair's metric."""
+    return sp.Matrix([[pair.field.expr(e) for e in row] for row in pair.g])
 
 
 def test_pair_shape():
     sol = catalog("trivial")
     pair = build_pair(sol)
     # 4 dt dx - dy^2 and a vanishing covector
-    assert pair.g == sp.Matrix([[0, 2, 0], [2, 0, 0], [0, 0, -1]])
-    assert all(is_zero(w) for w in pair.omega)
+    assert _metric(pair) == sp.Matrix([[0, 2, 0], [2, 0, 0], [0, 0, -1]])
+    assert all(map(pair.field.vanishes, pair.omega))
 
 
 def test_pair_determinant_is_constant():
@@ -42,8 +46,8 @@ def test_pair_determinant_is_constant():
     # signature (1, 2, 0): a negative entry on the diagonal and a positive
     # determinant leave one positive and two negative directions
     for cid in ("exp-family", "hierarchy"):
-        p = build_pair(catalog(cid))
-        assert equal(sp.det(p.g), 4) and p.g[2, 2] == -1
+        g = _metric(build_pair(catalog(cid)))
+        assert equal(sp.det(g), 4) and g[2, 2] == -1
 
 
 def test_connection_compatibility_sign():
@@ -57,8 +61,8 @@ def test_connection_compatibility_sign():
 
 def test_trivial_connection_vanishes():
     conn = weyl_connection(build_pair(catalog("trivial")))
-    assert all(is_zero(conn.christoffel[i][j][k]) for i in range(3) for j in range(3) for k in range(3))
-    assert all(is_zero(w) for w in conn.wsharp)
+    sf = conn.pair.field
+    assert all(sf.vanishes(e) for cell in conn.christoffel_f for row in cell for e in row)
 
 
 def test_skew_ricci_tracks_d_omega():
@@ -190,8 +194,9 @@ def test_frame_normalization_and_orthogonality():
     pair = build_pair(catalog("exp-family", f=0, h=0))
     fr = canonical_frame(pair, (0, 0, 0))
     point = {T: 0, X: 0, Y: 0}
-    omega_at = sp.Matrix([w.subs(point) for w in pair.omega])
-    g_at = pair.g.subs(point)
+    g, omega = TreeSection(pair.solution).pair()
+    omega_at = omega.subs(point)
+    g_at = g.subs(point)
     e1, e2, e3 = (sp.Matrix(e) for e in (fr.e1, fr.e2, fr.e3))
     assert (omega_at.T * e1)[0, 0] == 1
     assert (e3.T * g_at * e2)[0, 0] == 0
@@ -212,11 +217,12 @@ def test_frame_is_exact_at_the_point(cid, kwargs, pt):
     fr = canonical_frame(pair, pt)
     assert fr.ok
     point = {c: sp.Rational(q) for c, q in zip((T, X, Y), pt)}
-    omega_at = pair.omega.xreplace(point)
-    g_at = pair.g.xreplace(point)
+    g, omega = TreeSection(pair.solution).pair()
+    omega_at = omega.xreplace(point)
+    g_at = g.xreplace(point)
     e1, e2 = sp.Matrix(fr.e1), sp.Matrix(fr.e2)
     assert is_zero((omega_at.T * e1)[0, 0] - 1)
-    assert all(is_zero(c) for c in d_omega(pair).xreplace(point) * e1)
+    assert all(is_zero(c) for c in tree_d_omega(omega).xreplace(point) * e1)
     assert is_zero((e1.T * g_at * e2)[0, 0])
 
 

@@ -2,11 +2,12 @@
 code it replaced.
 
 The tree versions of the section's derivatives, the equation residuals,
-the Levi-Civita and Weyl Christoffel symbols, the raised covector, the
-Ricci tensor, d omega, Lambda and the Einstein residual tensor live here as
-the oracle.  Every field result must equal the tree result as a rational
-function, entry for entry, on the catalog (formal and bound parameters)
-and on seeded pseudogroup moves of it.  The tree results are compared in
+the ansatz pair, the inverse metric, the Weyl Christoffel symbols, the
+Ricci tensor, d omega, the curvature anchor, Lambda and the Einstein
+residual tensor are the oracle (the section's tree derivatives and pair
+are ``tree_oracle.TreeSection``).  Every field result must equal the tree
+result as a rational function, entry for entry, on the catalog (formal and
+bound parameters) and on seeded pseudogroup moves of it.  The tree results are compared in
 the section's field, after substituting its generators; on the catalog the
 canonical expressions are compared on trees as well, in the sympy
 canonical form of ``tree_oracle`` (``tree_normalize(a - b) == 0``).
@@ -24,26 +25,16 @@ from jetweyl.errors import (
     ExprError,
     SolutionError,
 )
-from jetweyl.exprcore import (
-    T,
-    X,
-    Y,
-    MultiIndex,
-    is_jet_symbol,
-    jet_info,
-)
+from jetweyl.exprcore import T, X, Y, MultiIndex
 from jetweyl.geometry import (
     Solution,
     WeylPair,
     build_pair,
     catalog,
     check_EW,
-    d_omega,
-    ricci,
     weyl_connection,
 )
-from jetweyl.symmetry import ansatz_covector, ansatz_metric
-from tree_oracle import partial, tree_normalize
+from tree_oracle import TreeSection, partial, tree_d_omega, tree_normalize
 
 _COORDS = (T, X, Y)
 
@@ -51,40 +42,10 @@ _COORDS = (T, X, Y)
 # the tree oracle
 
 
-class TreeSection:
-    """A section's derivatives and jet substitution on sympy trees."""
-
-    def __init__(self, sol: Solution):
-        self.sol = sol
-        self.cache = {}
-
-    def jet(self, dep: str, index: MultiIndex) -> sp.Expr:
-        got = self.cache.get((dep, index))
-        if got is None:
-            if index.order == 0:
-                got = {"u": self.sol.u, "v": self.sol.v}[dep]
-            else:
-                d = "y" if index.ny else ("x" if index.nx else "t")
-                got = partial(self.jet(dep, index.drop(d)), d)
-            self.cache[(dep, index)] = got
-        return got
-
-    def subs(self, e) -> sp.Expr:
-        rep = {s: self.jet(*jet_info(s)) for s in e.free_symbols if is_jet_symbol(s)}
-        return e.xreplace(rep)
-
-    def residuals(self):
-        return tuple(self.subs(F) for F in self.sol.system.equations)
-
-    def pair(self):
-        u, v = self.sol.u, self.sol.v
-        w = ansatz_covector(u, partial(u, "x"), partial(u, "y"), partial(v, "x"))
-        return ansatz_metric(u, v), w
-
-
 def tree_connection(g: sp.Matrix, w: sp.Matrix, sign: int):
-    """(Levi-Civita symbols, Weyl symbols, raised covector), [k][i][j], as
-    unnormalized trees: the comparison normalizes each difference once."""
+    """The Weyl symbols [k][i][j] (Levi-Civita plus the covector
+    correction) as unnormalized trees: the comparison normalizes each
+    difference once."""
     ginv = g.inv()
     wup = [sum(ginv[k, m] * w[m] for m in range(3)) for k in range(3)]
     gamma = [
@@ -119,7 +80,7 @@ def tree_connection(g: sp.Matrix, w: sp.Matrix, sign: int):
         ]
         for k in range(3)
     ]
-    return gamma, chris, wup
+    return chris
 
 
 def tree_ricci(G) -> sp.Matrix:
@@ -133,12 +94,6 @@ def tree_ricci(G) -> sp.Matrix:
                     s += G[m][i][j] * G[k][k][m] - G[m][k][j] * G[k][i][m]
             out[i, j] = s
     return out
-
-
-def tree_d_omega(w) -> sp.Matrix:
-    return sp.Matrix(
-        3, 3, lambda i, j: (partial(w[j], _COORDS[i]) - partial(w[i], _COORDS[j])) / 2
-    )
 
 
 def tree_einstein(g: sp.Matrix, ric: sp.Matrix):
@@ -191,6 +146,11 @@ def _same(sol: Solution, elements, tree) -> bool:
     return all(sol.field.vanishes(a - b) for a, b in zip(fe, _in_field(sol, ft)))
 
 
+def _exprs(sf, nested) -> list:
+    """The canonical expressions of nested tuples of field elements, flat."""
+    return [sf.expr(e) for e in _flat(nested)]
+
+
 def _same_exprs(a, b) -> bool:
     """Canonical expressions equal tree expressions, on trees."""
     fa, fb = _flat(a), _flat(b)
@@ -240,31 +200,32 @@ def _check_against_the_tree(sol: Solution, sign: int = -1, exprs: bool = False):
     assert _same(sol, sol._residuals(), tree.residuals())
     g, w = tree.pair()
     pair = build_pair(sol)
-    assert pair.g == g
-    gamma, chris, wup = tree_connection(g, w, sign)
+    assert pair.field is sf
+    assert _same(sol, pair.g, g)
+    assert _same(sol, pair.omega, w)
+    chris = tree_connection(g, w, sign)
     conn = weyl_connection(pair, correction_sign=sign)
-    assert _same(sol, conn.w_f, w)
-    assert _same(sol, conn.gamma_f, gamma)
+    assert _same(sol, conn.ginv_f, g.inv())
     assert _same(sol, conn.christoffel_f, chris)
-    assert _same(sol, conn.wsharp_f, wup)
     # the tree Ricci tensor of the symbols just matched
-    ric = tree_ricci(conn.christoffel)
+    christoffel = [[_exprs(sf, row) for row in cell] for cell in conn.christoffel_f]
+    ric = tree_ricci(christoffel)
     assert _same(sol, conn.ricci_elements(), ric)
     dw = tree_d_omega(w)
-    assert _same(sol, geometry._d_omega_of(sf, conn.w_f), dw)
+    dw_f = geometry._d_omega_of(sf, pair.omega)
+    assert _same(sol, dw_f, dw)
+    assert _same(sol, conn.anchor_elements(), (ric - ric.T) / 2 - dw * 3 / 2)
     lam, resid = tree_einstein(g, ric)
     field_lam, field_resid = conn.einstein_elements()
     assert _same(sol, field_lam, lam)
     assert _same(sol, field_resid, resid)
     if exprs:
         assert _same_exprs(sol.residuals(), tree.residuals())
-        assert _same_exprs(pair.omega, w)
-        assert _same_exprs(conn.gamma, gamma)
-        assert _same_exprs(conn.christoffel, chris)
-        assert _same_exprs(conn.wsharp, wup)
-        assert _same_exprs(ricci(conn), ric)
-        assert _same_exprs(d_omega(pair), dw)
-        assert _same_exprs([sf.expr(e) for row in field_resid for e in row], resid)
+        assert _same_exprs(_exprs(sf, pair.omega), w)
+        assert _same_exprs(christoffel, chris)
+        assert _same_exprs(_exprs(sf, conn.ricci_elements()), ric)
+        assert _same_exprs(_exprs(sf, dw_f), dw)
+        assert _same_exprs(_exprs(sf, field_resid), resid)
         if sign == -1:
             assert tree_normalize(check_EW(sol).lam - lam) == 0
 
@@ -351,16 +312,11 @@ def test_radical_constants_are_reduced_exactly():
 
 def test_degenerate_metric_raises_solution_error():
     sol = catalog("trivial")
-    pair = WeylPair(sp.Matrix([[0, 2, 0], [2, 0, 0], [0, 0, 0]]), sp.zeros(3, 1), sol)
+    sf = sol.field
+    g = [[sf.subs(sp.Integer(e)) for e in row] for row in ((0, 2, 0), (2, 0, 0), (0, 0, 0))]
+    pair = WeylPair(sol, sf, g, (sf.subs(sp.Integer(0)),) * 3)
     with pytest.raises(SolutionError, match="degenerate"):
         weyl_connection(pair)
-
-
-def test_hand_built_pair_gets_its_own_field():
-    sol = catalog("exp-family", f=1, h=1)
-    pair = build_pair(sol)
-    again = WeylPair(pair.g, pair.omega, sol)
-    assert _same_exprs(weyl_connection(again).christoffel, weyl_connection(pair).christoffel)
 
 
 @pytest.mark.parametrize(
@@ -402,3 +358,36 @@ def test_geometry_check_reports_a_witness(monkeypatch):
 def test_geometry_check_passes_without_a_witness():
     ok, info = checks.REGISTRY["geometry"].run()
     assert ok and "witness" not in info
+    assert "reductions_failed" not in info
+
+
+def test_a_passing_geometry_check_converts_no_residual(monkeypatch):
+    # the witness scan tests the entries in the field; when the check
+    # passes, none of them is converted to an expression
+    inside, calls = [False], {True: 0, False: 0}
+    expr, witness = geometry.SectionField.expr, checks._residual_witness
+
+    def counted(self, f):
+        calls[inside[0]] += 1
+        return expr(self, f)
+
+    def scan(cid, conn):
+        inside[0] = True
+        try:
+            return witness(cid, conn)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(geometry.SectionField, "expr", counted)
+    monkeypatch.setattr(checks, "_residual_witness", scan)
+    ok, _ = checks.REGISTRY["geometry"].run()
+    assert ok
+    assert calls[True] == 0 and calls[False] > 0
+
+
+@pytest.mark.parametrize("reduction", ["dkp", "hierarchy"])
+def test_geometry_check_requires_the_reductions(monkeypatch, reduction):
+    monkeypatch.setattr(geometry, f"{reduction}_reduction_check", lambda: False)
+    ok, info = checks.REGISTRY["geometry"].run()
+    assert ok is False
+    assert info["reductions_failed"] == [reduction]

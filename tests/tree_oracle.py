@@ -10,8 +10,11 @@ and ``tree_reflected`` compose a section with a pseudogroup element or a
 reflection on trees and return the unnormalized result.
 ``poincare_function`` is the sympy form of a Poincare function of
 ``counts``, whose canonical text ``counts.poincare_text`` prints.
-``tree_canonical_frame`` is the order-2 canonical frame by sympy ``Matrix``
-algebra (``nullspace``, ``inv`` and ``rank`` with the exact zero test).
+``TreeSection`` holds a section's derivatives, jet substitution and ansatz
+pair on trees, and ``tree_d_omega`` is d omega of a tree covector.
+``tree_canonical_frame`` is the order-2 canonical frame of a section by
+sympy ``Matrix`` algebra (``nullspace``, ``inv`` and ``rank`` with the exact
+zero test), from the tree pair.
 """
 
 import functools
@@ -25,13 +28,18 @@ from jetweyl.exprcore import (
     T,
     X,
     Y,
+    MultiIndex,
     formal_shift,
     is_formal_symbol,
+    is_jet_symbol,
     is_zero,
+    jet_info,
     normalize,
     resolve_symbol,
 )
-from jetweyl.geometry import FrameResult, d_omega
+from jetweyl.geometry import FrameResult
+from jetweyl.jets import ms_system
+from jetweyl.symmetry import ansatz_covector, ansatz_metric
 
 _AUX = {
     name: sp.Dummy(name, positive=True)
@@ -175,10 +183,50 @@ def poincare_function(series: str) -> sp.Expr:
     return sum(c * z**j for j, c in enumerate(numerator)) / (1 - z) ** n
 
 
-def tree_canonical_frame(pair, pt) -> FrameResult:
-    """The order-2 canonical frame at a point by sympy matrix algebra: e1
-    from ``nullspace`` of d omega, the inverse metric by ``inv``, and the
-    scalar J^2 read off the projected coordinate basis."""
+class TreeSection:
+    """A section's derivatives and jet substitution on trees."""
+
+    def __init__(self, sol):
+        self.sol = sol
+        self.cache = {}
+
+    def jet(self, dep: str, index: MultiIndex) -> sp.Expr:
+        got = self.cache.get((dep, index))
+        if got is None:
+            if index.order == 0:
+                got = {"u": self.sol.u, "v": self.sol.v}[dep]
+            else:
+                d = "y" if index.ny else ("x" if index.nx else "t")
+                got = partial(self.jet(dep, index.drop(d)), d)
+            self.cache[(dep, index)] = got
+        return got
+
+    def subs(self, e) -> sp.Expr:
+        rep = {s: self.jet(*jet_info(s)) for s in e.free_symbols if is_jet_symbol(s)}
+        return e.xreplace(rep)
+
+    def residuals(self):
+        return tuple(self.subs(F) for F in ms_system().equations)
+
+    def pair(self):
+        """The ansatz metric and covector of the section, unnormalized."""
+        u, v = self.sol.u, self.sol.v
+        w = ansatz_covector(u, partial(u, "x"), partial(u, "y"), partial(v, "x"))
+        return ansatz_metric(u, v), w
+
+
+def tree_d_omega(w) -> sp.Matrix:
+    """(d omega)_ij = (d_i w_j - d_j w_i) / 2 of a tree covector."""
+    return sp.Matrix(
+        3, 3, lambda i, j: (partial(w[j], BASE_SYMBOLS[i]) - partial(w[i], BASE_SYMBOLS[j])) / 2
+    )
+
+
+def tree_canonical_frame(sol, pt) -> FrameResult:
+    """The order-2 canonical frame of a section at a point by sympy matrix
+    algebra on its tree pair: e1 from ``nullspace`` of d omega, the inverse
+    metric by ``inv``, and the scalar J^2 read off the projected coordinate
+    basis."""
 
     def at(m: sp.Matrix) -> sp.Matrix:
         return m.xreplace(subs).applyfunc(normalize)
@@ -187,7 +235,8 @@ def tree_canonical_frame(pair, pt) -> FrameResult:
         return tuple(normalize(c) for c in vec)
 
     subs = {c: sp.Rational(q) for c, q in zip((T, X, Y), pt)}
-    g, w, A = at(pair.g), at(pair.omega), at(d_omega(pair))
+    g, w = TreeSection(sol).pair()
+    g, w, A = at(g), at(w), at(tree_d_omega(w))
     if all(e == 0 for e in A):
         return FrameResult(False, "d omega vanishes at the point")
     null = A.nullspace(iszerofunc=is_zero)
