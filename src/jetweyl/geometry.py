@@ -833,9 +833,9 @@ def canonical_frame(pair: WeylPair, pt) -> FrameResult:
     tr(J0^2)/2, which is nonzero once g(e1, e1) is.
     """
     subs = {c: sp.Rational(q) for c, q in zip(_COORDS, pt)}
-    at = pair.field
-    rows = (*pair.g, pair.omega, *_d_omega_of(at, pair.omega))
-    sf = SectionField([at.expr(e).xreplace(subs) for row in rows for e in row])
+    section = pair.field
+    rows = (*pair.g, pair.omega, *_d_omega_of(section, pair.omega))
+    sf = SectionField([section.expr(e).xreplace(subs) for row in rows for e in row])
     g, w, A = _rows(sf.values[:9]), sf.values[9:12], _rows(sf.values[12:])
 
     def dot(a, b):
