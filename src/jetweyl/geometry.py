@@ -76,7 +76,6 @@ __all__ = [
     "CATALOG_IDS",
     "dkp_reduction_check",
     "hierarchy_reduction_check",
-    "hierarchy_residual",
     "invariants_on_solution",
     "sl2_structure_report",
 ]
@@ -973,13 +972,6 @@ def _hierarchy(w) -> tuple:
     d = sf.partial
     wx, wy = d(sf.values[0], "x"), d(sf.values[0], "y")
     return sf, d(wx, "t") + wx * d(wx, "y") - wy * d(wx, "x") - d(wy, "y"), wx, wy
-
-
-def hierarchy_residual(w) -> sp.Expr:
-    """Left-hand side of the hierarchy equation on a closed-form potential:
-    w_tx + w_x w_xy - w_y w_xx - w_yy."""
-    sf, r, _, _ = _hierarchy(w)
-    return sf.expr(r)
 
 
 def hierarchy_reduction_check() -> bool:

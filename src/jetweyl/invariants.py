@@ -23,9 +23,9 @@ from functools import lru_cache
 
 import sympy as sp
 
-from .errors import SingularLocusError
-from .exprcore import is_jet_symbol, jet, jet_order, normalize
-from .fields import ProlongedField, prolong
+from .errors import JetOrderError, SingularLocusError
+from .exprcore import is_formal_symbol, is_jet_symbol, jet, jet_order, normalize
+from .fields import prolong
 from .jets import EquationSystem, JetPoint, _jet_ring, _ring_for, internal_indices
 from .linalg import rank
 from .symmetry import ansatz_covector, ansatz_metric, generator
@@ -253,11 +253,19 @@ def verify_identities() -> list[IdentityReport]:
 
 
 @lru_cache(maxsize=None)
-def _prolonged_family(fam: int, k: int) -> ProlongedField:
-    """The order-k prolongation of family ``fam`` with the formal parameter
-    a, b, c, d or e; shared, so that each jet ring converts the field and
-    builds its coefficients once."""
-    return prolong(generator(fam, "abcde"[fam - 1]), k)
+def _families(k: int) -> tuple:
+    """(the jet ring of order k+1, the order-k prolongations of the five
+    families): family i with the formal parameter a, b, c, d or e, all
+    five in one ring that holds every parameter with the derivatives a
+    prolongation reaches.  Shared, so that the ring converts the fields
+    and builds their coefficients once."""
+    fields = tuple(prolong(generator(fam, p), k) for fam, p in zip((1, 2, 3, 4, 5), "abcde"))
+    ring = _ring_for(k + 1, _components(fields), derivatives=k + 1)
+    return ring, fields
+
+
+def _components(fields) -> tuple:
+    return tuple(c for pf in fields for c in pf.field.components())
 
 
 def verify_invariance(e, k: int | None = None, system: EquationSystem | None = None):
@@ -267,9 +275,17 @@ def verify_invariance(e, k: int | None = None, system: EquationSystem | None = N
     hold the one system); it stays for callers that pass it, such as the
     benchmark workloads."""
     e = sp.sympify(e)
-    for fam in (1, 2, 3, 4, 5):
-        ring, value = _prolonged_family(fam, jet_order(e) if k is None else k)._applied(e)
-        residual = ring.reduce(value)
+    order = jet_order(e)
+    k = order if k is None else k
+    ring, fields = _families(k)
+    if order > k:
+        raise JetOrderError(f"expression order {order} beyond prolongation order {k}")
+    if any(is_formal_symbol(s) for s in e.free_symbols):
+        # e's own formal functions join the families' parameters
+        ring = _ring_for(k + 1, (e, *_components(fields)), derivatives=k + 1)
+    f = ring.convert(e)
+    for fam, pf in enumerate(fields, 1):
+        residual = ring.reduce(pf._apply_in(ring, f))
         if residual:
             return (fam, ring.to_expr(residual))
     return True

@@ -34,7 +34,7 @@ from typing import Iterable, Mapping
 
 import sympy as sp
 from sympy.polys.domains import QQ
-from sympy.polys.fields import FracField
+from sympy.polys.fields import FracElement, FracField
 from sympy.polys.orderings import lex
 from sympy.polys.polyutils import _sort_gens
 
@@ -130,6 +130,72 @@ def _merge(acc: dict, poly) -> None:
                 del acc[m]
 
 
+def _cancel(numer, denom):
+    """numer/denom in lowest terms: the pair ``numer.cancel(denom)`` gives.
+
+    Over QQ with one side a single term (a constant, a monomial, or 1),
+    sympy's canonical pair is computed here in integers: each side's
+    coefficients are cleared with the lcm of their denominators, both sides
+    are divided by the gcd of all those integers and by the componentwise
+    minimum of all monomials, each side is multiplied by the other side's
+    lcm (both lcms first divided by their gcd), and the sign makes the
+    lex-leading coefficient of the denominator positive.  Every other pair
+    goes to ``PolyElement.cancel``."""
+    ring = numer.ring
+    if not numer:
+        return numer, ring.one
+    domain = ring.domain
+    if not domain.is_QQ or (len(numer) != 1 and len(denom) != 1):
+        return numer.cancel(denom)
+    ln = math.lcm(*(c.denominator for c in numer.values()))
+    ld = math.lcm(*(c.denominator for c in denom.values()))
+    nums = [(m, c.numerator * (ln // c.denominator)) for m, c in numer.items()]
+    dens = [(m, c.numerator * (ld // c.denominator)) for m, c in denom.items()]
+    content = math.gcd(*(c for _, c in nums), *(c for _, c in dens))
+    common = math.gcd(ln, ld)
+    a, b = ld // common, ln // common
+    if denom[ring.leading_expv(denom)] < 0:
+        a, b = -a, -b
+    low = tuple(map(min, *numer.keys(), *denom.keys()))
+    if any(low):
+        div = ring.monomial_ldiv
+        nums = [(div(m, low), c) for m, c in nums]
+        dens = [(div(m, low), c) for m, c in dens]
+    elif ln == ld == content == a == 1:
+        # already in lowest terms
+        return numer, denom
+    q = domain.dtype
+    return (
+        ring.dtype({m: q(c // content * a) for m, c in nums}),
+        ring.dtype({m: q(c // content * b) for m, c in dens}),
+    )
+
+
+class _JetFraction(FracElement):
+    """An element of a jet ring's field; sums, products and quotients are
+    brought to lowest terms by :func:`_cancel`."""
+
+    def new(f, numer, denom):
+        return f.raw_new(*_cancel(numer, denom))
+
+
+class _JetField(FracField):
+    """The rational-function field of a jet ring: sympy's ``FracField``
+    with :class:`_JetFraction` elements and a ``new`` that goes through
+    :func:`_cancel`."""
+
+    def __new__(cls, symbols, domain, order=lex):
+        obj = super().__new__(cls, symbols, domain, order)
+        obj.dtype = _JetFraction(obj, obj.ring.zero).raw_new
+        obj.zero = obj.dtype(obj.ring.zero)
+        obj.one = obj.dtype(obj.ring.one)
+        obj.gens = obj._gens()
+        return obj
+
+    def new(self, numer, denom=None):
+        return self.raw_new(*_cancel(numer, self.ring.one if denom is None else denom))
+
+
 class _JetRing:
     """Q(jet coordinates of order <= ``order``, t, x, y, ``extras``) as one
     sparse rational-function field (``sympy.polys.fields``).
@@ -148,7 +214,7 @@ class _JetRing:
         self.extras = extras
         jets = _coordinates(order)
         self.symbols = jets + BASE_SYMBOLS + extras
-        self.field = FracField(self.symbols, QQ, lex)
+        self.field = _JetField(self.symbols, QQ, lex)
         self.ring = self.field.ring
         self.gens = self.ring.gens
         self.index = {s: i for i, s in enumerate(self.symbols)}
@@ -361,7 +427,7 @@ class _JetRing:
         return self.field.new(num, den)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _jet_ring(order: int, extras: tuple = ()) -> _JetRing:
     return _JetRing(order, extras)
 

@@ -44,7 +44,6 @@ __all__ = [
     "generator",
     "GRADES",
     "table_cell_text",
-    "table_rhs",
     "CellReport",
     "verify_commutation_table",
     "check_symmetry",
@@ -147,47 +146,39 @@ def generator(family: int, parameter) -> PointField:
 # commutation table
 #
 # Upper-triangular cells (i <= j); each entry is a tuple of
-# (result family, parameter as a function of the two inputs f, g).
-# Cells with i > j follow by antisymmetry with the inputs swapped.
+# (result family, parameter as a function of the two inputs f, g and the
+# t-derivative ``dot`` that acts on them).  Cells with i > j follow by
+# antisymmetry with the inputs swapped.
 
 _TABLE: dict[tuple[int, int], tuple] = {
     (1, 1): (),
     (1, 2): (),
     (1, 3): (),
-    (1, 4): ((1, lambda f, g: -g * _dot(f)),),
-    (1, 5): ((1, lambda f, g: 2 * f * g),),
+    (1, 4): ((1, lambda f, g, dot: -g * dot(f)),),
+    (1, 5): ((1, lambda f, g, dot: 2 * f * g),),
     (2, 2): (),
-    (2, 3): ((1, lambda f, g: f * g),),
-    (2, 4): ((2, lambda f, g: f * _dot(g) / 2 - g * _dot(f)),),
-    (2, 5): ((2, lambda f, g: f * g), (3, lambda f, g: 2 * f * _dot(g))),
+    (2, 3): ((1, lambda f, g, dot: f * g),),
+    (2, 4): ((2, lambda f, g, dot: f * dot(g) / 2 - g * dot(f)),),
+    (2, 5): ((2, lambda f, g, dot: f * g), (3, lambda f, g, dot: 2 * f * dot(g))),
     (3, 3): (),
-    (3, 4): ((3, lambda f, g: -g * _dot(f) - f * _dot(g) / 2),),
-    (3, 5): ((3, lambda f, g: f * g),),
-    (4, 4): ((4, lambda f, g: f * _dot(g) - g * _dot(f)),),
-    (4, 5): ((5, lambda f, g: f * _dot(g)),),
+    (3, 4): ((3, lambda f, g, dot: -g * dot(f) - f * dot(g) / 2),),
+    (3, 5): ((3, lambda f, g, dot: f * g),),
+    (4, 4): ((4, lambda f, g, dot: f * dot(g) - g * dot(f)),),
+    (4, 5): ((5, lambda f, g, dot: f * dot(g)),),
     (5, 5): (),
 }
 
 
-def _cell(i: int, j: int, f: sp.Expr, g: sp.Expr) -> list[tuple[int, sp.Expr]]:
+def _cell(i: int, j: int, f, g, dot) -> list[tuple[int, object]]:
     if i <= j:
-        return [(fam, make(f, g)) for fam, make in _TABLE[(i, j)]]
-    return [(fam, -p) for fam, p in _cell(j, i, g, f)]
-
-
-def table_rhs(i: int, j: int, f, g) -> PointField:
-    """The tabulated value of [X_i(f), X_j(g)] as a point field."""
-    f, g = _parameter(f), _parameter(g)
-    out = PointField()
-    for fam, param in _cell(i, j, f, g):
-        out = out + generator(fam, param)
-    return out
+        return [(fam, make(f, g, dot)) for fam, make in _TABLE[(i, j)]]
+    return [(fam, -p) for fam, p in _cell(j, i, g, f, dot)]
 
 
 def table_cell_text(i: int, j: int, f="f", g="g") -> str:
     f, g = _parameter(f), _parameter(g)
     parts = [
-        f"X{fam}({to_text(param)})" for fam, param in _cell(i, j, f, g)
+        f"X{fam}({to_text(param)})" for fam, param in _cell(i, j, f, g, _dot)
     ]
     return " + ".join(parts) if parts else "0"
 
@@ -204,27 +195,41 @@ def verify_commutation_table() -> list[CellReport]:
     """Check all 25 cells [X_i(f), X_j(g)] against the table, with formal
     parameters f, g.  Failures appear as report entries, never exceptions.
 
-    The ten fields and the 25 tabulated right-hand sides are converted once
-    into one jet ring, where the brackets are taken and their residuals
-    zero-tested."""
+    The ten fields X_i(f), X_i(g) are converted once into one jet ring,
+    where the brackets are taken, the tabulated right-hand sides are built
+    and the residuals are zero-tested.  Every family is linear in its
+    parameter and the parameter's first two t-derivatives, so for a ring
+    element p, X_i(p) = sum_j (dX_i(f)/df^(j)) * D_t^j p."""
     f, g = formal("f"), formal("g")
-    cells = [(i, j) for i in range(1, 6) for j in range(1, 6)]
     fields = {(i, w): generator(i, p) for i in range(1, 6) for w, p in (("f", f), ("g", g))}
-    rhs = {(i, j): table_rhs(i, j, f, g) for i, j in cells}
-    every = [c for fld in (*fields.values(), *rhs.values()) for c in fld.components()]
-    ring = _ring_for(0, every, derivatives=1)
+    ring = _ring_for(0, [c for fld in fields.values() for c in fld.components()], derivatives=1)
+    inring = {key: [ring.convert(c) for c in fld.components()] for key, fld in fields.items()}
+    zero = ring.field.zero
+    # per family, the components' slopes dX_i(f)/df^(j), j = 0, 1, 2
+    slopes = {
+        fam: [[c.diff(ring.gen(formal("f", j))) for j in range(3)] for c in inring[(fam, "f")]]
+        for fam in range(1, 6)
+    }
 
-    def convert(fld: PointField) -> list:
-        return [ring.convert(c) for c in fld.components()]
+    def dot(p):
+        return ring.total(p, "t")
 
-    inring = {key: convert(fld) for key, fld in fields.items()}
+    def family(fam: int, p) -> list:
+        rows = slopes[fam]
+        derivatives = [p]
+        for _ in range(max(j for row in rows for j, s in enumerate(row) if s)):
+            derivatives.append(dot(derivatives[-1]))
+        return [sum((s * q for s, q in zip(row, derivatives) if s), zero) for row in rows]
+
     report = []
-    for i, j in cells:
-        bracket = _bracket_in(ring, inring[(i, "f")], inring[(j, "g")])
-        residual = [b - r for b, r in zip(bracket, convert(rhs[(i, j)]))]
-        report.append(
-            CellReport(i, j, not any(residual), PointField(*map(ring.to_expr, residual)))
-        )
+    for i in range(1, 6):
+        for j in range(1, 6):
+            residual = _bracket_in(ring, inring[(i, "f")], inring[(j, "g")])
+            for fam, p in _cell(i, j, ring.gen(f), ring.gen(g), dot):
+                residual = [b - r for b, r in zip(residual, family(fam, p))]
+            report.append(
+                CellReport(i, j, not any(residual), PointField(*map(ring.to_expr, residual)))
+            )
     return report
 
 

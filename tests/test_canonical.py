@@ -349,3 +349,96 @@ def test_the_matrix_algebra_guard_sees_calls():
         ("rank", "f"),
         ("hstack", "f"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# jetweyl leaves sympy's classes alone
+
+
+def _sympy_attribute_writes(source: str) -> list:
+    """(target, enclosing def) for every assignment, augmented assignment
+    or deletion of an attribute of a sympy module or of a name imported
+    from sympy, and every ``setattr``/``delattr`` on one, in a module's
+    source."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {
+                a.asname or a.name.split(".")[0]
+                for a in node.names
+                if a.name.split(".")[0] == "sympy"
+            }
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sympy":
+            bound |= {a.asname or a.name for a in node.names}
+
+    def rooted(node) -> bool:
+        while isinstance(node, (ast.Attribute, ast.Subscript)):
+            node = node.value
+        return isinstance(node, ast.Name) and node.id in bound
+
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            targets = []
+            if isinstance(child, (ast.Assign, ast.Delete)):
+                targets = [t for t in child.targets if not isinstance(t, ast.Name)]
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                targets = [child.target] if not isinstance(child.target, ast.Name) else []
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id in ("setattr", "delattr")
+                and child.args
+            ):
+                targets = [child.args[0]]
+            found.extend((ast.unparse(t), inner) for t in targets if rooted(t))
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_jetweyl_leaves_sympys_classes_alone():
+    from sympy.polys.fields import FracElement, FracField
+    from sympy.polys.rings import PolyElement
+
+    from jetweyl.symmetry import grading_check
+
+    assert grading_check()
+    assert invariants.verify_invariance(invariants.invariant(1)) is True
+    assert geometry.check_EW(geometry.catalog("sl2-family", f=0, h=0)).ok
+    for cls, name, module in (
+        (PolyElement, "cancel", "sympy.polys.rings"),
+        (FracElement, "new", "sympy.polys.fields"),
+        (FracField, "new", "sympy.polys.fields"),
+    ):
+        method = cls.__dict__[name]
+        assert (method.__module__, method.__qualname__) == (module, f"{cls.__name__}.{name}")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "jetweyl"
+    offending = []
+    for path in sorted(src.glob("*.py")):
+        for target, where in _sympy_attribute_writes(path.read_text()):
+            offending.append(f"{path.name}: {target} in {where}")
+    assert offending == []
+
+
+def test_the_sympy_attribute_guard_sees_writes():
+    found = _sympy_attribute_writes(
+        "import sympy as sp\nimport sympy.polys.rings\n"
+        "from sympy.polys.rings import PolyElement\n"
+        "from sympy.polys.fields import FracField as F\n"
+        "def _cancel(p, q):\n    return p, q\n"
+        "PolyElement.cancel = _cancel\n"
+        "def hook():\n    F.new = lambda self, n, d=None: n\n"
+        "    sp.Basic.__eq__ += 1\n    setattr(sympy.polys.rings.PolyElement, 'gcd', None)\n"
+        "def fine(ring):\n    ring.field = F\n    PolyElement.cancel(ring, ring)\n"
+    )
+    assert found == [
+        ("PolyElement.cancel", None),
+        ("F.new", "hook"),
+        ("sp.Basic.__eq__", "hook"),
+        ("sympy.polys.rings.PolyElement", "hook"),
+    ]

@@ -18,7 +18,6 @@ from jetweyl.geometry import (
     check_EW,
     dkp_reduction_check,
     hierarchy_reduction_check,
-    hierarchy_residual,
     invariants_on_solution,
     skew_anchor_residual,
     sl2_structure_report,
@@ -249,9 +248,10 @@ def test_hierarchy_reduction_sees_a_wrong_derivative(monkeypatch):
 
 
 def test_hierarchy_residual():
-    w = X**3
-    assert is_zero(hierarchy_residual(w))
-    assert not is_zero(hierarchy_residual(X**2 * Y + T))
+    sf, r, _, _ = geometry._hierarchy(X**3)
+    assert sf.vanishes(r)
+    sf, r, _, _ = geometry._hierarchy(X**2 * Y + T)
+    assert not sf.vanishes(r)
 
 
 def test_hierarchy_solution_from_potential():

@@ -8,7 +8,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from jetweyl.counts import counting, poincare_coefficients, poincare_text
-from jetweyl.exprcore import equal, is_zero, jet, to_text
+from jetweyl.exprcore import equal, formal, is_zero, jet, to_text
 from jetweyl.invariants import (
     apply_derivation,
     coframe_rewrite,
@@ -83,6 +83,22 @@ def test_relative_invariant_has_a_witness():
     assert fam == 4
     # residual stays proportional to u_x itself
     assert equal(witness / u_x, -sp.Symbol("d'") / 2) or not is_zero(witness)
+
+
+@pytest.mark.parametrize(
+    "e, witness",
+    [
+        (formal("a") * u_x, "-a*d'*u_x/2 + a'*d*u_x"),
+        (formal("z") * u_x, "d*u_x*z' - d'*u_x*z/2"),
+        (u_x, "-d'*u_x/2"),
+        (invariant(2) + sp.Rational(3, 7) * u_xx, "-3*d'*u_xx/14"),
+    ],
+)
+def test_witnesses_name_the_family_and_residual(e, witness):
+    # the five families share one ring, in which a formal function of e
+    # named like a family parameter is that parameter
+    fam, residual = verify_invariance(e)
+    assert (fam, str(residual)) == (4, witness)
 
 
 @given(st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool))

@@ -281,7 +281,8 @@ def test_hierarchy_residual_matches_the_tree():
         tree = tree_normalize(
             partial(wx, "t") + wx * partial(wx, "y") - wy * partial(wx, "x") - partial(wy, "y")
         )
-        assert geometry.hierarchy_residual(w) == tree
+        sf, r, _, _ = geometry._hierarchy(w)
+        assert sf.expr(r) == tree
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,20 @@ def test_commutation_table_closes():
     assert all(r.ok for r in reports)
 
 
+def test_a_wrong_table_entry_fails_exactly_its_two_cells(monkeypatch):
+    # [X1(f), X4(g)] = X1(-g*f'); the flipped sign is caught in cell (1, 4)
+    # and, by antisymmetry, in cell (4, 1), with the residual of the
+    # bracket minus the wrong right-hand side
+    monkeypatch.setitem(symmetry._TABLE, (1, 4), ((1, lambda f, g, dot: g * dot(f)),))
+    failed = {(r.i, r.j): str(r.residual) for r in verify_commutation_table() if not r.ok}
+    assert failed == {
+        (1, 4): "(-2*f'(t)*g(t))*d_x + (-2*f'(t)*g'(t) - 2*f''(t)*g(t))*d_v",
+        (4, 1): "(2*f(t)*g'(t))*d_x + (2*f(t)*g''(t) + 2*f'(t)*g'(t))*d_v",
+    }
+    assert table_cell_text(1, 4) == "X1(f'(t)*g(t))"
+    assert not grading_check()
+
+
 def test_sample_structure_constants():
     # same-family brackets of the x-translations vanish; families 2 and 4
     # bracket back into family 2 with a first-order Wronskian-type parameter
