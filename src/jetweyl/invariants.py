@@ -281,7 +281,10 @@ def verify_invariance(e, k: int | None = None, system: EquationSystem | None = N
     if order > k:
         raise JetOrderError(f"expression order {order} beyond prolongation order {k}")
     if any(is_formal_symbol(s) for s in e.free_symbols):
-        # e's own formal functions join the families' parameters
+        # e's own formal functions join the families' parameters, in a ring
+        # and with prolongations of their own, so that the shared ones keep
+        # no coefficients for a ring used once
+        fields = tuple(prolong(pf.field, k) for pf in fields)
         ring = _ring_for(k + 1, (e, *_components(fields)), derivatives=k + 1)
     f = ring.convert(e)
     for fam, pf in enumerate(fields, 1):

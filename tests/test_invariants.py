@@ -7,6 +7,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from jetweyl import invariants
 from jetweyl.counts import counting, poincare_coefficients, poincare_text
 from jetweyl.exprcore import equal, formal, is_zero, jet, to_text
 from jetweyl.invariants import (
@@ -99,6 +100,15 @@ def test_witnesses_name_the_family_and_residual(e, witness):
     # named like a family parameter is that parameter
     fam, residual = verify_invariance(e)
     assert (fam, str(residual)) == (4, witness)
+
+
+def test_formal_inputs_leave_the_shared_families_alone():
+    ring, fields = invariants._families(1)
+    for i in range(20):
+        assert verify_invariance(formal(f"w{i}") * u_x) is not True
+    assert verify_invariance(u_x) is not True
+    for pf in fields:
+        assert {key[0] for key in (*pf._coeffs, *pf._dphi)} <= {ring}
 
 
 @given(st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool))
