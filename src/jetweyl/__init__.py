@@ -6,7 +6,7 @@ Subpackages by theme:
 * :mod:`jetweyl.exprcore`   exact symbolic kernel (canonical rational forms)
 * :mod:`jetweyl.dsl`        text syntax for expressions and solutions
 * :mod:`jetweyl.jets`       total derivatives, the equation system, reduction
-* :mod:`jetweyl.fields`     point vector fields, prolongation, Lie brackets
+* :mod:`jetweyl.fields`     point vector fields and their prolongations
 * :mod:`jetweyl.symmetry`   the symmetry families, commutator table, the
                             structure-preserving pseudogroup, orbit dimensions
 * :mod:`jetweyl.invariants` differential invariants, invariant derivations,
@@ -15,7 +15,7 @@ Subpackages by theme:
 * :mod:`jetweyl.geometry`   metric/one-form pairs, Weyl connection, Einstein
                             condition, the explicit-solution catalog
 * :mod:`jetweyl.equivalence` sampled invariant signatures of solutions
-* :mod:`jetweyl.clouds`     signature clouds: comparison, rank, JSON form
+* :mod:`jetweyl.clouds`     signature clouds: comparison, JSON form
 * :mod:`jetweyl.checks`     the named checks behind ``verify-all`` and the
                             acceptance battery
 * :mod:`jetweyl.cli`        the ``jetweyl`` command-line tool

@@ -545,7 +545,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("compare", _cmd_compare, "compare two signature cloud JSON files")
     p.add_argument("a", type=_file_text)
     p.add_argument("b", type=_file_text)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="Hausdorff tolerance, relative to 1 + scale; applies only "
+                   "to float64 clouds (exact clouds are compared exactly)")
 
     p = add("verify-all", _cmd_verify_all, "run the named checks of the acceptance registry")
     p.add_argument("--only", default=None, help="run a single suite by name")

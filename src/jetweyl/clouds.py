@@ -1,9 +1,10 @@
-"""Signature clouds: their comparison, rank and JSON form.
+"""Signature clouds: their comparison and JSON form.
 
 A cloud is a finite sample of the twelve-invariant signature of a
 solution (``equivalence`` draws it).  Everything here is float or
 ``Fraction`` arithmetic on the stored values, so ``jetweyl compare``
-starts without the symbolic layers.  Finite sampling can only ever give
+starts without the symbolic layers.  Exact clouds are compared exactly
+and float clouds within a tolerance.  Finite sampling can only ever give
 evidence for equality of signature images, so the positive verdict is
 labeled accordingly.
 """
@@ -15,13 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ComparisonError
-from .linalg import float_rank
 
 __all__ = [
     "SignatureCloud",
     "CompareReport",
     "compare",
-    "cloud_rank",
     "cloud_to_json",
     "cloud_from_json",
 ]
@@ -63,13 +62,16 @@ def compare(
     tol: float = 1e-9,
     min_points: int = 1,
 ) -> CompareReport:
-    """Two-sided tolerance matching of the clouds.
+    """Exact comparison of exact clouds, tolerance matching of float ones.
 
-    distinct when the symmetric Hausdorff distance exceeds tol*(1+scale);
-    equivalent-evidence when every value of each cloud has a close
-    counterpart in the other; inconclusive when either cloud is too
-    sparse.  Symmetric in its arguments and monotone in tol: raising tol
-    only ever moves the verdict toward equivalent-evidence.
+    Two ``exact`` clouds are distinct exactly when their sets of value
+    rows differ.  Two ``float64`` clouds are distinct when the symmetric
+    Hausdorff distance exceeds tol*(1+scale), and equivalent-evidence when
+    every value of each cloud has a close counterpart in the other; there
+    the verdict is monotone in tol: raising tol only ever moves it toward
+    equivalent-evidence.  ``tol`` decides nothing for exact clouds, though
+    the report carries the distance, scale and tol for both.  Either cloud
+    too sparse gives inconclusive.  Symmetric in its arguments.
     """
     if c1.precision != c2.precision:
         raise ComparisonError(
@@ -92,19 +94,12 @@ def compare(
     d12 = max(min(_dist(p, q) for q in c2.values) for p in c1.values)
     d21 = max(min(_dist(p, q) for q in c1.values) for p in c2.values)
     h = max(d12, d21)
-    verdict = "distinct" if h > tol * (1.0 + scale) else "equivalent-evidence"
+    if c1.precision == "exact":
+        differ = set(c1.values) != set(c2.values)
+    else:
+        differ = h > tol * (1.0 + scale)
+    verdict = "distinct" if differ else "equivalent-evidence"
     return CompareReport(verdict, h, scale, tol, tuple(notes))
-
-
-def cloud_rank(cloud: SignatureCloud, rtol: float = 1e-6) -> int:
-    """Numeric rank of the cloud around its centroid (the local dimension
-    of the signature image for well-sampled data)."""
-    if len(cloud) < 2:
-        return 0
-    n = len(cloud)
-    cent = [sum(float(row[k]) for row in cloud.values) / n for k in range(12)]
-    rows = [[float(row[k]) - cent[k] for k in range(12)] for row in cloud.values]
-    return float_rank(rows, rtol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Signature clouds: sampling the twelve basic invariants on a solution.
 
-Comparison, rank and the JSON form of a cloud live in :mod:`jetweyl.clouds`.
+Comparison and the JSON form of a cloud live in :mod:`jetweyl.clouds`.
 Solutions whose first three invariants are constant (every closed-form
 family here) get a one-point constant cloud and a note that the
 regularity hypothesis of the equivalence criterion fails.

@@ -16,12 +16,13 @@ the coefficient of d_{u_sigma} in the prolonged field is
 
 i.e. the transported graph of the section plus the vertical correction.
 Coefficients are produced lazily per jet coordinate, as elements of the
-jet ring (``jets._JetRing``, a sparse rational-function field), where
-:meth:`ProlongedField.apply`, :func:`lie_derivative`, :func:`lie_bracket`
-and the zero test of a point field compute; sympy expressions are
-converted once on the way in and once on the way out.  Values at a jet
-point are computed without them, by composing the generating section with
-the point's Taylor polynomial (see ``symmetry.orbit_dimension``).
+jet ring (``jets._JetRing``, a sparse rational-function field).  There the
+generating section is built from the field's converted components, and
+the prolonged field (``ProlongedField._apply_in``) and the bracket of two
+point fields (``_bracket_in``) compute; sympy expressions are converted
+once on the way in.  Values at a jet point are computed without them, by
+composing the generating section with the point's Taylor polynomial (see
+``symmetry.orbit_dimension``).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import sympy as sp
 from .errors import JetOrderError, NotAPointFieldError
 from .exprcore import (
     BASE_SYMBOLS,
+    DEPENDENTS,
     MAX_JET_ORDER,
     MultiIndex,
     formal_shift,
@@ -53,8 +55,6 @@ __all__ = [
     "generating_section",
     "ProlongedField",
     "prolong",
-    "lie_bracket",
-    "lie_derivative",
 ]
 
 _FIBRE = (jet("u"), jet("v"))
@@ -88,13 +88,6 @@ class PointField:
 
     def components(self) -> tuple[sp.Expr, ...]:
         return (self.at, self.ax, self.ay, self.fu, self.fv)
-
-    def apply(self, h) -> sp.Expr:
-        """Derivation on functions of (t, x, y, u, v) and formal functions."""
-        h = sp.sympify(h)
-        ring = _ring_for(jet_order(h), (h, *self.components()), derivatives=1)
-        comps = [ring.convert(c) for c in self.components()]
-        return ring.to_expr(_point_apply(ring, comps, ring.convert(h)))
 
     def __add__(self, other: "PointField") -> "PointField":
         return PointField(*(a + b for a, b in zip(self.components(), other.components())))
@@ -139,9 +132,6 @@ class GeneratingSection:
     phi_u: sp.Expr
     phi_v: sp.Expr
 
-    def component(self, dependent: str) -> sp.Expr:
-        return self.phi_u if dependent == "u" else self.phi_v
-
 
 def generating_section(field: PointField) -> GeneratingSection:
     """phi_w = f^w - a^t w_t - a^x w_x - a^y w_y for w in {u, v}."""
@@ -170,7 +160,6 @@ class ProlongedField:
             )
         self.field = field
         self.k = k
-        self.section = generating_section(field)
         # ring -> the field's components in it; (ring, dependent, index) ->
         # D_sigma(phi_w), resp. the coefficient
         self._components: dict = {}
@@ -193,7 +182,12 @@ class ProlongedField:
         got = self._dphi.get(key)
         if got is None:
             if idx.order == 0:
-                got = ring.convert(self.section.component(dependent))
+                # phi_w = f^w - a^t w_t - a^x w_x - a^y w_y
+                comps = self._components_in(ring)
+                got = comps[3 + DEPENDENTS.index(dependent)]
+                for a, d in zip(comps[:3], "txy"):
+                    if a:
+                        got = got - a * ring.gen(jet(dependent, d))
             else:
                 d = "y" if idx.ny else ("x" if idx.nx else "t")
                 got = ring.total(self._section_derivative(ring, dependent, idx.drop(d)), d)
@@ -210,21 +204,6 @@ class ProlongedField:
                     got = got + a * ring.gen(jet(dependent, idx.bump(d)))
             self._coeffs[key] = got
         return got
-
-    def coeff(self, dependent: str, index=MultiIndex()) -> sp.Expr:
-        """Coefficient of d_{w_sigma}: D_sigma(phi_w) plus transport terms.
-
-        The result is a function of jets of order <= |sigma| + 1; at
-        |sigma| = k this reads off the order-(k+1) coordinates of the
-        underlying point, matching the truncated-derivative convention.
-        """
-        idx = index if isinstance(index, MultiIndex) else MultiIndex.from_word(index) if isinstance(index, str) else MultiIndex(*index)
-        if idx.order > self.k:
-            raise JetOrderError(
-                f"coefficient at order {idx.order} beyond prolongation order {self.k}"
-            )
-        ring = self._ring(sp.Integer(0))
-        return ring.to_expr(self._coeff_in(ring, dependent, idx))
 
     def _apply_in(self, ring, f):
         """The prolonged field applied to an element of its ring."""
@@ -246,11 +225,6 @@ class ProlongedField:
             )
         ring = self._ring(e)
         return ring, self._apply_in(ring, ring.convert(e))
-
-    def apply(self, e) -> sp.Expr:
-        """The prolonged field as a derivation on order-<=k expressions."""
-        ring, out = self._applied(e)
-        return ring.to_expr(out)
 
 
 def _point_image(ring, comps: list, s):
@@ -283,17 +257,3 @@ def _bracket_in(ring, fa: list, fb: list) -> list:
     return [
         _point_apply(ring, fa, bc) - _point_apply(ring, fb, ac) for ac, bc in zip(fa, fb)
     ]
-
-
-def lie_bracket(a: PointField, b: PointField) -> PointField:
-    """Commutator [a, b] on the five-dimensional total space."""
-    ring = _ring_for(0, (*a.components(), *b.components()), derivatives=1)
-    fa = [ring.convert(c) for c in a.components()]
-    fb = [ring.convert(c) for c in b.components()]
-    return PointField(*map(ring.to_expr, _bracket_in(ring, fa, fb)))
-
-
-def lie_derivative(field: PointField, e, k: int | None = None) -> sp.Expr:
-    """Apply the prolongation of the field to an expression of order <= k."""
-    e = sp.sympify(e)
-    return prolong(field, jet_order(e) if k is None else k).apply(e)

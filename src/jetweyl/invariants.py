@@ -24,7 +24,7 @@ from functools import lru_cache
 import sympy as sp
 
 from .errors import JetOrderError, SingularLocusError
-from .exprcore import is_formal_symbol, is_jet_symbol, jet, jet_order, normalize
+from .exprcore import is_formal_symbol, is_jet_symbol, jet, jet_order
 from .fields import prolong
 from .jets import EquationSystem, JetPoint, _jet_ring, _ring_for, internal_indices
 from .linalg import rank
@@ -41,10 +41,8 @@ __all__ = [
     "IdentityReport",
     "verify_identities",
     "verify_invariance",
-    "derivation_matrix",
     "CoframeReport",
     "coframe_rewrite",
-    "invariant_value",
     "twelve_invariants",
     "independence_rank",
 ]
@@ -298,11 +296,6 @@ def verify_invariance(e, k: int | None = None, system: EquationSystem | None = N
 # coframe
 
 
-def derivation_matrix() -> sp.Matrix:
-    """Rows are the (D_t, D_x, D_y) coefficients of the three derivations."""
-    return sp.Matrix([list(derivation(i).coefficients()) for i in (1, 2, 3)])
-
-
 @dataclass(frozen=True)
 class CoframeReport:
     gprime: sp.Matrix
@@ -377,16 +370,6 @@ def coframe_rewrite() -> CoframeReport:
 
 # ---------------------------------------------------------------------------
 # evaluation and independence
-
-
-def invariant_value(point: JetPoint, e) -> Fraction:
-    """Evaluate an invariant expression at a jet point, guarding the
-    singular locus."""
-    if point.value(_ux) == 0 or point.value(_uxx) == 0:
-        raise SingularLocusError(
-            "invariants are undefined where u_x or u_xx vanishes"
-        )
-    return point.eval(normalize(e))
 
 
 @lru_cache(maxsize=1)

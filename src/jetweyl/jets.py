@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import sympy as sp
 from sympy.polys.domains import QQ
@@ -364,9 +364,13 @@ class _JetRing:
 
     def principal(self, i: int):
         """The principal coordinate ``symbols[i]`` as a polynomial in the
-        internal coordinates; built by the recursion of
-        :meth:`EquationSystem.principal_expr` in the ring without extras,
-        which every ring of the same order extends."""
+        internal coordinates on the equation submanifold, memoized in the
+        ring without extras, which every ring of the same order extends.
+
+        The recursion drops a y first, then an x, then a t.  It terminates
+        because entries with a single t-derivative never contain principal
+        coordinates (the leading solves R_u, R_v are free of t-jets), and
+        each t-drop strictly lowers the t-count of what remains."""
         got = self._table.get(i)
         if got is not None:
             return got
@@ -664,25 +668,6 @@ class EquationSystem:
             raise AssertionError(f"equation not affine-monic in {lead}")
         return c, tuple(terms)
 
-    def principal_expr(self, dependent: str, index: MultiIndex) -> sp.Expr:
-        """The internal-coordinate expression of a principal coordinate on
-        the equation submanifold (memoized triangular substitution).
-
-        Recursion drops a y first, then an x, then a t; termination holds
-        because entries with a single t-derivative never contain principal
-        coordinates (the leading solves R_u, R_v are free of t-jets), and
-        each t-drop strictly lowers the t-count of what remains.
-        """
-        if not index.is_principal:
-            raise ValueError(f"{dependent}_{index} is not principal")
-        if index.order > MAX_JET_ORDER:
-            raise JetOrderError(
-                f"principal coordinate of order {index.order} past hard cap"
-            )
-        ring = _jet_ring(index.order)
-        poly = ring.principal(ring.index[jet(dependent, index)])
-        return ring.to_expr(ring.field.raw_new(poly))
-
     def reduce(self, e, k: int | None = None) -> sp.Expr:
         """Restriction to the order-k equation submanifold in internal
         coordinates.  ``k`` defaults to the expression's own jet order and
@@ -712,31 +697,6 @@ class EquationSystem:
 
     def point(self, k: int, base=None, internal=None) -> "JetPoint":
         return JetPoint(self, k, base=base, internal=internal)
-
-    def point_from_full_assignment(self, k: int, values: Mapping) -> "JetPoint":
-        """Build a point from values for *all* coordinates up to order k,
-        checking that principal values satisfy the equations."""
-        base = {}
-        internal = {}
-        principal = {}
-        for key, val in values.items():
-            s = resolve_symbol(key)
-            q = sp.Rational(val if not isinstance(val, Fraction) else sp.Rational(val.numerator, val.denominator))
-            if s in BASE_SYMBOLS:
-                base[s.name] = q
-            else:
-                dep, idx = jet_info(s)
-                if idx.order > k:
-                    raise JetOrderError(f"{s} has order beyond {k}")
-                (internal if idx.is_internal else principal)[s] = q
-        pt = JetPoint(self, k, base=base, internal=internal)
-        for s, claimed in principal.items():
-            derived = pt.value(s)
-            if derived != as_fraction(claimed):
-                raise PointNotOnEquationError(
-                    f"{s} = {claimed} contradicts the equation value {derived}"
-                )
-        return pt
 
 
 @lru_cache(maxsize=None)

@@ -1,11 +1,10 @@
-"""Exact row elimination and rank, plus a tolerant float rank.
+"""Exact row elimination and rank.
 
 Every rank decision in this package feeds a theorem-level assertion, so the
 exact paths never round: the rank runs on integers (rows cleared of
 denominators, fraction-free elimination), and the shape lift reuses the
 Fraction elimination over the jet ring's fraction field; pivot choice then
-only affects speed, never the answer.  The float rank exists for sampled data
-where entries are already inexact.
+only affects speed, never the answer.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from typing import Sequence
 __all__ = [
     "as_fraction",
     "rank",
-    "float_rank",
 ]
 
 
@@ -120,38 +118,3 @@ def _bareiss_rank(mat: list[list[int]]) -> int:
         if row == len(mat):
             break
     return row
-
-
-def float_rank(rows: Sequence[Sequence[float]], rtol: float = 1e-9) -> int:
-    """Numerical rank by full-pivot elimination.
-
-    A pivot counts while its magnitude exceeds ``rtol`` times the largest
-    magnitude seen in the original matrix.  Full pivoting keeps the estimate
-    stable without the weight of an SVD.
-    """
-    mat = [[float(x) for x in row] for row in rows]
-    if not mat or not mat[0]:
-        return 0
-    scale = max(abs(x) for row in mat for x in row)
-    if scale == 0.0:
-        return 0
-    thresh = rtol * scale
-    nrows, ncols = len(mat), len(mat[0])
-    r = 0
-    cols = list(range(ncols))
-    while r < nrows and cols:
-        br, bc = max(
-            ((i, c) for i in range(r, nrows) for c in cols),
-            key=lambda rc: abs(mat[rc[0]][rc[1]]),
-        )
-        if abs(mat[br][bc]) <= thresh:
-            break
-        mat[r], mat[br] = mat[br], mat[r]
-        cols.remove(bc)
-        for i in range(r + 1, nrows):
-            if mat[i][bc] != 0.0:
-                f = mat[i][bc] / mat[r][bc]
-                for c in range(ncols):
-                    mat[i][c] -= f * mat[r][c]
-        r += 1
-    return r

@@ -326,8 +326,8 @@ def _matrix_algebra(source: str) -> list:
 
 
 def test_no_matrix_algebra_in_the_package():
-    # the canonical frame is built in closed form; the matrix path lives on
-    # as tree_oracle.tree_canonical_frame
+    # exact ranks are linalg.rank on integers and the metric inverse is
+    # built from cofactors in the section field
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "jetweyl"
     offending = []
     for path in sorted(src.glob("*.py")):
@@ -442,3 +442,95 @@ def test_the_sympy_attribute_guard_sees_writes():
         ("sp.Basic.__eq__", "hook"),
         ("sympy.polys.rings.PolyElement", "hook"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# no exported name without a caller
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# names kept without a caller, each with its reason
+_UNCALLED = {
+    # kept for the planned exact equivalence check on I-regular formal
+    # solutions, which is to call it before it inverts the invariants
+    "equivalence.py: i_regular",
+}
+
+
+def _public_definitions(tree) -> list:
+    """(qualified name, node) for every public top-level function and class
+    of a parsed module, and every public method of those classes."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, _DEFS) and not node.name.startswith("_"):
+            out.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                out.extend(
+                    (f"{node.name}.{m.name}", m)
+                    for m in node.body
+                    if isinstance(m, _DEFS[:2]) and not m.name.startswith("_")
+                )
+    return out
+
+
+def _uses(tree) -> list:
+    """(name, ids of the enclosing definitions) for every name used as a
+    ``Name``, an ``Attribute`` or an import alias in a parsed module."""
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, _DEFS):
+            inside = inside | {id(node)}
+        if isinstance(node, ast.Name):
+            found.append((node.id, inside))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, inside))
+        elif isinstance(node, ast.alias):
+            found.extend((n, inside) for n in {node.name.split(".")[-1], node.asname} if n)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
+
+
+def _uncalled(package: dict, others: dict) -> list:
+    """"module: name" for every public definition of the ``package``
+    sources (file name -> source) whose name is never used in them or in
+    the ``others``, outside its own definition."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    uses = [u for tree in [*trees.values(), *map(ast.parse, others.values())] for u in _uses(tree)]
+    return [
+        f"{module}: {qualified}"
+        for module, tree in trees.items()
+        for qualified, node in _public_definitions(tree)
+        if not any(n == node.name and id(node) not in inside for n, inside in uses)
+    ]
+
+
+def test_every_exported_name_has_a_caller():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    package = {p.name: p.read_text() for p in sorted((root / "src" / "jetweyl").glob("*.py"))}
+    others = {str(p): p.read_text() for p in sorted((root / "perfbench").glob("*.py"))}
+    assert others, "perfbench/*.py not found"
+    found = _uncalled(package, others)
+    assert [f for f in found if f not in _UNCALLED] == []
+    # an exemption whose name has gained a caller goes
+    assert sorted(_UNCALLED - set(found)) == []
+
+
+def test_the_caller_guard_sees_unused_names():
+    package = {
+        "mod.py": "def used(x):\n    return x\n"
+        "def unused(n):\n    return unused(n - 1) if n else used(n)\n"
+        "class Box:\n    def kept(self):\n        return used(self)\n"
+        "    def dropped(self):\n        return self.kept()\n"
+        "    def _private(self):\n        pass\n"
+        "class Lonely:\n    def make(self):\n        return Lonely()\n"
+        "def _helper():\n    pass\n",
+    }
+    found = _uncalled(package, {"user.py": "from mod import Box as B\nB().kept()\n"})
+    assert found == ["mod.py: unused", "mod.py: Box.dropped", "mod.py: Lonely", "mod.py: Lonely.make"]
+    # a use in another module, by attribute or by import, counts
+    found = _uncalled(package, {"user.py": "import mod\nfrom mod import Lonely\nmod.unused(2)\n"})
+    assert "mod.py: unused" not in found and "mod.py: Lonely" not in found

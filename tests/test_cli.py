@@ -304,6 +304,23 @@ def test_signature_and_compare_round_trip(tmp_path, capsys):
     assert doc["verdict"] == "equivalent-evidence"
 
 
+@pytest.mark.parametrize("a, b", [("1000000000", "3000000001/3"), ("1", "1000000000001/1000000000000")])
+def test_compare_of_near_exact_clouds_is_distinct(a, b, tmp_path, capsys):
+    # both gaps lie below the default tolerance 1e-9 * (1 + scale)
+    paths = []
+    for name, value in (("a", a), ("b", b)):
+        path = tmp_path / f"{name}.json"
+        doc = {"points": [["0", "0", "0"]], "values": [[value] + ["0"] * 11], "precision": "exact"}
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    code, doc = run(["compare", *paths], capsys)
+    assert code == 1
+    assert doc["verdict"] == "distinct"
+    assert 0 < doc["hausdorff"] < doc["tol"] * (1 + doc["scale"])
+    code, doc = run(["compare", paths[0], paths[0], "--tol", "10"], capsys)
+    assert code == 0 and doc["verdict"] == "equivalent-evidence"
+
+
 def test_signature_singular_branch_is_a_domain_error(capsys):
     code, _ = run(["signature", "trivial"], capsys)
     assert code == 4

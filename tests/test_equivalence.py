@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from jetweyl.clouds import (
     SignatureCloud,
     cloud_from_json,
-    cloud_rank,
     cloud_to_json,
     compare,
 )
@@ -111,11 +110,47 @@ def test_compare_is_reflexive_and_symmetric():
     assert compare(c_sl2, c_exp).hausdorff == compare(c_exp, c_sl2).hausdorff
 
 
+def _constant(value, precision="exact", n=1) -> SignatureCloud:
+    """A cloud of n points that all carry the 12-vector (value, 0, ..., 0)."""
+    row = (value,) + (type(value)(0),) * 11
+    point = (Fraction(0), Fraction(0), Fraction(0))
+    return SignatureCloud(points=(point,) * n, values=(row,) * n, precision=precision)
+
+
 def test_compare_verdict_is_monotone_in_tol():
+    # the tolerance decides float64 clouds only
     c_sl2 = signature(catalog("sl2-family", f=0, h=0))
     c_exp = signature(catalog("exp-family", f=1, h=1))
-    assert compare(c_sl2, c_exp, tol=1e-12).verdict == "distinct"
-    assert compare(c_sl2, c_exp, tol=10.0).verdict == "equivalent-evidence"
+    f_sl2, f_exp = (
+        SignatureCloud(c.points, tuple(tuple(map(float, r)) for r in c.values), "float64")
+        for c in (c_sl2, c_exp)
+    )
+    assert compare(f_sl2, f_exp, tol=1e-12).verdict == "distinct"
+    assert compare(f_sl2, f_exp, tol=10.0).verdict == "equivalent-evidence"
+    verdicts = [compare(f_sl2, f_exp, tol=t).verdict for t in (1e-12, 1e-3, 0.1, 1.0, 10.0)]
+    assert verdicts == sorted(verdicts)  # "distinct" < "equivalent-evidence"
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # hausdorff 1/3, below the tolerance 1e-9 * (1 + 10^9)
+        (Fraction(10**9), Fraction(10**9) + Fraction(1, 3)),
+        # hausdorff 1e-12, below the tolerance 1e-9 * 2
+        (Fraction(1), 1 + Fraction(1, 10**12)),
+    ],
+)
+def test_exact_clouds_are_decided_exactly(a, b):
+    rep = compare(_constant(a), _constant(b))
+    assert rep.verdict == "distinct"
+    assert 0 < rep.hausdorff < rep.tol * (1 + rep.scale)
+    assert compare(_constant(b), _constant(a)).verdict == "distinct"
+    assert compare(_constant(a), _constant(a, n=3)).verdict == "equivalent-evidence"
+    for tol in (0.0, 1e-9, 10.0):
+        assert compare(_constant(a), _constant(b), tol=tol).verdict == "distinct"
+    # the same values as doubles fall within the tolerance
+    floats = compare(_constant(float(a), "float64"), _constant(float(b), "float64"))
+    assert floats.verdict == "equivalent-evidence"
 
 
 def test_compare_requires_matching_precision():
@@ -211,9 +246,9 @@ def test_jet_cloud_evaluates_and_skips_singular_points():
     assert len(cloud) == 1
     assert cloud.provenance == "equation-points"
     assert any("skipped 1" in n for n in cloud.notes)
-    from jetweyl.invariants import invariant, invariant_value
+    from jetweyl.invariants import invariant
 
-    assert cloud.values[0][0] == invariant_value(good, invariant(1))
+    assert cloud.values[0][0] == good.eval(invariant(1))
 
 
 def test_jet_cloud_all_singular_raises():
@@ -269,25 +304,6 @@ def test_three_parameter_slice_has_tangent_rank_three():
     cols = [jet("u", "x"), jet("u", "xx"), jet("v", "x")]
     rows = [[jp.eval(partial(e, s)) for s in cols] for e in reduced]
     assert rank(rows) == 3
-
-
-def test_cloud_rank_on_synthetic_affine_data():
-    # points confined to a 2-dimensional affine subspace of R^12
-    base = tuple(Fraction(i, 7) for i in range(12))
-    dir1 = tuple(Fraction((-1) ** i, i + 1) for i in range(12))
-    dir2 = tuple(Fraction(i * i, 5) for i in range(12))
-    values = []
-    for a in range(4):
-        for b in range(4):
-            values.append(
-                tuple(q + a * d1 + b * d2 for q, d1, d2 in zip(base, dir1, dir2))
-            )
-    cloud = SignatureCloud(
-        points=tuple((Fraction(0), Fraction(0), Fraction(0)) for _ in values),
-        values=tuple(values),
-        precision="exact",
-    )
-    assert cloud_rank(cloud) == 2
 
 
 # -- serialization ---------------------------------------------------------

@@ -8,7 +8,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from jetweyl.counts import dims
-from jetweyl.errors import JetOrderError, PointNotOnEquationError
+from jetweyl.errors import JetOrderError
 from jetweyl.exprcore import T, X, Y, equal, is_zero, jet
 from jetweyl.geometry import Solution
 from jetweyl.jets import (
@@ -154,23 +154,3 @@ def test_jet_point_round_trip():
     u_tx = jet("u", (1, 1, 0))
     assert u_tx not in jp.internal
     assert jp.value(u_tx) == jp.eval(sys_.reduce(u_tx))
-    # full assignment built from this point sits back on the equation
-    full = dict(jp.base)
-    for dep in ("u", "v"):
-        for ix in internal_indices(2):
-            full[jet(dep, ix)] = jp.value(jet(dep, ix))
-        full[jet(dep, (1, 1, 0))] = jp.value(jet(dep, (1, 1, 0)))
-    again = sys_.point_from_full_assignment(2, full)
-    assert again.value(u_tx) == jp.value(u_tx)
-
-
-def test_off_equation_assignment_rejected():
-    sys_ = ms_system()
-    full = {"t": 0, "x": 0, "y": 0}
-    for dep in ("u", "v"):
-        for ix in internal_indices(2):
-            full[jet(dep, ix)] = Fraction(0)
-        full[jet(dep, (1, 1, 0))] = Fraction(0)
-    full[jet("u", (1, 1, 0))] = Fraction(1)  # contradicts u_tx = 0 forced by zeros
-    with pytest.raises(PointNotOnEquationError):
-        sys_.point_from_full_assignment(2, full)

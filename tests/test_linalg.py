@@ -7,7 +7,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from jetweyl.linalg import as_fraction, float_rank, rank
+from jetweyl.linalg import as_fraction, rank
 
 
 def test_as_fraction():
@@ -49,12 +49,6 @@ def test_rank_of_large_denominator_rank_deficient_rows():
     m = sp.Matrix([[sp.Rational(x.numerator, x.denominator) for x in row] for row in rows])
     assert rank(rows) == m.rank() == 3
     assert rank([row[:2] for row in rows]) == 2
-
-
-def test_float_rank_tolerates_noise():
-    rows = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0 + 1e-13], [0.0, 1.0, 0.0]]
-    assert float_rank(rows, rtol=1e-9) == 2
-    assert float_rank(rows, rtol=1e-15) == 3
 
 
 _entry = st.fractions(min_value=-5, max_value=5, max_denominator=6)

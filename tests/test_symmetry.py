@@ -14,7 +14,7 @@ from jetweyl.errors import ExprError, JetOrderError, LiftError, PseudogroupError
 from jetweyl.exprcore import T, X, Y, equal, formal, is_zero, jet, jet_info
 from jetweyl.fields import PointField, prolong
 from jetweyl.geometry import Solution
-from jetweyl.jets import _ring_for, internal_indices, ms_system, principal_indices
+from jetweyl.jets import _jet_ring, _ring_for, internal_indices, ms_system, principal_indices
 from jetweyl import symmetry
 from jetweyl.symmetry import (
     _dot,
@@ -315,9 +315,14 @@ def _symbolic_fields(k: int) -> tuple[tuple[sp.Expr, ...], ...]:
         for m in range((k + 1 if fam in (1, 2, 4) else k) + 1):
             field = generator(fam, T**m / sp.Integer(factorial(m)))
             pf = prolong(field, k)
+            ring = pf._ring(sp.Integer(0))
             rows.append(
                 (field.at, field.ax, field.ay)
-                + tuple(pf.coeff(dep, idx) for dep in "uv" for idx in internal_indices(k))
+                + tuple(
+                    ring.to_expr(pf._coeff_in(ring, dep, idx))
+                    for dep in "uv"
+                    for idx in internal_indices(k)
+                )
             )
     return tuple(rows)
 
@@ -328,7 +333,8 @@ def _table_value(theta, s) -> Fraction:
     dep, idx = jet_info(s)
     if idx.is_internal:
         return theta.internal.get(s, Fraction(0))
-    return _table_eval(ms_system().principal_expr(dep, idx), theta)
+    ring = _jet_ring(idx.order)
+    return _table_eval(ring.to_expr(ring.field.raw_new(ring.principal(ring.index[s]))), theta)
 
 
 def _table_eval(e, theta) -> Fraction:
