@@ -1,9 +1,10 @@
-"""Weyl geometry of solutions: metric pair, connection, curvature.
+"""Weyl geometry of solutions: metric pair, connection, curvature, frame.
 
 A solution section (u, v) determines a metric and covector on the base by
 the fixed ansatz; this module builds the Weyl connection of that pair,
-checks the Einstein property, and carries the catalog of explicit
-solutions with their reduction checks.
+checks the Einstein property, constructs the order-2 canonical frame at a
+point in closed form, and carries the catalog of explicit solutions with
+their reduction checks.
 
 The section's derivatives, its equation residuals, the metric pair, the
 connection, the curvature and the invariants along it are held only as
@@ -66,6 +67,8 @@ __all__ = [
     "skew_anchor_residual",
     "EWReport",
     "check_EW",
+    "FrameResult",
+    "canonical_frame",
     "catalog",
     "CATALOG_IDS",
     "dkp_reduction_check",
@@ -770,6 +773,86 @@ def check_EW(
             r = _max_abs(resid, subs) / denom
             checks.append(EWPointCheck(tuple(p), r, lam.xreplace(subs)))
     return EWReport(sol.name, exact, exact, lam, tuple(checks), tuple(notes))
+
+
+# ---------------------------------------------------------------------------
+# canonical frame
+
+
+@dataclass(frozen=True)
+class FrameResult:
+    ok: bool
+    reason: str | None
+    e1: tuple | None = None
+    e2: tuple | None = None
+    e3: tuple | None = None
+    j_squared_sign: int | None = None
+    dw_norm_squared: object = None
+    notes: tuple = ()
+
+
+def canonical_frame(pair: WeylPair, pt) -> FrameResult:
+    """Order-2 canonical frame at a point, from the pair's 1-jet data.
+
+    e1 spans Ker(d omega) with omega(e1) = 1; e2 is the g-orthogonal
+    projection of the raised covector to the complement of e1; e3 = J e2
+    where J is g^{-1} d omega scaled so J^2 = -1 or +1 (the sign is exact
+    and reported; the scaling introduces one square root).
+
+    The point is taken exactly: g, omega and A = d omega there are
+    constants of one field, where the frame is built in closed form.  A
+    nonzero skew A has rank 2, its kernel spanned by the dual vector
+    (A12, -A02, A01).  J0 = g^{-1} A kills e1 and is g-skew on the
+    complement of e1, so it squares to lam * id there with lam =
+    tr(J0^2)/2, which is nonzero once g(e1, e1) is.
+    """
+    subs = {c: sp.Rational(q) for c, q in zip(_COORDS, pt)}
+    section = pair.field
+    rows = (*pair.g, pair.omega, *_d_omega_of(section, pair.omega))
+    sf = SectionField([section.expr(e).xreplace(subs) for row in rows for e in row])
+    g, w, A = _rows(sf.values[:9]), sf.values[9:12], _rows(sf.values[12:])
+
+    def dot(a, b):
+        return sf.sum(x * y for x, y in zip(a, b))
+
+    def times(m, vec) -> list:
+        return [dot(row, vec) for row in m]
+
+    if all(sf.vanishes(e) for row in A for e in row):
+        return FrameResult(False, "d omega vanishes at the point")
+    kernel = (A[1][2], -A[0][2], A[0][1])
+    we1 = dot(w, kernel)
+    if sf.vanishes(we1):
+        return FrameResult(False, "omega(e1) = 0 at the point")
+    e1 = [c / we1 for c in kernel]
+    g11 = dot(e1, times(g, e1))
+    if sf.vanishes(g11):
+        return FrameResult(False, "Ker(d omega) is null at the point")
+    ginv = _inverse(sf, g)
+    # omega(e1) = 1, so the projection of g^{-1} omega subtracts e1 / g11
+    e2 = [c - e / g11 for c, e in zip(times(ginv, w), e1)]
+    J0 = [times(zip(*A), row) for row in ginv]  # g^{-1} A
+    lam = sf.sum(J0[i][j] * J0[j][i] for i in range(3) for j in range(3)) / 2
+    Je2 = times(J0, e2)
+    notes = []
+    if all(sf.vanishes(e2[i] * Je2[j] - e2[j] * Je2[i]) for i, j in ((0, 1), (0, 2), (1, 2))):
+        # in the para case (J^2 = +1) the projected covector can land on a
+        # J-eigenvector; the pair (e2, e3) then fails to span the plane
+        notes.append("e3 is proportional to e2 (J-eigenvector point)")
+    lam_value = sf.expr(lam)
+    sign = 1 if lam_value > 0 else -1
+    scale = 1 / sp.sqrt(sign * lam_value)
+    return FrameResult(
+        True,
+        None,
+        tuple(map(sf.expr, e1)),
+        tuple(map(sf.expr, e2)),
+        tuple(sf.expr(c) * scale for c in Je2),
+        # J^2 = sign * id on the complement; -1 is the elliptic case
+        sign,
+        sf.expr(-lam),
+        tuple(notes),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -326,8 +326,8 @@ def _matrix_algebra(source: str) -> list:
 
 
 def test_no_matrix_algebra_in_the_package():
-    # exact ranks are linalg.rank on integers and the metric inverse is
-    # built from cofactors in the section field
+    # the canonical frame is built in closed form; the matrix path lives on
+    # as tree_oracle.tree_canonical_frame
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "jetweyl"
     offending = []
     for path in sorted(src.glob("*.py")):
@@ -454,6 +454,9 @@ _UNCALLED = {
     # kept for the planned exact equivalence check on I-regular formal
     # solutions, which is to call it before it inverts the invariants
     "equivalence.py: i_regular",
+    # the paper's order-2 canonical frame, checked against its matrix-algebra
+    # oracle in tests/test_frame.py; ROADMAP item 4 records why it stays
+    "geometry.py: canonical_frame",
 }
 
 

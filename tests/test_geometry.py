@@ -1,5 +1,7 @@
 """Metric/covector pairs, the Weyl connection, and the solution catalog."""
 
+from fractions import Fraction
+
 import pytest
 import sympy as sp
 
@@ -11,6 +13,7 @@ from jetweyl.geometry import (
     CORRECTION_SIGN,
     Solution,
     build_pair,
+    canonical_frame,
     catalog,
     check_EW,
     dkp_reduction_check,
@@ -21,6 +24,7 @@ from jetweyl.geometry import (
     weyl_connection,
 )
 from jetweyl.symmetry import PseudogroupElement
+from tree_oracle import TreeSection, tree_d_omega
 
 
 def _metric(pair) -> sp.Matrix:
@@ -161,6 +165,63 @@ def test_fractional_powers_need_a_positive_base():
         check_EW(sol, pts=[(0, -1, 1)])
     # a constant radical puts no bound on the base point
     assert Solution(2**half * X, sp.Integer(0), deferred=True).in_domain((-1, -1, -1))
+
+
+# -- canonical frame -------------------------------------------------------
+
+
+def test_frame_at_exponential_origin():
+    pair = build_pair(catalog("exp-family", f=0, h=0))
+    fr = canonical_frame(pair, (0, 0, 0))
+    assert fr.ok
+    assert fr.e1 == (0, 3, -1)
+    assert fr.e2 == (0, 4, 0)
+    assert fr.e3 == (0, -4, 0)
+    assert fr.j_squared_sign == 1
+    assert fr.dw_norm_squared == sp.Rational(-1, 16)
+    assert any("J-eigenvector" in n for n in fr.notes)
+
+
+def test_frame_normalization_and_orthogonality():
+    pair = build_pair(catalog("exp-family", f=0, h=0))
+    fr = canonical_frame(pair, (0, 0, 0))
+    point = {T: 0, X: 0, Y: 0}
+    g, omega = TreeSection(pair.solution).pair()
+    omega_at = omega.subs(point)
+    g_at = g.subs(point)
+    e1, e2, e3 = (sp.Matrix(e) for e in (fr.e1, fr.e2, fr.e3))
+    assert (omega_at.T * e1)[0, 0] == 1
+    assert (e3.T * g_at * e2)[0, 0] == 0
+
+
+@pytest.mark.parametrize(
+    "cid, kwargs, pt",
+    [
+        # a point 10^-20 away from (0, 1, 1), where rounding would move it
+        ("hierarchy", {}, (0, 1 + Fraction(1, 10**20), 1)),
+        # frames whose entries are radicals
+        ("sl2-family", {"f": 0, "h": 0}, (0, 1, 2)),
+        ("sl2-family", {"f": 0, "h": 0}, (1, -1, 3)),
+    ],
+)
+def test_frame_is_exact_at_the_point(cid, kwargs, pt):
+    pair = build_pair(catalog(cid, **kwargs))
+    fr = canonical_frame(pair, pt)
+    assert fr.ok
+    point = {c: sp.Rational(q) for c, q in zip((T, X, Y), pt)}
+    g, omega = TreeSection(pair.solution).pair()
+    omega_at = omega.xreplace(point)
+    g_at = g.xreplace(point)
+    e1, e2 = sp.Matrix(fr.e1), sp.Matrix(fr.e2)
+    assert is_zero((omega_at.T * e1)[0, 0] - 1)
+    assert all(is_zero(c) for c in tree_d_omega(omega).xreplace(point) * e1)
+    assert is_zero((e1.T * g_at * e2)[0, 0])
+
+
+def test_frame_degenerate_report_and_strict_raise():
+    pair = build_pair(catalog("trivial"))
+    fr = canonical_frame(pair, (0, 0, 0))
+    assert not fr.ok and "d omega vanishes" in fr.reason
 
 
 # -- catalog auxiliaries ---------------------------------------------------

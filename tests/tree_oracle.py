@@ -12,6 +12,9 @@ reflection on trees and return the unnormalized result.
 ``counts``, whose canonical text ``counts.poincare_text`` prints.
 ``TreeSection`` holds a section's derivatives, jet substitution and ansatz
 pair on trees, and ``tree_d_omega`` is d omega of a tree covector.
+``tree_canonical_frame`` is the order-2 canonical frame of a section by
+sympy ``Matrix`` algebra (``nullspace``, ``inv`` and ``rank`` with the exact
+zero test), from the tree pair.
 """
 
 import functools
@@ -29,9 +32,12 @@ from jetweyl.exprcore import (
     formal_shift,
     is_formal_symbol,
     is_jet_symbol,
+    is_zero,
     jet_info,
+    normalize,
     resolve_symbol,
 )
+from jetweyl.geometry import FrameResult
 from jetweyl.jets import ms_system
 from jetweyl.symmetry import ansatz_covector, ansatz_metric
 
@@ -213,4 +219,71 @@ def tree_d_omega(w) -> sp.Matrix:
     """(d omega)_ij = (d_i w_j - d_j w_i) / 2 of a tree covector."""
     return sp.Matrix(
         3, 3, lambda i, j: (partial(w[j], BASE_SYMBOLS[i]) - partial(w[i], BASE_SYMBOLS[j])) / 2
+    )
+
+
+def tree_canonical_frame(sol, pt) -> FrameResult:
+    """The order-2 canonical frame of a section at a point by sympy matrix
+    algebra on its tree pair: e1 from ``nullspace`` of d omega, the inverse
+    metric by ``inv``, and the scalar J^2 read off the projected coordinate
+    basis."""
+
+    def at(m: sp.Matrix) -> sp.Matrix:
+        return m.xreplace(subs).applyfunc(normalize)
+
+    def canonical(vec) -> tuple:
+        return tuple(normalize(c) for c in vec)
+
+    subs = {c: sp.Rational(q) for c, q in zip((T, X, Y), pt)}
+    g, w = TreeSection(sol).pair()
+    g, w, A = at(g), at(w), at(tree_d_omega(w))
+    if all(e == 0 for e in A):
+        return FrameResult(False, "d omega vanishes at the point")
+    null = A.nullspace(iszerofunc=is_zero)
+    if len(null) != 1:
+        return FrameResult(False, "Ker(d omega) is not a line")
+    we1 = normalize((w.T * null[0])[0])
+    if we1 == 0:
+        return FrameResult(False, "omega(e1) = 0 at the point")
+    e1 = sp.Matrix(canonical(null[0] / we1))
+    g11 = normalize((e1.T * g * e1)[0])
+    if g11 == 0:
+        return FrameResult(False, "Ker(d omega) is null at the point")
+    ginv = g.inv(method="ADJ", iszerofunc=is_zero)
+
+    def project(vec: sp.Matrix) -> sp.Matrix:
+        return sp.Matrix(canonical(vec - ((vec.T * g * e1)[0] / g11) * e1))
+
+    e2 = project(ginv * w)
+    J0 = ginv * A
+    basis = [project(sp.eye(3).col(i)) for i in range(3)]
+    if sp.Matrix.hstack(*basis).rank(iszerofunc=is_zero) < 2:
+        return FrameResult(False, "projection to the complement degenerates")
+    lam = None
+    for b in basis:
+        nonzero = [c for c in range(3) if b[c] != 0]
+        if not nonzero:
+            continue
+        JJb = J0 * (J0 * b)
+        if lam is None:
+            lam = normalize(JJb[nonzero[0]] / b[nonzero[0]])
+        if not all(is_zero(JJb[c] - lam * b[c]) for c in range(3)):
+            return FrameResult(False, "J^2 is not scalar on the complement")
+    if lam is None or lam == 0:
+        return FrameResult(False, "J^2 degenerates on the complement")
+    sign = 1 if lam > 0 else -1
+    Je2 = J0 * e2
+    notes = []
+    if sp.Matrix.hstack(e2, Je2).rank(iszerofunc=is_zero) < 2:
+        notes.append("e3 is proportional to e2 (J-eigenvector point)")
+    scale = 1 / sp.sqrt(sign * lam)
+    return FrameResult(
+        True,
+        None,
+        tuple(e1),
+        tuple(e2),
+        tuple(c * scale for c in canonical(Je2)),
+        sign,
+        normalize(-lam),
+        tuple(notes),
     )
