@@ -85,12 +85,16 @@ def _solution_from_text(text: str, args, deferred: bool = False):
     )
 
 
+# the flags of ``transform`` that give a pseudogroup element
+_ELEMENT_FLAGS = ("D", "A", "B", "C", "E")
+
+
 def _element_from_args(args):
     from .dsl import parse_expr
     from .symmetry import PseudogroupElement
 
     kw = {}
-    for flag, name in (("D", "d"), ("A", "a"), ("B", "b"), ("C", "c"), ("E", "ee")):
+    for flag, name in zip(_ELEMENT_FLAGS, ("d", "a", "b", "c", "ee")):
         val = getattr(args, flag, None)
         if val is not None:
             kw[name] = parse_expr(val, allow_exp=False)
@@ -558,6 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "transform" and args.reflect:
+        given = [f"--{flag}" for flag in _ELEMENT_FLAGS if getattr(args, flag) is not None]
+        if given:
+            parser.error(f"transform: --reflect cannot be combined with {', '.join(given)}")
     try:
         doc, ok = args.handler(args)
     except ParseError as exc:

@@ -51,8 +51,6 @@ from .jets import _ring_for
 
 __all__ = [
     "PointField",
-    "GeneratingSection",
-    "generating_section",
     "ProlongedField",
     "prolong",
 ]
@@ -125,28 +123,6 @@ class PointField:
     __repr__ = __str__
 
 
-@dataclass(frozen=True)
-class GeneratingSection:
-    """Contact components (phi_u, phi_v) of a point field; order-1 exprs."""
-
-    phi_u: sp.Expr
-    phi_v: sp.Expr
-
-
-def generating_section(field: PointField) -> GeneratingSection:
-    """phi_w = f^w - a^t w_t - a^x w_x - a^y w_y for w in {u, v}."""
-    phis = []
-    for dep, f in (("u", field.fu), ("v", field.fv)):
-        phi = (
-            f
-            - field.at * jet(dep, "t")
-            - field.ax * jet(dep, "x")
-            - field.ay * jet(dep, "y")
-        )
-        phis.append(sp.expand(phi))
-    return GeneratingSection(*phis)
-
-
 class ProlongedField:
     """The order-k prolongation of a point field, with lazy jet coefficients."""
 
@@ -182,12 +158,7 @@ class ProlongedField:
         got = self._dphi.get(key)
         if got is None:
             if idx.order == 0:
-                # phi_w = f^w - a^t w_t - a^x w_x - a^y w_y
-                comps = self._components_in(ring)
-                got = comps[3 + DEPENDENTS.index(dependent)]
-                for a, d in zip(comps[:3], "txy"):
-                    if a:
-                        got = got - a * ring.gen(jet(dependent, d))
+                got = _phi_in(ring, self._components_in(ring), dependent)
             else:
                 d = "y" if idx.ny else ("x" if idx.nx else "t")
                 got = ring.total(self._section_derivative(ring, dependent, idx.drop(d)), d)
@@ -225,6 +196,16 @@ class ProlongedField:
             )
         ring = self._ring(e)
         return ring, self._apply_in(ring, ring.convert(e))
+
+
+def _phi_in(ring, comps: list, dependent: str):
+    """phi_w = f^w - a^t w_t - a^x w_x - a^y w_y of the field with
+    components ``comps`` (elements of the ring), for w = ``dependent``."""
+    got = comps[3 + DEPENDENTS.index(dependent)]
+    for a, d in zip(comps[:3], "txy"):
+        if a:
+            got = got - a * ring.gen(jet(dependent, d))
+    return got
 
 
 def _point_image(ring, comps: list, s):

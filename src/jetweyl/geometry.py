@@ -876,7 +876,7 @@ def _tfunc(p, default_name: str) -> sp.Expr:
     e = sp.sympify(p)
     for s in e.free_symbols:
         if s != T and not is_formal_symbol(s):
-            raise ValueError(f"catalog parameter must depend on t only, got {s}")
+            raise ExprError(f"catalog parameter must depend on t only, got {s}")
     return e
 
 

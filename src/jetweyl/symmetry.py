@@ -1,11 +1,19 @@
 """Symmetry algebra of the dispersionless system and its group action.
 
-Five one-function families of point fields span the symmetry algebra.  This
-module builds them, verifies their commutation table, checks the defining
-symmetry property against the equations, lifts shape-preserving base fields
-to the total space, defines the closed-form pseudogroup elements that act
-on sections (``geometry.Solution.transform``), and measures jet-space orbit
-dimensions by exact rank.
+Five one-function families of point fields span the symmetry algebra.  Each
+family X_i(p) is linear in its parameter p(t) and in p' and p'', and is
+written once, as the table ``_FAMILIES`` of the coefficients of (p, p',
+p'').  Every use reads the table: :func:`generator` builds X_i(p), the base
+part of a :class:`ShapeField` is the sum of the families' base parts, the
+commutation table is verified on the table's coefficients in one jet ring,
+and the orbit vectors compose the table's generating sections with a
+point's Taylor series.
+
+This module also checks the defining symmetry property against the
+equations, lifts shape-preserving base fields to the total space, defines
+the closed-form pseudogroup elements that act on sections
+(``geometry.Solution.transform``), and measures jet-space orbit dimensions
+by exact rank.
 """
 
 from __future__ import annotations
@@ -21,6 +29,8 @@ import sympy as sp
 from .counts import dims
 from .errors import ExprError, JetOrderError, LiftError, PseudogroupError
 from .exprcore import (
+    BASE_SYMBOLS,
+    DEPENDENTS,
     MAX_JET_ORDER,
     T,
     X,
@@ -28,19 +38,15 @@ from .exprcore import (
     formal,
     is_formal_symbol,
     jet,
+    jet_info,
     to_text,
     validate_kernel,
 )
-from .fields import PointField, _bracket_in, _point_apply, generating_section, prolong
-from .jets import EquationSystem, JetPoint, _ring_for, internal_indices, ms_system
-from .linalg import _eliminate, as_fraction, rank
+from .fields import PointField, _bracket_in, _phi_in, _point_apply, prolong
+from .jets import EquationSystem, JetPoint, _jet_ring, _ring_for, internal_indices, ms_system
+from .linalg import _eliminate, rank
 
 __all__ = [
-    "X1",
-    "X2",
-    "X3",
-    "X4",
-    "X5",
     "generator",
     "GRADES",
     "table_cell_text",
@@ -66,80 +72,65 @@ _V = jet("v")
 GRADES = {1: 2, 2: 1, 3: 1, 4: 0, 5: 0}
 
 
+# The five families as one table: X_i(p) has the components a^t, a^x, a^y,
+# f^u, f^v in this order, each c0*p + c1*p' + c2*p'' with the row
+# (c0, c1, c2) of polynomials in t, x, y, u, v.
+_FAMILIES = {
+    1: ((0, 0, 0), (1, 0, 0), (0, 0, 0), (0, 0, 0), (0, 1, 0)),
+    2: ((0, 0, 0), (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 0)),
+    3: ((0, 0, 0), (Y, 0, 0), (0, 0, 0), (-2, 0, 0), (_U, Y, 0)),
+    4: ((1, 0, 0), (0, 0, 0), (0, Y / 2, 0), (0, -_U / 2, Y / 2), (0, -_V, 0)),
+    5: (
+        (0, 0, 0),
+        (2 * X, Y**2, 0),
+        (Y, 0, 0),
+        (_U, -3 * Y, 0),
+        (2 * _V, 2 * X + 2 * Y * _U, Y**2),
+    ),
+}
+
+
 def _parameter(p) -> sp.Expr:
     """Coerce a family parameter: a formal-function name or a closed form
     in t (constants included).  Anything involving x, y or jet coordinates
-    is rejected, and so is a closed form that is not a rational function
-    over QQ (such as t^(1/2)): the symmetry checks differentiate the
-    parameter in the jet ring, which holds no such functions."""
+    is refused with ``ExprError``."""
     if isinstance(p, str):
         return formal(p)
     e = sp.sympify(p)
     for s in e.free_symbols:
         if s == T or is_formal_symbol(s):
             continue
-        raise ValueError(f"family parameter must depend on t only, got {s}")
-    e = validate_kernel(e)
+        raise ExprError(f"family parameter must depend on t only, got {s}")
+    return validate_kernel(e)
+
+
+def _derivatives(p, n: int) -> list[sp.Expr]:
+    """A family parameter and its first n t-derivatives, taken in one jet
+    ring.  The ring holds rational functions over QQ only, so any other
+    closed form (such as t^(1/2)) is refused with ``ExprError``."""
+    p = _parameter(p)
+    ring = _ring_for(0, (p,), derivatives=n)
     try:
-        _ring_for(0, (e,)).convert(e)
+        f = ring.convert(p)
     except ExprError:
         raise ExprError(
-            f"family parameter must be a rational function of t over QQ, got {to_text(e)}"
+            f"family parameter must be a rational function of t over QQ, got {to_text(p)}"
         ) from None
-    return e
-
-
-def _dot(p: sp.Expr, n: int = 1) -> sp.Expr:
-    """The n-th t-derivative of a parameter, taken in the jet ring."""
-    ring = _ring_for(0, (p,), derivatives=n)
-    f = ring.convert(p)
+    out = [p]
     for _ in range(n):
         f = ring.total(f, "t")
-    return ring.to_expr(f)
-
-
-def X1(a) -> PointField:
-    a = _parameter(a)
-    return PointField(ax=a, fv=_dot(a))
-
-
-def X2(b) -> PointField:
-    b = _parameter(b)
-    return PointField(ay=b, fu=_dot(b))
-
-
-def X3(c) -> PointField:
-    c = _parameter(c)
-    return PointField(ax=Y * c, fu=-2 * c, fv=_U * c + Y * _dot(c))
-
-
-def X4(d) -> PointField:
-    d = _parameter(d)
-    return PointField(
-        at=d,
-        ay=_dot(d) * Y / 2,
-        fu=(Y * _dot(d, 2) - _U * _dot(d)) / 2,
-        fv=-_dot(d) * _V,
-    )
-
-
-def X5(e) -> PointField:
-    e = _parameter(e)
-    return PointField(
-        ax=Y**2 * _dot(e) + 2 * X * e,
-        ay=Y * e,
-        fu=_U * e - 3 * Y * _dot(e),
-        fv=Y**2 * _dot(e, 2) + 2 * Y * _U * _dot(e) + 2 * _V * e + 2 * X * _dot(e),
-    )
-
-
-_FAMILY = {1: X1, 2: X2, 3: X3, 4: X4, 5: X5}
+        out.append(ring.to_expr(f))
+    return out
 
 
 def generator(family: int, parameter) -> PointField:
-    if family not in _FAMILY:
+    """X_family(parameter): each component is c0*p + c1*p' + c2*p'' with
+    its row of the table."""
+    rows = _FAMILIES.get(family)
+    if rows is None:
         raise ValueError(f"family must be 1..5, got {family}")
-    return _FAMILY[family](parameter)
+    p = _derivatives(parameter, 2)
+    return PointField(*(sum(c * q for c, q in zip(row, p)) for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +169,8 @@ def _cell(i: int, j: int, f, g, dot) -> list[tuple[int, object]]:
 def table_cell_text(i: int, j: int, f="f", g="g") -> str:
     f, g = _parameter(f), _parameter(g)
     parts = [
-        f"X{fam}({to_text(param)})" for fam, param in _cell(i, j, f, g, _dot)
+        f"X{fam}({to_text(param)})"
+        for fam, param in _cell(i, j, f, g, lambda p: _derivatives(p, 1)[1])
     ]
     return " + ".join(parts) if parts else "0"
 
@@ -195,32 +187,26 @@ def verify_commutation_table() -> list[CellReport]:
     """Check all 25 cells [X_i(f), X_j(g)] against the table, with formal
     parameters f, g.  Failures appear as report entries, never exceptions.
 
-    The ten fields X_i(f), X_i(g) are converted once into one jet ring,
-    where the brackets are taken, the tabulated right-hand sides are built
-    and the residuals are zero-tested.  Every family is linear in its
-    parameter and the parameter's first two t-derivatives, so for a ring
-    element p, X_i(p) = sum_j (dX_i(f)/df^(j)) * D_t^j p."""
+    The table's coefficients are converted once into one jet ring, where
+    X_i(p) = c0*p + c1*D_t p + c2*D_t^2 p is built for the parameters and
+    for the tabulated right-hand sides, the brackets are taken and the
+    residuals are zero-tested."""
     f, g = formal("f"), formal("g")
-    fields = {(i, w): generator(i, p) for i in range(1, 6) for w, p in (("f", f), ("g", g))}
-    ring = _ring_for(0, [c for fld in fields.values() for c in fld.components()], derivatives=1)
-    inring = {key: [ring.convert(c) for c in fld.components()] for key, fld in fields.items()}
+    # the brackets of second-order fields reach the third derivatives
+    ring = _ring_for(0, (formal("f", 2), formal("g", 2)), derivatives=1)
     zero = ring.field.zero
-    # per family, the components' slopes dX_i(f)/df^(j), j = 0, 1, 2
     slopes = {
-        fam: [[c.diff(ring.gen(formal("f", j))) for j in range(3)] for c in inring[(fam, "f")]]
-        for fam in range(1, 6)
+        fam: [[ring.convert(c) for c in row] for row in rows] for fam, rows in _FAMILIES.items()
     }
 
     def dot(p):
         return ring.total(p, "t")
 
     def family(fam: int, p) -> list:
-        rows = slopes[fam]
-        derivatives = [p]
-        for _ in range(max(j for row in rows for j, s in enumerate(row) if s)):
-            derivatives.append(dot(derivatives[-1]))
-        return [sum((s * q for s, q in zip(row, derivatives) if s), zero) for row in rows]
+        derivatives = (p, dot(p), dot(dot(p)))
+        return [sum((s * q for s, q in zip(row, derivatives) if s), zero) for row in slopes[fam]]
 
+    inring = {(i, w): family(i, ring.gen(p)) for i in _FAMILIES for w, p in (("f", f), ("g", g))}
     report = []
     for i in range(1, 6):
         for j in range(1, 6):
@@ -273,11 +259,9 @@ def grading_check() -> bool:
 
 @dataclass(frozen=True)
 class ShapeField:
-    """Base vector field preserving the metric/covector ansatz shape.
-
-    Five function-of-t parameters; the expanded field is
-    d*d_t + (a + y*c + 2x*e + y^2*e')*d_x + (b + y*d'/2 + y*e)*d_y.
-    """
+    """Base vector field preserving the metric/covector ansatz shape: the
+    base part of X1(a) + X2(b) + X3(c) + X4(d) + X5(e) for five functions
+    of t."""
 
     a: object = 0
     b: object = 0
@@ -285,16 +269,10 @@ class ShapeField:
     d: object = 0
     e: object = 0
 
-    def params(self) -> tuple[sp.Expr, ...]:
-        return tuple(_parameter(p) for p in (self.a, self.b, self.c, self.d, self.e))
-
     def base_field(self) -> PointField:
-        a, b, c, d, e = self.params()
-        return PointField(
-            at=d,
-            ax=a + Y * c + 2 * X * e + Y**2 * _dot(e),
-            ay=b + _dot(d) * Y / 2 + Y * e,
-        )
+        params = (self.a, self.b, self.c, self.d, self.e)
+        bases = [generator(i, p).components()[:3] for i, p in enumerate(params, start=1)]
+        return PointField(*map(sum, zip(*bases)))
 
 
 def ansatz_metric(u, v) -> sp.Matrix:
@@ -505,51 +483,31 @@ def _series_mul(a: _Series, b: _Series, degree: int) -> _Series:
     return out
 
 
-def _section_arguments() -> tuple[sp.Symbol, ...]:
-    """The eleven arguments (t, x, y, u, u_t, u_x, u_y, v, v_t, v_x, v_y)
-    of a generating section."""
-    return (T, X, Y) + tuple(
-        jet(dep, d) for dep in ("u", "v") for d in ((0, 0, 0), "t", "x", "y")
-    )
-
-
-# a polynomial in the eleven section arguments: {exponents: coefficient}
+# a polynomial in the generators of _jet_ring(1): {exponents: coefficient}
 _Poly = dict
-
-
-def _by_parameter(e: sp.Expr) -> tuple[tuple[int, _Poly], ...]:
-    """e, linear in the formal parameter f and its derivatives f', f'', as
-    the pairs (j, coefficient of f^(j)), each coefficient a polynomial in
-    the section arguments; ``ValueError`` for any other e."""
-    params = tuple(formal("f", j) for j in range(3))
-    try:
-        poly = sp.Poly(e, *_section_arguments(), *params, domain="QQ")
-    except (sp.PolynomialError, sp.polys.polyerrors.CoercionFailed) as exc:
-        raise ValueError(
-            f"orbit vectors need generating sections polynomial in the jet "
-            f"arguments, got {e}"
-        ) from exc
-    out: dict[int, _Poly] = {}
-    for expo, coef in poly.terms():
-        if not coef:
-            continue  # the zero polynomial's one term
-        powers = expo[-3:]
-        if sum(powers) != 1:
-            raise ValueError(f"orbit vectors need fields linear in the parameter, got {e}")
-        out.setdefault(powers.index(1), {})[expo[:-3]] = as_fraction(coef)
-    return tuple(sorted(out.items()))
 
 
 @lru_cache(maxsize=None)
 def _family_terms(fam: int) -> tuple[tuple[tuple[int, _Poly], ...], ...]:
-    """Family ``fam`` with the formal parameter f, built once: its base
-    components (a^t, a^x, a^y) and generating section (phi_u, phi_v), each
-    split by :func:`_by_parameter`."""
-    field = generator(fam, "f")
-    section = generating_section(field)
+    """Family ``fam`` read from the table into ``_jet_ring(1)``, built once:
+    for its base components (a^t, a^x, a^y) and generating section (phi_u,
+    phi_v), the pairs (j, coefficient of p^(j)) with a nonzero coefficient.
+    phi_w is linear in the components, so its coefficient of p^(j) is the
+    generating section of the table's column j."""
+    ring = _jet_ring(1)
+    columns = [[ring.convert(c) for c in column] for column in zip(*_FAMILIES[fam])]
+    parts = [[column[n] for column in columns] for n in range(3)]
+    parts += [[_phi_in(ring, column, dep) for column in columns] for dep in DEPENDENTS]
     return tuple(
-        _by_parameter(c) for c in (field.at, field.ax, field.ay, section.phi_u, section.phi_v)
+        tuple((j, _polynomial(c)) for j, c in enumerate(part) if c) for part in parts
     )
+
+
+def _polynomial(f) -> _Poly:
+    """A ring element with a constant denominator as a polynomial."""
+    (d,) = f.denom.values()
+    d = Fraction(d.numerator, d.denominator)
+    return {m: Fraction(c.numerator, c.denominator) / d for m, c in f.numer.items()}
 
 
 class _TaylorJet:
@@ -557,33 +515,42 @@ class _TaylorJet:
 
     The Taylor polynomials of u and v about the base point (degree k+1,
     taken from theta's values, principal ones included) give, through
-    degree k, series for the eleven arguments (t, x, y, u, v, u_t, ...,
-    v_y) of a generating section.  Composing a polynomial phi with them
-    and reading off sigma! * coeff_sigma gives D_sigma phi at theta for
-    every |sigma| <= k at once.  The polynomials are the cached
-    coefficients of :func:`_family_terms`, so a point builds no expression.
+    degree k, series for the eleven generators (t, x, y, u, v, u_t, ...,
+    v_y) of ``_jet_ring(1)``, the arguments of a generating section.
+    Composing a polynomial phi with them and reading off sigma! *
+    coeff_sigma gives D_sigma phi at theta for every |sigma| <= k at once.
+    The polynomials are the cached coefficients of :func:`_family_terms`,
+    so a point builds no expression.
     """
 
     def __init__(self, theta: JetPoint, k: int):
         self.k = k
         self.t0 = theta.base["t"]
-        self.args: list[_Series] = []
-        for n, s in enumerate(("t", "x", "y")):
-            unit = tuple(int(m == n) for m in range(3))
-            self.args.append({(0, 0, 0): theta.base[s], unit: Fraction(1)})
-        for dep in ("u", "v"):
-            w = {
+        taylor = {
+            dep: {
                 e: theta.value(jet(dep, e)) / prod(map(factorial, e))
                 for e in itertools.product(range(k + 2), repeat=3)
                 if sum(e) <= k + 1
             }
-            self.args.append({e: q for e, q in w.items() if sum(e) <= k})
-            for n in range(3):
-                self.args.append({
-                    tuple(e[m] - (m == n) for m in range(3)): e[n] * q
-                    for e, q in w.items()
-                    if e[n]
-                })
+            for dep in DEPENDENTS
+        }
+        # one series per generator of _jet_ring(1), in its order: the exponents
+        # of the polynomials of _family_terms index them
+        self.args: list[_Series] = []
+        for s in _jet_ring(1).symbols:
+            if s in BASE_SYMBOLS:
+                unit = tuple(int(b == s) for b in BASE_SYMBOLS)
+                self.args.append({(0, 0, 0): theta.base[s.name], unit: Fraction(1)})
+                continue
+            dep, idx = jet_info(s)
+            w = taylor[dep]
+            if idx.order == 0:
+                self.args.append({e: q for e, q in w.items() if sum(e) <= k})
+                continue
+            n = (idx.nt, idx.nx, idx.ny).index(1)
+            self.args.append({
+                tuple(e[m] - (m == n) for m in range(3)): e[n] * q for e, q in w.items() if e[n]
+            })
         self._values = [a.get((0, 0, 0), _ZERO) for a in self.args]
         self._monomials: dict[tuple[int, ...], _Series] = {
             (0,) * len(self.args): {(0, 0, 0): Fraction(1)}

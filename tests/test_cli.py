@@ -60,6 +60,23 @@ def test_a_refused_parameter_is_named_in_the_input_language(capsys, parameter):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["check-symmetry", "1", "--parameter", "u"],
+        ["check-symmetry", "1", "--parameter", "x*t"],
+        ["check-symmetry", "1", "--parameter", "u_x"],
+        ["check-solution", "sl2-family", "--f", "u"],
+        ["check-solution", "dkp-partial", "--h", "u_x"],
+        ["signature", "exp-family", "--f", "x", "--h", "1"],
+    ],
+)
+def test_a_parameter_that_is_not_a_function_of_t_is_a_domain_error(capsys, argv):
+    code, doc = run(argv, capsys)
+    assert code == 4 and doc["error"] == "domain"
+    assert "parameter must depend on t only" in doc["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["check-symmetry", "1", "--parameter", "sqrt(t)"],
         ["reduce", "log(t)*u_x"],
         ["reduce", "sin(t) + u"],
@@ -231,6 +248,15 @@ def test_transform_reflection(capsys):
     code, doc = run(["transform", "hierarchy", "--w", "x^3", "--reflect", "txy"], capsys)
     assert code == 0
     assert doc["still_solution"]
+
+
+@pytest.mark.parametrize("flags", [["--A", "1"], ["--D", "2*t", "--E", "3"]])
+def test_transform_refuses_element_flags_with_a_reflection(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "trivial", "--reflect", "txy", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--reflect cannot be combined with " + ", ".join(flags[::2]) in err
 
 
 def test_transform_element(capsys):

@@ -25,7 +25,7 @@ from jetweyl.exprcore import (
     jet_info,
     jet_order,
 )
-from jetweyl.fields import PointField, _bracket_in, generating_section, prolong
+from jetweyl.fields import PointField, _bracket_in, prolong
 from jetweyl.invariants import (
     apply_derivation,
     derivation,
@@ -42,7 +42,7 @@ from jetweyl.jets import (
     total_derivative,
 )
 from jetweyl.symmetry import generator
-from tree_oracle import partial, tree_normalize
+from tree_oracle import generating_section, partial, tree_normalize
 
 # ---------------------------------------------------------------------------
 # the tree oracle

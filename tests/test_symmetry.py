@@ -17,14 +17,12 @@ from jetweyl.geometry import Solution
 from jetweyl.jets import _jet_ring, _ring_for, internal_indices, ms_system, principal_indices
 from jetweyl import symmetry
 from jetweyl.symmetry import (
-    _dot,
+    _derivatives,
     _orbit_vectors,
-    _by_parameter,
     _solve_lift,
     GRADES,
     PseudogroupElement,
     ShapeField,
-    X4,
     _parameter,
     check_symmetry,
     generator,
@@ -36,7 +34,7 @@ from jetweyl.symmetry import (
     table_cell_text,
     verify_commutation_table,
 )
-from tree_oracle import partial, tree_normalize
+from tree_oracle import partial, tree_family, tree_normalize
 
 u = jet("u")
 
@@ -73,10 +71,60 @@ _PARAMETERS = (
 def test_dot_matches_the_tree_derivative(n):
     # the ring's D_t against sympy's diff with the formal chain rule
     for p in map(_parameter, _PARAMETERS):
+        got = _derivatives(p, n)
+        assert len(got) == n + 1 and got[0] == p
         want = p
-        for _ in range(n):
+        for j in range(1, n + 1):
             want = partial(want, "t")
-        assert tree_normalize(_dot(p, n) - want) == 0, (p, n)
+            assert tree_normalize(got[j] - want) == 0, (p, j)
+
+
+_COMPONENTS = ("at", "ax", "ay", "fu", "fv")
+
+
+def _differences(fam: int, p) -> list[str]:
+    """The components in which generator(fam, p) differs from the
+    hand-written family."""
+    got, want = generator(fam, p).components(), tree_family(fam, p).components()
+    return [n for n, a, b in zip(_COMPONENTS, got, want) if tree_normalize(a - b) != 0]
+
+
+@pytest.mark.parametrize("fam", range(1, 6))
+def test_generator_matches_the_hand_written_family(fam):
+    for p in _PARAMETERS:
+        assert _differences(fam, p) == [], p
+
+
+def test_shape_base_field_matches_its_closed_form():
+    # d*d_t + (a + y*c + 2x*e + y^2*e')*d_x + (b + y*d'/2 + y*e)*d_y
+    params = [formal(p) if isinstance(p, str) else p for p in _PARAMETERS]
+    for a, b, c, d, e in (params[:5], params[2:], params[::-1][:5]):
+        got = ShapeField(a, b, c, d, e).base_field().components()
+        want = (
+            d,
+            a + Y * c + 2 * X * e + Y**2 * partial(e, "t"),
+            b + partial(d, "t") * Y / 2 + Y * e,
+            0,
+            0,
+        )
+        assert [tree_normalize(g - w) for g, w in zip(got, want)] == [0] * 5
+
+
+def test_a_wrong_table_coefficient_fails_its_family(monkeypatch):
+    # X3 has f^v = u*p + y*p'; with the coefficient of p' doubled the
+    # generator leaves the hand-written family in f^v only, and the field is
+    # no symmetry
+    rows = list(symmetry._FAMILIES[3])
+    rows[4] = (u, 2 * Y, 0)
+    monkeypatch.setitem(symmetry._FAMILIES, 3, tuple(rows))
+    assert _differences(3, "f") == ["fv"]
+    assert [fam for fam in range(1, 6) if _differences(fam, "f")] == [3]
+    assert check_symmetry(generator(3, formal("f"))) is not True
+    assert check_symmetry(generator(2, formal("f"))) is True
+    # the commutator check reads the same table: what fails are cells with
+    # X3 on either side ([X2, X5] has X3 on the right)
+    failed = {(r.i, r.j) for r in verify_commutation_table() if not r.ok}
+    assert failed and all(3 in cell or cell in ((2, 5), (5, 2)) for cell in failed)
 
 
 def test_rational_closed_form_parameters_are_symmetries():
@@ -153,7 +201,7 @@ def test_lift_conformal_factor():
 
 def test_lift_of_x4_matches_hand_written_generator():
     lifted = lift_shape_field(ShapeField(d=formal("d"))).field
-    assert _fields_equal(lifted, X4(formal("d")))
+    assert _fields_equal(lifted, tree_family(4, formal("d")))
 
 
 def test_lift_refuses_fiber_components():
@@ -304,8 +352,9 @@ def test_orbit_dimension_special_point_k3():
 
 
 # The symbolic path the pointwise orbit vectors replaced, kept as their
-# oracle: prolonged coefficients D_sigma(phi_w) + transport built as
-# expressions, principal coordinates taken from the substitution table.
+# oracle: the hand-written families, their prolonged coefficients
+# D_sigma(phi_w) + transport built as expressions, principal coordinates
+# taken from the substitution table.
 
 
 @lru_cache(maxsize=None)
@@ -313,7 +362,7 @@ def _symbolic_fields(k: int) -> tuple[tuple[sp.Expr, ...], ...]:
     rows = []
     for fam in range(1, 6):
         for m in range((k + 1 if fam in (1, 2, 4) else k) + 1):
-            field = generator(fam, T**m / sp.Integer(factorial(m)))
+            field = tree_family(fam, T**m / sp.Integer(factorial(m)))
             pf = prolong(field, k)
             ring = pf._ring(sp.Integer(0))
             rows.append(
@@ -414,21 +463,6 @@ def test_ms_counts_are_equation_dimension_minus_orbit_dimension():
 def test_orbit_vectors_stop_at_the_hard_cap():
     with pytest.raises(JetOrderError):
         orbit_dimension(8, ms_system().point(8))
-
-
-def test_composition_refuses_non_polynomial_sections():
-    # the cached families are split into polynomial coefficients of f, f',
-    # f'' before any composition; anything else is refused there
-    with pytest.raises(ValueError):
-        _by_parameter(sp.exp(T) * jet("u", "x") * formal("f"))
-    with pytest.raises(ValueError):
-        _by_parameter(formal("g") * jet("u", "x"))
-    with pytest.raises(ValueError):
-        _by_parameter(formal("f") ** 2 * jet("u", "x"))
-    assert _by_parameter(formal("f", 1) * jet("u", "x") - 2 * X * formal("f")) == (
-        (0, {(0, 1, 0) + (0,) * 8: Fraction(-2)}),
-        (1, {(0,) * 5 + (1,) + (0,) * 5: Fraction(1)}),
-    )
 
 
 def test_a_second_orbit_dimension_builds_no_sympy_polynomial(monkeypatch):

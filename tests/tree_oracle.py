@@ -8,6 +8,9 @@ generators substituted back.  ``partial`` is the tree derivative: sympy's
 ``diff`` plus the formal chain rule d/dt a^(k) = a^(k+1).  ``tree_moved``
 and ``tree_reflected`` compose a section with a pseudogroup element or a
 reflection on trees and return the unnormalized result.
+``tree_family`` is X_i(p) of the five symmetry families as they were
+written by hand, and ``generating_section`` is phi_w = f^w - a^t w_t -
+a^x w_x - a^y w_y of a point field, expanded on trees.
 ``poincare_function`` is the sympy form of a Poincare function of
 ``counts``, whose canonical text ``counts.poincare_text`` prints.
 ``TreeSection`` holds a section's derivatives, jet substitution and ansatz
@@ -18,6 +21,7 @@ zero test), from the tree pair.
 """
 
 import functools
+from dataclasses import dataclass
 
 import sympy as sp
 
@@ -29,14 +33,17 @@ from jetweyl.exprcore import (
     X,
     Y,
     MultiIndex,
+    formal,
     formal_shift,
     is_formal_symbol,
     is_jet_symbol,
     is_zero,
+    jet,
     jet_info,
     normalize,
     resolve_symbol,
 )
+from jetweyl.fields import PointField
 from jetweyl.geometry import FrameResult
 from jetweyl.jets import ms_system
 from jetweyl.symmetry import ansatz_covector, ansatz_metric
@@ -63,6 +70,52 @@ def partial(e, s) -> sp.Expr:
             if is_formal_symbol(sym):
                 out += formal_shift(sym) * sp.diff(e, sym)
     return out
+
+
+def tree_family(i: int, p) -> PointField:
+    """X_i(p) of the five symmetry families, written out by hand, with the
+    t-derivatives of p taken by :func:`partial`; a string names a formal
+    function."""
+    p = formal(p) if isinstance(p, str) else sp.sympify(p)
+    p1 = partial(p, "t")
+    p2 = partial(p1, "t")
+    u, v = jet("u"), jet("v")
+    if i == 1:
+        return PointField(ax=p, fv=p1)
+    if i == 2:
+        return PointField(ay=p, fu=p1)
+    if i == 3:
+        return PointField(ax=Y * p, fu=-2 * p, fv=u * p + Y * p1)
+    if i == 4:
+        return PointField(at=p, ay=p1 * Y / 2, fu=(Y * p2 - u * p1) / 2, fv=-p1 * v)
+    return PointField(
+        ax=Y**2 * p1 + 2 * X * p,
+        ay=Y * p,
+        fu=u * p - 3 * Y * p1,
+        fv=Y**2 * p2 + 2 * Y * u * p1 + 2 * v * p + 2 * X * p1,
+    )
+
+
+@dataclass(frozen=True)
+class GeneratingSection:
+    """Contact components (phi_u, phi_v) of a point field; order-1 exprs."""
+
+    phi_u: sp.Expr
+    phi_v: sp.Expr
+
+
+def generating_section(field: PointField) -> GeneratingSection:
+    """phi_w = f^w - a^t w_t - a^x w_x - a^y w_y for w in {u, v}."""
+    phis = []
+    for dep, f in (("u", field.fu), ("v", field.fv)):
+        phi = (
+            f
+            - field.at * jet(dep, "t")
+            - field.ax * jet(dep, "x")
+            - field.ay * jet(dep, "y")
+        )
+        phis.append(sp.expand(phi))
+    return GeneratingSection(*phis)
 
 
 def tree_rescaled(e: sp.Expr) -> tuple[sp.Expr, dict]:
