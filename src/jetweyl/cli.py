@@ -445,15 +445,22 @@ def _cmd_verify_all(args):
 # argument parsing
 
 
-def _order(text: str) -> int:
-    """A jet order: a non-negative integer."""
+def _order(text: str, least: int = 0) -> int:
+    """A jet order or a number of check points: a non-negative integer
+    (with ``least`` = 1, a positive one)."""
     try:
         k = int(text)
     except ValueError:
-        k = -1
-    if k < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+        k = least - 1
+    if k < least:
+        what = "positive" if least else "non-negative"
+        raise argparse.ArgumentTypeError(f"{text!r} is not a {what} integer")
     return k
+
+
+def _count(text: str) -> int:
+    """A number of signature points: a positive integer."""
+    return _order(text, 1)
 
 
 def _file_text(path: str) -> str:
@@ -486,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("reduce", _cmd_reduce, "reduce a jet expression through the equations")
     p.add_argument("expr")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_order, default=None)
 
     add("verify-table", _cmd_verify_table, "verify all 25 commutator table cells")
 
@@ -519,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("check-solution", _cmd_check_solution, "equation residuals and Einstein check")
     p.add_argument("solution", help="catalog id or DSL 'u = ...; v = ...'")
-    p.add_argument("--points", type=int, default=0)
+    p.add_argument("--points", type=_order, default=0)
     p.add_argument("--seed", type=int, default=0)
     for name in ("f", "h", "w"):
         p.add_argument(f"--{name}", default=None, help=f"catalog parameter {name}")
@@ -541,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("signature", _cmd_signature, "sample the 12-invariant signature cloud")
     p.add_argument("solution")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=64)
+    p.add_argument("--n", type=_count, default=64)
     p.add_argument("--out", default=None)
     for name in ("f", "h", "w"):
         p.add_argument(f"--{name}", default=None, help=f"catalog parameter {name}")

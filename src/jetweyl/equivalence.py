@@ -101,15 +101,12 @@ def signature(sol: Solution, sampler: SamplerConfig | None = None) -> SignatureC
     where the section evaluates rationally.
     """
     sampler = sampler or SamplerConfig()
-    for e in (sol.u, sol.v):
-        free = {s for s in sp.sympify(e).free_symbols if is_formal_symbol(s)}
-        if free:
-            raise SolutionError(
-                f"bind formal parameters before sampling: {sorted(map(str, free))}"
-            )
+    sf = sol.field
+    free = sorted(str(s) for s in sf.generators() if is_formal_symbol(s))
+    if free:
+        raise SolutionError(f"bind formal parameters before sampling: {free}")
     if not sol.checked:
         sol.require_solution()
-    sf = sol.field
     ux, uxx = sf.jet("u", "x"), sf.jet("u", "xx")
     if sf.vanishes(ux):
         raise SingularLocusError(
@@ -135,7 +132,7 @@ def signature(sol: Solution, sampler: SamplerConfig | None = None) -> SignatureC
             False,
         )
     ux, uxx = sf.expr(ux), sf.expr(uxx)
-    funcs = [sol.jet_subs(e) for e in twelve_invariants()]
+    funcs = [sf.expr(sf.subs(e)) for e in twelve_invariants()]
     points, values = [], []
     rejected = 0
     exact = True
@@ -212,10 +209,10 @@ def i_regular(sol: Solution, pt) -> bool:
     subs = {c: sp.Rational(q) for c, q in zip(_COORDS, pt)}
     if not sol.in_domain(pt):
         raise sol.domain_error(pt)
-    uxv = sol.jet_expr("u", "x").xreplace(subs)
+    sf = sol.field
+    uxv = sf.expr(sf.jet("u", "x")).xreplace(subs)
     if uxv == 0:
         raise SingularLocusError("u_x vanishes on the section at this point")
-    sf = sol.field
     M = [[sf.partial(sf.subs(invariant(i)), d) for d in "txy"] for i in (1, 2, 3)]
     det = sf.sum(M[0][j] * c for j, c in enumerate(_cofactors(M)[0]))
     return not is_zero(sf.expr(det).xreplace(subs))

@@ -44,6 +44,7 @@ from .exprcore import (
     jet_info,
     jet_order,
     normalize,
+    equal,
     is_zero,
     to_text,
 )
@@ -87,26 +88,10 @@ class PointField:
     def components(self) -> tuple[sp.Expr, ...]:
         return (self.at, self.ax, self.ay, self.fu, self.fv)
 
-    def __add__(self, other: "PointField") -> "PointField":
-        return PointField(*(a + b for a, b in zip(self.components(), other.components())))
-
-    def __sub__(self, other: "PointField") -> "PointField":
-        return PointField(*(a - b for a, b in zip(self.components(), other.components())))
-
-    def __neg__(self) -> "PointField":
-        return PointField(*(-a for a in self.components()))
-
-    def __rmul__(self, scalar) -> "PointField":
-        scalar = sp.sympify(scalar)
-        return PointField(*(scalar * a for a in self.components()))
-
-    def is_zero(self) -> bool:
-        return all(is_zero(c) for c in self.components())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointField):
             return NotImplemented
-        return (self - other).is_zero()
+        return all(map(equal, self.components(), other.components()))
 
     def __hash__(self):
         return hash(tuple(sp.srepr(normalize(c)) for c in self.components()))

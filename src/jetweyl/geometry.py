@@ -18,7 +18,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import sympy as sp
 
@@ -235,6 +235,11 @@ class SectionField(_Rescaled):
         q = f.numer.LC / f.denom.LC
         return Fraction(int(q.numerator), int(q.denominator))
 
+    def generators(self) -> list:
+        """The generators of the field that occur in its values."""
+        present = set().union(*map(self.ring.present, self.values))
+        return [s for i, s in enumerate(self.ring.symbols) if i in present]
+
     # -- moving the section -------------------------------------------------
 
     def moved(self, element) -> "SectionField":
@@ -288,10 +293,7 @@ class SectionField(_Rescaled):
         themselves) and the image of every auxiliary generator (see
         ``_image_atom``); an image outside the term language is refused
         with a ``SolutionError``."""
-        present = set().union(*map(self.ring.present, self.values))
-        formals = tuple(
-            s for i, s in enumerate(self.ring.symbols) if i in present and is_formal_symbol(s)
-        )
+        formals = tuple(filter(is_formal_symbol, self.generators()))
         try:
             F = SectionField((*exprs, *formals))
             atoms = tuple(_image_atom(F, F.values[:3], atom) for atom in self.back.values())
@@ -394,22 +396,24 @@ class Solution:
     """A section u = u(t,x,y), v = v(t,x,y) of the equation system.
 
     Closed forms in the base variables plus formal functions of t; the two
-    equation residuals are checked at construction unless deferred (the
-    deferred path exists for negative controls and ansatz experiments).
+    equation residuals are checked at construction unless deferred.  The
+    deferred path is the one ``check-solution`` takes for user input, which
+    it reports on rather than refuses, and the one of negative controls.
     Derivatives, residuals and geometry are computed in the section's
-    differential field (:class:`SectionField` of (u, v)), built on first use
-    unless ``field`` is given: a field whose values are (u, v) already.
+    differential field (:class:`SectionField` of (u, v)), built on first
+    use.
+
+    Moves, reflections and the ``hierarchy`` entry are built from a field
+    whose values are (u, v) already (:meth:`_of`).  Such a solution holds
+    no trees: ``u`` and ``v`` are the field's canonical expressions of its
+    values, read on first use and kept, and it prints as those.
     """
 
-    def __init__(
-        self,
-        u,
-        v,
-        name: str = "user",
-        domain: str = "",
-        deferred: bool = False,
-        field: SectionField | None = None,
-    ):
+    checked = False
+    _pair: WeylPair | None = None
+    _residual_elements: tuple | None = None
+
+    def __init__(self, u, v, name: str = "user", domain: str = "", deferred: bool = False):
         self.u = validate_kernel(sp.sympify(u), allow_exp=True)
         self.v = validate_kernel(sp.sympify(v), allow_exp=True)
         for e in (self.u, self.v):
@@ -420,18 +424,28 @@ class Solution:
                     )
         self.name = name
         self.domain = domain
-        self._field = field
-        self._pair: WeylPair | None = None
-        self._residual_elements: tuple | None = None
-        self.checked = False
         if not deferred:
             self.require_solution()
 
-    @property
+    @classmethod
+    def _of(cls, sf: SectionField, name: str, domain: str = "") -> "Solution":
+        """The solution whose field is ``sf`` (values (u, v)); its residuals
+        are checked there."""
+        sol = cls.__new__(cls)
+        sol.field, sol.name, sol.domain = sf, name, domain
+        return sol.require_solution()
+
+    @cached_property
     def field(self) -> SectionField:
-        if self._field is None:
-            self._field = SectionField((self.u, self.v))
-        return self._field
+        return SectionField((self.u, self.v))
+
+    @cached_property
+    def u(self) -> sp.Expr:
+        return self.field.expr(self.field.values[0])
+
+    @cached_property
+    def v(self) -> sp.Expr:
+        return self.field.expr(self.field.values[1])
 
     def _residuals(self) -> tuple:
         """F1, F2 at the section as field elements, computed once."""
@@ -459,20 +473,13 @@ class Solution:
         self.checked = True
         return self
 
-    # -- jets of the section ------------------------------------------------
-
-    def jet_expr(self, dep: str, index=MultiIndex()) -> sp.Expr:
-        return self.field.expr(self.field.jet(dep, index))
-
-    def jet_subs(self, e) -> sp.Expr:
-        """Replace jet coordinates in e by the section's derivatives."""
-        return self.field.expr(self.field.subs(e))
-
     def _positive(self) -> list:
         """The base variables that must stay positive: y where the domain
         says so, and every base variable with a fractional power in the
         section, which is real only there."""
-        positive = {a.base for a in self.field.back.values() if a.is_Pow} & set(_COORDS)
+        back = self.field.back
+        atoms = (back[s] for s in self.field.generators() if s in back)
+        positive = {a.base for a in atoms if a.is_Pow} & set(_COORDS)
         if self.domain == "y > 0":
             positive.add(Y)
         return [b for b in _COORDS if b in positive]
@@ -489,17 +496,11 @@ class Solution:
     def transform(self, element) -> "Solution":
         """Push the section through a pseudogroup element
         (:meth:`SectionField.moved`)."""
-        return self._on(self.field.moved(element), "moved")
+        return self._of(self.field.moved(element), f"{self.name}|moved", self.domain)
 
     def reflect(self, which: str) -> "Solution":
         """Reflect the section (:meth:`SectionField.reflected`)."""
-        return self._on(self.field.reflected(which), which)
-
-    def _on(self, sf: SectionField, tag: str) -> "Solution":
-        """The solution held by a field derived from this one; its residuals
-        are checked there."""
-        u, v = map(sf.expr, sf.values)
-        return Solution(u, v, name=f"{self.name}|{tag}", domain=self.domain, field=sf)
+        return self._of(self.field.reflected(which), f"{self.name}|{which}", self.domain)
 
     def __str__(self) -> str:
         return f"u = {to_text(self.u)}; v = {to_text(self.v)}"
@@ -899,7 +900,7 @@ def catalog(cid: str, f=None, h=None, w=None) -> Solution:
             raise SolutionError(
                 f"potential does not solve the hierarchy equation: {to_text(sf.expr(r))}"
             )
-        return Solution(sf.expr(wx), sf.expr(-wy), name=cid)
+        return Solution._of(sf._with_values((wx, -wy)), cid)
     if cid == "exp-family":
         return Solution(
             X + sp.exp(Y),
@@ -980,7 +981,8 @@ def invariants_on_solution(sol: Solution) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
     """I1, I2, I3 with the section's derivatives substituted."""
     from .invariants import invariant
 
-    return tuple(sol.jet_subs(invariant(i)) for i in (1, 2, 3))
+    sf = sol.field
+    return tuple(sf.expr(sf.subs(invariant(i))) for i in (1, 2, 3))
 
 
 def sl2_structure_report(sol: Solution, constants=None) -> dict:

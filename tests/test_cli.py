@@ -216,13 +216,26 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["dims", "-1"], ["counts", "ms", "--upto", "-1"], ["orbit-dim", "-1"]]
+    "argv",
+    [
+        ["dims", "-1"],
+        ["counts", "ms", "--upto", "-1"],
+        ["orbit-dim", "-1"],
+        ["reduce", "u_xx", "--order", "-1"],
+        ["check-solution", "trivial", "--points", "-2"],
+        ["signature", "u = x^(1/2) ; v = x^(1/2)", "--n", "0"],
+        ["signature", "sl2-family", "--f", "0", "--h", "0", "--n", "0"],
+        ["signature", "sl2-family", "--f", "0", "--h", "0", "--n", "-3"],
+    ],
 )
 def test_a_negative_order_is_a_usage_error(argv, capsys):
+    # a jet order or a number of check points may be 0, a signature's
+    # number of points may not
+    kind = "positive" if "--n" in argv else "non-negative"
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "'-1' is not a non-negative integer" in capsys.readouterr().err
+    assert f"{argv[-1]!r} is not a {kind} integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -186,10 +186,13 @@ def _catalog_cases():
             yield pytest.param(cid, _BOUND[cid], id=f"{cid}-bound")
 
 
-def _moved(cid: str, n: int) -> Solution:
+def _element(cid: str, n: int):
     rng = random.Random(1000 + geometry.CATALOG_IDS.index(cid))
-    el = checks._random_elements(rng, _KINDS[cid], count=_MOVES)[n]
-    return catalog(cid, **_BOUND.get(cid, {})).transform(el)
+    return checks._random_elements(rng, _KINDS[cid], count=_MOVES)[n]
+
+
+def _moved(cid: str, n: int) -> Solution:
+    return catalog(cid, **_BOUND.get(cid, {})).transform(_element(cid, n))
 
 
 def _check_against_the_tree(sol: Solution, sign: int = -1, exprs: bool = False):
@@ -261,18 +264,57 @@ def test_jets_and_invariants_match_the_tree():
     from jetweyl.invariants import invariant, twelve_invariants
 
     sol = _moved("sl2-family", 0)
-    tree = TreeSection(sol)
+    sf, tree = sol.field, TreeSection(sol)
     for word in ("", "t", "x", "y", "xy", "ty", "yyy", "txy"):
         idx = MultiIndex.from_word(word)
         for dep in ("u", "v"):
-            assert tree_normalize(sol.jet_expr(dep, idx) - tree.jet(dep, idx)) == 0
+            assert tree_normalize(sf.expr(sf.jet(dep, idx)) - tree.jet(dep, idx)) == 0
     assert geometry.invariants_on_solution(sol) == tuple(
         tree.subs(invariant(i)) for i in (1, 2, 3)
     )
     gen = _moved("hierarchy", 1)
-    tree = TreeSection(gen)
+    sf, tree = gen.field, TreeSection(gen)
     for e in twelve_invariants()[:4]:
-        assert tree_normalize(gen.jet_subs(e) - tree.subs(e)) == 0
+        assert tree_normalize(sf.expr(sf.subs(e)) - tree.subs(e)) == 0
+
+
+def test_moves_and_signatures_build_no_trees(monkeypatch):
+    """A moved section is its field: moving every catalog section and taking
+    the signature of each non-singular result validates no input
+    (``validate_kernel``) and converts neither moved value to a tree."""
+    from jetweyl.equivalence import signature
+
+    cases = [
+        (catalog(cid, **_BOUND.get(cid, {})), _element(cid, 0)) for cid in geometry.CATALOG_IDS
+    ]
+    validated, converted = [], []
+    validate, to_expr = geometry.validate_kernel, geometry.SectionField.expr
+
+    def counted(e, **kw):
+        validated.append(e)
+        return validate(e, **kw)
+
+    def watched(sf, f):
+        converted.append(f)
+        return to_expr(sf, f)
+
+    monkeypatch.setattr(geometry, "validate_kernel", counted)
+    monkeypatch.setattr(geometry.SectionField, "expr", watched)
+    signed = 0
+    for sol, el in cases:
+        moved = sol.transform(el)
+        if not moved.field.vanishes(moved.field.jet("u", "x")):
+            signature(moved)
+            signed += 1
+        assert not [f for f in converted for value in moved.field.values if f is value]
+    assert signed == 4 and validated == []
+
+
+def test_a_field_built_solution_reads_its_trees_once():
+    sol = catalog("hierarchy", w=X ** sp.Rational(3, 2))
+    assert "u" not in vars(sol) and "v" not in vars(sol)
+    assert str(sol) == "u = 3*x^(1/2)/2; v = 0"
+    assert vars(sol)["u"] is sol.u and vars(sol)["v"] is sol.v
 
 
 def test_hierarchy_residual_matches_the_tree():
