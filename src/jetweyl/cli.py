@@ -445,22 +445,26 @@ def _cmd_verify_all(args):
 # argument parsing
 
 
-def _order(text: str, least: int = 0) -> int:
-    """A jet order or a number of check points: a non-negative integer
-    (with ``least`` = 1, a positive one)."""
+def _order(text: str) -> int:
+    """A jet order or a number of check points: a non-negative integer."""
     try:
         k = int(text)
     except ValueError:
-        k = least - 1
-    if k < least:
-        what = "positive" if least else "non-negative"
-        raise argparse.ArgumentTypeError(f"{text!r} is not a {what} integer")
+        k = -1
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
     return k
 
 
 def _count(text: str) -> int:
     """A number of signature points: a positive integer."""
-    return _order(text, 1)
+    try:
+        k = int(text)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return k
 
 
 def _file_text(path: str) -> str:

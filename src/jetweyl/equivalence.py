@@ -15,7 +15,7 @@ import sympy as sp
 
 from .clouds import SignatureCloud, compare  # noqa: F401  (compare is re-exported)
 from .errors import SingularLocusError, SolutionError
-from .exprcore import T, X, Y, is_formal_symbol, is_zero, jet
+from .exprcore import T, X, Y, is_zero, jet
 from .invariants import _twelve_at, invariant, twelve_invariants
 from .jets import JetPoint
 from .linalg import as_fraction
@@ -102,7 +102,7 @@ def signature(sol: Solution, sampler: SamplerConfig | None = None) -> SignatureC
     """
     sampler = sampler or SamplerConfig()
     sf = sol.field
-    free = sorted(str(s) for s in sf.generators() if is_formal_symbol(s))
+    free = sorted(map(str, sf.occurring()[0]))
     if free:
         raise SolutionError(f"bind formal parameters before sampling: {free}")
     if not sol.checked:

@@ -235,10 +235,14 @@ class SectionField(_Rescaled):
         q = f.numer.LC / f.denom.LC
         return Fraction(int(q.numerator), int(q.denominator))
 
-    def generators(self) -> list:
-        """The generators of the field that occur in its values."""
+    def occurring(self) -> tuple:
+        """(formal functions, {auxiliary generator: its atom}) of the
+        generators that occur in the values.  The field of a potential
+        keeps generators that its section's values have lost."""
         present = set().union(*map(self.ring.present, self.values))
-        return [s for i, s in enumerate(self.ring.symbols) if i in present]
+        gens = [s for i, s in enumerate(self.ring.symbols) if i in present]
+        aux = {s: self.back[s] for s in gens if s in self.back}
+        return tuple(filter(is_formal_symbol, gens)), aux
 
     # -- moving the section -------------------------------------------------
 
@@ -289,20 +293,21 @@ class SectionField(_Rescaled):
         """(F, exprs as elements of F, the images of the values in F) for
         the point map whose preimage of (t, x, y) is exprs[:3].
 
-        F holds exprs, the formal functions of the values (which map to
-        themselves) and the image of every auxiliary generator (see
-        ``_image_atom``); an image outside the term language is refused
-        with a ``SolutionError``."""
-        formals = tuple(filter(is_formal_symbol, self.generators()))
+        F holds exprs and, of the generators that occur in the values
+        (:meth:`occurring`), the formal functions (which map to themselves)
+        and the image of every auxiliary one (see ``_image_atom``); an
+        image outside the term language is refused with a
+        ``SolutionError``."""
+        formals, aux = self.occurring()
         try:
             F = SectionField((*exprs, *formals))
-            atoms = tuple(_image_atom(F, F.values[:3], atom) for atom in self.back.values())
+            atoms = tuple(_image_atom(F, F.values[:3], atom) for atom in aux.values())
             if atoms:
                 F = SectionField((*exprs, *formals, *atoms))
         except ExprError as exc:
             raise SolutionError(f"{what} section leaves the representable domain: {exc}") from None
         images = dict(zip(BASE_SYMBOLS, F.values))
-        images.update(zip(self.back, F.values[len(exprs) + len(formals) :]))
+        images.update(zip(aux, F.values[len(exprs) + len(formals) :]))
 
         def value(s):
             return images[s] if s in images else F.ring.gen(s)
@@ -477,9 +482,8 @@ class Solution:
         """The base variables that must stay positive: y where the domain
         says so, and every base variable with a fractional power in the
         section, which is real only there."""
-        back = self.field.back
-        atoms = (back[s] for s in self.field.generators() if s in back)
-        positive = {a.base for a in atoms if a.is_Pow} & set(_COORDS)
+        _, atoms = self.field.occurring()
+        positive = {a.base for a in atoms.values() if a.is_Pow} & set(_COORDS)
         if self.domain == "y > 0":
             positive.add(Y)
         return [b for b in _COORDS if b in positive]

@@ -298,6 +298,14 @@ _TRANSFORM_GOLDEN = {
         '"u = 1/4*x + exp(1/4*y); v = (1 + exp(1/4*y))/exp(1/4*y)", '
         '"still_solution": true}\n'
     ),
+    # t^(1/2) drops out of (w_x, -w_y), so it neither limits the move nor
+    # rides along with it
+    "hierarchy --w x^3+t^(1/2) --reflect txy": (
+        '{"input": "u = 3*x^2; v = 0", "output": "u = 3*x^2; v = 0", "still_solution": true}\n'
+    ),
+    "hierarchy --w x^3+t^(1/2) --D t+1": (
+        '{"input": "u = 3*x^2; v = 0", "output": "u = 3*x^2; v = 0", "still_solution": true}\n'
+    ),
 }
 
 

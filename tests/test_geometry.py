@@ -134,16 +134,12 @@ def test_solution_rejects_jets_in_components():
 
 
 def test_jet_subs_constant_invariants():
-    from jetweyl.invariants import invariant
-
-    for cid, values in (
-        ("sl2-family", (sp.Rational(-3, 25), sp.Rational(21, 100), sp.Rational(-147, 500))),
-        ("exp-family", (0, 0, 0)),
-    ):
-        sol = catalog(cid)
-        sf = sol.field
-        assert tuple(sf.expr(sf.subs(invariant(i))) for i in (1, 2, 3)) == values
-        assert invariants_on_solution(sol) == values
+    assert invariants_on_solution(catalog("sl2-family")) == (
+        sp.Rational(-3, 25),
+        sp.Rational(21, 100),
+        sp.Rational(-147, 500),
+    )
+    assert invariants_on_solution(catalog("exp-family")) == (0, 0, 0)
 
 
 def test_sl2_structure_constants_are_indeterminate_there():
