@@ -349,19 +349,12 @@ def _cmd_check_solution(args):
     sol = _solution_from_text(args.solution, args, deferred=True)
     r1, r2 = sol.residuals()
     solves = sol.solves()
-    pts = None
+    pts = []
     if args.points:
         from . import equivalence
 
         cfg = equivalence.SamplerConfig(seed=args.seed, n=args.points)
-        stream = cfg.stream()
-        pts = []
-        for _ in range(100 * args.points):
-            if len(pts) >= args.points:
-                break
-            p = next(stream)
-            if sol.in_domain(p):
-                pts.append(p)
+        pts = [p for p, _ in cfg.admissible(sol)]
     rep = geometry.check_EW(sol, pts=pts)
     ok = solves and rep.ok
     doc = {

@@ -60,7 +60,6 @@ def compare(
     c1: SignatureCloud,
     c2: SignatureCloud,
     tol: float = 1e-9,
-    min_points: int = 1,
 ) -> CompareReport:
     """Exact comparison of exact clouds, tolerance matching of float ones.
 
@@ -70,8 +69,8 @@ def compare(
     every value of each cloud has a close counterpart in the other; there
     the verdict is monotone in tol: raising tol only ever moves it toward
     equivalent-evidence.  ``tol`` decides nothing for exact clouds, though
-    the report carries the distance, scale and tol for both.  Either cloud
-    too sparse gives inconclusive.  Symmetric in its arguments.
+    the report carries the distance, scale and tol for both.  An empty
+    cloud gives inconclusive.  Symmetric in its arguments.
     """
     if c1.precision != c2.precision:
         raise ComparisonError(
@@ -83,7 +82,7 @@ def compare(
             notes.append(
                 f"{c.provenance}: not I-regular, constant-signature comparison only"
             )
-    if len(c1) < min_points or len(c2) < min_points:
+    if not (c1 and c2):
         return CompareReport(
             "inconclusive", float("nan"), 0.0, tol, tuple(notes + ["sparse cloud"])
         )

@@ -14,11 +14,10 @@ from fractions import Fraction
 import sympy as sp
 
 from .clouds import SignatureCloud, compare  # noqa: F401  (compare is re-exported)
-from .errors import SingularLocusError, SolutionError
-from .exprcore import T, X, Y, is_zero, jet
+from .errors import DivisionByZeroExpression, SingularLocusError, SolutionError
+from .exprcore import jet
 from .invariants import _twelve_at, invariant, twelve_invariants
 from .jets import JetPoint
-from .linalg import as_fraction
 from .geometry import Solution, _cofactors
 
 __all__ = [
@@ -28,8 +27,6 @@ __all__ = [
     "i_regular",
     "jet_cloud",
 ]
-
-_COORDS = (T, X, Y)
 
 
 # ---------------------------------------------------------------------------
@@ -74,20 +71,31 @@ class SamplerConfig:
             yield pt
             i += 1
 
+    def admissible(self, sol, measure=lambda p: True):
+        """Up to n pairs (point, measure(point)) of the stream's points in
+        the section's domain (:meth:`Solution.in_domain`) whose measure is
+        not None.  The draw ends after max_rejections rejected points."""
+        taken = rejected = 0
+        stream = self.stream()
+        while taken < self.n and rejected < self.max_rejections:
+            p = next(stream)
+            value = measure(p) if sol.in_domain(p) else None
+            if value is None:
+                rejected += 1
+            else:
+                taken += 1
+                yield p, value
+
 
 # ---------------------------------------------------------------------------
 # clouds
 
 
-def _eval_at(e, subs):
-    """Exact rational value when possible, else the double nearest the
-value (evaluated to 50 digits, then rounded)."""
-    val = sp.sympify(e).xreplace(subs)
-    if val.free_symbols:
-        raise SolutionError(f"value is not a number: {val}")
-    if val.is_Rational:
-        return as_fraction(val)
-    return float(sp.N(val, 50))
+def _number(C, f):
+    """A constant of C as a ``Fraction`` when it is rational, else the
+    double nearest it (evaluated to 50 digits, then rounded)."""
+    q = C.rational(f)
+    return q if q is not None else float(sp.N(C.expr(f), 50))
 
 
 def signature(sol: Solution, sampler: SamplerConfig | None = None) -> SignatureCloud:
@@ -122,41 +130,37 @@ def signature(sol: Solution, sampler: SamplerConfig | None = None) -> SignatureC
         if sf.vanishes(uxx):
             notes.append("section lies in the u_xx = 0 stratum")
         vals = tuple(base3) + (Fraction(0),) * 9
-        pt = next(p for p in sampler.stream() if sol.in_domain(p))
+        drawn = next(sampler.admissible(sol), None)
+        if drawn is None:
+            raise SingularLocusError("no sample point found in the section's domain")
         return SignatureCloud(
-            (tuple(pt),),
+            (tuple(drawn[0]),),
             (vals,),
             "exact",
             sol.name,
             tuple(notes),
             False,
         )
-    ux, uxx = sf.expr(ux), sf.expr(uxx)
-    funcs = [sf.expr(sf.subs(e)) for e in twelve_invariants()]
-    points, values = [], []
-    rejected = 0
-    exact = True
-    for p in sampler.stream():
-        if len(points) >= sampler.n:
-            break
-        if rejected >= sampler.max_rejections:
-            break
-        subs = {c: sp.Rational(q) for c, q in zip(_COORDS, p)}
-        if not sol.in_domain(p):
-            rejected += 1
-            continue
-        uxv, uxxv = _eval_at(ux, subs), _eval_at(uxx, subs)
-        if uxv == 0 or uxxv == 0:
-            rejected += 1
-            continue
-        row = tuple(_eval_at(e, subs) for e in funcs)
-        exact = exact and all(isinstance(v, Fraction) for v in row)
-        points.append(tuple(p))
-        values.append(row)
+    funcs = [sf.subs(e) for e in twelve_invariants()]
+
+    def twelve_at(p):
+        """The twelve values at p; None on the singular locus, where u_x or
+        u_xx vanishes or an invariant has a pole."""
+        try:
+            C, (uxv, uxxv, *values) = sf.at(p, (ux, uxx, *funcs))
+        except DivisionByZeroExpression:
+            return None
+        if C.vanishes(uxv) or C.vanishes(uxxv):
+            return None
+        return tuple(_number(C, v) for v in values)
+
+    drawn = list(sampler.admissible(sol, twelve_at))
+    points, values = [tuple(p) for p, _ in drawn], [row for _, row in drawn]
     if not points:
         raise SingularLocusError(
             "no admissible sample point found off the singular locus"
         )
+    exact = all(isinstance(v, Fraction) for row in values for v in row)
     notes = []
     if len(points) < sampler.n:
         notes.append(
@@ -206,13 +210,13 @@ def i_regular(sol: Solution, pt) -> bool:
     along the section at the point (exact determinant)."""
     if not sol.checked:
         sol.require_solution()
-    subs = {c: sp.Rational(q) for c, q in zip(_COORDS, pt)}
     if not sol.in_domain(pt):
         raise sol.domain_error(pt)
     sf = sol.field
-    uxv = sf.expr(sf.jet("u", "x")).xreplace(subs)
-    if uxv == 0:
+    C, (uxv,) = sf.at(pt, (sf.jet("u", "x"),))
+    if C.vanishes(uxv):
         raise SingularLocusError("u_x vanishes on the section at this point")
     M = [[sf.partial(sf.subs(invariant(i)), d) for d in "txy"] for i in (1, 2, 3)]
     det = sf.sum(M[0][j] * c for j, c in enumerate(_cofactors(M)[0]))
-    return not is_zero(sf.expr(det).xreplace(subs))
+    C, (detv,) = sf.at(pt, (det,))
+    return not C.vanishes(detv)

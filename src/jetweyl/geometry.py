@@ -235,11 +235,13 @@ class SectionField(_Rescaled):
         q = f.numer.LC / f.denom.LC
         return Fraction(int(q.numerator), int(q.denominator))
 
-    def occurring(self) -> tuple:
+    def occurring(self, elements=None) -> tuple:
         """(formal functions, {auxiliary generator: its atom}) of the
-        generators that occur in the values.  The field of a potential
-        keeps generators that its section's values have lost."""
-        present = set().union(*map(self.ring.present, self.values))
+        generators that occur in the elements, by default the values.  The
+        field of a potential keeps generators that its section's values
+        have lost."""
+        elements = self.values if elements is None else elements
+        present = set().union(*map(self.ring.present, elements))
         gens = [s for i, s in enumerate(self.ring.symbols) if i in present]
         aux = {s: self.back[s] for s in gens if s in self.back}
         return tuple(filter(is_formal_symbol, gens)), aux
@@ -261,7 +263,7 @@ class SectionField(_Rescaled):
         except ExprError as exc:
             raise SolutionError(f"transformed section leaves the representable domain: {exc}") from None
         target, data, (u, v) = self._pushed(
-            (ts, xs, ys, element.root, *coefficients), "transformed"
+            (ts, xs, ys, element.root, *coefficients), self.values, "transformed section"
         )
         _, xs, ys, s, E, Ep, Epp, Ap, Bp, C, Cp = data
         D = s * s
@@ -286,26 +288,44 @@ class SectionField(_Rescaled):
             point, sign = (T, X, -Y), -1
         else:
             raise ValueError(f"reflection must be 'txy' or 'yu', got {which!r}")
-        target, _, (u, v) = self._pushed(point, "reflected")
+        target, _, (u, v) = self._pushed(point, self.values, "reflected section")
         return target._with_values((u * sign, v))
 
-    def _pushed(self, exprs, what: str) -> tuple:
-        """(F, exprs as elements of F, the images of the values in F) for
+    def at(self, point, elements) -> tuple:
+        """(C, the elements at the rational point (t, x, y) as elements of
+        C), for a field C of constants.
+
+        t, x and y go to the point's coordinates, b^(1/m) to q^(1/m) and
+        exp(c*b) to exp(c*q) for the coordinate q of b; constants and
+        formal functions stay (:meth:`_pushed` with the point as the
+        preimage).  A denominator that vanishes at the point raises
+        ``DivisionByZeroExpression``, and a fractional power of a
+        coordinate that is not positive ``SolutionError``."""
+        point = tuple(map(sp.Rational, point))
+        what = f"the section at ({', '.join(map(str, point))})"
+        C, _, values = self._pushed(point, elements, what)
+        return C, values
+
+    def _pushed(self, exprs, elements, what: str) -> tuple:
+        """(F, exprs as elements of F, the images of the elements in F) for
         the point map whose preimage of (t, x, y) is exprs[:3].
 
-        F holds exprs and, of the generators that occur in the values
+        F holds exprs and, of the generators that occur in the elements
         (:meth:`occurring`), the formal functions (which map to themselves)
         and the image of every auxiliary one (see ``_image_atom``); an
         image outside the term language is refused with a
-        ``SolutionError``."""
-        formals, aux = self.occurring()
+        ``SolutionError``, and an element whose image has a pole with a
+        ``DivisionByZeroExpression``."""
+        formals, aux = self.occurring(elements)
         try:
-            F = SectionField((*exprs, *formals))
-            atoms = tuple(_image_atom(F, F.values[:3], atom) for atom in aux.values())
-            if atoms:
-                F = SectionField((*exprs, *formals, *atoms))
+            atoms = ()
+            if aux:
+                # an image depends on the preimage point alone
+                P = SectionField(exprs[:3])
+                atoms = tuple(_image_atom(P, P.values, atom) for atom in aux.values())
+            F = SectionField((*exprs, *formals, *atoms))
         except ExprError as exc:
-            raise SolutionError(f"{what} section leaves the representable domain: {exc}") from None
+            raise SolutionError(f"{what} leaves the representable domain: {exc}") from None
         images = dict(zip(BASE_SYMBOLS, F.values))
         images.update(zip(aux, F.values[len(exprs) + len(formals) :]))
 
@@ -313,8 +333,8 @@ class SectionField(_Rescaled):
             return images[s] if s in images else F.ring.gen(s)
 
         moved = [
-            F._quotient(self.ring, f.numer, f.denom, value, lambda: f"{what} section has a pole")
-            for f in self.values
+            F._quotient(self.ring, f.numer, f.denom, value, lambda: f"{what} has a pole")
+            for f in elements
         ]
         return F, F.values[: len(exprs)], moved
 
@@ -354,9 +374,9 @@ def _image_atom(F: SectionField, point, atom) -> sp.Expr:
     whose preimage of (t, x, y) is ``point`` (elements of F).
 
     A constant stays fixed.  exp(c*b) goes to exp(c*b_s), which must be
-    linear in t, x, y over QQ, and b^(1/m) to (q*b)^(1/m), for which b_s
-    must be q*b with a positive constant q.  Anything else leaves the term
-    language (``ExprError``)."""
+    linear in t, x, y over QQ, and b^(1/m) to q^(1/m), or to (q*b)^(1/m),
+    for which b_s must be q, or q*b, with a positive constant q.  Anything
+    else leaves the term language (``ExprError``)."""
     if not atom.free_symbols:
         return atom
     if isinstance(atom, sp.exp):
@@ -375,12 +395,23 @@ def _image_atom(F: SectionField, point, atom) -> sp.Expr:
         return sp.exp(atom.args[0].coeff(b) * F.expr(f))
     b = atom.base
     f = point[BASE_SYMBOLS.index(b)]
-    q = f / F._base[b]
     constants = {F.ring.index[g] for g, value in F.back.items() if not value.free_symbols}
+    q, rest = f, sp.Integer(1)
+    if not set(F.ring.present(q)) <= constants:
+        q, rest = f / F._base[b], b**atom.exp
     q = F.expr(q) if set(F.ring.present(q)) <= constants else None
     if q is None or not q.is_positive:
         raise ExprError(f"{atom} moves to a fractional power of {F.expr(f)}")
-    return q**atom.exp * b**atom.exp
+    return q**atom.exp * rest
+
+
+def _closed_form(e, rule: str) -> sp.Expr:
+    """``e`` in the term language, refused with a ``SolutionError`` that
+    states the ``rule`` when it holds a jet coordinate of positive order."""
+    e = validate_kernel(sp.sympify(e), allow_exp=True)
+    if any(is_jet_symbol(s) and jet_info(s)[1].order > 0 for s in e.free_symbols):
+        raise SolutionError(f"{rule}, not jet coordinates")
+    return e
 
 
 # formal functions of t are carried with this many more derivatives than
@@ -419,14 +450,7 @@ class Solution:
     _residual_elements: tuple | None = None
 
     def __init__(self, u, v, name: str = "user", domain: str = "", deferred: bool = False):
-        self.u = validate_kernel(sp.sympify(u), allow_exp=True)
-        self.v = validate_kernel(sp.sympify(v), allow_exp=True)
-        for e in (self.u, self.v):
-            for s in e.free_symbols:
-                if is_jet_symbol(s) and jet_info(s)[1].order > 0:
-                    raise SolutionError(
-                        "a section is given by closed forms, not jet coordinates"
-                    )
+        self.u, self.v = (_closed_form(e, "a section is given by closed forms") for e in (u, v))
         self.name = name
         self.domain = domain
         if not deferred:
@@ -691,18 +715,13 @@ def _d_omega_of(sf: SectionField, w) -> tuple:
     )
 
 
-def _matrix(sf: SectionField, rows) -> sp.Matrix:
-    """The canonical expressions of rows of field elements."""
-    return sp.Matrix([[sf.expr(e) for e in row] for row in rows])
-
-
 def skew_anchor_residual(conn: Connection) -> sp.Matrix:
     """Residual of the curvature anchor: skew part of Ricci minus 3/2 times
     d omega, both taken in the alternated-tensor convention.
 
     Zero for every solution under the default correction sign; the anchor
     fails under the flipped sign, which is the mutation observable."""
-    return _matrix(conn.pair.field, conn.anchor_elements())
+    return sp.Matrix([[conn.pair.field.expr(e) for e in row] for row in conn.anchor_elements()])
 
 
 # ---------------------------------------------------------------------------
@@ -723,61 +742,59 @@ class EWReport:
     ok: bool
     lam: object
     points: tuple
-    notes: tuple
 
 
-def _max_abs(mat: sp.Matrix, subs: dict) -> float:
-    vals = [abs(sp.N(e.xreplace(subs), 50)) for e in mat]
-    return float(max(vals)) if vals else 0.0
+def _sampled_residual(C: SectionField, rsym, lam_g, resid) -> float:
+    """max|Ric_sym - Lambda*g| / (max|Ric_sym| + max|Lambda*g| + 1) of the
+    entries at a point (elements of the field of constants C), each
+    evaluated to 50 digits."""
+
+    def size(values) -> float:
+        return max(float(abs(sp.N(C.expr(e), 50))) for e in values)
+
+    return size(resid) / (size(rsym) + size(lam_g) + 1.0)
 
 
 def check_EW(
     sol: Solution,
-    pts=None,
+    pts=(),
     correction_sign: int | None = None,
 ) -> EWReport:
     """Einstein property of the solution's Weyl structure.
 
     The verdict is exact: the trace-extracted factor Lambda and the
     residual tensor Ric_sym - Lambda*g are computed in the section's field,
-    and ``ok`` holds exactly when every entry is zero.  Sample points (if
-    given, or when an entry is nonzero) get the exact value of Lambda and a
-    relative residual; these are reported, never decisive.
+    and ``ok`` holds exactly when every entry is zero.  Each given sample
+    point gets the exact value of Lambda and a relative residual
+    (:func:`_sampled_residual`, 0.0 when the tensor is zero), all read at
+    the point by :meth:`SectionField.at`; these are reported, never
+    decisive.
     """
     conn = weyl_connection(build_pair(sol), correction_sign)
     sf = conn.pair.field
     lam_f, resid_f = conn.einstein_elements()
-    exact = all(sf.vanishes(e) for row in resid_f for e in row)
-    lam = sf.expr(lam_f)
-    notes = []
-    checks = []
-    for p in pts or ():
+    resid = [e for row in resid_f for e in row]
+    exact = all(map(sf.vanishes, resid))
+    pts = [tuple(p) for p in pts or ()]
+    for p in pts:
         if not sol.in_domain(p):
             raise sol.domain_error(p)
-    if pts and exact:
-        # residual is the zero tensor; every sample trivially passes
-        for p in pts:
-            subs = {c: sp.Rational(q) for c, q in zip(_COORDS, p)}
-            checks.append(EWPointCheck(tuple(p), 0.0, lam.xreplace(subs)))
-    elif pts or not exact:
-        if not pts:
-            pts = [(0, 1, 1)]
-            notes.append("symbolic residual nonzero; sampled a default point")
-        resid = _matrix(sf, resid_f)
-        free = {s for e in resid for s in e.free_symbols if is_formal_symbol(s)}
+    sampled = []
+    if pts and not exact:
+        free = sf.occurring(resid)[0]
         if free:
             raise SolutionError(
                 f"bind formal parameters before numeric checks: {sorted(map(str, free))}"
             )
         ric = conn.ricci_elements()
-        rsym = _matrix(sf, [[(ric[i][j] + ric[j][i]) / 2 for j in range(3)] for i in range(3)])
-        lam_g = _matrix(sf, [[lam_f * e for e in row] for row in conn.pair.g])
-        for p in pts:
-            subs = {c: sp.Rational(q) for c, q in zip(_COORDS, p)}
-            denom = _max_abs(rsym, subs) + _max_abs(lam_g, subs) + 1.0
-            r = _max_abs(resid, subs) / denom
-            checks.append(EWPointCheck(tuple(p), r, lam.xreplace(subs)))
-    return EWReport(sol.name, exact, exact, lam, tuple(checks), tuple(notes))
+        rsym = [(ric[i][j] + ric[j][i]) / 2 for i in range(3) for j in range(3)]
+        sampled = [*rsym, *(lam_f * e for row in conn.pair.g for e in row), *resid]
+    checks = []
+    for p in pts:
+        C, (lam, *values) = sf.at(p, (lam_f, *sampled))
+        r = _sampled_residual(C, values[:9], values[9:18], values[18:]) if values else 0.0
+        checks.append(EWPointCheck(p, r, C.expr(lam)))
+    return EWReport(sol.name, exact, exact, sf.expr(lam_f), tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -805,17 +822,17 @@ def canonical_frame(pair: WeylPair, pt) -> FrameResult:
     and reported; the scaling introduces one square root).
 
     The point is taken exactly: g, omega and A = d omega there are
-    constants of one field, where the frame is built in closed form.  A
+    constants of one field (:meth:`SectionField.at`), where the frame is
+    built in closed form.  A
     nonzero skew A has rank 2, its kernel spanned by the dual vector
     (A12, -A02, A01).  J0 = g^{-1} A kills e1 and is g-skew on the
     complement of e1, so it squares to lam * id there with lam =
     tr(J0^2)/2, which is nonzero once g(e1, e1) is.
     """
-    subs = {c: sp.Rational(q) for c, q in zip(_COORDS, pt)}
     section = pair.field
     rows = (*pair.g, pair.omega, *_d_omega_of(section, pair.omega))
-    sf = SectionField([section.expr(e).xreplace(subs) for row in rows for e in row])
-    g, w, A = _rows(sf.values[:9]), sf.values[9:12], _rows(sf.values[12:])
+    sf, values = section.at(pt, [e for row in rows for e in row])
+    g, w, A = _rows(values[:9]), values[9:12], _rows(values[12:])
 
     def dot(a, b):
         return sf.sum(x * y for x, y in zip(a, b))
@@ -948,7 +965,7 @@ def dkp_reduction_check() -> bool:
 def _hierarchy(w) -> tuple:
     """(field, residual, w_x, w_y) of a closed-form potential w, the last
     three as elements of the field of w."""
-    sf = SectionField((validate_kernel(sp.sympify(w), allow_exp=True),))
+    sf = SectionField((_closed_form(w, "a hierarchy potential is given by a closed form"),))
     d = sf.partial
     wx, wy = d(sf.values[0], "x"), d(sf.values[0], "y")
     return sf, d(wx, "t") + wx * d(wx, "y") - wy * d(wx, "x") - d(wy, "y"), wx, wy

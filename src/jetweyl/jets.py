@@ -246,6 +246,9 @@ class _JetRing:
     def convert(self, e):
         """The field element of a rational expression in the generators."""
         e = sp.sympify(e)
+        if e.is_Rational:
+            # p/q, already in lowest terms
+            return self.field.raw_new(self.ring.ground_new(int(e.p)), self.ring.ground_new(int(e.q)))
         for s in e.free_symbols:
             self._generator(s)
         if e.has(sp.Float):
@@ -551,35 +554,32 @@ def _canonical(e: sp.Expr) -> tuple[_Rescaled, object]:
     return _Rescaled(ring, back), ring.convert(scaled)
 
 
-def total_derivative(e, direction, order_cap: int | None = None) -> sp.Expr:
+def total_derivative(e, direction) -> sp.Expr:
     """Total derivative D_i in coordinates: base partial plus jet transport.
 
     D_i e = d_{x^i} e + sum_sigma (u_{sigma+i} * de/du_sigma + ...),
     computed as a derivation of the jet ring.
 
-    Raises the jet order by at most one; ``order_cap`` (if given) bounds the
-    order of the result, erroring out instead of creating deeper jets.
+    Raises the jet order by at most one, and refuses to go past
+    ``MAX_JET_ORDER``.
     """
     dname = direction if isinstance(direction, str) else direction.name
     if dname not in _DIRECTIONS:
         raise ValueError(f"direction must be one of t,x,y, got {direction!r}")
-    return total_derivative_multi(
-        e, MultiIndex(*(int(dname == d) for d in _DIRECTIONS)), order_cap
-    )
+    return total_derivative_multi(e, MultiIndex(*(int(dname == d) for d in _DIRECTIONS)))
 
 
-def total_derivative_multi(e, index, order_cap: int | None = None) -> sp.Expr:
+def total_derivative_multi(e, index) -> sp.Expr:
     """Iterated total derivative D_sigma, applied in the fixed order
     t-then-x-then-y (the result is order-independent since [D_i, D_j] = 0)."""
     idx = index if isinstance(index, MultiIndex) else MultiIndex(*index)
     e = sp.sympify(e)
-    cap = MAX_JET_ORDER if order_cap is None else min(order_cap, MAX_JET_ORDER)
     order = 0
     if any(is_jet_symbol(s) for s in e.free_symbols):
         order = jet_order(e) + idx.order
-        if order > cap:
+        if order > MAX_JET_ORDER:
             raise JetOrderError(
-                f"D_{idx} would create an order-{order} jet coordinate past the cap {cap}"
+                f"D_{idx} would create an order-{order} jet coordinate past the cap {MAX_JET_ORDER}"
             )
     ring = _ring_for(order, (e,), derivatives=idx.nt)
     out = ring.convert(e)

@@ -183,8 +183,26 @@ def test_check_solution_negative_control(capsys):
     code, doc = run(["check-solution", "u = x*y ; v = 0"], capsys)
     assert code == 1
     assert doc["solves_system"] is False
+    # without --points no sample is taken, on the Einstein branch or off it
+    assert doc["lambda_samples"] == [] and doc["ew_residual_max"] == 0.0
     # the sample of Lambda = 1 + y^2/8 is exact off the Einstein branch too
-    assert doc["lambda_samples"] == [{"point": ["0", "1", "1"], "value": "9/8"}]
+    code, doc = run(["check-solution", "u = x*y ; v = 0", "--points", "1"], capsys)
+    assert code == 1
+    assert doc["lambda_samples"] == [{"point": ["0", "-2/3", "-6/5"], "value": "59/50"}]
+
+
+def test_check_solution_of_a_formal_non_solution_needs_no_binding(capsys):
+    # the exact verdict exists without binding f; only samples would need it
+    code, doc = run(["check-solution", "u = f(t)*x*y ; v = 0"], capsys)
+    assert code == 1
+    assert doc["ok"] is False and doc["solves_system"] is False
+    assert doc["lambda_samples"] == []
+
+
+def test_a_hierarchy_potential_with_a_jet_coordinate_is_a_domain_error(capsys):
+    code, doc = run(["check-solution", "hierarchy", "--w", "u_x*x"], capsys)
+    assert code == 4 and doc["error"] == "domain"
+    assert doc["message"] == "a hierarchy potential is given by a closed form, not jet coordinates"
 
 
 _ROOT_X = "u = x^(1/2) ; v = x^(1/2)"

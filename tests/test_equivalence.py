@@ -179,8 +179,8 @@ def test_a_sampled_float_cloud_is_labelled_float64():
 
 def test_compare_sparse_clouds_inconclusive():
     c = signature(catalog("sl2-family", f=0, h=0))
-    rep = compare(c, c, min_points=5)
-    assert rep.verdict == "inconclusive"
+    empty = SignatureCloud((), (), "exact", "empty")
+    assert compare(c, empty).verdict == compare(empty, c).verdict == "inconclusive"
 
 
 # -- group invariance ------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from jetweyl.counts import dims
 from jetweyl.errors import JetOrderError
-from jetweyl.exprcore import T, X, Y, equal, is_zero, jet
+from jetweyl.exprcore import MAX_JET_ORDER, T, X, Y, equal, is_zero, jet
 from jetweyl.geometry import Solution
 from jetweyl.jets import (
     internal_indices,
@@ -45,9 +45,9 @@ def test_equation_canonical_forms():
 
 
 def test_order_cap_enforced():
-    top = jet("u", (0, 6, 0))
-    with pytest.raises(JetOrderError):
-        total_derivative(top, "x", order_cap=6)
+    top = jet("u", (0, MAX_JET_ORDER, 0))
+    with pytest.raises(JetOrderError, match=f"order-{MAX_JET_ORDER + 1} jet coordinate past"):
+        total_derivative(top, "x")
 
 
 def test_multi_equals_iterated():

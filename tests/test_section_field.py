@@ -20,16 +20,18 @@ import sympy as sp
 
 from jetweyl import checks, geometry
 from jetweyl.errors import (
+    DivisionByZeroExpression,
     ExpAtomError,
     ExponentPolicyError,
     ExprError,
     SolutionError,
 )
-from jetweyl.exprcore import T, X, Y, MultiIndex
+from jetweyl.exprcore import T, X, Y, MultiIndex, is_zero
 from jetweyl.geometry import (
     Solution,
     WeylPair,
     build_pair,
+    canonical_frame,
     catalog,
     check_EW,
     weyl_connection,
@@ -328,6 +330,97 @@ def test_hierarchy_residual_matches_the_tree():
 
 
 # ---------------------------------------------------------------------------
+# values at a point: SectionField.at against the tree at the point
+
+
+def _point_cases():
+    for cid in geometry.CATALOG_IDS:
+        yield pytest.param(lambda cid=cid: catalog(cid, **_BOUND.get(cid, {})), id=f"{cid}-bound")
+    yield pytest.param(lambda: catalog("exp-family"), id="exp-family-formal")
+    # a move by E = 8 with D = 4t keeps the constant 2^(1/3)
+    yield pytest.param(lambda: _radical_move(), id="sl2-family-radical-move")
+    yield pytest.param(
+        lambda: Solution(
+            X + sp.exp(2 * Y / 3), sp.exp(-T / 2) * Y + X ** sp.Rational(3, 2), deferred=True
+        ),
+        id="exp-atoms",
+    )
+
+
+def _radical_move() -> Solution:
+    from jetweyl.symmetry import PseudogroupElement
+
+    return catalog("sl2-family", f=0, h=0).transform(PseudogroupElement.make(d=4 * T, ee=8))
+
+
+def _sampled_elements(sol: Solution) -> list:
+    """The values, some jets, the pair, Lambda and the Einstein residual."""
+    sf = sol.field
+    conn = weyl_connection(build_pair(sol))
+    lam, resid = conn.einstein_elements()
+    jets = [sf.jet(dep, word) for dep in ("u", "v") for word in ("x", "xx", "ty")]
+    return [*sf.values, *jets, *_flat(conn.pair.g), *conn.pair.omega, lam, *_flat(resid)]
+
+
+@pytest.mark.parametrize("make", list(_point_cases()))
+def test_values_at_a_point_match_the_tree(make):
+    sol = make()
+    sf, elements = sol.field, _sampled_elements(sol)
+    rng = random.Random(77)
+    points = []
+    while len(points) < 3:
+        p = tuple(sp.Rational(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3))
+        if sol.in_domain(p):
+            points.append(p)
+    for p in points:
+        C, values = sf.at(p, elements)
+        assert len(values) == len(elements)
+        subs = dict(zip(_COORDS, p))
+        for f, value in zip(elements, values):
+            assert is_zero(sf.expr(f).xreplace(subs) - C.expr(value))
+
+
+def test_a_pole_at_the_point_raises():
+    sol = catalog("sl2-degenerate", f=0, h=0)
+    with pytest.raises(DivisionByZeroExpression, match=r"section at \(1, 1, 0\) has a pole"):
+        sol.field.at((1, 1, 0), sol.field.values)
+    # a fractional power has no real value where its base is not positive
+    sol = catalog("sl2-family", f=0, h=0)
+    with pytest.raises(SolutionError, match="fractional power of -1"):
+        sol.field.at((0, 1, -1), sol.field.values)
+
+
+def test_sampling_converts_no_element_of_the_section_field(monkeypatch):
+    """signature, check_EW with points, i_regular and canonical_frame read
+    their values at a point through SectionField.at: none converts an
+    element of the section's own field to an expression, beyond the exact
+    Lambda that check_EW reports with or without points."""
+    from jetweyl.equivalence import SamplerConfig, i_regular, signature
+
+    fields, expr = [], geometry.SectionField.expr
+
+    def watched(sf, f):
+        fields.append(sf)
+        return expr(sf, f)
+
+    def conversions(sol, run) -> int:
+        fields.clear()
+        run(sol)
+        return sum(sf is sol.field for sf in fields)
+
+    monkeypatch.setattr(geometry.SectionField, "expr", watched)
+    root = Solution(X ** sp.Rational(1, 2), X ** sp.Rational(1, 2))
+    assert conversions(root, lambda s: signature(s, SamplerConfig(n=3))) == 0
+    assert conversions(root, lambda s: i_regular(s, (1, 2, 3))) == 0
+    pair = build_pair(catalog("hierarchy"))
+    assert conversions(pair.solution, lambda s: canonical_frame(pair, (1, 2, 3))) == 0
+    for make in (lambda: Solution(X * Y ** sp.Rational(1, 3), 0, deferred=True), lambda: root):
+        # a non-Einstein section has a sampled residual, an Einstein one not
+        sampled = conversions(make(), lambda s: check_EW(s, pts=[(0, 1, 1), (1, 2, 3)]))
+        assert sampled == conversions(make(), check_EW) == 1
+
+
+# ---------------------------------------------------------------------------
 # inputs the field admits, and error classes
 
 
@@ -378,7 +471,7 @@ def test_input_outside_the_term_language_raises(u, err):
 
 def test_formal_parameter_in_the_sampled_pass_raises():
     with pytest.raises(SolutionError, match="bind formal parameters"):
-        check_EW(catalog("sl2-family"), correction_sign=+1)
+        check_EW(catalog("sl2-family"), pts=[(0, 1, 1)], correction_sign=+1)
 
 
 def test_geometry_check_reports_a_witness(monkeypatch):
