@@ -338,7 +338,7 @@ def _point_cases():
         yield pytest.param(lambda cid=cid: catalog(cid, **_BOUND.get(cid, {})), id=f"{cid}-bound")
     yield pytest.param(lambda: catalog("exp-family"), id="exp-family-formal")
     # a move by E = 8 with D = 4t keeps the constant 2^(1/3)
-    yield pytest.param(lambda: _radical_move(), id="sl2-family-radical-move")
+    yield pytest.param(_radical_move, id="sl2-family-radical-move")
     yield pytest.param(
         lambda: Solution(
             X + sp.exp(2 * Y / 3), sp.exp(-T / 2) * Y + X ** sp.Rational(3, 2), deferred=True
