@@ -176,7 +176,7 @@ class SectionField(_Rescaled):
         L = one
         for v in values:
             if v.denom != 1:
-                L = L.lcm(v.denom)
+                L = _lcm(L, v.denom)
         nums = [v.numer if v.denom == L else v.numer * L.exquo(v.denom) for v in values]
         powers: dict = {}
 
@@ -403,6 +403,15 @@ def _image_atom(F: SectionField, point, atom) -> sp.Expr:
     if q is None or not q.is_positive:
         raise ExprError(f"{atom} moves to a fractional power of {F.expr(f)}")
     return q**atom.exp * rest
+
+
+def _lcm(a, b):
+    """The lcm of two polynomials over QQ, monic as ``PolyElement.lcm``
+    returns it; for two terms, their monomials' lcm with coefficient 1."""
+    if len(a) == 1 and len(b) == 1:
+        ring = a.ring
+        return ring.term_new(ring.monomial_lcm(a.LM, b.LM), ring.domain.one)
+    return a.lcm(b)
 
 
 def _closed_form(e, rule: str) -> sp.Expr:
@@ -902,12 +911,19 @@ def _tfunc(p, default_name: str) -> sp.Expr:
     return e
 
 
+@lru_cache(maxsize=128, typed=True)
 def catalog(cid: str, f=None, h=None, w=None) -> Solution:
     """The explicit solutions: each id returns the printed closed form.
 
     ``f`` and ``h`` are functions of t (formal by default); ``hierarchy``
     takes a potential w(t,x,y) solving the hierarchy equation (default
     x^3) and returns the section (w_x, -w_y).
+
+    Each (id, f, h, w) is built once per process and shared: its field,
+    jets, residual check, pair, connections and curvature are computed on
+    the first verdict that needs them.  A ``Solution`` is not written to
+    after construction, only filled in where it caches.  The keys are
+    typed, so 1.0 does not find the exact entry of 1.
     """
     if cid == "trivial":
         return Solution(0, 0, name=cid)

@@ -6,7 +6,7 @@ import pytest
 import sympy as sp
 
 from jetweyl import geometry
-from jetweyl.errors import SolutionError
+from jetweyl.errors import ExprError, SolutionError
 from jetweyl.exprcore import T, X, Y, equal, formal, is_zero, jet
 from jetweyl.geometry import (
     CATALOG_IDS,
@@ -94,6 +94,18 @@ def test_catalog_is_einstein_weyl(cid):
     rep = check_EW(sol)
     assert rep.exact and rep.ok
     assert equal(rep.lam, _LAMBDAS[cid])
+
+
+def test_a_catalog_entry_is_built_once_per_typed_key():
+    exact = catalog("exp-family", f=1, h=1)
+    assert catalog("exp-family", f=1, h=1) is exact
+    assert catalog("exp-family", f=0, h=1) is not exact
+    assert catalog("exp-family", f=1, h=0) is not exact
+    # 1.0 == 1 with equal hashes: an untyped key would answer the float with
+    # the exact entry; it must still be refused as input
+    with pytest.raises(ExprError, match="non-rational number"):
+        catalog("exp-family", f=1.0, h=1)
+    assert catalog.cache_info().maxsize is not None
 
 
 def test_ew_fails_under_wrong_correction_sign():

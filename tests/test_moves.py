@@ -186,6 +186,7 @@ def test_affine_elements_and_moves_call_neither_solve_nor_simplify(monkeypatch):
     monkeypatch.setattr(sp, "simplify", refuse)
     el = PseudogroupElement.make(d=4 * T + 1, a=T, c=2 * T, ee=8)
     assert el.dinv == T / 4 - sp.Rational(1, 4)
+    geometry.catalog.cache_clear()  # build the entries under the guard too
     for cid in geometry.CATALOG_IDS:
         sol = geometry.catalog(cid, **_BOUND.get(cid, {}))
         if cid != "sl2-family":

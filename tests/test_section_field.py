@@ -313,6 +313,7 @@ def test_moves_and_signatures_build_no_trees(monkeypatch):
 
 
 def test_a_field_built_solution_reads_its_trees_once():
+    catalog.cache_clear()  # a shared entry may have printed its trees
     sol = catalog("hierarchy", w=X ** sp.Rational(3, 2))
     assert "u" not in vars(sol) and "v" not in vars(sol)
     assert str(sol) == "u = 3*x^(1/2)/2; v = 0"
@@ -491,6 +492,60 @@ def test_geometry_check_reports_a_witness(monkeypatch):
     assert anchor[0, 0] == anchor[0, 1] == 0 and anchor[0, 2] == 6
 
 
+def test_checks_that_share_catalog_entries_rerun_alike(monkeypatch):
+    """geometry, equivalence and mutation read the same catalog entries,
+    and with them the connections cached under each sign: a second run
+    answers as the first, and a flipped default sign is not answered by a
+    connection of the other sign."""
+    names = ("geometry", "equivalence", "mutation")
+    first = [checks.REGISTRY[name].run() for name in names]
+    assert all(ok for ok, _ in first)
+    assert [checks.REGISTRY[name].run() for name in names] == first
+    monkeypatch.setattr(geometry, "CORRECTION_SIGN", +1)
+    ok, info = checks.REGISTRY["geometry"].run()
+    assert ok is False
+    assert info["witness"]["family"] == "dkp-partial"
+    assert info["witness"]["quantity"] == "anchor"
+
+
+def test_the_lcm_of_one_term_polynomials_is_sympys(monkeypatch):
+    """SectionField's common denominator takes the lcm of two one-term
+    polynomials from their monomials; it must be PolyElement.lcm's, on
+    seeded pairs and on every such pair of an Einstein check."""
+    from sympy.polys.domains import QQ
+    from sympy.polys.rings import ring
+
+    R, *gens = ring("a,b,c", QQ)
+    rng = random.Random(20)
+
+    def term():
+        coeff = QQ(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        monomial = R.one
+        for g in gens:
+            monomial *= g ** rng.randint(0, 3)
+        return monomial * coeff
+
+    for _ in range(200):
+        a, b = term(), term()
+        assert geometry._lcm(a, b) == a.lcm(b), (a, b)
+    assert geometry._lcm(R.one, gens[0] * 3) == gens[0]
+
+    calls, lcm = [], geometry._lcm
+
+    def recorded(a, b):
+        got = lcm(a, b)
+        calls.append((a, b, got))
+        return got
+
+    monkeypatch.setattr(geometry, "_lcm", recorded)
+    catalog.cache_clear()
+    assert check_EW(catalog("sl2-family", f=0, h=0)).ok
+    one_term = [(a, b, got) for a, b, got in calls if len(a) == len(b) == 1]
+    assert len(one_term) > 10
+    for a, b, got in one_term:
+        assert got == a.lcm(b), (a, b)
+
+
 def test_geometry_check_passes_without_a_witness():
     ok, info = checks.REGISTRY["geometry"].run()
     assert ok and "witness" not in info
@@ -516,6 +571,8 @@ def test_a_passing_geometry_check_converts_no_residual(monkeypatch):
 
     monkeypatch.setattr(geometry.SectionField, "expr", counted)
     monkeypatch.setattr(checks, "_residual_witness", scan)
+    # cold entries: the scan then also builds the curvature it tests
+    geometry.catalog.cache_clear()
     ok, _ = checks.REGISTRY["geometry"].run()
     assert ok
     assert calls[True] == 0 and calls[False] > 0
