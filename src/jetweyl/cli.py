@@ -250,11 +250,7 @@ def _cmd_invariants(args):
         "I": {i: to_text(invariants.invariant(i)) for i in (1, 2, 3)},
         "K": {i: to_text(invariants.structure_K(i)) for i in (1, 2, 3, 4)},
         "derivations": {
-            i: {
-                "t": to_text(invariants.derivation(i).ct),
-                "x": to_text(invariants.derivation(i).cx),
-                "y": to_text(invariants.derivation(i).cy),
-            }
+            i: dict(zip("txy", map(to_text, invariants.derivation(i).coefficients())))
             for i in (1, 2, 3)
         },
     }

@@ -16,9 +16,10 @@ import sympy as sp
 from .clouds import SignatureCloud, compare  # noqa: F401  (compare is re-exported)
 from .errors import DivisionByZeroExpression, SingularLocusError, SolutionError
 from .exprcore import jet
-from .invariants import _twelve_at, invariant, twelve_invariants
+from .invariants import _order3, _twelve_at
 from .jets import JetPoint
-from .geometry import Solution, _cofactors
+from .geometry import Solution
+from .linalg import _cofactors
 
 __all__ = [
     "SamplerConfig",
@@ -121,7 +122,8 @@ def signature(sol: Solution, sampler: SamplerConfig | None = None) -> SignatureC
             "every sample is singular: u_x = 0 identically on the section "
             "(the order-1 relative-invariant branch)"
         )
-    base3 = [sf.rational(sf.subs(invariant(i))) for i in (1, 2, 3)]
+    table = _order3()
+    base3 = [sf.rational(sf.subs(f)) for f in table.I]
     if None not in base3:
         notes = [
             "constant invariants: gradient slots set to zero",
@@ -141,7 +143,7 @@ def signature(sol: Solution, sampler: SamplerConfig | None = None) -> SignatureC
             tuple(notes),
             False,
         )
-    funcs = [sf.subs(e) for e in twelve_invariants()]
+    funcs = [sf.subs(f) for f in table.twelve]
 
     def twelve_at(p):
         """The twelve values at p; None on the singular locus, where u_x or
@@ -216,7 +218,7 @@ def i_regular(sol: Solution, pt) -> bool:
     C, (uxv,) = sf.at(pt, (sf.jet("u", "x"),))
     if C.vanishes(uxv):
         raise SingularLocusError("u_x vanishes on the section at this point")
-    M = [[sf.partial(sf.subs(invariant(i)), d) for d in "txy"] for i in (1, 2, 3)]
+    M = [[sf.partial(sf.subs(f), d) for d in "txy"] for f in _order3().I]
     det = sf.sum(M[0][j] * c for j, c in enumerate(_cofactors(M)[0]))
     C, (detv,) = sf.at(pt, (det,))
     return not C.vanishes(detv)

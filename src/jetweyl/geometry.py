@@ -43,17 +43,18 @@ from .exprcore import (
     is_zero,
     jet,
     jet_info,
-    jet_order,
     to_text,
     validate_kernel,
 )
 from .jets import (
+    _jet_ring,
     _merge,
     _Rescaled,
     _ring_for,
     ms_system,
     total_derivative,
 )
+from .linalg import _cofactors
 from . import symmetry as _symmetry
 
 __all__ = [
@@ -165,13 +166,13 @@ class SectionField(_Rescaled):
             return self._base[s]
         return self.ring.gen(s)
 
-    def _evaluate(self, src, polys, value=None):
-        """Polynomials of the jet ring ``src`` at the section, or at the
-        elements ``value(s)`` for the generators s of ``src``: (L, [(P~, D)])
-        with P = P~ / L^D, for one common denominator L of the values."""
-        value = value or self._value
+    def _evaluate(self, polys, value):
+        """Polynomials of one jet ring with each generator s replaced by the
+        element ``value(s)`` of this field: (L, [(P~, D)]) with P = P~ / L^D,
+        for one common denominator L of the values."""
+        symbols = polys[0].ring.symbols
         used = sorted({i for p in polys if p for i, n in enumerate(p.degrees()) if n > 0})
-        values = [value(src.symbols[i]) for i in used]
+        values = [value(symbols[i]) for i in used]
         one = self.ring.ring.one
         L = one
         for v in values:
@@ -200,21 +201,20 @@ class SectionField(_Rescaled):
             out.append((self.ring.ring.dtype(acc), top))
         return L, out
 
-    def subs(self, e):
-        """A rational expression in jet coordinates, t, x, y and formal
-        functions, with the section's derivatives in place of the jets: the
-        numerator and denominator polynomials of e are evaluated at them."""
-        src, num, den = _jet_polys(sp.sympify(e))
+    def subs(self, f):
+        """An element of a jet ring (a rational function of jet coordinates,
+        t, x, y and formal functions) with the section's derivatives in
+        place of the jets: its numerator and denominator are evaluated at
+        them."""
         return self._quotient(
-            src, num, den, self._value, lambda: f"the denominator of {e} vanishes on the section"
+            f, self._value, lambda: f"the denominator of {f.as_expr()} vanishes on the section"
         )
 
-    def _quotient(self, src, num, den, value, message):
-        """num/den for polynomials of the ring ``src``, with each generator
-        s of ``src`` replaced by the element ``value(s)`` of this field;
-        ``message()`` is the text of the error raised when the denominator
-        vanishes."""
-        L, ((n, dn), (d, dd)) = self._evaluate(src, (num, den), value)
+    def _quotient(self, f, value, message):
+        """An element of a jet ring with each generator s replaced by the
+        element ``value(s)`` of this field; ``message()`` is the text of the
+        error raised when the denominator vanishes."""
+        L, ((n, dn), (d, dd)) = self._evaluate((f.numer, f.denom), value)
         if not self._reduced(d):
             raise DivisionByZeroExpression(message())
         if dd >= dn:
@@ -332,10 +332,7 @@ class SectionField(_Rescaled):
         def value(s):
             return images[s] if s in images else F.ring.gen(s)
 
-        moved = [
-            F._quotient(self.ring, f.numer, f.denom, value, lambda: f"{what} has a pole")
-            for f in elements
-        ]
+        moved = [F._quotient(f, value, lambda: f"{what} has a pole") for f in elements]
         return F, F.values[: len(exprs)], moved
 
     def _with_values(self, values) -> "SectionField":
@@ -429,12 +426,15 @@ def _closed_form(e, rule: str) -> sp.Expr:
 _FIELD_DERIVATIVES = 4
 
 
-@lru_cache(maxsize=128)
-def _jet_polys(e: sp.Expr) -> tuple:
-    """(ring, numerator, denominator) of a rational jet expression."""
-    ring = _ring_for(jet_order(e), (e,))
-    f = ring.convert(e)
-    return ring, f.numer, f.denom
+@lru_cache(maxsize=None)
+def _equation_and_ansatz() -> tuple:
+    """(F1 and F2, the ansatz metric's entries by rows, the covector's
+    components) as elements of the order-2 jet ring, converted once."""
+    ring = _jet_ring(2)
+    u, v = jet("u"), jet("v")
+    g = _symmetry.ansatz_metric(u, v)
+    w = _symmetry.ansatz_covector(u, jet("u", "x"), jet("u", "y"), jet("v", "x"))
+    return tuple(tuple(map(ring.convert, e)) for e in (ms_system().equations, g, w))
 
 
 class Solution:
@@ -488,7 +488,8 @@ class Solution:
     def _residuals(self) -> tuple:
         """F1, F2 at the section as field elements, computed once."""
         if self._residual_elements is None:
-            self._residual_elements = tuple(self.field.subs(F) for F in ms_system().equations)
+            equations, _, _ = _equation_and_ansatz()
+            self._residual_elements = tuple(map(self.field.subs, equations))
         return self._residual_elements
 
     def residuals(self) -> tuple[sp.Expr, sp.Expr]:
@@ -569,9 +570,7 @@ def build_pair(sol: Solution) -> WeylPair:
     """The ansatz metric and covector of a section (one pair per section)."""
     if sol._pair is None:
         sf = sol.field
-        u, v = jet("u"), jet("v")
-        g = _symmetry.ansatz_metric(u, v)
-        w = _symmetry.ansatz_covector(u, jet("u", "x"), jet("u", "y"), jet("v", "x"))
+        _, g, w = _equation_and_ansatz()
         sol._pair = WeylPair(sol, sf, _rows([sf.subs(e) for e in g]), tuple(map(sf.subs, w)))
     return sol._pair
 
@@ -643,18 +642,6 @@ def _cube(entry) -> tuple:
     return tuple(
         tuple(tuple(entry(k, i, j) for j in range(3)) for i in range(3)) for k in range(3)
     )
-
-
-def _cofactors(m) -> list:
-    """The cofactor matrix of a 3x3 matrix of field elements."""
-    return [
-        [
-            m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
 
 
 def _inverse(sf: SectionField, g) -> tuple:
@@ -1016,10 +1003,10 @@ def hierarchy_reduction_check() -> bool:
 
 def invariants_on_solution(sol: Solution) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
     """I1, I2, I3 with the section's derivatives substituted."""
-    from .invariants import invariant
+    from .invariants import _order3
 
     sf = sol.field
-    return tuple(sf.expr(sf.subs(invariant(i))) for i in (1, 2, 3))
+    return tuple(sf.expr(sf.subs(f)) for f in _order3().I)
 
 
 def sl2_structure_report(sol: Solution, constants=None) -> dict:
@@ -1032,8 +1019,9 @@ def sl2_structure_report(sol: Solution, constants=None) -> dict:
     report flags the check as indeterminate: it is consistent with the
     printed values but cannot pin them from this stratum alone.
     """
-    from .invariants import structure_K
+    from .invariants import _order3
 
+    table = _order3()
     if constants is None:
         constants = {
             1: sp.Integer(1),
@@ -1044,8 +1032,8 @@ def sl2_structure_report(sol: Solution, constants=None) -> dict:
     out = {"entries": [], "indeterminate": None}
     any_indet = False
     for i in (1, 2, 3, 4):
-        src, num, den = _jet_polys(structure_K(i) - constants[i])
-        _, ((nval, _), (dval, _)) = sol.field._evaluate(src, (num, den))
+        f = table.K[i - 1] - constants[i]
+        _, ((nval, _), (dval, _)) = sol.field._evaluate((f.numer, f.denom), sol.field._value)
         nval, dval = map(sol.field._reduced, (nval, dval))
         any_indet = any_indet or not dval
         out["entries"].append(

@@ -12,22 +12,24 @@ QQ) from start to finish: reduction on the equation is a substitution of
 generators and the zero test looks at a numerator.  Sympy expressions are
 converted once on the way in and once on the way out.  The reduction is
 always that of the modified dispersionless system, whose principal table
-the rings hold.
+the rings hold.  I1-I3, the derivations' coefficients and K1-K4 are built
+once in the order-3 jet ring (:func:`_order3`); every consumer reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
+from weakref import WeakKeyDictionary
 
 import sympy as sp
 
 from .errors import JetOrderError, SingularLocusError
-from .exprcore import is_formal_symbol, is_jet_symbol, jet, jet_order
+from .exprcore import is_formal_symbol, jet, jet_order
 from .fields import prolong
-from .jets import EquationSystem, JetPoint, _jet_ring, _ring_for, internal_indices
-from .linalg import rank
+from .jets import EquationSystem, JetPoint, _jet_ring, _poly_at, _ring_for, internal_indices
+from .linalg import _cofactors, rank
 from .symmetry import ansatz_covector, ansatz_metric, generator
 
 __all__ = [
@@ -43,7 +45,6 @@ __all__ = [
     "verify_invariance",
     "CoframeReport",
     "coframe_rewrite",
-    "twelve_invariants",
     "independence_rank",
 ]
 
@@ -81,24 +82,28 @@ class InvariantDerivation:
     ct: sp.Expr
     cx: sp.Expr
     cy: sp.Expr
+    # jet ring -> the coefficients as its elements
+    _converted: WeakKeyDictionary = field(
+        default_factory=WeakKeyDictionary, init=False, repr=False, compare=False
+    )
 
     def coefficients(self) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
         return (self.ct, self.cx, self.cy)
 
+    def _in(self, ring) -> tuple:
+        """The coefficients as elements of a jet ring, converted once per ring."""
+        got = self._converted.get(ring)
+        if got is None:
+            got = self._converted[ring] = tuple(map(ring.convert, self.coefficients()))
+        return got
+
     def _apply_in(self, ring, f):
         """The derivation applied to an element of a jet ring, reduced."""
         out = ring.field.zero
-        for c, d in zip(self.coefficients(), "txy"):
-            if c != 0:
-                out += ring.convert(c) * ring.total(f, d)
+        for c, d in zip(self._in(ring), "txy"):
+            if c:
+                out += c * ring.total(f, d)
         return ring.reduce(out)
-
-    def apply(self, e) -> sp.Expr:
-        """The derivation applied to e and reduced on the equation (the
-        system's principal table lives in the jet rings)."""
-        e = sp.sympify(e)
-        ring = _ring_for(max(jet_order(e) + 1, 2), (e,), derivatives=1)
-        return ring.to_expr(self._apply_in(ring, ring.convert(e)))
 
     def __str__(self) -> str:
         return self.name
@@ -126,36 +131,59 @@ def apply_derivation(i: int, e, system: EquationSystem | None = None) -> sp.Expr
     """The i-th invariant derivation applied to e, reduced on the equation.
     ``system`` is ignored (the rings hold the one system); it stays for
     callers that pass it, such as the benchmark workloads."""
-    return derivation(i).apply(e)
+    e = sp.sympify(e)
+    ring = _ring_for(max(jet_order(e) + 1, 2), (e,), derivatives=1)
+    return ring.to_expr(derivation(i)._apply_in(ring, ring.convert(e)))
 
 
-def _structure_K_in(ring, i: int):
-    c = ring.convert
-    n2 = derivation(2)._apply_in
-    if i == 1:
-        return c(_ux * _uxxx / _uxx**2 - 3)
-    if i == 2:
-        return c((_uxy * _uxxx - _uxx * _uxxy) / (_ux * _uxx**2))
-    if i == 3:
-        return (
-            _structure_K_in(ring, 2) * c(1 - 2 * _uxy / _ux**2)
+class _Order3:
+    """The order-3 invariant data in ``ring``, the order-3 jet ring: ``I``
+    = (I1, I2, I3), ``nabla`` = the coefficients (c_t, c_x, c_y) of
+    nabla_1..nabla_3 and ``K`` = (K1, ..., K4), K3 built on K2; the twelve
+    signature invariants are a second step, taken on first use."""
+
+    def __init__(self):
+        ring = self.ring = _jet_ring(3)
+        c = ring.convert
+        self.I = tuple(c(invariant(i)) for i in (1, 2, 3))
+        self.nabla = tuple(derivation(j)._in(ring) for j in (1, 2, 3))
+        n2 = derivation(2)._apply_in
+        K2 = c((_uxy * _uxxx - _uxx * _uxxy) / (_ux * _uxx**2))
+        self.K = (
+            c(_ux * _uxxx / _uxx**2 - 3),
+            K2,
+            K2 * c(1 - 2 * _uxy / _ux**2)
             - c(2 * _uxx / _ux**3) * n2(ring, c(_uy))
-            + c(2 / _ux**2) * n2(ring, c(_uxy))
+            + c(2 / _ux**2) * n2(ring, c(_uxy)),
+            (
+                c(_uxx) * n2(ring, c(2 * _uyy - _ux * _uy))
+                - n2(ring, c(_uxy / _uxx)) * c(_uxx * (2 * _uxy - _ux**2))
+                - n2(ring, c(_uxy**2))
+            )
+            / c(_ux**4),
         )
-    if i == 4:
-        return (
-            c(_uxx) * n2(ring, c(2 * _uyy - _ux * _uy))
-            - n2(ring, c(_uxy / _uxx)) * c(_uxx * (2 * _uxy - _ux**2))
-            - n2(ring, c(_uxy**2))
-        ) / c(_ux**4)
-    raise ValueError(f"structure index must be 1..4, got {i}")
+
+    @cached_property
+    def twelve(self) -> tuple:
+        """The signature components (I1, I2, I3, I_ij) with I_ij = the j-th
+        derivation applied to I_i, in row-major order."""
+        derived = (derivation(j)._apply_in(self.ring, b) for b in self.I for j in (1, 2, 3))
+        return self.I + tuple(derived)
+
+
+@lru_cache(maxsize=None)
+def _order3() -> _Order3:
+    """The order-3 invariant data, built once."""
+    return _Order3()
 
 
 @lru_cache(maxsize=None)
 def structure_K(i: int) -> sp.Expr:
     """Structure coefficients of the derivation commutators (order three)."""
-    ring = _jet_ring(3)
-    return ring.to_expr(_structure_K_in(ring, i))
+    if i not in (1, 2, 3, 4):
+        raise ValueError(f"structure index must be 1..4, got {i}")
+    o = _order3()
+    return o.ring.to_expr(o.K[i - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -187,21 +215,18 @@ class CommutatorReport:
 
 def verify_derivation_commutators() -> list[CommutatorReport]:
     """Check the three bracket relations of the invariant derivations."""
-    ring = _jet_ring(3)
-    K = {i: ring.convert(structure_K(i)) for i in (1, 2, 3, 4)}
-    coeffs = {i: [ring.convert(c) for c in derivation(i).coefficients()] for i in (1, 2, 3)}
+    o = _order3()
+    ring = o.ring
+    K1, K2, K3, K4 = o.K
+    coeffs = dict(enumerate(o.nabla, 1))
     cases = [
         ((1, 2), {2: -ring.field.one}, "-nabla_2"),
         (
             (1, 3),
-            {1: -K[3], 2: K[1] - 2 * K[2], 3: K[1]},
+            {1: -K3, 2: K1 - 2 * K2, 3: K1},
             "-K3*nabla_1 + (K1 - 2*K2)*nabla_2 + K1*nabla_3",
         ),
-        (
-            (2, 3),
-            {1: K[4], 2: K[3], 3: K[2]},
-            "K4*nabla_1 + K3*nabla_2 + K2*nabla_3",
-        ),
+        ((2, 3), {1: K4, 2: K3, 3: K2}, "K4*nabla_1 + K3*nabla_2 + K2*nabla_3"),
     ]
     report = []
     for (i, j), combo, text in cases:
@@ -229,21 +254,14 @@ class IdentityReport:
 def verify_identities() -> list[IdentityReport]:
     """The two order-drop identities expressing I1 and I3 through I2, the
     derivations and the structure coefficients."""
-    ring = _jet_ring(3)
-    I1, I2, I3 = (ring.convert(invariant(i)) for i in (1, 2, 3))
-    K = {i: ring.convert(structure_K(i)) for i in (1, 2, 3, 4)}
+    o = _order3()
+    ring = o.ring
+    I1, I2, I3 = o.I
+    K1, K2, K3, K4 = o.K
     n1I2 = derivation(1)._apply_in(ring, I2)
     n2I2 = derivation(2)._apply_in(ring, I2)
-    r1 = ring.reduce(I1 - (n1I2 + (K[2] + K[3]) / 2 - I2 * K[1]))
-    r2 = ring.reduce(
-        I3
-        - (
-            n1I2
-            - n2I2
-            + (K[2] + 3 * K[3] + 2 * K[4]) / 4
-            + I2 * (K[2] - K[1] - 1)
-        )
-    )
+    r1 = ring.reduce(I1 - (n1I2 + (K2 + K3) / 2 - I2 * K1))
+    r2 = ring.reduce(I3 - (n1I2 - n2I2 + (K2 + 3 * K3 + 2 * K4) / 4 + I2 * (K2 - K1 - 1)))
     return [
         IdentityReport("I1 from nabla_1(I2)", not r1, ring.to_expr(r1)),
         IdentityReport("I3 from (nabla_1 - nabla_2)(I2)", not r2, ring.to_expr(r2)),
@@ -317,19 +335,18 @@ def coframe_rewrite() -> CoframeReport:
     matrix), expected to be -u_x^3.  Everything is computed and decided in
     the order-3 jet ring.
     """
-    ring = _jet_ring(3)
+    o = _order3()
+    ring, C, I2 = o.ring, o.nabla, o.I[1]
     c = ring.convert
 
     def dot(a, b):
         return sum((x * y for x, y in zip(a, b)), ring.field.zero)
 
-    C = [[c(e) for e in derivation(i).coefficients()] for i in (1, 2, 3)]
     g = [[c(e) for e in row] for row in ansatz_metric(_u, _v).tolist()]
     w = [c(e) for e in ansatz_covector(_u, _ux, _uy, _vx)]
-    ux = c(_ux)
+    ux = ring.gen(_ux)
     Cg = [[dot(row, col) for col in zip(*g)] for row in C]
     Gp = [[ring.reduce(ux**2 * dot(a, b)) for b in C] for a in Cg]
-    I2 = c(invariant(2))
     expected_G = [[0, 0, 2], [0, -1, 1], [2, 1, 4 * I2 - 1]]
     g_ok = not any(Gp[i][j] - expected_G[i][j] for i in range(3) for j in range(3))
     Cw = [dot(row, w) for row in C]
@@ -351,12 +368,8 @@ def coframe_rewrite() -> CoframeReport:
     else:
         omega, adjusted, w_ok = adjust, True, False
         notes.append("neither adjusted nor plain covector matches")
-    cofactors = [
-        C[1][(j + 1) % 3] * C[2][(j + 2) % 3] - C[1][(j + 2) % 3] * C[2][(j + 1) % 3]
-        for j in range(3)
-    ]
     # the coframe's determinant 1/det(C) = -u_x^3, multiplied out
-    det_ok = not (1 + ux**3 * dot(C[0], cofactors))
+    det_ok = not (1 + ux**3 * dot(C[0], _cofactors(C)[0]))
     if not det_ok:
         notes.append("coframe determinant differs from -u_x^3")
     return CoframeReport(
@@ -372,50 +385,13 @@ def coframe_rewrite() -> CoframeReport:
 # evaluation and independence
 
 
-@lru_cache(maxsize=1)
-def _twelve_in_ring() -> tuple:
-    """(the order-3 jet ring, the twelve invariants as its elements)."""
-    ring = _jet_ring(3)
-    base = [ring.convert(invariant(i)) for i in (1, 2, 3)]
-    derived = [derivation(j)._apply_in(ring, b) for b in base for j in (1, 2, 3)]
-    return ring, tuple(base + derived)
-
-
-@lru_cache(maxsize=1)
-def twelve_invariants() -> tuple[sp.Expr, ...]:
-    """The signature components (I1, I2, I3, I_ij) with I_ij = the j-th
-    derivation applied to I_i, in row-major order."""
-    ring, twelve = _twelve_in_ring()
-    return tuple(map(ring.to_expr, twelve))
-
-
-def _evaluator(ring, point: JetPoint):
-    """Exact evaluation of the ring's polynomials at the point: a function
-    from a polynomial (no extras) to its ``Fraction`` value."""
-    values = [
-        point.value(s) if is_jet_symbol(s) else point.base[s.name] for s in ring.symbols
-    ]
-
-    def at(p) -> Fraction:
-        total = Fraction(0)
-        for monom, c in p.items():
-            term = Fraction(int(c.numerator), int(c.denominator))
-            for i, n in enumerate(monom):
-                if n:
-                    term *= values[i] ** n
-            total += term
-        return total
-
-    return at
-
-
 def _twelve_at(point: JetPoint) -> tuple[Fraction, ...]:
     """The twelve invariants at a point off the singular locus: their
     numerators and denominators evaluated in ``Fraction`` arithmetic (the
     denominators are products of powers of u_x and u_xx)."""
-    ring, twelve = _twelve_in_ring()
-    at = _evaluator(ring, point)
-    return tuple(at(f.numer) / at(f.denom) for f in twelve)
+    o = _order3()
+    at = partial(_poly_at, point, o.ring)
+    return tuple(at(f.numer) / at(f.denom) for f in o.twelve)
 
 
 def independence_rank(point: JetPoint) -> int:
@@ -426,11 +402,11 @@ def independence_rank(point: JetPoint) -> int:
     numerators and denominators are polynomials in internal coordinates;
     each is differentiated by the 32 internal generators and evaluated at
     the point in ``Fraction`` arithmetic."""
-    ring, twelve = _twelve_in_ring()
-    at = _evaluator(ring, point)
-    coords = [ring.index[jet(dep, idx)] for dep in ("u", "v") for idx in internal_indices(3)]
+    o = _order3()
+    at = partial(_poly_at, point, o.ring)
+    coords = [o.ring.index[jet(dep, idx)] for dep in ("u", "v") for idx in internal_indices(3)]
     rows = []
-    for f in twelve:
+    for f in o.twelve:
         num, den = f.numer, f.denom
         # d(num/den) = (den*d(num) - num*d(den))/den^2; the den^2 scaling
         # does not change the rank, row-scale by it for cheaper entries

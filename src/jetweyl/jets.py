@@ -17,7 +17,8 @@ x, y, the jet coordinates up to the order in play and the formal functions
 present), where the total derivatives are ring derivations and reduction
 is a substitution of generators; the symmetry and invariance checks
 compute there and convert sympy expressions only at their boundary.  A
-:class:`JetPoint` solves the same triangular system in rational numbers.
+:class:`JetPoint` solves the same triangular system in rational numbers,
+and ``_poly_at`` evaluates ring polynomials there.
 
 The dimension counts of jet spaces and equation submanifolds live in
 :mod:`jetweyl.counts`.
@@ -63,6 +64,7 @@ from .exprcore import (
     jet_info,
     jet_order,
     resolve_symbol,
+    to_text,
 )
 from .linalg import as_fraction
 
@@ -453,8 +455,9 @@ def _ring_for(order: int, exprs: Iterable, derivatives: int = 0, aux: tuple = ()
         formal(name, m)
         for name in sorted(formals)
         for m in range(formals[name] + derivatives + 1)
-    )
-    return _jet_ring(order, extras + tuple(aux))
+    ) + tuple(aux)
+    # _jet_ring(order, ()) would be a second key: a second ring and table
+    return _jet_ring(order, extras) if extras else _jet_ring(order)
 
 
 class _Rescaled:
@@ -728,6 +731,8 @@ class JetPoint:
                 raise ValueError(f"base coordinate must be t,x,y, got {name!r}")
             self.base[name] = Fraction(val)
         self.internal: dict[sp.Symbol, Fraction] = {}
+        # jet ring -> the values of its generators here (see _poly_at)
+        self._generator_values: dict = {}
         # (dependent, (nt, nx, ny)) -> value; principal entries are filled
         # by _solve_through, all orders <= _solved at a time
         self._values: dict[tuple[str, tuple[int, int, int]], Fraction] = {}
@@ -795,20 +800,39 @@ class JetPoint:
         self._solved = order
 
     def eval(self, e) -> Fraction:
-        """Exact evaluation of an internal-coordinate expression at the point."""
+        """Exact evaluation of an expression of the term language (ring
+        polynomials go to :func:`_poly_at`) at the point."""
         e = sp.sympify(e)
         rep = {}
         for s in e.free_symbols:
-            if s in BASE_SYMBOLS:
-                q = self.base[s.name]
-            elif is_jet_symbol(s):
-                q = self.value(s)
-            else:
-                raise PointNotOnEquationError(
-                    f"cannot evaluate symbol {s} at a jet point"
-                )
+            if s not in BASE_SYMBOLS and not is_jet_symbol(s):
+                raise PointNotOnEquationError(f"cannot evaluate symbol {s} at a jet point")
+            q = self.value(s)
             rep[s] = sp.Rational(q.numerator, q.denominator)
         val = e.xreplace(rep)
         if not val.is_Rational:
+            if val.has(sp.zoo, sp.nan):
+                known = (*self.base.items(), *self.internal.items())
+                where = ", ".join(f"{s}={q}" for s, q in known)
+                raise DivisionByZeroExpression(
+                    f"the denominator of {to_text(e)} vanishes at the jet point ({where})"
+                )
             raise PointNotOnEquationError(f"non-rational value {val}")
         return as_fraction(val)
+
+
+def _poly_at(point: JetPoint, ring: _JetRing, p) -> Fraction:
+    """The exact value at the point of a polynomial (or a {monomial:
+    rational coefficient} dict) over the generators of a jet ring without
+    extras, whose values are read once per point and ring."""
+    values = point._generator_values.get(ring)
+    if values is None:
+        values = point._generator_values[ring] = list(map(point.value, ring.symbols))
+    total = _ZERO
+    for monom, c in p.items():
+        term = Fraction(int(c.numerator), int(c.denominator))
+        for i, n in enumerate(monom):
+            if n:
+                term *= values[i] ** n
+        total += term
+    return total

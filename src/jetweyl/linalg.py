@@ -118,3 +118,15 @@ def _bareiss_rank(mat: list[list[int]]) -> int:
         if row == len(mat):
             break
     return row
+
+
+def _cofactors(m) -> list:
+    """The cofactor matrix of a 3x3 matrix over a commutative ring."""
+    return [
+        [
+            m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
+            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]

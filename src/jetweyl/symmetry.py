@@ -43,7 +43,15 @@ from .exprcore import (
     validate_kernel,
 )
 from .fields import PointField, _bracket_in, _phi_in, _point_apply, prolong
-from .jets import EquationSystem, JetPoint, _jet_ring, _ring_for, internal_indices, ms_system
+from .jets import (
+    EquationSystem,
+    JetPoint,
+    _jet_ring,
+    _poly_at,
+    _ring_for,
+    internal_indices,
+    ms_system,
+)
 from .linalg import _eliminate, rank
 
 __all__ = [
@@ -524,6 +532,7 @@ class _TaylorJet:
     """
 
     def __init__(self, theta: JetPoint, k: int):
+        self.theta = theta
         self.k = k
         self.t0 = theta.base["t"]
         taylor = {
@@ -551,7 +560,6 @@ class _TaylorJet:
             self.args.append({
                 tuple(e[m] - (m == n) for m in range(3)): e[n] * q for e, q in w.items() if e[n]
             })
-        self._values = [a.get((0, 0, 0), _ZERO) for a in self.args]
         self._monomials: dict[tuple[int, ...], _Series] = {
             (0,) * len(self.args): {(0, 0, 0): Fraction(1)}
         }
@@ -586,16 +594,6 @@ class _TaylorJet:
                 out[key] = out.get(key, 0) + c * q
         return out
 
-    def value(self, poly: _Poly) -> Fraction:
-        """phi at the base point: the constant term of :meth:`compose`."""
-        total = _ZERO
-        for expo, c in poly.items():
-            for v, n in zip(self._values, expo):
-                if n:
-                    c *= v**n
-            total += c
-        return total
-
     def parameter(self, n: int) -> _Series:
         """The series of t^n/n! (zero for n < 0) in powers of t - t0."""
         return {
@@ -613,7 +611,8 @@ class _TaylorJet:
         c_j; each c_j is composed with the series section once, and the
         parameter t^m/m! enters as the series of its derivatives."""
         terms = _family_terms(fam)
-        base_parts = [[(j, self.value(c)) for j, c in comp] for comp in terms[:3]]
+        ring = _jet_ring(1)
+        base_parts = [[(j, _poly_at(self.theta, ring, c)) for j, c in comp] for comp in terms[:3]]
         phi_parts = [[(j, self.compose(c)) for j, c in comp] for comp in terms[3:]]
         out = []
         for m in range(mmax + 1):

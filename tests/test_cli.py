@@ -164,6 +164,20 @@ def test_invariants_eval_singular_point_is_a_domain_error(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("expr", ["1/u_y", "u_y/u_xx"])
+def test_invariants_eval_names_a_pole(expr, capsys):
+    # 1/0 and 0/0: the vanishing denominator is named with the point
+    code, doc = run(["invariants", "--eval", expr, "--at", "u_x=2"], capsys)
+    assert code == 4 and doc["error"] == "domain"
+    assert doc["message"] == (
+        f"the denominator of {expr} vanishes at the jet point (t=0, x=0, y=0, u_x=2)"
+    )
+    # the rational control off the pole
+    code, doc = run(["invariants", "--eval", expr, "--at", "u_x=2,u_y=4,u_xx=3"], capsys)
+    assert code == 0
+    assert doc["eval"]["value"] == {"1/u_y": "1/4", "u_y/u_xx": "4/3"}[expr]
+
+
 def test_counts(capsys):
     code, doc = run(["counts", "ms", "--upto", "6"], capsys)
     assert code == 0

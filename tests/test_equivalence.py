@@ -21,7 +21,7 @@ from jetweyl.equivalence import (
 )
 from jetweyl.errors import ComparisonError, SingularLocusError, SolutionError
 from jetweyl.exprcore import T, X, Y, jet
-from jetweyl.invariants import twelve_invariants
+from jetweyl.invariants import _order3
 from jetweyl.dsl import parse_solution
 from jetweyl.geometry import Solution, catalog
 from jetweyl.jets import internal_indices, ms_system
@@ -213,12 +213,19 @@ def test_i_regular_fails_on_the_constant_families():
 
 def test_i_regular_accepts_independent_differentials(monkeypatch):
     # every catalog family has constant invariants, so hand-build the
-    # three functions the Jacobian is taken of, on a section with u_x != 0
+    # three functions the Jacobian is taken of, on a section with u_x != 0,
+    # as the invariants of the order-3 table
+    from types import SimpleNamespace
+
     from jetweyl import equivalence
+    from jetweyl.jets import _jet_ring
 
     sol = catalog("exp-family", f=1, h=1)
     functions = [T + X * Y, Y**2, T * X + Y**3]
-    monkeypatch.setattr(equivalence, "invariant", lambda i: functions[i - 1])
+    ring = _jet_ring(0)
+    monkeypatch.setattr(
+        equivalence, "_order3", lambda: SimpleNamespace(I=tuple(map(ring.convert, functions)))
+    )
     assert i_regular(sol, (1, 2, 3)) is True
     # (T + X)^2 * Y is a function of the first two: the determinant vanishes
     functions = [T + X, Y, (T + X) ** 2 * Y]
@@ -269,8 +276,8 @@ def _order3_point(rng, **zero):
 
 
 def test_jet_cloud_matches_the_tree_invariants_entry_for_entry():
-    # the ring evaluation against the tree path it replaced: twelve_invariants()
-    # as expressions, evaluated by JetPoint.eval
+    # the ring evaluation against the tree path it replaced: the twelve
+    # invariants as expressions, evaluated by JetPoint.eval
     rng = random.Random(2024)
     points = [_order3_point(rng) for _ in range(22)]
     points.insert(5, _order3_point(rng, xx=True))  # u_xx = 0: skipped
@@ -278,7 +285,8 @@ def test_jet_cloud_matches_the_tree_invariants_entry_for_entry():
     kept = [p for i, p in enumerate(points) if i != 5]
     assert cloud.notes == ("skipped 1 singular points",)
     assert cloud.points == tuple((p.base["t"], p.base["x"], p.base["y"]) for p in kept)
-    want = tuple(tuple(p.eval(e) for e in twelve_invariants()) for p in kept)
+    twelve = [_order3().ring.to_expr(f) for f in _order3().twelve]
+    want = tuple(tuple(p.eval(e) for e in twelve) for p in kept)
     assert cloud.values == want
     assert all(isinstance(v, Fraction) for row in cloud.values for v in row)
 
@@ -295,11 +303,10 @@ def test_three_parameter_slice_has_tangent_rank_three():
     # honest exact statement is about the differential, not the affine span
     from jetweyl.exprcore import jet
     from tree_oracle import partial
-    from jetweyl.invariants import twelve_invariants
     from jetweyl.linalg import rank
 
     sys_ = ms_system()
-    reduced = [sys_.reduce(e) for e in twelve_invariants()]
+    reduced = [sys_.reduce(_order3().ring.to_expr(f)) for f in _order3().twelve]
     jp = sys_.point(4, internal=_RICH_INTERNAL)
     cols = [jet("u", "x"), jet("u", "xx"), jet("v", "x")]
     rows = [[jp.eval(partial(e, s)) for s in cols] for e in reduced]

@@ -16,8 +16,8 @@ from jetweyl.invariants import (
     derivation,
     independence_rank,
     invariant,
+    _order3,
     structure_K,
-    twelve_invariants,
     verify_derivation_commutators,
     verify_identities,
     verify_invariance,
@@ -59,8 +59,13 @@ def test_invariant_value_at_a_jet_point():
     assert theta.eval(invariant(1)) == Fraction(2)
 
 
+def _twelve_trees() -> list:
+    table = _order3()
+    return [table.ring.to_expr(f) for f in table.twelve]
+
+
 def test_twelve_invariants_order():
-    twelve = twelve_invariants()
+    twelve = _twelve_trees()
     assert len(twelve) == 12
     assert equal(twelve[0], invariant(1))
     assert equal(twelve[3], apply_derivation(1, invariant(1)))
@@ -130,6 +135,49 @@ def test_structure_identities_hold():
     assert all(rep.ok for rep in reports)
 
 
+def test_warm_proofs_and_point_evaluations_convert_no_tree(monkeypatch):
+    """The order-3 data is converted into the jet ring once: after a first
+    call, the commutator and identity proofs, the independence rank and
+    the jet clouds make no ``_JetRing.convert`` call, and the coframe
+    converts only the ansatz entries."""
+    from jetweyl.equivalence import jet_cloud
+    from jetweyl.jets import _JetRing
+    from jetweyl.symmetry import ansatz_covector, ansatz_metric
+
+    def point():
+        rng = random.Random(31)
+        internal = {
+            jet(dep, idx): Fraction(rng.randint(1, 9), rng.randint(1, 7))
+            for dep in ("u", "v")
+            for idx in internal_indices(3)
+        }
+        return ms_system().point(3, internal=internal)
+
+    calls = [
+        verify_derivation_commutators,
+        verify_identities,
+        lambda: independence_rank(point()),
+        lambda: jet_cloud([point()]),
+    ]
+    for call in (*calls, coframe_rewrite):
+        call()
+    converted = []
+    convert = _JetRing.convert
+
+    def counted(self, e):
+        converted.append(e)
+        return convert(self, e)
+
+    monkeypatch.setattr(_JetRing, "convert", counted)
+    for call in calls:
+        call()
+    assert converted == []
+    coframe_rewrite()
+    u, v = jet("u"), jet("v")
+    ansatz = [*ansatz_metric(u, v), *ansatz_covector(u, u_x, jet("u", "y"), v_x)]
+    assert len(converted) <= 13 and set(converted) <= {*ansatz, u_x}
+
+
 def test_derivation_matrix_first_row():
     # nabla_1 = (u_x/u_xx) D_x and nothing else
     row = derivation(1).coefficients()
@@ -174,7 +222,7 @@ def _tree_jacobian(point) -> list:
     of each invariant, evaluated by JetPoint.eval, row-scaled by den^2."""
     coords = [jet(dep, idx) for dep in ("u", "v") for idx in internal_indices(3)]
     rows = []
-    for e in twelve_invariants():
+    for e in _twelve_trees():
         num, den = sp.fraction(sp.together(e))
         nval, dval = point.eval(num), point.eval(den)
         rows.append(

@@ -27,21 +27,22 @@ from jetweyl.exprcore import (
 )
 from jetweyl.fields import PointField, _bracket_in, prolong
 from jetweyl.invariants import (
+    _order3,
     apply_derivation,
     derivation,
     invariant,
     structure_K,
-    twelve_invariants,
 )
 from jetweyl.jets import (
     _jet_ring,
+    _poly_at,
     _ring_for,
     internal_indices,
     ms_system,
     principal_indices,
     total_derivative,
 )
-from jetweyl.symmetry import generator
+from jetweyl.symmetry import _family_terms, generator
 from tree_oracle import generating_section, partial, tree_normalize
 
 # ---------------------------------------------------------------------------
@@ -150,6 +151,23 @@ def test_principal_table_matches_the_tree_table():
     for (dep, idx), poly in entries.items():
         got = ring.to_expr(ring.field.raw_new(poly))
         assert got == TREE.principal(dep, idx), (dep, idx)
+
+
+def test_each_order_has_one_ring_and_one_principal_table():
+    # a key with no formal or auxiliary generator is _jet_ring(k)'s own, so
+    # a plain ring and its principal table are built once per order
+    assert _ring_for(3, (invariant(1),)) is _jet_ring(3)
+    assert _ring_for(2, (jet("u", "x"),), derivatives=1) is _jet_ring(2)
+    for k in (2, 3, 4):
+        plain = _ring_for(k, (jet("u"),))
+        assert plain is _jet_ring(k)
+        padded = _ring_for(k, (formal("a"),))
+        for idx in principal_indices(k):
+            i = plain.index[jet("v", idx)]
+            assert plain.principal(i) is _jet_ring(k).principal(i)
+            assert padded.principal(i) == padded.ring.dtype(
+                {m + (0,) * len(padded.extras): c for m, c in plain.principal(i).items()}
+            )
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -310,17 +328,97 @@ def test_apply_derivation_matches_the_tree():
             assert apply_derivation(j, e) == TREE.reduce(raw), (e, j)
 
 
+def tree_nabla(j: int, e) -> sp.Expr:
+    """The j-th invariant derivation applied to e by tree total
+    derivatives, reduced by the tree table."""
+    d = derivation(j)
+    raw = sum(
+        (c * tree_total_derivative(e, s) for c, s in zip(d.coefficients(), "txy")),
+        sp.Integer(0),
+    )
+    return TREE.reduce(raw)
+
+
+def tree_structure_K() -> list:
+    """K1-K4 by their defining formulas on trees."""
+    ux, uy, uxx, uxy, uyy = (jet("u", w) for w in ("x", "y", "xx", "xy", "yy"))
+    uxxx, uxxy = jet("u", "xxx"), jet("u", "xxy")
+    K2 = (uxy * uxxx - uxx * uxxy) / (ux * uxx**2)
+    K3 = (
+        K2 * (1 - 2 * uxy / ux**2)
+        - 2 * uxx / ux**3 * tree_nabla(2, uy)
+        + 2 / ux**2 * tree_nabla(2, uxy)
+    )
+    K4 = (
+        uxx * tree_nabla(2, 2 * uyy - ux * uy)
+        - tree_nabla(2, uxy / uxx) * uxx * (2 * uxy - ux**2)
+        - tree_nabla(2, uxy**2)
+    ) / ux**4
+    return [ux * uxxx / uxx**2 - 3, K2, K3, K4]
+
+
+def test_order3_table_matches_the_tree():
+    # the one source of the order-3 data: I1-I3, the nine derivation
+    # coefficients and K1-K4 (the twelve are matched below)
+    table = _order3()
+    tree = table.ring.to_expr
+    for i in (1, 2, 3):
+        assert tree(table.I[i - 1]) == tree_normalize(invariant(i))
+    for j in (1, 2, 3):
+        for got, c in zip(table.nabla[j - 1], derivation(j).coefficients()):
+            assert tree(got) == tree_normalize(c), (j, c)
+    for i, want in enumerate(tree_structure_K(), 1):
+        assert same(tree(table.K[i - 1]), want), i
+        assert structure_K(i) == tree(table.K[i - 1])
+
+
 def test_twelve_invariants_match_the_tree():
-    twelve = twelve_invariants()
+    table = _order3()
+    twelve = [table.ring.to_expr(f) for f in table.twelve]
     for i in (1, 2, 3):
         assert twelve[i - 1] == tree_normalize(invariant(i))
         for j in (1, 2, 3):
-            d = derivation(j)
-            raw = sum(
-                (c * tree_total_derivative(invariant(i), s) for c, s in zip(d.coefficients(), "txy")),
-                sp.Integer(0),
-            )
-            assert twelve[3 * i + j - 1] == TREE.reduce(raw), (i, j)
+            assert twelve[3 * i + j - 1] == tree_nabla(j, invariant(i)), (i, j)
+
+
+def _monomial_tree(symbols, monom) -> sp.Expr:
+    return sp.Mul(*(s**n for s, n in zip(symbols, monom)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_point_evaluator_matches_the_tree(k):
+    """``_poly_at`` against ``JetPoint.eval`` of the polynomial as a tree, on
+    every polynomial the program evaluates at jet points: the numerators
+    and denominators of the twelve invariants, every Jacobian entry of
+    ``independence_rank`` and the base parts of the orbit vectors."""
+    rng = random.Random(7100 + k)
+    internal = {
+        jet(dep, idx): Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
+        for dep in ("u", "v")
+        for idx in internal_indices(k)
+    }
+    base = {c: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for c in "txy"}
+    point = ms_system().point(k, base=base, internal=internal)
+    table = _order3()
+    ring = table.ring
+    coords = [ring.index[jet(dep, idx)] for dep in ("u", "v") for idx in internal_indices(3)]
+    for f in table.twelve:
+        for p in (f.numer, f.denom):
+            tree = p.as_expr()
+            assert _poly_at(point, ring, p) == point.eval(tree)
+            for i in coords:
+                want = point.eval(sp.diff(tree, ring.symbols[i]))
+                assert _poly_at(point, ring, p.diff(i)) == want, (p, i)
+    ring1 = _jet_ring(1)
+    for fam in range(1, 6):
+        for component in _family_terms(fam)[:3]:
+            for _, c in component:
+                tree = sum(
+                    (sp.Rational(q.numerator, q.denominator) * _monomial_tree(ring1.symbols, m)
+                     for m, q in c.items()),
+                    sp.Integer(0),
+                )
+                assert _poly_at(point, ring1, c) == point.eval(tree), (fam, c)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from jetweyl.geometry import (
     check_EW,
     weyl_connection,
 )
+from jetweyl.jets import _jet_ring
 from tree_oracle import TreeSection, partial, tree_d_omega, tree_normalize
 
 _COORDS = (T, X, Y)
@@ -263,7 +264,7 @@ def test_non_solution_residuals_match_the_tree():
 
 
 def test_jets_and_invariants_match_the_tree():
-    from jetweyl.invariants import invariant, twelve_invariants
+    from jetweyl.invariants import _order3, invariant
 
     sol = _moved("sl2-family", 0)
     sf, tree = sol.field, TreeSection(sol)
@@ -276,8 +277,9 @@ def test_jets_and_invariants_match_the_tree():
     )
     gen = _moved("hierarchy", 1)
     sf, tree = gen.field, TreeSection(gen)
-    for e in twelve_invariants()[:4]:
-        assert tree_normalize(sf.expr(sf.subs(e)) - tree.subs(e)) == 0
+    table = _order3()
+    for f in table.twelve[:4]:
+        assert tree_normalize(sf.expr(sf.subs(f)) - tree.subs(table.ring.to_expr(f))) == 0
 
 
 def test_moves_and_signatures_build_no_trees(monkeypatch):
@@ -450,8 +452,9 @@ def test_radical_constants_are_reduced_exactly():
 def test_degenerate_metric_raises_solution_error():
     sol = catalog("trivial")
     sf = sol.field
-    g = [[sf.subs(sp.Integer(e)) for e in row] for row in ((0, 2, 0), (2, 0, 0), (0, 0, 0))]
-    pair = WeylPair(sol, sf, g, (sf.subs(sp.Integer(0)),) * 3)
+    c = _jet_ring(0).convert
+    g = [[sf.subs(c(e)) for e in row] for row in ((0, 2, 0), (2, 0, 0), (0, 0, 0))]
+    pair = WeylPair(sol, sf, g, (sf.subs(c(0)),) * 3)
     with pytest.raises(SolutionError, match="degenerate"):
         weyl_connection(pair)
 
