@@ -1021,7 +1021,6 @@ def sl2_structure_report(sol: Solution, constants=None) -> dict:
     """
     from .invariants import _order3
 
-    table = _order3()
     if constants is None:
         constants = {
             1: sp.Integer(1),
@@ -1032,7 +1031,7 @@ def sl2_structure_report(sol: Solution, constants=None) -> dict:
     out = {"entries": [], "indeterminate": None}
     any_indet = False
     for i in (1, 2, 3, 4):
-        f = table.K[i - 1] - constants[i]
+        f = _order3().K[i - 1] - constants[i]
         _, ((nval, _), (dval, _)) = sol.field._evaluate((f.numer, f.denom), sol.field._value)
         nval, dval = map(sol.field._reduced, (nval, dval))
         any_indet = any_indet or not dval

@@ -138,18 +138,20 @@ def apply_derivation(i: int, e, system: EquationSystem | None = None) -> sp.Expr
 
 class _Order3:
     """The order-3 invariant data in ``ring``, the order-3 jet ring: ``I``
-    = (I1, I2, I3), ``nabla`` = the coefficients (c_t, c_x, c_y) of
-    nabla_1..nabla_3 and ``K`` = (K1, ..., K4), K3 built on K2; the twelve
-    signature invariants are a second step, taken on first use."""
+    = (I1, I2, I3), ``nabla`` = the coefficients (c_t, c_x, c_y) of nabla_1
+    to nabla_3 and, each built on first use, ``K`` and the ``twelve``."""
 
     def __init__(self):
-        ring = self.ring = _jet_ring(3)
-        c = ring.convert
-        self.I = tuple(c(invariant(i)) for i in (1, 2, 3))
-        self.nabla = tuple(derivation(j)._in(ring) for j in (1, 2, 3))
-        n2 = derivation(2)._apply_in
+        self.ring = _jet_ring(3)
+        self.I = tuple(map(self.ring.convert, (invariant(i) for i in (1, 2, 3))))
+        self.nabla = tuple(derivation(j)._in(self.ring) for j in (1, 2, 3))
+
+    @cached_property
+    def K(self) -> tuple:
+        """K1, ..., K4, with K3 built on K2."""
+        ring, c, n2 = self.ring, self.ring.convert, derivation(2)._apply_in
         K2 = c((_uxy * _uxxx - _uxx * _uxxy) / (_ux * _uxx**2))
-        self.K = (
+        return (
             c(_ux * _uxxx / _uxx**2 - 3),
             K2,
             K2 * c(1 - 2 * _uxy / _ux**2)

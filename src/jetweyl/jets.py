@@ -830,7 +830,7 @@ def _poly_at(point: JetPoint, ring: _JetRing, p) -> Fraction:
         values = point._generator_values[ring] = list(map(point.value, ring.symbols))
     total = _ZERO
     for monom, c in p.items():
-        term = Fraction(int(c.numerator), int(c.denominator))
+        term = c if type(c) is Fraction else Fraction(int(c.numerator), int(c.denominator))
         for i, n in enumerate(monom):
             if n:
                 term *= values[i] ** n
