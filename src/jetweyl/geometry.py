@@ -431,9 +431,8 @@ def _equation_and_ansatz() -> tuple:
     """(F1 and F2, the ansatz metric's entries by rows, the covector's
     components) as elements of the order-2 jet ring, converted once."""
     ring = _jet_ring(2)
-    u, v = jet("u"), jet("v")
-    g = _symmetry.ansatz_metric(u, v)
-    w = _symmetry.ansatz_covector(u, jet("u", "x"), jet("u", "y"), jet("v", "x"))
+    g = _symmetry.ansatz_metric(jet("u"), jet("v"))
+    w = _symmetry.ansatz_covector(jet("u"), jet("u", "x"), jet("u", "y"), jet("v", "x"))
     return tuple(tuple(map(ring.convert, e)) for e in (ms_system().equations, g, w))
 
 

@@ -137,18 +137,21 @@ def apply_derivation(i: int, e, system: EquationSystem | None = None) -> sp.Expr
 
 
 class _Order3:
-    """The order-3 invariant data in ``ring``, the order-3 jet ring: ``I``
-    = (I1, I2, I3), ``nabla`` = the coefficients (c_t, c_x, c_y) of nabla_1
-    to nabla_3 and, each built on first use, ``K`` and the ``twelve``."""
+    """The order-3 invariant data as elements of ``ring``, the order-3 jet
+    ring: ``I`` = (I1, I2, I3) and, each built on first use, ``nabla`` =
+    the coefficients (c_t, c_x, c_y) of nabla_1..nabla_3, ``K`` = (K1, ...,
+    K4) with K3 built on K2, and the ``twelve`` signature invariants."""
 
     def __init__(self):
         self.ring = _jet_ring(3)
-        self.I = tuple(map(self.ring.convert, (invariant(i) for i in (1, 2, 3))))
-        self.nabla = tuple(derivation(j)._in(self.ring) for j in (1, 2, 3))
+        self.I = tuple(self.ring.convert(invariant(i)) for i in (1, 2, 3))
+
+    @cached_property
+    def nabla(self) -> tuple:
+        return tuple(derivation(j)._in(self.ring) for j in (1, 2, 3))
 
     @cached_property
     def K(self) -> tuple:
-        """K1, ..., K4, with K3 built on K2."""
         ring, c, n2 = self.ring, self.ring.convert, derivation(2)._apply_in
         K2 = c((_uxy * _uxxx - _uxx * _uxxy) / (_ux * _uxx**2))
         return (

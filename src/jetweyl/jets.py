@@ -800,8 +800,7 @@ class JetPoint:
         self._solved = order
 
     def eval(self, e) -> Fraction:
-        """Exact evaluation of an expression of the term language (ring
-        polynomials go to :func:`_poly_at`) at the point."""
+        """Exact evaluation of a term-language expression at the point."""
         e = sp.sympify(e)
         rep = {}
         for s in e.free_symbols:
