@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from weakref import WeakKeyDictionary
 
 import sympy as sp
@@ -28,7 +28,7 @@ import sympy as sp
 from .errors import JetOrderError, SingularLocusError
 from .exprcore import is_formal_symbol, jet, jet_order
 from .fields import prolong
-from .jets import EquationSystem, JetPoint, _jet_ring, _poly_at, _ring_for, internal_indices
+from .jets import EquationSystem, JetPoint, _jet_ring, _poly_sums, _ring_for, internal_indices
 from .linalg import _cofactors, rank
 from .symmetry import ansatz_covector, ansatz_metric, generator
 
@@ -391,12 +391,16 @@ def coframe_rewrite() -> CoframeReport:
 
 
 def _twelve_at(point: JetPoint) -> tuple[Fraction, ...]:
-    """The twelve invariants at a point off the singular locus: their
-    numerators and denominators evaluated in ``Fraction`` arithmetic (the
-    denominators are products of powers of u_x and u_xx)."""
+    """The twelve invariants at a point off the singular locus: the
+    integer sums of their numerators and denominators (products of powers
+    of u_x and u_xx), made one ``Fraction`` per invariant."""
     o = _order3()
-    at = partial(_poly_at, point, o.ring)
-    return tuple(at(f.numer) / at(f.denom) for f in o.twelve)
+    out = []
+    for f in o.twelve:
+        nval, nden, _ = _poly_sums(point, o.ring, f.numer)
+        dval, dden, _ = _poly_sums(point, o.ring, f.denom)
+        out.append(Fraction(nval * dden, nden * dval))
+    return tuple(out)
 
 
 def independence_rank(point: JetPoint) -> int:
@@ -405,18 +409,18 @@ def independence_rank(point: JetPoint) -> int:
 
     The invariants are reduced elements of the order-3 jet ring, so their
     numerators and denominators are polynomials in internal coordinates;
-    each is differentiated by the 32 internal generators and evaluated at
-    the point in ``Fraction`` arithmetic."""
+    one integer walk over each gives its value and its gradient in the 32
+    internal generators at the point, over one denominator."""
     o = _order3()
-    at = partial(_poly_at, point, o.ring)
     coords = [o.ring.index[jet(dep, idx)] for dep in ("u", "v") for idx in internal_indices(3)]
     rows = []
     for f in o.twelve:
-        num, den = f.numer, f.denom
-        # d(num/den) = (den*d(num) - num*d(den))/den^2; the den^2 scaling
-        # does not change the rank, row-scale by it for cheaper entries
-        nval, dval = at(num), at(den)
+        nval, _, ngrad = _poly_sums(point, o.ring, f.numer, coords)
+        dval, _, dgrad = _poly_sums(point, o.ring, f.denom, coords)
         if dval == 0:
             raise SingularLocusError("Jacobian undefined at this point")
-        rows.append([dval * at(num.diff(i)) - nval * at(den.diff(i)) for i in coords])
+        # d(num/den) = (den*d(num) - num*d(den))/den^2; the row is scaled by
+        # den^2 and by the two positive denominators of the sums, which does
+        # not change the rank
+        rows.append([dval * a - nval * b for a, b in zip(ngrad, dgrad)])
     return rank(rows)

@@ -17,8 +17,10 @@ x, y, the jet coordinates up to the order in play and the formal functions
 present), where the total derivatives are ring derivations and reduction
 is a substitution of generators; the symmetry and invariance checks
 compute there and convert sympy expressions only at their boundary.  A
-:class:`JetPoint` solves the same triangular system in rational numbers,
-and ``_poly_at`` evaluates ring polynomials there.
+:class:`JetPoint` solves the same triangular system in rational numbers;
+``_poly_sums`` evaluates ring polynomials there, and their gradients, in
+Python integers over one common denominator, and ``_poly_at`` makes the
+value one ``Fraction``.
 
 The dimension counts of jet spaces and equation submanifolds live in
 :mod:`jetweyl.counts`.
@@ -731,7 +733,8 @@ class JetPoint:
                 raise ValueError(f"base coordinate must be t,x,y, got {name!r}")
             self.base[name] = Fraction(val)
         self.internal: dict[sp.Symbol, Fraction] = {}
-        # jet ring -> the values of its generators here (see _poly_at)
+        # jet ring -> (L, n): its generators' values here are n_i / L (see
+        # _poly_sums)
         self._generator_values: dict = {}
         # (dependent, (nt, nx, ny)) -> value; principal entries are filled
         # by _solve_through, all orders <= _solved at a time
@@ -820,18 +823,56 @@ class JetPoint:
         return as_fraction(val)
 
 
+def _clear_denominators(p, L: int) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+    """A polynomial (or a {monomial: rational coefficient} dict) whose
+    variables are integers over the common denominator L, in integers:
+    with M the lcm of the coefficients' denominators and ``top`` the total
+    degree, the pairs (m, (M c) L^(top - |m|)) of its terms c * x^m and
+    the denominator M L^top.  Summing coefficient * prod n_i^m_i over the
+    pairs gives the value times that denominator."""
+    M = math.lcm(*(int(c.denominator) for c in p.values()))
+    top = max(map(sum, p), default=0)
+    powers = [1]
+    for _ in range(top):
+        powers.append(powers[-1] * L)
+    terms = [
+        (m, int(c.numerator) * (M // int(c.denominator)) * powers[top - sum(m)])
+        for m, c in p.items()
+    ]
+    return terms, M * powers[top]
+
+
+def _poly_sums(point: JetPoint, ring: _JetRing, p, coords=()) -> tuple[int, int, list[int]]:
+    """(value, den, grad): a polynomial (or a {monomial: rational
+    coefficient} dict) over the generators of a jet ring without extras is
+    value / den at the point, and its partial derivative by the generator
+    ``coords[n]`` is grad[n] / den.  One walk in integers over the terms
+    of :func:`_clear_denominators` gives both, from the values of the
+    ring's generators read once per point and ring as integers n_i over
+    their common denominator L."""
+    got = point._generator_values.get(ring)
+    if got is None:
+        values = list(map(point.value, ring.symbols))
+        L = math.lcm(*(v.denominator for v in values))
+        nums = [v.numerator * (L // v.denominator) for v in values]
+        got = point._generator_values[ring] = (L, nums)
+    L, nums = got
+    terms, den = _clear_denominators(p, L)
+    value, grad = 0, [0] * len(coords)
+    for monom, scale in terms:
+        value += scale * prod(map(pow, nums, monom))
+        for n, i in enumerate(coords):
+            e = monom[i]
+            if e:
+                # the derivative has degree |m| - 1: one more factor L
+                lower = monom[:i] + (e - 1,) + monom[i + 1 :]
+                grad[n] += scale * e * L * prod(map(pow, nums, lower))
+    return value, den, grad
+
+
 def _poly_at(point: JetPoint, ring: _JetRing, p) -> Fraction:
     """The exact value at the point of a polynomial (or a {monomial:
     rational coefficient} dict) over the generators of a jet ring without
-    extras, whose values are read once per point and ring."""
-    values = point._generator_values.get(ring)
-    if values is None:
-        values = point._generator_values[ring] = list(map(point.value, ring.symbols))
-    total = _ZERO
-    for monom, c in p.items():
-        term = c if type(c) is Fraction else Fraction(int(c.numerator), int(c.denominator))
-        for i, n in enumerate(monom):
-            if n:
-                term *= values[i] ** n
-        total += term
-    return total
+    extras: the integer sums of :func:`_poly_sums`, made one ``Fraction``."""
+    value, den, _ = _poly_sums(point, ring, p)
+    return Fraction(value, den)

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, factorial, lcm, prod
 
 import sympy as sp
 
@@ -46,6 +46,7 @@ from .fields import PointField, _bracket_in, _phi_in, _point_apply, prolong
 from .jets import (
     EquationSystem,
     JetPoint,
+    _clear_denominators,
     _jet_ring,
     _poly_at,
     _ring_for,
@@ -477,7 +478,6 @@ def orbit_expected_dimension(k: int) -> int:
 # a truncated power series about the base point of a jet point:
 # {(i, j, l): coefficient of (t-t0)^i (x-x0)^j (y-y0)^l}
 _Series = dict
-_ZERO = Fraction(0)
 
 
 def _series_mul(a: _Series, b: _Series, degree: int) -> _Series:
@@ -519,7 +519,7 @@ def _polynomial(f) -> _Poly:
 
 
 class _TaylorJet:
-    """The jet point theta as a truncated power-series section.
+    """The jet point theta as a truncated power-series section, in integers.
 
     The Taylor polynomials of u and v about the base point (degree k+1,
     taken from theta's values, principal ones included) give, through
@@ -529,6 +529,12 @@ class _TaylorJet:
     coeff_sigma gives D_sigma phi at theta for every |sigma| <= k at once.
     The polynomials are the cached coefficients of :func:`_family_terms`,
     so a point builds no expression.
+
+    The argument series are kept times the lcm L of their coefficients'
+    denominators, so they, the cached monomials (one of degree d is kept
+    times L^d) and every product of series hold integers only; a composed
+    or parameter series comes with its denominator, and :meth:`vectors`
+    makes one ``Fraction`` per component.
     """
 
     def __init__(self, theta: JetPoint, k: int):
@@ -545,35 +551,39 @@ class _TaylorJet:
         }
         # one series per generator of _jet_ring(1), in its order: the exponents
         # of the polynomials of _family_terms index them
-        self.args: list[_Series] = []
-        for s in _jet_ring(1).symbols:
+        ring = _jet_ring(1)
+        args: list[_Series] = []
+        for s in ring.symbols:
             if s in BASE_SYMBOLS:
                 unit = tuple(int(b == s) for b in BASE_SYMBOLS)
-                self.args.append({(0, 0, 0): theta.base[s.name], unit: Fraction(1)})
+                args.append({(0, 0, 0): theta.base[s.name], unit: Fraction(1)})
                 continue
             dep, idx = jet_info(s)
             w = taylor[dep]
             if idx.order == 0:
-                self.args.append({e: q for e, q in w.items() if sum(e) <= k})
+                args.append({e: q for e, q in w.items() if sum(e) <= k})
                 continue
             n = (idx.nt, idx.nx, idx.ny).index(1)
-            self.args.append({
+            args.append({
                 tuple(e[m] - (m == n) for m in range(3)): e[n] * q for e, q in w.items() if e[n]
             })
+        self.L = lcm(*(q.denominator for arg in args for q in arg.values()))
+        self.args = [
+            {key: q.numerator * (self.L // q.denominator) for key, q in arg.items()}
+            for arg in args
+        ]
         self._monomials: dict[tuple[int, ...], _Series] = {
-            (0,) * len(self.args): {(0, 0, 0): Fraction(1)}
+            (0,) * len(self.args): {(0, 0, 0): 1}
         }
-        # per dependent and internal sigma: (sigma, sigma!, the values of
-        # w_{sigma+t}, w_{sigma+x}, w_{sigma+y}) for the transport terms
+        # per dependent: the internal sigma with sigma!, and the series of
+        # w_t, w_x, w_y, whose sigma coefficients are L w_{sigma+t} / sigma!,
+        # ..., for the transport terms
         self.transport = {
-            dep: [
-                (
-                    (idx.nt, idx.nx, idx.ny),
-                    prod(map(factorial, (idx.nt, idx.nx, idx.ny))),
-                    tuple(theta.value(jet(dep, idx.bump(d))) for d in "txy"),
-                )
-                for idx in internal_indices(k)
-            ]
+            dep: (
+                [((i.nt, i.nx, i.ny), prod(map(factorial, (i.nt, i.nx, i.ny))))
+                 for i in internal_indices(k)],
+                [self.args[ring.index[jet(dep, d)]] for d in "txy"],
+            )
             for dep in ("u", "v")
         }
 
@@ -586,20 +596,25 @@ class _TaylorJet:
             self._monomials[expo] = got
         return got
 
-    def compose(self, poly: _Poly) -> _Series:
-        """phi(t, x, y, u, v, u_t, ..., v_y) along the series section."""
+    def compose(self, poly: _Poly) -> tuple[_Series, int]:
+        """phi(t, x, y, u, v, u_t, ..., v_y) along the series section: an
+        integer series and its denominator M L^top (see
+        ``jets._clear_denominators``)."""
+        terms, den = _clear_denominators(poly, self.L)
         out: _Series = {}
-        for expo, c in poly.items():
+        for expo, c in terms:
             for key, q in self._monomial(expo).items():
                 out[key] = out.get(key, 0) + c * q
-        return out
+        return out, den
 
-    def parameter(self, n: int) -> _Series:
-        """The series of t^n/n! (zero for n < 0) in powers of t - t0."""
-        return {
-            (i, 0, 0): self.t0 ** (n - i) / (factorial(n - i) * factorial(i))
-            for i in range(min(n, self.k) + 1)
-        }
+    def parameter(self, n: int) -> tuple[_Series, int]:
+        """The series of t^n/n! (zero for n < 0) in powers of t - t0, for
+        t0 = a/b: the integer series a^(n-i) b^i C(n, i) over b^n n!."""
+        if n < 0:
+            return {}, 1
+        a, b = self.t0.numerator, self.t0.denominator
+        series = {(i, 0, 0): a ** (n - i) * b**i * comb(n, i) for i in range(min(n, self.k) + 1)}
+        return series, b**n * factorial(n)
 
     def vectors(self, fam: int, mmax: int) -> list[list[Fraction]]:
         """The prolonged fields of family ``fam`` with the parameters t^m/m!,
@@ -609,30 +624,41 @@ class _TaylorJet:
 
         Every component is sum_j c_j f^(j) with the cached coefficients
         c_j; each c_j is composed with the series section once, and the
-        parameter t^m/m! enters as the series of its derivatives."""
+        parameter t^m/m! enters as the series of its derivatives.  The sums
+        run in integers over one common denominator per component."""
         terms = _family_terms(fam)
         ring = _jet_ring(1)
         base_parts = [[(j, _poly_at(self.theta, ring, c)) for j, c in comp] for comp in terms[:3]]
-        phi_parts = [[(j, self.compose(c)) for j, c in comp] for comp in terms[3:]]
+        phi_parts = [[(j, *self.compose(c)) for j, c in comp] for comp in terms[3:]]
         out = []
         for m in range(mmax + 1):
             series = [self.parameter(m - j) for j in range(3)]
-            base = [
-                sum((v * series[j].get((0, 0, 0), _ZERO) for j, v in parts), _ZERO)
+            # a^t, a^x, a^y over one denominator: sum_j c_j f^(j)(t0)
+            base_terms = [
+                [(v.numerator * series[j][0].get((0, 0, 0), 0), v.denominator * series[j][1])
+                 for j, v in parts]
                 for parts in base_parts
             ]
-            vec = list(base)
+            bden = lcm(*(d for part in base_terms for _, d in part))
+            base = [sum(n * (bden // d) for n, d in part) for part in base_terms]
+            vec = [Fraction(n, bden) for n in base]
             for dep, parts in zip(("u", "v"), phi_parts):
+                products = [
+                    (_series_mul(s, series[j][0], self.k), den * series[j][1])
+                    for j, s, den in parts
+                ]
+                pden = lcm(*(d for _, d in products))
                 phi: _Series = {}
-                for j, s in parts:
-                    for key, q in _series_mul(s, series[j], self.k).items():
-                        phi[key] = phi.get(key, 0) + q
-                for sigma, weight, shifted in self.transport[dep]:
-                    val = phi.get(sigma, _ZERO) * weight
-                    for a, w in zip(base, shifted):
-                        if a:
-                            val += a * w
-                    vec.append(val)
+                for q, d in products:
+                    for key, c in q.items():
+                        phi[key] = phi.get(key, 0) + c * (pden // d)
+                # D_sigma phi_w = sigma! phi_sigma / pden, and the transport
+                # terms are sigma! sum_a base_a slope_a[sigma] / (bden L)
+                sigmas, slopes = self.transport[dep]
+                for sigma, weight in sigmas:
+                    moved = sum(a * slope[sigma] for a, slope in zip(base, slopes))
+                    num = (phi.get(sigma, 0) * bden * self.L + pden * moved) * weight
+                    vec.append(Fraction(num, pden * bden * self.L))
             out.append(vec)
         return out
 

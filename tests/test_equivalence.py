@@ -1,5 +1,6 @@
 """Signature clouds: sampling, branch handling, comparison, serialization."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -264,13 +265,13 @@ def test_jet_cloud_all_singular_raises():
         jet_cloud([sys_.point(2, internal={"u_xx": Fraction(1)})])
 
 
-def _order3_point(rng, **zero):
+def _order3_point(rng, *zero):
     internal = {
         jet(dep, idx): Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
         for dep in "uv"
         for idx in internal_indices(3)
     }
-    internal.update({jet("u", w): Fraction(0) for w in zero})
+    internal.update({jet(*name.split("_")): Fraction(0) for name in zero})
     base = {c: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for c in "txy"}
     return ms_system().point(3, base=base, internal=internal)
 
@@ -280,7 +281,8 @@ def test_jet_cloud_matches_the_tree_invariants_entry_for_entry():
     # invariants as expressions, evaluated by JetPoint.eval
     rng = random.Random(2024)
     points = [_order3_point(rng) for _ in range(22)]
-    points.insert(5, _order3_point(rng, xx=True))  # u_xx = 0: skipped
+    points.insert(5, _order3_point(rng, "u_xx"))  # u_xx = 0: skipped
+    points.append(_order3_point(rng, "u_xy", "u_yy", "v_x"))  # I2 = 0
     cloud = jet_cloud(points)
     kept = [p for i, p in enumerate(points) if i != 5]
     assert cloud.notes == ("skipped 1 singular points",)
@@ -289,11 +291,23 @@ def test_jet_cloud_matches_the_tree_invariants_entry_for_entry():
     want = tuple(tuple(p.eval(e) for e in twelve) for p in kept)
     assert cloud.values == want
     assert all(isinstance(v, Fraction) for row in cloud.values for v in row)
+    # integer values stay Fractions, written to an exact cloud file as strings
+    assert cloud.values[-1][1] == 0
+    written = json.loads(cloud_to_json(cloud))["values"]
+    integral = [
+        (r, c)
+        for r, row in enumerate(cloud.values)
+        for c, v in enumerate(row)
+        if v.denominator == 1
+    ]
+    for r, c in integral:
+        assert type(cloud.values[r][c]) is Fraction
+        assert written[r][c] == str(cloud.values[r][c])
 
 
 def test_jet_cloud_of_singular_points_only_raises():
     rng = random.Random(5)
-    singular = [_order3_point(rng, x=True), _order3_point(rng, xx=True)]
+    singular = [_order3_point(rng, "u_x"), _order3_point(rng, "u_xx")]
     with pytest.raises(SingularLocusError):
         jet_cloud(singular)
 

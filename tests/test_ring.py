@@ -36,6 +36,7 @@ from jetweyl.invariants import (
 from jetweyl.jets import (
     _jet_ring,
     _poly_at,
+    _poly_sums,
     _ring_for,
     internal_indices,
     ms_system,
@@ -389,8 +390,9 @@ def _monomial_tree(symbols, monom) -> sp.Expr:
 def test_point_evaluator_matches_the_tree(k):
     """``_poly_at`` against ``JetPoint.eval`` of the polynomial as a tree, on
     every polynomial the program evaluates at jet points: the numerators
-    and denominators of the twelve invariants, every Jacobian entry of
-    ``independence_rank`` and the base parts of the orbit vectors."""
+    and denominators of the twelve invariants with their gradients in the
+    internal coordinates (the Jacobian entries of ``independence_rank``)
+    and the base parts of the orbit vectors."""
     rng = random.Random(7100 + k)
     internal = {
         jet(dep, idx): Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
@@ -406,9 +408,10 @@ def test_point_evaluator_matches_the_tree(k):
         for p in (f.numer, f.denom):
             tree = p.as_expr()
             assert _poly_at(point, ring, p) == point.eval(tree)
-            for i in coords:
+            _, den, grad = _poly_sums(point, ring, p, coords)
+            for i, g in zip(coords, grad):
                 want = point.eval(sp.diff(tree, ring.symbols[i]))
-                assert _poly_at(point, ring, p.diff(i)) == want, (p, i)
+                assert Fraction(g, den) == want, (p, i)
     ring1 = _jet_ring(1)
     for fam in range(1, 6):
         for component in _family_terms(fam)[:3]:

@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jetweyl.counts import counting, dims
 from jetweyl.errors import ExprError, JetOrderError, LiftError, PseudogroupError
@@ -17,6 +17,7 @@ from jetweyl.geometry import Solution
 from jetweyl.jets import _jet_ring, _ring_for, internal_indices, ms_system, principal_indices
 from jetweyl import symmetry
 from jetweyl.symmetry import (
+    _TaylorJet,
     _derivatives,
     _orbit_vectors,
     _solve_lift,
@@ -419,10 +420,36 @@ def _jet_points(draw):
     return k, ms_system().point(k, base=base, internal=internal)
 
 
+def _chosen_point(k: int, t, x, y, seed: int, denominators=(1, 2, 97, 101)):
+    rng = random.Random(seed)
+    internal = {
+        jet(dep, idx): Fraction(rng.randint(-99, 99), rng.choice(denominators))
+        for dep in "uv"
+        for idx in internal_indices(k)
+    }
+    return k, ms_system().point(k, base={"t": t, "x": x, "y": y}, internal=internal)
+
+
+# t0 = 0, negative base coordinates and internal values over large coprime
+# denominators, at each order the integer series see
+@example(_chosen_point(1, 0, Fraction(-7, 3), -2, 1))
+@example(_chosen_point(2, Fraction(-5, 4), -1, Fraction(-9, 7), 2))
+@example(_chosen_point(3, 0, Fraction(-1, 97), Fraction(3, 101), 3))
+@example(_chosen_point(4, 0, -3, Fraction(-2, 5), 4, denominators=(97, 101)))
 @given(_jet_points())
 @settings(max_examples=12, deadline=None)
 def test_orbit_vectors_match_the_symbolic_path(drawn):
     _assert_matches_symbolic_path(*drawn)
+
+
+def test_the_taylor_jet_holds_integers():
+    k, theta = _chosen_point(3, Fraction(2, 3), Fraction(-1, 5), Fraction(7, 4), 5)
+    series = _TaylorJet(theta, k)
+    for fam in range(1, 6):
+        series.vectors(fam, k + 1)
+    held = [*series.args, *series._monomials.values()]
+    assert len(series._monomials) > 1
+    assert all(type(q) is int for s in held for q in s.values())
 
 
 def test_orbit_vectors_match_the_symbolic_path_at_order_4():
