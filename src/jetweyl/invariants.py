@@ -18,6 +18,7 @@ once in the order-3 jet ring (:func:`_order3`); every consumer reads them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -420,7 +421,10 @@ def independence_rank(point: JetPoint) -> int:
         if dval == 0:
             raise SingularLocusError("Jacobian undefined at this point")
         # d(num/den) = (den*d(num) - num*d(den))/den^2; the row is scaled by
-        # den^2 and by the two positive denominators of the sums, which does
-        # not change the rank
-        rows.append([dval * a - nval * b for a, b in zip(ngrad, dgrad)])
+        # den^2 and by the two positive denominators of the sums and divided
+        # by its content, which does not change the rank and keeps the
+        # entries of the elimination small
+        row = [dval * a - nval * b for a, b in zip(ngrad, dgrad)]
+        content = math.gcd(*row) or 1
+        rows.append([x // content for x in row])
     return rank(rows)

@@ -858,15 +858,19 @@ def _poly_sums(point: JetPoint, ring: _JetRing, p, coords=()) -> tuple[int, int,
         got = point._generator_values[ring] = (L, nums)
     L, nums = got
     terms, den = _clear_denominators(p, L)
+    place = {i: n for n, i in enumerate(coords)}
     value, grad = 0, [0] * len(coords)
     for monom, scale in terms:
-        value += scale * prod(map(pow, nums, monom))
-        for n, i in enumerate(coords):
-            e = monom[i]
-            if e:
+        support = list(itertools.compress(range(len(monom)), monom))
+        powers = [nums[i] ** monom[i] for i in support]
+        value += scale * prod(powers)
+        for s, i in enumerate(support):
+            n = place.get(i)
+            if n is not None:
                 # the derivative has degree |m| - 1: one more factor L
-                lower = monom[:i] + (e - 1,) + monom[i + 1 :]
-                grad[n] += scale * e * L * prod(map(pow, nums, lower))
+                e = monom[i]
+                rest = prod(powers[:s]) * prod(powers[s + 1 :])
+                grad[n] += scale * e * L * nums[i] ** (e - 1) * rest
     return value, den, grad
 
 

@@ -551,9 +551,10 @@ class _TaylorJet:
         }
         # one series per generator of _jet_ring(1), in its order: the exponents
         # of the polynomials of _family_terms index them
-        ring = _jet_ring(1)
         args: list[_Series] = []
-        for s in ring.symbols:
+        # dependent -> the places of the series of w_t, w_x, w_y in args
+        slopes: dict[str, list[int]] = {dep: [0, 0, 0] for dep in DEPENDENTS}
+        for s in _jet_ring(1).symbols:
             if s in BASE_SYMBOLS:
                 unit = tuple(int(b == s) for b in BASE_SYMBOLS)
                 args.append({(0, 0, 0): theta.base[s.name], unit: Fraction(1)})
@@ -564,6 +565,7 @@ class _TaylorJet:
                 args.append({e: q for e, q in w.items() if sum(e) <= k})
                 continue
             n = (idx.nt, idx.nx, idx.ny).index(1)
+            slopes[dep][n] = len(args)
             args.append({
                 tuple(e[m] - (m == n) for m in range(3)): e[n] * q for e, q in w.items() if e[n]
             })
@@ -582,7 +584,7 @@ class _TaylorJet:
             dep: (
                 [((i.nt, i.nx, i.ny), prod(map(factorial, (i.nt, i.nx, i.ny))))
                  for i in internal_indices(k)],
-                [self.args[ring.index[jet(dep, d)]] for d in "txy"],
+                [self.args[m] for m in slopes[dep]],
             )
             for dep in ("u", "v")
         }
