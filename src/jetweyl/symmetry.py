@@ -553,7 +553,7 @@ class _TaylorJet:
         # of the polynomials of _family_terms index them
         args: list[_Series] = []
         # dependent -> the places of the series of w_t, w_x, w_y in args
-        slopes: dict[str, list[int]] = {dep: [0, 0, 0] for dep in DEPENDENTS}
+        places: dict[str, list[int]] = {dep: [0, 0, 0] for dep in DEPENDENTS}
         for s in _jet_ring(1).symbols:
             if s in BASE_SYMBOLS:
                 unit = tuple(int(b == s) for b in BASE_SYMBOLS)
@@ -565,7 +565,7 @@ class _TaylorJet:
                 args.append({e: q for e, q in w.items() if sum(e) <= k})
                 continue
             n = (idx.nt, idx.nx, idx.ny).index(1)
-            slopes[dep][n] = len(args)
+            places[dep][n] = len(args)
             args.append({
                 tuple(e[m] - (m == n) for m in range(3)): e[n] * q for e, q in w.items() if e[n]
             })
@@ -577,17 +577,14 @@ class _TaylorJet:
         self._monomials: dict[tuple[int, ...], _Series] = {
             (0,) * len(self.args): {(0, 0, 0): 1}
         }
-        # per dependent: the internal sigma with sigma!, and the series of
-        # w_t, w_x, w_y, whose sigma coefficients are L w_{sigma+t} / sigma!,
-        # ..., for the transport terms
-        self.transport = {
-            dep: (
-                [((i.nt, i.nx, i.ny), prod(map(factorial, (i.nt, i.nx, i.ny))))
-                 for i in internal_indices(k)],
-                [self.args[m] for m in slopes[dep]],
-            )
-            for dep in ("u", "v")
-        }
+        # for the transport terms: the internal sigma with sigma!, and per
+        # dependent the series of w_t, w_x, w_y, whose sigma coefficients are
+        # L w_{sigma+t} / sigma!, L w_{sigma+x} / sigma!, L w_{sigma+y} / sigma!
+        self.sigmas = [
+            ((i.nt, i.nx, i.ny), prod(map(factorial, (i.nt, i.nx, i.ny))))
+            for i in internal_indices(k)
+        ]
+        self.slopes = {dep: [self.args[m] for m in at] for dep, at in places.items()}
 
     def _monomial(self, expo: tuple[int, ...]) -> _Series:
         got = self._monomials.get(expo)
@@ -644,7 +641,7 @@ class _TaylorJet:
             bden = lcm(*(d for part in base_terms for _, d in part))
             base = [sum(n * (bden // d) for n, d in part) for part in base_terms]
             vec = [Fraction(n, bden) for n in base]
-            for dep, parts in zip(("u", "v"), phi_parts):
+            for dep, parts in zip(DEPENDENTS, phi_parts):
                 products = [
                     (_series_mul(s, series[j][0], self.k), den * series[j][1])
                     for j, s, den in parts
@@ -656,9 +653,8 @@ class _TaylorJet:
                         phi[key] = phi.get(key, 0) + c * (pden // d)
                 # D_sigma phi_w = sigma! phi_sigma / pden, and the transport
                 # terms are sigma! sum_a base_a slope_a[sigma] / (bden L)
-                sigmas, slopes = self.transport[dep]
-                for sigma, weight in sigmas:
-                    moved = sum(a * slope[sigma] for a, slope in zip(base, slopes))
+                for sigma, weight in self.sigmas:
+                    moved = sum(a * slope[sigma] for a, slope in zip(base, self.slopes[dep]))
                     num = (phi.get(sigma, 0) * bden * self.L + pden * moved) * weight
                     vec.append(Fraction(num, pden * bden * self.L))
             out.append(vec)
