@@ -270,21 +270,15 @@ def _cmd_invariants(args):
 def _cmd_verify_invariance(args):
     from . import invariants
 
-    quantities = {
-        "I1": invariants.invariant(1),
-        "I2": invariants.invariant(2),
-        "I3": invariants.invariant(3),
-        "K1": invariants.structure_K(1),
-        "K2": invariants.structure_K(2),
-        "K3": invariants.structure_K(3),
-        "K4": invariants.structure_K(4),
-    }
+    table = invariants._order3()
+    names = ("I1", "I2", "I3", "K1", "K2", "K3", "K4")
+    quantities = dict(zip(names, (*table.I, *table.K)))
     if args.quantity != "all":
         quantities = {args.quantity: quantities[args.quantity]}
     out = {}
     ok = True
-    for name, e in quantities.items():
-        res = invariants.verify_invariance(e)
+    for name, f in quantities.items():
+        res = invariants._table_invariance(f)
         good = res is True
         ok = ok and good
         out[name] = good

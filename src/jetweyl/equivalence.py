@@ -33,6 +33,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # sampling
 
+# a draw gives up after this many points outside the domain or measure
+_MAX_REJECTIONS = 5000
+
 
 def halton(index: int, base: int) -> Fraction:
     """Radical-inverse of the index in the given base: a low-discrepancy
@@ -59,7 +62,6 @@ class SamplerConfig:
     seed: int = 0
     n: int = 64
     box: tuple = ((-2, 2), (-2, 2), (-2, 2))
-    max_rejections: int = 5000
 
     def stream(self):
         bases = (2, 3, 5)
@@ -75,10 +77,10 @@ class SamplerConfig:
     def admissible(self, sol, measure=lambda p: True):
         """Up to n pairs (point, measure(point)) of the stream's points in
         the section's domain (:meth:`Solution.in_domain`) whose measure is
-        not None.  The draw ends after max_rejections rejected points."""
+        not None.  The draw ends after _MAX_REJECTIONS rejected points."""
         taken = rejected = 0
         stream = self.stream()
-        while taken < self.n and rejected < self.max_rejections:
+        while taken < self.n and rejected < _MAX_REJECTIONS:
             p = next(stream)
             value = measure(p) if sol.in_domain(p) else None
             if value is None:
@@ -183,7 +185,7 @@ def signature(sol: Solution, sampler: SamplerConfig | None = None) -> SignatureC
     )
 
 
-def jet_cloud(points: list[JetPoint], provenance: str = "equation-points") -> SignatureCloud:
+def jet_cloud(points: list[JetPoint]) -> SignatureCloud:
     """Exact signature vectors at on-equation jet points (the evaluation
     machinery independent of any section): the twelve invariants as
     elements of the order-3 jet ring, evaluated at each point off the
@@ -200,7 +202,7 @@ def jet_cloud(points: list[JetPoint], provenance: str = "equation-points") -> Si
     if not vals:
         raise SingularLocusError("every supplied jet point is singular")
     notes = (f"skipped {skipped} singular points",) if skipped else ()
-    return SignatureCloud(tuple(pts), tuple(vals), "exact", provenance, notes, None)
+    return SignatureCloud(tuple(pts), tuple(vals), "exact", "equation-points", notes, None)
 
 
 # ---------------------------------------------------------------------------

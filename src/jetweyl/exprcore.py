@@ -278,10 +278,10 @@ def is_formal_symbol(symbol) -> bool:
     return symbol in _FORMAL_REGISTRY
 
 
-def formal_shift(symbol: sp.Symbol, by: int = 1) -> sp.Symbol:
-    """The formal symbol with derivative order raised by ``by``."""
+def formal_shift(symbol: sp.Symbol) -> sp.Symbol:
+    """The formal symbol with derivative order raised by one."""
     name, order = formal_info(symbol)
-    return formal(name, order + by)
+    return formal(name, order + 1)
 
 
 def resolve_symbol(name) -> sp.Symbol:

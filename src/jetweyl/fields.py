@@ -42,7 +42,6 @@ from .exprcore import (
     is_jet_symbol,
     jet,
     jet_info,
-    jet_order,
     normalize,
     equal,
     is_zero,
@@ -127,10 +126,10 @@ class ProlongedField:
         self._dphi: dict = {}
         self._coeffs: dict = {}
 
-    def _ring(self, e: sp.Expr):
-        """The jet ring of order k+1 holding e, the field and the formal
-        derivatives its prolongation reaches."""
-        return _ring_for(self.k + 1, (e, *self.field.components()), derivatives=self.k + 1)
+    def _ring(self, *exprs):
+        """The jet ring of order k+1 holding ``exprs``, the field and the
+        formal derivatives its prolongation reaches."""
+        return _ring_for(self.k + 1, (*exprs, *self.field.components()), derivatives=self.k + 1)
 
     def _components_in(self, ring) -> list:
         got = self._components.get(ring)
@@ -171,16 +170,6 @@ class ProlongedField:
             for i in ring.present(f)
         ]
         return ring.derivation(f, images)
-
-    def _applied(self, e):
-        """(ring, the prolonged field applied to e as an element of it)."""
-        e = sp.sympify(e)
-        if jet_order(e) > self.k:
-            raise JetOrderError(
-                f"expression order {jet_order(e)} beyond prolongation order {self.k}"
-            )
-        ring = self._ring(e)
-        return ring, self._apply_in(ring, ring.convert(e))
 
 
 def _phi_in(ring, comps: list, dependent: str):

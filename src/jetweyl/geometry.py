@@ -47,7 +47,6 @@ from .exprcore import (
     validate_kernel,
 )
 from .jets import (
-    _jet_ring,
     _merge,
     _Rescaled,
     _ring_for,
@@ -426,16 +425,6 @@ def _closed_form(e, rule: str) -> sp.Expr:
 _FIELD_DERIVATIVES = 4
 
 
-@lru_cache(maxsize=None)
-def _equation_and_ansatz() -> tuple:
-    """(F1 and F2, the ansatz metric's entries by rows, the covector's
-    components) as elements of the order-2 jet ring, converted once."""
-    ring = _jet_ring(2)
-    g = _symmetry.ansatz_metric(jet("u"), jet("v"))
-    w = _symmetry.ansatz_covector(jet("u"), jet("u", "x"), jet("u", "y"), jet("v", "x"))
-    return tuple(tuple(map(ring.convert, e)) for e in (ms_system().equations, g, w))
-
-
 class Solution:
     """A section u = u(t,x,y), v = v(t,x,y) of the equation system.
 
@@ -487,7 +476,7 @@ class Solution:
     def _residuals(self) -> tuple:
         """F1, F2 at the section as field elements, computed once."""
         if self._residual_elements is None:
-            equations, _, _ = _equation_and_ansatz()
+            equations, _, _ = _symmetry._equation_and_ansatz()
             self._residual_elements = tuple(map(self.field.subs, equations))
         return self._residual_elements
 
@@ -569,8 +558,9 @@ def build_pair(sol: Solution) -> WeylPair:
     """The ansatz metric and covector of a section (one pair per section)."""
     if sol._pair is None:
         sf = sol.field
-        _, g, w = _equation_and_ansatz()
-        sol._pair = WeylPair(sol, sf, _rows([sf.subs(e) for e in g]), tuple(map(sf.subs, w)))
+        _, g, w = _symmetry._equation_and_ansatz()
+        rows = tuple(tuple(map(sf.subs, row)) for row in g)
+        sol._pair = WeylPair(sol, sf, rows, tuple(map(sf.subs, w)))
     return sol._pair
 
 

@@ -18,7 +18,6 @@ once in the order-3 jet ring (:func:`_order3`); every consumer reads them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -26,12 +25,12 @@ from weakref import WeakKeyDictionary
 
 import sympy as sp
 
-from .errors import JetOrderError, SingularLocusError
+from .errors import SingularLocusError
 from .exprcore import is_formal_symbol, jet, jet_order
 from .fields import prolong
 from .jets import EquationSystem, JetPoint, _jet_ring, _poly_sums, _ring_for, internal_indices
 from .linalg import _cofactors, rank
-from .symmetry import ansatz_covector, ansatz_metric, generator
+from .symmetry import _equation_and_ansatz, generator
 
 __all__ = [
     "invariant",
@@ -290,25 +289,36 @@ def _components(fields) -> tuple:
     return tuple(c for pf in fields for c in pf.field.components())
 
 
-def verify_invariance(e, k: int | None = None, system: EquationSystem | None = None):
+def verify_invariance(e, system: EquationSystem | None = None):
     """True when e is annihilated by all five prolonged symmetry families
     (with formal parameters); otherwise the first nonzero reduced residual
     as a witness pair (family, residual).  ``system`` is ignored (the rings
     hold the one system); it stays for callers that pass it, such as the
     benchmark workloads."""
     e = sp.sympify(e)
-    order = jet_order(e)
-    k = order if k is None else k
+    k = jet_order(e)
     ring, fields = _families(k)
-    if order > k:
-        raise JetOrderError(f"expression order {order} beyond prolongation order {k}")
     if any(is_formal_symbol(s) for s in e.free_symbols):
         # e's own formal functions join the families' parameters, in a ring
         # and with prolongations of their own, so that the shared ones keep
         # no coefficients for a ring used once
         fields = tuple(prolong(pf.field, k) for pf in fields)
         ring = _ring_for(k + 1, (e, *_components(fields)), derivatives=k + 1)
-    f = ring.convert(e)
+    return _first_residual(ring, fields, ring.convert(e))
+
+
+def _table_invariance(f):
+    """:func:`verify_invariance` of an element of the order-3 jet ring, such
+    as a quantity of the table (:func:`_order3`), embedded into the ring of
+    the order-3 prolongations, which act on order-2 elements as the order-2
+    ones do."""
+    ring, fields = _families(3)
+    return _first_residual(ring, fields, ring.embed(f))
+
+
+def _first_residual(ring, fields, f):
+    """True when every prolonged family annihilates the element f on the
+    equation, else (family, the first nonzero reduced residual)."""
     for fam, pf in enumerate(fields, 1):
         residual = ring.reduce(pf._apply_in(ring, f))
         if residual:
@@ -343,13 +353,13 @@ def coframe_rewrite() -> CoframeReport:
     """
     o = _order3()
     ring, C, I2 = o.ring, o.nabla, o.I[1]
-    c = ring.convert
 
     def dot(a, b):
         return sum((x * y for x, y in zip(a, b)), ring.field.zero)
 
-    g = [[c(e) for e in row] for row in ansatz_metric(_u, _v).tolist()]
-    w = [c(e) for e in ansatz_covector(_u, _ux, _uy, _vx)]
+    _, metric, covector = _equation_and_ansatz()
+    g = [[ring.embed(e) for e in row] for row in metric]
+    w = list(map(ring.embed, covector))
     ux = ring.gen(_ux)
     Cg = [[dot(row, col) for col in zip(*g)] for row in C]
     Gp = [[ring.reduce(ux**2 * dot(a, b)) for b in C] for a in Cg]
@@ -421,10 +431,7 @@ def independence_rank(point: JetPoint) -> int:
         if dval == 0:
             raise SingularLocusError("Jacobian undefined at this point")
         # d(num/den) = (den*d(num) - num*d(den))/den^2; the row is scaled by
-        # den^2 and by the two positive denominators of the sums and divided
-        # by its content, which does not change the rank and keeps the
-        # entries of the elimination small
-        row = [dval * a - nval * b for a, b in zip(ngrad, dgrad)]
-        content = math.gcd(*row) or 1
-        rows.append([x // content for x in row])
+        # den^2 and by the two positive denominators of the sums, which does
+        # not change the rank (``rank`` divides it by its content)
+        rows.append([dval * a - nval * b for a, b in zip(ngrad, dgrad)])
     return rank(rows)

@@ -244,6 +244,8 @@ class _JetRing:
         # denominator
         self._sympy_order = [self.index[s] for s in _sort_gens(self.symbols)]
         self._table: dict[int, object] = {}
+        # source field -> its generators' indices here (None where missing)
+        self._embeddings: dict = {}
 
     # -- conversion ---------------------------------------------------------
 
@@ -268,6 +270,34 @@ class _JetRing:
         if not den:
             raise DivisionByZeroExpression(f"zero denominator in {e}")
         return self.field.raw_new(num) if den == 1 else self.field.new(num, den)
+
+    def embed(self, f):
+        """An element of another jet ring as an element of this one, with no
+        expression and no cancellation: its monomials are read through the
+        source's generator indices here, cached per source ring, and the
+        sign is made canonical (a no-op unless extras come in another
+        order).  ``JetOrderError`` when f uses a jet this ring lacks."""
+        source = f.field
+        places = self._embeddings.get(source)
+        if places is None:
+            places = self._embeddings[source] = [self.index.get(s) for s in source.symbols]
+        n = len(self.symbols)
+
+        def moved(p):
+            out = {}
+            for monom, c in p.items():
+                m = [0] * n
+                for i in itertools.compress(range(len(monom)), monom):
+                    if places[i] is None:
+                        self._generator(source.symbols[i])
+                    m[places[i]] = monom[i]
+                out[tuple(m)] = c
+            return self.ring.dtype(out)
+
+        num, den = moved(f.numer), moved(f.denom)
+        if den[self.ring.leading_expv(den)] < 0:
+            num, den = -num, -den
+        return self.field.raw_new(num, den)
 
     def gen(self, s):
         """The generator ``s`` as a field element."""

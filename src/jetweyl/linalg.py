@@ -2,9 +2,9 @@
 
 Every rank decision in this package feeds a theorem-level assertion, so the
 exact paths never round: the rank runs on integers (rows cleared of
-denominators, fraction-free elimination), and the shape lift reuses the
-Fraction elimination over the jet ring's fraction field; pivot choice then
-only affects speed, never the answer.
+denominators, fraction-free elimination), and the shape lift uses
+Gauss-Jordan elimination over the jet ring's fraction field; pivot choice
+then only affects speed, never the answer.
 """
 
 from __future__ import annotations
@@ -32,65 +32,45 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def _copy(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    mat = [[as_fraction(x) for x in row] for row in rows]
-    if mat and any(len(r) != len(mat[0]) for r in mat):
-        raise ValueError("ragged matrix")
-    return mat
-
-
-def _forward(mat: list[list[Fraction]]) -> list[int]:
-    """In-place forward elimination to row echelon form: pivot rows are
-    neither normalized nor cleared above.  Returns the pivot columns."""
-    pivots = []
-    row = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
+def _eliminate(mat: list[list]) -> list[int]:
+    """In-place Gauss-Jordan reduction to reduced row echelon form over a
+    field; returns the pivot columns."""
+    pivots: list[int] = []
+    for col in range(len(mat[0]) if mat else 0):
+        row = len(pivots)
         piv = next((r for r in range(row, len(mat)) if mat[r][col] != 0), None)
         if piv is None:
             continue
         mat[row], mat[piv] = mat[piv], mat[row]
-        top = mat[row]
-        inv = 1 / top[col]
-        for r in range(row + 1, len(mat)):
+        inv = 1 / mat[row][col]
+        mat[row] = top = [x * inv for x in mat[row]]
+        for r in range(len(mat)):
             f = mat[r][col]
-            if f != 0:
-                f *= inv
-                # entries left of col vanish in both rows
-                mat[r][col:] = [a - f * b for a, b in zip(mat[r][col:], top[col:])]
+            if r != row and f != 0:
+                mat[r] = [a - f * b for a, b in zip(mat[r], top)]
         pivots.append(col)
-        row += 1
-        if row == len(mat):
+        if len(pivots) == len(mat):
             break
     return pivots
 
 
-def _eliminate(mat: list[list[Fraction]]) -> list[int]:
-    """In-place reduction to reduced row echelon form; returns the pivot
-    column list."""
-    pivots = _forward(mat)
-    for r in reversed(range(len(pivots))):
-        col = pivots[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for above in range(r):
-            f = mat[above][col]
-            if f != 0:
-                mat[above] = [a - f * b for a, b in zip(mat[above], mat[r])]
-    return pivots
-
-
 def rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank of a rational matrix.
+    """Exact rank of a matrix of rationals with ``numerator`` and
+    ``denominator`` (``int``, ``Fraction``, sympy ``Rational``).
 
-    Each row is scaled by the LCM of its denominators, which does not
-    change the rank, and the integer matrix is reduced by Bareiss's
-    fraction-free elimination: every division is exact, so the entries
-    stay integers (minors of the matrix) and never grow past them."""
+    Each row is scaled by the LCM of its denominators and divided by its
+    content, which does not change the rank, and the integer matrix is
+    reduced by Bareiss's fraction-free elimination: every division is
+    exact, so the entries stay integers (minors of the matrix)."""
     mat = []
-    for row in _copy(rows):
-        scale = math.lcm(*(x.denominator for x in row))
-        mat.append([x.numerator * (scale // x.denominator) for x in row])
+    for row in rows:
+        dens = [x.denominator for x in row]
+        scale = math.lcm(*dens)
+        ints = [x.numerator * (scale // d) for x, d in zip(row, dens)]
+        content = math.gcd(*ints) or 1
+        mat.append([n // content for n in ints])
+    if mat and any(len(r) != len(mat[0]) for r in mat):
+        raise ValueError("ragged matrix")
     return _bareiss_rank(mat)
 
 

@@ -230,16 +230,16 @@ def verify_commutation_table() -> list[CellReport]:
 
 def check_symmetry(field: PointField, system: EquationSystem | None = None):
     """True when the prolonged field is tangent to the equation submanifold;
-    otherwise the pair of nonzero reduced residuals."""
-    system = system or ms_system()
+    otherwise the pair of nonzero reduced residuals.  ``system`` is ignored
+    (the rings hold the one system); it stays for callers that pass it,
+    such as the benchmark workloads."""
     prolonged = prolong(field, 2)
-    reduced = []
-    for F in system.equations:
-        ring, value = prolonged._applied(F)
-        reduced.append((ring, ring.reduce(value)))
-    if not any(r for _, r in reduced):
+    ring = prolonged._ring()
+    equations, _, _ = _equation_and_ansatz()
+    reduced = [ring.reduce(prolonged._apply_in(ring, ring.embed(F))) for F in equations]
+    if not any(reduced):
         return True
-    return tuple(ring.to_expr(r) for ring, r in reduced)
+    return tuple(map(ring.to_expr, reduced))
 
 
 def grading_check() -> bool:
@@ -302,6 +302,18 @@ def ansatz_covector(u, u_x, u_y, v_x) -> sp.Matrix:
     return sp.Matrix([u * u_x + 2 * u_y + 4 * v_x, 0, -u_x])
 
 
+@lru_cache(maxsize=None)
+def _equation_and_ansatz() -> tuple:
+    """(F1 and F2, the rows of the ansatz metric, the covector's
+    components) as elements of the order-2 jet ring, converted once; every
+    other ring takes them by ``_JetRing.embed``."""
+    ring = _jet_ring(2)
+    g = ansatz_metric(_U, _V).tolist()
+    w = ansatz_covector(_U, jet("u", "x"), jet("u", "y"), jet("v", "x"))
+    equations, *rows, w = (tuple(map(ring.convert, e)) for e in (ms_system().equations, *g, w))
+    return equations, tuple(rows), w
+
+
 @dataclass(frozen=True)
 class LiftResult:
     field: PointField
@@ -317,12 +329,12 @@ def lift_shape_field(shape: ShapeField | PointField) -> LiftResult:
     are solved by exact elimination in the jet ring.
     """
     base = shape.base_field() if isinstance(shape, ShapeField) else shape
-    g = ansatz_metric(_U, _V)
-    ring = _ring_for(0, (*base.components(), *g), derivatives=1)
+    ring = _ring_for(0, base.components(), derivatives=1)
     comps = [ring.convert(c) for c in base.components()]
     if comps[3] or comps[4]:
         raise LiftError("shape field must have no fiber components")
-    G = [[ring.convert(g[i, j]) for j in range(3)] for i in range(3)]
+    _, g, _ = _equation_and_ansatz()
+    G = [[ring.embed(e) for e in row] for row in g]
     zero, one = ring.field.zero, ring.field.one
 
     def d(f, n):

@@ -305,6 +305,49 @@ def test_the_tree_derivative_guard_sees_calls():
 
 
 # ---------------------------------------------------------------------------
+# one ring form of the ansatz
+
+
+_ANSATZ = ("ansatz_metric", "ansatz_covector")
+
+
+def _ansatz_calls(source: str) -> list:
+    """(function, enclosing def) for every call of ``ansatz_metric`` or
+    ``ansatz_covector`` in a module's source, by name or by attribute."""
+
+    def flagged(call):
+        f = call.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        return [name] if name in _ANSATZ else []
+
+    return _calls(ast.parse(source), flagged)
+
+
+def test_only_the_ring_form_builds_the_ansatz():
+    # every other user embeds the entries of symmetry._equation_and_ansatz
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "jetweyl"
+    found = [
+        (path.name, name, where)
+        for path in sorted(src.glob("*.py"))
+        for name, where in _ansatz_calls(path.read_text())
+    ]
+    assert found == [
+        ("symmetry.py", "ansatz_metric", "_equation_and_ansatz"),
+        ("symmetry.py", "ansatz_covector", "_equation_and_ansatz"),
+    ]
+
+
+def test_the_ansatz_guard_sees_calls():
+    found = _ansatz_calls(
+        "from .symmetry import ansatz_metric\nfrom . import symmetry as _symmetry\n"
+        "def coframe_rewrite(u, v):\n    return ansatz_metric(u, v)\n"
+        "def build_pair(sol):\n    return _symmetry.ansatz_covector(*sol)\n"
+        "def f(g):\n    return g.ansatz(ansatz_metric)\n"
+    )
+    assert found == [("ansatz_metric", "coframe_rewrite"), ("ansatz_covector", "build_pair")]
+
+
+# ---------------------------------------------------------------------------
 # no sympy matrix algebra in the package
 
 

@@ -27,9 +27,11 @@ F_D = PointField(
 
 
 def applied(field: PointField, e, k: int) -> sp.Expr:
-    """The order-k prolongation applied to e (``ProlongedField._applied``)."""
-    ring, out = prolong(field, k)._applied(e)
-    return ring.to_expr(out)
+    """The order-k prolongation applied to e in the ring of the
+    prolongation and e (``ProlongedField._apply_in``)."""
+    prolonged = prolong(field, k)
+    ring = prolonged._ring(e)
+    return ring.to_expr(prolonged._apply_in(ring, ring.convert(e)))
 
 
 def bracket(a: PointField, b: PointField) -> PointField:
@@ -116,4 +118,4 @@ def test_prolonged_coefficient_matches_transport_formula():
 
 def test_prolongation_order_guard():
     with pytest.raises(JetOrderError):
-        prolong(F_A, 1)._applied(jet("u", (0, 2, 0)))
+        applied(F_A, jet("u", (0, 2, 0)), 1)

@@ -81,6 +81,23 @@ def test_all_sixteen_quantities_are_invariant():
     ]
     for q in quantities:
         assert verify_invariance(q, system=system) is True
+    # the table's own elements, embedded into the ring of the order-3 families
+    table = invariants._order3()
+    for f in (*table.I, *table.K, *table.twelve[3:]):
+        assert invariants._table_invariance(f) is True
+
+
+def test_the_table_path_gives_the_witness_of_the_tree_path():
+    # the order-3 families decide an order-2 element as the order-2 ones do
+    table = invariants._order3()
+    ring = table.ring
+    for f in (
+        table.I[1] + ring.convert(sp.Rational(3, 7) * u_xx),
+        table.K[0] + ring.gen(jet("u", "xxy")),
+    ):
+        result = invariants._table_invariance(f)
+        assert result is not True
+        assert result == verify_invariance(ring.to_expr(f))
 
 
 def test_relative_invariant_has_a_witness():
@@ -136,13 +153,14 @@ def test_structure_identities_hold():
 
 
 def test_warm_proofs_and_point_evaluations_convert_no_tree(monkeypatch):
-    """The order-3 data is converted into the jet ring once: after a first
-    call, the commutator and identity proofs, the independence rank and
-    the jet clouds make no ``_JetRing.convert`` call, and the coframe
-    converts only the ansatz entries."""
+    """The order-3 data and the ansatz are converted into a jet ring once:
+    after a first call, the commutator and identity proofs, the
+    ``invariance`` check, the coframe, the independence rank and the jet
+    clouds make no ``_JetRing.convert`` call, and the ``invariance`` check
+    builds no order-2 prolongations."""
+    from jetweyl import checks, invariants
     from jetweyl.equivalence import jet_cloud
     from jetweyl.jets import _JetRing
-    from jetweyl.symmetry import ansatz_covector, ansatz_metric
 
     def point():
         rng = random.Random(31)
@@ -156,26 +174,30 @@ def test_warm_proofs_and_point_evaluations_convert_no_tree(monkeypatch):
     calls = [
         verify_derivation_commutators,
         verify_identities,
+        checks.REGISTRY["invariance"].run,
+        coframe_rewrite,
         lambda: independence_rank(point()),
         lambda: jet_cloud([point()]),
     ]
-    for call in (*calls, coframe_rewrite):
+    for call in calls:
         call()
-    converted = []
-    convert = _JetRing.convert
+    converted, orders = [], []
+    convert, families = _JetRing.convert, invariants._families
 
     def counted(self, e):
         converted.append(e)
         return convert(self, e)
 
+    def recorded(k):
+        orders.append(k)
+        return families(k)
+
     monkeypatch.setattr(_JetRing, "convert", counted)
+    monkeypatch.setattr(invariants, "_families", recorded)
     for call in calls:
         call()
     assert converted == []
-    coframe_rewrite()
-    u, v = jet("u"), jet("v")
-    ansatz = [*ansatz_metric(u, v), *ansatz_covector(u, u_x, jet("u", "y"), v_x)]
-    assert len(converted) <= 13 and set(converted) <= {*ansatz, u_x}
+    assert orders and 2 not in orders
 
 
 def test_derivation_matrix_first_row():

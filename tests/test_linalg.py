@@ -1,5 +1,6 @@
 """Exact rank over the rationals, checked against sympy on random input."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -49,6 +50,12 @@ def test_rank_of_large_denominator_rank_deficient_rows():
     m = sp.Matrix([[sp.Rational(x.numerator, x.denominator) for x in row] for row in rows])
     assert rank(rows) == m.rank() == 3
     assert rank([row[:2] for row in rows]) == 2
+    # the same rows cleared of denominators, each times a large common factor
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    common = 7**60 * (10**45 + 9)
+    ints = [[int(x * scale) * common * (n + 1) for x in row] for n, row in enumerate(rows)]
+    assert rank(ints) == 3
+    assert rank([row[:2] for row in ints]) == 2
 
 
 _entry = st.fractions(min_value=-5, max_value=5, max_denominator=6)

@@ -14,7 +14,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from jetweyl.errors import DivisionByZeroExpression, ExprError
+from jetweyl.errors import DivisionByZeroExpression, ExprError, JetOrderError
 from jetweyl.exprcore import (
     T,
     X,
@@ -27,6 +27,7 @@ from jetweyl.exprcore import (
 )
 from jetweyl.fields import PointField, _bracket_in, prolong
 from jetweyl.invariants import (
+    _families,
     _order3,
     apply_derivation,
     derivation,
@@ -34,6 +35,7 @@ from jetweyl.invariants import (
     structure_K,
 )
 from jetweyl.jets import (
+    _JetRing,
     _jet_ring,
     _poly_at,
     _poly_sums,
@@ -43,7 +45,7 @@ from jetweyl.jets import (
     principal_indices,
     total_derivative,
 )
-from jetweyl.symmetry import _family_terms, generator
+from jetweyl.symmetry import ShapeField, _equation_and_ansatz, _family_terms, generator
 from tree_oracle import generating_section, partial, tree_normalize
 
 # ---------------------------------------------------------------------------
@@ -119,10 +121,11 @@ def same(a, b) -> bool:
 
 
 def applied(field: PointField, e, k: int) -> sp.Expr:
-    """The order-k prolongation applied to e by the ring
-    (``ProlongedField._applied``)."""
-    ring, out = prolong(field, k)._applied(e)
-    return ring.to_expr(out)
+    """The order-k prolongation applied to e in the ring of the
+    prolongation and e (``ProlongedField._apply_in``)."""
+    prolonged = prolong(field, k)
+    ring = prolonged._ring(e)
+    return ring.to_expr(prolonged._apply_in(ring, ring.convert(e)))
 
 
 FAMILIES = [generator(fam, name) for fam, name in zip(range(1, 6), "abcde")]
@@ -258,6 +261,46 @@ def test_ring_round_trip_is_the_canonical_form(seed):
     e = _random_expression(random.Random(seed))
     ring = _ring_for(jet_order(e), (e,))
     assert ring.to_expr(ring.convert(e)) == tree_normalize(e)
+
+
+def _embeds_as_converted(source, target, f) -> bool:
+    """``target.embed(f)`` has the numerator and denominator of the
+    conversion of f's expression in ``source``."""
+    got, want = target.embed(f), target.convert(source.to_expr(f))
+    return got.numer == want.numer and got.denom == want.denom
+
+
+def test_embed_matches_conversion():
+    o = _order3()
+    families_ring = _families(3)[0]
+    for f in (*o.I, *o.K, *o.twelve[3:]):
+        assert _embeds_as_converted(o.ring, families_ring, f)
+    source = _jet_ring(2)
+    lift_ring = _ring_for(0, ShapeField(d=formal("d")).base_field().components(), derivatives=1)
+    symmetry_ring = prolong(generator(5, formal("f")), 2)._ring()
+    equations, metric, covector = _equation_and_ansatz()
+    for target in (_jet_ring(3), lift_ring, symmetry_ring):
+        for f in (*equations, *metric[0], *metric[1], *metric[2], *covector):
+            if all(source.symbols[i] in target.index for i in source.present(f)):
+                assert _embeds_as_converted(source, target, f)
+            else:
+                # only the lift ring, of jet order 0, lacks a generator
+                assert target is lift_ring
+                with pytest.raises(JetOrderError):
+                    target.embed(f)
+    # K1 holds u_xxx
+    with pytest.raises(JetOrderError):
+        _jet_ring(2).embed(o.K[0])
+
+
+def test_embed_between_extras_in_another_order_keeps_the_canonical_sign():
+    a, b = sp.symbols("embed_a embed_b")
+    source, target = _JetRing(1, (a, b)), _JetRing(1, (b, a))
+    f = source.convert((jet("u", "x") + 1) / (a - b))
+    # the denominator a - b leads with a in the source and is b - a here
+    assert f.denom == source.convert(a - b).numer
+    assert target.embed(f).denom == target.convert(b - a).numer
+    assert _embeds_as_converted(source, target, f)
 
 
 # ---------------------------------------------------------------------------
