@@ -122,9 +122,8 @@ def _cmd_reduce(args):
     from .exprcore import to_text
     from .jets import ms_system
 
-    system = ms_system()
     e = parse_expr(args.expr)
-    red = system.reduce(e, k=args.order)
+    red = ms_system().reduce(e, k=args.order)
     return {"input": to_text(e), "reduced": to_text(red)}, True
 
 
@@ -246,6 +245,19 @@ def _cmd_invariants(args):
     from . import invariants
     from .exprcore import to_text
 
+    evaluated = None
+    if args.eval:
+        # bad input fails before the table is built
+        from .dsl import parse_expr
+        from .jets import ms_system
+
+        e = parse_expr(args.eval)
+        system = ms_system()
+        e = system.reduce(e)
+        assign = _point_assignment(args.at or "")
+        base = {c: assign.pop(c, Fraction(0)) for c in ("t", "x", "y")}
+        theta = system.point(3, base=base, internal=assign)
+        evaluated = {"expr": args.eval, "value": str(theta.eval(e))}
     doc = {
         "I": {i: to_text(invariants.invariant(i)) for i in (1, 2, 3)},
         "K": {i: to_text(invariants.structure_K(i)) for i in (1, 2, 3, 4)},
@@ -254,16 +266,8 @@ def _cmd_invariants(args):
             for i in (1, 2, 3)
         },
     }
-    if args.eval:
-        from .dsl import parse_expr
-        from .jets import ms_system
-
-        system = ms_system()
-        e = system.reduce(parse_expr(args.eval))
-        assign = _point_assignment(args.at or "")
-        base = {c: assign.pop(c, Fraction(0)) for c in ("t", "x", "y")}
-        theta = system.point(3, base=base, internal=assign)
-        doc["eval"] = {"expr": args.eval, "value": str(theta.eval(e))}
+    if evaluated is not None:
+        doc["eval"] = evaluated
     return doc, True
 
 

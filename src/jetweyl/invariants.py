@@ -297,7 +297,9 @@ def verify_invariance(e, system: EquationSystem | None = None):
     benchmark workloads."""
     e = sp.sympify(e)
     k = jet_order(e)
-    ring, fields = _families(k)
+    # the order-3 prolongations act on elements of lower order as the lower
+    # ones do, so every input of order <= 3 shares the ring of _families(3)
+    ring, fields = _families(max(k, 3))
     if any(is_formal_symbol(s) for s in e.free_symbols):
         # e's own formal functions join the families' parameters, in a ring
         # and with prolongations of their own, so that the shared ones keep
@@ -310,8 +312,7 @@ def verify_invariance(e, system: EquationSystem | None = None):
 def _table_invariance(f):
     """:func:`verify_invariance` of an element of the order-3 jet ring, such
     as a quantity of the table (:func:`_order3`), embedded into the ring of
-    the order-3 prolongations, which act on order-2 elements as the order-2
-    ones do."""
+    the order-3 prolongations."""
     ring, fields = _families(3)
     return _first_residual(ring, fields, ring.embed(f))
 

@@ -33,13 +33,18 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
+from operator import add, mul, sub
 from typing import Iterable
 
 import sympy as sp
+from sympy.core.symbol import Symbol
 from sympy.polys.domains import QQ
 from sympy.polys.fields import FracElement, FracField
 from sympy.polys.orderings import lex
+from sympy.polys.polyoptions import Domain as DomainOpt, Order as OrderOpt
+from sympy.polys.polyerrors import GeneratorsError
 from sympy.polys.polyutils import _sort_gens
+from sympy.polys.rings import PolyElement, PolyRing, _parse_symbols
 
 from .errors import (
     DivisionByZeroExpression,
@@ -175,6 +180,86 @@ def _cancel(numer, denom):
     )
 
 
+# The monomial operations of every jet ring, whatever its number of
+# generators.  sympy's PolyRing compiles its own seven with ``exec`` for
+# each new size (``MonomialOps``); these are written once, with ``map``
+# over ``operator`` functions, and return what the compiled ones return.
+
+
+def _monomial_mul(a, b):
+    return tuple(map(add, a, b))
+
+
+def _monomial_pow(a, k):
+    return tuple(map(mul, a, itertools.repeat(k)))
+
+
+def _monomial_mulpow(a, b, k):
+    return tuple(map(add, a, map(mul, b, itertools.repeat(k))))
+
+
+def _monomial_ldiv(a, b):
+    return tuple(map(sub, a, b))
+
+
+def _monomial_div(a, b):
+    c = tuple(map(sub, a, b))
+    return None if c and min(c) < 0 else c
+
+
+def _monomial_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def _monomial_gcd(a, b):
+    return tuple(map(min, a, b))
+
+
+class _JetPolyRing(PolyRing):
+    """The polynomial ring of a jet ring: sympy's ``PolyRing`` built by a
+    constructor that sets every attribute sympy's sets, with the shared
+    monomial operations above in place of code compiled for its size.
+    ``clone`` builds this class too."""
+
+    def __new__(cls, symbols, domain, order=lex):
+        symbols = tuple(_parse_symbols(symbols))
+        ngens = len(symbols)
+        domain = DomainOpt.preprocess(domain)
+        order = OrderOpt.preprocess(order)
+        if domain.is_Composite and set(symbols) & set(domain.symbols):
+            raise GeneratorsError("polynomial ring and it's ground domain share generators")
+        obj = object.__new__(cls)
+        obj._hash_tuple = (cls.__name__, symbols, ngens, domain, order)
+        obj._hash = hash(obj._hash_tuple)
+        obj.symbols = symbols
+        obj.ngens = ngens
+        obj.domain = domain
+        obj.order = order
+        obj.dtype = PolyElement(obj, ()).new
+        obj.zero_monom = (0,) * ngens
+        obj.gens = obj._gens()
+        obj._gens_set = set(obj.gens)
+        obj._one = [(obj.zero_monom, domain.one)]
+        obj.monomial_mul = _monomial_mul
+        obj.monomial_pow = _monomial_pow
+        obj.monomial_mulpow = _monomial_mulpow
+        obj.monomial_ldiv = _monomial_ldiv
+        obj.monomial_div = _monomial_div
+        obj.monomial_lcm = _monomial_lcm
+        obj.monomial_gcd = _monomial_gcd
+        obj.leading_expv = max if order is lex else (lambda f: max(f, key=order))
+        _name_generators(obj)
+        return obj
+
+
+def _name_generators(obj) -> None:
+    """Each generator as an attribute named after its symbol, unless the
+    name is taken, as sympy's constructors do."""
+    for symbol, generator in zip(obj.symbols, obj.gens):
+        if isinstance(symbol, Symbol) and not hasattr(obj, symbol.name):
+            setattr(obj, symbol.name, generator)
+
+
 class _JetFraction(FracElement):
     """An element of a jet ring's field; sums, products and quotients are
     brought to lowest terms by :func:`_cancel`."""
@@ -185,15 +270,25 @@ class _JetFraction(FracElement):
 
 class _JetField(FracField):
     """The rational-function field of a jet ring: sympy's ``FracField``
-    with :class:`_JetFraction` elements and a ``new`` that goes through
-    :func:`_cancel`."""
+    over a :class:`_JetPolyRing`, with :class:`_JetFraction` elements and
+    a ``new`` that goes through :func:`_cancel`.  The constructor sets
+    every attribute sympy's sets."""
 
     def __new__(cls, symbols, domain, order=lex):
-        obj = super().__new__(cls, symbols, domain, order)
-        obj.dtype = _JetFraction(obj, obj.ring.zero).raw_new
-        obj.zero = obj.dtype(obj.ring.zero)
-        obj.one = obj.dtype(obj.ring.one)
+        ring = _JetPolyRing(symbols, domain, order)
+        obj = object.__new__(cls)
+        obj._hash_tuple = (cls.__name__, ring.symbols, ring.ngens, ring.domain, ring.order)
+        obj._hash = hash(obj._hash_tuple)
+        obj.ring = ring
+        obj.symbols = ring.symbols
+        obj.ngens = ring.ngens
+        obj.domain = ring.domain
+        obj.order = ring.order
+        obj.dtype = _JetFraction(obj, ring.zero).raw_new
+        obj.zero = obj.dtype(ring.zero)
+        obj.one = obj.dtype(ring.one)
         obj.gens = obj._gens()
+        _name_generators(obj)
         return obj
 
     def new(self, numer, denom=None):

@@ -5,9 +5,10 @@ family X_i(p) is linear in its parameter p(t) and in p' and p'', and is
 written once, as the table ``_FAMILIES`` of the coefficients of (p, p',
 p'').  Every use reads the table: :func:`generator` builds X_i(p), the base
 part of a :class:`ShapeField` is the sum of the families' base parts, the
-commutation table is verified on the table's coefficients in one jet ring,
-and the orbit vectors compose the table's generating sections with a
-point's Taylor series.
+table is converted into a jet ring once (:func:`_ring_rows`), the
+commutation table is verified on its coefficients in one jet ring, and the
+orbit vectors compose the table's generating sections with a point's
+Taylor series.
 
 This module also checks the defining symmetry property against the
 equations, lifts shape-preserving base fields to the total space, defines
@@ -97,6 +98,15 @@ _FAMILIES = {
         (2 * _V, 2 * X + 2 * Y * _U, Y**2),
     ),
 }
+
+
+@lru_cache(maxsize=None)
+def _ring_rows(rows: tuple) -> tuple:
+    """A family's rows of ``_FAMILIES`` as elements of ``_jet_ring(0)``,
+    converted once per distinct rows; every other ring takes the entries
+    by ``_JetRing.embed``."""
+    ring = _jet_ring(0)
+    return tuple(tuple(map(ring.convert, row)) for row in rows)
 
 
 def _parameter(p) -> sp.Expr:
@@ -196,16 +206,18 @@ def verify_commutation_table() -> list[CellReport]:
     """Check all 25 cells [X_i(f), X_j(g)] against the table, with formal
     parameters f, g.  Failures appear as report entries, never exceptions.
 
-    The table's coefficients are converted once into one jet ring, where
-    X_i(p) = c0*p + c1*D_t p + c2*D_t^2 p is built for the parameters and
-    for the tabulated right-hand sides, the brackets are taken and the
-    residuals are zero-tested."""
+    The table's coefficients are embedded from their ring form
+    (:func:`_ring_rows`) into one jet ring, where X_i(p) = c0*p +
+    c1*D_t p + c2*D_t^2 p is built for the parameters and for the
+    tabulated right-hand sides, the brackets are taken and the residuals
+    are zero-tested."""
     f, g = formal("f"), formal("g")
     # the brackets of second-order fields reach the third derivatives
     ring = _ring_for(0, (formal("f", 2), formal("g", 2)), derivatives=1)
     zero = ring.field.zero
     slopes = {
-        fam: [[ring.convert(c) for c in row] for row in rows] for fam, rows in _FAMILIES.items()
+        fam: [[ring.embed(c) for c in row] for row in _ring_rows(rows)]
+        for fam, rows in _FAMILIES.items()
     }
 
     def dot(p):
@@ -509,13 +521,14 @@ _Poly = dict
 
 @lru_cache(maxsize=None)
 def _family_terms(fam: int) -> tuple[tuple[tuple[int, _Poly], ...], ...]:
-    """Family ``fam`` read from the table into ``_jet_ring(1)``, built once:
-    for its base components (a^t, a^x, a^y) and generating section (phi_u,
-    phi_v), the pairs (j, coefficient of p^(j)) with a nonzero coefficient.
+    """Family ``fam`` embedded from the table's ring form into
+    ``_jet_ring(1)``, built once: for its base components (a^t, a^x, a^y)
+    and generating section (phi_u, phi_v), the pairs (j, coefficient of
+    p^(j)) with a nonzero coefficient.
     phi_w is linear in the components, so its coefficient of p^(j) is the
     generating section of the table's column j."""
     ring = _jet_ring(1)
-    columns = [[ring.convert(c) for c in column] for column in zip(*_FAMILIES[fam])]
+    columns = [[ring.embed(c) for c in column] for column in zip(*_ring_rows(_FAMILIES[fam]))]
     parts = [[column[n] for column in columns] for n in range(3)]
     parts += [[_phi_in(ring, column, dep) for column in columns] for dep in DEPENDENTS]
     return tuple(

@@ -489,6 +489,110 @@ def test_the_sympy_attribute_guard_sees_writes():
 
 
 # ---------------------------------------------------------------------------
+# jet rings are built by their own constructor only
+
+
+_RING_CLASSES = ("PolyRing", "FracField")
+# sympy's functions that build a ring or field with its own constructor
+_RING_FUNCTIONS = ("ring", "xring", "vring", "sring", "field", "xfield", "vfield", "sfield")
+
+
+def _ring_constructions(source: str) -> list:
+    """(what, enclosing class.def) for every construction of a sympy
+    ``PolyRing`` or ``FracField`` in a module's source: a call of the class
+    or of its ``__new__``, by imported name or through a sympy module, a
+    ``super().__new__`` in a subclass of one, and a call of one of sympy's
+    ring-building functions (``ring``, ``xring``, ``field``, ...)."""
+    tree = ast.parse(source)
+    # local name -> the dotted sympy name it stands for
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "sympy":
+                    names[a.asname or a.name.split(".")[0]] = a.name if a.asname else "sympy"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sympy":
+            for a in node.names:
+                names[a.asname or a.name] = f"{node.module}.{a.name}"
+
+    def sympy_name(node):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if not isinstance(node, ast.Name) or node.id not in names:
+            return None
+        return ".".join([names[node.id], *reversed(parts)])
+
+    def constructed(call, ring_bases):
+        f = call.func
+        if isinstance(f, ast.Attribute) and f.attr == "__new__":
+            inner = f.value
+            if isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "super":
+                return ring_bases
+            f = inner
+        name = sympy_name(f)
+        last = name.rsplit(".", 1)[-1] if name else None
+        return [last] if last in _RING_CLASSES + _RING_FUNCTIONS else []
+
+    found = []
+
+    def visit(node, scope, ring_bases):
+        for child in ast.iter_child_nodes(node):
+            inner, bases = scope, ring_bases
+            if isinstance(child, ast.ClassDef):
+                inner = child.name
+                bases = [
+                    n.rsplit(".", 1)[-1]
+                    for n in map(sympy_name, child.bases)
+                    if n and n.rsplit(".", 1)[-1] in _RING_CLASSES
+                ]
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call):
+                found.extend((what, scope) for what in constructed(child, ring_bases))
+            visit(child, inner, bases)
+
+    visit(tree, None, [])
+    return found
+
+
+def test_only_the_jet_constructors_build_rings():
+    # jets._JetPolyRing and _JetField set sympy's attributes themselves;
+    # anything else would compile sympy's monomial code per ring size
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "jetweyl"
+    offending = []
+    for path in sorted(src.glob("*.py")):
+        for what, where in _ring_constructions(path.read_text()):
+            owner = (where or "").split(".")[0]
+            if not (path.name == "jets.py" and owner in ("_JetPolyRing", "_JetField")):
+                offending.append(f"{path.name}: {what} in {where}")
+    assert offending == []
+
+
+def test_the_ring_construction_guard_sees_calls():
+    found = _ring_constructions(
+        "import sympy as sp\nimport sympy.polys.fields\n"
+        "from sympy.polys.rings import PolyRing, ring as make_ring\n"
+        "from sympy.polys import fields\nfrom dataclasses import field\n"
+        "class Mine(PolyRing):\n"
+        "    def __new__(cls, symbols):\n        return super().__new__(cls, symbols, sp.QQ)\n"
+        "def build(s):\n"
+        "    R, K = PolyRing(s, sp.QQ), fields.FracField.__new__(fields.FracField, s, sp.QQ)\n"
+        "    S, x = make_ring('x', sp.QQ)\n    T = sp.xring('y', sp.QQ)\n"
+        "    return sympy.polys.fields.field('z', sp.QQ), field(default=0), Mine(s)\n"
+    )
+    assert found == [
+        ("PolyRing", "Mine.__new__"),
+        ("PolyRing", "build"),
+        ("FracField", "build"),
+        ("ring", "build"),
+        ("xring", "build"),
+        ("field", "build"),
+    ]
+
+
+# ---------------------------------------------------------------------------
 # no exported name without a caller
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

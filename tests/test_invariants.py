@@ -123,8 +123,18 @@ def test_witnesses_name_the_family_and_residual(e, witness):
     assert (fam, str(residual)) == (4, witness)
 
 
+def test_a_family_one_witness():
+    # X1(a) moves x by a(t) and v by a'(t): u_t and v_t are not invariant,
+    # and family 1, the first tried, names the residual
+    assert [
+        (fam, to_text(residual))
+        for fam, residual in map(verify_invariance, (jet("u", "t"), jet("v", "t")))
+    ] == [(1, "-a'(t)*u_x"), (1, "a''(t) - a'(t)*v_x")]
+
+
 def test_formal_inputs_leave_the_shared_families_alone():
-    ring, fields = invariants._families(1)
+    # u_x, of order 1, is decided in the ring of the order-3 families
+    ring, fields = invariants._families(3)
     for i in range(20):
         assert verify_invariance(formal(f"w{i}") * u_x) is not True
     assert verify_invariance(u_x) is not True

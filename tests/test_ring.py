@@ -8,12 +8,19 @@ Leibniz solver of ``JetPoint`` at random rational points.
 """
 
 import random
+import types
 from fractions import Fraction
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.fields import FracElement, FracField
+from sympy.polys.monomials import MonomialOps
+from sympy.polys.orderings import lex
+from sympy.polys.rings import PolyElement, PolyRing
 
+from jetweyl import jets
 from jetweyl.errors import DivisionByZeroExpression, ExprError, JetOrderError
 from jetweyl.exprcore import (
     T,
@@ -33,8 +40,10 @@ from jetweyl.invariants import (
     derivation,
     invariant,
     structure_K,
+    verify_invariance,
 )
 from jetweyl.jets import (
+    _JetField,
     _JetRing,
     _jet_ring,
     _poly_at,
@@ -465,6 +474,124 @@ def test_point_evaluator_matches_the_tree(k):
                     sp.Integer(0),
                 )
                 assert _poly_at(point, ring1, c) == point.eval(tree), (fam, c)
+
+
+# ---------------------------------------------------------------------------
+# the ring constructor: sympy's attributes, shared monomial operations
+
+_MONOMIAL_OPS = {
+    "monomial_mul": jets._monomial_mul,
+    "monomial_pow": jets._monomial_pow,
+    "monomial_mulpow": jets._monomial_mulpow,
+    "monomial_ldiv": jets._monomial_ldiv,
+    "monomial_div": jets._monomial_div,
+    "monomial_lcm": jets._monomial_lcm,
+    "monomial_gcd": jets._monomial_gcd,
+}
+
+
+@pytest.mark.parametrize("n", [1, 5, 43, 105])
+def test_shared_monomial_operations_match_sympys_compiled_ones(n):
+    ops = MonomialOps(n)
+    compiled = {
+        "monomial_mul": ops.mul(),
+        "monomial_pow": ops.pow(),
+        "monomial_mulpow": ops.mulpow(),
+        "monomial_ldiv": ops.ldiv(),
+        "monomial_div": ops.div(),
+        "monomial_lcm": ops.lcm(),
+        "monomial_gcd": ops.gcd(),
+    }
+    rng = random.Random(n)
+    divisions = []
+    for _ in range(40):
+        a = tuple(rng.randint(0, 4) for _ in range(n))
+        # b divides a in every other case, and in the rest mostly not
+        b = tuple(rng.randint(0, e) if rng.random() < 0.5 else rng.randint(0, 4) for e in a)
+        if rng.random() < 0.5:
+            b = tuple(rng.randint(0, e) for e in a)
+        k = rng.randint(0, 5)
+        for name, op in _MONOMIAL_OPS.items():
+            args = (a, k) if name == "monomial_pow" else (a, b, k) if name == "monomial_mulpow" else (a, b)
+            assert op(*args) == compiled[name](*args), (name, args)
+        divisions.append(jets._monomial_div(a, b))
+    assert None in divisions and any(d is not None for d in divisions)
+
+
+def _comparable(value):
+    """A value of a ring's or field's ``vars()`` in a form that compares
+    across the ring classes: elements by their terms, bound methods by
+    their function, containers entry by entry."""
+    if isinstance(value, PolyElement):
+        return ("poly", frozenset(value.items()))
+    if isinstance(value, FracElement):
+        return ("frac", _comparable(value.numer), _comparable(value.denom))
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_comparable, value))
+    if isinstance(value, (set, frozenset)):
+        return frozenset(map(_comparable, value))
+    if isinstance(value, types.MethodType):
+        return ("method", value.__func__)
+    return value
+
+
+def _same_attributes(ours, sympys, shared=()) -> None:
+    """``vars()`` of a jet ring (or field) and of sympy's over the same
+    symbols: the same keys, and the same values apart from the class name
+    in the hash tuple and the names in ``shared``, which hold the shared
+    monomial operations."""
+    mine, theirs = vars(ours), vars(sympys)
+    assert mine.keys() == theirs.keys()
+    for key, value in mine.items():
+        if key in shared:
+            assert value is _MONOMIAL_OPS[key], key
+        elif key == "_hash_tuple":
+            assert (value[0], theirs[key][0]) == (type(ours).__name__, type(sympys).__name__)
+            assert value[1:] == theirs[key][1:]
+        elif key == "_hash":
+            assert value == hash(mine["_hash_tuple"])
+        else:
+            assert _comparable(value) == _comparable(theirs[key]), key
+
+
+def test_jet_rings_set_every_attribute_sympys_constructors_set():
+    # a sympy release that adds an attribute to its constructors fails here
+    symbols = _ring_for(1, (formal("a", 1),)).symbols
+    field = _JetField(symbols, QQ, lex)
+    _same_attributes(field.ring, PolyRing(symbols, QQ, lex), shared=_MONOMIAL_OPS)
+    _same_attributes(field, FracField(symbols, QQ, lex))
+    assert type(field.ring) is jets._JetPolyRing
+    assert type(field.one) is jets._JetFraction
+
+
+def test_new_ring_sizes_compile_no_monomial_code(monkeypatch):
+    built = []
+    build = MonomialOps._build
+
+    def counted(self, code, name):
+        built.append(name)
+        return build(self, code, name)
+
+    monkeypatch.setattr(MonomialOps, "_build", counted)
+    # sizes no other ring of the process has
+    rings = [_JetField(sp.symbols(f"s0:{n}"), QQ, lex).ring for n in (211, 223, 227)]
+    rings.append(_JetRing(1, tuple(formal("w", m) for m in range(17))).ring)
+    clones = [ring.clone(domain=ZZ) for ring in rings]
+    assert built == []
+    assert {type(ring) for ring in (*rings, *clones)} == {jets._JetPolyRing}
+    assert [ring.domain for ring in clones] == [ZZ] * 4
+    # the control: sympy's own constructor compiles seven functions for a
+    # new size
+    PolyRing(sp.symbols("s0:229"), QQ, lex)
+    assert len(built) == 7
+
+
+def test_invariance_proofs_of_order_up_to_3_share_one_prolongation_ring():
+    _families.cache_clear()
+    for e in (invariant(1), jet("u", "x"), structure_K(1)):
+        verify_invariance(e)
+    assert _families.cache_info().currsize == 1
+    assert _families(3) is _families(3)
 
 
 # ---------------------------------------------------------------------------
