@@ -493,23 +493,17 @@ _MONOMIAL_OPS = {
 @pytest.mark.parametrize("n", [1, 5, 43, 105])
 def test_shared_monomial_operations_match_sympys_compiled_ones(n):
     ops = MonomialOps(n)
-    compiled = {
-        "monomial_mul": ops.mul(),
-        "monomial_pow": ops.pow(),
-        "monomial_mulpow": ops.mulpow(),
-        "monomial_ldiv": ops.ldiv(),
-        "monomial_div": ops.div(),
-        "monomial_lcm": ops.lcm(),
-        "monomial_gcd": ops.gcd(),
-    }
+    # monomial_mul -> MonomialOps.mul() and so on
+    compiled = {name: getattr(ops, name.split("_")[1])() for name in _MONOMIAL_OPS}
     rng = random.Random(n)
     divisions = []
     for _ in range(40):
         a = tuple(rng.randint(0, 4) for _ in range(n))
-        # b divides a in every other case, and in the rest mostly not
-        b = tuple(rng.randint(0, e) if rng.random() < 0.5 else rng.randint(0, 4) for e in a)
         if rng.random() < 0.5:
+            # b divides a
             b = tuple(rng.randint(0, e) for e in a)
+        else:
+            b = tuple(rng.randint(0, 4) for _ in a)
         k = rng.randint(0, 5)
         for name, op in _MONOMIAL_OPS.items():
             args = (a, k) if name == "monomial_pow" else (a, b, k) if name == "monomial_mulpow" else (a, b)
