@@ -39,9 +39,8 @@ def _table():
 
 
 def _symmetry():
-    system = ms_system()
     families = all(
-        symmetry.check_symmetry(symmetry.generator(i, formal("f")), system) is True
+        symmetry.check_symmetry(symmetry.generator(i, formal("f"))) is True
         for i in range(1, 6)
     )
     grading = symmetry.grading_check()

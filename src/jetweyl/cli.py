@@ -150,16 +150,14 @@ def _cmd_check_symmetry(args):
     from . import symmetry
     from .dsl import parse_expr
     from .exprcore import formal, to_text
-    from .jets import ms_system
 
-    system = ms_system()
     families = (1, 2, 3, 4, 5) if args.family == "all" else (int(args.family),)
     out = []
     ok = True
     for i in families:
         param = parse_expr(args.parameter) if args.parameter else formal("f")
         field = symmetry.generator(i, param)
-        res = symmetry.check_symmetry(field, system)
+        res = symmetry.check_symmetry(field)
         good = res is True
         ok = ok and good
         out.append(

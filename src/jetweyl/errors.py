@@ -44,7 +44,8 @@ class ParseError(JetweylError):
 
 
 class JetOrderError(JetweylError):
-    """A jet coordinate beyond the configured order cap was requested."""
+    """A jet coordinate past ``MAX_JET_ORDER``, or outside the jet order a
+    jet ring holds, was requested."""
 
 
 class PointNotOnEquationError(JetweylError):

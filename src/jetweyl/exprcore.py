@@ -83,8 +83,9 @@ X = sp.Symbol("x", real=True)
 Y = sp.Symbol("y", positive=True)
 BASE_SYMBOLS = (T, X, Y)
 
-#: hard sanity cap on jet order; the working cap of the equation modules is
-#: lower and configurable, this one only guards against runaway recursion.
+#: hard cap on jet order: ``jet`` refuses a coordinate past it, so no jet
+#: ring holds one, and reduction, prolongation and the orbit rank refuse
+#: orders that would need one.
 MAX_JET_ORDER = 8
 
 DEPENDENTS = ("u", "v")

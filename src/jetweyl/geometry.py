@@ -40,18 +40,18 @@ from .exprcore import (
     formal_shift,
     is_formal_symbol,
     is_jet_symbol,
-    is_zero,
     jet,
     jet_info,
     to_text,
     validate_kernel,
 )
 from .jets import (
+    _coordinates,
+    _equations,
+    _jet_ring,
     _merge,
     _Rescaled,
     _ring_for,
-    ms_system,
-    total_derivative,
 )
 from .linalg import _cofactors
 from . import symmetry as _symmetry
@@ -942,16 +942,12 @@ def catalog(cid: str, f=None, h=None, w=None) -> Solution:
 def dkp_reduction_check() -> bool:
     """With u = 0 the second equation is the dKP equation
     v_tx + v_x^2 + v v_xx - v_yy = 0 (on jets)."""
-    system = ms_system()
-    kill_u = {
-        s: sp.Integer(0)
-        for s in system.F2.free_symbols
-        if is_jet_symbol(s) and jet_info(s)[0] == "u"
-    }
+    ring = _jet_ring(2)
+    kill_u = [(ring.gens[ring.index[s]], 0) for s in _coordinates(2) if jet_info(s)[0] == "u"]
     vtx, vxx, vyy = jet("v", "tx"), jet("v", "xx"), jet("v", "yy")
     vx, v = jet("v", "x"), jet("v")
-    dkp = vtx + vx**2 + v * vxx - vyy
-    return is_zero(system.F2.xreplace(kill_u) - dkp)
+    dkp = ring.convert(vtx + vx**2 + v * vxx - vyy)
+    return _equations()[1].numer.compose(kill_u) == dkp.numer
 
 
 def _hierarchy(w) -> tuple:
@@ -969,21 +965,19 @@ def hierarchy_reduction_check() -> bool:
     H = w_tx + w_x w_xy - w_y w_xx - w_yy.  Checked on jets of an
     undetermined potential: the jets of u stand for those of w, so that
     u_sigma -> w_{sigma+x} and v_sigma -> -w_{sigma+y}."""
+    ring = _jet_ring(3)
 
     def w(index):
-        return jet("u", index)
+        return ring.gen(jet("u", index))
 
     H = w("tx") + w("x") * w("xy") - w("y") * w("xx") - w("yy")
-    system = ms_system()
-    rep = {}
-    for G in system.equations:
-        for s in G.free_symbols:
-            if is_jet_symbol(s):
-                dep, idx = jet_info(s)
-                rep[s] = w(idx.bump("x")) if dep == "u" else -w(idx.bump("y"))
-    r1 = system.F1.xreplace(rep) - total_derivative(H, "x")
-    r2 = system.F2.xreplace(rep) + total_derivative(H, "y")
-    return is_zero(r1) and is_zero(r2)
+    rep = []
+    for s in _coordinates(2):
+        dep, idx = jet_info(s)
+        image = w(idx.bump("x")) if dep == "u" else -w(idx.bump("y"))
+        rep.append((ring.gens[ring.index[s]], image.numer))
+    F1, F2 = (ring.embed(F).numer.compose(rep) for F in _equations())
+    return F1 == ring.total(H, "x").numer and F2 == -ring.total(H, "y").numer
 
 
 # ---------------------------------------------------------------------------
@@ -998,7 +992,16 @@ def invariants_on_solution(sol: Solution) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
     return tuple(sf.expr(sf.subs(f)) for f in _order3().I)
 
 
-def sl2_structure_report(sol: Solution, constants=None) -> dict:
+# the printed structure constants K1-K4 of the sl2 family
+_SL2_CONSTANTS = {
+    1: sp.Integer(1),
+    2: sp.Integer(0),
+    3: sp.Rational(9, 50),
+    4: sp.Rational(-9, 500),
+}
+
+
+def sl2_structure_report(sol: Solution) -> dict:
     """Cleared-denominator consistency of the structure constants on a
     solution with u_xx = 0.
 
@@ -1010,24 +1013,17 @@ def sl2_structure_report(sol: Solution, constants=None) -> dict:
     """
     from .invariants import _order3
 
-    if constants is None:
-        constants = {
-            1: sp.Integer(1),
-            2: sp.Integer(0),
-            3: sp.Rational(9, 50),
-            4: sp.Rational(-9, 500),
-        }
     out = {"entries": [], "indeterminate": None}
     any_indet = False
     for i in (1, 2, 3, 4):
-        f = _order3().K[i - 1] - constants[i]
+        f = _order3().K[i - 1] - _SL2_CONSTANTS[i]
         _, ((nval, _), (dval, _)) = sol.field._evaluate((f.numer, f.denom), sol.field._value)
         nval, dval = map(sol.field._reduced, (nval, dval))
         any_indet = any_indet or not dval
         out["entries"].append(
             {
                 "k": i,
-                "constant": str(constants[i]),
+                "constant": str(_SL2_CONSTANTS[i]),
                 "numerator_vanishes": not nval,
                 "denominator_vanishes": not dval,
             }

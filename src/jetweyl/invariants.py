@@ -18,10 +18,9 @@ once in the order-3 jet ring (:func:`_order3`); every consumer reads them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from weakref import WeakKeyDictionary
+from functools import cached_property, lru_cache, partial
 
 import sympy as sp
 
@@ -76,34 +75,16 @@ def invariant(i: int) -> sp.Expr:
 @dataclass(frozen=True)
 class InvariantDerivation:
     """Total-derivative operator c_t D_t + c_x D_x + c_y D_y with rational
-    jet coefficients, applied with on-equation reduction."""
+    jet coefficients; ``apply_derivation`` applies it with on-equation
+    reduction."""
 
     name: str
     ct: sp.Expr
     cx: sp.Expr
     cy: sp.Expr
-    # jet ring -> the coefficients as its elements
-    _converted: WeakKeyDictionary = field(
-        default_factory=WeakKeyDictionary, init=False, repr=False, compare=False
-    )
 
     def coefficients(self) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
         return (self.ct, self.cx, self.cy)
-
-    def _in(self, ring) -> tuple:
-        """The coefficients as elements of a jet ring, converted once per ring."""
-        got = self._converted.get(ring)
-        if got is None:
-            got = self._converted[ring] = tuple(map(ring.convert, self.coefficients()))
-        return got
-
-    def _apply_in(self, ring, f):
-        """The derivation applied to an element of a jet ring, reduced."""
-        out = ring.field.zero
-        for c, d in zip(self._in(ring), "txy"):
-            if c:
-                out += c * ring.total(f, d)
-        return ring.reduce(out)
 
     def __str__(self) -> str:
         return self.name
@@ -127,20 +108,33 @@ def derivation(i: int) -> InvariantDerivation:
     raise ValueError(f"derivation index must be 1..3, got {i}")
 
 
+def _apply_in(ring, coefficients, f):
+    """The derivation with the coefficients (c_t, c_x, c_y), elements of a
+    jet ring, applied to an element f of that ring, reduced."""
+    out = ring.field.zero
+    for c, d in zip(coefficients, "txy"):
+        if c:
+            out += c * ring.total(f, d)
+    return ring.reduce(out)
+
+
 def apply_derivation(i: int, e, system: EquationSystem | None = None) -> sp.Expr:
     """The i-th invariant derivation applied to e, reduced on the equation.
     ``system`` is ignored (the rings hold the one system); it stays for
     callers that pass it, such as the benchmark workloads."""
+    derivation(i)  # ValueError for an index outside 1..3
     e = sp.sympify(e)
     ring = _ring_for(max(jet_order(e) + 1, 2), (e,), derivatives=1)
-    return ring.to_expr(derivation(i)._apply_in(ring, ring.convert(e)))
+    coefficients = map(ring.embed, _order3().nabla[i - 1])
+    return ring.to_expr(_apply_in(ring, coefficients, ring.convert(e)))
 
 
 class _Order3:
     """The order-3 invariant data as elements of ``ring``, the order-3 jet
     ring: ``I`` = (I1, I2, I3) and, each built on first use, ``nabla`` =
-    the coefficients (c_t, c_x, c_y) of nabla_1..nabla_3, ``K`` = (K1, ...,
-    K4) with K3 built on K2, and the ``twelve`` signature invariants."""
+    the coefficients (c_t, c_x, c_y) of nabla_1..nabla_3 (the one ring form
+    of the derivations; another ring embeds them), ``K`` = (K1, ..., K4)
+    with K3 built on K2, and the ``twelve`` signature invariants."""
 
     def __init__(self):
         self.ring = _jet_ring(3)
@@ -148,22 +142,27 @@ class _Order3:
 
     @cached_property
     def nabla(self) -> tuple:
-        return tuple(derivation(j)._in(self.ring) for j in (1, 2, 3))
+        c = self.ring.convert
+        return tuple(tuple(map(c, derivation(j).coefficients())) for j in (1, 2, 3))
+
+    def apply(self, j: int, f):
+        """nabla_j applied to an element of the order-3 ring, reduced."""
+        return _apply_in(self.ring, self.nabla[j - 1], f)
 
     @cached_property
     def K(self) -> tuple:
-        ring, c, n2 = self.ring, self.ring.convert, derivation(2)._apply_in
+        c, n2 = self.ring.convert, partial(self.apply, 2)
         K2 = c((_uxy * _uxxx - _uxx * _uxxy) / (_ux * _uxx**2))
         return (
             c(_ux * _uxxx / _uxx**2 - 3),
             K2,
             K2 * c(1 - 2 * _uxy / _ux**2)
-            - c(2 * _uxx / _ux**3) * n2(ring, c(_uy))
-            + c(2 / _ux**2) * n2(ring, c(_uxy)),
+            - c(2 * _uxx / _ux**3) * n2(c(_uy))
+            + c(2 / _ux**2) * n2(c(_uxy)),
             (
-                c(_uxx) * n2(ring, c(2 * _uyy - _ux * _uy))
-                - n2(ring, c(_uxy / _uxx)) * c(_uxx * (2 * _uxy - _ux**2))
-                - n2(ring, c(_uxy**2))
+                c(_uxx) * n2(c(2 * _uyy - _ux * _uy))
+                - n2(c(_uxy / _uxx)) * c(_uxx * (2 * _uxy - _ux**2))
+                - n2(c(_uxy**2))
             )
             / c(_ux**4),
         )
@@ -172,7 +171,7 @@ class _Order3:
     def twelve(self) -> tuple:
         """The signature components (I1, I2, I3, I_ij) with I_ij = the j-th
         derivation applied to I_i, in row-major order."""
-        derived = (derivation(j)._apply_in(self.ring, b) for b in self.I for j in (1, 2, 3))
+        derived = (self.apply(j, b) for b in self.I for j in (1, 2, 3))
         return self.I + tuple(derived)
 
 
@@ -263,8 +262,8 @@ def verify_identities() -> list[IdentityReport]:
     ring = o.ring
     I1, I2, I3 = o.I
     K1, K2, K3, K4 = o.K
-    n1I2 = derivation(1)._apply_in(ring, I2)
-    n2I2 = derivation(2)._apply_in(ring, I2)
+    n1I2 = o.apply(1, I2)
+    n2I2 = o.apply(2, I2)
     r1 = ring.reduce(I1 - (n1I2 + (K2 + K3) / 2 - I2 * K1))
     r2 = ring.reduce(I3 - (n1I2 - n2I2 + (K2 + 3 * K3 + 2 * K4) / 4 + I2 * (K2 - K1 - 1)))
     return [
@@ -369,7 +368,7 @@ def coframe_rewrite() -> CoframeReport:
     Cw = [dot(row, w) for row in C]
     plain = [ring.reduce(e) for e in Cw]
     adjust = [
-        ring.reduce(Cw[i] + 2 * derivation(i + 1)._apply_in(ring, ux) / ux) for i in range(3)
+        ring.reduce(Cw[i] + 2 * o.apply(i + 1, ux) / ux) for i in range(3)
     ]
     expected_w = (2, 1, 4 * I2 - 1)
 

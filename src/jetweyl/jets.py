@@ -11,16 +11,18 @@ it contains at least one t and at least one x, every prolonged equation
 D_sigma F_i is monic in exactly one principal coordinate, so the equation
 submanifold of any jet order is the graph of a triangular substitution:
 principal coordinates are polynomials in the remaining *internal* ones.
-:meth:`EquationSystem.reduce` performs that substitution in one sparse
-rational-function field over QQ (the private ``_JetRing``: generators t,
-x, y, the jet coordinates up to the order in play and the formal functions
-present), where the total derivatives are ring derivations and reduction
-is a substitution of generators; the symmetry and invariance checks
-compute there and convert sympy expressions only at their boundary.  A
-:class:`JetPoint` solves the same triangular system in rational numbers;
-``_poly_sums`` evaluates ring polynomials there, and their gradients, in
-Python integers over one common denominator, and ``_poly_at`` makes the
-value one ``Fraction``.
+F1, F2 are written once (``_ms_equations``) and held in one form, the
+elements of the order-2 jet ring that ``_equations`` converts; every
+consumer reads that form.  :meth:`EquationSystem.reduce` performs that
+substitution in one sparse rational-function field over QQ (the private
+``_JetRing``: generators t, x, y, the jet coordinates up to the order in
+play and the formal functions present), where the total derivatives are
+ring derivations and reduction is a substitution of generators; the
+symmetry and invariance checks compute there and convert sympy
+expressions only at their boundary.  A :class:`JetPoint` solves the same
+triangular system in rational numbers; ``_poly_sums`` evaluates ring
+polynomials there, and their gradients, in Python integers over one
+common denominator, and ``_poly_at`` makes the value one ``Fraction``.
 
 The dimension counts of jet spaces and equation submanifolds live in
 :mod:`jetweyl.counts`.
@@ -58,9 +60,6 @@ from .exprcore import (
     MAX_JET_ORDER,
     DEPENDENTS,
     MultiIndex,
-    T,
-    X,
-    Y,
     _rescaled,
     formal,
     formal_info,
@@ -76,8 +75,6 @@ from .exprcore import (
 from .linalg import as_fraction
 
 __all__ = [
-    "total_derivative",
-    "total_derivative_multi",
     "EquationSystem",
     "ms_system",
     "JetPoint",
@@ -85,7 +82,6 @@ __all__ = [
     "principal_indices",
 ]
 
-_DIRECTIONS = {"t": T, "x": X, "y": Y}
 _ZERO = Fraction(0)
 
 
@@ -513,9 +509,10 @@ class _JetRing:
         else:
             dep, idx = jet_info(self.symbols[i])
             if idx == MultiIndex(1, 1, 0):
-                # the checked leading solve w_tx = R_w
-                R = ms_system().principal_solve()[DEPENDENTS.index(dep)]
-                got = self.convert(R).numer
+                # the checked leading solve w_tx = w_tx - F_w/c
+                c, _ = _recurrence(dep)
+                F = self.embed(_equations()[DEPENDENTS.index(dep)]).numer
+                got = self.ring.gens[i] - F.quo_ground(QQ(c.numerator, c.denominator))
             else:
                 d = "y" if idx.ny else ("x" if idx.nx > 1 else "t")
                 parent = self.principal(self.index[jet(dep, idx.drop(d))])
@@ -566,6 +563,50 @@ class _JetRing:
 @lru_cache(maxsize=128)
 def _jet_ring(order: int, extras: tuple = ()) -> _JetRing:
     return _JetRing(order, extras)
+
+
+@lru_cache(maxsize=None)
+def _equations() -> tuple:
+    """(F1, F2) as elements of the order-2 jet ring: the one form of the
+    system, converted once from its written definition
+    (:func:`_ms_equations`).  The point recurrence, the principal table,
+    the symmetry check, the section residuals and the reductions read it;
+    other rings take it by ``_JetRing.embed``."""
+    ring = _jet_ring(2)
+    return tuple(map(ring.convert, _ms_equations()))
+
+
+@lru_cache(maxsize=None)
+def _recurrence(dep: str) -> tuple[Fraction, tuple]:
+    """(c, terms) with F_w = c*w_tx + sum of terms, read off the numerator
+    of the ring form: each term a rational coefficient and at most two jet
+    factors (dependent, (nt, nx, ny)).
+
+    No factor besides the leading one carries a t-derivative, so
+    D_sigma of a term only involves coordinates of order <= |sigma|+2
+    and t-count <= that of sigma: D_sigma F = 0 then gives
+    w_{sigma+tx} from coordinates that come earlier when principal
+    values are solved order by order, by ascending t-count.
+    """
+    ring = _jet_ring(2)
+    F = _equations()[DEPENDENTS.index(dep)]
+    lead = jet(dep, "tx")
+    c, terms = None, []
+    for monom, coef in F.numer.items():
+        factors = []
+        for i in itertools.compress(range(len(monom)), monom):
+            d, idx = jet_info(ring.symbols[i])
+            factors += [(d, (idx.nt, idx.nx, idx.ny))] * monom[i]
+        coef = Fraction(int(coef.numerator), int(coef.denominator))
+        if factors == [(dep, (1, 1, 0))]:
+            c = coef
+            continue
+        if len(factors) > 2 or any(ix[0] for _, ix in factors):
+            raise AssertionError(f"{lead} does not lead {ring.to_expr(F)}")
+        terms.append((coef, tuple(factors)))
+    if not c or F.denom != 1:
+        raise AssertionError(f"equation not affine-monic in {lead}")
+    return c, tuple(terms)
 
 
 def _ring_for(order: int, exprs: Iterable, derivatives: int = 0, aux: tuple = ()) -> _JetRing:
@@ -684,41 +725,6 @@ def _canonical(e: sp.Expr) -> tuple[_Rescaled, object]:
     return _Rescaled(ring, back), ring.convert(scaled)
 
 
-def total_derivative(e, direction) -> sp.Expr:
-    """Total derivative D_i in coordinates: base partial plus jet transport.
-
-    D_i e = d_{x^i} e + sum_sigma (u_{sigma+i} * de/du_sigma + ...),
-    computed as a derivation of the jet ring.
-
-    Raises the jet order by at most one, and refuses to go past
-    ``MAX_JET_ORDER``.
-    """
-    dname = direction if isinstance(direction, str) else direction.name
-    if dname not in _DIRECTIONS:
-        raise ValueError(f"direction must be one of t,x,y, got {direction!r}")
-    return total_derivative_multi(e, MultiIndex(*(int(dname == d) for d in _DIRECTIONS)))
-
-
-def total_derivative_multi(e, index) -> sp.Expr:
-    """Iterated total derivative D_sigma, applied in the fixed order
-    t-then-x-then-y (the result is order-independent since [D_i, D_j] = 0)."""
-    idx = index if isinstance(index, MultiIndex) else MultiIndex(*index)
-    e = sp.sympify(e)
-    order = 0
-    if any(is_jet_symbol(s) for s in e.free_symbols):
-        order = jet_order(e) + idx.order
-        if order > MAX_JET_ORDER:
-            raise JetOrderError(
-                f"D_{idx} would create an order-{order} jet coordinate past the cap {MAX_JET_ORDER}"
-            )
-    ring = _ring_for(order, (e,), derivatives=idx.nt)
-    out = ring.convert(e)
-    for d, count in zip("txy", (idx.nt, idx.nx, idx.ny)):
-        for _ in range(count):
-            out = ring.total(out, d)
-    return ring.to_expr(out)
-
-
 def internal_indices(k: int) -> list[MultiIndex]:
     """All internal multi-indices of order <= k (no t together with x)."""
     out = []
@@ -742,61 +748,13 @@ def principal_indices(k: int) -> list[MultiIndex]:
 
 
 class EquationSystem:
-    """The modified dispersionless system with its reduction machinery.
+    """The modified dispersionless system: restriction to its equation
+    submanifold and rational points on it.
 
-    Immutable; the principal table behind :meth:`reduce` lives in the jet
-    rings, which are built on first use.
+    Holds no state: F1, F2 have one form, the jet-ring elements of
+    :func:`_equations`, and the principal table behind :meth:`reduce`
+    lives in the jet rings, which are built on first use.
     """
-
-    def __init__(self):
-        self.F1, self.F2 = _ms_equations()
-        self.equations = (self.F1, self.F2)
-        self._recurrences = {
-            dep: self._recurrence(F, dep)
-            for F, dep in ((self.F1, "u"), (self.F2, "v"))
-        }
-
-    # -- principal coordinates ---------------------------------------------
-
-    def principal_solve(self) -> tuple[sp.Expr, sp.Expr]:
-        """(R_u, R_v) with u_tx = R_u, v_tx = R_v on the equation: R_w =
-        w_tx - F_w/c for the leading coefficient c of F_w.  Both right-hand
-        sides are free of principal coordinates (see :meth:`_recurrence`)."""
-        out = []
-        for F, dep in zip(self.equations, DEPENDENTS):
-            c = self._recurrences[dep][0]
-            out.append(sp.expand(jet(dep, "tx") - F / sp.Rational(c)))
-        return tuple(out)
-
-    def _recurrence(self, F: sp.Expr, dep: str):
-        """(c, terms) with F = c*w_tx + sum of terms, each term a rational
-        coefficient and at most two jet factors (dependent, (nt, nx, ny)).
-
-        No factor besides the leading one carries a t-derivative, so
-        D_sigma of a term only involves coordinates of order <= |sigma|+2
-        and t-count <= that of sigma: D_sigma F = 0 then gives
-        w_{sigma+tx} from coordinates that come earlier when principal
-        values are solved order by order, by ascending t-count.
-        """
-        lead = jet(dep, "tx")
-        gens = sorted(
-            (s for s in F.free_symbols if is_jet_symbol(s)), key=sp.default_sort_key
-        )
-        c, terms = None, []
-        for monom, coef in sp.Poly(F, *gens, domain="QQ").terms():
-            factors = []
-            for s, n in zip(gens, monom):
-                d, idx = jet_info(s)
-                factors += [(d, (idx.nt, idx.nx, idx.ny))] * n
-            if factors == [(dep, (1, 1, 0))]:
-                c = as_fraction(coef)
-                continue
-            if len(factors) > 2 or any(ix[0] for _, ix in factors):
-                raise AssertionError(f"{lead} does not lead {F}")
-            terms.append((as_fraction(coef), tuple(factors)))
-        if not c:
-            raise AssertionError(f"equation not affine-monic in {lead}")
-        return c, tuple(terms)
 
     def reduce(self, e, k: int | None = None) -> sp.Expr:
         """Restriction to the order-k equation submanifold in internal
@@ -826,7 +784,7 @@ class EquationSystem:
     # -- points -------------------------------------------------------------
 
     def point(self, k: int, base=None, internal=None) -> "JetPoint":
-        return JetPoint(self, k, base=base, internal=internal)
+        return JetPoint(k, base=base, internal=internal)
 
 
 @lru_cache(maxsize=None)
@@ -846,10 +804,9 @@ class JetPoint:
     point is the jet of a truncated power-series solution.
     """
 
-    def __init__(self, system: EquationSystem, k: int, base=None, internal=None):
+    def __init__(self, k: int, base=None, internal=None):
         if k < 0:
             raise ValueError("jet order must be non-negative")
-        self.system = system
         self.k = k
         self.base: dict[str, Fraction] = {"t": Fraction(0), "x": Fraction(0), "y": Fraction(0)}
         for name, val in (base or {}).items():
@@ -897,8 +854,8 @@ class JetPoint:
     def _solve_through(self, order: int) -> None:
         """Principal values of every order <= ``order``: D_sigma F_w = 0 is
         solved for w_{sigma+tx}, order by order and by ascending t-count
-        within an order, with D_sigma of each term of F_w evaluated by
-        Leibniz's rule on the values already known."""
+        within an order, with D_sigma of each term of F_w (:func:`_recurrence`)
+        evaluated by Leibniz's rule on the values already known."""
         if order <= self._solved:
             return
         for idx in principal_indices(order):
@@ -910,7 +867,7 @@ class JetPoint:
                 for tau in itertools.product(*(range(n + 1) for n in sigma))
             ]
             for dep in DEPENDENTS:
-                lead, terms = self.system._recurrences[dep]
+                lead, terms = _recurrence(dep)
                 rest = _ZERO
                 for coef, factors in terms:
                     if len(factors) == 1:

@@ -48,11 +48,11 @@ from .jets import (
     EquationSystem,
     JetPoint,
     _clear_denominators,
+    _equations,
     _jet_ring,
     _poly_at,
     _ring_for,
     internal_indices,
-    ms_system,
 )
 from .linalg import _eliminate, rank
 
@@ -317,13 +317,14 @@ def ansatz_covector(u, u_x, u_y, v_x) -> sp.Matrix:
 @lru_cache(maxsize=None)
 def _equation_and_ansatz() -> tuple:
     """(F1 and F2, the rows of the ansatz metric, the covector's
-    components) as elements of the order-2 jet ring, converted once; every
-    other ring takes them by ``_JetRing.embed``."""
+    components) as elements of the order-2 jet ring: the equations as
+    ``jets._equations`` holds them, the ansatz converted once.  Every other
+    ring takes them by ``_JetRing.embed``."""
     ring = _jet_ring(2)
     g = ansatz_metric(_U, _V).tolist()
     w = ansatz_covector(_U, jet("u", "x"), jet("u", "y"), jet("v", "x"))
-    equations, *rows, w = (tuple(map(ring.convert, e)) for e in (ms_system().equations, *g, w))
-    return equations, tuple(rows), w
+    *rows, w = (tuple(map(ring.convert, e)) for e in (*g, w))
+    return _equations(), tuple(rows), w
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from jetweyl.geometry import (
     weyl_connection,
 )
 from jetweyl.symmetry import PseudogroupElement
+from jetweyl.jets import _JetRing, _jet_ring
 from tree_oracle import TreeSection, tree_d_omega
 
 
@@ -246,9 +247,28 @@ def test_catalog_reductions():
 
 def test_hierarchy_reduction_sees_a_wrong_derivative(monkeypatch):
     # negative control: D_y where D_x belongs (and back) breaks the identity
-    swap = {"x": "y", "y": "x"}
-    total = geometry.total_derivative
-    monkeypatch.setattr(geometry, "total_derivative", lambda e, d: total(e, swap[d]))
+    swap = {"x": "y", "y": "x", "t": "t"}
+    total = _JetRing.total
+    monkeypatch.setattr(_JetRing, "total", lambda ring, f, d: total(ring, f, swap[d]))
+    assert not hierarchy_reduction_check()
+
+
+def _perturbed_F2(monkeypatch, term) -> None:
+    """The reductions read F1 and F2 + ``term``."""
+    F1, F2 = geometry._equations()
+    monkeypatch.setattr(geometry, "_equations", lambda: (F1, F2 + _jet_ring(2).convert(term)))
+
+
+def test_dkp_reduction_sees_a_perturbed_v_term(monkeypatch):
+    # negative control: a second v v_xx term is not the dKP equation
+    _perturbed_F2(monkeypatch, jet("v") * jet("v", "xx"))
+    assert not dkp_reduction_check()
+
+
+def test_dkp_reduction_kills_the_u_terms(monkeypatch):
+    # an extra u-term of F2 vanishes with u, and so does not show
+    _perturbed_F2(monkeypatch, jet("u") * jet("v", "xx"))
+    assert dkp_reduction_check()
     assert not hierarchy_reduction_check()
 
 

@@ -1,6 +1,7 @@
 """Total derivatives, the second-order system, and on-shell reduction."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,50 +13,58 @@ from jetweyl.errors import JetOrderError
 from jetweyl.exprcore import MAX_JET_ORDER, T, X, Y, equal, is_zero, jet
 from jetweyl.geometry import Solution
 from jetweyl.jets import (
+    _equations,
+    _jet_ring,
+    _ms_equations,
+    _recurrence,
     internal_indices,
     jet as _unused_guard,  # noqa: F401  (re-export sanity)
     ms_system,
     principal_indices,
-    total_derivative,
-    total_derivative_multi,
 )
-from tree_oracle import partial
+from tree_oracle import partial, tree_normalize, tree_recurrence, tree_total_derivative
 
 u, v = jet("u"), jet("v")
 u_t, u_x, u_y = (jet("u", ix) for ix in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 v_t, v_x, v_y = (jet("v", ix) for ix in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
+def total(e, *directions, order: int = 3) -> sp.Expr:
+    """D_d ... e by ``_JetRing.total`` in the jet ring of ``order``."""
+    ring = _jet_ring(order)
+    f = ring.convert(e)
+    for d in directions:
+        f = ring.total(f, d)
+    return ring.to_expr(f)
+
+
 def test_total_derivative_on_dependents():
-    assert total_derivative(u, "x") == u_x
-    assert total_derivative(v, "t") == v_t
+    assert total(u, "x") == u_x
+    assert total(v, "t") == v_t
 
 
 def test_leibniz():
-    got = total_derivative(u_x * v, "y")
+    got = total(u_x * v, "y")
     assert equal(got, jet("u", (0, 1, 1)) * v + u_x * v_y)
 
 
 def test_equation_canonical_forms():
-    sys_ = ms_system()
-    f1 = total_derivative(u_t + u * u_y + v * u_x, "x") - total_derivative(u_y, "y")
-    f2 = total_derivative(v_t + v * v_x - u * v_y, "x") - total_derivative(v_y - 2 * u * v_x, "y")
-    assert equal(sys_.F1, f1)
-    assert equal(sys_.F2, f2)
+    # the ring form against the conservation forms, differentiated on trees
+    D = tree_total_derivative
+    f1 = D(u_t + u * u_y + v * u_x, "x") - D(u_y, "y")
+    f2 = D(v_t + v * v_x - u * v_y, "x") - D(v_y - 2 * u * v_x, "y")
+    ring = _jet_ring(2)
+    F1, F2 = _equations()
+    assert ring.to_expr(F1) == tree_normalize(f1)
+    assert ring.to_expr(F2) == tree_normalize(f2)
 
 
 def test_order_cap_enforced():
+    with pytest.raises(JetOrderError, match=f"jet order {MAX_JET_ORDER + 1} exceeds the hard cap"):
+        jet("u", (0, MAX_JET_ORDER + 1, 0))
     top = jet("u", (0, MAX_JET_ORDER, 0))
-    with pytest.raises(JetOrderError, match=f"order-{MAX_JET_ORDER + 1} jet coordinate past"):
-        total_derivative(top, "x")
-
-
-def test_multi_equals_iterated():
-    e = u_x * v + u_y**2
-    assert equal(
-        total_derivative_multi(e, (1, 1, 0)),
-        total_derivative(total_derivative(e, "t"), "x"),
-    )
+    with pytest.raises(JetOrderError, match=f"outside the ring of jet order {MAX_JET_ORDER}"):
+        total(top, "x", order=MAX_JET_ORDER)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -65,10 +74,18 @@ def test_total_derivatives_commute(seed):
     pool = [u, v, u_x, u_y, v_x, T, Y]
     e = sum(rng.choice(pool) * rng.choice(pool) for _ in range(3))
     d1, d2 = rng.sample(("t", "x", "y"), 2)
-    assert equal(
-        total_derivative(total_derivative(e, d1), d2),
-        total_derivative(total_derivative(e, d2), d1),
-    )
+    assert total(e, d1, d2) == total(e, d2, d1)
+
+
+def _as_multiset(recurrence) -> tuple:
+    # a two-factor term may list its factors in either order
+    c, terms = recurrence
+    return c, Counter((coef, tuple(sorted(factors))) for coef, factors in terms)
+
+
+def test_recurrence_matches_the_tree_parse():
+    for F, dep in zip(_ms_equations(), ("u", "v")):
+        assert _as_multiset(_recurrence(dep)) == _as_multiset(tree_recurrence(F, dep))
 
 
 def test_dimension_table():
@@ -89,31 +106,40 @@ def test_principal_indices_are_mixed():
         assert ix.nt >= 1 and ix.nx >= 1
 
 
+def _leading_entries() -> tuple:
+    """R_u, R_v with w_tx = R_w on the equation: the leading entries of the
+    principal table, as trees."""
+    ring = _jet_ring(2)
+    return tuple(
+        ring.to_expr(ring.field.raw_new(ring.principal(ring.index[jet(dep, "tx")])))
+        for dep in ("u", "v")
+    )
+
+
 def test_principal_solve_kills_both_equations():
-    sys_ = ms_system()
-    ru, rv = sys_.principal_solve()
+    ru, rv = _leading_entries()
     u_tx, v_tx = jet("u", (1, 1, 0)), jet("v", (1, 1, 0))
     for p in (ru, rv):
         assert not any(s in {u_tx, v_tx} for s in p.free_symbols)
-    assert is_zero(sys_.F1.subs({u_tx: ru, v_tx: rv}))
-    assert is_zero(sys_.F2.subs({u_tx: ru, v_tx: rv}))
+    F1, F2 = _ms_equations()
+    assert is_zero(F1.subs({u_tx: ru, v_tx: rv}))
+    assert is_zero(F2.subs({u_tx: ru, v_tx: rv}))
 
 
 def test_principal_solve_matches_the_tree_solve():
     # the tree solve divides F_w by sympy's derivative in its leading
-    # coordinate; the solve by the recurrence's coefficient must give the
-    # same trees
-    sys_ = ms_system()
+    # coordinate; the table's leading entries, w_tx - F_w/c with c read off
+    # the ring form, must give the same trees
     want = []
-    for F, dep in zip(sys_.equations, ("u", "v")):
+    for F, dep in zip(_ms_equations(), ("u", "v")):
         lead = jet(dep, "tx")
         want.append(sp.expand(lead - F / sp.diff(F, lead)))
-    assert sys_.principal_solve() == tuple(want)
+    assert _leading_entries() == tuple(want)
 
 
 def test_prolonged_equation_is_affine_in_its_principal_slot():
-    sys_ = ms_system()
-    dxf1 = total_derivative(sys_.F1, "x")
+    ring = _jet_ring(3)
+    dxf1 = ring.to_expr(ring.total(ring.embed(_equations()[0]), "x"))
     slot = jet("u", (1, 2, 0))
     assert equal(partial(dxf1, slot), 1)
     assert slot not in partial(dxf1, slot).free_symbols

@@ -1,7 +1,8 @@
 """The jet ring against the expression-tree jet calculus it replaced.
 
-The tree total derivative, the tree principal table with its reduction and
-the tree prolonged coefficients live here as the oracle: every ring result
+The tree principal table with its reduction and the tree prolonged
+coefficients live here, on ``tree_oracle.tree_total_derivative``, as the
+oracle: every ring result
 must equal the tree result as a rational function (``tree_normalize(a -
 b) == 0``, the sympy canonical form of ``tree_oracle``), and the ring's principal table must agree with the independent
 Leibniz solver of ``JetPoint`` at random rational points.
@@ -48,35 +49,24 @@ from jetweyl.jets import (
     _jet_ring,
     _poly_at,
     _poly_sums,
+    _ms_equations,
     _ring_for,
     internal_indices,
     ms_system,
     principal_indices,
-    total_derivative,
 )
 from jetweyl.symmetry import ShapeField, _equation_and_ansatz, _family_terms, generator
-from tree_oracle import generating_section, partial, tree_normalize
+from tree_oracle import generating_section, partial, tree_normalize, tree_total_derivative
 
 # ---------------------------------------------------------------------------
 # the tree oracle
-
-
-def tree_total_derivative(e, d: str) -> sp.Expr:
-    """D_d e = d_d e + sum_sigma w_{sigma+d} * de/dw_sigma, on sympy trees."""
-    e = sp.sympify(e)
-    out = partial(e, d)
-    for s in e.free_symbols:
-        if is_jet_symbol(s):
-            dep, idx = jet_info(s)
-            out += jet(dep, idx.bump(d)) * sp.diff(e, s)
-    return out
 
 
 class TreeTable:
     """The principal table by tree total derivatives and substitution."""
 
     def __init__(self):
-        F1, F2 = ms_system().equations
+        F1, F2 = _ms_equations()
         self.table = {
             jet(dep, "tx"): sp.expand(jet(dep, "tx") - F) for dep, F in (("u", F1), ("v", F2))
         }
@@ -244,13 +234,19 @@ def _random_expression(rng: random.Random, depth: int = 0) -> sp.Expr:
     return a / b if b.free_symbols & {jet("u", "x"), jet("u", "xx"), Y} else a * b
 
 
+def ring_total_derivative(e, d: str) -> sp.Expr:
+    """D_d e by ``_JetRing.total`` in the ring of e one order up."""
+    ring = _ring_for(jet_order(e) + 1, (e,), derivatives=1)
+    return ring.to_expr(ring.total(ring.convert(e), d))
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_total_derivative_matches_the_tree(seed):
     rng = random.Random(seed)
     e = _random_expression(rng)
     for d in "txy":
-        got = total_derivative(e, d)
+        got = ring_total_derivative(e, d)
         assert same(got, tree_total_derivative(e, d))
         assert tree_normalize(got) == got
 
@@ -594,7 +590,7 @@ def test_invariance_proofs_of_order_up_to_3_share_one_prolongation_ring():
 
 def test_zero_reduced_denominator_raises():
     # the denominator is F1, which vanishes on the equation
-    F1 = ms_system().F1
+    F1, _ = _ms_equations()
     with pytest.raises(DivisionByZeroExpression):
         ms_system().reduce(jet("u", "x") / F1)
 
@@ -605,4 +601,4 @@ def test_zero_reduced_denominator_raises():
 )
 def test_non_rational_input_to_total_derivative_raises(e):
     with pytest.raises(ExprError):
-        total_derivative(e, "x")
+        ring_total_derivative(e, "x")

@@ -5,7 +5,10 @@ tests.
 fractional powers of base variables and exponential atoms rescaled to
 integer powers of auxiliary generators, then ``cancel``, then the
 generators substituted back.  ``partial`` is the tree derivative: sympy's
-``diff`` plus the formal chain rule d/dt a^(k) = a^(k+1).  ``tree_moved``
+``diff`` plus the formal chain rule d/dt a^(k) = a^(k+1), and
+``tree_total_derivative`` the total derivative D_i built on it.
+``tree_recurrence`` parses an equation of the system with ``sp.Poly`` into
+the terms of the point recurrence.  ``tree_moved``
 and ``tree_reflected`` compose a section with a pseudogroup element or a
 reflection on trees and return the unnormalized result.
 ``tree_family`` is X_i(p) of the five symmetry families as they were
@@ -27,6 +30,8 @@ import sympy as sp
 
 from jetweyl.counts import _poincare
 from jetweyl.errors import DivisionByZeroExpression
+from fractions import Fraction
+
 from jetweyl.exprcore import (
     BASE_SYMBOLS,
     T,
@@ -45,7 +50,7 @@ from jetweyl.exprcore import (
 )
 from jetweyl.fields import PointField
 from jetweyl.geometry import FrameResult
-from jetweyl.jets import ms_system
+from jetweyl.jets import _ms_equations
 from jetweyl.symmetry import ansatz_covector, ansatz_metric
 
 _AUX = {
@@ -70,6 +75,36 @@ def partial(e, s) -> sp.Expr:
             if is_formal_symbol(sym):
                 out += formal_shift(sym) * sp.diff(e, sym)
     return out
+
+
+def tree_total_derivative(e, d: str) -> sp.Expr:
+    """D_d e = d_d e + sum_sigma w_{sigma+d} * de/dw_sigma, on sympy trees."""
+    e = sp.sympify(e)
+    out = partial(e, d)
+    for s in e.free_symbols:
+        if is_jet_symbol(s):
+            dep, idx = jet_info(s)
+            out += jet(dep, idx.bump(d)) * sp.diff(e, s)
+    return out
+
+
+def tree_recurrence(F, dep: str) -> tuple:
+    """(c, terms) with F = c*w_tx + sum of terms, from ``sp.Poly`` of the
+    tree F: each term a rational coefficient and its jet factors
+    (dependent, (nt, nx, ny)), as many as the term's degree."""
+    gens = sorted((s for s in F.free_symbols if is_jet_symbol(s)), key=sp.default_sort_key)
+    c, terms = None, []
+    for monom, coef in sp.Poly(F, *gens, domain="QQ").terms():
+        factors = []
+        for s, n in zip(gens, monom):
+            d, idx = jet_info(s)
+            factors += [(d, (idx.nt, idx.nx, idx.ny))] * n
+        coef = Fraction(int(coef.p), int(coef.q))
+        if factors == [(dep, (1, 1, 0))]:
+            c = coef
+        else:
+            terms.append((coef, tuple(factors)))
+    return c, tuple(terms)
 
 
 def tree_family(i: int, p) -> PointField:
@@ -259,7 +294,7 @@ class TreeSection:
         return e.xreplace(rep)
 
     def residuals(self):
-        return tuple(self.subs(F) for F in ms_system().equations)
+        return tuple(self.subs(F) for F in _ms_equations())
 
     def pair(self):
         """The ansatz metric and covector of the section, unnormalized."""
