@@ -1,11 +1,11 @@
 """The jet ring against the expression-tree jet calculus it replaced.
 
 The tree principal table with its reduction and the tree prolonged
-coefficients live here, on ``tree_oracle.tree_total_derivative``, as the
-oracle: every ring result
-must equal the tree result as a rational function (``tree_normalize(a -
-b) == 0``, the sympy canonical form of ``tree_oracle``), and the ring's principal table must agree with the independent
-Leibniz solver of ``JetPoint`` at random rational points.
+coefficients live here, built on ``tree_oracle.tree_total_derivative``, as
+the oracle: every ring result must equal the tree result as a rational
+function (``tree_normalize(a - b) == 0``, the sympy canonical form of
+``tree_oracle``), and the ring's principal table must agree with the
+independent Leibniz solver of ``JetPoint`` at random rational points.
 """
 
 import random
@@ -47,9 +47,9 @@ from jetweyl.jets import (
     _JetField,
     _JetRing,
     _jet_ring,
+    _ms_equations,
     _poly_at,
     _poly_sums,
-    _ms_equations,
     _ring_for,
     internal_indices,
     ms_system,
