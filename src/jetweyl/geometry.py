@@ -227,12 +227,9 @@ class SectionField(_Rescaled):
     def rational(self, f) -> Fraction | None:
         """The value of a constant element, None for a non-constant one."""
         f = self._reduced_element(f)
-        if not f:
-            return Fraction(0)
         if not (f.numer.is_ground and f.denom.is_ground):
             return None
-        q = f.numer.LC / f.denom.LC
-        return Fraction(int(q.numerator), int(q.denominator))
+        return Fraction(f.numer.LC, f.denom.LC)
 
     def occurring(self, elements=None) -> tuple:
         """(formal functions, {auxiliary generator: its atom}) of the
@@ -402,11 +399,13 @@ def _image_atom(F: SectionField, point, atom) -> sp.Expr:
 
 
 def _lcm(a, b):
-    """The lcm of two polynomials over QQ, monic as ``PolyElement.lcm``
-    returns it; for two terms, their monomials' lcm with coefficient 1."""
+    """The lcm of two polynomials over ZZ as ``PolyElement.lcm`` returns
+    it; for two terms, their monomials' lcm with the lcm of their
+    coefficients, signed as their product."""
     if len(a) == 1 and len(b) == 1:
         ring = a.ring
-        return ring.term_new(ring.monomial_lcm(a.LM, b.LM), ring.domain.one)
+        ((m, c),), ((n, d),) = a.items(), b.items()
+        return ring.term_new(ring.monomial_lcm(m, n), c * d // ring.domain.gcd(c, d))
     return a.lcm(b)
 
 

@@ -7,9 +7,10 @@ away from the singular locus {u_x = 0} union {u_xx = 0}.
 
 The derivations, the structure coefficients, the commutator and identity
 checks, the invariance proofs and the twelve signature invariants compute
-in the jet ring (``jets._JetRing``, a sparse rational-function field over
-QQ) from start to finish: reduction on the equation is a substitution of
-generators and the zero test looks at a numerator.  Sympy expressions are
+in the jet ring (``jets._JetRing``, a sparse rational-function field whose
+numerators and denominators have integer coefficients) from start to
+finish: reduction on the equation is a substitution of generators and the
+zero test looks at a numerator.  Sympy expressions are
 converted once on the way in and once on the way out.  The reduction is
 always that of the modified dispersionless system, whose principal table
 the rings hold.  I1-I3, the derivations' coefficients and K1-K4 are built

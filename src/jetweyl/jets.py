@@ -14,15 +14,17 @@ principal coordinates are polynomials in the remaining *internal* ones.
 F1, F2 are written once (``_ms_equations``) and held in one form, the
 elements of the order-2 jet ring that ``_equations`` converts; every
 consumer reads that form.  :meth:`EquationSystem.reduce` performs that
-substitution in one sparse rational-function field over QQ (the private
+substitution in one sparse rational-function field (the private
 ``_JetRing``: generators t, x, y, the jet coordinates up to the order in
-play and the formal functions present), where the total derivatives are
-ring derivations and reduction is a substitution of generators; the
-symmetry and invariance checks compute there and convert sympy
-expressions only at their boundary.  A :class:`JetPoint` solves the same
-triangular system in rational numbers; ``_poly_sums`` evaluates ring
-polynomials there, and their gradients, in Python integers over one
-common denominator, and ``_poly_at`` makes the value one ``Fraction``.
+play and the formal functions present), whose numerators and denominators
+have integer coefficients; the total derivatives are ring derivations,
+reduction is a substitution of generators, and a one-term side cancels
+without a gcd (``_cancel``).  The symmetry and invariance checks compute
+there and convert sympy expressions only at their boundary.  A
+:class:`JetPoint` solves the same triangular system in rational numbers;
+``_poly_sums`` evaluates ring polynomials there, and their gradients, in
+Python integers over one common denominator, and ``_poly_at`` makes the
+value one ``Fraction``.
 
 The dimension counts of jet spaces and equation submanifolds live in
 :mod:`jetweyl.counts`.
@@ -40,7 +42,7 @@ from typing import Iterable
 
 import sympy as sp
 from sympy.core.symbol import Symbol
-from sympy.polys.domains import QQ
+from sympy.polys.domains import ZZ
 from sympy.polys.fields import FracElement, FracField
 from sympy.polys.orderings import lex
 from sympy.polys.polyoptions import Domain as DomainOpt, Order as OrderOpt
@@ -138,41 +140,33 @@ def _merge(acc: dict, poly) -> None:
 def _cancel(numer, denom):
     """numer/denom in lowest terms: the pair ``numer.cancel(denom)`` gives.
 
-    Over QQ with one side a single term (a constant, a monomial, or 1),
-    sympy's canonical pair is computed here in integers: each side's
-    coefficients are cleared with the lcm of their denominators, both sides
-    are divided by the gcd of all those integers and by the componentwise
-    minimum of all monomials, each side is multiplied by the other side's
-    lcm (both lcms first divided by their gcd), and the sign makes the
-    lex-leading coefficient of the denominator positive.  Every other pair
-    goes to ``PolyElement.cancel``."""
+    Over ZZ with one side a single term (a constant, a monomial, or 1),
+    the common factor of the two sides is a term, so no gcd of polynomials
+    is needed: both sides are divided by the gcd of all their coefficients
+    and by the componentwise minimum of all monomials, and the sign makes
+    the lex-leading coefficient of the denominator positive.  Every other
+    pair, and every pair over another domain, goes to
+    ``PolyElement.cancel``."""
     ring = numer.ring
     if not numer:
         return numer, ring.one
-    domain = ring.domain
-    if not domain.is_QQ or (len(numer) != 1 and len(denom) != 1):
+    if not ring.domain.is_ZZ or (len(numer) != 1 and len(denom) != 1):
         return numer.cancel(denom)
-    ln = math.lcm(*(c.denominator for c in numer.values()))
-    ld = math.lcm(*(c.denominator for c in denom.values()))
-    nums = [(m, c.numerator * (ln // c.denominator)) for m, c in numer.items()]
-    dens = [(m, c.numerator * (ld // c.denominator)) for m, c in denom.items()]
-    content = math.gcd(*(c for _, c in nums), *(c for _, c in dens))
-    common = math.gcd(ln, ld)
-    a, b = ld // common, ln // common
+    content = math.gcd(*numer.values(), *denom.values())
     if denom[ring.leading_expv(denom)] < 0:
-        a, b = -a, -b
-    low = tuple(map(min, *numer.keys(), *denom.keys()))
-    if any(low):
-        div = ring.monomial_ldiv
-        nums = [(div(m, low), c) for m, c in nums]
-        dens = [(div(m, low), c) for m, c in dens]
-    elif ln == ld == content == a == 1:
+        content = -content
+    # the common monomial divides the one-term side: only its support counts
+    (term,) = (numer if len(numer) == 1 else denom).keys()
+    low = list(term)
+    for i in itertools.compress(range(len(term)), term):
+        low[i] = min(m[i] for p in (numer, denom) for m in p)
+    if content == 1 and not any(low):
         # already in lowest terms
         return numer, denom
-    q = domain.dtype
+    div = ring.monomial_ldiv
     return (
-        ring.dtype({m: q(c // content * a) for m, c in nums}),
-        ring.dtype({m: q(c // content * b) for m, c in dens}),
+        ring.dtype({div(m, low): c // content for m, c in numer.items()}),
+        ring.dtype({div(m, low): c // content for m, c in denom.items()}),
     )
 
 
@@ -293,7 +287,8 @@ class _JetField(FracField):
 
 class _JetRing:
     """Q(jet coordinates of order <= ``order``, t, x, y, ``extras``) as one
-    sparse rational-function field (``sympy.polys.fields``).
+    sparse rational-function field (``sympy.polys.fields``), each element
+    a pair of polynomials over ZZ in lowest terms.
 
     ``extras`` are formal functions of t, with the derivative orders a
     computation can reach, and the auxiliary generators of fractional
@@ -309,7 +304,7 @@ class _JetRing:
         self.extras = extras
         jets = _coordinates(order)
         self.symbols = jets + BASE_SYMBOLS + extras
-        self.field = _JetField(self.symbols, QQ, lex)
+        self.field = _JetField(self.symbols, ZZ, lex)
         self.ring = self.field.ring
         self.gens = self.ring.gens
         self.index = {s: i for i, s in enumerate(self.symbols)}
@@ -404,18 +399,15 @@ class _JetRing:
 
     def to_expr(self, f) -> sp.Expr:
         """The expression in ``normalize``'s canonical form: numerator over
-        denominator with integer coefficients, no common factor (contents
-        included), and the denominator's leading coefficient positive."""
+        denominator, in lowest terms as f is, with the denominator's leading
+        coefficient in sympy's generator order positive."""
         num, den = f.numer, f.denom
         if not num:
             return sp.Integer(0)
-        coeffs = [*num.values(), *den.values()]
-        lcm = math.lcm(*(int(c.denominator) for c in coeffs))
-        gcd = math.gcd(*(int(c.numerator) * (lcm // int(c.denominator)) for c in coeffs))
         order = self._sympy_order
-        lead = max(den, key=lambda m: [m[i] for i in order])
-        scale = QQ(-lcm if den[lead] < 0 else lcm, gcd)
-        return num.mul_ground(scale).as_expr() / den.mul_ground(scale).as_expr()
+        if den[max(den, key=lambda m: [m[i] for i in order])] < 0:
+            num, den = -num, -den
+        return num.as_expr() / den.as_expr()
 
     # -- derivations --------------------------------------------------------
 
@@ -512,7 +504,7 @@ class _JetRing:
                 # the checked leading solve w_tx = w_tx - F_w/c
                 c, _ = _recurrence(dep)
                 F = self.embed(_equations()[DEPENDENTS.index(dep)]).numer
-                got = self.ring.gens[i] - F.quo_ground(QQ(c.numerator, c.denominator))
+                got = self.ring.gens[i] - F.exquo(self.ring(c))
             else:
                 d = "y" if idx.ny else ("x" if idx.nx > 1 else "t")
                 parent = self.principal(self.index[jet(dep, idx.drop(d))])
@@ -577,10 +569,10 @@ def _equations() -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _recurrence(dep: str) -> tuple[Fraction, tuple]:
-    """(c, terms) with F_w = c*w_tx + sum of terms, read off the numerator
-    of the ring form: each term a rational coefficient and at most two jet
-    factors (dependent, (nt, nx, ny)).
+def _recurrence(dep: str) -> tuple[int, tuple]:
+    """(c, terms) with F_w = c*w_tx + sum of terms and c = 1 or -1, read
+    off the numerator of the ring form: each term an integer coefficient
+    and at most two jet factors (dependent, (nt, nx, ny)).
 
     No factor besides the leading one carries a t-derivative, so
     D_sigma of a term only involves coordinates of order <= |sigma|+2
@@ -597,14 +589,13 @@ def _recurrence(dep: str) -> tuple[Fraction, tuple]:
         for i in itertools.compress(range(len(monom)), monom):
             d, idx = jet_info(ring.symbols[i])
             factors += [(d, (idx.nt, idx.nx, idx.ny))] * monom[i]
-        coef = Fraction(int(coef.numerator), int(coef.denominator))
         if factors == [(dep, (1, 1, 0))]:
             c = coef
             continue
         if len(factors) > 2 or any(ix[0] for _, ix in factors):
             raise AssertionError(f"{lead} does not lead {ring.to_expr(F)}")
         terms.append((coef, tuple(factors)))
-    if not c or F.denom != 1:
+    if c not in (1, -1) or F.denom != 1:
         raise AssertionError(f"equation not affine-monic in {lead}")
     return c, tuple(terms)
 

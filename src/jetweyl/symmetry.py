@@ -37,6 +37,7 @@ from .exprcore import (
     X,
     Y,
     formal,
+    formal_shift,
     is_formal_symbol,
     jet,
     jet_info,
@@ -124,10 +125,20 @@ def _parameter(p) -> sp.Expr:
 
 
 def _derivatives(p, n: int) -> list[sp.Expr]:
-    """A family parameter and its first n t-derivatives, taken in one jet
-    ring.  The ring holds rational functions over QQ only, so any other
-    closed form (such as t^(1/2)) is refused with ``ExprError``."""
+    """A family parameter and its first n t-derivatives.  A rational
+    constant has zeros, a bare formal function a^(m) has a^(m+1),
+    a^(m+2), ... (``formal_shift``); any other parameter is differentiated
+    in one jet ring.  The ring holds rational functions with rational
+    coefficients only, so any other closed form (such as t^(1/2)) is
+    refused with ``ExprError``."""
     p = _parameter(p)
+    if p.is_Rational:
+        return [p] + [sp.Integer(0)] * n
+    out = [p]
+    if is_formal_symbol(p):
+        for _ in range(n):
+            out.append(formal_shift(out[-1]))
+        return out
     ring = _ring_for(0, (p,), derivatives=n)
     try:
         f = ring.convert(p)
@@ -135,7 +146,6 @@ def _derivatives(p, n: int) -> list[sp.Expr]:
         raise ExprError(
             f"family parameter must be a rational function of t over QQ, got {to_text(p)}"
         ) from None
-    out = [p]
     for _ in range(n):
         f = ring.total(f, "t")
         out.append(ring.to_expr(f))
@@ -540,8 +550,7 @@ def _family_terms(fam: int) -> tuple[tuple[tuple[int, _Poly], ...], ...]:
 def _polynomial(f) -> _Poly:
     """A ring element with a constant denominator as a polynomial."""
     (d,) = f.denom.values()
-    d = Fraction(d.numerator, d.denominator)
-    return {m: Fraction(c.numerator, c.denominator) / d for m, c in f.numer.items()}
+    return {m: Fraction(c, d) for m, c in f.numer.items()}
 
 
 class _TaylorJet:

@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
+from sympy.polys.polyerrors import ExactQuotientFailed
 
+from jetweyl import jets
 from jetweyl.counts import dims
 from jetweyl.errors import JetOrderError
 from jetweyl.exprcore import MAX_JET_ORDER, T, X, Y, equal, is_zero, jet
@@ -86,6 +88,33 @@ def _as_multiset(recurrence) -> tuple:
 def test_recurrence_matches_the_tree_parse():
     for F, dep in zip(_ms_equations(), ("u", "v")):
         assert _as_multiset(_recurrence(dep)) == _as_multiset(tree_recurrence(F, dep))
+
+
+def test_a_leading_coefficient_other_than_one_or_minus_one_is_refused(monkeypatch):
+    # F1 doubled leads with 2*u_tx: the recurrence and the leading solve
+    # of the table refuse it rather than divide by 2 over ZZ
+    F1, F2 = _equations()
+    monkeypatch.setattr(jets, "_equations", lambda: (F1 * 2, F2))
+    _recurrence.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="equation not affine-monic in u_tx"):
+            _recurrence("u")
+        ring = jets._JetRing(2)
+        with pytest.raises(AssertionError, match="equation not affine-monic in u_tx"):
+            ring.principal(ring.index[jet("u", "tx")])
+        assert _recurrence("v")[0] == 1
+    finally:
+        _recurrence.cache_clear()
+
+
+def test_the_leading_solve_divides_exactly(monkeypatch):
+    # a leading coefficient of 2 that slipped past the recurrence: the
+    # odd coefficients of F1 make the division fail, where sympy's
+    # quo_ground over ZZ would drop their terms and truncate the table
+    monkeypatch.setattr(jets, "_recurrence", lambda dep: (2, ()))
+    ring = jets._JetRing(2)
+    with pytest.raises(ExactQuotientFailed):
+        ring.principal(ring.index[jet("u", "tx")])
 
 
 def test_dimension_table():

@@ -513,25 +513,29 @@ def test_checks_that_share_catalog_entries_rerun_alike(monkeypatch):
 
 def test_the_lcm_of_one_term_polynomials_is_sympys(monkeypatch):
     """SectionField's common denominator takes the lcm of two one-term
-    polynomials from their monomials; it must be PolyElement.lcm's, on
-    seeded pairs and on every such pair of an Einstein check."""
-    from sympy.polys.domains import QQ
+    polynomials over ZZ from their monomials and coefficients; it must be
+    PolyElement.lcm's, on seeded signed pairs and on every such pair of an
+    Einstein check."""
+    from sympy.polys.domains import ZZ
     from sympy.polys.rings import ring
 
-    R, *gens = ring("a,b,c", QQ)
+    R, *gens = ring("a,b,c", ZZ)
     rng = random.Random(20)
 
     def term():
-        coeff = QQ(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
-        monomial = R.one
+        monomial = R(rng.choice((-1, 1)) * rng.randint(1, 12))
         for g in gens:
             monomial *= g ** rng.randint(0, 3)
-        return monomial * coeff
+        return monomial
 
-    for _ in range(200):
+    signs = set()
+    for _ in range(400):
         a, b = term(), term()
         assert geometry._lcm(a, b) == a.lcm(b), (a, b)
-    assert geometry._lcm(R.one, gens[0] * 3) == gens[0]
+        signs.add((a.LC > 0, b.LC > 0))
+    assert len(signs) == 4
+    assert geometry._lcm(R.one, gens[0] * 3) == gens[0] * 3
+    assert geometry._lcm(R(-4), gens[0] * 6) == gens[0] * -12
 
     calls, lcm = [], geometry._lcm
 

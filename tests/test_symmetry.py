@@ -80,6 +80,28 @@ def test_dot_matches_the_tree_derivative(n):
             assert tree_normalize(got[j] - want) == 0, (p, j)
 
 
+def test_bare_formal_and_constant_parameters_convert_nothing(monkeypatch):
+    # their derivatives are read off formal_shift, or are zero; a rational
+    # closed form is still differentiated in a jet ring
+    from jetweyl import jets
+
+    calls, convert = [], jets._JetRing.convert
+
+    def counted(self, e):
+        calls.append(e)
+        return convert(self, e)
+
+    monkeypatch.setattr(jets._JetRing, "convert", counted)
+    a = formal("a")
+    assert _derivatives("a", 2) == [a, formal("a", 1), formal("a", 2)]
+    assert _derivatives(formal("g", 2), 1) == [formal("g", 2), formal("g", 3)]
+    assert _derivatives(sp.Rational(-3, 2), 2) == [sp.Rational(-3, 2), 0, 0]
+    assert [type(q) for q in _derivatives(0, 1)] == [sp.core.numbers.Zero] * 2
+    assert calls == []
+    assert _derivatives(2 * a, 2) == [2 * a, 2 * formal("a", 1), 2 * formal("a", 2)]
+    assert calls == [2 * a]
+
+
 _COMPONENTS = ("at", "ax", "ay", "fu", "fv")
 
 
