@@ -21,10 +21,10 @@ have integer coefficients; the total derivatives are ring derivations,
 reduction is a substitution of generators, and a one-term side cancels
 without a gcd (``_cancel``).  The symmetry and invariance checks compute
 there and convert sympy expressions only at their boundary.  A
-:class:`JetPoint` solves the same triangular system in rational numbers;
-``_poly_sums`` evaluates ring polynomials there, and their gradients, in
-Python integers over one common denominator, and ``_poly_at`` makes the
-value one ``Fraction``.
+:class:`JetPoint` solves the same triangular system in Python integers
+over powers of one denominator; ``_poly_sums`` evaluates ring polynomials
+there, and their gradients, in Python integers over one common
+denominator, and ``_poly_at`` makes the value one ``Fraction``.
 
 The dimension counts of jet spaces and equation submanifolds live in
 :mod:`jetweyl.counts`.
@@ -793,6 +793,11 @@ class JetPoint:
     coordinates of order beyond k are taken to extend by zero, which is how
     the tangent-space computations lift the point to higher jet orders: the
     point is the jet of a truncated power-series solution.
+
+    Jet coordinates are held as integer pairs (n, e), the value n / L^e
+    with L the lcm of the internal coordinates' denominators, so the solve
+    runs in Python integers; :meth:`value` makes one ``Fraction`` per
+    coordinate read.
     """
 
     def __init__(self, k: int, base=None, internal=None):
@@ -809,10 +814,9 @@ class JetPoint:
         # jet ring -> (L, n): its generators' values here are n_i / L (see
         # _poly_sums)
         self._generator_values: dict = {}
-        # (dependent, (nt, nx, ny)) -> value; principal entries are filled
-        # by _solve_through, all orders <= _solved at a time
-        self._values: dict[tuple[str, tuple[int, int, int]], Fraction] = {}
-        self._solved = 1
+        # (dependent, (nt, nx, ny)) -> the value as a Fraction, made on
+        # first read
+        self._fractions: dict[tuple[str, tuple[int, int, int]], Fraction] = {}
         for key, val in (internal or {}).items():
             s = resolve_symbol(key)
             dep, idx = jet_info(s)  # KeyError -> not a jet symbol
@@ -822,7 +826,15 @@ class JetPoint:
                 )
             if idx.order > k:
                 raise JetOrderError(f"{s} has order beyond k={k}")
-            self.internal[s] = self._values[(dep, (idx.nt, idx.nx, idx.ny))] = Fraction(val)
+            self.internal[s] = self._fractions[(dep, (idx.nt, idx.nx, idx.ny))] = Fraction(val)
+        self._L = math.lcm(*(q.denominator for q in self.internal.values()))
+        # (dependent, (nt, nx, ny)) -> (n, e); principal entries are filled
+        # by _solve_through, all orders <= _solved at a time
+        self._values: dict[tuple[str, tuple[int, int, int]], tuple[int, int]] = {
+            key: (q.numerator * (self._L // q.denominator), 1)
+            for key, q in self._fractions.items()
+        }
+        self._solved = 1
 
     def value(self, key) -> Fraction:
         """Value of a base or jet coordinate (any order up to the hard cap)."""
@@ -832,47 +844,70 @@ class JetPoint:
         dep, idx = jet_info(s)
         if idx.is_principal:
             self._solve_through(idx.order)
-        return self._coord(dep, (idx.nt, idx.nx, idx.ny))
+        return self._fraction(dep, (idx.nt, idx.nx, idx.ny))
 
-    def _coord(self, dep: str, idx: tuple[int, int, int]) -> Fraction:
+    def _fraction(self, dep: str, idx: tuple[int, int, int]) -> Fraction:
+        """The value of a coordinate of order <= ``_solved`` as a
+        ``Fraction``, made once."""
+        got = self._fractions.get((dep, idx))
+        if got is None:
+            n, e = self._coord(dep, idx)
+            got = self._fractions[(dep, idx)] = Fraction(n, self._L**e) if n else _ZERO
+        return got
+
+    def _coord(self, dep: str, idx: tuple[int, int, int]) -> tuple[int, int]:
+        """The pair (n, e) of a coordinate of order <= ``_solved``: its
+        value is n / L^e."""
         got = self._values.get((dep, idx))
         if got is None:
             if idx[0] and idx[1]:
                 raise AssertionError(f"{dep}_{idx} read before it was solved")
-            return _ZERO
+            return 0, 0
         return got
 
     def _solve_through(self, order: int) -> None:
         """Principal values of every order <= ``order``: D_sigma F_w = 0 is
         solved for w_{sigma+tx}, order by order and by ascending t-count
         within an order, with D_sigma of each term of F_w (:func:`_recurrence`)
-        evaluated by Leibniz's rule on the values already known."""
+        evaluated by Leibniz's rule on the values already known.
+
+        The sums run on the pairs (n, e) of :meth:`_coord`: a product of
+        two values adds their exponents, and the terms of D_sigma F_w are
+        lifted to the largest exponent among them and added.  The leading
+        coefficient is 1 or -1, so solving for w_{sigma+tx} divides
+        exactly."""
         if order <= self._solved:
             return
+        coord, L = self._coord, self._L
         for idx in principal_indices(order):
             if idx.order <= self._solved:
                 continue
             sigma = (idx.nt - 1, idx.nx - 1, idx.ny)
             shifts = [
-                (tau, prod(comb(n, m) for n, m in zip(sigma, tau)))
+                (tau, _minus(sigma, tau), prod(comb(n, m) for n, m in zip(sigma, tau)))
                 for tau in itertools.product(*(range(n + 1) for n in sigma))
             ]
             for dep in DEPENDENTS:
                 lead, terms = _recurrence(dep)
-                rest = _ZERO
+                parts = []
                 for coef, factors in terms:
                     if len(factors) == 1:
                         (d, a), = factors
-                        rest += coef * self._coord(d, _shift(a, sigma))
+                        n, e = coord(d, _shift(a, sigma))
+                        if n:
+                            parts.append((coef * n, e))
                         continue
                     (d1, a), (d2, b) = factors
-                    rest += coef * sum(
-                        binom
-                        * self._coord(d1, _shift(a, tau))
-                        * self._coord(d2, _shift(b, _minus(sigma, tau)))
-                        for tau, binom in shifts
-                    )
-                self._values[(dep, (idx.nt, idx.nx, idx.ny))] = -rest / lead
+                    for tau, other, binom in shifts:
+                        n1, e1 = coord(d1, _shift(a, tau))
+                        if n1:
+                            n2, e2 = coord(d2, _shift(b, other))
+                            if n2:
+                                parts.append((coef * binom * n1 * n2, e1 + e2))
+                top = max((e for _, e in parts), default=0)
+                total = sum(n * L ** (top - e) for n, e in parts)
+                # lead is 1 or -1, its own inverse
+                self._values[(dep, (idx.nt, idx.nx, idx.ny))] = (-lead * total, top)
         self._solved = order
 
     def eval(self, e) -> Fraction:

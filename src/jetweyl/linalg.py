@@ -5,6 +5,16 @@ exact paths never round: the rank runs on integers (rows cleared of
 denominators, fraction-free elimination), and the shape lift uses
 Gauss-Jordan elimination over the jet ring's fraction field; pivot choice
 then only affects speed, never the answer.
+
+``rank`` first reduces its integer matrix mod the prime p = 2^61 - 1.  A
+minor that is nonzero mod p is nonzero over the integers, so the rank mod p
+is a lower bound; when it already equals the number of rows or columns, it
+is the rank, a certificate that costs one elimination on machine-sized
+residues.  A lower rank mod p decides nothing (p may divide every maximal
+minor, or the matrix is rank-deficient), so Bareiss's elimination, whose
+entries are the minors themselves, decides those matrices over the
+integers.  The orbit and independence matrices at generic points are of
+full rank, so they take the first path; special points take the second.
 """
 
 from __future__ import annotations
@@ -59,8 +69,9 @@ def rank(rows: Sequence[Sequence]) -> int:
     ``denominator`` (``int``, ``Fraction``, sympy ``Rational``).
 
     Each row is scaled by the LCM of its denominators and divided by its
-    content, which does not change the rank, and the integer matrix is
-    reduced by Bareiss's fraction-free elimination: every division is
+    content, which does not change the rank.  If the integer matrix has
+    full rank mod p (:func:`_rank_mod_p`), that is its rank; otherwise it
+    is reduced by Bareiss's fraction-free elimination: every division is
     exact, so the entries stay integers (minors of the matrix)."""
     mat = []
     for row in rows:
@@ -71,7 +82,38 @@ def rank(rows: Sequence[Sequence]) -> int:
         mat.append([n // content for n in ints])
     if mat and any(len(r) != len(mat[0]) for r in mat):
         raise ValueError("ragged matrix")
+    full = min(len(mat), len(mat[0])) if mat else 0
+    if _rank_mod_p(mat) == full:
+        return full
     return _bareiss_rank(mat)
+
+
+#: the Mersenne prime 2^61 - 1, the modulus of the full-rank certificate
+_P = (1 << 61) - 1
+
+
+def _rank_mod_p(mat: list[list[int]]) -> int:
+    """The rank of an integer matrix reduced mod ``_P``, by forward
+    elimination over the field of residues (``mat`` is left as it is).  It
+    is at most the rank over the rationals."""
+    m = [[x % _P for x in row] for row in mat]
+    row = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(row, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        inv = pow(m[row][col], -1, _P)
+        top = [x * inv % _P for x in m[row][col:]]
+        for r in range(row + 1, len(m)):
+            f = m[r][col]
+            if f:
+                # entries left of col vanish in both rows
+                m[r][col:] = [(a - f * b) % _P for a, b in zip(m[r][col:], top)]
+        row += 1
+        if row == len(m):
+            break
+    return row
 
 
 def _bareiss_rank(mat: list[list[int]]) -> int:

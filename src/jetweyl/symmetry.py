@@ -557,7 +557,8 @@ class _TaylorJet:
     """The jet point theta as a truncated power-series section, in integers.
 
     The Taylor polynomials of u and v about the base point (degree k+1,
-    taken from theta's values, principal ones included) give, through
+    principal values included: theta solves through order k+1 once, and its
+    coordinates are read by key, with no jet symbol) give, through
     degree k, series for the eleven generators (t, x, y, u, v, u_t, ...,
     v_y) of ``_jet_ring(1)``, the arguments of a generating section.
     Composing a polynomial phi with them and reading off sigma! *
@@ -576,9 +577,10 @@ class _TaylorJet:
         self.theta = theta
         self.k = k
         self.t0 = theta.base["t"]
+        theta._solve_through(k + 1)
         taylor = {
             dep: {
-                e: theta.value(jet(dep, e)) / prod(map(factorial, e))
+                e: theta._fraction(dep, e) / prod(map(factorial, e))
                 for e in itertools.product(range(k + 2), repeat=3)
                 if sum(e) <= k + 1
             }

@@ -24,7 +24,13 @@ from jetweyl.jets import (
     ms_system,
     principal_indices,
 )
-from tree_oracle import partial, tree_normalize, tree_recurrence, tree_total_derivative
+from tree_oracle import (
+    fraction_principal_values,
+    partial,
+    tree_normalize,
+    tree_recurrence,
+    tree_total_derivative,
+)
 
 u, v = jet("u"), jet("v")
 u_t, u_x, u_y = (jet("u", ix) for ix in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -194,6 +200,70 @@ def test_section_residuals_trivial_solution():
 def test_section_residuals_flag_non_solutions():
     r1, _ = Solution(X * Y, 0, deferred=True).residuals()
     assert not is_zero(r1)
+
+
+# ---------------------------------------------------------------------------
+# the integer solve of JetPoint against the Fraction solve it replaced
+
+
+def _oracle_point(rng, k, den=10**6, zeros=0.0, base=None):
+    """A seeded point of order k, its internal coordinates rationals with
+    denominators up to ``den``, each 0 with probability ``zeros``."""
+    internal = {
+        (dep, (i.nt, i.nx, i.ny)): Fraction(0)
+        if rng.random() < zeros
+        else Fraction(rng.randint(-10**6, 10**6), rng.randint(1, den))
+        for dep in ("u", "v")
+        for i in internal_indices(k)
+    }
+    point = ms_system().point(
+        k, base=base, internal={jet(dep, idx): q for (dep, idx), q in internal.items()}
+    )
+    return point, internal
+
+
+def _assert_matches_oracle(point, internal, order):
+    want = fraction_principal_values(internal, order)
+    assert len(want) == 2 * len(principal_indices(order))
+    point._solve_through(order)
+    for (dep, idx), q in want.items():
+        n, e = point._coord(dep, idx)
+        assert Fraction(n, point._L**e) == q, (dep, idx)
+        assert point.value(jet(dep, idx)) == q, (dep, idx)
+
+
+@pytest.mark.parametrize("order", range(2, MAX_JET_ORDER + 1))
+def test_integer_solve_matches_the_fraction_solve(order):
+    rng = random.Random(order)
+    _assert_matches_oracle(*_oracle_point(rng, order), order)
+    # small denominators and a third of the coordinates 0
+    _assert_matches_oracle(*_oracle_point(rng, order, den=7, zeros=0.3), order)
+
+
+def test_integer_solve_at_the_origin_of_the_jets():
+    point, internal = ms_system().point(MAX_JET_ORDER), {}
+    assert point._L == 1
+    _assert_matches_oracle(point, internal, MAX_JET_ORDER)
+    assert all(point._coord(d, (i.nt, i.nx, i.ny))[0] == 0
+               for d in ("u", "v") for i in principal_indices(MAX_JET_ORDER))
+
+
+def test_integer_solve_ignores_the_base_point():
+    rng = random.Random(3)
+    base = {"t": Fraction(-7, 3), "x": Fraction(5, 11), "y": Fraction(10**6 + 3, 2)}
+    point, internal = _oracle_point(rng, 4, base=base)
+    _assert_matches_oracle(point, internal, 6)
+    assert point.value(T) == base["t"] and point.value(Y) == base["y"]
+
+
+def test_integer_solve_reads_a_high_order_value_first():
+    rng = random.Random(6)
+    point, internal = _oracle_point(rng, 5, den=1000, zeros=0.2)
+    want = fraction_principal_values(internal, 6)
+    # an order-6 principal value before any order-3 one
+    assert point.value(jet("v", (2, 3, 1))) == want[("v", (2, 3, 1))]
+    assert point.value(jet("u", (1, 1, 1))) == want[("u", (1, 1, 1))]
+    _assert_matches_oracle(point, internal, 6)
 
 
 def test_jet_point_round_trip():

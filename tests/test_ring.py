@@ -4,8 +4,10 @@ The tree principal table with its reduction and the tree prolonged
 coefficients live here, built on ``tree_oracle.tree_total_derivative``, as
 the oracle: every ring result must equal the tree result as a rational
 function (``tree_normalize(a - b) == 0``, the sympy canonical form of
-``tree_oracle``), and the ring's principal table must agree with the
-independent Leibniz solver of ``JetPoint`` at random rational points.
+``tree_oracle``), and the ring's principal table must agree at random
+rational points with the principal values ``JetPoint`` solves by Leibniz's
+rule in integers, independently of the table (``test_jets`` matches that
+solve against the ``Fraction`` solve ``tree_oracle.fraction_principal_values``).
 """
 
 import random

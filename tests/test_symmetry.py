@@ -15,7 +15,7 @@ from jetweyl.exprcore import T, X, Y, equal, formal, is_zero, jet, jet_info
 from jetweyl.fields import PointField, prolong
 from jetweyl.geometry import Solution
 from jetweyl.jets import _jet_ring, _ring_for, internal_indices, ms_system, principal_indices
-from jetweyl import symmetry
+from jetweyl import exprcore, jets, symmetry
 from jetweyl.symmetry import (
     _TaylorJet,
     _derivatives,
@@ -544,3 +544,32 @@ def test_a_second_orbit_dimension_builds_no_sympy_polynomial(monkeypatch):
     counts["Poly"] = 0
     assert orbit_dimension(3, point()) == first == 23
     assert counts == {"Poly": 0, "generator": 0}
+
+
+def test_a_warm_orbit_dimension_builds_no_jet_symbol(monkeypatch):
+    # the Taylor series reads theta's coordinates by key, not by symbol
+    rng = random.Random(28)
+
+    def point():
+        internal = {
+            jet(dep, idx): Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            for dep in "uv"
+            for idx in internal_indices(4)
+        }
+        return ms_system().point(4, base={"t": Fraction(rng.randint(-3, 3), 2)}, internal=internal)
+
+    first = orbit_dimension(4, point())
+    theta = point()
+    calls = []
+    real_jet = exprcore.jet
+
+    def counting_jet(*args, **kwargs):
+        calls.append(args)
+        return real_jet(*args, **kwargs)
+
+    for module in (exprcore, jets, symmetry):
+        monkeypatch.setattr(module, "jet", counting_jet)
+    assert exprcore.resolve_symbol("u_xy") is not None and len(calls) == 1  # the counter counts
+    calls.clear()
+    assert orbit_dimension(4, theta) == first == 28
+    assert calls == []

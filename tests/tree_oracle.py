@@ -8,7 +8,9 @@ generators substituted back.  ``partial`` is the tree derivative: sympy's
 ``diff`` plus the formal chain rule d/dt a^(k) = a^(k+1), and
 ``tree_total_derivative`` the total derivative D_i built on it.
 ``tree_recurrence`` parses an equation of the system with ``sp.Poly`` into
-the terms of the point recurrence.  ``tree_moved``
+the terms of the point recurrence, and ``fraction_principal_values`` is the
+``Fraction`` Leibniz solve of the principal values that ``JetPoint`` ran
+before it solved in integers.  ``tree_moved``
 and ``tree_reflected`` compose a section with a pseudogroup element or a
 reflection on trees and return the unnormalized result.
 ``tree_family`` is X_i(p) of the five symmetry families as they were
@@ -24,6 +26,8 @@ zero test), from the tree pair.
 """
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import sympy as sp
@@ -105,6 +109,56 @@ def tree_recurrence(F, dep: str) -> tuple:
         else:
             terms.append((coef, tuple(factors)))
     return c, tuple(terms)
+
+
+def fraction_principal_values(internal: dict, order: int) -> dict:
+    """The principal values of every order <= ``order`` at the point whose
+    internal coordinates are ``internal`` ({(dependent, (nt, nx, ny)):
+    rational}, unset ones 0), solved in ``Fraction``s: D_sigma F_w = 0 for
+    w_{sigma+tx}, order by order and by ascending t-count within an order,
+    with D_sigma of each term of the tree parse (``tree_recurrence``) by
+    Leibniz's rule on the values already known."""
+    values = {key: Fraction(q) for key, q in internal.items()}
+
+    def coord(dep, idx):
+        got = values.get((dep, idx))
+        if got is None:
+            assert not (idx[0] and idx[1]), f"{dep}_{idx} read before it was solved"
+            return Fraction(0)
+        return got
+
+    recurrences = {dep: tree_recurrence(F, dep) for F, dep in zip(_ms_equations(), "uv")}
+    out = {}
+    for m in range(2, order + 1):
+        for nt in range(1, m):
+            for nx in range(1, m - nt + 1):
+                sigma = (nt - 1, nx - 1, m - nt - nx)
+                shifts = [
+                    (tau, math.prod(math.comb(n, j) for n, j in zip(sigma, tau)))
+                    for tau in itertools.product(*(range(n + 1) for n in sigma))
+                ]
+                for dep in "uv":
+                    lead, terms = recurrences[dep]
+                    rest = Fraction(0)
+                    for coef, factors in terms:
+                        if len(factors) == 1:
+                            (d, a), = factors
+                            rest += coef * coord(d, _add(a, sigma))
+                            continue
+                        (d1, a), (d2, b) = factors
+                        rest += coef * sum(
+                            binom
+                            * coord(d1, _add(a, tau))
+                            * coord(d2, _add(b, _add(sigma, tau, -1)))
+                            for tau, binom in shifts
+                        )
+                    key = (dep, (nt, nx, m - nt - nx))
+                    values[key] = out[key] = -rest / lead
+    return out
+
+
+def _add(a, b, sign=1):
+    return tuple(x + sign * y for x, y in zip(a, b))
 
 
 def tree_family(i: int, p) -> PointField:
