@@ -13,8 +13,9 @@ is the rank, a certificate that costs one elimination on machine-sized
 residues.  A lower rank mod p decides nothing (p may divide every maximal
 minor, or the matrix is rank-deficient), so Bareiss's elimination, whose
 entries are the minors themselves, decides those matrices over the
-integers.  The orbit and independence matrices at generic points are of
-full rank, so they take the first path; special points take the second.
+integers.  The orbit and independence matrices of ``verify-all`` and
+``orbit-dim`` have full rank and take the first path; a rank-deficient
+one, such as the orbit at the zero jet, takes the second.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from jetweyl.exprcore import T, X, Y, equal, formal, is_zero, jet, jet_info
 from jetweyl.fields import PointField, prolong
 from jetweyl.geometry import Solution
 from jetweyl.jets import _jet_ring, _ring_for, internal_indices, ms_system, principal_indices
-from jetweyl import exprcore, jets, symmetry
+from jetweyl import exprcore, jets, linalg, symmetry
 from jetweyl.symmetry import (
     _TaylorJet,
     _derivatives,
@@ -372,6 +372,21 @@ def test_orbit_dimension_special_point_k3():
     theta = sys_.point(3, internal={"u_x": 1, "u_xx": 1})
     assert orbit_dimension(3, theta) == 23
     assert orbit_expected_dimension(3) == 5 * 3 + 8
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_orbit_dimension_drops_at_the_zero_jet(k, monkeypatch):
+    # the spanning fields are dependent at the zero jet, so the rank mod p
+    # certifies nothing and Bareiss's elimination decides
+    calls = []
+    real = linalg._bareiss_rank
+    monkeypatch.setattr(linalg, "_bareiss_rank", lambda mat: calls.append(1) or real(mat))
+    theta = ms_system().point(k)
+    vectors = _orbit_vectors(k, theta)
+    want = sp.Matrix(vectors).rank()
+    assert want < min(len(vectors), len(vectors[0]))
+    assert orbit_dimension(k, theta) == want == 5 * k + 5
+    assert calls == [1]
 
 
 # The symbolic path the pointwise orbit vectors replaced, kept as their
