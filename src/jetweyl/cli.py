@@ -241,7 +241,7 @@ def _point_assignment(text: str) -> dict:
 
 def _cmd_invariants(args):
     from . import invariants
-    from .exprcore import to_text
+    from .exprcore import jet_info, resolve_symbol, to_text
 
     evaluated = None
     if args.eval:
@@ -254,7 +254,10 @@ def _cmd_invariants(args):
         e = system.reduce(e)
         assign = _point_assignment(args.at or "")
         base = {c: assign.pop(c, Fraction(0)) for c in ("t", "x", "y")}
-        theta = system.point(3, base=base, internal=assign)
+        # order 3 holds the invariants; a higher coordinate named in --at
+        # raises it
+        order = max([3, *(jet_info(resolve_symbol(name))[1].order for name in assign)])
+        theta = system.point(order, base=base, internal=assign)
         evaluated = {"expr": args.eval, "value": str(theta.eval(e))}
     doc = {
         "I": {i: to_text(invariants.invariant(i)) for i in (1, 2, 3)},

@@ -21,10 +21,11 @@ have integer coefficients; the total derivatives are ring derivations,
 reduction is a substitution of generators, and a one-term side cancels
 without a gcd (``_cancel``).  The symmetry and invariance checks compute
 there and convert sympy expressions only at their boundary.  A
-:class:`JetPoint` solves the same triangular system in Python integers
-over powers of one denominator; ``_poly_sums`` evaluates ring polynomials
-there, and their gradients, in Python integers over one common
-denominator, and ``_poly_at`` makes the value one ``Fraction``.
+:class:`JetPoint` holds every coordinate, base and jet, in Python integers
+over powers of one denominator and solves the same triangular system
+there; ``JetPoint.integers`` reads coordinates over one common
+denominator, and ``_poly_sums`` evaluates integer ring polynomials, and
+their gradients, from those integers.
 
 The dimension counts of jet spaces and equation submanifolds live in
 :mod:`jetweyl.counts`.
@@ -74,7 +75,6 @@ from .exprcore import (
     resolve_symbol,
     to_text,
 )
-from .linalg import as_fraction
 
 __all__ = [
     "EquationSystem",
@@ -83,8 +83,6 @@ __all__ = [
     "internal_indices",
     "principal_indices",
 ]
-
-_ZERO = Fraction(0)
 
 
 def _shift(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -784,6 +782,24 @@ def ms_system() -> EquationSystem:
     return EquationSystem()
 
 
+def _point_key(s) -> str | tuple[str, tuple[int, int, int]]:
+    """The key of a base or jet symbol's coordinate in a :class:`JetPoint`:
+    its name for t, x, y, else (dependent, (nt, nx, ny))."""
+    if s in BASE_SYMBOLS:
+        return s.name
+    dep, idx = jet_info(s)  # KeyError -> not a jet symbol
+    return dep, (idx.nt, idx.nx, idx.ny)
+
+
+def _exact(name, val) -> Fraction:
+    """A coordinate's value as a ``Fraction``.  A float is refused: its
+    binary expansion would pass for the value and inflate the point's
+    common denominator."""
+    if isinstance(val, float):
+        raise ValueError(f"{name} = {val!r} is a float; give it as an exact rational")
+    return Fraction(val)
+
+
 class JetPoint:
     """A rational point of the order-k equation submanifold.
 
@@ -794,10 +810,11 @@ class JetPoint:
     the tangent-space computations lift the point to higher jet orders: the
     point is the jet of a truncated power-series solution.
 
-    Jet coordinates are held as integer pairs (n, e), the value n / L^e
-    with L the lcm of the internal coordinates' denominators, so the solve
-    runs in Python integers; :meth:`value` makes one ``Fraction`` per
-    coordinate read.
+    Every coordinate, base and jet, is held as an integer pair (n, e), the
+    value n / L^e with L the lcm of the denominators of the given
+    coordinates, so the solve runs in Python integers.  :meth:`integers`
+    reads coordinates as integers over one common denominator, which is how
+    the point layer evaluates, and :meth:`value` makes one ``Fraction``.
     """
 
     def __init__(self, k: int, base=None, internal=None):
@@ -809,14 +826,9 @@ class JetPoint:
             name = name if isinstance(name, str) else name.name
             if name not in self.base:
                 raise ValueError(f"base coordinate must be t,x,y, got {name!r}")
-            self.base[name] = Fraction(val)
+            self.base[name] = _exact(name, val)
         self.internal: dict[sp.Symbol, Fraction] = {}
-        # jet ring -> (L, n): its generators' values here are n_i / L (see
-        # _poly_sums)
-        self._generator_values: dict = {}
-        # (dependent, (nt, nx, ny)) -> the value as a Fraction, made on
-        # first read
-        self._fractions: dict[tuple[str, tuple[int, int, int]], Fraction] = {}
+        given: dict = dict(self.base)
         for key, val in (internal or {}).items():
             s = resolve_symbol(key)
             dep, idx = jet_info(s)  # KeyError -> not a jet symbol
@@ -826,37 +838,43 @@ class JetPoint:
                 )
             if idx.order > k:
                 raise JetOrderError(f"{s} has order beyond k={k}")
-            self.internal[s] = self._fractions[(dep, (idx.nt, idx.nx, idx.ny))] = Fraction(val)
-        self._L = math.lcm(*(q.denominator for q in self.internal.values()))
-        # (dependent, (nt, nx, ny)) -> (n, e); principal entries are filled
-        # by _solve_through, all orders <= _solved at a time
-        self._values: dict[tuple[str, tuple[int, int, int]], tuple[int, int]] = {
-            key: (q.numerator * (self._L // q.denominator), 1)
-            for key, q in self._fractions.items()
+            self.internal[s] = given[(dep, (idx.nt, idx.nx, idx.ny))] = _exact(s, val)
+        self._L = math.lcm(*(q.denominator for q in given.values()))
+        # coordinate key (see _point_key) -> (n, e); unset internal
+        # coordinates are absent, principal entries are filled by
+        # _solve_through, all orders <= _solved at a time
+        self._values: dict = {
+            key: (q.numerator * (self._L // q.denominator), 1) for key, q in given.items()
         }
         self._solved = 1
+        # keys -> integers(keys): a solved value never changes, so a read
+        # stands
+        self._read: dict[tuple, tuple[list[int], int]] = {}
 
     def value(self, key) -> Fraction:
         """Value of a base or jet coordinate (any order up to the hard cap)."""
-        s = resolve_symbol(key)
-        if s in BASE_SYMBOLS:
-            return self.base[s.name]
-        dep, idx = jet_info(s)
-        if idx.is_principal:
-            self._solve_through(idx.order)
-        return self._fraction(dep, (idx.nt, idx.nx, idx.ny))
+        (n,), den = self.integers((_point_key(resolve_symbol(key)),))
+        return Fraction(n, den)
 
-    def _fraction(self, dep: str, idx: tuple[int, int, int]) -> Fraction:
-        """The value of a coordinate of order <= ``_solved`` as a
-        ``Fraction``, made once."""
-        got = self._fractions.get((dep, idx))
+    def integers(self, keys: tuple) -> tuple[list[int], int]:
+        """The coordinates ``keys`` (see :func:`_point_key`) as integers
+        n_i over one common denominator D, a power of L: coordinate i is
+        n_i / D.  Principal coordinates are solved first.  A read is made
+        once per point and keys, and its list is shared: callers do not
+        change it."""
+        got = self._read.get(keys)
         if got is None:
-            n, e = self._coord(dep, idx)
-            got = self._fractions[(dep, idx)] = Fraction(n, self._L**e) if n else _ZERO
+            # a principal key holds a t and an x
+            principal = [key[1] for key in keys if type(key) is tuple and key[1][0] and key[1][1]]
+            self._solve_through(max(map(sum, principal), default=0))
+            pairs = [self._values.get(key, (0, 0)) for key in keys]
+            top = max([e for _, e in pairs], default=0)
+            powers = [self._L**i for i in range(top + 1)]
+            got = self._read[keys] = [n * powers[top - e] for n, e in pairs], powers[top]
         return got
 
     def _coord(self, dep: str, idx: tuple[int, int, int]) -> tuple[int, int]:
-        """The pair (n, e) of a coordinate of order <= ``_solved``: its
+        """The pair (n, e) of a jet coordinate of order <= ``_solved``: its
         value is n / L^e."""
         got = self._values.get((dep, idx))
         if got is None:
@@ -928,44 +946,38 @@ class JetPoint:
                     f"the denominator of {to_text(e)} vanishes at the jet point ({where})"
                 )
             raise PointNotOnEquationError(f"non-rational value {val}")
-        return as_fraction(val)
+        return Fraction(int(val.p), int(val.q))
 
 
 def _clear_denominators(p, L: int) -> tuple[list[tuple[tuple[int, ...], int]], int]:
-    """A polynomial (or a {monomial: rational coefficient} dict) whose
-    variables are integers over the common denominator L, in integers:
-    with M the lcm of the coefficients' denominators and ``top`` the total
-    degree, the pairs (m, (M c) L^(top - |m|)) of its terms c * x^m and
-    the denominator M L^top.  Summing coefficient * prod n_i^m_i over the
-    pairs gives the value times that denominator."""
-    M = math.lcm(*(int(c.denominator) for c in p.values()))
+    """An integer polynomial whose variables are integers over the common
+    denominator L, in integers: with ``top`` its total degree, the pairs
+    (m, c L^(top - |m|)) of its terms c * x^m and the denominator L^top.
+    Summing coefficient * prod n_i^m_i over the pairs gives the value times
+    that denominator."""
     top = max(map(sum, p), default=0)
     powers = [1]
     for _ in range(top):
         powers.append(powers[-1] * L)
-    terms = [
-        (m, int(c.numerator) * (M // int(c.denominator)) * powers[top - sum(m)])
-        for m, c in p.items()
-    ]
-    return terms, M * powers[top]
+    return [(m, int(c) * powers[top - sum(m)]) for m, c in p.items()], powers[top]
+
+
+@lru_cache(maxsize=None)
+def _generator_keys(ring: _JetRing) -> tuple:
+    """The :class:`JetPoint` keys of the generators of a jet ring without
+    extras, in the ring's order."""
+    return tuple(map(_point_key, ring.symbols))
 
 
 def _poly_sums(point: JetPoint, ring: _JetRing, p, coords=()) -> tuple[int, int, list[int]]:
-    """(value, den, grad): a polynomial (or a {monomial: rational
-    coefficient} dict) over the generators of a jet ring without extras is
-    value / den at the point, and its partial derivative by the generator
-    ``coords[n]`` is grad[n] / den.  One walk in integers over the terms
-    of :func:`_clear_denominators` gives both, from the values of the
-    ring's generators read once per point and ring as integers n_i over
-    their common denominator L."""
-    got = point._generator_values.get(ring)
-    if got is None:
-        values = list(map(point.value, ring.symbols))
-        L = math.lcm(*(v.denominator for v in values))
-        nums = [v.numerator * (L // v.denominator) for v in values]
-        got = point._generator_values[ring] = (L, nums)
-    L, nums = got
-    terms, den = _clear_denominators(p, L)
+    """(value, den, grad): an integer polynomial over the generators of a
+    jet ring without extras is value / den at the point, and its partial
+    derivative by the generator ``coords[n]`` is grad[n] / den.  One walk
+    in integers over the terms of :func:`_clear_denominators` gives both,
+    from the values of the ring's generators as integers n_i over one
+    common denominator D (:meth:`JetPoint.integers`)."""
+    nums, D = point.integers(_generator_keys(ring))
+    terms, den = _clear_denominators(p, D)
     place = {i: n for n, i in enumerate(coords)}
     value, grad = 0, [0] * len(coords)
     for monom, scale in terms:
@@ -975,16 +987,8 @@ def _poly_sums(point: JetPoint, ring: _JetRing, p, coords=()) -> tuple[int, int,
         for s, i in enumerate(support):
             n = place.get(i)
             if n is not None:
-                # the derivative has degree |m| - 1: one more factor L
+                # the derivative has degree |m| - 1: one more factor D
                 e = monom[i]
                 rest = prod(powers[:s]) * prod(powers[s + 1 :])
-                grad[n] += scale * e * L * nums[i] ** (e - 1) * rest
+                grad[n] += scale * e * D * nums[i] ** (e - 1) * rest
     return value, den, grad
-
-
-def _poly_at(point: JetPoint, ring: _JetRing, p) -> Fraction:
-    """The exact value at the point of a polynomial (or a {monomial:
-    rational coefficient} dict) over the generators of a jet ring without
-    extras: the integer sums of :func:`_poly_sums`, made one ``Fraction``."""
-    value, den, _ = _poly_sums(point, ring, p)
-    return Fraction(value, den)

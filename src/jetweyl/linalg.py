@@ -21,26 +21,11 @@ one, such as the orbit at the zero jet, takes the second.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 __all__ = [
-    "as_fraction",
     "rank",
 ]
-
-
-def as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    # sympy Rational and friends expose p/q
-    p = getattr(x, "p", None)
-    q = getattr(x, "q", None)
-    if p is not None and q is not None:
-        return Fraction(int(p), int(q))
-    return Fraction(x)
 
 
 def _eliminate(mat: list[list]) -> list[int]:

@@ -51,7 +51,7 @@ from .jets import (
     _clear_denominators,
     _equations,
     _jet_ring,
-    _poly_at,
+    _poly_sums,
     _ring_for,
     internal_indices,
 )
@@ -526,16 +526,17 @@ def _series_mul(a: _Series, b: _Series, degree: int) -> _Series:
     return out
 
 
-# a polynomial in the generators of _jet_ring(1): {exponents: coefficient}
+# an integer polynomial in the generators of _jet_ring(1): {exponents: coefficient}
 _Poly = dict
 
 
 @lru_cache(maxsize=None)
-def _family_terms(fam: int) -> tuple[tuple[tuple[int, _Poly], ...], ...]:
+def _family_terms(fam: int) -> tuple[tuple[tuple[int, _Poly, int], ...], ...]:
     """Family ``fam`` embedded from the table's ring form into
     ``_jet_ring(1)``, built once: for its base components (a^t, a^x, a^y)
-    and generating section (phi_u, phi_v), the pairs (j, coefficient of
-    p^(j)) with a nonzero coefficient.
+    and generating section (phi_u, phi_v), the triples (j, numerator,
+    denominator) of each nonzero coefficient of p^(j), a ring element with
+    a constant integer denominator.
     phi_w is linear in the components, so its coefficient of p^(j) is the
     generating section of the table's column j."""
     ring = _jet_ring(1)
@@ -543,49 +544,45 @@ def _family_terms(fam: int) -> tuple[tuple[tuple[int, _Poly], ...], ...]:
     parts = [[column[n] for column in columns] for n in range(3)]
     parts += [[_phi_in(ring, column, dep) for column in columns] for dep in DEPENDENTS]
     return tuple(
-        tuple((j, _polynomial(c)) for j, c in enumerate(part) if c) for part in parts
+        tuple((j, c.numer, *c.denom.values()) for j, c in enumerate(part) if c) for part in parts
     )
-
-
-def _polynomial(f) -> _Poly:
-    """A ring element with a constant denominator as a polynomial."""
-    (d,) = f.denom.values()
-    return {m: Fraction(c, d) for m, c in f.numer.items()}
 
 
 class _TaylorJet:
     """The jet point theta as a truncated power-series section, in integers.
 
     The Taylor polynomials of u and v about the base point (degree k+1,
-    principal values included: theta solves through order k+1 once, and its
-    coordinates are read by key, with no jet symbol) give, through
-    degree k, series for the eleven generators (t, x, y, u, v, u_t, ...,
-    v_y) of ``_jet_ring(1)``, the arguments of a generating section.
-    Composing a polynomial phi with them and reading off sigma! *
+    principal values included, read by key with no jet symbol) give,
+    through degree k, series for the eleven generators (t, x, y, u, v,
+    u_t, ..., v_y) of ``_jet_ring(1)``, the arguments of a generating
+    section.  Composing a polynomial phi with them and reading off sigma! *
     coeff_sigma gives D_sigma phi at theta for every |sigma| <= k at once.
     The polynomials are the cached coefficients of :func:`_family_terms`,
     so a point builds no expression.
 
-    The argument series are kept times the lcm L of their coefficients'
-    denominators, so they, the cached monomials (one of degree d is kept
-    times L^d) and every product of series hold integers only; a composed
-    or parameter series comes with its denominator, and :meth:`vectors`
-    makes one ``Fraction`` per component.
+    theta gives its coordinates as integers over one denominator D
+    (``JetPoint.integers``), and sigma! divides (k+1)! for |sigma| <= k+1,
+    so the argument series are kept times L = D (k+1)!: they, the cached
+    monomials (one of degree d is kept times L^d) and every product of
+    series hold integers only.  A composed or parameter series comes with
+    its denominator, and :meth:`vectors` makes one ``Fraction`` per
+    component.
     """
 
     def __init__(self, theta: JetPoint, k: int):
         self.theta = theta
         self.k = k
         self.t0 = theta.base["t"]
-        theta._solve_through(k + 1)
-        taylor = {
-            dep: {
-                e: theta._fraction(dep, e) / prod(map(factorial, e))
-                for e in itertools.product(range(k + 2), repeat=3)
-                if sum(e) <= k + 1
-            }
-            for dep in DEPENDENTS
-        }
+        expos = [e for e in itertools.product(range(k + 2), repeat=3) if sum(e) <= k + 1]
+        keys = (*"txy", *((dep, e) for dep in DEPENDENTS for e in expos))
+        nums, den = theta.integers(keys)
+        whole = factorial(k + 1)
+        self.L = den * whole
+        base = dict(zip("txy", nums))
+        # dependent -> {sigma: L w_sigma / sigma!}
+        taylor: dict[str, _Series] = {dep: {} for dep in DEPENDENTS}
+        for (dep, e), n in zip(keys[3:], nums[3:]):
+            taylor[dep][e] = n * (whole // prod(map(factorial, e)))
         # one series per generator of _jet_ring(1), in its order: the exponents
         # of the polynomials of _family_terms index them
         args: list[_Series] = []
@@ -594,7 +591,7 @@ class _TaylorJet:
         for s in _jet_ring(1).symbols:
             if s in BASE_SYMBOLS:
                 unit = tuple(int(b == s) for b in BASE_SYMBOLS)
-                args.append({(0, 0, 0): theta.base[s.name], unit: Fraction(1)})
+                args.append({(0, 0, 0): base[s.name] * whole, unit: self.L})
                 continue
             dep, idx = jet_info(s)
             w = taylor[dep]
@@ -606,11 +603,7 @@ class _TaylorJet:
             args.append({
                 tuple(e[m] - (m == n) for m in range(3)): e[n] * q for e, q in w.items() if e[n]
             })
-        self.L = lcm(*(q.denominator for arg in args for q in arg.values()))
-        self.args = [
-            {key: q.numerator * (self.L // q.denominator) for key, q in arg.items()}
-            for arg in args
-        ]
+        self.args = args
         self._monomials: dict[tuple[int, ...], _Series] = {
             (0,) * len(self.args): {(0, 0, 0): 1}
         }
@@ -632,16 +625,16 @@ class _TaylorJet:
             self._monomials[expo] = got
         return got
 
-    def compose(self, poly: _Poly) -> tuple[_Series, int]:
-        """phi(t, x, y, u, v, u_t, ..., v_y) along the series section: an
-        integer series and its denominator M L^top (see
+    def compose(self, poly: _Poly, d: int) -> tuple[_Series, int]:
+        """phi(t, x, y, u, v, u_t, ..., v_y) = poly / d along the series
+        section: an integer series and its denominator d L^top (see
         ``jets._clear_denominators``)."""
         terms, den = _clear_denominators(poly, self.L)
         out: _Series = {}
         for expo, c in terms:
             for key, q in self._monomial(expo).items():
                 out[key] = out.get(key, 0) + c * q
-        return out, den
+        return out, d * den
 
     def parameter(self, n: int) -> tuple[_Series, int]:
         """The series of t^n/n! (zero for n < 0) in powers of t - t0, for
@@ -664,15 +657,19 @@ class _TaylorJet:
         run in integers over one common denominator per component."""
         terms = _family_terms(fam)
         ring = _jet_ring(1)
-        base_parts = [[(j, _poly_at(self.theta, ring, c)) for j, c in comp] for comp in terms[:3]]
-        phi_parts = [[(j, *self.compose(c)) for j, c in comp] for comp in terms[3:]]
+        # a^t, a^x, a^y at theta: per coefficient of f^(j), its value over
+        # its denominator
+        base_parts = [
+            [(j, v, den * d) for j, c, d in comp for v, den, _ in [_poly_sums(self.theta, ring, c)]]
+            for comp in terms[:3]
+        ]
+        phi_parts = [[(j, *self.compose(c, d)) for j, c, d in comp] for comp in terms[3:]]
         out = []
         for m in range(mmax + 1):
             series = [self.parameter(m - j) for j in range(3)]
             # a^t, a^x, a^y over one denominator: sum_j c_j f^(j)(t0)
             base_terms = [
-                [(v.numerator * series[j][0].get((0, 0, 0), 0), v.denominator * series[j][1])
-                 for j, v in parts]
+                [(v * series[j][0].get((0, 0, 0), 0), d * series[j][1]) for j, v, d in parts]
                 for parts in base_parts
             ]
             bden = lcm(*(d for part in base_terms for _, d in part))

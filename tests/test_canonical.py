@@ -396,6 +396,54 @@ def test_the_matrix_algebra_guard_sees_calls():
 
 
 # ---------------------------------------------------------------------------
+# a jet point's integer pairs stay behind JetPoint
+
+
+_POINT_INTERNALS = ("_L", "_values", "_coord")
+
+
+def _point_internal_reads(source: str) -> list:
+    """(attribute, enclosing def) for every access of ``_L``, ``_values``
+    or ``_coord`` on any object in a module's source."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            if isinstance(child, ast.Attribute) and child.attr in _POINT_INTERNALS:
+                found.append((child.attr, inner))
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_jets_reads_a_points_pairs():
+    # the rest of the package reads a point through JetPoint.integers and
+    # JetPoint.value
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "jetweyl"
+    offending = [
+        f"{path.name}: {attr} in {where}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "jets.py"
+        for attr, where in _point_internal_reads(path.read_text())
+    ]
+    assert offending == []
+    assert {attr for attr, _ in _point_internal_reads((src / "jets.py").read_text())} == set(
+        _POINT_INTERNALS
+    )
+
+
+def test_the_point_internals_guard_sees_reads():
+    found = _point_internal_reads(
+        "def taylor(theta, k):\n    return theta._values, theta._L ** k\n"
+        "def f(theta):\n    n, e = theta._coord('u', (0, 1, 0))\n"
+        "def g(theta):\n    return theta.integers(('t',)), theta.L, theta._solved\n"
+    )
+    assert found == [("_values", "taylor"), ("_L", "taylor"), ("_coord", "f")]
+
+
+# ---------------------------------------------------------------------------
 # jetweyl leaves sympy's classes alone
 
 

@@ -178,6 +178,15 @@ def test_invariants_eval_names_a_pole(expr, capsys):
     assert doc["eval"]["value"] == {"1/u_y": "1/4", "u_y/u_xx": "4/3"}[expr]
 
 
+@pytest.mark.parametrize("at, value", [("u_xxxx=5", "5"), ("u_x=1", "0")])
+def test_invariants_eval_past_order_three(at, value, capsys):
+    # a coordinate of order 4 named in --at raises the point's order; one not
+    # named extends the order-3 point by zero
+    code, doc = run(["invariants", "--eval", "u_xxxx", "--at", at], capsys)
+    assert code == 0
+    assert doc["eval"] == {"expr": "u_xxxx", "value": value}
+
+
 def test_counts(capsys):
     code, doc = run(["counts", "ms", "--upto", "6"], capsys)
     assert code == 0

@@ -279,3 +279,33 @@ def test_jet_point_round_trip():
     u_tx = jet("u", (1, 1, 0))
     assert u_tx not in jp.internal
     assert jp.value(u_tx) == jp.eval(sys_.reduce(u_tx))
+
+
+@pytest.mark.parametrize(
+    "base, internal, named",
+    [
+        ({"t": 0.1}, {}, "t = 0.1"),
+        ({}, {"u_x": 0.3}, "u_x = 0.3"),
+        ({}, {"v_yy": 2.0}, "v_yy = 2.0"),
+    ],
+)
+def test_a_float_coordinate_is_refused(base, internal, named):
+    # 0.1 would be held as 3602879701896397/36028797018963968
+    with pytest.raises(ValueError) as exc:
+        ms_system().point(2, base=base, internal=internal)
+    assert named in str(exc.value) and "float" in str(exc.value)
+
+
+def test_integers_read_coordinates_over_one_denominator():
+    rng = random.Random(29)
+    base = {"t": Fraction(-7, 3), "x": Fraction(5, 11), "y": 4}
+    point, internal = _oracle_point(rng, 3, den=50, zeros=0.3, base=base)
+    keys = ("t", "x", "y", ("u", (0, 2, 1)), ("v", (1, 1, 0)), ("u", (2, 1, 1)), ("v", (0, 0, 5)))
+    nums, den = point.integers(keys)
+    assert den > 0 and all(type(n) is int for n in nums)
+    want = [*(Fraction(base[c]) for c in "txy")]
+    want += [point.value(jet(dep, idx)) for dep, idx in keys[3:]]
+    assert [Fraction(n, den) for n in nums] == want
+    assert want[-1] == 0  # an internal coordinate past k extends by zero
+    assert point.integers(()) == ([], 1)
+    assert point.integers(keys) is point.integers(keys)  # read once

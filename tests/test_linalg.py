@@ -10,12 +10,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from jetweyl import linalg
-from jetweyl.linalg import _P, _bareiss_rank, _rank_mod_p, as_fraction, rank
-
-
-def test_as_fraction():
-    assert as_fraction(sp.Rational(3, 4)) == Fraction(3, 4)
-    assert as_fraction(2) == Fraction(2)
+from jetweyl.linalg import _P, _bareiss_rank, _rank_mod_p, rank
 
 
 def test_det_and_rank_small():

@@ -50,7 +50,6 @@ from jetweyl.jets import (
     _JetRing,
     _jet_ring,
     _ms_equations,
-    _poly_at,
     _poly_sums,
     _ring_for,
     internal_indices,
@@ -438,7 +437,7 @@ def _monomial_tree(symbols, monom) -> sp.Expr:
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_point_evaluator_matches_the_tree(k):
-    """``_poly_at`` against ``JetPoint.eval`` of the polynomial as a tree, on
+    """``_poly_sums`` against ``JetPoint.eval`` of the polynomial as a tree, on
     every polynomial the program evaluates at jet points: the numerators
     and denominators of the twelve invariants with their gradients in the
     internal coordinates (the Jacobian entries of ``independence_rank``)
@@ -457,21 +456,21 @@ def test_point_evaluator_matches_the_tree(k):
     for f in table.twelve:
         for p in (f.numer, f.denom):
             tree = p.as_expr()
-            assert _poly_at(point, ring, p) == point.eval(tree)
-            _, den, grad = _poly_sums(point, ring, p, coords)
+            value, den, grad = _poly_sums(point, ring, p, coords)
+            assert Fraction(value, den) == point.eval(tree)
             for i, g in zip(coords, grad):
                 want = point.eval(sp.diff(tree, ring.symbols[i]))
                 assert Fraction(g, den) == want, (p, i)
     ring1 = _jet_ring(1)
     for fam in range(1, 6):
         for component in _family_terms(fam)[:3]:
-            for _, c in component:
+            for _, c, d in component:
                 tree = sum(
-                    (sp.Rational(q.numerator, q.denominator) * _monomial_tree(ring1.symbols, m)
-                     for m, q in c.items()),
+                    (sp.Rational(q, d) * _monomial_tree(ring1.symbols, m) for m, q in c.items()),
                     sp.Integer(0),
                 )
-                assert _poly_at(point, ring1, c) == point.eval(tree), (fam, c)
+                value, den, _ = _poly_sums(point, ring1, c)
+                assert Fraction(value, den * d) == point.eval(tree), (fam, c)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 import pytest
 import sympy as sp
@@ -15,7 +15,7 @@ from jetweyl.exprcore import T, X, Y, equal, formal, is_zero, jet, jet_info
 from jetweyl.fields import PointField, prolong
 from jetweyl.geometry import Solution
 from jetweyl.jets import _jet_ring, _ring_for, internal_indices, ms_system, principal_indices
-from jetweyl import exprcore, jets, linalg, symmetry
+from jetweyl import exprcore, invariants, jets, linalg, symmetry
 from jetweyl.symmetry import (
     _TaylorJet,
     _derivatives,
@@ -489,6 +489,48 @@ def test_the_taylor_jet_holds_integers():
     assert all(type(q) is int for s in held for q in s.values())
 
 
+def _taylor_args_by_value(theta, k):
+    """The argument series of ``_TaylorJet(theta, k)`` from
+    ``JetPoint.value`` in ``Fraction``s: t, x, y about the base point, w
+    with the coefficients w_sigma / sigma! through degree k, and w_t, w_x,
+    w_y with w_{sigma+t} / sigma! and so on."""
+    def coeff(dep, sigma):
+        return theta.value(jet(dep, sigma)) / prod(map(factorial, sigma))
+
+    sigmas = [(i.nt, i.nx, i.ny) for i in (*internal_indices(k), *principal_indices(k))]
+    out = []
+    for s in _jet_ring(1).symbols:
+        if s in (T, X, Y):
+            unit = tuple(int(b == s) for b in (T, X, Y))
+            out.append({(0, 0, 0): theta.value(s), unit: Fraction(1)})
+            continue
+        dep, idx = jet_info(s)
+        step = (idx.nt, idx.nx, idx.ny)
+        out.append({
+            sigma: coeff(dep, tuple(a + b for a, b in zip(sigma, step)))
+            * prod(a + b for a, b in zip(sigma, step) if b)
+            for sigma in sigmas
+        })
+    return out
+
+
+@pytest.mark.parametrize(
+    "drawn",
+    [
+        _chosen_point(1, 0, Fraction(-7, 3), -2, 1),
+        _chosen_point(3, 0, Fraction(-1, 97), Fraction(3, 101), 3),
+        _chosen_point(4, 0, -3, Fraction(-2, 5), 4, denominators=(97, 101)),
+    ],
+)
+def test_the_taylor_series_are_the_point_values_over_their_denominator(drawn):
+    k, theta = drawn
+    series = _TaylorJet(theta, k)
+    want = _taylor_args_by_value(theta, k)
+    assert len(series.args) == len(want) == 11
+    for got, exact in zip(series.args, want):
+        assert {key: Fraction(n, series.L) for key, n in got.items()} == exact
+
+
 def test_orbit_vectors_match_the_symbolic_path_at_order_4():
     rng = random.Random(4)
     internal = {
@@ -559,6 +601,39 @@ def test_a_second_orbit_dimension_builds_no_sympy_polynomial(monkeypatch):
     counts["Poly"] = 0
     assert orbit_dimension(3, point()) == first == 23
     assert counts == {"Poly": 0, "generator": 0}
+
+
+def test_the_taylor_jet_and_the_point_sums_make_no_fraction(monkeypatch):
+    # theta hands its coordinates over as integers over one denominator
+    k, theta = _chosen_point(4, Fraction(-5, 4), -1, Fraction(-9, 7), 2)
+    table = invariants._order3()
+    made = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        real_coprime = Fraction._from_coprime_ints.__func__
+
+        def counting_coprime(cls, *args):
+            made.append(args)
+            return real_coprime(cls, *args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+    assert Fraction(1, 2) + Fraction(1, 3) and len(made) >= 2  # the counter counts
+    made.clear()
+    series = _TaylorJet(theta, k)
+    for fam in range(1, 6):
+        for comp in symmetry._family_terms(fam):
+            for _, c, _ in comp:
+                jets._poly_sums(theta, _jet_ring(1), c)
+                series.compose(c, 1)
+    for f in table.twelve:
+        jets._poly_sums(theta, table.ring, f.numer)
+    assert made == []
 
 
 def test_a_warm_orbit_dimension_builds_no_jet_symbol(monkeypatch):
