@@ -4,7 +4,9 @@ and the Lorentzian Einstein-Weyl structures its solutions carry.
 Subpackages by theme:
 
 * :mod:`jetweyl.exprcore`   exact symbolic kernel (canonical rational forms)
-* :mod:`jetweyl.dsl`        text syntax for expressions and solutions
+* :mod:`jetweyl.syntax`     the DSL's grammar and name rules, read without
+                            sympy
+* :mod:`jetweyl.dsl`        sympy expressions and solutions from DSL text
 * :mod:`jetweyl.jets`       total derivatives, the equation system, reduction
 * :mod:`jetweyl.fields`     point vector fields and their prolongations
 * :mod:`jetweyl.symmetry`   the symmetry families, commutator table, the

@@ -12,7 +12,10 @@ parse error; 4 domain or math error (singular locus, invalid solution,
 pseudogroup data); 5 unexpected internal error.
 
 Each handler imports the layers it uses, so ``dims``, ``compare``,
-``--help`` and usage errors run without loading sympy.
+``--help`` and usage errors run without loading sympy.  A handler that
+reads DSL text reads all of it with :mod:`jetweyl.syntax` first, before it
+loads an algebra layer: a parse error, a bad ``--at`` piece or a jet
+coordinate past the order cap exits without loading sympy as well.
 """
 
 from __future__ import annotations
@@ -68,6 +71,20 @@ def _jsonable(x):
     return str(x)
 
 
+def _read_solution(args) -> None:
+    """Read the solution argument with the syntax stage and, for a catalog
+    id, its parameters ``--f``, ``--h``, ``--w`` (bindings take none)."""
+    from . import syntax
+
+    if args.solution in syntax.CATALOG_IDS:
+        for name in ("f", "h", "w"):
+            val = getattr(args, name, None)
+            if val is not None:
+                syntax.parse_expr(val, allow_exp=True)
+    else:
+        syntax.parse_solution(args.solution)
+
+
 def _solution_from_text(text: str, args, deferred: bool = False):
     from . import geometry
     from .dsl import parse_expr, parse_solution
@@ -118,6 +135,9 @@ def _cmd_dims(args):
 
 
 def _cmd_reduce(args):
+    from . import syntax
+
+    syntax.parse_expr(args.expr)
     from .dsl import parse_expr
     from .exprcore import to_text
     from .jets import ms_system
@@ -147,15 +167,19 @@ def _cmd_verify_table(args):
 
 
 def _cmd_check_symmetry(args):
+    from . import syntax
+
+    if args.parameter:
+        syntax.parse_expr(args.parameter)
     from . import symmetry
     from .dsl import parse_expr
     from .exprcore import formal, to_text
 
     families = (1, 2, 3, 4, 5) if args.family == "all" else (int(args.family),)
+    param = parse_expr(args.parameter) if args.parameter else formal("f")
     out = []
     ok = True
     for i in families:
-        param = parse_expr(args.parameter) if args.parameter else formal("f")
         field = symmetry.generator(i, param)
         res = symmetry.check_symmetry(field)
         good = res is True
@@ -214,7 +238,7 @@ def _cmd_orbit_dim(args):
 def _point_assignment(text: str) -> dict:
     """The ``name=rational`` pieces of ``invariants --at``; a name is t, x,
     y or an internal jet coordinate."""
-    from .exprcore import is_jet_symbol, jet_info, resolve_symbol
+    from .syntax import jet_parts
 
     assign = {}
     for piece in text.split(","):
@@ -228,10 +252,10 @@ def _point_assignment(text: str) -> dict:
             raise ParseError(f"--at {piece!r}: {val!r} is not a rational number") from None
         if name not in ("t", "x", "y"):
             try:
-                sym = resolve_symbol(name)
+                parts = jet_parts(name)
             except JetweylError:
-                sym = None
-            if sym is None or not is_jet_symbol(sym) or not jet_info(sym)[1].is_internal:
+                parts = None
+            if parts is None or not parts[1].is_internal:
                 raise ParseError(
                     f"--at {piece!r}: {name!r} is not t, x, y or an internal jet coordinate"
                 )
@@ -240,8 +264,13 @@ def _point_assignment(text: str) -> dict:
 
 
 def _cmd_invariants(args):
+    from . import syntax
+
+    if args.eval:
+        syntax.parse_expr(args.eval)
+        assign = _point_assignment(args.at or "")
     from . import invariants
-    from .exprcore import jet_info, resolve_symbol, to_text
+    from .exprcore import to_text
 
     evaluated = None
     if args.eval:
@@ -252,11 +281,10 @@ def _cmd_invariants(args):
         e = parse_expr(args.eval)
         system = ms_system()
         e = system.reduce(e)
-        assign = _point_assignment(args.at or "")
         base = {c: assign.pop(c, Fraction(0)) for c in ("t", "x", "y")}
         # order 3 holds the invariants; a higher coordinate named in --at
         # raises it
-        order = max([3, *(jet_info(resolve_symbol(name))[1].order for name in assign)])
+        order = max([3, *(syntax.jet_parts(name)[1].order for name in assign)])
         theta = system.point(order, base=base, internal=assign)
         evaluated = {"expr": args.eval, "value": str(theta.eval(e))}
     doc = {
@@ -338,6 +366,7 @@ def _cmd_counts(args):
 
 
 def _cmd_check_solution(args):
+    _read_solution(args)
     from . import geometry
     from .exprcore import to_text
 
@@ -369,6 +398,12 @@ def _cmd_check_solution(args):
 
 
 def _cmd_transform(args):
+    from . import syntax
+
+    _read_solution(args)
+    for flag in _ELEMENT_FLAGS:
+        if getattr(args, flag) is not None:
+            syntax.parse_expr(getattr(args, flag))
     sol = _solution_from_text(args.solution, args)
     if args.reflect:
         moved = sol.reflect(args.reflect)
@@ -383,6 +418,7 @@ def _cmd_transform(args):
 
 
 def _cmd_signature(args):
+    _read_solution(args)
     from . import equivalence
     from .clouds import cloud_to_json
 

@@ -39,8 +39,6 @@ D_t of the jet ring (``jets._JetRing``), on which the section field
 from __future__ import annotations
 
 import functools
-import re
-from dataclasses import dataclass
 from typing import Union
 
 import sympy as sp
@@ -50,8 +48,17 @@ from .errors import (
     ExpAtomError,
     ExponentPolicyError,
     ExprError,
-    JetOrderError,
     UnknownSymbolError,
+)
+from .syntax import (
+    _FORMAL_NAME_RE,
+    _RESERVED_FORMAL,
+    DEPENDENTS,
+    MAX_JET_ORDER,
+    MultiIndex,
+    capped,
+    check_formal_name,
+    jet_parts,
 )
 
 __all__ = [
@@ -83,88 +90,10 @@ X = sp.Symbol("x", real=True)
 Y = sp.Symbol("y", positive=True)
 BASE_SYMBOLS = (T, X, Y)
 
-#: hard cap on jet order: ``jet`` refuses a coordinate past it, so no jet
-#: ring holds one, and reduction, prolongation and the orbit rank refuse
-#: orders that would need one.
-MAX_JET_ORDER = 8
-
-DEPENDENTS = ("u", "v")
-
 #: sympy Symbol -> ("u"|"v", MultiIndex)
-_JET_REGISTRY: dict[sp.Symbol, tuple[str, "MultiIndex"]] = {}
+_JET_REGISTRY: dict[sp.Symbol, tuple[str, MultiIndex]] = {}
 #: sympy Symbol -> (name, derivative order)
 _FORMAL_REGISTRY: dict[sp.Symbol, tuple[str, int]] = {}
-
-_FORMAL_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
-_JET_WORD_RE = re.compile(r"^(?:[txy]\d*)+$")
-
-
-@dataclass(frozen=True, order=True)
-class MultiIndex:
-    """Symmetric derivative multi-index: counts of t-, x-, y-derivatives."""
-
-    nt: int = 0
-    nx: int = 0
-    ny: int = 0
-
-    def __post_init__(self):
-        for n in (self.nt, self.nx, self.ny):
-            if not isinstance(n, int) or n < 0:
-                raise ValueError(f"multi-index entries must be non-negative ints, got {self!r}")
-
-    @property
-    def order(self) -> int:
-        return self.nt + self.nx + self.ny
-
-    @property
-    def is_principal(self) -> bool:
-        """Principal = at least one t- and one x-derivative; the equation
-        expresses these coordinates through the remaining (internal) ones."""
-        return self.nt >= 1 and self.nx >= 1
-
-    @property
-    def is_internal(self) -> bool:
-        return not self.is_principal
-
-    def bump(self, direction: sp.Symbol | str) -> "MultiIndex":
-        d = _direction_name(direction)
-        return MultiIndex(
-            self.nt + (d == "t"), self.nx + (d == "x"), self.ny + (d == "y")
-        )
-
-    def drop(self, direction: sp.Symbol | str) -> "MultiIndex":
-        d = _direction_name(direction)
-        out = MultiIndex(
-            self.nt - (d == "t"), self.nx - (d == "x"), self.ny - (d == "y")
-        )
-        return out
-
-    def word(self) -> str:
-        """Compact letter form: MultiIndex(1,2,0) -> 'txx'; empty for order 0."""
-        return "t" * self.nt + "x" * self.nx + "y" * self.ny
-
-    @staticmethod
-    def from_word(word: str) -> "MultiIndex":
-        """Parse 'txx', 't2x', 'x3y' style words (letters with optional counts)."""
-        if word == "":
-            return MultiIndex()
-        if not _JET_WORD_RE.match(word):
-            raise ValueError(f"bad jet index word {word!r}")
-        counts = {"t": 0, "x": 0, "y": 0}
-        for letter, num in re.findall(r"([txy])(\d*)", word):
-            counts[letter] += int(num) if num else 1
-        return MultiIndex(counts["t"], counts["x"], counts["y"])
-
-    def __str__(self) -> str:
-        return self.word() or "0"
-
-
-def _direction_name(direction: sp.Symbol | str) -> str:
-    if isinstance(direction, sp.Symbol):
-        direction = direction.name
-    if direction not in ("t", "x", "y"):
-        raise ValueError(f"direction must be one of t,x,y, got {direction!r}")
-    return direction
 
 
 IndexLike = Union[MultiIndex, str, tuple]
@@ -186,11 +115,7 @@ def jet(dependent: str, index: IndexLike = MultiIndex()) -> sp.Symbol:
     """
     if dependent not in DEPENDENTS:
         raise ValueError(f"dependent must be one of {DEPENDENTS}, got {dependent!r}")
-    idx = _as_index(index)
-    if idx.order > MAX_JET_ORDER:
-        raise JetOrderError(
-            f"jet order {idx.order} exceeds the hard cap {MAX_JET_ORDER}"
-        )
+    idx = capped(_as_index(index))
     name = dependent if idx.order == 0 else f"{dependent}_{idx.word()}"
     sym = sp.Symbol(name, real=True)
     _JET_REGISTRY.setdefault(sym, (dependent, idx))
@@ -217,35 +142,6 @@ def jet_order(e) -> int:
     return max(orders)
 
 
-# elementary functions the term language lacks (exp aside): as names of
-# formal functions they would stand for some other function of t unnoticed
-_ELEMENTARY = frozenset(
-    {"sqrt", "cbrt", "log", "ln", "log2", "log10", "abs"}
-    | {
-        pre + f + post
-        for f in ("sin", "cos", "tan", "cot", "sec", "csc")
-        for pre in ("", "a", "arc")
-        for post in ("", "h")
-    }
-)
-# special functions: the same holds for their names
-_SPECIAL = frozenset(
-    {"erf", "erfc", "erfi", "erfinv", "erfcinv", "erf2", "erf2inv"}
-    | {"gamma", "lgamma", "loggamma", "digamma", "trigamma", "polygamma"}
-    | {"uppergamma", "lowergamma", "multigamma", "beta", "betainc"}
-    | {"factorial", "factorial2", "subfactorial", "binomial"}
-    | {"zeta", "polylog", "lerchphi", "stieltjes"}
-    | {"besselj", "bessely", "besseli", "besselk", "hankel1", "hankel2", "jn", "yn"}
-    | {"airyai", "airybi", "airyaiprime", "airybiprime"}
-    | {"Ei", "E1", "expint", "li", "Li", "Si", "Ci", "Shi", "Chi", "fresnels", "fresnelc"}
-    | {"LambertW", "hyper", "meijerg", "sinc", "atan2"}
-    | {"legendre", "hermite", "laguerre", "jacobi", "gegenbauer", "chebyshevt", "chebyshevu"}
-    | {"sign", "sgn", "floor", "ceiling", "ceil", "frac", "round", "Heaviside", "DiracDelta"}
-    | {"Max", "Min", "max", "min", "re", "im", "arg", "conjugate"}
-)
-_RESERVED_FORMAL = {"t", "x", "y", "u", "v", "exp"} | _ELEMENTARY | _SPECIAL
-
-
 def formal(name: str, order: int = 0) -> sp.Symbol:
     """Opaque formal function of t: ``formal('a', 2)`` is a''(t).
 
@@ -253,17 +149,7 @@ def formal(name: str, order: int = 0) -> sp.Symbol:
     whose D_t sends a^(k) to a^(k+1); sympy itself sees an independent real
     symbol.
     """
-    if name in _ELEMENTARY or name in _SPECIAL:
-        kind = "an elementary" if name in _ELEMENTARY else "a special"
-        hint = "; write a fractional power such as t^(1/2)" if name == "sqrt" else ""
-        raise ValueError(
-            f"{name} is {kind} function outside the term language, "
-            f"not a formal function name{hint}"
-        )
-    if not _FORMAL_NAME_RE.match(name) or name in _RESERVED_FORMAL:
-        raise ValueError(f"bad formal function name {name!r}")
-    if name[0] in "uv" and (len(name) == 1 or name[1] == "_"):
-        raise ValueError(f"formal name {name!r} collides with jet coordinates")
+    check_formal_name(name)
     if order < 0:
         raise ValueError("derivative order must be non-negative")
     sym = sp.Symbol(name + "'" * order, real=True)
@@ -304,14 +190,12 @@ def resolve_symbol(name) -> sp.Symbol:
         return X
     if name == "y":
         return Y
-    if name in DEPENDENTS:
-        return jet(name)
-    m = re.match(r"^([uv])_((?:[txy]\d*)+)$", name)
-    if m:
-        return jet(m.group(1), MultiIndex.from_word(m.group(2)))
-    m = re.match(r"^([A-Za-z][A-Za-z0-9]*)('*)$", name)
-    if m and m.group(1) not in _RESERVED_FORMAL:
-        return formal(m.group(1), len(m.group(2)))
+    parts = jet_parts(name)
+    if parts is not None:
+        return jet(*parts)
+    base = name.rstrip("'")
+    if _FORMAL_NAME_RE.match(base) and base not in _RESERVED_FORMAL:
+        return formal(base, len(name) - len(base))
     raise UnknownSymbolError(f"unknown symbol {name!r}")
 
 

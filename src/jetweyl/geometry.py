@@ -54,6 +54,7 @@ from .jets import (
     _ring_for,
 )
 from .linalg import _cofactors
+from .syntax import CATALOG_IDS
 from . import symmetry as _symmetry
 
 __all__ = [
@@ -863,16 +864,6 @@ def canonical_frame(pair: WeylPair, pt) -> FrameResult:
 
 # ---------------------------------------------------------------------------
 # catalog
-
-CATALOG_IDS = (
-    "trivial",
-    "dkp-partial",
-    "hierarchy",
-    "exp-family",
-    "sl2-family",
-    "sl2-degenerate",
-)
-
 
 def _tfunc(p, default_name: str) -> sp.Expr:
     if p is None:

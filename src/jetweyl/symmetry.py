@@ -516,11 +516,13 @@ _Series = dict
 
 
 def _series_mul(a: _Series, b: _Series, degree: int) -> _Series:
+    """The product through ``degree``, at the internal keys only (not both
+    i and j positive)."""
     out: _Series = {}
     for (i, j, l), p in a.items():
         room = degree - i - j - l
         for (i2, j2, l2), q in b.items():
-            if i2 + j2 + l2 <= room:
+            if i2 + j2 + l2 <= room and not (i + i2 and j + j2):
                 key = (i + i2, j + j2, l + l2)
                 out[key] = out.get(key, 0) + p * q
     return out
@@ -557,6 +559,10 @@ class _TaylorJet:
     u_t, ..., v_y) of ``_jet_ring(1)``, the arguments of a generating
     section.  Composing a polynomial phi with them and reading off sigma! *
     coeff_sigma gives D_sigma phi at theta for every |sigma| <= k at once.
+    The series keep the internal keys sigma only (not both t and x in
+    sigma): :meth:`vectors` reads no other, and a key without t (or without
+    x) is a sum of two such keys, so the internal coefficients of a product
+    come from internal coefficients of its factors.
     The polynomials are the cached coefficients of :func:`_family_terms`,
     so a point builds no expression.
 
@@ -603,7 +609,7 @@ class _TaylorJet:
             args.append({
                 tuple(e[m] - (m == n) for m in range(3)): e[n] * q for e, q in w.items() if e[n]
             })
-        self.args = args
+        self.args = [{e: q for e, q in a.items() if not (e[0] and e[1])} for a in args]
         self._monomials: dict[tuple[int, ...], _Series] = {
             (0,) * len(self.args): {(0, 0, 0): 1}
         }

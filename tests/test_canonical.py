@@ -17,7 +17,7 @@ import random
 import pytest
 import sympy as sp
 
-from jetweyl import checks, dsl, geometry, invariants
+from jetweyl import checks, dsl, geometry, invariants, syntax
 from jetweyl.errors import (
     DivisionByZeroExpression,
     ExpAtomError,
@@ -146,13 +146,12 @@ _CLI_TEXTS = [
 
 
 def _raw_parts(text: str) -> list:
-    """The parse trees of a text, before any canonical form."""
-    chunks = [c.split("=", 1)[1] for c in text.split(";")] if "=" in text else [text]
-    out = []
-    for chunk in chunks:
-        parser = dsl._Parser(chunk, allow_exp=True)
-        out.append(parser.parse_expr())
-    return out
+    """The sympy trees of a text, before any canonical form."""
+    if "=" in text:
+        trees = [tree for _, _, tree in syntax.parse_solution(text)]
+    else:
+        trees = [syntax.parse_expr(text, allow_exp=True)]
+    return [dsl._build(tree) for tree in trees]
 
 
 @pytest.mark.parametrize("text", _CLI_TEXTS)

@@ -250,6 +250,19 @@ def test_check_solution_parse_error(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("u = x ; v = 1 +* 2", "expected a value, found '*' (at position 15)"),
+        ("u = x ; u = 1", "duplicate binding for u (at position 8)"),
+        ("v = 0 ; u = u_x", "solution component may not reference jet coordinate u_x (at position 8)"),
+    ],
+)
+def test_solution_errors_point_into_the_whole_text(text, message, capsys):
+    code, doc = run(["check-solution", text], capsys)
+    assert code == 3 and doc == {"error": "parse", "message": message}
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -2,7 +2,8 @@
 
 ``import jetweyl.cli`` loads the standard library and ``errors`` only, and
 each subcommand imports the layers it uses.  A fresh interpreter runs
-``dims``, ``compare``, ``--help`` and a usage error and must not have
+``dims``, ``compare``, ``--help``, a usage error and, for every command
+that reads DSL text, a text the syntax stage refuses, and must not have
 loaded sympy after any of them; ``counts`` loads neither sympy nor an
 algebra layer.  A static guard reads the sources: the light modules import
 neither sympy nor a module that uses it, and ``cli.py`` imports neither at
@@ -21,7 +22,7 @@ from jetweyl.clouds import SignatureCloud, cloud_to_json
 
 SRC = pathlib.Path(jetweyl.__file__).resolve().parent
 
-LIGHT = ("__init__.py", "errors.py", "linalg.py", "counts.py", "clouds.py")
+LIGHT = ("__init__.py", "errors.py", "linalg.py", "counts.py", "clouds.py", "syntax.py")
 
 
 # ---------------------------------------------------------------------------
@@ -55,12 +56,27 @@ def test_light_commands_do_not_load_sympy(tmp_path):
     a.write_text(cloud_to_json(_cloud(0)) + "\n")
     b.write_text(cloud_to_json(_cloud(5)) + "\n")
     report = tmp_path / "report.json"
-    commands = [
-        ("dims", ["dims", "3"]),
-        ("compare", ["compare", str(a), str(b)]),
-        ("usage", ["dims", "-1"]),
-        ("help", ["--help"]),
+    # (name, argv, exit code): 3 a parse error, 4 a jet order past the cap
+    runs = [
+        ("dims", ["dims", "3"], 0),
+        ("compare", ["compare", str(a), str(b)], 1),
+        ("usage", ["dims", "-1"], 2),
+        ("help", ["--help"], 0),
+        ("reduce", ["reduce", "u_tx +* 2"], 3),
+        ("reduce-order", ["reduce", "u_x9"], 4),
+        ("invariants-eval", ["invariants", "--eval", "u_x +"], 3),
+        ("invariants-at", ["invariants", "--eval", "u_x", "--at", "u_tx=1"], 3),
+        ("check-symmetry", ["check-symmetry", "all", "--parameter", "t^"], 3),
+        ("check-solution", ["check-solution", "u = x ; v = 1 +* 2"], 3),
+        ("check-solution-f", ["check-solution", "sl2-family", "--f", "sqrt(t)"], 3),
+        ("transform", ["transform", "u = ; v = 0", "--D", "2*t"], 3),
+        ("transform-w", ["transform", "hierarchy", "--w", "x^", "--reflect", "txy"], 3),
+        ("transform-D", ["transform", "hierarchy", "--w", "x^3", "--D", "2*t)"], 3),
+        ("transform-E", ["transform", "trivial", "--D", "2*t", "--E", "1/0"], 3),
+        ("signature", ["signature", "u = x ; x = 0"], 3),
+        ("signature-h", ["signature", "sl2-family", "--f", "0", "--h", "f(x)"], 3),
     ]
+    commands = [(name, argv) for name, argv, _ in runs]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -74,10 +90,7 @@ def test_light_commands_do_not_load_sympy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(report.read_text()) == {
         "import": False,
-        "dims": [0, False],
-        "compare": [1, False],
-        "usage": [2, False],
-        "help": [0, False],
+        **{name: [code, False] for name, _, code in runs},
     }
 
 

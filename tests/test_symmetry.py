@@ -493,11 +493,12 @@ def _taylor_args_by_value(theta, k):
     """The argument series of ``_TaylorJet(theta, k)`` from
     ``JetPoint.value`` in ``Fraction``s: t, x, y about the base point, w
     with the coefficients w_sigma / sigma! through degree k, and w_t, w_x,
-    w_y with w_{sigma+t} / sigma! and so on."""
+    w_y with w_{sigma+t} / sigma! and so on, at the internal sigma of
+    order <= k."""
     def coeff(dep, sigma):
         return theta.value(jet(dep, sigma)) / prod(map(factorial, sigma))
 
-    sigmas = [(i.nt, i.nx, i.ny) for i in (*internal_indices(k), *principal_indices(k))]
+    sigmas = [(i.nt, i.nx, i.ny) for i in internal_indices(k)]
     out = []
     for s in _jet_ring(1).symbols:
         if s in (T, X, Y):
@@ -528,6 +529,8 @@ def test_the_taylor_series_are_the_point_values_over_their_denominator(drawn):
     want = _taylor_args_by_value(theta, k)
     assert len(series.args) == len(want) == 11
     for got, exact in zip(series.args, want):
+        # the internal keys exactly, each with its exact value
+        assert all(not (i and j) for i, j, _ in got)
         assert {key: Fraction(n, series.L) for key, n in got.items()} == exact
 
 

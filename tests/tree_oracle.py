@@ -23,17 +23,22 @@ pair on trees, and ``tree_d_omega`` is d omega of a tree covector.
 ``tree_canonical_frame`` is the order-2 canonical frame of a section by
 sympy ``Matrix`` algebra (``nullspace``, ``inv`` and ``rank`` with the exact
 zero test), from the tree pair.
+``tree_parse_expr`` and ``tree_parse_solution`` are the DSL as one stage:
+a recursive-descent parser that builds the sympy tree as it reads the
+tokens, and so raises its errors in the order it meets them, algebra
+included.  Its positions count from the start of the whole text.
 """
 
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import sympy as sp
 
 from jetweyl.counts import _poincare
-from jetweyl.errors import DivisionByZeroExpression
+from jetweyl.errors import DivisionByZeroExpression, ParseError, UnknownSymbolError
 from fractions import Fraction
 
 from jetweyl.exprcore import (
@@ -51,6 +56,7 @@ from jetweyl.exprcore import (
     jet_info,
     normalize,
     resolve_symbol,
+    validate_kernel,
 )
 from jetweyl.fields import PointField
 from jetweyl.geometry import FrameResult
@@ -429,3 +435,217 @@ def tree_canonical_frame(sol, pt) -> FrameResult:
         normalize(-lam),
         tuple(notes),
     )
+
+
+# ---------------------------------------------------------------------------
+# the one-stage DSL parser
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<int>\d+)
+  | (?P<ident>[A-Za-z][A-Za-z0-9_]*'*)
+  | (?P<op>[-+*/^()=;])
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass
+class _Token:
+    kind: str  # 'int' | 'ident' | one of -+*/^()=;
+    text: str
+    pos: int
+
+
+def _tokenize(text: str, offset: int) -> list[_Token]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", offset + pos)
+        if m.lastgroup != "ws":
+            kind = m.lastgroup if m.lastgroup != "op" else m.group()
+            tokens.append(_Token(kind, m.group(), offset + pos))
+        pos = m.end()
+    tokens.append(_Token("end", "", offset + len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str, allow_exp: bool, offset: int = 0):
+        self.text = text
+        self.tokens = _tokenize(text, offset)
+        self.i = 0
+        self.allow_exp = allow_exp
+
+    @property
+    def cur(self) -> _Token:
+        return self.tokens[self.i]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str) -> _Token:
+        if self.cur.kind != kind:
+            raise ParseError(
+                f"expected {kind!r}, found {self.cur.text or 'end of input'!r}",
+                self.cur.pos,
+            )
+        return self.advance()
+
+    def parse_expr(self) -> sp.Expr:
+        node = self.parse_term()
+        while self.cur.kind in ("+", "-"):
+            op = self.advance().kind
+            rhs = self.parse_term()
+            node = node + rhs if op == "+" else node - rhs
+        return node
+
+    def parse_term(self) -> sp.Expr:
+        node = self.parse_factor()
+        while self.cur.kind in ("*", "/"):
+            op = self.advance().kind
+            rhs = self.parse_factor()
+            if op == "*":
+                node = node * rhs
+            else:
+                if rhs == 0:
+                    raise ParseError("division by zero literal", self.cur.pos)
+                node = node / rhs
+        return node
+
+    def parse_factor(self) -> sp.Expr:
+        if self.cur.kind == "-":
+            self.advance()
+            return -self.parse_factor()
+        atom = self.parse_atom()
+        if self.cur.kind == "^":
+            self.advance()
+            expo = self.parse_exponent()
+            if expo.is_negative and atom == 0:
+                raise ParseError("negative power of zero", self.cur.pos)
+            atom = atom**expo
+        return atom
+
+    def parse_exponent(self) -> sp.Rational:
+        sign = 1
+        if self.cur.kind == "-":
+            self.advance()
+            sign = -1
+        if self.cur.kind == "int":
+            return sp.Integer(sign * int(self.advance().text))
+        if self.cur.kind == "(":
+            self.advance()
+            if self.cur.kind == "-":
+                self.advance()
+                sign = -sign
+            p = int(self.expect("int").text)
+            q = 1
+            if self.cur.kind == "/":
+                self.advance()
+                q = int(self.expect("int").text)
+                if q == 0:
+                    raise ParseError("zero denominator in exponent", self.cur.pos)
+            self.expect(")")
+            return sp.Rational(sign * p, q)
+        raise ParseError(
+            "exponent must be an integer or rational literal", self.cur.pos
+        )
+
+    def parse_atom(self) -> sp.Expr:
+        tok = self.cur
+        if tok.kind == "int":
+            self.advance()
+            return sp.Integer(int(tok.text))
+        if tok.kind == "(":
+            self.advance()
+            node = self.parse_expr()
+            self.expect(")")
+            return node
+        if tok.kind == "ident":
+            self.advance()
+            return self.parse_ident(tok)
+        raise ParseError(
+            f"expected a value, found {tok.text or 'end of input'!r}", tok.pos
+        )
+
+    def parse_ident(self, tok: _Token) -> sp.Expr:
+        name = tok.text
+        if name == "exp":
+            if not self.allow_exp:
+                raise ParseError(
+                    "exp(...) is not allowed in this context", tok.pos
+                )
+            self.expect("(")
+            arg = self.parse_expr()
+            self.expect(")")
+            return sp.exp(arg)
+        if name in ("t", "x", "y", "u", "v"):
+            if self.cur.kind == "(":
+                raise ParseError(f"{name} does not take arguments", self.cur.pos)
+            return resolve_symbol(name)
+        if "_" in name:
+            # a jet coordinate: u_tx, v_xxy, u_t3x2
+            try:
+                return resolve_symbol(name)
+            except UnknownSymbolError:
+                raise ParseError(f"unknown identifier {name!r}", tok.pos) from None
+        # a formal function, applied to t: f(t), f''(t)
+        base = name.rstrip("'")
+        self.expect("(")
+        arg = self.expect("ident")
+        if arg.text != "t":
+            raise ParseError(f"formal function {base!r} must be applied to t", arg.pos)
+        self.expect(")")
+        try:
+            return formal(base, len(name) - len(base))
+        except ValueError as exc:
+            raise ParseError(str(exc), tok.pos) from None
+
+
+def tree_parse_expr(text: str, allow_exp: bool = False) -> sp.Expr:
+    parser = _Parser(text, allow_exp=allow_exp)
+    node = parser.parse_expr()
+    if parser.cur.kind != "end":
+        raise ParseError(
+            f"trailing input {parser.cur.text!r}", parser.cur.pos
+        )
+    return normalize(validate_kernel(node, allow_exp=allow_exp))
+
+
+def tree_parse_solution(text: str, allow_exp: bool = True) -> dict[str, sp.Expr]:
+    bindings: dict[str, sp.Expr] = {}
+    for chunk in re.finditer(r"[^;\n]+", text):
+        if not chunk.group().strip():
+            continue
+        parser = _Parser(chunk.group(), allow_exp=allow_exp, offset=chunk.start())
+        head = parser.expect("ident")
+        if head.text not in ("u", "v"):
+            raise ParseError(
+                f"solution bindings must assign u or v, got {head.text!r}", head.pos
+            )
+        parser.expect("=")
+        node = parser.parse_expr()
+        if parser.cur.kind != "end":
+            raise ParseError(
+                f"trailing input {parser.cur.text!r}", parser.cur.pos
+            )
+        if head.text in bindings:
+            raise ParseError(f"duplicate binding for {head.text}", head.pos)
+        node = normalize(validate_kernel(node, allow_exp=allow_exp))
+        # in a fixed order, so that the message names the same jet each run
+        for sym in sorted(node.free_symbols, key=sp.default_sort_key):
+            if is_jet_symbol(sym):
+                raise ParseError(
+                    f"solution component may not reference jet coordinate {sym}",
+                    head.pos,
+                )
+        bindings[head.text] = node
+    missing = {"u", "v"} - set(bindings)
+    if missing:
+        raise ParseError(f"missing bindings for {', '.join(sorted(missing))}")
+    return bindings
