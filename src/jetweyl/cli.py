@@ -73,7 +73,7 @@ def _jsonable(x):
 
 def _read_solution(args) -> None:
     """Read the solution argument with the syntax stage and, for a catalog
-    id, its parameters ``--f``, ``--h``, ``--w`` (bindings take none)."""
+    id, its parameters ``--f``, ``--h``, ``--w``, which bindings ignore."""
     from . import syntax
 
     if args.solution in syntax.CATALOG_IDS:

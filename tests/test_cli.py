@@ -255,6 +255,7 @@ def test_check_solution_parse_error(capsys):
     [
         ("u = x ; v = 1 +* 2", "expected a value, found '*' (at position 15)"),
         ("u = x ; u = 1", "duplicate binding for u (at position 8)"),
+        ("u = x\n\nu = 1", "duplicate binding for u (at position 7)"),
         ("v = 0 ; u = u_x", "solution component may not reference jet coordinate u_x (at position 8)"),
     ],
 )

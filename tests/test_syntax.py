@@ -179,21 +179,3 @@ def test_a_jet_order_past_the_cap_is_a_syntax_error():
         syntax.parse_expr("u_tx + u_x9")
     assert syntax.jet_parts("u_t2x") == ("u", syntax.MultiIndex(2, 1, 0))
     assert syntax.jet_parts("f") is None and syntax.jet_parts("w_x") is None
-
-
-def test_solution_positions_count_from_the_start_of_the_text():
-    for text, message in [
-        ("u = x ; v = 1 +* 2", "expected a value, found '*' (at position 15)"),
-        ("u = x\n\nu = 1", "duplicate binding for u (at position 7)"),
-        ("v = 0; u = f(t) + u_x", "solution component may not reference jet coordinate u_x (at position 7)"),
-    ]:
-        with pytest.raises(ParseError) as err:
-            dsl.parse_solution(text)
-        assert str(err.value) == message
-
-
-def test_the_builder_raises_the_kernels_errors_after_the_syntax_stage():
-    with pytest.raises(ExprError):
-        dsl.parse_expr("(x + 1)^(1/2)")
-    with pytest.raises(ParseError, match="jet coordinate u "):
-        dsl.parse_solution("u = v_txy + u_x + u ; v = 0")
