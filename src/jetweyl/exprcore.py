@@ -26,8 +26,8 @@ exponential atoms and the non-rational constants are rescaled to integer
 powers of auxiliary generators (:func:`_rescaled`), the result becomes an
 element of the sparse rational-function field of ``jets.py``, prime
 radicals are reduced by R^M = p, and the generators are substituted back
-into numerator over denominator.  Equality of canonical forms is exact
-equality in the term language, which makes the zero test decidable.
+into numerator over denominator.  The zero test is exact, but where a
+prime radical divides a denominator equal expressions can print apart.
 
 This module pins down the term language, the rescaling and the canonical
 text form.  It takes no derivatives: the formal chain rule
@@ -364,8 +364,8 @@ def normalize(e) -> sp.Expr:
     ring (``jets._canonical``), with the generators of :func:`_rescaled`
     substituted back.  A number is its own canonical form.
 
-    Idempotent; two expressions of the term language are equal exactly
-    when their canonical forms are.
+    Idempotent, but not unique where a prime radical divides a denominator:
+    1/(sqrt(2)*t + sqrt(2)) and sqrt(2)/(2*t + 2) are equal (:func:`equal`).
     """
     e = sp.sympify(e)
     if e.is_Rational or e.is_Float:

@@ -42,7 +42,6 @@ from .exprcore import (
     is_jet_symbol,
     jet,
     jet_info,
-    normalize,
     equal,
     is_zero,
     to_text,
@@ -93,7 +92,8 @@ class PointField:
         return all(map(equal, self.components(), other.components()))
 
     def __hash__(self):
-        return hash(tuple(sp.srepr(normalize(c)) for c in self.components()))
+        # the zero pattern, which == keeps; a canonical form need not be unique
+        return hash(tuple(map(is_zero, self.components())))
 
     def __str__(self) -> str:
         names = ("d_t", "d_x", "d_y", "d_u", "d_v")

@@ -120,12 +120,12 @@ class SectionField(_Rescaled):
                 continue
             if isinstance(atom, sp.exp):
                 (b,) = atom.args[0].free_symbols
-                image = atom.args[0].coeff(b) * gen
+                image = ring.gen(gen) * atom.args[0].coeff(b)
             else:
                 b, m = atom.base, atom.exp.q
-                image = 1 / (m * gen ** (m - 1))
-                self._base[b] = ring.convert(gen**m)
-            images[b.name].append((ring.index[gen], ring.convert(image)))
+                image = 1 / (m * ring.gen(gen) ** (m - 1))
+                self._base[b] = ring.gen(gen) ** m
+            images[b.name].append((ring.index[gen], image))
         # formal derivatives of the highest order carried have no image
         self._top = set()
         for s in ring.extras:
@@ -251,18 +251,18 @@ class SectionField(_Rescaled):
 
         The new section at (t, x, y) is the old one at the preimage point
         plus the fibre terms, with every function of t taken at the
-        preimage time (:func:`_at_source`).  Each generator of this field
-        is sent to its image in a field that holds the preimage point and
-        the fibre coefficients, where u and v are evaluated and the fibre
-        terms added.  Solutions map to solutions."""
-        try:
-            ts, xs, ys, *coefficients = _at_source(element)
-        except ExprError as exc:
-            raise SolutionError(f"transformed section leaves the representable domain: {exc}") from None
+        preimage time t_s = D^-1(t).  The field of t_s, sqrt(D') and ee, a,
+        b, c at t_s holds the preimage point and the fibre coefficients
+        (:func:`_preimage`) and the image of each generator of this field
+        (:meth:`_pushed`); u and v are evaluated there and the fibre terms
+        added.  Solutions map to solutions."""
+        ts = element.dinv
+        at_ts = (e.xreplace({T: ts}) for e in (element.ee, element.a, element.b, element.c))
         target, data, (u, v) = self._pushed(
-            (ts, xs, ys, element.root, *coefficients), self.values, "transformed section"
+            (ts, element.root, *at_ts), self.values, "transformed section", _preimage
         )
-        _, xs, ys, s, E, Ep, Epp, Ap, Bp, C, Cp = data
+        _, xs, ys, E, Ep, Epp, Ap, Bp, C, Cp = data
+        s = target.values[1]
         D = s * s
         u_new = E / s * u - 3 * Ep * ys / s + Bp / D - 2 * C / (E * s)
         v_new = (
@@ -303,34 +303,35 @@ class SectionField(_Rescaled):
         C, _, values = self._pushed(point, elements, what)
         return C, values
 
-    def _pushed(self, exprs, elements, what: str) -> tuple:
-        """(F, exprs as elements of F, the images of the elements in F) for
-        the point map whose preimage of (t, x, y) is exprs[:3].
+    def _pushed(self, exprs, elements, what: str, preimage=lambda F: F.values[:3]) -> tuple:
+        """(F, ``preimage(F)``, the images of the elements in F) for the
+        point map whose preimage of (t, x, y) begins ``preimage(F)``.
 
         F holds exprs and, of the generators that occur in the elements
         (:meth:`occurring`), the formal functions (which map to themselves)
-        and the image of every auxiliary one (see ``_image_atom``); an
-        image outside the term language is refused with a
-        ``SolutionError``, and an element whose image has a pole with a
-        ``DivisionByZeroExpression``."""
+        and, built again, the image of every auxiliary one (see
+        ``_image_atom``); an image outside the term language is refused
+        with a ``SolutionError``, and an element whose image has a pole
+        with a ``DivisionByZeroExpression``."""
         formals, aux = self.occurring(elements)
         try:
-            atoms = ()
+            F = SectionField((*exprs, *formals))
+            data = preimage(F)
             if aux:
                 # an image depends on the preimage point alone
-                P = SectionField(exprs[:3])
-                atoms = tuple(_image_atom(P, P.values, atom) for atom in aux.values())
-            F = SectionField((*exprs, *formals, *atoms))
+                atoms = tuple(_image_atom(F, data[:3], atom) for atom in aux.values())
+                F = SectionField((*exprs, *formals, *atoms))
+                data = preimage(F)
         except ExprError as exc:
             raise SolutionError(f"{what} leaves the representable domain: {exc}") from None
-        images = dict(zip(BASE_SYMBOLS, F.values))
+        images = dict(zip(BASE_SYMBOLS, data))
         images.update(zip(aux, F.values[len(exprs) + len(formals) :]))
 
         def value(s):
             return images[s] if s in images else F.ring.gen(s)
 
         moved = [F._quotient(f, value, lambda: f"{what} has a pole") for f in elements]
-        return F, F.values[: len(exprs)], moved
+        return F, data, moved
 
     def _with_values(self, values) -> "SectionField":
         """This field with other values (and no jets taken yet)."""
@@ -340,27 +341,24 @@ class SectionField(_Rescaled):
         return out
 
 
-def _at_source(element) -> tuple:
-    """(t_s, x_s, y_s, E, E', E'', A', B', C, C') of a pseudogroup element:
-    the preimage of the running point (t, x, y), then ee, its first two
-    derivatives, a', b', c and c', each taken at the preimage time
-    t_s = D^-1(t).
+def _preimage(F: SectionField) -> tuple:
+    """(t_s, x_s, y_s, E, E', E'', A', B', C, C') of a pseudogroup element
+    in a field F whose values begin with t_s = D^-1(t), sqrt(D') and ee, a,
+    b, c at t_s: the preimage of the running point (t, x, y), then ee, its
+    first two derivatives, a', b', c and c', each at t_s.
 
-    The derivatives are taken in the field of (ee, a, b, c).  The point map
-    is triangular (new t depends on t alone, new y on t and y, new x on
-    all three), so the inverse is closed-form."""
-    sf = SectionField((element.ee, element.a, element.b, element.c))
-    ee, a, b, c = sf.values
+    D is affine, so f'(t_s) = D' * d/dt f(t_s), a derivative in F.  The
+    point map is triangular (new t depends on t alone, new y on t and y,
+    new x on all three), so the inverse is closed-form."""
+    ts, s, E, A, B, C = F.values[:6]
 
     def d(f):
-        return sf.partial(f, "t")
+        return s * s * F.partial(f, "t")
 
-    ts = element.dinv
-    at_ts = (sf.expr(f).subs(T, ts) for f in (ee, d(ee), d(d(ee)), a, d(a), b, d(b), c, d(c)))
-    E, Ep, Epp, A, Ap, B, Bp, C, Cp = at_ts
-    ys = (Y - B) / (element.root * E)
-    xs = (X - E * Ep * ys**2 - C * ys - A) / E**2
-    return ts, xs, ys, E, Ep, Epp, Ap, Bp, C, Cp
+    Ep = d(E)
+    ys = (F._base[Y] - B) / (s * E)
+    xs = (F._base[X] - E * Ep * ys**2 - C * ys - A) / E**2
+    return ts, xs, ys, E, Ep, d(Ep), d(A), d(B), C, d(C)
 
 
 def _image_atom(F: SectionField, point, atom) -> sp.Expr:
@@ -393,7 +391,9 @@ def _image_atom(F: SectionField, point, atom) -> sp.Expr:
     q, rest = f, sp.Integer(1)
     if not set(F.ring.present(q)) <= constants:
         q, rest = f / F._base[b], b**atom.exp
-    q = F.expr(q) if set(F.ring.present(q)) <= constants else None
+    r = F.rational(q)  # a rational q needs no tree
+    constant = set(F.ring.present(q)) <= constants
+    q = sp.Rational(r) if r is not None else (F.expr(q) if constant else None)
     if q is None or not q.is_positive:
         raise ExprError(f"{atom} moves to a fractional power of {F.expr(f)}")
     return q**atom.exp * rest

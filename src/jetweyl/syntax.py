@@ -77,8 +77,8 @@ CATALOG_IDS = (
 )
 
 _FORMAL_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
-_JET_WORD_RE = re.compile(r"^(?:[txy]\d*)+$")
-_JET_NAME_RE = re.compile(r"^([uv])_((?:[txy]\d*)+)$")
+_JET_WORD_RE = re.compile(r"^(?:[txy](?:[1-9]\d*)?)+$")
+_JET_NAME_RE = re.compile(r"^([uv])_((?:[txy](?:[1-9]\d*)?)+)$")
 
 
 @dataclass(frozen=True, order=True)
@@ -129,7 +129,7 @@ class MultiIndex:
 
     @staticmethod
     def from_word(word: str) -> "MultiIndex":
-        """Parse 'txx', 't2x', 'x3y' style words (letters with optional counts)."""
+        """Parse 'txx', 't2x', 'x3y' style words (letters, each with an optional positive count)."""
         if word == "":
             return MultiIndex()
         if not _JET_WORD_RE.match(word):

@@ -295,12 +295,23 @@ def test_a_negative_order_is_a_usage_error(argv, capsys):
 
 @pytest.mark.parametrize(
     "at, named",
-    [("u_x=abc", "'abc' is not a rational number"), ("foo=1", "'foo' is not t, x, y")],
+    [
+        ("u_x=abc", "'abc' is not a rational number"),
+        ("foo=1", "'foo' is not t, x, y"),
+        ("u_x0=3", "'u_x0' is not t, x, y"),
+    ],
 )
 def test_a_bad_at_piece_is_a_parse_error(at, named, capsys):
     code, doc = run(["invariants", "--eval", "u_x", "--at", at], capsys)
     assert code == 3 and doc["error"] == "parse"
     assert f"'{at}'" in doc["message"] and named in doc["message"]
+
+
+def test_a_zero_count_in_a_jet_word_is_an_unknown_identifier(capsys):
+    # u_x0 is no jet coordinate: read as u, it would reduce to u + v_y
+    code, doc = run(["reduce", "u_x0 + v_t0y"], capsys)
+    assert code == 3
+    assert doc == {"error": "parse", "message": "unknown identifier 'u_x0' (at position 0)"}
 
 
 def test_compare_of_a_missing_file_is_a_usage_error(tmp_path, capsys):

@@ -117,3 +117,15 @@ def test_prolonged_coefficient_matches_transport_formula():
 def test_prolongation_order_guard():
     with pytest.raises(JetOrderError):
         applied(F_A, jet("u", (0, 2, 0)), 1)
+
+
+def test_equal_point_fields_hash_alike():
+    # two arrangements of one coefficient with sqrt(2) in the denominator:
+    # their printed canonical forms differ, the fields are equal
+    r = sp.sqrt(2)
+    a = (r * T**4 + 16 * r) / (8 * T**2 + 64)
+    b = (T**4 + 16) / (4 * r * T**2 + 32 * r)
+    assert equal(a, b)
+    assert PointField(at=a) == PointField(at=b)
+    assert hash(PointField(at=a)) == hash(PointField(at=b))
+    assert len({PointField(at=a), PointField(at=b), PointField(at=a + 1)}) == 2

@@ -13,7 +13,7 @@ import random
 import pytest
 import sympy as sp
 
-from jetweyl import checks, geometry
+from jetweyl import checks, geometry, jets
 from jetweyl.errors import ExprError, PseudogroupError, SolutionError
 from jetweyl.exprcore import T, validate_kernel
 from jetweyl.symmetry import PseudogroupElement
@@ -91,9 +91,10 @@ def test_moves_with_formal_parameters_match_the_tree(cid):
 
 def test_move_coefficients_match_the_tree():
     # (t_s, x_s, y_s, E, E', E'', A', B', C, C'), entry for entry, with
-    # derivatives taken in the field of (ee, a, b, c) against the tree
-    # derivative; the seeded elements have a constant ee, so a few with a
-    # time-dependent one and rational coefficients come first
+    # derivatives taken in the field of (t_s, sqrt(D'), ee, a, b, c at t_s)
+    # against the tree derivative; the seeded elements have a constant ee,
+    # so a few with a time-dependent one and rational coefficients come
+    # first
     elements = [
         PseudogroupElement.make(d=4 * T + 1, a=T**3, b=1 / (T**2 + 1), c=T / 3, ee=T**2 + 1),
         PseudogroupElement.make(d=2 * T, a=1 / (T - 5), c=T**2, ee=(T**2 + 2) / (T**4 + 1)),
@@ -102,10 +103,47 @@ def test_move_coefficients_match_the_tree():
     rng = random.Random(7301)
     elements += [el for kind in _KINDS for el in checks._random_elements(rng, kind, count=3)]
     for el in elements:
-        got, want = geometry._at_source(el), tree_at_source(el)
+        ts = el.dinv
+        at_ts = (e.xreplace({T: ts}) for e in (el.ee, el.a, el.b, el.c))
+        F = geometry.SectionField((ts, el.root, *at_ts))
+        got, want = geometry._preimage(F), tree_at_source(el)
         assert len(got) == len(want) == 10
         for n, (g, w) in enumerate(zip(got, want)):
-            assert tree_normalize(g - w) == 0, (el, n)
+            assert tree_normalize(F.expr(g) - w) == 0, (el, n)
+
+
+@pytest.mark.parametrize(
+    "cid, kwargs, kind, fields",
+    [
+        ("dkp-partial", {}, "free", 1),
+        ("sl2-family", {}, "cube", 2),
+        ("sl2-family", {"f": 0, "h": 0}, "cube", 2),
+    ],
+)
+def test_a_move_builds_one_field_and_no_tree(cid, kwargs, kind, fields, monkeypatch):
+    """A move is arithmetic in one field of its data: a successful one
+    builds one SectionField, and a second with the images of the auxiliary
+    generators when the section has some (y^(1/3) here), and converts no
+    field element to a tree."""
+    sol = geometry.catalog(cid, **kwargs)
+    assert bool(sol.field.occurring()[1]) == (fields == 2)
+    built, converted = [], []
+    init, expr = geometry.SectionField.__init__, jets._Rescaled.expr
+
+    def counted(sf, exprs):
+        built.append(exprs)
+        init(sf, exprs)
+
+    def watched(scaled, f):
+        converted.append(f)
+        return expr(scaled, f)
+
+    monkeypatch.setattr(geometry.SectionField, "__init__", counted)
+    monkeypatch.setattr(jets._Rescaled, "expr", watched)
+    for el in _elements(cid, kind)[:4]:
+        built.clear()
+        assert sol.transform(el).checked
+        assert len(built) == fields and converted == [], el
 
 
 @pytest.mark.parametrize("which", ("txy", "yu"))

@@ -179,3 +179,10 @@ def test_a_jet_order_past_the_cap_is_a_syntax_error():
         syntax.parse_expr("u_tx + u_x9")
     assert syntax.jet_parts("u_t2x") == ("u", syntax.MultiIndex(2, 1, 0))
     assert syntax.jet_parts("f") is None and syntax.jet_parts("w_x") is None
+
+
+@pytest.mark.parametrize("word", ["x0", "t0y", "x01", "tx0"])
+def test_a_zero_count_names_no_jet(word):
+    assert syntax.jet_parts(f"u_{word}") is None
+    with pytest.raises(ValueError, match="bad jet index word"):
+        syntax.MultiIndex.from_word(word)
