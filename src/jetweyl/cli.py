@@ -237,7 +237,7 @@ def _cmd_orbit_dim(args):
 
 def _point_assignment(text: str) -> dict:
     """The ``name=rational`` pieces of ``invariants --at``; a name is t, x,
-    y or an internal jet coordinate."""
+    y or an internal jet coordinate, named at most once."""
     from .syntax import jet_parts
 
     assign = {}
@@ -259,6 +259,8 @@ def _point_assignment(text: str) -> dict:
                 raise ParseError(
                     f"--at {piece!r}: {name!r} is not t, x, y or an internal jet coordinate"
                 )
+        if name in assign:
+            raise ParseError(f"--at {piece!r}: {name!r} is named twice")
         assign[name] = value
     return assign
 
@@ -291,7 +293,7 @@ def _cmd_invariants(args):
         "I": {i: to_text(invariants.invariant(i)) for i in (1, 2, 3)},
         "K": {i: to_text(invariants.structure_K(i)) for i in (1, 2, 3, 4)},
         "derivations": {
-            i: dict(zip("txy", map(to_text, invariants.derivation(i).coefficients())))
+            i: dict(zip("txy", map(to_text, invariants.derivation(i))))
             for i in (1, 2, 3)
         },
     }
@@ -500,8 +502,39 @@ def _file_text(path: str) -> str:
         raise argparse.ArgumentTypeError(f"cannot read {path!r}: {exc.strerror}") from None
 
 
+# the options whose value is DSL text
+_DSL_OPTIONS = {"--parameter", "--eval", *(f"--{n}" for n in (*_ELEMENT_FLAGS, "f", "h", "w"))}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads a separate value of a DSL-valued option that begins with "-"
+    (``--B -1/3``) as its ``=`` form, unless the value is itself an option
+    of the command; ``--`` ends the options as usual."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        if args is not None:
+            args, joined = list(args), []
+            while args and args[0] != "--":
+                a = args.pop(0)
+                if "=" not in a and args and args[0][:1] == "-":
+                    if self._named(a) & _DSL_OPTIONS and not self._named(args[0]):
+                        a = f"{a}={args.pop(0)}"
+                joined.append(a)
+            args = joined + args
+        return super().parse_known_args(args, namespace)
+
+    def _named(self, text: str) -> set:
+        """The option strings that ``text``, up to any "=", names or
+        abbreviates."""
+        name = text.split("=", 1)[0]
+        return {
+            s for s in self._option_string_actions
+            if s == name or name[:2] == "--" and s.startswith(name)
+        }
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="jetweyl",
         description="Exact jet-calculus toolkit for a dispersionless "
         "integrable system and its Weyl geometry.",

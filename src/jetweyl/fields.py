@@ -51,7 +51,6 @@ from .jets import _ring_for
 __all__ = [
     "PointField",
     "ProlongedField",
-    "prolong",
 ]
 
 _FIBRE = (jet("u"), jet("v"))
@@ -201,10 +200,6 @@ def _point_apply(ring, comps: list, f):
     return ring.derivation(
         f, [(i, _point_image(ring, comps, ring.symbols[i])) for i in ring.present(f)]
     )
-
-
-def prolong(field: PointField, k: int) -> ProlongedField:
-    return ProlongedField(field, k)
 
 
 def _bracket_in(ring, fa: list, fb: list) -> list:

@@ -476,8 +476,7 @@ class Solution:
     def _residuals(self) -> tuple:
         """F1, F2 at the section as field elements, computed once."""
         if self._residual_elements is None:
-            equations, _, _ = _symmetry._equation_and_ansatz()
-            self._residual_elements = tuple(map(self.field.subs, equations))
+            self._residual_elements = tuple(map(self.field.subs, _equations()))
         return self._residual_elements
 
     def residuals(self) -> tuple[sp.Expr, sp.Expr]:
@@ -558,7 +557,7 @@ def build_pair(sol: Solution) -> WeylPair:
     """The ansatz metric and covector of a section (one pair per section)."""
     if sol._pair is None:
         sf = sol.field
-        _, g, w = _symmetry._equation_and_ansatz()
+        g, w = _symmetry._ansatz()
         rows = tuple(tuple(map(sf.subs, row)) for row in g)
         sol._pair = WeylPair(sol, sf, rows, tuple(map(sf.subs, w)))
     return sol._pair

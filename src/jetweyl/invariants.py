@@ -27,14 +27,13 @@ import sympy as sp
 
 from .errors import SingularLocusError
 from .exprcore import is_formal_symbol, jet, jet_order
-from .fields import prolong
+from .fields import ProlongedField
 from .jets import EquationSystem, JetPoint, _jet_ring, _poly_sums, _ring_for, internal_indices
 from .linalg import _cofactors, rank
-from .symmetry import _equation_and_ansatz, generator
+from .symmetry import _ansatz, generator
 
 __all__ = [
     "invariant",
-    "InvariantDerivation",
     "derivation",
     "apply_derivation",
     "structure_K",
@@ -73,35 +72,17 @@ def invariant(i: int) -> sp.Expr:
     raise ValueError(f"invariant index must be 1..3, got {i}")
 
 
-@dataclass(frozen=True)
-class InvariantDerivation:
-    """Total-derivative operator c_t D_t + c_x D_x + c_y D_y with rational
-    jet coefficients; ``apply_derivation`` applies it with on-equation
-    reduction."""
-
-    name: str
-    ct: sp.Expr
-    cx: sp.Expr
-    cy: sp.Expr
-
-    def coefficients(self) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
-        return (self.ct, self.cx, self.cy)
-
-    def __str__(self) -> str:
-        return self.name
-
-
 @lru_cache(maxsize=None)
-def derivation(i: int) -> InvariantDerivation:
+def derivation(i: int) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
+    """The coefficients (c_t, c_x, c_y) of the invariant derivation
+    nabla_i = c_t D_t + c_x D_x + c_y D_y; ``apply_derivation`` applies it
+    with on-equation reduction."""
     if i == 1:
-        return InvariantDerivation("nabla_1", sp.Integer(0), _ux / _uxx, sp.Integer(0))
+        return (sp.Integer(0), _ux / _uxx, sp.Integer(0))
     if i == 2:
-        return InvariantDerivation(
-            "nabla_2", sp.Integer(0), _uxy / (_ux * _uxx), -1 / _ux
-        )
+        return (sp.Integer(0), _uxy / (_ux * _uxx), -1 / _ux)
     if i == 3:
-        return InvariantDerivation(
-            "nabla_3",
+        return (
             _uxx / _ux**3,
             (_vx * _ux + _v * _uxx + _uyy) / _ux**3,
             (_ux**2 + _u * _uxx - 2 * _uxy) / _ux**3,
@@ -144,7 +125,7 @@ class _Order3:
     @cached_property
     def nabla(self) -> tuple:
         c = self.ring.convert
-        return tuple(tuple(map(c, derivation(j).coefficients())) for j in (1, 2, 3))
+        return tuple(tuple(map(c, derivation(j))) for j in (1, 2, 3))
 
     def apply(self, j: int, f):
         """nabla_j applied to an element of the order-3 ring, reduced."""
@@ -280,7 +261,7 @@ def _families(k: int) -> tuple:
     five in one ring that holds every parameter with the derivatives a
     prolongation reaches.  Shared, so that the ring converts the fields
     and builds their coefficients once."""
-    fields = tuple(prolong(generator(fam, p), k) for fam, p in zip((1, 2, 3, 4, 5), "abcde"))
+    fields = tuple(ProlongedField(generator(fam, p), k) for fam, p in zip((1, 2, 3, 4, 5), "abcde"))
     ring = _ring_for(k + 1, _components(fields), derivatives=k + 1)
     return ring, fields
 
@@ -304,7 +285,7 @@ def verify_invariance(e, system: EquationSystem | None = None):
         # e's own formal functions join the families' parameters, in a ring
         # and with prolongations of their own, so that the shared ones keep
         # no coefficients for a ring used once
-        fields = tuple(prolong(pf.field, k) for pf in fields)
+        fields = tuple(ProlongedField(pf.field, k) for pf in fields)
         ring = _ring_for(k + 1, (e, *_components(fields)), derivatives=k + 1)
     return _first_residual(ring, fields, ring.convert(e))
 
@@ -358,7 +339,7 @@ def coframe_rewrite() -> CoframeReport:
     def dot(a, b):
         return sum((x * y for x, y in zip(a, b)), ring.field.zero)
 
-    _, metric, covector = _equation_and_ansatz()
+    metric, covector = _ansatz()
     g = [[ring.embed(e) for e in row] for row in metric]
     w = list(map(ring.embed, covector))
     ux = ring.gen(_ux)

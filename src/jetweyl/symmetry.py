@@ -8,7 +8,9 @@ part of a :class:`ShapeField` is the sum of the families' base parts, the
 table is converted into a jet ring once (:func:`_ring_rows`), the
 commutation table is verified on its coefficients in one jet ring, and the
 orbit vectors compose the table's generating sections with a point's
-Taylor series.
+Taylor series.  The ansatz metric and covector are written beside the table
+as rows (``_METRIC``, ``_COVECTOR``), which only :func:`_ansatz` reads: it
+converts them into a jet ring once.
 
 This module also checks the defining symmetry property against the
 equations, lifts shape-preserving base fields to the total space, defines
@@ -44,7 +46,7 @@ from .exprcore import (
     to_text,
     validate_kernel,
 )
-from .fields import PointField, _bracket_in, _phi_in, _point_apply, prolong
+from .fields import PointField, ProlongedField, _bracket_in, _phi_in, _point_apply
 from .jets import (
     EquationSystem,
     JetPoint,
@@ -66,8 +68,6 @@ __all__ = [
     "check_symmetry",
     "grading_check",
     "ShapeField",
-    "ansatz_metric",
-    "ansatz_covector",
     "LiftResult",
     "lift_shape_field",
     "PseudogroupElement",
@@ -78,6 +78,7 @@ __all__ = [
 
 _U = jet("u")
 _V = jet("v")
+_UX, _UY, _VX = jet("u", "x"), jet("u", "y"), jet("v", "x")
 
 # grading weights of the five families; brackets must land in weight i+j
 GRADES = {1: 2, 2: 1, 3: 1, 4: 0, 5: 0}
@@ -99,6 +100,24 @@ _FAMILIES = {
         (2 * _V, 2 * X + 2 * Y * _U, Y**2),
     ),
 }
+
+
+# The Manakov-Santini ansatz as rows: the metric
+# g = -(u^2 + 4v) dt^2 + 4 dt dx + 2u dt dy - dy^2 in coordinates (t, x, y)
+# and the covector omega = (u u_x + 2 u_y + 4 v_x) dt - u_x dy as its
+# (dt, dx, dy) components.
+_METRIC = ((-(_U**2) - 4 * _V, 2, _U), (2, 0, 0), (_U, 0, -1))
+_COVECTOR = (_U * _UX + 2 * _UY + 4 * _VX, 0, -_UX)
+
+
+@lru_cache(maxsize=None)
+def _ansatz() -> tuple:
+    """(the rows of ``_METRIC``, the components of ``_COVECTOR``) as
+    elements of the order-2 jet ring, converted once; every other ring
+    takes them by ``_JetRing.embed``."""
+    ring = _jet_ring(2)
+    g = tuple(tuple(map(ring.convert, row)) for row in _METRIC)
+    return g, tuple(map(ring.convert, _COVECTOR))
 
 
 @lru_cache(maxsize=None)
@@ -255,10 +274,9 @@ def check_symmetry(field: PointField, system: EquationSystem | None = None):
     otherwise the pair of nonzero reduced residuals.  ``system`` is ignored
     (the rings hold the one system); it stays for callers that pass it,
     such as the benchmark workloads."""
-    prolonged = prolong(field, 2)
+    prolonged = ProlongedField(field, 2)
     ring = prolonged._ring()
-    equations, _, _ = _equation_and_ansatz()
-    reduced = [ring.reduce(prolonged._apply_in(ring, ring.embed(F))) for F in equations]
+    reduced = [ring.reduce(prolonged._apply_in(ring, ring.embed(F))) for F in _equations()]
     if not any(reduced):
         return True
     return tuple(map(ring.to_expr, reduced))
@@ -306,37 +324,6 @@ class ShapeField:
         return PointField(*map(sum, zip(*bases)))
 
 
-def ansatz_metric(u, v) -> sp.Matrix:
-    """The ansatz metric in coordinates (t, x, y):
-    g = -(u^2 + 4v) dt^2 + 4 dt dx + 2u dt dy - dy^2."""
-    return sp.Matrix(
-        [
-            [-(u**2) - 4 * v, 2, u],
-            [2, 0, 0],
-            [u, 0, -1],
-        ]
-    )
-
-
-def ansatz_covector(u, u_x, u_y, v_x) -> sp.Matrix:
-    """The ansatz covector as a (dt, dx, dy) column:
-    omega = (u*u_x + 2*u_y + 4*v_x) dt - u_x dy."""
-    return sp.Matrix([u * u_x + 2 * u_y + 4 * v_x, 0, -u_x])
-
-
-@lru_cache(maxsize=None)
-def _equation_and_ansatz() -> tuple:
-    """(F1 and F2, the rows of the ansatz metric, the covector's
-    components) as elements of the order-2 jet ring: the equations as
-    ``jets._equations`` holds them, the ansatz converted once.  Every other
-    ring takes them by ``_JetRing.embed``."""
-    ring = _jet_ring(2)
-    g = ansatz_metric(_U, _V).tolist()
-    w = ansatz_covector(_U, jet("u", "x"), jet("u", "y"), jet("v", "x"))
-    *rows, w = (tuple(map(ring.convert, e)) for e in (*g, w))
-    return _equations(), tuple(rows), w
-
-
 @dataclass(frozen=True)
 class LiftResult:
     field: PointField
@@ -356,7 +343,7 @@ def lift_shape_field(shape: ShapeField | PointField) -> LiftResult:
     comps = [ring.convert(c) for c in base.components()]
     if comps[3] or comps[4]:
         raise LiftError("shape field must have no fiber components")
-    _, g, _ = _equation_and_ansatz()
+    g, _ = _ansatz()
     G = [[ring.embed(e) for e in row] for row in g]
     zero, one = ring.field.zero, ring.field.one
 

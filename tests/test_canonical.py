@@ -73,7 +73,7 @@ def test_invariants_agree_with_the_oracle():
     corpus += [invariants.structure_K(i) for i in (1, 2, 3, 4)]
     table = invariants._order3()
     corpus += [table.ring.to_expr(f) for f in table.twelve]
-    corpus += [c for i in (1, 2, 3) for c in invariants.derivation(i).coefficients()]
+    corpus += [c for i in (1, 2, 3) for c in invariants.derivation(i)]
     corpus.append(poincare_function("weyl"))
     for e in corpus:
         assert normalize(e) == tree_normalize(e), e
@@ -210,15 +210,15 @@ def test_symbols_outside_the_jet_space_are_generators():
 _CANONICALIZERS = ("cancel", "solve", "simplify", "nsimplify")
 
 
-def _calls(tree, flagged) -> list:
-    """(what, enclosing def) for every ``what`` in ``flagged(call)`` over
-    the calls of a parsed module."""
+def _calls(tree, flagged, kinds=ast.Call) -> list:
+    """(what, enclosing def) for every ``what`` in ``flagged(node)`` over
+    the calls of a parsed module, or over its nodes of ``kinds``."""
     found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
-            if isinstance(child, ast.Call):
+            if isinstance(child, kinds):
                 found.extend((what, inner) for what in flagged(child))
             visit(child, inner)
 
@@ -307,43 +307,47 @@ def test_the_tree_derivative_guard_sees_calls():
 # one ring form of the ansatz
 
 
-_ANSATZ = ("ansatz_metric", "ansatz_covector")
+_ANSATZ = ("_METRIC", "_COVECTOR")
 
 
-def _ansatz_calls(source: str) -> list:
-    """(function, enclosing def) for every call of ``ansatz_metric`` or
-    ``ansatz_covector`` in a module's source, by name or by attribute."""
+def _ansatz_reads(source: str) -> list:
+    """(row table, enclosing def) for every read of ``_METRIC`` or
+    ``_COVECTOR`` in a module's source, by name or by attribute."""
 
-    def flagged(call):
-        f = call.func
-        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-        return [name] if name in _ANSATZ else []
+    def flagged(node):
+        name = node.attr if isinstance(node, ast.Attribute) else node.id
+        return [name] if name in _ANSATZ and isinstance(node.ctx, ast.Load) else []
 
-    return _calls(ast.parse(source), flagged)
+    return _calls(ast.parse(source), flagged, (ast.Name, ast.Attribute))
 
 
 def test_only_the_ring_form_builds_the_ansatz():
-    # every other user embeds the entries of symmetry._equation_and_ansatz
+    # every other user embeds the entries of symmetry._ansatz
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "jetweyl"
     found = [
         (path.name, name, where)
         for path in sorted(src.glob("*.py"))
-        for name, where in _ansatz_calls(path.read_text())
+        for name, where in _ansatz_reads(path.read_text())
     ]
     assert found == [
-        ("symmetry.py", "ansatz_metric", "_equation_and_ansatz"),
-        ("symmetry.py", "ansatz_covector", "_equation_and_ansatz"),
+        ("symmetry.py", "_METRIC", "_ansatz"),
+        ("symmetry.py", "_COVECTOR", "_ansatz"),
     ]
 
 
-def test_the_ansatz_guard_sees_calls():
-    found = _ansatz_calls(
-        "from .symmetry import ansatz_metric\nfrom . import symmetry as _symmetry\n"
-        "def coframe_rewrite(u, v):\n    return ansatz_metric(u, v)\n"
-        "def build_pair(sol):\n    return _symmetry.ansatz_covector(*sol)\n"
-        "def f(g):\n    return g.ansatz(ansatz_metric)\n"
+def test_the_ansatz_guard_sees_reads():
+    found = _ansatz_reads(
+        "from .symmetry import _METRIC\nfrom . import symmetry as _symmetry\n"
+        "def coframe_rewrite(u, v):\n    return _METRIC[0]\n"
+        "def build_pair(sol):\n    return [*_symmetry._COVECTOR]\n"
+        "def f(g):\n    _METRIC = g\n    return '_COVECTOR'\n"
+        "g = len(_COVECTOR)\n"
     )
-    assert found == [("ansatz_metric", "coframe_rewrite"), ("ansatz_covector", "build_pair")]
+    assert found == [
+        ("_METRIC", "coframe_rewrite"),
+        ("_COVECTOR", "build_pair"),
+        ("_COVECTOR", None),
+    ]
 
 
 # ---------------------------------------------------------------------------

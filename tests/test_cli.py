@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import os
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +11,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+import jetweyl
 from jetweyl import checks
 from jetweyl.cli import main
 from jetweyl.dsl import parse_solution
@@ -299,12 +302,44 @@ def test_a_negative_order_is_a_usage_error(argv, capsys):
         ("u_x=abc", "'abc' is not a rational number"),
         ("foo=1", "'foo' is not t, x, y"),
         ("u_x0=3", "'u_x0' is not t, x, y"),
+        ("u_x=1,u_x=2", "'u_x' is named twice"),
     ],
 )
 def test_a_bad_at_piece_is_a_parse_error(at, named, capsys):
+    # the message names the refused piece, here the last one
     code, doc = run(["invariants", "--eval", "u_x", "--at", at], capsys)
     assert code == 3 and doc["error"] == "parse"
-    assert f"'{at}'" in doc["message"] and named in doc["message"]
+    assert f"'{at.split(',')[-1]}'" in doc["message"] and named in doc["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["transform", "trivial", "--B"], "-1/3"),
+        (["transform", "trivial", "--A"], "-t"),
+        (["check-symmetry", "1", "--parameter"], "-t"),
+        (["invariants", "--eval"], "-u_x"),
+        (["check-solution", "sl2-family", "--f"], "-t"),
+    ],
+)
+def test_a_dsl_value_may_begin_with_a_minus(argv, value, capsys):
+    # a separate value that begins with "-" reads as the "=" form
+    code, doc = run([*argv, value], capsys)
+    assert code == 0
+    assert (code, doc) == run([*argv[:-1], f"{argv[-1]}={value}"], capsys)
+
+
+@pytest.mark.parametrize("value", ["-h", "--pretty", "--pre"])
+def test_an_option_is_no_value_of_a_dsl_option(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "trivial", "--B", value])
+    assert exc.value.code == 2
+    assert "argument --B: expected one argument" in capsys.readouterr().err
+
+
+def test_positional_text_may_begin_with_a_minus_after_a_double_dash(capsys):
+    code, doc = run(["reduce", "--", "-u_tx"], capsys)
+    assert code == 0 and doc["input"] == "-u_tx"
 
 
 def test_a_zero_count_in_a_jet_word_is_an_unknown_identifier(capsys):
@@ -484,10 +519,17 @@ def test_verify_all_orbit_suite_runs_to_order_4(capsys):
 
 
 def test_module_entry_point():
+    # the child finds the package where this process did, installed or not
+    env = dict(os.environ)
+    src = pathlib.Path(jetweyl.__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "jetweyl.cli", "dims", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dim_equation"] == 11

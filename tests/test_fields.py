@@ -5,7 +5,7 @@ import sympy as sp
 
 from jetweyl.errors import JetOrderError
 from jetweyl.exprcore import T, X, Y, MultiIndex, equal, formal, is_zero, jet
-from jetweyl.fields import PointField, _bracket_in, _phi_in, prolong
+from jetweyl.fields import PointField, ProlongedField, _bracket_in, _phi_in
 from jetweyl.jets import _ring_for
 from tree_oracle import generating_section, tree_total_derivative
 
@@ -29,7 +29,7 @@ F_D = PointField(
 def applied(field: PointField, e, k: int) -> sp.Expr:
     """The order-k prolongation applied to e in the ring of the
     prolongation and e (``ProlongedField._apply_in``)."""
-    prolonged = prolong(field, k)
+    prolonged = ProlongedField(field, k)
     ring = prolonged._ring(e)
     return ring.to_expr(prolonged._apply_in(ring, ring.convert(e)))
 
@@ -103,7 +103,7 @@ def test_prolongation_is_a_bracket_morphism():
 def test_prolonged_coefficient_matches_transport_formula():
     # the ring builds phi_u from the field's components; the oracle is the
     # expanded generating section
-    pf = prolong(F_D, 1)
+    pf = ProlongedField(F_D, 1)
     sec = generating_section(F_D)
     expect = (
         tree_total_derivative(sec.phi_u, "x")

@@ -212,9 +212,15 @@ def test_warm_proofs_and_point_evaluations_convert_no_tree(monkeypatch):
 
 def test_derivation_matrix_first_row():
     # nabla_1 = (u_x/u_xx) D_x and nothing else
-    row = derivation(1).coefficients()
+    row = derivation(1)
     assert equal(row[1], u_x / u_xx)
     assert row[0] == 0 and row[2] == 0
+
+
+def test_a_derivation_index_outside_one_to_three_is_refused():
+    for i in (0, 4):
+        with pytest.raises(ValueError, match="derivation index must be 1..3"):
+            derivation(i)
 
 
 def test_coframe_normal_form():
@@ -226,7 +232,7 @@ def test_coframe_normal_form():
 
 
 def test_coframe_determinant():
-    m = sp.Matrix([list(derivation(i).coefficients()) for i in (1, 2, 3)])
+    m = sp.Matrix([derivation(i) for i in (1, 2, 3)])
     assert equal(sp.det(m.inv()), -(u_x**3))
 
 

@@ -27,6 +27,7 @@ from jetweyl.jets import (
 from tree_oracle import (
     fraction_principal_values,
     partial,
+    tree_equations,
     tree_normalize,
     tree_recurrence,
     tree_total_derivative,
@@ -91,8 +92,24 @@ def _as_multiset(recurrence) -> tuple:
     return c, Counter((coef, tuple(sorted(factors))) for coef, factors in terms)
 
 
+def _terms(F) -> dict:
+    """{monomial: rational coefficient} of an expanded polynomial."""
+    return dict(sp.expand(F).as_coefficients_dict())
+
+
+def test_the_oracle_transcribes_the_written_equations():
+    # the oracle's F1, F2 come from their definition by tree total
+    # derivatives; they equal the written form term for term, and a copy of
+    # the written form with any one coefficient changed is told apart
+    for written, transcribed in zip(_ms_equations(), tree_equations()):
+        want = _terms(transcribed)
+        assert _terms(written) == want
+        for monomial in _terms(written):
+            assert _terms(written + monomial) != want, monomial
+
+
 def test_recurrence_matches_the_tree_parse():
-    for F, dep in zip(_ms_equations(), ("u", "v")):
+    for F, dep in zip(tree_equations(), ("u", "v")):
         assert _as_multiset(_recurrence(dep)) == _as_multiset(tree_recurrence(F, dep))
 
 
@@ -156,7 +173,7 @@ def test_principal_solve_kills_both_equations():
     u_tx, v_tx = jet("u", (1, 1, 0)), jet("v", (1, 1, 0))
     for p in (ru, rv):
         assert not any(s in {u_tx, v_tx} for s in p.free_symbols)
-    F1, F2 = _ms_equations()
+    F1, F2 = tree_equations()
     assert is_zero(F1.subs({u_tx: ru, v_tx: rv}))
     assert is_zero(F2.subs({u_tx: ru, v_tx: rv}))
 
@@ -166,7 +183,7 @@ def test_principal_solve_matches_the_tree_solve():
     # coordinate; the table's leading entries, w_tx - F_w/c with c read off
     # the ring form, must give the same trees
     want = []
-    for F, dep in zip(_ms_equations(), ("u", "v")):
+    for F, dep in zip(tree_equations(), ("u", "v")):
         lead = jet(dep, "tx")
         want.append(sp.expand(lead - F / sp.diff(F, lead)))
     assert _leading_entries() == tuple(want)

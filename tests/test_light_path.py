@@ -68,6 +68,7 @@ def test_light_commands_do_not_load_sympy(tmp_path):
         ("invariants-at", ["invariants", "--eval", "u_x", "--at", "u_tx=1"], 3),
         ("reduce-zero-count", ["reduce", "u_x0 + v_t0y"], 3),
         ("invariants-at-zero-count", ["invariants", "--eval", "u", "--at", "u_x0=3"], 3),
+        ("invariants-at-twice", ["invariants", "--eval", "u_x", "--at", "u_x=1,u_x=2"], 3),
         ("check-symmetry", ["check-symmetry", "all", "--parameter", "t^"], 3),
         ("check-solution", ["check-solution", "u = x ; v = 1 +* 2"], 3),
         ("check-solution-f", ["check-solution", "sl2-family", "--f", "sqrt(t)"], 3),

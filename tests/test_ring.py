@@ -35,7 +35,7 @@ from jetweyl.exprcore import (
     jet_info,
     jet_order,
 )
-from jetweyl.fields import PointField, _bracket_in, prolong
+from jetweyl.fields import PointField, ProlongedField, _bracket_in
 from jetweyl.invariants import (
     _families,
     _order3,
@@ -48,6 +48,7 @@ from jetweyl.invariants import (
 from jetweyl.jets import (
     _JetField,
     _JetRing,
+    _equations,
     _jet_ring,
     _ms_equations,
     _poly_sums,
@@ -56,8 +57,14 @@ from jetweyl.jets import (
     ms_system,
     principal_indices,
 )
-from jetweyl.symmetry import ShapeField, _equation_and_ansatz, _family_terms, generator
-from tree_oracle import generating_section, partial, tree_normalize, tree_total_derivative
+from jetweyl.symmetry import ShapeField, _ansatz, _family_terms, generator
+from tree_oracle import (
+    generating_section,
+    partial,
+    tree_equations,
+    tree_normalize,
+    tree_total_derivative,
+)
 
 # ---------------------------------------------------------------------------
 # the tree oracle
@@ -67,7 +74,7 @@ class TreeTable:
     """The principal table by tree total derivatives and substitution."""
 
     def __init__(self):
-        F1, F2 = _ms_equations()
+        F1, F2 = tree_equations()
         self.table = {
             jet(dep, "tx"): sp.expand(jet(dep, "tx") - F) for dep, F in (("u", F1), ("v", F2))
         }
@@ -123,7 +130,7 @@ def same(a, b) -> bool:
 def applied(field: PointField, e, k: int) -> sp.Expr:
     """The order-k prolongation applied to e in the ring of the
     prolongation and e (``ProlongedField._apply_in``)."""
-    prolonged = prolong(field, k)
+    prolonged = ProlongedField(field, k)
     ring = prolonged._ring(e)
     return ring.to_expr(prolonged._apply_in(ring, ring.convert(e)))
 
@@ -283,10 +290,10 @@ def test_embed_matches_conversion():
         assert _embeds_as_converted(o.ring, families_ring, f)
     source = _jet_ring(2)
     lift_ring = _ring_for(0, ShapeField(d=formal("d")).base_field().components(), derivatives=1)
-    symmetry_ring = prolong(generator(5, formal("f")), 2)._ring()
-    equations, metric, covector = _equation_and_ansatz()
+    symmetry_ring = ProlongedField(generator(5, formal("f")), 2)._ring()
+    metric, covector = _ansatz()
     for target in (_jet_ring(3), lift_ring, symmetry_ring):
-        for f in (*equations, *metric[0], *metric[1], *metric[2], *covector):
+        for f in (*_equations(), *metric[0], *metric[1], *metric[2], *covector):
             if all(source.symbols[i] in target.index for i in source.present(f)):
                 assert _embeds_as_converted(source, target, f)
             else:
@@ -370,9 +377,8 @@ def test_prolonged_field_with_rational_coefficients_matches_the_tree():
 def test_apply_derivation_matches_the_tree():
     for e in QUANTITIES[:4]:
         for j in (1, 2, 3):
-            d = derivation(j)
             raw = sum(
-                (c * tree_total_derivative(e, s) for c, s in zip(d.coefficients(), "txy")),
+                (c * tree_total_derivative(e, s) for c, s in zip(derivation(j), "txy")),
                 sp.Integer(0),
             )
             assert apply_derivation(j, e) == TREE.reduce(raw), (e, j)
@@ -381,9 +387,8 @@ def test_apply_derivation_matches_the_tree():
 def tree_nabla(j: int, e) -> sp.Expr:
     """The j-th invariant derivation applied to e by tree total
     derivatives, reduced by the tree table."""
-    d = derivation(j)
     raw = sum(
-        (c * tree_total_derivative(e, s) for c, s in zip(d.coefficients(), "txy")),
+        (c * tree_total_derivative(e, s) for c, s in zip(derivation(j), "txy")),
         sp.Integer(0),
     )
     return TREE.reduce(raw)
@@ -415,7 +420,7 @@ def test_order3_table_matches_the_tree():
     for i in (1, 2, 3):
         assert tree(table.I[i - 1]) == tree_normalize(invariant(i))
     for j in (1, 2, 3):
-        for got, c in zip(table.nabla[j - 1], derivation(j).coefficients()):
+        for got, c in zip(table.nabla[j - 1], derivation(j)):
             assert tree(got) == tree_normalize(c), (j, c)
     for i, want in enumerate(tree_structure_K(), 1):
         assert same(tree(table.K[i - 1]), want), i

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from jetweyl.counts import counting, dims
 from jetweyl.errors import ExprError, JetOrderError, LiftError, PseudogroupError
 from jetweyl.exprcore import T, X, Y, equal, formal, is_zero, jet, jet_info
-from jetweyl.fields import PointField, prolong
+from jetweyl.fields import PointField, ProlongedField
 from jetweyl.geometry import Solution
 from jetweyl.jets import _jet_ring, _ring_for, internal_indices, ms_system, principal_indices
 from jetweyl import exprcore, invariants, jets, linalg, symmetry
@@ -401,7 +401,7 @@ def _symbolic_fields(k: int) -> tuple[tuple[sp.Expr, ...], ...]:
     for fam in range(1, 6):
         for m in range((k + 1 if fam in (1, 2, 4) else k) + 1):
             field = tree_family(fam, T**m / sp.Integer(factorial(m)))
-            pf = prolong(field, k)
+            pf = ProlongedField(field, k)
             ring = pf._ring(sp.Integer(0))
             rows.append(
                 (field.at, field.ax, field.ay)

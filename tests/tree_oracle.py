@@ -7,6 +7,8 @@ integer powers of auxiliary generators, then ``cancel``, then the
 generators substituted back.  ``partial`` is the tree derivative: sympy's
 ``diff`` plus the formal chain rule d/dt a^(k) = a^(k+1), and
 ``tree_total_derivative`` the total derivative D_i built on it.
+``tree_equations`` is F1, F2 transcribed from their definition with that
+total derivative, independent of the package's written form.
 ``tree_recurrence`` parses an equation of the system with ``sp.Poly`` into
 the terms of the point recurrence, and ``fraction_principal_values`` is the
 ``Fraction`` Leibniz solve of the principal values that ``JetPoint`` ran
@@ -19,7 +21,8 @@ a^x w_x - a^y w_y of a point field, expanded on trees.
 ``poincare_function`` is the sympy form of a Poincare function of
 ``counts``, whose canonical text ``counts.poincare_text`` prints.
 ``TreeSection`` holds a section's derivatives, jet substitution and ansatz
-pair on trees, and ``tree_d_omega`` is d omega of a tree covector.
+pair on trees (the metric and covector written out again), and
+``tree_d_omega`` is d omega of a tree covector.
 ``tree_canonical_frame`` is the order-2 canonical frame of a section by
 sympy ``Matrix`` algebra (``nullspace``, ``inv`` and ``rank`` with the exact
 zero test), from the tree pair.
@@ -60,8 +63,6 @@ from jetweyl.exprcore import (
 )
 from jetweyl.fields import PointField
 from jetweyl.geometry import FrameResult
-from jetweyl.jets import _ms_equations
-from jetweyl.symmetry import ansatz_covector, ansatz_metric
 
 _AUX = {
     name: sp.Dummy(name, positive=True)
@@ -96,6 +97,19 @@ def tree_total_derivative(e, d: str) -> sp.Expr:
             dep, idx = jet_info(s)
             out += jet(dep, idx.bump(d)) * sp.diff(e, s)
     return out
+
+
+def tree_equations() -> tuple[sp.Expr, sp.Expr]:
+    """F1 = D_x(u_t + u*u_y + v*u_x) - D_y(u_y) and
+    F2 = D_x(v_t + v*v_x - u*v_y) - D_y(v_y - 2*u*v_x), transcribed from
+    their definition with :func:`tree_total_derivative` and expanded."""
+    u, v = jet("u"), jet("v")
+    ut, ux, uy = (jet("u", d) for d in "txy")
+    vt, vx, vy = (jet("v", d) for d in "txy")
+    D = tree_total_derivative
+    F1 = D(ut + u * uy + v * ux, "x") - D(uy, "y")
+    F2 = D(vt + v * vx - u * vy, "x") - D(vy - 2 * u * vx, "y")
+    return sp.expand(F1), sp.expand(F2)
 
 
 def tree_recurrence(F, dep: str) -> tuple:
@@ -133,7 +147,7 @@ def fraction_principal_values(internal: dict, order: int) -> dict:
             return Fraction(0)
         return got
 
-    recurrences = {dep: tree_recurrence(F, dep) for F, dep in zip(_ms_equations(), "uv")}
+    recurrences = {dep: tree_recurrence(F, dep) for F, dep in zip(tree_equations(), "uv")}
     out = {}
     for m in range(2, order + 1):
         for nt in range(1, m):
@@ -354,13 +368,16 @@ class TreeSection:
         return e.xreplace(rep)
 
     def residuals(self):
-        return tuple(self.subs(F) for F in _ms_equations())
+        return tuple(self.subs(F) for F in tree_equations())
 
     def pair(self):
-        """The ansatz metric and covector of the section, unnormalized."""
+        """The ansatz metric g = -(u^2 + 4v) dt^2 + 4 dt dx + 2u dt dy - dy^2
+        and covector omega = (u u_x + 2 u_y + 4 v_x) dt - u_x dy of the
+        section, as a matrix and a (dt, dx, dy) column, unnormalized."""
         u, v = self.sol.u, self.sol.v
-        w = ansatz_covector(u, partial(u, "x"), partial(u, "y"), partial(v, "x"))
-        return ansatz_metric(u, v), w
+        ux, uy, vx = partial(u, "x"), partial(u, "y"), partial(v, "x")
+        g = sp.Matrix([[-(u**2) - 4 * v, 2, u], [2, 0, 0], [u, 0, -1]])
+        return g, sp.Matrix([u * ux + 2 * uy + 4 * vx, 0, -ux])
 
 
 def tree_d_omega(w) -> sp.Matrix:
