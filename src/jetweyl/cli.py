@@ -634,6 +634,9 @@ def main(argv=None) -> int:
         given = [f"--{flag}" for flag in _ELEMENT_FLAGS if getattr(args, flag) is not None]
         if given:
             parser.error(f"transform: --reflect cannot be combined with {', '.join(given)}")
+    if args.command == "invariants" and args.at is not None and not args.eval:
+        # --at names the point of --eval; alone it would be ignored
+        parser.error("invariants: --at needs --eval")
     try:
         doc, ok = args.handler(args)
     except ParseError as exc:

@@ -49,6 +49,7 @@ from .jets import (
     _coordinates,
     _equations,
     _jet_ring,
+    _lcm,
     _merge,
     _Rescaled,
     _ring_for,
@@ -397,17 +398,6 @@ def _image_atom(F: SectionField, point, atom) -> sp.Expr:
     if q is None or not q.is_positive:
         raise ExprError(f"{atom} moves to a fractional power of {F.expr(f)}")
     return q**atom.exp * rest
-
-
-def _lcm(a, b):
-    """The lcm of two polynomials over ZZ as ``PolyElement.lcm`` returns
-    it; for two terms, their monomials' lcm with the lcm of their
-    coefficients, signed as their product."""
-    if len(a) == 1 and len(b) == 1:
-        ring = a.ring
-        ((m, c),), ((n, d),) = a.items(), b.items()
-        return ring.term_new(ring.monomial_lcm(m, n), c * d // ring.domain.gcd(c, d))
-    return a.lcm(b)
 
 
 def _closed_form(e, rule: str) -> sp.Expr:

@@ -19,8 +19,14 @@ substitution in one sparse rational-function field (the private
 play and the formal functions present), whose numerators and denominators
 have integer coefficients; the total derivatives are ring derivations,
 reduction is a substitution of generators, and a one-term side cancels
-without a gcd (``_cancel``).  The symmetry and invariance checks compute
-there and convert sympy expressions only at their boundary.  A
+without a gcd (``_cancel``).  The field's kernels keep their own
+bookkeeping: ``_JetRing.convert`` reads a sympy tree straight into the
+field, ``_JetRing.derivation`` differentiates by generator index over the
+one-term lcm of its images' denominators (``_lcm``), two fractions with
+one-term denominators are added over the lcm of those (``_term_sum``),
+and the rings and fields compare by identity before sympy's structural
+test.  The symmetry and invariance checks compute there and convert sympy
+expressions only at their boundary.  A
 :class:`JetPoint` holds every coordinate, base and jet, in Python integers
 over powers of one denominator and solves the same triangular system
 there; ``JetPoint.integers`` reads coordinates over one common
@@ -144,7 +150,9 @@ def _cancel(numer, denom):
     and by the componentwise minimum of all monomials, and the sign makes
     the lex-leading coefficient of the denominator positive.  Every other
     pair, and every pair over another domain, goes to
-    ``PolyElement.cancel``."""
+    ``PolyElement.cancel``.  A sum of two fractions with one-term
+    denominators comes here over their lcm (:func:`_term_sum`), so its
+    denominator is one term too."""
     ring = numer.ring
     if not numer:
         return numer, ring.one
@@ -166,6 +174,35 @@ def _cancel(numer, denom):
         ring.dtype({div(m, low): c // content for m, c in numer.items()}),
         ring.dtype({div(m, low): c // content for m, c in denom.items()}),
     )
+
+
+def _lcm(a, b):
+    """The lcm of two polynomials as ``PolyElement.lcm`` returns it; over
+    ZZ, for two terms, their monomials' lcm with the lcm of their
+    coefficients, signed as their product."""
+    ring = a.ring
+    if len(a) == 1 and len(b) == 1 and ring.domain.is_ZZ:
+        ((m, c),), ((n, d),) = a.items(), b.items()
+        return ring.term_new(_monomial_lcm(m, n), c * d // math.gcd(c, d))
+    return a.lcm(b)
+
+
+def _term_sum(f, g, sign: int):
+    """f + sign*g for two elements of one jet field whose denominators are
+    single terms: both numerators are lifted to the lcm of the
+    denominators and added in one dict, then cancelled (:func:`_cancel`)."""
+    ring = f.field.ring
+    den = _lcm(f.denom, g.denom)
+    ((top, k),) = den.items()
+    out: dict = {}
+    for p, (m, c), s in ((f.numer, *f.denom.items(), 1), (g.numer, *g.denom.items(), sign)):
+        shift = _monomial_ldiv(top, m)
+        scale = s * (k // c)
+        if any(shift):
+            _merge(out, {tuple(map(add, monom, shift)): v * scale for monom, v in p.items()})
+        else:
+            _merge(out, {monom: v * scale for monom, v in p.items()})
+    return f.new(ring.dtype(out), den)
 
 
 # The monomial operations of every jet ring, whatever its number of
@@ -209,6 +246,17 @@ class _JetPolyRing(PolyRing):
     monomial operations above in place of code compiled for its size.
     ``clone`` builds this class too."""
 
+    # every element of a jet ring is built in it, so a ring is compared by
+    # identity before sympy compares symbols, domain and order; two equal
+    # rings built apart still compare equal
+    __hash__ = PolyRing.__hash__
+
+    def __eq__(self, other):
+        return self is other or PolyRing.__eq__(self, other)
+
+    def is_element(self, element):
+        return isinstance(element, PolyElement) and (element.ring is self or element.ring == self)
+
     def __new__(cls, symbols, domain, order=lex):
         symbols = tuple(_parse_symbols(symbols))
         ngens = len(symbols)
@@ -250,17 +298,43 @@ def _name_generators(obj) -> None:
 
 class _JetFraction(FracElement):
     """An element of a jet ring's field; sums, products and quotients are
-    brought to lowest terms by :func:`_cancel`."""
+    brought to lowest terms by :func:`_cancel`.  Two elements with
+    one-term denominators are added and subtracted over the lcm of the
+    denominators (:func:`_term_sum`), not over their product."""
 
     def new(f, numer, denom):
         return f.raw_new(*_cancel(numer, denom))
+
+    def __add__(f, g):
+        if _term_pair(f, g):
+            return _term_sum(f, g, 1)
+        return FracElement.__add__(f, g)
+
+    def __sub__(f, g):
+        if _term_pair(f, g):
+            return _term_sum(f, g, -1)
+        return FracElement.__sub__(f, g)
+
+
+def _term_pair(f, g) -> bool:
+    """Whether f and g are nonzero elements of one jet field with one-term
+    denominators."""
+    return type(g) is _JetFraction and f and g and len(f.denom) == 1 == len(g.denom) and f.field == g.field
 
 
 class _JetField(FracField):
     """The rational-function field of a jet ring: sympy's ``FracField``
     over a :class:`_JetPolyRing`, with :class:`_JetFraction` elements and
     a ``new`` that goes through :func:`_cancel`.  The constructor sets
-    every attribute sympy's sets."""
+    every attribute sympy's sets.  Fields compare as their rings do."""
+
+    __hash__ = FracField.__hash__
+
+    def __eq__(self, other):
+        return self is other or FracField.__eq__(self, other)
+
+    def is_element(self, element):
+        return isinstance(element, FracElement) and (element.field is self or element.field == self)
 
     def __new__(cls, symbols, domain, order=lex):
         ring = _JetPolyRing(symbols, domain, order)
@@ -281,6 +355,20 @@ class _JetField(FracField):
 
     def new(self, numer, denom=None):
         return self.raw_new(*_cancel(numer, self.ring.one if denom is None else denom))
+
+
+class _Unreadable(Exception):
+    """A tree :meth:`_JetRing._read` cannot read."""
+
+
+def _rational_tree(e) -> bool:
+    """Whether a tree holds symbols, rationals, sums, products and integer
+    powers only."""
+    if e.is_Symbol or e.is_Rational:
+        return True
+    if e.is_Pow:
+        return e.exp.is_Integer and _rational_tree(e.base)
+    return (e.is_Add or e.is_Mul) and all(map(_rational_tree, e.args))
 
 
 class _JetRing:
@@ -334,26 +422,89 @@ class _JetRing:
     # -- conversion ---------------------------------------------------------
 
     def convert(self, e):
-        """The field element of a rational expression in the generators."""
+        """The field element of a rational expression in the generators.
+
+        The tree is read directly (:meth:`_read`): symbols, rationals,
+        sums, products and integer powers go straight into the field, with
+        one cancellation per quotient formed.  A tree it cannot read is
+        refused by :meth:`_refuse`, which names the whole expression."""
         e = sp.sympify(e)
+        try:
+            num, den = self._read(e)
+        except _Unreadable:
+            pass
+        else:
+            # a denominator None is 1
+            return self.field.raw_new(num, den)
+        self._refuse(e)
+
+    def _read(self, e):
+        """(numerator, denominator) of a tree in lowest terms, the
+        denominator None for 1.  The polynomial terms of a sum are merged
+        in one dict and its fractions added in the field; a negative power
+        goes through ``field.new``, whose cancellation makes the sign of
+        the denominator canonical.  ``_Unreadable`` for any other node and
+        for a negative power of zero."""
+        if e.is_Symbol:
+            i = self.index.get(e)
+            if i is None:
+                raise _Unreadable
+            return self.gens[i], None
         if e.is_Rational:
-            # p/q, already in lowest terms
-            return self.field.raw_new(self.ring.ground_new(int(e.p)), self.ring.ground_new(int(e.q)))
+            ground = self.ring.ground_new
+            return ground(int(e.p)), (None if e.q == 1 else ground(int(e.q)))
+        field = self.field
+        if e.is_Add:
+            acc: dict = {}
+            out = None
+            for arg in e.args:
+                num, den = self._read(arg)
+                if den is None:
+                    _merge(acc, num)
+                else:
+                    out = field.raw_new(num, den) if out is None else out + field.raw_new(num, den)
+            if out is None or not out:
+                # zero + a polynomial would be the polynomial, not an element
+                return self.ring.dtype(acc), None
+            out = out + self.ring.dtype(acc)
+        elif e.is_Mul:
+            poly, out = None, None
+            for arg in e.args:
+                num, den = self._read(arg)
+                if den is None:
+                    poly = num if poly is None else poly * num
+                else:
+                    out = field.raw_new(num, den) if out is None else out * field.raw_new(num, den)
+            if out is None:
+                return poly, None
+            if poly is not None:
+                out = out * poly
+        elif e.is_Pow and e.exp.is_Integer:
+            n = int(e.exp)
+            num, den = self._read(e.base)
+            if n > 0:
+                return num**n, (None if den is None else den**n)
+            if not num:
+                raise _Unreadable
+            out = field.new(self.ring.one if den is None else den**-n, num**-n)
+        else:
+            raise _Unreadable
+        return out.numer, (None if out.denom == 1 else out.denom)
+
+    def _refuse(self, e):
+        """Raise the error of an expression :meth:`_read` cannot read: a
+        symbol outside the ring, then a float, then a node that is not a
+        rational function (an undefined value among them), else a zero
+        denominator."""
         for s in e.free_symbols:
             self._generator(s)
         if e.has(sp.Float):
-            # from_expr would read a float as a rational number
             raise ExprError(f"{e} has a floating-point coefficient")
-        num, den = e.as_numer_denom()
-        try:
-            num, den = self.ring.from_expr(num), self.ring.from_expr(den)
-        except ValueError:
+        if not _rational_tree(e):
             if e.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
-                raise DivisionByZeroExpression(f"{e} contains an undefined value") from None
-            raise ExprError(f"{e} is not a rational function of the jet coordinates") from None
-        if not den:
-            raise DivisionByZeroExpression(f"zero denominator in {e}")
-        return self.field.raw_new(num) if den == 1 else self.field.new(num, den)
+                raise DivisionByZeroExpression(f"{e} contains an undefined value")
+            raise ExprError(f"{e} is not a rational function of the jet coordinates")
+        raise DivisionByZeroExpression(f"zero denominator in {e}")
 
     def embed(self, f):
         """An element of another jet ring as an element of this one, with no
@@ -443,27 +594,41 @@ class _JetRing:
         return self.field.new(dn * f.denom - f.numer * dd, f.denom**2)
 
     def derivation(self, f, images):
-        """sum_i images[i] * df/dg_i for (generator index, element) pairs:
-        with the images written n_i/c over one common denominator c, the
-        derivation is P -> sum_i n_i dP/dg_i / c on numerator and
-        denominator."""
+        """sum_i images[i] * df/dg_i for (generator index, element) pairs,
+        one pair per index:
+        with the images written n_i/c over one common denominator c (the
+        one-term lcm of :func:`_lcm` when every denominator is a term),
+        the derivation is P -> sum_i n_i dP/dg_i / c on numerator and
+        denominator.  Each term of P is differentiated by the indices in
+        its support, and every product with an n_i is accumulated in one
+        dict."""
         images = [(i, img) for i, img in images if img]
         c = self.ring.one
         for _, img in images:
             if img.denom != 1:
-                c = c.lcm(img.denom)
-        polys = [
-            (self.gens[i], img.numer if img.denom == c else img.numer * c.exquo(img.denom))
+                c = _lcm(c, img.denom)
+        terms = {
+            i: list((img.numer if img.denom == c else img.numer * c.exquo(img.denom)).items())
             for i, img in images
-        ]
+        }
+        n = len(self.symbols)
 
         def along(p):
             out: dict = {}
-            for g, n in polys:
-                dp = p.diff(g)
-                if dp:
-                    _merge(out, dp * n)
-            return self.ring.dtype(out)
+            for monom, coef in p.items():
+                for i in itertools.compress(range(n), monom):
+                    image = terms.get(i)
+                    if image is None:
+                        continue
+                    e = monom[i]
+                    base = list(monom)
+                    base[i] = e - 1
+                    k = coef * e
+                    for m, a in image:
+                        m = tuple(map(add, base, m))
+                        v = out.get(m)
+                        out[m] = k * a if v is None else v + k * a
+            return self.ring.dtype({m: v for m, v in out.items() if v})
 
         if f.denom == 1:
             num, den = along(f.numer), c

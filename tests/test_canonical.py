@@ -304,6 +304,52 @@ def test_the_tree_derivative_guard_sees_calls():
 
 
 # ---------------------------------------------------------------------------
+# the jet ring reads trees and differentiates by index itself
+
+
+_REPLACED_METHODS = ("diff", "from_expr", "as_numer_denom")
+
+
+def _method_calls(source: str) -> list:
+    """(method, enclosing def) for every call ``obj.diff(...)``,
+    ``obj.from_expr(...)`` or ``obj.as_numer_denom(...)`` in a module's
+    source, on any object."""
+
+    def flagged(call):
+        f = call.func
+        return [f.attr] if isinstance(f, ast.Attribute) and f.attr in _REPLACED_METHODS else []
+
+    return _calls(ast.parse(source), flagged)
+
+
+def test_no_polynomial_diff_or_tree_rebuild_in_the_package():
+    # _JetRing.derivation differentiates by generator index and
+    # _JetRing.convert reads trees; the paths they replaced live on as
+    # tree_oracle.diff_derivation and tree_oracle.tree_convert
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "jetweyl"
+    offending = []
+    for path in sorted(src.glob("*.py")):
+        for what, where in _method_calls(path.read_text()):
+            offending.append(f"{path.name}: .{what}( in {where}")
+    assert offending == []
+
+
+def test_the_kernel_call_guard_sees_calls():
+    found = _method_calls(
+        "def convert(self, e):\n    num, den = e.as_numer_denom()\n"
+        "    return self.ring.from_expr(num)\n"
+        "def derivation(p, g):\n    return p.diff(g) + sp.diff(p, g)\n"
+        "def f(p):\n    return diff(p) + p.differentiate(g)\n"
+    )
+    assert found == [
+        ("as_numer_denom", "convert"),
+        ("from_expr", "convert"),
+        ("diff", "derivation"),
+        ("diff", "derivation"),
+    ]
+
+
+# ---------------------------------------------------------------------------
 # one ring form of the ansatz
 
 

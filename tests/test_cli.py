@@ -373,6 +373,16 @@ def test_transform_refuses_element_flags_with_a_reflection(flags, capsys):
     assert "--reflect cannot be combined with " + ", ".join(flags[::2]) in err
 
 
+@pytest.mark.parametrize("at", ["garbage", "u_x=1/0", "u_x=1"])
+def test_invariants_at_without_eval_is_a_usage_error(at, capsys):
+    # the point of --eval, never read without it
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", "--at", at])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--at needs --eval" in captured.err
+
+
 def test_transform_element(capsys):
     code, doc = run(["transform", "hierarchy", "--w", "x^3", "--D", "4*t", "--E", "2"], capsys)
     assert code == 0 and doc["still_solution"]

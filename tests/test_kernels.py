@@ -1,0 +1,306 @@
+"""The jet-ring kernels against the paths they replaced.
+
+``_JetRing.convert`` reads a tree directly; ``tree_oracle.tree_convert``
+is the ``as_numer_denom`` + ``from_expr`` path.  Both must give the same
+numerator and denominator, entry for entry, on the invariants, the
+structure and derivation coefficients, the family components, the
+catalog's rescaled trees and nested rational inputs, and refuse the same
+inputs with the same error class and message.  ``_JetRing.derivation``
+differentiates by generator index; ``tree_oracle.diff_derivation`` is
+sum_i n_i * p.diff(g_i), and the two must agree on every derivation that
+a symmetry check, an invariance check and the catalog's Einstein-Weyl
+checks make.  A sum of two fractions with one-term denominators is formed
+over their lcm; the oracle is n1*d2 + n2*d1 over d1*d2, cancelled by
+sympy.  Jet rings compare by identity first, and equal rings built apart
+still compare equal and add.  Each oracle has a negative control: the
+kernel with one exponent off by one fails it.
+"""
+
+import inspect
+import random
+import textwrap
+
+import pytest
+import sympy as sp
+
+from jetweyl import geometry, invariants, jets, symmetry
+from jetweyl.errors import ExprError, JetweylError
+from jetweyl.exprcore import BASE_SYMBOLS, X, _rescaled, formal, jet, jet_order
+from jetweyl.jets import _jet_ring, _ring_for
+from test_integer_field import _clear_caches, _nested_inputs
+from tree_oracle import diff_derivation, tree_convert
+
+_BOUND = {
+    "dkp-partial": {"h": 0},
+    "exp-family": {"f": 1, "h": 1},
+    "sl2-family": {"f": 0, "h": 0},
+    "sl2-degenerate": {"f": 0, "h": 0},
+}
+
+
+def _mutant(func, old: str, new: str):
+    """``func`` compiled again in its module with ``old`` replaced by
+    ``new`` once in its source."""
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, old
+    namespace: dict = {}
+    code = compile(source.replace(old, new), f"<mutant {func.__name__}>", "exec")
+    exec(code, func.__globals__, namespace)
+    return namespace[func.__name__]
+
+
+def _entries(f) -> tuple:
+    return dict(f.numer), dict(f.denom)
+
+
+# ---------------------------------------------------------------------------
+# convert
+
+
+def _convert_corpus() -> list:
+    """(ring, tree) pairs."""
+    out = []
+
+    def plain(e):
+        out.append((_ring_for(jet_order(e), (e,)), e))
+
+    for i in (1, 2, 3):
+        plain(invariants.invariant(i))
+        for c in invariants.derivation(i):
+            plain(c)
+    for i in (1, 2, 3, 4):
+        plain(invariants.structure_K(i))
+    for fam in (1, 2, 3, 4, 5):
+        for c in symmetry.generator(fam, "f").components():
+            plain(c)
+    for cid in geometry.CATALOG_IDS:
+        for kwargs in ({}, _BOUND.get(cid)):
+            if kwargs is None:
+                continue
+            sol = geometry.catalog(cid, **kwargs)
+            scaled, _ = _rescaled(sp.Tuple(sol.u, sol.v))
+            out += [(sol.field.ring, e) for e in scaled.args]
+    for e in _nested_inputs():
+        ring = _ring_for(3, (e,), derivatives=1)
+        out += [(ring, e), (ring, e.subs(jet("v"), jet("v") / 11 + 1))]
+    # a sum whose fractions cancel, beside a polynomial term or alone
+    ux, t = jet("u", "x"), BASE_SYMBOLS[0]
+    zero = (4 * ux * t + 32 * ux) / (8192 * ux) - (32 * ux * t + 256 * ux) / (65536 * ux)
+    assert zero != 0
+    out += [(_jet_ring(1), zero + jet("u")), (_jet_ring(1), zero), (_jet_ring(1), zero * ux + t)]
+    return out
+
+
+def _outcome(convert, ring, e):
+    try:
+        return _entries(convert(ring, e))
+    except JetweylError as exc:
+        return type(exc), str(exc)
+
+
+def test_convert_matches_the_tree_path_entry_for_entry():
+    corpus = _convert_corpus()
+    assert len(corpus) > 60
+    for ring, e in corpus:
+        assert _entries(ring.convert(e)) == _entries(tree_convert(ring, e)), e
+    # fractions with several-term denominators took part
+    assert any(len(ring.convert(e).denom) > 1 for ring, e in corpus)
+
+
+def _refused() -> list:
+    ux = jet("u", "x")
+    zero = ux * (ux + 1) - ux**2 - ux
+    return [
+        ux ** sp.Rational(1, 2),
+        sp.exp(X),
+        sp.Float("1.5") * ux,
+        sp.zoo,
+        sp.nan,
+        ux + sp.oo,
+        zero**-1,
+        ux / zero + 1,
+        (ux + zero**-2) ** 3,
+        sp.pi * ux,
+        sp.exp(X) + zero**-1,
+        sp.exp(X) + sp.Float("0.5"),
+        jet("u", "xxx") * sp.exp(X),
+        sp.Symbol("z") + ux,
+        sp.Float("2.0") * sp.Symbol("z"),
+        formal("a") * ux,
+    ]
+
+
+@pytest.mark.parametrize("e", _refused(), ids=str)
+def test_convert_refuses_as_the_tree_path_does(e):
+    ring = _jet_ring(2)
+    want = _outcome(tree_convert, ring, e)
+    assert want[0] in (ExprError, *ExprError.__subclasses__(), jets.JetOrderError), want
+    assert _outcome(jets._JetRing.convert, ring, e) == want
+
+
+def test_the_zero_denominator_names_the_whole_expression():
+    ux = jet("u", "x")
+    e = (ux * (ux + 1) - ux**2 - ux) ** -1
+    with pytest.raises(jets.DivisionByZeroExpression, match="zero denominator in 1/"):
+        _jet_ring(2).convert(e)
+
+
+def test_a_convert_with_an_exponent_off_by_one_fails_the_oracle(monkeypatch):
+    corpus = _convert_corpus()
+    monkeypatch.setattr(
+        jets._JetRing, "_read", _mutant(jets._JetRing._read, "n = int(e.exp)", "n = int(e.exp) + 1")
+    )
+    assert any(_entries(ring.convert(e)) != _entries(tree_convert(ring, e)) for ring, e in corpus)
+
+
+# ---------------------------------------------------------------------------
+# derivation
+
+
+@pytest.fixture(scope="module")
+def derivations():
+    """(ring, f, images) of every derivation a symmetry check, an
+    invariance check and the Einstein-Weyl checks of the catalog make,
+    from empty caches."""
+    calls = []
+    program = jets._JetRing.derivation
+
+    def recorded(self, f, images):
+        images = list(images)
+        calls.append((self, f, images))
+        return program(self, f, images)
+
+    try:
+        _clear_caches()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jets._JetRing, "derivation", recorded)
+            assert symmetry.check_symmetry(symmetry.generator(4, "f")) is True
+            assert invariants.verify_invariance(invariants.invariant(2)) is True
+            for cid in geometry.CATALOG_IDS:
+                geometry.check_EW(geometry.catalog(cid, **_BOUND.get(cid, {})))
+    finally:
+        _clear_caches()
+    return calls
+
+
+def _several_term_images() -> list:
+    """Derivations whose images have denominators of several terms."""
+    ring = _jet_ring(1)
+    u, ux, uy = jet("u"), jet("u", "x"), jet("u", "y")
+    t, x, y = BASE_SYMBOLS
+    images = [
+        (ring.index[u], ring.convert(1 / (x + 1))),
+        (ring.index[ux], ring.convert(u / (y + u))),
+        (ring.index[t], ring.convert(3 * t / (2 * uy))),
+    ]
+    fs = [ux / (u + t), u**3 * ux - t * ux**2, (ux + y) / (4 * u**2 * t)]
+    return [(ring, ring.convert(f), images) for f in fs]
+
+
+def test_derivation_matches_the_diff_path_entry_for_entry(derivations):
+    assert len(derivations) > 100
+    # images and elements with denominators took part
+    assert any(img.denom != 1 for _, _, images in derivations for _, img in images)
+    assert any(f.denom != 1 for _, f, _ in derivations)
+    for ring, f, images in derivations + _several_term_images():
+        assert _entries(ring.derivation(f, images)) == _entries(diff_derivation(ring, f, images))
+
+
+def test_a_derivation_with_an_exponent_off_by_one_fails_the_oracle(derivations):
+    mutant = _mutant(jets._JetRing.derivation, "base[i] = e - 1", "base[i] = e")
+    assert any(
+        _entries(mutant(ring, f, images)) != _entries(diff_derivation(ring, f, images))
+        for ring, f, images in derivations
+    )
+
+
+# ---------------------------------------------------------------------------
+# sums over the lcm of one-term denominators
+
+
+def _term_fractions(ring, rng: random.Random, n: int) -> list:
+    """Seeded elements of a jet field with one-term denominators: small
+    numerators over a coefficient times a monomial, 1 included."""
+    gens = ring.ring.gens
+
+    def poly(terms: int):
+        p = ring.ring.zero
+        for _ in range(terms):
+            m = ring.ring.one
+            for _ in range(rng.randint(0, 3)):
+                m = m * rng.choice(gens)
+            p = p + rng.choice((-3, -2, -1, 1, 2, 4, 6)) * m
+        return p
+
+    out = []
+    while len(out) < n:
+        num = poly(rng.randint(1, 4))
+        den = poly(1)
+        if num and den:
+            out.append(ring.field.new(num, den))
+    field = ring.field
+    return out + [field.one, field.raw_new(gens[0]), field.new(ring.ring.one, gens[0] * 6)]
+
+
+def _over_product(f, g, sign):
+    num = f.numer * g.denom + sign * (g.numer * f.denom)
+    return f.field.raw_new(*num.cancel(f.denom * g.denom))
+
+
+def test_one_term_sums_match_the_sums_over_the_product():
+    ring = _jet_ring(1)
+    elements = _term_fractions(ring, random.Random(7), 40)
+    assert all(len(f.denom) == 1 for f in elements)
+    assert any(f.denom != 1 for f in elements)
+    for f in elements:
+        for g in elements:
+            assert _entries(f + g) == _entries(_over_product(f, g, 1))
+            assert _entries(f - g) == _entries(_over_product(f, g, -1))
+    f = elements[0]
+    assert f - f == ring.field.zero and not (f - f).numer
+
+
+def test_a_sum_with_a_shift_off_by_one_fails_the_oracle(monkeypatch):
+    # the last exponent of each lift one too high
+    mutant = _mutant(
+        jets._term_sum,
+        "shift = _monomial_ldiv(top, m)",
+        "shift = _monomial_ldiv(top, m)[:-1] + (top[-1] - m[-1] + 1,)",
+    )
+    monkeypatch.setattr(jets, "_term_sum", mutant)
+    ring = _jet_ring(1)
+    elements = _term_fractions(ring, random.Random(7), 10)
+    assert any(
+        _entries(f + g) != _entries(_over_product(f, g, 1)) for f in elements for g in elements
+    )
+
+
+# ---------------------------------------------------------------------------
+# rings compared by identity first
+
+
+def test_rings_built_apart_compare_equal_and_their_elements_add():
+    ux, u = jet("u", "x"), jet("u")
+    before = _jet_ring(2)
+    f = before.convert(ux / u)
+    try:
+        _jet_ring.cache_clear()
+        after = _jet_ring(2)
+        assert after is not before
+        assert after.ring == before.ring and after.field == before.field
+        assert hash(after.ring) == hash(before.ring) and hash(after.field) == hash(before.field)
+        assert after.ring.is_element(f.numer) and after.field.is_element(f)
+        g = after.convert(ux / u)
+        assert f == g and g == f
+        assert _entries(f + g) == _entries(after.convert(2 * ux / u))
+        assert _entries(g - f) == _entries(after.field.zero)
+        other = _jet_ring(1)
+        assert after.ring != other.ring and not after.field.is_element(other.field.one)
+    finally:
+        _clear_caches()
+
+
+def test_base_symbols_convert_to_generators():
+    ring = _jet_ring(0)
+    for b in BASE_SYMBOLS:
+        assert ring.convert(b) == ring.gen(b)

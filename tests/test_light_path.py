@@ -2,7 +2,7 @@
 
 ``import jetweyl.cli`` loads the standard library and ``errors`` only, and
 each subcommand imports the layers it uses.  A fresh interpreter runs
-``dims``, ``compare``, ``--help``, a usage error and, for every command
+``dims``, ``compare``, ``--help``, usage errors and, for every command
 that reads DSL text, a text the syntax stage refuses, and must not have
 loaded sympy after any of them; ``counts`` loads neither sympy nor an
 algebra layer.  A static guard reads the sources: the light modules import
@@ -69,6 +69,7 @@ def test_light_commands_do_not_load_sympy(tmp_path):
         ("reduce-zero-count", ["reduce", "u_x0 + v_t0y"], 3),
         ("invariants-at-zero-count", ["invariants", "--eval", "u", "--at", "u_x0=3"], 3),
         ("invariants-at-twice", ["invariants", "--eval", "u_x", "--at", "u_x=1,u_x=2"], 3),
+        ("invariants-at-alone", ["invariants", "--at", "garbage"], 2),
         ("check-symmetry", ["check-symmetry", "all", "--parameter", "t^"], 3),
         ("check-solution", ["check-solution", "u = x ; v = 1 +* 2"], 3),
         ("check-solution-f", ["check-solution", "sl2-family", "--f", "sqrt(t)"], 3),

@@ -26,6 +26,11 @@ pair on trees (the metric and covector written out again), and
 ``tree_canonical_frame`` is the order-2 canonical frame of a section by
 sympy ``Matrix`` algebra (``nullspace``, ``inv`` and ``rank`` with the exact
 zero test), from the tree pair.
+``tree_convert`` reads an expression into a jet ring the way the ring did
+before it read trees itself: ``as_numer_denom``, then ``from_expr`` of
+both sides, then one cancellation, with the refusals of that path.
+``diff_derivation`` is the derivation of a jet ring built from
+``PolyElement.diff`` and ``PolyElement.lcm``.
 ``tree_parse_expr`` and ``tree_parse_solution`` are the DSL as one stage:
 a recursive-descent parser that builds the sympy tree as it reads the
 tokens, and so raises its errors in the order it meets them, algebra
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 import sympy as sp
 
 from jetweyl.counts import _poincare
-from jetweyl.errors import DivisionByZeroExpression, ParseError, UnknownSymbolError
+from jetweyl.errors import DivisionByZeroExpression, ExprError, ParseError, UnknownSymbolError
 from fractions import Fraction
 
 from jetweyl.exprcore import (
@@ -97,6 +102,48 @@ def tree_total_derivative(e, d: str) -> sp.Expr:
             dep, idx = jet_info(s)
             out += jet(dep, idx.bump(d)) * sp.diff(e, s)
     return out
+
+
+def tree_convert(ring, e):
+    """The field element of a rational expression in the generators of a
+    jet ring, read by ``as_numer_denom`` and ``from_expr``: the free
+    symbols are checked first, then floats, then the conversion, then the
+    denominator."""
+    e = sp.sympify(e)
+    if e.is_Rational:
+        return ring.field.raw_new(ring.ring.ground_new(int(e.p)), ring.ring.ground_new(int(e.q)))
+    for s in e.free_symbols:
+        ring._generator(s)
+    if e.has(sp.Float):
+        raise ExprError(f"{e} has a floating-point coefficient")
+    num, den = e.as_numer_denom()
+    try:
+        num, den = ring.ring.from_expr(num), ring.ring.from_expr(den)
+    except ValueError:
+        if e.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
+            raise DivisionByZeroExpression(f"{e} contains an undefined value") from None
+        raise ExprError(f"{e} is not a rational function of the jet coordinates") from None
+    if not den:
+        raise DivisionByZeroExpression(f"zero denominator in {e}")
+    return ring.field.raw_new(num) if den == 1 else ring.field.new(num, den)
+
+
+def diff_derivation(ring, f, images):
+    """sum_i images[i] * df/dg_i of a jet-ring element for (generator
+    index, element) pairs: the images over their common denominator c
+    (``PolyElement.lcm``), P -> sum_i n_i * P.diff(g_i) / c on numerator
+    and denominator, and ``PolyElement.cancel``."""
+    images = [(i, img) for i, img in images if img]
+    c = ring.ring.one
+    for _, img in images:
+        c = c.lcm(img.denom)
+    polys = [(ring.gens[i], img.numer * c.exquo(img.denom)) for i, img in images]
+
+    def along(p):
+        return sum((p.diff(g) * n for g, n in polys), ring.ring.zero)
+
+    num = along(f.numer) * f.denom - f.numer * along(f.denom)
+    return ring.field.raw_new(*num.cancel(c * f.denom**2))
 
 
 def tree_equations() -> tuple[sp.Expr, sp.Expr]:
