@@ -268,14 +268,14 @@ def _point_assignment(text: str) -> dict:
 def _cmd_invariants(args):
     from . import syntax
 
-    if args.eval:
+    if args.eval is not None:
         syntax.parse_expr(args.eval)
         assign = _point_assignment(args.at or "")
     from . import invariants
     from .exprcore import to_text
 
     evaluated = None
-    if args.eval:
+    if args.eval is not None:
         # bad input fails before the table is built
         from .dsl import parse_expr
         from .jets import ms_system
@@ -634,7 +634,7 @@ def main(argv=None) -> int:
         given = [f"--{flag}" for flag in _ELEMENT_FLAGS if getattr(args, flag) is not None]
         if given:
             parser.error(f"transform: --reflect cannot be combined with {', '.join(given)}")
-    if args.command == "invariants" and args.at is not None and not args.eval:
+    if args.command == "invariants" and args.at is not None and args.eval is None:
         # --at names the point of --eval; alone it would be ignored
         parser.error("invariants: --at needs --eval")
     try:

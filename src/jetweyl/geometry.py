@@ -136,6 +136,8 @@ class SectionField(_Rescaled):
                 else:
                     self._top.add(ring.index[s])
         self._images = images
+        # d -> the images of d/dd lifted once (``_JetRing.lift``)
+        self._lifted: dict = {}
         self._jets: dict = {}
 
     def partial(self, f, d: str):
@@ -145,7 +147,10 @@ class SectionField(_Rescaled):
                 f"d/dt of a formal derivative of order past {_FIELD_DERIVATIVES} "
                 "beyond those of the section"
             )
-        return self.ring.derivation(f, self._images[d])
+        lifted = self._lifted.get(d)
+        if lifted is None:
+            lifted = self._lifted[d] = self.ring.lift(self._images[d])
+        return self.ring.apply(f, lifted)
 
     def jet(self, dep: str, index=MultiIndex()):
         """The section's derivative w_sigma (w = u, v) as a field element."""

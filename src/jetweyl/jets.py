@@ -240,6 +240,53 @@ def _monomial_gcd(a, b):
     return tuple(map(min, a, b))
 
 
+class _JetPoly(PolyElement):
+    """The elements of a jet ring's polynomial ring.  Each
+    :class:`_JetPolyRing` builds its own subclass, with the ring as a class
+    attribute, and uses the class as its ``dtype`` and as every element's
+    ``new``: an element is built by ``dict.__init__`` alone.  Products and
+    equality of two elements of one class are computed here; any other
+    operand (an int, an element of an equal ring built apart, of another
+    ring) goes to ``PolyElement``'s method."""
+
+    __init__ = dict.__init__
+    # defining __eq__ would set it to None
+    __hash__ = PolyElement.__hash__
+
+    def __eq__(p, q):
+        if type(q) is type(p):
+            return dict.__eq__(p, q)
+        return PolyElement.__eq__(p, q)
+
+    def __ne__(p, q):
+        if type(q) is type(p):
+            return dict.__ne__(p, q)
+        return PolyElement.__ne__(p, q)
+
+    def __mul__(p, q):
+        """p*q in one dict; a one-term or constant factor is a shift of
+        the monomials and a scale of the coefficients."""
+        cls = type(p)
+        if type(q) is not cls:
+            return PolyElement.__mul__(p, q)
+        if len(p) < len(q):
+            p, q = q, p
+        if len(q) == 1:
+            ((n, b),) = q.items()
+            if any(n):
+                return cls({tuple(map(add, m, n)): a * b for m, a in p.items()})
+            return cls({m: a * b for m, a in p.items()})
+        out: dict = {}
+        get = out.get
+        terms = list(q.items())
+        for m, a in p.items():
+            for n, b in terms:
+                k = tuple(map(add, m, n))
+                v = get(k)
+                out[k] = a * b if v is None else v + a * b
+        return cls({k: v for k, v in out.items() if v})
+
+
 class _JetPolyRing(PolyRing):
     """The polynomial ring of a jet ring: sympy's ``PolyRing`` built by a
     constructor that sets every attribute sympy's sets, with the shared
@@ -271,7 +318,10 @@ class _JetPolyRing(PolyRing):
         obj.ngens = ngens
         obj.domain = domain
         obj.order = order
-        obj.dtype = PolyElement(obj, ()).new
+        # sympy mutates what ``zero`` and ``one`` return: both stay
+        # properties that build a fresh element of this class
+        obj.dtype = type("JetPoly", (_JetPoly,), {"ring": obj})
+        obj.dtype.new = obj.dtype
         obj.zero_monom = (0,) * ngens
         obj.gens = obj._gens()
         obj._gens_set = set(obj.gens)
@@ -595,13 +645,16 @@ class _JetRing:
 
     def derivation(self, f, images):
         """sum_i images[i] * df/dg_i for (generator index, element) pairs,
-        one pair per index:
-        with the images written n_i/c over one common denominator c (the
-        one-term lcm of :func:`_lcm` when every denominator is a term),
-        the derivation is P -> sum_i n_i dP/dg_i / c on numerator and
-        denominator.  Each term of P is differentiated by the indices in
-        its support, and every product with an n_i is accumulated in one
-        dict."""
+        one pair per index: :meth:`apply` of the images :meth:`lift`
+        gives."""
+        return self.apply(f, self.lift(images))
+
+    def lift(self, images):
+        """The images of a derivation, (generator index, element) pairs, as
+        :meth:`apply` takes them: (c, {i: terms of n_i}) with the nonzero
+        images written n_i/c over one common denominator c (the one-term
+        lcm of :func:`_lcm` when every denominator is a term).  A caller
+        that applies one derivation often lifts its images once."""
         images = [(i, img) for i, img in images if img]
         c = self.ring.one
         for _, img in images:
@@ -611,6 +664,15 @@ class _JetRing:
             i: list((img.numer if img.denom == c else img.numer * c.exquo(img.denom)).items())
             for i, img in images
         }
+        return c, terms
+
+    def apply(self, f, lifted):
+        """The derivation with lifted images (c, {i: terms of n_i}) (see
+        :meth:`lift`) applied to f: P -> sum_i n_i dP/dg_i / c on
+        numerator and denominator.  Each term of P is differentiated by the
+        indices in its support, and every product with an n_i is
+        accumulated in one dict."""
+        c, terms = lifted
         n = len(self.symbols)
 
         def along(p):

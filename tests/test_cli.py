@@ -373,6 +373,15 @@ def test_transform_refuses_element_flags_with_a_reflection(flags, capsys):
     assert "--reflect cannot be combined with " + ", ".join(flags[::2]) in err
 
 
+@pytest.mark.parametrize("at", [None, "u_x=1"])
+def test_an_empty_eval_is_a_parse_error(at, capsys):
+    # read as reduce reads it, not ignored, with or without a point
+    argv = ["invariants", "--eval", ""] + ([] if at is None else ["--at", at])
+    code, doc = run(argv, capsys)
+    assert code == 3 and doc["error"] == "parse"
+    assert (code, doc) == run(["reduce", ""], capsys)
+
+
 @pytest.mark.parametrize("at", ["garbage", "u_x=1/0", "u_x=1"])
 def test_invariants_at_without_eval_is_a_usage_error(at, capsys):
     # the point of --eval, never read without it

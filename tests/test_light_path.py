@@ -65,6 +65,7 @@ def test_light_commands_do_not_load_sympy(tmp_path):
         ("reduce", ["reduce", "u_tx +* 2"], 3),
         ("reduce-order", ["reduce", "u_x9"], 4),
         ("invariants-eval", ["invariants", "--eval", "u_x +"], 3),
+        ("invariants-eval-empty", ["invariants", "--eval", ""], 3),
         ("invariants-at", ["invariants", "--eval", "u_x", "--at", "u_tx=1"], 3),
         ("reduce-zero-count", ["reduce", "u_x0 + v_t0y"], 3),
         ("invariants-at-zero-count", ["invariants", "--eval", "u", "--at", "u_x0=3"], 3),
