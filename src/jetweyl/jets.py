@@ -19,7 +19,9 @@ substitution in one sparse rational-function field (the private
 play and the formal functions present), whose numerators and denominators
 have integer coefficients; the total derivatives are ring derivations,
 reduction is a substitution of generators, and a one-term side cancels
-without a gcd (``_cancel``).  The field's kernels keep their own
+without a gcd (``_cancel``).  Each ring builds its elements with a class
+of its own (``_JetPoly``), which multiplies, compares and divides by a
+term without sympy's dispatch.  The field's kernels keep their own
 bookkeeping: ``_JetRing.convert`` reads a sympy tree straight into the
 field, ``_JetRing.derivation`` differentiates by generator index over the
 one-term lcm of its images' denominators (``_lcm``), two fractions with
@@ -53,7 +55,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.fields import FracElement, FracField
 from sympy.polys.orderings import lex
 from sympy.polys.polyoptions import Domain as DomainOpt, Order as OrderOpt
-from sympy.polys.polyerrors import GeneratorsError
+from sympy.polys.polyerrors import ExactQuotientFailed, GeneratorsError
 from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyElement, PolyRing, _parse_symbols
 
@@ -183,7 +185,7 @@ def _lcm(a, b):
     ring = a.ring
     if len(a) == 1 and len(b) == 1 and ring.domain.is_ZZ:
         ((m, c),), ((n, d),) = a.items(), b.items()
-        return ring.term_new(_monomial_lcm(m, n), c * d // math.gcd(c, d))
+        return ring.dtype({_monomial_lcm(m, n): c * d // math.gcd(c, d)})
     return a.lcm(b)
 
 
@@ -244,10 +246,10 @@ class _JetPoly(PolyElement):
     """The elements of a jet ring's polynomial ring.  Each
     :class:`_JetPolyRing` builds its own subclass, with the ring as a class
     attribute, and uses the class as its ``dtype`` and as every element's
-    ``new``: an element is built by ``dict.__init__`` alone.  Products and
-    equality of two elements of one class are computed here; any other
-    operand (an int, an element of an equal ring built apart, of another
-    ring) goes to ``PolyElement``'s method."""
+    ``new``: an element is built by ``dict.__init__`` alone.  Products,
+    equality and exact quotients by a term of two elements of one class
+    are computed here; any other operand (an int, an element of an equal
+    ring built apart, of another ring) goes to ``PolyElement``'s method."""
 
     __init__ = dict.__init__
     # defining __eq__ would set it to None
@@ -272,6 +274,7 @@ class _JetPoly(PolyElement):
         if len(p) < len(q):
             p, q = q, p
         if len(q) == 1:
+            # over an integral domain no product of two terms is zero
             ((n, b),) = q.items()
             if any(n):
                 return cls({tuple(map(add, m, n)): a * b for m, a in p.items()})
@@ -285,6 +288,21 @@ class _JetPoly(PolyElement):
                 v = get(k)
                 out[k] = a * b if v is None else v + a * b
         return cls({k: v for k, v in out.items() if v})
+
+    def exquo(p, q):
+        """p/q, which must be exact; by a one-term q over ZZ, term by
+        term."""
+        cls = type(p)
+        if type(q) is not cls or len(q) != 1 or not cls.ring.domain.is_ZZ:
+            return PolyElement.exquo(p, q)
+        ((n, b),) = q.items()
+        out = {}
+        for m, a in p.items():
+            k = _monomial_div(m, n)
+            if k is None or a % b:
+                raise ExactQuotientFailed(p, q)
+            out[k] = a // b
+        return cls(out)
 
 
 class _JetPolyRing(PolyRing):

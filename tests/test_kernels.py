@@ -18,10 +18,15 @@ kernel with one exponent off by one fails it.
 
 import inspect
 import random
+import re
 import textwrap
 
 import pytest
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.orderings import lex
+from sympy.polys.polyerrors import ExactQuotientFailed
+from sympy.polys.rings import PolyElement
 
 from jetweyl import geometry, invariants, jets, symmetry
 from jetweyl.errors import ExprError, JetweylError
@@ -314,3 +319,112 @@ def test_base_symbols_convert_to_generators():
     ring = _jet_ring(0)
     for b in BASE_SYMBOLS:
         assert ring.convert(b) == ring.gen(b)
+
+
+# ---------------------------------------------------------------------------
+# the element class of a jet ring
+
+
+def _poly(ring, rng: random.Random, terms: int):
+    """A seeded element of a polynomial ring: ``terms`` products of up to
+    three generators with nonzero coefficients of either sign."""
+    out = {}
+    while len(out) < terms:
+        m = [0] * ring.ngens
+        for _ in range(rng.randint(0, 3)):
+            m[rng.randrange(ring.ngens)] += 1
+        out[tuple(m)] = ring.domain(rng.choice((-7, -3, -2, -1, 1, 2, 5, 12)))
+    return ring.dtype(out)
+
+
+def _operand_rings() -> list:
+    symbols = _jet_ring(1).symbols
+    return [
+        _jet_ring(3).ring,
+        geometry.catalog("exp-family").field.ring.ring,
+        jets._JetField(symbols, QQ, lex).ring,
+    ]
+
+
+def _operands(ring, seed: int) -> list:
+    """Multi-term, one-term and constant elements, zero and one."""
+    rng = random.Random(seed)
+    out = [_poly(ring, rng, rng.randint(2, 6)) for _ in range(8)]
+    out += [_poly(ring, rng, 1) for _ in range(4)]
+    out += [ring(rng.choice((-4, 3))), ring(-1), ring.one, ring.zero]
+    return out
+
+
+def test_the_element_product_and_equality_match_sympys():
+    for seed, ring in enumerate(_operand_rings()):
+        elements = _operands(ring, seed)
+        assert any(c < 0 for p in elements for c in p.values())
+        for p in elements:
+            for q in elements:
+                got, want = p * q, PolyElement.__mul__(p, q)
+                assert type(got) is ring.dtype and dict(got) == dict(want), (p, q)
+                assert (p == q) is PolyElement.__eq__(p, q) and (p != q) is PolyElement.__ne__(p, q)
+            for n in (0, 1, -2, 3):
+                assert dict(p * n) == dict(PolyElement.__mul__(p, n))
+                assert (p == n) is PolyElement.__eq__(p, n)
+                assert (p != n) is PolyElement.__ne__(p, n)
+
+
+def _quotient(divide, p, q):
+    try:
+        return dict(divide(p, q))
+    except ExactQuotientFailed as exc:
+        return str(exc)
+
+
+def test_quotients_match_sympys():
+    outcomes = []
+    for seed, ring in enumerate(_operand_rings()):
+        elements = _operands(ring, seed)
+        for p in elements:
+            for q in filter(None, elements):
+                for d in (p * q, p * q + ring.gens[0], p * q - ring.gens[-1] * 2, p + 1):
+                    got = _quotient(type(d).exquo, d, q)
+                    assert got == _quotient(PolyElement.exquo, d, q), (d, q)
+                    outcomes.append(type(got))
+    # exact quotients and refused ones both took part
+    assert dict in outcomes and str in outcomes
+
+
+def test_elements_of_a_ring_built_apart_compare_and_multiply():
+    before = _jet_ring(3).ring
+    p, q = _operands(before, 5)[:2]
+    try:
+        _jet_ring.cache_clear()
+        after = _jet_ring(3).ring
+        assert after is not before and after.dtype is not before.dtype
+        twin = after.dtype(p)
+        assert p == twin and twin == p and not (p != twin) and hash(p) == hash(twin)
+        assert twin != q and q != twin
+        assert dict(twin * q) == dict(p * q) == dict(q * twin)
+    finally:
+        _clear_caches()
+
+
+def test_elements_hash_as_sympys_and_zero_and_one_are_fresh():
+    ring = _jet_ring(3).ring
+    elements = _operands(ring, 11)
+    assert all(hash(p) == PolyElement.__hash__(p) for p in elements)
+    keys = {p: dict(p) for p in elements}
+    assert len(keys) == len({frozenset(p.items()) for p in elements})
+    assert all(keys[ring.dtype(p)] == dict(p) for p in elements)
+    assert ring.zero is not ring.zero and ring.one is not ring.one
+    zero = ring.zero
+    zero[ring.zero_monom] = 1
+    assert not ring.zero and ring.one == 1
+
+
+def test_a_product_with_an_exponent_off_by_one_fails_the_oracle():
+    mutant = _mutant(
+        jets._JetPoly.__mul__,
+        "k = tuple(map(add, m, n))",
+        "k = tuple(map(add, m, n))[:-1] + (m[-1] + n[-1] + 1,)",
+    )
+    ring = _jet_ring(3).ring
+    elements = _operands(ring, 3)
+    assert any(dict(mutant(p, q)) != dict(PolyElement.__mul__(p, q)) for p in elements for q in elements)
