@@ -168,7 +168,7 @@ class ProlongedField:
             else (i, self._coeff_in(ring, *jet_info(ring.symbols[i])))
             for i in ring.present(f)
         ]
-        return ring.derivation(f, images)
+        return ring.apply(f, ring.lift(images))
 
 
 def _phi_in(ring, comps: list, dependent: str):
@@ -197,9 +197,8 @@ def _point_image(ring, comps: list, s):
 def _point_apply(ring, comps: list, f):
     """A point field as a derivation of its ring; jet coordinates of
     positive order are constants."""
-    return ring.derivation(
-        f, [(i, _point_image(ring, comps, ring.symbols[i])) for i in ring.present(f)]
-    )
+    images = [(i, _point_image(ring, comps, ring.symbols[i])) for i in ring.present(f)]
+    return ring.apply(f, ring.lift(images))
 
 
 def _bracket_in(ring, fa: list, fb: list) -> list:

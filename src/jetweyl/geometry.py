@@ -46,13 +46,15 @@ from .exprcore import (
     validate_kernel,
 )
 from .jets import (
+    _common_denominator,
     _coordinates,
     _equations,
     _jet_ring,
-    _lcm,
+    _lcm,  # noqa: F401  (no longer called here; test_integer_field patches this name)
     _merge,
     _Rescaled,
     _ring_for,
+    _support,
 )
 from .linalg import _cofactors
 from .syntax import CATALOG_IDS
@@ -115,7 +117,8 @@ class SectionField(_Rescaled):
         self.values = tuple(ring.convert(e) for e in scaled.args)
         # a base variable as an element: b, or B^m where it was rescaled
         self._base = {b: ring.gen(b) for b in BASE_SYMBOLS}
-        images = {b.name: [(ring.index[b], ring.field.one)] for b in BASE_SYMBOLS}
+        # d -> (images, refused generators) of d/dd, as ``_JetRing.lift`` takes them
+        images = {b.name: ([(ring.index[b], ring.field.one)], {}) for b in BASE_SYMBOLS}
         for gen, atom in self.back.items():
             if not atom.free_symbols:
                 continue
@@ -126,30 +129,25 @@ class SectionField(_Rescaled):
                 b, m = atom.base, atom.exp.q
                 image = 1 / (m * ring.gen(gen) ** (m - 1))
                 self._base[b] = ring.gen(gen) ** m
-            images[b.name].append((ring.index[gen], image))
-        # formal derivatives of the highest order carried have no image
-        self._top = set()
+            images[b.name][0].append((ring.index[gen], image))
+        # formal derivatives of the highest order carried have no d/dt
+        past = f"d/dt of a formal derivative of order past {_FIELD_DERIVATIVES} beyond those"
         for s in ring.extras:
             if is_formal_symbol(s):
                 if formal_shift(s) in ring.index:
-                    images["t"].append((ring.index[s], ring.gen(formal_shift(s))))
+                    images["t"][0].append((ring.index[s], ring.gen(formal_shift(s))))
                 else:
-                    self._top.add(ring.index[s])
+                    images["t"][1][ring.index[s]] = (JetOrderError, f"{past} of the section")
         self._images = images
-        # d -> the images of d/dd lifted once (``_JetRing.lift``)
+        # d -> d/dd lifted once (``_JetRing.lift``)
         self._lifted: dict = {}
         self._jets: dict = {}
 
     def partial(self, f, d: str):
         """The partial derivative d/dd of a field element (d = t, x or y)."""
-        if d == "t" and self._top.intersection(self.ring.present(f)):
-            raise JetOrderError(
-                f"d/dt of a formal derivative of order past {_FIELD_DERIVATIVES} "
-                "beyond those of the section"
-            )
         lifted = self._lifted.get(d)
         if lifted is None:
-            lifted = self._lifted[d] = self.ring.lift(self._images[d])
+            lifted = self._lifted[d] = self.ring.lift(*self._images[d])
         return self.ring.apply(f, lifted)
 
     def jet(self, dep: str, index=MultiIndex()):
@@ -172,41 +170,6 @@ class SectionField(_Rescaled):
             return self._base[s]
         return self.ring.gen(s)
 
-    def _evaluate(self, polys, value):
-        """Polynomials of one jet ring with each generator s replaced by the
-        element ``value(s)`` of this field: (L, [(P~, D)]) with P = P~ / L^D,
-        for one common denominator L of the values."""
-        symbols = polys[0].ring.symbols
-        used = sorted({i for p in polys if p for i, n in enumerate(p.degrees()) if n > 0})
-        values = [value(symbols[i]) for i in used]
-        one = self.ring.ring.one
-        L = one
-        for v in values:
-            if v.denom != 1:
-                L = _lcm(L, v.denom)
-        nums = [v.numer if v.denom == L else v.numer * L.exquo(v.denom) for v in values]
-        powers: dict = {}
-
-        def power(j, n):
-            got = powers.get((j, n))
-            if got is None:
-                got = powers[(j, n)] = (L if j < 0 else nums[j]) ** n
-            return got
-
-        out = []
-        for p in polys:
-            terms = [(m, c, sum(m[i] for i in used)) for m, c in p.items()]
-            top = max((deg for _, _, deg in terms), default=0)
-            acc: dict = {}
-            for m, c, deg in terms:
-                term = power(-1, top - deg)
-                for j, i in enumerate(used):
-                    if m[i]:
-                        term = term * power(j, m[i])
-                _merge(acc, term.mul_ground(c))
-            out.append((self.ring.ring.dtype(acc), top))
-        return L, out
-
     def subs(self, f):
         """An element of a jet ring (a rational function of jet coordinates,
         t, x, y and formal functions) with the section's derivatives in
@@ -219,13 +182,47 @@ class SectionField(_Rescaled):
     def _quotient(self, f, value, message):
         """An element of a jet ring with each generator s replaced by the
         element ``value(s)`` of this field; ``message()`` is the text of the
-        error raised when the denominator vanishes."""
-        L, ((n, dn), (d, dd)) = self._evaluate((f.numer, f.denom), value)
+        error raised when the denominator vanishes.  Over one common
+        denominator L of the values, each side P of f is P~ / L^D; a term
+        in a generator whose value is zero is left out."""
+        used = _support(f.numer, f.denom)
+        L, nums = _common_denominator(self.ring.ring, [value(f.field.symbols[i]) for i in used])
+        zero = [i for i, n in zip(used, nums) if not n]
+        dtype, constant = self.ring.ring.dtype, self.ring.ring.zero_monom
+        powers: dict = {}
+
+        def power(j, n):
+            got = powers.get((j, n))
+            if got is None:
+                got = powers[(j, n)] = (L if j < 0 else nums[j]) ** n
+            return got
+
+        def side(p):
+            terms = [
+                (m, c, sum(m[i] for i in used))
+                for m, c in p.items()
+                if not (zero and any(m[i] for i in zero))
+            ]
+            top = max((deg for _, _, deg in terms), default=0)
+            acc: dict = {}
+            for m, c, deg in terms:
+                term = dtype({constant: c})
+                if deg < top:
+                    term = term * power(-1, top - deg)
+                for j, i in enumerate(used):
+                    if m[i]:
+                        term = term * power(j, m[i])
+                _merge(acc, term)
+            return dtype(acc), top
+
+        (n, dn), (d, dd) = side(f.numer), side(f.denom)
         if not self._reduced(d):
             raise DivisionByZeroExpression(message())
-        if dd >= dn:
-            return self.ring.field.new(n * L ** (dd - dn), d)
-        return self.ring.field.new(n, d * L ** (dn - dd))
+        if dd > dn:
+            n = n * L ** (dd - dn)
+        elif dn > dd:
+            d = d * L ** (dn - dd)
+        return self.ring.field.new(n, d)
 
     def sum(self, elements):
         """The sum of field elements."""
@@ -997,19 +994,20 @@ def sl2_structure_report(sol: Solution) -> dict:
     """
     from .invariants import _order3
 
+    sf = sol.field
     out = {"entries": [], "indeterminate": None}
     any_indet = False
     for i in (1, 2, 3, 4):
         f = _order3().K[i - 1] - _SL2_CONSTANTS[i]
-        _, ((nval, _), (dval, _)) = sol.field._evaluate((f.numer, f.denom), sol.field._value)
-        nval, dval = map(sol.field._reduced, (nval, dval))
-        any_indet = any_indet or not dval
+        # each side as an element of its own, whose denominator is 1
+        nzero, dzero = (sf.vanishes(sf.subs(f.field.raw_new(p))) for p in (f.numer, f.denom))
+        any_indet = any_indet or dzero
         out["entries"].append(
             {
                 "k": i,
                 "constant": str(_SL2_CONSTANTS[i]),
-                "numerator_vanishes": not nval,
-                "denominator_vanishes": not dval,
+                "numerator_vanishes": nzero,
+                "denominator_vanishes": dzero,
             }
         )
     out["indeterminate"] = any_indet

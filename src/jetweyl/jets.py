@@ -23,8 +23,9 @@ without a gcd (``_cancel``).  Each ring builds its elements with a class
 of its own (``_JetPoly``), which multiplies, compares and divides by a
 term without sympy's dispatch.  The field's kernels keep their own
 bookkeeping: ``_JetRing.convert`` reads a sympy tree straight into the
-field, ``_JetRing.derivation`` differentiates by generator index over the
-one-term lcm of its images' denominators (``_lcm``), two fractions with
+field; every derivation (total, section, point or prolonged field) is
+applied by generator index by ``_JetRing.apply``, to its images lifted
+over one common denominator (``_JetRing.lift``); two fractions with
 one-term denominators are added over the lcm of those (``_term_sum``),
 and the rings and fields compare by identity before sympy's structural
 test.  The symmetry and invariance checks compute there and convert sympy
@@ -189,6 +190,23 @@ def _lcm(a, b):
     return a.lcm(b)
 
 
+def _common_denominator(ring, elements):
+    """(c, [n_i]): the elements written n_i/c over one common denominator
+    c of a polynomial ring, the lcm of their denominators (one term, by
+    :func:`_lcm`, when every denominator is a term)."""
+    c = ring.one
+    for f in elements:
+        if f.denom != 1:
+            c = _lcm(c, f.denom)
+    return c, [f.numer if f.denom == c else f.numer * c.exquo(f.denom) for f in elements]
+
+
+def _support(*polys) -> list[int]:
+    """Indices of the generators that occur in the polynomials, ascending:
+    the places where some monomial has a positive exponent."""
+    return list(itertools.compress(itertools.count(), map(any, zip(*itertools.chain(*polys)))))
+
+
 def _term_sum(f, g, sign: int):
     """f + sign*g for two elements of one jet field whose denominators are
     single terms: both numerators are lifted to the lcm of the
@@ -247,9 +265,10 @@ class _JetPoly(PolyElement):
     :class:`_JetPolyRing` builds its own subclass, with the ring as a class
     attribute, and uses the class as its ``dtype`` and as every element's
     ``new``: an element is built by ``dict.__init__`` alone.  Products,
-    equality and exact quotients by a term of two elements of one class
-    are computed here; any other operand (an int, an element of an equal
-    ring built apart, of another ring) goes to ``PolyElement``'s method."""
+    equality (with an int too) and exact quotients by a term of elements
+    of one class are computed here; any other operand (an int factor, an
+    element of an equal ring built apart, of another ring) goes to
+    ``PolyElement``'s method."""
 
     __init__ = dict.__init__
     # defining __eq__ would set it to None
@@ -258,11 +277,16 @@ class _JetPoly(PolyElement):
     def __eq__(p, q):
         if type(q) is type(p):
             return dict.__eq__(p, q)
+        if type(q) is int:
+            # 0 is the empty element, any other int a constant term alone
+            return len(p) == 1 and p.get(p.ring.zero_monom) == q if q else not p
         return PolyElement.__eq__(p, q)
 
     def __ne__(p, q):
         if type(q) is type(p):
             return dict.__ne__(p, q)
+        if type(q) is int:
+            return len(p) != 1 or p.get(p.ring.zero_monom) != q if q else bool(p)
         return PolyElement.__ne__(p, q)
 
     def __mul__(p, q):
@@ -449,8 +473,9 @@ class _JetRing:
     powers and exponential atoms (see ``exprcore._rescaled``), which only
     ever ride along.  The total derivatives are ring derivations given by
     the images of the generators (u_sigma -> u_{sigma+i}, a^(m) -> a^(m+1)
-    for D_t); the principal table is a table of polynomials in the internal
-    coordinates, and reduction is substitution of generators.
+    for D_t), lifted once; the principal table is a table of polynomials
+    in the internal coordinates, and reduction is substitution of
+    generators.
     """
 
     def __init__(self, order: int, extras: tuple = ()):
@@ -465,21 +490,30 @@ class _JetRing:
         self._principal = [
             i for i, s in enumerate(jets) if jet_info(s)[1].is_principal
         ]
-        # generator -> image generator under D_i; -1 stands for the image 1
-        # and None for a generator the ring cannot differentiate
-        self._shifts = {}
+        # D_t, D_x, D_y lifted once (see ``lift``): each image is a
+        # generator or 1.  A jet of the top order, a formal derivative of
+        # the highest order carried and an auxiliary generator have none.
+        self._totals = {}
         for d, base in zip("txy", BASE_SYMBOLS):
-            pairs = [(self.index[base], -1)]
-            for i, s in enumerate(jets):
-                dep, idx = jet_info(s)
-                pairs.append((i, self.index[jet(dep, idx.bump(d))] if idx.order < order else None))
-            for s in extras:
-                if is_formal_symbol(s):
-                    if d == "t":
-                        pairs.append((self.index[s], self.index.get(formal_shift(s))))
+            terms = [None] * len(self.symbols)
+            terms[self.index[base]] = [((), 1)]
+            outside = (JetOrderError, f"D_{d} {{s}} lies outside the ring of jet order {order}")
+            auxiliary = (ExprError, "cannot differentiate the auxiliary generator {s}")
+            refused = {}
+            # j: the index of the image generator, -1 for none, None for a refusal
+            for i, s in enumerate(self.symbols):
+                if is_jet_symbol(s):
+                    dep, idx = jet_info(s)
+                    j = self.index[jet(dep, idx.bump(d))] if idx.order < order else None
+                elif is_formal_symbol(s):
+                    j = self.index.get(formal_shift(s)) if d == "t" else -1
                 else:
-                    pairs.append((self.index[s], None))
-            self._shifts[d] = pairs
+                    j = -1 if s in BASE_SYMBOLS else None
+                if j is None:
+                    refused[i] = outside if is_jet_symbol(s) or is_formal_symbol(s) else auxiliary
+                elif j >= 0:
+                    terms[i] = [(((j, 1),), 1)]
+            self._totals[d] = (self.ring.one, terms, refused)
         # sympy's generator order, which fixes the sign of the canonical
         # denominator
         self._sympy_order = [self.index[s] for s in _sort_gens(self.symbols)]
@@ -628,100 +662,68 @@ class _JetRing:
 
     # -- derivations --------------------------------------------------------
 
-    def _derive(self, p, d: str):
-        """D_d of a polynomial: every image is a generator or 1."""
-        out: dict = {}
-        shifts = self._shifts[d]
-        for monom, c in p.items():
-            for i, j in shifts:
-                e = monom[i]
-                if not e:
-                    continue
-                if j is None:
-                    s = self.symbols[i]
-                    if is_jet_symbol(s) or is_formal_symbol(s):
-                        raise JetOrderError(
-                            f"D_{d} {s} lies outside the ring of jet order {self.order}"
-                        )
-                    raise ExprError(f"cannot differentiate the auxiliary generator {s}")
-                m = list(monom)
-                m[i] = e - 1
-                if j >= 0:
-                    m[j] += 1
-                m = tuple(m)
-                v = out.get(m)
-                out[m] = c * e if v is None else v + c * e
-        return self.ring.dtype({m: c for m, c in out.items() if c})
-
     def total(self, f, d: str):
         """The total derivative D_d of a field element."""
-        dn = self._derive(f.numer, d)
-        if f.denom == 1:
-            return self.field.raw_new(dn)
-        dd = self._derive(f.denom, d)
-        return self.field.new(dn * f.denom - f.numer * dd, f.denom**2)
+        return self.apply(f, self._totals[d])
 
-    def derivation(self, f, images):
-        """sum_i images[i] * df/dg_i for (generator index, element) pairs,
-        one pair per index: :meth:`apply` of the images :meth:`lift`
-        gives."""
-        return self.apply(f, self.lift(images))
-
-    def lift(self, images):
-        """The images of a derivation, (generator index, element) pairs, as
-        :meth:`apply` takes them: (c, {i: terms of n_i}) with the nonzero
-        images written n_i/c over one common denominator c (the one-term
-        lcm of :func:`_lcm` when every denominator is a term).  A caller
-        that applies one derivation often lifts its images once."""
+    def lift(self, images, refused=None):
+        """A derivation with images (generator index, element) as
+        :meth:`apply` takes it: (c, terms, refused), with the images n_i/c
+        over one common denominator (:func:`_common_denominator`),
+        ``terms[i]`` the terms of n_i with sparse monomials ((generator,
+        exponent), ...) or None, and ``refused`` {generator index: (error
+        class, message in the generator ``{s}``)}."""
         images = [(i, img) for i, img in images if img]
-        c = self.ring.one
-        for _, img in images:
-            if img.denom != 1:
-                c = _lcm(c, img.denom)
-        terms = {
-            i: list((img.numer if img.denom == c else img.numer * c.exquo(img.denom)).items())
-            for i, img in images
-        }
-        return c, terms
+        c, nums = _common_denominator(self.ring, [img for _, img in images])
+        terms = [None] * len(self.symbols)
+        for (i, _), num in zip(images, nums):
+            terms[i] = [
+                (tuple(zip(itertools.compress(itertools.count(), m), filter(None, m))), a)
+                for m, a in num.items()
+            ]
+        return c, terms, refused or {}
 
     def apply(self, f, lifted):
-        """The derivation with lifted images (c, {i: terms of n_i}) (see
-        :meth:`lift`) applied to f: P -> sum_i n_i dP/dg_i / c on
-        numerator and denominator.  Each term of P is differentiated by the
-        indices in its support, and every product with an n_i is
-        accumulated in one dict."""
-        c, terms = lifted
-        n = len(self.symbols)
-
-        def along(p):
-            out: dict = {}
-            for monom, coef in p.items():
-                for i in itertools.compress(range(n), monom):
-                    image = terms.get(i)
-                    if image is None:
-                        continue
-                    e = monom[i]
-                    base = list(monom)
-                    base[i] = e - 1
-                    k = coef * e
-                    for m, a in image:
-                        m = tuple(map(add, base, m))
-                        v = out.get(m)
-                        out[m] = k * a if v is None else v + k * a
-            return self.ring.dtype({m: v for m, v in out.items() if v})
-
+        """The lifted derivation (c, terms, refused) (see :meth:`lift`)
+        applied to f: P -> sum_i n_i dP/dg_i / c on numerator and
+        denominator (:meth:`_along`)."""
+        c = lifted[0]
+        num = self._along(f.numer, lifted)
         if f.denom == 1:
-            num, den = along(f.numer), c
-        else:
-            num, den = along(f.numer) * f.denom - f.numer * along(f.denom), c * f.denom**2
-        return self.field.raw_new(num) if den == 1 else self.field.new(num, den)
+            return self.field.raw_new(num) if c == 1 else self.field.new(num, c)
+        num = num * f.denom - f.numer * self._along(f.denom, lifted)
+        return self.field.new(num, f.denom**2 if c == 1 else c * f.denom**2)
+
+    def _along(self, p, lifted):
+        """sum_i n_i dp/dg_i of a polynomial for the lifted images: each
+        term of p is differentiated by the generators in its support, and
+        every product with an n_i is accumulated in one dict.  A refused
+        generator in the support raises its error."""
+        _, terms, refused = lifted
+        out: dict = {}
+        for monom, coef in p.items():
+            for i in itertools.compress(itertools.count(), monom):
+                image = terms[i]
+                if image is None:
+                    if i in refused:
+                        error, message = refused[i]
+                        raise error(message.format(s=self.symbols[i]))
+                    continue
+                e = monom[i]
+                k = coef * e
+                for m, a in image:
+                    key = list(monom)
+                    key[i] = e - 1
+                    for j, x in m:
+                        key[j] += x
+                    key = tuple(key)
+                    v = out.get(key)
+                    out[key] = k * a if v is None else v + k * a
+        return self.ring.dtype({m: v for m, v in out.items() if v})
 
     def present(self, f) -> list[int]:
-        """Indices of the generators that occur in f."""
-        degs = f.numer.degrees()
-        if f.denom != 1:
-            degs = map(max, degs, f.denom.degrees())
-        return [i for i, n in enumerate(degs) if n > 0]
+        """Indices of the generators that occur in f, ascending."""
+        return _support(f.numer, f.denom)
 
     # -- the equation -------------------------------------------------------
 
@@ -751,7 +753,7 @@ class _JetRing:
             else:
                 d = "y" if idx.ny else ("x" if idx.nx > 1 else "t")
                 parent = self.principal(self.index[jet(dep, idx.drop(d))])
-                got = self._reduce_poly(self._derive(parent, d))
+                got = self._reduce_poly(self._along(parent, self._totals[d]))
         self._table[i] = got
         return got
 

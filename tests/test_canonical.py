@@ -307,13 +307,13 @@ def test_the_tree_derivative_guard_sees_calls():
 # the jet ring reads trees and differentiates by index itself
 
 
-_REPLACED_METHODS = ("diff", "from_expr", "as_numer_denom")
+_REPLACED_METHODS = ("diff", "from_expr", "as_numer_denom", "degrees")
 
 
 def _method_calls(source: str) -> list:
     """(method, enclosing def) for every call ``obj.diff(...)``,
-    ``obj.from_expr(...)`` or ``obj.as_numer_denom(...)`` in a module's
-    source, on any object."""
+    ``obj.from_expr(...)``, ``obj.as_numer_denom(...)`` or
+    ``obj.degrees(...)`` in a module's source, on any object."""
 
     def flagged(call):
         f = call.func
@@ -323,9 +323,11 @@ def _method_calls(source: str) -> list:
 
 
 def test_no_polynomial_diff_or_tree_rebuild_in_the_package():
-    # _JetRing.derivation differentiates by generator index and
+    # _JetRing.apply differentiates by generator index and
     # _JetRing.convert reads trees; the paths they replaced live on as
-    # tree_oracle.diff_derivation and tree_oracle.tree_convert
+    # tree_oracle.diff_derivation and tree_oracle.tree_convert.  The
+    # generators in use are read off monomial supports (jets._support), not
+    # off PolyElement.degrees
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "jetweyl"
     offending = []
     for path in sorted(src.glob("*.py")):
@@ -340,12 +342,14 @@ def test_the_kernel_call_guard_sees_calls():
         "    return self.ring.from_expr(num)\n"
         "def derivation(p, g):\n    return p.diff(g) + sp.diff(p, g)\n"
         "def f(p):\n    return diff(p) + p.differentiate(g)\n"
+        "def present(f):\n    return f.numer.degrees(), degrees(f)\n"
     )
     assert found == [
         ("as_numer_denom", "convert"),
         ("from_expr", "convert"),
         ("diff", "derivation"),
         ("diff", "derivation"),
+        ("degrees", "present"),
     ]
 
 

@@ -5,11 +5,11 @@ is the ``as_numer_denom`` + ``from_expr`` path.  Both must give the same
 numerator and denominator, entry for entry, on the invariants, the
 structure and derivation coefficients, the family components, the
 catalog's rescaled trees and nested rational inputs, and refuse the same
-inputs with the same error class and message.  ``_JetRing.derivation``
+inputs with the same error class and message.  ``_JetRing.apply``
 differentiates by generator index; ``tree_oracle.diff_derivation`` is
 sum_i n_i * p.diff(g_i), and the two must agree on every derivation that
 a symmetry check, an invariance check and the catalog's Einstein-Weyl
-checks make.  A sum of two fractions with one-term denominators is formed
+checks make, total derivatives among them.  A sum of two fractions with one-term denominators is formed
 over their lcm; the oracle is n1*d2 + n2*d1 over d1*d2, cancelled by
 sympy.  Jet rings compare by identity first, and equal rings built apart
 still compare equal and add.  Each oracle has a negative control: the
@@ -30,7 +30,18 @@ from sympy.polys.rings import PolyElement
 
 from jetweyl import geometry, invariants, jets, symmetry
 from jetweyl.errors import ExprError, JetweylError
-from jetweyl.exprcore import BASE_SYMBOLS, X, _rescaled, formal, jet, jet_order
+from jetweyl.exprcore import (
+    BASE_SYMBOLS,
+    X,
+    _rescaled,
+    formal,
+    formal_shift,
+    is_formal_symbol,
+    is_jet_symbol,
+    jet,
+    jet_info,
+    jet_order,
+)
 from jetweyl.jets import _jet_ring, _ring_for
 from test_integer_field import _clear_caches, _nested_inputs
 from tree_oracle import diff_derivation, tree_convert
@@ -162,26 +173,50 @@ def test_a_convert_with_an_exponent_off_by_one_fails_the_oracle(monkeypatch):
 # derivation
 
 
+def _total_images(ring, d: str) -> list:
+    """(generator index, element) of D_d on a ring's generators that have an
+    image, read off their symbols: 1 for d itself, u_{sigma+d} for a jet
+    u_sigma below the ring's order, a^(m+1) for a formal derivative a^(m)
+    under D_t where the ring carries it."""
+    out = []
+    for i, s in enumerate(ring.symbols):
+        if s == BASE_SYMBOLS["txy".index(d)]:
+            out.append((i, ring.field.one))
+        elif is_jet_symbol(s):
+            dep, idx = jet_info(s)
+            if idx.order < ring.order:
+                out.append((i, ring.gen(jet(dep, idx.bump(d)))))
+        elif is_formal_symbol(s) and d == "t" and formal_shift(s) in ring.index:
+            out.append((i, ring.gen(formal_shift(s))))
+    return out
+
+
 @pytest.fixture(scope="module")
 def derivations():
-    """(ring, f, images) of every derivation a symmetry check, an
+    """(ring, f, lifted, images) of every derivation a symmetry check, an
     invariance check and the Einstein-Weyl checks of the catalog make,
     from empty caches.  A section field lifts its images once and applies
     them often, so each application is recorded with the images its lift
-    was given."""
+    was given; a total derivative applies the ring's own lifted D_d, which
+    ``lift`` does not build, and is recorded with the images of D_d read
+    off the generators (:func:`_total_images`)."""
     calls = []
     lift, apply = jets._JetRing.lift, jets._JetRing.apply
     # id(lifted) -> (lifted, images); the lifted images are kept alive
     given = {}
 
-    def recorded_lift(self, images):
+    def recorded_lift(self, images, refused=None):
         images = list(images)
-        lifted = lift(self, images)
+        lifted = lift(self, images, refused)
         given[id(lifted)] = (lifted, images)
         return lifted
 
     def recorded_apply(self, f, lifted):
-        calls.append((self, f, given[id(lifted)][1]))
+        got = given.get(id(lifted))
+        if got is None:
+            (d,) = [d for d, total in self._totals.items() if total is lifted]
+            got = given[id(lifted)] = (lifted, _total_images(self, d))
+        calls.append((self, f, lifted, got[1]))
         return apply(self, f, lifted)
 
     try:
@@ -209,23 +244,26 @@ def _several_term_images() -> list:
         (ring.index[t], ring.convert(3 * t / (2 * uy))),
     ]
     fs = [ux / (u + t), u**3 * ux - t * ux**2, (ux + y) / (4 * u**2 * t)]
-    return [(ring, ring.convert(f), images) for f in fs]
+    return [(ring, ring.convert(f), ring.lift(images), images) for f in fs]
 
 
 def test_derivation_matches_the_diff_path_entry_for_entry(derivations):
     assert len(derivations) > 100
-    # images and elements with denominators took part
-    assert any(img.denom != 1 for _, _, images in derivations for _, img in images)
-    assert any(f.denom != 1 for _, f, _ in derivations)
-    for ring, f, images in derivations + _several_term_images():
-        assert _entries(ring.derivation(f, images)) == _entries(diff_derivation(ring, f, images))
+    # total derivatives, images and elements with denominators took part
+    assert any(lifted is ring._totals["x"] for ring, _, lifted, _ in derivations)
+    assert any(img.denom != 1 for _, _, _, images in derivations for _, img in images)
+    assert any(f.denom != 1 for _, f, _, _ in derivations)
+    for ring, f, lifted, images in derivations + _several_term_images():
+        assert _entries(ring.apply(f, lifted)) == _entries(diff_derivation(ring, f, images))
 
 
-def test_a_derivation_with_an_exponent_off_by_one_fails_the_oracle(derivations):
-    mutant = _mutant(jets._JetRing.apply, "base[i] = e - 1", "base[i] = e")
+def test_a_derivation_with_an_exponent_off_by_one_fails_the_oracle(derivations, monkeypatch):
+    monkeypatch.setattr(
+        jets._JetRing, "_along", _mutant(jets._JetRing._along, "key[i] = e - 1", "key[i] = e")
+    )
     assert any(
-        _entries(mutant(ring, f, ring.lift(images))) != _entries(diff_derivation(ring, f, images))
-        for ring, f, images in derivations
+        _entries(ring.apply(f, lifted)) != _entries(diff_derivation(ring, f, images))
+        for ring, f, lifted, images in derivations
     )
 
 
@@ -364,10 +402,29 @@ def test_the_element_product_and_equality_match_sympys():
                 got, want = p * q, PolyElement.__mul__(p, q)
                 assert type(got) is ring.dtype and dict(got) == dict(want), (p, q)
                 assert (p == q) is PolyElement.__eq__(p, q) and (p != q) is PolyElement.__ne__(p, q)
-            for n in (0, 1, -2, 3):
+            for n in (0, 1, -1, -2, 3, -4):
                 assert dict(p * n) == dict(PolyElement.__mul__(p, n))
                 assert (p == n) is PolyElement.__eq__(p, n)
                 assert (p != n) is PolyElement.__ne__(p, n)
+
+
+def test_an_element_compares_with_an_int_without_sympys_equality(monkeypatch):
+    ints = (0, 1, -1, 3, -4)
+    cases = []
+    for seed, ring in enumerate(_operand_rings()):
+        for p in _operands(ring, seed):
+            cases += [(p, n, PolyElement.__eq__(p, n)) for n in ints]
+    # constants equal to an int took part, and one-term elements that are not
+    assert any(want and n for _, n, want in cases)
+    assert any(len(p) == 1 and n and not want for p, n, want in cases)
+
+    def refused(p, q):
+        raise AssertionError("PolyElement's equality was called")
+
+    monkeypatch.setattr(PolyElement, "__eq__", refused)
+    monkeypatch.setattr(PolyElement, "__ne__", refused)
+    for p, n, want in cases:
+        assert (p == n) is want and (p != n) is (not want), (p, n)
 
 
 def _quotient(divide, p, q):

@@ -24,7 +24,7 @@ from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyElement, PolyRing
 
 from jetweyl import jets
-from jetweyl.errors import DivisionByZeroExpression, ExprError, JetOrderError
+from jetweyl.errors import DivisionByZeroExpression, ExprError, JetOrderError, JetweylError
 from jetweyl.exprcore import (
     T,
     X,
@@ -36,6 +36,7 @@ from jetweyl.exprcore import (
     jet_order,
 )
 from jetweyl.fields import PointField, ProlongedField, _bracket_in
+from jetweyl.geometry import catalog
 from jetweyl.invariants import (
     _families,
     _order3,
@@ -48,6 +49,7 @@ from jetweyl.invariants import (
 from jetweyl.jets import (
     _JetField,
     _JetRing,
+    _canonical,
     _equations,
     _jet_ring,
     _ms_equations,
@@ -617,3 +619,40 @@ def test_zero_reduced_denominator_raises():
 def test_non_rational_input_to_total_derivative_raises(e):
     with pytest.raises(ExprError):
         ring_total_derivative(e, "x")
+
+
+def _refusal(call) -> tuple:
+    with pytest.raises(JetweylError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_derivations_refuse_what_their_ring_cannot_differentiate():
+    # a jet of the top order, a formal derivative of the highest order
+    # carried and an auxiliary generator have no image under a total
+    # derivative; past the formal derivatives of a section d/dt has none
+    ring = _jet_ring(2)
+    assert _refusal(lambda: ring.total(ring.gen(jet("u", "xx")), "x")) == (
+        JetOrderError,
+        "D_x u_xx lies outside the ring of jet order 2",
+    )
+    a1 = formal("a", 1)
+    ring = _ring_for(1, (a1,))
+    assert _refusal(lambda: ring.total(ring.gen(a1), "t")) == (
+        JetOrderError,
+        f"D_t {a1} lies outside the ring of jet order 1",
+    )
+    scaled, _ = _canonical(sp.sqrt(X))
+    (aux,) = scaled.back
+    assert str(aux) == "_X"
+    assert _refusal(lambda: scaled.ring.total(scaled.ring.gen(aux), "x")) == (
+        ExprError,
+        "cannot differentiate the auxiliary generator _X",
+    )
+    field = catalog("exp-family").field
+    f4 = field.ring.gen(formal("f", 4))
+    assert _refusal(lambda: field.partial(f4, "t")) == (
+        JetOrderError,
+        "d/dt of a formal derivative of order past 4 beyond those of the section",
+    )
+    assert not field.partial(f4, "x")

@@ -18,7 +18,7 @@ import random
 import pytest
 import sympy as sp
 
-from jetweyl import checks, geometry
+from jetweyl import checks, geometry, jets
 from jetweyl.errors import (
     DivisionByZeroExpression,
     ExpAtomError,
@@ -531,20 +531,20 @@ def test_the_lcm_of_one_term_polynomials_is_sympys(monkeypatch):
     signs = set()
     for _ in range(400):
         a, b = term(), term()
-        assert geometry._lcm(a, b) == a.lcm(b), (a, b)
+        assert jets._lcm(a, b) == a.lcm(b), (a, b)
         signs.add((a.LC > 0, b.LC > 0))
     assert len(signs) == 4
-    assert geometry._lcm(R.one, gens[0] * 3) == gens[0] * 3
-    assert geometry._lcm(R(-4), gens[0] * 6) == gens[0] * -12
+    assert jets._lcm(R.one, gens[0] * 3) == gens[0] * 3
+    assert jets._lcm(R(-4), gens[0] * 6) == gens[0] * -12
 
-    calls, lcm = [], geometry._lcm
+    calls, lcm = [], jets._lcm
 
     def recorded(a, b):
         got = lcm(a, b)
         calls.append((a, b, got))
         return got
 
-    monkeypatch.setattr(geometry, "_lcm", recorded)
+    monkeypatch.setattr(jets, "_lcm", recorded)
     catalog.cache_clear()
     assert check_EW(catalog("sl2-family", f=0, h=0)).ok
     one_term = [(a, b, got) for a, b, got in calls if len(a) == len(b) == 1]
