@@ -39,6 +39,8 @@ D_t of the jet ring (``jets._JetRing``), on which the section field
 from __future__ import annotations
 
 import functools
+import math
+from fractions import Fraction
 from typing import Union
 
 import sympy as sp
@@ -274,9 +276,48 @@ _AUX = {
     for base in BASE_SYMBOLS
     for name in (f"E{base.name}", base.name.upper())
 }
-#: constant generators, fixed for the same reason: (p, M) -> p^(1/M) for a
-#: prime p, (0, M) -> exp(1/M)
-_CONSTANTS: dict[tuple[int, int], sp.Dummy] = {}
+#: constant generators, fixed for the same reason: (p, M) -> (p^(1/M) for a
+#: prime p or exp(1/M) for p = 0, as a generator, and its value)
+_CONSTANTS: dict[tuple[int, int], tuple[sp.Dummy, sp.Expr]] = {}
+#: the inverse of ``_CONSTANTS``: generator -> (p, M)
+_CONSTANT_KEYS: dict[sp.Dummy, tuple[int, int]] = {}
+
+
+def _joint_constants(parts: dict) -> dict[int, tuple[int, sp.Dummy, sp.Expr]]:
+    """The constant generators of values c * prod p^r ({key: (c, [(p, r)])},
+    p = 0 standing for e): one per p, p^(1/M) or exp(1/M) with M the least
+    common denominator of the exponents of p, as {p: (M, generator,
+    value)} in ascending p."""
+    M: dict[int, int] = {}
+    for _, terms in parts.values():
+        for p, r in terms:
+            M[p] = math.lcm(M.get(p, 1), r.denominator)
+    out = {}
+    for p, m in sorted(M.items()):
+        got = _CONSTANTS.get((p, m))
+        if got is None:
+            gen = sp.Dummy(f"R{p}_{m}" if p else f"E_{m}", positive=True)
+            value = sp.Integer(p) ** sp.Rational(1, m) if p else sp.exp(sp.Rational(1, m))
+            got = _CONSTANTS[(p, m)] = gen, value
+            _CONSTANT_KEYS[gen] = (p, m)
+        out[p] = (m, *got)
+    return out
+
+
+def _prime_radicals(q: Fraction, e: Fraction) -> tuple[Fraction, dict[int, Fraction]]:
+    """q^e for a positive rational q as (c, {p: r}): q^e = c * prod p^r over
+    primes p, with c rational and 0 < r < 1.  Each prime's p^floor(k*e)
+    goes into c, so the radicals stay in numerators, as sympy writes a
+    power of a rational: (1/2)^(1/2) is 2^(1/2)/2."""
+    c, radicals = Fraction(1), {}
+    for n, sign in ((q.numerator, 1), (q.denominator, -1)):
+        for p, k in sp.factorint(n).items():
+            s = sign * k * e
+            whole = math.floor(s)
+            c *= Fraction(p) ** whole
+            if s != whole:
+                radicals[p] = s - whole
+    return c, radicals
 
 
 def _rescaled(e: sp.Expr) -> tuple[sp.Expr, dict]:
@@ -287,8 +328,9 @@ def _rescaled(e: sp.Expr) -> tuple[sp.Expr, dict]:
 
     A base variable b with fractional powers becomes B^m, and the atoms
     exp(c*b) become powers of one generator E_b = exp(s*b).  A constant
-    q^(k/m) (q a positive rational) becomes a product of powers of prime
-    radicals p^(1/M), and exp(c) (c rational) a power of exp(1/M).  Returns
+    q^(k/m) (q a positive rational) becomes a rational times powers of
+    prime radicals p^(1/M) (:func:`_prime_radicals`), and exp(c) (c
+    rational) a power of exp(1/M).  Returns
     the new expression and {generator: value}; the value of a prime radical
     is the power p^(1/M) of an integer.
 
@@ -327,33 +369,29 @@ def _rescaled(e: sp.Expr) -> tuple[sp.Expr, dict]:
 
 
 def _constant_generators(e: sp.Expr, back: dict) -> tuple[sp.Expr, dict]:
-    """The constants step of :func:`_rescaled`: {atom: [(p, r)]} with the
-    atom equal to the product of p^r over the list (p = 0 stands for e),
-    then one generator per p with the least common denominator M of its
-    exponents."""
-    parts = {
-        a: [(p, n * a.exp) for p, n in sp.factorint(a.base.p).items()]
-        + [(p, -n * a.exp) for p, n in sp.factorint(a.base.q).items()]
-        for a in e.atoms(sp.Pow)
-        if a.base.is_Rational and a.base > 0 and not a.exp.is_Integer
-    }
-    parts.update({a: [(0, a.args[0])] for a in e.atoms(sp.exp) if a.args[0].is_Rational})
+    """The constants step of :func:`_rescaled`: {atom: (c, [(p, r)])} with
+    the atom equal to c times the product of p^r over the list (p = 0
+    stands for e; a power of a rational is split by :func:`_prime_radicals`),
+    then the generators of :func:`_joint_constants`."""
+    parts = {}
+    for a in e.atoms(sp.Pow):
+        if a.base.is_Rational and a.base > 0 and not a.exp.is_Integer:
+            base, exp = (Fraction(int(r.p), int(r.q)) for r in a.args)
+            c, radicals = _prime_radicals(base, exp)
+            parts[a] = sp.Rational(c.numerator, c.denominator), list(radicals.items())
+    one = sp.Integer(1)
+    for a in e.atoms(sp.exp):
+        if a.args[0].is_Rational:
+            parts[a] = one, [(0, Fraction(int(a.args[0].p), int(a.args[0].q)))]
     if e.has(sp.E):
-        parts[sp.E] = [(0, sp.Integer(1))]
+        parts[sp.E] = one, [(0, Fraction(1))]
     if not parts:
         return e, back
-    M: dict[int, int] = {}
-    for terms in parts.values():
-        for p, r in terms:
-            M[p] = sp.ilcm(M.get(p, 1), r.q)
-    gens = {}
-    for p, m in M.items():
-        if (p, m) not in _CONSTANTS:
-            _CONSTANTS[(p, m)] = sp.Dummy(f"R{p}_{m}" if p else f"E_{m}", positive=True)
-        gens[p] = _CONSTANTS[(p, m)]
-        back[gens[p]] = sp.Integer(p) ** sp.Rational(1, m) if p else sp.exp(sp.Rational(1, m))
+    joint = _joint_constants(parts)
+    back.update((gen, value) for _, gen, value in joint.values())
     rep = {
-        a: sp.Mul(*(gens[p] ** int(r * M[p]) for p, r in terms)) for a, terms in parts.items()
+        a: c * sp.Mul(*(joint[p][1] ** int(r * joint[p][0]) for p, r in terms))
+        for a, (c, terms) in parts.items()
     }
     return e.xreplace(rep), back
 

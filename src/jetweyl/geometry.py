@@ -23,7 +23,6 @@ from functools import cached_property, lru_cache
 import sympy as sp
 
 from .errors import (
-    DivisionByZeroExpression,
     ExprError,
     JetOrderError,
     SolutionError,
@@ -35,6 +34,9 @@ from .exprcore import (
     X,
     Y,
     MultiIndex,
+    _CONSTANT_KEYS,
+    _joint_constants,
+    _prime_radicals,
     _rescaled,
     formal,
     formal_shift,
@@ -46,15 +48,11 @@ from .exprcore import (
     validate_kernel,
 )
 from .jets import (
-    _common_denominator,
     _coordinates,
     _equations,
     _jet_ring,
-    _lcm,  # noqa: F401  (no longer called here; test_integer_field patches this name)
-    _merge,
     _Rescaled,
     _ring_for,
-    _support,
 )
 from .linalg import _cofactors
 from .syntax import CATALOG_IDS
@@ -119,16 +117,25 @@ class SectionField(_Rescaled):
         self._base = {b: ring.gen(b) for b in BASE_SYMBOLS}
         # d -> (images, refused generators) of d/dd, as ``_JetRing.lift`` takes them
         images = {b.name: ([(ring.index[b], ring.field.one)], {}) for b in BASE_SYMBOLS}
+        # gen -> how its value reads at a rational point (see ``at``):
+        # ("root", i, m) for b^(1/m), ("exp", i, s) for exp(s*b), b the
+        # i-th base variable, and ("constant", None, (p, 1/M)) for p^(1/M)
+        self._readings = {}
         for gen, atom in self.back.items():
             if not atom.free_symbols:
+                p, M = _CONSTANT_KEYS[gen]
+                self._readings[gen] = ("constant", None, (p, Fraction(1, M)))
                 continue
             if isinstance(atom, sp.exp):
                 (b,) = atom.args[0].free_symbols
-                image = ring.gen(gen) * atom.args[0].coeff(b)
+                s = atom.args[0].coeff(b)
+                image = ring.gen(gen) * s
+                self._readings[gen] = ("exp", BASE_SYMBOLS.index(b), Fraction(int(s.p), int(s.q)))
             else:
                 b, m = atom.base, atom.exp.q
                 image = 1 / (m * ring.gen(gen) ** (m - 1))
                 self._base[b] = ring.gen(gen) ** m
+                self._readings[gen] = ("root", BASE_SYMBOLS.index(b), int(m))
             images[b.name][0].append((ring.index[gen], image))
         # formal derivatives of the highest order carried have no d/dt
         past = f"d/dt of a formal derivative of order past {_FIELD_DERIVATIVES} beyond those"
@@ -178,62 +185,6 @@ class SectionField(_Rescaled):
         return self._quotient(
             f, self._value, lambda: f"the denominator of {f.as_expr()} vanishes on the section"
         )
-
-    def _quotient(self, f, value, message):
-        """An element of a jet ring with each generator s replaced by the
-        element ``value(s)`` of this field; ``message()`` is the text of the
-        error raised when the denominator vanishes.  Over one common
-        denominator L of the values, each side P of f is P~ / L^D; a term
-        in a generator whose value is zero is left out."""
-        used = _support(f.numer, f.denom)
-        L, nums = _common_denominator(self.ring.ring, [value(f.field.symbols[i]) for i in used])
-        zero = [i for i, n in zip(used, nums) if not n]
-        dtype, constant = self.ring.ring.dtype, self.ring.ring.zero_monom
-        powers: dict = {}
-
-        def power(j, n):
-            got = powers.get((j, n))
-            if got is None:
-                got = powers[(j, n)] = (L if j < 0 else nums[j]) ** n
-            return got
-
-        def side(p):
-            terms = [
-                (m, c, sum(m[i] for i in used))
-                for m, c in p.items()
-                if not (zero and any(m[i] for i in zero))
-            ]
-            top = max((deg for _, _, deg in terms), default=0)
-            acc: dict = {}
-            for m, c, deg in terms:
-                term = dtype({constant: c})
-                if deg < top:
-                    term = term * power(-1, top - deg)
-                for j, i in enumerate(used):
-                    if m[i]:
-                        term = term * power(j, m[i])
-                _merge(acc, term)
-            return dtype(acc), top
-
-        (n, dn), (d, dd) = side(f.numer), side(f.denom)
-        if not self._reduced(d):
-            raise DivisionByZeroExpression(message())
-        if dd > dn:
-            n = n * L ** (dd - dn)
-        elif dn > dd:
-            d = d * L ** (dn - dd)
-        return self.ring.field.new(n, d)
-
-    def sum(self, elements):
-        """The sum of field elements."""
-        return sum(elements, self.ring.field.zero)
-
-    def rational(self, f) -> Fraction | None:
-        """The value of a constant element, None for a non-constant one."""
-        f = self._reduced_element(f)
-        if not (f.numer.is_ground and f.denom.is_ground):
-            return None
-        return Fraction(f.numer.LC, f.denom.LC)
 
     def occurring(self, elements=None) -> tuple:
         """(formal functions, {auxiliary generator: its atom}) of the
@@ -288,27 +239,79 @@ class SectionField(_Rescaled):
             point, sign = (T, X, -Y), -1
         else:
             raise ValueError(f"reflection must be 'txy' or 'yu', got {which!r}")
-        target, _, (u, v) = self._pushed(point, self.values, "reflected section")
+        target, _, (u, v) = self._pushed(
+            point, self.values, "reflected section", lambda F: F.values[:3]
+        )
         return target._with_values((u * sign, v))
 
     def at(self, point, elements) -> tuple:
         """(C, the elements at the rational point (t, x, y) as elements of
-        C), for a field C of constants.
+        C), for C a ring of constants (``jets._Rescaled``).
 
-        t, x and y go to the point's coordinates, b^(1/m) to q^(1/m) and
-        exp(c*b) to exp(c*q) for the coordinate q of b; constants and
-        formal functions stay (:meth:`_pushed` with the point as the
-        preimage).  A denominator that vanishes at the point raises
-        ``DivisionByZeroExpression``, and a fractional power of a
-        coordinate that is not positive ``SolutionError``."""
-        point = tuple(map(sp.Rational, point))
-        what = f"the section at ({', '.join(map(str, point))})"
-        C, _, values = self._pushed(point, elements, what)
-        return C, values
+        t, x and y go to the point's coordinates.  b^(1/m) goes to q^(1/m)
+        for the coordinate q of b, a rational times prime radicals p^r with
+        0 < r < 1 (``exprcore._prime_radicals``), and exp(s*b) to exp(s*q),
+        a power of exp(1/M).  A constant p^(1/M) of the section stays, as a
+        power of p^(1/M') when the point brings the same prime and the
+        joint denominator is M'.  Formal functions stay.  No expression is
+        read: C holds one generator per prime (and one for e) as the
+        rescaling makes them (``exprcore._joint_constants``), and the
+        elements are pushed by ``_quotient``.  A denominator that vanishes
+        at the point raises ``DivisionByZeroExpression``, and a fractional
+        power of a coordinate that is not positive ``SolutionError``."""
+        point = [Fraction(int(q.p), int(q.q)) for q in map(sp.Rational, point)]
 
-    def _pushed(self, exprs, elements, what: str, preimage=lambda F: F.values[:3]) -> tuple:
+        def what() -> str:
+            return f"the section at ({', '.join(map(str, point))})"
+
+        formals, aux = self.occurring(elements)
+        # generator -> (c, [(p, r)]): its value c * prod p^r, p = 0 for e
+        parts = {}
+        for gen, atom in aux.items():
+            kind, i, k = self._readings[gen]
+            if kind == "constant":
+                parts[gen] = Fraction(1), [k]
+            elif kind == "exp":
+                r = k * point[i]
+                parts[gen] = Fraction(1), ([(0, r)] if r else [])
+            elif point[i] > 0:
+                c, radicals = _prime_radicals(point[i], Fraction(1, k))
+                parts[gen] = c, list(radicals.items())
+            else:
+                raise SolutionError(
+                    f"{what()} leaves the representable domain: "
+                    f"{atom} moves to a fractional power of {point[i]}"
+                )
+        joint = _joint_constants(parts)
+        ring = _ring_for(0, formals, aux=tuple(gen for _, gen, _ in joint.values()))
+        C = _Rescaled(ring, {gen: value for _, gen, value in joint.values()})
+        dtype, n = ring.ring.dtype, len(ring.symbols)
+
+        def element(c: Fraction, terms):
+            up, down = [0] * n, [0] * n
+            for p, r in terms:
+                M, gen, _ = joint[p]
+                e = int(r * M)
+                if e > 0:
+                    up[ring.index[gen]] = e
+                else:
+                    down[ring.index[gen]] = -e
+            numer = dtype({tuple(up): c.numerator} if c else {})
+            return ring.field.raw_new(numer, dtype({tuple(down): c.denominator}))
+
+        images = {b: element(q, ()) for b, q in zip(BASE_SYMBOLS, point)}
+        images.update((gen, element(*parts[gen])) for gen in aux)
+
+        def value(s):
+            got = images.get(s)
+            return ring.gen(s) if got is None else got
+
+        return C, [C._quotient(f, value, lambda: f"{what()} has a pole") for f in elements]
+
+    def _pushed(self, exprs, elements, what: str, preimage) -> tuple:
         """(F, ``preimage(F)``, the images of the elements in F) for the
-        point map whose preimage of (t, x, y) begins ``preimage(F)``.
+        point map of a move or a reflection whose preimage of (t, x, y)
+        begins ``preimage(F)``.
 
         F holds exprs and, of the generators that occur in the elements
         (:meth:`occurring`), the formal functions (which map to themselves)
@@ -624,7 +627,7 @@ def _cube(entry) -> tuple:
     )
 
 
-def _inverse(sf: SectionField, g) -> tuple:
+def _inverse(sf: _Rescaled, g) -> tuple:
     """Inverse of a 3x3 matrix of field elements by its cofactors."""
     cof = _cofactors(g)
     det = sf.sum(g[0][j] * cof[0][j] for j in range(3))
@@ -720,7 +723,7 @@ class EWReport:
     points: tuple
 
 
-def _sampled_residual(C: SectionField, rsym, lam_g, resid) -> float:
+def _sampled_residual(C: _Rescaled, rsym, lam_g, resid) -> float:
     """max|Ric_sym - Lambda*g| / (max|Ric_sym| + max|Lambda*g| + 1) of the
     entries at a point (elements of the field of constants C), each
     evaluated to 50 digits."""

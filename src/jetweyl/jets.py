@@ -410,8 +410,15 @@ class _JetFraction(FracElement):
 
 def _term_pair(f, g) -> bool:
     """Whether f and g are nonzero elements of one jet field with one-term
-    denominators."""
-    return type(g) is _JetFraction and f and g and len(f.denom) == 1 == len(g.denom) and f.field == g.field
+    denominators.  The numerators are tested as dicts: the truth test of
+    a field element is a Python-level call."""
+    return (
+        type(g) is _JetFraction
+        and f.numer
+        and g.numer
+        and len(f.denom) == 1 == len(g.denom)
+        and f.field == g.field
+    )
 
 
 class _JetField(FracField):
@@ -866,8 +873,11 @@ def _ring_for(order: int, exprs: Iterable, derivatives: int = 0, aux: tuple = ()
 
 class _Rescaled:
     """A jet ring holding the auxiliary generators of one joint
-    ``exprcore._rescaled`` (``back``: generator -> value), with the
-    canonical form of its elements.
+    ``exprcore._rescaled``, or the constant generators of a section at a
+    rational point (``SectionField.at``), with their values (``back``:
+    generator -> value), the canonical form of its elements and the
+    substitution of its elements for the generators of another ring
+    (:meth:`_quotient`).
 
     Prime radicals R = p^(1/M) among the generators are reduced by R^M = p
     before every zero test and conversion; radicals of distinct primes are
@@ -907,6 +917,62 @@ class _Rescaled:
     def vanishes(self, f) -> bool:
         """Exact zero test of a field element."""
         return not self._reduced(f.numer)
+
+    def sum(self, elements):
+        """The sum of field elements."""
+        return sum(elements, self.ring.field.zero)
+
+    def rational(self, f) -> Fraction | None:
+        """The value of a constant element, None for a non-constant one."""
+        f = self._reduced_element(f)
+        if not (f.numer.is_ground and f.denom.is_ground):
+            return None
+        return Fraction(f.numer.LC, f.denom.LC)
+
+    def _quotient(self, f, value, message):
+        """An element of a jet ring with each generator s replaced by the
+        element ``value(s)`` of this field; ``message()`` is the text of the
+        error raised when the denominator vanishes.  Over one common
+        denominator L of the values, each side P of f is P~ / L^D; a term
+        in a generator whose value is zero is left out."""
+        used = _support(f.numer, f.denom)
+        L, nums = _common_denominator(self.ring.ring, [value(f.field.symbols[i]) for i in used])
+        zero = [i for i, n in zip(used, nums) if not n]
+        dtype, constant = self.ring.ring.dtype, self.ring.ring.zero_monom
+        powers: dict = {}
+
+        def power(j, n):
+            got = powers.get((j, n))
+            if got is None:
+                got = powers[(j, n)] = (L if j < 0 else nums[j]) ** n
+            return got
+
+        def side(p):
+            terms = [
+                (m, c, sum(m[i] for i in used))
+                for m, c in p.items()
+                if not (zero and any(m[i] for i in zero))
+            ]
+            top = max((deg for _, _, deg in terms), default=0)
+            acc: dict = {}
+            for m, c, deg in terms:
+                term = dtype({constant: c})
+                if deg < top:
+                    term = term * power(-1, top - deg)
+                for j, i in enumerate(used):
+                    if m[i]:
+                        term = term * power(j, m[i])
+                _merge(acc, term)
+            return dtype(acc), top
+
+        (n, dn), (d, dd) = side(f.numer), side(f.denom)
+        if not self._reduced(d):
+            raise DivisionByZeroExpression(message())
+        if dd > dn:
+            n = n * L ** (dd - dn)
+        elif dn > dd:
+            d = d * L ** (dn - dd)
+        return self.ring.field.new(n, d)
 
     def expr(self, f) -> sp.Expr:
         """The canonical expression of a field element: ``to_expr`` of the

@@ -2,6 +2,7 @@
 derivative ``tree_oracle.partial`` that other tests use as their oracle."""
 
 import random
+from fractions import Fraction
 
 import pytest
 import sympy as sp
@@ -15,6 +16,7 @@ from jetweyl.errors import (
 from jetweyl.exprcore import (
     MAX_JET_ORDER,
     MultiIndex,
+    _prime_radicals,
     T,
     X,
     Y,
@@ -52,6 +54,39 @@ def test_rational_exponent_product():
 
 def test_zero_test_sees_through_radicals():
     assert is_zero((Y ** sp.Rational(2, 3)) ** 3 - Y**2)
+
+
+def _sympys_split(q: sp.Rational, e: sp.Rational) -> tuple:
+    """(c, {p: r}) of sympy's own q**e: its rational coefficient and, over
+    the powers of integers in it, each prime's exponent."""
+    value = q**e
+    c, rest = value.as_coeff_Mul()
+    radicals = {}
+    for factor in sp.Mul.make_args(rest) if rest != 1 else ():
+        base, k = factor.as_base_exp()
+        assert base.is_Integer and base > 1 and k.is_Rational, value
+        for p, n in sp.factorint(int(base)).items():
+            radicals[p] = radicals.get(p, 0) + n * k
+    return c, radicals
+
+
+def test_the_prime_split_is_sympys_power_of_a_rational():
+    """q^e as a rational times prime radicals p^r with 0 < r < 1: the
+    coefficient and exponents sympy gives the evaluated power."""
+    rng = random.Random(5)
+    cases = [(sp.Rational(n, d), sp.Rational(k, m)) for n, d, k, m in (
+        (9, 4, 1, 2), (8, 1, 1, 3), (1, 2, 1, 2), (12, 5, 1, 2), (27, 1, 1, 2),
+        (1, 2, 1, 3), (18, 1, 1, 3), (2, 1, -2, 3), (3, 8, 5, 6), (2**61 - 1, 3, 1, 2),
+    )]
+    for _ in range(60):
+        q = sp.Rational(rng.randint(1, 400), rng.randint(1, 60))
+        e = sp.Rational(rng.randint(-9, 9), rng.randint(1, 7))
+        cases.append((q, e))
+    for q, e in cases:
+        c, radicals = _prime_radicals(Fraction(int(q.p), int(q.q)), Fraction(int(e.p), int(e.q)))
+        assert all(0 < r < 1 for r in radicals.values())
+        want_c, want = _sympys_split(q, e)
+        assert (sp.Rational(c.numerator, c.denominator), radicals) == (want_c, want), (q, e)
 
 
 def test_partial_basic():

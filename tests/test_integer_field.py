@@ -117,7 +117,7 @@ def both_sides():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(jets, "_JetField", lambda symbols, domain, order: FracField(symbols, QQ, order))
             mp.setattr(jets._JetRing, "to_expr", _qq_to_expr)
-            mp.setattr(geometry, "_lcm", lambda a, b: a.lcm(b))
+            mp.setattr(jets, "_lcm", lambda a, b: a.lcm(b))
             qq = _build()
             assert _jet_ring(2).field.domain == QQ
             assert type(_jet_ring(2).field) is FracField

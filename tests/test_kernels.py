@@ -24,6 +24,7 @@ import textwrap
 import pytest
 import sympy as sp
 from sympy.polys.domains import QQ
+from sympy.polys.fields import FracElement
 from sympy.polys.orderings import lex
 from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import PolyElement
@@ -311,6 +312,28 @@ def test_one_term_sums_match_the_sums_over_the_product():
             assert _entries(f - g) == _entries(_over_product(f, g, -1))
     f = elements[0]
     assert f - f == ring.field.zero and not (f - f).numer
+
+
+def test_sums_with_a_zero_operand_match_the_sums_over_the_product(monkeypatch):
+    """A zero operand is not a one-term pair: the sum goes to sympy's and
+    equals the other operand.  The pair test reads the numerators and never
+    asks a field element for its truth."""
+
+    def refused(f):
+        raise AssertionError("FracElement.__bool__ called")
+
+    ring = _jet_ring(1)
+    zero = ring.field.zero
+    elements = [*_term_fractions(ring, random.Random(11), 6), zero]
+    monkeypatch.setattr(FracElement, "__bool__", refused)
+    assert jets._term_pair(elements[0], elements[1])
+    for f in elements:
+        assert not jets._term_pair(f, zero) and not jets._term_pair(zero, f)
+    monkeypatch.undo()
+    for f in elements:
+        assert _entries(f + zero) == _entries(zero + f) == _entries(f - zero) == _entries(f)
+        assert _entries(zero - f) == _entries(-f) == _entries(_over_product(zero, f, -1))
+        assert _entries(f + zero) == _entries(_over_product(f, zero, 1))
 
 
 def test_a_sum_with_a_shift_off_by_one_fails_the_oracle(monkeypatch):

@@ -14,11 +14,12 @@ canonical form of ``tree_oracle`` (``tree_normalize(a - b) == 0``).
 """
 
 import random
+import time
 
 import pytest
 import sympy as sp
 
-from jetweyl import checks, geometry, jets
+from jetweyl import checks, exprcore, geometry, jets
 from jetweyl.errors import (
     DivisionByZeroExpression,
     ExpAtomError,
@@ -37,7 +38,7 @@ from jetweyl.geometry import (
     weyl_connection,
 )
 from jetweyl.jets import _jet_ring
-from tree_oracle import TreeSection, partial, tree_d_omega, tree_normalize
+from tree_oracle import TreeSection, partial, tree_at, tree_d_omega, tree_normalize
 
 _COORDS = (T, X, Y)
 
@@ -391,6 +392,133 @@ def test_a_pole_at_the_point_raises():
     sol = catalog("sl2-family", f=0, h=0)
     with pytest.raises(SolutionError, match="fractional power of -1"):
         sol.field.at((0, 1, -1), sol.field.values)
+
+
+# ---------------------------------------------------------------------------
+# values at a point in integers: SectionField.at against tree_oracle.tree_at
+
+
+def _outcome(at, sf, point, elements):
+    """The canonical expressions (``srepr``) of the elements at the point,
+    or the class and message of the refusal."""
+    try:
+        C, values = at(sf, point, elements)
+    except (DivisionByZeroExpression, SolutionError) as exc:
+        return type(exc), str(exc)
+    return [sp.srepr(C.expr(v)) for v in values]
+
+
+_YS = ("9/4", "8", "1/2", "12/5", "27")
+
+
+def _joint_radicals() -> Solution:
+    """2^(1/3) in the section; y^(1/2) at y = 2 or 1/2 brings 2^(1/2)."""
+    two = sp.Integer(2) ** sp.Rational(1, 3)
+    return Solution(two * Y ** sp.Rational(1, 2) + X, two * T + Y, deferred=True)
+
+
+@pytest.mark.parametrize("make", [*_point_cases(), pytest.param(_joint_radicals, id="joint")])
+def test_at_matches_the_two_field_tree_path(make):
+    sol = make()
+    sf, elements = sol.field, _sampled_elements(sol)
+    compared = 0
+    for y in (*_YS, "2"):
+        for t, x in (("1/3", "3/2"), ("-1", "5/7"), ("2", "-2")):
+            point = (t, x, y)
+            got = _outcome(geometry.SectionField.at, sf, point, elements)
+            assert got == _outcome(tree_at, sf, point, elements), point
+            compared += isinstance(got, list)
+    assert compared >= 12
+
+
+def test_a_radical_of_the_section_joins_the_points_radical():
+    sf = _joint_radicals().field
+    for y in ("2", "1/2"):
+        C, values = sf.at((1, 1, y), sf.values)
+        keys = [exprcore._CONSTANT_KEYS[g] for g in C.back]
+        assert keys == [(2, 6)]
+        assert [sp.srepr(C.expr(v)) for v in values] == [
+            sp.srepr(C.expr(v)) for v in tree_at(sf, (1, 1, y), sf.values)[1]
+        ]
+    C, (u, _) = sf.at((1, 1, 2), sf.values)
+    assert C.expr(u) == sp.Integer(2) ** sp.Rational(5, 6) + 1
+
+
+def test_a_coordinate_with_a_large_prime_factor():
+    q = sp.Rational(2**61 - 1, 3)
+    sol = Solution(X * Y ** sp.Rational(1, 2), Y ** sp.Rational(1, 3), deferred=True)
+    start = time.process_time()
+    C, (u, v) = sol.field.at((1, 1, q), sol.field.values)
+    assert time.process_time() - start < 0.5
+    assert is_zero(C.expr(u) - sp.sqrt(q)) and is_zero(C.expr(v) - q ** sp.Rational(1, 3))
+    assert _outcome(geometry.SectionField.at, sol.field, (1, 1, q), sol.field.values) == (
+        _outcome(tree_at, sol.field, (1, 1, q), sol.field.values)
+    )
+
+
+@pytest.mark.parametrize(
+    "cid, point, error, message",
+    [
+        (
+            "sl2-degenerate",
+            (1, 1, 0),
+            DivisionByZeroExpression,
+            "the section at (1, 1, 0) has a pole",
+        ),
+        (
+            "sl2-family",
+            (0, 1, -1),
+            SolutionError,
+            "the section at (0, 1, -1) leaves the representable domain: "
+            "y**(1/3) moves to a fractional power of -1",
+        ),
+        (
+            "sl2-family",
+            (0, 1, sp.Rational(-1, 2)),
+            SolutionError,
+            "the section at (0, 1, -1/2) leaves the representable domain: "
+            "y**(1/3) moves to a fractional power of -1/2",
+        ),
+    ],
+)
+def test_at_refuses_as_the_tree_path_does(cid, point, error, message):
+    sf = catalog(cid, f=0, h=0).field
+    for at in (geometry.SectionField.at, tree_at):
+        assert _outcome(at, sf, point, sf.values) == (error, message)
+
+
+def test_at_builds_no_field_and_no_tree(monkeypatch):
+    """SectionField.at builds no SectionField and calls neither the
+    rescaling nor the tree image of an auxiliary generator; the tree path,
+    wrapped the same way, does all three."""
+    calls = {"field": 0, "rescaled": 0, "image": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        geometry.SectionField, "__init__", counted("field", geometry.SectionField.__init__)
+    )
+    rescaled = counted("rescaled", exprcore._rescaled)
+    for module in (exprcore, jets, geometry):
+        monkeypatch.setattr(module, "_rescaled", rescaled)
+    monkeypatch.setattr(geometry, "_image_atom", counted("image", geometry._image_atom))
+    sections = [make().field for make in (_radical_move, _joint_radicals)]
+    sections.append(catalog("exp-family", f=1, h=1).field)
+    for name in ("field", "rescaled", "image"):
+        calls[name] = 0
+    for sf in sections:
+        for y in _YS:
+            sf.at((1, 2, y), sf.values)
+    assert calls == {"field": 0, "rescaled": 0, "image": 0}
+    for sf in sections:
+        tree_at(sf, (1, 2, "9/4"), sf.values)
+    assert calls["field"] == calls["rescaled"] == 2 * len(sections)
+    assert calls["image"] >= len(sections)
 
 
 def test_sampling_converts_no_element_of_the_section_field(monkeypatch):

@@ -23,6 +23,10 @@ a^x w_x - a^y w_y of a point field, expanded on trees.
 ``TreeSection`` holds a section's derivatives, jet substitution and ansatz
 pair on trees (the metric and covector written out again), and
 ``tree_d_omega`` is d omega of a tree covector.
+``tree_at`` reads a section's field elements at a rational point the way
+``SectionField.at`` did before it read them in integers: a field built from
+the point's tree, the image of each auxiliary generator built as a tree,
+and a second field holding those images.
 ``tree_canonical_frame`` is the order-2 canonical frame of a section by
 sympy ``Matrix`` algebra (``nullspace``, ``inv`` and ``rank`` with the exact
 zero test), from the tree pair.
@@ -46,7 +50,14 @@ from dataclasses import dataclass
 import sympy as sp
 
 from jetweyl.counts import _poincare
-from jetweyl.errors import DivisionByZeroExpression, ExprError, ParseError, UnknownSymbolError
+from jetweyl import geometry
+from jetweyl.errors import (
+    DivisionByZeroExpression,
+    ExprError,
+    ParseError,
+    SolutionError,
+    UnknownSymbolError,
+)
 from fractions import Fraction
 
 from jetweyl.exprcore import (
@@ -432,6 +443,32 @@ def tree_d_omega(w) -> sp.Matrix:
     return sp.Matrix(
         3, 3, lambda i, j: (partial(w[j], BASE_SYMBOLS[i]) - partial(w[i], BASE_SYMBOLS[j])) / 2
     )
+
+
+def tree_at(sf, point, elements) -> tuple:
+    """(C, the elements of the section field ``sf`` at the rational point
+    as elements of C) through two section fields: one of the point and the
+    formal functions that occur, where ``geometry._image_atom`` builds the
+    image of each auxiliary generator as a tree, then one that holds those
+    images too, where the elements are pushed (``_quotient``).  The same
+    refusals as ``SectionField.at``."""
+    point = tuple(map(sp.Rational, point))
+    what = f"the section at ({', '.join(map(str, point))})"
+    formals, aux = sf.occurring(elements)
+    try:
+        F = geometry.SectionField((*point, *formals))
+        if aux:
+            atoms = tuple(geometry._image_atom(F, F.values[:3], atom) for atom in aux.values())
+            F = geometry.SectionField((*point, *formals, *atoms))
+    except ExprError as exc:
+        raise SolutionError(f"{what} leaves the representable domain: {exc}") from None
+    images = dict(zip(BASE_SYMBOLS, F.values[:3]))
+    images.update(zip(aux, F.values[3 + len(formals) :]))
+
+    def value(s):
+        return images[s] if s in images else F.ring.gen(s)
+
+    return F, [F._quotient(f, value, lambda: f"{what} has a pole") for f in elements]
 
 
 def tree_canonical_frame(sol, pt) -> FrameResult:
