@@ -53,6 +53,7 @@ from .jets import (
     _jet_ring,
     _Rescaled,
     _ring_for,
+    _support,
 )
 from .linalg import _cofactors
 from .syntax import CATALOG_IDS
@@ -129,8 +130,9 @@ class SectionField(_Rescaled):
             if isinstance(atom, sp.exp):
                 (b,) = atom.args[0].free_symbols
                 s = atom.args[0].coeff(b)
+                s = Fraction(int(s.p), int(s.q))
                 image = ring.gen(gen) * s
-                self._readings[gen] = ("exp", BASE_SYMBOLS.index(b), Fraction(int(s.p), int(s.q)))
+                self._readings[gen] = ("exp", BASE_SYMBOLS.index(b), s)
             else:
                 b, m = atom.base, atom.exp.q
                 image = 1 / (m * ring.gen(gen) ** (m - 1))
@@ -372,9 +374,9 @@ def _image_atom(F: SectionField, point, atom) -> sp.Expr:
     whose preimage of (t, x, y) is ``point`` (elements of F).
 
     A constant stays fixed.  exp(c*b) goes to exp(c*b_s), which must be
-    linear in t, x, y over QQ, and b^(1/m) to q^(1/m), or to (q*b)^(1/m),
-    for which b_s must be q, or q*b, with a positive constant q.  Anything
-    else leaves the term language (``ExprError``)."""
+    linear in t, x, y over QQ, and b^(1/m) to (q*b)^(1/m), for which b_s
+    must be q*b with a positive constant q (a move or a reflection keeps
+    b in b_s).  Anything else leaves the term language (``ExprError``)."""
     if not atom.free_symbols:
         return atom
     if isinstance(atom, sp.exp):
@@ -382,9 +384,9 @@ def _image_atom(F: SectionField, point, atom) -> sp.Expr:
         f = point[BASE_SYMBOLS.index(b)]
         bases = {F.ring.index[s] for s in BASE_SYMBOLS}
         linear = (
-            f.denom.is_ground
+            not _support(f.denom)
             and set(F.ring.present(f)) <= bases
-            and all(sum(m) <= 1 for m in f.numer.monoms())
+            and all(sum(m) <= 1 for m in f.numer)
         )
         if not linear:
             raise ExprError(
@@ -394,15 +396,13 @@ def _image_atom(F: SectionField, point, atom) -> sp.Expr:
     b = atom.base
     f = point[BASE_SYMBOLS.index(b)]
     constants = {F.ring.index[g] for g, value in F.back.items() if not value.free_symbols}
-    q, rest = f, sp.Integer(1)
-    if not set(F.ring.present(q)) <= constants:
-        q, rest = f / F._base[b], b**atom.exp
+    q = f / F._base[b]
     r = F.rational(q)  # a rational q needs no tree
     constant = set(F.ring.present(q)) <= constants
     q = sp.Rational(r) if r is not None else (F.expr(q) if constant else None)
     if q is None or not q.is_positive:
         raise ExprError(f"{atom} moves to a fractional power of {F.expr(f)}")
-    return q**atom.exp * rest
+    return q**atom.exp * b**atom.exp
 
 
 def _closed_form(e, rule: str) -> sp.Expr:
@@ -927,11 +927,19 @@ def dkp_reduction_check() -> bool:
     """With u = 0 the second equation is the dKP equation
     v_tx + v_x^2 + v v_xx - v_yy = 0 (on jets)."""
     ring = _jet_ring(2)
-    kill_u = [(ring.gens[ring.index[s]], 0) for s in _coordinates(2) if jet_info(s)[0] == "u"]
+    kill_u = {s: ring.field.zero for s in _coordinates(2) if jet_info(s)[0] == "u"}
     vtx, vxx, vyy = jet("v", "tx"), jet("v", "xx"), jet("v", "yy")
     vx, v = jet("v", "x"), jet("v")
     dkp = ring.convert(vtx + vx**2 + v * vxx - vyy)
-    return _equations()[1].numer.compose(kill_u) == dkp.numer
+    return _substituted(ring, _equations()[1], kill_u) == dkp
+
+
+def _substituted(ring, f, images: dict):
+    """An element of a jet ring with the generators ``images`` names
+    replaced by their images there, the others kept."""
+    return _Rescaled(ring, {})._quotient(
+        f, lambda s: images[s] if s in images else ring.gen(s), lambda: "a substituted pole"
+    )
 
 
 def _hierarchy(w) -> tuple:
@@ -955,13 +963,12 @@ def hierarchy_reduction_check() -> bool:
         return ring.gen(jet("u", index))
 
     H = w("tx") + w("x") * w("xy") - w("y") * w("xx") - w("yy")
-    rep = []
+    images = {}
     for s in _coordinates(2):
         dep, idx = jet_info(s)
-        image = w(idx.bump("x")) if dep == "u" else -w(idx.bump("y"))
-        rep.append((ring.gens[ring.index[s]], image.numer))
-    F1, F2 = (ring.embed(F).numer.compose(rep) for F in _equations())
-    return F1 == ring.total(H, "x").numer and F2 == -ring.total(H, "y").numer
+        images[s] = w(idx.bump("x")) if dep == "u" else -w(idx.bump("y"))
+    F1, F2 = (_substituted(ring, ring.embed(F), images) for F in _equations())
+    return F1 == ring.total(H, "x") and F2 == -ring.total(H, "y")
 
 
 # ---------------------------------------------------------------------------
@@ -977,12 +984,7 @@ def invariants_on_solution(sol: Solution) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
 
 
 # the printed structure constants K1-K4 of the sl2 family
-_SL2_CONSTANTS = {
-    1: sp.Integer(1),
-    2: sp.Integer(0),
-    3: sp.Rational(9, 50),
-    4: sp.Rational(-9, 500),
-}
+_SL2_CONSTANTS = {1: Fraction(1), 2: Fraction(0), 3: Fraction(9, 50), 4: Fraction(-9, 500)}
 
 
 def sl2_structure_report(sol: Solution) -> dict:

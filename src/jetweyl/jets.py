@@ -12,29 +12,22 @@ D_sigma F_i is monic in exactly one principal coordinate, so the equation
 submanifold of any jet order is the graph of a triangular substitution:
 principal coordinates are polynomials in the remaining *internal* ones.
 F1, F2 are written once (``_ms_equations``) and held in one form, the
-elements of the order-2 jet ring that ``_equations`` converts; every
-consumer reads that form.  :meth:`EquationSystem.reduce` performs that
-substitution in one sparse rational-function field (the private
-``_JetRing``: generators t, x, y, the jet coordinates up to the order in
-play and the formal functions present), whose numerators and denominators
-have integer coefficients; the total derivatives are ring derivations,
-reduction is a substitution of generators, and a one-term side cancels
-without a gcd (``_cancel``).  Each ring builds its elements with a class
-of its own (``_JetPoly``), which multiplies, compares and divides by a
-term without sympy's dispatch.  The field's kernels keep their own
-bookkeeping: ``_JetRing.convert`` reads a sympy tree straight into the
-field; every derivation (total, section, point or prolonged field) is
-applied by generator index by ``_JetRing.apply``, to its images lifted
-over one common denominator (``_JetRing.lift``); two fractions with
-one-term denominators are added over the lcm of those (``_term_sum``),
-and the rings and fields compare by identity before sympy's structural
-test.  The symmetry and invariance checks compute there and convert sympy
-expressions only at their boundary.  A
-:class:`JetPoint` holds every coordinate, base and jet, in Python integers
-over powers of one denominator and solves the same triangular system
-there; ``JetPoint.integers`` reads coordinates over one common
-denominator, and ``_poly_sums`` evaluates integer ring polynomials, and
-their gradients, from those integers.
+elements of the order-2 jet ring that ``_equations`` converts.
+:meth:`EquationSystem.reduce` performs that substitution in one sparse
+field of rational functions over ZZ (``_JetRing``: generators t, x, y, the
+jet coordinates up to the order in play and the formal functions present).
+The field is the package's own: a polynomial is a dict from monomial to
+int (``_JetPoly``), a fraction a pair of them in lowest terms
+(``_JetFraction``), and a one-term side cancels without a gcd
+(``_cancel``).  sympy's polynomials compute the gcd of two multi-term
+polynomials only (``_by_sympy``); sympy trees are read and printed at the
+boundary (``_JetRing.convert``, ``to_expr``).  Every derivation (total,
+section, point or prolonged field) is applied by generator index by
+``_JetRing.apply``, to its images lifted over one common denominator
+(``_JetRing.lift``).  A :class:`JetPoint` holds every coordinate in
+Python integers over powers of one denominator and solves the same
+triangular system there; ``_poly_sums`` evaluates integer ring
+polynomials, and their gradients, from those integers.
 
 The dimension counts of jet spaces and equation submanifolds live in
 :mod:`jetweyl.counts`.
@@ -51,14 +44,13 @@ from operator import add, mul, sub
 from typing import Iterable
 
 import sympy as sp
-from sympy.core.symbol import Symbol
+
+# the boundary with sympy's polynomials: the gcd of two multi-term
+# polynomials (``_by_sympy``) and the generator order of printed trees
+# (``_JetRing.to_expr``)
 from sympy.polys.domains import ZZ
-from sympy.polys.fields import FracElement, FracField
-from sympy.polys.orderings import lex
-from sympy.polys.polyoptions import Domain as DomainOpt, Order as OrderOpt
-from sympy.polys.polyerrors import ExactQuotientFailed, GeneratorsError
 from sympy.polys.polyutils import _sort_gens
-from sympy.polys.rings import PolyElement, PolyRing, _parse_symbols
+from sympy.polys.rings import PolyRing
 
 from .errors import (
     DivisionByZeroExpression,
@@ -131,38 +123,48 @@ def _coordinates(order: int) -> tuple[sp.Symbol, ...]:
 
 
 def _merge(acc: dict, poly) -> None:
-    """acc += poly, in place, on {monomial: coefficient} dicts."""
+    """acc += poly, in place, on {monomial: nonzero coefficient} dicts."""
     for m, c in poly.items():
-        v = acc.get(m)
-        if v is None:
+        c += acc.get(m, 0)
+        if c:
             acc[m] = c
         else:
-            v += c
-            if v:
-                acc[m] = v
-            else:
-                del acc[m]
+            del acc[m]
+
+
+def _by_sympy(name: str, p, q):
+    """``p.name(q)`` for ``name`` cancel, lcm or exquo in sympy's ``PolyRing``
+    over ZZ on the generators of p's ring, built once per ring on first
+    use: the one way to a multi-term cancel, lcm or exact quotient, and to
+    the refusal of an inexact quotient by a term."""
+    ring = p.ring
+    if ring._sympy is None:
+        ring._sympy = PolyRing(ring.symbols, ZZ)
+    new = ring._sympy.from_dict
+    got = getattr(new(dict(p)), name)(new(dict(q)))
+    dtype = ring.dtype
+    if name == "cancel":
+        return tuple(dtype({m: int(c) for m, c in r.items()}) for r in got)
+    return dtype({m: int(c) for m, c in got.items()})
 
 
 def _cancel(numer, denom):
-    """numer/denom in lowest terms: the pair ``numer.cancel(denom)`` gives.
+    """numer/denom in lowest terms, the lex-leading coefficient of the
+    denominator positive: the pair sympy's ``PolyElement.cancel`` gives.
 
-    Over ZZ with one side a single term (a constant, a monomial, or 1),
-    the common factor of the two sides is a term, so no gcd of polynomials
-    is needed: both sides are divided by the gcd of all their coefficients
-    and by the componentwise minimum of all monomials, and the sign makes
-    the lex-leading coefficient of the denominator positive.  Every other
-    pair, and every pair over another domain, goes to
-    ``PolyElement.cancel``.  A sum of two fractions with one-term
-    denominators comes here over their lcm (:func:`_term_sum`), so its
-    denominator is one term too."""
+    With one side a single term (a constant, a monomial, or 1), the common
+    factor of the two sides is a term, so no gcd of polynomials is needed:
+    both sides are divided by the gcd of all their coefficients and by the
+    componentwise minimum of all monomials.  A pair of two multi-term sides
+    goes to :func:`_by_sympy`.  A sum of two fractions with one-term
+    denominators comes here over their lcm, one term too."""
     ring = numer.ring
     if not numer:
         return numer, ring.one
-    if not ring.domain.is_ZZ or (len(numer) != 1 and len(denom) != 1):
-        return numer.cancel(denom)
+    if len(numer) != 1 and len(denom) != 1:
+        return _by_sympy("cancel", numer, denom)
     content = math.gcd(*numer.values(), *denom.values())
-    if denom[ring.leading_expv(denom)] < 0:
+    if denom[max(denom)] < 0:
         content = -content
     # the common monomial divides the one-term side: only its support counts
     (term,) = (numer if len(numer) == 1 else denom).keys()
@@ -172,22 +174,20 @@ def _cancel(numer, denom):
     if content == 1 and not any(low):
         # already in lowest terms
         return numer, denom
-    div = ring.monomial_ldiv
     return (
-        ring.dtype({div(m, low): c // content for m, c in numer.items()}),
-        ring.dtype({div(m, low): c // content for m, c in denom.items()}),
+        ring.dtype({tuple(map(sub, m, low)): c // content for m, c in numer.items()}),
+        ring.dtype({tuple(map(sub, m, low)): c // content for m, c in denom.items()}),
     )
 
 
 def _lcm(a, b):
-    """The lcm of two polynomials as ``PolyElement.lcm`` returns it; over
-    ZZ, for two terms, their monomials' lcm with the lcm of their
+    """The lcm of two polynomials as sympy's ``PolyElement.lcm`` returns
+    it; for two terms, their monomials' lcm with the lcm of their
     coefficients, signed as their product."""
-    ring = a.ring
-    if len(a) == 1 and len(b) == 1 and ring.domain.is_ZZ:
+    if len(a) == 1 and len(b) == 1:
         ((m, c),), ((n, d),) = a.items(), b.items()
-        return ring.dtype({_monomial_lcm(m, n): c * d // math.gcd(c, d)})
-    return a.lcm(b)
+        return a.ring.dtype({tuple(map(max, m, n)): c * d // math.gcd(c, d)})
+    return _by_sympy("lcm", a, b)
 
 
 def _common_denominator(ring, elements):
@@ -207,94 +207,54 @@ def _support(*polys) -> list[int]:
     return list(itertools.compress(itertools.count(), map(any, zip(*itertools.chain(*polys)))))
 
 
-def _term_sum(f, g, sign: int):
-    """f + sign*g for two elements of one jet field whose denominators are
-    single terms: both numerators are lifted to the lcm of the
-    denominators and added in one dict, then cancelled (:func:`_cancel`)."""
-    ring = f.field.ring
-    den = _lcm(f.denom, g.denom)
-    ((top, k),) = den.items()
-    out: dict = {}
-    for p, (m, c), s in ((f.numer, *f.denom.items(), 1), (g.numer, *g.denom.items(), sign)):
-        shift = _monomial_ldiv(top, m)
-        scale = s * (k // c)
-        if any(shift):
-            _merge(out, {tuple(map(add, monom, shift)): v * scale for monom, v in p.items()})
-        else:
-            _merge(out, {monom: v * scale for monom, v in p.items()})
-    return f.new(ring.dtype(out), den)
+class _JetPoly(dict):
+    """A polynomial of a jet ring: {monomial (a tuple of exponents, one per
+    generator): nonzero int coefficient}.  Each :class:`_JetPolyRing`
+    builds a subclass of its own with the ring as a class attribute, its
+    ``dtype``, so ``dict.__init__`` alone builds an element.  The operands
+    are ints and elements of the ring (or of an equal ring built apart)."""
 
+    __slots__ = ()
+    ring = None
 
-# The monomial operations of every jet ring, whatever its number of
-# generators.  sympy's PolyRing compiles its own seven with ``exec`` for
-# each new size (``MonomialOps``); these are written once, with ``map``
-# over ``operator`` functions, and return what the compiled ones return.
-
-
-def _monomial_mul(a, b):
-    return tuple(map(add, a, b))
-
-
-def _monomial_pow(a, k):
-    return tuple(map(mul, a, itertools.repeat(k)))
-
-
-def _monomial_mulpow(a, b, k):
-    return tuple(map(add, a, map(mul, b, itertools.repeat(k))))
-
-
-def _monomial_ldiv(a, b):
-    return tuple(map(sub, a, b))
-
-
-def _monomial_div(a, b):
-    c = tuple(map(sub, a, b))
-    return None if c and min(c) < 0 else c
-
-
-def _monomial_lcm(a, b):
-    return tuple(map(max, a, b))
-
-
-def _monomial_gcd(a, b):
-    return tuple(map(min, a, b))
-
-
-class _JetPoly(PolyElement):
-    """The elements of a jet ring's polynomial ring.  Each
-    :class:`_JetPolyRing` builds its own subclass, with the ring as a class
-    attribute, and uses the class as its ``dtype`` and as every element's
-    ``new``: an element is built by ``dict.__init__`` alone.  Products,
-    equality (with an int too) and exact quotients by a term of elements
-    of one class are computed here; any other operand (an int factor, an
-    element of an equal ring built apart, of another ring) goes to
-    ``PolyElement``'s method."""
-
-    __init__ = dict.__init__
-    # defining __eq__ would set it to None
-    __hash__ = PolyElement.__hash__
+    def _other(p, q):
+        """q as terms of p's ring (an int as a constant), or None."""
+        if type(q) is int:
+            return {p.ring.zero_monom: q} if q else {}
+        return q if isinstance(q, _JetPoly) and q.ring == p.ring else None
 
     def __eq__(p, q):
-        if type(q) is type(p):
-            return dict.__eq__(p, q)
-        if type(q) is int:
-            # 0 is the empty element, any other int a constant term alone
-            return len(p) == 1 and p.get(p.ring.zero_monom) == q if q else not p
-        return PolyElement.__eq__(p, q)
+        q = q if type(q) is type(p) else p._other(q)
+        return NotImplemented if q is None else dict.__eq__(p, q)
 
     def __ne__(p, q):
-        if type(q) is type(p):
-            return dict.__ne__(p, q)
-        if type(q) is int:
-            return len(p) != 1 or p.get(p.ring.zero_monom) != q if q else bool(p)
-        return PolyElement.__ne__(p, q)
+        equal = p.__eq__(q)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(p):
+        return hash(frozenset(p.items()))
+
+    def __neg__(p):
+        return type(p)({m: -c for m, c in p.items()})
+
+    def __add__(p, q):
+        q = q if type(q) is type(p) else p._other(q)
+        if q is None:
+            return NotImplemented
+        out = dict(p)
+        _merge(out, q)
+        return type(p)(out)
+
+    def __sub__(p, q):
+        return p + -q
 
     def __mul__(p, q):
         """p*q in one dict; a one-term or constant factor is a shift of
         the monomials and a scale of the coefficients."""
         cls = type(p)
-        if type(q) is not cls:
-            return PolyElement.__mul__(p, q)
+        q = q if type(q) is cls else p._other(q)
+        if q is None:
+            return NotImplemented
         if len(p) < len(q):
             p, q = q, p
         if len(q) == 1:
@@ -313,147 +273,177 @@ class _JetPoly(PolyElement):
                 out[k] = a * b if v is None else v + a * b
         return cls({k: v for k, v in out.items() if v})
 
+    def __pow__(p, n: int):
+        """p**n for n >= 0: a term raised directly, else by squaring along
+        the bits of n."""
+        if n < 0:
+            raise ValueError("negative exponent of a polynomial")
+        if len(p) == 1:
+            ((m, c),) = p.items()
+            return type(p)({tuple(map(mul, m, itertools.repeat(n))): c**n})
+        out = p.ring.one
+        for bit in bin(n)[2:]:
+            out = out * out * p if bit == "1" else out * out
+        return out
+
     def exquo(p, q):
-        """p/q, which must be exact; by a one-term q over ZZ, term by
-        term."""
-        cls = type(p)
-        if type(q) is not cls or len(q) != 1 or not cls.ring.domain.is_ZZ:
-            return PolyElement.exquo(p, q)
-        ((n, b),) = q.items()
-        out = {}
-        for m, a in p.items():
-            k = _monomial_div(m, n)
-            if k is None or a % b:
-                raise ExactQuotientFailed(p, q)
-            out[k] = a // b
-        return cls(out)
+        """p/q, which must be exact: term by term for a term q; any other
+        q, and a quotient by a term that is not exact, go to
+        :func:`_by_sympy` (which refuses the latter with sympy's
+        ``ExactQuotientFailed``)."""
+        if len(q) == 1:
+            ((n, b),) = q.items()
+            out = {}
+            for m, a in p.items():
+                k = tuple(map(sub, m, n))
+                if a % b or min(k, default=0) < 0:
+                    break
+                out[k] = a // b
+            else:
+                return type(p)(out)
+        return _by_sympy("exquo", p, q)
+
+    def as_expr(p) -> sp.Expr:
+        """The polynomial as a sympy tree."""
+        symbols = p.ring.symbols
+        return sp.Add(*[sp.Mul(c, *[s**e for s, e in zip(symbols, m) if e]) for m, c in p.items()])
 
 
-class _JetPolyRing(PolyRing):
-    """The polynomial ring of a jet ring: sympy's ``PolyRing`` built by a
-    constructor that sets every attribute sympy's sets, with the shared
-    monomial operations above in place of code compiled for its size.
-    ``clone`` builds this class too."""
+class _JetPolyRing:
+    """ZZ[symbols]: the element class (``dtype``), the generators and, for
+    :func:`_by_sympy`, sympy's ring on the same symbols, built on first
+    use.  Rings compare by their symbols, so that the elements of equal
+    rings built apart mix."""
 
-    # every element of a jet ring is built in it, so a ring is compared by
-    # identity before sympy compares symbols, domain and order; two equal
-    # rings built apart still compare equal
-    __hash__ = PolyRing.__hash__
+    def __init__(self, symbols: tuple):
+        self.symbols = symbols
+        n = len(symbols)
+        self.zero_monom = (0,) * n
+        self.dtype = type("JetPoly", (_JetPoly,), {"__slots__": (), "ring": self})
+        self.gens = tuple([self.dtype({(0,) * i + (1,) + (0,) * (n - i - 1): 1}) for i in range(n)])
+        self._sympy = None
+        self._hash = hash(symbols)
 
     def __eq__(self, other):
-        return self is other or PolyRing.__eq__(self, other)
+        return self is other or (type(other) is _JetPolyRing and self.symbols == other.symbols)
 
-    def is_element(self, element):
-        return isinstance(element, PolyElement) and (element.ring is self or element.ring == self)
+    def __hash__(self):
+        return self._hash
 
-    def __new__(cls, symbols, domain, order=lex):
-        symbols = tuple(_parse_symbols(symbols))
-        ngens = len(symbols)
-        domain = DomainOpt.preprocess(domain)
-        order = OrderOpt.preprocess(order)
-        if domain.is_Composite and set(symbols) & set(domain.symbols):
-            raise GeneratorsError("polynomial ring and it's ground domain share generators")
-        obj = object.__new__(cls)
-        obj._hash_tuple = (cls.__name__, symbols, ngens, domain, order)
-        obj._hash = hash(obj._hash_tuple)
-        obj.symbols = symbols
-        obj.ngens = ngens
-        obj.domain = domain
-        obj.order = order
-        # sympy mutates what ``zero`` and ``one`` return: both stay
-        # properties that build a fresh element of this class
-        obj.dtype = type("JetPoly", (_JetPoly,), {"ring": obj})
-        obj.dtype.new = obj.dtype
-        obj.zero_monom = (0,) * ngens
-        obj.gens = obj._gens()
-        obj._gens_set = set(obj.gens)
-        obj._one = [(obj.zero_monom, domain.one)]
-        obj.monomial_mul = _monomial_mul
-        obj.monomial_pow = _monomial_pow
-        obj.monomial_mulpow = _monomial_mulpow
-        obj.monomial_ldiv = _monomial_ldiv
-        obj.monomial_div = _monomial_div
-        obj.monomial_lcm = _monomial_lcm
-        obj.monomial_gcd = _monomial_gcd
-        obj.leading_expv = max if order is lex else (lambda f: max(f, key=order))
-        _name_generators(obj)
-        return obj
+    # elements are dicts: each call builds a fresh one
+    @property
+    def one(self):
+        return self.dtype({self.zero_monom: 1})
 
 
-def _name_generators(obj) -> None:
-    """Each generator as an attribute named after its symbol, unless the
-    name is taken, as sympy's constructors do."""
-    for symbol, generator in zip(obj.symbols, obj.gens):
-        if isinstance(symbol, Symbol) and not hasattr(obj, symbol.name):
-            setattr(obj, symbol.name, generator)
+class _JetFraction:
+    """An element of a jet field: ``numer``/``denom`` in lowest terms, the
+    lex-leading coefficient of ``denom`` positive (a denominator left out
+    is 1).  Each :class:`_JetField` builds a subclass of its own with the
+    field as a class attribute, its ``raw_new``; the field's ``new``
+    cancels (:func:`_cancel`).  The operands are ints, ``Fraction``s,
+    polynomials of the ring and elements of the field (or of an equal
+    field built apart).  Two elements with one-term denominators are added
+    over the lcm of the denominators (:func:`_common_denominator`)."""
 
+    __slots__ = ("numer", "denom")
+    field = None
 
-class _JetFraction(FracElement):
-    """An element of a jet ring's field; sums, products and quotients are
-    brought to lowest terms by :func:`_cancel`.  Two elements with
-    one-term denominators are added and subtracted over the lcm of the
-    denominators (:func:`_term_sum`), not over their product."""
+    def __init__(f, numer, denom=None):
+        f.numer = numer
+        f.denom = f.field.one.denom if denom is None else denom
 
-    def new(f, numer, denom):
-        return f.raw_new(*_cancel(numer, denom))
+    def _other(f, g):
+        """g as an element of f's field, or None."""
+        one = f.field.ring.one
+        if type(g) is int or isinstance(g, _JetPoly) and g.ring == one.ring:
+            return f.field.raw_new(one * g)
+        if isinstance(g, Fraction):
+            return f.field.raw_new(one * g.numerator, one * g.denominator)
+        return g if isinstance(g, _JetFraction) and g.field == f.field else None
+
+    def __bool__(f):
+        return bool(f.numer)
+
+    def __eq__(f, g):
+        g = g if type(g) is type(f) else f._other(g)
+        return NotImplemented if g is None else f.numer == g.numer and f.denom == g.denom
+
+    def __neg__(f):
+        return type(f)(-f.numer, f.denom)
 
     def __add__(f, g):
-        if _term_pair(f, g):
-            return _term_sum(f, g, 1)
-        return FracElement.__add__(f, g)
+        g = g if type(g) is type(f) else f._other(g)
+        if g is None:
+            return NotImplemented
+        if not g.numer or not f.numer:
+            return g if g.numer else f
+        if len(f.denom) == 1 == len(g.denom):
+            den, (a, b) = _common_denominator(f.field.ring, (f, g))
+            return f.field.new(a + b, den)
+        return f.field.new(f.numer * g.denom + g.numer * f.denom, f.denom * g.denom)
+
+    __radd__ = __add__
 
     def __sub__(f, g):
-        if _term_pair(f, g):
-            return _term_sum(f, g, -1)
-        return FracElement.__sub__(f, g)
+        return f + -g
+
+    def __rsub__(f, g):
+        return -f + g
+
+    def __mul__(f, g):
+        g = g if type(g) is type(f) else f._other(g)
+        if g is None:
+            return NotImplemented
+        if not f.numer or not g.numer:
+            return f.field.zero
+        return f.field.new(f.numer * g.numer, f.denom * g.denom)
+
+    __rmul__ = __mul__
+
+    def __truediv__(f, g):
+        g = g if type(g) is type(f) else f._other(g)
+        if g is None:
+            return NotImplemented
+        if not g.numer:
+            raise ZeroDivisionError("division by zero in a jet field")
+        return f.field.new(f.numer * g.denom, f.denom * g.numer)
+
+    def __rtruediv__(f, g):
+        g = f._other(g)
+        return NotImplemented if g is None else g / f
+
+    def __pow__(f, n: int):
+        return type(f)(f.numer**n, f.denom**n)
+
+    def as_expr(f) -> sp.Expr:
+        """numer/denom as a sympy tree, with no change of sign."""
+        return f.numer.as_expr() / f.denom.as_expr()
 
 
-def _term_pair(f, g) -> bool:
-    """Whether f and g are nonzero elements of one jet field with one-term
-    denominators.  The numerators are tested as dicts: the truth test of
-    a field element is a Python-level call."""
-    return (
-        type(g) is _JetFraction
-        and f.numer
-        and g.numer
-        and len(f.denom) == 1 == len(g.denom)
-        and f.field == g.field
-    )
+class _JetField:
+    """The rational functions over ZZ in ``symbols``: the polynomial ring,
+    the element class (``dtype``, also ``raw_new``) and the generators as
+    elements.  Fields compare as their rings do."""
 
-
-class _JetField(FracField):
-    """The rational-function field of a jet ring: sympy's ``FracField``
-    over a :class:`_JetPolyRing`, with :class:`_JetFraction` elements and
-    a ``new`` that goes through :func:`_cancel`.  The constructor sets
-    every attribute sympy's sets.  Fields compare as their rings do."""
-
-    __hash__ = FracField.__hash__
+    def __init__(self, symbols: tuple):
+        self.symbols = symbols
+        self.ring = ring = _JetPolyRing(symbols)
+        attributes = {"__slots__": (), "field": self}
+        self.dtype = self.raw_new = type("JetFraction", (_JetFraction,), attributes)
+        # elements are not changed in place: these are shared
+        one = ring.one
+        self.zero, self.one = self.dtype(ring.dtype(), one), self.dtype(one, one)
+        self.gens = tuple(self.dtype(g, one) for g in ring.gens)
 
     def __eq__(self, other):
-        return self is other or FracField.__eq__(self, other)
+        return self is other or (type(other) is _JetField and self.ring == other.ring)
 
-    def is_element(self, element):
-        return isinstance(element, FracElement) and (element.field is self or element.field == self)
+    def __hash__(self):
+        return hash(self.ring)
 
-    def __new__(cls, symbols, domain, order=lex):
-        ring = _JetPolyRing(symbols, domain, order)
-        obj = object.__new__(cls)
-        obj._hash_tuple = (cls.__name__, ring.symbols, ring.ngens, ring.domain, ring.order)
-        obj._hash = hash(obj._hash_tuple)
-        obj.ring = ring
-        obj.symbols = ring.symbols
-        obj.ngens = ring.ngens
-        obj.domain = ring.domain
-        obj.order = ring.order
-        obj.dtype = _JetFraction(obj, ring.zero).raw_new
-        obj.zero = obj.dtype(ring.zero)
-        obj.one = obj.dtype(ring.one)
-        obj.gens = obj._gens()
-        _name_generators(obj)
-        return obj
-
-    def new(self, numer, denom=None):
-        return self.raw_new(*_cancel(numer, self.ring.one if denom is None else denom))
+    def new(self, numer, denom):
+        return self.raw_new(*_cancel(numer, denom))
 
 
 class _Unreadable(Exception):
@@ -472,8 +462,8 @@ def _rational_tree(e) -> bool:
 
 class _JetRing:
     """Q(jet coordinates of order <= ``order``, t, x, y, ``extras``) as one
-    sparse rational-function field (``sympy.polys.fields``), each element
-    a pair of polynomials over ZZ in lowest terms.
+    sparse field of rational functions (``_JetField``), each element a pair
+    of polynomials over ZZ in lowest terms.
 
     ``extras`` are formal functions of t, with the derivative orders a
     computation can reach, and the auxiliary generators of fractional
@@ -490,7 +480,7 @@ class _JetRing:
         self.extras = extras
         jets = _coordinates(order)
         self.symbols = jets + BASE_SYMBOLS + extras
-        self.field = _JetField(self.symbols, ZZ, lex)
+        self.field = _JetField(self.symbols)
         self.ring = self.field.ring
         self.gens = self.ring.gens
         self.index = {s: i for i, s in enumerate(self.symbols)}
@@ -522,7 +512,7 @@ class _JetRing:
                     terms[i] = [(((j, 1),), 1)]
             self._totals[d] = (self.ring.one, terms, refused)
         # sympy's generator order, which fixes the sign of the canonical
-        # denominator
+        # denominator of a printed tree
         self._sympy_order = [self.index[s] for s in _sort_gens(self.symbols)]
         self._table: dict[int, object] = {}
         # source field -> its generators' indices here (None where missing)
@@ -560,8 +550,8 @@ class _JetRing:
                 raise _Unreadable
             return self.gens[i], None
         if e.is_Rational:
-            ground = self.ring.ground_new
-            return ground(int(e.p)), (None if e.q == 1 else ground(int(e.q)))
+            one = self.ring.one
+            return one * int(e.p), (None if e.q == 1 else one * int(e.q))
         field = self.field
         if e.is_Add:
             acc: dict = {}
@@ -572,10 +562,9 @@ class _JetRing:
                     _merge(acc, num)
                 else:
                     out = field.raw_new(num, den) if out is None else out + field.raw_new(num, den)
-            if out is None or not out:
-                # zero + a polynomial would be the polynomial, not an element
+            if out is None:
                 return self.ring.dtype(acc), None
-            out = out + self.ring.dtype(acc)
+            out = out + field.raw_new(self.ring.dtype(acc))
         elif e.is_Mul:
             poly, out = None, None
             for arg in e.args:
@@ -639,7 +628,7 @@ class _JetRing:
             return self.ring.dtype(out)
 
         num, den = moved(f.numer), moved(f.denom)
-        if den[self.ring.leading_expv(den)] < 0:
+        if den[max(den)] < 0:
             num, den = -num, -den
         return self.field.raw_new(num, den)
 
@@ -756,7 +745,7 @@ class _JetRing:
                 # the checked leading solve w_tx = w_tx - F_w/c
                 c, _ = _recurrence(dep)
                 F = self.embed(_equations()[DEPENDENTS.index(dep)]).numer
-                got = self.ring.gens[i] - F.exquo(self.ring(c))
+                got = self.ring.gens[i] - F.exquo(self.ring.one * c)
             else:
                 d = "y" if idx.ny else ("x" if idx.nx > 1 else "t")
                 parent = self.principal(self.index[jet(dep, idx.drop(d))])
@@ -925,9 +914,10 @@ class _Rescaled:
     def rational(self, f) -> Fraction | None:
         """The value of a constant element, None for a non-constant one."""
         f = self._reduced_element(f)
-        if not (f.numer.is_ground and f.denom.is_ground):
+        if _support(f.numer, f.denom):
             return None
-        return Fraction(f.numer.LC, f.denom.LC)
+        zero = self.ring.ring.zero_monom
+        return Fraction(f.numer.get(zero, 0), f.denom[zero])
 
     def _quotient(self, f, value, message):
         """An element of a jet ring with each generator s replaced by the

@@ -1,27 +1,35 @@
-"""The jet ring's one-term cancel against sympy's ``PolyElement.cancel``,
-and the bound on the cache of jet rings.
+"""The jet ring's one-term cancel against sympy's ``PolyElement.cancel``
+over ZZ, and the bound on the cache of jet rings.
 
 ``jets._cancel`` computes the lowest-terms pair without a gcd of
-polynomials when the domain is ZZ and one side has a single term; every
-other pair goes to sympy.  Both must agree entry for entry: on seeded
-pairs of every kind the fast path takes, on a general pair, and on every
-call the symbolic checks make.  A pair over QQ, and a pair of the program
-with two multi-term sides, still reach ``PolyElement.cancel``.
+polynomials when one side has a single term; a pair of two multi-term
+sides goes to sympy (``jets._by_sympy``).  Both must agree entry for entry
+with sympy's cancel of the same pair in sympy's own ring: on seeded pairs
+of every kind the fast path takes, on a general pair, and on every call
+the symbolic checks make.  In a fresh process, a ``verify-all`` pass and
+``check-solution`` of every catalog id reach ``jets._by_sympy`` not once;
+a moved section does.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import sympy as sp
-from sympy.polys.domains import QQ, ZZ
-from sympy.polys.rings import PolyElement, ring as poly_ring
 
 from jetweyl import geometry, jets
 from jetweyl.exprcore import T, X, normalize
 from jetweyl.invariants import invariant, verify_invariance
 from jetweyl.jets import _cancel, _jet_ring
 from jetweyl.symmetry import grading_check
+from tree_oracle import sympy_cancel as _sympys
 
-_R, *_GENS = poly_ring("t,x,y,u,v,w", ZZ)
+SRC = Path(__file__).resolve().parents[1] / "src"
+_R = jets._JetPolyRing(sp.symbols("t,x,y,u,v,w"))
+_GENS = _R.gens
 
 
 def _coefficient(rng: random.Random):
@@ -30,9 +38,9 @@ def _coefficient(rng: random.Random):
 
 
 def _monomial(rng: random.Random, degree: int = 3) -> tuple:
-    m = [0] * _R.ngens
+    m = [0] * len(_R.symbols)
     for _ in range(rng.randint(0, degree)):
-        m[rng.randrange(_R.ngens)] += 1
+        m[rng.randrange(len(m))] += 1
     return tuple(m)
 
 
@@ -43,7 +51,7 @@ def _term(rng: random.Random, constant: bool = False):
 def _poly(rng: random.Random, terms: int):
     """A polynomial with at least two terms (for terms >= 2)."""
     while True:
-        out = _R.zero
+        out = _R.dtype()
         for _ in range(terms):
             out += _term(rng)
         if len(out) >= min(terms, 2):
@@ -66,55 +74,47 @@ def _pairs(seed: int = 15):
         k = rng.randint(2, 6)
         yield "common content", _poly(rng, rng.randint(1, 4)) * k, _term(rng) * -k
     for _ in range(500):
-        yield "zero numerator", _R.zero, _poly(rng, rng.randint(1, 4))
+        yield "zero numerator", _R.dtype(), _poly(rng, rng.randint(1, 4))
     t, x = _GENS[:2]
-    yield "general", (t**2 - x**2) * (t + 3), (t - x) * (2 * t + x)
+    yield "general", (t**2 - x**2) * (t + 3), (t - x) * (t * 2 + x)
 
 
 def test_cancel_matches_sympy_entry_for_entry():
     seen = {}
     for kind, numer, denom in _pairs():
-        got, want = _cancel(numer, denom), numer.cancel(denom)
+        got, want = _cancel(numer, denom), _sympys(numer, denom)
         assert got == want, (kind, numer, denom)
-        assert [type(c) for p in got for c in p.values()] == [
-            type(c) for p in want for c in p.values()
-        ]
+        assert all(type(c) is int for p in got for c in p.values())
         seen[kind] = seen.get(kind, 0) + 1
     assert sum(seen.values()) >= 2500
     assert seen["general"] == 1
 
 
 def test_cancel_over_zz_is_sympys():
-    R, x, y = poly_ring("x,y", ZZ)
-    for numer, denom in ((6 * x**2 * y, 4 * x), (-2 * x + 4 * y, R(-2)), (3 * x, 6 * x + 9 * y**2)):
-        assert _cancel(numer, denom) == numer.cancel(denom)
+    R = jets._JetPolyRing(sp.symbols("x,y"))
+    x, y = R.gens
+    pairs = ((x**2 * y * 6, x * 4), (x * -2 + y * 4, R.one * -2), (x * 3, x * 6 + y**2 * 9))
+    for numer, denom in pairs:
+        assert _cancel(numer, denom) == _sympys(numer, denom)
 
 
 def _counted_cancel(monkeypatch) -> list:
-    """Record the pairs that reach ``PolyElement.cancel``."""
-    seen, cancel = [], PolyElement.cancel
+    """Record the pairs that reach sympy's cancel (``jets._by_sympy``)."""
+    seen, by_sympy = [], jets._by_sympy
 
-    def counted(numer, denom):
-        seen.append((numer.ring.domain, len(numer), len(denom)))
-        return cancel(numer, denom)
+    def counted(name, numer, denom):
+        if name == "cancel":
+            seen.append((len(numer), len(denom)))
+        return by_sympy(name, numer, denom)
 
-    monkeypatch.setattr(PolyElement, "cancel", counted)
+    monkeypatch.setattr(jets, "_by_sympy", counted)
     return seen
-
-
-def test_a_qq_pair_goes_to_sympy(monkeypatch):
-    R, x, y = poly_ring("x,y", QQ)
-    numer, denom = QQ(3, 2) * x**2 * y, QQ(-9, 4) * x
-    want = numer.cancel(denom)
-    seen = _counted_cancel(monkeypatch)
-    assert _cancel(numer, denom) == want == (-2 * x * y, R(3))
-    assert seen == [(QQ, 1, 1)]
 
 
 def test_two_multi_term_sides_go_to_sympy(monkeypatch):
     seen = _counted_cancel(monkeypatch)
     assert normalize((T**2 - X**2) / (2 * T - 2 * X)) == (T + X) / 2
-    assert (ZZ, 2, 2) in seen
+    assert (2, 2) in seen
 
 
 def test_cancel_calls_of_the_checks_match_sympy(monkeypatch):
@@ -123,7 +123,7 @@ def test_cancel_calls_of_the_checks_match_sympy(monkeypatch):
 
     def recorded(numer, denom):
         got = original(numer, denom)
-        calls.append((numer.copy(), denom.copy(), got))
+        calls.append((numer, denom, got))
         return got
 
     monkeypatch.setattr(jets, "_cancel", recorded)
@@ -138,8 +138,8 @@ def test_cancel_calls_of_the_checks_match_sympy(monkeypatch):
     assert len(calls) > 500
     fast = 0
     for numer, denom, got in calls:
-        assert numer.ring.domain == ZZ
-        assert got == numer.cancel(denom), (numer, denom)
+        assert all(type(c) is int for p in (numer, denom) for c in p.values())
+        assert got == _sympys(numer, denom), (numer, denom)
         fast += bool(numer) and (len(numer) == 1 or len(denom) == 1)
     assert fast > len(calls) // 2
 
@@ -171,3 +171,52 @@ def test_elements_of_an_evicted_ring_mix_with_the_rebuilt_ring():
     assert a == new.convert(w + 1)
     assert a != b
     assert new.to_expr(a * b / (a - b)) == (w**2 - 1) / 2
+
+
+# ---------------------------------------------------------------------------
+# the multi-term boundary: sympy's gcd is reached by moved sections only
+
+_BOUNDARY_PROBE = """
+import contextlib, io, json, sys
+from jetweyl import cli, geometry, jets
+from jetweyl.exprcore import T
+from jetweyl.symmetry import PseudogroupElement
+
+calls, by_sympy = [], jets._by_sympy
+
+def counted(name, p, q):
+    calls.append(name)
+    return by_sympy(name, p, q)
+
+jets._by_sympy = counted
+report = {}
+with contextlib.redirect_stdout(io.StringIO()):
+    report["verify-all"] = [cli.main(["verify-all"]), len(calls)]
+    for cid in geometry.CATALOG_IDS:
+        del calls[:]
+        report[cid] = [cli.main(["check-solution", cid]), len(calls)]
+del calls[:]
+geometry.catalog("sl2-degenerate", f=0, h=0).transform(PseudogroupElement.make(a=T, b=1, c=T))
+report["moved"] = [None, len(calls)]
+print(json.dumps(report), file=sys.stderr)
+"""
+
+
+def test_only_a_moved_section_reaches_sympys_gcd():
+    """In a fresh process, a ``verify-all`` pass and ``check-solution`` of
+    every catalog id make no call of ``jets._by_sympy``, the one way to a
+    multi-term cancel, lcm or exact quotient; a moved ``sl2-degenerate``
+    section makes some."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _BOUNDARY_PROBE], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert report.pop("moved")[1] > 0
+    assert set(report) == {"verify-all", *geometry.CATALOG_IDS}
+    assert report["verify-all"] == [0, 0]
+    assert {cid: calls for cid, (_, calls) in report.items()} == dict.fromkeys(report, 0)

@@ -659,14 +659,13 @@ def _ring_constructions(source: str) -> list:
 
 
 def test_only_the_jet_constructors_build_rings():
-    # jets._JetPolyRing and _JetField set sympy's attributes themselves;
-    # anything else would compile sympy's monomial code per ring size
+    # the jet field is the package's own; sympy's ring is built by
+    # jets._by_sympy alone, once per jet ring, for a multi-term gcd
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "jetweyl"
     offending = []
     for path in sorted(src.glob("*.py")):
         for what, where in _ring_constructions(path.read_text()):
-            owner = (where or "").split(".")[0]
-            if not (path.name == "jets.py" and owner in ("_JetPolyRing", "_JetField")):
+            if not (path.name == "jets.py" and where == "_by_sympy" and what == "PolyRing"):
                 offending.append(f"{path.name}: {what} in {where}")
     assert offending == []
 
@@ -690,6 +689,78 @@ def test_the_ring_construction_guard_sees_calls():
         ("ring", "build"),
         ("xring", "build"),
         ("field", "build"),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# sympy's polynomials stay at the boundary of jets.py
+
+
+def _sympy_polys_uses(source: str) -> list:
+    """(what, name) for every import of a ``sympy.polys`` module or name
+    in a module's source, and every class whose base is a name imported
+    from ``sympy.polys`` (directly or through a module imported from
+    there)."""
+    tree = ast.parse(source)
+    found, polys_names = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("sympy.polys"):
+                    found.append(("import", a.name))
+                    if a.asname:
+                        polys_names.add(a.asname)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.startswith("sympy.polys") or (
+                module == "sympy" and any(a.name == "polys" for a in node.names)
+            ):
+                for a in node.names:
+                    if module != "sympy" or a.name == "polys":
+                        found.append(("import", f"{module}.{a.name}"))
+                        polys_names.add(a.asname or a.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for base in node.bases:
+                root = base
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                dotted = ast.unparse(base)
+                if isinstance(root, ast.Name) and (
+                    root.id in polys_names or dotted.startswith("sympy.polys")
+                ):
+                    found.append(("base", f"{node.name}({dotted})"))
+    return found
+
+
+def test_only_jets_imports_sympy_polys_and_no_class_derives_from_it():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "jetweyl"
+    imports, bases = [], []
+    for path in sorted(src.glob("*.py")):
+        for what, name in _sympy_polys_uses(path.read_text()):
+            (imports if what == "import" else bases).append(f"{path.name}: {name}")
+    assert bases == []
+    assert imports and all(entry.startswith("jets.py: ") for entry in imports), imports
+
+
+def test_the_sympy_polys_guard_sees_imports_and_bases():
+    found = _sympy_polys_uses(
+        "import sympy as sp\nimport sympy.polys.rings\n"
+        "from sympy.polys.fields import FracField as F\n"
+        "from sympy import polys, Symbol\n"
+        "class A(F):\n    pass\n"
+        "class B(polys.rings.PolyElement, dict):\n    pass\n"
+        "class C(sympy.polys.rings.PolyRing):\n    pass\n"
+        "class D(sp.Basic, dict):\n    pass\n"
+        "class E(sympy.Basic):\n    pass\n"
+    )
+    assert found == [
+        ("import", "sympy.polys.rings"),
+        ("import", "sympy.polys.fields.FracField"),
+        ("import", "sympy.polys"),
+        ("base", "A(F)"),
+        ("base", "B(polys.rings.PolyElement)"),
+        ("base", "C(sympy.polys.rings.PolyRing)"),
     ]
 
 

@@ -115,7 +115,7 @@ def both_sides():
     try:
         zz = _build()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(jets, "_JetField", lambda symbols, domain, order: FracField(symbols, QQ, order))
+            mp.setattr(jets, "_JetField", lambda symbols: FracField(symbols, QQ))
             mp.setattr(jets._JetRing, "to_expr", _qq_to_expr)
             mp.setattr(jets, "_lcm", lambda a, b: a.lcm(b))
             qq = _build()
@@ -140,7 +140,7 @@ def test_nested_rational_inputs_hold_integer_coefficients():
     e = _nested_inputs()[0]
     ring = _ring_for(1, (e,))
     f = ring.convert(e)
-    assert ring.field.domain.is_ZZ
+    assert type(ring.field) is jets._JetField
     assert all(type(c) is int for p in (f.numer, f.denom) for c in p.values())
     assert ring.to_expr(f) == (105 * jet("u", "x") + 70 * jet("v")) / (42 * T - 30)
 
@@ -175,8 +175,10 @@ report = {
     "code": code,
     "rings": len(rings),
     "cached": jets._jet_ring.cache_info().currsize,
-    "domains": sorted({str(r.field.domain) for r in rings}),
-    "catalog": sorted({str(geometry.catalog(c).field.ring.field.domain) for c in geometry.CATALOG_IDS}),
+    "fields": sorted({type(r.field).__name__ for r in rings}),
+    "catalog": sorted(
+        {type(geometry.catalog(c).field.ring.field).__name__ for c in geometry.CATALOG_IDS}
+    ),
     "fast": fast[0],
     "not int": sorted(set(bad)),
 }
@@ -197,7 +199,7 @@ def test_a_verify_all_pass_computes_over_zz_only():
     assert report["code"] == 0
     # every ring the pass built, the cached ones among them
     assert report["rings"] >= report["cached"] > 10
-    assert report["domains"] == ["ZZ"]
-    assert report["catalog"] == ["ZZ"]
+    assert report["fields"] == ["_JetField"]
+    assert report["catalog"] == ["_JetField"]
     assert report["fast"] > 1000
     assert report["not int"] == []

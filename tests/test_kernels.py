@@ -9,10 +9,13 @@ inputs with the same error class and message.  ``_JetRing.apply``
 differentiates by generator index; ``tree_oracle.diff_derivation`` is
 sum_i n_i * p.diff(g_i), and the two must agree on every derivation that
 a symmetry check, an invariance check and the catalog's Einstein-Weyl
-checks make, total derivatives among them.  A sum of two fractions with one-term denominators is formed
-over their lcm; the oracle is n1*d2 + n2*d1 over d1*d2, cancelled by
-sympy.  Jet rings compare by identity first, and equal rings built apart
-still compare equal and add.  Each oracle has a negative control: the
+checks make, total derivatives among them.  A sum of two fractions with
+one-term denominators is formed over their lcm; the oracle is
+n1*d2 + n2*d1 over d1*d2, cancelled by sympy.  Jet rings compare by
+identity first, and equal rings built apart still compare equal and add.
+The polynomial class's products, sums, powers, equality and exact
+quotients match sympy's ``PolyRing`` over ZZ on the same terms
+(``tree_oracle.sympy_poly``).  Each oracle has a negative control: the
 kernel with one exponent off by one fails it.
 """
 
@@ -23,9 +26,8 @@ import textwrap
 
 import pytest
 import sympy as sp
-from sympy.polys.domains import QQ
-from sympy.polys.fields import FracElement
-from sympy.polys.orderings import lex
+from sympy.polys.domains import ZZ
+from sympy.polys.fields import FracField
 from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import PolyElement
 
@@ -45,7 +47,7 @@ from jetweyl.exprcore import (
 )
 from jetweyl.jets import _jet_ring, _ring_for
 from test_integer_field import _clear_caches, _nested_inputs
-from tree_oracle import diff_derivation, tree_convert
+from tree_oracle import diff_derivation, jet_poly, sympy_cancel, sympy_poly, tree_convert
 
 _BOUND = {
     "dkp-partial": {"h": 0},
@@ -278,12 +280,12 @@ def _term_fractions(ring, rng: random.Random, n: int) -> list:
     gens = ring.ring.gens
 
     def poly(terms: int):
-        p = ring.ring.zero
+        p = ring.ring.dtype()
         for _ in range(terms):
             m = ring.ring.one
             for _ in range(rng.randint(0, 3)):
                 m = m * rng.choice(gens)
-            p = p + rng.choice((-3, -2, -1, 1, 2, 4, 6)) * m
+            p = p + m * rng.choice((-3, -2, -1, 1, 2, 4, 6))
         return p
 
     out = []
@@ -297,8 +299,8 @@ def _term_fractions(ring, rng: random.Random, n: int) -> list:
 
 
 def _over_product(f, g, sign):
-    num = f.numer * g.denom + sign * (g.numer * f.denom)
-    return f.field.raw_new(*num.cancel(f.denom * g.denom))
+    num = f.numer * g.denom + g.numer * f.denom * sign
+    return f.field.raw_new(*sympy_cancel(num, f.denom * g.denom))
 
 
 def test_one_term_sums_match_the_sums_over_the_product():
@@ -315,35 +317,35 @@ def test_one_term_sums_match_the_sums_over_the_product():
 
 
 def test_sums_with_a_zero_operand_match_the_sums_over_the_product(monkeypatch):
-    """A zero operand is not a one-term pair: the sum goes to sympy's and
-    equals the other operand.  The pair test reads the numerators and never
-    asks a field element for its truth."""
+    """A zero operand gives the other operand.  A sum reads the numerators
+    and never asks a field element for its truth."""
 
     def refused(f):
-        raise AssertionError("FracElement.__bool__ called")
+        raise AssertionError("the truth of a field element was asked")
 
     ring = _jet_ring(1)
     zero = ring.field.zero
     elements = [*_term_fractions(ring, random.Random(11), 6), zero]
-    monkeypatch.setattr(FracElement, "__bool__", refused)
-    assert jets._term_pair(elements[0], elements[1])
-    for f in elements:
-        assert not jets._term_pair(f, zero) and not jets._term_pair(zero, f)
+    monkeypatch.setattr(jets._JetFraction, "__bool__", refused)
+    sums = [(f, g, f + g, f - g) for f in elements for g in elements]
     monkeypatch.undo()
+    for f, g, plus, minus in sums:
+        assert _entries(plus) == _entries(_over_product(f, g, 1))
+        assert _entries(minus) == _entries(_over_product(f, g, -1))
     for f in elements:
         assert _entries(f + zero) == _entries(zero + f) == _entries(f - zero) == _entries(f)
-        assert _entries(zero - f) == _entries(-f) == _entries(_over_product(zero, f, -1))
-        assert _entries(f + zero) == _entries(_over_product(f, zero, 1))
+        assert _entries(zero - f) == _entries(-f)
 
 
 def test_a_sum_with_a_shift_off_by_one_fails_the_oracle(monkeypatch):
-    # the last exponent of each lift one too high
+    # the last exponent of each lift to the lcm (a quotient by a term) one
+    # too high
     mutant = _mutant(
-        jets._term_sum,
-        "shift = _monomial_ldiv(top, m)",
-        "shift = _monomial_ldiv(top, m)[:-1] + (top[-1] - m[-1] + 1,)",
+        jets._JetPoly.exquo,
+        "k = tuple(map(sub, m, n))",
+        "k = tuple(map(sub, m, n))[:-1] + (m[-1] - n[-1] + 1,)",
     )
-    monkeypatch.setattr(jets, "_term_sum", mutant)
+    monkeypatch.setattr(jets._JetPoly, "exquo", mutant)
     ring = _jet_ring(1)
     elements = _term_fractions(ring, random.Random(7), 10)
     assert any(
@@ -365,13 +367,13 @@ def test_rings_built_apart_compare_equal_and_their_elements_add():
         assert after is not before
         assert after.ring == before.ring and after.field == before.field
         assert hash(after.ring) == hash(before.ring) and hash(after.field) == hash(before.field)
-        assert after.ring.is_element(f.numer) and after.field.is_element(f)
+        assert f.numer.ring == after.ring and f.field == after.field
         g = after.convert(ux / u)
         assert f == g and g == f
         assert _entries(f + g) == _entries(after.convert(2 * ux / u))
         assert _entries(g - f) == _entries(after.field.zero)
         other = _jet_ring(1)
-        assert after.ring != other.ring and not after.field.is_element(other.field.one)
+        assert after.ring != other.ring and other.field.one.field != after.field
     finally:
         _clear_caches()
 
@@ -383,7 +385,7 @@ def test_base_symbols_convert_to_generators():
 
 
 # ---------------------------------------------------------------------------
-# the element class of a jet ring
+# the element class of a jet ring, against sympy's ring over ZZ
 
 
 def _poly(ring, rng: random.Random, terms: int):
@@ -391,19 +393,18 @@ def _poly(ring, rng: random.Random, terms: int):
     three generators with nonzero coefficients of either sign."""
     out = {}
     while len(out) < terms:
-        m = [0] * ring.ngens
+        m = [0] * len(ring.symbols)
         for _ in range(rng.randint(0, 3)):
-            m[rng.randrange(ring.ngens)] += 1
-        out[tuple(m)] = ring.domain(rng.choice((-7, -3, -2, -1, 1, 2, 5, 12)))
+            m[rng.randrange(len(m))] += 1
+        out[tuple(m)] = rng.choice((-7, -3, -2, -1, 1, 2, 5, 12))
     return ring.dtype(out)
 
 
 def _operand_rings() -> list:
-    symbols = _jet_ring(1).symbols
     return [
         _jet_ring(3).ring,
         geometry.catalog("exp-family").field.ring.ring,
-        jets._JetField(symbols, QQ, lex).ring,
+        _ring_for(1, (formal("a", 1),)).ring,
     ]
 
 
@@ -412,8 +413,14 @@ def _operands(ring, seed: int) -> list:
     rng = random.Random(seed)
     out = [_poly(ring, rng, rng.randint(2, 6)) for _ in range(8)]
     out += [_poly(ring, rng, 1) for _ in range(4)]
-    out += [ring(rng.choice((-4, 3))), ring(-1), ring.one, ring.zero]
+    out += [ring.one * rng.choice((-4, 3)), ring.one * -1, ring.one, ring.dtype()]
     return out
+
+
+def _sympys(ring, value):
+    """A result of sympy's ring as a jet-ring polynomial; anything else
+    (a truth value) as it is."""
+    return jet_poly(ring, value) if isinstance(value, PolyElement) else value
 
 
 def test_the_element_product_and_equality_match_sympys():
@@ -422,13 +429,33 @@ def test_the_element_product_and_equality_match_sympys():
         assert any(c < 0 for p in elements for c in p.values())
         for p in elements:
             for q in elements:
-                got, want = p * q, PolyElement.__mul__(p, q)
+                got, want = p * q, _sympys(ring, sympy_poly(p) * sympy_poly(q))
                 assert type(got) is ring.dtype and dict(got) == dict(want), (p, q)
-                assert (p == q) is PolyElement.__eq__(p, q) and (p != q) is PolyElement.__ne__(p, q)
+                assert (p == q) is (sympy_poly(p) == sympy_poly(q)) and (p != q) is (not p == q)
             for n in (0, 1, -1, -2, 3, -4):
-                assert dict(p * n) == dict(PolyElement.__mul__(p, n))
-                assert (p == n) is PolyElement.__eq__(p, n)
-                assert (p != n) is PolyElement.__ne__(p, n)
+                assert dict(p * n) == dict(_sympys(ring, sympy_poly(p) * n))
+                assert (p == n) is (sympy_poly(p) == n)
+                assert (p != n) is (sympy_poly(p) != n)
+
+
+def test_the_element_sums_and_powers_match_sympys():
+    for seed, ring in enumerate(_operand_rings()):
+        elements = _operands(ring, seed)
+        for p in elements:
+            P = sympy_poly(p)
+            for q in elements:
+                Q = sympy_poly(q)
+                for got, want in ((p + q, P + Q), (p - q, P - Q)):
+                    assert type(got) is ring.dtype and dict(got) == dict(_sympys(ring, want))
+            for n in (0, 1, -1, 3):
+                for got, want in ((p + n, P + n), (p - n, P - n)):
+                    assert dict(got) == dict(_sympys(ring, want)), (p, n)
+            # sympy refuses 0**0
+            for k in range(0 if p else 1, 5):
+                assert dict(p**k) == dict(_sympys(ring, P**k)), (p, k)
+            assert dict(-p) == dict(_sympys(ring, -P))
+        # the two operations of the program's hash: equal elements hash equal
+        assert len({p: 0 for p in elements}) == len({frozenset(p.items()) for p in elements})
 
 
 def test_an_element_compares_with_an_int_without_sympys_equality(monkeypatch):
@@ -436,7 +463,7 @@ def test_an_element_compares_with_an_int_without_sympys_equality(monkeypatch):
     cases = []
     for seed, ring in enumerate(_operand_rings()):
         for p in _operands(ring, seed):
-            cases += [(p, n, PolyElement.__eq__(p, n)) for n in ints]
+            cases += [(p, n, sympy_poly(p) == n) for n in ints]
     # constants equal to an int took part, and one-term elements that are not
     assert any(want and n for _, n, want in cases)
     assert any(len(p) == 1 and n and not want for p, n, want in cases)
@@ -460,12 +487,16 @@ def _quotient(divide, p, q):
 def test_quotients_match_sympys():
     outcomes = []
     for seed, ring in enumerate(_operand_rings()):
+
+        def sympys(d, q):
+            return _sympys(ring, sympy_poly(d).exquo(sympy_poly(q)))
+
         elements = _operands(ring, seed)
         for p in elements:
             for q in filter(None, elements):
                 for d in (p * q, p * q + ring.gens[0], p * q - ring.gens[-1] * 2, p + 1):
                     got = _quotient(type(d).exquo, d, q)
-                    assert got == _quotient(PolyElement.exquo, d, q), (d, q)
+                    assert got == _quotient(sympys, d, q), (d, q)
                     outcomes.append(type(got))
     # exact quotients and refused ones both took part
     assert dict in outcomes and str in outcomes
@@ -482,21 +513,71 @@ def test_elements_of_a_ring_built_apart_compare_and_multiply():
         assert p == twin and twin == p and not (p != twin) and hash(p) == hash(twin)
         assert twin != q and q != twin
         assert dict(twin * q) == dict(p * q) == dict(q * twin)
+        assert dict(twin + q) == dict(p + q) == dict(q + twin)
     finally:
         _clear_caches()
 
 
 def test_elements_hash_as_sympys_and_zero_and_one_are_fresh():
+    """An element hashes as sympy's do, by its terms (sympy's hash adds
+    its ring): equal elements hash equal, and an element is a dict key.
+    The zero element (``dtype()``) and ``one`` are fresh per call, so
+    that changing one in place changes no other."""
     ring = _jet_ring(3).ring
     elements = _operands(ring, 11)
-    assert all(hash(p) == PolyElement.__hash__(p) for p in elements)
+    assert all(hash(p) == hash(ring.dtype(dict(p))) for p in elements)
     keys = {p: dict(p) for p in elements}
     assert len(keys) == len({frozenset(p.items()) for p in elements})
     assert all(keys[ring.dtype(p)] == dict(p) for p in elements)
-    assert ring.zero is not ring.zero and ring.one is not ring.one
-    zero = ring.zero
+    assert ring.dtype() is not ring.dtype() and ring.one is not ring.one
+    zero = ring.dtype()
     zero[ring.zero_monom] = 1
-    assert not ring.zero and ring.one == 1
+    assert not ring.dtype() and ring.one == 1
+
+
+def _fractions(ring, seed: int) -> list:
+    """Seeded elements of a jet field: one-term and several-term
+    denominators, a constant, zero and one."""
+    rng = random.Random(seed)
+    out = _term_fractions(ring, rng, 6)
+    while len(out) < 12:
+        num, den = _poly(ring.ring, rng, rng.randint(1, 3)), _poly(ring.ring, rng, 2)
+        out.append(ring.field.new(num, den))
+    return out + [ring.field.new(ring.ring.one * 3, ring.ring.one * -6), ring.field.zero]
+
+
+def test_the_fraction_arithmetic_and_equality_match_sympys():
+    """Sums, differences, products, quotients, powers, negation and
+    equality of field elements, with each other and with ints, against
+    sympy's ``FracField`` over ZZ on the same pairs."""
+    ring = _jet_ring(1)
+    K = FracField(ring.symbols, ZZ)
+
+    def theirs(f):
+        return K.raw_new(K.ring.from_dict(dict(f.numer)), K.ring.from_dict(dict(f.denom)))
+
+    def same(got, want):
+        want = K(want)  # sympy gives an int for some products with 0
+        return _entries(got) == (dict(want.numer), dict(want.denom))
+
+    elements = _fractions(ring, 3)
+    assert any(len(f.denom) > 1 for f in elements)
+    for f in elements:
+        F = theirs(f)
+        assert same(-f, -F) and same(f**2, F**2)
+        for g in elements:
+            G = theirs(g)
+            for got, want in ((f + g, F + G), (f - g, F - G), (f * g, F * G)):
+                assert same(got, want), (f.as_expr(), g.as_expr())
+            if g:
+                assert same(f / g, F / G)
+            assert (f == g) is (F == G) and (f != g) is (F != G)
+        for n in (0, 1, -3):
+            for got, want in ((f + n, F + n), (n - f, n - F), (f * n, F * n), (n * f, n * F)):
+                assert same(got, want), (f.as_expr(), n)
+            if f:
+                assert same(n / f, n / F) and same(f / 2, F / 2)
+            assert (f == n) is (F == n)
 
 
 def test_a_product_with_an_exponent_off_by_one_fails_the_oracle():
@@ -507,4 +588,8 @@ def test_a_product_with_an_exponent_off_by_one_fails_the_oracle():
     )
     ring = _jet_ring(3).ring
     elements = _operands(ring, 3)
-    assert any(dict(mutant(p, q)) != dict(PolyElement.__mul__(p, q)) for p in elements for q in elements)
+    assert any(
+        dict(mutant(p, q)) != dict(_sympys(ring, sympy_poly(p) * sympy_poly(q)))
+        for p in elements
+        for q in elements
+    )

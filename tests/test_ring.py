@@ -11,19 +11,12 @@ solve against the ``Fraction`` solve ``tree_oracle.fraction_principal_values``).
 """
 
 import random
-import types
 from fractions import Fraction
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
-from sympy.polys.domains import QQ, ZZ
-from sympy.polys.fields import FracElement, FracField
-from sympy.polys.monomials import MonomialOps
-from sympy.polys.orderings import lex
-from sympy.polys.rings import PolyElement, PolyRing
 
-from jetweyl import jets
 from jetweyl.errors import DivisionByZeroExpression, ExprError, JetOrderError, JetweylError
 from jetweyl.exprcore import (
     T,
@@ -47,7 +40,6 @@ from jetweyl.invariants import (
     verify_invariance,
 )
 from jetweyl.jets import (
-    _JetField,
     _JetRing,
     _canonical,
     _equations,
@@ -478,119 +470,6 @@ def test_point_evaluator_matches_the_tree(k):
                 )
                 value, den, _ = _poly_sums(point, ring1, c)
                 assert Fraction(value, den * d) == point.eval(tree), (fam, c)
-
-
-# ---------------------------------------------------------------------------
-# the ring constructor: sympy's attributes, shared monomial operations
-
-_MONOMIAL_OPS = {
-    "monomial_mul": jets._monomial_mul,
-    "monomial_pow": jets._monomial_pow,
-    "monomial_mulpow": jets._monomial_mulpow,
-    "monomial_ldiv": jets._monomial_ldiv,
-    "monomial_div": jets._monomial_div,
-    "monomial_lcm": jets._monomial_lcm,
-    "monomial_gcd": jets._monomial_gcd,
-}
-
-
-@pytest.mark.parametrize("n", [1, 5, 43, 105])
-def test_shared_monomial_operations_match_sympys_compiled_ones(n):
-    ops = MonomialOps(n)
-    # monomial_mul -> MonomialOps.mul() and so on
-    compiled = {name: getattr(ops, name.split("_")[1])() for name in _MONOMIAL_OPS}
-    rng = random.Random(n)
-    divisions = []
-    for _ in range(40):
-        a = tuple(rng.randint(0, 4) for _ in range(n))
-        if rng.random() < 0.5:
-            # b divides a
-            b = tuple(rng.randint(0, e) for e in a)
-        else:
-            b = tuple(rng.randint(0, 4) for _ in a)
-        k = rng.randint(0, 5)
-        for name, op in _MONOMIAL_OPS.items():
-            args = (a, k) if name == "monomial_pow" else (a, b, k) if name == "monomial_mulpow" else (a, b)
-            assert op(*args) == compiled[name](*args), (name, args)
-        divisions.append(jets._monomial_div(a, b))
-    assert None in divisions and any(d is not None for d in divisions)
-
-
-def _comparable(value):
-    """A value of a ring's or field's ``vars()`` in a form that compares
-    across the ring classes: elements by their terms, bound methods by
-    their function, containers entry by entry."""
-    if isinstance(value, PolyElement):
-        return ("poly", frozenset(value.items()))
-    if isinstance(value, FracElement):
-        return ("frac", _comparable(value.numer), _comparable(value.denom))
-    if isinstance(value, (list, tuple)):
-        return tuple(map(_comparable, value))
-    if isinstance(value, (set, frozenset)):
-        return frozenset(map(_comparable, value))
-    if isinstance(value, types.MethodType):
-        return ("method", value.__func__)
-    return value
-
-
-def _same_attributes(ours, sympys, shared=(), differ=()) -> None:
-    """``vars()`` of a jet ring (or field) and of sympy's over the same
-    symbols: the same keys, and the same values apart from the class name
-    in the hash tuple, the names in ``shared``, which hold the shared
-    monomial operations, and the names in ``differ``, which the caller
-    checks."""
-    mine, theirs = vars(ours), vars(sympys)
-    assert mine.keys() == theirs.keys()
-    for key, value in mine.items():
-        if key in differ:
-            continue
-        if key in shared:
-            assert value is _MONOMIAL_OPS[key], key
-        elif key == "_hash_tuple":
-            assert (value[0], theirs[key][0]) == (type(ours).__name__, type(sympys).__name__)
-            assert value[1:] == theirs[key][1:]
-        elif key == "_hash":
-            assert value == hash(mine["_hash_tuple"])
-        else:
-            assert _comparable(value) == _comparable(theirs[key]), key
-
-
-def test_jet_rings_set_every_attribute_sympys_constructors_set():
-    # a sympy release that adds an attribute to its constructors fails here
-    symbols = _ring_for(1, (formal("a", 1),)).symbols
-    field = _JetField(symbols, ZZ, lex)
-    ring = field.ring
-    _same_attributes(ring, PolyRing(symbols, ZZ, lex), shared=_MONOMIAL_OPS, differ={"dtype"})
-    _same_attributes(field, FracField(symbols, ZZ, lex))
-    assert type(ring) is jets._JetPolyRing
-    # the one difference: the ring builds its elements with a class of its
-    # own, which is also each element's ``new``
-    assert issubclass(ring.dtype, PolyElement) and ring.dtype.ring is ring
-    assert type(ring.one) is ring.dtype and type(ring.zero) is ring.dtype
-    assert ring.one.new is ring.dtype
-    assert type(field.one) is jets._JetFraction
-
-
-def test_new_ring_sizes_compile_no_monomial_code(monkeypatch):
-    built = []
-    build = MonomialOps._build
-
-    def counted(self, code, name):
-        built.append(name)
-        return build(self, code, name)
-
-    monkeypatch.setattr(MonomialOps, "_build", counted)
-    # sizes no other ring of the process has
-    rings = [_JetField(sp.symbols(f"s0:{n}"), QQ, lex).ring for n in (211, 223, 227)]
-    rings.append(_JetRing(1, tuple(formal("w", m) for m in range(17))).ring)
-    clones = [ring.clone(domain=ZZ) for ring in rings]
-    assert built == []
-    assert {type(ring) for ring in (*rings, *clones)} == {jets._JetPolyRing}
-    assert [ring.domain for ring in clones] == [ZZ] * 4
-    # the control: sympy's own constructor compiles seven functions for a
-    # new size
-    PolyRing(sp.symbols("s0:229"), QQ, lex)
-    assert len(built) == 7
 
 
 def test_invariance_proofs_of_order_up_to_3_share_one_prolongation_ring():

@@ -38,7 +38,15 @@ from jetweyl.geometry import (
     weyl_connection,
 )
 from jetweyl.jets import _jet_ring
-from tree_oracle import TreeSection, partial, tree_at, tree_d_omega, tree_normalize
+from tree_oracle import (
+    TreeSection,
+    jet_poly,
+    partial,
+    sympy_poly,
+    tree_at,
+    tree_d_omega,
+    tree_normalize,
+)
 
 _COORDS = (T, X, Y)
 
@@ -490,7 +498,8 @@ def test_at_refuses_as_the_tree_path_does(cid, point, error, message):
 def test_at_builds_no_field_and_no_tree(monkeypatch):
     """SectionField.at builds no SectionField and calls neither the
     rescaling nor the tree image of an auxiliary generator; the tree path,
-    wrapped the same way, does all three."""
+    wrapped the same way, builds fields and rescales, and a reflection
+    builds the tree images."""
     calls = {"field": 0, "rescaled": 0, "image": 0}
 
     def counted(name, fn):
@@ -518,7 +527,9 @@ def test_at_builds_no_field_and_no_tree(monkeypatch):
     for sf in sections:
         tree_at(sf, (1, 2, "9/4"), sf.values)
     assert calls["field"] == calls["rescaled"] == 2 * len(sections)
-    assert calls["image"] >= len(sections)
+    # the exponential atoms of exp-family
+    sections[-1].reflected("txy")
+    assert calls["image"] > 0
 
 
 def test_sampling_converts_no_element_of_the_section_field(monkeypatch):
@@ -641,29 +652,28 @@ def test_checks_that_share_catalog_entries_rerun_alike(monkeypatch):
 
 def test_the_lcm_of_one_term_polynomials_is_sympys(monkeypatch):
     """SectionField's common denominator takes the lcm of two one-term
-    polynomials over ZZ from their monomials and coefficients; it must be
-    PolyElement.lcm's, on seeded signed pairs and on every such pair of an
-    Einstein check."""
-    from sympy.polys.domains import ZZ
-    from sympy.polys.rings import ring
-
-    R, *gens = ring("a,b,c", ZZ)
+    polynomials from their monomials and coefficients; it must be sympy's
+    PolyElement.lcm over ZZ, on seeded signed pairs and on every such pair
+    of an Einstein check."""
+    R = jets._JetPolyRing(sp.symbols("a,b,c"))
     rng = random.Random(20)
 
     def term():
-        monomial = R(rng.choice((-1, 1)) * rng.randint(1, 12))
-        for g in gens:
-            monomial *= g ** rng.randint(0, 3)
-        return monomial
+        monomial = tuple(rng.randint(0, 3) for _ in range(3))
+        return R.dtype({monomial: rng.choice((-1, 1)) * rng.randint(1, 12)})
+
+    def sympys(a, b):
+        return jet_poly(a.ring, sympy_poly(a).lcm(sympy_poly(b)))
 
     signs = set()
     for _ in range(400):
         a, b = term(), term()
-        assert jets._lcm(a, b) == a.lcm(b), (a, b)
-        signs.add((a.LC > 0, b.LC > 0))
+        assert jets._lcm(a, b) == sympys(a, b), (a, b)
+        signs.add((max(a.values()) > 0, max(b.values()) > 0))
     assert len(signs) == 4
-    assert jets._lcm(R.one, gens[0] * 3) == gens[0] * 3
-    assert jets._lcm(R(-4), gens[0] * 6) == gens[0] * -12
+    (x, _, _) = R.gens
+    assert jets._lcm(R.one, x * 3) == x * 3
+    assert jets._lcm(R.one * -4, x * 6) == x * -12
 
     calls, lcm = [], jets._lcm
 
@@ -678,7 +688,7 @@ def test_the_lcm_of_one_term_polynomials_is_sympys(monkeypatch):
     one_term = [(a, b, got) for a, b, got in calls if len(a) == len(b) == 1]
     assert len(one_term) > 10
     for a, b, got in one_term:
-        assert got == a.lcm(b), (a, b)
+        assert got == sympys(a, b), (a, b)
 
 
 def test_geometry_check_passes_without_a_witness():

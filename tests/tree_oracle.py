@@ -25,16 +25,19 @@ pair on trees (the metric and covector written out again), and
 ``tree_d_omega`` is d omega of a tree covector.
 ``tree_at`` reads a section's field elements at a rational point the way
 ``SectionField.at`` did before it read them in integers: a field built from
-the point's tree, the image of each auxiliary generator built as a tree,
-and a second field holding those images.
+the point's tree, the value of each auxiliary generator's atom at the point
+taken from sympy, and a second field holding those values.
 ``tree_canonical_frame`` is the order-2 canonical frame of a section by
 sympy ``Matrix`` algebra (``nullspace``, ``inv`` and ``rank`` with the exact
 zero test), from the tree pair.
+``sympy_poly`` and ``jet_poly`` carry a polynomial of a jet ring to
+sympy's ``PolyRing`` over ZZ on the same generators and back, so that
+sympy's own polynomial arithmetic is the oracle of the ring's.
 ``tree_convert`` reads an expression into a jet ring the way the ring did
 before it read trees itself: ``as_numer_denom``, then ``from_expr`` of
 both sides, then one cancellation, with the refusals of that path.
-``diff_derivation`` is the derivation of a jet ring built from
-``PolyElement.diff`` and ``PolyElement.lcm``.
+``diff_derivation`` is the derivation of a jet ring built from sympy's
+``PolyElement.diff``, ``lcm`` and ``cancel``.
 ``tree_parse_expr`` and ``tree_parse_solution`` are the DSL as one stage:
 a recursive-descent parser that builds the sympy tree as it reads the
 tokens, and so raises its errors in the order it meets them, algebra
@@ -48,6 +51,8 @@ import re
 from dataclasses import dataclass
 
 import sympy as sp
+from sympy.polys.domains import ZZ
+from sympy.polys.rings import PolyRing
 
 from jetweyl.counts import _poincare
 from jetweyl import geometry
@@ -115,6 +120,29 @@ def tree_total_derivative(e, d: str) -> sp.Expr:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def sympy_ring(symbols: tuple) -> PolyRing:
+    """sympy's polynomial ring over ZZ on the generators ``symbols``."""
+    return PolyRing(symbols, ZZ)
+
+
+def sympy_poly(p):
+    """A polynomial of a jet ring as an element of :func:`sympy_ring`."""
+    return sympy_ring(p.ring.symbols).from_dict(dict(p))
+
+
+def jet_poly(ring, q):
+    """An element of sympy's ring as a polynomial of the jet ring's
+    polynomial ring ``ring``, with int coefficients."""
+    return ring.dtype({m: int(c) for m, c in q.items()})
+
+
+def sympy_cancel(numer, denom) -> tuple:
+    """sympy's ``PolyElement.cancel`` of a pair of jet-ring polynomials,
+    computed in :func:`sympy_ring` and carried back."""
+    return tuple(jet_poly(numer.ring, p) for p in sympy_poly(numer).cancel(sympy_poly(denom)))
+
+
 def tree_convert(ring, e):
     """The field element of a rational expression in the generators of a
     jet ring, read by ``as_numer_denom`` and ``from_expr``: the free
@@ -122,14 +150,16 @@ def tree_convert(ring, e):
     denominator."""
     e = sp.sympify(e)
     if e.is_Rational:
-        return ring.field.raw_new(ring.ring.ground_new(int(e.p)), ring.ring.ground_new(int(e.q)))
+        one = ring.ring.one
+        return ring.field.raw_new(one * int(e.p), one * int(e.q))
     for s in e.free_symbols:
         ring._generator(s)
     if e.has(sp.Float):
         raise ExprError(f"{e} has a floating-point coefficient")
     num, den = e.as_numer_denom()
+    R = sympy_ring(ring.symbols)
     try:
-        num, den = ring.ring.from_expr(num), ring.ring.from_expr(den)
+        num, den = (jet_poly(ring.ring, R.from_expr(side)) for side in (num, den))
     except ValueError:
         if e.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
             raise DivisionByZeroExpression(f"{e} contains an undefined value") from None
@@ -143,18 +173,20 @@ def diff_derivation(ring, f, images):
     """sum_i images[i] * df/dg_i of a jet-ring element for (generator
     index, element) pairs: the images over their common denominator c
     (``PolyElement.lcm``), P -> sum_i n_i * P.diff(g_i) / c on numerator
-    and denominator, and ``PolyElement.cancel``."""
-    images = [(i, img) for i, img in images if img]
-    c = ring.ring.one
-    for _, img in images:
-        c = c.lcm(img.denom)
-    polys = [(ring.gens[i], img.numer * c.exquo(img.denom)) for i, img in images]
+    and denominator, and ``PolyElement.cancel``, all in sympy's ring."""
+    R = sympy_ring(ring.symbols)
+    images = [(i, sympy_poly(img.numer), sympy_poly(img.denom)) for i, img in images if img]
+    c = R.one
+    for _, _, den in images:
+        c = c.lcm(den)
+    polys = [(R.gens[i], num * c.exquo(den)) for i, num, den in images]
 
     def along(p):
-        return sum((p.diff(g) * n for g, n in polys), ring.ring.zero)
+        return sum((p.diff(g) * n for g, n in polys), R.zero)
 
-    num = along(f.numer) * f.denom - f.numer * along(f.denom)
-    return ring.field.raw_new(*num.cancel(c * f.denom**2))
+    numer, denom = sympy_poly(f.numer), sympy_poly(f.denom)
+    num = along(numer) * denom - numer * along(denom)
+    return ring.field.raw_new(*(jet_poly(ring.ring, p) for p in num.cancel(c * denom**2)))
 
 
 def tree_equations() -> tuple[sp.Expr, sp.Expr]:
@@ -448,17 +480,17 @@ def tree_d_omega(w) -> sp.Matrix:
 def tree_at(sf, point, elements) -> tuple:
     """(C, the elements of the section field ``sf`` at the rational point
     as elements of C) through two section fields: one of the point and the
-    formal functions that occur, where ``geometry._image_atom`` builds the
-    image of each auxiliary generator as a tree, then one that holds those
-    images too, where the elements are pushed (``_quotient``).  The same
-    refusals as ``SectionField.at``."""
+    formal functions that occur, then one that also holds the value of
+    each auxiliary generator's atom at the point (:func:`_atom_at`), where
+    the elements are pushed (``_quotient``).  The same refusals as
+    ``SectionField.at``."""
     point = tuple(map(sp.Rational, point))
     what = f"the section at ({', '.join(map(str, point))})"
     formals, aux = sf.occurring(elements)
     try:
         F = geometry.SectionField((*point, *formals))
         if aux:
-            atoms = tuple(geometry._image_atom(F, F.values[:3], atom) for atom in aux.values())
+            atoms = tuple(_atom_at(atom, point) for atom in aux.values())
             F = geometry.SectionField((*point, *formals, *atoms))
     except ExprError as exc:
         raise SolutionError(f"{what} leaves the representable domain: {exc}") from None
@@ -469,6 +501,17 @@ def tree_at(sf, point, elements) -> tuple:
         return images[s] if s in images else F.ring.gen(s)
 
     return F, [F._quotient(f, value, lambda: f"{what} has a pole") for f in elements]
+
+
+def _atom_at(atom, point) -> sp.Expr:
+    """An auxiliary generator's atom at a rational point, from sympy: the
+    atom with the point's coordinates substituted.  A fractional power of
+    a coordinate that is not positive leaves the term language
+    (``ExprError``)."""
+    at = dict(zip(BASE_SYMBOLS, point))
+    if atom.is_Pow and atom.free_symbols and not atom.base.xreplace(at).is_positive:
+        raise ExprError(f"{atom} moves to a fractional power of {atom.base.xreplace(at)}")
+    return atom.xreplace(at)
 
 
 def tree_canonical_frame(sol, pt) -> FrameResult:
