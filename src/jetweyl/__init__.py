@@ -7,7 +7,10 @@ Subpackages by theme:
 * :mod:`jetweyl.syntax`     the DSL's grammar and name rules, read without
                             sympy
 * :mod:`jetweyl.dsl`        sympy expressions and solutions from DSL text
-* :mod:`jetweyl.jets`       total derivatives, the equation system, reduction
+* :mod:`jetweyl.jets`       the jet field without sympy: total derivatives,
+                            the equation system, reduction, jet points, the
+                            written definitions, their reader and printer
+* :mod:`jetweyl.trees`      sympy trees into jet rings and out
 * :mod:`jetweyl.fields`     point vector fields and their prolongations
 * :mod:`jetweyl.symmetry`   the symmetry families, commutator table, the
                             structure-preserving pseudogroup, orbit dimensions

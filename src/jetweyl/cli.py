@@ -137,13 +137,19 @@ def _cmd_dims(args):
 def _cmd_reduce(args):
     from . import syntax
 
-    syntax.parse_expr(args.expr)
+    tree = syntax.parse_expr(args.expr)
+    from . import jets
+
+    got = jets.reduced(tree, args.order)
+    if got is not None:
+        ring, f, red = got
+        return {"input": jets.text(ring, f), "reduced": jets.text(ring, red)}, True
+    # a fractional power, an exp atom or a zero divisor: the sympy path
     from .dsl import parse_expr
     from .exprcore import to_text
-    from .jets import ms_system
 
     e = parse_expr(args.expr)
-    red = ms_system().reduce(e, k=args.order)
+    red = jets.ms_system().reduce(e, k=args.order)
     return {"input": to_text(e), "reduced": to_text(red)}, True
 
 
@@ -269,32 +275,39 @@ def _cmd_invariants(args):
     from . import syntax
 
     if args.eval is not None:
-        syntax.parse_expr(args.eval)
+        tree = syntax.parse_expr(args.eval)
         assign = _point_assignment(args.at or "")
-    from . import invariants
-    from .exprcore import to_text
+    from . import jets
 
     evaluated = None
     if args.eval is not None:
         # bad input fails before the table is built
-        from .dsl import parse_expr
-        from .jets import ms_system
-
-        e = parse_expr(args.eval)
-        system = ms_system()
-        e = system.reduce(e)
         base = {c: assign.pop(c, Fraction(0)) for c in ("t", "x", "y")}
         # order 3 holds the invariants; a higher coordinate named in --at
         # raises it
         order = max([3, *(syntax.jet_parts(name)[1].order for name in assign)])
-        theta = system.point(order, base=base, internal=assign)
-        evaluated = {"expr": args.eval, "value": str(theta.eval(e))}
+        got = jets.reduced(tree)
+        if got is not None:
+            ring, _, red = got
+            value = jets.JetPoint(order, base=base, internal=assign).value_of(ring, red)
+        else:
+            # a fractional power, an exp atom or a zero divisor: the sympy path
+            from .dsl import parse_expr
+
+            system = jets.ms_system()
+            e = system.reduce(parse_expr(args.eval))
+            value = system.point(order, base=base, internal=assign).eval(e)
+        evaluated = {"expr": args.eval, "value": str(value)}
+    table = jets._order3()
+
+    def texts(elements) -> list[str]:
+        return [jets.text(table.ring, f) for f in elements]
+
     doc = {
-        "I": {i: to_text(invariants.invariant(i)) for i in (1, 2, 3)},
-        "K": {i: to_text(invariants.structure_K(i)) for i in (1, 2, 3, 4)},
+        "I": dict(enumerate(texts(table.I), 1)),
+        "K": dict(enumerate(texts(table.K), 1)),
         "derivations": {
-            i: dict(zip("txy", map(to_text, invariants.derivation(i))))
-            for i in (1, 2, 3)
+            i: dict(zip("txy", texts(row))) for i, row in enumerate(table.nabla, 1)
         },
     }
     if evaluated is not None:

@@ -24,10 +24,13 @@ simplification) is deliberately out of scope.
 Canonical forms are produced by :func:`normalize`: fractional powers,
 exponential atoms and the non-rational constants are rescaled to integer
 powers of auxiliary generators (:func:`_rescaled`), the result becomes an
-element of the sparse rational-function field of ``jets.py``, prime
-radicals are reduced by R^M = p, and the generators are substituted back
-into numerator over denominator.  The zero test is exact, but where a
-prime radical divides a denominator equal expressions can print apart.
+element of the sparse rational-function field of ``jets.py`` (read from
+the tree by ``trees.py``), prime radicals are reduced by R^M = p, and the
+generators are substituted back into numerator over denominator.  The
+zero test is exact, but where a prime radical divides a denominator equal
+expressions can print apart.  :func:`to_text` prints a canonical form in
+jet coordinates, base variables and formal functions alone with the jet
+field's printer (``jets.text``), and every other from the sympy tree.
 
 This module pins down the term language, the rescaling and the canonical
 text form.  It takes no derivatives: the formal chain rule
@@ -399,7 +402,7 @@ def _constant_generators(e: sp.Expr, back: dict) -> tuple[sp.Expr, dict]:
 def normalize(e) -> sp.Expr:
     """Canonical form of an expression of the term language: numerator over
     denominator, expanded and without common factor, computed in the jet
-    ring (``jets._canonical``), with the generators of :func:`_rescaled`
+    ring (``trees._canonical``), with the generators of :func:`_rescaled`
     substituted back.  A number is its own canonical form.
 
     Idempotent, but not unique where a prime radical divides a denominator:
@@ -408,7 +411,8 @@ def normalize(e) -> sp.Expr:
     e = sp.sympify(e)
     if e.is_Rational or e.is_Float:
         return e
-    from .jets import _canonical  # jets builds on this module
+    # trees builds on this module; named in full, as jets explains
+    from jetweyl.trees import _canonical
 
     scaled, f = _canonical(e)
     return scaled.expr(f)
@@ -419,7 +423,7 @@ def is_zero(e) -> bool:
     e = sp.sympify(e)
     if e.is_Rational or e.is_Float:
         return e == 0
-    from .jets import _canonical
+    from jetweyl.trees import _canonical
 
     scaled, f = _canonical(e)
     return scaled.vanishes(f)
@@ -509,10 +513,22 @@ def _print_expr(e: sp.Expr) -> str:
 
 
 def to_text(e) -> str:
-    """Deterministic canonical text form, parsable by the DSL."""
-    canon = normalize(e)
-    if canon.is_Rational:
-        return str(canon)
+    """Deterministic canonical text form, parsable by the DSL.
+
+    A canonical form in named generators only (jet coordinates, t, x, y
+    and formal functions) is printed by the jet field's printer
+    (``jets.text``); the sympy tree is printed where a fractional power,
+    an exponential atom or a non-rational constant remains."""
+    e = sp.sympify(e)
+    if e.is_Rational or e.is_Float:
+        return str(e) if e.is_Rational else _print_expr(e)
+    from jetweyl.jets import text
+    from jetweyl.trees import _canonical
+
+    scaled, f = _canonical(e)
+    if scaled.named(f):
+        return text(scaled.ring, f)
+    canon = scaled.expr(f)
     num, den = sp.fraction(canon)
     if den == 1:
         return _print_expr(num)

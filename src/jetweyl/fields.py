@@ -46,7 +46,7 @@ from .exprcore import (
     is_zero,
     to_text,
 )
-from .jets import _ring_for
+from .trees import _ring_for
 
 __all__ = [
     "PointField",

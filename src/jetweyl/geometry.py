@@ -39,7 +39,6 @@ from .exprcore import (
     _prime_radicals,
     _rescaled,
     formal,
-    formal_shift,
     is_formal_symbol,
     is_jet_symbol,
     jet,
@@ -47,14 +46,8 @@ from .exprcore import (
     to_text,
     validate_kernel,
 )
-from .jets import (
-    _coordinates,
-    _equations,
-    _jet_ring,
-    _Rescaled,
-    _ring_for,
-    _support,
-)
+from .jets import _coordinates, _equations, _jet_ring, _support
+from .trees import _Rescaled, _ring_for
 from .linalg import _cofactors
 from .syntax import CATALOG_IDS
 from . import symmetry as _symmetry
@@ -102,7 +95,7 @@ class SectionField(_Rescaled):
     formal functions of t and their derivatives these generate the field,
     held as the order-0 jet ring (``jets._JetRing``) with the auxiliary
     generators as extras; zero tests and canonical expressions are those
-    of ``jets._Rescaled`` (radicals reduced by R^M = p).  d/dt, d/dx and
+    of ``trees._Rescaled`` (radicals reduced by R^M = p).  d/dt, d/dx and
     d/dy are ring derivations given by the images of the generators: d_b B
     = B^(1-m)/m, d_b E = c*E for E = exp(c*b), d_t a^(k) = a^(k+1), and
     constants have none.  ``values`` are the expressions as field elements;
@@ -115,9 +108,9 @@ class SectionField(_Rescaled):
         super().__init__(ring, back)
         self.values = tuple(ring.convert(e) for e in scaled.args)
         # a base variable as an element: b, or B^m where it was rescaled
-        self._base = {b: ring.gen(b) for b in BASE_SYMBOLS}
+        self._base = {b: ring.gen(b.name) for b in BASE_SYMBOLS}
         # d -> (images, refused generators) of d/dd, as ``_JetRing.lift`` takes them
-        images = {b.name: ([(ring.index[b], ring.field.one)], {}) for b in BASE_SYMBOLS}
+        images = {b.name: ([(ring.index[b.name], ring.field.one)], {}) for b in BASE_SYMBOLS}
         # gen -> how its value reads at a rational point (see ``at``):
         # ("root", i, m) for b^(1/m), ("exp", i, s) for exp(s*b), b the
         # i-th base variable, and ("constant", None, (p, 1/M)) for p^(1/M)
@@ -142,9 +135,10 @@ class SectionField(_Rescaled):
         # formal derivatives of the highest order carried have no d/dt
         past = f"d/dt of a formal derivative of order past {_FIELD_DERIVATIVES} beyond those"
         for s in ring.extras:
-            if is_formal_symbol(s):
-                if formal_shift(s) in ring.index:
-                    images["t"][0].append((ring.index[s], ring.gen(formal_shift(s))))
+            if type(s) is str:
+                # a formal derivative a^(m), keyed by its name
+                if s + "'" in ring.index:
+                    images["t"][0].append((ring.index[s], ring.gen(s + "'")))
                 else:
                     images["t"][1][ring.index[s]] = (JetOrderError, f"{past} of the section")
         self._images = images
@@ -248,7 +242,7 @@ class SectionField(_Rescaled):
 
     def at(self, point, elements) -> tuple:
         """(C, the elements at the rational point (t, x, y) as elements of
-        C), for C a ring of constants (``jets._Rescaled``).
+        C), for C a ring of constants (``trees._Rescaled``).
 
         t, x and y go to the point's coordinates.  b^(1/m) goes to q^(1/m)
         for the coordinate q of b, a rational times prime radicals p^r with
@@ -287,7 +281,7 @@ class SectionField(_Rescaled):
         joint = _joint_constants(parts)
         ring = _ring_for(0, formals, aux=tuple(gen for _, gen, _ in joint.values()))
         C = _Rescaled(ring, {gen: value for _, gen, value in joint.values()})
-        dtype, n = ring.ring.dtype, len(ring.symbols)
+        dtype, n = ring.ring.dtype, len(ring.keys)
 
         def element(c: Fraction, terms):
             up, down = [0] * n, [0] * n
@@ -382,7 +376,7 @@ def _image_atom(F: SectionField, point, atom) -> sp.Expr:
     if isinstance(atom, sp.exp):
         (b,) = atom.args[0].free_symbols
         f = point[BASE_SYMBOLS.index(b)]
-        bases = {F.ring.index[s] for s in BASE_SYMBOLS}
+        bases = {F.ring.index[s.name] for s in BASE_SYMBOLS}
         linear = (
             not _support(f.denom)
             and set(F.ring.present(f)) <= bases
@@ -927,7 +921,7 @@ def dkp_reduction_check() -> bool:
     """With u = 0 the second equation is the dKP equation
     v_tx + v_x^2 + v v_xx - v_yy = 0 (on jets)."""
     ring = _jet_ring(2)
-    kill_u = {s: ring.field.zero for s in _coordinates(2) if jet_info(s)[0] == "u"}
+    kill_u = {jet(dep, idx): ring.field.zero for _, dep, idx in _coordinates(2) if dep == "u"}
     vtx, vxx, vyy = jet("v", "tx"), jet("v", "xx"), jet("v", "yy")
     vx, v = jet("v", "x"), jet("v")
     dkp = ring.convert(vtx + vx**2 + v * vxx - vyy)
@@ -964,9 +958,8 @@ def hierarchy_reduction_check() -> bool:
 
     H = w("tx") + w("x") * w("xy") - w("y") * w("xx") - w("yy")
     images = {}
-    for s in _coordinates(2):
-        dep, idx = jet_info(s)
-        images[s] = w(idx.bump("x")) if dep == "u" else -w(idx.bump("y"))
+    for _, dep, idx in _coordinates(2):
+        images[jet(dep, idx)] = w(idx.bump("x")) if dep == "u" else -w(idx.bump("y"))
     F1, F2 = (_substituted(ring, ring.embed(F), images) for F in _equations())
     return F1 == ring.total(H, "x") and F2 == -ring.total(H, "y")
 

@@ -13,22 +13,36 @@ finish: reduction on the equation is a substitution of generators and the
 zero test looks at a numerator.  Sympy expressions are
 converted once on the way in and once on the way out.  The reduction is
 always that of the modified dispersionless system, whose principal table
-the rings hold.  I1-I3, the derivations' coefficients and K1-K4 are built
-once in the order-3 jet ring (:func:`_order3`); every consumer reads them.
+the rings hold.  I1-I3, the derivations' coefficients and K1-K4 are
+written once, as DSL text in ``jets``, and read once into the order-3 jet
+ring (``jets._order3``); every consumer reads them there.  The trees of
+:func:`invariant` and :func:`derivation` are built from the same text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache
 
 import sympy as sp
 
+from .dsl import _build
 from .errors import SingularLocusError
 from .exprcore import is_formal_symbol, jet, jet_order
 from .fields import ProlongedField
-from .jets import EquationSystem, JetPoint, _jet_ring, _poly_sums, _ring_for, internal_indices
+from .jets import (
+    DERIVATIONS,
+    INVARIANTS,
+    EquationSystem,
+    JetPoint,
+    _apply_in,
+    _order3,
+    _poly_sums,
+    internal_indices,
+)
+from .syntax import parse_expr
+from .trees import _ring_for
 from .linalg import _cofactors, rank
 from .symmetry import _ansatz, generator
 
@@ -48,28 +62,19 @@ __all__ = [
 ]
 
 _ux = jet("u", "x")
-_uy = jet("u", "y")
-_uxx = jet("u", "xx")
-_uxy = jet("u", "xy")
-_uyy = jet("u", "yy")
-_uxxx = jet("u", "xxx")
-_uxxy = jet("u", "xxy")
-_vx = jet("v", "x")
-_vxx = jet("v", "xx")
-_vxy = jet("v", "xy")
-_u = jet("u")
-_v = jet("v")
 
 
+def _tree(text: str) -> sp.Expr:
+    """The sympy tree of a written definition, as written."""
+    return _build(parse_expr(text))
+
+
+@lru_cache(maxsize=None)
 def invariant(i: int) -> sp.Expr:
     """The three generating second-order invariants."""
-    if i == 1:
-        return (_uxy + _vxx) / _ux**2
-    if i == 2:
-        return (_ux**2 * _uxy + _ux * _uxx * _vx + _uxx * _uyy - _uxy**2) / _ux**4
-    if i == 3:
-        return (_ux**2 * _vxx - _ux * _uxx * _vx + _uxx * _vxy - _uxy * _vxx) / _ux**4
-    raise ValueError(f"invariant index must be 1..3, got {i}")
+    if i not in (1, 2, 3):
+        raise ValueError(f"invariant index must be 1..3, got {i}")
+    return _tree(INVARIANTS[i - 1])
 
 
 @lru_cache(maxsize=None)
@@ -77,27 +82,9 @@ def derivation(i: int) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
     """The coefficients (c_t, c_x, c_y) of the invariant derivation
     nabla_i = c_t D_t + c_x D_x + c_y D_y; ``apply_derivation`` applies it
     with on-equation reduction."""
-    if i == 1:
-        return (sp.Integer(0), _ux / _uxx, sp.Integer(0))
-    if i == 2:
-        return (sp.Integer(0), _uxy / (_ux * _uxx), -1 / _ux)
-    if i == 3:
-        return (
-            _uxx / _ux**3,
-            (_vx * _ux + _v * _uxx + _uyy) / _ux**3,
-            (_ux**2 + _u * _uxx - 2 * _uxy) / _ux**3,
-        )
-    raise ValueError(f"derivation index must be 1..3, got {i}")
-
-
-def _apply_in(ring, coefficients, f):
-    """The derivation with the coefficients (c_t, c_x, c_y), elements of a
-    jet ring, applied to an element f of that ring, reduced."""
-    out = ring.field.zero
-    for c, d in zip(coefficients, "txy"):
-        if c:
-            out += c * ring.total(f, d)
-    return ring.reduce(out)
+    if i not in (1, 2, 3):
+        raise ValueError(f"derivation index must be 1..3, got {i}")
+    return tuple(map(_tree, DERIVATIONS[i - 1]))
 
 
 def apply_derivation(i: int, e, system: EquationSystem | None = None) -> sp.Expr:
@@ -109,58 +96,6 @@ def apply_derivation(i: int, e, system: EquationSystem | None = None) -> sp.Expr
     ring = _ring_for(max(jet_order(e) + 1, 2), (e,), derivatives=1)
     coefficients = map(ring.embed, _order3().nabla[i - 1])
     return ring.to_expr(_apply_in(ring, coefficients, ring.convert(e)))
-
-
-class _Order3:
-    """The order-3 invariant data as elements of ``ring``, the order-3 jet
-    ring: ``I`` = (I1, I2, I3) and, each built on first use, ``nabla`` =
-    the coefficients (c_t, c_x, c_y) of nabla_1..nabla_3 (the one ring form
-    of the derivations; another ring embeds them), ``K`` = (K1, ..., K4)
-    with K3 built on K2, and the ``twelve`` signature invariants."""
-
-    def __init__(self):
-        self.ring = _jet_ring(3)
-        self.I = tuple(self.ring.convert(invariant(i)) for i in (1, 2, 3))
-
-    @cached_property
-    def nabla(self) -> tuple:
-        c = self.ring.convert
-        return tuple(tuple(map(c, derivation(j))) for j in (1, 2, 3))
-
-    def apply(self, j: int, f):
-        """nabla_j applied to an element of the order-3 ring, reduced."""
-        return _apply_in(self.ring, self.nabla[j - 1], f)
-
-    @cached_property
-    def K(self) -> tuple:
-        c, n2 = self.ring.convert, partial(self.apply, 2)
-        K2 = c((_uxy * _uxxx - _uxx * _uxxy) / (_ux * _uxx**2))
-        return (
-            c(_ux * _uxxx / _uxx**2 - 3),
-            K2,
-            K2 * c(1 - 2 * _uxy / _ux**2)
-            - c(2 * _uxx / _ux**3) * n2(c(_uy))
-            + c(2 / _ux**2) * n2(c(_uxy)),
-            (
-                c(_uxx) * n2(c(2 * _uyy - _ux * _uy))
-                - n2(c(_uxy / _uxx)) * c(_uxx * (2 * _uxy - _ux**2))
-                - n2(c(_uxy**2))
-            )
-            / c(_ux**4),
-        )
-
-    @cached_property
-    def twelve(self) -> tuple:
-        """The signature components (I1, I2, I3, I_ij) with I_ij = the j-th
-        derivation applied to I_i, in row-major order."""
-        derived = (self.apply(j, b) for b in self.I for j in (1, 2, 3))
-        return self.I + tuple(derived)
-
-
-@lru_cache(maxsize=None)
-def _order3() -> _Order3:
-    """The order-3 invariant data, built once."""
-    return _Order3()
 
 
 @lru_cache(maxsize=None)
@@ -405,7 +340,7 @@ def independence_rank(point: JetPoint) -> int:
     one integer walk over each gives its value and its gradient in the 32
     internal generators at the point, over one denominator."""
     o = _order3()
-    coords = [o.ring.index[jet(dep, idx)] for dep in ("u", "v") for idx in internal_indices(3)]
+    coords = [o.ring.index[jet(dep, idx).name] for dep in ("u", "v") for idx in internal_indices(3)]
     rows = []
     for f in o.twelve:
         nval, _, ngrad = _poly_sums(point, o.ring, f.numer, coords)

@@ -1,4 +1,5 @@
-"""Jet-space bookkeeping for the modified dispersionless system.
+"""Jet-space bookkeeping for the modified dispersionless system, in a field
+of its own that imports no sympy.
 
 The system lives on sections (t, x, y) -> (u, v) and reads
 
@@ -11,23 +12,36 @@ it contains at least one t and at least one x, every prolonged equation
 D_sigma F_i is monic in exactly one principal coordinate, so the equation
 submanifold of any jet order is the graph of a triangular substitution:
 principal coordinates are polynomials in the remaining *internal* ones.
-F1, F2 are written once (``_ms_equations``) and held in one form, the
-elements of the order-2 jet ring that ``_equations`` converts.
-:meth:`EquationSystem.reduce` performs that substitution in one sparse
-field of rational functions over ZZ (``_JetRing``: generators t, x, y, the
-jet coordinates up to the order in play and the formal functions present).
-The field is the package's own: a polynomial is a dict from monomial to
-int (``_JetPoly``), a fraction a pair of them in lowest terms
-(``_JetFraction``), and a one-term side cancels without a gcd
-(``_cancel``).  sympy's polynomials compute the gcd of two multi-term
-polynomials only (``_by_sympy``); sympy trees are read and printed at the
-boundary (``_JetRing.convert``, ``to_expr``).  Every derivation (total,
-section, point or prolonged field) is applied by generator index by
+:meth:`_JetRing.reduce` performs that substitution in one sparse field of
+rational functions over ZZ (``_JetRing``: generators t, x, y, the jet
+coordinates up to the order in play and the formal functions present).
+A polynomial is a dict from monomial to int (``_JetPoly``), a fraction a
+pair of them in lowest terms (``_JetFraction``), and a one-term side
+cancels without a gcd (``_cancel``).  Every derivation (total, section,
+point or prolonged field) is applied by generator index by
 ``_JetRing.apply``, to its images lifted over one common denominator
-(``_JetRing.lift``).  A :class:`JetPoint` holds every coordinate in
-Python integers over powers of one denominator and solves the same
-triangular system there; ``_poly_sums`` evaluates integer ring
-polynomials, and their gradients, from those integers.
+(``_JetRing.lift``).  A :class:`JetPoint` holds every coordinate in Python
+integers over powers of one denominator and solves the same triangular
+system there; ``_poly_sums`` evaluates integer ring polynomials, and their
+gradients, from those integers.
+
+The generators are keyed by their DSL names (``"u_tx"``, ``"t"``,
+``"f''"``); the auxiliary generators of ``exprcore._rescaled`` and any
+other symbol a canonical form carries are their own keys.  The written
+definitions (F1, F2, I1-I3, the coefficients of the invariant derivations
+and the structure coefficients K1-K4) are DSL text here, and :func:`read`
+is their one reader: it reads a tree of :mod:`jetweyl.syntax` with no
+fractional power and no ``exp`` straight into a field.  :func:`text`
+prints a field element as the canonical text ``exprcore.to_text`` gives.
+So ``jetweyl reduce`` and ``jetweyl invariants`` run here alone on such
+text.
+
+This module imports no sympy.  sympy is reached through lazy imports
+only: its polynomials compute the gcd of two multi-term polynomials
+(``_by_sympy``), and :mod:`jetweyl.trees` reads sympy trees into a field
+and prints them (``_JetRing.convert``, ``to_expr``, the ``symbols`` view).
+Those imports name ``jetweyl.trees`` in full: a relative import resolves
+its package through a Python-level call each time it runs.
 
 The dimension counts of jet spaces and equation submanifolds live in
 :mod:`jetweyl.counts`.
@@ -37,20 +51,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, prod
 from operator import add, mul, sub
-from typing import Iterable
-
-import sympy as sp
-
-# the boundary with sympy's polynomials: the gcd of two multi-term
-# polynomials (``_by_sympy``) and the generator order of printed trees
-# (``_JetRing.to_expr``)
-from sympy.polys.domains import ZZ
-from sympy.polys.polyutils import _sort_gens
-from sympy.polys.rings import PolyRing
 
 from .errors import (
     DivisionByZeroExpression,
@@ -59,22 +64,14 @@ from .errors import (
     PointNotOnEquationError,
     UnknownSymbolError,
 )
-from .exprcore import (
-    BASE_SYMBOLS,
-    MAX_JET_ORDER,
+from .syntax import (
+    _FORMAL_NAME_RE,
+    _RESERVED_FORMAL,
     DEPENDENTS,
+    MAX_JET_ORDER,
     MultiIndex,
-    _rescaled,
-    formal,
-    formal_info,
-    formal_shift,
-    is_formal_symbol,
-    is_jet_symbol,
-    jet,
-    jet_info,
-    jet_order,
-    resolve_symbol,
-    to_text,
+    jet_parts,
+    parse_expr,
 )
 
 __all__ = [
@@ -85,6 +82,50 @@ __all__ = [
     "principal_indices",
 ]
 
+BASE_NAMES = ("t", "x", "y")
+
+# ---------------------------------------------------------------------------
+# the written definitions, as DSL text
+
+#: F1 and F2, written out
+EQUATIONS = (
+    "u_tx + u_x*u_y + u*u_xy + u_x*v_x + v*u_xx - u_yy",
+    "v_tx + v_x^2 + v*v_xx - u_x*v_y + u*v_xy - v_yy + 2*u_y*v_x",
+)
+
+#: the three generating second-order invariants I1, I2, I3
+INVARIANTS = (
+    "(u_xy + v_xx)/u_x^2",
+    "(u_x^2*u_xy + u_x*u_xx*v_x + u_xx*u_yy - u_xy^2)/u_x^4",
+    "(u_x^2*v_xx - u_x*u_xx*v_x + u_xx*v_xy - u_xy*v_xx)/u_x^4",
+)
+
+#: the coefficients (c_t, c_x, c_y) of the invariant derivations
+#: nabla_i = c_t D_t + c_x D_x + c_y D_y
+DERIVATIONS = (
+    ("0", "u_x/u_xx", "0"),
+    ("0", "u_xy/(u_x*u_xx)", "-1/u_x"),
+    ("u_xx/u_x^3", "(v_x*u_x + v*u_xx + u_yy)/u_x^3", "(u_x^2 + u*u_xx - 2*u_xy)/u_x^3"),
+)
+
+#: the structure coefficients K1-K4 of the derivation commutators, each a
+#: sum of terms c * nabla_2(a) over (c, a), a term with a = None being c
+_K2 = "(u_xy*u_xxx - u_xx*u_xxy)/(u_x*u_xx^2)"
+STRUCTURE = (
+    (("u_x*u_xxx/u_xx^2 - 3", None),),
+    ((_K2, None),),
+    (
+        (f"{_K2}*(1 - 2*u_xy/u_x^2)", None),
+        ("-2*u_xx/u_x^3", "u_y"),
+        ("2/u_x^2", "u_xy"),
+    ),
+    (
+        ("u_xx/u_x^4", "2*u_yy - u_x*u_y"),
+        ("-u_xx*(2*u_xy - u_x^2)/u_x^4", "u_xy/u_xx"),
+        ("-1/u_x^4", "u_xy^2"),
+    ),
+)
+
 
 def _shift(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
@@ -94,32 +135,57 @@ def _minus(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, 
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
-def _ms_equations() -> tuple[sp.Expr, sp.Expr]:
-    """F1 = D_x(u_t + u*u_y + v*u_x) - D_y(u_y) and
-    F2 = D_x(v_t + v*v_x - u*v_y) - D_y(v_y - 2*u*v_x), written out."""
-    u, v = jet("u"), jet("v")
-    ux, uy, vx, vy = jet("u", "x"), jet("u", "y"), jet("v", "x"), jet("v", "y")
-    F1 = jet("u", "tx") + ux * uy + u * jet("u", "xy") + ux * vx + v * jet("u", "xx") - jet("u", "yy")
-    F2 = (
-        jet("v", "tx") + vx**2 + v * jet("v", "xx") - ux * vy + u * jet("v", "xy")
-        - jet("v", "yy") + 2 * uy * vx
-    )
-    return F1, F2
+# ---------------------------------------------------------------------------
+# generator keys
+
+
+def _jet_key(dep: str, idx: MultiIndex) -> str:
+    """The key (DSL name) of the jet coordinate w_idx."""
+    return f"{dep}_{idx.word()}" if idx.order else dep
+
+
+@lru_cache(maxsize=None)
+def _coordinates(order: int) -> tuple[tuple[str, str, MultiIndex], ...]:
+    """(key, dependent, index) of every jet coordinate of order <=
+    ``order``, by order."""
+    out = []
+    for m in range(order + 1):
+        for dep in DEPENDENTS:
+            for a in range(m + 1):
+                for b in range(m - a + 1):
+                    idx = MultiIndex(a, b, m - a - b)
+                    out.append((_jet_key(dep, idx), dep, idx))
+    return tuple(out)
+
+
+def _is_formal_key(key) -> bool:
+    """Whether a key names a formal function of t (or a derivative)."""
+    return type(key) is str and key not in BASE_NAMES and jet_parts(key) is None
+
+
+#: sympy's rank of a one-letter generator name in its default generator
+#: order (``sympy.polys.polyutils._gens_order``); other names rank 1000
+_LETTER_RANK = {
+    **{c: 301 + i for i, c in enumerate("abcdefghijklmno")},
+    **{c: 216 + i for i, c in enumerate("pqrstuvw")},
+    "x": 124,
+    "y": 125,
+    "z": 126,
+}
+_NAME_INDEX_RE = re.compile(r"^(.*?)(\d*)$")
+
+
+@lru_cache(maxsize=None)
+def _print_rank(key) -> tuple:
+    """sympy's default sort key of a generator (``_sort_gens``), on the
+    name it prints with: (rank of the name, name, trailing index); the
+    rings share their keys, so each is ranked once."""
+    name, index = _NAME_INDEX_RE.match(str(key)).groups()
+    return (_LETTER_RANK.get(name, 1000), name, int(index) if index else 0)
 
 
 # ---------------------------------------------------------------------------
 # the jet calculus in a sparse rational-function field
-
-
-def _coordinates(order: int) -> tuple[sp.Symbol, ...]:
-    """Every jet coordinate of order <= ``order``, by order."""
-    return tuple(
-        jet(dep, (a, b, m - a - b))
-        for m in range(order + 1)
-        for dep in DEPENDENTS
-        for a in range(m + 1)
-        for b in range(m - a + 1)
-    )
 
 
 def _merge(acc: dict, poly) -> None:
@@ -136,9 +202,13 @@ def _by_sympy(name: str, p, q):
     """``p.name(q)`` for ``name`` cancel, lcm or exquo in sympy's ``PolyRing``
     over ZZ on the generators of p's ring, built once per ring on first
     use: the one way to a multi-term cancel, lcm or exact quotient, and to
-    the refusal of an inexact quotient by a term."""
+    the refusal of an inexact quotient by a term.  sympy is imported here,
+    on the first call."""
     ring = p.ring
     if ring._sympy is None:
+        from sympy.polys.domains import ZZ
+        from sympy.polys.rings import PolyRing
+
         ring._sympy = PolyRing(ring.symbols, ZZ)
     new = ring._sympy.from_dict
     got = getattr(new(dict(p)), name)(new(dict(q)))
@@ -224,6 +294,9 @@ class _JetPoly(dict):
         return q if isinstance(q, _JetPoly) and q.ring == p.ring else None
 
     def __eq__(p, q):
+        if type(q) is int:
+            # a constant: its constant term read directly, no terms built
+            return p.get(p.ring.zero_monom) == q and len(p) == 1 if q else not p
         q = q if type(q) is type(p) else p._other(q)
         return NotImplemented if q is None else dict.__eq__(p, q)
 
@@ -303,29 +376,31 @@ class _JetPoly(dict):
                 return type(p)(out)
         return _by_sympy("exquo", p, q)
 
-    def as_expr(p) -> sp.Expr:
-        """The polynomial as a sympy tree."""
-        symbols = p.ring.symbols
-        return sp.Add(*[sp.Mul(c, *[s**e for s, e in zip(symbols, m) if e]) for m, c in p.items()])
+    def as_expr(p):
+        """The polynomial as a sympy tree (``trees.poly_tree``)."""
+        from jetweyl.trees import poly_tree
+
+        return poly_tree(p)
 
 
 class _JetPolyRing:
-    """ZZ[symbols]: the element class (``dtype``), the generators and, for
-    :func:`_by_sympy`, sympy's ring on the same symbols, built on first
-    use.  Rings compare by their symbols, so that the elements of equal
-    rings built apart mix."""
+    """ZZ[generators]: the element class (``dtype``), the generators, the
+    sympy symbols of the generators (``symbols``, built on first use) and,
+    for :func:`_by_sympy`, sympy's ring, built on first use too.  Rings
+    compare by their keys, so that the elements of equal rings built apart
+    mix."""
 
-    def __init__(self, symbols: tuple):
-        self.symbols = symbols
-        n = len(symbols)
+    def __init__(self, keys: tuple):
+        self.keys = keys
+        n = len(keys)
         self.zero_monom = (0,) * n
         self.dtype = type("JetPoly", (_JetPoly,), {"__slots__": (), "ring": self})
         self.gens = tuple([self.dtype({(0,) * i + (1,) + (0,) * (n - i - 1): 1}) for i in range(n)])
         self._sympy = None
-        self._hash = hash(symbols)
+        self._hash = hash(keys)
 
     def __eq__(self, other):
-        return self is other or (type(other) is _JetPolyRing and self.symbols == other.symbols)
+        return self is other or (type(other) is _JetPolyRing and self.keys == other.keys)
 
     def __hash__(self):
         return self._hash
@@ -334,6 +409,13 @@ class _JetPolyRing:
     @property
     def one(self):
         return self.dtype({self.zero_monom: 1})
+
+    @cached_property
+    def symbols(self) -> tuple:
+        """The generators as sympy symbols (``trees.symbol_of``)."""
+        from jetweyl.trees import symbol_of
+
+        return tuple(map(symbol_of, self.keys))
 
 
 class _JetFraction:
@@ -416,19 +498,19 @@ class _JetFraction:
     def __pow__(f, n: int):
         return type(f)(f.numer**n, f.denom**n)
 
-    def as_expr(f) -> sp.Expr:
+    def as_expr(f):
         """numer/denom as a sympy tree, with no change of sign."""
         return f.numer.as_expr() / f.denom.as_expr()
 
 
 class _JetField:
-    """The rational functions over ZZ in ``symbols``: the polynomial ring,
-    the element class (``dtype``, also ``raw_new``) and the generators as
-    elements.  Fields compare as their rings do."""
+    """The rational functions over ZZ in the generators ``keys``: the
+    polynomial ring, the element class (``dtype``, also ``raw_new``) and
+    the generators as elements.  Fields compare as their rings do."""
 
-    def __init__(self, symbols: tuple):
-        self.symbols = symbols
-        self.ring = ring = _JetPolyRing(symbols)
+    def __init__(self, keys: tuple):
+        self.keys = keys
+        self.ring = ring = _JetPolyRing(keys)
         attributes = {"__slots__": (), "field": self}
         self.dtype = self.raw_new = type("JetFraction", (_JetFraction,), attributes)
         # elements are not changed in place: these are shared
@@ -442,22 +524,12 @@ class _JetField:
     def __hash__(self):
         return hash(self.ring)
 
+    @cached_property
+    def symbols(self) -> tuple:
+        return self.ring.symbols
+
     def new(self, numer, denom):
         return self.raw_new(*_cancel(numer, denom))
-
-
-class _Unreadable(Exception):
-    """A tree :meth:`_JetRing._read` cannot read."""
-
-
-def _rational_tree(e) -> bool:
-    """Whether a tree holds symbols, rationals, sums, products and integer
-    powers only."""
-    if e.is_Symbol or e.is_Rational:
-        return True
-    if e.is_Pow:
-        return e.exp.is_Integer and _rational_tree(e.base)
-    return (e.is_Add or e.is_Mul) and all(map(_rational_tree, e.args))
 
 
 class _JetRing:
@@ -465,144 +537,97 @@ class _JetRing:
     sparse field of rational functions (``_JetField``), each element a pair
     of polynomials over ZZ in lowest terms.
 
-    ``extras`` are formal functions of t, with the derivative orders a
-    computation can reach, and the auxiliary generators of fractional
-    powers and exponential atoms (see ``exprcore._rescaled``), which only
-    ever ride along.  The total derivatives are ring derivations given by
-    the images of the generators (u_sigma -> u_{sigma+i}, a^(m) -> a^(m+1)
-    for D_t), lifted once; the principal table is a table of polynomials
-    in the internal coordinates, and reduction is substitution of
-    generators.
+    The generators are keyed by ``keys`` (``index``: key -> position): the
+    jet coordinates by order, t, x, y and the extras.  ``extras`` are
+    formal functions of t, with the derivative orders a computation can
+    reach, and the auxiliary generators of fractional powers and
+    exponential atoms (see ``exprcore._rescaled``), which only ever ride
+    along.  The total derivatives are ring derivations given by the images
+    of the generators (u_sigma -> u_{sigma+i}, a^(m) -> a^(m+1) for D_t),
+    lifted once; the principal table is a table of polynomials in the
+    internal coordinates, and reduction is substitution of generators.
+
+    ``symbols``, the generators as sympy symbols, and ``symbol_index`` are
+    built on first use; :meth:`convert` and :meth:`to_expr` are the sympy
+    boundary in :mod:`jetweyl.trees`.
     """
 
     def __init__(self, order: int, extras: tuple = ()):
         self.order = order
         self.extras = extras
         jets = _coordinates(order)
-        self.symbols = jets + BASE_SYMBOLS + extras
-        self.field = _JetField(self.symbols)
+        self.keys = tuple(key for key, _, _ in jets) + BASE_NAMES + extras
+        self.field = _JetField(self.keys)
         self.ring = self.field.ring
         self.gens = self.ring.gens
-        self.index = {s: i for i, s in enumerate(self.symbols)}
-        self._principal = [
-            i for i, s in enumerate(jets) if jet_info(s)[1].is_principal
-        ]
+        self.index = {k: i for i, k in enumerate(self.keys)}
+        # the jets come first: position -> (dependent, index)
+        self._jets = [(dep, idx) for _, dep, idx in jets]
+        self._principal = [i for i, (_, idx) in enumerate(self._jets) if idx.is_principal]
         # D_t, D_x, D_y lifted once (see ``lift``): each image is a
         # generator or 1.  A jet of the top order, a formal derivative of
         # the highest order carried and an auxiliary generator have none.
         self._totals = {}
-        for d, base in zip("txy", BASE_SYMBOLS):
-            terms = [None] * len(self.symbols)
-            terms[self.index[base]] = [((), 1)]
+        for d in BASE_NAMES:
+            terms = [None] * len(self.keys)
+            terms[self.index[d]] = [((), 1)]
             outside = (JetOrderError, f"D_{d} {{s}} lies outside the ring of jet order {order}")
             auxiliary = (ExprError, "cannot differentiate the auxiliary generator {s}")
             refused = {}
             # j: the index of the image generator, -1 for none, None for a refusal
-            for i, s in enumerate(self.symbols):
-                if is_jet_symbol(s):
-                    dep, idx = jet_info(s)
-                    j = self.index[jet(dep, idx.bump(d))] if idx.order < order else None
-                elif is_formal_symbol(s):
-                    j = self.index.get(formal_shift(s)) if d == "t" else -1
+            for i, s in enumerate(self.keys):
+                if i < len(jets):
+                    dep, idx = self._jets[i]
+                    j = self.index[_jet_key(dep, idx.bump(d))] if idx.order < order else None
+                elif s in BASE_NAMES:
+                    j = -1
+                elif type(s) is str:
+                    # a formal derivative a^(m): D_t a^(m) = a^(m+1)
+                    j = self.index.get(s + "'") if d == "t" else -1
                 else:
-                    j = -1 if s in BASE_SYMBOLS else None
+                    j = None
                 if j is None:
-                    refused[i] = outside if is_jet_symbol(s) or is_formal_symbol(s) else auxiliary
+                    refused[i] = outside if type(s) is str else auxiliary
                 elif j >= 0:
                     terms[i] = [(((j, 1),), 1)]
             self._totals[d] = (self.ring.one, terms, refused)
-        # sympy's generator order, which fixes the sign of the canonical
-        # denominator of a printed tree
-        self._sympy_order = [self.index[s] for s in _sort_gens(self.symbols)]
         self._table: dict[int, object] = {}
         # source field -> its generators' indices here (None where missing)
         self._embeddings: dict = {}
 
-    # -- conversion ---------------------------------------------------------
+    @cached_property
+    def symbols(self) -> tuple:
+        """The generators as sympy symbols, built on first use."""
+        return self.field.symbols
+
+    @cached_property
+    def symbol_index(self) -> dict:
+        """sympy symbol -> position of the generator."""
+        return {s: i for i, s in enumerate(self.symbols)}
+
+    @cached_property
+    def _sympy_order(self) -> list[int]:
+        """The generators' positions in sympy's generator order
+        (:func:`_print_rank`), which fixes the sign of the denominator of
+        a printed element; computed on first print."""
+        return sorted(range(len(self.keys)), key=lambda i: _print_rank(self.keys[i]))
+
+    # -- the sympy boundary (jetweyl.trees) ------------------------------------
 
     def convert(self, e):
-        """The field element of a rational expression in the generators.
+        """The field element of a sympy tree (``trees.convert``)."""
+        from jetweyl.trees import convert
 
-        The tree is read directly (:meth:`_read`): symbols, rationals,
-        sums, products and integer powers go straight into the field, with
-        one cancellation per quotient formed.  A tree it cannot read is
-        refused by :meth:`_refuse`, which names the whole expression."""
-        e = sp.sympify(e)
-        try:
-            num, den = self._read(e)
-        except _Unreadable:
-            pass
-        else:
-            # a denominator None is 1
-            return self.field.raw_new(num, den)
-        self._refuse(e)
+        return convert(self, e)
 
-    def _read(self, e):
-        """(numerator, denominator) of a tree in lowest terms, the
-        denominator None for 1.  The polynomial terms of a sum are merged
-        in one dict and its fractions added in the field; a negative power
-        goes through ``field.new``, whose cancellation makes the sign of
-        the denominator canonical.  ``_Unreadable`` for any other node and
-        for a negative power of zero."""
-        if e.is_Symbol:
-            i = self.index.get(e)
-            if i is None:
-                raise _Unreadable
-            return self.gens[i], None
-        if e.is_Rational:
-            one = self.ring.one
-            return one * int(e.p), (None if e.q == 1 else one * int(e.q))
-        field = self.field
-        if e.is_Add:
-            acc: dict = {}
-            out = None
-            for arg in e.args:
-                num, den = self._read(arg)
-                if den is None:
-                    _merge(acc, num)
-                else:
-                    out = field.raw_new(num, den) if out is None else out + field.raw_new(num, den)
-            if out is None:
-                return self.ring.dtype(acc), None
-            out = out + field.raw_new(self.ring.dtype(acc))
-        elif e.is_Mul:
-            poly, out = None, None
-            for arg in e.args:
-                num, den = self._read(arg)
-                if den is None:
-                    poly = num if poly is None else poly * num
-                else:
-                    out = field.raw_new(num, den) if out is None else out * field.raw_new(num, den)
-            if out is None:
-                return poly, None
-            if poly is not None:
-                out = out * poly
-        elif e.is_Pow and e.exp.is_Integer:
-            n = int(e.exp)
-            num, den = self._read(e.base)
-            if n > 0:
-                return num**n, (None if den is None else den**n)
-            if not num:
-                raise _Unreadable
-            out = field.new(self.ring.one if den is None else den**-n, num**-n)
-        else:
-            raise _Unreadable
-        return out.numer, (None if out.denom == 1 else out.denom)
+    def to_expr(self, f):
+        """The sympy tree of f in ``normalize``'s canonical form
+        (``trees.to_expr``)."""
+        from jetweyl.trees import to_expr
 
-    def _refuse(self, e):
-        """Raise the error of an expression :meth:`_read` cannot read: a
-        symbol outside the ring, then a float, then a node that is not a
-        rational function (an undefined value among them), else a zero
-        denominator."""
-        for s in e.free_symbols:
-            self._generator(s)
-        if e.has(sp.Float):
-            raise ExprError(f"{e} has a floating-point coefficient")
-        if not _rational_tree(e):
-            if e.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
-                raise DivisionByZeroExpression(f"{e} contains an undefined value")
-            raise ExprError(f"{e} is not a rational function of the jet coordinates")
-        raise DivisionByZeroExpression(f"zero denominator in {e}")
+        return to_expr(self, f)
+
+    # -- generators -----------------------------------------------------------
 
     def embed(self, f):
         """An element of another jet ring as an element of this one, with no
@@ -613,8 +638,8 @@ class _JetRing:
         source = f.field
         places = self._embeddings.get(source)
         if places is None:
-            places = self._embeddings[source] = [self.index.get(s) for s in source.symbols]
-        n = len(self.symbols)
+            places = self._embeddings[source] = [self.index.get(s) for s in source.keys]
+        n = len(self.keys)
 
         def moved(p):
             out = {}
@@ -622,7 +647,7 @@ class _JetRing:
                 m = [0] * n
                 for i in itertools.compress(range(len(monom)), monom):
                     if places[i] is None:
-                        self._generator(source.symbols[i])
+                        self._generator(source.keys[i])
                     m[places[i]] = monom[i]
                 out[tuple(m)] = c
             return self.ring.dtype(out)
@@ -633,28 +658,24 @@ class _JetRing:
         return self.field.raw_new(num, den)
 
     def gen(self, s):
-        """The generator ``s`` as a field element."""
+        """The generator ``s`` (a key or a sympy symbol) as a field element."""
         return self.field.gens[self._generator(s)]
 
     def _generator(self, s) -> int:
         i = self.index.get(s)
         if i is None:
-            if is_jet_symbol(s) or is_formal_symbol(s):
+            if type(s) is not str:
+                # a sympy symbol, from the boundary
+                i = self.symbol_index.get(s)
+                if i is not None:
+                    return i
+                from jetweyl.trees import key_of
+
+                s = key_of(s)
+            if type(s) is str:
                 raise JetOrderError(f"{s} lies outside the ring of jet order {self.order}")
             raise UnknownSymbolError(f"unregistered symbol {s}")
         return i
-
-    def to_expr(self, f) -> sp.Expr:
-        """The expression in ``normalize``'s canonical form: numerator over
-        denominator, in lowest terms as f is, with the denominator's leading
-        coefficient in sympy's generator order positive."""
-        num, den = f.numer, f.denom
-        if not num:
-            return sp.Integer(0)
-        order = self._sympy_order
-        if den[max(den, key=lambda m: [m[i] for i in order])] < 0:
-            num, den = -num, -den
-        return num.as_expr() / den.as_expr()
 
     # -- derivations --------------------------------------------------------
 
@@ -671,7 +692,7 @@ class _JetRing:
         class, message in the generator ``{s}``)}."""
         images = [(i, img) for i, img in images if img]
         c, nums = _common_denominator(self.ring, [img for _, img in images])
-        terms = [None] * len(self.symbols)
+        terms = [None] * len(self.keys)
         for (i, _), num in zip(images, nums):
             terms[i] = [
                 (tuple(zip(itertools.compress(itertools.count(), m), filter(None, m))), a)
@@ -703,7 +724,7 @@ class _JetRing:
                 if image is None:
                     if i in refused:
                         error, message = refused[i]
-                        raise error(message.format(s=self.symbols[i]))
+                        raise error(message.format(s=self.keys[i]))
                     continue
                 e = monom[i]
                 k = coef * e
@@ -724,7 +745,7 @@ class _JetRing:
     # -- the equation -------------------------------------------------------
 
     def principal(self, i: int):
-        """The principal coordinate ``symbols[i]`` as a polynomial in the
+        """The principal coordinate ``keys[i]`` as a polynomial in the
         internal coordinates on the equation submanifold, memoized in the
         ring without extras, which every ring of the same order extends.
 
@@ -740,7 +761,7 @@ class _JetRing:
             plain = _jet_ring(self.order).principal(i)
             got = self.ring.dtype({m + pad: c for m, c in plain.items()})
         else:
-            dep, idx = jet_info(self.symbols[i])
+            dep, idx = self._jets[i]
             if idx == MultiIndex(1, 1, 0):
                 # the checked leading solve w_tx = w_tx - F_w/c
                 c, _ = _recurrence(dep)
@@ -748,7 +769,7 @@ class _JetRing:
                 got = self.ring.gens[i] - F.exquo(self.ring.one * c)
             else:
                 d = "y" if idx.ny else ("x" if idx.nx > 1 else "t")
-                parent = self.principal(self.index[jet(dep, idx.drop(d))])
+                parent = self.principal(self.index[_jet_key(dep, idx.drop(d))])
                 got = self._reduce_poly(self._along(parent, self._totals[d]))
         self._table[i] = got
         return got
@@ -798,15 +819,281 @@ def _jet_ring(order: int, extras: tuple = ()) -> _JetRing:
     return _JetRing(order, extras)
 
 
+def _ring_of(order: int, formals: dict, derivatives: int = 0, aux: tuple = ()) -> _JetRing:
+    """The ring of jet order ``order`` holding the formal functions
+    ``formals`` ({name: highest derivative order that occurs}) with
+    ``derivatives`` more t-derivatives, and the auxiliary generators
+    ``aux``."""
+    extras = tuple(
+        name + "'" * m
+        for name in sorted(formals)
+        for m in range(formals[name] + derivatives + 1)
+    ) + tuple(aux)
+    # _jet_ring(order, ()) would be a second key: a second ring and table
+    return _jet_ring(order, extras) if extras else _jet_ring(order)
+
+
+# ---------------------------------------------------------------------------
+# the reader: syntax trees into a field
+
+
+class _ZeroDivisor(Exception):
+    """A divisor, or the base of a negative power, that is zero in the
+    field.  How such a text is refused depends on sympy's evaluation of
+    the tree (``x/(x - x)`` is a literal zero there, other zeros surface
+    in the conversion), so the caller reads it with ``dsl`` instead."""
+
+
+def is_rational(tree) -> bool:
+    """Whether a syntax tree holds no ``exp`` and no fractional power: a
+    rational function that :func:`read` reads."""
+    kind = tree[0]
+    if kind in ("int", "name", "formal"):
+        return True
+    if kind == "exp":
+        return False
+    if kind == "neg":
+        return is_rational(tree[2])
+    if kind == "^":
+        return tree[3].denominator == 1 and is_rational(tree[2])
+    return is_rational(tree[2]) and all(is_rational(operand) for _, operand, _ in tree[3])
+
+
+def read(tree, ring):
+    """The element of ``ring`` of a rational syntax tree (see
+    :func:`is_rational`): integers, generators, sums, products, quotients
+    and integer powers formed in the field.  ``JetOrderError`` for a
+    generator the ring lacks, :class:`_ZeroDivisor` for a zero divisor."""
+    kind = tree[0]
+    field = ring.field
+    if kind == "int":
+        return field.one * tree[2]
+    if kind == "name":
+        return field.gens[ring._generator(tree[2])]
+    if kind == "formal":
+        return field.gens[ring._generator(tree[2] + "'" * tree[3])]
+    if kind == "neg":
+        return -read(tree[2], ring)
+    if kind == "^":
+        base, n = read(tree[2], ring), int(tree[3])
+        if n >= 0:
+            return base**n
+        if not base:
+            raise _ZeroDivisor
+        return field.one / base**-n
+    out = read(tree[2], ring)
+    for op, operand, _ in tree[3]:
+        f = read(operand, ring)
+        if op == "+":
+            out = out + f
+        elif op == "-":
+            out = out - f
+        elif op == "*":
+            out = out * f
+        elif not f:
+            raise _ZeroDivisor
+        else:
+            out = out / f
+    return out
+
+
+def _names(tree, acc: dict) -> dict:
+    """``acc`` ({"order": highest jet order, "formals": {name: highest
+    derivative order}}) updated with the generators a syntax tree names."""
+    kind = tree[0]
+    if kind == "name":
+        parts = jet_parts(tree[2])
+        if parts is not None:
+            acc["order"] = max(acc["order"], parts[1].order)
+    elif kind == "formal":
+        formals = acc["formals"]
+        formals[tree[2]] = max(formals.get(tree[2], 0), tree[3])
+    elif kind in ("neg", "^"):
+        _names(tree[2], acc)
+    elif kind in ("sum", "product"):
+        _names(tree[2], acc)
+        for _, operand, _ in tree[3]:
+            _names(operand, acc)
+    return acc
+
+
+def _read_rational(tree):
+    """(ring, element) of a syntax tree in the ring of its own jet order
+    and formal functions, or None where the tree is not rational or holds
+    a zero divisor (the sympy path then reads it)."""
+    if not is_rational(tree):
+        return None
+    names = _names(tree, {"order": 0, "formals": {}})
+    ring = _ring_of(names["order"], names["formals"])
+    try:
+        return ring, read(tree, ring)
+    except _ZeroDivisor:
+        return None
+
+
+def _defined(text: str, ring):
+    """A written definition (DSL text) as an element of ``ring``."""
+    return read(parse_expr(text), ring)
+
+
+def reduced(tree, k: int | None = None):
+    """(ring, element, reduced element) of a rational syntax tree
+    restricted to the order-k equation submanifold, as
+    ``EquationSystem.reduce`` restricts its tree: ``k`` defaults to the
+    element's own jet order, and the ring is that of order k with the
+    element's formal functions.  None where :func:`_read_rational` gives
+    none."""
+    got = _read_rational(tree)
+    if got is None:
+        return None
+    ring, f = got
+    present = ring.present(f)
+    order = max([ring._jets[i][1].order for i in present if i < len(ring._jets)], default=0)
+    if k is None:
+        k = order
+    if order > k:
+        raise JetOrderError(f"expression has jet order {order}, beyond the requested {k}")
+    if k > MAX_JET_ORDER:
+        raise JetOrderError(f"order {k} beyond hard cap {MAX_JET_ORDER}")
+    formals: dict[str, int] = {}
+    for s in filter(_is_formal_key, (ring.keys[i] for i in present)):
+        name = s.rstrip("'")
+        formals[name] = max(formals.get(name, 0), len(s) - len(name))
+    target = _ring_of(k, formals)
+    if target is not ring:
+        f = target.embed(f)
+    return target, f, target.reduce(f)
+
+
+# ---------------------------------------------------------------------------
+# the printer: canonical text of a field element
+#
+# ``exprcore.to_text`` printed the sympy tree numer/denom: sympy's
+# ``default_sort_key`` orders the terms of a sum and the factors of a
+# product, and sympy's evaluation of the quotient decides what is printed
+# as numerator and denominator.  The keys below are those sort keys, for
+# products of generator powers with a rational coefficient.
+
+_NUMBER = (1, 0, "Number")
+_SYMBOL = (2, 0, "Symbol")
+_MUL = (3, 0, "Mul")
+
+
+def _number_key(q) -> tuple:
+    return (_NUMBER, (0, ()), (), q)
+
+
+_ONE_KEY = _number_key(1)
+
+
+def _term_key(c, factors) -> tuple:
+    """The sort key of the term c * prod name^e over ``factors``."""
+    if not factors:
+        return _number_key(c)
+    if len(factors) == 1:
+        ((name, e),) = factors
+        return (_SYMBOL, (1, (name,)), _number_key(e), c)
+    keys = sorted(_term_key(1, (f,)) for f in factors)
+    return (_MUL, (len(keys), tuple(keys)), _ONE_KEY, c)
+
+
+def _rational_text(q) -> str:
+    return str(q) if q >= 0 else f"({q})"
+
+
+def _atom_text(name: str) -> str:
+    return f"{name}(t)" if _is_formal_key(name) else name
+
+
+def _product_text(c, factors) -> str:
+    """c * prod name^e; a sign of c is the caller's."""
+    parts = [_rational_text(c)] if c != 1 or not factors else []
+    for name, e in sorted(factors, key=lambda f: _term_key(1, (f,))):
+        parts.append(_atom_text(name) if e == 1 else f"{_atom_text(name)}^{e}")
+    return "*".join(parts)
+
+
+def _sum_text(terms) -> str:
+    chunks = []
+    for c, factors in sorted(terms, key=lambda t: _term_key(*t)):
+        sign = "-" if c < 0 else "+"
+        chunks.append((sign, _product_text(-c if c < 0 else c, factors)))
+    (sign, first), rest = chunks[0], chunks[1:]
+    return ("-" if sign == "-" else "") + first + "".join(f" {s} {body}" for s, body in rest)
+
+
+def _expr_text(terms) -> str:
+    if len(terms) > 1:
+        return _sum_text(terms)
+    ((c, factors),) = terms
+    return "-" + _product_text(-c, factors) if c < 0 else _product_text(c, factors)
+
+
+def text(ring, f) -> str:
+    """The canonical text of a field element whose generators are all
+    named (DSL names as keys): numerator over denominator, the leading
+    coefficient of the denominator in sympy's generator order positive,
+    printed as ``exprcore.to_text`` prints the sympy tree of that quotient.
+    A denominator that is an integer is spread over a sum (1/2*u_x + u_y);
+    one term over one term shares one rational coefficient."""
+    num, den = f.numer, f.denom
+    if not num:
+        return "0"
+    order = ring._sympy_order
+    if den[max(den, key=lambda m: [m[i] for i in order])] < 0:
+        num, den = -num, -den
+
+    def terms(p):
+        return [
+            (c, [(ring.keys[i], m[i]) for i in itertools.compress(range(len(m)), m)])
+            for m, c in p.items()
+        ]
+
+    top, bottom = terms(num), terms(den)
+    if len(bottom) == 1 and not bottom[0][1]:
+        # an integer denominator d
+        d = bottom[0][0]
+        if len(top) > 1:
+            return _expr_text([(Fraction(c, d), fs) for c, fs in top])
+        ((c, fs),) = top
+        if not fs:
+            return str(Fraction(c, d))
+        if d == 1:
+            return _expr_text(top)
+        bottom_text = str(d)
+    elif len(bottom) == 1:
+        ((d, gs),) = bottom
+        if len(top) == 1:
+            # one rational coefficient c/d in lowest terms
+            ((c, fs),) = top
+            q = Fraction(c, d)
+            top, d = [(q.numerator, fs)], q.denominator
+        if d == 1 and len(gs) == 1:
+            ((name, e),) = gs
+            bottom_text = _atom_text(name) if e == 1 else f"{_atom_text(name)}^{e}"
+        else:
+            bottom_text = f"({_product_text(d, gs)})"
+    else:
+        bottom_text = f"({_sum_text(bottom)})"
+    top_text = _expr_text(top)
+    if len(top) > 1 or top[0][0] < 0:
+        top_text = f"({top_text})"
+    return f"{top_text}/{bottom_text}"
+
+
+# ---------------------------------------------------------------------------
+# the system
+
+
 @lru_cache(maxsize=None)
 def _equations() -> tuple:
     """(F1, F2) as elements of the order-2 jet ring: the one form of the
-    system, converted once from its written definition
-    (:func:`_ms_equations`).  The point recurrence, the principal table,
-    the symmetry check, the section residuals and the reductions read it;
-    other rings take it by ``_JetRing.embed``."""
+    system, read once from its written definition (:data:`EQUATIONS`).
+    The point recurrence, the principal table, the symmetry check, the
+    section residuals and the reductions read it; other rings take it by
+    ``_JetRing.embed``."""
     ring = _jet_ring(2)
-    return tuple(map(ring.convert, _ms_equations()))
+    return tuple(_defined(F, ring) for F in EQUATIONS)
 
 
 @lru_cache(maxsize=None)
@@ -823,198 +1110,22 @@ def _recurrence(dep: str) -> tuple[int, tuple]:
     """
     ring = _jet_ring(2)
     F = _equations()[DEPENDENTS.index(dep)]
-    lead = jet(dep, "tx")
+    lead = _jet_key(dep, MultiIndex(1, 1, 0))
     c, terms = None, []
     for monom, coef in F.numer.items():
         factors = []
         for i in itertools.compress(range(len(monom)), monom):
-            d, idx = jet_info(ring.symbols[i])
+            d, idx = ring._jets[i]
             factors += [(d, (idx.nt, idx.nx, idx.ny))] * monom[i]
         if factors == [(dep, (1, 1, 0))]:
             c = coef
             continue
         if len(factors) > 2 or any(ix[0] for _, ix in factors):
-            raise AssertionError(f"{lead} does not lead {ring.to_expr(F)}")
+            raise AssertionError(f"{lead} does not lead {text(ring, F)}")
         terms.append((coef, tuple(factors)))
     if c not in (1, -1) or F.denom != 1:
         raise AssertionError(f"equation not affine-monic in {lead}")
     return c, tuple(terms)
-
-
-def _ring_for(order: int, exprs: Iterable, derivatives: int = 0, aux: tuple = ()) -> _JetRing:
-    """The ring of jet order ``order`` holding every formal function of the
-    expressions with ``derivatives`` more t-derivatives than occur, and the
-    auxiliary generators ``aux``."""
-    formals: dict[str, int] = {}
-    for e in exprs:
-        for s in e.free_symbols:
-            if is_formal_symbol(s):
-                name, m = formal_info(s)
-                formals[name] = max(formals.get(name, 0), m)
-    extras = tuple(
-        formal(name, m)
-        for name in sorted(formals)
-        for m in range(formals[name] + derivatives + 1)
-    ) + tuple(aux)
-    # _jet_ring(order, ()) would be a second key: a second ring and table
-    return _jet_ring(order, extras) if extras else _jet_ring(order)
-
-
-class _Rescaled:
-    """A jet ring holding the auxiliary generators of one joint
-    ``exprcore._rescaled``, or the constant generators of a section at a
-    rational point (``SectionField.at``), with their values (``back``:
-    generator -> value), the canonical form of its elements and the
-    substitution of its elements for the generators of another ring
-    (:meth:`_quotient`).
-
-    Prime radicals R = p^(1/M) among the generators are reduced by R^M = p
-    before every zero test and conversion; radicals of distinct primes are
-    linearly independent over QQ (Besicovitch) and the other generators are
-    algebraically independent, so the zero test of the reduced numerator is
-    exact."""
-
-    def __init__(self, ring: _JetRing, back: dict):
-        self.ring = ring
-        self.back = back
-        self._radicals = [
-            (ring.index[g], int(v.base), int(v.exp.q))
-            for g, v in back.items()
-            if v.is_Pow and v.base.is_Integer
-        ]
-
-    def _reduced(self, p):
-        """A polynomial with every prime radical R = p^(1/M) reduced by
-        R^M = p."""
-        if not self._radicals or not p:
-            return p
-        out: dict = {}
-        for monom, c in p.items():
-            m = list(monom)
-            for i, prime, M in self._radicals:
-                if m[i] >= M:
-                    q, m[i] = divmod(m[i], M)
-                    c = c * prime**q
-            _merge(out, {tuple(m): c})
-        return self.ring.ring.dtype(out)
-
-    def _reduced_element(self, f):
-        if not self._radicals:
-            return f
-        return self.ring.field.new(self._reduced(f.numer), self._reduced(f.denom))
-
-    def vanishes(self, f) -> bool:
-        """Exact zero test of a field element."""
-        return not self._reduced(f.numer)
-
-    def sum(self, elements):
-        """The sum of field elements."""
-        return sum(elements, self.ring.field.zero)
-
-    def rational(self, f) -> Fraction | None:
-        """The value of a constant element, None for a non-constant one."""
-        f = self._reduced_element(f)
-        if _support(f.numer, f.denom):
-            return None
-        zero = self.ring.ring.zero_monom
-        return Fraction(f.numer.get(zero, 0), f.denom[zero])
-
-    def _quotient(self, f, value, message):
-        """An element of a jet ring with each generator s replaced by the
-        element ``value(s)`` of this field; ``message()`` is the text of the
-        error raised when the denominator vanishes.  Over one common
-        denominator L of the values, each side P of f is P~ / L^D; a term
-        in a generator whose value is zero is left out."""
-        used = _support(f.numer, f.denom)
-        L, nums = _common_denominator(self.ring.ring, [value(f.field.symbols[i]) for i in used])
-        zero = [i for i, n in zip(used, nums) if not n]
-        dtype, constant = self.ring.ring.dtype, self.ring.ring.zero_monom
-        powers: dict = {}
-
-        def power(j, n):
-            got = powers.get((j, n))
-            if got is None:
-                got = powers[(j, n)] = (L if j < 0 else nums[j]) ** n
-            return got
-
-        def side(p):
-            terms = [
-                (m, c, sum(m[i] for i in used))
-                for m, c in p.items()
-                if not (zero and any(m[i] for i in zero))
-            ]
-            top = max((deg for _, _, deg in terms), default=0)
-            acc: dict = {}
-            for m, c, deg in terms:
-                term = dtype({constant: c})
-                if deg < top:
-                    term = term * power(-1, top - deg)
-                for j, i in enumerate(used):
-                    if m[i]:
-                        term = term * power(j, m[i])
-                _merge(acc, term)
-            return dtype(acc), top
-
-        (n, dn), (d, dd) = side(f.numer), side(f.denom)
-        if not self._reduced(d):
-            raise DivisionByZeroExpression(message())
-        if dd > dn:
-            n = n * L ** (dd - dn)
-        elif dn > dd:
-            d = d * L ** (dn - dd)
-        return self.ring.field.new(n, d)
-
-    def expr(self, f) -> sp.Expr:
-        """The canonical expression of a field element: ``to_expr`` of the
-        reduced element, a product of radicals of several primes written
-        as one root, and the auxiliary generators substituted back."""
-        out = self.ring.to_expr(self._reduced_element(f))
-        if len(self._radicals) > 1:
-            out = out.replace(lambda e: e.is_Mul, self._one_root)
-        return out.xreplace(self.back) if self.back else out
-
-    def _one_root(self, term: sp.Expr) -> sp.Expr:
-        """A product with radicals of several primes written as one root of
-        a rational, the way sympy writes a power of a rational: 2^(2/3) *
-        3^(1/3) as 12^(1/3)."""
-        radicals = {self.ring.symbols[i]: (p, M) for i, p, M in self._radicals}
-        found, rest = {}, []
-        for factor in term.args:
-            base, k = factor.as_base_exp()
-            if base in radicals:
-                found[base] = k
-            else:
-                rest.append(factor)
-        if len(found) < 2:
-            return term
-        M = sp.ilcm(*(radicals[g][1] for g in found))
-        q = sp.Integer(1)
-        for g, k in found.items():
-            p, m = radicals[g]
-            q *= sp.Integer(p) ** (k * M // m)
-        return sp.Mul(*rest) * q ** sp.Rational(1, M)
-
-
-def _canonical(e: sp.Expr) -> tuple[_Rescaled, object]:
-    """An expression of the term language as an element of the ring of its
-    jet order, with its formal functions, the auxiliary generators of its
-    rescaling and every other symbol (such as the ``z`` of a Poincare
-    function) as extras.  ``exprcore.normalize``, ``is_zero`` and ``equal``
-    are this conversion."""
-    scaled, back = _rescaled(e)
-    foreign = sorted(
-        (
-            s
-            for s in scaled.free_symbols
-            if s not in BASE_SYMBOLS
-            and s not in back
-            and not is_jet_symbol(s)
-            and not is_formal_symbol(s)
-        ),
-        key=sp.default_sort_key,
-    )
-    ring = _ring_for(jet_order(scaled), (scaled,), aux=(*back, *foreign))
-    return _Rescaled(ring, back), ring.convert(scaled)
 
 
 def internal_indices(k: int) -> list[MultiIndex]:
@@ -1048,30 +1159,13 @@ class EquationSystem:
     lives in the jet rings, which are built on first use.
     """
 
-    def reduce(self, e, k: int | None = None) -> sp.Expr:
-        """Restriction to the order-k equation submanifold in internal
-        coordinates.  ``k`` defaults to the expression's own jet order and
-        may not exceed the hard cap; high orders are slow, the table grows
-        about sevenfold per order.
+    def reduce(self, e, k: int | None = None):
+        """Restriction of a sympy tree to the order-k equation submanifold
+        in internal coordinates, in ``normalize``'s canonical form
+        (``trees.reduce_tree``)."""
+        from jetweyl.trees import reduce_tree
 
-        Fractional powers of base variables, exponential atoms and
-        non-rational constants become auxiliary generators of the ring
-        (``exprcore._rescaled``); reduction never differentiates them.  The
-        result is in ``normalize``'s canonical form.
-        """
-        e = sp.sympify(e)
-        order = jet_order(e)
-        if k is None:
-            k = order
-        if order > k:
-            raise JetOrderError(
-                f"expression has jet order {order}, beyond the requested {k}"
-            )
-        if k > MAX_JET_ORDER:
-            raise JetOrderError(f"order {k} beyond hard cap {MAX_JET_ORDER}")
-        scaled, back = _rescaled(e)
-        ring = _ring_for(k, (scaled,), aux=tuple(back))
-        return _Rescaled(ring, back).expr(ring.reduce(ring.convert(scaled)))
+        return reduce_tree(e, k)
 
     # -- points -------------------------------------------------------------
 
@@ -1085,12 +1179,84 @@ def ms_system() -> EquationSystem:
     return EquationSystem()
 
 
+# ---------------------------------------------------------------------------
+# the order-3 invariant data
+
+
+def _apply_in(ring, coefficients, f):
+    """The derivation with the coefficients (c_t, c_x, c_y), elements of a
+    jet ring, applied to an element f of that ring, reduced."""
+    out = ring.field.zero
+    for c, d in zip(coefficients, "txy"):
+        if c:
+            out += c * ring.total(f, d)
+    return ring.reduce(out)
+
+
+class _Order3:
+    """The order-3 invariant data as elements of ``ring``, the order-3 jet
+    ring, read from their written definitions: ``I`` = (I1, I2, I3) and,
+    each built on first use, ``nabla`` = the coefficients (c_t, c_x, c_y)
+    of nabla_1..nabla_3 (the one ring form of the derivations; another
+    ring embeds them), ``K`` = (K1, ..., K4) and the ``twelve`` signature
+    invariants."""
+
+    def __init__(self):
+        self.ring = _jet_ring(3)
+        self.I = tuple(_defined(text, self.ring) for text in INVARIANTS)
+
+    @cached_property
+    def nabla(self) -> tuple:
+        return tuple(tuple(_defined(c, self.ring) for c in row) for row in DERIVATIONS)
+
+    def apply(self, j: int, f):
+        """nabla_j applied to an element of the order-3 ring, reduced."""
+        return _apply_in(self.ring, self.nabla[j - 1], f)
+
+    @cached_property
+    def K(self) -> tuple:
+        out = []
+        for terms in STRUCTURE:
+            acc = self.ring.field.zero
+            for c, a in terms:
+                c = _defined(c, self.ring)
+                acc += c if a is None else c * self.apply(2, _defined(a, self.ring))
+            out.append(acc)
+        return tuple(out)
+
+    @cached_property
+    def twelve(self) -> tuple:
+        """The signature components (I1, I2, I3, I_ij) with I_ij = the j-th
+        derivation applied to I_i, in row-major order."""
+        derived = (self.apply(j, b) for b in self.I for j in (1, 2, 3))
+        return self.I + tuple(derived)
+
+
+@lru_cache(maxsize=None)
+def _order3() -> _Order3:
+    """The order-3 invariant data, built once."""
+    return _Order3()
+
+
+# ---------------------------------------------------------------------------
+# points
+
+
 def _point_key(s) -> str | tuple[str, tuple[int, int, int]]:
-    """The key of a base or jet symbol's coordinate in a :class:`JetPoint`:
-    its name for t, x, y, else (dependent, (nt, nx, ny))."""
-    if s in BASE_SYMBOLS:
-        return s.name
-    dep, idx = jet_info(s)  # KeyError -> not a jet symbol
+    """The key of a base or jet coordinate (a name or a sympy symbol) in a
+    :class:`JetPoint`: its name for t, x, y, else (dependent, (nt, nx,
+    ny)).  ``KeyError`` for a formal function, ``UnknownSymbolError`` for
+    a name of nothing."""
+    name = s if type(s) is str else s.name
+    if name in BASE_NAMES:
+        return name
+    parts = jet_parts(name)
+    if parts is None:
+        base = name.rstrip("'")
+        if _FORMAL_NAME_RE.match(base) and base not in _RESERVED_FORMAL:
+            raise KeyError(name)
+        raise UnknownSymbolError(f"unknown symbol {name!r}")
+    dep, idx = parts
     return dep, (idx.nt, idx.nx, idx.ny)
 
 
@@ -1118,6 +1284,7 @@ class JetPoint:
     coordinates, so the solve runs in Python integers.  :meth:`integers`
     reads coordinates as integers over one common denominator, which is how
     the point layer evaluates, and :meth:`value` makes one ``Fraction``.
+    Coordinates are named by DSL names or sympy symbols.
     """
 
     def __init__(self, k: int, base=None, internal=None):
@@ -1130,18 +1297,23 @@ class JetPoint:
             if name not in self.base:
                 raise ValueError(f"base coordinate must be t,x,y, got {name!r}")
             self.base[name] = _exact(name, val)
-        self.internal: dict[sp.Symbol, Fraction] = {}
+        # the given internal coordinates by their DSL names
+        self.internal: dict[str, Fraction] = {}
         given: dict = dict(self.base)
         for key, val in (internal or {}).items():
-            s = resolve_symbol(key)
-            dep, idx = jet_info(s)  # KeyError -> not a jet symbol
+            key = _point_key(key)
+            if type(key) is str:
+                raise KeyError(key)  # a base coordinate is no jet
+            dep, (nt, nx, ny) = key
+            idx = MultiIndex(nt, nx, ny)
+            s = _jet_key(dep, idx)
             if idx.is_principal:
                 raise ValueError(
                     f"{s} is principal; JetPoint stores internal coordinates only"
                 )
             if idx.order > k:
                 raise JetOrderError(f"{s} has order beyond k={k}")
-            self.internal[s] = given[(dep, (idx.nt, idx.nx, idx.ny))] = _exact(s, val)
+            self.internal[s] = given[key] = _exact(s, val)
         self._L = math.lcm(*(q.denominator for q in given.values()))
         # coordinate key (see _point_key) -> (n, e); unset internal
         # coordinates are absent, principal entries are filled by
@@ -1156,7 +1328,7 @@ class JetPoint:
 
     def value(self, key) -> Fraction:
         """Value of a base or jet coordinate (any order up to the hard cap)."""
-        (n,), den = self.integers((_point_key(resolve_symbol(key)),))
+        (n,), den = self.integers((_point_key(key),))
         return Fraction(n, den)
 
     def integers(self, keys: tuple) -> tuple[list[int], int]:
@@ -1231,25 +1403,48 @@ class JetPoint:
                 self._values[(dep, (idx.nt, idx.nx, idx.ny))] = (-lead * total, top)
         self._solved = order
 
-    def eval(self, e) -> Fraction:
-        """Exact evaluation of a term-language expression at the point."""
-        e = sp.sympify(e)
-        rep = {}
-        for s in e.free_symbols:
-            if s not in BASE_SYMBOLS and not is_jet_symbol(s):
+    def _where(self) -> str:
+        """The given coordinates, as an error message names the point."""
+        known = (*self.base.items(), *self.internal.items())
+        return ", ".join(f"{s}={q}" for s, q in known)
+
+    def value_of(self, ring, f) -> Fraction:
+        """The value of a field element at the point: its numerator and
+        denominator summed in integers over the values of the generators
+        that occur.  A formal function cannot be evaluated
+        (``PointNotOnEquationError``); a denominator that vanishes raises
+        ``DivisionByZeroExpression``, naming f by its canonical text."""
+        used = ring.present(f)
+        for i in used:
+            s = ring.keys[i]
+            if type(s) is not str or _is_formal_key(s):
                 raise PointNotOnEquationError(f"cannot evaluate symbol {s} at a jet point")
-            q = self.value(s)
-            rep[s] = sp.Rational(q.numerator, q.denominator)
-        val = e.xreplace(rep)
-        if not val.is_Rational:
-            if val.has(sp.zoo, sp.nan):
-                known = (*self.base.items(), *self.internal.items())
-                where = ", ".join(f"{s}={q}" for s, q in known)
-                raise DivisionByZeroExpression(
-                    f"the denominator of {to_text(e)} vanishes at the jet point ({where})"
-                )
-            raise PointNotOnEquationError(f"non-rational value {val}")
-        return Fraction(int(val.p), int(val.q))
+        nums, D = self.integers(tuple(_point_key(ring.keys[i]) for i in used))
+        values = [0] * len(ring.keys)
+        for i, n in zip(used, nums):
+            values[i] = n
+
+        def at(p) -> Fraction:
+            terms, den = _clear_denominators(p, D)
+            total = sum(
+                scale * prod(values[i] ** m[i] for i in itertools.compress(range(len(m)), m))
+                for m, scale in terms
+            )
+            return Fraction(total, den)
+
+        den = at(f.denom)
+        if not den:
+            raise DivisionByZeroExpression(
+                f"the denominator of {text(ring, f)} vanishes at the jet point ({self._where()})"
+            )
+        return at(f.numer) / den
+
+    def eval(self, e) -> Fraction:
+        """Exact evaluation of a term-language expression (a sympy tree) at
+        the point (``trees.eval_tree``)."""
+        from jetweyl.trees import eval_tree
+
+        return eval_tree(self, e)
 
 
 def _clear_denominators(p, L: int) -> tuple[list[tuple[tuple[int, ...], int]], int]:
@@ -1269,7 +1464,7 @@ def _clear_denominators(p, L: int) -> tuple[list[tuple[tuple[int, ...], int]], i
 def _generator_keys(ring: _JetRing) -> tuple:
     """The :class:`JetPoint` keys of the generators of a jet ring without
     extras, in the ring's order."""
-    return tuple(map(_point_key, ring.symbols))
+    return tuple(map(_point_key, ring.keys))
 
 
 def _poly_sums(point: JetPoint, ring: _JetRing, p, coords=()) -> tuple[int, int, list[int]]:

@@ -54,9 +54,9 @@ from .jets import (
     _equations,
     _jet_ring,
     _poly_sums,
-    _ring_for,
     internal_indices,
 )
+from .trees import _ring_for
 from .linalg import _eliminate, rank
 
 __all__ = [

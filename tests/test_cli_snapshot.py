@@ -5,7 +5,10 @@ standard output each gave when the snapshot was written: the argvs of
 ``test_cli.py`` that name no temporary file, the commands of the
 benchmark's ``cli_cold`` workload for seeds 1 to 3, and ``verify-all``,
 ``invariants``, ``coframe``, ``check-symmetry all``, ``verify-invariance``
-and ``check-solution`` of every catalog id.  The test replays the corpus in
+and ``check-solution`` of every catalog id, and ``reduce`` and
+``invariants --eval`` texts that the jet field's core hands to sympy or
+refuses (a fractional power, a multi-term cancel, a zero divisor, a jet
+past the order asked for, a formal function at a point).  The test replays the corpus in
 one process, in order, in a directory that holds the corpus's ``files``,
 and compares every output byte for byte.
 

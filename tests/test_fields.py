@@ -6,7 +6,7 @@ import sympy as sp
 from jetweyl.errors import JetOrderError
 from jetweyl.exprcore import T, X, Y, MultiIndex, equal, formal, is_zero, jet
 from jetweyl.fields import PointField, ProlongedField, _bracket_in, _phi_in
-from jetweyl.jets import _ring_for
+from jetweyl.trees import _ring_for
 from tree_oracle import generating_section, tree_total_derivative
 
 u, v = jet("u"), jet("v")

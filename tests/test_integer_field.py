@@ -25,9 +25,10 @@ import sympy as sp
 from sympy.polys.domains import QQ
 from sympy.polys.fields import FracField
 
-from jetweyl import exprcore, fields, geometry, invariants, jets, symmetry
+from jetweyl import exprcore, fields, geometry, invariants, jets, symmetry, trees
 from jetweyl.exprcore import T, X, Y, formal, jet
-from jetweyl.jets import _jet_ring, _ring_for, principal_indices
+from jetweyl.jets import _jet_ring, principal_indices
+from jetweyl.trees import _ring_for
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -39,6 +40,14 @@ def _clear_caches() -> None:
         for value in vars(module).values():
             if callable(getattr(value, "cache_clear", None)):
                 value.cache_clear()
+
+
+def _qq_field(keys: tuple) -> FracField:
+    """sympy's field over QQ on the generators of a jet ring, which keeps
+    the ring's generator keys."""
+    field = FracField(tuple(map(trees.symbol_of, keys)), QQ)
+    field.keys = keys
+    return field
 
 
 def _qq_to_expr(self, f) -> sp.Expr:
@@ -87,7 +96,7 @@ def _build() -> dict:
     ]
     ring = _jet_ring(4)
     out["principal table"] = [
-        ring.to_expr(ring.field.raw_new(ring.principal(ring.index[jet(dep, idx)])))
+        ring.to_expr(ring.field.raw_new(ring.principal(ring.symbol_index[jet(dep, idx)])))
         for idx in principal_indices(4)
         for dep in ("u", "v")
     ]
@@ -115,7 +124,7 @@ def both_sides():
     try:
         zz = _build()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(jets, "_JetField", lambda symbols: FracField(symbols, QQ))
+            mp.setattr(jets, "_JetField", _qq_field)
             mp.setattr(jets._JetRing, "to_expr", _qq_to_expr)
             mp.setattr(jets, "_lcm", lambda a, b: a.lcm(b))
             qq = _build()

@@ -17,10 +17,8 @@ from jetweyl.geometry import Solution
 from jetweyl.jets import (
     _equations,
     _jet_ring,
-    _ms_equations,
     _recurrence,
     internal_indices,
-    jet as _unused_guard,  # noqa: F401  (re-export sanity)
     ms_system,
     principal_indices,
 )
@@ -31,6 +29,7 @@ from tree_oracle import (
     tree_normalize,
     tree_recurrence,
     tree_total_derivative,
+    written_equations,
 )
 
 u, v = jet("u"), jet("v")
@@ -101,7 +100,7 @@ def test_the_oracle_transcribes_the_written_equations():
     # the oracle's F1, F2 come from their definition by tree total
     # derivatives; they equal the written form term for term, and a copy of
     # the written form with any one coefficient changed is told apart
-    for written, transcribed in zip(_ms_equations(), tree_equations()):
+    for written, transcribed in zip(written_equations(), tree_equations()):
         want = _terms(transcribed)
         assert _terms(written) == want
         for monomial in _terms(written):
@@ -124,7 +123,7 @@ def test_a_leading_coefficient_other_than_one_or_minus_one_is_refused(monkeypatc
             _recurrence("u")
         ring = jets._JetRing(2)
         with pytest.raises(AssertionError, match="equation not affine-monic in u_tx"):
-            ring.principal(ring.index[jet("u", "tx")])
+            ring.principal(ring.symbol_index[jet("u", "tx")])
         assert _recurrence("v")[0] == 1
     finally:
         _recurrence.cache_clear()
@@ -137,7 +136,7 @@ def test_the_leading_solve_divides_exactly(monkeypatch):
     monkeypatch.setattr(jets, "_recurrence", lambda dep: (2, ()))
     ring = jets._JetRing(2)
     with pytest.raises(ExactQuotientFailed):
-        ring.principal(ring.index[jet("u", "tx")])
+        ring.principal(ring.symbol_index[jet("u", "tx")])
 
 
 def test_dimension_table():
@@ -163,7 +162,7 @@ def _leading_entries() -> tuple:
     principal table, as trees."""
     ring = _jet_ring(2)
     return tuple(
-        ring.to_expr(ring.field.raw_new(ring.principal(ring.index[jet(dep, "tx")])))
+        ring.to_expr(ring.field.raw_new(ring.principal(ring.symbol_index[jet(dep, "tx")])))
         for dep in ("u", "v")
     )
 

@@ -31,7 +31,7 @@ from sympy.polys.fields import FracField
 from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import PolyElement
 
-from jetweyl import geometry, invariants, jets, symmetry
+from jetweyl import geometry, invariants, jets, symmetry, trees
 from jetweyl.errors import ExprError, JetweylError
 from jetweyl.exprcore import (
     BASE_SYMBOLS,
@@ -45,7 +45,8 @@ from jetweyl.exprcore import (
     jet_info,
     jet_order,
 )
-from jetweyl.jets import _jet_ring, _ring_for
+from jetweyl.jets import _jet_ring
+from jetweyl.trees import _ring_for
 from test_integer_field import _clear_caches, _nested_inputs
 from tree_oracle import diff_derivation, jet_poly, sympy_cancel, sympy_poly, tree_convert
 
@@ -166,9 +167,7 @@ def test_the_zero_denominator_names_the_whole_expression():
 
 def test_a_convert_with_an_exponent_off_by_one_fails_the_oracle(monkeypatch):
     corpus = _convert_corpus()
-    monkeypatch.setattr(
-        jets._JetRing, "_read", _mutant(jets._JetRing._read, "n = int(e.exp)", "n = int(e.exp) + 1")
-    )
+    monkeypatch.setattr(trees, "_read", _mutant(trees._read, "n = int(e.exp)", "n = int(e.exp) + 1"))
     assert any(_entries(ring.convert(e)) != _entries(tree_convert(ring, e)) for ring, e in corpus)
 
 
@@ -189,7 +188,7 @@ def _total_images(ring, d: str) -> list:
             dep, idx = jet_info(s)
             if idx.order < ring.order:
                 out.append((i, ring.gen(jet(dep, idx.bump(d)))))
-        elif is_formal_symbol(s) and d == "t" and formal_shift(s) in ring.index:
+        elif is_formal_symbol(s) and d == "t" and formal_shift(s) in ring.symbol_index:
             out.append((i, ring.gen(formal_shift(s))))
     return out
 
@@ -242,9 +241,9 @@ def _several_term_images() -> list:
     u, ux, uy = jet("u"), jet("u", "x"), jet("u", "y")
     t, x, y = BASE_SYMBOLS
     images = [
-        (ring.index[u], ring.convert(1 / (x + 1))),
-        (ring.index[ux], ring.convert(u / (y + u))),
-        (ring.index[t], ring.convert(3 * t / (2 * uy))),
+        (ring.symbol_index[u], ring.convert(1 / (x + 1))),
+        (ring.symbol_index[ux], ring.convert(u / (y + u))),
+        (ring.symbol_index[t], ring.convert(3 * t / (2 * uy))),
     ]
     fs = [ux / (u + t), u**3 * ux - t * ux**2, (ux + y) / (4 * u**2 * t)]
     return [(ring, ring.convert(f), ring.lift(images), images) for f in fs]

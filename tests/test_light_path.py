@@ -1,13 +1,16 @@
-"""The light path: commands that need no algebra start without sympy.
+"""The light path: commands that need no sympy start without it.
 
 ``import jetweyl.cli`` loads the standard library and ``errors`` only, and
 each subcommand imports the layers it uses.  A fresh interpreter runs
-``dims``, ``compare``, ``--help``, usage errors and, for every command
-that reads DSL text, a text the syntax stage refuses, and must not have
-loaded sympy after any of them; ``counts`` loads neither sympy nor an
-algebra layer.  A static guard reads the sources: the light modules import
-neither sympy nor a module that uses it, and ``cli.py`` imports neither at
-module level.
+``dims``, ``compare``, ``--help``, usage errors, for every command that
+reads DSL text a text the syntax stage refuses, and ``reduce`` and
+``invariants`` (bare and with ``--eval``/``--at``) on rational text, which
+the jet field's core (``jets``) computes and prints; it must not have
+loaded sympy after any of them.  A ``reduce`` of a fractional power, run
+last, must load it: the probe sees sympy.  ``counts`` loads neither sympy
+nor an algebra layer.  A static guard reads the sources: the light modules
+import neither sympy nor a module that uses it, and ``cli.py`` and the
+core ``jets.py`` import neither at module level.
 """
 
 import ast
@@ -80,8 +83,19 @@ def test_light_commands_do_not_load_sympy(tmp_path):
         ("transform-E", ["transform", "trivial", "--D", "2*t", "--E", "1/0"], 3),
         ("signature", ["signature", "u = x ; x = 0"], 3),
         ("signature-h", ["signature", "sl2-family", "--f", "0", "--h", "f(x)"], 3),
+        # rational text: the core reads, reduces, evaluates and prints it
+        ("reduce-light", ["reduce", "u_tx"], 0),
+        ("reduce-negative", ["reduce", "--", "-u_tx"], 0),
+        ("reduce-formal", ["reduce", "h''(t)*u_x"], 0),
+        ("invariants", ["invariants"], 0),
+        ("invariants-eval-at", [
+            "invariants", "--eval", "(u_x^2*u_xy + u_x*u_xx*v_x + u_xx*u_yy - u_xy^2)/u_x^4",
+            "--at", "u_x=-5,u_xx=2,u_xy=4,u_yy=1/7,v_x=7/5,v_xx=-8/3,v_xy=-2/3",
+        ], 0),
     ]
-    commands = [(name, argv) for name, argv, _ in runs]
+    # the negative control, run last: a fractional power needs sympy
+    control = ("reduce-radical", ["reduce", "t^(1/2)*u_x"], 0)
+    commands = [(name, argv) for name, argv, _ in (*runs, control)]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -96,6 +110,7 @@ def test_light_commands_do_not_load_sympy(tmp_path):
     assert json.loads(report.read_text()) == {
         "import": False,
         **{name: [code, False] for name, _, code in runs},
+        control[0]: [control[2], True],
     }
 
 
@@ -184,15 +199,16 @@ def light_path_offences(sources: dict) -> list:
     for name in LIGHT:
         if name in sources:
             out += [f"{name} imports {m}" for m in bad(anywhere[name])]
-    if "cli.py" in sources:
-        level = _imports(sources["cli.py"], True)
-        out += [f"cli.py imports {m} at module level" for m in bad(level)]
+    for name in ("cli.py", "jets.py"):
+        if name in sources:
+            level = _imports(sources[name], True)
+            out += [f"{name} imports {m} at module level" for m in bad(level)]
     return out
 
 
 def test_the_light_modules_and_cli_import_no_sympy():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert set(LIGHT) | {"cli.py"} <= set(sources)
+    assert set(LIGHT) | {"cli.py", "jets.py"} <= set(sources)
     assert light_path_offences(sources) == []
 
 
@@ -203,7 +219,8 @@ def test_the_light_path_guard_sees_a_planted_import():
         "linalg.py": "from fractions import Fraction\n",
         "exprcore.py": "import sympy as sp\n",
         # heavy through exprcore only
-        "jets.py": "from .exprcore import jet\n",
+        "jets.py": "from .exprcore import jet\ndef symbols(ring):\n    from . import trees\n",
+        "trees.py": "from .jets import _JetRing\nimport sympy as sp\n",
         # a lazy import is still an import for a light module
         "counts.py": "def dims(k):\n    from .jets import ms_system\n",
         "clouds.py": "from . import errors, linalg\nfrom sympy.core import S\n",
@@ -217,4 +234,5 @@ def test_the_light_path_guard_sees_a_planted_import():
         "counts.py imports jetweyl.jets",
         "clouds.py imports sympy.core",
         "cli.py imports jetweyl.jets at module level",
+        "jets.py imports jetweyl.exprcore at module level",
     ]

@@ -13,7 +13,7 @@ import random
 import pytest
 import sympy as sp
 
-from jetweyl import checks, geometry, jets
+from jetweyl import checks, geometry, trees
 from jetweyl.errors import ExprError, PseudogroupError, SolutionError
 from jetweyl.exprcore import T, validate_kernel
 from jetweyl.symmetry import PseudogroupElement
@@ -128,7 +128,7 @@ def test_a_move_builds_one_field_and_no_tree(cid, kwargs, kind, fields, monkeypa
     sol = geometry.catalog(cid, **kwargs)
     assert bool(sol.field.occurring()[1]) == (fields == 2)
     built, converted = [], []
-    init, expr = geometry.SectionField.__init__, jets._Rescaled.expr
+    init, expr = geometry.SectionField.__init__, trees._Rescaled.expr
 
     def counted(sf, exprs):
         built.append(exprs)
@@ -139,7 +139,7 @@ def test_a_move_builds_one_field_and_no_tree(cid, kwargs, kind, fields, monkeypa
         return expr(scaled, f)
 
     monkeypatch.setattr(geometry.SectionField, "__init__", counted)
-    monkeypatch.setattr(jets._Rescaled, "expr", watched)
+    monkeypatch.setattr(trees._Rescaled, "expr", watched)
     for el in _elements(cid, kind)[:4]:
         built.clear()
         assert sol.transform(el).checked

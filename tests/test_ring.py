@@ -41,16 +41,14 @@ from jetweyl.invariants import (
 )
 from jetweyl.jets import (
     _JetRing,
-    _canonical,
     _equations,
     _jet_ring,
-    _ms_equations,
     _poly_sums,
-    _ring_for,
     internal_indices,
     ms_system,
     principal_indices,
 )
+from jetweyl.trees import _canonical, _ring_for
 from jetweyl.symmetry import ShapeField, _ansatz, _family_terms, generator
 from tree_oracle import (
     generating_section,
@@ -58,6 +56,7 @@ from tree_oracle import (
     tree_equations,
     tree_normalize,
     tree_total_derivative,
+    written_equations,
 )
 
 # ---------------------------------------------------------------------------
@@ -140,7 +139,7 @@ QUANTITIES = [invariant(i) for i in (1, 2, 3)] + [structure_K(i) for i in (1, 2,
 def _ring_entries(k: int):
     ring = _jet_ring(k)
     return ring, {
-        (dep, idx): ring.principal(ring.index[jet(dep, idx)])
+        (dep, idx): ring.principal(ring.symbol_index[jet(dep, idx)])
         for idx in principal_indices(k)
         for dep in ("u", "v")
     }
@@ -168,7 +167,7 @@ def test_each_order_has_one_ring_and_one_principal_table():
         assert plain is _jet_ring(k)
         padded = _ring_for(k, (formal("a"),))
         for idx in principal_indices(k):
-            i = plain.index[jet("v", idx)]
+            i = plain.symbol_index[jet("v", idx)]
             assert plain.principal(i) is _jet_ring(k).principal(i)
             assert padded.principal(i) == padded.ring.dtype(
                 {m + (0,) * len(padded.extras): c for m, c in plain.principal(i).items()}
@@ -288,7 +287,7 @@ def test_embed_matches_conversion():
     metric, covector = _ansatz()
     for target in (_jet_ring(3), lift_ring, symmetry_ring):
         for f in (*_equations(), *metric[0], *metric[1], *metric[2], *covector):
-            if all(source.symbols[i] in target.index for i in source.present(f)):
+            if all(source.symbols[i] in target.symbol_index for i in source.present(f)):
                 assert _embeds_as_converted(source, target, f)
             else:
                 # only the lift ring, of jet order 0, lacks a generator
@@ -451,7 +450,7 @@ def test_point_evaluator_matches_the_tree(k):
     point = ms_system().point(k, base=base, internal=internal)
     table = _order3()
     ring = table.ring
-    coords = [ring.index[jet(dep, idx)] for dep in ("u", "v") for idx in internal_indices(3)]
+    coords = [ring.symbol_index[jet(dep, idx)] for dep in ("u", "v") for idx in internal_indices(3)]
     for f in table.twelve:
         for p in (f.numer, f.denom):
             tree = p.as_expr()
@@ -486,7 +485,7 @@ def test_invariance_proofs_of_order_up_to_3_share_one_prolongation_ring():
 
 def test_zero_reduced_denominator_raises():
     # the denominator is F1, which vanishes on the equation
-    F1, _ = _ms_equations()
+    F1, _ = written_equations()
     with pytest.raises(DivisionByZeroExpression):
         ms_system().reduce(jet("u", "x") / F1)
 

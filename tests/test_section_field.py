@@ -19,7 +19,7 @@ import time
 import pytest
 import sympy as sp
 
-from jetweyl import checks, exprcore, geometry, jets
+from jetweyl import checks, exprcore, geometry, jets, trees
 from jetweyl.errors import (
     DivisionByZeroExpression,
     ExpAtomError,
@@ -513,7 +513,7 @@ def test_at_builds_no_field_and_no_tree(monkeypatch):
         geometry.SectionField, "__init__", counted("field", geometry.SectionField.__init__)
     )
     rescaled = counted("rescaled", exprcore._rescaled)
-    for module in (exprcore, jets, geometry):
+    for module in (exprcore, trees, geometry):
         monkeypatch.setattr(module, "_rescaled", rescaled)
     monkeypatch.setattr(geometry, "_image_atom", counted("image", geometry._image_atom))
     sections = [make().field for make in (_radical_move, _joint_radicals)]

@@ -14,7 +14,8 @@ from jetweyl.errors import ExprError, JetOrderError, LiftError, PseudogroupError
 from jetweyl.exprcore import T, X, Y, equal, formal, is_zero, jet, jet_info
 from jetweyl.fields import PointField, ProlongedField
 from jetweyl.geometry import Solution
-from jetweyl.jets import _jet_ring, _ring_for, internal_indices, ms_system, principal_indices
+from jetweyl.jets import _jet_ring, internal_indices, ms_system, principal_indices
+from jetweyl.trees import _ring_for
 from jetweyl import exprcore, invariants, jets, linalg, symmetry
 from jetweyl.symmetry import (
     _TaylorJet,
@@ -419,9 +420,9 @@ def _table_value(theta, s) -> Fraction:
         return theta.base[s.name]
     dep, idx = jet_info(s)
     if idx.is_internal:
-        return theta.internal.get(s, Fraction(0))
+        return theta.internal.get(s.name, Fraction(0))
     ring = _jet_ring(idx.order)
-    return _table_eval(ring.to_expr(ring.field.raw_new(ring.principal(ring.index[s]))), theta)
+    return _table_eval(ring.to_expr(ring.field.raw_new(ring.principal(ring.symbol_index[s]))), theta)
 
 
 def _table_eval(e, theta) -> Fraction:
@@ -660,7 +661,7 @@ def test_a_warm_orbit_dimension_builds_no_jet_symbol(monkeypatch):
         calls.append(args)
         return real_jet(*args, **kwargs)
 
-    for module in (exprcore, jets, symmetry):
+    for module in (exprcore, symmetry):
         monkeypatch.setattr(module, "jet", counting_jet)
     assert exprcore.resolve_symbol("u_xy") is not None and len(calls) == 1  # the counter counts
     calls.clear()

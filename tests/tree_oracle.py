@@ -8,7 +8,8 @@ generators substituted back.  ``partial`` is the tree derivative: sympy's
 ``diff`` plus the formal chain rule d/dt a^(k) = a^(k+1), and
 ``tree_total_derivative`` the total derivative D_i built on it.
 ``tree_equations`` is F1, F2 transcribed from their definition with that
-total derivative, independent of the package's written form.
+total derivative, independent of the package's written form, and
+``written_equations`` the trees of that written form.
 ``tree_recurrence`` parses an equation of the system with ``sp.Poly`` into
 the terms of the point recurrence, and ``fraction_principal_values`` is the
 ``Fraction`` Leibniz solve of the principal values that ``JetPoint`` ran
@@ -38,6 +39,9 @@ before it read trees itself: ``as_numer_denom``, then ``from_expr`` of
 both sides, then one cancellation, with the refusals of that path.
 ``diff_derivation`` is the derivation of a jet ring built from sympy's
 ``PolyElement.diff``, ``lcm`` and ``cancel``.
+``tree_text`` is the canonical text as ``exprcore.to_text`` printed every
+canonical form from its sympy tree, in sympy's ``default_sort_key`` order:
+the oracle of the jet field's printer ``jets.text``.
 ``tree_parse_expr`` and ``tree_parse_solution`` are the DSL as one stage:
 a recursive-descent parser that builds the sympy tree as it reads the
 tokens, and so raises its errors in the order it meets them, algebra
@@ -55,7 +59,9 @@ from sympy.polys.domains import ZZ
 from sympy.polys.rings import PolyRing
 
 from jetweyl.counts import _poincare
-from jetweyl import geometry
+from jetweyl import geometry, syntax
+from jetweyl.dsl import _build
+from jetweyl.jets import EQUATIONS
 from jetweyl.errors import (
     DivisionByZeroExpression,
     ExprError,
@@ -200,6 +206,12 @@ def tree_equations() -> tuple[sp.Expr, sp.Expr]:
     F1 = D(ut + u * uy + v * ux, "x") - D(uy, "y")
     F2 = D(vt + v * vx - u * vy, "x") - D(vy - 2 * u * vx, "y")
     return sp.expand(F1), sp.expand(F2)
+
+
+def written_equations() -> tuple[sp.Expr, sp.Expr]:
+    """F1 and F2 as sympy trees, built from the package's written form
+    (``jets.EQUATIONS``)."""
+    return tuple(_build(syntax.parse_expr(F)) for F in EQUATIONS)
 
 
 def tree_recurrence(F, dep: str) -> tuple:
@@ -793,3 +805,76 @@ def tree_parse_solution(text: str, allow_exp: bool = True) -> dict[str, sp.Expr]
     if missing:
         raise ParseError(f"missing bindings for {', '.join(sorted(missing))}")
     return bindings
+
+
+# ---------------------------------------------------------------------------
+# the sympy printing of canonical forms
+
+
+def _print_rational(q: sp.Rational) -> str:
+    return str(q) if q >= 0 else f"({q})"
+
+
+def _print_pow(base: sp.Expr, expo: sp.Rational) -> str:
+    b = _print_term(base, wrap_mul=True)
+    if expo.is_Integer and expo > 0:
+        return f"{b}^{expo}"
+    return f"{b}^({expo})"
+
+
+def _print_term(e: sp.Expr, wrap_mul: bool = False) -> str:
+    if e.is_Rational:
+        return _print_rational(e)
+    if isinstance(e, sp.Symbol):
+        return f"{e.name}(t)" if is_formal_symbol(e) else e.name
+    if isinstance(e, sp.Pow):
+        return _print_pow(*e.args)
+    inner = _print_expr(e)
+    return f"({inner})" if (wrap_mul or isinstance(e, sp.Add)) else inner
+
+
+def _print_product(e: sp.Expr) -> str:
+    coeff, rest = e.as_coeff_Mul()
+    factors = [f for f in sp.Mul.make_args(rest) if f != 1]
+    parts = []
+    if coeff != 1 or not factors:
+        parts.append(_print_rational(coeff))
+    for f in sorted(factors, key=sp.default_sort_key):
+        parts.append(f"({_print_expr(f)})" if isinstance(f, sp.Add) else _print_term(f, wrap_mul=True))
+    return "*".join(parts)
+
+
+def _print_sum(e: sp.Expr) -> str:
+    chunks = []
+    for term in sorted(sp.Add.make_args(e), key=sp.default_sort_key):
+        coeff, _ = term.as_coeff_Mul()
+        chunks.append(("-" if coeff < 0 else "+", _print_product(-term if coeff < 0 else term)))
+    out = ("-" if chunks[0][0] == "-" else "") + chunks[0][1]
+    for sign, body in chunks[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+def _print_expr(e: sp.Expr) -> str:
+    if isinstance(e, sp.Add):
+        return _print_sum(e)
+    if e.as_coeff_Mul()[0] < 0:
+        return "-" + _print_product(-e)
+    return _print_product(e)
+
+
+def tree_text(e) -> str:
+    """The canonical text of a rational expression as ``exprcore.to_text``
+    printed it from sympy trees: ``normalize``, ``sp.fraction`` of the
+    canonical tree, and terms and factors in sympy's ``default_sort_key``
+    order."""
+    canon = normalize(e)
+    if canon.is_Rational:
+        return str(canon)
+    num, den = sp.fraction(canon)
+    if den == 1:
+        return _print_expr(num)
+    num_s = _print_expr(num)
+    if isinstance(num, sp.Add) or num.as_coeff_Mul()[0] < 0:
+        num_s = f"({num_s})"
+    return f"{num_s}/{_print_term(den, wrap_mul=True)}"
