@@ -17,9 +17,13 @@ Subpackages by theme:
 * :mod:`jetweyl.invariants` differential invariants, invariant derivations,
                             structure coefficients
 * :mod:`jetweyl.counts`     jet-space dimensions and the invariant counts
-* :mod:`jetweyl.geometry`   metric/one-form pairs, Weyl connection, Einstein
-                            condition, the explicit-solution catalog
-* :mod:`jetweyl.equivalence` sampled invariant signatures of solutions
+* :mod:`jetweyl.sections`   the section field without sympy: solutions,
+                            metric/one-form pairs, Weyl connection, Einstein
+                            condition, sampled signatures, the section reader
+* :mod:`jetweyl.geometry`   the tree side of sections: moves, reflections,
+                            the canonical frame, the explicit-solution catalog
+* :mod:`jetweyl.equivalence` signature clouds of jet points, I-regularity;
+                            re-exports the sampler and signature of sections
 * :mod:`jetweyl.clouds`     signature clouds: comparison, JSON form
 * :mod:`jetweyl.checks`     the named checks behind ``verify-all`` and the
                             acceptance battery

@@ -16,6 +16,10 @@ Each handler imports the layers it uses, so ``dims``, ``compare``,
 reads DSL text reads all of it with :mod:`jetweyl.syntax` first, before it
 loads an algebra layer: a parse error, a bad ``--at`` piece or a jet
 coordinate past the order cap exits without loading sympy as well.
+``reduce`` and ``invariants`` compute rational text in the jet field
+(``jets``), and ``check-solution`` and ``signature`` read a section of the
+algebraic subset into its field (``sections.read_section``); other input
+takes the sympy path, with the same output and refusals.
 """
 
 from __future__ import annotations
@@ -71,18 +75,28 @@ def _jsonable(x):
     return str(x)
 
 
-def _read_solution(args) -> None:
-    """Read the solution argument with the syntax stage and, for a catalog
-    id, its parameters ``--f``, ``--h``, ``--w``, which bindings ignore."""
+def _read_solution(args) -> dict:
+    """Read the solution argument with the syntax stage: the trees of a
+    catalog id's parameters ``--f``, ``--h``, ``--w`` (which bindings
+    ignore) or of the bindings, by name."""
     from . import syntax
 
     if args.solution in syntax.CATALOG_IDS:
-        for name in ("f", "h", "w"):
-            val = getattr(args, name, None)
-            if val is not None:
-                syntax.parse_expr(val, allow_exp=True)
-    else:
-        syntax.parse_solution(args.solution)
+        return {
+            name: syntax.parse_expr(val, allow_exp=True)
+            for name in ("f", "h", "w")
+            if (val := getattr(args, name, None)) is not None
+        }
+    return {name: tree for name, _, tree in syntax.parse_solution(args.solution)}
+
+
+def _solution(args, deferred: bool = False):
+    """The solution argument: read in the jet field where it lies in the
+    algebraic subset (``sections.read_section``), else through sympy."""
+    from . import sections
+
+    sol = sections.read_section(args.solution, _read_solution(args), deferred)
+    return sol if sol is not None else _solution_from_text(args.solution, args, deferred)
 
 
 def _solution_from_text(text: str, args, deferred: bool = False):
@@ -381,30 +395,25 @@ def _cmd_counts(args):
 
 
 def _cmd_check_solution(args):
-    _read_solution(args)
-    from . import geometry
-    from .exprcore import to_text
+    sol = _solution(args, deferred=True)
+    from . import sections
 
-    sol = _solution_from_text(args.solution, args, deferred=True)
-    r1, r2 = sol.residuals()
     solves = sol.solves()
     pts = []
     if args.points:
-        from . import equivalence
-
-        cfg = equivalence.SamplerConfig(seed=args.seed, n=args.points)
+        cfg = sections.SamplerConfig(seed=args.seed, n=args.points)
         pts = [p for p, _ in cfg.admissible(sol)]
-    rep = geometry.check_EW(sol, pts=pts)
+    rep = sections.check_EW(sol, pts=pts)
     ok = solves and rep.ok
     doc = {
         "solution": sol.name,
         "solves_system": solves,
-        "ms_residuals": [to_text(r1), to_text(r2)],
+        "ms_residuals": [sections.text(sol.field, r) for r in sol._residuals()],
         "ew_exact": rep.exact,
         "ew_residual_max": max((c.residual for c in rep.points), default=0.0),
-        "lambda": to_text(rep.lam),
+        "lambda": sections.text(rep.scaled, rep.lam_element),
         "lambda_samples": [
-            {"point": [str(q) for q in c.point], "value": to_text(c.lam)}
+            {"point": [str(q) for q in c.point], "value": sections.text(c.scaled, c.lam_element)}
             for c in rep.points
         ],
         "ok": ok,
@@ -433,13 +442,12 @@ def _cmd_transform(args):
 
 
 def _cmd_signature(args):
-    _read_solution(args)
-    from . import equivalence
+    sol = _solution(args)
+    from . import sections
     from .clouds import cloud_to_json
 
-    sol = _solution_from_text(args.solution, args)
-    cfg = equivalence.SamplerConfig(seed=args.seed, n=args.n)
-    cloud = equivalence.signature(sol, cfg)
+    cfg = sections.SamplerConfig(seed=args.seed, n=args.n)
+    cloud = sections.signature(sol, cfg)
     text = cloud_to_json(cloud)
     if args.out:
         with open(args.out, "w") as fh:

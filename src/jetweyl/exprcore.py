@@ -36,13 +36,12 @@ This module pins down the term language, the rescaling and the canonical
 text form.  It takes no derivatives: the formal chain rule
 ``d/dt a^(k) = a^(k+1)`` is the image of a^(k) under the total derivative
 D_t of the jet ring (``jets._JetRing``), on which the section field
-(``geometry.SectionField``) is built.
+(``sections.SectionField``) is built.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 from typing import Union
 
@@ -55,6 +54,8 @@ from .errors import (
     ExprError,
     UnknownSymbolError,
 )
+from .jets import _key_text
+from .sections import _joint_constants, _prime_radicals
 from .syntax import (
     _FORMAL_NAME_RE,
     _RESERVED_FORMAL,
@@ -272,55 +273,35 @@ def validate_kernel(e, allow_exp: bool = False) -> sp.Expr:
 # canonicalization
 
 
-#: auxiliary positive generators, one per base variable and kind; fixed
-#: symbols, so that the jet rings holding them can be reused
-_AUX = {
-    name: sp.Dummy(name, positive=True)
-    for base in BASE_SYMBOLS
-    for name in (f"E{base.name}", base.name.upper())
-}
-#: constant generators, fixed for the same reason: (p, M) -> (p^(1/M) for a
-#: prime p or exp(1/M) for p = 0, as a generator, and its value)
-_CONSTANTS: dict[tuple[int, int], tuple[sp.Dummy, sp.Expr]] = {}
-#: the inverse of ``_CONSTANTS``: generator -> (p, M)
-_CONSTANT_KEYS: dict[sp.Dummy, tuple[int, int]] = {}
+#: auxiliary key -> its generator, a positive ``Dummy`` with the name
+#: ``jets._key_text`` prints the key with; fixed, so that the jet rings
+#: holding them can be reused
+_AUX_SYMBOLS: dict[tuple, sp.Dummy] = {}
+#: the inverse of ``_AUX_SYMBOLS``: generator -> key
+_AUX_KEYS: dict[sp.Dummy, tuple] = {}
+#: the values of the constant generators: (p, M) -> p^(1/M) for a prime p
+#: or exp(1/M) for p = 0
+_CONSTANTS: dict[tuple[int, int], sp.Expr] = {}
 
 
-def _joint_constants(parts: dict) -> dict[int, tuple[int, sp.Dummy, sp.Expr]]:
-    """The constant generators of values c * prod p^r ({key: (c, [(p, r)])},
-    p = 0 standing for e): one per p, p^(1/M) or exp(1/M) with M the least
-    common denominator of the exponents of p, as {p: (M, generator,
-    value)} in ascending p."""
-    M: dict[int, int] = {}
-    for _, terms in parts.values():
-        for p, r in terms:
-            M[p] = math.lcm(M.get(p, 1), r.denominator)
-    out = {}
-    for p, m in sorted(M.items()):
-        got = _CONSTANTS.get((p, m))
-        if got is None:
-            gen = sp.Dummy(f"R{p}_{m}" if p else f"E_{m}", positive=True)
-            value = sp.Integer(p) ** sp.Rational(1, m) if p else sp.exp(sp.Rational(1, m))
-            got = _CONSTANTS[(p, m)] = gen, value
-            _CONSTANT_KEYS[gen] = (p, m)
-        out[p] = (m, *got)
-    return out
+def _aux_symbol(key: tuple) -> sp.Dummy:
+    """The generator of an auxiliary key: ("root", b) for b^(1/m),
+    ("exp", b) for exp(s*b) and ("radical", p, M) for p^(1/M), or exp(1/M)
+    for p = 0."""
+    gen = _AUX_SYMBOLS.get(key)
+    if gen is None:
+        gen = _AUX_SYMBOLS[key] = sp.Dummy(_key_text(key)[1:], positive=True)
+        _AUX_KEYS[gen] = key
+    return gen
 
 
-def _prime_radicals(q: Fraction, e: Fraction) -> tuple[Fraction, dict[int, Fraction]]:
-    """q^e for a positive rational q as (c, {p: r}): q^e = c * prod p^r over
-    primes p, with c rational and 0 < r < 1.  Each prime's p^floor(k*e)
-    goes into c, so the radicals stay in numerators, as sympy writes a
-    power of a rational: (1/2)^(1/2) is 2^(1/2)/2."""
-    c, radicals = Fraction(1), {}
-    for n, sign in ((q.numerator, 1), (q.denominator, -1)):
-        for p, k in sp.factorint(n).items():
-            s = sign * k * e
-            whole = math.floor(s)
-            c *= Fraction(p) ** whole
-            if s != whole:
-                radicals[p] = s - whole
-    return c, radicals
+def _constant(p: int, M: int) -> tuple[sp.Dummy, sp.Expr]:
+    """(generator, value) of the constant p^(1/M), or exp(1/M) for p = 0."""
+    value = _CONSTANTS.get((p, M))
+    if value is None:
+        value = sp.Integer(p) ** sp.Rational(1, M) if p else sp.exp(sp.Rational(1, M))
+        _CONSTANTS[(p, M)] = value
+    return _aux_symbol(("radical", p, M)), value
 
 
 def _rescaled(e: sp.Expr) -> tuple[sp.Expr, dict]:
@@ -353,7 +334,7 @@ def _rescaled(e: sp.Expr) -> tuple[sp.Expr, dict]:
             if not coeffs:
                 continue
             scale = sp.Rational(1, functools.reduce(sp.ilcm, [c.q for c in coeffs.values()], 1))
-            gen = _AUX[f"E{base.name}"]
+            gen = _aux_symbol(("exp", base.name))
             e = e.xreplace({atom: gen ** int(c / scale) for atom, c in coeffs.items()})
             back[gen] = sp.exp(scale * base)
     for base in BASE_SYMBOLS:
@@ -365,7 +346,7 @@ def _rescaled(e: sp.Expr) -> tuple[sp.Expr, dict]:
         if not dens:
             continue
         m = functools.reduce(sp.ilcm, dens, 1)
-        gen = _AUX[base.name.upper()]
+        gen = _aux_symbol(("root", base.name))
         e = e.xreplace({base: gen**m})
         back[gen] = base ** sp.Rational(1, m)
     return _constant_generators(e, back)
@@ -390,7 +371,7 @@ def _constant_generators(e: sp.Expr, back: dict) -> tuple[sp.Expr, dict]:
         parts[sp.E] = one, [(0, Fraction(1))]
     if not parts:
         return e, back
-    joint = _joint_constants(parts)
+    joint = {p: (M, *_constant(p, M)) for p, M in _joint_constants(parts).items()}
     back.update((gen, value) for _, gen, value in joint.values())
     rep = {
         a: c * sp.Mul(*(joint[p][1] ** int(r * joint[p][0]) for p, r in terms))

@@ -33,27 +33,22 @@ import sympy as sp
 
 from .errors import JetOrderError, NotAPointFieldError
 from .exprcore import (
-    BASE_SYMBOLS,
     DEPENDENTS,
     MAX_JET_ORDER,
     MultiIndex,
-    formal_shift,
-    is_formal_symbol,
     is_jet_symbol,
-    jet,
     jet_info,
     equal,
     is_zero,
     to_text,
 )
+from .jets import BASE_NAMES, _is_formal_key, _jet_key
 from .trees import _ring_for
 
 __all__ = [
     "PointField",
     "ProlongedField",
 ]
-
-_FIBRE = (jet("u"), jet("v"))
 
 
 def _check_point_coefficient(e: sp.Expr, where: str) -> sp.Expr:
@@ -155,17 +150,19 @@ class ProlongedField:
             got = self._section_derivative(ring, dependent, idx)
             for a, d in zip(self._components_in(ring)[:3], "txy"):
                 if a:
-                    got = got + a * ring.gen(jet(dependent, idx.bump(d)))
+                    got = got + a * ring.gen(_jet_key(dependent, idx.bump(d)))
             self._coeffs[key] = got
         return got
 
     def _apply_in(self, ring, f):
-        """The prolonged field applied to an element of its ring."""
+        """The prolonged field applied to an element of its ring; the jet
+        coordinates come first among its generators."""
         comps = self._components_in(ring)
+        jets = ring._jets
         images = [
-            (i, _point_image(ring, comps, ring.symbols[i]))
-            if not is_jet_symbol(ring.symbols[i])
-            else (i, self._coeff_in(ring, *jet_info(ring.symbols[i])))
+            (i, self._coeff_in(ring, *jets[i]))
+            if i < len(jets)
+            else (i, _point_image(ring, comps, ring.keys[i]))
             for i in ring.present(f)
         ]
         return ring.apply(f, ring.lift(images))
@@ -177,27 +174,27 @@ def _phi_in(ring, comps: list, dependent: str):
     got = comps[3 + DEPENDENTS.index(dependent)]
     for a, d in zip(comps[:3], "txy"):
         if a:
-            got = got - a * ring.gen(jet(dependent, d))
+            got = got - a * ring.gen(f"{dependent}_{d}")
     return got
 
 
-def _point_image(ring, comps: list, s):
-    """The image of a base, fibre or formal generator under the field with
-    components ``comps`` (elements of the ring)."""
-    if s in BASE_SYMBOLS:
-        return comps[BASE_SYMBOLS.index(s)]
-    if s in _FIBRE:
-        return comps[3 + _FIBRE.index(s)]
-    if is_formal_symbol(s):
+def _point_image(ring, comps: list, key):
+    """The image of a base, fibre or formal generator, by its key, under
+    the field with components ``comps`` (elements of the ring)."""
+    if key in BASE_NAMES:
+        return comps[BASE_NAMES.index(key)]
+    if key in DEPENDENTS:
+        return comps[3 + DEPENDENTS.index(key)]
+    if _is_formal_key(key):
         # the formal chain rule of d/dt: a^(m) -> a^(m+1)
-        return comps[0] * ring.gen(formal_shift(s))
+        return comps[0] * ring.gen(key + "'")
     return ring.field.zero
 
 
 def _point_apply(ring, comps: list, f):
     """A point field as a derivation of its ring; jet coordinates of
     positive order are constants."""
-    images = [(i, _point_image(ring, comps, ring.symbols[i])) for i in ring.present(f)]
+    images = [(i, _point_image(ring, comps, ring.keys[i])) for i in ring.present(f)]
     return ring.apply(f, ring.lift(images))
 
 

@@ -1,56 +1,65 @@
-"""Weyl geometry of solutions: metric pair, connection, curvature, frame.
+"""Weyl geometry of solutions: the tree side, the canonical frame and the
+catalog.
 
 A solution section (u, v) determines a metric and covector on the base by
-the fixed ansatz; this module builds the Weyl connection of that pair,
-checks the Einstein property, constructs the order-2 canonical frame at a
-point in closed form, and carries the catalog of explicit solutions with
-their reduction checks.
-
-The section's derivatives, its equation residuals, the metric pair, the
-connection, the curvature and the invariants along it are held only as
-elements of one exact differential field (:class:`SectionField`).  Sympy
-expressions are converted into it once, and field elements back only for
-values that are returned, printed or sampled.
+the fixed ansatz.  The section field, solutions, the Weyl pair, its
+connection, the curvature and the Einstein check are arithmetic in one
+exact differential field and live in :mod:`jetweyl.sections`, which
+imports no sympy; this module re-exports them.  Here is what gives or
+takes sympy trees: the moves and reflections of a section field, the
+closed forms the sympy callers give, the skew anchor as a matrix, the
+sampled residual of the Einstein check, the order-2 canonical frame at a
+point in closed form, and the catalog of explicit solutions with their
+reduction checks.  The catalog's closed forms are DSL text in
+``sections.CATALOG``; :func:`catalog` builds their trees from it.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import sympy as sp
 
+from .dsl import _build
 from .errors import (
     ExprError,
-    JetOrderError,
     SolutionError,
 )
 from .exprcore import (
     BASE_SYMBOLS,
-    DEPENDENTS,
     T,
     X,
     Y,
-    MultiIndex,
-    _CONSTANT_KEYS,
-    _joint_constants,
-    _prime_radicals,
-    _rescaled,
     formal,
     is_formal_symbol,
     is_jet_symbol,
-    jet,
     jet_info,
     to_text,
     validate_kernel,
 )
-from .jets import _coordinates, _equations, _jet_ring, _support
-from .trees import _Rescaled, _ring_for
-from .linalg import _cofactors
-from .syntax import CATALOG_IDS
-from . import symmetry as _symmetry
+from .jets import _coordinates, _equations, _jet_key, _jet_ring, _support
+from .sections import (
+    CATALOG,
+    CORRECTION_SIGN,
+    DOMAINS,
+    Connection,
+    EWReport,
+    SectionField,
+    Solution,
+    WeylPair,
+    _catalog_trees,
+    _d_omega_of,
+    _inverse,
+    _Rescaled,
+    _rows,
+    build_pair,
+    check_EW,
+    weyl_connection,
+)
+from .syntax import CATALOG_IDS, MultiIndex
+from .trees import key_of
 
 __all__ = [
     "SectionField",
@@ -73,274 +82,89 @@ __all__ = [
     "sl2_structure_report",
 ]
 
-_COORDS = (T, X, Y)
-_DIRS = "txy"
-
-# The metric-compatibility correction applied to the Levi-Civita symbols
-# carries a global sign choice; correction_sign = s means Gamma = gamma +
-# (s/2)(w_i d_j^k + w_j d_i^k - g_ij w^k), which makes nabla g equal
-# (-s) * omega x g.  Exactly one choice makes the catalog Einstein: s = -1,
-# i.e. the compatibility law nabla g = +omega x g.  The curvature anchor
-# (skew Ricci = 3/2 d omega) holds for the same choice.
-CORRECTION_SIGN = -1
+# ---------------------------------------------------------------------------
+# moving a section field
 
 
-class SectionField(_Rescaled):
-    """The differential field of a tuple of closed forms in t, x, y.
+def _moved(sf: SectionField, element) -> SectionField:
+    """The field of the section pushed through a pseudogroup element,
+    with the moved (u, v) as its values (``SectionField.moved``).
 
-    The expressions are rescaled jointly (``exprcore._rescaled``): a base
-    variable b with fractional powers becomes B^m, the exponential atoms
-    exp(c*b) become powers of one generator E_b, and the constants that
-    are not rational become prime radicals p^(1/M) and exp(1/M).  With the
-    formal functions of t and their derivatives these generate the field,
-    held as the order-0 jet ring (``jets._JetRing``) with the auxiliary
-    generators as extras; zero tests and canonical expressions are those
-    of ``trees._Rescaled`` (radicals reduced by R^M = p).  d/dt, d/dx and
-    d/dy are ring derivations given by the images of the generators: d_b B
-    = B^(1-m)/m, d_b E = c*E for E = exp(c*b), d_t a^(k) = a^(k+1), and
-    constants have none.  ``values`` are the expressions as field elements;
-    for a section they are (u, v).
-    """
+    The new section at (t, x, y) is the old one at the preimage point
+    plus the fibre terms, with every function of t taken at the
+    preimage time t_s = D^-1(t).  The field of t_s, sqrt(D') and ee, a,
+    b, c at t_s holds the preimage point and the fibre coefficients
+    (:func:`_preimage`) and the image of each generator of the field
+    (:func:`_pushed`); u and v are evaluated there and the fibre terms
+    added.  Solutions map to solutions."""
+    ts = element.dinv
+    at_ts = (e.xreplace({T: ts}) for e in (element.ee, element.a, element.b, element.c))
+    target, data, (u, v) = _pushed(
+        sf, (ts, element.root, *at_ts), sf.values, "transformed section", _preimage
+    )
+    _, xs, ys, E, Ep, Epp, Ap, Bp, C, Cp = data
+    s = target.values[1]
+    D = s * s
+    u_new = E / s * u - 3 * Ep * ys / s + Bp / D - 2 * C / (E * s)
+    v_new = (
+        E**2 * v
+        + (C + 2 * E * Ep * ys) * u
+        + (E * Epp - 3 * Ep**2) * ys**2
+        + (Cp - 4 * C * Ep / E) * ys
+        + 2 * E * Ep * xs
+    ) / D + (E**2 * Ap - C**2) / (D * E**2)
+    return target._with_values((u_new, v_new))
 
-    def __init__(self, exprs):
-        scaled, back = _rescaled(sp.Tuple(*exprs))
-        ring = _ring_for(0, scaled.args, derivatives=_FIELD_DERIVATIVES, aux=tuple(back))
-        super().__init__(ring, back)
-        self.values = tuple(ring.convert(e) for e in scaled.args)
-        # a base variable as an element: b, or B^m where it was rescaled
-        self._base = {b: ring.gen(b.name) for b in BASE_SYMBOLS}
-        # d -> (images, refused generators) of d/dd, as ``_JetRing.lift`` takes them
-        images = {b.name: ([(ring.index[b.name], ring.field.one)], {}) for b in BASE_SYMBOLS}
-        # gen -> how its value reads at a rational point (see ``at``):
-        # ("root", i, m) for b^(1/m), ("exp", i, s) for exp(s*b), b the
-        # i-th base variable, and ("constant", None, (p, 1/M)) for p^(1/M)
-        self._readings = {}
-        for gen, atom in self.back.items():
-            if not atom.free_symbols:
-                p, M = _CONSTANT_KEYS[gen]
-                self._readings[gen] = ("constant", None, (p, Fraction(1, M)))
-                continue
-            if isinstance(atom, sp.exp):
-                (b,) = atom.args[0].free_symbols
-                s = atom.args[0].coeff(b)
-                s = Fraction(int(s.p), int(s.q))
-                image = ring.gen(gen) * s
-                self._readings[gen] = ("exp", BASE_SYMBOLS.index(b), s)
-            else:
-                b, m = atom.base, atom.exp.q
-                image = 1 / (m * ring.gen(gen) ** (m - 1))
-                self._base[b] = ring.gen(gen) ** m
-                self._readings[gen] = ("root", BASE_SYMBOLS.index(b), int(m))
-            images[b.name][0].append((ring.index[gen], image))
-        # formal derivatives of the highest order carried have no d/dt
-        past = f"d/dt of a formal derivative of order past {_FIELD_DERIVATIVES} beyond those"
-        for s in ring.extras:
-            if type(s) is str:
-                # a formal derivative a^(m), keyed by its name
-                if s + "'" in ring.index:
-                    images["t"][0].append((ring.index[s], ring.gen(s + "'")))
-                else:
-                    images["t"][1][ring.index[s]] = (JetOrderError, f"{past} of the section")
-        self._images = images
-        # d -> d/dd lifted once (``_JetRing.lift``)
-        self._lifted: dict = {}
-        self._jets: dict = {}
 
-    def partial(self, f, d: str):
-        """The partial derivative d/dd of a field element (d = t, x or y)."""
-        lifted = self._lifted.get(d)
-        if lifted is None:
-            lifted = self._lifted[d] = self.ring.lift(*self._images[d])
-        return self.ring.apply(f, lifted)
+def _reflected(sf: SectionField, which: str) -> SectionField:
+    """The field of the section under one of the two discrete generators
+    beyond the connected pseudogroup, with the reflected (u, v) as its
+    values (``SectionField.reflected``).  ``txy`` flips the signs of t, x
+    and y with the fibres fixed, ``yu`` those of y and u; both are
+    involutions."""
+    if which == "txy":
+        point, sign = (-T, -X, -Y), 1
+    elif which == "yu":
+        point, sign = (T, X, -Y), -1
+    else:
+        raise ValueError(f"reflection must be 'txy' or 'yu', got {which!r}")
+    target, _, (u, v) = _pushed(
+        sf, point, sf.values, "reflected section", lambda F: F.values[:3]
+    )
+    return target._with_values((u * sign, v))
 
-    def jet(self, dep: str, index=MultiIndex()):
-        """The section's derivative w_sigma (w = u, v) as a field element."""
-        index = index if isinstance(index, MultiIndex) else MultiIndex.from_word(index)
-        got = self._jets.get((dep, index))
-        if got is None:
-            if index.order == 0:
-                got = self.values[DEPENDENTS.index(dep)]
-            else:
-                d = "y" if index.ny else ("x" if index.nx else "t")
-                got = self.partial(self.jet(dep, index.drop(d)), d)
-            self._jets[(dep, index)] = got
-        return got
 
-    def _value(self, s):
-        if is_jet_symbol(s):
-            return self.jet(*jet_info(s))
-        if s in self._base:
-            return self._base[s]
-        return self.ring.gen(s)
+def _pushed(sf: SectionField, exprs, elements, what: str, preimage) -> tuple:
+    """(F, ``preimage(F)``, the images of the elements in F) for the
+    point map of a move or a reflection whose preimage of (t, x, y)
+    begins ``preimage(F)``.
 
-    def subs(self, f):
-        """An element of a jet ring (a rational function of jet coordinates,
-        t, x, y and formal functions) with the section's derivatives in
-        place of the jets: its numerator and denominator are evaluated at
-        them."""
-        return self._quotient(
-            f, self._value, lambda: f"the denominator of {f.as_expr()} vanishes on the section"
-        )
-
-    def occurring(self, elements=None) -> tuple:
-        """(formal functions, {auxiliary generator: its atom}) of the
-        generators that occur in the elements, by default the values.  The
-        field of a potential keeps generators that its section's values
-        have lost."""
-        elements = self.values if elements is None else elements
-        present = set().union(*map(self.ring.present, elements))
-        gens = [s for i, s in enumerate(self.ring.symbols) if i in present]
-        aux = {s: self.back[s] for s in gens if s in self.back}
-        return tuple(filter(is_formal_symbol, gens)), aux
-
-    # -- moving the section -------------------------------------------------
-
-    def moved(self, element) -> "SectionField":
-        """The field of the section pushed through a pseudogroup element,
-        with the moved (u, v) as its values.
-
-        The new section at (t, x, y) is the old one at the preimage point
-        plus the fibre terms, with every function of t taken at the
-        preimage time t_s = D^-1(t).  The field of t_s, sqrt(D') and ee, a,
-        b, c at t_s holds the preimage point and the fibre coefficients
-        (:func:`_preimage`) and the image of each generator of this field
-        (:meth:`_pushed`); u and v are evaluated there and the fibre terms
-        added.  Solutions map to solutions."""
-        ts = element.dinv
-        at_ts = (e.xreplace({T: ts}) for e in (element.ee, element.a, element.b, element.c))
-        target, data, (u, v) = self._pushed(
-            (ts, element.root, *at_ts), self.values, "transformed section", _preimage
-        )
-        _, xs, ys, E, Ep, Epp, Ap, Bp, C, Cp = data
-        s = target.values[1]
-        D = s * s
-        u_new = E / s * u - 3 * Ep * ys / s + Bp / D - 2 * C / (E * s)
-        v_new = (
-            E**2 * v
-            + (C + 2 * E * Ep * ys) * u
-            + (E * Epp - 3 * Ep**2) * ys**2
-            + (Cp - 4 * C * Ep / E) * ys
-            + 2 * E * Ep * xs
-        ) / D + (E**2 * Ap - C**2) / (D * E**2)
-        return target._with_values((u_new, v_new))
-
-    def reflected(self, which: str) -> "SectionField":
-        """The field of the section under one of the two discrete
-        generators beyond the connected pseudogroup, with the reflected
-        (u, v) as its values.  ``txy`` flips the signs of t, x and y with
-        the fibres fixed, ``yu`` those of y and u; both are involutions."""
-        if which == "txy":
-            point, sign = (-T, -X, -Y), 1
-        elif which == "yu":
-            point, sign = (T, X, -Y), -1
-        else:
-            raise ValueError(f"reflection must be 'txy' or 'yu', got {which!r}")
-        target, _, (u, v) = self._pushed(
-            point, self.values, "reflected section", lambda F: F.values[:3]
-        )
-        return target._with_values((u * sign, v))
-
-    def at(self, point, elements) -> tuple:
-        """(C, the elements at the rational point (t, x, y) as elements of
-        C), for C a ring of constants (``trees._Rescaled``).
-
-        t, x and y go to the point's coordinates.  b^(1/m) goes to q^(1/m)
-        for the coordinate q of b, a rational times prime radicals p^r with
-        0 < r < 1 (``exprcore._prime_radicals``), and exp(s*b) to exp(s*q),
-        a power of exp(1/M).  A constant p^(1/M) of the section stays, as a
-        power of p^(1/M') when the point brings the same prime and the
-        joint denominator is M'.  Formal functions stay.  No expression is
-        read: C holds one generator per prime (and one for e) as the
-        rescaling makes them (``exprcore._joint_constants``), and the
-        elements are pushed by ``_quotient``.  A denominator that vanishes
-        at the point raises ``DivisionByZeroExpression``, and a fractional
-        power of a coordinate that is not positive ``SolutionError``."""
-        point = [Fraction(int(q.p), int(q.q)) for q in map(sp.Rational, point)]
-
-        def what() -> str:
-            return f"the section at ({', '.join(map(str, point))})"
-
-        formals, aux = self.occurring(elements)
-        # generator -> (c, [(p, r)]): its value c * prod p^r, p = 0 for e
-        parts = {}
-        for gen, atom in aux.items():
-            kind, i, k = self._readings[gen]
-            if kind == "constant":
-                parts[gen] = Fraction(1), [k]
-            elif kind == "exp":
-                r = k * point[i]
-                parts[gen] = Fraction(1), ([(0, r)] if r else [])
-            elif point[i] > 0:
-                c, radicals = _prime_radicals(point[i], Fraction(1, k))
-                parts[gen] = c, list(radicals.items())
-            else:
-                raise SolutionError(
-                    f"{what()} leaves the representable domain: "
-                    f"{atom} moves to a fractional power of {point[i]}"
-                )
-        joint = _joint_constants(parts)
-        ring = _ring_for(0, formals, aux=tuple(gen for _, gen, _ in joint.values()))
-        C = _Rescaled(ring, {gen: value for _, gen, value in joint.values()})
-        dtype, n = ring.ring.dtype, len(ring.keys)
-
-        def element(c: Fraction, terms):
-            up, down = [0] * n, [0] * n
-            for p, r in terms:
-                M, gen, _ = joint[p]
-                e = int(r * M)
-                if e > 0:
-                    up[ring.index[gen]] = e
-                else:
-                    down[ring.index[gen]] = -e
-            numer = dtype({tuple(up): c.numerator} if c else {})
-            return ring.field.raw_new(numer, dtype({tuple(down): c.denominator}))
-
-        images = {b: element(q, ()) for b, q in zip(BASE_SYMBOLS, point)}
-        images.update((gen, element(*parts[gen])) for gen in aux)
-
-        def value(s):
-            got = images.get(s)
-            return ring.gen(s) if got is None else got
-
-        return C, [C._quotient(f, value, lambda: f"{what()} has a pole") for f in elements]
-
-    def _pushed(self, exprs, elements, what: str, preimage) -> tuple:
-        """(F, ``preimage(F)``, the images of the elements in F) for the
-        point map of a move or a reflection whose preimage of (t, x, y)
-        begins ``preimage(F)``.
-
-        F holds exprs and, of the generators that occur in the elements
-        (:meth:`occurring`), the formal functions (which map to themselves)
-        and, built again, the image of every auxiliary one (see
-        ``_image_atom``); an image outside the term language is refused
-        with a ``SolutionError``, and an element whose image has a pole
-        with a ``DivisionByZeroExpression``."""
-        formals, aux = self.occurring(elements)
-        try:
-            F = SectionField((*exprs, *formals))
+    F holds exprs and, of the generators that occur in the elements
+    (``SectionField.occurring``), the formal functions (which map to
+    themselves) and, built again, the image of every auxiliary one (see
+    :func:`_image_atom`); an image outside the term language is refused
+    with a ``SolutionError``, and an element whose image has a pole with a
+    ``DivisionByZeroExpression``."""
+    formals, aux = sf.occurring(elements)
+    try:
+        F = SectionField((*exprs, *formals))
+        data = preimage(F)
+        if aux:
+            # an image depends on the preimage point alone
+            atoms = tuple(_image_atom(F, data[:3], atom) for atom in aux.values())
+            F = SectionField((*exprs, *formals, *atoms))
             data = preimage(F)
-            if aux:
-                # an image depends on the preimage point alone
-                atoms = tuple(_image_atom(F, data[:3], atom) for atom in aux.values())
-                F = SectionField((*exprs, *formals, *atoms))
-                data = preimage(F)
-        except ExprError as exc:
-            raise SolutionError(f"{what} leaves the representable domain: {exc}") from None
-        images = dict(zip(BASE_SYMBOLS, data))
-        images.update(zip(aux, F.values[len(exprs) + len(formals) :]))
+    except ExprError as exc:
+        raise SolutionError(f"{what} leaves the representable domain: {exc}") from None
+    images = dict(zip(("t", "x", "y"), data))
+    images.update(zip(map(key_of, aux), F.values[len(exprs) + len(formals) :]))
 
-        def value(s):
-            return images[s] if s in images else F.ring.gen(s)
+    def value(key):
+        got = images.get(key)
+        return F.ring.gen(key) if got is None else got
 
-        moved = [F._quotient(f, value, lambda: f"{what} has a pole") for f in elements]
-        return F, data, moved
-
-    def _with_values(self, values) -> "SectionField":
-        """This field with other values (and no jets taken yet)."""
-        out = copy.copy(self)
-        out.values = tuple(values)
-        out._jets = {}
-        return out
+    moved = [F._quotient(f, value, lambda: f"{what} has a pole") for f in elements]
+    return F, data, moved
 
 
 def _preimage(F: SectionField) -> tuple:
@@ -358,8 +182,8 @@ def _preimage(F: SectionField) -> tuple:
         return s * s * F.partial(f, "t")
 
     Ep = d(E)
-    ys = (F._base[Y] - B) / (s * E)
-    xs = (F._base[X] - E * Ep * ys**2 - C * ys - A) / E**2
+    ys = (F._base["y"] - B) / (s * E)
+    xs = (F._base["x"] - E * Ep * ys**2 - C * ys - A) / E**2
     return ts, xs, ys, E, Ep, d(Ep), d(A), d(B), C, d(C)
 
 
@@ -389,8 +213,8 @@ def _image_atom(F: SectionField, point, atom) -> sp.Expr:
         return sp.exp(atom.args[0].coeff(b) * F.expr(f))
     b = atom.base
     f = point[BASE_SYMBOLS.index(b)]
-    constants = {F.ring.index[g] for g, value in F.back.items() if not value.free_symbols}
-    q = f / F._base[b]
+    constants = {F.ring.index[k] for k in F._readings if k[0] == "radical"}
+    q = f / F._base[b.name]
     r = F.rational(q)  # a rational q needs no tree
     constant = set(F.ring.present(q)) <= constants
     q = sp.Rational(r) if r is not None else (F.expr(q) if constant else None)
@@ -408,286 +232,6 @@ def _closed_form(e, rule: str) -> sp.Expr:
     return e
 
 
-# formal functions of t are carried with this many more derivatives than
-# occur: the twelve invariants have order three, and i_regular takes one
-# derivative more
-_FIELD_DERIVATIVES = 4
-
-
-class Solution:
-    """A section u = u(t,x,y), v = v(t,x,y) of the equation system.
-
-    Closed forms in the base variables plus formal functions of t; the two
-    equation residuals are checked at construction unless deferred.  The
-    deferred path is the one ``check-solution`` takes for user input, which
-    it reports on rather than refuses, and the one of negative controls.
-    Derivatives, residuals and geometry are computed in the section's
-    differential field (:class:`SectionField` of (u, v)), built on first
-    use.
-
-    Moves, reflections and the ``hierarchy`` entry are built from a field
-    whose values are (u, v) already (:meth:`_of`).  Such a solution holds
-    no trees: ``u`` and ``v`` are the field's canonical expressions of its
-    values, read on first use and kept, and it prints as those.
-    """
-
-    checked = False
-    _pair: WeylPair | None = None
-    _residual_elements: tuple | None = None
-
-    def __init__(self, u, v, name: str = "user", domain: str = "", deferred: bool = False):
-        self.u, self.v = (_closed_form(e, "a section is given by closed forms") for e in (u, v))
-        self.name = name
-        self.domain = domain
-        if not deferred:
-            self.require_solution()
-
-    @classmethod
-    def _of(cls, sf: SectionField, name: str, domain: str = "") -> "Solution":
-        """The solution whose field is ``sf`` (values (u, v)); its residuals
-        are checked there."""
-        sol = cls.__new__(cls)
-        sol.field, sol.name, sol.domain = sf, name, domain
-        return sol.require_solution()
-
-    @cached_property
-    def field(self) -> SectionField:
-        return SectionField((self.u, self.v))
-
-    @cached_property
-    def u(self) -> sp.Expr:
-        return self.field.expr(self.field.values[0])
-
-    @cached_property
-    def v(self) -> sp.Expr:
-        return self.field.expr(self.field.values[1])
-
-    def _residuals(self) -> tuple:
-        """F1, F2 at the section as field elements, computed once."""
-        if self._residual_elements is None:
-            self._residual_elements = tuple(map(self.field.subs, _equations()))
-        return self._residual_elements
-
-    def residuals(self) -> tuple[sp.Expr, sp.Expr]:
-        """The two equation residuals: F1, F2 with the section's
-        derivatives in place of the jet coordinates.  Both vanish exactly
-        when the section solves the system."""
-        return tuple(map(self.field.expr, self._residuals()))
-
-    def solves(self) -> bool:
-        """True when both residuals vanish (the field's zero test)."""
-        return all(map(self.field.vanishes, self._residuals()))
-
-    def require_solution(self) -> "Solution":
-        if not self.solves():
-            r1, r2 = self.residuals()
-            raise SolutionError(
-                f"section {self.name!r} does not solve the system: "
-                f"residuals ({to_text(r1)}, {to_text(r2)})"
-            )
-        self.checked = True
-        return self
-
-    def _positive(self) -> list:
-        """The base variables that must stay positive: y where the domain
-        says so, and every base variable with a fractional power in the
-        section, which is real only there."""
-        _, atoms = self.field.occurring()
-        positive = {a.base for a in atoms.values() if a.is_Pow} & set(_COORDS)
-        if self.domain == "y > 0":
-            positive.add(Y)
-        return [b for b in _COORDS if b in positive]
-
-    def in_domain(self, pt) -> bool:
-        """Whether (t, x, y) lies where the section is real."""
-        return all(sp.Rational(pt[_COORDS.index(b)]) > 0 for b in self._positive())
-
-    def domain_error(self, pt) -> SolutionError:
-        """The error for a point outside :meth:`in_domain`."""
-        bounds = ", ".join(f"{b} > 0" for b in self._positive())
-        return SolutionError(f"point {pt} violates the domain ({bounds})")
-
-    def transform(self, element) -> "Solution":
-        """Push the section through a pseudogroup element
-        (:meth:`SectionField.moved`)."""
-        return self._of(self.field.moved(element), f"{self.name}|moved", self.domain)
-
-    def reflect(self, which: str) -> "Solution":
-        """Reflect the section (:meth:`SectionField.reflected`)."""
-        return self._of(self.field.reflected(which), f"{self.name}|{which}", self.domain)
-
-    def __str__(self) -> str:
-        return f"u = {to_text(self.u)}; v = {to_text(self.v)}"
-
-
-# ---------------------------------------------------------------------------
-# metric pair and connection
-
-
-@dataclass(frozen=True)
-class WeylPair:
-    """The ansatz metric and covector of a section, as elements of the
-    section's field: ``g`` as rows, ``omega`` as its (dt, dx, dy)
-    components."""
-
-    solution: Solution
-    field: SectionField
-    g: tuple
-    omega: tuple
-    # correction sign -> the pair's Weyl connection
-    _connections: dict = field(default_factory=dict, repr=False, compare=False)
-
-
-def _rows(vals) -> tuple:
-    return tuple(tuple(vals[3 * i : 3 * i + 3]) for i in range(3))
-
-
-def build_pair(sol: Solution) -> WeylPair:
-    """The ansatz metric and covector of a section (one pair per section)."""
-    if sol._pair is None:
-        sf = sol.field
-        g, w = _symmetry._ansatz()
-        rows = tuple(tuple(map(sf.subs, row)) for row in g)
-        sol._pair = WeylPair(sol, sf, rows, tuple(map(sf.subs, w)))
-    return sol._pair
-
-
-class Connection:
-    """Christoffel symbols Gamma[k][i][j] of a Weyl pair, symmetric in
-    (i, j), as elements of the pair's field.
-
-    ``ginv_f`` is the inverse metric and ``christoffel_f`` the corrected
-    symbols; the curvature built from them is computed once.
-    ``compat_sign`` is the verified sign of nabla g = compat_sign *
-    omega x g.
-    """
-
-    def __init__(self, pair: WeylPair, correction_sign: int, ginv, christoffel):
-        self.pair = pair
-        self.correction_sign = correction_sign
-        self.compat_sign = -correction_sign
-        self.ginv_f, self.christoffel_f = ginv, christoffel
-        self._ricci = None
-        self._einstein = None
-
-    def ricci_elements(self) -> tuple:
-        """Rows of the Ricci tensor Ric(X, Y) = trace of Z -> R(Z, X)Y, not
-        symmetrized (a Weyl connection has a skew Ricci part):
-
-        Ric_ij = sum_k d_k Gamma^k_ij - d_i Gamma^k_kj
-                 + Gamma^m_ij Gamma^k_km - Gamma^m_kj Gamma^k_im.
-        """
-        if self._ricci is None:
-            sf, G = self.pair.field, self.christoffel_f
-            trace = [sf.sum(G[k][k][m] for k in range(3)) for m in range(3)]
-            self._ricci = _rows(
-                [
-                    sf.sum(sf.partial(G[k][i][j], _DIRS[k]) for k in range(3))
-                    - sf.partial(trace[j], _DIRS[i])
-                    + sf.sum(G[m][i][j] * trace[m] for m in range(3))
-                    - sf.sum(G[m][k][j] * G[k][i][m] for k in range(3) for m in range(3))
-                    for i in range(3)
-                    for j in range(3)
-                ]
-            )
-        return self._ricci
-
-    def einstein_elements(self) -> tuple:
-        """(Lambda, rows of Ric_sym - Lambda*g) as field elements, with
-        Lambda = tr(g^-1 Ric_sym)/3."""
-        if self._einstein is None:
-            ric, g, ginv = self.ricci_elements(), self.pair.g, self.ginv_f
-            cells = [(i, j) for i in range(3) for j in range(3)]
-            rsym = {(i, j): (ric[i][j] + ric[j][i]) / 2 for i, j in cells}
-            lam = self.pair.field.sum(ginv[j][i] * rsym[i, j] for i, j in cells) / 3
-            resid = _rows([rsym[i, j] - lam * g[i][j] for i, j in cells])
-            self._einstein = (lam, resid)
-        return self._einstein
-
-    def anchor_elements(self) -> tuple:
-        """Rows of the curvature anchor residual: the skew part of Ricci
-        minus 3/2 times d omega, both alternated tensors."""
-        ric = self.ricci_elements()
-        dw = _d_omega_of(self.pair.field, self.pair.omega)
-        return _rows(
-            [(ric[i][j] - ric[j][i]) / 2 - dw[i][j] * 3 / 2 for i in range(3) for j in range(3)]
-        )
-
-
-def _cube(entry) -> tuple:
-    """Nested tuples [k][i][j] of entry(k, i, j)."""
-    return tuple(
-        tuple(tuple(entry(k, i, j) for j in range(3)) for i in range(3)) for k in range(3)
-    )
-
-
-def _inverse(sf: _Rescaled, g) -> tuple:
-    """Inverse of a 3x3 matrix of field elements by its cofactors."""
-    cof = _cofactors(g)
-    det = sf.sum(g[0][j] * cof[0][j] for j in range(3))
-    if sf.vanishes(det):
-        raise SolutionError("metric is degenerate")
-    return _rows([cof[j][i] / det for i in range(3) for j in range(3)])
-
-
-def weyl_connection(
-    pair: WeylPair, correction_sign: int | None = None
-) -> Connection:
-    """Levi-Civita symbols plus the covector correction.
-
-    The compatibility law nabla g = (sign) * omega x g is verified exactly,
-    entry by entry; the achieved sign is recorded on the result (it is the
-    negative of the correction sign).  A pair computes its connection once
-    per sign.
-    """
-    if correction_sign is None:
-        correction_sign = CORRECTION_SIGN
-    if correction_sign not in (1, -1):
-        raise ValueError("correction_sign must be +1 or -1")
-    got = pair._connections.get(correction_sign)
-    if got is not None:
-        return got
-    sf, g, w = pair.field, pair.g, pair.omega
-    ginv = _inverse(sf, g)
-    wup = tuple(sf.sum(ginv[k][m] * w[m] for m in range(3)) for k in range(3))
-    # dg[d][i][j] = d_d g_ij
-    dg = [_rows([sf.partial(e, d) for row in g for e in row]) for d in _DIRS]
-
-    def levi_civita(k, i, j):
-        return sf.sum(ginv[k][m] * (dg[i][m][j] + dg[j][m][i] - dg[m][i][j]) for m in range(3)) / 2
-
-    def corrected(k, i, j):
-        corr = (w[i] if j == k else 0) + (w[j] if i == k else 0) - g[i][j] * wup[k]
-        return gamma[k][i][j] + corr * correction_sign / 2
-
-    gamma = _cube(levi_civita)
-    chris = _cube(corrected)
-    conn = Connection(pair, correction_sign, ginv, chris)
-    # verify nabla_k g_ij = compat_sign * w_k g_ij
-    for k in range(3):
-        for i in range(3):
-            for j in range(i, 3):
-                nab = dg[k][i][j] - sf.sum(
-                    chris[m][k][i] * g[m][j] + chris[m][k][j] * g[i][m] for m in range(3)
-                )
-                if not sf.vanishes(nab - w[k] * g[i][j] * conn.compat_sign):
-                    raise SolutionError("connection fails the metric compatibility law")
-    pair._connections[correction_sign] = conn
-    return conn
-
-
-def _d_omega_of(sf: SectionField, w) -> tuple:
-    """Rows of the exterior derivative of the covector as an alternated
-    tensor: (d omega)_ij = (d_i w_j - d_j w_i) / 2."""
-    return _rows(
-        [
-            (sf.partial(w[j], _DIRS[i]) - sf.partial(w[i], _DIRS[j])) / 2
-            for i in range(3)
-            for j in range(3)
-        ]
-    )
-
-
 def skew_anchor_residual(conn: Connection) -> sp.Matrix:
     """Residual of the curvature anchor: skew part of Ricci minus 3/2 times
     d omega, both taken in the alternated-tensor convention.
@@ -701,73 +245,15 @@ def skew_anchor_residual(conn: Connection) -> sp.Matrix:
 # Einstein check
 
 
-@dataclass(frozen=True)
-class EWPointCheck:
-    point: tuple
-    residual: float
-    lam: object
-
-
-@dataclass(frozen=True)
-class EWReport:
-    name: str
-    exact: bool
-    ok: bool
-    lam: object
-    points: tuple
-
-
 def _sampled_residual(C: _Rescaled, rsym, lam_g, resid) -> float:
     """max|Ric_sym - Lambda*g| / (max|Ric_sym| + max|Lambda*g| + 1) of the
     entries at a point (elements of the field of constants C), each
-    evaluated to 50 digits."""
+    evaluated to 50 digits: the sampled residual of ``check_EW``."""
 
     def size(values) -> float:
         return max(float(abs(sp.N(C.expr(e), 50))) for e in values)
 
     return size(resid) / (size(rsym) + size(lam_g) + 1.0)
-
-
-def check_EW(
-    sol: Solution,
-    pts=(),
-    correction_sign: int | None = None,
-) -> EWReport:
-    """Einstein property of the solution's Weyl structure.
-
-    The verdict is exact: the trace-extracted factor Lambda and the
-    residual tensor Ric_sym - Lambda*g are computed in the section's field,
-    and ``ok`` holds exactly when every entry is zero.  Each given sample
-    point gets the exact value of Lambda and a relative residual
-    (:func:`_sampled_residual`, 0.0 when the tensor is zero), all read at
-    the point by :meth:`SectionField.at`; these are reported, never
-    decisive.
-    """
-    conn = weyl_connection(build_pair(sol), correction_sign)
-    sf = conn.pair.field
-    lam_f, resid_f = conn.einstein_elements()
-    resid = [e for row in resid_f for e in row]
-    exact = all(map(sf.vanishes, resid))
-    pts = [tuple(p) for p in pts or ()]
-    for p in pts:
-        if not sol.in_domain(p):
-            raise sol.domain_error(p)
-    sampled = []
-    if pts and not exact:
-        free = sf.occurring(resid)[0]
-        if free:
-            raise SolutionError(
-                f"bind formal parameters before numeric checks: {sorted(map(str, free))}"
-            )
-        ric = conn.ricci_elements()
-        rsym = [(ric[i][j] + ric[j][i]) / 2 for i in range(3) for j in range(3)]
-        sampled = [*rsym, *(lam_f * e for row in conn.pair.g for e in row), *resid]
-    checks = []
-    for p in pts:
-        C, (lam, *values) = sf.at(p, (lam_f, *sampled))
-        r = _sampled_residual(C, values[:9], values[9:18], values[18:]) if values else 0.0
-        checks.append(EWPointCheck(p, r, C.expr(lam)))
-    return EWReport(sol.name, exact, exact, sf.expr(lam_f), tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -871,7 +357,9 @@ def catalog(cid: str, f=None, h=None, w=None) -> Solution:
 
     ``f`` and ``h`` are functions of t (formal by default); ``hierarchy``
     takes a potential w(t,x,y) solving the hierarchy equation (default
-    x^3) and returns the section (w_x, -w_y).
+    x^3) and returns the section (w_x, -w_y).  The closed forms of
+    ``sections.CATALOG`` are DSL text, built into trees here with the
+    parameters an entry uses in place of f(t) and h(t).
 
     Each (id, f, h, w) is built once per process and shared: its field,
     jets, residual check, pair, connections and curvature are computed on
@@ -879,12 +367,12 @@ def catalog(cid: str, f=None, h=None, w=None) -> Solution:
     after construction, only filled in where it caches.  The keys are
     typed, so 1.0 does not find the exact entry of 1.
     """
-    if cid == "trivial":
-        return Solution(0, 0, name=cid)
-    if cid == "dkp-partial":
-        return Solution(
-            0, Y**4 / 12 + X * Y + _tfunc(h, "h"), name=cid
-        )
+    if cid in CATALOG:
+        # the parameters an entry uses, in the order it reads them
+        given = {name: p for name, p in (("f", f), ("h", h)) if f"{name}(t)" in CATALOG[cid]}
+        params = {name: _tfunc(p, name) for name, p in given.items()}
+        u, v = (_build(tree, params) for tree in _catalog_trees(cid))
+        return Solution(u, v, name=cid, domain=DOMAINS.get(cid, ""))
     if cid == "hierarchy":
         sf, r, wx, wy = _hierarchy(X**3 if w is None else w)
         if not sf.vanishes(r):
@@ -898,22 +386,6 @@ def catalog(cid: str, f=None, h=None, w=None) -> Solution:
             _tfunc(f, "f") + _tfunc(h, "h") * sp.exp(-Y),
             name=cid,
         )
-    if cid == "sl2-family":
-        u = Y ** sp.Rational(2, 3) - sp.Rational(10, 3) * X / Y
-        v = (
-            sp.Rational(2, 5) * X * Y ** sp.Rational(-1, 3)
-            - sp.Rational(7, 3) * X**2 / Y**2
-            + sp.Rational(21, 25) * Y ** sp.Rational(4, 3)
-            + (_tfunc(f, "f") * Y ** sp.Rational(1, 3) + _tfunc(h, "h")) * Y**2
-        )
-        return Solution(u, v, name=cid, domain="y > 0")
-    if cid == "sl2-degenerate":
-        u = -sp.Rational(10, 3) * X / Y
-        v = (
-            -sp.Rational(7, 3) * X**2 / Y**2
-            + (_tfunc(f, "f") * Y ** sp.Rational(1, 3) + _tfunc(h, "h")) * Y**2
-        )
-        return Solution(u, v, name=cid, domain="y > 0")
     raise ValueError(f"unknown catalog id {cid!r}; known: {CATALOG_IDS}")
 
 
@@ -921,16 +393,15 @@ def dkp_reduction_check() -> bool:
     """With u = 0 the second equation is the dKP equation
     v_tx + v_x^2 + v v_xx - v_yy = 0 (on jets)."""
     ring = _jet_ring(2)
-    kill_u = {jet(dep, idx): ring.field.zero for _, dep, idx in _coordinates(2) if dep == "u"}
-    vtx, vxx, vyy = jet("v", "tx"), jet("v", "xx"), jet("v", "yy")
-    vx, v = jet("v", "x"), jet("v")
-    dkp = ring.convert(vtx + vx**2 + v * vxx - vyy)
+    kill_u = {key: ring.field.zero for key, dep, _ in _coordinates(2) if dep == "u"}
+    vtx, vxx, vyy, vx, v = map(ring.gen, ("v_tx", "v_xx", "v_yy", "v_x", "v"))
+    dkp = vtx + vx**2 + v * vxx - vyy
     return _substituted(ring, _equations()[1], kill_u) == dkp
 
 
 def _substituted(ring, f, images: dict):
-    """An element of a jet ring with the generators ``images`` names
-    replaced by their images there, the others kept."""
+    """An element of a jet ring with the generators ``images`` names (by
+    key) replaced by their images there, the others kept."""
     return _Rescaled(ring, {})._quotient(
         f, lambda s: images[s] if s in images else ring.gen(s), lambda: "a substituted pole"
     )
@@ -954,12 +425,14 @@ def hierarchy_reduction_check() -> bool:
     ring = _jet_ring(3)
 
     def w(index):
-        return ring.gen(jet("u", index))
+        if not isinstance(index, MultiIndex):
+            index = MultiIndex.from_word(index)
+        return ring.gen(_jet_key("u", index))
 
     H = w("tx") + w("x") * w("xy") - w("y") * w("xx") - w("yy")
     images = {}
-    for _, dep, idx in _coordinates(2):
-        images[jet(dep, idx)] = w(idx.bump("x")) if dep == "u" else -w(idx.bump("y"))
+    for key, dep, idx in _coordinates(2):
+        images[key] = w(idx.bump("x")) if dep == "u" else -w(idx.bump("y"))
     F1, F2 = (_substituted(ring, ring.embed(F), images) for F in _equations())
     return F1 == ring.total(H, "x") and F2 == -ring.total(H, "y")
 

@@ -26,15 +26,19 @@ system there; ``_poly_sums`` evaluates integer ring polynomials, and their
 gradients, from those integers.
 
 The generators are keyed by their DSL names (``"u_tx"``, ``"t"``,
-``"f''"``); the auxiliary generators of ``exprcore._rescaled`` and any
-other symbol a canonical form carries are their own keys.  The written
-definitions (F1, F2, I1-I3, the coefficients of the invariant derivations
-and the structure coefficients K1-K4) are DSL text here, and :func:`read`
-is their one reader: it reads a tree of :mod:`jetweyl.syntax` with no
-fractional power and no ``exp`` straight into a field.  :func:`text`
-prints a field element as the canonical text ``exprcore.to_text`` gives.
-So ``jetweyl reduce`` and ``jetweyl invariants`` run here alone on such
-text.
+``"f''"``), the auxiliary generators of fractional powers, exponential
+atoms and non-rational constants by plain tuples (``("root", "y")``,
+``("exp", "x")``, ``("radical", p, M)``, printed by :func:`_key_text`),
+and any other symbol a canonical form carries is its own key.  The
+written definitions (F1, F2, I1-I3, the coefficients of the invariant
+derivations, the structure coefficients K1-K4 and the metric and covector
+of the ansatz) are DSL text here, and :func:`read` is their one reader:
+it reads a tree of :mod:`jetweyl.syntax` with no ``exp`` straight into a
+field, fractional powers of base variables as powers of root generators.
+:func:`text` prints a field element as the canonical text
+``exprcore.to_text`` gives.  So ``jetweyl reduce`` and ``jetweyl
+invariants`` run here alone on such text, and ``sections`` builds the
+section field on it.
 
 This module imports no sympy.  sympy is reached through lazy imports
 only: its polynomials compute the gcd of two multi-term polynomials
@@ -126,6 +130,13 @@ STRUCTURE = (
     ),
 )
 
+#: the Manakov-Santini ansatz: the metric
+#: g = -(u^2 + 4v) dt^2 + 4 dt dx + 2u dt dy - dy^2 as rows in the
+#: coordinates (t, x, y), and the covector
+#: omega = (u u_x + 2 u_y + 4 v_x) dt - u_x dy as its (dt, dx, dy) components
+_METRIC = (("-u^2 - 4*v", "2", "u"), ("2", "0", "0"), ("u", "0", "-1"))
+_COVECTOR = ("u*u_x + 2*u_y + 4*v_x", "0", "-u_x")
+
 
 def _shift(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
@@ -158,6 +169,23 @@ def _coordinates(order: int) -> tuple[tuple[str, str, MultiIndex], ...]:
     return tuple(out)
 
 
+def _key_text(key) -> str:
+    """The name a generator prints with: a DSL name as it is, an auxiliary
+    key as the name of its sympy symbol (``_Y`` for the root ("root", "y"),
+    ``_Ex`` for ("exp", "x"), ``_R2_6`` for the radical ("radical", 2, 6)
+    of 2^(1/6) and ``_E_3`` for ("radical", 0, 3), exp(1/3)), and a
+    foreign symbol as sympy prints it."""
+    if type(key) is tuple:
+        kind, *rest = key
+        if kind == "root":
+            return "_" + rest[0].upper()
+        if kind == "exp":
+            return "_E" + rest[0]
+        p, M = rest
+        return f"_R{p}_{M}" if p else f"_E_{M}"
+    return str(key)
+
+
 def _is_formal_key(key) -> bool:
     """Whether a key names a formal function of t (or a derivative)."""
     return type(key) is str and key not in BASE_NAMES and jet_parts(key) is None
@@ -178,9 +206,9 @@ _NAME_INDEX_RE = re.compile(r"^(.*?)(\d*)$")
 @lru_cache(maxsize=None)
 def _print_rank(key) -> tuple:
     """sympy's default sort key of a generator (``_sort_gens``), on the
-    name it prints with: (rank of the name, name, trailing index); the
-    rings share their keys, so each is ranked once."""
-    name, index = _NAME_INDEX_RE.match(str(key)).groups()
+    name it prints with (:func:`_key_text`): (rank of the name, name,
+    trailing index); the rings share their keys, so each is ranked once."""
+    name, index = _NAME_INDEX_RE.match(_key_text(key)).groups()
     return (_LETTER_RANK.get(name, 1000), name, int(index) if index else 0)
 
 
@@ -664,17 +692,18 @@ class _JetRing:
     def _generator(self, s) -> int:
         i = self.index.get(s)
         if i is None:
-            if type(s) is not str:
+            key = s
+            if type(s) not in (str, tuple):
                 # a sympy symbol, from the boundary
                 i = self.symbol_index.get(s)
                 if i is not None:
                     return i
                 from jetweyl.trees import key_of
 
-                s = key_of(s)
-            if type(s) is str:
-                raise JetOrderError(f"{s} lies outside the ring of jet order {self.order}")
-            raise UnknownSymbolError(f"unregistered symbol {s}")
+                key = key_of(s)
+            if type(key) is str:
+                raise JetOrderError(f"{key} lies outside the ring of jet order {self.order}")
+            raise UnknownSymbolError(f"unregistered symbol {_key_text(s)}")
         return i
 
     # -- derivations --------------------------------------------------------
@@ -724,7 +753,7 @@ class _JetRing:
                 if image is None:
                     if i in refused:
                         error, message = refused[i]
-                        raise error(message.format(s=self.keys[i]))
+                        raise error(message.format(s=_key_text(self.keys[i])))
                     continue
                 e = monom[i]
                 k = coef * e
@@ -859,31 +888,43 @@ def is_rational(tree) -> bool:
     return is_rational(tree[2]) and all(is_rational(operand) for _, operand, _ in tree[3])
 
 
-def read(tree, ring):
+def read(tree, ring, roots=None):
     """The element of ``ring`` of a rational syntax tree (see
     :func:`is_rational`): integers, generators, sums, products, quotients
     and integer powers formed in the field.  ``JetOrderError`` for a
-    generator the ring lacks, :class:`_ZeroDivisor` for a zero divisor."""
+    generator the ring lacks, :class:`_ZeroDivisor` for a zero divisor.
+
+    ``roots`` ({base variable: m}) reads fractional powers too: a base
+    variable b with an entry is B^m for the ring's root generator
+    ("root", b), and b^(k/q) is B^(k*m/q); m must clear every exponent
+    denominator of b in the tree."""
     kind = tree[0]
     field = ring.field
     if kind == "int":
         return field.one * tree[2]
     if kind == "name":
+        m = roots.get(tree[2]) if roots else None
+        if m is not None:
+            return field.gens[ring.index[("root", tree[2])]] ** m
         return field.gens[ring._generator(tree[2])]
     if kind == "formal":
         return field.gens[ring._generator(tree[2] + "'" * tree[3])]
     if kind == "neg":
-        return -read(tree[2], ring)
+        return -read(tree[2], ring, roots)
     if kind == "^":
-        base, n = read(tree[2], ring), int(tree[3])
+        if tree[3].denominator == 1:
+            base, n = read(tree[2], ring, roots), int(tree[3])
+        else:
+            b = tree[2][2]
+            base, n = field.gens[ring.index[("root", b)]], int(tree[3] * roots[b])
         if n >= 0:
             return base**n
         if not base:
             raise _ZeroDivisor
         return field.one / base**-n
-    out = read(tree[2], ring)
+    out = read(tree[2], ring, roots)
     for op, operand, _ in tree[3]:
-        f = read(operand, ring)
+        f = read(operand, ring, roots)
         if op == "+":
             out = out + f
         elif op == "-":
@@ -1094,6 +1135,17 @@ def _equations() -> tuple:
     ``_JetRing.embed``."""
     ring = _jet_ring(2)
     return tuple(_defined(F, ring) for F in EQUATIONS)
+
+
+@lru_cache(maxsize=None)
+def _ansatz() -> tuple:
+    """(the rows of the metric, the components of the covector) of the
+    ansatz as elements of the order-2 jet ring, read once from their
+    written definitions (``_METRIC``, ``_COVECTOR``); every other ring
+    takes them by ``_JetRing.embed``."""
+    ring = _jet_ring(2)
+    g = tuple(tuple(_defined(c, ring) for c in row) for row in _METRIC)
+    return g, tuple(_defined(c, ring) for c in _COVECTOR)
 
 
 @lru_cache(maxsize=None)

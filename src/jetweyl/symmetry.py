@@ -8,9 +8,8 @@ part of a :class:`ShapeField` is the sum of the families' base parts, the
 table is converted into a jet ring once (:func:`_ring_rows`), the
 commutation table is verified on its coefficients in one jet ring, and the
 orbit vectors compose the table's generating sections with a point's
-Taylor series.  The ansatz metric and covector are written beside the table
-as rows (``_METRIC``, ``_COVECTOR``), which only :func:`_ansatz` reads: it
-converts them into a jet ring once.
+Taylor series.  The ansatz metric and covector are DSL text in
+:mod:`jetweyl.jets`, read into a jet ring once (``jets._ansatz``).
 
 This module also checks the defining symmetry property against the
 equations, lifts shape-preserving base fields to the total space, defines
@@ -49,6 +48,7 @@ from .exprcore import (
 from .fields import PointField, ProlongedField, _bracket_in, _phi_in, _point_apply
 from .jets import (
     EquationSystem,
+    _ansatz,
     JetPoint,
     _clear_denominators,
     _equations,
@@ -78,7 +78,6 @@ __all__ = [
 
 _U = jet("u")
 _V = jet("v")
-_UX, _UY, _VX = jet("u", "x"), jet("u", "y"), jet("v", "x")
 
 # grading weights of the five families; brackets must land in weight i+j
 GRADES = {1: 2, 2: 1, 3: 1, 4: 0, 5: 0}
@@ -100,24 +99,6 @@ _FAMILIES = {
         (2 * _V, 2 * X + 2 * Y * _U, Y**2),
     ),
 }
-
-
-# The Manakov-Santini ansatz as rows: the metric
-# g = -(u^2 + 4v) dt^2 + 4 dt dx + 2u dt dy - dy^2 in coordinates (t, x, y)
-# and the covector omega = (u u_x + 2 u_y + 4 v_x) dt - u_x dy as its
-# (dt, dx, dy) components.
-_METRIC = ((-(_U**2) - 4 * _V, 2, _U), (2, 0, 0), (_U, 0, -1))
-_COVECTOR = (_U * _UX + 2 * _UY + 4 * _VX, 0, -_UX)
-
-
-@lru_cache(maxsize=None)
-def _ansatz() -> tuple:
-    """(the rows of ``_METRIC``, the components of ``_COVECTOR``) as
-    elements of the order-2 jet ring, converted once; every other ring
-    takes them by ``_JetRing.embed``."""
-    ring = _jet_ring(2)
-    g = tuple(tuple(map(ring.convert, row)) for row in _METRIC)
-    return g, tuple(map(ring.convert, _COVECTOR))
 
 
 @lru_cache(maxsize=None)

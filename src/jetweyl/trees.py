@@ -10,13 +10,17 @@ sympy.  This module holds what takes or gives a sympy expression:
 * :func:`_ring_for`, the ring that holds the formal functions of some
   trees, and :func:`_canonical`, the conversion behind
   ``exprcore.normalize``;
-* :class:`_Rescaled`, a ring with the auxiliary generators of fractional
-  powers, exponential atoms and non-rational constants, with their values;
+* the tree side of ``sections._Rescaled``, a ring with the auxiliary
+  generators of fractional powers, exponential atoms and non-rational
+  constants: the readings of the generators of a rescaling
+  (:func:`_readings_of`), their sympy values (:func:`back_of`), the
+  canonical expression of an element (:func:`rescaled_expr`) and the
+  section field of sympy trees (:func:`section_ring`);
 * the sympy forms of ``EquationSystem.reduce`` and ``JetPoint.eval``.
 
 ``_JetRing.convert``, ``to_expr`` and ``symbols``, ``_JetPoly.as_expr``,
-``EquationSystem.reduce`` and ``JetPoint.eval`` import their code from
-here on first use.
+``EquationSystem.reduce``, ``JetPoint.eval`` and the tree methods of
+``sections`` import their code from here on first use.
 """
 
 from __future__ import annotations
@@ -34,8 +38,11 @@ from .errors import (
     PointNotOnEquationError,
 )
 from .exprcore import (
+    _AUX_KEYS,
     BASE_SYMBOLS,
     MAX_JET_ORDER,
+    _aux_symbol,
+    _constant,
     _rescaled,
     formal_info,
     is_formal_symbol,
@@ -44,7 +51,8 @@ from .exprcore import (
     resolve_symbol,
     to_text,
 )
-from .jets import _JetRing, _common_denominator, _merge, _ring_of, _support
+from .jets import _JetRing, _merge, _ring_of
+from .sections import _Rescaled
 
 # ---------------------------------------------------------------------------
 # generators as symbols
@@ -53,16 +61,19 @@ from .jets import _JetRing, _common_denominator, _merge, _ring_of, _support
 @lru_cache(maxsize=None)
 def symbol_of(key) -> sp.Symbol:
     """The sympy symbol of a generator key: the registered symbol of a DSL
-    name, else the key itself (an auxiliary or foreign symbol)."""
-    return resolve_symbol(key) if type(key) is str else key
+    name, the fixed ``Dummy`` of an auxiliary key
+    (``exprcore._aux_symbol``), else the key itself (a foreign symbol)."""
+    if type(key) is str:
+        return resolve_symbol(key)
+    return _aux_symbol(key) if type(key) is tuple else key
 
 
 def key_of(s: sp.Symbol):
     """The generator key of a sympy symbol: the name of a base, jet or
-    formal symbol, else the symbol itself."""
+    formal symbol, the tuple of an auxiliary one, else the symbol itself."""
     if s in BASE_SYMBOLS or is_jet_symbol(s) or is_formal_symbol(s):
         return s.name
-    return s
+    return _AUX_KEYS.get(s, s)
 
 
 def poly_tree(p) -> sp.Expr:
@@ -192,159 +203,100 @@ def to_expr(ring: _JetRing, f) -> sp.Expr:
 def _ring_for(order: int, exprs: Iterable, derivatives: int = 0, aux: tuple = ()) -> _JetRing:
     """The ring of jet order ``order`` holding every formal function of the
     expressions with ``derivatives`` more t-derivatives than occur, and the
-    auxiliary generators ``aux``."""
+    auxiliary generators ``aux`` (sympy symbols, keyed by :func:`key_of`)."""
     formals: dict[str, int] = {}
     for e in exprs:
         for s in e.free_symbols:
             if is_formal_symbol(s):
                 name, m = formal_info(s)
                 formals[name] = max(formals.get(name, 0), m)
-    return _ring_of(order, formals, derivatives, tuple(aux))
+    return _ring_of(order, formals, derivatives, tuple(map(key_of, aux)))
 
 
 # ---------------------------------------------------------------------------
 # canonical forms
 
 
-class _Rescaled:
-    """A jet ring holding the auxiliary generators of one joint
-    ``exprcore._rescaled``, or the constant generators of a section at a
-    rational point (``SectionField.at``), with their values (``back``:
-    generator -> value), the canonical form of its elements and the
-    substitution of its elements for the generators of another ring
-    (:meth:`_quotient`).
+def _readings_of(back: dict) -> dict:
+    """The readings ({key: reading}, see ``sections``) of the generators of
+    a rescaling (``exprcore._rescaled``: generator -> value), in its
+    order."""
+    out = {}
+    for gen, atom in back.items():
+        key = key_of(gen)
+        if not atom.free_symbols:
+            out[key] = ("radical", None, (key[1], Fraction(1, key[2])))
+        elif isinstance(atom, sp.exp):
+            (b,) = atom.args[0].free_symbols
+            s = atom.args[0].coeff(b)
+            out[key] = ("exp", BASE_SYMBOLS.index(b), Fraction(int(s.p), int(s.q)))
+        else:
+            out[key] = ("root", BASE_SYMBOLS.index(atom.base), int(atom.exp.q))
+    return out
 
-    Prime radicals R = p^(1/M) among the generators are reduced by R^M = p
-    before every zero test and conversion; radicals of distinct primes are
-    linearly independent over QQ (Besicovitch) and the other generators are
-    algebraically independent, so the zero test of the reduced numerator is
-    exact."""
 
-    def __init__(self, ring: _JetRing, back: dict):
-        self.ring = ring
-        self.back = back
-        self._radicals = [
-            (ring.index[g], int(v.base), int(v.exp.q))
-            for g, v in back.items()
-            if v.is_Pow and v.base.is_Integer
-        ]
+def back_of(scaled: _Rescaled) -> dict:
+    """generator symbol -> value of the auxiliary generators of a field, as
+    ``exprcore._rescaled`` gives them: b^(1/m), exp(s*b), p^(1/M) and
+    exp(1/M)."""
+    return {symbol_of(key): _value_of(reading) for key, reading in scaled._readings.items()}
 
-    def _reduced(self, p):
-        """A polynomial with every prime radical R = p^(1/M) reduced by
-        R^M = p."""
-        if not self._radicals or not p:
-            return p
-        out: dict = {}
-        for monom, c in p.items():
-            m = list(monom)
-            for i, prime, M in self._radicals:
-                if m[i] >= M:
-                    q, m[i] = divmod(m[i], M)
-                    c = c * prime**q
-            _merge(out, {tuple(m): c})
-        return self.ring.ring.dtype(out)
 
-    def _reduced_element(self, f):
-        if not self._radicals:
-            return f
-        return self.ring.field.new(self._reduced(f.numer), self._reduced(f.denom))
+@lru_cache(maxsize=None)
+def _value_of(reading: tuple) -> sp.Expr:
+    """The sympy value of an auxiliary generator with a reading, made once
+    per reading (a power of an integer costs sympy a factorization)."""
+    kind, i, k = reading
+    if kind == "root":
+        return BASE_SYMBOLS[i] ** sp.Rational(1, k)
+    if kind == "exp":
+        return sp.exp(sp.Rational(k.numerator, k.denominator) * BASE_SYMBOLS[i])
+    p, r = k
+    return _constant(p, r.denominator)[1]
 
-    def vanishes(self, f) -> bool:
-        """Exact zero test of a field element."""
-        return not self._reduced(f.numer)
 
-    def sum(self, elements):
-        """The sum of field elements."""
-        return sum(elements, self.ring.field.zero)
+def section_ring(exprs, derivatives: int) -> tuple:
+    """(ring, readings, values) of the section field of sympy trees: the
+    trees rescaled jointly (``exprcore._rescaled``), in the ring of jet
+    order 0 with their formal functions, ``derivatives`` more of their
+    t-derivatives and the auxiliary generators."""
+    scaled, back = _rescaled(sp.Tuple(*exprs))
+    ring = _ring_for(0, scaled.args, derivatives=derivatives, aux=tuple(back))
+    return ring, _readings_of(back), tuple(ring.convert(e) for e in scaled.args)
 
-    def rational(self, f) -> Fraction | None:
-        """The value of a constant element, None for a non-constant one."""
-        f = self._reduced_element(f)
-        if _support(f.numer, f.denom):
-            return None
-        zero = self.ring.ring.zero_monom
-        return Fraction(f.numer.get(zero, 0), f.denom[zero])
 
-    def named(self, f) -> bool:
-        """Whether every generator of f is named: no auxiliary generator
-        and no foreign symbol occurs, so that ``jets.text`` prints it."""
-        keys = self.ring.keys
-        return all(type(keys[i]) is str for i in self.ring.present(f))
+def rescaled_expr(scaled: _Rescaled, f) -> sp.Expr:
+    """The canonical expression of an element of a field with auxiliary
+    generators: ``to_expr`` of the reduced element, a product of radicals
+    of several primes written as one root, and the auxiliary generators
+    substituted back."""
+    out = scaled.ring.to_expr(scaled._reduced_element(f))
+    if len(scaled._radicals) > 1:
+        out = out.replace(lambda e: e.is_Mul, lambda term: _one_root(scaled, term))
+    back = scaled.back
+    return out.xreplace(back) if back else out
 
-    def _quotient(self, f, value, message):
-        """An element of a jet ring with each generator s replaced by the
-        element ``value(s)`` of this field; ``message()`` is the text of the
-        error raised when the denominator vanishes.  Over one common
-        denominator L of the values, each side P of f is P~ / L^D; a term
-        in a generator whose value is zero is left out."""
-        used = _support(f.numer, f.denom)
-        L, nums = _common_denominator(self.ring.ring, [value(f.field.symbols[i]) for i in used])
-        zero = [i for i, n in zip(used, nums) if not n]
-        dtype, constant = self.ring.ring.dtype, self.ring.ring.zero_monom
-        powers: dict = {}
 
-        def power(j, n):
-            got = powers.get((j, n))
-            if got is None:
-                got = powers[(j, n)] = (L if j < 0 else nums[j]) ** n
-            return got
-
-        def side(p):
-            terms = [
-                (m, c, sum(m[i] for i in used))
-                for m, c in p.items()
-                if not (zero and any(m[i] for i in zero))
-            ]
-            top = max((deg for _, _, deg in terms), default=0)
-            acc: dict = {}
-            for m, c, deg in terms:
-                term = dtype({constant: c})
-                if deg < top:
-                    term = term * power(-1, top - deg)
-                for j, i in enumerate(used):
-                    if m[i]:
-                        term = term * power(j, m[i])
-                _merge(acc, term)
-            return dtype(acc), top
-
-        (n, dn), (d, dd) = side(f.numer), side(f.denom)
-        if not self._reduced(d):
-            raise DivisionByZeroExpression(message())
-        if dd > dn:
-            n = n * L ** (dd - dn)
-        elif dn > dd:
-            d = d * L ** (dn - dd)
-        return self.ring.field.new(n, d)
-
-    def expr(self, f) -> sp.Expr:
-        """The canonical expression of a field element: ``to_expr`` of the
-        reduced element, a product of radicals of several primes written
-        as one root, and the auxiliary generators substituted back."""
-        out = self.ring.to_expr(self._reduced_element(f))
-        if len(self._radicals) > 1:
-            out = out.replace(lambda e: e.is_Mul, self._one_root)
-        return out.xreplace(self.back) if self.back else out
-
-    def _one_root(self, term: sp.Expr) -> sp.Expr:
-        """A product with radicals of several primes written as one root of
-        a rational, the way sympy writes a power of a rational: 2^(2/3) *
-        3^(1/3) as 12^(1/3)."""
-        radicals = {self.ring.symbols[i]: (p, M) for i, p, M in self._radicals}
-        found, rest = {}, []
-        for factor in term.args:
-            base, k = factor.as_base_exp()
-            if base in radicals:
-                found[base] = k
-            else:
-                rest.append(factor)
-        if len(found) < 2:
-            return term
-        M = sp.ilcm(*(radicals[g][1] for g in found))
-        q = sp.Integer(1)
-        for g, k in found.items():
-            p, m = radicals[g]
-            q *= sp.Integer(p) ** (k * M // m)
-        return sp.Mul(*rest) * q ** sp.Rational(1, M)
+def _one_root(scaled: _Rescaled, term: sp.Expr) -> sp.Expr:
+    """A product with radicals of several primes written as one root of a
+    rational, the way sympy writes a power of a rational: 2^(2/3) * 3^(1/3)
+    as 12^(1/3)."""
+    radicals = {scaled.ring.symbols[i]: (p, M) for i, p, M in scaled._radicals}
+    found, rest = {}, []
+    for factor in term.args:
+        base, k = factor.as_base_exp()
+        if base in radicals:
+            found[base] = k
+        else:
+            rest.append(factor)
+    if len(found) < 2:
+        return term
+    M = sp.ilcm(*(radicals[g][1] for g in found))
+    q = sp.Integer(1)
+    for g, k in found.items():
+        p, m = radicals[g]
+        q *= sp.Integer(p) ** (k * M // m)
+    return sp.Mul(*rest) * q ** sp.Rational(1, M)
 
 
 def _canonical(e: sp.Expr) -> tuple[_Rescaled, object]:
@@ -366,7 +318,7 @@ def _canonical(e: sp.Expr) -> tuple[_Rescaled, object]:
         key=sp.default_sort_key,
     )
     ring = _ring_for(jet_order(scaled), (scaled,), aux=(*back, *foreign))
-    return _Rescaled(ring, back), ring.convert(scaled)
+    return _Rescaled(ring, _readings_of(back)), ring.convert(scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +348,7 @@ def reduce_tree(e, k: int | None = None) -> sp.Expr:
         raise JetOrderError(f"order {k} beyond hard cap {MAX_JET_ORDER}")
     scaled, back = _rescaled(e)
     ring = _ring_for(k, (scaled,), aux=tuple(back))
-    return _Rescaled(ring, back).expr(ring.reduce(ring.convert(scaled)))
+    return _Rescaled(ring, _readings_of(back)).expr(ring.reduce(ring.convert(scaled)))
 
 
 def eval_tree(point, e) -> Fraction:

@@ -372,7 +372,8 @@ def _ansatz_reads(source: str) -> list:
 
 
 def test_only_the_ring_form_builds_the_ansatz():
-    # every other user embeds the entries of symmetry._ansatz
+    # the ansatz is DSL text in jets, read by jets._ansatz alone; every
+    # other user embeds its entries
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "jetweyl"
     found = [
         (path.name, name, where)
@@ -380,8 +381,8 @@ def test_only_the_ring_form_builds_the_ansatz():
         for name, where in _ansatz_reads(path.read_text())
     ]
     assert found == [
-        ("symmetry.py", "_METRIC", "_ansatz"),
-        ("symmetry.py", "_COVECTOR", "_ansatz"),
+        ("jets.py", "_METRIC", "_ansatz"),
+        ("jets.py", "_COVECTOR", "_ansatz"),
     ]
 
 

@@ -3,14 +3,18 @@
 ``import jetweyl.cli`` loads the standard library and ``errors`` only, and
 each subcommand imports the layers it uses.  A fresh interpreter runs
 ``dims``, ``compare``, ``--help``, usage errors, for every command that
-reads DSL text a text the syntax stage refuses, and ``reduce`` and
+reads DSL text a text the syntax stage refuses, ``reduce`` and
 ``invariants`` (bare and with ``--eval``/``--at``) on rational text, which
-the jet field's core (``jets``) computes and prints; it must not have
-loaded sympy after any of them.  A ``reduce`` of a fractional power, run
-last, must load it: the probe sees sympy.  ``counts`` loads neither sympy
-nor an algebra layer.  A static guard reads the sources: the light modules
-import neither sympy nor a module that uses it, and ``cli.py`` and the
-core ``jets.py`` import neither at module level.
+the jet field's core (``jets``) computes and prints, and ``check-solution``
+and ``signature`` on sections of the algebraic subset, which the section
+core (``sections``) reads and checks; it must not have loaded sympy after
+any of them.  The negative controls, run last in probes of their own, must
+load it: a ``reduce`` of a fractional power, a ``transform`` and a
+``check-solution`` of a section with exponential atoms.  ``counts`` loads
+neither sympy nor an algebra layer.  A static guard reads the sources: the
+light modules import neither sympy nor a module that uses it, and
+``cli.py`` and the cores ``jets.py`` and ``sections.py`` import neither at
+module level.
 """
 
 import ast
@@ -26,6 +30,8 @@ from jetweyl.clouds import SignatureCloud, cloud_to_json
 SRC = pathlib.Path(jetweyl.__file__).resolve().parent
 
 LIGHT = ("__init__.py", "errors.py", "linalg.py", "counts.py", "clouds.py", "syntax.py")
+# modules that import sympy only inside the functions that need it
+MODULE_LEVEL = ("cli.py", "jets.py", "sections.py")
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +98,35 @@ def test_light_commands_do_not_load_sympy(tmp_path):
             "invariants", "--eval", "(u_x^2*u_xy + u_x*u_xx*v_x + u_xx*u_yy - u_xy^2)/u_x^4",
             "--at", "u_x=-5,u_xx=2,u_xy=4,u_yy=1/7,v_x=7/5,v_xx=-8/3,v_xy=-2/3",
         ], 0),
+        # sections of the algebraic subset: the section core reads and checks them
+        ("check-solution-bindings", ["check-solution", "u = x*y ; v = 0"], 1),
+        ("check-solution-trivial", ["check-solution", "trivial"], 0),
+        ("check-solution-sl2-degenerate", ["check-solution", "sl2-degenerate", "--f", "0", "--h", "0"], 0),
+        ("signature-sl2", [
+            "signature", "sl2-family", "--f", "0", "--h", "0", "--n", "8", "--seed", "760",
+            "--out", str(tmp_path / "sl2.json"),
+        ], 0),
     ]
-    # the negative control, run last: a fractional power needs sympy
-    control = ("reduce-radical", ["reduce", "t^(1/2)*u_x"], 0)
-    commands = [(name, argv) for name, argv, _ in (*runs, control)]
+    # the negative controls, each run last in a probe of its own
+    controls = [
+        ("reduce-radical", ["reduce", "t^(1/2)*u_x"], 0),
+        ("transform", [
+            "transform", "sl2-family", "--f", "0", "--h", "0", "--D", "t + (1)",
+            "--A", "(1)*t + (-2)", "--C", "(2)*t + (-1/2)", "--E", "8",
+        ], 0),
+        ("check-solution-exp", ["check-solution", "exp-family"], 0),
+    ]
+    assert _probe([(name, argv) for name, argv, _ in runs], report) == {
+        "import": False,
+        **{name: [code, False] for name, _, code in runs},
+    }
+    for name, argv, code in controls:
+        assert _probe([(name, argv)], report) == {"import": False, name: [code, True]}
+
+
+def _probe(commands: list, report) -> dict:
+    """What the probe reports after running ``commands`` in one fresh
+    interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -107,11 +138,7 @@ def test_light_commands_do_not_load_sympy(tmp_path):
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(report.read_text()) == {
-        "import": False,
-        **{name: [code, False] for name, _, code in runs},
-        control[0]: [control[2], True],
-    }
+    return json.loads(report.read_text())
 
 
 def test_counts_loads_no_algebra_layer():
@@ -175,40 +202,49 @@ def _is_sympy(name: str) -> bool:
     return name == "sympy" or name.startswith("sympy.")
 
 
+def _users(imports: dict, module: dict) -> set:
+    """The modules of ``imports`` ({file name: names it imports}) that
+    import sympy, or a module that does, by those imports."""
+    heavy = {name for name, names in imports.items() if any(map(_is_sympy, names))}
+    grew = True
+    while grew:
+        grew = False
+        for name, names in imports.items():
+            if name not in heavy and any(module.get(m) in heavy for m in names):
+                heavy.add(name)
+                grew = True
+    return heavy
+
+
 def light_path_offences(sources: dict) -> list:
     """Offences against the light path in ``{file name: source}``.
 
     A module uses sympy when it imports sympy, or a module that uses it,
-    anywhere.  A light module may import neither; ``cli.py`` may import
-    neither at module level."""
+    anywhere; it loads sympy when it does so at module level.  A light
+    module may import neither sympy nor a module that uses it; ``cli.py``
+    and the cores ``jets.py`` and ``sections.py`` may import neither sympy
+    nor a module that loads it at module level."""
     module = {f"jetweyl.{name[:-3]}": name for name in sources}
     anywhere = {name: _imports(src, False) for name, src in sources.items()}
-    heavy = {name for name, names in anywhere.items() if any(map(_is_sympy, names))}
-    grew = True
-    while grew:
-        grew = False
-        for name, names in anywhere.items():
-            if name not in heavy and any(module.get(m) in heavy for m in names):
-                heavy.add(name)
-                grew = True
+    level = {name: _imports(src, True) for name, src in sources.items()}
+    uses, loads = _users(anywhere, module), _users(level, module)
 
-    def bad(names):
+    def bad(names, heavy):
         return sorted(m for m in names if _is_sympy(m) or module.get(m) in heavy)
 
     out = []
     for name in LIGHT:
         if name in sources:
-            out += [f"{name} imports {m}" for m in bad(anywhere[name])]
-    for name in ("cli.py", "jets.py"):
+            out += [f"{name} imports {m}" for m in bad(anywhere[name], uses)]
+    for name in MODULE_LEVEL:
         if name in sources:
-            level = _imports(sources[name], True)
-            out += [f"{name} imports {m} at module level" for m in bad(level)]
+            out += [f"{name} imports {m} at module level" for m in bad(level[name], loads)]
     return out
 
 
 def test_the_light_modules_and_cli_import_no_sympy():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert set(LIGHT) | {"cli.py", "jets.py"} <= set(sources)
+    assert set(LIGHT) | set(MODULE_LEVEL) <= set(sources)
     assert light_path_offences(sources) == []
 
 
@@ -229,10 +265,18 @@ def test_the_light_path_guard_sees_a_planted_import():
             "from jetweyl import jets\n"
             "def _cmd_reduce(args):\n    from . import exprcore\n"
         ),
+        # the section core may reach trees lazily, not at module level
+        "sections.py": (
+            "from .jets import read\nfrom .geometry import catalog\n"
+            "def expr(f):\n    from jetweyl.trees import rescaled_expr\n"
+        ),
+        "geometry.py": "import sympy as sp\n",
     }
     assert light_path_offences(sources) == [
         "counts.py imports jetweyl.jets",
         "clouds.py imports sympy.core",
         "cli.py imports jetweyl.jets at module level",
         "jets.py imports jetweyl.exprcore at module level",
+        "sections.py imports jetweyl.geometry at module level",
+        "sections.py imports jetweyl.jets at module level",
     ]

@@ -19,7 +19,7 @@ import time
 import pytest
 import sympy as sp
 
-from jetweyl import checks, exprcore, geometry, jets, trees
+from jetweyl import checks, exprcore, geometry, jets, sections, trees
 from jetweyl.errors import (
     DivisionByZeroExpression,
     ExpAtomError,
@@ -443,8 +443,7 @@ def test_a_radical_of_the_section_joins_the_points_radical():
     sf = _joint_radicals().field
     for y in ("2", "1/2"):
         C, values = sf.at((1, 1, y), sf.values)
-        keys = [exprcore._CONSTANT_KEYS[g] for g in C.back]
-        assert keys == [(2, 6)]
+        assert list(C._readings) == [("radical", 2, 6)]
         assert [sp.srepr(C.expr(v)) for v in values] == [
             sp.srepr(C.expr(v)) for v in tree_at(sf, (1, 1, y), sf.values)[1]
         ]
@@ -513,7 +512,7 @@ def test_at_builds_no_field_and_no_tree(monkeypatch):
         geometry.SectionField, "__init__", counted("field", geometry.SectionField.__init__)
     )
     rescaled = counted("rescaled", exprcore._rescaled)
-    for module in (exprcore, trees, geometry):
+    for module in (exprcore, trees):
         monkeypatch.setattr(module, "_rescaled", rescaled)
     monkeypatch.setattr(geometry, "_image_atom", counted("image", geometry._image_atom))
     sections = [make().field for make in (_radical_move, _joint_radicals)]
@@ -535,8 +534,9 @@ def test_at_builds_no_field_and_no_tree(monkeypatch):
 def test_sampling_converts_no_element_of_the_section_field(monkeypatch):
     """signature, check_EW with points, i_regular and canonical_frame read
     their values at a point through SectionField.at: none converts an
-    element of the section's own field to an expression, beyond the exact
-    Lambda that check_EW reports with or without points."""
+    element of the section's own field to an expression.  The exact
+    Lambda that check_EW reports, with or without points, is converted
+    on first use of its ``lam``, once."""
     from jetweyl.equivalence import SamplerConfig, i_regular, signature
 
     fields, expr = [], geometry.SectionField.expr
@@ -559,7 +559,8 @@ def test_sampling_converts_no_element_of_the_section_field(monkeypatch):
     for make in (lambda: Solution(X * Y ** sp.Rational(1, 3), 0, deferred=True), lambda: root):
         # a non-Einstein section has a sampled residual, an Einstein one not
         sampled = conversions(make(), lambda s: check_EW(s, pts=[(0, 1, 1), (1, 2, 3)]))
-        assert sampled == conversions(make(), check_EW) == 1
+        assert sampled == conversions(make(), check_EW) == 0
+        assert conversions(make(), lambda s: (lambda rep: (rep.lam, rep.lam))(check_EW(s))) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +621,7 @@ def test_formal_parameter_in_the_sampled_pass_raises():
 def test_geometry_check_reports_a_witness(monkeypatch):
     # the flipped sign keeps trivial Einstein-Weyl and breaks the anchor of
     # dkp-partial first; the check must say where instead of raising
-    monkeypatch.setattr(geometry, "CORRECTION_SIGN", +1)
+    monkeypatch.setattr(sections, "CORRECTION_SIGN", +1)
     ok, info = checks.REGISTRY["geometry"].run()
     assert ok is False
     assert info["witness"] == {
@@ -643,7 +644,7 @@ def test_checks_that_share_catalog_entries_rerun_alike(monkeypatch):
     first = [checks.REGISTRY[name].run() for name in names]
     assert all(ok for ok, _ in first)
     assert [checks.REGISTRY[name].run() for name in names] == first
-    monkeypatch.setattr(geometry, "CORRECTION_SIGN", +1)
+    monkeypatch.setattr(sections, "CORRECTION_SIGN", +1)
     ok, info = checks.REGISTRY["geometry"].run()
     assert ok is False
     assert info["witness"]["family"] == "dkp-partial"

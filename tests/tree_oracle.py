@@ -90,6 +90,7 @@ from jetweyl.exprcore import (
 )
 from jetweyl.fields import PointField
 from jetweyl.geometry import FrameResult
+from jetweyl.trees import key_of
 
 _AUX = {
     name: sp.Dummy(name, positive=True)
@@ -506,11 +507,12 @@ def tree_at(sf, point, elements) -> tuple:
             F = geometry.SectionField((*point, *formals, *atoms))
     except ExprError as exc:
         raise SolutionError(f"{what} leaves the representable domain: {exc}") from None
-    images = dict(zip(BASE_SYMBOLS, F.values[:3]))
-    images.update(zip(aux, F.values[3 + len(formals) :]))
+    # the generators by their keys, as ``_quotient`` names them
+    images = dict(zip(("t", "x", "y"), F.values[:3]))
+    images.update(zip(map(key_of, aux), F.values[3 + len(formals) :]))
 
-    def value(s):
-        return images[s] if s in images else F.ring.gen(s)
+    def value(key):
+        return images[key] if key in images else F.ring.gen(key)
 
     return F, [F._quotient(f, value, lambda: f"{what} has a pole") for f in elements]
 
