@@ -22,33 +22,30 @@ from .exprcore import formal, is_jet_symbol, normalize, resolve_symbol, validate
 __all__ = ["parse_expr", "parse_solution"]
 
 
-def _build(node: syntax.Node, params: dict | None = None) -> sp.Expr:
-    """The sympy expression of a tree of :mod:`jetweyl.syntax`; a formal
-    function f(t) that ``params`` names is the expression given for it."""
+def _build(node: syntax.Node) -> sp.Expr:
+    """The sympy expression of a tree of :mod:`jetweyl.syntax`."""
     kind = node[0]
     if kind == "int":
         return sp.Integer(node[2])
     if kind == "name":
         return resolve_symbol(node[2])
     if kind == "formal":
-        if params and node[3] == 0 and node[2] in params:
-            return params[node[2]]
         return formal(node[2], node[3])
     if kind == "exp":
-        return sp.exp(_build(node[2], params))
+        return sp.exp(_build(node[2]))
     if kind == "neg":
-        return -_build(node[2], params)
+        return -_build(node[2])
     if kind == "^":
         _, _, base, expo, at = node
-        atom = _build(base, params)
+        atom = _build(base)
         expo = sp.Rational(expo.numerator, expo.denominator)
         if expo.is_negative and atom == 0:
             raise ParseError("negative power of zero", at)
         return atom**expo
     _, _, first, rest = node
-    out = _build(first, params)
+    out = _build(first)
     for op, operand, at in rest:
-        rhs = _build(operand, params)
+        rhs = _build(operand)
         if op == "+":
             out = out + rhs
         elif op == "-":

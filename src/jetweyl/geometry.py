@@ -368,10 +368,10 @@ def catalog(cid: str, f=None, h=None, w=None) -> Solution:
     typed, so 1.0 does not find the exact entry of 1.
     """
     if cid in CATALOG:
-        # the parameters an entry uses, in the order it reads them
+        # the parameters an entry uses; an unused one is not checked
         given = {name: p for name, p in (("f", f), ("h", h)) if f"{name}(t)" in CATALOG[cid]}
-        params = {name: _tfunc(p, name) for name, p in given.items()}
-        u, v = (_build(tree, params) for tree in _catalog_trees(cid))
+        params = {formal(name): _tfunc(p, name) for name, p in given.items()}
+        u, v = (_build(tree).xreplace(params) for tree in _catalog_trees(cid))
         return Solution(u, v, name=cid, domain=DOMAINS.get(cid, ""))
     if cid == "hierarchy":
         sf, r, wx, wy = _hierarchy(X**3 if w is None else w)

@@ -758,12 +758,6 @@ class Solution:
             self._residual_elements = tuple(map(self.field.subs, _equations()))
         return self._residual_elements
 
-    def residuals(self) -> tuple:
-        """The two equation residuals as sympy trees: F1, F2 with the
-        section's derivatives in place of the jet coordinates.  Both vanish
-        exactly when the section solves the system."""
-        return tuple(map(self.field.expr, self._residuals()))
-
     def solves(self) -> bool:
         """True when both residuals vanish (the field's zero test)."""
         return all(map(self.field.vanishes, self._residuals()))
