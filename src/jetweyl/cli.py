@@ -90,30 +90,25 @@ def _read_solution(args) -> dict:
     return {name: tree for name, _, tree in syntax.parse_solution(args.solution)}
 
 
-def _solution(args, deferred: bool = False):
+def _solution(args, deferred: bool = False, trees: dict | None = None):
     """The solution argument: read in the jet field where it lies in the
-    algebraic subset (``sections.read_section``), else through sympy."""
+    algebraic subset (``sections.read_section``), else through sympy;
+    ``trees`` are its syntax trees (:func:`_read_solution`) if read."""
     from . import sections
 
-    sol = sections.read_section(args.solution, _read_solution(args), deferred)
-    return sol if sol is not None else _solution_from_text(args.solution, args, deferred)
-
-
-def _solution_from_text(text: str, args, deferred: bool = False):
+    trees = _read_solution(args) if trees is None else trees
+    sol = sections.read_section(args.solution, trees, deferred)
+    if sol is not None:
+        return sol
     from . import geometry
     from .dsl import parse_expr, parse_solution
 
-    if text in geometry.CATALOG_IDS:
-        kw = {}
-        for name in ("f", "h", "w"):
-            val = getattr(args, name, None)
-            if val is not None:
-                kw[name] = parse_expr(val, allow_exp=True)
-        return geometry.catalog(text, **kw)
-    bindings = parse_solution(text)
-    return geometry.Solution(
-        bindings["u"], bindings["v"], name="user", deferred=deferred
-    )
+    if args.solution in geometry.CATALOG_IDS:
+        kw = {name: getattr(args, name, None) for name in ("f", "h", "w")}
+        kw = {name: parse_expr(val, allow_exp=True) for name, val in kw.items() if val is not None}
+        return geometry.catalog(args.solution, **kw)
+    bindings = parse_solution(args.solution)
+    return geometry.Solution(bindings["u"], bindings["v"], name="user", deferred=deferred)
 
 
 # the flags of ``transform`` that give a pseudogroup element
@@ -424,11 +419,11 @@ def _cmd_check_solution(args):
 def _cmd_transform(args):
     from . import syntax
 
-    _read_solution(args)
+    trees = _read_solution(args)
     for flag in _ELEMENT_FLAGS:
         if getattr(args, flag) is not None:
             syntax.parse_expr(getattr(args, flag))
-    sol = _solution_from_text(args.solution, args)
+    sol = _solution(args, trees=trees)
     if args.reflect:
         moved = sol.reflect(args.reflect)
     else:

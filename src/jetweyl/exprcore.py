@@ -371,7 +371,7 @@ def _constant_generators(e: sp.Expr, back: dict) -> tuple[sp.Expr, dict]:
         parts[sp.E] = one, [(0, Fraction(1))]
     if not parts:
         return e, back
-    joint = {p: (M, *_constant(p, M)) for p, M in _joint_constants(parts).items()}
+    joint = {p: (M, *_constant(p, M)) for p, (_, M) in _joint_constants(parts.values()).items()}
     back.update((gen, value) for _, gen, value in joint.values())
     rep = {
         a: c * sp.Mul(*(joint[p][1] ** int(r * joint[p][0]) for p, r in terms))

@@ -6,11 +6,11 @@ the fixed ansatz.  The section field, solutions, the Weyl pair, its
 connection, the curvature and the Einstein check are arithmetic in one
 exact differential field and live in :mod:`jetweyl.sections`, which
 imports no sympy; this module re-exports them.  Here is what gives or
-takes sympy trees: the moves and reflections of a section field, the
-closed forms the sympy callers give, the skew anchor as a matrix, the
-sampled residual of the Einstein check, the order-2 canonical frame at a
-point in closed form, and the catalog of explicit solutions with their
-reduction checks.  The catalog's closed forms are DSL text in
+takes sympy trees: the data of a pseudogroup element that a move reads
+once, the closed forms the sympy callers give, the skew anchor as a
+matrix, the sampled residual of the Einstein check, the order-2 canonical
+frame at a point in closed form, and the catalog of explicit solutions
+with their reduction checks.  The catalog's closed forms are DSL text in
 ``sections.CATALOG``; :func:`catalog` builds their trees from it.
 """
 
@@ -28,7 +28,6 @@ from .errors import (
     SolutionError,
 )
 from .exprcore import (
-    BASE_SYMBOLS,
     T,
     X,
     Y,
@@ -39,7 +38,7 @@ from .exprcore import (
     to_text,
     validate_kernel,
 )
-from .jets import _coordinates, _equations, _jet_key, _jet_ring, _support
+from .jets import _coordinates, _equations, _jet_key, _jet_ring
 from .sections import (
     CATALOG,
     CORRECTION_SIGN,
@@ -59,7 +58,7 @@ from .sections import (
     weyl_connection,
 )
 from .syntax import CATALOG_IDS, MultiIndex
-from .trees import key_of
+from .trees import section_ring
 
 __all__ = [
     "SectionField",
@@ -83,144 +82,17 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------------
-# moving a section field
+# a pseudogroup element as data
 
 
-def _moved(sf: SectionField, element) -> SectionField:
-    """The field of the section pushed through a pseudogroup element,
-    with the moved (u, v) as its values (``SectionField.moved``).
-
-    The new section at (t, x, y) is the old one at the preimage point
-    plus the fibre terms, with every function of t taken at the
-    preimage time t_s = D^-1(t).  The field of t_s, sqrt(D') and ee, a,
-    b, c at t_s holds the preimage point and the fibre coefficients
-    (:func:`_preimage`) and the image of each generator of the field
-    (:func:`_pushed`); u and v are evaluated there and the fibre terms
-    added.  Solutions map to solutions."""
-    ts = element.dinv
-    at_ts = (e.xreplace({T: ts}) for e in (element.ee, element.a, element.b, element.c))
-    target, data, (u, v) = _pushed(
-        sf, (ts, element.root, *at_ts), sf.values, "transformed section", _preimage
-    )
-    _, xs, ys, E, Ep, Epp, Ap, Bp, C, Cp = data
-    s = target.values[1]
-    D = s * s
-    u_new = E / s * u - 3 * Ep * ys / s + Bp / D - 2 * C / (E * s)
-    v_new = (
-        E**2 * v
-        + (C + 2 * E * Ep * ys) * u
-        + (E * Epp - 3 * Ep**2) * ys**2
-        + (Cp - 4 * C * Ep / E) * ys
-        + 2 * E * Ep * xs
-    ) / D + (E**2 * Ap - C**2) / (D * E**2)
-    return target._with_values((u_new, v_new))
-
-
-def _reflected(sf: SectionField, which: str) -> SectionField:
-    """The field of the section under one of the two discrete generators
-    beyond the connected pseudogroup, with the reflected (u, v) as its
-    values (``SectionField.reflected``).  ``txy`` flips the signs of t, x
-    and y with the fibres fixed, ``yu`` those of y and u; both are
-    involutions."""
-    if which == "txy":
-        point, sign = (-T, -X, -Y), 1
-    elif which == "yu":
-        point, sign = (T, X, -Y), -1
-    else:
-        raise ValueError(f"reflection must be 'txy' or 'yu', got {which!r}")
-    target, _, (u, v) = _pushed(
-        sf, point, sf.values, "reflected section", lambda F: F.values[:3]
-    )
-    return target._with_values((u * sign, v))
-
-
-def _pushed(sf: SectionField, exprs, elements, what: str, preimage) -> tuple:
-    """(F, ``preimage(F)``, the images of the elements in F) for the
-    point map of a move or a reflection whose preimage of (t, x, y)
-    begins ``preimage(F)``.
-
-    F holds exprs and, of the generators that occur in the elements
-    (``SectionField.occurring``), the formal functions (which map to
-    themselves) and, built again, the image of every auxiliary one (see
-    :func:`_image_atom`); an image outside the term language is refused
-    with a ``SolutionError``, and an element whose image has a pole with a
-    ``DivisionByZeroExpression``."""
-    formals, aux = sf.occurring(elements)
-    try:
-        F = SectionField((*exprs, *formals))
-        data = preimage(F)
-        if aux:
-            # an image depends on the preimage point alone
-            atoms = tuple(_image_atom(F, data[:3], atom) for atom in aux.values())
-            F = SectionField((*exprs, *formals, *atoms))
-            data = preimage(F)
-    except ExprError as exc:
-        raise SolutionError(f"{what} leaves the representable domain: {exc}") from None
-    images = dict(zip(("t", "x", "y"), data))
-    images.update(zip(map(key_of, aux), F.values[len(exprs) + len(formals) :]))
-
-    def value(key):
-        got = images.get(key)
-        return F.ring.gen(key) if got is None else got
-
-    moved = [F._quotient(f, value, lambda: f"{what} has a pole") for f in elements]
-    return F, data, moved
-
-
-def _preimage(F: SectionField) -> tuple:
-    """(t_s, x_s, y_s, E, E', E'', A', B', C, C') of a pseudogroup element
-    in a field F whose values begin with t_s = D^-1(t), sqrt(D') and ee, a,
-    b, c at t_s: the preimage of the running point (t, x, y), then ee, its
-    first two derivatives, a', b', c and c', each at t_s.
-
-    D is affine, so f'(t_s) = D' * d/dt f(t_s), a derivative in F.  The
-    point map is triangular (new t depends on t alone, new y on t and y,
-    new x on all three), so the inverse is closed-form."""
-    ts, s, E, A, B, C = F.values[:6]
-
-    def d(f):
-        return s * s * F.partial(f, "t")
-
-    Ep = d(E)
-    ys = (F._base["y"] - B) / (s * E)
-    xs = (F._base["x"] - E * Ep * ys**2 - C * ys - A) / E**2
-    return ts, xs, ys, E, Ep, d(Ep), d(A), d(B), C, d(C)
-
-
-def _image_atom(F: SectionField, point, atom) -> sp.Expr:
-    """The image of the value of an auxiliary generator under a point map
-    whose preimage of (t, x, y) is ``point`` (elements of F).
-
-    A constant stays fixed.  exp(c*b) goes to exp(c*b_s), which must be
-    linear in t, x, y over QQ, and b^(1/m) to (q*b)^(1/m), for which b_s
-    must be q*b with a positive constant q (a move or a reflection keeps
-    b in b_s).  Anything else leaves the term language (``ExprError``)."""
-    if not atom.free_symbols:
-        return atom
-    if isinstance(atom, sp.exp):
-        (b,) = atom.args[0].free_symbols
-        f = point[BASE_SYMBOLS.index(b)]
-        bases = {F.ring.index[s.name] for s in BASE_SYMBOLS}
-        linear = (
-            not _support(f.denom)
-            and set(F.ring.present(f)) <= bases
-            and all(sum(m) <= 1 for m in f.numer)
-        )
-        if not linear:
-            raise ExprError(
-                f"{atom} moves to exp of {F.expr(f)}, which is not linear in t, x, y over QQ"
-            )
-        return sp.exp(atom.args[0].coeff(b) * F.expr(f))
-    b = atom.base
-    f = point[BASE_SYMBOLS.index(b)]
-    constants = {F.ring.index[k] for k in F._readings if k[0] == "radical"}
-    q = f / F._base[b.name]
-    r = F.rational(q)  # a rational q needs no tree
-    constant = set(F.ring.present(q)) <= constants
-    q = sp.Rational(r) if r is not None else (F.expr(q) if constant else None)
-    if q is None or not q.is_positive:
-        raise ExprError(f"{atom} moves to a fractional power of {F.expr(f)}")
-    return q**atom.exp * b**atom.exp
+@lru_cache(maxsize=64)
+def _element_data(element) -> tuple:
+    """(alpha, beta, (ring, readings, values)) of a pseudogroup element for
+    ``SectionField.moved``: D = alpha*t + beta, and ee, a, b, c at t_s =
+    D^-1(t) read once (``trees.section_ring``; ``ExprError`` if it fails)."""
+    alpha, beta = (Fraction(int(q.p), int(q.q)) for q in element._alpha_beta)
+    parts = (element.ee, element.a, element.b, element.c)
+    return alpha, beta, section_ring(tuple(e.xreplace({T: element.dinv}) for e in parts), 0)
 
 
 def _closed_form(e, rule: str) -> sp.Expr:

@@ -21,16 +21,18 @@ same values: from sympy trees (``SectionField(exprs)``, through
 :func:`read_section`, which reads the text of a command line, bindings or
 one of the catalog's closed forms (:data:`CATALOG`, DSL text), with no
 sympy at all.  The metric pair, the connection, the curvature, the
-Einstein check (:func:`check_EW`) and the signature (:func:`signature`)
-are arithmetic in the field; :func:`text` prints an element as
+Einstein check (:func:`check_EW`), the signature (:func:`signature`),
+the values at a point and the moves and reflections are arithmetic in the
+field: one rule gives the image of an auxiliary generator under a point
+map (:func:`_image`).  :func:`text` prints an element as
 ``exprcore.to_text`` prints its expression.
 
 Whatever gives or takes a sympy tree imports ``trees`` or ``geometry`` on
-first use: ``SectionField(exprs)``, ``expr``, ``back``, ``occurring``,
-``moved``, ``reflected``, ``Solution(u, v)`` and its ``u``, ``v`` and
-``residuals``, the tree values of the reports, the sampled residual of a
-section that is not Einstein, the 50-digit value of a sample that is not
-rational and the primes of a root at a point (sympy's ``factorint``).
+first use: ``SectionField(exprs)``, ``expr``, ``back``, the data of a
+pseudogroup element (``moved``), ``Solution(u, v)``, its ``u`` and ``v``,
+the tree values of the reports, a refusal that words an expression, the
+sampled residual of a section that is not Einstein, the 50-digit value of
+a sample that is not rational and the primes of a radical (``factorint``).
 Those imports name their modules in full, as ``jets`` explains.
 """
 
@@ -44,7 +46,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .clouds import SignatureCloud
-from .errors import DivisionByZeroExpression, JetOrderError, SingularLocusError, SolutionError
+from .errors import DivisionByZeroExpression, ExprError, JetOrderError
+from .errors import SingularLocusError, SolutionError
 from .jets import (
     BASE_NAMES,
     _ZeroDivisor,
@@ -133,19 +136,108 @@ def _with_parameters(tree, params: dict):
 
 
 # ---------------------------------------------------------------------------
-# constants at a point
+# the images of auxiliary generators under a point map
 
 
-def _joint_constants(parts: dict) -> dict[int, int]:
-    """The constant generators of values c * prod p^r ({key: (c, [(p,
-    r)])}, p = 0 standing for e): one per p, p^(1/M) or exp(1/M) with M the
-    least common denominator of the exponents of p, as {p: M} in ascending
-    p.  The generator of p is keyed ("radical", p, M)."""
-    M: dict[int, int] = {}
-    for _, terms in parts.values():
-        for p, r in terms:
-            M[p] = math.lcm(M.get(p, 1), r.denominator)
-    return dict(sorted(M.items()))
+# the order of the generators of the base variables: exp(b/M), then b^(1/M)
+_RANK = {p: i for i, p in enumerate((kind, b) for kind in ("exp", "root") for b in BASE_NAMES)}
+
+
+def _joint_constants(parts, readings: dict | None = None) -> dict:
+    """The joint generators of values c * prod p^r (pairs (c, [(p, r)]))
+    and of generators with ``readings``: one base^(1/M) per base p, M the
+    lcm of the denominators of its exponents, as {p: (key, M)} in the
+    order of ``exprcore._rescaled``: exp(b/M) and b^(1/M) (:data:`_RANK`,
+    keyed p), then p^(1/M) by p (exp(1/M) for p = 0, keyed ("radical", p, M))."""
+    M: dict = {}
+    for p, r in (*(t for _, terms in parts for t in terms), *map(_term, (readings or {}).values())):
+        M[p] = math.lcm(M.get(p, 1), r.denominator)
+    ordered = sorted(M.items(), key=lambda pm: (pm[0] not in _RANK, _RANK.get(pm[0], pm[0])))
+    return {p: (("radical", p, m) if type(p) is int else p, m) for p, m in ordered}
+
+
+def _generators(joint: dict) -> dict:
+    """{key: reading} of the generators of :func:`_joint_constants`."""
+    return {
+        key: ("radical", None, (p, Fraction(1, M))) if type(p) is int
+        else (p[0], BASE_NAMES.index(p[1]), Fraction(1, M) if p[0] == "exp" else M)
+        for p, (key, M) in joint.items()
+    }
+
+
+def _term(reading) -> tuple:
+    """(p, r) of a generator, whose value is p^r (:func:`_joint_constants`)."""
+    kind, i, k = reading
+    if kind == "radical":
+        return k
+    return (kind, BASE_NAMES[i]), (k if kind == "exp" else Fraction(1, k))
+
+
+def _monomial(ring, joint: dict, c: Fraction, terms):
+    """c * prod p^r in a ring with the generators ``joint``: p^r is the
+    power r*M of the generator of p, M = joint[p]."""
+    e = [0] * len(ring.keys)
+    for p, r in terms:
+        key, M = joint[p]
+        e[ring.index[key]] += int(r * M)
+    up, down = (tuple(max(n * sign, 0) for n in e) for sign in (1, -1))
+    dtype = ring.ring.dtype
+    return ring.field.raw_new(dtype({up: c.numerator} if c else {}), dtype({down: c.denominator}))
+
+
+def _rational_power(F: "_Rescaled", q) -> tuple | None:
+    """(Q, L), q = Q^(1/L) for a positive rational Q and L the lcm of the M
+    of F's prime radicals p^(1/M); None where q is not so."""
+    L = math.lcm(*(M for _, _, M in F._radicals))
+    q = F._reduced_element(q)
+    Q = F.rational(q**L)
+    return None if Q is None or min(q.numer.values(), default=0) <= 0 else (Q, L)
+
+
+def _linear(F: "_Rescaled", f) -> dict | None:
+    """{b: coefficient, 0: constant} of an element of F linear in t, x, y
+    over QQ; None for any other element."""
+    if _support(f.denom):
+        return None
+    bases, out = {F.ring.index[b]: b for b in BASE_NAMES}, {}
+    for monom, c in f.numer.items():
+        i = _support([monom])
+        if i and (len(i) > 1 or monom[i[0]] > 1 or i[0] not in bases):
+            return None
+        out[bases[i[0]] if i else 0] = Fraction(c, f.denom[F.ring.ring.zero_monom])
+    return out
+
+
+def _image(reading, point, F: "_Rescaled | None", what: str) -> tuple:
+    """The value (c, [(p, r)]) of the image of an auxiliary generator under
+    a point map whose preimage of (t, x, y) is ``point``, rationals (F
+    None) or elements of the field F.  The one rule: a constant stays;
+    exp(s*b) goes to exp(s*b_s), b_s the preimage of b, linear in t, x, y
+    over QQ; b^(1/m) to q^(1/m) * b^(1/m) when b_s = q*b (q^(1/m) when b_s
+    = q) for a positive constant q, split by :func:`_prime_radicals`.
+    Anything else is a ``SolutionError`` (b_s worded by ``F.expr``)."""
+    kind, i, k = reading
+    if kind == "radical":
+        return Fraction(1), [k]
+    b, f = BASE_NAMES[i], point[i]
+    if kind == "exp":
+        linear = {0: f} if F is None else _linear(F, f)
+        if linear is None:
+            atom = f"exp({b})" if k == 1 else f"exp({b}/{k.denominator})"
+            raise SolutionError(
+                f"{what} leaves the representable domain: {atom} moves to exp of "
+                f"{F.expr(f)}, which is not linear in t, x, y over QQ"
+            )
+        return Fraction(1), [((kind, v) if v else 0, k * c) for v, c in linear.items() if c]
+    q = (f, 1) if F is None else _rational_power(F, f / F._base[b])
+    if q is None or q[0] <= 0:
+        atom = f"sqrt({b})" if k == 2 else f"{b}**(1/{k})"
+        raise SolutionError(
+            f"{what} leaves the representable domain: {atom} moves to a "
+            f"fractional power of {f if F is None else F.expr(f)}"
+        )
+    c, radicals = _prime_radicals(q[0], Fraction(1, q[1] * k))
+    return c, [*radicals.items(), *([((kind, b), Fraction(1, k))] if F is not None else [])]
 
 
 def _prime_radicals(q: Fraction, e: Fraction) -> tuple[Fraction, dict[int, Fraction]]:
@@ -332,11 +424,6 @@ def _jet_of(key) -> tuple | None:
     return jet_parts(key) if type(key) is str else None
 
 
-def _root_text(b: str, m: int) -> str:
-    """b^(1/m) as sympy prints it."""
-    return f"sqrt({b})" if m == 2 else f"{b}**(1/{m})"
-
-
 class SectionField(_Rescaled):
     """The differential field of a tuple of closed forms in t, x, y.
 
@@ -445,96 +532,70 @@ class SectionField(_Rescaled):
         keys = [k for i, k in enumerate(self.ring.keys) if i in present]
         return tuple(filter(_is_formal_key, keys)), tuple(k for k in keys if k in self._readings)
 
-    def occurring(self, elements=None) -> tuple:
-        """(formal functions, {auxiliary generator: its atom}) of the
-        generators that occur in the elements, as sympy symbols and atoms
-        (:meth:`_present` at the boundary)."""
-        from jetweyl.trees import symbol_of
-
-        formals, aux = self._present(elements)
-        return tuple(map(symbol_of, formals)), {
-            symbol_of(k): self.back[symbol_of(k)] for k in aux
-        }
-
-    # -- moving the section: trees, in ``geometry`` ------------------------------
+    # -- moving the section -------------------------------------------------------
 
     def moved(self, element) -> "SectionField":
         """The field of the section pushed through a pseudogroup element,
-        with the moved (u, v) as its values (``geometry._moved``)."""
-        from jetweyl.geometry import _moved
+        with the moved (u, v) as its values: the old section at the
+        preimage point (:func:`_preimage`), pushed to the field of the
+        element's data (:func:`_pushed`), plus the fibre terms.  Solutions
+        map to solutions."""
+        from jetweyl.geometry import _element_data
 
-        return _moved(self, element)
+        what = "transformed section"
+        try:
+            alpha, beta, data = _element_data(element)
+        except ExprError as exc:
+            raise SolutionError(f"{what} leaves the representable domain: {exc}") from None
+        formals, aux = self._present()
+        F, pre = _preimage(alpha, beta, data, formals)
+        target, (u, v), into = _pushed(self, F, pre[:3], what, formals, aux)
+        _, xs, ys, s, E, Ep, Epp, Ap, Bp, C, Cp = map(into, pre)
+        D = s * s
+        u_new = E / s * u - 3 * Ep * ys / s + Bp / D - 2 * C / (E * s)
+        v_new = (
+            E**2 * v
+            + (C + 2 * E * Ep * ys) * u
+            + (E * Epp - 3 * Ep**2) * ys**2
+            + (Cp - 4 * C * Ep / E) * ys
+            + 2 * E * Ep * xs
+        ) / D + (E**2 * Ap - C**2) / (D * E**2)
+        return target._with_values((u_new, v_new))
 
     def reflected(self, which: str) -> "SectionField":
         """The field of the section under one of the two discrete
-        generators beyond the connected pseudogroup (``geometry._reflected``)."""
-        from jetweyl.geometry import _reflected
-
-        return _reflected(self, which)
+        generators beyond the connected pseudogroup, with the reflected
+        (u, v) as its values: ``txy`` flips the signs of t, x and y, ``yu``
+        those of y and u."""
+        signs = {"txy": (-1, -1, -1, 1), "yu": (1, 1, -1, -1)}.get(which)
+        if signs is None:
+            raise ValueError(f"reflection must be 'txy' or 'yu', got {which!r}")
+        formals, aux = self._present()
+        F = _field_of({}, formals)
+        point = [F.ring.gen(b) * n for b, n in zip(BASE_NAMES, signs)]
+        target, (u, v), _ = _pushed(self, F, point, "reflected section", formals, aux)
+        return target._with_values((u * signs[3], v))
 
     def at(self, point, elements) -> tuple:
         """(C, the elements at the rational point (t, x, y) as elements of
         C), for C a ring of constants (a :class:`_Rescaled`).
 
-        t, x and y go to the point's coordinates.  b^(1/m) goes to q^(1/m)
-        for the coordinate q of b, a rational times prime radicals p^r with
-        0 < r < 1 (:func:`_prime_radicals`), and exp(s*b) to exp(s*q), a
-        power of exp(1/M).  A constant p^(1/M) of the section stays, as a
-        power of p^(1/M') when the point brings the same prime and the
-        joint denominator is M'.  Formal functions stay.  No expression is
-        read: C holds one generator per prime (and one for e)
-        (:func:`_joint_constants`), and the elements are pushed by
-        ``_quotient``.  A denominator that vanishes at the point raises
-        ``DivisionByZeroExpression``, and a fractional power of a
-        coordinate that is not positive ``SolutionError``."""
+        t, x and y go to the point's coordinates and each auxiliary
+        generator to its image (:func:`_image`): b^(1/m) to q^(1/m) for the
+        coordinate q of b, exp(s*b) to exp(s*q), and a constant p^(1/M)
+        stays, as a power of p^(1/M') when the point brings the same prime.
+        No expression is read: C holds one generator per prime (and one
+        for e).  A denominator that vanishes at the point raises
+        ``DivisionByZeroExpression``."""
         point = [_fraction(q) for q in point]
-
-        def what() -> str:
-            return f"the section at ({', '.join(map(str, point))})"
-
+        what = f"the section at ({', '.join(map(str, point))})"
         formals, aux = self._present(elements)
-        # generator -> (c, [(p, r)]): its value c * prod p^r, p = 0 for e
-        parts = {}
-        for key in aux:
-            kind, i, k = self._readings[key]
-            if kind == "radical":
-                parts[key] = Fraction(1), [k]
-            elif kind == "exp":
-                r = k * point[i]
-                parts[key] = Fraction(1), ([(0, r)] if r else [])
-            elif point[i] > 0:
-                c, radicals = _prime_radicals(point[i], Fraction(1, k))
-                parts[key] = c, list(radicals.items())
-            else:
-                raise SolutionError(
-                    f"{what()} leaves the representable domain: "
-                    f"{_root_text(BASE_NAMES[i], k)} moves to a fractional power of {point[i]}"
-                )
-        joint = {p: ("radical", p, M) for p, M in _joint_constants(parts).items()}
-        ring = _ring_of(0, _formal_orders(formals), aux=tuple(joint.values()))
-        C = _Rescaled(ring, {k: ("radical", None, (k[1], Fraction(1, k[2]))) for k in joint.values()})
-        dtype, n = ring.ring.dtype, len(ring.keys)
-
-        def element(c: Fraction, terms):
-            up, down = [0] * n, [0] * n
-            for p, r in terms:
-                key = joint[p]
-                e = int(r * key[2])
-                if e > 0:
-                    up[ring.index[key]] = e
-                else:
-                    down[ring.index[key]] = -e
-            numer = dtype({tuple(up): c.numerator} if c else {})
-            return ring.field.raw_new(numer, dtype({tuple(down): c.denominator}))
-
-        images = {b: element(q, ()) for b, q in zip(BASE_NAMES, point)}
-        images.update((key, element(*parts[key])) for key in aux)
-
-        def value(key):
-            got = images.get(key)
-            return ring.gen(key) if got is None else got
-
-        return C, [C._quotient(f, value, lambda: f"{what()} has a pole") for f in elements]
+        images = {key: _image(self._readings[key], point, None, what) for key in aux}
+        joint = _joint_constants(images.values())
+        readings = _generators(joint)
+        C = _Rescaled(_ring_of(0, _formal_orders(formals), aux=tuple(readings)), readings)
+        point = [_monomial(C.ring, joint, q, ()) for q in point]
+        return C, _push(C, joint, images, point, elements, what)
 
     def _with_values(self, values) -> "SectionField":
         """This field with other values (and no jets taken yet)."""
@@ -542,6 +603,106 @@ class SectionField(_Rescaled):
         out.values = tuple(values)
         out._jets = {}
         return out
+
+
+def _field_of(joint: dict, formals) -> SectionField:
+    """The section field, with no values, of the formal functions (keys)
+    ``formals`` and the auxiliary generators ``joint``."""
+    readings = _generators(joint)
+    ring = _ring_of(0, _formal_orders(formals), _FIELD_DERIVATIVES, tuple(readings))
+    return SectionField._of(ring, readings, ())
+
+
+def _moves(readings: dict, joint: dict) -> dict:
+    """The moves (:func:`_rekeying`) of the generators with ``readings``
+    and of the base variables to powers of the generators ``joint`` of
+    their bases (b to B^M where joint has B = b^(1/M))."""
+    out = {}
+    bases = ((b, ("root", i, 1)) for i, b in enumerate(BASE_NAMES))
+    for key, reading in (*readings.items(), *bases):
+        p, r = _term(reading)
+        if p in joint:
+            out[key] = (joint[p][0], r * joint[p][1])
+    return out
+
+
+def _rekeying(target, source, moves: dict):
+    """The map of elements of the ring ``source`` into ``target`` sending
+    a generator k to moves[k] = (key of target, factor of its exponents),
+    else to k, with the sign made canonical again."""
+    places = [moves.get(k, (k, 1)) for k in source.keys]
+    places = [(target.index.get(to), Fraction(n)) for to, n in places]
+    size = len(target.keys)
+
+    def moved(p):
+        out = {}
+        for monom, c in p.items():
+            m = [0] * size
+            for i in itertools.compress(range(len(monom)), monom):
+                m[places[i][0]] += int(monom[i] * places[i][1])
+            out[tuple(m)] = c
+        return target.ring.dtype(out)
+
+    def into(f):
+        num, den = moved(f.numer), moved(f.denom)
+        return target.field.raw_new(*((-num, -den) if den[max(den)] < 0 else (num, den)))
+
+    return into
+
+
+def _preimage(alpha: Fraction, beta: Fraction, data: tuple, formals) -> tuple:
+    """(F, (t_s, x_s, y_s, sqrt(D'), E, E', E'', A', B', C, C')) of a
+    pseudogroup element, D = alpha*t + beta: F is the field of the formal
+    functions ``formals`` and of ee, a, b, c at t_s = D^-1(t) (``data``:
+    ring, readings, values) joined with the radicals of sqrt(D'); the
+    preimage of (t, x, y), then sqrt(D'), ee and its first two
+    derivatives, a', b', c and c' at t_s.  D is affine, so f'(t_s) = D' *
+    d/dt f(t_s), and the point map is triangular, so the inverse is
+    closed-form."""
+    ring, readings, values = data
+    c, radicals = _prime_radicals(alpha, Fraction(1, 2))
+    root = (c, list(radicals.items()))
+    joint = _joint_constants([root], readings)
+    F = _field_of(joint, formals)
+    E, A, B, C = map(_rekeying(F.ring, ring, _moves(readings, joint)), values)
+    s = _monomial(F.ring, joint, *root)
+
+    def d(f):
+        return s * s * F.partial(f, "t")
+
+    Ep = d(E)
+    ys = (F._base["y"] - B) / (s * E)
+    xs = (F._base["x"] - E * Ep * ys**2 - C * ys - A) / E**2
+    return F, ((F._base["t"] - beta) / alpha, xs, ys, s, E, Ep, d(Ep), d(A), d(B), C, d(C))
+
+
+def _pushed(sf: SectionField, F: SectionField, point, what: str, formals, aux) -> tuple:
+    """(G, sf's values pushed to G, the map of F's elements into G) under
+    a point map whose preimage of (t, x, y) is ``point``, elements of F,
+    the field of the map's data and sf's ``formals``; G is F with the
+    generators of the images of sf's auxiliary generators ``aux`` joined."""
+    images = {key: _image(sf._readings[key], point, F, what) for key in aux}
+    G, into, joint = F, (lambda f: f), {}
+    if images:
+        joint = _joint_constants(images.values(), F._readings)
+        H = _field_of(joint, formals)
+        if H._readings != F._readings:
+            G, into = H, _rekeying(H.ring, F.ring, _moves(F._readings, joint))
+    return G, _push(G, joint, images, map(into, point), sf.values, what), into
+
+
+def _push(C: _Rescaled, joint: dict, images: dict, point, elements, what: str) -> list:
+    """The elements pushed (``_quotient``) to C, whose generators ``joint``
+    hold the ``images`` of the auxiliary generators, with t, x, y at
+    ``point``; a pole raises ``DivisionByZeroExpression``."""
+    values = {key: _monomial(C.ring, joint, *image) for key, image in images.items()}
+    values.update(zip(BASE_NAMES, point))
+
+    def value(key):
+        got = values.get(key)
+        return C.ring.gen(key) if got is None else got
+
+    return [C._quotient(f, value, lambda: f"{what} has a pole") for f in elements]
 
 
 # ---------------------------------------------------------------------------
@@ -626,39 +787,10 @@ def _read_values(trees, names: frozenset = frozenset(BASE_NAMES)) -> tuple | Non
         ("root", b): ("root", BASE_NAMES.index(b), m) for b, m in final.items() if m > 1
     }
     if target is not ring or any(d > 1 for d in g.values()):
-        values = [_moved_into(target, ring, f, g, final) for f in values]
+        # B^e goes to B'^(e/g) where b keeps a root, to b^(e/g) where it has none
+        moves = {key: (key if final[key[1]] > 1 else key[1], Fraction(1, g[key])) for key in aux}
+        values = list(map(_rekeying(target, ring, moves), values))
     return target, readings, values
-
-
-def _moved_into(target, source, f, g: dict, final: dict):
-    """An element of the ring ``source`` with the exponent e of each root
-    generator ("root", b) divided by ``g[key]``, as an element of
-    ``target``: on B' = B^g where b keeps a root, on b itself where it has
-    none (``final[b]`` = 1).  The generators of f are all in ``target``;
-    the sign is made canonical again, since the order of the generators
-    may change."""
-    places, divisors = [], []
-    for key in source.keys:
-        d = g.get(key, 1)
-        divisors.append(d)
-        if d > 1 and final[key[1]] == 1:
-            key = key[1]
-        places.append(target.index.get(key))
-    n = len(target.keys)
-
-    def moved(p):
-        out = {}
-        for monom, c in p.items():
-            m = [0] * n
-            for i in itertools.compress(range(len(monom)), monom):
-                m[places[i]] = monom[i] // divisors[i]
-            out[tuple(m)] = c
-        return target.ring.dtype(out)
-
-    num, den = moved(f.numer), moved(f.denom)
-    if den[max(den)] < 0:
-        num, den = -num, -den
-    return target.field.raw_new(num, den)
 
 
 _T_ONLY = frozenset({"t"})

@@ -15,7 +15,7 @@ sympy.  This module holds what takes or gives a sympy expression:
   constants: the readings of the generators of a rescaling
   (:func:`_readings_of`), their sympy values (:func:`back_of`), the
   canonical expression of an element (:func:`rescaled_expr`) and the
-  section field of sympy trees (:func:`section_ring`);
+  section field of sympy trees (:func:`section_ring`, also of a move's data);
 * the sympy forms of ``EquationSystem.reduce`` and ``JetPoint.eval``.
 
 ``_JetRing.convert``, ``to_expr`` and ``symbols``, ``_JetPoly.as_expr``,

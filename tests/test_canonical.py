@@ -797,24 +797,52 @@ def _public_definitions(tree) -> list:
     return out
 
 
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, *_COMPREHENSIONS)
+
+
+def _bound(scope) -> set:
+    """The names a function or comprehension binds itself: its parameters
+    and every ``Name`` it stores to (an assignment, a ``for``, ``with`` or
+    comprehension target), outside the scopes nested in it."""
+    names = set()
+    if not isinstance(scope, _COMPREHENSIONS):
+        a = scope.args
+        params = (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+        names.update(x.arg for x in params if x)
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
 def _uses(tree) -> list:
-    """(name, ids of the enclosing definitions) for every name used as a
-    ``Name``, an ``Attribute`` or an import alias in a parsed module."""
+    """(name, ids of the enclosing definitions) for every name used in a
+    parsed module: a ``Name`` that is read and not bound in an enclosing
+    function or comprehension (:func:`_bound`), an ``Attribute`` or an
+    import alias."""
     found = []
 
-    def visit(node, inside):
+    def visit(node, inside, local):
         if isinstance(node, _DEFS):
             inside = inside | {id(node)}
+        if isinstance(node, _SCOPES):
+            local = local | _bound(node)
         if isinstance(node, ast.Name):
-            found.append((node.id, inside))
+            if isinstance(node.ctx, ast.Load) and node.id not in local:
+                found.append((node.id, inside))
         elif isinstance(node, ast.Attribute):
             found.append((node.attr, inside))
         elif isinstance(node, ast.alias):
             found.extend((n, inside) for n in {node.name.split(".")[-1], node.asname} if n)
         for child in ast.iter_child_nodes(node):
-            visit(child, inside)
+            visit(child, inside, local)
 
-    visit(tree, frozenset())
+    visit(tree, frozenset(), frozenset())
     return found
 
 
@@ -858,3 +886,19 @@ def test_the_caller_guard_sees_unused_names():
     # a use in another module, by attribute or by import, counts
     found = _uncalled(package, {"user.py": "import mod\nfrom mod import Lonely\nmod.unused(2)\n"})
     assert "mod.py: unused" not in found and "mod.py: Lonely" not in found
+    # a local name that shadows a public one is not a use of it: a
+    # parameter, an assignment, a for, with or comprehension target, and a
+    # name stored to
+    package["mod.py"] += "def residuals():\n    return 0\n"
+    shadows = (
+        "def report(residuals):\n    return residuals\n"
+        "def table(rows):\n    residuals = rows\n    return [residuals for _ in rows]\n"
+        "def loop(rows):\n    for residuals in rows:\n        print(residuals)\n"
+        "def opened(path):\n    with open(path) as residuals:\n        return residuals.read()\n"
+        "squares = [residuals for residuals in range(3)]\n"
+        "residuals = None\n"
+    )
+    assert "mod.py: residuals" in _uncalled(package, {"user.py": shadows})
+    # a read where nothing local binds the name is a use
+    for use in ("def report(rows):\n    return residuals()\n", "checked = residuals\n"):
+        assert "mod.py: residuals" not in _uncalled(package, {"user.py": shadows + use})

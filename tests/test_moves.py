@@ -8,12 +8,14 @@ same (u, v) on every catalog family under seeded pseudogroup elements of
 each kind the checks use, and refuse exactly where the tree refuses.
 """
 
+import json
 import random
 
 import pytest
 import sympy as sp
 
-from jetweyl import checks, geometry, trees
+from jetweyl import checks, exprcore, geometry, sections, trees
+from jetweyl.cli import main
 from jetweyl.errors import ExprError, PseudogroupError, SolutionError
 from jetweyl.exprcore import T, validate_kernel
 from jetweyl.symmetry import PseudogroupElement
@@ -91,8 +93,8 @@ def test_moves_with_formal_parameters_match_the_tree(cid):
 
 def test_move_coefficients_match_the_tree():
     # (t_s, x_s, y_s, E, E', E'', A', B', C, C'), entry for entry, with
-    # derivatives taken in the field of (t_s, sqrt(D'), ee, a, b, c at t_s)
-    # against the tree derivative; the seeded elements have a constant ee,
+    # derivatives taken in the field of the element's data against the
+    # tree derivative; the seeded elements have a constant ee,
     # so a few with a time-dependent one and rational coefficients come
     # first
     elements = [
@@ -103,47 +105,69 @@ def test_move_coefficients_match_the_tree():
     rng = random.Random(7301)
     elements += [el for kind in _KINDS for el in checks._random_elements(rng, kind, count=3)]
     for el in elements:
-        ts = el.dinv
-        at_ts = (e.xreplace({T: ts}) for e in (el.ee, el.a, el.b, el.c))
-        F = geometry.SectionField((ts, el.root, *at_ts))
-        got, want = geometry._preimage(F), tree_at_source(el)
+        F, got = sections._preimage(*geometry._element_data(el), ())
+        # sqrt(D') comes fourth
+        assert tree_normalize(F.expr(got[3]) - sp.sqrt(el._alpha_beta[0])) == 0
+        got, want = (*got[:3], *got[4:]), tree_at_source(el)
         assert len(got) == len(want) == 10
         for n, (g, w) in enumerate(zip(got, want)):
             assert tree_normalize(F.expr(g) - w) == 0, (el, n)
 
 
-@pytest.mark.parametrize(
-    "cid, kwargs, kind, fields",
-    [
-        ("dkp-partial", {}, "free", 1),
-        ("sl2-family", {}, "cube", 2),
-        ("sl2-family", {"f": 0, "h": 0}, "cube", 2),
-    ],
-)
-def test_a_move_builds_one_field_and_no_tree(cid, kwargs, kind, fields, monkeypatch):
-    """A move is arithmetic in one field of its data: a successful one
-    builds one SectionField, and a second with the images of the auxiliary
-    generators when the section has some (y^(1/3) here), and converts no
-    field element to a tree."""
+_SETUPS = [
+    (cid, kwargs)
+    for cid in geometry.CATALOG_IDS
+    for kwargs in ({}, _BOUND.get(cid))
+    if kwargs is not None
+]
+
+
+@pytest.mark.parametrize("cid, kwargs", _SETUPS)
+def test_a_move_builds_no_field_from_trees(cid, kwargs, monkeypatch):
+    """A move or a reflection is arithmetic in the field: it builds no
+    section field from trees and converts no field element to a tree (a
+    refusal converts the one it words).  A move reads its element's own
+    data once (``geometry._element_data``: one ``trees.section_ring``, one
+    ``exprcore._rescaled``), and none when the element was read before; a
+    reflection reads nothing."""
     sol = geometry.catalog(cid, **kwargs)
-    assert bool(sol.field.occurring()[1]) == (fields == 2)
-    built, converted = [], []
-    init, expr = geometry.SectionField.__init__, trees._Rescaled.expr
+    sol.field  # the section's own field is built before the count starts
+    calls = {"field": 0, "section_ring": 0, "rescaled": 0, "expr": 0}
 
-    def counted(sf, exprs):
-        built.append(exprs)
-        init(sf, exprs)
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
 
-    def watched(scaled, f):
-        converted.append(f)
-        return expr(scaled, f)
+        return wrapper
 
-    monkeypatch.setattr(geometry.SectionField, "__init__", counted)
-    monkeypatch.setattr(trees._Rescaled, "expr", watched)
-    for el in _elements(cid, kind)[:4]:
-        built.clear()
-        assert sol.transform(el).checked
-        assert len(built) == fields and converted == [], el
+    monkeypatch.setattr(
+        geometry.SectionField, "__init__", counted("field", geometry.SectionField.__init__)
+    )
+    ring = counted("section_ring", trees.section_ring)
+    for module in (geometry, trees):
+        monkeypatch.setattr(module, "section_ring", ring)
+    rescaled = counted("rescaled", exprcore._rescaled)
+    for module in (exprcore, trees):
+        monkeypatch.setattr(module, "_rescaled", rescaled)
+    monkeypatch.setattr(trees._Rescaled, "expr", counted("expr", trees._Rescaled.expr))
+    geometry._element_data.cache_clear()
+    moved = 0
+    for kind in _KINDS:
+        for el in _elements(cid, kind)[:4]:
+            for read in (1, 0):
+                for name in calls:
+                    calls[name] = 0
+                refused = _outcome(sol.transform, el) is SolutionError
+                moved += not refused
+                want = {"field": 0, "section_ring": read, "rescaled": read, "expr": refused}
+                assert calls == want, el
+    for which in ("txy", "yu"):
+        for name in calls:
+            calls[name] = 0
+        refused = _outcome(sol.reflect, which) is SolutionError
+        assert calls == {"field": 0, "section_ring": 0, "rescaled": 0, "expr": refused}
+    assert moved > 0
 
 
 @pytest.mark.parametrize("which", ("txy", "yu"))
@@ -195,6 +219,46 @@ def test_reflections_of_the_sl2_family_are_refused(which):
         tree_reflect_section(which, sol.u, sol.v)
     with pytest.raises(SolutionError, match="leaves the representable domain"):
         sol.reflect(which)
+
+
+_DOMAIN = "leaves the representable domain"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["sl2-family", "--f", "0", "--h", "0", "--B", "1"],
+            f"transformed section {_DOMAIN}: y**(1/3) moves to a fractional power of y - 1",
+        ),
+        (
+            ["sl2-family", "--f", "0", "--h", "0", "--reflect", "yu"],
+            f"reflected section {_DOMAIN}: y**(1/3) moves to a fractional power of -y",
+        ),
+        (
+            ["exp-family", "--f", "1", "--h", "1", "--E", "t^2+1"],
+            f"transformed section {_DOMAIN}: exp(y) moves to exp of y/(t**2 + 1), "
+            "which is not linear in t, x, y over QQ",
+        ),
+        (
+            ["exp-family", "--f", "exp(t)", "--h", "1", "--D", "3*t"],
+            f"transformed section {_DOMAIN}: exp(y) moves to exp of sqrt(3)*y/3, "
+            "which is not linear in t, x, y over QQ",
+        ),
+        (
+            ["u = x^(1/2) ; v = x^(1/2)", "--A", "1"],
+            f"transformed section {_DOMAIN}: sqrt(x) moves to a fractional power of x - 1",
+        ),
+        (
+            ["u = x^(1/2) ; v = x^(1/2)", "--reflect", "txy"],
+            f"reflected section {_DOMAIN}: sqrt(x) moves to a fractional power of -x",
+        ),
+    ],
+)
+def test_move_refusals_on_the_command_line(argv, message, capsys):
+    # the exit code and the whole message, as the two-field path printed them
+    assert main(["transform", *argv]) == 4
+    assert json.loads(capsys.readouterr().out) == {"error": "domain", "message": message}
 
 
 def test_unknown_reflection_is_a_value_error():

@@ -38,6 +38,7 @@ from jetweyl.geometry import (
     weyl_connection,
 )
 from jetweyl.jets import _jet_ring
+import tree_oracle
 from tree_oracle import (
     TreeSection,
     jet_poly,
@@ -498,8 +499,8 @@ def test_at_refuses_as_the_tree_path_does(cid, point, error, message):
 def test_at_builds_no_field_and_no_tree(monkeypatch):
     """SectionField.at builds no SectionField and calls neither the
     rescaling nor the tree image of an auxiliary generator; the tree path,
-    wrapped the same way, builds fields and rescales, and a reflection
-    builds the tree images."""
+    wrapped the same way, builds fields and rescales, and the two-field
+    reflection of the tree oracle builds the tree images."""
     calls = {"field": 0, "rescaled": 0, "image": 0}
 
     def counted(name, fn):
@@ -515,7 +516,8 @@ def test_at_builds_no_field_and_no_tree(monkeypatch):
     rescaled = counted("rescaled", exprcore._rescaled)
     for module in (exprcore, trees):
         monkeypatch.setattr(module, "_rescaled", rescaled)
-    monkeypatch.setattr(geometry, "_image_atom", counted("image", geometry._image_atom))
+    image = counted("image", tree_oracle.tree_image_atom)
+    monkeypatch.setattr(tree_oracle, "tree_image_atom", image)
     sections = [make().field for make in (_radical_move, _joint_radicals)]
     sections.append(catalog("exp-family", f=1, h=1).field)
     for name in ("field", "rescaled", "image"):
@@ -528,7 +530,7 @@ def test_at_builds_no_field_and_no_tree(monkeypatch):
         tree_at(sf, (1, 2, "9/4"), sf.values)
     assert calls["field"] == calls["rescaled"] == 2 * len(sections)
     # the exponential atoms of exp-family
-    sections[-1].reflected("txy")
+    tree_oracle.two_field_reflected(sections[-1], "txy")
     assert calls["image"] > 0
 
 

@@ -28,6 +28,11 @@ pair on trees (the metric and covector written out again), and
 ``SectionField.at`` did before it read them in integers: a field built from
 the point's tree, the value of each auxiliary generator's atom at the point
 taken from sympy, and a second field holding those values.
+``two_field_moved`` and ``two_field_reflected`` move a section field the
+way ``SectionField.moved`` and ``reflected`` did before they moved it in
+the field: a field built from the trees of the map's data, the image of
+each auxiliary generator as a tree (``tree_image_atom``), and a second
+field built from the trees again, where the values are pushed.
 ``tree_canonical_frame`` is the order-2 canonical frame of a section by
 sympy ``Matrix`` algebra (``nullspace``, ``inv`` and ``rank`` with the exact
 zero test), from the tree pair.
@@ -61,7 +66,7 @@ from sympy.polys.rings import PolyRing
 from jetweyl.counts import _poincare
 from jetweyl import geometry, syntax
 from jetweyl.dsl import _build
-from jetweyl.jets import EQUATIONS
+from jetweyl.jets import EQUATIONS, _support
 from jetweyl.errors import (
     DivisionByZeroExpression,
     ExprError,
@@ -90,7 +95,7 @@ from jetweyl.exprcore import (
 )
 from jetweyl.fields import PointField
 from jetweyl.geometry import FrameResult
-from jetweyl.trees import key_of
+from jetweyl.trees import key_of, symbol_of
 
 _AUX = {
     name: sp.Dummy(name, positive=True)
@@ -490,6 +495,14 @@ def tree_d_omega(w) -> sp.Matrix:
     )
 
 
+def occurring(sf, elements=None) -> tuple:
+    """(formal functions, {auxiliary generator: its atom}) of the
+    generators that occur in the elements of a section field (by default
+    its values), as sympy symbols and atoms."""
+    formals, aux = sf._present(elements)
+    return tuple(map(symbol_of, formals)), {symbol_of(k): sf.back[symbol_of(k)] for k in aux}
+
+
 def tree_at(sf, point, elements) -> tuple:
     """(C, the elements of the section field ``sf`` at the rational point
     as elements of C) through two section fields: one of the point and the
@@ -499,7 +512,7 @@ def tree_at(sf, point, elements) -> tuple:
     ``SectionField.at``."""
     point = tuple(map(sp.Rational, point))
     what = f"the section at ({', '.join(map(str, point))})"
-    formals, aux = sf.occurring(elements)
+    formals, aux = occurring(sf, elements)
     try:
         F = geometry.SectionField((*point, *formals))
         if aux:
@@ -526,6 +539,126 @@ def _atom_at(atom, point) -> sp.Expr:
     if atom.is_Pow and atom.free_symbols and not atom.base.xreplace(at).is_positive:
         raise ExprError(f"{atom} moves to a fractional power of {atom.base.xreplace(at)}")
     return atom.xreplace(at)
+
+
+def two_field_moved(sf, element):
+    """The field of a section pushed through a pseudogroup element the way
+    ``SectionField.moved`` did before it moved in the field: a field built
+    from the trees of t_s, sqrt(D') and ee, a, b, c at t_s with the formal
+    functions that occur, then (:func:`_two_field_pushed`) a second one
+    that also holds the image of every auxiliary generator as a tree
+    (:func:`tree_image_atom`); the preimage data are taken in each
+    (:func:`_field_preimage`).  The same values and refusals as
+    ``SectionField.moved``."""
+    ts = element.dinv
+    at_ts = (e.xreplace({T: ts}) for e in (element.ee, element.a, element.b, element.c))
+    target, data, (u, v) = _two_field_pushed(
+        sf, (ts, element.root, *at_ts), "transformed section", _field_preimage
+    )
+    _, xs, ys, E, Ep, Epp, Ap, Bp, C, Cp = data
+    s = target.values[1]
+    D = s * s
+    u_new = E / s * u - 3 * Ep * ys / s + Bp / D - 2 * C / (E * s)
+    v_new = (
+        E**2 * v
+        + (C + 2 * E * Ep * ys) * u
+        + (E * Epp - 3 * Ep**2) * ys**2
+        + (Cp - 4 * C * Ep / E) * ys
+        + 2 * E * Ep * xs
+    ) / D + (E**2 * Ap - C**2) / (D * E**2)
+    return target._with_values((u_new, v_new))
+
+
+def two_field_reflected(sf, which: str):
+    """The field of a section under a reflection, through the two fields
+    of :func:`_two_field_pushed`, as ``SectionField.reflected`` did."""
+    if which == "txy":
+        point, sign = (-T, -X, -Y), 1
+    elif which == "yu":
+        point, sign = (T, X, -Y), -1
+    else:
+        raise ValueError(f"reflection must be 'txy' or 'yu', got {which!r}")
+    target, _, (u, v) = _two_field_pushed(
+        sf, point, "reflected section", lambda F: F.values[:3]
+    )
+    return target._with_values((u * sign, v))
+
+
+def _field_preimage(F) -> tuple:
+    """(t_s, x_s, y_s, E, E', E'', A', B', C, C') of a pseudogroup element
+    in a field F whose values begin with t_s, sqrt(D') and ee, a, b, c at
+    t_s."""
+    ts, s, E, A, B, C = F.values[:6]
+
+    def d(f):
+        return s * s * F.partial(f, "t")
+
+    Ep = d(E)
+    ys = (F._base["y"] - B) / (s * E)
+    xs = (F._base["x"] - E * Ep * ys**2 - C * ys - A) / E**2
+    return ts, xs, ys, E, Ep, d(Ep), d(A), d(B), C, d(C)
+
+
+def _two_field_pushed(sf, exprs, what: str, preimage) -> tuple:
+    """(F, ``preimage(F)``, the values of ``sf`` pushed to F) for a point
+    map whose preimage of (t, x, y) begins ``preimage(F)``: F holds exprs,
+    the formal functions that occur in the values and, built again, the
+    tree image of every auxiliary one."""
+    formals, aux = occurring(sf)
+    try:
+        F = geometry.SectionField((*exprs, *formals))
+        data = preimage(F)
+        if aux:
+            # an image depends on the preimage point alone
+            atoms = tuple(tree_image_atom(F, data[:3], atom) for atom in aux.values())
+            F = geometry.SectionField((*exprs, *formals, *atoms))
+            data = preimage(F)
+    except ExprError as exc:
+        raise SolutionError(f"{what} leaves the representable domain: {exc}") from None
+    images = dict(zip(("t", "x", "y"), data))
+    images.update(zip(map(key_of, aux), F.values[len(exprs) + len(formals) :]))
+
+    def value(key):
+        return images[key] if key in images else F.ring.gen(key)
+
+    moved = [F._quotient(f, value, lambda: f"{what} has a pole") for f in sf.values]
+    return F, data, moved
+
+
+def tree_image_atom(F, point, atom) -> sp.Expr:
+    """The image of the value of an auxiliary generator as a tree, under a
+    point map whose preimage of (t, x, y) is ``point`` (elements of F).
+
+    A constant stays fixed.  exp(c*b) goes to exp(c*b_s), which must be
+    linear in t, x, y over QQ, and b^(1/m) to (q*b)^(1/m), for which b_s
+    must be q*b with a positive constant q.  Anything else leaves the term
+    language (``ExprError``)."""
+    if not atom.free_symbols:
+        return atom
+    if isinstance(atom, sp.exp):
+        (b,) = atom.args[0].free_symbols
+        f = point[BASE_SYMBOLS.index(b)]
+        bases = {F.ring.index[s.name] for s in BASE_SYMBOLS}
+        linear = (
+            not _support(f.denom)
+            and set(F.ring.present(f)) <= bases
+            and all(sum(m) <= 1 for m in f.numer)
+        )
+        if not linear:
+            raise ExprError(
+                f"{atom} moves to exp of {F.expr(f)}, which is not linear in t, x, y over QQ"
+            )
+        return sp.exp(atom.args[0].coeff(b) * F.expr(f))
+    b = atom.base
+    f = point[BASE_SYMBOLS.index(b)]
+    constants = {F.ring.index[k] for k in F._readings if k[0] == "radical"}
+    q = f / F._base[b.name]
+    r = F.rational(q)
+    constant = set(F.ring.present(q)) <= constants
+    q = sp.Rational(r) if r is not None else (F.expr(q) if constant else None)
+    if q is None or not q.is_positive:
+        raise ExprError(f"{atom} moves to a fractional power of {F.expr(f)}")
+    return q**atom.exp * b**atom.exp
 
 
 def tree_canonical_frame(sol, pt) -> FrameResult:
