@@ -90,14 +90,12 @@ def _read_solution(args) -> dict:
     return {name: tree for name, _, tree in syntax.parse_solution(args.solution)}
 
 
-def _solution(args, deferred: bool = False, trees: dict | None = None):
+def _solution(args, deferred: bool = False):
     """The solution argument: read in the jet field where it lies in the
-    algebraic subset (``sections.read_section``), else through sympy;
-    ``trees`` are its syntax trees (:func:`_read_solution`) if read."""
+    algebraic subset (``sections.read_section``), else through sympy."""
     from . import sections
 
-    trees = _read_solution(args) if trees is None else trees
-    sol = sections.read_section(args.solution, trees, deferred)
+    sol = sections.read_section(args.solution, _read_solution(args), deferred)
     if sol is not None:
         return sol
     from . import geometry
@@ -419,11 +417,11 @@ def _cmd_check_solution(args):
 def _cmd_transform(args):
     from . import syntax
 
-    trees = _read_solution(args)
+    _read_solution(args)
     for flag in _ELEMENT_FLAGS:
         if getattr(args, flag) is not None:
             syntax.parse_expr(getattr(args, flag))
-    sol = _solution(args, trees=trees)
+    sol = _solution(args)
     if args.reflect:
         moved = sol.reflect(args.reflect)
     else:

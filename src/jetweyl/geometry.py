@@ -85,7 +85,6 @@ __all__ = [
 # a pseudogroup element as data
 
 
-@lru_cache(maxsize=64)
 def _element_data(element) -> tuple:
     """(alpha, beta, (ring, readings, values)) of a pseudogroup element for
     ``SectionField.moved``: D = alpha*t + beta, and ee, a, b, c at t_s =

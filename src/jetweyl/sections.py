@@ -185,13 +185,13 @@ def _monomial(ring, joint: dict, c: Fraction, terms):
     return ring.field.raw_new(dtype({up: c.numerator} if c else {}), dtype({down: c.denominator}))
 
 
-def _rational_power(F: "_Rescaled", q) -> tuple | None:
-    """(Q, L), q = Q^(1/L) for a positive rational Q and L the lcm of the M
-    of F's prime radicals p^(1/M); None where q is not so."""
+def _scaled_base(F: "_Rescaled", f, b: str) -> tuple | None:
+    """(Q, L, 1) where f = Q^(1/L) * b for a positive rational Q and L the
+    lcm of the M of F's prime radicals p^(1/M); None where f is not so."""
     L = math.lcm(*(M for _, _, M in F._radicals))
-    q = F._reduced_element(q)
+    q = F._reduced_element(f / F._base[b])
     Q = F.rational(q**L)
-    return None if Q is None or min(q.numer.values(), default=0) <= 0 else (Q, L)
+    return None if Q is None or min(q.numer.values(), default=0) <= 0 else (Q, L, 1)
 
 
 def _linear(F: "_Rescaled", f) -> dict | None:
@@ -208,36 +208,38 @@ def _linear(F: "_Rescaled", f) -> dict | None:
     return out
 
 
-def _image(reading, point, F: "_Rescaled | None", what: str) -> tuple:
+def _image(reading, point, read, word, what: str) -> tuple:
     """The value (c, [(p, r)]) of the image of an auxiliary generator under
-    a point map whose preimage of (t, x, y) is ``point``, rationals (F
-    None) or elements of the field F.  The one rule: a constant stays;
-    exp(s*b) goes to exp(s*b_s), b_s the preimage of b, linear in t, x, y
-    over QQ; b^(1/m) to q^(1/m) * b^(1/m) when b_s = q*b (q^(1/m) when b_s
-    = q) for a positive constant q, split by :func:`_prime_radicals`.
-    Anything else is a ``SolutionError`` (b_s worded by ``F.expr``)."""
+    a point map whose preimage of (t, x, y) is ``point``.  ``read(kind, b,
+    f)`` reads the preimage f of the generator's base variable b: for exp
+    as {v: coefficient, 0: constant} where f is linear in t, x, y over QQ,
+    for a root as (Q, L, n) where f = Q^(1/L) * b^n; None where f is not
+    so, and ``word(f)`` prints it.  The one rule: a constant stays;
+    exp(s*b) goes to exp(s*f); b^(1/m) to Q^(1/(L*m)) * b^(n/m) for a
+    positive rational Q, split by :func:`_prime_radicals`.  Anything else
+    is a ``SolutionError``."""
     kind, i, k = reading
     if kind == "radical":
         return Fraction(1), [k]
     b, f = BASE_NAMES[i], point[i]
+    got = read(kind, b, f)
     if kind == "exp":
-        linear = {0: f} if F is None else _linear(F, f)
-        if linear is None:
+        if got is None:
             atom = f"exp({b})" if k == 1 else f"exp({b}/{k.denominator})"
             raise SolutionError(
                 f"{what} leaves the representable domain: {atom} moves to exp of "
-                f"{F.expr(f)}, which is not linear in t, x, y over QQ"
+                f"{word(f)}, which is not linear in t, x, y over QQ"
             )
-        return Fraction(1), [((kind, v) if v else 0, k * c) for v, c in linear.items() if c]
-    q = (f, 1) if F is None else _rational_power(F, f / F._base[b])
-    if q is None or q[0] <= 0:
+        return Fraction(1), [((kind, v) if v else 0, k * c) for v, c in got.items() if c]
+    if got is None or got[0] <= 0:
         atom = f"sqrt({b})" if k == 2 else f"{b}**(1/{k})"
         raise SolutionError(
             f"{what} leaves the representable domain: {atom} moves to a "
-            f"fractional power of {f if F is None else F.expr(f)}"
+            f"fractional power of {word(f)}"
         )
-    c, radicals = _prime_radicals(q[0], Fraction(1, q[1] * k))
-    return c, [*radicals.items(), *([((kind, b), Fraction(1, k))] if F is not None else [])]
+    Q, L, n = got
+    c, radicals = _prime_radicals(Q, Fraction(1, L * k))
+    return c, [*radicals.items(), *([((kind, b), Fraction(n, k))] if n else [])]
 
 
 def _prime_radicals(q: Fraction, e: Fraction) -> tuple[Fraction, dict[int, Fraction]]:
@@ -590,7 +592,11 @@ class SectionField(_Rescaled):
         point = [_fraction(q) for q in point]
         what = f"the section at ({', '.join(map(str, point))})"
         formals, aux = self._present(elements)
-        images = {key: _image(self._readings[key], point, None, what) for key in aux}
+
+        def read(kind, b, q):
+            return {0: q} if kind == "exp" else (q, 1, 0)
+
+        images = {key: _image(self._readings[key], point, read, str, what) for key in aux}
         joint = _joint_constants(images.values())
         readings = _generators(joint)
         C = _Rescaled(_ring_of(0, _formal_orders(formals), aux=tuple(readings)), readings)
@@ -681,7 +687,10 @@ def _pushed(sf: SectionField, F: SectionField, point, what: str, formals, aux) -
     a point map whose preimage of (t, x, y) is ``point``, elements of F,
     the field of the map's data and sf's ``formals``; G is F with the
     generators of the images of sf's auxiliary generators ``aux`` joined."""
-    images = {key: _image(sf._readings[key], point, F, what) for key in aux}
+    def read(kind, b, f):
+        return _linear(F, f) if kind == "exp" else _scaled_base(F, f, b)
+
+    images = {key: _image(sf._readings[key], point, read, F.expr, what) for key in aux}
     G, into, joint = F, (lambda f: f), {}
     if images:
         joint = _joint_constants(images.values(), F._readings)

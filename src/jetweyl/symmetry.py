@@ -418,10 +418,9 @@ class PseudogroupElement:
 
     ``d`` is the new time D(t) = alpha*t + beta (alpha > 0, rational
     coefficients); ``a``..``ee`` are functions of t, and ee (the scaling)
-    must stay positive.  The inverse time map ``dinv`` and the positive
-    square root ``root`` of D' = alpha are derived from D.  Every check is
-    exact: D is affine, and ee is a rational function of t without a real
-    zero or pole (real-root counting), positive at t = 0.
+    must stay positive.  The inverse time map ``dinv`` is derived from D.
+    Every check is exact: D is affine, and ee is a rational function of t
+    without a real zero or pole (real-root counting), positive at t = 0.
     """
 
     d: sp.Expr = T
@@ -454,11 +453,6 @@ class PseudogroupElement:
         """D^-1(t) = t/alpha - beta/alpha."""
         alpha, beta = self._alpha_beta
         return T / alpha - beta / alpha
-
-    @property
-    def root(self) -> sp.Expr:
-        """sqrt(alpha), the positive square root of D'."""
-        return sp.sqrt(self._alpha_beta[0])
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from test_moves import _BOUND, _KINDS, _elements
 from tree_oracle import two_field_moved, two_field_reflected
 
 make = PseudogroupElement.make
+_f, _g = sp.Function("f")(T), sp.Function("g")(T)
 
 
 def _state(move, sf, arg):
@@ -147,6 +148,10 @@ def test_moves_that_bring_constant_radicals():
         (_x_root, make(a=1)),
         (_x_root, "txy"),
         (lambda: _catalog_field("trivial"), make(d=T + 1, a=sp.sqrt(T))),
+        # sympy functions of t pass the element's check, and its data refuse them
+        (lambda: _catalog_field("trivial"), make(a=_f)),
+        (lambda: _catalog_field("sl2-family"), make(c=_g.diff(T))),
+        (lambda: _catalog_field("exp-family", f=1, h=1), make(d=2 * T, b=_f)),
     ],
 )
 def test_refusals_match_the_two_field_path(sf, arg):

@@ -317,7 +317,7 @@ def test_time_maps_with_a_critical_point_are_refused():
 def test_positive_rational_scalings_and_dilations_are_accepted():
     el = PseudogroupElement.make(d=3 * T + 1, ee=1 / (T**2 + 1))
     assert equal(el.ee, 1 / (T**2 + 1))
-    assert el.root == sp.sqrt(3) and el.dinv == T / 3 - sp.Rational(1, 3)
+    assert el._alpha_beta[0] == 3 and el.dinv == T / 3 - sp.Rational(1, 3)
 
 
 def test_reflections():

@@ -392,7 +392,7 @@ def tree_at_source(element) -> tuple:
     ee1 = partial(element.ee, "t")
     E, Ep, Epp = at(element.ee), at(ee1), at(partial(ee1, "t"))
     C = at(element.c)
-    ys = (Y - at(element.b)) / (element.root * E)
+    ys = (Y - at(element.b)) / (sp.sqrt(element._alpha_beta[0]) * E)
     xs = (X - E * Ep * ys**2 - C * ys - at(element.a)) / E**2
     Ap, Bp, Cp = (at(partial(e, "t")) for e in (element.a, element.b, element.c))
     return ts, xs, ys, E, Ep, Epp, Ap, Bp, C, Cp
@@ -410,7 +410,7 @@ def tree_moved(element, u_expr, v_expr) -> tuple[sp.Expr, sp.Expr]:
     E = at_src(element.ee)
     Ep = at_src(partial(element.ee, "t"))
     Epp = at_src(partial(partial(element.ee, "t"), "t"))
-    s = at_src(element.root)
+    s = at_src(sp.sqrt(element._alpha_beta[0]))
     dprime = s**2
     Csrc = at_src(element.c)
     Aprime = at_src(partial(element.a, "t"))
@@ -420,7 +420,7 @@ def tree_moved(element, u_expr, v_expr) -> tuple[sp.Expr, sp.Expr]:
     v_src = sp.sympify(v_expr).xreplace(point_subs)
     u_new = (
         (E / s) * u_src
-        - (ys / E**2) * at_src(partial(element.ee**3 / element.root, "t"))
+        - (ys / E**2) * at_src(partial(element.ee**3 / sp.sqrt(element._alpha_beta[0]), "t"))
         + Bprime / dprime
         - 2 * Csrc / (E * s)
     )
@@ -553,7 +553,7 @@ def two_field_moved(sf, element):
     ts = element.dinv
     at_ts = (e.xreplace({T: ts}) for e in (element.ee, element.a, element.b, element.c))
     target, data, (u, v) = _two_field_pushed(
-        sf, (ts, element.root, *at_ts), "transformed section", _field_preimage
+        sf, (ts, sp.sqrt(element._alpha_beta[0]), *at_ts), "transformed section", _field_preimage
     )
     _, xs, ys, E, Ep, Epp, Ap, Bp, C, Cp = data
     s = target.values[1]
