@@ -113,16 +113,20 @@ def _solution(args, deferred: bool = False):
 _ELEMENT_FLAGS = ("D", "A", "B", "C", "E")
 
 
-def _element_from_args(args):
-    from .dsl import parse_expr
+def _element(trees: dict):
+    """The pseudogroup element of the syntax trees of the flags, by name
+    (``d``, ``a``, ``b``, ``c``, ``ee``): read in the field of t where the
+    trees allow (``sections.read_element``), else built from their sympy
+    trees by ``symmetry.PseudogroupElement``."""
+    from . import sections
+
+    element = sections.read_element(trees)
+    if element is not None:
+        return element
+    from .dsl import from_tree
     from .symmetry import PseudogroupElement
 
-    kw = {}
-    for flag, name in zip(_ELEMENT_FLAGS, ("d", "a", "b", "c", "ee")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            kw[name] = parse_expr(val, allow_exp=False)
-    return PseudogroupElement.make(**kw)
+    return PseudogroupElement.make(**{name: from_tree(tree) for name, tree in trees.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +422,16 @@ def _cmd_transform(args):
     from . import syntax
 
     _read_solution(args)
-    for flag in _ELEMENT_FLAGS:
-        if getattr(args, flag) is not None:
-            syntax.parse_expr(getattr(args, flag))
+    trees = {
+        name: syntax.parse_expr(getattr(args, flag))
+        for flag, name in zip(_ELEMENT_FLAGS, ("d", "a", "b", "c", "ee"))
+        if getattr(args, flag) is not None
+    }
     sol = _solution(args)
     if args.reflect:
         moved = sol.reflect(args.reflect)
     else:
-        moved = sol.transform(_element_from_args(args))
+        moved = sol.transform(_element(trees))
     # the moved Solution checked its residuals when it was built
     return {
         "input": str(sol),

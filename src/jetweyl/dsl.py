@@ -19,7 +19,7 @@ from . import syntax
 from .errors import ParseError
 from .exprcore import formal, is_jet_symbol, normalize, resolve_symbol, validate_kernel
 
-__all__ = ["parse_expr", "parse_solution"]
+__all__ = ["from_tree", "parse_expr", "parse_solution"]
 
 
 def _build(node: syntax.Node) -> sp.Expr:
@@ -59,11 +59,16 @@ def _build(node: syntax.Node) -> sp.Expr:
     return out
 
 
+def from_tree(node: syntax.Node, allow_exp: bool = False) -> sp.Expr:
+    """The expression of a tree, validated (``validate_kernel``) and in
+    canonical form."""
+    return normalize(validate_kernel(_build(node), allow_exp=allow_exp))
+
+
 def parse_expr(text: str, allow_exp: bool = False) -> sp.Expr:
     """Parse a single expression; returns it validated (``validate_kernel``)
     and in canonical form."""
-    node = _build(syntax.parse_expr(text, allow_exp=allow_exp))
-    return normalize(validate_kernel(node, allow_exp=allow_exp))
+    return from_tree(syntax.parse_expr(text, allow_exp=allow_exp), allow_exp)
 
 
 def parse_solution(text: str, allow_exp: bool = True) -> dict[str, sp.Expr]:

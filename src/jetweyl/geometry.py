@@ -58,7 +58,6 @@ from .sections import (
     weyl_connection,
 )
 from .syntax import CATALOG_IDS, MultiIndex
-from .trees import section_ring
 
 __all__ = [
     "SectionField",
@@ -80,19 +79,6 @@ __all__ = [
     "invariants_on_solution",
     "sl2_structure_report",
 ]
-
-# ---------------------------------------------------------------------------
-# a pseudogroup element as data
-
-
-def _element_data(element) -> tuple:
-    """(alpha, beta, (ring, readings, values)) of a pseudogroup element for
-    ``SectionField.moved``: D = alpha*t + beta, and ee, a, b, c at t_s =
-    D^-1(t) read once (``trees.section_ring``; ``ExprError`` if it fails)."""
-    alpha, beta = (Fraction(int(q.p), int(q.q)) for q in element._alpha_beta)
-    parts = (element.ee, element.a, element.b, element.c)
-    return alpha, beta, section_ring(tuple(e.xreplace({T: element.dinv}) for e in parts), 0)
-
 
 def _closed_form(e, rule: str) -> sp.Expr:
     """``e`` in the term language, refused with a ``SolutionError`` that

@@ -1046,11 +1046,19 @@ def _atom_text(name: str) -> str:
     return f"{name}(t)" if _is_formal_key(name) else name
 
 
+def _power_text(name: str, e) -> str:
+    """name^e; a fractional e (a ``Fraction``) in parentheses, as sympy's
+    power of a rational exponent prints."""
+    if e == 1:
+        return _atom_text(name)
+    return f"{_atom_text(name)}^{e}" if e.denominator == 1 else f"{_atom_text(name)}^({e})"
+
+
 def _product_text(c, factors) -> str:
     """c * prod name^e; a sign of c is the caller's."""
     parts = [_rational_text(c)] if c != 1 or not factors else []
     for name, e in sorted(factors, key=lambda f: _term_key(1, (f,))):
-        parts.append(_atom_text(name) if e == 1 else f"{_atom_text(name)}^{e}")
+        parts.append(_power_text(name, e))
     return "*".join(parts)
 
 
@@ -1090,7 +1098,13 @@ def text(ring, f) -> str:
             for m, c in p.items()
         ]
 
-    top, bottom = terms(num), terms(den)
+    return _quotient_text(terms(num), terms(den))
+
+
+def _quotient_text(top: list, bottom: list) -> str:
+    """The text of the quotient of the terms ``top`` over the terms
+    ``bottom``, each (int coefficient, [(name, exponent)]), in lowest terms
+    and with the sign of the denominator made canonical (:func:`text`)."""
     if len(bottom) == 1 and not bottom[0][1]:
         # an integer denominator d
         d = bottom[0][0]
@@ -1110,8 +1124,7 @@ def text(ring, f) -> str:
             q = Fraction(c, d)
             top, d = [(q.numerator, fs)], q.denominator
         if d == 1 and len(gs) == 1:
-            ((name, e),) = gs
-            bottom_text = _atom_text(name) if e == 1 else f"{_atom_text(name)}^{e}"
+            bottom_text = _power_text(*gs[0])
         else:
             bottom_text = f"({_product_text(d, gs)})"
     else:

@@ -47,7 +47,7 @@ from functools import cached_property, lru_cache
 
 from .clouds import SignatureCloud
 from .errors import DivisionByZeroExpression, ExprError, JetOrderError
-from .errors import SingularLocusError, SolutionError
+from .errors import PseudogroupError, SingularLocusError, SolutionError
 from .jets import (
     BASE_NAMES,
     _ZeroDivisor,
@@ -57,11 +57,12 @@ from .jets import (
     _is_formal_key,
     _merge,
     _order3,
+    _print_rank,
+    _quotient_text,
     _ring_of,
     _support,
     read,
 )
-from .jets import text as _field_text
 from .linalg import _cofactors
 from .syntax import CATALOG_IDS, DEPENDENTS, MultiIndex, jet_parts, parse_solution
 
@@ -79,6 +80,8 @@ __all__ = [
     "halton",
     "signature",
     "read_section",
+    "read_element",
+    "Element",
     "text",
 ]
 
@@ -247,18 +250,78 @@ def _prime_radicals(q: Fraction, e: Fraction) -> tuple[Fraction, dict[int, Fract
     primes p, with c rational and 0 < r < 1.  Each prime's p^floor(k*e)
     goes into c, so the radicals stay in numerators, as sympy writes a
     power of a rational: (1/2)^(1/2) is 2^(1/2)/2.  The primes come from
-    sympy's ``factorint``, imported on the first call."""
-    from sympy import factorint
-
+    :func:`_factor`."""
     c, radicals = Fraction(1), {}
     for n, sign in ((q.numerator, 1), (q.denominator, -1)):
-        for p, k in factorint(n).items():
+        for p, k in _factor(n).items():
             s = sign * k * e
             whole = math.floor(s)
             c *= Fraction(p) ** whole
             if s != whole:
                 radicals[p] = s - whole
     return c, radicals
+
+
+# trial division runs up to this bound; Miller-Rabin with the primes below
+# 41 as witnesses is exact for every n below 3.3 * 10^24
+_TRIAL = 1000
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n (odd, with no prime factor below ``_TRIAL``) is prime, by
+    the strong-pseudoprime test to the bases ``_WITNESSES``."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of an odd composite n: Pollard's rho on x^2 + c,
+    with Floyd's cycle finding, c = 1, 2, ... until one splits n."""
+    for c in itertools.count(1):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
+        if d != n:
+            return d
+
+
+def _factor(n: int) -> dict[int, int]:
+    """{prime: exponent} of a positive int, primes ascending: trial division
+    below ``_TRIAL``, then :func:`_is_prime` and :func:`_rho` on what is
+    left."""
+    out: dict[int, int] = {}
+    d = 2
+    while d < _TRIAL and d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if m < _TRIAL * _TRIAL or _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _rho(m)
+            rest += [f, m // f]
+    return dict(sorted(out.items()))
 
 
 def _fraction(q) -> Fraction:
@@ -354,6 +417,15 @@ class _Rescaled:
         keys = self.ring.keys
         return all(type(keys[i]) is str for i in self.ring.present(f))
 
+    def rooted(self, f) -> bool:
+        """Whether every generator of f is named or a root b^(1/m): no prime
+        radical, exponential or foreign symbol occurs (:func:`text`)."""
+        keys = self.ring.keys
+        return all(
+            type(k) is str or type(k) is tuple and k[0] == "root"
+            for k in map(keys.__getitem__, self.ring.present(f))
+        )
+
     def expr(self, f):
         """The canonical sympy expression of a field element
         (``trees.rescaled_expr``)."""
@@ -410,14 +482,57 @@ class _Rescaled:
 
 def text(scaled: _Rescaled, f) -> str:
     """The canonical text of an element of a field with auxiliary
-    generators, as ``exprcore.to_text`` prints its expression: by the jet
-    field's printer (``jets.text``) where every generator is named, else
-    from the sympy tree."""
-    if scaled.named(f):
-        return _field_text(scaled.ring, f)
+    generators, as ``exprcore.to_text`` prints its expression: by the
+    field's printer (:func:`_root_text`) where every generator is named or
+    a root b^(1/m) once its prime radicals are reduced, else from the
+    sympy tree."""
+    f = scaled._reduced_element(f)
+    if scaled.rooted(f):
+        return _root_text(scaled, f)
     from jetweyl.exprcore import to_text
 
     return to_text(scaled.expr(f))
+
+
+def _root_text(scaled: _Rescaled, f) -> str:
+    """The text of an element whose generators are named or roots
+    B = b^(1/m), as ``exprcore.to_text`` prints the sympy tree of
+    :meth:`_Rescaled.expr`: in each term the powers of b and of B merge
+    into one power b^(k + e/m), a ``Fraction`` where it is not whole, whose
+    sort key is ``jets._term_key``'s.  The denominator's leading
+    coefficient is made positive in sympy's generator order, where b ranks
+    as the symbol of its root once one of its exponents is fractional:
+    that is the ring ``to_text`` reads the tree into.  The rest is
+    ``jets.text``'s."""
+    if not f.numer:
+        return "0"
+    # generator index -> (the name it prints as, the factor of its exponents)
+    names = []
+    for key in scaled.ring.keys:
+        kind, i, m = scaled._readings.get(key, (None, None, None))
+        names.append((BASE_NAMES[i], Fraction(1, m)) if kind == "root" else (key, 1))
+
+    def terms(p) -> list:
+        merged: dict = {}
+        for monom, c in p.items():
+            powers: dict = {}
+            for i in itertools.compress(range(len(monom)), monom):
+                name, k = names[i]
+                powers[name] = powers.get(name, 0) + monom[i] * k
+            _merge(merged, {tuple(sorted(powers.items())): c})
+        return [(c, list(powers)) for powers, c in merged.items()]
+
+    top, bottom = terms(f.numer), terms(f.denom)
+    fractional = {n for _, fs in top + bottom for n, e in fs if e.denominator != 1}
+
+    def rank(name):
+        return _print_rank(("root", name) if name in fractional else name)
+
+    order = sorted({n for _, fs in bottom for n, _ in fs}, key=rank)
+    _, lead = max((([dict(fs).get(n, 0) for n in order]), c) for c, fs in bottom)
+    if lead < 0:
+        top, bottom = ([(-c, fs) for c, fs in side] for side in (top, bottom))
+    return _quotient_text(top, bottom)
 
 
 @lru_cache(maxsize=None)
@@ -536,21 +651,15 @@ class SectionField(_Rescaled):
 
     # -- moving the section -------------------------------------------------------
 
-    def moved(self, element) -> "SectionField":
-        """The field of the section pushed through a pseudogroup element,
-        with the moved (u, v) as its values: the old section at the
-        preimage point (:func:`_preimage`), pushed to the field of the
-        element's data (:func:`_pushed`), plus the fibre terms.  Solutions
-        map to solutions."""
-        from jetweyl.geometry import _element_data
-
+    def moved(self, element: "Element") -> "SectionField":
+        """The field of the section pushed through a pseudogroup element
+        (:class:`Element`), with the moved (u, v) as its values: the old
+        section at the preimage point (:func:`_preimage`), pushed to the
+        field of the element's data (:func:`_pushed`), plus the fibre
+        terms.  Solutions map to solutions."""
         what = "transformed section"
-        try:
-            alpha, beta, data = _element_data(element)
-        except ExprError as exc:
-            raise SolutionError(f"{what} leaves the representable domain: {exc}") from None
         formals, aux = self._present()
-        F, pre = _preimage(alpha, beta, data, formals)
+        F, pre = _preimage(element, formals)
         target, (u, v), into = _pushed(self, F, pre[:3], what, formals, aux)
         _, xs, ys, s, E, Ep, Epp, Ap, Bp, C, Cp = map(into, pre)
         D = s * s
@@ -656,16 +765,17 @@ def _rekeying(target, source, moves: dict):
     return into
 
 
-def _preimage(alpha: Fraction, beta: Fraction, data: tuple, formals) -> tuple:
+def _preimage(element: "Element", formals) -> tuple:
     """(F, (t_s, x_s, y_s, sqrt(D'), E, E', E'', A', B', C, C')) of a
     pseudogroup element, D = alpha*t + beta: F is the field of the formal
-    functions ``formals`` and of ee, a, b, c at t_s = D^-1(t) (``data``:
-    ring, readings, values) joined with the radicals of sqrt(D'); the
+    functions ``formals`` and of ee, a, b, c at t_s = D^-1(t)
+    (:func:`_at_preimage`) joined with the radicals of sqrt(D'); the
     preimage of (t, x, y), then sqrt(D'), ee and its first two
     derivatives, a', b', c and c' at t_s.  D is affine, so f'(t_s) = D' *
     d/dt f(t_s), and the point map is triangular, so the inverse is
     closed-form."""
-    ring, readings, values = data
+    ring, readings, values = _at_preimage(element)
+    alpha, beta = element.alpha, element.beta
     c, radicals = _prime_radicals(alpha, Fraction(1, 2))
     root = (c, list(radicals.items()))
     joint = _joint_constants([root], readings)
@@ -838,6 +948,217 @@ def read_section(argument: str, trees: dict, deferred: bool = False) -> "Solutio
 
 
 # ---------------------------------------------------------------------------
+# pseudogroup elements in the field of t
+
+_NOT_AFFINE = "the time map D must be affine, alpha*t + beta over QQ with alpha > 0; got {}"
+_NOT_RATIONAL = "{} must be a rational function of t, got {}"
+_SCALING = "ee (scaling)"
+# the data of an element in the order they are checked, each with its
+# default as a syntax tree
+_ELEMENT_DEFAULTS = {
+    "d": ("name", 0, "t"),
+    "a": ("int", 0, 0),
+    "b": ("int", 0, 0),
+    "c": ("int", 0, 0),
+    "ee": ("int", 0, 1),
+}
+
+
+@dataclass(frozen=True)
+class Element:
+    """A closed-form element of the connected pseudogroup in the field of t:
+    the time map D = alpha*t + beta (alpha > 0) and ``data``, the (ring,
+    readings, values) of ee, a, b, c as elements of one field of t, or the
+    ``ExprError`` met reading them, raised when the element moves a
+    section.  :func:`read_element` reads one from syntax trees and
+    ``symmetry.PseudogroupElement`` from sympy trees; both check D with
+    :func:`_time_map` and ee with :func:`_scaling`."""
+
+    alpha: Fraction
+    beta: Fraction
+    data: object = field(repr=False, compare=False)
+
+
+def _t_poly(F: _Rescaled, p) -> list | None:
+    """The int coefficients of a polynomial of F in t alone, constant
+    first ([] for zero); None where another generator occurs."""
+    t = F.ring.index["t"]
+    out: list = []
+    for monom, c in p.items():
+        if any(n for i, n in enumerate(monom) if i != t):
+            return None
+        out.extend([0] * (monom[t] + 1 - len(out)))
+        out[monom[t]] = c
+    return out
+
+
+def _time_map(F: _Rescaled, d) -> tuple[Fraction, Fraction]:
+    """(alpha, beta) of a time map D = alpha*t + beta, an element of a field
+    of t, refused with a ``PseudogroupError`` unless it is a polynomial of
+    degree one over QQ with alpha > 0.
+
+    The moves compose sections with D^-1 in the section's field, which
+    holds rational functions of t only.  A rational D has a rational
+    inverse only when it is a Moebius map (degrees multiply under
+    composition), and one without a real pole is affine; every other
+    inverse is a radical."""
+    f = F._reduced_element(d)
+    num, den = _t_poly(F, f.numer), _t_poly(F, f.denom)
+    if num is None or den is None or len(den) != 1 or len(num) != 2:
+        raise PseudogroupError(_NOT_AFFINE.format(text(F, d)))
+    beta, alpha = (Fraction(c, den[0]) for c in num)
+    if not alpha > 0:
+        raise PseudogroupError(f"D' (time dilation) must be positive; at t=0 it is {alpha}")
+    return alpha, beta
+
+
+def _scaling(F: _Rescaled, ee) -> None:
+    """Refuse the scaling ee, an element of a field of t, with a
+    ``PseudogroupError`` unless it is a rational function of t without a
+    real zero or pole (:func:`_real_roots` of its numerator and
+    denominator) and positive at t = 0, hence positive on the whole line."""
+    f = F._reduced_element(ee)
+    sides = _t_poly(F, f.numer), _t_poly(F, f.denom)
+    if any(p is None for p in sides):
+        raise PseudogroupError(_NOT_RATIONAL.format(_SCALING, text(F, ee)))
+    for p, part in zip(sides, ("zero", "pole")):
+        if not p or _real_roots(p):
+            raise PseudogroupError(f"{_SCALING} has a real {part}: {text(F, ee)}")
+    at_zero = Fraction(sides[0][0], sides[1][0])
+    if not at_zero > 0:
+        raise PseudogroupError(f"{_SCALING} must be positive; at t=0 it is {at_zero}")
+
+
+def _real_roots(p: list) -> int:
+    """The number of distinct real roots of a nonconstant or nonzero
+    polynomial with rational coefficients (constant first, the last one
+    nonzero): the sign changes of its Sturm sequence at -oo less those at
+    +oo.  The sequence is kept in ``Fraction``s, each member after the
+    first scaled to a leading coefficient of +-1."""
+    a = [Fraction(c) for c in p]
+    b = [i * c for i, c in enumerate(a)][1:]
+    seq = [a]
+    while b:
+        lead = abs(b[-1])
+        b = [c / lead for c in b]
+        seq.append(b)
+        # the next member is minus the remainder of a by b
+        r = list(a)
+        while len(r) >= len(b):
+            q, shift = r[-1] / b[-1], len(r) - len(b)
+            for i, c in enumerate(b):
+                r[shift + i] -= q * c
+            r.pop()
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, [-c for c in r]
+
+    def changes(signs) -> int:
+        return sum(s != s2 for s, s2 in zip(signs, signs[1:]))
+
+    at_plus = [q[-1] > 0 for q in seq]
+    # the sign at -oo is the leading sign times (-1)^degree
+    at_minus = [(q[-1] > 0) == (len(q) % 2 == 1) for q in seq]
+    return changes(at_minus) - changes(at_plus)
+
+
+def read_element(trees: dict) -> Element | None:
+    """The element whose data are the syntax trees ``trees`` (keyed ``d``,
+    ``a``, ``b``, ``c``, ``ee``; one left out is t, 0, 0, 0 or 1), read and
+    checked in the field of t without sympy; None where a tree leaves the
+    algebraic subset in t, x, y (:func:`_scan`) or holds a zero divisor.
+    The caller then builds ``symmetry.PseudogroupElement``, which gives the
+    same element or refusal.
+
+    Each tree is read alone, in the order of the constructor's checks:
+    every datum is a closed form in t (a formal function, x or y is
+    refused by name), D is affine (:func:`_time_map`) and ee positive
+    (:func:`_scaling`).  ee, a, b and c are then read jointly, as
+    :func:`read_section` reads a section."""
+    trees = {name: trees.get(name, default) for name, default in _ELEMENT_DEFAULTS.items()}
+    read = {}
+    for name, tree in trees.items():
+        got = _read_values((tree,))
+        if got is None:
+            return None
+        read[name] = SectionField._of(*got)
+    for name, sf in read.items():
+        keys = sf.ring.keys
+        for key in map(keys.__getitem__, sf.ring.present(sf.values[0])):
+            symbol = key[1] if type(key) is tuple else key
+            if symbol != "t":
+                raise PseudogroupError(f"{name} must be a closed form in t, found symbol {symbol}")
+    D, ee = read["d"], read["ee"]
+    alpha, beta = _time_map(D, D.values[0])
+    _scaling(ee, ee.values[0])
+    data = _read_values(tuple(trees[name] for name in ("ee", "a", "b", "c")), _T_ONLY)
+    return Element(alpha, beta, data)
+
+
+def _at_preimage(element: Element) -> tuple:
+    """(ring, readings, values) of ee, a, b, c at t_s = D^-1(t) = (t -
+    beta)/alpha: the element's data at t pushed through the time map by
+    the one image rule (:func:`_pushed`), each auxiliary generator to its
+    image.  Data that were not read, or an image that leaves the field,
+    are refused with a ``SolutionError``."""
+    what = "transformed section"
+    if isinstance(element.data, ExprError):
+        raise SolutionError(f"{what} leaves the representable domain: {element.data}")
+    source = SectionField._of(*element.data)
+    F = _field_of({}, ())
+    t, x, y = map(F.ring.gen, BASE_NAMES)
+    point = ((t - element.beta) / element.alpha, x, y)
+    G, values, _ = _pushed(source, F, point, what, (), source._present()[1])
+    return _as_read(G, values)
+
+
+def _as_read(G: SectionField, values) -> tuple:
+    """(ring, readings, values) of elements of G in the form a reading of
+    their trees gives (``trees.section_ring``).  Each prime radical R =
+    p^(1/M) is reduced by R^M = p and cleared from a one-term denominator,
+    as sympy writes a negative power of a rational (2^(-1/2) is
+    2^(1/2)/2).  Then each auxiliary generator B of M (b^(1/M), exp(b/M)
+    or p^(1/M)) gives way to the power B^g that the values need, g the gcd
+    of M and its exponents there; b^(1/M) with g = M is b itself, and a
+    generator that no longer occurs is left out."""
+    ring = G.ring
+    values = [_cleared(G, f) for f in values]
+    joint, moves = {}, {}
+    for key, reading in G._readings.items():
+        j, (p, r) = ring.index[key], _term(reading)
+        powers = [m[j] for f in values for side in (f.numer, f.denom) for m in side if m[j]]
+        if not powers:
+            continue
+        g = math.gcd(r.denominator, *powers)
+        M = r.denominator // g
+        if M == 1 and reading[0] == "root":
+            moves[key] = (p[1], Fraction(1, g))
+            continue
+        new = ("radical", p, M) if type(p) is int else key
+        joint[p], moves[key] = (new, M), (new, Fraction(1, g))
+    target = _field_of(joint, ())
+    if target.ring is not ring or any(n != 1 for _, n in moves.values()):
+        values = map(_rekeying(target.ring, ring, moves), values)
+    return target.ring, target._readings, tuple(values)
+
+
+def _cleared(G: _Rescaled, f):
+    """f with its prime radicals reduced by R^M = p, and a power R^k (0 < k
+    < M) that divides every term of its denominator cleared by R^(M-k)
+    above and below."""
+    f = G._reduced_element(f)
+    gens = G.ring.ring.gens
+    clear = G.ring.ring.one
+    for i, _, M in G._radicals:
+        k = min(m[i] for m in f.denom)
+        if k:
+            clear = clear * gens[i] ** (M - k)
+    if clear == 1:
+        return f
+    return G.ring.field.new(G._reduced(f.numer * clear), G._reduced(f.denom * clear))
+
+
+# ---------------------------------------------------------------------------
 # solutions
 
 
@@ -933,18 +1254,32 @@ class Solution:
         return SolutionError(f"point {pt} violates the domain ({bounds})")
 
     def transform(self, element) -> "Solution":
-        """Push the section through a pseudogroup element
-        (:meth:`SectionField.moved`)."""
-        return self._of(self.field.moved(element), f"{self.name}|moved", self.domain)
+        """Push the section through a pseudogroup element, an
+        :class:`Element` or a ``symmetry.PseudogroupElement``, which holds
+        one as ``element`` (:meth:`SectionField.moved`)."""
+        moved = self.field.moved(getattr(element, "element", element))
+        return self._of(moved, f"{self.name}|moved", self.domain)
 
     def reflect(self, which: str) -> "Solution":
         """Reflect the section (:meth:`SectionField.reflected`)."""
         return self._of(self.field.reflected(which), f"{self.name}|{which}", self.domain)
 
     def __str__(self) -> str:
-        from jetweyl.exprcore import to_text
+        """u and v printed by :func:`text` where they have no prime radical
+        and no exponential, else by ``exprcore.to_text`` from the trees:
+        the text of a radical in a denominator depends on the path of the
+        computation, and the trees' is the one the command line has
+        printed."""
+        sf = self.field
+        parts = []
+        for name, f in zip(DEPENDENTS, sf.values):
+            if sf.rooted(sf._reduced_element(f)):
+                parts.append(text(sf, f))
+            else:
+                from jetweyl.exprcore import to_text
 
-        return f"u = {to_text(self.u)}; v = {to_text(self.v)}"
+                parts.append(to_text(getattr(self, name)))
+        return "u = {}; v = {}".format(*parts)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,16 @@ from .jets import (
     _poly_sums,
     internal_indices,
 )
-from .trees import _ring_for
+from .sections import (
+    _NOT_AFFINE,
+    _NOT_RATIONAL,
+    _SCALING,
+    Element,
+    SectionField,
+    _scaling,
+    _time_map,
+)
+from .trees import _ring_for, section_ring
 from .linalg import _eliminate, rank
 
 __all__ = [
@@ -371,56 +380,45 @@ def _solve_lift(rows: list) -> list:
 # pseudogroup elements
 
 
-def _require_positive_rational(e: sp.Expr, what: str) -> None:
-    """Refuse unless e is a rational function of t without a real zero or
-    pole and positive at t = 0, hence positive on the whole line."""
-    num, den = sp.fraction(sp.together(e))
+def _read_alone(e: sp.Expr, refusal: str) -> tuple:
+    """(field, element) of one datum of t read alone
+    (``trees.section_ring``), refused with the ``PseudogroupError``
+    ``refusal`` where it is not a rational function of its generators."""
     try:
-        polys = [sp.Poly(p, T, domain="QQ") for p in (num, den)]
-    except (sp.PolynomialError, sp.polys.polyerrors.CoercionFailed):
-        raise PseudogroupError(
-            f"{what} must be a rational function of t, got {to_text(e)}"
-        ) from None
-    for p, part in zip(polys, ("zero", "pole")):
-        if p.is_zero or p.count_roots() > 0:
-            raise PseudogroupError(f"{what} has a real {part}: {to_text(e)}")
-    if not e.subs(T, 0) > 0:
-        raise PseudogroupError(f"{what} must be positive; at t=0 it is {e.subs(T, 0)}")
+        ring, readings, values = section_ring((e,), 0)
+    except ExprError:
+        raise PseudogroupError(refusal.format(to_text(e))) from None
+    return SectionField._of(ring, readings, values), values[0]
 
 
-def _affine(d: sp.Expr) -> tuple[sp.Rational, sp.Rational]:
-    """(alpha, beta) of a time map D = alpha*t + beta over QQ with alpha >
-    0; any other D is refused.
-
-    The moves compose sections with D^-1 in the section's field, which
-    holds rational functions of t only.  A rational D has a rational
-    inverse only when it is a Moebius map (degrees multiply under
-    composition), and one without a real pole is affine; every other
-    inverse is a radical."""
+def _element_of(d: sp.Expr, parts: tuple) -> Element:
+    """The ``sections.Element`` of a time map d and the data ee, a, b, c
+    (``parts``), read as ``sections.read_element`` reads syntax trees: D
+    and ee each alone for their checks, then ee, a, b, c jointly into one
+    field of t (``trees.section_ring``).  Data that cannot be read leave
+    their error on the element, which a move raises."""
+    alpha, beta = _time_map(*_read_alone(d, _NOT_AFFINE))
+    _scaling(*_read_alone(parts[0], _NOT_RATIONAL.format(_SCALING, "{}")))
     try:
-        poly = sp.Poly(d, T, domain="QQ")
-    except (sp.PolynomialError, sp.polys.polyerrors.CoercionFailed):
-        poly = None
-    if poly is None or poly.degree() != 1:
-        raise PseudogroupError(
-            "the time map D must be affine, alpha*t + beta over QQ with alpha > 0; "
-            f"got {to_text(d)}"
-        )
-    alpha, beta = poly.all_coeffs()
-    if not alpha > 0:
-        raise PseudogroupError(f"D' (time dilation) must be positive; at t=0 it is {alpha}")
-    return alpha, beta
+        data = section_ring(parts, 0)
+    except ExprError as exc:
+        data = exc
+    return Element(alpha, beta, data)
 
 
 @dataclass(frozen=True)
 class PseudogroupElement:
-    """One closed-form element of the connected symmetry pseudogroup.
+    """One closed-form element of the connected symmetry pseudogroup, given
+    by sympy trees: the front door of ``sections.Element`` for callers
+    that hold sympy expressions.
 
     ``d`` is the new time D(t) = alpha*t + beta (alpha > 0, rational
     coefficients); ``a``..``ee`` are functions of t, and ee (the scaling)
-    must stay positive.  The inverse time map ``dinv`` is derived from D.
-    Every check is exact: D is affine, and ee is a rational function of t
-    without a real zero or pole (real-root counting), positive at t = 0.
+    must stay positive.  The data are read into one field of t once and
+    checked there (:func:`_element_of`), as ``sections.read_element``
+    checks DSL text: D is affine, and ee is a rational function of t
+    without a real zero or pole (a Sturm count), positive at t = 0.
+    ``element`` is the result, which moves sections.
     """
 
     d: sp.Expr = T
@@ -428,8 +426,7 @@ class PseudogroupElement:
     b: sp.Expr = sp.Integer(0)
     c: sp.Expr = sp.Integer(0)
     ee: sp.Expr = sp.Integer(1)
-    # (alpha, beta) of D, set once from d
-    _alpha_beta: tuple = field(init=False, repr=False, compare=False)
+    element: Element = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("d", "a", "b", "c", "ee"):
@@ -440,19 +437,12 @@ class PseudogroupElement:
                         f"{name} must be a closed form in t, found symbol {s}"
                     )
             object.__setattr__(self, name, e)
-        object.__setattr__(self, "_alpha_beta", _affine(self.d))
-        _require_positive_rational(self.ee, "ee (scaling)")
+        object.__setattr__(self, "element", _element_of(self.d, (self.ee, self.a, self.b, self.c)))
 
     @classmethod
     def make(cls, d=T, a=0, b=0, c=0, ee=1) -> "PseudogroupElement":
         """The element with these data; the same as the constructor."""
         return cls(d=d, a=a, b=b, c=c, ee=ee)
-
-    @property
-    def dinv(self) -> sp.Expr:
-        """D^-1(t) = t/alpha - beta/alpha."""
-        alpha, beta = self._alpha_beta
-        return T / alpha - beta / alpha
 
 
 # ---------------------------------------------------------------------------

@@ -111,13 +111,31 @@ def test_light_commands_do_not_load_sympy(tmp_path):
             "signature", "sl2-family", "--f", "0", "--h", "0", "--n", "8", "--seed", "760",
             "--out", str(tmp_path / "sl2.json"),
         ], 0),
+        ("check-solution-points", [
+            "check-solution", "sl2-family", "--f", "0", "--h", "0", "--points", "3",
+        ], 0),
+        # pseudogroup elements: the field of t reads, checks and moves them,
+        # and the field's printer prints the roots of the moved section
+        *(
+            (f"transform-{n}", [
+                "transform", "sl2-family", "--f", "0", "--h", "0", "--D", d,
+                "--A", a, "--C", c, "--E", "8",
+            ], 0)
+            for n, (d, a, c) in enumerate([
+                ("t + (1)", "(1)*t + (-2)", "(2)*t + (-1/2)"),
+                ("t + (1)", "(2)*t + (-1)", "(1)*t + (-1)"),
+                ("t + (1/3)", "(2)*t + (-1)", "(1)*t + (-1/2)"),
+            ])
+        ),
+        ("transform-reflect", ["transform", "trivial", "--reflect", "txy"], 0),
+        ("transform-not-affine", ["transform", "trivial", "--D", "t^3+t"], 4),
     ]
     # the negative controls, each run last in a probe of its own
     controls = [
         ("reduce-radical", ["reduce", "t^(1/2)*u_x"], 0),
-        ("transform", [
-            "transform", "sl2-family", "--f", "0", "--h", "0", "--D", "t + (1)",
-            "--A", "(1)*t + (-2)", "--C", "(2)*t + (-1/2)", "--E", "8",
+        # 2^(1/3) in the moved section is printed from its sympy tree
+        ("transform-radical", [
+            "transform", "sl2-family", "--f", "0", "--h", "0", "--D", "4*t", "--E", "8",
         ], 0),
         ("check-solution-exp", ["check-solution", "exp-family"], 0),
     ]

@@ -10,7 +10,10 @@ the trees of the map's data, the images of the auxiliary generators as
 trees, and a second field built from all of them.  The two must agree
 entry for entry: the ring keys in order, the readings in order, and the
 numerator and denominator dicts of the moved (u, v); every refusal must
-give the same class and message.
+give the same class and message, but for the data of the elements of
+``_REWORDED``.  An element's data are read at t once and then moved by the
+same rule, so a root of t under a shifted time is refused as a section's
+root is, and a datum that cannot be read is worded as it was given.
 """
 
 import pytest
@@ -38,6 +41,19 @@ def _state(move, sf, arg):
     return F.ring.keys, list(F._readings.items()), values
 
 
+_DOMAIN = "transformed section leaves the representable domain"
+# element -> the refusal of its data, where the two-field path worded the
+# tree at t_s it could not read
+_REWORDED = {
+    make(d=T + 1, a=sp.sqrt(T)): f"{_DOMAIN}: sqrt(t) moves to a fractional power of t - 1",
+    make(d=2 * T, b=_f): f"{_DOMAIN}: f(t) is not a rational function of the jet coordinates",
+}
+
+
+def _moved(sf, element):
+    return sf.moved(element.element)
+
+
 def _compare(cases) -> tuple[int, int]:
     """Assert each (section field, element or reflection) case equal on
     both paths; (moved, refused) counts."""
@@ -46,8 +62,10 @@ def _compare(cases) -> tuple[int, int]:
         if isinstance(arg, str):
             paths = sections.SectionField.reflected, two_field_reflected
         else:
-            paths = sections.SectionField.moved, two_field_moved
+            paths = _moved, two_field_moved
         new, old = (_state(path, sf, arg) for path in paths)
+        if arg in _REWORDED:
+            old = old[0], _REWORDED[arg]
         assert new == old, arg
         counts[isinstance(new[0], type)] += 1
     return tuple(counts)
@@ -133,7 +151,7 @@ def test_moves_that_bring_constant_radicals():
     ]
     moved, refused = _compare(cases)
     assert moved == 5 and refused == 1
-    F = sl2.moved(make(d=2 * T, ee=3))
+    F = sl2.moved(make(d=2 * T, ee=3).element)
     assert [k for k in F._readings if k[0] == "radical"] == [("radical", 2, 6), ("radical", 3, 3)]
 
 

@@ -14,12 +14,12 @@ import random
 import pytest
 import sympy as sp
 
-from jetweyl import checks, exprcore, geometry, sections, trees
+from jetweyl import checks, exprcore, geometry, sections, symmetry, trees
 from jetweyl.cli import main
 from jetweyl.errors import ExprError, PseudogroupError, SolutionError
 from jetweyl.exprcore import T, validate_kernel
 from jetweyl.symmetry import PseudogroupElement
-from tree_oracle import tree_at_source, tree_moved, tree_normalize, tree_reflected
+from tree_oracle import tree_at_source, tree_dinv, tree_moved, tree_normalize, tree_reflected
 
 # ---------------------------------------------------------------------------
 # the tree oracle
@@ -105,9 +105,9 @@ def test_move_coefficients_match_the_tree():
     rng = random.Random(7301)
     elements += [el for kind in _KINDS for el in checks._random_elements(rng, kind, count=3)]
     for el in elements:
-        F, got = sections._preimage(*geometry._element_data(el), ())
+        F, got = sections._preimage(el.element, ())
         # sqrt(D') comes fourth
-        assert tree_normalize(F.expr(got[3]) - sp.sqrt(el._alpha_beta[0])) == 0
+        assert tree_normalize(F.expr(got[3]) - sp.sqrt(el.element.alpha)) == 0
         got, want = (*got[:3], *got[4:]), tree_at_source(el)
         assert len(got) == len(want) == 10
         for n, (g, w) in enumerate(zip(got, want)):
@@ -126,9 +126,10 @@ _SETUPS = [
 def test_a_move_builds_no_field_from_trees(cid, kwargs, monkeypatch):
     """A move or a reflection is arithmetic in the field: it builds no
     section field from trees and converts no field element to a tree (a
-    refusal converts the one it words).  A move reads its element's own
-    data once (``geometry._element_data``: one ``trees.section_ring``, one
-    ``exprcore._rescaled``); a reflection reads nothing."""
+    refusal converts the one it words).  A pseudogroup element reads its
+    own data from trees when it is made (three ``trees.section_ring``: D,
+    ee, then ee, a, b, c together); a move pushes them in the field, so
+    that neither a move nor a reflection reads a tree."""
     sol = geometry.catalog(cid, **kwargs)
     sol.field  # the section's own field is built before the count starts
     calls = {"field": 0, "section_ring": 0, "rescaled": 0, "expr": 0}
@@ -144,7 +145,7 @@ def test_a_move_builds_no_field_from_trees(cid, kwargs, monkeypatch):
         geometry.SectionField, "__init__", counted("field", geometry.SectionField.__init__)
     )
     ring = counted("section_ring", trees.section_ring)
-    for module in (geometry, trees):
+    for module in (symmetry, trees):
         monkeypatch.setattr(module, "section_ring", ring)
     rescaled = counted("rescaled", exprcore._rescaled)
     for module in (exprcore, trees):
@@ -152,12 +153,15 @@ def test_a_move_builds_no_field_from_trees(cid, kwargs, monkeypatch):
     monkeypatch.setattr(trees._Rescaled, "expr", counted("expr", trees._Rescaled.expr))
     moved = 0
     for kind in _KINDS:
-        for el in _elements(cid, kind)[:4]:
+        calls["section_ring"] = 0
+        elements = _elements(cid, kind)
+        assert calls["section_ring"] == 3 * len(elements)
+        for el in elements[:4]:
             for name in calls:
                 calls[name] = 0
             refused = _outcome(sol.transform, el) is SolutionError
             moved += not refused
-            assert calls == {"field": 0, "section_ring": 1, "rescaled": 1, "expr": refused}, el
+            assert calls == {"field": 0, "section_ring": 0, "rescaled": 0, "expr": refused}, el
     for which in ("txy", "yu"):
         for name in calls:
             calls[name] = 0
@@ -279,7 +283,7 @@ def test_unknown_reflection_is_a_value_error():
 def test_affine_inverse_equals_the_solve_inverse(d):
     w = sp.Dummy("w")
     (solved,) = sp.solve(sp.Eq(d.subs(T, w), T), w)
-    assert PseudogroupElement.make(d=d).dinv == solved
+    assert tree_dinv(PseudogroupElement.make(d=d)) == solved
 
 
 def test_affine_elements_and_moves_call_neither_solve_nor_simplify(monkeypatch):
@@ -289,7 +293,7 @@ def test_affine_elements_and_moves_call_neither_solve_nor_simplify(monkeypatch):
     monkeypatch.setattr(sp, "solve", refuse)
     monkeypatch.setattr(sp, "simplify", refuse)
     el = PseudogroupElement.make(d=4 * T + 1, a=T, c=2 * T, ee=8)
-    assert el.dinv == T / 4 - sp.Rational(1, 4)
+    assert tree_dinv(el) == T / 4 - sp.Rational(1, 4)
     geometry.catalog.cache_clear()  # build the entries under the guard too
     for cid in geometry.CATALOG_IDS:
         sol = geometry.catalog(cid, **_BOUND.get(cid, {}))

@@ -15,7 +15,9 @@ the terms of the point recurrence, and ``fraction_principal_values`` is the
 ``Fraction`` Leibniz solve of the principal values that ``JetPoint`` ran
 before it solved in integers.  ``tree_moved``
 and ``tree_reflected`` compose a section with a pseudogroup element or a
-reflection on trees and return the unnormalized result.
+reflection on trees and return the unnormalized result;
+``tree_element_data`` reads a pseudogroup element's data at the preimage
+time from trees, as a move did before it pushed them by the image rule.
 ``tree_family`` is X_i(p) of the five symmetry families as they were
 written by hand, and ``generating_section`` is phi_w = f^w - a^t w_t -
 a^x w_x - a^y w_y of a point field, expanded on trees.
@@ -95,7 +97,7 @@ from jetweyl.exprcore import (
 )
 from jetweyl.fields import PointField
 from jetweyl.geometry import FrameResult
-from jetweyl.trees import key_of, symbol_of
+from jetweyl.trees import key_of, section_ring, symbol_of
 
 _AUX = {
     name: sp.Dummy(name, positive=True)
@@ -380,11 +382,17 @@ def tree_normalize(e) -> sp.Expr:
     return canon.xreplace(back) if back else canon
 
 
+def tree_dinv(element) -> sp.Expr:
+    """D^-1(t) = t/alpha - beta/alpha of a pseudogroup element."""
+    alpha, beta = map(sp.Rational, (element.element.alpha, element.element.beta))
+    return T / alpha - beta / alpha
+
+
 def tree_at_source(element) -> tuple:
     """(t_s, x_s, y_s, E, E', E'', A', B', C, C') of a pseudogroup element
     on trees: the preimage of (t, x, y), then ee, ee', ee'', a', b', c and
     c' at the preimage time t_s = D^-1(t); unnormalized."""
-    ts = element.dinv
+    ts = tree_dinv(element)
 
     def at(e):
         return sp.sympify(e).subs(T, ts)
@@ -392,10 +400,19 @@ def tree_at_source(element) -> tuple:
     ee1 = partial(element.ee, "t")
     E, Ep, Epp = at(element.ee), at(ee1), at(partial(ee1, "t"))
     C = at(element.c)
-    ys = (Y - at(element.b)) / (sp.sqrt(element._alpha_beta[0]) * E)
+    ys = (Y - at(element.b)) / (sp.sqrt(element.element.alpha) * E)
     xs = (X - E * Ep * ys**2 - C * ys - at(element.a)) / E**2
     Ap, Bp, Cp = (at(partial(e, "t")) for e in (element.a, element.b, element.c))
     return ts, xs, ys, E, Ep, Epp, Ap, Bp, C, Cp
+
+
+def tree_element_data(element) -> tuple:
+    """(ring, readings, values) of ee, a, b, c of a pseudogroup element at
+    t_s = D^-1(t), the way a move read them before it moved them in the
+    field: the trees at t_s (``xreplace``), read by
+    ``trees.section_ring``; ``ExprError`` where that fails."""
+    parts = (element.ee, element.a, element.b, element.c)
+    return section_ring(tuple(e.xreplace({T: tree_dinv(element)}) for e in parts), 0)
 
 
 def tree_moved(element, u_expr, v_expr) -> tuple[sp.Expr, sp.Expr]:
@@ -410,7 +427,7 @@ def tree_moved(element, u_expr, v_expr) -> tuple[sp.Expr, sp.Expr]:
     E = at_src(element.ee)
     Ep = at_src(partial(element.ee, "t"))
     Epp = at_src(partial(partial(element.ee, "t"), "t"))
-    s = at_src(sp.sqrt(element._alpha_beta[0]))
+    s = at_src(sp.sqrt(element.element.alpha))
     dprime = s**2
     Csrc = at_src(element.c)
     Aprime = at_src(partial(element.a, "t"))
@@ -420,7 +437,7 @@ def tree_moved(element, u_expr, v_expr) -> tuple[sp.Expr, sp.Expr]:
     v_src = sp.sympify(v_expr).xreplace(point_subs)
     u_new = (
         (E / s) * u_src
-        - (ys / E**2) * at_src(partial(element.ee**3 / sp.sqrt(element._alpha_beta[0]), "t"))
+        - (ys / E**2) * at_src(partial(element.ee**3 / sp.sqrt(element.element.alpha), "t"))
         + Bprime / dprime
         - 2 * Csrc / (E * s)
     )
@@ -550,10 +567,10 @@ def two_field_moved(sf, element):
     (:func:`tree_image_atom`); the preimage data are taken in each
     (:func:`_field_preimage`).  The same values and refusals as
     ``SectionField.moved``."""
-    ts = element.dinv
+    ts = tree_dinv(element)
     at_ts = (e.xreplace({T: ts}) for e in (element.ee, element.a, element.b, element.c))
     target, data, (u, v) = _two_field_pushed(
-        sf, (ts, sp.sqrt(element._alpha_beta[0]), *at_ts), "transformed section", _field_preimage
+        sf, (ts, sp.sqrt(element.element.alpha), *at_ts), "transformed section", _field_preimage
     )
     _, xs, ys, E, Ep, Epp, Ap, Bp, C, Cp = data
     s = target.values[1]
