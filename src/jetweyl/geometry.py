@@ -6,12 +6,12 @@ the fixed ansatz.  The section field, solutions, the Weyl pair, its
 connection, the curvature and the Einstein check are arithmetic in one
 exact differential field and live in :mod:`jetweyl.sections`, which
 imports no sympy; this module re-exports them.  Here is what gives or
-takes sympy trees: the data of a pseudogroup element that a move reads
-once, the closed forms the sympy callers give, the skew anchor as a
-matrix, the sampled residual of the Einstein check, the order-2 canonical
-frame at a point in closed form, and the catalog of explicit solutions
-with their reduction checks.  The catalog's closed forms are DSL text in
-``sections.CATALOG``; :func:`catalog` builds their trees from it.
+takes sympy trees: the closed forms the sympy callers give, the skew
+anchor as a matrix, the sampled residual of the Einstein check, the
+order-2 canonical frame at a point in closed form, and the catalog of
+explicit solutions with their reduction checks.  The catalog's closed
+forms are DSL text in ``sections.CATALOG``; :func:`catalog` builds their
+trees from it.
 """
 
 from __future__ import annotations

@@ -24,16 +24,21 @@ sympy at all.  The metric pair, the connection, the curvature, the
 Einstein check (:func:`check_EW`), the signature (:func:`signature`),
 the values at a point and the moves and reflections are arithmetic in the
 field: one rule gives the image of an auxiliary generator under a point
-map (:func:`_image`).  :func:`text` prints an element as
-``exprcore.to_text`` prints its expression.
+map (:func:`_image`).  A pseudogroup element lives in the field of t too
+(:class:`Element`): :func:`read_element` reads and checks its DSL text,
+and a move pushes its data to the preimage time by the same rule.
+:func:`text` prints an element as ``exprcore.to_text`` prints its
+expression, by the field's printer where its generators are named or
+roots b^(1/m) (:func:`_root_text`); the primes of a radical come from
+:func:`_factor`, in ints.
 
 Whatever gives or takes a sympy tree imports ``trees`` or ``geometry`` on
-first use: ``SectionField(exprs)``, ``expr``, ``back``, the data of a
-pseudogroup element (``moved``), ``Solution(u, v)``, its ``u`` and ``v``,
-the tree values of the reports, a refusal that words an expression, the
-sampled residual of a section that is not Einstein, the 50-digit value of
-a sample that is not rational and the primes of a radical (``factorint``).
-Those imports name their modules in full, as ``jets`` explains.
+first use: ``SectionField(exprs)``, ``expr``, ``back``, ``Solution(u,
+v)``, its ``u`` and ``v``, the tree values of the reports, the text of an
+element with a prime radical or an exponential, a refusal that words an
+expression, the sampled residual of a section that is not Einstein and
+the 50-digit value of a sample that is not rational.  Those imports name
+their modules in full, as ``jets`` explains.
 """
 
 from __future__ import annotations
@@ -950,9 +955,9 @@ def read_section(argument: str, trees: dict, deferred: bool = False) -> "Solutio
 # ---------------------------------------------------------------------------
 # pseudogroup elements in the field of t
 
-_NOT_AFFINE = "the time map D must be affine, alpha*t + beta over QQ with alpha > 0; got {}"
-_NOT_RATIONAL = "{} must be a rational function of t, got {}"
 _SCALING = "ee (scaling)"
+_NOT_AFFINE = "the time map D must be affine, alpha*t + beta over QQ with alpha > 0; got {}"
+_NOT_RATIONAL = _SCALING + " must be a rational function of t, got {}"
 # the data of an element in the order they are checked, each with its
 # default as a syntax tree
 _ELEMENT_DEFAULTS = {
@@ -1020,7 +1025,7 @@ def _scaling(F: _Rescaled, ee) -> None:
     f = F._reduced_element(ee)
     sides = _t_poly(F, f.numer), _t_poly(F, f.denom)
     if any(p is None for p in sides):
-        raise PseudogroupError(_NOT_RATIONAL.format(_SCALING, text(F, ee)))
+        raise PseudogroupError(_NOT_RATIONAL.format(text(F, ee)))
     for p, part in zip(sides, ("zero", "pole")):
         if not p or _real_roots(p):
             raise PseudogroupError(f"{_SCALING} has a real {part}: {text(F, ee)}")
@@ -1030,9 +1035,8 @@ def _scaling(F: _Rescaled, ee) -> None:
 
 
 def _real_roots(p: list) -> int:
-    """The number of distinct real roots of a nonconstant or nonzero
-    polynomial with rational coefficients (constant first, the last one
-    nonzero): the sign changes of its Sturm sequence at -oo less those at
+    """The number of distinct real roots of a nonzero polynomial with
+    rational coefficients (constant first, the last one nonzero): the sign changes of its Sturm sequence at -oo less those at
     +oo.  The sequence is kept in ``Fraction``s, each member after the
     first scaled to a leading coefficient of +-1."""
     a = [Fraction(c) for c in p]
@@ -1081,18 +1085,16 @@ def read_element(trees: dict) -> Element | None:
         got = _read_values((tree,))
         if got is None:
             return None
-        read[name] = SectionField._of(*got)
-    for name, sf in read.items():
-        keys = sf.ring.keys
-        for key in map(keys.__getitem__, sf.ring.present(sf.values[0])):
+        ring, readings, (value,) = got
+        read[name] = _Rescaled(ring, readings), value
+    for name, (F, f) in read.items():
+        for key in map(F.ring.keys.__getitem__, F.ring.present(f)):
             symbol = key[1] if type(key) is tuple else key
             if symbol != "t":
                 raise PseudogroupError(f"{name} must be a closed form in t, found symbol {symbol}")
-    D, ee = read["d"], read["ee"]
-    alpha, beta = _time_map(D, D.values[0])
-    _scaling(ee, ee.values[0])
-    data = _read_values(tuple(trees[name] for name in ("ee", "a", "b", "c")), _T_ONLY)
-    return Element(alpha, beta, data)
+    alpha, beta = _time_map(*read["d"])
+    _scaling(*read["ee"])
+    return Element(alpha, beta, _read_values(tuple(trees[name] for name in ("ee", "a", "b", "c"))))
 
 
 def _at_preimage(element: Element) -> tuple:
@@ -1115,9 +1117,9 @@ def _at_preimage(element: Element) -> tuple:
 def _as_read(G: SectionField, values) -> tuple:
     """(ring, readings, values) of elements of G in the form a reading of
     their trees gives (``trees.section_ring``).  Each prime radical R =
-    p^(1/M) is reduced by R^M = p and cleared from a one-term denominator,
-    as sympy writes a negative power of a rational (2^(-1/2) is
-    2^(1/2)/2).  Then each auxiliary generator B of M (b^(1/M), exp(b/M)
+    p^(1/M) is reduced by R^M = p and cleared from a power of it that
+    divides the whole denominator (:func:`_cleared`), as sympy writes a
+    negative power of a rational (2^(-1/2) is 2^(1/2)/2).  Then each auxiliary generator B of M (b^(1/M), exp(b/M)
     or p^(1/M)) gives way to the power B^g that the values need, g the gcd
     of M and its exponents there; b^(1/M) with g = M is b itself, and a
     generator that no longer occurs is left out."""
@@ -1272,9 +1274,9 @@ class Solution:
         printed."""
         sf = self.field
         parts = []
-        for name, f in zip(DEPENDENTS, sf.values):
-            if sf.rooted(sf._reduced_element(f)):
-                parts.append(text(sf, f))
+        for name, f in zip(DEPENDENTS, map(sf._reduced_element, sf.values)):
+            if sf.rooted(f):
+                parts.append(_root_text(sf, f))
             else:
                 from jetweyl.exprcore import to_text
 

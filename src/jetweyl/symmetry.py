@@ -12,10 +12,11 @@ Taylor series.  The ansatz metric and covector are DSL text in
 :mod:`jetweyl.jets`, read into a jet ring once (``jets._ansatz``).
 
 This module also checks the defining symmetry property against the
-equations, lifts shape-preserving base fields to the total space, defines
-the closed-form pseudogroup elements that act on sections
-(``geometry.Solution.transform``), and measures jet-space orbit dimensions
-by exact rank.
+equations, lifts shape-preserving base fields to the total space, builds
+the closed-form pseudogroup elements that act on sections from sympy trees
+(:class:`PseudogroupElement`, the sympy door to ``sections.Element``,
+which reads, checks and moves them in the field of t), and measures
+jet-space orbit dimensions by exact rank.
 """
 
 from __future__ import annotations
@@ -59,9 +60,8 @@ from .jets import (
 from .sections import (
     _NOT_AFFINE,
     _NOT_RATIONAL,
-    _SCALING,
     Element,
-    SectionField,
+    _Rescaled,
     _scaling,
     _time_map,
 )
@@ -385,10 +385,10 @@ def _read_alone(e: sp.Expr, refusal: str) -> tuple:
     (``trees.section_ring``), refused with the ``PseudogroupError``
     ``refusal`` where it is not a rational function of its generators."""
     try:
-        ring, readings, values = section_ring((e,), 0)
+        ring, readings, (value,) = section_ring((e,), 0)
     except ExprError:
         raise PseudogroupError(refusal.format(to_text(e))) from None
-    return SectionField._of(ring, readings, values), values[0]
+    return _Rescaled(ring, readings), value
 
 
 def _element_of(d: sp.Expr, parts: tuple) -> Element:
@@ -398,7 +398,7 @@ def _element_of(d: sp.Expr, parts: tuple) -> Element:
     field of t (``trees.section_ring``).  Data that cannot be read leave
     their error on the element, which a move raises."""
     alpha, beta = _time_map(*_read_alone(d, _NOT_AFFINE))
-    _scaling(*_read_alone(parts[0], _NOT_RATIONAL.format(_SCALING, "{}")))
+    _scaling(*_read_alone(parts[0], _NOT_RATIONAL))
     try:
         data = section_ring(parts, 0)
     except ExprError as exc:

@@ -253,6 +253,16 @@ _DOMAIN = "leaves the representable domain"
             ["u = x^(1/2) ; v = x^(1/2)", "--reflect", "txy"],
             f"reflected section {_DOMAIN}: sqrt(x) moves to a fractional power of -x",
         ),
+        # the element's data move by the same rule: a root of t under a
+        # shifted time, and no internal generator named
+        (
+            ["trivial", "--A", "t^(1/2)*2^(1/3)", "--D", "t+1"],
+            f"transformed section {_DOMAIN}: sqrt(t) moves to a fractional power of t - 1",
+        ),
+        (
+            ["trivial", "--A", "t^(1/2)", "--D", "2*t+1"],
+            f"transformed section {_DOMAIN}: sqrt(t) moves to a fractional power of t/2 - 1/2",
+        ),
         # a formal function is a symbol of its own, not a closed form in t
         (["trivial", "--A", "f(t)"], "a must be a closed form in t, found symbol f"),
         (

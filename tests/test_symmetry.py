@@ -613,6 +613,8 @@ def test_the_taylor_jet_and_the_point_sums_make_no_fraction(monkeypatch):
     # theta hands its coordinates over as integers over one denominator
     k, theta = _chosen_point(4, Fraction(-5, 4), -1, Fraction(-9, 7), 2)
     table = invariants._order3()
+    # the table's cached rows are parsed on first read, which makes Fractions
+    table.twelve, table.nabla
     made = []
     real_new = Fraction.__new__
 

@@ -17,7 +17,10 @@ before it solved in integers.  ``tree_moved``
 and ``tree_reflected`` compose a section with a pseudogroup element or a
 reflection on trees and return the unnormalized result;
 ``tree_element_data`` reads a pseudogroup element's data at the preimage
-time from trees, as a move did before it pushed them by the image rule.
+time from trees, as a move did before it pushed them by the image rule,
+and ``tree_element_checks`` checks its data with ``sp.Poly`` and
+``count_roots``, as its constructor did before it checked them in the
+field of t.
 ``tree_family`` is X_i(p) of the five symmetry families as they were
 written by hand, and ``generating_section`` is phi_w = f^w - a^t w_t -
 a^x w_x - a^y w_y of a point field, expanded on trees.
@@ -73,6 +76,7 @@ from jetweyl.errors import (
     DivisionByZeroExpression,
     ExprError,
     ParseError,
+    PseudogroupError,
     SolutionError,
     UnknownSymbolError,
 )
@@ -380,6 +384,44 @@ def tree_normalize(e) -> sp.Expr:
     if canon.has(sp.zoo, sp.nan):
         raise DivisionByZeroExpression(f"canonicalization produced an undefined value from {e}")
     return canon.xreplace(back) if back else canon
+
+
+def tree_element_checks(d=T, a=0, b=0, c=0, ee=1) -> tuple[Fraction, Fraction]:
+    """(alpha, beta) of the time map of a pseudogroup element's data, or the
+    ``PseudogroupError`` of its refusal, checked on sympy trees as the
+    element's constructor checked them: each datum a closed form in t, D
+    affine by ``sp.Poly`` over QQ, and ee a rational function of t whose
+    numerator and denominator have no real root (``Poly.count_roots``),
+    positive at t = 0."""
+    data = {name: sp.sympify(e) for name, e in zip(("d", "a", "b", "c", "ee"), (d, a, b, c, ee))}
+    for name, e in data.items():
+        for s in e.free_symbols:
+            if s != T:
+                raise PseudogroupError(f"{name} must be a closed form in t, found symbol {s}")
+    try:
+        poly = sp.Poly(data["d"], T, domain="QQ")
+    except (sp.PolynomialError, sp.polys.polyerrors.CoercionFailed):
+        poly = None
+    if poly is None or poly.degree() != 1:
+        raise PseudogroupError(
+            "the time map D must be affine, alpha*t + beta over QQ with alpha > 0; "
+            f"got {tree_text(data['d'])}"
+        )
+    alpha, beta = poly.all_coeffs()
+    if not alpha > 0:
+        raise PseudogroupError(f"D' (time dilation) must be positive; at t=0 it is {alpha}")
+    e, what = data["ee"], "ee (scaling)"
+    num, den = sp.fraction(sp.together(e))
+    try:
+        polys = [sp.Poly(p, T, domain="QQ") for p in (num, den)]
+    except (sp.PolynomialError, sp.polys.polyerrors.CoercionFailed):
+        raise PseudogroupError(f"{what} must be a rational function of t, got {tree_text(e)}") from None
+    for p, part in zip(polys, ("zero", "pole")):
+        if p.is_zero or p.count_roots() > 0:
+            raise PseudogroupError(f"{what} has a real {part}: {tree_text(e)}")
+    if not e.subs(T, 0) > 0:
+        raise PseudogroupError(f"{what} must be positive; at t=0 it is {e.subs(T, 0)}")
+    return Fraction(int(alpha.p), int(alpha.q)), Fraction(int(beta.p), int(beta.q))
 
 
 def tree_dinv(element) -> sp.Expr:
