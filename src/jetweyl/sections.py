@@ -1116,15 +1116,13 @@ def _at_preimage(element: Element) -> tuple:
 
 def _as_read(G: SectionField, values) -> tuple:
     """(ring, readings, values) of elements of G in the form a reading of
-    their trees gives (``trees.section_ring``).  Each prime radical R =
-    p^(1/M) is reduced by R^M = p and cleared from a power of it that
-    divides the whole denominator (:func:`_cleared`), as sympy writes a
-    negative power of a rational (2^(-1/2) is 2^(1/2)/2).  Then each auxiliary generator B of M (b^(1/M), exp(b/M)
-    or p^(1/M)) gives way to the power B^g that the values need, g the gcd
-    of M and its exponents there; b^(1/M) with g = M is b itself, and a
-    generator that no longer occurs is left out."""
+    their trees gives (``trees.section_ring``): each prime radical R =
+    p^(1/M) reduced by R^M = p, and each auxiliary generator B of M
+    (b^(1/M), exp(b/M) or p^(1/M)) given way to the power B^g that the
+    values need, g the gcd of M and its exponents there; b^(1/M) with g = M
+    is b itself, and a generator that no longer occurs is left out."""
     ring = G.ring
-    values = [_cleared(G, f) for f in values]
+    values = [G._reduced_element(f) for f in values]
     joint, moves = {}, {}
     for key, reading in G._readings.items():
         j, (p, r) = ring.index[key], _term(reading)
@@ -1142,22 +1140,6 @@ def _as_read(G: SectionField, values) -> tuple:
     if target.ring is not ring or any(n != 1 for _, n in moves.values()):
         values = map(_rekeying(target.ring, ring, moves), values)
     return target.ring, target._readings, tuple(values)
-
-
-def _cleared(G: _Rescaled, f):
-    """f with its prime radicals reduced by R^M = p, and a power R^k (0 < k
-    < M) that divides every term of its denominator cleared by R^(M-k)
-    above and below."""
-    f = G._reduced_element(f)
-    gens = G.ring.ring.gens
-    clear = G.ring.ring.one
-    for i, _, M in G._radicals:
-        k = min(m[i] for m in f.denom)
-        if k:
-            clear = clear * gens[i] ** (M - k)
-    if clear == 1:
-        return f
-    return G.ring.field.new(G._reduced(f.numer * clear), G._reduced(f.denom * clear))
 
 
 # ---------------------------------------------------------------------------
