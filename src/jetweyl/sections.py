@@ -1116,13 +1116,14 @@ def _at_preimage(element: Element) -> tuple:
 
 def _as_read(G: SectionField, values) -> tuple:
     """(ring, readings, values) of elements of G in the form a reading of
-    their trees gives (``trees.section_ring``): each prime radical R =
-    p^(1/M) reduced by R^M = p, and each auxiliary generator B of M
-    (b^(1/M), exp(b/M) or p^(1/M)) given way to the power B^g that the
-    values need, g the gcd of M and its exponents there; b^(1/M) with g = M
-    is b itself, and a generator that no longer occurs is left out."""
+    their canonical trees gives (``trees.section_ring``): prime radicals
+    reduced and out of a one-term denominator (:func:`_cleared`), and each
+    auxiliary generator B of M (b^(1/M), exp(b/M) or p^(1/M)) given way to
+    the power B^g that the values need, g the gcd of M and its exponents
+    there; b^(1/M) with g = M is b itself, and a generator that no longer
+    occurs is left out."""
     ring = G.ring
-    values = [G._reduced_element(f) for f in values]
+    values = [_cleared(G, f) for f in values]
     joint, moves = {}, {}
     for key, reading in G._readings.items():
         j, (p, r) = ring.index[key], _term(reading)
@@ -1140,6 +1141,26 @@ def _as_read(G: SectionField, values) -> tuple:
     if target.ring is not ring or any(n != 1 for _, n in moves.values()):
         values = map(_rekeying(target.ring, ring, moves), values)
     return target.ring, target._readings, tuple(values)
+
+
+def _cleared(G: _Rescaled, f):
+    """f with its prime radicals reduced by R^M = p, and each R^k (0 < k <
+    M) of a one-term denominator cleared by R^(M-k) above and below: sympy
+    writes a negative power of a rational in the numerator (2^(-1/2) is
+    2^(1/2)/2), and the canonical tree of a one-term denominator is such a
+    product of powers, where a sum keeps its radicals."""
+    f = G._reduced_element(f)
+    if len(f.denom) != 1:
+        return f
+    (monom,) = f.denom
+    gens, clear = G.ring.ring.gens, G.ring.ring.one
+    for i, _, M in G._radicals:
+        if monom[i]:
+            clear = clear * gens[i] ** (M - monom[i])
+    if clear == 1:
+        return f
+    # reduced before the field cancels, which would take R^(M-k) out again
+    return G.ring.field.new(G._reduced(f.numer * clear), G._reduced(f.denom * clear))
 
 
 # ---------------------------------------------------------------------------

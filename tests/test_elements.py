@@ -227,20 +227,11 @@ def test_elements_are_read_checked_and_moved_as_the_sympy_path_did():
         assert _entries(light.data) == _entries(door.element.data), texts
         new, tree = (_moved_data(f) for f in (
             lambda: sections._at_preimage(light), lambda: tree_element_data(door)))
-        if new == "refused" or tree == "refused":
-            assert new == tree, texts
-        elif any(k[0] == "radical" for k in new[0] if type(k) is tuple):
-            # a prime radical may sit in a denominator, where the tree's
-            # form is not canonical: the same keys, readings and values
-            ring, readings, values = sections._at_preimage(light)
-            sf = sections.SectionField._of(ring, readings, ())
-            assert new[:2] == tree[:2], texts
-            old_values = tree_element_data(door)[2]
-            assert all(sf.vanishes(f - g) for f, g in zip(values, old_values)), texts
-            radical += 1
-        else:
-            assert new == tree, texts
+        # pushed by the image rule, the data are what the trees at t_s read
+        assert new == tree, texts
+        if new != "refused":
             kept += 1
+            radical += any(type(k) is tuple and k[0] == "radical" for k in new[0])
     assert refusals == {
         "a must be a closed form in t", "b must be a closed form in t",
         "c must be a closed form in t", "the time map D must be affine",
@@ -248,7 +239,7 @@ def test_elements_are_read_checked_and_moved_as_the_sympy_path_did():
         "ee (scaling) has a real zero", "ee (scaling) has a real pole",
         "ee (scaling) must be positive",
     }, refusals
-    assert kept >= 40 and radical >= 5, (kept, radical)
+    assert kept >= 60 and radical >= 15, (kept, radical)
 
 
 def test_an_element_outside_the_subset_goes_to_the_sympy_door():
