@@ -17,9 +17,11 @@ reads DSL text reads all of it with :mod:`jetweyl.syntax` first, before it
 loads an algebra layer: a parse error, a bad ``--at`` piece or a jet
 coordinate past the order cap exits without loading sympy as well.
 ``reduce`` and ``invariants`` compute rational text in the jet field
-(``jets``), and ``check-solution`` and ``signature`` read a section of the
-algebraic subset into its field (``sections.read_section``); other input
-takes the sympy path, with the same output and refusals.
+(``jets``), ``check-solution``, ``signature`` and ``transform`` read a
+section of the algebraic subset into its field (``sections.read_section``),
+and ``transform`` reads its pseudogroup element into the field of t
+(``sections.read_element``); other input takes the sympy path, with the
+same output and refusals.
 """
 
 from __future__ import annotations
