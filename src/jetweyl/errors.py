@@ -43,6 +43,12 @@ class ParseError(JetweylError):
         super().__init__(message)
 
 
+class ExponentCapError(JetweylError):
+    """A monomial of a jet ring would hold an exponent past
+    ``jets.MAX_EXPONENT``: each exponent of a packed monomial has a field
+    of that width, and a result past it is refused, never wrapped."""
+
+
 class JetOrderError(JetweylError):
     """A jet coordinate past ``MAX_JET_ORDER``, or outside the jet order a
     jet ring holds, was requested."""

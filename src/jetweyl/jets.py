@@ -15,9 +15,12 @@ principal coordinates are polynomials in the remaining *internal* ones.
 :meth:`_JetRing.reduce` performs that substitution in one sparse field of
 rational functions over ZZ (``_JetRing``: generators t, x, y, the jet
 coordinates up to the order in play and the formal functions present).
-A polynomial is a dict from monomial to int (``_JetPoly``), a fraction a
-pair of them in lowest terms (``_JetFraction``), and a one-term side
-cancels without a gcd (``_cancel``).  Every derivation (total, section,
+A polynomial is a dict from monomial to int (``_JetPoly``), a monomial one
+packed int with a field of ``_FIELD`` bits per generator (see
+:class:`_JetPolyRing`, whose ``pairs`` and ``monom`` are the one way in
+and out of the format), a fraction a pair of them in lowest terms
+(``_JetFraction``), and a one-term side cancels without a gcd
+(``_cancel``).  Every derivation (total, section,
 point or prolonged field) is applied by generator index by
 ``_JetRing.apply``, to its images lifted over one common denominator
 (``_JetRing.lift``).  A :class:`JetPoint` holds every coordinate in Python
@@ -57,12 +60,13 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import comb, prod
-from operator import add, mul, sub
+from operator import or_
 
 from .errors import (
     DivisionByZeroExpression,
+    ExponentCapError,
     ExprError,
     JetOrderError,
     PointNotOnEquationError,
@@ -82,11 +86,20 @@ __all__ = [
     "EquationSystem",
     "ms_system",
     "JetPoint",
+    "MAX_EXPONENT",
     "internal_indices",
     "principal_indices",
 ]
 
 BASE_NAMES = ("t", "x", "y")
+
+#: the bits of one generator's field in a packed monomial: ``_VALUE``
+#: bits of exponent under one guard bit
+_FIELD = 16
+_VALUE = _FIELD - 1
+#: the largest exponent a jet-ring monomial holds; a product, power,
+#: quotient or derivation past it raises ``ExponentCapError``
+MAX_EXPONENT = (1 << _VALUE) - 1
 
 # ---------------------------------------------------------------------------
 # the written definitions, as DSL text
@@ -231,19 +244,30 @@ def _by_sympy(name: str, p, q):
     over ZZ on the generators of p's ring, built once per ring on first
     use: the one way to a multi-term cancel, lcm or exact quotient, and to
     the refusal of an inexact quotient by a term.  sympy is imported here,
-    on the first call."""
+    on the first call; its monomials are dense tuples, read and built
+    through the ring's ``pairs`` and ``monom``."""
     ring = p.ring
     if ring._sympy is None:
         from sympy.polys.domains import ZZ
         from sympy.polys.rings import PolyRing
 
         ring._sympy = PolyRing(ring.symbols, ZZ)
-    new = ring._sympy.from_dict
-    got = getattr(new(dict(p)), name)(new(dict(q)))
-    dtype = ring.dtype
-    if name == "cancel":
-        return tuple(dtype({m: int(c) for m, c in r.items()}) for r in got)
-    return dtype({m: int(c) for m, c in got.items()})
+    n = len(ring.keys)
+
+    def dense(m) -> tuple:
+        e = [0] * n
+        for i, k in ring.pairs(m):
+            e[i] = k
+        return tuple(e)
+
+    def back(r):
+        return ring.dtype(
+            {ring.monom((i, k) for i, k in enumerate(m) if k): int(c) for m, c in r.items()}
+        )
+
+    p, q = (ring._sympy.from_dict({dense(m): c for m, c in s.items()}) for s in (p, q))
+    got = getattr(p, name)(q)
+    return tuple(map(back, got)) if name == "cancel" else back(got)
 
 
 def _cancel(numer, denom):
@@ -253,7 +277,7 @@ def _cancel(numer, denom):
     With one side a single term (a constant, a monomial, or 1), the common
     factor of the two sides is a term, so no gcd of polynomials is needed:
     both sides are divided by the gcd of all their coefficients and by the
-    componentwise minimum of all monomials.  A pair of two multi-term sides
+    fieldwise minimum of all monomials.  A pair of two multi-term sides
     goes to :func:`_by_sympy`.  A sum of two fractions with one-term
     denominators comes here over their lcm, one term too."""
     ring = numer.ring
@@ -264,27 +288,46 @@ def _cancel(numer, denom):
     content = math.gcd(*numer.values(), *denom.values())
     if denom[max(denom)] < 0:
         content = -content
-    # the common monomial divides the one-term side: only its support counts
-    (term,) = (numer if len(numer) == 1 else denom).keys()
-    low = list(term)
-    for i in itertools.compress(range(len(term)), term):
-        low[i] = min(m[i] for p in (numer, denom) for m in p)
-    if content == 1 and not any(low):
+    # the common monomial divides the one-term side: start from it and
+    # lower each field to every monomial's (``_fieldwise``)
+    (low,) = (numer if len(numer) == 1 else denom).keys()
+    if low:
+        guards = ring._guards
+        for m in itertools.chain(numer, denom):
+            keep = ((m | guards) - low) & guards
+            if keep != guards:
+                low = _fieldwise(low, m, keep)
+                if not low:
+                    break
+    if content == 1 and not low:
         # already in lowest terms
         return numer, denom
     return (
-        ring.dtype({tuple(map(sub, m, low)): c // content for m, c in numer.items()}),
-        ring.dtype({tuple(map(sub, m, low)): c // content for m, c in denom.items()}),
+        ring.dtype({m - low: c // content for m, c in numer.items()}),
+        ring.dtype({m - low: c // content for m, c in denom.items()}),
     )
+
+
+def _fieldwise(a: int, b: int, keep: int) -> int:
+    """The packed monomial with a's field where ``keep`` has its guard bit
+    and b's elsewhere.  With keep = ((b | guards) - a) & guards, whose
+    guard bits mark the fields where b >= a (no field borrows from the
+    next: each is 2^_VALUE + b_i - a_i > 0), that is the fieldwise
+    minimum of a and b; with keep = ((a | guards) - b) & guards, the
+    maximum."""
+    keep -= keep >> _VALUE
+    return a & keep | b & ~keep
 
 
 def _lcm(a, b):
     """The lcm of two polynomials as sympy's ``PolyElement.lcm`` returns
-    it; for two terms, their monomials' lcm with the lcm of their
-    coefficients, signed as their product."""
+    it; for two terms, their monomials' fieldwise maximum with the lcm of
+    their coefficients, signed as their product."""
     if len(a) == 1 and len(b) == 1:
         ((m, c),), ((n, d),) = a.items(), b.items()
-        return a.ring.dtype({tuple(map(max, m, n)): c * d // math.gcd(c, d)})
+        guards = a.ring._guards
+        top = _fieldwise(n, m, ((n | guards) - m) & guards)
+        return a.ring.dtype({top: c * d // math.gcd(c, d)})
     return _by_sympy("lcm", a, b)
 
 
@@ -300,17 +343,22 @@ def _common_denominator(ring, elements):
 
 
 def _support(*polys) -> list[int]:
-    """Indices of the generators that occur in the polynomials, ascending:
-    the places where some monomial has a positive exponent."""
-    return list(itertools.compress(itertools.count(), map(any, zip(*itertools.chain(*polys)))))
+    """Indices of the generators that occur in the polynomials (at least
+    one) of a ring, ascending: the fields of the or of all their
+    monomials that are not zero."""
+    return [i for i, _ in polys[0].ring.pairs(reduce(or_, itertools.chain(*polys), 0))]
 
 
 class _JetPoly(dict):
-    """A polynomial of a jet ring: {monomial (a tuple of exponents, one per
-    generator): nonzero int coefficient}.  Each :class:`_JetPolyRing`
-    builds a subclass of its own with the ring as a class attribute, its
-    ``dtype``, so ``dict.__init__`` alone builds an element.  The operands
-    are ints and elements of the ring (or of an equal ring built apart)."""
+    """A polynomial of a jet ring: {monomial (one packed int, see
+    :class:`_JetPolyRing`): nonzero int coefficient}.  Each
+    :class:`_JetPolyRing` builds a subclass of its own with the ring as a
+    class attribute, its ``dtype``, so ``dict.__init__`` alone builds an
+    element.  The operands are ints and elements of the ring (or of an
+    equal ring built apart).  A product of two monomials is the sum of
+    their ints, and each product, power and quotient tests the guard bits
+    of what it makes: a field past ``MAX_EXPONENT`` raises
+    ``ExponentCapError``."""
 
     __slots__ = ()
     ring = None
@@ -318,13 +366,13 @@ class _JetPoly(dict):
     def _other(p, q):
         """q as terms of p's ring (an int as a constant), or None."""
         if type(q) is int:
-            return {p.ring.zero_monom: q} if q else {}
+            return {0: q} if q else {}
         return q if isinstance(q, _JetPoly) and q.ring == p.ring else None
 
     def __eq__(p, q):
         if type(q) is int:
             # a constant: its constant term read directly, no terms built
-            return p.get(p.ring.zero_monom) == q and len(p) == 1 if q else not p
+            return p.get(0) == q and len(p) == 1 if q else not p
         q = q if type(q) is type(p) else p._other(q)
         return NotImplemented if q is None else dict.__eq__(p, q)
 
@@ -361,43 +409,62 @@ class _JetPoly(dict):
         if len(q) == 1:
             # over an integral domain no product of two terms is zero
             ((n, b),) = q.items()
-            if any(n):
-                return cls({tuple(map(add, m, n)): a * b for m, a in p.items()})
-            return cls({m: a * b for m, a in p.items()})
-        out: dict = {}
-        get = out.get
-        terms = list(q.items())
-        for m, a in p.items():
-            for n, b in terms:
-                k = tuple(map(add, m, n))
-                v = get(k)
-                out[k] = a * b if v is None else v + a * b
-        return cls({k: v for k, v in out.items() if v})
+            if not n:
+                return cls({m: a * b for m, a in p.items()})
+            out = cls({m + n: a * b for m, a in p.items()})
+        else:
+            out = {}
+            get = out.get
+            terms = list(q.items())
+            for m, a in p.items():
+                for n, b in terms:
+                    k = m + n
+                    v = get(k)
+                    out[k] = a * b if v is None else v + a * b
+            out = cls({k: v for k, v in out.items() if v})
+        return cls.ring._checked(out)
 
     def __pow__(p, n: int):
         """p**n for n >= 0: a term raised directly, else by squaring along
-        the bits of n."""
+        the bits of n.  The cap is tested first: p**n holds x_i^(n*e) for
+        the largest exponent e of each generator x_i in p (the leading
+        coefficient in x_i, raised to n, is not zero), so the fieldwise
+        maximum of p's monomials times n decides it."""
         if n < 0:
             raise ValueError("negative exponent of a polynomial")
+        ring = p.ring
         if len(p) == 1:
-            ((m, c),) = p.items()
-            return type(p)({tuple(map(mul, m, itertools.repeat(n))): c**n})
-        out = p.ring.one
+            ((top, c),) = p.items()
+        elif n > 1:
+            top, guards = 0, ring._guards
+            for m in p:
+                top = _fieldwise(m, top, ((m | guards) - top) & guards)
+        else:
+            # p**0 = 1 and p**1 = p hold no new exponent
+            top = 0
+        for i, e in ring.pairs(top):
+            if e * n > MAX_EXPONENT:
+                raise ring._past_cap(1 << (ring._shifts[i] + _VALUE))
+        if len(p) == 1:
+            return type(p)({top * n: c**n})
+        out = ring.one
         for bit in bin(n)[2:]:
             out = out * out * p if bit == "1" else out * out
         return out
 
     def exquo(p, q):
-        """p/q, which must be exact: term by term for a term q; any other
-        q, and a quotient by a term that is not exact, go to
+        """p/q, which must be exact: term by term for a term q, where a
+        field that borrows from the next sets its guard bit; any other q,
+        and a quotient by a term that is not exact, go to
         :func:`_by_sympy` (which refuses the latter with sympy's
         ``ExactQuotientFailed``)."""
         if len(q) == 1:
             ((n, b),) = q.items()
+            guards = p.ring._guards
             out = {}
             for m, a in p.items():
-                k = tuple(map(sub, m, n))
-                if a % b or min(k, default=0) < 0:
+                k = m - n
+                if a % b or k & guards:
                     break
                 out[k] = a // b
             else:
@@ -416,14 +483,33 @@ class _JetPolyRing:
     sympy symbols of the generators (``symbols``, built on first use) and,
     for :func:`_by_sympy`, sympy's ring, built on first use too.  Rings
     compare by their keys, so that the elements of equal rings built apart
-    mix."""
+    mix.
+
+    A monomial is one int: generator i's exponent sits in the field of
+    ``_FIELD`` bits at ``_shifts[i]``, ``_VALUE`` bits of exponent under a
+    guard bit, generator 0 in the most significant field.  So the ints of
+    two monomials compare as their exponent tuples do lexicographically
+    (``max`` of a polynomial is its lex-leading monomial), the product of
+    two monomials is the sum of their ints and a quotient the difference.
+    A guard bit is set exactly where a sum passes ``MAX_EXPONENT`` or a
+    difference borrows; :meth:`_checked` tests them.  ``pairs`` and
+    ``monom`` are the format's one reader and builder: every caller
+    outside this module takes a monomial apart or makes one through
+    them."""
 
     def __init__(self, keys: tuple):
         self.keys = keys
         n = len(keys)
-        self.zero_monom = (0,) * n
+        self.zero_monom = 0
+        self._shifts = tuple((n - 1 - i) * _FIELD for i in range(n))
+        units = [1 << s for s in self._shifts]
+        # the guard bit of every field, and the exponent bits of every field
+        self._guards = sum(units) << _VALUE
+        self._values = self._guards - sum(units)
+        # guard bit -> generator index
+        self._at = {u << _VALUE: i for i, u in enumerate(units)}
         self.dtype = type("JetPoly", (_JetPoly,), {"__slots__": (), "ring": self})
-        self.gens = tuple([self.dtype({(0,) * i + (1,) + (0,) * (n - i - 1): 1}) for i in range(n)])
+        self.gens = tuple([self.dtype({u: 1}) for u in units])
         self._sympy = None
         self._hash = hash(keys)
 
@@ -436,7 +522,7 @@ class _JetPolyRing:
     # elements are dicts: each call builds a fresh one
     @property
     def one(self):
-        return self.dtype({self.zero_monom: 1})
+        return self.dtype({0: 1})
 
     @cached_property
     def symbols(self) -> tuple:
@@ -444,6 +530,52 @@ class _JetPolyRing:
         from jetweyl.trees import symbol_of
 
         return tuple(map(symbol_of, self.keys))
+
+    def pairs(self, m: int) -> tuple:
+        """The (generator index, exponent) pairs of a monomial with a
+        positive exponent, by ascending index.  Adding 2^_VALUE - 1 to
+        every field carries into the guard bit of exactly the fields that
+        are not zero; their guard bits are taken lowest first, which is
+        the highest index first."""
+        out = ()
+        at, shifts = self._at, self._shifts
+        found = (m + self._values) & self._guards
+        while found:
+            bit = found & -found
+            found ^= bit
+            i = at[bit]
+            out = ((i, (m >> shifts[i]) & MAX_EXPONENT),) + out
+        return out
+
+    def monom(self, pairs) -> int:
+        """The monomial of (generator index, exponent) pairs with distinct
+        indices and exponents >= 0; ``ExponentCapError`` for an exponent
+        past ``MAX_EXPONENT``."""
+        m = 0
+        shifts = self._shifts
+        for i, e in pairs:
+            if e > MAX_EXPONENT:
+                raise self._past_cap(1 << (shifts[i] + _VALUE))
+            m += e << shifts[i]
+        return m
+
+    def _checked(self, p):
+        """p, whose monomials were made by sums of monomials, if no guard
+        bit is set in any of them; else ``ExponentCapError``."""
+        past = reduce(or_, p, 0) & self._guards
+        if past:
+            raise self._past_cap(past)
+        return p
+
+    def _past_cap(self, guards: int) -> ExponentCapError:
+        """The error of a result whose fields with the guard bits
+        ``guards`` pass the cap, naming their generators."""
+        names = ", ".join(
+            _key_text(key) for key, s in zip(self.keys, self._shifts) if guards >> (s + _VALUE) & 1
+        )
+        return ExponentCapError(
+            f"an exponent of {names} passes the cap {MAX_EXPONENT} of a jet-ring monomial"
+        )
 
 
 class _JetFraction:
@@ -524,7 +656,12 @@ class _JetFraction:
         return NotImplemented if g is None else g / f
 
     def __pow__(f, n: int):
-        return type(f)(f.numer**n, f.denom**n)
+        """f**n; for n < 0, 1/f**-n (``ZeroDivisionError`` for f = 0)."""
+        if n >= 0:
+            return type(f)(f.numer**n, f.denom**n)
+        if not f.numer:
+            raise ZeroDivisionError("zero to a negative power in a jet field")
+        return f.field.new(f.denom**-n, f.numer**-n)
 
     def as_expr(f):
         """numer/denom as a sympy tree, with no change of sign."""
@@ -591,14 +728,19 @@ class _JetRing:
         self.index = {k: i for i, k in enumerate(self.keys)}
         # the jets come first: position -> (dependent, index)
         self._jets = [(dep, idx) for _, dep, idx in jets]
-        self._principal = [i for i, (_, idx) in enumerate(self._jets) if idx.is_principal]
+        # the exponent bits of the principal coordinates' fields
+        self._principal_mask = sum(
+            MAX_EXPONENT << self.ring._shifts[i]
+            for i, (_, idx) in enumerate(self._jets)
+            if idx.is_principal
+        )
         # D_t, D_x, D_y lifted once (see ``lift``): each image is a
         # generator or 1.  A jet of the top order, a formal derivative of
         # the highest order carried and an auxiliary generator have none.
         self._totals = {}
         for d in BASE_NAMES:
             terms = [None] * len(self.keys)
-            terms[self.index[d]] = [((), 1)]
+            terms[self.index[d]] = [(0, 1)]
             outside = (JetOrderError, f"D_{d} {{s}} lies outside the ring of jet order {order}")
             auxiliary = (ExprError, "cannot differentiate the auxiliary generator {s}")
             refused = {}
@@ -617,7 +759,7 @@ class _JetRing:
                 if j is None:
                     refused[i] = outside if type(s) is str else auxiliary
                 elif j >= 0:
-                    terms[i] = [(((j, 1),), 1)]
+                    terms[i] = list(self.gens[j].items())
             self._totals[d] = (self.ring.one, terms, refused)
         self._table: dict[int, object] = {}
         # source field -> its generators' indices here (None where missing)
@@ -639,6 +781,35 @@ class _JetRing:
         (:func:`_print_rank`), which fixes the sign of the denominator of
         a printed element; computed on first print."""
         return sorted(range(len(self.keys)), key=lambda i: _print_rank(self.keys[i]))
+
+    @cached_property
+    def _sympy_shifts(self) -> list[int]:
+        """Per generator, the shift of its field in a monomial packed in
+        sympy's generator order (:attr:`_sympy_order`)."""
+        out = [0] * len(self.keys)
+        for r, i in enumerate(self._sympy_order):
+            out[i] = (len(self.keys) - 1 - r) * _FIELD
+        return out
+
+    def canonical(self, f) -> tuple:
+        """(numerator, denominator) of a field element with the leading
+        coefficient of the denominator in sympy's generator order positive:
+        the sign the printed text and tree carry.  The leading monomial is
+        the largest once repacked in that order."""
+        num, den = f.numer, f.denom
+        if len(den) == 1:
+            ((_, lead),) = den.items()
+        else:
+            pairs, shifts = self.ring.pairs, self._sympy_shifts
+
+            def repacked(m):
+                out = 0
+                for i, e in pairs(m):
+                    out += e << shifts[i]
+                return out
+
+            lead = den[max(den, key=repacked)]
+        return (-num, -den) if lead < 0 else (num, den)
 
     # -- the sympy boundary (jetweyl.trees) ------------------------------------
 
@@ -666,18 +837,21 @@ class _JetRing:
         source = f.field
         places = self._embeddings.get(source)
         if places is None:
-            places = self._embeddings[source] = [self.index.get(s) for s in source.keys]
-        n = len(self.keys)
+            shifts = self.ring._shifts
+            places = self._embeddings[source] = [
+                None if j is None else shifts[j] for j in map(self.index.get, source.keys)
+            ]
+        pairs = source.ring.pairs
 
         def moved(p):
             out = {}
             for monom, c in p.items():
-                m = [0] * n
-                for i in itertools.compress(range(len(monom)), monom):
+                m = 0
+                for i, e in pairs(monom):
                     if places[i] is None:
                         self._generator(source.keys[i])
-                    m[places[i]] = monom[i]
-                out[tuple(m)] = c
+                    m += e << places[i]
+                out[m] = c
             return self.ring.dtype(out)
 
         num, den = moved(f.numer), moved(f.denom)
@@ -716,17 +890,14 @@ class _JetRing:
         """A derivation with images (generator index, element) as
         :meth:`apply` takes it: (c, terms, refused), with the images n_i/c
         over one common denominator (:func:`_common_denominator`),
-        ``terms[i]`` the terms of n_i with sparse monomials ((generator,
-        exponent), ...) or None, and ``refused`` {generator index: (error
-        class, message in the generator ``{s}``)}."""
+        ``terms[i]`` the terms (monomial, coefficient) of n_i or None, and
+        ``refused`` {generator index: (error class, message in the
+        generator ``{s}``)}."""
         images = [(i, img) for i, img in images if img]
         c, nums = _common_denominator(self.ring, [img for _, img in images])
         terms = [None] * len(self.keys)
         for (i, _), num in zip(images, nums):
-            terms[i] = [
-                (tuple(zip(itertools.compress(itertools.count(), m), filter(None, m))), a)
-                for m, a in num.items()
-            ]
+            terms[i] = list(num.items())
         return c, terms, refused or {}
 
     def apply(self, f, lifted):
@@ -742,30 +913,37 @@ class _JetRing:
 
     def _along(self, p, lifted):
         """sum_i n_i dp/dg_i of a polynomial for the lifted images: each
-        term of p is differentiated by the generators in its support, and
-        every product with an n_i is accumulated in one dict.  A refused
-        generator in the support raises its error."""
+        term of p is differentiated by the generators in its support (read
+        as ``_JetPolyRing.pairs`` reads it, highest index first), each
+        product with a term of n_i is the monomial less g_i plus the
+        term's monomial, and all are accumulated in one dict, whose guard
+        bits are tested once.  A refused generator in the support raises
+        its error."""
         _, terms, refused = lifted
+        ring = self.ring
+        at, shifts, values, guards = ring._at, ring._shifts, ring._values, ring._guards
         out: dict = {}
+        get = out.get
         for monom, coef in p.items():
-            for i in itertools.compress(itertools.count(), monom):
+            found = (monom + values) & guards
+            while found:
+                bit = found & -found
+                found ^= bit
+                i = at[bit]
                 image = terms[i]
                 if image is None:
                     if i in refused:
                         error, message = refused[i]
                         raise error(message.format(s=_key_text(self.keys[i])))
                     continue
-                e = monom[i]
-                k = coef * e
+                k = coef * ((monom >> shifts[i]) & MAX_EXPONENT)
+                # the unit of field i is its guard bit shifted down
+                rest = monom - (bit >> _VALUE)
                 for m, a in image:
-                    key = list(monom)
-                    key[i] = e - 1
-                    for j, x in m:
-                        key[j] += x
-                    key = tuple(key)
-                    v = out.get(key)
+                    key = rest + m
+                    v = get(key)
                     out[key] = k * a if v is None else v + k * a
-        return self.ring.dtype({m: v for m, v in out.items() if v})
+        return ring._checked(ring.dtype({m: v for m, v in out.items() if v}))
 
     def present(self, f) -> list[int]:
         """Indices of the generators that occur in f, ascending."""
@@ -786,9 +964,10 @@ class _JetRing:
         if got is not None:
             return got
         if self.extras:
-            pad = (0,) * len(self.extras)
+            # the extras' fields come last: shift past them
+            pad = len(self.extras) * _FIELD
             plain = _jet_ring(self.order).principal(i)
-            got = self.ring.dtype({m + pad: c for m, c in plain.items()})
+            got = self.ring.dtype({m << pad: c for m, c in plain.items()})
         else:
             dep, idx = self._jets[i]
             if idx == MultiIndex(1, 1, 0):
@@ -805,24 +984,24 @@ class _JetRing:
 
     def _reduce_poly(self, p):
         """Substitute every principal generator of a polynomial; terms with
-        the same principal part share one product of table entries."""
+        the same principal part (the monomial masked to the principal
+        fields) share one product of table entries."""
         groups: dict = {}
         plain: dict = {}
+        mask = self._principal_mask
         for monom, c in p.items():
-            key = tuple((i, monom[i]) for i in self._principal if monom[i])
+            key = monom & mask
             if not key:
                 plain[monom] = c
                 continue
-            rest = list(monom)
-            for i, _ in key:
-                rest[i] = 0
-            groups.setdefault(key, {})[tuple(rest)] = c
+            groups.setdefault(key, {})[monom ^ key] = c
         if not groups:
             return p
         powers: dict = {}
+        pairs = self.ring.pairs
         for key, rest in groups.items():
             factor = self.ring.dtype(rest)
-            for i, n in key:
+            for i, n in pairs(key):
                 pw = powers.get((i, n))
                 if pw is None:
                     pw = powers[(i, n)] = self.principal(i) ** n
@@ -917,11 +1096,9 @@ def read(tree, ring, roots=None):
         else:
             b = tree[2][2]
             base, n = field.gens[ring.index[("root", b)]], int(tree[3] * roots[b])
-        if n >= 0:
-            return base**n
-        if not base:
+        if n < 0 and not base:
             raise _ZeroDivisor
-        return field.one / base**-n
+        return base**n
     out = read(tree[2], ring, roots)
     for op, operand, _ in tree[3]:
         f = read(operand, ring, roots)
@@ -1085,18 +1262,13 @@ def text(ring, f) -> str:
     printed as ``exprcore.to_text`` prints the sympy tree of that quotient.
     A denominator that is an integer is spread over a sum (1/2*u_x + u_y);
     one term over one term shares one rational coefficient."""
-    num, den = f.numer, f.denom
-    if not num:
+    if not f.numer:
         return "0"
-    order = ring._sympy_order
-    if den[max(den, key=lambda m: [m[i] for i in order])] < 0:
-        num, den = -num, -den
+    num, den = ring.canonical(f)
+    keys, pairs = ring.keys, ring.ring.pairs
 
     def terms(p):
-        return [
-            (c, [(ring.keys[i], m[i]) for i in itertools.compress(range(len(m)), m)])
-            for m, c in p.items()
-        ]
+        return [(c, [(keys[i], e) for i, e in pairs(m)]) for m, c in p.items()]
 
     return _quotient_text(terms(num), terms(den))
 
@@ -1179,9 +1351,9 @@ def _recurrence(dep: str) -> tuple[int, tuple]:
     c, terms = None, []
     for monom, coef in F.numer.items():
         factors = []
-        for i in itertools.compress(range(len(monom)), monom):
+        for i, e in ring.ring.pairs(monom):
             d, idx = ring._jets[i]
-            factors += [(d, (idx.nt, idx.nx, idx.ny))] * monom[i]
+            factors += [(d, (idx.nt, idx.nx, idx.ny))] * e
         if factors == [(dep, (1, 1, 0))]:
             c = coef
             continue
@@ -1491,10 +1663,7 @@ class JetPoint:
 
         def at(p) -> Fraction:
             terms, den = _clear_denominators(p, D)
-            total = sum(
-                scale * prod(values[i] ** m[i] for i in itertools.compress(range(len(m)), m))
-                for m, scale in terms
-            )
+            total = sum(scale * prod(values[i] ** e for i, e in pairs) for pairs, scale in terms)
             return Fraction(total, den)
 
         den = at(f.denom)
@@ -1512,17 +1681,28 @@ class JetPoint:
         return eval_tree(self, e)
 
 
-def _clear_denominators(p, L: int) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+def _clear_denominators(p, L: int) -> tuple[list[tuple[tuple, int]], int]:
     """An integer polynomial whose variables are integers over the common
     denominator L, in integers: with ``top`` its total degree, the pairs
-    (m, c L^(top - |m|)) of its terms c * x^m and the denominator L^top.
-    Summing coefficient * prod n_i^m_i over the pairs gives the value times
-    that denominator."""
-    top = max(map(sum, p), default=0)
+    (m, c L^(top - |m|)) of its terms c * x^m, each m as its (generator
+    index, exponent) pairs (``_JetPolyRing.pairs``), and the denominator
+    L^top.  Summing coefficient * prod n_i^m_i over the pairs gives the
+    value times that denominator."""
+    pairs = p.ring.pairs
+    terms = []
+    top = 0
+    for m, c in p.items():
+        m = pairs(m)
+        degree = 0
+        for _, e in m:
+            degree += e
+        if degree > top:
+            top = degree
+        terms.append((m, c, degree))
     powers = [1]
     for _ in range(top):
         powers.append(powers[-1] * L)
-    return [(m, int(c) * powers[top - sum(m)]) for m, c in p.items()], powers[top]
+    return [(m, int(c) * powers[top - degree]) for m, c, degree in terms], powers[top]
 
 
 @lru_cache(maxsize=None)
@@ -1543,15 +1723,13 @@ def _poly_sums(point: JetPoint, ring: _JetRing, p, coords=()) -> tuple[int, int,
     terms, den = _clear_denominators(p, D)
     place = {i: n for n, i in enumerate(coords)}
     value, grad = 0, [0] * len(coords)
-    for monom, scale in terms:
-        support = list(itertools.compress(range(len(monom)), monom))
-        powers = [nums[i] ** monom[i] for i in support]
+    for pairs, scale in terms:
+        powers = [nums[i] ** e for i, e in pairs]
         value += scale * prod(powers)
-        for s, i in enumerate(support):
+        for s, (i, e) in enumerate(pairs):
             n = place.get(i)
             if n is not None:
                 # the derivative has degree |m| - 1: one more factor D
-                e = monom[i]
                 rest = prod(powers[:s]) * prod(powers[s + 1 :])
                 grad[n] += scale * e * D * nums[i] ** (e - 1) * rest
     return value, den, grad

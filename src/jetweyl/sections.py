@@ -184,11 +184,14 @@ def _term(reading) -> tuple:
 def _monomial(ring, joint: dict, c: Fraction, terms):
     """c * prod p^r in a ring with the generators ``joint``: p^r is the
     power r*M of the generator of p, M = joint[p]."""
-    e = [0] * len(ring.keys)
+    e: dict = {}
     for p, r in terms:
         key, M = joint[p]
-        e[ring.index[key]] += int(r * M)
-    up, down = (tuple(max(n * sign, 0) for n in e) for sign in (1, -1))
+        i = ring.index[key]
+        e[i] = e.get(i, 0) + int(r * M)
+    up, down = (
+        ring.ring.monom([(i, n * sign) for i, n in e.items() if n * sign > 0]) for sign in (1, -1)
+    )
     dtype = ring.ring.dtype
     return ring.field.raw_new(dtype({up: c.numerator} if c else {}), dtype({down: c.denominator}))
 
@@ -208,11 +211,12 @@ def _linear(F: "_Rescaled", f) -> dict | None:
     if _support(f.denom):
         return None
     bases, out = {F.ring.index[b]: b for b in BASE_NAMES}, {}
+    ((_, d),) = f.denom.items()
     for monom, c in f.numer.items():
-        i = _support([monom])
-        if i and (len(i) > 1 or monom[i[0]] > 1 or i[0] not in bases):
+        pairs = F.ring.ring.pairs(monom)
+        if pairs and (len(pairs) > 1 or pairs[0][1] > 1 or pairs[0][0] not in bases):
             return None
-        out[bases[i[0]] if i else 0] = Fraction(c, f.denom[F.ring.ring.zero_monom])
+        out[bases[pairs[0][0]] if pairs else 0] = Fraction(c, d)
     return out
 
 
@@ -385,15 +389,16 @@ class _Rescaled:
         R^M = p."""
         if not self._radicals or not p:
             return p
+        ring = self.ring.ring
         out: dict = {}
         for monom, c in p.items():
-            m = list(monom)
+            m = dict(ring.pairs(monom))
             for i, prime, M in self._radicals:
-                if m[i] >= M:
+                if m.get(i, 0) >= M:
                     q, m[i] = divmod(m[i], M)
                     c = c * prime**q
-            _merge(out, {tuple(m): c})
-        return self.ring.ring.dtype(out)
+            _merge(out, {ring.monom(m.items()): c})
+        return ring.dtype(out)
 
     def _reduced_element(self, f):
         if not self._radicals:
@@ -445,10 +450,11 @@ class _Rescaled:
         one common denominator L of the values, each side P of f is
         P~ / L^D; a term in a generator whose value is zero is left out."""
         used = _support(f.numer, f.denom)
-        keys = f.field.keys
+        keys, pairs = f.field.keys, f.field.ring.pairs
         L, nums = _common_denominator(self.ring.ring, [value(keys[i]) for i in used])
-        zero = [i for i, n in zip(used, nums) if not n]
-        dtype, constant = self.ring.ring.dtype, self.ring.ring.zero_monom
+        # generator index -> its place in used, None where its value is zero
+        place = {i: j if n else None for j, (i, n) in enumerate(zip(used, nums))}
+        dtype = self.ring.ring.dtype
         powers: dict = {}
 
         def power(j, n):
@@ -458,20 +464,19 @@ class _Rescaled:
             return got
 
         def side(p):
-            terms = [
-                (m, c, sum(m[i] for i in used))
-                for m, c in p.items()
-                if not (zero and any(m[i] for i in zero))
-            ]
+            terms = []
+            for m, c in p.items():
+                m = [(place[i], e) for i, e in pairs(m)]
+                if all(j is not None for j, _ in m):
+                    terms.append((m, c, sum(e for _, e in m)))
             top = max((deg for _, _, deg in terms), default=0)
             acc: dict = {}
             for m, c, deg in terms:
-                term = dtype({constant: c})
+                term = dtype({0: c})
                 if deg < top:
                     term = term * power(-1, top - deg)
-                for j, i in enumerate(used):
-                    if m[i]:
-                        term = term * power(j, m[i])
+                for j, e in m:
+                    term = term * power(j, e)
                 _merge(acc, term)
             return dtype(acc), top
 
@@ -517,13 +522,15 @@ def _root_text(scaled: _Rescaled, f) -> str:
         kind, i, m = scaled._readings.get(key, (None, None, None))
         names.append((BASE_NAMES[i], Fraction(1, m)) if kind == "root" else (key, 1))
 
+    pairs = scaled.ring.ring.pairs
+
     def terms(p) -> list:
         merged: dict = {}
         for monom, c in p.items():
             powers: dict = {}
-            for i in itertools.compress(range(len(monom)), monom):
+            for i, e in pairs(monom):
                 name, k = names[i]
-                powers[name] = powers.get(name, 0) + monom[i] * k
+                powers[name] = powers.get(name, 0) + e * k
             _merge(merged, {tuple(sorted(powers.items())): c})
         return [(c, list(powers)) for powers, c in merged.items()]
 
@@ -752,15 +759,16 @@ def _rekeying(target, source, moves: dict):
     else to k, with the sign made canonical again."""
     places = [moves.get(k, (k, 1)) for k in source.keys]
     places = [(target.index.get(to), Fraction(n)) for to, n in places]
-    size = len(target.keys)
+    pairs = source.ring.pairs
 
     def moved(p):
         out = {}
         for monom, c in p.items():
-            m = [0] * size
-            for i in itertools.compress(range(len(monom)), monom):
-                m[places[i][0]] += int(monom[i] * places[i][1])
-            out[tuple(m)] = c
+            m: dict = {}
+            for i, e in pairs(monom):
+                j, n = places[i]
+                m[j] = m.get(j, 0) + int(e * n)
+            out[target.ring.monom(m.items())] = c
         return target.ring.dtype(out)
 
     def into(f):
@@ -898,7 +906,7 @@ def _read_values(trees, names: frozenset = frozenset(BASE_NAMES)) -> tuple | Non
         for f in values:
             for p in (f.numer, f.denom):
                 for monom in p:
-                    acc = math.gcd(acc, monom[j])
+                    acc = math.gcd(acc, dict(ring.ring.pairs(monom)).get(j, 0))
         g[key] = acc
     final = {key[1]: roots[key[1]] // g[key] for key in aux}
     target = _ring_of(
@@ -990,10 +998,12 @@ def _t_poly(F: _Rescaled, p) -> list | None:
     t = F.ring.index["t"]
     out: list = []
     for monom, c in p.items():
-        if any(n for i, n in enumerate(monom) if i != t):
+        pairs = F.ring.ring.pairs(monom)
+        if pairs and (len(pairs) > 1 or pairs[0][0] != t):
             return None
-        out.extend([0] * (monom[t] + 1 - len(out)))
-        out[monom[t]] = c
+        e = pairs[0][1] if pairs else 0
+        out.extend([0] * (e + 1 - len(out)))
+        out[e] = c
     return out
 
 
@@ -1124,10 +1134,17 @@ def _as_read(G: SectionField, values) -> tuple:
     occurs is left out."""
     ring = G.ring
     values = [_cleared(G, f) for f in values]
+    # generator index -> its positive exponents in the values
+    exponents: dict = {}
+    for f in values:
+        for side in (f.numer, f.denom):
+            for m in side:
+                for i, e in ring.ring.pairs(m):
+                    exponents.setdefault(i, []).append(e)
     joint, moves = {}, {}
     for key, reading in G._readings.items():
         j, (p, r) = ring.index[key], _term(reading)
-        powers = [m[j] for f in values for side in (f.numer, f.denom) for m in side if m[j]]
+        powers = exponents.get(j)
         if not powers:
             continue
         g = math.gcd(r.denominator, *powers)
@@ -1153,10 +1170,11 @@ def _cleared(G: _Rescaled, f):
     if len(f.denom) != 1:
         return f
     (monom,) = f.denom
+    powers = dict(G.ring.ring.pairs(monom))
     gens, clear = G.ring.ring.gens, G.ring.ring.one
     for i, _, M in G._radicals:
-        if monom[i]:
-            clear = clear * gens[i] ** (M - monom[i])
+        if i in powers:
+            clear = clear * gens[i] ** (M - powers[i])
     if clear == 1:
         return f
     # reduced before the field cancels, which would take R^(M-k) out again

@@ -562,9 +562,8 @@ class _TaylorJet:
                 tuple(e[m] - (m == n) for m in range(3)): e[n] * q for e, q in w.items() if e[n]
             })
         self.args = [{e: q for e, q in a.items() if not (e[0] and e[1])} for a in args]
-        self._monomials: dict[tuple[int, ...], _Series] = {
-            (0,) * len(self.args): {(0, 0, 0): 1}
-        }
+        # keyed by the (generator, exponent) pairs of a monomial
+        self._monomials: dict[tuple, _Series] = {(): {(0, 0, 0): 1}}
         # for the transport terms: the internal sigma with sigma!, and per
         # dependent the series of w_t, w_x, w_y, whose sigma coefficients are
         # L w_{sigma+t} / sigma!, L w_{sigma+x} / sigma!, L w_{sigma+y} / sigma!
@@ -574,11 +573,14 @@ class _TaylorJet:
         ]
         self.slopes = {dep: [self.args[m] for m in at] for dep, at in places.items()}
 
-    def _monomial(self, expo: tuple[int, ...]) -> _Series:
+    def _monomial(self, expo: tuple) -> _Series:
+        """The series of the monomial with the (generator, exponent) pairs
+        ``expo``: that of the monomial with one factor of its last
+        generator less, times that generator's series."""
         got = self._monomials.get(expo)
         if got is None:
-            n = max(m for m, e in enumerate(expo) if e)
-            lower = expo[:n] + (expo[n] - 1,) + expo[n + 1 :]
+            n, e = expo[-1]
+            lower = expo[:-1] + ((n, e - 1),) if e > 1 else expo[:-1]
             got = _series_mul(self._monomial(lower), self.args[n], self.k)
             self._monomials[expo] = got
         return got

@@ -79,8 +79,8 @@ def key_of(s: sp.Symbol):
 
 def poly_tree(p) -> sp.Expr:
     """A polynomial of a jet ring as a sympy tree."""
-    symbols = p.ring.symbols
-    return sp.Add(*[sp.Mul(c, *[s**e for s, e in zip(symbols, m) if e]) for m, c in p.items()])
+    symbols, pairs = p.ring.symbols, p.ring.pairs
+    return sp.Add(*[sp.Mul(c, *[symbols[i] ** e for i, e in pairs(m)]) for m, c in p.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +192,9 @@ def to_expr(ring: _JetRing, f) -> sp.Expr:
     """The expression in ``normalize``'s canonical form: numerator over
     denominator, in lowest terms as f is, with the denominator's leading
     coefficient in sympy's generator order positive."""
-    num, den = f.numer, f.denom
-    if not num:
+    if not f.numer:
         return sp.Integer(0)
-    order = ring._sympy_order
-    if den[max(den, key=lambda m: [m[i] for i in order])] < 0:
-        num, den = -num, -den
+    num, den = ring.canonical(f)
     return poly_tree(num) / poly_tree(den)
 
 

@@ -6,9 +6,12 @@ polynomials when one side has a single term; a pair of two multi-term
 sides goes to sympy (``jets._by_sympy``).  Both must agree entry for entry
 with sympy's cancel of the same pair in sympy's own ring: on seeded pairs
 of every kind the fast path takes, on a general pair, and on every call
-the symbolic checks make.  In a fresh process, a ``verify-all`` pass and
-``check-solution`` of every catalog id reach ``jets._by_sympy`` not once;
-a moved section does.
+the symbolic checks make; in the order-6 ring (171 generators, monomials
+of 2,736 bits), with exponents one below the cap in the one-term cancel,
+the multi-term cancel and the lcm.  A cancel whose shift is off by one in
+a packed monomial's lowest field fails the oracle.  In a fresh process,
+a ``verify-all`` pass and ``check-solution`` of every catalog id reach
+``jets._by_sympy`` not once; a moved section does.
 """
 
 import json
@@ -25,6 +28,8 @@ from jetweyl.exprcore import T, X, normalize
 from jetweyl.invariants import invariant, verify_invariance
 from jetweyl.jets import _cancel, _jet_ring
 from jetweyl.symmetry import grading_check
+from test_kernels import _mutant
+from tree_oracle import jet_poly, sympy_poly
 from tree_oracle import sympy_cancel as _sympys
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -37,11 +42,11 @@ def _coefficient(rng: random.Random):
     return rng.choice([-1, 1]) * rng.randint(1, 12)
 
 
-def _monomial(rng: random.Random, degree: int = 3) -> tuple:
+def _monomial(rng: random.Random, degree: int = 3) -> int:
     m = [0] * len(_R.symbols)
     for _ in range(rng.randint(0, degree)):
         m[rng.randrange(len(m))] += 1
-    return tuple(m)
+    return _R.monom((i, e) for i, e in enumerate(m) if e)
 
 
 def _term(rng: random.Random, constant: bool = False):
@@ -220,3 +225,82 @@ def test_only_a_moved_section_reaches_sympys_gcd():
     assert set(report) == {"verify-all", *geometry.CATALOG_IDS}
     assert report["verify-all"] == [0, 0]
     assert {cid: calls for cid, (_, calls) in report.items()} == dict.fromkeys(report, 0)
+
+
+# ---------------------------------------------------------------------------
+# the order-6 ring, with exponents one below the cap
+
+_R6 = _jet_ring(6).ring
+_HIGH = jets.MAX_EXPONENT - 1
+
+
+def _wide_term(rng: random.Random, high: bool):
+    """A seeded term of the order-6 ring (171 generators, monomials of
+    2,736 bits); ``high`` puts an exponent within 3 of ``_HIGH`` in one
+    field."""
+    m: dict = {}
+    for _ in range(rng.randint(0, 4)):
+        i = rng.randrange(len(_R6.keys))
+        m[i] = m.get(i, 0) + 1
+    if high:
+        m[rng.randrange(len(_R6.keys))] = rng.randint(_HIGH - 3, _HIGH)
+    return _R6.dtype({_R6.monom(m.items()): _coefficient(rng)})
+
+
+def _wide_poly(rng: random.Random, terms: int, high: bool):
+    out = _R6.dtype()
+    while len(out) < terms:
+        out += _wide_term(rng, high)
+    return out
+
+
+def test_cancel_in_the_order6_ring_matches_sympy():
+    rng = random.Random(16)
+    kinds = set()
+    for n in range(600):
+        high = n % 2 == 1
+        if n % 3 == 0:
+            numer, denom = _wide_poly(rng, rng.randint(1, 4), high), _wide_term(rng, high)
+        elif n % 3 == 1:
+            numer, denom = _wide_term(rng, high), _wide_poly(rng, rng.randint(2, 4), high)
+        else:
+            k = rng.randint(2, 6)
+            numer, denom = _wide_poly(rng, 3, high) * k, _wide_term(rng, high) * -k
+        got = _cancel(numer, denom)
+        assert got == _sympys(numer, denom), (numer, denom)
+        kinds.add((high, got != (numer, denom)))
+    # near the cap and not, cancelled and already in lowest terms
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _near_cap_pairs() -> list:
+    """Two multi-term pairs in the order-6 ring whose common factor holds
+    an exponent one below the cap."""
+    u, b, y = _R6.gens[0], _R6.gens[100], _R6.gens[-1]
+    high = u**_HIGH
+    return [
+        (high * y * (b + 1), high * (b + 1) * (y + 3)),
+        (high * b - high * y * 5, high * y**2 + high),
+    ]
+
+
+def test_the_multi_term_cancel_and_lcm_near_the_cap_match_sympy():
+    for numer, denom in _near_cap_pairs():
+        assert _cancel(numer, denom) == _sympys(numer, denom)
+        assert jets._lcm(numer, denom) == jet_poly(_R6, sympy_poly(numer).lcm(sympy_poly(denom)))
+    rng = random.Random(17)
+    for _ in range(200):
+        a, b = _wide_term(rng, True), _wide_term(rng, True)
+        assert jets._lcm(a, b) == jet_poly(_R6, sympy_poly(a).lcm(sympy_poly(b))), (a, b)
+
+
+def test_a_cancel_with_a_field_off_by_one_fails_the_oracle():
+    # the shift by the common monomial one short in the lowest field
+    mutant = _mutant(
+        jets._cancel,
+        "ring.dtype({m - low: c // content for m, c in denom.items()})",
+        "ring.dtype({m - low + 1: c // content for m, c in denom.items()})",
+    )
+    rng = random.Random(16)
+    pairs = [(_wide_poly(rng, 3, True), _wide_term(rng, True)) for _ in range(50)]
+    assert any(mutant(n, d) != _sympys(n, d) for n, d in pairs)

@@ -111,12 +111,13 @@ def _root_features(sf, f, text: str) -> set:
     found = set()
     if "^(" in text:
         found.add("fractional power")
-    roots = [sf.ring.index[k] for k in sf._readings]
-    if any(m[j] for m in f.denom for j in roots):
+    roots = {sf.ring.index[k] for k in sf._readings}
+    below = any(i in roots for m in f.denom for i, _ in sf.ring.ring.pairs(m))
+    if below:
         found.add("root below")
     if text.startswith(("-", "(-")):
         found.add("negative leading term")
-    if len(f.denom) > 1 and any(m[sf.ring.index[k]] for k in sf._readings for m in f.denom):
+    if len(f.denom) > 1 and below:
         found.add("root in a multi-term denominator")
     if "f(t)" in text:
         found.add("formal function")

@@ -3,10 +3,13 @@ entry, and a guard that the program computes over ZZ only.
 
 Every jet ring builds its field over ZZ and cancels one-term pairs
 without a gcd (``jets._cancel``).  The QQ side here runs the same program
-code with each ring's field replaced by sympy's own ``FracField`` over QQ
-(built in this module; its ``new`` cancels by ``PolyElement.cancel``),
-with the canonical expression of the QQ field (coefficients cleared by the
-lcm of their denominators and divided by their gcd) and sympy's lcm.
+code with each ring's field replaced by a field over QQ (built in this
+module): the program's packed polynomials with ``Fraction``
+coefficients, whose ``new`` cancels, exact quotient and lcm are sympy's
+``PolyElement.cancel``, ``exquo`` and ``lcm`` over QQ (the monomials read
+and built through the ring's ``pairs`` and ``monom``), with the canonical
+expression of the QQ field (coefficients cleared by the lcm of their
+denominators and divided by their gcd).
 The canonical expressions of both sides must be identical: for F1 and F2,
 the order-3 invariant data, the principal table through order 4, the
 Ricci elements of every catalog entry and nested rational-coefficient
@@ -18,17 +21,19 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import sympy as sp
 from sympy.polys.domains import QQ
-from sympy.polys.fields import FracField
+from sympy.polys.rings import PolyRing
 
 from jetweyl import exprcore, fields, geometry, invariants, jets, symmetry, trees
 from jetweyl.exprcore import T, X, Y, formal, jet
 from jetweyl.jets import _jet_ring, principal_indices
 from jetweyl.trees import _ring_for
+from tree_oracle import dense
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -42,21 +47,65 @@ def _clear_caches() -> None:
                 value.cache_clear()
 
 
-def _qq_field(keys: tuple) -> FracField:
-    """sympy's field over QQ on the generators of a jet ring, which keeps
-    the ring's generator keys."""
-    field = FracField(tuple(map(trees.symbol_of, keys)), QQ)
-    field.keys = keys
-    return field
+def _to_qq(p):
+    """A polynomial of a jet ring as an element of sympy's ring over QQ on
+    its generators."""
+    ring = p.ring
+    if getattr(ring, "_qq", None) is None:
+        ring._qq = PolyRing(tuple(map(trees.symbol_of, ring.keys)), QQ)
+    terms = {dense(ring, m): QQ(c.numerator, c.denominator) for m, c in p.items()}
+    return ring._qq.from_dict(terms)
+
+
+def _from_qq(ring, q):
+    """An element of sympy's ring over QQ as a polynomial of the jet ring
+    ``ring`` with ``Fraction`` coefficients."""
+    out = {}
+    for m, c in q.items():
+        monom = ring.monom((i, e) for i, e in enumerate(m) if e)
+        out[monom] = Fraction(int(c.numerator), int(c.denominator))
+    return ring.dtype(out)
+
+
+def _qq_exquo(p, q):
+    return _from_qq(p.ring, _to_qq(p).exquo(_to_qq(q)))
+
+
+def _qq_lcm(a, b):
+    return _from_qq(a.ring, _to_qq(a).lcm(_to_qq(b)))
+
+
+def _qq_other(p, q):
+    """q as terms of p's ring, a rational constant among them."""
+    if isinstance(q, (int, Fraction)):
+        return {0: q} if q else {}
+    return q if isinstance(q, jets._JetPoly) and q.ring == p.ring else None
+
+
+class _QQField(jets._JetField):
+    """A jet field over QQ: the program's packed polynomials with
+    ``Fraction`` coefficients, cancelled, divided and lcm'd by sympy over
+    QQ."""
+
+    domain = QQ
+
+    def __init__(self, keys: tuple):
+        super().__init__(keys)
+        self.ring.dtype.exquo = _qq_exquo
+        self.ring.dtype._other = _qq_other
+
+    def new(self, numer, denom):
+        p, q = _to_qq(numer).cancel(_to_qq(denom))
+        return self.raw_new(_from_qq(self.ring, p), _from_qq(self.ring, q))
 
 
 def _qq_to_expr(self, f) -> sp.Expr:
     """The canonical expression of an element over QQ: integer
     coefficients without a common factor, the denominator's leading
     coefficient (in sympy's generator order) positive."""
-    num, den = f.numer, f.denom
-    if not num:
+    if not f.numer:
         return sp.Integer(0)
+    num, den = _to_qq(f.numer), _to_qq(f.denom)
     coeffs = [*num.values(), *den.values()]
     lcm = math.lcm(*(int(c.denominator) for c in coeffs))
     gcd = math.gcd(*(int(c.numerator) * (lcm // int(c.denominator)) for c in coeffs))
@@ -124,12 +173,16 @@ def both_sides():
     try:
         zz = _build()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(jets, "_JetField", _qq_field)
+            mp.setattr(jets, "_JetField", _QQField)
             mp.setattr(jets._JetRing, "to_expr", _qq_to_expr)
-            mp.setattr(jets, "_lcm", lambda a, b: a.lcm(b))
+            mp.setattr(jets, "_lcm", _qq_lcm)
             qq = _build()
             assert _jet_ring(2).field.domain == QQ
-            assert type(_jet_ring(2).field) is FracField
+            assert type(_jet_ring(2).field) is _QQField
+            # the QQ side's coefficients are rationals
+            e = _nested_inputs()[0]
+            f = _ring_for(1, (e,)).convert(e)
+            assert {type(c) for c in (*f.numer.values(), *f.denom.values())} == {Fraction}
     finally:
         _clear_caches()
     return zz, qq

@@ -15,14 +15,29 @@ n1*d2 + n2*d1 over d1*d2, cancelled by sympy.  Jet rings compare by
 identity first, and equal rings built apart still compare equal and add.
 The polynomial class's products, sums, powers, equality and exact
 quotients match sympy's ``PolyRing`` over ZZ on the same terms
-(``tree_oracle.sympy_poly``).  Each oracle has a negative control: the
-kernel with one exponent off by one fails it.
+(``tree_oracle.sympy_poly``, which reads the packed monomials through
+the ring's ``pairs``), in the order-6 ring of 171 generators too, and the
+exact quotients and their refusals also with exponents one below the cap.
+Each oracle has a negative control: the kernel with one exponent off by
+one (one more in a packed monomial's lowest field, or the unit of the
+differentiated field not taken off) fails it.
+
+Exponents past ``jets.MAX_EXPONENT`` are refused, never wrapped: a
+product, a power, a derivation, a monomial built from pairs and an lcm
+made by sympy raise ``ExponentCapError``, and so does a command line that
+reaches them (exit code 4); without the guard test a product past the cap
+gives a wrong monomial.  A field element to a negative power is the
+inverse of its positive power.  No module but ``jets`` reads the packed
+format.
 """
 
+import ast
 import inspect
+import json
 import random
 import re
 import textwrap
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -32,7 +47,8 @@ from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import PolyElement
 
 from jetweyl import geometry, invariants, jets, symmetry, trees
-from jetweyl.errors import ExprError, JetweylError
+from jetweyl.cli import main
+from jetweyl.errors import ExponentCapError, ExprError, JetweylError
 from jetweyl.exprcore import (
     BASE_SYMBOLS,
     X,
@@ -48,7 +64,7 @@ from jetweyl.exprcore import (
 from jetweyl.jets import _jet_ring
 from jetweyl.trees import _ring_for
 from test_integer_field import _clear_caches, _nested_inputs
-from tree_oracle import diff_derivation, jet_poly, sympy_cancel, sympy_poly, tree_convert
+from tree_oracle import dense, diff_derivation, jet_poly, sympy_cancel, sympy_poly, tree_convert
 
 _BOUND = {
     "dkp-partial": {"h": 0},
@@ -71,6 +87,12 @@ def _mutant(func, old: str, new: str):
 
 def _entries(f) -> tuple:
     return dict(f.numer), dict(f.denom)
+
+
+def _dense_terms(p) -> dict:
+    """{exponent tuple: coefficient} of a polynomial, as sympy's ring keys
+    its terms."""
+    return {dense(p.ring, m): c for m, c in p.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +283,10 @@ def test_derivation_matches_the_diff_path_entry_for_entry(derivations):
 
 def test_a_derivation_with_an_exponent_off_by_one_fails_the_oracle(derivations, monkeypatch):
     monkeypatch.setattr(
-        jets._JetRing, "_along", _mutant(jets._JetRing._along, "key[i] = e - 1", "key[i] = e")
+        jets._JetRing,
+        "_along",
+        # the packed monomial keeps the exponent it was differentiated by
+        _mutant(jets._JetRing._along, "rest = monom - (bit >> _VALUE)", "rest = monom"),
     )
     assert any(
         _entries(ring.apply(f, lifted)) != _entries(diff_derivation(ring, f, images))
@@ -338,12 +363,8 @@ def test_sums_with_a_zero_operand_match_the_sums_over_the_product(monkeypatch):
 
 def test_a_sum_with_a_shift_off_by_one_fails_the_oracle(monkeypatch):
     # the last exponent of each lift to the lcm (a quotient by a term) one
-    # too high
-    mutant = _mutant(
-        jets._JetPoly.exquo,
-        "k = tuple(map(sub, m, n))",
-        "k = tuple(map(sub, m, n))[:-1] + (m[-1] - n[-1] + 1,)",
-    )
+    # too high: one more in the packed monomial's lowest field
+    mutant = _mutant(jets._JetPoly.exquo, "k = m - n", "k = m - n + 1")
     monkeypatch.setattr(jets._JetPoly, "exquo", mutant)
     ring = _jet_ring(1)
     elements = _term_fractions(ring, random.Random(7), 10)
@@ -395,15 +416,19 @@ def _poly(ring, rng: random.Random, terms: int):
         m = [0] * len(ring.symbols)
         for _ in range(rng.randint(0, 3)):
             m[rng.randrange(len(m))] += 1
-        out[tuple(m)] = rng.choice((-7, -3, -2, -1, 1, 2, 5, 12))
+        monom = ring.monom((i, e) for i, e in enumerate(m) if e)
+        out[monom] = rng.choice((-7, -3, -2, -1, 1, 2, 5, 12))
     return ring.dtype(out)
 
 
 def _operand_rings() -> list:
+    # the order-6 ring has 171 generators: its monomials are ints of 2,736
+    # bits
     return [
         _jet_ring(3).ring,
         geometry.catalog("exp-family").field.ring.ring,
         _ring_for(1, (formal("a", 1),)).ring,
+        _jet_ring(6).ring,
     ]
 
 
@@ -553,11 +578,12 @@ def test_the_fraction_arithmetic_and_equality_match_sympys():
     K = FracField(ring.symbols, ZZ)
 
     def theirs(f):
-        return K.raw_new(K.ring.from_dict(dict(f.numer)), K.ring.from_dict(dict(f.denom)))
+        return K.raw_new(*(K.ring.from_dict(_dense_terms(p)) for p in (f.numer, f.denom)))
 
     def same(got, want):
         want = K(want)  # sympy gives an int for some products with 0
-        return _entries(got) == (dict(want.numer), dict(want.denom))
+        ours = _dense_terms(got.numer), _dense_terms(got.denom)
+        return ours == (dict(want.numer), dict(want.denom))
 
     elements = _fractions(ring, 3)
     assert any(len(f.denom) > 1 for f in elements)
@@ -580,11 +606,8 @@ def test_the_fraction_arithmetic_and_equality_match_sympys():
 
 
 def test_a_product_with_an_exponent_off_by_one_fails_the_oracle():
-    mutant = _mutant(
-        jets._JetPoly.__mul__,
-        "k = tuple(map(add, m, n))",
-        "k = tuple(map(add, m, n))[:-1] + (m[-1] + n[-1] + 1,)",
-    )
+    # one more in the packed monomial's lowest field
+    mutant = _mutant(jets._JetPoly.__mul__, "k = m + n", "k = m + n + 1")
     ring = _jet_ring(3).ring
     elements = _operands(ring, 3)
     assert any(
@@ -592,3 +615,165 @@ def test_a_product_with_an_exponent_off_by_one_fails_the_oracle():
         for p in elements
         for q in elements
     )
+
+
+# ---------------------------------------------------------------------------
+# exponents at the cap: exact up to MAX_EXPONENT, refused past it
+
+_CAP = jets.MAX_EXPONENT
+
+
+def test_quotients_one_below_the_cap_match_sympys():
+    ring = _jet_ring(6).ring
+    u, b, y = ring.gens[0], ring.gens[100], ring.gens[-1]
+    high = u ** (_CAP - 1)
+    cases = [
+        (high * b * (y + 2), high),
+        (high * (b + y) * (b - 3), u * (b + y)),
+        (high * b**2 * 6 - high * y * 4, high * 2),
+        # not exact: refused by sympy, with its message
+        (high * b + y, high),
+        (high * b, u ** (_CAP - 1) * y),
+        (u ** (_CAP - 2) * b, high),
+    ]
+    def sympys(d, q):
+        return jet_poly(ring, sympy_poly(d).exquo(sympy_poly(q)))
+
+    outcomes = []
+    for d, q in cases:
+        got = _quotient(type(d).exquo, d, q)
+        assert got == _quotient(sympys, d, q)
+        outcomes.append(type(got))
+    assert outcomes == [dict] * 3 + [str] * 3
+
+
+def _past_cap(message_of):
+    with pytest.raises(ExponentCapError) as info:
+        message_of()
+    assert str(_CAP) in str(info.value)
+    return str(info.value)
+
+
+def test_a_product_a_power_and_a_derivation_past_the_cap_are_refused():
+    ring = _jet_ring(2)
+    R = ring.ring
+    ux, u = R.gens[ring.index["u_x"]], R.gens[ring.index["u"]]
+    top = ux**_CAP
+    assert R.pairs(next(iter(top))) == ((ring.index["u_x"], _CAP),)
+    # a product by a term, a multi-term product, a power of a term and of a sum
+    assert "u_x" in _past_cap(lambda: top * ux)
+    assert "u_x" in _past_cap(lambda: (top + u) * (ux + u))
+    assert "u_x" in _past_cap(lambda: ux ** (_CAP + 1))
+    assert "u_x" in _past_cap(lambda: (top + u) ** 2)
+    # decided before the squaring: (u_x + 1)^16384 alone has 16,385 terms
+    assert "u_x" in _past_cap(lambda: (ux + 1) ** (_CAP + 1))
+    assert "u_x" in _past_cap(lambda: (ux**3 + u * ux + 1) ** (_CAP // 3 + 1))
+    # the digits of a literal exponent of the command line
+    _past_cap(lambda: ux**123456789012)
+    # D_x u = u_x: differentiating u raises the exponent of u_x past the cap
+    f = ring.field.raw_new(top * u)
+    assert "u_x" in _past_cap(lambda: ring.total(f, "x"))
+    # a monomial built from its pairs, and one made by sympy
+    _past_cap(lambda: R.monom([(0, _CAP + 1)]))
+    R6 = _jet_ring(6).ring
+    b, y = R6.gens[100], R6.gens[-1]
+    # the lcm holds b^CAP * (b + 2)
+    _past_cap(lambda: jets._lcm(b**_CAP * (y + 1), (b + 2) * y))
+    # at the cap itself every operation is exact
+    assert (top * u).exquo(top) == u and ux ** (_CAP - 1) * ux == top
+    assert ring.total(ring.field.raw_new(top), "y") == ring.field.raw_new(
+        R.gens[ring.index["u_xy"]] * ux ** (_CAP - 1) * _CAP
+    )
+
+
+def test_a_product_that_skips_the_guard_test_fails_the_oracle(monkeypatch):
+    # without the test of the guard bits a field past the cap carries into
+    # the generator before it: a wrong monomial, not an error
+    monkeypatch.setattr(jets._JetPolyRing, "_checked", lambda self, p: p)
+    ring = _jet_ring(2).ring
+    ux = ring.gens[_jet_ring(2).index["u_x"]]
+    wrapped = ux**_CAP * ux
+    assert sympy_poly(wrapped) != sympy_poly(ux**_CAP) * sympy_poly(ux)
+
+
+# the command line: exit code 4 and the message of the cap
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["reduce", "u_x^32768"], "u_x"),
+        (["reduce", "u_x^123456789012"], "u_x"),
+        (["reduce", "u_x^20000*u_x^20000"], "u_x"),
+        (["reduce", "(u_x + v)^40000"], "v"),
+        # the sympy route converts into the same field
+        (["reduce", "t^(1/2)*u_x^40000"], "u_x"),
+        (["invariants", "--eval", "u_x^40000"], "u_x"),
+        (["check-solution", "u = x^40000; v = 0"], "x"),
+    ],
+)
+def test_an_exponent_past_the_cap_is_a_domain_error(argv, name, capsys):
+    code = main(argv)
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 4
+    assert doc == {
+        "error": "domain",
+        "message": f"an exponent of {name} passes the cap {_CAP} of a jet-ring monomial",
+    }
+
+
+def test_an_exponent_at_the_cap_is_reduced(capsys):
+    code = main(["reduce", "u_x^32767*v"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc == {"input": "u_x^32767*v", "reduced": "u_x^32767*v"}
+
+
+def test_negative_powers_of_field_elements():
+    ring = _jet_ring(1)
+    ux = ring.gen("u_x")
+    f = (ux + 1) ** -1
+    assert f == ring.field.one / (ux + 1) and f * (ux + 1) == 1
+    assert (ux / (ux - 1)) ** -2 == ((ux - 1) / ux) ** 2
+    # the sign of the denominator is made canonical
+    g = (ring.field.one - ux) ** -3
+    assert g.denom[max(g.denom)] > 0 and g == ring.field.one / (ring.field.one - ux) ** 3
+    with pytest.raises(ZeroDivisionError):
+        ring.field.zero**-1
+    assert ring.field.zero**0 == 1 and ux**0 == 1
+
+
+# ---------------------------------------------------------------------------
+# the format stays in jets
+
+_FORMAT = {"_shifts", "_guards", "_values", "_at", "_FIELD", "_VALUE", "_fieldwise", "_checked"}
+
+
+def _format_uses(source: str) -> list:
+    """Names of the packed format (``_FORMAT``) that a module's source
+    reads, as attributes or as imported names."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _FORMAT:
+            found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name in _FORMAT]
+    return found
+
+
+def test_only_jets_reads_the_packed_format():
+    src = Path(__file__).resolve().parents[1] / "src" / "jetweyl"
+    offending = {
+        path.name: uses
+        for path in sorted(src.glob("*.py"))
+        if path.name != "jets.py" and (uses := _format_uses(path.read_text()))
+    }
+    assert offending == {}
+    assert "_shifts" in _format_uses((src / "jets.py").read_text())
+
+
+def test_the_format_guard_sees_attributes_and_imports():
+    assert _format_uses("from .jets import _FIELD, read\nm >> ring.ring._shifts[i]\n") == [
+        "_FIELD",
+        "_shifts",
+    ]

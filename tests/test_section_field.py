@@ -665,7 +665,7 @@ def test_the_lcm_of_one_term_polynomials_is_sympys(monkeypatch):
     rng = random.Random(20)
 
     def term():
-        monomial = tuple(rng.randint(0, 3) for _ in range(3))
+        monomial = R.monom((i, rng.randint(0, 3)) for i in range(3))
         return R.dtype({monomial: rng.choice((-1, 1)) * rng.randint(1, 12)})
 
     def sympys(a, b):

@@ -142,7 +142,9 @@ def test_the_reader_builds_the_field_of_the_parsed_bindings(source):
 
 def test_a_reader_that_keeps_the_scan_root_fails_the_oracle(monkeypatch):
     # without the gcd of the exponents, y^(1/2)*y^(1/2) keeps a root of y
-    mutant = _mutant(sections._read_values, "acc = math.gcd(acc, monom[j])", "pass")
+    mutant = _mutant(
+        sections._read_values, "acc = math.gcd(acc, dict(ring.ring.pairs(monom)).get(j, 0))", "pass"
+    )
     monkeypatch.setattr(sections, "_read_values", mutant)
     differ = 0
     for text in _random_bindings(240):

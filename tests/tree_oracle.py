@@ -144,15 +144,28 @@ def sympy_ring(symbols: tuple) -> PolyRing:
     return PolyRing(symbols, ZZ)
 
 
+def dense(ring, m) -> tuple:
+    """The exponent tuple (one entry per generator) of a packed monomial of
+    a jet ring's polynomial ring, read through ``ring.pairs``."""
+    e = [0] * len(ring.keys)
+    for i, n in ring.pairs(m):
+        e[i] = n
+    return tuple(e)
+
+
 def sympy_poly(p):
-    """A polynomial of a jet ring as an element of :func:`sympy_ring`."""
-    return sympy_ring(p.ring.symbols).from_dict(dict(p))
+    """A polynomial of a jet ring as an element of :func:`sympy_ring`, its
+    monomials read through the ring's ``pairs``."""
+    return sympy_ring(p.ring.symbols).from_dict({dense(p.ring, m): c for m, c in p.items()})
 
 
 def jet_poly(ring, q):
     """An element of sympy's ring as a polynomial of the jet ring's
-    polynomial ring ``ring``, with int coefficients."""
-    return ring.dtype({m: int(c) for m, c in q.items()})
+    polynomial ring ``ring``, with int coefficients, its monomials built
+    through the ring's ``monom``."""
+    return ring.dtype(
+        {ring.monom((i, e) for i, e in enumerate(m) if e): int(c) for m, c in q.items()}
+    )
 
 
 def sympy_cancel(numer, denom) -> tuple:
@@ -701,7 +714,7 @@ def tree_image_atom(F, point, atom) -> sp.Expr:
         linear = (
             not _support(f.denom)
             and set(F.ring.present(f)) <= bases
-            and all(sum(m) <= 1 for m in f.numer)
+            and all(sum(e for _, e in F.ring.ring.pairs(m)) <= 1 for m in f.numer)
         )
         if not linear:
             raise ExprError(
