@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from jetweyl import jets
+from tree_oracle import dense
 
 _DIGESTS = json.loads((Path(__file__).parent / "data" / "word_digests.json").read_text())
 
@@ -41,15 +42,8 @@ def _words(k: int, nabla=None) -> tuple:
     return ring, out
 
 
-def _dense(ring, m) -> tuple:
-    e = [0] * len(ring.keys)
-    for i, n in ring.ring.pairs(m):
-        e[i] = n
-    return tuple(e)
-
-
 def _digest(ring, f) -> str:
-    terms = tuple(sorted((_dense(ring, m), c) for m, c in p.items()) for p in (f.numer, f.denom))
+    terms = tuple(sorted((dense(ring.ring, m), c) for m, c in p.items()) for p in (f.numer, f.denom))
     return hashlib.sha256(repr(terms).encode()).hexdigest()
 
 
