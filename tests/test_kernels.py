@@ -647,7 +647,7 @@ def test_quotients_one_below_the_cap_match_sympys():
     assert outcomes == [dict] * 3 + [str] * 3
 
 
-def _past_cap(message_of):
+def _past_the_cap(message_of):
     with pytest.raises(ExponentCapError) as info:
         message_of()
     assert str(_CAP) in str(info.value)
@@ -661,24 +661,24 @@ def test_a_product_a_power_and_a_derivation_past_the_cap_are_refused():
     top = ux**_CAP
     assert R.pairs(next(iter(top))) == ((ring.index["u_x"], _CAP),)
     # a product by a term, a multi-term product, a power of a term and of a sum
-    assert "u_x" in _past_cap(lambda: top * ux)
-    assert "u_x" in _past_cap(lambda: (top + u) * (ux + u))
-    assert "u_x" in _past_cap(lambda: ux ** (_CAP + 1))
-    assert "u_x" in _past_cap(lambda: (top + u) ** 2)
+    assert "u_x" in _past_the_cap(lambda: top * ux)
+    assert "u_x" in _past_the_cap(lambda: (top + u) * (ux + u))
+    assert "u_x" in _past_the_cap(lambda: ux ** (_CAP + 1))
+    assert "u_x" in _past_the_cap(lambda: (top + u) ** 2)
     # decided before the squaring: (u_x + 1)^16384 alone has 16,385 terms
-    assert "u_x" in _past_cap(lambda: (ux + 1) ** (_CAP + 1))
-    assert "u_x" in _past_cap(lambda: (ux**3 + u * ux + 1) ** (_CAP // 3 + 1))
+    assert "u_x" in _past_the_cap(lambda: (ux + 1) ** (_CAP + 1))
+    assert "u_x" in _past_the_cap(lambda: (ux**3 + u * ux + 1) ** (_CAP // 3 + 1))
     # the digits of a literal exponent of the command line
-    _past_cap(lambda: ux**123456789012)
+    _past_the_cap(lambda: ux**123456789012)
     # D_x u = u_x: differentiating u raises the exponent of u_x past the cap
     f = ring.field.raw_new(top * u)
-    assert "u_x" in _past_cap(lambda: ring.total(f, "x"))
+    assert "u_x" in _past_the_cap(lambda: ring.total(f, "x"))
     # a monomial built from its pairs, and one made by sympy
-    _past_cap(lambda: R.monom([(0, _CAP + 1)]))
+    _past_the_cap(lambda: R.monom([(0, _CAP + 1)]))
     R6 = _jet_ring(6).ring
     b, y = R6.gens[100], R6.gens[-1]
     # the lcm holds b^CAP * (b + 2)
-    _past_cap(lambda: jets._lcm(b**_CAP * (y + 1), (b + 2) * y))
+    _past_the_cap(lambda: jets._lcm(b**_CAP * (y + 1), (b + 2) * y))
     # at the cap itself every operation is exact
     assert (top * u).exquo(top) == u and ux ** (_CAP - 1) * ux == top
     assert ring.total(ring.field.raw_new(top), "y") == ring.field.raw_new(
