@@ -310,7 +310,7 @@ def _cmd_invariants(args):
             system = jets.ms_system()
             e = system.reduce(parse_expr(args.eval))
             value = system.point(order, base=base, internal=assign).eval(e)
-        evaluated = {"expr": args.eval, "value": str(value)}
+        evaluated = {"expr": args.eval, "value": jets._number_text(value)}
     table = jets._order3()
 
     def texts(elements) -> list[str]:

@@ -16,8 +16,9 @@ with the low orders 5 (k=0) and 11 (k=1) where no equation constrains yet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+
+from .errors import read_only
 
 __all__ = [
     "DimRecord",
@@ -29,12 +30,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class DimRecord:
-    k: int
-    dim_jet_space: int
-    dim_equation: int
-    internal_per_dependent: int
+    def __init__(
+        self, k: int, dim_jet_space: int, dim_equation: int, internal_per_dependent: int
+    ):
+        self.__dict__.update(
+            k=k,
+            dim_jet_space=dim_jet_space,
+            dim_equation=dim_equation,
+            internal_per_dependent=internal_per_dependent,
+        )
+
+    __setattr__ = __delattr__ = read_only
 
 
 def dims(k: int) -> DimRecord:
@@ -75,12 +82,11 @@ def _pure_count(series: str, k: int) -> int:
     raise ValueError(f"unknown series {series!r}")
 
 
-@dataclass(frozen=True)
 class CountRecord:
-    k: int
-    s: int
-    h: int
-    series: str
+    def __init__(self, k: int, s: int, h: int, series: str):
+        self.__dict__.update(k=k, s=s, h=h, series=series)
+
+    __setattr__ = __delattr__ = read_only
 
 
 def _poincare(series: str) -> tuple[tuple[int, ...], int]:

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the refusal of a
+read-only record.
 
 Every error that a CLI command can surface maps to a stable exit code; the
 codes are ``cli.EXIT_OK`` … ``cli.EXIT_INTERNAL`` and are part of the
@@ -6,6 +7,13 @@ documented interface.
 """
 
 from __future__ import annotations
+
+
+def read_only(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of a record whose fields are set
+    once, in its ``__init__`` (``syntax.MultiIndex``, the records of
+    ``counts`` and ``sections``)."""
+    raise AttributeError(f"cannot assign to or delete field {name!r}")
 
 
 class JetweylError(Exception):

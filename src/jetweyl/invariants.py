@@ -32,7 +32,6 @@ from .errors import SingularLocusError
 from .exprcore import is_formal_symbol, jet, jet_order
 from .fields import ProlongedField
 from .jets import (
-    DERIVATIONS,
     INVARIANTS,
     EquationSystem,
     JetPoint,
@@ -48,7 +47,6 @@ from .symmetry import _ansatz, generator
 
 __all__ = [
     "invariant",
-    "derivation",
     "apply_derivation",
     "structure_K",
     "CommutatorReport",
@@ -77,21 +75,14 @@ def invariant(i: int) -> sp.Expr:
     return _tree(INVARIANTS[i - 1])
 
 
-@lru_cache(maxsize=None)
-def derivation(i: int) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
-    """The coefficients (c_t, c_x, c_y) of the invariant derivation
-    nabla_i = c_t D_t + c_x D_x + c_y D_y; ``apply_derivation`` applies it
-    with on-equation reduction."""
+def apply_derivation(i: int, e, system: EquationSystem | None = None) -> sp.Expr:
+    """The i-th invariant derivation nabla_i = c_t D_t + c_x D_x + c_y D_y
+    (its coefficients written in ``jets.DERIVATIONS``) applied to e,
+    reduced on the equation.  ``system`` is ignored (the rings hold the one
+    system); it stays for callers that pass it, such as the benchmark
+    workloads."""
     if i not in (1, 2, 3):
         raise ValueError(f"derivation index must be 1..3, got {i}")
-    return tuple(map(_tree, DERIVATIONS[i - 1]))
-
-
-def apply_derivation(i: int, e, system: EquationSystem | None = None) -> sp.Expr:
-    """The i-th invariant derivation applied to e, reduced on the equation.
-    ``system`` is ignored (the rings hold the one system); it stays for
-    callers that pass it, such as the benchmark workloads."""
-    derivation(i)  # ValueError for an index outside 1..3
     e = sp.sympify(e)
     ring = _ring_for(max(jet_order(e) + 1, 2), (e,), derivatives=1)
     coefficients = map(ring.embed, _order3().nabla[i - 1])

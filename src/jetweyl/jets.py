@@ -78,6 +78,7 @@ from .syntax import (
     DEPENDENTS,
     MAX_JET_ORDER,
     MultiIndex,
+    int_to_text,
     jet_parts,
     parse_expr,
 )
@@ -278,19 +279,16 @@ def _cancel(numer, denom):
     factor of the two sides is a term, so no gcd of polynomials is needed:
     both sides are divided by the gcd of all their coefficients and by the
     fieldwise minimum of all monomials.  A pair of two multi-term sides
-    goes to :func:`_by_sympy`.  A sum of two fractions with one-term
+    goes to :func:`_by_sympy` divided by that monomial, whose degree would
+    otherwise enter sympy's gcd.  A sum of two fractions with one-term
     denominators comes here over their lcm, one term too."""
     ring = numer.ring
     if not numer:
         return numer, ring.one
-    if len(numer) != 1 and len(denom) != 1:
-        return _by_sympy("cancel", numer, denom)
-    content = math.gcd(*numer.values(), *denom.values())
-    if denom[max(denom)] < 0:
-        content = -content
-    # the common monomial divides the one-term side: start from it and
-    # lower each field to every monomial's (``_fieldwise``)
-    (low,) = (numer if len(numer) == 1 else denom).keys()
+    # the common monomial divides every monomial: start from one, of the
+    # one-term side if there is one, and lower each field to every
+    # monomial's (``_fieldwise``)
+    low, *_ = numer if len(numer) == 1 else denom
     if low:
         guards = ring._guards
         for m in itertools.chain(numer, denom):
@@ -299,6 +297,14 @@ def _cancel(numer, denom):
                 low = _fieldwise(low, m, keep)
                 if not low:
                     break
+    if len(numer) != 1 and len(denom) != 1:
+        if low:
+            numer = ring.dtype({m - low: c for m, c in numer.items()})
+            denom = ring.dtype({m - low: c for m, c in denom.items()})
+        return _by_sympy("cancel", numer, denom)
+    content = math.gcd(*numer.values(), *denom.values())
+    if denom[max(denom)] < 0:
+        content = -content
     if content == 1 and not low:
         # already in lowest terms
         return numer, denom
@@ -1215,8 +1221,15 @@ def _term_key(c, factors) -> tuple:
     return (_MUL, (len(keys), tuple(keys)), _ONE_KEY, c)
 
 
+def _number_text(q) -> str:
+    """``str(q)`` of an int or a ``Fraction``, of any size."""
+    if q.denominator == 1:
+        return int_to_text(q.numerator)
+    return f"{int_to_text(q.numerator)}/{int_to_text(q.denominator)}"
+
+
 def _rational_text(q) -> str:
-    return str(q) if q >= 0 else f"({q})"
+    return _number_text(q) if q >= 0 else f"({_number_text(q)})"
 
 
 def _atom_text(name: str) -> str:
@@ -1284,10 +1297,10 @@ def _quotient_text(top: list, bottom: list) -> str:
             return _expr_text([(Fraction(c, d), fs) for c, fs in top])
         ((c, fs),) = top
         if not fs:
-            return str(Fraction(c, d))
+            return _number_text(Fraction(c, d))
         if d == 1:
             return _expr_text(top)
-        bottom_text = str(d)
+        bottom_text = int_to_text(d)
     elif len(bottom) == 1:
         ((d, gs),) = bottom
         if len(top) == 1:

@@ -46,12 +46,10 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .clouds import SignatureCloud
-from .errors import DivisionByZeroExpression, ExprError, JetOrderError
+from .errors import DivisionByZeroExpression, ExprError, JetOrderError, read_only
 from .errors import PseudogroupError, SingularLocusError, SolutionError
 from .jets import (
     BASE_NAMES,
@@ -977,7 +975,6 @@ _ELEMENT_DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
 class Element:
     """A closed-form element of the connected pseudogroup in the field of t:
     the time map D = alpha*t + beta (alpha > 0) and ``data``, the (ring,
@@ -987,9 +984,10 @@ class Element:
     ``symmetry.PseudogroupElement`` from sympy trees; both check D with
     :func:`_time_map` and ee with :func:`_scaling`."""
 
-    alpha: Fraction
-    beta: Fraction
-    data: object = field(repr=False, compare=False)
+    def __init__(self, alpha: Fraction, beta: Fraction, data):
+        self.__dict__.update(alpha=alpha, beta=beta, data=data)
+
+    __setattr__ = __delattr__ = read_only
 
 
 def _t_poly(F: _Rescaled, p) -> list | None:
@@ -1309,18 +1307,16 @@ class Solution:
 # metric pair and connection
 
 
-@dataclass(frozen=True)
 class WeylPair:
     """The ansatz metric and covector of a section, as elements of the
     section's field: ``g`` as rows, ``omega`` as its (dt, dx, dy)
     components."""
 
-    solution: Solution
-    field: SectionField
-    g: tuple
-    omega: tuple
-    # correction sign -> the pair's Weyl connection
-    _connections: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, solution: Solution, field: SectionField, g: tuple, omega: tuple):
+        # _connections: correction sign -> the pair's Weyl connection
+        self.__dict__.update(solution=solution, field=field, g=g, omega=omega, _connections={})
+
+    __setattr__ = __delattr__ = read_only
 
 
 def _rows(vals) -> tuple:
@@ -1478,34 +1474,36 @@ def _d_omega_of(sf: SectionField, w) -> tuple:
 # Einstein check
 
 
-@dataclass(frozen=True)
 class EWPointCheck:
     """A sample of the Einstein check: Lambda at the point as an element of
     the field of constants ``scaled`` (``lam`` is its sympy expression,
     made on first use) and the relative residual there."""
 
-    point: tuple
-    residual: float
-    scaled: _Rescaled = field(repr=False, compare=False)
-    lam_element: object = field(repr=False, compare=False)
+    def __init__(self, point: tuple, residual: float, scaled: _Rescaled, lam_element):
+        self.__dict__.update(
+            point=point, residual=residual, scaled=scaled, lam_element=lam_element
+        )
+
+    __setattr__ = __delattr__ = read_only
 
     @cached_property
     def lam(self):
         return self.scaled.expr(self.lam_element)
 
 
-@dataclass(frozen=True)
 class EWReport:
     """The Einstein check of a section: the exact verdict, Lambda as an
     element of the section's field ``scaled`` (``lam`` is its sympy
     expression, made on first use) and the samples."""
 
-    name: str
-    exact: bool
-    ok: bool
-    points: tuple
-    scaled: _Rescaled = field(repr=False, compare=False)
-    lam_element: object = field(repr=False, compare=False)
+    def __init__(
+        self, name: str, exact: bool, ok: bool, points: tuple, scaled: _Rescaled, lam_element
+    ):
+        self.__dict__.update(
+            name=name, exact=exact, ok=ok, points=points, scaled=scaled, lam_element=lam_element
+        )
+
+    __setattr__ = __delattr__ = read_only
 
     @cached_property
     def lam(self):
@@ -1577,7 +1575,6 @@ def halton(index: int, base: int) -> Fraction:
     return out
 
 
-@dataclass(frozen=True)
 class SamplerConfig:
     """Deterministic low-discrepancy rational points in a box.
 
@@ -1585,9 +1582,10 @@ class SamplerConfig:
     (still deterministic) streams.
     """
 
-    seed: int = 0
-    n: int = 64
-    box: tuple = ((-2, 2), (-2, 2), (-2, 2))
+    def __init__(self, seed: int = 0, n: int = 64, box: tuple = ((-2, 2), (-2, 2), (-2, 2))):
+        self.__dict__.update(seed=seed, n=n, box=box)
+
+    __setattr__ = __delattr__ = read_only
 
     def stream(self):
         bases = (2, 3, 5)
@@ -1637,6 +1635,9 @@ def signature(sol: Solution, sampler: SamplerConfig | None = None) -> SignatureC
     sampler draws points off the singular locus and the cloud is exact
     where the section evaluates rationally.
     """
+    # imported here: clouds loads dataclasses, which no other command needs
+    from .clouds import SignatureCloud
+
     sampler = sampler or SamplerConfig()
     sf = sol.field
     free = sorted(sf._present()[0])

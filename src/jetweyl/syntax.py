@@ -38,10 +38,9 @@ dependent variables, and the names that may not name a formal function.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import JetOrderError, ParseError
+from .errors import JetOrderError, ParseError, read_only
 
 __all__ = [
     "MAX_JET_ORDER",
@@ -81,18 +80,46 @@ _JET_WORD_RE = re.compile(r"^(?:[txy](?:[1-9]\d*)?)+$")
 _JET_NAME_RE = re.compile(r"^([uv])_((?:[txy](?:[1-9]\d*)?)+)$")
 
 
-@dataclass(frozen=True, order=True)
 class MultiIndex:
-    """Symmetric derivative multi-index: counts of t-, x-, y-derivatives."""
+    """Symmetric derivative multi-index: counts of t-, x-, y-derivatives.
+    Read-only; equal, hashed and ordered as the tuple (nt, nx, ny)."""
 
-    nt: int = 0
-    nx: int = 0
-    ny: int = 0
-
-    def __post_init__(self):
-        for n in (self.nt, self.nx, self.ny):
+    def __init__(self, nt: int = 0, nx: int = 0, ny: int = 0):
+        for n in (nt, nx, ny):
             if not isinstance(n, int) or n < 0:
-                raise ValueError(f"multi-index entries must be non-negative ints, got {self!r}")
+                raise ValueError(
+                    "multi-index entries must be non-negative ints, "
+                    f"got MultiIndex(nt={nt!r}, nx={nx!r}, ny={ny!r})"
+                )
+        # not through self.__dict__, which would leave every later read of
+        # a field a dict lookup
+        object.__setattr__(self, "nt", nt)
+        object.__setattr__(self, "nx", nx)
+        object.__setattr__(self, "ny", ny)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __repr__(self) -> str:
+        return f"MultiIndex(nt={self.nt!r}, nx={self.nx!r}, ny={self.ny!r})"
+
+    def __hash__(self) -> int:
+        return hash((self.nt, self.nx, self.ny))
+
+    def __eq__(self, other):
+        if other.__class__ is not MultiIndex:
+            return NotImplemented
+        return (self.nt, self.nx, self.ny) == (other.nt, other.nx, other.ny)
+
+    # a > b and a >= b are the reflections b < a and b <= a
+    def __lt__(self, other):
+        if other.__class__ is not MultiIndex:
+            return NotImplemented
+        return (self.nt, self.nx, self.ny) < (other.nt, other.nx, other.ny)
+
+    def __le__(self, other):
+        if other.__class__ is not MultiIndex:
+            return NotImplemented
+        return (self.nt, self.nx, self.ny) <= (other.nt, other.nx, other.ny)
 
     @property
     def order(self) -> int:
@@ -136,7 +163,7 @@ class MultiIndex:
             raise ValueError(f"bad jet index word {word!r}")
         counts = {"t": 0, "x": 0, "y": 0}
         for letter, num in re.findall(r"([txy])(\d*)", word):
-            counts[letter] += int(num) if num else 1
+            counts[letter] += text_to_int(num) if num else 1
         return MultiIndex(counts["t"], counts["x"], counts["y"])
 
     def __str__(self) -> str:
@@ -155,7 +182,7 @@ def capped(index: MultiIndex) -> MultiIndex:
     """The index itself; :class:`JetOrderError` past :data:`MAX_JET_ORDER`."""
     if index.order > MAX_JET_ORDER:
         raise JetOrderError(
-            f"jet order {index.order} exceeds the hard cap {MAX_JET_ORDER}"
+            f"jet order {int_to_text(index.order)} exceeds the hard cap {MAX_JET_ORDER}"
         )
     return index
 
@@ -217,6 +244,39 @@ def check_formal_name(name: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# integers and their decimal text
+#
+# Python refuses to convert between an int and its decimal text past
+# sys.get_int_max_str_digits() digits (4,300 by default, 640 at the least).
+# These two convert piece by piece, each piece under that least limit, so
+# a literal of any length reads and a coefficient of any size prints.
+
+_DIGITS = 600
+
+
+def int_to_text(n: int) -> str:
+    """``str(n)``, for an int of any size."""
+    if n < 0:
+        return "-" + int_to_text(-n)
+    bits = n.bit_length()
+    if bits <= 3 * _DIGITS:
+        # n < 8^_DIGITS, fewer than _DIGITS digits
+        return str(n)
+    # 10^k < 2^(bits/2) <= n: both parts are about half of n's digits
+    k = bits * 3 // 20
+    high, low = divmod(n, 10**k)
+    return int_to_text(high) + int_to_text(low).zfill(k)
+
+
+def text_to_int(text: str) -> int:
+    """``int(text)`` for a string of decimal digits of any length."""
+    if len(text) <= _DIGITS:
+        return int(text)
+    k = len(text) // 2
+    return text_to_int(text[:-k]) * 10**k + text_to_int(text[-k:])
+
+
+# ---------------------------------------------------------------------------
 # tokens
 
 _TOKEN_RE = re.compile(
@@ -230,11 +290,13 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass
 class _Token:
-    kind: str  # 'int' | 'ident' | 'end' | one of -+*/^()=;
-    text: str
-    pos: int
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind  # 'int' | 'ident' | 'end' | one of -+*/^()=;
+        self.text = text
+        self.pos = pos
 
 
 def _tokenize(text: str, offset: int) -> list[_Token]:
@@ -365,17 +427,17 @@ class _Parser:
             self.advance()
             sign = -1
         if self.cur.kind == "int":
-            return Fraction(sign * int(self.advance().text))
+            return Fraction(sign * text_to_int(self.advance().text))
         if self.cur.kind == "(":
             self.advance()
             if self.cur.kind == "-":
                 self.advance()
                 sign = -sign
-            p = int(self.expect("int").text)
+            p = text_to_int(self.expect("int").text)
             q = 1
             if self.cur.kind == "/":
                 self.advance()
-                q = int(self.expect("int").text)
+                q = text_to_int(self.expect("int").text)
                 if q == 0:
                     raise ParseError("zero denominator in exponent", self.cur.pos)
             self.expect(")")
@@ -388,7 +450,7 @@ class _Parser:
         tok = self.cur
         if tok.kind == "int":
             self.advance()
-            n = int(tok.text)
+            n = text_to_int(tok.text)
             return ("int", tok.pos, n), Fraction(n)
         if tok.kind == "(":
             self.advance()

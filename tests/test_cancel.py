@@ -3,7 +3,8 @@ over ZZ, and the bound on the cache of jet rings.
 
 ``jets._cancel`` computes the lowest-terms pair without a gcd of
 polynomials when one side has a single term; a pair of two multi-term
-sides goes to sympy (``jets._by_sympy``).  Both must agree entry for entry
+sides goes to sympy (``jets._by_sympy``) divided by its common monomial,
+so sympy sees no generator in every monomial.  Both must agree entry for entry
 with sympy's cancel of the same pair in sympy's own ring: on seeded pairs
 of every kind the fast path takes, on a general pair, and on every call
 the symbolic checks make; in the order-6 ring (171 generators, monomials
@@ -292,6 +293,33 @@ def test_the_multi_term_cancel_and_lcm_near_the_cap_match_sympy():
     for _ in range(200):
         a, b = _wide_term(rng, True), _wide_term(rng, True)
         assert jets._lcm(a, b) == jet_poly(_R6, sympy_poly(a).lcm(sympy_poly(b))), (a, b)
+
+
+def _common_generators(ring, *polys) -> set:
+    """The generators that occur in every monomial of ``polys``: those of
+    their common monomial factor."""
+    sets = [{i for i, _ in ring.pairs(m)} for p in polys for m in p]
+    return set.intersection(*sets)
+
+
+def test_a_multi_term_cancel_hands_sympy_no_common_monomial(monkeypatch):
+    # u^32766*(b + y)*(b - 2*y) over u^32765*(b + y)*(y + 3): sympy's gcd
+    # of the pair as it stands runs at the degree of u
+    u, b, y = _R6.gens[0], _R6.gens[100], _R6.gens[-1]
+    numer, denom = u**_HIGH * (b + y) * (b - y * 2), u ** (_HIGH - 1) * (b + y) * (y + 3)
+    assert _common_generators(_R6, numer, denom) == {0}
+    seen = []
+    by_sympy = jets._by_sympy
+
+    def spied(name, p, q):
+        seen.append(_common_generators(_R6, p, q))
+        return by_sympy(name, p, q)
+
+    monkeypatch.setattr(jets, "_by_sympy", spied)
+    got = _cancel(numer, denom)
+    assert seen == [set()]
+    assert got == _sympys(u * (b + y) * (b - y * 2), (b + y) * (y + 3))
+    assert got == (u * (b - y * 2), y + 3)
 
 
 def test_a_cancel_with_a_field_off_by_one_fails_the_oracle():

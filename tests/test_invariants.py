@@ -13,7 +13,6 @@ from jetweyl.exprcore import equal, formal, is_zero, jet, to_text
 from jetweyl.invariants import (
     apply_derivation,
     coframe_rewrite,
-    derivation,
     independence_rank,
     invariant,
     _order3,
@@ -24,7 +23,7 @@ from jetweyl.invariants import (
 )
 from jetweyl.jets import internal_indices, ms_system
 from jetweyl.linalg import rank
-from tree_oracle import poincare_function
+from tree_oracle import poincare_function, written_derivation
 
 u_x = jet("u", (0, 1, 0))
 u_xx = jet("u", (0, 2, 0))
@@ -212,15 +211,18 @@ def test_warm_proofs_and_point_evaluations_convert_no_tree(monkeypatch):
 
 def test_derivation_matrix_first_row():
     # nabla_1 = (u_x/u_xx) D_x and nothing else
-    row = derivation(1)
+    row = written_derivation(1)
     assert equal(row[1], u_x / u_xx)
     assert row[0] == 0 and row[2] == 0
 
 
-def test_a_derivation_index_outside_one_to_three_is_refused():
+def test_a_derivation_index_outside_one_to_three_is_refused(monkeypatch):
     for i in (0, 4):
-        with pytest.raises(ValueError, match="derivation index must be 1..3"):
-            derivation(i)
+        with pytest.raises(ValueError, match=f"derivation index must be 1..3, got {i}"):
+            apply_derivation(i, u_x)
+    # applying a derivation builds no tree of its coefficients
+    monkeypatch.setattr(invariants, "_tree", None)
+    assert equal(apply_derivation(1, u_x), u_x)
 
 
 def test_coframe_normal_form():
@@ -232,7 +234,7 @@ def test_coframe_normal_form():
 
 
 def test_coframe_determinant():
-    m = sp.Matrix([derivation(i) for i in (1, 2, 3)])
+    m = sp.Matrix([written_derivation(i) for i in (1, 2, 3)])
     assert equal(sp.det(m.inv()), -(u_x**3))
 
 

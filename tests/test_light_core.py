@@ -9,14 +9,15 @@ oracle is ``tree_oracle.tree_text``, the sympy printing ``to_text`` used
 for every canonical form, on a seeded corpus that holds negative leading
 terms, integer and monomial denominators, a rational constant over a sum,
 multi-term denominators and formal functions; a printer with one sort
-flipped fails the corpus.  The print order of the generators
+flipped fails the corpus, and a coefficient past Python's 4,300-digit
+limit is printed.  The print order of the generators
 (``_JetRing._sympy_order``) is sympy's ``_sort_gens`` on every ring a
 ``verify-all`` pass builds and on rings with formal, auxiliary and
 foreign generators.  ``reduce`` and ``invariants --eval`` refuse rational
 text through the core as they do through ``dsl.parse_expr``, the
 conversion and ``JetPoint.eval``: same error class, message and exit code.
-``invariant`` and ``derivation`` give the trees they gave when they were
-written as sympy expressions.
+``invariant`` and the oracle's ``written_derivation`` give the trees they
+gave when they were written as sympy expressions.
 """
 
 import contextlib
@@ -31,12 +32,12 @@ from sympy.polys.polyutils import _sort_gens
 
 from jetweyl import cli, dsl, exprcore, jets, syntax
 from jetweyl.exprcore import X, Y, formal, jet, to_text
-from jetweyl.invariants import derivation, invariant
+from jetweyl.invariants import invariant
 from jetweyl.jets import _JetRing
 from jetweyl.trees import _canonical, _ring_for
 from test_integer_field import _clear_caches
 from test_kernels import _mutant
-from tree_oracle import tree_text
+from tree_oracle import tree_text, written_derivation
 
 SNAPSHOT = pathlib.Path(__file__).resolve().parent / "data" / "cli_stdout.json"
 
@@ -363,7 +364,7 @@ def test_invariants_and_derivations_build_the_trees_they_were_written_as():
         (ux**2 * uxy + ux * uxx * vx + uxx * uyy - uxy**2) / ux**4,
         (ux**2 * vxx - ux * uxx * vx + uxx * vxy - uxy * vxx) / ux**4,
     ]
-    assert [derivation(i) for i in (1, 2, 3)] == [
+    assert [written_derivation(i) for i in (1, 2, 3)] == [
         (sp.Integer(0), ux / uxx, sp.Integer(0)),
         (sp.Integer(0), uxy / (ux * uxx), -1 / ux),
         (uxx / ux**3, (vx * ux + v * uxx + uyy) / ux**3, (ux**2 + u * uxx - 2 * uxy) / ux**3),
@@ -371,7 +372,7 @@ def test_invariants_and_derivations_build_the_trees_they_were_written_as():
 
 
 def test_the_tree_api_builds_no_ring(monkeypatch):
-    derivation.cache_clear()
+    invariant.cache_clear()
 
     def refused(self, *args, **kwargs):
         raise AssertionError("a ring was built")
@@ -379,4 +380,22 @@ def test_the_tree_api_builds_no_ring(monkeypatch):
     monkeypatch.setattr(_JetRing, "__init__", refused)
     monkeypatch.setattr(jets, "_jet_ring", jets._jet_ring.__wrapped__)
     invariant(2)
-    derivation(3)
+
+
+def test_a_coefficient_past_the_digit_limit_is_printed(capsys):
+    # 2^20000 has 6,021 digits; its last 600 and its first are read off
+    # numbers under the limit
+    n = 2**20000
+    head = n // 10**5421
+    assert 10**599 <= head < 10**600
+    for argv, read in [
+        (["reduce", "2^20000*u_x"], lambda doc: doc["reduced"]),
+        (["invariants", "--eval", "2^20000*u_x", "--at", "u_x=1"], lambda doc: doc["eval"]["value"]),
+        # Lambda = 2^20000 + (12,041 digits)*y^2
+        (["check-solution", "u = 2^20000*x*y ; v = 0"], lambda doc: doc["lambda"].split()[0]),
+    ]:
+        assert cli.main(argv) in (0, 1)
+        text = read(json.loads(capsys.readouterr().out))
+        digits = text.removeprefix("-").partition("*")[0]
+        assert len(digits) == 6021, argv
+        assert digits[:600] == str(head) and digits[-600:] == str(n % 10**600).zfill(600), argv

@@ -1,4 +1,5 @@
-"""The light path: commands that need no sympy start without it.
+"""The light path: commands that need no sympy start without it, and
+commands that sample or compare no signature cloud without ``dataclasses``.
 
 ``import jetweyl.cli`` loads the standard library and ``errors`` only, and
 each subcommand imports the layers it uses.  A fresh interpreter runs
@@ -10,12 +11,20 @@ and ``signature`` on sections of the algebraic subset, which the section
 core (``sections``) reads and checks; it must not have loaded sympy after
 any of them.  The negative controls, run last in probes of their own, must
 load it: a ``reduce`` of a fractional power, a ``transform`` and a
-``check-solution`` of a section with exponential atoms.  ``counts`` loads
-neither sympy nor an algebra layer.  A static guard reads the sources: the
-light modules import neither sympy nor a module that uses it, ``cli.py``
-and the core ``jets.py`` import neither at module level, and the section
-core ``sections.py``, which imports ``jets``, imports neither sympy nor a
-module that loads it at module level.
+``check-solution`` of a section with exponential atoms.  Nor may the probe
+have loaded ``dataclasses`` (with ``inspect``, ``ast`` and ``dis`` behind
+it) after ``import jetweyl.cli`` or after any of those light runs: the
+records of ``syntax``, ``counts`` and ``sections`` are plain classes, and
+only the signature clouds of ``clouds`` are dataclasses.  So a
+``signature`` that samples a cloud and a ``compare`` load it, each run in
+a probe of its own as its negative control, still without sympy.
+``counts`` loads neither sympy nor an algebra layer.  A static guard reads
+the sources: the light modules import neither sympy nor a module that uses
+it, ``cli.py`` and the core ``jets.py`` import neither at module level,
+the section core ``sections.py``, which imports ``jets``, imports neither
+sympy nor a module that loads it at module level, and ``syntax.py``,
+``counts.py`` and ``sections.py`` import ``dataclasses`` nowhere at module
+level.
 """
 
 import ast
@@ -37,6 +46,8 @@ MODULE_LEVEL = ("cli.py", "jets.py")
 # the section core imports jets, which reaches trees lazily: it may import
 # a module that uses sympy, but not one that loads it, at module level
 LOADS_LEVEL = ("sections.py",)
+# modules of the light commands that build their records without dataclasses
+NO_DATACLASSES = ("syntax.py", "counts.py", "sections.py")
 
 
 # ---------------------------------------------------------------------------
@@ -45,13 +56,15 @@ LOADS_LEVEL = ("sections.py",)
 _PROBE = """
 import json, sys
 import jetweyl.cli
-loaded = {"import": "sympy" in sys.modules}
+def heavy():
+    return ["sympy" in sys.modules, "dataclasses" in sys.modules]
+loaded = {"import": heavy()}
 for name, argv in json.loads(sys.argv[1]):
     try:
         code = jetweyl.cli.main(argv)
     except SystemExit as exc:
         code = exc.code
-    loaded[name] = [code, "sympy" in sys.modules]
+    loaded[name] = [code, *heavy()]
 with open(sys.argv[2], "w") as fh:
     json.dump(loaded, fh)
 """
@@ -73,7 +86,6 @@ def test_light_commands_do_not_load_sympy(tmp_path):
     # (name, argv, exit code): 3 a parse error, 4 a jet order past the cap
     runs = [
         ("dims", ["dims", "3"], 0),
-        ("compare", ["compare", str(a), str(b)], 1),
         ("usage", ["dims", "-1"], 2),
         ("help", ["--help"], 0),
         ("reduce", ["reduce", "u_tx +* 2"], 3),
@@ -107,10 +119,6 @@ def test_light_commands_do_not_load_sympy(tmp_path):
         ("check-solution-bindings", ["check-solution", "u = x*y ; v = 0"], 1),
         ("check-solution-trivial", ["check-solution", "trivial"], 0),
         ("check-solution-sl2-degenerate", ["check-solution", "sl2-degenerate", "--f", "0", "--h", "0"], 0),
-        ("signature-sl2", [
-            "signature", "sl2-family", "--f", "0", "--h", "0", "--n", "8", "--seed", "760",
-            "--out", str(tmp_path / "sl2.json"),
-        ], 0),
         ("check-solution-points", [
             "check-solution", "sl2-family", "--f", "0", "--h", "0", "--points", "3",
         ], 0),
@@ -130,7 +138,15 @@ def test_light_commands_do_not_load_sympy(tmp_path):
         ("transform-reflect", ["transform", "trivial", "--reflect", "txy"], 0),
         ("transform-not-affine", ["transform", "trivial", "--D", "t^3+t"], 4),
     ]
-    # the negative controls, each run last in a probe of its own
+    # the commands that load dataclasses and not sympy, and the negative
+    # controls that load sympy, each run last in a probe of its own
+    clouds = [
+        ("compare", ["compare", str(a), str(b)], 1),
+        ("signature-sl2", [
+            "signature", "sl2-family", "--f", "0", "--h", "0", "--n", "8", "--seed", "760",
+            "--out", str(tmp_path / "sl2.json"),
+        ], 0),
+    ]
     controls = [
         ("reduce-radical", ["reduce", "t^(1/2)*u_x"], 0),
         # 2^(1/3) in the moved section is printed from its sympy tree
@@ -140,11 +156,17 @@ def test_light_commands_do_not_load_sympy(tmp_path):
         ("check-solution-exp", ["check-solution", "exp-family"], 0),
     ]
     assert _probe([(name, argv) for name, argv, _ in runs], report) == {
-        "import": False,
-        **{name: [code, False] for name, _, code in runs},
+        "import": [False, False],
+        **{name: [code, False, False] for name, _, code in runs},
     }
+    for name, argv, code in clouds:
+        assert _probe([(name, argv)], report) == {
+            "import": [False, False],
+            name: [code, False, True],
+        }
     for name, argv, code in controls:
-        assert _probe([(name, argv)], report) == {"import": False, name: [code, True]}
+        got = _probe([(name, argv)], report)
+        assert got["import"] == [False, False] and got[name][:2] == [code, True], got
 
 
 def _probe(commands: list, report) -> dict:
@@ -246,7 +268,9 @@ def light_path_offences(sources: dict) -> list:
     anywhere; it loads sympy when it does so at module level.  A light
     module may import neither sympy nor a module that uses it; ``cli.py``
     and ``jets.py`` may import neither at module level; ``sections.py`` may
-    import neither sympy nor a module that loads it at module level."""
+    import neither sympy nor a module that loads it at module level; the
+    modules of ``NO_DATACLASSES`` may not import ``dataclasses`` at module
+    level."""
     module = {f"jetweyl.{name[:-3]}": name for name in sources}
     anywhere = {name: _imports(src, False) for name, src in sources.items()}
     level = {name: _imports(src, True) for name, src in sources.items()}
@@ -263,12 +287,15 @@ def light_path_offences(sources: dict) -> list:
         for name in names:
             if name in sources:
                 out += [f"{name} imports {m} at module level" for m in bad(level[name], heavy)]
+    for name in NO_DATACLASSES:
+        if "dataclasses" in level.get(name, ()):
+            out.append(f"{name} imports dataclasses at module level")
     return out
 
 
 def test_the_light_modules_and_cli_import_no_sympy():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert set(LIGHT) | set(MODULE_LEVEL) | set(LOADS_LEVEL) <= set(sources)
+    assert set(LIGHT) | set(MODULE_LEVEL) | set(LOADS_LEVEL) | set(NO_DATACLASSES) <= set(sources)
     assert light_path_offences(sources) == []
 
 
@@ -282,8 +309,10 @@ def test_the_light_path_guard_sees_a_planted_import():
         "jets.py": "from .exprcore import jet\ndef symbols(ring):\n    from . import trees\n",
         "trees.py": "from .jets import _JetRing\nimport sympy as sp\n",
         # a lazy import is still an import for a light module
-        "counts.py": "def dims(k):\n    from .jets import ms_system\n",
         "clouds.py": "from . import errors, linalg\nfrom sympy.core import S\n",
+        # a record module may build a dataclass lazily, not at module level
+        "syntax.py": "import re\nfrom dataclasses import dataclass\n",
+        "counts.py": "def dims(k):\n    from .jets import ms_system\n    import dataclasses\n",
         "cli.py": (
             "import argparse\nfrom .errors import JetweylError\n"
             "from jetweyl import jets\nfrom . import frames\n"
@@ -294,6 +323,7 @@ def test_the_light_path_guard_sees_a_planted_import():
         "sections.py": (
             "from .jets import read\nfrom .geometry import catalog\nfrom . import frames\n"
             "def expr(f):\n    from jetweyl.trees import rescaled_expr\n"
+            "if True:\n    from dataclasses import dataclass\n"
         ),
         "frames.py": "def moved(f):\n    import sympy as sp\n",
         "geometry.py": "import sympy as sp\n",
@@ -306,4 +336,6 @@ def test_the_light_path_guard_sees_a_planted_import():
         "jets.py imports jetweyl.exprcore at module level",
         "sections.py imports jetweyl.geometry at module level",
         "sections.py imports jetweyl.jets at module level",
+        "syntax.py imports dataclasses at module level",
+        "sections.py imports dataclasses at module level",
     ]

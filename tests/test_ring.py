@@ -34,7 +34,6 @@ from jetweyl.invariants import (
     _families,
     _order3,
     apply_derivation,
-    derivation,
     invariant,
     structure_K,
     verify_invariance,
@@ -56,6 +55,7 @@ from tree_oracle import (
     tree_equations,
     tree_normalize,
     tree_total_derivative,
+    written_derivation,
     written_equations,
 )
 
@@ -371,7 +371,7 @@ def test_apply_derivation_matches_the_tree():
     for e in QUANTITIES[:4]:
         for j in (1, 2, 3):
             raw = sum(
-                (c * tree_total_derivative(e, s) for c, s in zip(derivation(j), "txy")),
+                (c * tree_total_derivative(e, s) for c, s in zip(written_derivation(j), "txy")),
                 sp.Integer(0),
             )
             assert apply_derivation(j, e) == TREE.reduce(raw), (e, j)
@@ -381,7 +381,7 @@ def tree_nabla(j: int, e) -> sp.Expr:
     """The j-th invariant derivation applied to e by tree total
     derivatives, reduced by the tree table."""
     raw = sum(
-        (c * tree_total_derivative(e, s) for c, s in zip(derivation(j), "txy")),
+        (c * tree_total_derivative(e, s) for c, s in zip(written_derivation(j), "txy")),
         sp.Integer(0),
     )
     return TREE.reduce(raw)
@@ -413,7 +413,7 @@ def test_order3_table_matches_the_tree():
     for i in (1, 2, 3):
         assert tree(table.I[i - 1]) == tree_normalize(invariant(i))
     for j in (1, 2, 3):
-        for got, c in zip(table.nabla[j - 1], derivation(j)):
+        for got, c in zip(table.nabla[j - 1], written_derivation(j)):
             assert tree(got) == tree_normalize(c), (j, c)
     for i, want in enumerate(tree_structure_K(), 1):
         assert same(tree(table.K[i - 1]), want), i

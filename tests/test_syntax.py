@@ -9,9 +9,14 @@ entry: the same ``srepr`` on success, else the same error class and
 message.  The one accepted difference: a text with an algebra fault
 (``x/(x - x)``, a term-language or jet-coordinate fault of a binding) and
 a later fault that the syntax stage finds reports the later one.
+
+Integers convert to and from decimal text piece by piece
+(``syntax.int_to_text``, ``text_to_int``): they match ``str`` and ``int``
+up to Python's limit of 4,300 digits, and a literal past it is read.
 """
 
 import ast
+import json
 import pathlib
 import random
 from fractions import Fraction
@@ -186,3 +191,40 @@ def test_a_zero_count_names_no_jet(word):
     assert syntax.jet_parts(f"u_{word}") is None
     with pytest.raises(ValueError, match="bad jet index word"):
         syntax.MultiIndex.from_word(word)
+
+
+# ---------------------------------------------------------------------------
+# integers past Python's limit on decimal digits (4,300 by default)
+
+
+def test_the_digit_helpers_match_str_and_int():
+    rng = random.Random(43)
+    # pieces of 600 digits: lengths on both sides of one, two and several
+    lengths = [1, 599, 600, 601, 1199, 1200, 1201, 1805, 4000, 4300]
+    lengths += [rng.randint(1, 4300) for _ in range(60)]
+    for n in lengths:
+        k = rng.randrange(10 ** (n - 1), 10**n)
+        assert syntax.int_to_text(k) == str(k), n
+        assert syntax.int_to_text(-k) == str(-k), n
+        assert syntax.text_to_int(str(k)) == k, n
+        # 4,300 digits with a run of zeros, where a piece may start with zeros
+        z = k * 10 ** (4300 - n) + rng.randrange(10 ** rng.randint(0, 4300 - n))
+        assert syntax.int_to_text(z) == str(z) and syntax.text_to_int(str(z)) == z, n
+    assert syntax.int_to_text(0) == "0" and syntax.text_to_int("0007") == 7
+
+
+def test_a_literal_past_the_digit_limit_is_read(capsys):
+    from jetweyl.cli import main
+
+    digits = "1" * 5000
+    assert syntax.parse_expr(digits + "*u_x")[2] == ("int", 0, (10**5000 - 1) // 9)
+    assert main(["reduce", digits + "*u_x"]) == 0
+    assert json.loads(capsys.readouterr().out)["reduced"] == digits + "*u_x"
+    # 10^5000 - 1 and 10^5000, each through pieces of its digits
+    assert syntax.int_to_text(10**5000 - 1) == "9" * 5000
+    assert syntax.int_to_text(10**5000) == "1" + "0" * 5000
+    assert syntax.text_to_int("9" * 5000) == 10**5000 - 1
+    # a jet order past the cap names the order it read
+    assert main(["reduce", f"u_t{'9' * 5000}x"]) == 4
+    message = json.loads(capsys.readouterr().out)["message"]
+    assert message == f"jet order 1{'0' * 5000} exceeds the hard cap 8"

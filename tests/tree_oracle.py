@@ -71,7 +71,7 @@ from sympy.polys.rings import PolyRing
 from jetweyl.counts import _poincare
 from jetweyl import geometry, syntax
 from jetweyl.dsl import _build
-from jetweyl.jets import EQUATIONS, _support
+from jetweyl.jets import DERIVATIONS, EQUATIONS, _support
 from jetweyl.errors import (
     DivisionByZeroExpression,
     ExprError,
@@ -237,6 +237,14 @@ def written_equations() -> tuple[sp.Expr, sp.Expr]:
     """F1 and F2 as sympy trees, built from the package's written form
     (``jets.EQUATIONS``)."""
     return tuple(_build(syntax.parse_expr(F)) for F in EQUATIONS)
+
+
+@functools.lru_cache(maxsize=None)
+def written_derivation(i: int) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
+    """The coefficients (c_t, c_x, c_y) of the invariant derivation
+    nabla_i = c_t D_t + c_x D_x + c_y D_y as sympy trees, built from the
+    package's written form (``jets.DERIVATIONS``)."""
+    return tuple(_build(syntax.parse_expr(c)) for c in DERIVATIONS[i - 1])
 
 
 def tree_recurrence(F, dep: str) -> tuple:
