@@ -52,6 +52,8 @@ __all__ = [
     "jet_parts",
     "parse_expr",
     "parse_solution",
+    "int_to_text",
+    "text_to_int",
 ]
 
 # ---------------------------------------------------------------------------

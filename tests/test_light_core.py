@@ -391,6 +391,9 @@ def test_a_coefficient_past_the_digit_limit_is_printed(capsys):
     for argv, read in [
         (["reduce", "2^20000*u_x"], lambda doc: doc["reduced"]),
         (["invariants", "--eval", "2^20000*u_x", "--at", "u_x=1"], lambda doc: doc["eval"]["value"]),
+        # a Fraction, printed p/q
+        (["invariants", "--eval", "-2^20000/3", "--at", "u_x=1"],
+         lambda doc: doc["eval"]["value"].removesuffix("/3")),
         # Lambda = 2^20000 + (12,041 digits)*y^2
         (["check-solution", "u = 2^20000*x*y ; v = 0"], lambda doc: doc["lambda"].split()[0]),
     ]:
