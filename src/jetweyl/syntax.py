@@ -93,8 +93,9 @@ class MultiIndex:
                     "multi-index entries must be non-negative ints, "
                     f"got MultiIndex(nt={nt!r}, nx={nx!r}, ny={ny!r})"
                 )
-        # not through self.__dict__, which would leave every later read of
-        # a field a dict lookup
+        # object.__setattr__, not self.__dict__: touching __dict__ turns
+        # every later read of a field into a dict lookup, and multi-indices
+        # are read in the jet ring's loops
         object.__setattr__(self, "nt", nt)
         object.__setattr__(self, "nx", nx)
         object.__setattr__(self, "ny", ny)

@@ -12,12 +12,13 @@ core (``sections``) reads and checks; it must not have loaded sympy after
 any of them.  The negative controls, run last in probes of their own, must
 load it: a ``reduce`` of a fractional power, a ``transform`` and a
 ``check-solution`` of a section with exponential atoms.  Nor may the probe
-have loaded ``dataclasses`` (with ``inspect``, ``ast`` and ``dis`` behind
-it) after ``import jetweyl.cli`` or after any of those light runs: the
-records of ``syntax``, ``counts`` and ``sections`` are plain classes, and
-only the signature clouds of ``clouds`` are dataclasses.  So a
-``signature`` that samples a cloud and a ``compare`` load it, each run in
-a probe of its own as its negative control, still without sympy.
+have loaded ``dataclasses`` or ``inspect`` (which ``dataclasses`` imports,
+with ``ast`` and ``dis``) after ``import jetweyl.cli`` or after any of
+those light runs: the records of ``syntax``, ``counts`` and ``sections``
+are plain classes, and only the signature clouds of ``clouds`` are
+dataclasses.  So a ``signature`` that samples a cloud and a ``compare``
+load both, each run in a probe of its own as its negative control, still
+without sympy.
 ``counts`` loads neither sympy nor an algebra layer.  A static guard reads
 the sources: the light modules import neither sympy nor a module that uses
 it, ``cli.py`` and the core ``jets.py`` import neither at module level,
@@ -57,7 +58,7 @@ _PROBE = """
 import json, sys
 import jetweyl.cli
 def heavy():
-    return ["sympy" in sys.modules, "dataclasses" in sys.modules]
+    return ["sympy" in sys.modules, "dataclasses" in sys.modules, "inspect" in sys.modules]
 loaded = {"import": heavy()}
 for name, argv in json.loads(sys.argv[1]):
     try:
@@ -156,17 +157,17 @@ def test_light_commands_do_not_load_sympy(tmp_path):
         ("check-solution-exp", ["check-solution", "exp-family"], 0),
     ]
     assert _probe([(name, argv) for name, argv, _ in runs], report) == {
-        "import": [False, False],
-        **{name: [code, False, False] for name, _, code in runs},
+        "import": [False, False, False],
+        **{name: [code, False, False, False] for name, _, code in runs},
     }
     for name, argv, code in clouds:
         assert _probe([(name, argv)], report) == {
-            "import": [False, False],
-            name: [code, False, True],
+            "import": [False, False, False],
+            name: [code, False, True, True],
         }
     for name, argv, code in controls:
         got = _probe([(name, argv)], report)
-        assert got["import"] == [False, False] and got[name][:2] == [code, True], got
+        assert got["import"] == [False, False, False] and got[name][:2] == [code, True], got
 
 
 def _probe(commands: list, report) -> dict:
